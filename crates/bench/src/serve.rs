@@ -6,8 +6,8 @@
 //! load the emitted snapshot back from disk, and prove on a fixed seed that
 //! batched/cached answers through [`BatchIndex`] are **bit-identical** to
 //! the dense `compute_naive` + stable-argsort reference under the shared
-//! tie rule (descending score, lowest index wins) — across batch sizes,
-//! kernel thread counts and cache passes. Divergence exits non-zero.
+//! tie rule (descending score, lowest index wins) — across kernel thread
+//! counts and cache passes. Divergence exits non-zero.
 //!
 //! The load phase then measures two regimes:
 //!
@@ -20,15 +20,13 @@
 //!    [`Poller`](openea_runtime::os::Poller) and sends on a fixed
 //!    schedule regardless of completions (no coordinated omission:
 //!    latency is charged from the scheduled send time). The same offered
-//!    rate is driven at each connection count against both server modes;
-//!    the blocking thread-per-connection baseline starves or sheds once
-//!    connections exceed its worker count, while the reactor holds a
-//!    flat p50 — that contrast is the committed curve.
+//!    rate is driven at each connection count, far past the compute
+//!    worker count; the reactor holding a flat p50 is the committed curve.
 //!
 //! `--smoke` runs the equivalence gate, one tiny closed-loop config with
-//! a latency sanity bound, and a reactor-vs-blocking concurrency gate
-//! (the reactor must sustain at least the blocking server's delivered
-//! QPS with clean answers). Smoke writes no JSON.
+//! a latency sanity bound, and a concurrency gate (32 connections over
+//! 8 compute workers must all be answered, none dropped). Smoke writes
+//! no JSON.
 
 use crate::HarnessConfig;
 use openea::align::DEFAULT_TILE;
@@ -39,9 +37,7 @@ use openea_runtime::os::{Interest, PollEvent, Poller};
 use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
 use openea_runtime::testkit::replay::Zipf;
 use openea_runtime::timer::{MicrosHistogram, Monotonic};
-use openea_serve::{
-    serve, AlignmentIndex, BatchIndex, ServerMode, ServerOptions, Snapshot, SnapshotWriter,
-};
+use openea_serve::{serve, AlignmentIndex, BatchIndex, ServerOptions, Snapshot, SnapshotWriter};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -130,73 +126,65 @@ fn dense_answers(snap: &Snapshot, ks: &[usize]) -> Vec<Vec<Vec<(u32, f32)>>> {
 }
 
 /// Proves batched/cached serving bit-identical to the dense reference.
-/// Returns the number of (batch, threads, pass) configurations checked.
+/// Returns the number of (threads, pass) configurations checked.
 fn check_equivalence(snap: &Snapshot, smoke: bool) -> Result<usize, String> {
     let ks = [1usize, 5, LOAD_K];
     let expected = dense_answers(snap, &ks);
     let n1 = snap.num_queries();
-    let (batches, thread_counts): (&[usize], &[usize]) = if smoke {
-        (&[1, 16], &[1, 2])
-    } else {
-        (&[1, 7, 64], &[1, 2, 8])
-    };
+    let thread_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 8] };
     let mut checked = 0usize;
-    for &max_batch in batches {
-        for &threads in thread_counts {
-            let index = Arc::new(BatchIndex::new(
-                AlignmentIndex::new(snap.clone()),
-                threads,
-                max_batch,
-                Duration::from_micros(100),
-                n1 * ks.len(), // holds every (entity, k): pass 2 must hit
-            ));
-            // Two passes: the second mostly answers from the LRU cache, so
-            // cached answers are held to the same bit-identity bar.
-            for pass in 0..2usize {
-                let failure = std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..4usize)
-                        .map(|c| {
-                            let index = Arc::clone(&index);
-                            let expected = &expected;
-                            s.spawn(move || {
-                                for e in (c..n1).step_by(4) {
-                                    for (ki, &k) in ks.iter().enumerate() {
-                                        let got = index
-                                            .query(e as u32, k)
-                                            .map_err(|err| format!("query ({e},{k}): {err}"))?;
-                                        let want = &expected[e][ki];
-                                        let same = got.len() == want.len()
-                                            && got.iter().zip(want).all(|(&(i, s), &(j, t))| {
-                                                i == j && s.to_bits() == t.to_bits()
-                                            });
-                                        if !same {
-                                            return Err(format!(
-                                                "batch {max_batch} threads {threads} pass {pass}: \
-                                                 query ({e},{k}) got {got:?}, want {want:?}"
-                                            ));
-                                        }
+    for &threads in thread_counts {
+        let index = Arc::new(BatchIndex::new(
+            AlignmentIndex::new(snap.clone()),
+            threads,
+            n1 * ks.len(), // holds every (entity, k): pass 2 must hit
+        ));
+        // Two passes: the second mostly answers from the LRU cache, so
+        // cached answers are held to the same bit-identity bar.
+        for pass in 0..2usize {
+            let failure = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..4usize)
+                    .map(|c| {
+                        let index = Arc::clone(&index);
+                        let expected = &expected;
+                        s.spawn(move || {
+                            for e in (c..n1).step_by(4) {
+                                for (ki, &k) in ks.iter().enumerate() {
+                                    let got = index
+                                        .query(e as u32, k)
+                                        .map_err(|err| format!("query ({e},{k}): {err}"))?;
+                                    let want = &expected[e][ki];
+                                    let same = got.len() == want.len()
+                                        && got.iter().zip(want).all(|(&(i, s), &(j, t))| {
+                                            i == j && s.to_bits() == t.to_bits()
+                                        });
+                                    if !same {
+                                        return Err(format!(
+                                            "threads {threads} pass {pass}: \
+                                             query ({e},{k}) got {got:?}, want {want:?}"
+                                        ));
                                     }
                                 }
-                                Ok(())
-                            })
+                            }
+                            Ok(())
                         })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .filter_map(|h| h.join().expect("no panic").err())
-                        .next()
-                });
-                if let Some(msg) = failure {
-                    return Err(msg);
-                }
-                checked += 1;
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .filter_map(|h| h.join().expect("no panic").err())
+                    .next()
+            });
+            if let Some(msg) = failure {
+                return Err(msg);
             }
-            let stats = index.stats();
-            if stats.cache_hits == 0 {
-                return Err(format!(
-                    "batch {max_batch} threads {threads}: second pass produced no cache hits"
-                ));
-            }
+            checked += 1;
+        }
+        let stats = index.stats();
+        if stats.cache_hits == 0 {
+            return Err(format!(
+                "threads {threads}: second pass produced no cache hits"
+            ));
         }
     }
     Ok(checked)
@@ -235,16 +223,8 @@ fn http_get(
     Ok(ok)
 }
 
-fn mode_label(mode: ServerMode) -> &'static str {
-    match mode {
-        ServerMode::Reactor => "reactor",
-        ServerMode::Blocking => "blocking",
-    }
-}
-
 /// Result of one (trace, clients) load configuration.
 struct LoadEntry {
-    mode: &'static str,
     trace: &'static str,
     clients: usize,
     queries: usize,
@@ -259,7 +239,9 @@ struct LoadEntry {
 impl ToJson for LoadEntry {
     fn to_json(&self) -> Json {
         object([
-            ("mode", self.mode.to_json()),
+            // Constant: keeps entries comparable with the recorded
+            // `BENCH_serve.json`, whose rows carry a mode.
+            ("mode", "reactor".to_json()),
             ("trace", self.trace.to_json()),
             ("clients", self.clients.to_json()),
             ("queries", self.queries.to_json()),
@@ -277,27 +259,19 @@ impl ToJson for LoadEntry {
 /// `clients` concurrent keep-alive connections.
 fn run_load(
     snap: &Snapshot,
-    mode: ServerMode,
     trace: &'static str,
     clients: usize,
     total_queries: usize,
     seed: u64,
 ) -> LoadEntry {
     let n1 = snap.num_queries();
-    let index = Arc::new(BatchIndex::new(
-        AlignmentIndex::new(snap.clone()),
-        2,
-        32,
-        Duration::from_micros(200),
-        4096,
-    ));
+    let index = Arc::new(BatchIndex::new(AlignmentIndex::new(snap.clone()), 2, 4096));
     let mut handle = serve(
         Arc::clone(&index),
         "127.0.0.1:0".parse().unwrap(),
         ServerOptions {
             workers: clients.max(2),
             queue_cap: 64,
-            mode,
             ..Default::default()
         },
     )
@@ -348,7 +322,6 @@ fn run_load(
 
     let stats = index.stats();
     LoadEntry {
-        mode: mode_label(mode),
         trace,
         clients,
         queries: per_client * clients,
@@ -364,9 +337,8 @@ fn run_load(
 // ---------------------------------------------------------------------------
 // Open-loop latency-under-load curve.
 
-/// Result of one open-loop (mode, conns) configuration.
+/// Result of one open-loop configuration.
 struct CurveEntry {
-    mode: &'static str,
     conns: usize,
     offered_qps: f64,
     achieved_qps: f64,
@@ -383,7 +355,7 @@ struct CurveEntry {
 impl ToJson for CurveEntry {
     fn to_json(&self) -> Json {
         object([
-            ("mode", self.mode.to_json()),
+            ("mode", "reactor".to_json()),
             ("conns", self.conns.to_json()),
             ("offered_qps", self.offered_qps.to_json()),
             ("achieved_qps", self.achieved_qps.to_json()),
@@ -426,30 +398,19 @@ struct GenConn {
 /// [`Poller`], so thousands of connections cost one thread.
 fn run_open_loop(
     snap: &Snapshot,
-    mode: ServerMode,
     conns: usize,
     offered_qps: f64,
     duration: Duration,
     seed: u64,
 ) -> CurveEntry {
     let n1 = snap.num_queries();
-    let index = Arc::new(BatchIndex::new(
-        AlignmentIndex::new(snap.clone()),
-        2,
-        32,
-        Duration::from_micros(200),
-        4096,
-    ));
-    // Both modes get the same worker budget and queue: the contrast under
-    // load comes from what a worker *is* — a connection owner (blocking)
-    // vs a compute thread behind the reactor.
+    let index = Arc::new(BatchIndex::new(AlignmentIndex::new(snap.clone()), 2, 4096));
     let mut handle = serve(
         Arc::clone(&index),
         "127.0.0.1:0".parse().unwrap(),
         ServerOptions {
             workers: 8,
             queue_cap: 64,
-            mode,
             ..Default::default()
         },
     )
@@ -569,7 +530,6 @@ fn run_open_loop(
     handle.stop();
 
     CurveEntry {
-        mode: mode_label(mode),
         conns,
         offered_qps,
         achieved_qps: completed as f64 / wall_s.max(duration.as_secs_f64()),
@@ -718,7 +678,7 @@ pub fn serve_bench(cfg: &HarnessConfig, smoke: bool) {
 
     print!("equivalence gate (seed {}): ", cfg.seed);
     match check_equivalence(&snap, smoke) {
-        Ok(n) => println!("{n} batch/thread/pass configurations bit-identical to dense"),
+        Ok(n) => println!("{n} thread/pass configurations bit-identical to dense"),
         Err(msg) => {
             eprintln!("FAILED — served answers diverge from the dense path: {msg}");
             std::process::exit(1);
@@ -741,14 +701,7 @@ pub fn serve_bench(cfg: &HarnessConfig, smoke: bool) {
     );
     for &trace in traces {
         for &clients in client_counts {
-            let e = run_load(
-                &snap,
-                ServerMode::Reactor,
-                trace,
-                clients,
-                total_queries,
-                cfg.seed,
-            );
+            let e = run_load(&snap, trace, clients, total_queries, cfg.seed);
             println!(
                 "{:>8} {:>8} {:>8} {:>10.0} {:>9} {:>9} {:>10.3} {:>10.2}",
                 e.trace,
@@ -764,10 +717,9 @@ pub fn serve_bench(cfg: &HarnessConfig, smoke: bool) {
         }
     }
 
-    // Open-loop latency-under-load curve, both server modes at each
-    // connection count. The smoke variant doubles as the CI concurrency
-    // gate: one point per mode at a conn count well past the blocking
-    // server's worker pool.
+    // Open-loop latency-under-load curve. The smoke variant doubles as the
+    // CI concurrency gate: one point at a conn count well past the compute
+    // worker pool.
     let (curve_conns, offered, dur): (&[usize], f64, Duration) = if smoke {
         (&[32], 1500.0, Duration::from_secs(1))
     } else {
@@ -778,35 +730,24 @@ pub fn serve_bench(cfg: &HarnessConfig, smoke: bool) {
         dur.as_secs()
     );
     println!(
-        "{:>9} {:>6} {:>9} {:>9} {:>8} {:>8} {:>8} {:>9} {:>11}",
-        "mode",
-        "conns",
-        "offered",
-        "achieved",
-        "p50_us",
-        "p95_us",
-        "p99_us",
-        "shed_503",
-        "unanswered"
+        "{:>6} {:>9} {:>9} {:>8} {:>8} {:>8} {:>9} {:>11}",
+        "conns", "offered", "achieved", "p50_us", "p95_us", "p99_us", "shed_503", "unanswered"
     );
     let mut curve: Vec<CurveEntry> = Vec::new();
     for &conns in curve_conns {
-        for mode in [ServerMode::Blocking, ServerMode::Reactor] {
-            let e = run_open_loop(&snap, mode, conns, offered, dur, cfg.seed);
-            println!(
-                "{:>9} {:>6} {:>9.0} {:>9.0} {:>8} {:>8} {:>8} {:>9} {:>11}",
-                e.mode,
-                e.conns,
-                e.offered_qps,
-                e.achieved_qps,
-                e.p50_us,
-                e.p95_us,
-                e.p99_us,
-                e.shed_503,
-                e.unanswered
-            );
-            curve.push(e);
-        }
+        let e = run_open_loop(&snap, conns, offered, dur, cfg.seed);
+        println!(
+            "{:>6} {:>9.0} {:>9.0} {:>8} {:>8} {:>8} {:>9} {:>11}",
+            e.conns,
+            e.offered_qps,
+            e.achieved_qps,
+            e.p50_us,
+            e.p95_us,
+            e.p99_us,
+            e.shed_503,
+            e.unanswered
+        );
+        curve.push(e);
     }
 
     if smoke {
@@ -818,27 +759,19 @@ pub fn serve_bench(cfg: &HarnessConfig, smoke: bool) {
             std::process::exit(1);
         }
         // Concurrency gate: with conns well past the worker pool, the
-        // reactor must answer cleanly and deliver at least what the
-        // thread-per-connection baseline manages.
-        let blocking = curve.iter().find(|e| e.mode == "blocking").expect("entry");
-        let reactor = curve.iter().find(|e| e.mode == "reactor").expect("entry");
-        if reactor.errors > 0 {
+        // reactor must answer, and answer cleanly.
+        let point = curve.first().expect("one smoke point");
+        if point.errors > 0 || point.completed == 0 {
             eprintln!(
-                "FAILED — reactor dropped {} connection(s) under the smoke load",
-                reactor.errors
-            );
-            std::process::exit(1);
-        }
-        if reactor.completed == 0 || reactor.achieved_qps < blocking.achieved_qps {
-            eprintln!(
-                "FAILED — reactor {:.0} qps under blocking baseline {:.0} qps at {} conns",
-                reactor.achieved_qps, blocking.achieved_qps, reactor.conns
+                "FAILED — reactor dropped {} connection(s) and completed {} request(s) \
+                 under the smoke load",
+                point.errors, point.completed
             );
             std::process::exit(1);
         }
         println!(
-            "[serve smoke OK] reactor {:.0} qps >= blocking {:.0} qps at {} conns",
-            reactor.achieved_qps, blocking.achieved_qps, reactor.conns
+            "[serve smoke OK] reactor {:.0} qps at {} conns, 0 dropped",
+            point.achieved_qps, point.conns
         );
         return;
     }
@@ -893,7 +826,6 @@ mod tests {
     #[test]
     fn load_entry_serializes() {
         let e = LoadEntry {
-            mode: "reactor",
             trace: "uniform",
             clients: 2,
             queries: 100,
@@ -914,7 +846,6 @@ mod tests {
     #[test]
     fn curve_entry_serializes() {
         let e = CurveEntry {
-            mode: "blocking",
             conns: 1024,
             offered_qps: 3000.0,
             achieved_qps: 212.0,
@@ -928,7 +859,7 @@ mod tests {
             mean_us: 1.1e6,
         };
         let j = e.to_json();
-        assert_eq!(j.get("mode").and_then(Json::as_str), Some("blocking"));
+        assert_eq!(j.get("mode").and_then(Json::as_str), Some("reactor"));
         assert_eq!(j.get("conns").and_then(Json::as_f64), Some(1024.0));
         assert_eq!(j.get("unanswered").and_then(Json::as_f64), Some(8200.0));
         assert_eq!(

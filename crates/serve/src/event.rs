@@ -1,5 +1,5 @@
-//! The event-driven serving core: an epoll reactor over the alignment
-//! index.
+//! The serving core: an epoll reactor over the alignment index — the one
+//! front end and the one place requests are batched.
 //!
 //! ## Architecture
 //!
@@ -12,25 +12,28 @@
 //! encode the response bytes, push a completion record, and wake the
 //! reactor through its self-pipe [`Waker`](openea_runtime::os::Waker).
 //! Each open connection costs one fd, one parser buffer and one slab
-//! slot — no thread, no stack — which is what lifts the concurrency
-//! ceiling from `workers` (the blocking baseline) to `max_conns`.
+//! slot — no thread, no stack — so the concurrency ceiling is `max_conns`,
+//! not a thread count.
 //!
-//! ## Pipelining → micro-batching
+//! ## The run the reactor formed is the batch
 //!
 //! A client that pipelines N `/align` requests lands them in one socket
 //! read; the reactor collects the maximal contiguous run into a single
-//! job, and the worker resolves the whole run through
-//! [`BatchIndex::query_batch`] — one state-lock pass, at most one kernel
-//! sweep for every cache miss in the run. Responses are encoded in
-//! request order, so pipelining is invisible to the client except in
-//! throughput ([`Telemetry::pipelined_batches`] counts the multi-request
-//! jobs).
+//! job, and the worker resolves the whole run with one
+//! [`BatchIndex::query_batch`](crate::index::BatchIndex::query_batch)
+//! call — one cache-lock pass, then one kernel sweep per probe over the
+//! run's cache misses, started the moment the worker picks the job up.
+//! Nothing downstream re-batches or waits for more arrivals, so a lone
+//! request costs exactly its own sweep. Responses are encoded in request
+//! order, so pipelining is invisible to the client except in throughput
+//! ([`Telemetry::pipelined_batches`] counts the multi-request jobs).
 //!
 //! At most one job per connection is in flight at a time; further parsed
 //! requests queue on the connection (bounded by
-//! [`MAX_PIPELINE`](crate::conn::MAX_PIPELINE), after which the reactor
-//! simply stops reading that socket — level triggering re-reports the
-//! unread bytes once the pipeline drains).
+//! [`MAX_PIPELINE`](crate::conn::MAX_PIPELINE), which is therefore also
+//! the largest sweep; past it the reactor simply stops reading that
+//! socket — level triggering re-reports the unread bytes once the
+//! pipeline drains).
 //!
 //! ## Admission control
 //!
@@ -48,19 +51,21 @@
 //! ## Shutdown
 //!
 //! `stop()` flips the flag and wakes the reactor — no sentinel
-//! connections. The reactor closes the listener, performs a final read
+//! connections. The reactor drains `accept()` to `WouldBlock` (a
+//! handshake the kernel completed is a connection we own, even if it
+//! still sat in the backlog), closes the listener, performs a final read
 //! sweep (requests that raced shutdown are still parsed), then drains:
 //! idle keep-alive connections close immediately, connections owing
 //! responses stay until their bytes are flushed (bounded by a grace
 //! deadline). Only then does the job queue close and the workers join —
-//! an accepted request that reached the parser is never dropped
-//! unanswered.
+//! a request written to a connection the kernel accepted before `stop()`
+//! is never dropped unanswered.
 
 use crate::conn::{Conn, ConnEvent};
 use crate::index::Probe;
 use crate::server::{
     align_response, classify, err_json, reload_response, response_bytes, shed_bytes, stats_json,
-    AlignQuery, RouteAction, ServerMode, ServerOptions, Telemetry, EP_ALIGN, EP_RELOAD,
+    AlignQuery, RouteAction, ServerOptions, Telemetry, EP_ALIGN, EP_RELOAD,
 };
 use crate::swap::HotSwapIndex;
 use openea_runtime::os::{Interest, PollEvent, Poller, Waker};
@@ -312,8 +317,8 @@ fn worker_loop(sh: &ReactorShared) {
     }
 }
 
-/// Resolves one run of align requests through the micro-batching path
-/// and encodes the responses in request order.
+/// Resolves one run of align requests with one `query_batch` call and
+/// encodes the responses in request order.
 fn run_aligns(sh: &ReactorShared, items: &[AlignItem]) -> (Vec<u8>, bool) {
     // One `current()` per job: answers, metric, names and generation all
     // come from one coherent index even if a flip lands mid-job.
@@ -553,7 +558,6 @@ impl Reactor {
                     let body = stats_json(
                         &self.shared.index,
                         &self.shared.tel,
-                        ServerMode::Reactor,
                         self.shared.jobs.depth(),
                         self.shared.opts.p99_budget_us,
                     );
@@ -768,10 +772,14 @@ impl Reactor {
         }
     }
 
-    /// Shutdown observed: stop accepting, final read sweep, close idle.
+    /// Shutdown observed: take what the kernel already accepted, stop
+    /// accepting, final read sweep, close idle.
     fn begin_drain(&mut self) {
         self.draining = true;
         self.drain_deadline_us = self.shared.tel.clock.micros() + DRAIN_GRACE.as_micros() as u64;
+        // Completed handshakes still in the backlog would be RST by the
+        // drop below, requests and all; accept them so the sweep answers.
+        self.accept_ready();
         if let Some(listener) = self.listener.take() {
             let _ = self.poller.deregister(&listener);
             // Dropped here: pending SYNs get RST instead of silence.

@@ -1,5 +1,5 @@
-//! The in-memory alignment index: batched top-k retrieval over a loaded
-//! snapshot, with an LRU answer cache in front.
+//! The in-memory alignment index: top-k retrieval over a loaded snapshot,
+//! one kernel sweep per submitted batch, with an LRU answer cache in front.
 //!
 //! ## Answer semantics
 //!
@@ -10,18 +10,21 @@
 //! `compute_naive` row under the shared tie rule (descending score, lowest
 //! target index wins, NaN last). Because every row's ranking is a total
 //! order, the top-`k` list is a prefix of the top-`k'` list for `k ≤ k'`:
-//! batching queries with different `k`s into one kernel sweep at the
-//! batch-max `k` and truncating per query cannot change any answer.
+//! sweeping queries with different `k`s together at the batch-max `k` and
+//! truncating per query cannot change any answer.
 //!
-//! ## Micro-batching
+//! ## The caller's batch is the sweep
 //!
-//! [`BatchIndex::query`] collects concurrent queries into one kernel sweep:
-//! the first arrival becomes the *leader*, waits until either `max_batch`
-//! queries are pending or `max_wait` has elapsed, then gathers the batch's
-//! query rows and runs a single [`TopKMatrix::compute`]. Followers park on
-//! their own slot until the leader publishes their row. The leader keeps
-//! draining while queries are pending, so under load every sweep is full
-//! and the per-query kernel cost amortizes toward `1/max_batch`.
+//! [`BatchIndex::query_batch`] is the one entry point: it resolves
+//! validation errors and cache hits under one cache lock, groups the
+//! remaining misses by probe, and runs one [`TopKMatrix::compute`] (or one
+//! IVF pass) per group on the calling thread, immediately — no queue, no
+//! wait window, no hand-off between callers. The batch is whatever the
+//! caller formed: the reactor submits each connection's pipelined run
+//! (≤ [`MAX_PIPELINE`](crate::conn::MAX_PIPELINE) requests), a hot-swap
+//! submits its warm keys, and [`BatchIndex::query`] is the one-element
+//! case. Concurrent callers run their sweeps side by side and meet only at
+//! the cache lock.
 //!
 //! ## Two-stage (approximate) answering
 //!
@@ -52,8 +55,7 @@ use openea_runtime::pool::{balanced_chunk_len, parallel_chunks};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
 
 /// One served answer: `(target entity id, similarity score)`, best first.
 pub type Answer = Vec<(u32, f32)>;
@@ -425,37 +427,24 @@ impl IndexStats {
     }
 }
 
-struct Slot {
-    result: Mutex<Option<Answer>>,
-    ready: Condvar,
-}
-
-struct PendingQuery {
-    entity: u32,
-    k: usize,
+/// The cache misses of one `query_batch` call that share a probe: one
+/// kernel sweep.
+struct ProbeGroup {
     probe: Probe,
-    slot: Arc<Slot>,
+    /// Position of each member in the call's query list.
+    slots: Vec<usize>,
+    /// `(entity, clamped k)` per member, the sweep's input.
+    members: Vec<(u32, usize)>,
 }
 
-struct BatchState {
-    pending: Vec<PendingQuery>,
-    /// Whether a leader is currently collecting or computing.
-    leader_active: bool,
-}
-
-/// The serving facade: [`AlignmentIndex`] + micro-batching + LRU cache.
+/// The serving facade: [`AlignmentIndex`] + LRU cache + sweep counters.
 /// Shared across server workers behind an `Arc`; every public method takes
 /// `&self`.
 pub struct BatchIndex {
     index: AlignmentIndex,
     default_probe: Probe,
     threads: usize,
-    max_batch: usize,
-    max_wait: Duration,
     cache: Mutex<LruCache>,
-    state: Mutex<BatchState>,
-    /// Wakes the collecting leader when a new query arrives.
-    arrivals: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
     batches: AtomicU64,
@@ -463,28 +452,15 @@ pub struct BatchIndex {
 }
 
 impl BatchIndex {
-    /// `max_batch` queries or `max_wait`, whichever comes first, form one
-    /// kernel sweep; `cache_cap` answers are memoized (0 disables).
-    pub fn new(
-        index: AlignmentIndex,
-        threads: usize,
-        max_batch: usize,
-        max_wait: Duration,
-        cache_cap: usize,
-    ) -> Self {
+    /// `threads` kernel threads per sweep; `cache_cap` answers are
+    /// memoized (0 disables).
+    pub fn new(index: AlignmentIndex, threads: usize, cache_cap: usize) -> Self {
         let default_probe = index.default_probe();
         Self {
             index,
             default_probe,
             threads: threads.max(1),
-            max_batch: max_batch.max(1),
-            max_wait,
             cache: Mutex::new(LruCache::new(cache_cap)),
-            state: Mutex::new(BatchState {
-                pending: Vec::new(),
-                leader_active: false,
-            }),
-            arrivals: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -544,195 +520,89 @@ impl BatchIndex {
         }
     }
 
-    /// Answers one query under the default probe, through the cache and
-    /// the micro-batcher. Safe to call from any number of threads; the
-    /// answer is independent of which queries it shared a sweep with.
+    /// Answers one query under the default probe: the one-element case of
+    /// [`BatchIndex::query_batch`]. Safe to call from any number of
+    /// threads.
     pub fn query(&self, entity: u32, k: usize) -> Result<Answer, QueryError> {
         self.query_probed(entity, k, None)
     }
 
     /// [`BatchIndex::query`] with an explicit probe (`None` applies the
-    /// default). Queries with different probes may share a micro-batch but
-    /// never a kernel sweep or a cache entry.
+    /// default).
     pub fn query_probed(
         &self,
         entity: u32,
         k: usize,
         probe: Option<Probe>,
     ) -> Result<Answer, QueryError> {
-        let k = self.validate(entity, k)?;
-        let probe = probe.unwrap_or(self.default_probe);
-        let key = self.cache_key(entity, k, probe);
-        if let Some(hit) = self.cache.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit.clone());
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let slot = self.enqueue(&[(entity, k, probe)]).pop().expect("one slot");
-        let mut r = slot.result.lock().unwrap();
-        while r.is_none() {
-            r = slot.ready.wait(r).unwrap();
-        }
-        Ok(r.take().unwrap())
+        self.query_batch(&[(entity, k, probe)])
+            .pop()
+            .expect("one result per query")
     }
 
-    /// Answers a group of queries submitted together — a pipelined burst
-    /// from one connection. All cache misses of the group enter the
-    /// pending set under **one** state lock, so a burst that fits
-    /// `max_batch` lands in a single kernel sweep instead of `n` separate
-    /// leader hand-offs; answers are the same bits [`BatchIndex::query_probed`]
-    /// would produce one at a time (micro-batching is unobservable).
-    /// Per-query validation errors are returned in place without
-    /// disturbing the rest of the group.
+    /// Answers a group of queries submitted together — a pipelined run
+    /// from one connection, or a hot-swap's warm keys. Validation errors
+    /// and cache hits resolve under one cache lock; the misses are grouped
+    /// by probe and each group runs as one kernel sweep on the calling
+    /// thread, immediately. Answers are the same bits whatever else shares
+    /// the call (batching is unobservable); per-query validation errors
+    /// are returned in place without disturbing the rest of the group.
     pub fn query_batch(
         &self,
         queries: &[(u32, usize, Option<Probe>)],
     ) -> Vec<Result<Answer, QueryError>> {
         let mut results: Vec<Option<Result<Answer, QueryError>>> = vec![None; queries.len()];
-        // Resolve validation failures and cache hits first.
-        let mut misses: Vec<(usize, (u32, usize, Probe))> = Vec::new();
+        // The batch-max-k truncation trick is only sound within one probe
+        // (answers under different probes are not prefixes of each other),
+        // so each probe's misses get their own sweep. In the common case
+        // every query uses the default probe and there is one group.
+        let mut groups: Vec<ProbeGroup> = Vec::new();
         {
             let mut cache = self.cache.lock().unwrap();
             for (i, &(entity, k, probe)) in queries.iter().enumerate() {
-                match self.validate(entity, k) {
-                    Err(e) => results[i] = Some(Err(e)),
-                    Ok(k) => {
-                        let probe = probe.unwrap_or(self.default_probe);
-                        match cache.get(&self.cache_key(entity, k, probe)) {
-                            Some(hit) => {
-                                self.hits.fetch_add(1, Ordering::Relaxed);
-                                results[i] = Some(Ok(hit.clone()));
-                            }
-                            None => {
-                                self.misses.fetch_add(1, Ordering::Relaxed);
-                                misses.push((i, (entity, k, probe)));
-                            }
-                        }
+                let k = match self.validate(entity, k) {
+                    Ok(k) => k,
+                    Err(e) => {
+                        results[i] = Some(Err(e));
+                        continue;
                     }
+                };
+                let probe = probe.unwrap_or(self.default_probe);
+                if let Some(hit) = cache.get(&self.cache_key(entity, k, probe)) {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    results[i] = Some(Ok(hit.clone()));
+                    continue;
+                }
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                match groups.iter_mut().find(|g| g.probe == probe) {
+                    Some(g) => {
+                        g.slots.push(i);
+                        g.members.push((entity, k));
+                    }
+                    None => groups.push(ProbeGroup {
+                        probe,
+                        slots: vec![i],
+                        members: vec![(entity, k)],
+                    }),
                 }
             }
         }
-        if !misses.is_empty() {
-            let group: Vec<(u32, usize, Probe)> = misses.iter().map(|&(_, q)| q).collect();
-            let slots = self.enqueue(&group);
-            for ((i, _), slot) in misses.into_iter().zip(slots) {
-                let mut r = slot.result.lock().unwrap();
-                while r.is_none() {
-                    r = slot.ready.wait(r).unwrap();
-                }
-                results[i] = Some(Ok(r.take().unwrap()));
+        for g in groups {
+            let answers = self
+                .index
+                .answer_batch_probed(&g.members, g.probe, self.threads);
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            self.batched_queries
+                .fetch_add(g.members.len() as u64, Ordering::Relaxed);
+            let mut cache = self.cache.lock().unwrap();
+            for ((i, (entity, k)), answer) in g.slots.into_iter().zip(g.members).zip(answers) {
+                cache.insert(self.cache_key(entity, k, g.probe), answer.clone());
+                results[i] = Some(Ok(answer));
             }
         }
         results
             .into_iter()
             .map(|r| r.expect("every query resolved"))
             .collect()
-    }
-
-    /// Pushes validated cache misses into the pending set under one state
-    /// lock and takes leadership if nobody holds it. Returns the slots to
-    /// wait on, in input order.
-    fn enqueue(&self, queries: &[(u32, usize, Probe)]) -> Vec<Arc<Slot>> {
-        let slots: Vec<Arc<Slot>> = queries
-            .iter()
-            .map(|_| {
-                Arc::new(Slot {
-                    result: Mutex::new(None),
-                    ready: Condvar::new(),
-                })
-            })
-            .collect();
-        let mut st = self.state.lock().unwrap();
-        for (&(entity, k, probe), slot) in queries.iter().zip(&slots) {
-            st.pending.push(PendingQuery {
-                entity,
-                k,
-                probe,
-                slot: Arc::clone(slot),
-            });
-        }
-        if st.leader_active {
-            // A leader is collecting or computing: it (or its successor)
-            // will pick these queries up. Wake it in case it is waiting
-            // for the batch to fill.
-            self.arrivals.notify_all();
-        } else {
-            st.leader_active = true;
-            self.lead(st);
-        }
-        slots
-    }
-
-    /// Leader duty: collect up to `max_batch` queries or until `max_wait`
-    /// after taking leadership, sweep, publish, and keep draining while
-    /// queries are pending. Consumes the state guard.
-    fn lead<'s>(&'s self, mut st: std::sync::MutexGuard<'s, BatchState>) {
-        loop {
-            let deadline = Instant::now() + self.max_wait;
-            while st.pending.len() < self.max_batch {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, timeout) = self.arrivals.wait_timeout(st, deadline - now).unwrap();
-                st = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            let take = st.pending.len().min(self.max_batch);
-            let batch: Vec<PendingQuery> = st.pending.drain(..take).collect();
-            drop(st);
-
-            // Group the batch by probe: the batch-max-k truncation trick is
-            // only sound within one probe (answers under different probes
-            // are not prefixes of each other), so each group gets its own
-            // sweep. In the common case every query uses the default probe
-            // and there is exactly one group.
-            let mut groups: Vec<(Probe, Vec<usize>)> = Vec::new();
-            for (i, p) in batch.iter().enumerate() {
-                match groups.iter_mut().find(|(probe, _)| *probe == p.probe) {
-                    Some((_, members)) => members.push(i),
-                    None => groups.push((p.probe, vec![i])),
-                }
-            }
-            let mut answers: Vec<Option<Answer>> = batch.iter().map(|_| None).collect();
-            for (probe, members) in groups {
-                let queries: Vec<(u32, usize)> = members
-                    .iter()
-                    .map(|&i| (batch[i].entity, batch[i].k))
-                    .collect();
-                let group_answers = self
-                    .index
-                    .answer_batch_probed(&queries, probe, self.threads);
-                self.batches.fetch_add(1, Ordering::Relaxed);
-                for (i, ans) in members.into_iter().zip(group_answers) {
-                    answers[i] = Some(ans);
-                }
-            }
-            self.batched_queries
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            {
-                let mut cache = self.cache.lock().unwrap();
-                for (p, ans) in batch.iter().zip(&answers) {
-                    cache.insert(
-                        self.cache_key(p.entity, p.k, p.probe),
-                        ans.as_ref().expect("every group answered").clone(),
-                    );
-                }
-            }
-            for (p, ans) in batch.into_iter().zip(answers) {
-                *p.slot.result.lock().unwrap() = Some(ans.expect("every group answered"));
-                p.slot.ready.notify_all();
-            }
-
-            st = self.state.lock().unwrap();
-            if st.pending.is_empty() {
-                st.leader_active = false;
-                return;
-            }
-            // More queries arrived while computing: stay leader and drain
-            // them (their owners are parked on their slots).
-        }
     }
 }

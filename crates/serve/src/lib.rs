@@ -12,14 +12,18 @@
 //!    registry approach emit snapshots from the driver engine's validation
 //!    checkpoints.
 //! 2. [`index`] — the in-memory alignment index over the streaming
-//!    [`TopKMatrix`](openea_align::TopKMatrix) kernels, with query
-//!    micro-batching (up to B queries or T µs per kernel sweep) and a
-//!    fixed-capacity LRU answer cache keyed by `(entity, k, metric)`.
-//!    Served answers are bit-identical to the offline dense evaluation
-//!    under the shared tie rule (descending score, lowest index wins).
-//! 3. [`server`] — a std-only threaded HTTP/1.1 server exposing
-//!    `/align?entity=&k=`, `/health`, `/stats` and `/admin/reload`, with
-//!    a bounded connection queue and explicit 503 backpressure.
+//!    [`TopKMatrix`](openea_align::TopKMatrix) kernels: each submitted
+//!    batch of queries is one kernel sweep on the calling thread, behind a
+//!    fixed-capacity LRU answer cache keyed by `(entity, k, metric, probe,
+//!    generation)`. Served answers are bit-identical to the offline dense
+//!    evaluation under the shared tie rule (descending score, lowest index
+//!    wins).
+//! 3. [`server`] + [`event`] + [`conn`] — the std-only HTTP/1.1 front
+//!    end: one epoll reactor multiplexes every connection through an
+//!    incremental parser, hands each connection's pipelined `/align` run
+//!    to a compute worker as one batch, and sheds with explicit 503
+//!    backpressure. Routes: `/align?entity=&k=`, `/health`, `/stats`,
+//!    `/admin/reload`.
 //! 4. [`swap`] — zero-downtime snapshot hot-swap: the live index sits
 //!    behind a wait-free [`SwapCell`](openea_runtime::swap::SwapCell);
 //!    `/admin/reload` (or a directory watcher) loads and validates a new
@@ -28,7 +32,7 @@
 //!    Retiring generations drain; generation-keyed answer caches make
 //!    cross-generation aliasing impossible.
 //!
-//! The `openea-serve` binary glues the three together:
+//! The `openea-serve` binary glues them together:
 //!
 //! ```text
 //! openea-serve model.snap --addr 127.0.0.1:7077 --workers 4
@@ -46,7 +50,7 @@ pub mod swap;
 pub use index::{
     AlignmentIndex, Answer, BatchIndex, CacheKey, IndexStats, LruCache, Probe, QueryError,
 };
-pub use server::{serve, serve_hot, ServerHandle, ServerMode, ServerOptions};
+pub use server::{serve, serve_hot, ServerHandle, ServerOptions};
 pub use shard::{shard_path, write_sharded, ShardManifest, ShardMeta};
 pub use snapshot::{ModelParams, Snapshot, SnapshotError, SnapshotWriter};
 pub use swap::{

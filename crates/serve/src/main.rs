@@ -1,7 +1,7 @@
 //! `openea-serve` — load a snapshot and serve alignment queries over HTTP,
 //! with zero-downtime hot-swap of the artifact.
 
-use openea_serve::{serve_hot, HotSwapIndex, IndexOptions, ServerMode, ServerOptions};
+use openea_serve::{serve_hot, HotSwapIndex, IndexOptions, ServerOptions};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::exit;
@@ -14,19 +14,14 @@ the manifest); any other path loads a monolithic snapshot.
 
 options:
   --addr HOST:PORT   bind address          (default 127.0.0.1:7077)
-  --workers N        server worker threads (default 4): compute threads
-                     under the reactor, connection threads when --blocking
-  --blocking         thread-per-connection server instead of the epoll
-                     reactor (the measured baseline)
-  --max-conns N      reactor open-connection ceiling; 503 above it
+  --workers N        compute worker threads (default 4)
+  --max-conns N      open-connection ceiling; 503 above it
                      (default 8192, 0 = unlimited)
-  --p99-budget-us T  reactor admission control: shed align load while the
+  --p99-budget-us T  admission control: shed align load while the
                      windowed p99 exceeds T µs (default 0 = disabled)
   --threads N        kernel threads per batch sweep (default 2)
-  --batch B          micro-batch size      (default 32)
-  --wait-us T        micro-batch window in microseconds (default 200)
   --cache N          LRU answer-cache capacity (default 4096, 0 disables)
-  --queue N          bounded connection queue before 503s (default 64)
+  --queue N          pending compute jobs before 503s (default 64)
   --nlist N          IVF partitions for two-stage answering (default 0 = exact only)
   --nprobe N         default probe width (default 0 = nlist/8; needs --nlist)
   --mem-budget-mb N  load only the shard prefix fitting N MiB of target
@@ -44,7 +39,6 @@ struct Args {
     addr: SocketAddr,
     workers: usize,
     queue: usize,
-    mode: ServerMode,
     max_conns: usize,
     p99_budget_us: u64,
     watch: bool,
@@ -62,7 +56,6 @@ fn parse_args() -> Result<Args, String> {
         addr: "127.0.0.1:7077".parse().unwrap(),
         workers: 4,
         queue: 64,
-        mode: ServerMode::Reactor,
         max_conns: 8192,
         p99_budget_us: 0,
         watch: false,
@@ -82,17 +75,11 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--addr: {e}"))?
             }
             "--workers" => out.workers = parse_num(&value("--workers")?, "--workers")?,
-            "--blocking" => out.mode = ServerMode::Blocking,
             "--max-conns" => out.max_conns = parse_num(&value("--max-conns")?, "--max-conns")?,
             "--p99-budget-us" => {
                 out.p99_budget_us = parse_num(&value("--p99-budget-us")?, "--p99-budget-us")? as u64
             }
             "--threads" => out.index.threads = parse_num(&value("--threads")?, "--threads")?,
-            "--batch" => out.index.max_batch = parse_num(&value("--batch")?, "--batch")?,
-            "--wait-us" => {
-                out.index.max_wait =
-                    Duration::from_micros(parse_num(&value("--wait-us")?, "--wait-us")? as u64)
-            }
             "--cache" => out.index.cache_cap = parse_num(&value("--cache")?, "--cache")?,
             "--queue" => out.queue = parse_num(&value("--queue")?, "--queue")?,
             "--nlist" => out.index.nlist = parse_num(&value("--nlist")?, "--nlist")?,
@@ -173,7 +160,6 @@ fn main() {
     let opts = ServerOptions {
         workers: args.workers,
         queue_cap: args.queue,
-        mode: args.mode,
         max_conns: args.max_conns,
         p99_budget_us: args.p99_budget_us,
         ..Default::default()
@@ -197,15 +183,9 @@ fn main() {
         None
     };
     println!(
-        "serving on http://{} ({}, {} workers, batch {} / {} µs, cache {}, queue {})",
+        "serving on http://{} (epoll reactor, {} workers, cache {}, queue {})",
         handle.addr(),
-        match args.mode {
-            ServerMode::Reactor => "epoll reactor",
-            ServerMode::Blocking => "blocking",
-        },
         args.workers,
-        args.index.max_batch,
-        args.index.max_wait.as_micros(),
         args.index.cache_cap,
         args.queue,
     );

@@ -1,5 +1,6 @@
-//! The HTTP serving front end: shared routing/telemetry plus two server
-//! implementations over the alignment index.
+//! The HTTP serving front end: routing, response encoding and telemetry
+//! over the alignment index, served by the epoll reactor in
+//! [`crate::event`].
 //!
 //! Deliberately minimal protocol: `GET` only, four routes, no TLS, no
 //! chunked bodies — enough for curl, browsers and the bench load
@@ -27,74 +28,43 @@
 //! Every `/align` answer carries the generation of the index that
 //! computed it, so clients can observe flips and verify monotonicity.
 //!
-//! ## Two server modes
+//! ## One front end
 //!
-//! [`ServerMode::Reactor`] (the default) is the event-driven core in
-//! [`crate::event`]: one epoll reactor thread multiplexes every
-//! connection through nonblocking reads and the incremental parser in
-//! [`crate::conn`], pipelined `/align` bursts are batched into the
-//! [`BatchIndex`] leader/follower path by a small compute-worker pool,
-//! and latency-aware admission control sheds load (503 + `Retry-After`)
-//! when a windowed p99 exceeds its budget. Thousands of concurrent
-//! keep-alive connections cost one fd and a few KiB each — no thread per
-//! connection.
-//!
-//! [`ServerMode::Blocking`] is the original thread-per-connection server,
-//! kept as the measured baseline: a bounded queue of accepted connections
-//! feeds `workers` threads, each owning one keep-alive connection at a
-//! time, and the only overload response is a 503 when the queue fills.
-//! `workers` bounds concurrently-served connections, which is exactly the
-//! ceiling the reactor removes. Its acceptor waits on the same
-//! [`Poller`](openea_runtime::os::Poller) as the reactor (listener +
-//! self-pipe waker), so shutdown is a wakeup, not the historical
-//! throwaway self-connection.
-//!
-//! Both modes answer through the same routing functions below, so their
-//! JSON responses are byte-identical for the same index state — proven by
-//! the differential test in `tests/reactor_e2e.rs`.
+//! [`serve`] / [`serve_hot`] bind the listener and start the reactor: one
+//! event-loop thread multiplexes every connection through nonblocking
+//! reads and the incremental parser in [`crate::conn`], each connection's
+//! pipelined `/align` run goes to a compute worker as one
+//! [`BatchIndex::query_batch`] call, and latency-aware admission control
+//! sheds load (503 + `Retry-After`) when a windowed p99 exceeds its
+//! budget. This module holds what the event loop and its workers answer
+//! with: every JSON body and every response byte is built by exactly one
+//! function below, and `tests/reactor_e2e.rs` pins those bytes against a
+//! golden fixture.
 
 use crate::index::{Answer, BatchIndex, Probe, QueryError};
 use crate::swap::HotSwapIndex;
 use openea_runtime::json::{object, Json, ToJson};
-use openea_runtime::os::{Interest, Poller, Waker};
 use openea_runtime::timer::{MicrosHistogram, Monotonic};
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Which serving core answers connections.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServerMode {
-    /// Event-driven epoll reactor (default): one event loop multiplexes
-    /// all connections; `workers` compute threads run the kernel sweeps.
-    Reactor,
-    /// Thread-per-connection baseline: `workers` threads each own one
-    /// keep-alive connection at a time behind a bounded accept queue.
-    Blocking,
-}
 
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerOptions {
-    /// Reactor: compute worker threads running index sweeps and reloads.
-    /// Blocking: connection-serving threads (bounds open connections).
+    /// Compute worker threads running index sweeps and reloads.
     pub workers: usize,
-    /// Reactor: pending compute jobs before queue-depth shedding starts.
-    /// Blocking: accepted connections waiting for a worker before 503s.
+    /// Pending compute jobs before queue-depth shedding starts (503,
+    /// `shed_total.queue`).
     pub queue_cap: usize,
-    /// Which serving core to run.
-    pub mode: ServerMode,
-    /// Reactor only: open-connection ceiling; further accepts are shed
-    /// with 503 (`shed_total.conn_limit`). 0 means unlimited.
+    /// Open-connection ceiling; further accepts are shed with 503
+    /// (`shed_total.conn_limit`). 0 means unlimited.
     pub max_conns: usize,
-    /// Reactor only: latency budget in µs for the windowed `/align` p99.
-    /// While the observed p99 exceeds it, a matching fraction of incoming
-    /// align requests is shed with 503 + `Retry-After`
-    /// (`shed_total.latency`). 0 disables latency-aware admission.
+    /// Latency budget in µs for the windowed `/align` p99. While the
+    /// observed p99 exceeds it, a matching fraction of incoming align
+    /// requests is shed with 503 + `Retry-After` (`shed_total.latency`).
+    /// 0 disables latency-aware admission.
     pub p99_budget_us: u64,
     /// Width of the admission-control observation window.
     pub budget_window: Duration,
@@ -105,7 +75,6 @@ impl Default for ServerOptions {
         Self {
             workers: 4,
             queue_cap: 64,
-            mode: ServerMode::Reactor,
             max_conns: 8192,
             p99_budget_us: 0,
             budget_window: Duration::from_millis(1000),
@@ -114,7 +83,7 @@ impl Default for ServerOptions {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry shared by both server modes.
+// Telemetry.
 
 /// Endpoint slots for per-endpoint latency histograms.
 pub(crate) const EP_ALIGN: usize = 0;
@@ -126,8 +95,8 @@ pub(crate) const N_ENDPOINTS: usize = 5;
 
 const ENDPOINT_NAMES: [&str; N_ENDPOINTS] = ["align", "health", "stats", "reload", "other"];
 
-/// Counters and histograms exported through `/stats`, fed by whichever
-/// server mode is running.
+/// Counters and histograms exported through `/stats`, fed by the event
+/// loop and its compute workers.
 pub(crate) struct Telemetry {
     pub clock: Monotonic,
     /// Responses written (any status), across all endpoints.
@@ -193,9 +162,8 @@ impl Telemetry {
 }
 
 // ---------------------------------------------------------------------------
-// Routing shared by both server modes. Keeping every JSON answer built by
-// exactly one function is what makes the reactor provably bit-identical
-// to the blocking baseline.
+// Routing. Every JSON answer is built by exactly one function, whether
+// the event loop answers inline or a compute worker does.
 
 /// A validated `/align` request.
 #[derive(Clone, Copy, Debug)]
@@ -209,16 +177,17 @@ pub(crate) struct AlignQuery {
 pub(crate) enum RouteAction {
     /// Fully answerable without touching the compute path.
     Inline(u16, Json),
-    /// Telemetry snapshot; cheap, but each mode supplies its own gauges.
+    /// Telemetry snapshot; cheap, answered on the event loop with its
+    /// queue-depth gauge.
     Stats,
-    /// Needs an index sweep (dispatched to compute workers by the reactor).
+    /// Needs an index sweep (dispatched to a compute worker).
     Align(AlignQuery),
     /// Needs an artifact load (slow; never run on the event loop).
     Reload(Option<String>),
 }
 
-/// Classifies a request; all parameter validation errors happen here so
-/// both server modes emit identical error responses.
+/// Classifies a request; all parameter validation errors happen here, on
+/// the event loop, before any compute is queued.
 pub(crate) fn classify(method: &str, path: &str, query: &str) -> RouteAction {
     if method != "GET" {
         return RouteAction::Inline(405, err_json("only GET is supported"));
@@ -333,7 +302,6 @@ pub(crate) fn reload_response(hot: &HotSwapIndex, path: Option<&str>) -> (u16, J
 pub(crate) fn stats_json(
     hot: &HotSwapIndex,
     tel: &Telemetry,
-    mode: ServerMode,
     queue_depth: usize,
     p99_budget_us: u64,
 ) -> Json {
@@ -365,14 +333,7 @@ pub(crate) fn stats_json(
             "generation",
             format!("{:#018x}", raw.generation()).to_json(),
         ),
-        (
-            "server_mode",
-            match mode {
-                ServerMode::Reactor => "reactor",
-                ServerMode::Blocking => "blocking",
-            }
-            .to_json(),
-        ),
+        ("server_mode", "reactor".to_json()),
         (
             "ann_nlist",
             raw.ann().map(|ivf| ivf.nlist()).unwrap_or(0).to_json(),
@@ -555,21 +516,12 @@ fn query_param_raw<'q>(query: &'q str, name: &str) -> Option<&'q str> {
 }
 
 // ---------------------------------------------------------------------------
-// Server handle (both modes).
+// Server handle.
 
 /// A running server: bound address plus the handles needed to stop it.
 pub struct ServerHandle {
     addr: SocketAddr,
-    inner: HandleInner,
-}
-
-enum HandleInner {
-    Blocking {
-        shared: Arc<BlockingShared>,
-        acceptor: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    Reactor(crate::event::ReactorHandle),
+    reactor: crate::event::ReactorHandle,
 }
 
 impl ServerHandle {
@@ -581,28 +533,7 @@ impl ServerHandle {
     /// Signals shutdown, drains gracefully and joins every thread.
     /// Idempotent; also runs on drop.
     pub fn stop(&mut self) {
-        match &mut self.inner {
-            HandleInner::Blocking {
-                shared,
-                acceptor,
-                workers,
-            } => {
-                if shared.shutdown.swap(true, Ordering::SeqCst) {
-                    return;
-                }
-                // Wake the acceptor off its poller; no self-connection.
-                shared.waker.wake();
-                shared.queue.ready.notify_all();
-                if let Some(h) = acceptor.take() {
-                    let _ = h.join();
-                }
-                shared.queue.ready.notify_all();
-                for h in workers.drain(..) {
-                    let _ = h.join();
-                }
-            }
-            HandleInner::Reactor(r) => r.stop(),
-        }
+        self.reactor.stop();
     }
 }
 
@@ -612,10 +543,10 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Binds `addr` (use port 0 for an ephemeral port) and starts the
-/// configured serving core over a fixed in-memory index (`/admin/reload`
-/// works only with an explicit `path`). For an index that reloads from
-/// its own artifact, use [`serve_hot`].
+/// Binds `addr` (use port 0 for an ephemeral port) and starts the reactor
+/// over a fixed in-memory index (`/admin/reload` works only with an
+/// explicit `path`). For an index that reloads from its own artifact, use
+/// [`serve_hot`].
 pub fn serve(
     index: Arc<BatchIndex>,
     addr: SocketAddr,
@@ -632,293 +563,7 @@ pub fn serve_hot(
     opts: ServerOptions,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    let bound = listener.local_addr()?;
-    let inner = match opts.mode {
-        ServerMode::Reactor => {
-            HandleInner::Reactor(crate::event::spawn_reactor(index, listener, opts)?)
-        }
-        ServerMode::Blocking => spawn_blocking(index, listener, opts)?,
-    };
-    Ok(ServerHandle { addr: bound, inner })
-}
-
-// ---------------------------------------------------------------------------
-// Blocking (thread-per-connection) baseline.
-
-struct ConnQueue {
-    deque: Mutex<VecDeque<TcpStream>>,
-    ready: Condvar,
-    cap: usize,
-}
-
-impl ConnQueue {
-    fn new(cap: usize) -> Self {
-        Self {
-            deque: Mutex::new(VecDeque::with_capacity(cap)),
-            ready: Condvar::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Enqueues the connection, or hands it back when the queue is full so
-    /// the caller can shed it with a 503.
-    fn push(&self, conn: TcpStream) -> Result<(), TcpStream> {
-        let mut q = self.deque.lock().unwrap();
-        if q.len() >= self.cap {
-            return Err(conn);
-        }
-        q.push_back(conn);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until a connection or shutdown; `None` means shut down.
-    fn pop(&self, shutdown: &AtomicBool) -> Option<TcpStream> {
-        let mut q = self.deque.lock().unwrap();
-        loop {
-            if let Some(c) = q.pop_front() {
-                return Some(c);
-            }
-            if shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            q = self.ready.wait(q).unwrap();
-        }
-    }
-
-    fn depth(&self) -> usize {
-        self.deque.lock().unwrap().len()
-    }
-}
-
-struct BlockingShared {
-    index: Arc<HotSwapIndex>,
-    queue: ConnQueue,
-    shutdown: AtomicBool,
-    tel: Telemetry,
-    waker: Waker,
-    p99_budget_us: u64,
-}
-
-fn spawn_blocking(
-    index: Arc<HotSwapIndex>,
-    listener: TcpListener,
-    opts: ServerOptions,
-) -> std::io::Result<HandleInner> {
-    listener.set_nonblocking(true)?;
-    let shared = Arc::new(BlockingShared {
-        index,
-        queue: ConnQueue::new(opts.queue_cap),
-        shutdown: AtomicBool::new(false),
-        tel: Telemetry::new(),
-        waker: Waker::new()?,
-        p99_budget_us: opts.p99_budget_us,
-    });
-    let mut poller = Poller::new()?;
-    poller.register(&listener, 0, Interest::READ)?;
-    poller.register(shared.waker.reader(), 1, Interest::READ)?;
-
-    let workers = (0..opts.workers.max(1))
-        .map(|i| {
-            let sh = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&sh))
-                .expect("spawn worker")
-        })
-        .collect();
-
-    let sh = Arc::clone(&shared);
-    let acceptor = std::thread::Builder::new()
-        .name("serve-acceptor".into())
-        .spawn(move || accept_loop(&listener, &sh, &mut poller))
-        .expect("spawn acceptor");
-
-    Ok(HandleInner::Blocking {
-        shared,
-        acceptor: Some(acceptor),
-        workers,
-    })
-}
-
-/// Waits on the poller (listener + waker) and feeds the bounded queue.
-/// Shutdown is a waker byte, not a throwaway self-connection.
-fn accept_loop(listener: &TcpListener, sh: &BlockingShared, poller: &mut Poller) {
-    let mut events = Vec::new();
-    while !sh.shutdown.load(Ordering::SeqCst) {
-        if poller.wait(&mut events, None).is_err() {
-            break;
-        }
-        for ev in &events {
-            if ev.token == 1 {
-                sh.waker.drain();
-                continue;
-            }
-            // Drain every pending accept; level triggering re-reports any
-            // we miss between waits.
-            loop {
-                match listener.accept() {
-                    Ok((conn, _)) => {
-                        sh.tel.accepted_total.fetch_add(1, Ordering::Relaxed);
-                        if let Err(conn) = sh.queue.push(conn) {
-                            shed(conn, sh);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                }
-            }
-        }
-        if sh.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-    }
-}
-
-fn worker_loop(sh: &BlockingShared) {
-    while let Some(conn) = sh.queue.pop(&sh.shutdown) {
-        handle_connection(conn, sh);
-    }
-}
-
-/// Serves one keep-alive connection until the client closes, errors, asks
-/// for `Connection: close`, or the server shuts down.
-fn handle_connection(conn: TcpStream, sh: &BlockingShared) {
-    let _ = conn.set_nodelay(true);
-    // A short read timeout so a worker parked on an idle keep-alive
-    // connection periodically rechecks the shutdown flag — without it,
-    // `ServerHandle::stop` would block forever joining a worker stuck in
-    // a blocking read on a connection the client never closes.
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(50)));
-    sh.tel.open_conns.fetch_add(1, Ordering::Relaxed);
-    let mut reader = BufReader::new(match conn.try_clone() {
-        Ok(c) => c,
-        Err(_) => {
-            sh.tel.open_conns.fetch_sub(1, Ordering::Relaxed);
-            return;
-        }
-    });
-    let mut writer = conn;
-    while let Some(req) = read_request(&mut reader, &sh.shutdown) {
-        let t0 = sh.tel.clock.micros();
-        let endpoint = Telemetry::endpoint(&req.path);
-        let (status, body) = match classify(&req.method, &req.path, &req.query) {
-            RouteAction::Inline(s, j) => (s, j),
-            RouteAction::Align(q) => {
-                // One `current()` per request: every read below — answer,
-                // metric, names, generation — comes from one coherent
-                // index, even if a flip lands mid-request. The held `Arc`
-                // keeps a retiring index alive until the answer is written.
-                let index = sh.index.current();
-                let result = index.query_probed(q.entity, q.k, q.probe);
-                align_response(&index, &q, result)
-            }
-            RouteAction::Stats => (
-                200,
-                stats_json(
-                    &sh.index,
-                    &sh.tel,
-                    ServerMode::Blocking,
-                    sh.queue.depth(),
-                    sh.p99_budget_us,
-                ),
-            ),
-            RouteAction::Reload(path) => reload_response(&sh.index, path.as_deref()),
-        };
-        let bytes = response_bytes(status, &body, req.close, None);
-        if writer
-            .write_all(&bytes)
-            .and_then(|_| writer.flush())
-            .is_err()
-        {
-            break;
-        }
-        sh.tel
-            .record(endpoint, sh.tel.clock.micros().saturating_sub(t0));
-        if req.close {
-            break;
-        }
-    }
-    sh.tel.open_conns.fetch_sub(1, Ordering::Relaxed);
-}
-
-struct Request {
-    method: String,
-    path: String,
-    /// Raw query string (after `?`), possibly empty.
-    query: String,
-    close: bool,
-}
-
-/// `read_line` that rides out read-timeout wakeups: retries on
-/// `WouldBlock`/`TimedOut` until data arrives or `shutdown` is set.
-/// Safe to resume because `BufRead::read_line` appends every consumed
-/// byte to `buf` before the next (possibly timed-out) socket read.
-fn read_line_or_shutdown(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut String,
-    shutdown: &AtomicBool,
-) -> Option<usize> {
-    loop {
-        match reader.read_line(buf) {
-            Ok(n) => return Some(n),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shutdown.load(Ordering::Relaxed) {
-                    return None;
-                }
-            }
-            Err(_) => return None,
-        }
-    }
-}
-
-/// Reads one HTTP/1.1 request head (the routes carry no bodies). `None`
-/// on EOF, oversized head, a malformed request line, or shutdown.
-fn read_request(reader: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -> Option<Request> {
-    let mut line = String::new();
-    if read_line_or_shutdown(reader, &mut line, shutdown)? == 0 {
-        return None;
-    }
-    let mut parts = line.split_whitespace();
-    let method = parts.next()?.to_string();
-    let target = parts.next()?;
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target.to_string(), String::new()),
-    };
-    // Drain headers (bounded), noting Connection: close.
-    let mut close = false;
-    for _ in 0..128 {
-        let mut h = String::new();
-        if read_line_or_shutdown(reader, &mut h, shutdown)? == 0 {
-            return None;
-        }
-        let h = h.trim();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = h.split_once(':') {
-            if k.eq_ignore_ascii_case("connection") && v.trim().eq_ignore_ascii_case("close") {
-                close = true;
-            }
-        }
-    }
-    Some(Request {
-        method,
-        path,
-        query,
-        close,
-    })
-}
-
-/// Writes the backpressure response straight from the acceptor thread.
-fn shed(mut conn: TcpStream, sh: &BlockingShared) {
-    sh.tel.shed_queue.fetch_add(1, Ordering::Relaxed);
-    let _ = conn.write_all(&shed_bytes("queue", 0, true));
-    let _ = conn.flush();
+    let addr = listener.local_addr()?;
+    let reactor = crate::event::spawn_reactor(index, listener, opts)?;
+    Ok(ServerHandle { addr, reactor })
 }

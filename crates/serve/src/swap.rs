@@ -127,10 +127,6 @@ pub fn load_artifact(path: &Path, budget_bytes: u64) -> Result<LoadedArtifact, S
 pub struct IndexOptions {
     /// Kernel threads per batch sweep.
     pub threads: usize,
-    /// Micro-batch size.
-    pub max_batch: usize,
-    /// Micro-batch collection window.
-    pub max_wait: Duration,
     /// LRU answer-cache capacity (0 disables).
     pub cache_cap: usize,
     /// IVF partitions (0 = exact-only index).
@@ -148,8 +144,6 @@ impl Default for IndexOptions {
     fn default() -> Self {
         Self {
             threads: 2,
-            max_batch: 32,
-            max_wait: Duration::from_micros(200),
             cache_cap: 4096,
             nlist: 0,
             nprobe: 0,
@@ -171,13 +165,7 @@ impl IndexOptions {
         } else {
             AlignmentIndex::new(snap)
         };
-        let mut index = BatchIndex::new(
-            raw,
-            self.threads,
-            self.max_batch,
-            self.max_wait,
-            self.cache_cap,
-        );
+        let mut index = BatchIndex::new(raw, self.threads, self.cache_cap);
         if self.nprobe > 0 {
             index = index.with_default_probe(Probe::Nprobe(self.nprobe as u32));
         }
@@ -423,24 +411,26 @@ impl HotSwapIndex {
 
         // Warm the new index's cache with the old one's hottest keys, so
         // popular queries do not all miss at once after the flip. Probe
-        // and k are replayed exactly; entities past the new index's range
-        // (a smaller partial load) are skipped.
-        let mut warmed = 0usize;
-        if self.opts.warm_keys > 0 {
-            for key in old.recent_cache_keys(self.opts.warm_keys) {
-                if (key.entity as usize) < new.index().num_queries()
-                    && new
-                        .query_probed(
-                            key.entity,
-                            key.k as usize,
-                            Some(Probe::from_code(key.probe)),
-                        )
-                        .is_ok()
-                {
-                    warmed += 1;
-                }
-            }
-        }
+        // and k are replayed exactly, hottest first, as one batch (one
+        // sweep per probe); entities past the new index's range (a smaller
+        // partial load) are skipped.
+        let replay: Vec<(u32, usize, Option<Probe>)> = old
+            .recent_cache_keys(self.opts.warm_keys)
+            .into_iter()
+            .filter(|key| (key.entity as usize) < new.index().num_queries())
+            .map(|key| {
+                (
+                    key.entity,
+                    key.k as usize,
+                    Some(Probe::from_code(key.probe)),
+                )
+            })
+            .collect();
+        let warmed = new
+            .query_batch(&replay)
+            .iter()
+            .filter(|r| r.is_ok())
+            .count();
 
         let t0 = self.clock.nanos();
         let retired = self.cell.swap(Arc::clone(&new));

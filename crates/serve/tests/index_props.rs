@@ -1,5 +1,5 @@
-//! Property suite for the serving layer's LRU answer cache and query
-//! micro-batcher, on the `props!` harness.
+//! Property suite for the serving layer's LRU answer cache and batched
+//! query path, on the `props!` harness.
 //!
 //! Two contracts are pinned here:
 //!
@@ -8,17 +8,17 @@
 //!   recently inserted for that *full* key, so an answer computed for one
 //!   `(entity, k, metric)` can never surface for a different `k` or a
 //!   different metric, and occupancy never exceeds capacity.
-//! * **Batching is unobservable** — whatever batch size, thread count and
-//!   interleaving the micro-batcher picks, every query's answer is
-//!   bit-identical to the dense `compute_naive` reference under the shared
-//!   tie rule (descending score, lowest target index wins).
+//! * **Batching is unobservable** — however the queries are grouped into
+//!   `query_batch` calls, at whatever thread count and interleaving, every
+//!   query's answer is bit-identical to the dense `compute_naive` reference
+//!   under the shared tie rule (descending score, lowest target index
+//!   wins) — and each call costs exactly one sweep per probe.
 
 use openea_align::{AnnConfig, Metric, SimilarityMatrix};
 use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
 use openea_runtime::testkit::prelude::*;
 use openea_serve::{AlignmentIndex, Answer, BatchIndex, CacheKey, LruCache, Probe, Snapshot};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The value an entry for `key` must carry — derived from the *full* key
 /// (probe and generation included) so any stale or cross-key answer is
@@ -206,10 +206,11 @@ fn bit_equal(a: &Answer, b: &Answer) -> bool {
 props! {
     #![cases = 24]
 
-    /// Per-query answers through the micro-batcher are bit-identical to the
-    /// dense reference regardless of batch size, kernel thread count, cache
-    /// capacity or which concurrent queries shared a sweep — and asking
-    /// again (a guaranteed cache hit on the second pass) changes nothing.
+    /// Per-query answers are bit-identical to the dense reference however
+    /// the query list is cut into `query_batch` calls (issued from
+    /// concurrent threads), at any kernel thread count and cache capacity
+    /// — and asking again (a guaranteed cache hit on the second pass when
+    /// the cache is ample) changes nothing.
     #[test]
     fn batched_answers_equal_dense_reference(
         seed in 0u64..10_000,
@@ -235,35 +236,38 @@ props! {
             trace: Default::default(),
             lineage: None,
         };
-        let queries: Vec<(u32, usize)> =
-            raw_queries.iter().map(|&(e, k)| (e % n1 as u32, k.min(n2))).collect();
-        let expected = dense_answers(&snap, &queries);
+        let queries: Vec<(u32, usize, Option<Probe>)> =
+            raw_queries.iter().map(|&(e, k)| (e % n1 as u32, k.min(n2), None)).collect();
+        let plain: Vec<(u32, usize)> = queries.iter().map(|&(e, k, _)| (e, k)).collect();
+        let expected = dense_answers(&snap, &plain);
 
-        for &max_batch in &[1usize, 7, 64] {
+        for &grouping in &[1usize, 7, 64] {
             for &threads in &[1usize, 2, 8] {
                 let index = Arc::new(BatchIndex::new(
                     AlignmentIndex::new(snap.clone()),
                     threads,
-                    max_batch,
-                    Duration::from_micros(100),
                     // Exercise cache-off, tiny (evicting) and ample caches.
                     [0, 2, 64][(seed % 3) as usize],
                 ));
                 for pass in 0..2 {
                     let answers: Vec<Answer> = std::thread::scope(|s| {
                         let handles: Vec<_> = queries
-                            .iter()
-                            .map(|&(e, k)| {
+                            .chunks(grouping)
+                            .map(|group| {
                                 let ix = Arc::clone(&index);
-                                s.spawn(move || ix.query(e, k).expect("validated query"))
+                                s.spawn(move || ix.query_batch(group))
                             })
                             .collect();
-                        handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+                        handles
+                            .into_iter()
+                            .flat_map(|h| h.join().expect("no panic"))
+                            .map(|r| r.expect("validated query"))
+                            .collect()
                     });
                     for (i, (got, want)) in answers.iter().zip(&expected).enumerate() {
                         prop_assert!(
                             bit_equal(got, want),
-                            "pass {pass} batch {max_batch} threads {threads} query {i} \
+                            "pass {pass} grouping {grouping} threads {threads} query {i} \
                              {:?}: got {got:?}, want {want:?}",
                             queries[i]
                         );
@@ -299,13 +303,7 @@ props! {
             trace: Default::default(),
             lineage: None,
         };
-        let index = BatchIndex::new(
-            AlignmentIndex::new(snap),
-            1,
-            4,
-            Duration::from_micros(50),
-            8,
-        );
+        let index = BatchIndex::new(AlignmentIndex::new(snap), 1, 8);
         let res = index.query(entity, k);
         if entity as usize >= n1 || k == 0 {
             prop_assert!(res.is_err(), "expected a typed rejection, got {res:?}");
@@ -315,12 +313,14 @@ props! {
         }
     }
 
-    /// Mixed-probe batches through the micro-batcher: every query's answer
-    /// equals its own single-query reference — `Exact` the dense sweep,
-    /// `Nprobe(n)` the [`IvfIndex::search`] of that width — regardless of
-    /// batch size, thread count, or which probes shared a batch. Pins the
-    /// leader's group-by-probe sweep (the batch-max-k truncation trick is
-    /// only sound within one probe group).
+    /// Mixed-probe batches: every query's answer equals its own
+    /// single-query reference — `Exact` the dense sweep, `Nprobe(n)` the
+    /// [`IvfIndex::search`] of that width — regardless of thread count or
+    /// which probes shared the call. The first pass submits the whole mixed
+    /// list as one `query_batch` (pinning its group-by-probe sweeps: the
+    /// batch-max-k truncation trick is only sound within one probe group);
+    /// the second asks again one query per concurrent caller, against the
+    /// cache entries the first pass keyed by probe.
     #[test]
     fn mixed_probe_batches_answer_per_probe_references(
         seed in 0u64..10_000,
@@ -364,8 +364,6 @@ props! {
             let index = Arc::new(BatchIndex::new(
                 AlignmentIndex::with_ann(snap.clone(), &cfg, threads),
                 threads,
-                8,
-                Duration::from_micros(100),
                 64,
             ));
             let ivf = index.index().ann().expect("built with ann");
@@ -380,17 +378,19 @@ props! {
                     }
                 })
                 .collect();
-            for pass in 0..2 {
-                let answers: Vec<Answer> = std::thread::scope(|s| {
-                    let handles: Vec<_> = queries
-                        .iter()
-                        .map(|&(e, k, probe)| {
-                            let ix = Arc::clone(&index);
-                            s.spawn(move || ix.query_probed(e, k, probe).expect("valid"))
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("no panic")).collect()
-                });
+            let together: Vec<Answer> =
+                index.query_batch(&queries).into_iter().map(|r| r.expect("valid")).collect();
+            let apart: Vec<Answer> = std::thread::scope(|s| {
+                let handles: Vec<_> = queries
+                    .iter()
+                    .map(|&(e, k, probe)| {
+                        let ix = Arc::clone(&index);
+                        s.spawn(move || ix.query_probed(e, k, probe).expect("valid"))
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+            });
+            for (pass, answers) in [together, apart].iter().enumerate() {
                 for (i, (got, want)) in answers.iter().zip(&expected).enumerate() {
                     prop_assert!(
                         bit_equal(got, want),
@@ -433,13 +433,7 @@ fn exact_and_probed_answers_never_alias_in_the_cache() {
         nlist: 2,
         ..Default::default()
     };
-    let index = BatchIndex::new(
-        AlignmentIndex::with_ann(snap.clone(), &cfg, 1),
-        1,
-        4,
-        Duration::from_micros(50),
-        64,
-    );
+    let index = BatchIndex::new(AlignmentIndex::with_ann(snap.clone(), &cfg, 1), 1, 64);
     let exact_want = dense_answers(&snap, &[(0, n2)]).remove(0);
     let probed_want = index
         .index()
@@ -473,4 +467,48 @@ fn exact_and_probed_answers_never_alias_in_the_cache() {
         stats.cache_hits, 2,
         "each probe hit its own entry on pass 2"
     );
+}
+
+/// The caller's batch is the sweep: each `query_batch` call runs its misses
+/// as exactly one kernel sweep per probe, whatever its size — nothing caps
+/// a run at a batch limit or merges it with another call's.
+#[test]
+fn each_call_is_one_sweep_per_probe() {
+    let (n1, n2, dim) = (256, 16, 2);
+    let mut rng = SmallRng::seed_from_u64(5);
+    let snap = Snapshot {
+        dim,
+        metric: Metric::Inner,
+        emb1: embeddings(n1, dim, &mut rng),
+        emb2: embeddings(n2, dim, &mut rng),
+        names1: Vec::new(),
+        names2: Vec::new(),
+        trace: Default::default(),
+        lineage: None,
+    };
+    let calls = 3u64;
+    for m in [1usize, 64, 256] {
+        let index = BatchIndex::new(AlignmentIndex::new(snap.clone()), 1, 0);
+        let run: Vec<(u32, usize, Option<Probe>)> = (0..m as u32).map(|e| (e, 3, None)).collect();
+        for _ in 0..calls {
+            assert!(index.query_batch(&run).iter().all(Result::is_ok));
+        }
+        let stats = index.stats();
+        assert_eq!(stats.batches, calls, "m = {m}: one sweep per call");
+        assert_eq!(stats.batched_queries, calls * m as u64, "m = {m}");
+    }
+
+    let cfg = AnnConfig {
+        nlist: 4,
+        ..Default::default()
+    };
+    let index = BatchIndex::new(AlignmentIndex::with_ann(snap, &cfg, 1), 1, 0);
+    let probes = [Probe::Exact, Probe::Nprobe(1), Probe::Nprobe(2)];
+    let mixed: Vec<(u32, usize, Option<Probe>)> = (0..30u32)
+        .map(|e| (e, 3, Some(probes[e as usize % probes.len()])))
+        .collect();
+    assert!(index.query_batch(&mixed).iter().all(Result::is_ok));
+    let stats = index.stats();
+    assert_eq!(stats.batches, probes.len() as u64, "one sweep per probe");
+    assert_eq!(stats.batched_queries, mixed.len() as u64);
 }

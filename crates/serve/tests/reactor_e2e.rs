@@ -1,15 +1,12 @@
-//! The event-driven serving core, end to end: differential bit-identity
-//! against the blocking baseline, adversarial clients against the
-//! incremental parser, graceful shutdown, admission control, and the
-//! `/stats` connection gauges.
+//! The serving core, end to end: raw response bytes against a golden
+//! fixture, adversarial clients against the incremental parser, graceful
+//! shutdown, admission control, and the `/stats` connection gauges.
 
 use openea_align::Metric;
 use openea_approaches::ApproachOutput;
 use openea_runtime::json::{self, Json};
 use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
-use openea_serve::{
-    serve, AlignmentIndex, BatchIndex, ServerHandle, ServerMode, ServerOptions, Snapshot,
-};
+use openea_serve::{serve, AlignmentIndex, BatchIndex, ServerHandle, ServerOptions, Snapshot};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -37,8 +34,6 @@ fn tiny_index(seed: u64) -> Arc<BatchIndex> {
     Arc::new(BatchIndex::new(
         AlignmentIndex::new(tiny_snapshot(40, 50, 8, seed)),
         2,
-        8,
-        Duration::from_micros(200),
         128,
     ))
 }
@@ -128,31 +123,19 @@ fn wait_for_stats(addr: SocketAddr, pred: impl Fn(&Json) -> bool, what: &str) ->
 
 // ---------------------------------------------------------------------------
 
-/// The core contract of the refactor: the reactor and the blocking
-/// baseline answer every request — valid, erroneous, or probing — with
-/// byte-identical responses over the same index.
+/// Every response — valid, erroneous, or probing — is byte-identical to
+/// `fixtures/responses.golden`: the nine raw responses, concatenated in
+/// path order, captured from the thread-per-connection server this
+/// front end replaced (over the same seed-7 index).
 #[test]
-fn reactor_answers_are_bit_identical_to_blocking() {
-    let index = tiny_index(7);
-    let mut blocking = start(
-        Arc::clone(&index),
-        ServerOptions {
-            mode: ServerMode::Blocking,
-            ..Default::default()
-        },
-    );
-    let mut reactor = start(
-        Arc::clone(&index),
-        ServerOptions {
-            mode: ServerMode::Reactor,
-            ..Default::default()
-        },
-    );
+fn reactor_answers_match_golden_bytes() {
+    let golden = include_bytes!("fixtures/responses.golden");
+    let mut server = start(tiny_index(7), ServerOptions::default());
 
     let paths = [
         "/align?entity=0&k=5",
         "/align?entity=17&k=3&nprobe=0",
-        "/align?entity=39&k=64",          // k past n2: clamped identically
+        "/align?entity=39&k=64",          // k past n2: clamped
         "/align?entity=99&k=5",           // out of range: 404
         "/align?k=5",                     // missing entity: 400
         "/align?entity=3&k=0",            // zero k: 400
@@ -160,28 +143,27 @@ fn reactor_answers_are_bit_identical_to_blocking() {
         "/health",
         "/nope",
     ];
+    let mut offset = 0;
     for path in paths {
-        let mut answers = Vec::new();
-        for addr in [blocking.addr(), reactor.addr()] {
-            let mut conn = connect(addr);
-            conn.write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
-                .unwrap();
-            let mut reader = BufReader::new(conn.try_clone().unwrap());
-            let (_, _, _, raw) = read_response(&mut reader);
-            answers.push(raw);
-        }
+        let mut conn = connect(server.addr());
+        conn.write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
+            .unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let (_, _, _, raw) = read_response(&mut reader);
+        let end = (offset + raw.len()).min(golden.len());
         assert_eq!(
-            String::from_utf8_lossy(&answers[0]),
-            String::from_utf8_lossy(&answers[1]),
+            String::from_utf8_lossy(&raw),
+            String::from_utf8_lossy(&golden[offset..end]),
             "divergent response for {path}"
         );
+        offset = end;
     }
-    blocking.stop();
-    reactor.stop();
+    assert_eq!(offset, golden.len(), "fixture holds exactly these nine");
+    server.stop();
 }
 
 /// A pipelined burst on one connection comes back complete, in request
-/// order, and lands in the micro-batching path (`pipelined_batches`).
+/// order, and runs as one multi-request job (`pipelined_batches`).
 #[test]
 fn pipelined_burst_is_ordered_and_batched() {
     let index = tiny_index(11);
@@ -328,9 +310,12 @@ fn mid_request_disconnects_are_reaped() {
     server.stop();
 }
 
-/// The graceful-shutdown contract: a request the server accepted and
-/// parsed is answered even when `stop()` lands immediately after it was
-/// written — never dropped on the floor.
+/// The graceful-shutdown contract: a request written to a connection
+/// whose handshake completed is answered even when `stop()` lands
+/// immediately after — whether the reactor had accepted the connection
+/// yet or it still sat in the kernel backlog. A pipelined `/stats` burst
+/// keeps the event loop answering inline while the clients connect and
+/// write, so they are all still unaccepted when the flag flips.
 #[test]
 fn shutdown_never_drops_an_accepted_request() {
     for round in 0..5 {
@@ -338,19 +323,25 @@ fn shutdown_never_drops_an_accepted_request() {
         let mut server = start(index, ServerOptions::default());
         let addr = server.addr();
 
-        // Park several keep-alive connections with one request in flight
-        // each, then stop the server before reading any response.
-        let conns: Vec<TcpStream> = (0..4)
+        let mut busy = connect(addr);
+        assert_eq!(http_get(&mut busy, "/health").0, 200);
+        busy.write_all("GET /stats HTTP/1.1\r\n\r\n".repeat(256).as_bytes())
+            .unwrap();
+        // One request in flight per connection (fewer connections than
+        // `queue_cap`, so none may be shed), then stop the server before
+        // reading any response.
+        let conns: Vec<TcpStream> = (0..32)
             .map(|i| {
                 let mut c = connect(addr);
                 c.write_all(
                     format!("GET /align?entity={i}&k=3 HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes(),
                 )
                 .unwrap();
-                c.flush().unwrap();
                 c
             })
             .collect();
+        // Unread responses must not hold the drain for its grace period.
+        drop(busy);
         server.stop();
         for (i, conn) in conns.into_iter().enumerate() {
             let mut reader = BufReader::new(conn);

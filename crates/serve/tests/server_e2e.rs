@@ -17,7 +17,6 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A scratch directory, removed on drop.
 struct TempDir(PathBuf);
@@ -145,19 +144,10 @@ fn train_snapshot_serve_roundtrip_is_bit_identical_to_dense() {
 
     // 4. Serve it and hit it with concurrent keep-alive clients.
     let n1 = snap.num_queries();
-    let index = BatchIndex::new(
-        AlignmentIndex::new(snap),
-        2,
-        8,
-        Duration::from_micros(200),
-        128,
-    );
+    let index = BatchIndex::new(AlignmentIndex::new(snap), 2, 128);
     let mut handle = serve(
         Arc::new(index),
         "127.0.0.1:0".parse().unwrap(),
-        // Each worker owns one keep-alive connection for its lifetime, so
-        // `workers` must cover every concurrently-open client connection —
-        // a starved connection would wait in the queue forever.
         ServerOptions {
             workers: 4,
             queue_cap: 32,

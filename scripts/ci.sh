@@ -34,9 +34,9 @@ cargo run --release --offline -p openea-bench -- approaches --smoke --no-out
 # the artifact back, and proves batched/cached query answers bit-identical
 # to the dense similarity path before a short HTTP load replay with a p99
 # latency sanity bound. Then the concurrency gate: an open-loop generator
-# drives 32 keep-alive connections (well past the 8-thread pool) against
-# both server modes; the epoll reactor must answer cleanly and deliver at
-# least the blocking thread-per-connection baseline's QPS. Budget: ~4 s.
+# drives 32 keep-alive connections (well past the 8 compute workers)
+# against the epoll reactor, which must answer every one of them with no
+# dropped connection. Budget: ~3 s.
 cargo run --release --offline -p openea-bench -- serve --smoke --no-out
 
 # Two-stage index smoke gate: proves IVF candidate generation + exact

@@ -84,8 +84,6 @@ fn synth_snapshot(seed: u64) -> Snapshot {
 fn build_opts(threads: usize, nlist: usize) -> IndexOptions {
     IndexOptions {
         threads,
-        max_batch: 8,
-        max_wait: Duration::from_micros(100),
         cache_cap: 64,
         nlist,
         warm_keys: 16,
