@@ -29,6 +29,16 @@
 //! partition — and hence every approximate answer — is a pure function of
 //! `(targets, dim, metric, config)`, regardless of build thread count.
 //! Queries are sequential per call; batching parallelism lives upstream.
+//!
+//! ## Build memory
+//!
+//! A build's peak is the index it returns plus one k-means sample: the
+//! sample and the Lloyd accumulators live only inside centroid training,
+//! the assignment table is dropped once the CSR ids exist, and the
+//! list-contiguous transposed copy of the rows is filled in place, one
+//! [`DEFAULT_TILE`]-row block at a time (gather by id → norms → transpose),
+//! so no row-major gathered copy of the corpus ever exists beside it.
+//! `tests/publish_memory.rs` gates this on allocated bytes.
 
 use crate::metric::Metric;
 use crate::simmat::DEFAULT_TILE;
@@ -105,6 +115,65 @@ fn cluster_metric(metric: Metric) -> Metric {
     }
 }
 
+/// K-means centroids (`nlist × dim`, row-major) trained on a stride sample
+/// of `targets`. The sample and the Lloyd accumulators live only inside
+/// this call.
+fn train_centroids(
+    targets: &[f32],
+    dim: usize,
+    cmetric: Metric,
+    nlist: usize,
+    cfg: &AnnConfig,
+    threads: usize,
+) -> Vec<f32> {
+    let n = targets.len() / dim;
+    // Stride-sample the training set so it covers the whole corpus, then
+    // shuffle a copy to seed the initial centroids.
+    let take = cfg.train_sample.max(nlist).min(n);
+    let stride = n / take;
+    let train_ids: Vec<usize> = (0..take).map(|t| t * stride).collect();
+    let mut train = Vec::with_capacity(take * dim);
+    for &i in &train_ids {
+        train.extend_from_slice(&targets[i * dim..(i + 1) * dim]);
+    }
+    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut init = train_ids;
+    init.shuffle(&mut rng);
+    let mut centroids = Vec::with_capacity(nlist * dim);
+    for &i in init.iter().take(nlist) {
+        centroids.extend_from_slice(&targets[i * dim..(i + 1) * dim]);
+    }
+
+    // Lloyd iterations over the training sample. Mean updates accumulate
+    // in f64 over ascending row order — deterministic by construction.
+    let mut sums = vec![0f64; nlist * dim];
+    let mut counts = vec![0usize; nlist];
+    for _ in 0..cfg.iters {
+        let assign = TopKMatrix::compute(&train, &centroids, dim, cmetric, 1, threads);
+        sums.iter_mut().for_each(|s| *s = 0.0);
+        counts.iter_mut().for_each(|c| *c = 0);
+        for (t, row) in assign.iter_rows().enumerate() {
+            let c = row[0].0 as usize;
+            counts[c] += 1;
+            let src = &train[t * dim..(t + 1) * dim];
+            let dst = &mut sums[c * dim..(c + 1) * dim];
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d += v as f64;
+            }
+        }
+        for c in 0..nlist {
+            if counts[c] == 0 {
+                continue; // empty cluster keeps its previous centroid
+            }
+            let inv = 1.0 / counts[c] as f64;
+            for d in 0..dim {
+                centroids[c * dim + d] = (sums[c * dim + d] * inv) as f32;
+            }
+        }
+    }
+    centroids
+}
+
 impl IvfIndex {
     /// Builds the partition over row-major `targets` (`n × dim`).
     ///
@@ -143,90 +212,51 @@ impl IvfIndex {
         }
         let cmetric = cluster_metric(metric);
 
-        // Stride-sample the training set so it covers the whole corpus, then
-        // shuffle a copy to seed the initial centroids.
-        let take = cfg.train_sample.max(nlist).min(n);
-        let stride = n / take;
-        let train_ids: Vec<usize> = (0..take).map(|t| t * stride).collect();
-        let mut train = Vec::with_capacity(take * dim);
-        for &i in &train_ids {
-            train.extend_from_slice(&targets[i * dim..(i + 1) * dim]);
-        }
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let mut init = train_ids.clone();
-        init.shuffle(&mut rng);
-        let mut centroids = Vec::with_capacity(nlist * dim);
-        for &i in init.iter().take(nlist) {
-            centroids.extend_from_slice(&targets[i * dim..(i + 1) * dim]);
-        }
-
-        // Lloyd iterations over the training sample. Mean updates accumulate
-        // in f64 over ascending row order — deterministic by construction.
-        let mut sums = vec![0f64; nlist * dim];
-        let mut counts = vec![0usize; nlist];
-        for _ in 0..cfg.iters {
-            let assign = TopKMatrix::compute(&train, &centroids, dim, cmetric, 1, threads);
-            sums.iter_mut().for_each(|s| *s = 0.0);
-            counts.iter_mut().for_each(|c| *c = 0);
-            for (t, row) in assign.iter_rows().enumerate() {
-                let c = row[0].0 as usize;
-                counts[c] += 1;
-                let src = &train[t * dim..(t + 1) * dim];
-                let dst = &mut sums[c * dim..(c + 1) * dim];
-                for (d, &v) in dst.iter_mut().zip(src) {
-                    *d += v as f64;
-                }
-            }
-            for c in 0..nlist {
-                if counts[c] == 0 {
-                    continue; // empty cluster keeps its previous centroid
-                }
-                let inv = 1.0 / counts[c] as f64;
-                for d in 0..dim {
-                    centroids[c * dim + d] = (sums[c * dim + d] * inv) as f32;
-                }
-            }
-        }
+        let centroids = train_centroids(targets, dim, cmetric, nlist, cfg, threads);
 
         // Final assignment of *every* target, then CSR layout. Iterating
-        // targets in ascending order keeps each list's ids ascending.
-        let assign = TopKMatrix::compute(targets, &centroids, dim, cmetric, 1, threads);
-        let mut list_len = vec![0usize; nlist];
-        for row in assign.iter_rows() {
-            list_len[row[0].0 as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(nlist + 1);
-        offsets.push(0);
-        for c in 0..nlist {
-            offsets.push(offsets[c] + list_len[c]);
-        }
-        let mut cursor = offsets.clone();
+        // targets in ascending order keeps each list's ids ascending. The
+        // assignment table is dropped as soon as the ids exist.
+        let mut offsets = vec![0usize; nlist + 1];
         let mut ids = vec![0u32; n];
-        for (i, row) in assign.iter_rows().enumerate() {
-            let c = row[0].0 as usize;
-            ids[cursor[c]] = i as u32;
-            cursor[c] += 1;
-        }
-        let mut gathered = Vec::with_capacity(n * dim);
-        for &i in &ids {
-            let i = i as usize;
-            gathered.extend_from_slice(&targets[i * dim..(i + 1) * dim]);
+        {
+            let assign = TopKMatrix::compute(targets, &centroids, dim, cmetric, 1, threads);
+            for row in assign.iter_rows() {
+                offsets[row[0].0 as usize + 1] += 1;
+            }
+            for c in 0..nlist {
+                offsets[c + 1] += offsets[c];
+            }
+            let mut cursor = offsets.clone();
+            for (i, row) in assign.iter_rows().enumerate() {
+                let c = row[0].0 as usize;
+                ids[cursor[c]] = i as u32;
+                cursor[c] += 1;
+            }
         }
         let centroid_norms = metric.row_norms(&centroids, dim);
-        let gathered_norms = metric.row_norms(&gathered, dim);
 
-        // Pre-transpose every re-rank tile once at build time. Blocks step
-        // `DEFAULT_TILE` from each *list's* start (not the global origin) so
-        // the query sweep can slice `gathered_t` with the same `[g, g1)`
-        // bounds it probes with.
-        let mut gathered_t = vec![0.0f32; gathered.len()];
+        // Gather, norm and pre-transpose one re-rank tile at a time,
+        // straight into place: no list-ordered row-major copy of the
+        // corpus ever exists. Blocks step `DEFAULT_TILE` from each *list's*
+        // start (not the global origin) so the query sweep can slice
+        // `gathered_t` with the same `[g, g1)` bounds it probes with.
+        let mut gathered_t = vec![0.0f32; n * dim];
+        let mut gathered_norms = Vec::with_capacity(if metric.needs_norms() { n } else { 0 });
+        let mut tile = Vec::with_capacity(DEFAULT_TILE.min(n) * dim);
         let mut scratch = Vec::new();
         for c in 0..nlist {
             let (lo, hi) = (offsets[c], offsets[c + 1]);
             let mut g = lo;
             while g < hi {
                 let g1 = (g + DEFAULT_TILE).min(hi);
-                vecops::transpose_tile(&gathered[g * dim..g1 * dim], dim, &mut scratch);
+                tile.clear();
+                for &i in &ids[g..g1] {
+                    let i = i as usize;
+                    tile.extend_from_slice(&targets[i * dim..(i + 1) * dim]);
+                }
+                gathered_norms.extend(metric.row_norms(&tile, dim));
+                vecops::transpose_tile(&tile, dim, &mut scratch);
                 gathered_t[g * dim..g1 * dim].copy_from_slice(&scratch);
                 g = g1;
             }

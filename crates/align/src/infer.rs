@@ -10,7 +10,8 @@
 //!   by similarity, accept greedily under the 1-to-1 constraint.
 
 use crate::simmat::SimilarityMatrix;
-use crate::topk::TopKMatrix;
+use crate::topk::{score_desc, TopKMatrix};
+use std::cmp::Ordering;
 
 /// Greedy nearest-neighbour: each source independently picks its most
 /// similar target (targets may be reused). Returns `match[i] = j`.
@@ -30,7 +31,10 @@ pub fn greedy_match_topk(topk: &TopKMatrix) -> Vec<Option<usize>> {
 /// Gale–Shapley stable marriage with sources proposing. All similarities
 /// act as preferences; every source is matched when `rows <= cols`. Equal
 /// preferences resolve toward the lower target index, and a target keeps its
-/// current partner unless the new proposal is strictly better.
+/// current partner unless the new proposal is strictly better. Both sides
+/// rank by the kernel layer's total order (descending, NaN last), so a
+/// diverged run's NaN similarities lose to every finite one instead of
+/// panicking the sort.
 pub fn stable_marriage(sim: &SimilarityMatrix) -> Vec<Option<usize>> {
     let rows = sim.rows();
     let cols = sim.cols();
@@ -40,7 +44,7 @@ pub fn stable_marriage(sim: &SimilarityMatrix) -> Vec<Option<usize>> {
         .map(|i| {
             let row = sim.row(i);
             let mut idx: Vec<usize> = (0..cols).collect();
-            idx.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).expect("finite").then(a.cmp(&b)));
+            idx.sort_by(|&a, &b| score_desc(row[a], row[b]).then(a.cmp(&b)));
             idx
         })
         .collect();
@@ -61,7 +65,7 @@ pub fn stable_marriage(sim: &SimilarityMatrix) -> Vec<Option<usize>> {
                     break;
                 }
                 Some(other) => {
-                    if sim.get(i, j) > sim.get(other, j) {
+                    if score_desc(sim.get(i, j), sim.get(other, j)) == Ordering::Less {
                         // j dumps `other` for i.
                         source_of[j] = Some(i);
                         target_of[i] = Some(j);
@@ -203,9 +207,9 @@ pub fn hungarian(sim: &SimilarityMatrix) -> Vec<Option<usize>> {
     result
 }
 
-/// Greedy collective heuristic: consider all pairs in descending similarity,
-/// accept a pair if both sides are still unmatched. Near-optimal in practice
-/// at O(RC log RC).
+/// Greedy collective heuristic: consider all pairs in descending similarity
+/// (NaN last), accept a pair if both sides are still unmatched. Near-optimal
+/// in practice at O(RC log RC).
 pub fn greedy_collective(sim: &SimilarityMatrix) -> Vec<Option<usize>> {
     let rows = sim.rows();
     let cols = sim.cols();
@@ -216,7 +220,7 @@ pub fn greedy_collective(sim: &SimilarityMatrix) -> Vec<Option<usize>> {
             pairs.push((s, i as u32, j as u32));
         }
     }
-    pairs.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite"));
+    pairs.sort_by(|a, b| score_desc(a.0, b.0));
     let mut used_src = vec![false; rows];
     let mut used_dst = vec![false; cols];
     let mut result = vec![None; rows];
@@ -237,6 +241,27 @@ mod tests {
 
     fn mat(rows: usize, cols: usize, v: Vec<f32>) -> SimilarityMatrix {
         SimilarityMatrix::from_raw(rows, cols, v)
+    }
+
+    #[test]
+    fn nan_similarities_rank_last_and_never_panic() {
+        // What a diverged run hands inference: a finite 3×3 problem inside
+        // a 4×4 whose last row and last column are NaN.
+        let finite = [0.2, 0.9, 0.4, 0.8, 0.7, 0.1, 0.3, 0.6, 0.5];
+        let mut bordered = vec![f32::NAN; 16];
+        for (i, row) in finite.chunks(3).enumerate() {
+            bordered[i * 4..i * 4 + 3].copy_from_slice(row);
+        }
+        let (clean, bordered) = (mat(3, 3, finite.to_vec()), mat(4, 4, bordered));
+        for matcher in [stable_marriage, greedy_collective] {
+            let want = matcher(&clean);
+            assert_eq!(want, vec![Some(1), Some(0), Some(2)]);
+            let got = matcher(&bordered);
+            // Finite rows match as if the NaNs were not there; the NaN row
+            // is left the NaN column, never a cell a finite row wanted.
+            assert_eq!(got[..3], want[..]);
+            assert_eq!(got[3], Some(3));
+        }
     }
 
     #[test]

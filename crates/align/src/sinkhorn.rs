@@ -87,7 +87,7 @@ pub fn sinkhorn_match(sim: &SimilarityMatrix, cfg: SinkhornConfig) -> Vec<Option
             cells.push((plan[i * cols + j], i as u32, j as u32));
         }
     }
-    cells.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite"));
+    cells.sort_by(|a, b| score_desc(a.0, b.0));
     let mut used_src = vec![false; rows];
     let mut used_dst = vec![false; cols];
     let mut out = vec![None; rows];
@@ -239,6 +239,29 @@ mod tests {
         let h = hungarian(&sim);
         let ot = sinkhorn_match(&sim, SinkhornConfig::default());
         assert_eq!(h, ot);
+    }
+
+    #[test]
+    fn nan_mass_ranks_last_and_never_panics() {
+        // A finite 3×3 problem bordered by a NaN row and a NaN column. The
+        // plan is normalized across the whole matrix, so its finite cells
+        // saturate; what rounding still guarantees is the order: no NaN
+        // cell is taken while a finite one is open.
+        let mut sim = vec![f32::NAN; 16];
+        for (i, row) in [[0.2, 0.9, 0.4], [0.8, 0.7, 0.1], [0.3, 0.6, 0.5]]
+            .iter()
+            .enumerate()
+        {
+            sim[i * 4..i * 4 + 3].copy_from_slice(row);
+        }
+        let m = sinkhorn_match(
+            &SimilarityMatrix::from_raw(4, 4, sim),
+            SinkhornConfig::default(),
+        );
+        let mut finite_cols: Vec<usize> = m[..3].iter().map(|j| j.unwrap()).collect();
+        finite_cols.sort_unstable();
+        assert_eq!(finite_cols, vec![0, 1, 2]);
+        assert_eq!(m[3], Some(3));
     }
 
     #[test]

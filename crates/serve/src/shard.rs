@@ -34,23 +34,29 @@
 //!
 //! ## Verification order on load
 //!
-//! For each shard: container framing first (magic, version, truncation,
-//! the shard's own trailer checksum — a torn write surfaces here as
-//! [`SnapshotError::ChecksumMismatch`]), then the payload header. A shard
-//! whose generation differs from the manifest's is
-//! [`SnapshotError::GenerationMismatch`] (it belongs to another snapshot);
-//! one that is internally consistent but hashes differently than the
-//! manifest recorded is [`SnapshotError::ShardChecksumMismatch`] (it was
-//! rewritten after the manifest was sealed). A file that simply is not
-//! there is [`SnapshotError::MissingShard`].
+//! Every file goes through the one streaming frame reader of
+//! [`crate::snapshot`]: one descriptor, its length read once, one
+//! decode-and-hash pass. For each shard: existence (else
+//! [`SnapshotError::MissingShard`]) → header against the real length →
+//! rows decoded straight onto the `emb2` the returned snapshot owns →
+//! the shard's own trailer (a torn write is
+//! [`SnapshotError::ChecksumMismatch`]) → generation (a shard of another
+//! snapshot is [`SnapshotError::GenerationMismatch`]) → the manifest's
+//! checksum for it, against the *same hash value* the trailer was just
+//! compared with — computed once, compared twice (a consistent shard
+//! rewritten after the manifest was sealed is
+//! [`SnapshotError::ShardChecksumMismatch`]) → index/range/dim → unread
+//! bytes. The writer mirrors it: a shard's manifest checksum is the
+//! trailer its streaming write just produced.
 
 use crate::snapshot::{
-    frame, metric_from_tag, metric_tag, overflow, read_names, read_trace, unframe, write_atomic,
-    write_names, write_trace, Reader, Snapshot, SnapshotError,
+    encode_frame, metric_from_tag, metric_tag, overflow, read_names, read_trace, write_file,
+    write_names, write_trace, FrameReader, FrameWriter, Snapshot, SnapshotError, SnapshotView,
 };
 use openea_align::Metric;
 use openea_approaches::TrainTrace;
 use std::fs;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 const MANIFEST_MAGIC: &[u8; 8] = b"OPENEASM";
@@ -108,18 +114,25 @@ pub fn write_sharded(
     shard_entities: usize,
 ) -> Result<Vec<PathBuf>, SnapshotError> {
     assert!(shard_entities > 0, "shard_entities must be positive");
-    let n2 = snap.num_targets();
+    let (n2, dim) = (snap.num_targets(), snap.dim);
     let generation = snap.generation();
     let mut shards = Vec::new();
     let mut paths = Vec::new();
     let mut start = 0usize;
-    let mut index = 0usize;
     while start < n2 {
         let end = (start + shard_entities).min(n2);
-        let payload = shard_payload(snap, generation, index, start, end);
-        let checksum = crate::snapshot::fnv1a64(&payload);
+        let index = shards.len();
         let path = shard_path(manifest_path, index);
-        write_atomic(&path, &frame(SHARD_MAGIC, VERSION, &payload))?;
+        // The trailer the writer just computed *is* the manifest's
+        // checksum for this shard: one pass over the rows, not two.
+        let checksum = write_file(&path, SHARD_MAGIC, VERSION, &|w| {
+            w.bytes(&generation.to_le_bytes())?;
+            w.bytes(&(index as u64).to_le_bytes())?;
+            w.bytes(&(start as u64).to_le_bytes())?;
+            w.bytes(&(end as u64).to_le_bytes())?;
+            w.bytes(&(dim as u32).to_le_bytes())?;
+            w.floats(&snap.emb2[start * dim..end * dim])
+        })?;
         shards.push(ShardMeta {
             start,
             end,
@@ -127,74 +140,67 @@ pub fn write_sharded(
         });
         paths.push(path);
         start = end;
-        index += 1;
     }
-    let manifest = ShardManifest {
-        dim: snap.dim,
-        metric: snap.metric,
-        n1: snap.num_queries(),
-        n2,
-        generation,
-        shards,
-        emb1: snap.emb1.clone(),
-        names1: snap.names1.clone(),
-        names2: snap.names2.clone(),
-        trace: snap.trace.clone(),
-    };
-    write_atomic(manifest_path, &manifest.encode())?;
+    let (head, n1) = (snap.view(), snap.num_queries());
+    write_file(manifest_path, MANIFEST_MAGIC, VERSION, &|w| {
+        write_manifest(w, head, (n1, n2), generation, &shards)
+    })?;
     Ok(paths)
 }
 
-fn shard_payload(
-    snap: &Snapshot,
+/// The manifest payload: the unsharded part of `head` (its `emb2` is not
+/// read), the `(n1, n2)` counts and the shard table.
+fn write_manifest(
+    w: &mut FrameWriter<'_>,
+    head: SnapshotView<'_>,
+    (n1, n2): (usize, usize),
     generation: u64,
-    index: usize,
-    start: usize,
-    end: usize,
-) -> Vec<u8> {
-    let dim = snap.dim;
-    let mut p = Vec::with_capacity(36 + (end - start) * dim * 4);
-    p.extend_from_slice(&generation.to_le_bytes());
-    p.extend_from_slice(&(index as u64).to_le_bytes());
-    p.extend_from_slice(&(start as u64).to_le_bytes());
-    p.extend_from_slice(&(end as u64).to_le_bytes());
-    p.extend_from_slice(&(dim as u32).to_le_bytes());
-    for &v in &snap.emb2[start * dim..end * dim] {
-        p.extend_from_slice(&v.to_le_bytes());
+    shards: &[ShardMeta],
+) -> io::Result<()> {
+    w.bytes(&(head.dim as u32).to_le_bytes())?;
+    w.bytes(&[metric_tag(head.metric)])?;
+    w.bytes(&(n1 as u64).to_le_bytes())?;
+    w.bytes(&(n2 as u64).to_le_bytes())?;
+    w.bytes(&generation.to_le_bytes())?;
+    w.bytes(&(shards.len() as u64).to_le_bytes())?;
+    for s in shards {
+        w.bytes(&(s.start as u64).to_le_bytes())?;
+        w.bytes(&(s.end as u64).to_le_bytes())?;
+        w.bytes(&s.checksum.to_le_bytes())?;
     }
-    p
+    w.floats(head.emb1)?;
+    write_names(w, head.names1)?;
+    write_names(w, head.names2)?;
+    write_trace(w, head.trace)
 }
 
 impl ShardManifest {
     /// Serializes to the version-1 manifest layout. Pure function of the
     /// data: equal manifests encode to equal bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(4 * self.emb1.len() + 24 * self.shards.len() + 256);
-        p.extend_from_slice(&(self.dim as u32).to_le_bytes());
-        p.push(metric_tag(self.metric));
-        p.extend_from_slice(&(self.n1 as u64).to_le_bytes());
-        p.extend_from_slice(&(self.n2 as u64).to_le_bytes());
-        p.extend_from_slice(&self.generation.to_le_bytes());
-        p.extend_from_slice(&(self.shards.len() as u64).to_le_bytes());
-        for s in &self.shards {
-            p.extend_from_slice(&(s.start as u64).to_le_bytes());
-            p.extend_from_slice(&(s.end as u64).to_le_bytes());
-            p.extend_from_slice(&s.checksum.to_le_bytes());
-        }
-        for &v in &self.emb1 {
-            p.extend_from_slice(&v.to_le_bytes());
-        }
-        write_names(&mut p, &self.names1);
-        write_names(&mut p, &self.names2);
-        write_trace(&mut p, &self.trace);
-        frame(MANIFEST_MAGIC, VERSION, &p)
+        let head = SnapshotView {
+            dim: self.dim,
+            metric: self.metric,
+            emb1: &self.emb1,
+            emb2: &[],
+            names1: &self.names1,
+            names2: &self.names2,
+            trace: &self.trace,
+            lineage: None,
+        };
+        encode_frame(MANIFEST_MAGIC, VERSION, &|w| {
+            write_manifest(w, head, (self.n1, self.n2), self.generation, &self.shards)
+        })
     }
 
     /// Decodes and structurally validates a manifest byte stream: framing
     /// first, then shard ranges must tile `0..n2` contiguously.
     pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let payload = unframe(bytes, MANIFEST_MAGIC, VERSION)?;
-        let mut r = Reader::new(payload);
+        FrameReader::open(bytes, bytes.len() as u64, MANIFEST_MAGIC, VERSION..=VERSION)?
+            .decode(Self::read_payload)
+    }
+
+    fn read_payload(r: &mut FrameReader<impl Read>) -> Result<Self, SnapshotError> {
         let dim = r.u32()? as usize;
         if dim == 0 {
             return Err(SnapshotError::Malformed("dim is zero".into()));
@@ -204,7 +210,7 @@ impl ShardManifest {
         let n2 = r.u64()? as usize;
         let generation = r.u64()?;
         let n_shards = r.u64()? as usize;
-        let mut shards = Vec::with_capacity(n_shards.min(payload.len() / 24));
+        let mut shards = Vec::with_capacity(n_shards.min(r.remaining() / 24));
         for _ in 0..n_shards {
             let start = r.u64()? as usize;
             let end = r.u64()? as usize;
@@ -230,16 +236,11 @@ impl ShardManifest {
                 "shards cover {cursor} of {n2} target rows"
             )));
         }
-        let emb1 = r.f32s(n1.checked_mul(dim).ok_or_else(overflow)?)?;
-        let names1 = read_names(&mut r, n1)?;
-        let names2 = read_names(&mut r, n2)?;
-        let trace = read_trace(&mut r, payload.len())?;
-        if !r.is_empty() {
-            return Err(SnapshotError::Malformed(format!(
-                "{} unread payload bytes",
-                r.remaining()
-            )));
-        }
+        let mut emb1 = Vec::new();
+        r.floats_into(n1.checked_mul(dim).ok_or_else(overflow)?, &mut emb1)?;
+        let names1 = read_names(r, n1)?;
+        let names2 = read_names(r, n2)?;
+        let trace = read_trace(r)?;
         Ok(Self {
             dim,
             metric,
@@ -256,30 +257,50 @@ impl ShardManifest {
 
     /// Reads and fully validates a manifest file.
     pub fn read_from(path: &Path) -> Result<Self, SnapshotError> {
-        Self::decode(&fs::read(path)?)
+        FrameReader::open_file(fs::File::open(path)?, MANIFEST_MAGIC, VERSION..=VERSION)?
+            .decode(Self::read_payload)
     }
 
     /// Reads and verifies shard `index` from its conventional path next to
-    /// `manifest_path`, returning its `emb2` rows. Verification order:
-    /// existence → framing (own trailer checksum) → generation → manifest
-    /// checksum → range/dim consistency.
-    pub fn read_shard(
+    /// `manifest_path`, decoding its rows straight onto the end of `emb2`,
+    /// in the module's verification order. Header fields that contradict
+    /// the manifest only stop the *decoding*: the rest of the payload is
+    /// still hashed, so a foreign or regrained shard gets the typed error
+    /// a whole-file check would give it.
+    fn read_shard_into(
         &self,
         manifest_path: &Path,
         index: usize,
-    ) -> Result<Vec<f32>, SnapshotError> {
+        emb2: &mut Vec<f32>,
+    ) -> Result<(), SnapshotError> {
         let meta = &self.shards[index];
         let path = shard_path(manifest_path, index);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+        let file = match fs::File::open(&path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 return Err(SnapshotError::MissingShard { index, path });
             }
             Err(e) => return Err(e.into()),
         };
-        let payload = unframe(&bytes, SHARD_MAGIC, VERSION)?;
-        let mut r = Reader::new(payload);
-        let generation = r.u64()?;
+        let mut r = FrameReader::open_file(file, SHARD_MAGIC, VERSION..=VERSION)?;
+        let generation = r.u64();
+        let rows = (|| {
+            let own_index = r.u64()? as usize;
+            let start = r.u64()? as usize;
+            let end = r.u64()? as usize;
+            let dim = r.u32()? as usize;
+            if own_index != index || start != meta.start || end != meta.end || dim != self.dim {
+                return Err(SnapshotError::Malformed(format!(
+                    "shard {index} header says shard {own_index} rows {start}..{end} dim {dim}, \
+                     manifest says rows {}..{} dim {}",
+                    meta.start, meta.end, self.dim
+                )));
+            }
+            r.floats_into(meta.rows().checked_mul(dim).ok_or_else(overflow)?, emb2)?;
+            r.at_end()
+        })();
+        let actual = r.finish()?;
+        let generation = generation?;
         if generation != self.generation {
             return Err(SnapshotError::GenerationMismatch {
                 index,
@@ -287,7 +308,6 @@ impl ShardManifest {
                 shard: generation,
             });
         }
-        let actual = crate::snapshot::fnv1a64(payload);
         if actual != meta.checksum {
             return Err(SnapshotError::ShardChecksumMismatch {
                 index,
@@ -295,31 +315,13 @@ impl ShardManifest {
                 shard: actual,
             });
         }
-        let own_index = r.u64()? as usize;
-        let start = r.u64()? as usize;
-        let end = r.u64()? as usize;
-        let dim = r.u32()? as usize;
-        if own_index != index || start != meta.start || end != meta.end || dim != self.dim {
-            return Err(SnapshotError::Malformed(format!(
-                "shard {index} header says shard {own_index} rows {start}..{end} dim {dim}, \
-                 manifest says rows {}..{} dim {}",
-                meta.start, meta.end, self.dim
-            )));
-        }
-        let rows = r.f32s((end - start).checked_mul(dim).ok_or_else(overflow)?)?;
-        if !r.is_empty() {
-            return Err(SnapshotError::Malformed(format!(
-                "{} unread shard payload bytes",
-                r.remaining()
-            )));
-        }
-        Ok(rows)
+        rows
     }
 
     /// Loads *every* shard and reassembles the full [`Snapshot`]. The
     /// result's [`Snapshot::generation`] always equals the manifest's —
     /// `load_budgeted` with an unlimited budget is the same operation.
-    pub fn load(&self, manifest_path: &Path) -> Result<Snapshot, SnapshotError> {
+    pub fn load(self, manifest_path: &Path) -> Result<Snapshot, SnapshotError> {
         Ok(self.load_budgeted(manifest_path, u64::MAX)?.0)
     }
 
@@ -329,25 +331,32 @@ impl ShardManifest {
     /// loaded. A partial load keeps target ids stable — shard ranges start
     /// at row 0 — but is a *different* snapshot: its generation differs
     /// from the manifest's, so answer caches can never alias a slice with
-    /// the full corpus.
+    /// the full corpus. Consumes the manifest: `emb1`, the name maps and
+    /// the trace move into the snapshot.
     pub fn load_budgeted(
-        &self,
+        self,
         manifest_path: &Path,
         max_bytes: u64,
     ) -> Result<(Snapshot, usize), SnapshotError> {
-        let mut emb2 = Vec::new();
-        let mut loaded = 0usize;
-        let mut n2 = 0usize;
+        // Size the prefix first so `emb2` is reserved once — for what the
+        // manifest promises or what the shard files hold, whichever is
+        // less: a lying table cannot reserve more than is on disk.
+        let (mut loaded, mut floats, mut on_disk) = (0usize, 0usize, 0u64);
         for (i, meta) in self.shards.iter().enumerate() {
-            let bytes = (meta.rows() * self.dim * 4) as u64;
-            if loaded > 0 && (emb2.len() * 4) as u64 + bytes > max_bytes {
+            let more = meta.rows().saturating_mul(self.dim);
+            if loaded > 0 && (floats.saturating_add(more) as u64).saturating_mul(4) > max_bytes {
                 break;
             }
-            emb2.extend_from_slice(&self.read_shard(manifest_path, i)?);
-            n2 = meta.end;
+            floats = floats.saturating_add(more);
+            on_disk += fs::metadata(shard_path(manifest_path, i)).map_or(0, |m| m.len() / 4);
             loaded += 1;
         }
-        let mut names2 = self.names2.clone();
+        let mut emb2 = Vec::with_capacity(floats.min(on_disk as usize));
+        for i in 0..loaded {
+            self.read_shard_into(manifest_path, i, &mut emb2)?;
+        }
+        let n2 = emb2.len() / self.dim;
+        let mut names2 = self.names2;
         if !names2.is_empty() {
             names2.truncate(n2);
         }
@@ -355,11 +364,11 @@ impl ShardManifest {
             Snapshot {
                 dim: self.dim,
                 metric: self.metric,
-                emb1: self.emb1.clone(),
+                emb1: self.emb1,
                 emb2,
-                names1: self.names1.clone(),
+                names1: self.names1,
                 names2,
-                trace: self.trace.clone(),
+                trace: self.trace,
                 // The shard manifest predates the lineage extension and
                 // stays byte-pinned; sharded artifacts reload lineage-less.
                 lineage: None,
@@ -402,7 +411,7 @@ mod tests {
         write_sharded(&snap, &mpath, 1).unwrap();
         let manifest = ShardManifest::read_from(&mpath).unwrap();
         // Budget of one row's bytes → exactly the first shard.
-        let (slice, loaded) = manifest.load_budgeted(&mpath, 8).unwrap();
+        let (slice, loaded) = manifest.clone().load_budgeted(&mpath, 8).unwrap();
         assert_eq!(loaded, 1);
         assert_eq!(slice.num_targets(), 1);
         assert_eq!(slice.emb2, &snap.emb2[..2]);
@@ -425,6 +434,52 @@ mod tests {
             Err(SnapshotError::MissingShard { index: 1, .. }) => {}
             other => panic!("expected MissingShard, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn same_stem_writers_do_not_share_a_staging_file() {
+        // `live.snap` and the `live.manifest` set, written at once into one
+        // directory: each file stages through its own `<file name>.tmp`.
+        let mut snap = tiny_snapshot();
+        snap.emb2 = (0..40_000).map(|i| i as f32).collect();
+        snap.names2.clear();
+        let dir = tmpdir("stem");
+        let (spath, mpath) = (dir.join("live.snap"), dir.join("live.manifest"));
+        let start = std::sync::Barrier::new(2);
+        for _ in 0..8 {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    start.wait();
+                    snap.write_to(&spath).unwrap();
+                });
+                s.spawn(|| {
+                    start.wait();
+                    write_sharded(&snap, &mpath, 2_500).unwrap();
+                });
+            });
+            assert_eq!(Snapshot::read_from(&spath).unwrap(), snap);
+            let manifest = ShardManifest::read_from(&mpath).unwrap();
+            assert_eq!(manifest.load(&mpath).unwrap(), snap);
+        }
+    }
+
+    #[test]
+    fn failed_write_is_io_and_leaves_no_staging_file() {
+        // The rename cannot succeed: the destination is a non-empty
+        // directory.
+        let dir = tmpdir("renamefail");
+        let dest = dir.join("live.snap");
+        fs::create_dir_all(dest.join("occupied")).unwrap();
+        match tiny_snapshot().write_to(&dest) {
+            Err(SnapshotError::Io(_)) => {}
+            other => panic!("expected Io, got {other:?}"),
+        }
+        let left: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|name| name.to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(left.is_empty(), "staging files left behind: {left:?}");
     }
 
     #[test]

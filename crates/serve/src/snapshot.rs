@@ -46,6 +46,18 @@
 //!   output (`ApproachOutput::content_hash` agrees before and after).
 //! * **Typed failures** — a corrupted header, truncated file or flipped
 //!   payload bit yields a [`SnapshotError`], never a panic.
+//! * **No buffer proportional to the artifact** — the one frame writer
+//!   runs a payload body twice over borrowed data (sizing, then writing and
+//!   hashing, floats through a fixed 64 KiB conversion buffer); the one
+//!   frame reader decodes into the vectors the caller keeps, hashing
+//!   exactly the bytes it decodes, in the same pass.
+//! * **Verification order** — header against the stream's real length
+//!   (magic, version, `Truncated`, trailing bytes) → one decode-and-hash
+//!   pass, every count and reservation bounded by the bytes the payload
+//!   still holds → trailer. A structural error is reported only *after* the
+//!   rest of the payload is hashed and the trailer compared, so a corrupt
+//!   payload is `ChecksumMismatch` whatever its fields claim, and nothing
+//!   decoded reaches a caller before all of it passes.
 
 use openea_align::Metric;
 use openea_approaches::common::EpochTrace;
@@ -53,7 +65,8 @@ use openea_approaches::engine::{CheckpointSink, Lineage, WarmStart};
 use openea_approaches::{ApproachOutput, StopReason, TrainTrace};
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -180,101 +193,298 @@ impl Fnv {
     }
 }
 
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.update(bytes);
-    h.finish()
+/// Bytes of the fixed conversion buffer floats pass through, either way.
+const CHUNK: usize = 64 << 10;
+
+/// What fills one frame's payload. It runs twice per frame, so it must be a
+/// pure function of the data it borrows: the sizing pass (the writer's `out`
+/// is `None`) only counts, the writing pass hashes each piece on its way out.
+pub(crate) type FrameBody<'a> = &'a dyn Fn(&mut FrameWriter<'_>) -> io::Result<()>;
+
+pub(crate) struct FrameWriter<'a> {
+    out: Option<&'a mut dyn Write>,
+    len: u64,
+    hash: Fnv,
 }
 
-/// Wraps `payload` in the shared container framing every artifact file of
-/// this crate uses: magic · version u32 · payload length u64 · payload ·
-/// FNV-1a 64 checksum of the payload.
-pub(crate) fn frame(magic: &[u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len() + 8);
-    bytes.extend_from_slice(magic);
-    bytes.extend_from_slice(&version.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+impl<'a> FrameWriter<'a> {
+    fn new(out: Option<&'a mut dyn Write>) -> Self {
+        Self {
+            out,
+            len: 0,
+            hash: Fnv::new(),
+        }
+    }
+
+    pub(crate) fn bytes(&mut self, b: &[u8]) -> io::Result<()> {
+        self.len += b.len() as u64;
+        let Some(out) = self.out.as_mut() else {
+            return Ok(());
+        };
+        self.hash.update(b);
+        out.write_all(b)
+    }
+
+    pub(crate) fn str(&mut self, s: &str) -> io::Result<()> {
+        self.bytes(&(s.len() as u32).to_le_bytes())?;
+        self.bytes(s.as_bytes())
+    }
+
+    /// Row-major floats by IEEE-754 bit pattern, little-endian.
+    pub(crate) fn floats(&mut self, values: &[f32]) -> io::Result<()> {
+        if self.out.is_none() {
+            self.len += 4 * values.len() as u64;
+            return Ok(());
+        }
+        let mut buf = [0u8; CHUNK];
+        for part in values.chunks(CHUNK / 4) {
+            for (le, v) in buf.chunks_exact_mut(4).zip(part) {
+                le.copy_from_slice(&v.to_le_bytes());
+            }
+            self.bytes(&buf[..4 * part.len()])?;
+        }
+        Ok(())
+    }
+}
+
+/// Payload length of `body`, from its sizing pass.
+fn payload_len(body: FrameBody<'_>) -> io::Result<u64> {
+    let mut sizing = FrameWriter::new(None);
+    body(&mut sizing)?;
+    Ok(sizing.len)
+}
+
+/// Streams one framed section — magic · version u32 · payload length u64 ·
+/// payload · FNV-1a 64 of the payload — into `dst`; returns that checksum.
+fn write_frame(
+    dst: &mut dyn Write,
+    magic: &[u8; 8],
+    version: u32,
+    payload_len: u64,
+    body: FrameBody<'_>,
+) -> io::Result<u64> {
+    dst.write_all(magic)?;
+    dst.write_all(&version.to_le_bytes())?;
+    dst.write_all(&payload_len.to_le_bytes())?;
+    let mut w = FrameWriter::new(Some(&mut *dst));
+    body(&mut w)?;
+    assert_eq!(w.len, payload_len, "a frame body repeats itself exactly");
+    let checksum = w.hash.finish();
+    dst.write_all(&checksum.to_le_bytes())?;
+    Ok(checksum)
+}
+
+/// One framed section as bytes, in a `Vec` reserved once at its exact size.
+pub(crate) fn encode_frame(magic: &[u8; 8], version: u32, body: FrameBody<'_>) -> Vec<u8> {
+    let n = payload_len(body).expect("sizing does no I/O");
+    let mut bytes = Vec::with_capacity(HEADER_LEN + n as usize + 8);
+    write_frame(&mut bytes, magic, version, n, body).expect("a Vec takes every write");
     bytes
 }
 
-/// Validates the container framing (magic, version, length, checksum, no
-/// trailing bytes) and returns the payload slice. Single-version wrapper
-/// over [`unframe_range`] for artifacts without format extensions.
-pub(crate) fn unframe<'a>(
-    bytes: &'a [u8],
+/// Streams one framed section to `path` atomically: into `<file name>.tmp`
+/// beside it (the *whole* name, so `live.manifest`, `live.shard000` and
+/// `live.snap` never share a staging file), fsync, rename over `path`; a
+/// failed write removes its staging file. Returns the payload checksum.
+pub(crate) fn write_file(
+    path: &Path,
     magic: &[u8; 8],
     version: u32,
-) -> Result<&'a [u8], SnapshotError> {
-    unframe_range(bytes, magic, version, version).map(|(_, payload)| payload)
+    body: FrameBody<'_>,
+) -> Result<u64, SnapshotError> {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
+    let staged = (|| -> io::Result<u64> {
+        let mut out = BufWriter::new(fs::File::create(&tmp)?);
+        let checksum = write_frame(&mut out, magic, version, payload_len(body)?, body)?;
+        out.into_inner()?.sync_all()?;
+        fs::rename(&tmp, path)?;
+        Ok(checksum)
+    })();
+    if staged.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    Ok(staged?)
 }
 
-/// Like [`unframe`] but accepting any format version in `[min, max]`,
-/// returning the decoded version alongside the payload so the caller can
-/// pick the payload schema.
-pub(crate) fn unframe_range<'a>(
-    bytes: &'a [u8],
-    magic: &[u8; 8],
-    min_version: u32,
-    max_version: u32,
-) -> Result<(u32, &'a [u8]), SnapshotError> {
-    if bytes.len() < 8 {
-        return Err(SnapshotError::Truncated {
-            need: HEADER_LEN,
-            have: bytes.len(),
-        });
-    }
-    if &bytes[..8] != magic {
-        return Err(SnapshotError::BadMagic);
-    }
-    if bytes.len() < HEADER_LEN {
-        return Err(SnapshotError::Truncated {
-            need: HEADER_LEN,
-            have: bytes.len(),
-        });
-    }
-    let got = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if got < min_version || got > max_version {
-        return Err(SnapshotError::UnsupportedVersion(got));
-    }
-    let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-    let need = HEADER_LEN
-        .checked_add(payload_len)
-        .and_then(|n| n.checked_add(8))
-        .ok_or_else(overflow)?;
-    if bytes.len() < need {
-        return Err(SnapshotError::Truncated {
-            need,
-            have: bytes.len(),
-        });
-    }
-    if bytes.len() > need {
-        return Err(SnapshotError::Malformed(format!(
-            "{} trailing bytes after checksum",
-            bytes.len() - need
-        )));
-    }
-    let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len];
-    let expected = u64::from_le_bytes(bytes[need - 8..need].try_into().unwrap());
-    let actual = fnv1a64(payload);
-    if expected != actual {
-        return Err(SnapshotError::ChecksumMismatch { expected, actual });
-    }
-    Ok((got, payload))
+/// The one framed-section reader: a bounds-checked little-endian decoder
+/// over a stream whose real length is known up front. Every byte it hands
+/// out is hashed and was first `claim`ed against what the payload holds.
+pub(crate) struct FrameReader<R> {
+    src: R,
+    pub(crate) version: u32,
+    payload_len: usize,
+    /// Payload bytes claimed so far.
+    pos: usize,
+    hash: Fnv,
 }
 
-/// Writes `bytes` atomically: `<path>.tmp`, fsync, rename over `path`. A
-/// crashed writer never leaves a half artifact under the final name.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
+/// One little-endian field reader per primitive, named after it.
+macro_rules! le_fields {
+    ($($t:ident),*) => {$(
+        pub(crate) fn $t(&mut self) -> Result<$t, SnapshotError> {
+            Ok($t::from_le_bytes(self.array()?))
+        }
+    )*};
+}
+
+impl FrameReader<BufReader<fs::File>> {
+    /// Over an open file: one descriptor, its length read once.
+    pub(crate) fn open_file(
+        file: fs::File,
+        magic: &[u8; 8],
+        versions: RangeInclusive<u32>,
+    ) -> Result<Self, SnapshotError> {
+        let len = file.metadata()?.len();
+        Self::open(BufReader::new(file), len, magic, versions)
     }
-    fs::rename(&tmp, path)?;
-    Ok(())
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Validates the header: magic, version, and the framed length against
+    /// `len`, the real byte length of `src` (short is `Truncated`, long is
+    /// trailing bytes).
+    pub(crate) fn open(
+        mut src: R,
+        len: u64,
+        magic: &[u8; 8],
+        versions: RangeInclusive<u32>,
+    ) -> Result<Self, SnapshotError> {
+        let (have, need) = (len as usize, HEADER_LEN);
+        let mut head = [0u8; HEADER_LEN];
+        src.read_exact(&mut head[..have.min(need)])?;
+        if have >= 8 && &head[..8] != magic {
+            return Err(SnapshotError::BadMagic);
+        }
+        if have < need {
+            return Err(SnapshotError::Truncated { need, have });
+        }
+        let version = u32::from_le_bytes(head[8..12].try_into().unwrap());
+        if !versions.contains(&version) {
+            return Err(SnapshotError::UnsupportedVersion(version));
+        }
+        let payload_len = u64::from_le_bytes(head[12..20].try_into().unwrap()) as usize;
+        let need = HEADER_LEN
+            .checked_add(payload_len)
+            .and_then(|n| n.checked_add(8))
+            .ok_or_else(overflow)?;
+        if have < need {
+            return Err(SnapshotError::Truncated { need, have });
+        }
+        if have > need {
+            let extra = have - need;
+            return Err(SnapshotError::Malformed(format!(
+                "{extra} trailing bytes after checksum"
+            )));
+        }
+        Ok(Self {
+            src,
+            version,
+            payload_len,
+            pos: 0,
+            hash: Fnv::new(),
+        })
+    }
+
+    /// Payload bytes not yet claimed.
+    pub(crate) fn remaining(&self) -> usize {
+        self.payload_len - self.pos
+    }
+
+    /// The payload schema ends here: every byte must have been claimed.
+    pub(crate) fn at_end(&self) -> Result<(), SnapshotError> {
+        if self.remaining() == 0 {
+            return Ok(());
+        }
+        let why = format!("{} unread payload bytes", self.remaining());
+        Err(SnapshotError::Malformed(why))
+    }
+
+    /// Claims the next `n` payload bytes, or says how far short they fall.
+    fn claim(&mut self, n: usize) -> Result<(), SnapshotError> {
+        let need = self.pos.checked_add(n).ok_or_else(overflow)?;
+        if need > self.payload_len {
+            let have = self.payload_len;
+            return Err(SnapshotError::Truncated { need, have });
+        }
+        self.pos = need;
+        Ok(())
+    }
+
+    /// Reads claimed payload bytes, hashing them as they arrive.
+    fn fill(&mut self, chunk: &mut [u8]) -> Result<(), SnapshotError> {
+        self.src.read_exact(chunk)?;
+        self.hash.update(chunk);
+        Ok(())
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        self.claim(N)?;
+        let mut a = [0u8; N];
+        self.fill(&mut a)?;
+        Ok(a)
+    }
+
+    le_fields!(u8, u32, u64, f32, f64);
+
+    pub(crate) fn string(&mut self) -> Result<String, SnapshotError> {
+        let len = self.u32()? as usize;
+        self.claim(len)?;
+        let mut raw = vec![0u8; len];
+        self.fill(&mut raw)?;
+        String::from_utf8(raw).map_err(|_| SnapshotError::Malformed("string is not UTF-8".into()))
+    }
+
+    /// Decodes `n` floats straight onto the end of `out`, which the caller keeps.
+    pub(crate) fn floats_into(
+        &mut self,
+        n: usize,
+        out: &mut Vec<f32>,
+    ) -> Result<(), SnapshotError> {
+        let mut left = n.checked_mul(4).ok_or_else(overflow)?;
+        self.claim(left)?;
+        out.reserve(n);
+        let mut buf = [0u8; CHUNK];
+        while left > 0 {
+            let chunk = &mut buf[..left.min(CHUNK)];
+            self.fill(chunk)?;
+            let le = chunk.chunks_exact(4);
+            out.extend(le.map(|c| f32::from_le_bytes(c.try_into().unwrap())));
+            left -= chunk.len();
+        }
+        Ok(())
+    }
+
+    /// Hashes whatever payload is still unclaimed, then compares the
+    /// trailer. Returns the payload checksum.
+    pub(crate) fn finish(mut self) -> Result<u64, SnapshotError> {
+        while self.remaining() > 0 {
+            let mut buf = [0u8; CHUNK];
+            let n = self.remaining().min(CHUNK);
+            self.claim(n)?;
+            self.fill(&mut buf[..n])?;
+        }
+        let mut trailer = [0u8; 8];
+        self.src.read_exact(&mut trailer)?;
+        let expected = u64::from_le_bytes(trailer);
+        let actual = self.hash.finish();
+        if expected != actual {
+            return Err(SnapshotError::ChecksumMismatch { expected, actual });
+        }
+        Ok(actual)
+    }
+
+    /// Decodes a whole section with `body`, releasing its value — or its
+    /// structural error — only once the frame has verified.
+    pub(crate) fn decode<T>(
+        mut self,
+        body: impl FnOnce(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        let parsed = body(&mut self).and_then(|value| self.at_end().map(|()| value));
+        self.finish()?;
+        parsed
+    }
 }
 
 pub(crate) fn metric_tag(m: Metric) -> u8 {
@@ -322,26 +532,30 @@ impl Snapshot {
     /// entity-name maps. Either map may be empty; non-empty maps must match
     /// the embedding row counts.
     pub fn from_output(out: &ApproachOutput, names1: Vec<String>, names2: Vec<String>) -> Self {
-        assert!(out.dim > 0, "snapshot requires a positive dim");
-        assert_eq!(out.emb1.len() % out.dim, 0);
-        assert_eq!(out.emb2.len() % out.dim, 0);
-        assert!(
-            names1.is_empty() || names1.len() == out.emb1.len() / out.dim,
-            "names1 must be empty or cover every KG1 entity"
-        );
-        assert!(
-            names2.is_empty() || names2.len() == out.emb2.len() / out.dim,
-            "names2 must be empty or cover every KG2 entity"
-        );
+        let view = SnapshotView::of_output(out, &names1, &names2);
         Self {
-            dim: out.dim,
-            metric: out.metric,
-            emb1: out.emb1.clone(),
-            emb2: out.emb2.clone(),
+            dim: view.dim,
+            metric: view.metric,
+            emb1: view.emb1.to_vec(),
+            emb2: view.emb2.to_vec(),
+            trace: view.trace.clone(),
+            lineage: view.lineage,
             names1,
             names2,
-            trace: out.trace.clone(),
-            lineage: out.lineage,
+        }
+    }
+
+    /// The borrowed form the codec writes from.
+    pub(crate) fn view(&self) -> SnapshotView<'_> {
+        SnapshotView {
+            dim: self.dim,
+            metric: self.metric,
+            emb1: &self.emb1,
+            emb2: &self.emb2,
+            names1: &self.names1,
+            names2: &self.names2,
+            trace: &self.trace,
+            lineage: self.lineage,
         }
     }
 
@@ -392,35 +606,19 @@ impl Snapshot {
     /// 16-byte lineage record appended otherwise. Pure function of the
     /// data: equal snapshots encode to equal bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(4 * (self.emb1.len() + self.emb2.len()) + 256);
-        p.extend_from_slice(&(self.dim as u32).to_le_bytes());
-        p.push(metric_tag(self.metric));
-        p.extend_from_slice(&(self.num_queries() as u64).to_le_bytes());
-        p.extend_from_slice(&(self.num_targets() as u64).to_le_bytes());
-        for &v in &self.emb1 {
-            p.extend_from_slice(&v.to_le_bytes());
-        }
-        for &v in &self.emb2 {
-            p.extend_from_slice(&v.to_le_bytes());
-        }
-        write_names(&mut p, &self.names1);
-        write_names(&mut p, &self.names2);
-        write_trace(&mut p, &self.trace);
-        match self.lineage {
-            None => frame(MAGIC, VERSION, &p),
-            Some(l) => {
-                p.extend_from_slice(&l.parent_generation.to_le_bytes());
-                p.extend_from_slice(&l.trained_epochs.to_le_bytes());
-                frame(MAGIC, VERSION_LINEAGE, &p)
-            }
-        }
+        let view = self.view();
+        encode_frame(MAGIC, view.version(), &|w| view.write_payload(w))
     }
 
-    /// Decodes a version-1 or version-2 byte stream, verifying magic,
-    /// version, length and checksum before touching the payload.
+    /// Decodes a version-1 or version-2 byte stream. Nothing decoded is
+    /// returned unless magic, version, length, checksum and structure all
+    /// verify.
     pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let (version, payload) = unframe_range(bytes, MAGIC, VERSION, VERSION_LINEAGE)?;
-        let mut r = Reader::new(payload);
+        FrameReader::open(bytes, bytes.len() as u64, MAGIC, VERSION..=VERSION_LINEAGE)?
+            .decode(Self::read_payload)
+    }
+
+    fn read_payload(r: &mut FrameReader<impl Read>) -> Result<Self, SnapshotError> {
         let dim = r.u32()? as usize;
         if dim == 0 {
             return Err(SnapshotError::Malformed("dim is zero".into()));
@@ -428,12 +626,13 @@ impl Snapshot {
         let metric = metric_from_tag(r.u8()?)?;
         let n1 = r.u64()? as usize;
         let n2 = r.u64()? as usize;
-        let emb1 = r.f32s(n1.checked_mul(dim).ok_or_else(overflow)?)?;
-        let emb2 = r.f32s(n2.checked_mul(dim).ok_or_else(overflow)?)?;
-        let names1 = read_names(&mut r, n1)?;
-        let names2 = read_names(&mut r, n2)?;
-        let trace = read_trace(&mut r, payload.len())?;
-        let lineage = if version >= VERSION_LINEAGE {
+        let (mut emb1, mut emb2) = (Vec::new(), Vec::new());
+        r.floats_into(n1.checked_mul(dim).ok_or_else(overflow)?, &mut emb1)?;
+        r.floats_into(n2.checked_mul(dim).ok_or_else(overflow)?, &mut emb2)?;
+        let names1 = read_names(r, n1)?;
+        let names2 = read_names(r, n2)?;
+        let trace = read_trace(r)?;
+        let lineage = if r.version >= VERSION_LINEAGE {
             Some(Lineage {
                 parent_generation: r.u64()?,
                 trained_epochs: r.u64()?,
@@ -441,12 +640,6 @@ impl Snapshot {
         } else {
             None
         };
-        if !r.is_empty() {
-            return Err(SnapshotError::Malformed(format!(
-                "{} unread payload bytes",
-                r.remaining()
-            )));
-        }
         Ok(Self {
             dim,
             metric,
@@ -480,16 +673,85 @@ impl Snapshot {
         h.finish()
     }
 
-    /// Writes the snapshot atomically: encode to `<path>.tmp`, fsync,
-    /// rename over `path`. A crashed writer never leaves a half snapshot
-    /// under the final name.
+    /// Writes the snapshot atomically: stream it into `<file name>.tmp`
+    /// beside `path`, fsync, rename over `path`. A crashed writer never
+    /// leaves a half snapshot under the final name and a failed one leaves
+    /// no staging file.
     pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
-        write_atomic(path, &self.encode())
+        self.view().write_to(path)
     }
 
-    /// Reads and fully validates a snapshot file.
+    /// Reads and fully validates a snapshot file, decoding the matrices
+    /// straight into the vectors the returned snapshot owns.
     pub fn read_from(path: &Path) -> Result<Self, SnapshotError> {
-        Self::decode(&fs::read(path)?)
+        FrameReader::open_file(fs::File::open(path)?, MAGIC, VERSION..=VERSION_LINEAGE)?
+            .decode(Self::read_payload)
+    }
+}
+
+/// A snapshot by reference — what the codec writes from, so neither a
+/// checkpoint nor a sharded publish copies a matrix to serialize it.
+#[derive(Clone, Copy)]
+pub(crate) struct SnapshotView<'a> {
+    pub(crate) dim: usize,
+    pub(crate) metric: Metric,
+    pub(crate) emb1: &'a [f32],
+    pub(crate) emb2: &'a [f32],
+    pub(crate) names1: &'a [String],
+    pub(crate) names2: &'a [String],
+    pub(crate) trace: &'a TrainTrace,
+    pub(crate) lineage: Option<Lineage>,
+}
+
+impl<'a> SnapshotView<'a> {
+    /// Borrows what [`Snapshot::from_output`] copies, under its contract.
+    fn of_output(out: &'a ApproachOutput, names1: &'a [String], names2: &'a [String]) -> Self {
+        assert!(out.dim > 0, "snapshot requires a positive dim");
+        assert_eq!(out.emb1.len() % out.dim, 0);
+        assert_eq!(out.emb2.len() % out.dim, 0);
+        assert!(
+            names1.is_empty() || names1.len() == out.emb1.len() / out.dim,
+            "names1 must be empty or cover every KG1 entity"
+        );
+        assert!(
+            names2.is_empty() || names2.len() == out.emb2.len() / out.dim,
+            "names2 must be empty or cover every KG2 entity"
+        );
+        Self {
+            dim: out.dim,
+            metric: out.metric,
+            emb1: &out.emb1,
+            emb2: &out.emb2,
+            names1,
+            names2,
+            trace: &out.trace,
+            lineage: out.lineage,
+        }
+    }
+
+    fn version(&self) -> u32 {
+        self.lineage.map_or(VERSION, |_| VERSION_LINEAGE)
+    }
+
+    fn write_payload(&self, w: &mut FrameWriter<'_>) -> io::Result<()> {
+        w.bytes(&(self.dim as u32).to_le_bytes())?;
+        w.bytes(&[metric_tag(self.metric)])?;
+        w.bytes(&((self.emb1.len() / self.dim) as u64).to_le_bytes())?;
+        w.bytes(&((self.emb2.len() / self.dim) as u64).to_le_bytes())?;
+        w.floats(self.emb1)?;
+        w.floats(self.emb2)?;
+        write_names(w, self.names1)?;
+        write_names(w, self.names2)?;
+        write_trace(w, self.trace)?;
+        if let Some(l) = self.lineage {
+            w.bytes(&l.parent_generation.to_le_bytes())?;
+            w.bytes(&l.trained_epochs.to_le_bytes())?;
+        }
+        Ok(())
+    }
+
+    fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
+        write_file(path, MAGIC, self.version(), &|w| self.write_payload(w)).map(drop)
     }
 }
 
@@ -532,22 +794,18 @@ pub(crate) fn overflow() -> SnapshotError {
     SnapshotError::Malformed("embedding size overflows usize".into())
 }
 
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
 /// Encodes a name map: `u64` count followed by the strings. Shared by the
 /// monolithic snapshot payload and the shard manifest.
-pub(crate) fn write_names(out: &mut Vec<u8>, names: &[String]) {
-    out.extend_from_slice(&(names.len() as u64).to_le_bytes());
-    for n in names {
-        write_str(out, n);
-    }
+pub(crate) fn write_names(w: &mut FrameWriter<'_>, names: &[String]) -> io::Result<()> {
+    w.bytes(&(names.len() as u64).to_le_bytes())?;
+    names.iter().try_for_each(|n| w.str(n))
 }
 
 /// Decodes a name map for `n` entities (count must be 0 or `n`).
-pub(crate) fn read_names(r: &mut Reader, n: usize) -> Result<Vec<String>, SnapshotError> {
+pub(crate) fn read_names(
+    r: &mut FrameReader<impl Read>,
+    n: usize,
+) -> Result<Vec<String>, SnapshotError> {
     let count = r.u64()? as usize;
     if count != 0 && count != n {
         return Err(SnapshotError::Malformed(format!(
@@ -562,40 +820,41 @@ pub(crate) fn read_names(r: &mut Reader, n: usize) -> Result<Vec<String>, Snapsh
 }
 
 /// Encodes a training trace — same byte layout as snapshot version 1.
-pub(crate) fn write_trace(p: &mut Vec<u8>, trace: &TrainTrace) {
-    write_str(p, &trace.label);
+pub(crate) fn write_trace(w: &mut FrameWriter<'_>, trace: &TrainTrace) -> io::Result<()> {
+    w.str(&trace.label)?;
     match trace.stop {
-        StopReason::NotRecorded => p.push(0),
-        StopReason::MaxEpochs => p.push(1),
+        StopReason::NotRecorded => w.bytes(&[0])?,
+        StopReason::MaxEpochs => w.bytes(&[1])?,
         StopReason::EarlyStopped { epoch } => {
-            p.push(2);
-            p.extend_from_slice(&(epoch as u64).to_le_bytes());
+            w.bytes(&[2])?;
+            w.bytes(&(epoch as u64).to_le_bytes())?;
         }
         StopReason::DeadlineExceeded { epoch } => {
-            p.push(3);
-            p.extend_from_slice(&(epoch as u64).to_le_bytes());
+            w.bytes(&[3])?;
+            w.bytes(&(epoch as u64).to_le_bytes())?;
         }
     }
-    p.extend_from_slice(&trace.total_wall_s.to_le_bytes());
-    p.extend_from_slice(&(trace.epochs.len() as u64).to_le_bytes());
+    w.bytes(&trace.total_wall_s.to_le_bytes())?;
+    w.bytes(&(trace.epochs.len() as u64).to_le_bytes())?;
     for e in &trace.epochs {
-        p.extend_from_slice(&(e.epoch as u64).to_le_bytes());
-        p.extend_from_slice(&e.mean_loss.to_le_bytes());
-        p.extend_from_slice(&(e.pairs as u64).to_le_bytes());
-        p.extend_from_slice(&e.wall_s.to_le_bytes());
+        w.bytes(&(e.epoch as u64).to_le_bytes())?;
+        w.bytes(&e.mean_loss.to_le_bytes())?;
+        w.bytes(&(e.pairs as u64).to_le_bytes())?;
+        w.bytes(&e.wall_s.to_le_bytes())?;
         match e.val_hits1 {
             Some(v) => {
-                p.push(1);
-                p.extend_from_slice(&v.to_le_bytes());
+                w.bytes(&[1])?;
+                w.bytes(&v.to_le_bytes())?;
             }
-            None => p.push(0),
+            None => w.bytes(&[0])?,
         }
     }
+    Ok(())
 }
 
-/// Decodes a training trace; `payload_len` bounds the epoch preallocation
-/// against a lying count.
-pub(crate) fn read_trace(r: &mut Reader, payload_len: usize) -> Result<TrainTrace, SnapshotError> {
+/// Decodes a training trace; the bytes the payload still holds bound the
+/// epoch preallocation against a lying count.
+pub(crate) fn read_trace(r: &mut FrameReader<impl Read>) -> Result<TrainTrace, SnapshotError> {
     let label = r.string()?;
     let stop = match r.u8()? {
         0 => StopReason::NotRecorded,
@@ -610,7 +869,7 @@ pub(crate) fn read_trace(r: &mut Reader, payload_len: usize) -> Result<TrainTrac
     };
     let total_wall_s = r.f64()?;
     let n_epochs = r.u64()? as usize;
-    let mut epochs = Vec::with_capacity(n_epochs.min(payload_len / 29));
+    let mut epochs = Vec::with_capacity(n_epochs.min(r.remaining() / 29));
     for _ in 0..n_epochs {
         let epoch = r.u64()? as usize;
         let mean_loss = r.f32()?;
@@ -635,74 +894,6 @@ pub(crate) fn read_trace(r: &mut Reader, payload_len: usize) -> Result<TrainTrac
         stop,
         total_wall_s,
     })
-}
-
-/// Bounds-checked little-endian payload reader.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or_else(overflow)?;
-        if end > self.buf.len() {
-            return Err(SnapshotError::Truncated {
-                need: end,
-                have: self.buf.len(),
-            });
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f32(&mut self) -> Result<f32, SnapshotError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f32s(&mut self, n: usize) -> Result<Vec<f32>, SnapshotError> {
-        let raw = self.take(n.checked_mul(4).ok_or_else(overflow)?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, SnapshotError> {
-        let len = self.u32()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| SnapshotError::Malformed("string is not UTF-8".into()))
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
 }
 
 /// Sanitizes an approach label into a file stem (`MTransE` → `mtranse`).
@@ -783,8 +974,7 @@ impl SnapshotWriter {
     }
 
     fn write(&self, path: &Path, out: &ApproachOutput) -> bool {
-        let snap = Snapshot::from_output(out, self.names1.clone(), self.names2.clone());
-        match snap.write_to(path) {
+        match SnapshotView::of_output(out, &self.names1, &self.names2).write_to(path) {
             Ok(()) => true,
             Err(e) => {
                 *self.last_error.lock().unwrap() = Some(e);

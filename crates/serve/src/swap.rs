@@ -14,6 +14,9 @@
 //!    (monolithic snapshot or shard manifest, budget-truncated or not)
 //!    while the old index keeps serving. Every corruption path surfaces
 //!    as a typed [`SnapshotError`] and leaves the old index untouched.
+//!    The load streams straight into the matrices the new index will
+//!    serve from, so a reload peaks at the live generation + the new
+//!    generation + one k-means sample (step 2), never a copy more.
 //! 2. **Build** — construct the [`AlignmentIndex`] (plus its IVF
 //!    partition when configured) and wrap it in a fresh [`BatchIndex`]
 //!    with an *empty* answer cache.
@@ -101,12 +104,13 @@ impl LoadCoverage {
 pub fn load_artifact(path: &Path, budget_bytes: u64) -> Result<LoadedArtifact, SnapshotError> {
     if path.extension().is_some_and(|e| e == "manifest") {
         let manifest = ShardManifest::read_from(path)?;
+        let (shards_total, total_targets) = (manifest.shards.len(), manifest.n2);
         let (snapshot, shards_loaded) = manifest.load_budgeted(path, budget_bytes)?;
         Ok(LoadedArtifact {
             snapshot,
             shards_loaded,
-            shards_total: manifest.shards.len(),
-            total_targets: manifest.n2,
+            shards_total,
+            total_targets,
         })
     } else {
         let snapshot = Snapshot::read_from(path)?;

@@ -148,7 +148,7 @@ fn manifest_roundtrip_and_reassembly() {
     // bit, generation included.
     let snap = fixture_snapshot();
     assert_eq!(manifest.generation, snap.generation());
-    let back = manifest.load(&mpath).unwrap();
+    let back = manifest.clone().load(&mpath).unwrap();
     assert_eq!(back, snap);
     assert_eq!(back.generation(), snap.generation());
     // And the shard ranges tile 0..n2 as promised.

@@ -58,3 +58,10 @@ cargo run --release --offline -p openea-bench -- swap --smoke --no-out
 # within 2 points of a full retrain at <= 25% of its epochs, and the
 # /stats freshness gauges match the artifact lineage. Budget: ~1 s.
 cargo run --release --offline -p openea-bench -- live --smoke --no-out
+
+# Repository benchmark gate: builds `benchmark/` (a workspace of its own, so
+# nothing above compiles it) against the crates as they are now — an API
+# break in what it uses of `openea-serve`/`openea-align` fails here and not
+# first in the driver — then runs every correctness check of all three
+# workloads at a reduced size. Budget: under a minute after the first build.
+benchmark/check.sh

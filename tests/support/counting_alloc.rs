@@ -1,0 +1,94 @@
+//! A std-only counting global allocator for tests that gate on *bytes*, not
+//! on a clock: live bytes, and the peak of live bytes since the last
+//! [`CountingAlloc::measure`] began. A test binary installs it with
+//!
+//! ```ignore
+//! #[global_allocator]
+//! static ALLOC: CountingAlloc = CountingAlloc::new();
+//! ```
+//!
+//! and keeps to a single `#[test]`, so nothing else allocates while a
+//! measurement is open. Counts are exact and repeat run to run: they are
+//! the sizes the program asked for, not what the allocator or the kernel
+//! made of them.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+pub struct CountingAlloc {
+    live: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl CountingAlloc {
+    pub const fn new() -> Self {
+        Self {
+            live: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
+        }
+    }
+
+    /// Bytes allocated and not yet freed.
+    pub fn live(&self) -> usize {
+        self.live.load(Relaxed)
+    }
+
+    /// Runs `f` and returns its value with the most bytes that were live at
+    /// any moment inside it, *above* what was live when it started — the
+    /// memory `f` needed beyond its inputs, whether or not it gave it back.
+    pub fn measure<T>(&self, f: impl FnOnce() -> T) -> (T, usize) {
+        let base = self.live();
+        self.peak.store(base, Relaxed);
+        let value = f();
+        (value, self.peak.load(Relaxed).saturating_sub(base))
+    }
+
+    fn grew(&self, bytes: usize) {
+        let now = self.live.fetch_add(bytes, Relaxed) + bytes;
+        self.peak.fetch_max(now, Relaxed);
+    }
+}
+
+// SAFETY: every request goes to `System` unchanged and its answer comes
+// back unchanged, so `System`'s own `GlobalAlloc` guarantees carry over;
+// the counters are side data that no pointer depends on.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            self.grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            self.grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        // SAFETY: `p` came from this allocator, hence from `System`, with
+        // this `layout`.
+        unsafe { System.dealloc(p, layout) };
+        self.live.fetch_sub(layout.size(), Relaxed);
+    }
+
+    /// Counted as the worst case — the new block live beside the old one —
+    /// because whether a growth happens in place is the allocator's
+    /// business, and a doubling `Vec` must not hide behind it.
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller upholds `realloc`'s contract; `p` and `layout`
+        // are `System`'s own.
+        let q = unsafe { System.realloc(p, layout, new_size) };
+        if !q.is_null() {
+            self.grew(new_size);
+            self.live.fetch_sub(layout.size(), Relaxed);
+        }
+        q
+    }
+}
