@@ -369,7 +369,9 @@ impl Graph {
         self.nodes[target.0].grad = Some(Tensor::scalar(1.0));
 
         for id in (0..=target.0).rev() {
-            let Some(g) = self.nodes[id].grad.clone() else {
+            // Taken out for the node's own step (its inputs all have lower
+            // ids) and put back below: `grad` reads it after the pass.
+            let Some(g) = self.nodes[id].grad.take() else {
                 continue;
             };
             let op = self.nodes[id].op.clone();
@@ -387,12 +389,12 @@ impl Graph {
                             *o += x;
                         }
                     }
-                    self.accum(row, &rg);
+                    self.accum_owned(row, rg);
                 }
                 Op::Sub(a, b) => {
                     self.accum(a, &g);
                     let neg = Tensor::from_vec(g.rows, g.cols, g.data.iter().map(|x| -x).collect());
-                    self.accum(b, &neg);
+                    self.accum_owned(b, neg);
                 }
                 Op::Mul(a, b) => {
                     let ga = {
@@ -411,8 +413,8 @@ impl Graph {
                             g.data.iter().zip(&ta.data).map(|(x, y)| x * y).collect(),
                         )
                     };
-                    self.accum(a, &ga);
-                    self.accum(b, &gb);
+                    self.accum_owned(a, ga);
+                    self.accum_owned(b, gb);
                 }
                 Op::MulRow(a, row) => {
                     let (ga, gr) = {
@@ -428,13 +430,13 @@ impl Graph {
                         }
                         (ga, gr)
                     };
-                    self.accum(a, &ga);
-                    self.accum(row, &gr);
+                    self.accum_owned(a, ga);
+                    self.accum_owned(row, gr);
                 }
                 Op::Scale(a, s) => {
                     let ga =
                         Tensor::from_vec(g.rows, g.cols, g.data.iter().map(|x| x * s).collect());
-                    self.accum(a, &ga);
+                    self.accum_owned(a, ga);
                 }
                 Op::Matmul(a, b) => {
                     // dA = g · Bᵀ ; dB = Aᵀ · g
@@ -467,12 +469,12 @@ impl Graph {
                         }
                         (ga, gb)
                     };
-                    self.accum(a, &ga);
-                    self.accum(b, &gb);
+                    self.accum_owned(a, ga);
+                    self.accum_owned(b, gb);
                 }
                 Op::Spmm(s, b) => {
                     let gb = self.sparse[s].matmul_t(&g);
-                    self.accum(b, &gb);
+                    self.accum_owned(b, gb);
                 }
                 Op::Gather(a, idx) => {
                     let ta_cols = self.nodes[a.0].value.cols;
@@ -483,7 +485,7 @@ impl Graph {
                             *o += x;
                         }
                     }
-                    self.accum(a, &ga);
+                    self.accum_owned(a, ga);
                 }
                 Op::Sigmoid(a) => {
                     let y = &self.nodes[id].value;
@@ -496,7 +498,7 @@ impl Graph {
                             .map(|(gv, yv)| gv * yv * (1.0 - yv))
                             .collect(),
                     );
-                    self.accum(a, &ga);
+                    self.accum_owned(a, ga);
                 }
                 Op::Tanh(a) => {
                     let y = &self.nodes[id].value;
@@ -509,7 +511,7 @@ impl Graph {
                             .map(|(gv, yv)| gv * (1.0 - yv * yv))
                             .collect(),
                     );
-                    self.accum(a, &ga);
+                    self.accum_owned(a, ga);
                 }
                 Op::Relu(a) => {
                     let x = &self.nodes[a.0].value;
@@ -522,7 +524,7 @@ impl Graph {
                             .map(|(gv, xv)| if *xv > 0.0 { *gv } else { 0.0 })
                             .collect(),
                     );
-                    self.accum(a, &ga);
+                    self.accum_owned(a, ga);
                 }
                 Op::Abs(a) => {
                     let x = &self.nodes[a.0].value;
@@ -535,18 +537,18 @@ impl Graph {
                             .map(|(gv, xv)| gv * xv.signum())
                             .collect(),
                     );
-                    self.accum(a, &ga);
+                    self.accum_owned(a, ga);
                 }
                 Op::Sum(a) => {
                     let ta = &self.nodes[a.0].value;
                     let ga = Tensor::from_vec(ta.rows, ta.cols, vec![g.item(); ta.len()]);
-                    self.accum(a, &ga);
+                    self.accum_owned(a, ga);
                 }
                 Op::Mean(a) => {
                     let ta = &self.nodes[a.0].value;
                     let v = g.item() / ta.len().max(1) as f32;
                     let ga = Tensor::from_vec(ta.rows, ta.cols, vec![v; ta.len()]);
-                    self.accum(a, &ga);
+                    self.accum_owned(a, ga);
                 }
                 Op::SumRows(a) => {
                     let ta = &self.nodes[a.0].value;
@@ -555,7 +557,7 @@ impl Graph {
                         let gv = g.data[i];
                         ga.row_mut(i).fill(gv);
                     }
-                    self.accum(a, &ga);
+                    self.accum_owned(a, ga);
                 }
                 Op::Concat(a, b) => {
                     let ca = self.nodes[a.0].value.cols;
@@ -566,13 +568,13 @@ impl Graph {
                         ga.row_mut(i).copy_from_slice(&g.row(i)[..ca]);
                         gb.row_mut(i).copy_from_slice(&g.row(i)[ca..]);
                     }
-                    self.accum(a, &ga);
-                    self.accum(b, &gb);
+                    self.accum_owned(a, ga);
+                    self.accum_owned(b, gb);
                 }
                 Op::Reshape(a) => {
                     let ta = &self.nodes[a.0].value;
                     let ga = Tensor::from_vec(ta.rows, ta.cols, g.data.clone());
-                    self.accum(a, &ga);
+                    self.accum_owned(a, ga);
                 }
                 Op::SoftmaxCe(logits, targets) => {
                     let tl = &self.nodes[logits.0].value;
@@ -589,7 +591,7 @@ impl Graph {
                             grow[j] = scale * (e / z - if j == t as usize { 1.0 } else { 0.0 });
                         }
                     }
-                    self.accum(logits, &gl);
+                    self.accum_owned(logits, gl);
                 }
                 Op::Conv2d {
                     input,
@@ -631,10 +633,11 @@ impl Graph {
                         }
                         (gi, gf)
                     };
-                    self.accum(input, &gi);
-                    self.accum(filters, &gf);
+                    self.accum_owned(input, gi);
+                    self.accum_owned(filters, gf);
                 }
             }
+            self.nodes[id].grad = Some(g);
         }
     }
 
@@ -647,6 +650,16 @@ impl Graph {
                 }
             }
             None => node.grad = Some(g.clone()),
+        }
+    }
+
+    /// `accum` of a gradient its caller is done with: a first contribution
+    /// moves in instead of being copied and then dropped.
+    fn accum_owned(&mut self, v: Var, g: Tensor) {
+        if self.nodes[v.0].grad.is_some() {
+            self.accum(v, &g);
+        } else {
+            self.nodes[v.0].grad = Some(g);
         }
     }
 }
@@ -703,6 +716,22 @@ mod tests {
             },
             rand_tensor(2, 3, 1),
         );
+    }
+
+    #[test]
+    fn every_reached_node_keeps_its_gradient_after_backward() {
+        // `backward` moves gradients instead of copying them; interior
+        // nodes and fan-out (x feeds two ops) must still read back whole.
+        let mut g = Graph::new();
+        let x = g.leaf(Tensor::from_vec(1, 2, vec![3.0, -1.0]));
+        let y = g.scale(x, 2.0);
+        let z = g.add(y, x);
+        let loss = g.sum(z);
+        g.backward(loss);
+        assert_eq!(g.grad(loss).data, [1.0]);
+        assert_eq!(g.grad(z).data, [1.0, 1.0]);
+        assert_eq!(g.grad(y).data, [1.0, 1.0]);
+        assert_eq!(g.grad(x).data, [3.0, 3.0]);
     }
 
     #[test]

@@ -51,7 +51,7 @@
 
 use crate::snapshot::{
     encode_frame, metric_from_tag, metric_tag, overflow, read_names, read_trace, write_file,
-    write_names, write_trace, FrameReader, FrameWriter, Snapshot, SnapshotError, SnapshotView,
+    write_names, write_trace, FrameReader, FrameWriter, Snapshot, SnapshotError,
 };
 use openea_align::Metric;
 use openea_approaches::TrainTrace;
@@ -141,24 +141,25 @@ pub fn write_sharded(
         paths.push(path);
         start = end;
     }
-    let (head, n1) = (snap.view(), snap.num_queries());
+    let n1 = snap.num_queries();
     write_file(manifest_path, MANIFEST_MAGIC, VERSION, &|w| {
-        write_manifest(w, head, (n1, n2), generation, &shards)
+        manifest_head(w, dim, snap.metric, (n1, n2), generation, &shards)?;
+        manifest_rest(w, &snap.emb1, &snap.names1, &snap.names2, &snap.trace)
     })?;
     Ok(paths)
 }
 
-/// The manifest payload: the unsharded part of `head` (its `emb2` is not
-/// read), the `(n1, n2)` counts and the shard table.
-fn write_manifest(
+/// First half of the manifest payload: shape, generation, shard table.
+fn manifest_head(
     w: &mut FrameWriter<'_>,
-    head: SnapshotView<'_>,
+    dim: usize,
+    metric: Metric,
     (n1, n2): (usize, usize),
     generation: u64,
     shards: &[ShardMeta],
 ) -> io::Result<()> {
-    w.bytes(&(head.dim as u32).to_le_bytes())?;
-    w.bytes(&[metric_tag(head.metric)])?;
+    w.bytes(&(dim as u32).to_le_bytes())?;
+    w.bytes(&[metric_tag(metric)])?;
     w.bytes(&(n1 as u64).to_le_bytes())?;
     w.bytes(&(n2 as u64).to_le_bytes())?;
     w.bytes(&generation.to_le_bytes())?;
@@ -168,28 +169,31 @@ fn write_manifest(
         w.bytes(&(s.end as u64).to_le_bytes())?;
         w.bytes(&s.checksum.to_le_bytes())?;
     }
-    w.floats(head.emb1)?;
-    write_names(w, head.names1)?;
-    write_names(w, head.names2)?;
-    write_trace(w, head.trace)
+    Ok(())
+}
+
+/// Second half: what is not sharded, in snapshot version 1's encodings.
+fn manifest_rest(
+    w: &mut FrameWriter<'_>,
+    emb1: &[f32],
+    names1: &[String],
+    names2: &[String],
+    trace: &TrainTrace,
+) -> io::Result<()> {
+    w.floats(emb1)?;
+    write_names(w, names1)?;
+    write_names(w, names2)?;
+    write_trace(w, trace)
 }
 
 impl ShardManifest {
     /// Serializes to the version-1 manifest layout. Pure function of the
     /// data: equal manifests encode to equal bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let head = SnapshotView {
-            dim: self.dim,
-            metric: self.metric,
-            emb1: &self.emb1,
-            emb2: &[],
-            names1: &self.names1,
-            names2: &self.names2,
-            trace: &self.trace,
-            lineage: None,
-        };
+        let (counts, generation) = ((self.n1, self.n2), self.generation);
         encode_frame(MANIFEST_MAGIC, VERSION, &|w| {
-            write_manifest(w, head, (self.n1, self.n2), self.generation, &self.shards)
+            manifest_head(w, self.dim, self.metric, counts, generation, &self.shards)?;
+            manifest_rest(w, &self.emb1, &self.names1, &self.names2, &self.trace)
         })
     }
 
@@ -275,13 +279,10 @@ impl ShardManifest {
     ) -> Result<(), SnapshotError> {
         let meta = &self.shards[index];
         let path = shard_path(manifest_path, index);
-        let file = match fs::File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Err(SnapshotError::MissingShard { index, path });
-            }
-            Err(e) => return Err(e.into()),
-        };
+        let file = fs::File::open(&path).map_err(|e| match e.kind() {
+            io::ErrorKind::NotFound => SnapshotError::MissingShard { index, path },
+            _ => e.into(),
+        })?;
         let mut r = FrameReader::open_file(file, SHARD_MAGIC, VERSION..=VERSION)?;
         let generation = r.u64();
         let rows = (|| {
@@ -338,9 +339,11 @@ impl ShardManifest {
         manifest_path: &Path,
         max_bytes: u64,
     ) -> Result<(Snapshot, usize), SnapshotError> {
-        // Size the prefix first so `emb2` is reserved once — for what the
-        // manifest promises or what the shard files hold, whichever is
-        // less: a lying table cannot reserve more than is on disk.
+        // Size the prefix first so `emb2` is reserved once, for the lesser
+        // of what the manifest promises and what the shard files hold (a
+        // lying table cannot reserve more than is on disk). `metadata` here
+        // bounds that reservation only: every check runs on the length
+        // `read_shard_into` reads, once, from the descriptor it opens.
         let (mut loaded, mut floats, mut on_disk) = (0usize, 0usize, 0u64);
         for (i, meta) in self.shards.iter().enumerate() {
             let more = meta.rows().saturating_mul(self.dim);
@@ -355,11 +358,8 @@ impl ShardManifest {
         for i in 0..loaded {
             self.read_shard_into(manifest_path, i, &mut emb2)?;
         }
-        let n2 = emb2.len() / self.dim;
         let mut names2 = self.names2;
-        if !names2.is_empty() {
-            names2.truncate(n2);
-        }
+        names2.truncate(emb2.len() / self.dim);
         Ok((
             Snapshot {
                 dim: self.dim,

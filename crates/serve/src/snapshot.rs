@@ -546,7 +546,7 @@ impl Snapshot {
     }
 
     /// The borrowed form the codec writes from.
-    pub(crate) fn view(&self) -> SnapshotView<'_> {
+    fn view(&self) -> SnapshotView<'_> {
         SnapshotView {
             dim: self.dim,
             metric: self.metric,
@@ -689,18 +689,18 @@ impl Snapshot {
     }
 }
 
-/// A snapshot by reference — what the codec writes from, so neither a
-/// checkpoint nor a sharded publish copies a matrix to serialize it.
+/// A snapshot by reference — what the `.snap` codec writes from, so a
+/// checkpoint does not copy its matrices to serialize them.
 #[derive(Clone, Copy)]
-pub(crate) struct SnapshotView<'a> {
-    pub(crate) dim: usize,
-    pub(crate) metric: Metric,
-    pub(crate) emb1: &'a [f32],
-    pub(crate) emb2: &'a [f32],
-    pub(crate) names1: &'a [String],
-    pub(crate) names2: &'a [String],
-    pub(crate) trace: &'a TrainTrace,
-    pub(crate) lineage: Option<Lineage>,
+struct SnapshotView<'a> {
+    dim: usize,
+    metric: Metric,
+    emb1: &'a [f32],
+    emb2: &'a [f32],
+    names1: &'a [String],
+    names2: &'a [String],
+    trace: &'a TrainTrace,
+    lineage: Option<Lineage>,
 }
 
 impl<'a> SnapshotView<'a> {

@@ -103,20 +103,19 @@ fn get_i64(obj: &Json, key: &str) -> i64 {
     }
 }
 
-/// Polls `/stats` until it answers 200 and `pred` holds, or the deadline
-/// passes. A 503 is polled through: the reactor may not yet have reaped a
-/// connection the caller just dropped, so the poll itself can be shed.
+/// Polls `/stats` until `pred` holds or the deadline passes.
 fn wait_for_stats(addr: SocketAddr, pred: impl Fn(&Json) -> bool, what: &str) -> Json {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let mut conn = connect(addr);
         let (status, stats) = http_get(&mut conn, "/stats");
-        if status == 200 && pred(&stats) {
+        assert_eq!(status, 200);
+        if pred(&stats) {
             return stats;
         }
         assert!(
             Instant::now() < deadline,
-            "timed out waiting for {what}: {status} {stats:?}"
+            "timed out waiting for {what}: {stats:?}"
         );
         std::thread::sleep(Duration::from_millis(20));
     }
