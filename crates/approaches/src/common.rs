@@ -680,8 +680,8 @@ impl UnifiedTransE {
 /// The interface of an entity-alignment approach.
 ///
 /// Implementors provide [`Approach::try_run`]; the provided `run` /
-/// `run_with` wrappers build a default [`RunContext`] and surface invalid
-/// configurations as panics for callers that predate the fallible API.
+/// `run_with` wrappers build a default [`RunContext`] and surface a
+/// [`TrainError`] as a panic for callers that predate the fallible API.
 pub trait Approach: Send + Sync {
     fn name(&self) -> &'static str;
 
@@ -689,8 +689,8 @@ pub trait Approach: Send + Sync {
     fn requirements(&self) -> Requirements;
 
     /// Trains on `split.train` (+`split.valid` for early stopping) under
-    /// the given run context and returns alignment-ready embeddings, or the
-    /// configuration error that prevented the run from starting.
+    /// the given run context and returns alignment-ready embeddings, or why
+    /// there are none: a rejected configuration or a diverged run.
     fn try_run(
         &self,
         pair: &KgPair,
@@ -715,7 +715,7 @@ pub trait Approach: Send + Sync {
         ctx: &RunContext<'_>,
     ) -> ApproachOutput {
         self.try_run(pair, split, cfg, ctx)
-            .unwrap_or_else(|e| panic!("{}: invalid run config: {e}", self.name()))
+            .unwrap_or_else(|e| panic!("{}: {e}", self.name()))
     }
 }
 

@@ -294,8 +294,10 @@ pub trait EpochHooks {
 /// validation every `cfg.check_every` epochs with best-checkpoint retention
 /// and early stopping, and trace recording. Returns the best validated
 /// output (falling back to a final checkpoint when validation never ran)
-/// with its [`crate::common::TrainTrace`] attached, or the configuration
-/// error that prevented the run from starting.
+/// with its [`crate::common::TrainTrace`] attached, the configuration error
+/// that prevented the run from starting, or [`TrainError::Diverged`] for the
+/// first epoch whose loss is not finite — checked here, once, for every
+/// driver.
 pub fn run_driver<H: EpochHooks>(
     label: &str,
     hooks: &mut H,
@@ -332,6 +334,9 @@ pub fn run_driver<H: EpochHooks>(
         rec.begin_epoch();
         hooks.before_epoch(epoch, ctx);
         let stats = hooks.train_epoch(epoch, ctx);
+        if !stats.mean_loss.is_finite() {
+            return Err(TrainError::Diverged { epoch });
+        }
         hooks.after_epoch(epoch, ctx);
         rec.end_epoch(epoch, stats);
         epochs_done += 1;

@@ -11,6 +11,54 @@ use crate::ids::{AttrTriple, AttributeId, EntityId, LiteralId, RelTriple, Relati
 use crate::interner::Interner;
 use std::collections::HashSet;
 
+/// One row of `T` per entity, every row in one array (compressed sparse
+/// rows): two allocations however many entities there are.
+#[derive(Clone, Debug)]
+struct Csr<T> {
+    /// Row `e` is `items[starts[e]..starts[e + 1]]`; `num_entities + 1` long.
+    starts: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Csr<T> {
+    /// Files each `(entity, item)` under its entity by a stable counting
+    /// sort: a row keeps its items in the order `pairs` yields them.
+    /// `blank` fills `items` until the second pass has placed every item.
+    fn build(
+        num_entities: usize,
+        pairs: impl ExactSizeIterator<Item = (EntityId, T)> + Clone,
+        blank: T,
+    ) -> Self {
+        assert!(
+            u32::try_from(pairs.len()).is_ok(),
+            "triple count overflows u32"
+        );
+        // Counted two places up, so that after the running sum `starts[e + 1]`
+        // is where row `e` begins; the filling pass then advances it to where
+        // row `e` ends, which is where row `e + 1` begins.
+        let mut starts = vec![0u32; num_entities + 2];
+        for (e, _) in pairs.clone() {
+            starts[e.idx() + 2] += 1;
+        }
+        for e in 1..starts.len() {
+            starts[e] += starts[e - 1];
+        }
+        let mut items = vec![blank; pairs.len()];
+        for (e, item) in pairs {
+            let next = &mut starts[e.idx() + 1];
+            items[*next as usize] = item;
+            *next += 1;
+        }
+        starts.pop();
+        Self { starts, items }
+    }
+
+    #[inline]
+    fn row(&self, e: EntityId) -> &[T] {
+        &self.items[self.starts[e.idx()] as usize..self.starts[e.idx() + 1] as usize]
+    }
+}
+
 /// An immutable knowledge graph with adjacency indexes.
 #[derive(Clone, Debug)]
 pub struct KnowledgeGraph {
@@ -22,11 +70,11 @@ pub struct KnowledgeGraph {
     rel_triples: Vec<RelTriple>,
     attr_triples: Vec<AttrTriple>,
     /// Per entity: outgoing `(relation, tail)` pairs.
-    out_edges: Vec<Vec<(RelationId, EntityId)>>,
+    out_edges: Csr<(RelationId, EntityId)>,
     /// Per entity: incoming `(relation, head)` pairs.
-    in_edges: Vec<Vec<(RelationId, EntityId)>>,
+    in_edges: Csr<(RelationId, EntityId)>,
     /// Per entity: `(attribute, literal)` pairs.
-    attrs: Vec<Vec<(AttributeId, LiteralId)>>,
+    attrs: Csr<(AttributeId, LiteralId)>,
 }
 
 impl KnowledgeGraph {
@@ -70,19 +118,19 @@ impl KnowledgeGraph {
     /// Outgoing `(relation, tail)` edges of `e`.
     #[inline]
     pub fn out_edges(&self, e: EntityId) -> &[(RelationId, EntityId)] {
-        &self.out_edges[e.idx()]
+        self.out_edges.row(e)
     }
 
     /// Incoming `(relation, head)` edges of `e`.
     #[inline]
     pub fn in_edges(&self, e: EntityId) -> &[(RelationId, EntityId)] {
-        &self.in_edges[e.idx()]
+        self.in_edges.row(e)
     }
 
     /// `(attribute, literal)` pairs of `e`.
     #[inline]
     pub fn attrs_of(&self, e: EntityId) -> &[(AttributeId, LiteralId)] {
-        &self.attrs[e.idx()]
+        self.attrs.row(e)
     }
 
     /// The relational degree of `e`: the number of relation triples in which
@@ -90,7 +138,7 @@ impl KnowledgeGraph {
     /// (average degree = 2·|triples| / |entities|).
     #[inline]
     pub fn degree(&self, e: EntityId) -> usize {
-        self.out_edges[e.idx()].len() + self.in_edges[e.idx()].len()
+        self.out_edges(e).len() + self.in_edges(e).len()
     }
 
     /// Relational degree of every entity, indexed by entity id.
@@ -186,16 +234,25 @@ impl KnowledgeGraph {
                 map[i] = Some(new);
             }
         }
+        // A surviving symbol gets its new id the first time a surviving
+        // triple uses it — what interning its name per triple would give,
+        // one hash per symbol instead of one per triple.
+        let mut rels: Vec<Option<RelationId>> = vec![None; self.num_relations()];
         for t in &self.rel_triples {
             if let (Some(h), Some(tl)) = (map[t.head.idx()], map[t.tail.idx()]) {
-                let r = builder.add_relation(self.relation_name(t.rel));
+                let r = *rels[t.rel.idx()]
+                    .get_or_insert_with(|| builder.add_relation(self.relation_name(t.rel)));
                 builder.add_rel_triple_ids(h, r, tl);
             }
         }
+        let mut attrs: Vec<Option<AttributeId>> = vec![None; self.num_attributes()];
+        let mut values: Vec<Option<LiteralId>> = vec![None; self.num_literals()];
         for t in &self.attr_triples {
             if let Some(e) = map[t.entity.idx()] {
-                let a = builder.add_attribute(self.attribute_name(t.attr));
-                let v = builder.add_literal(self.literal_value(t.value));
+                let a = *attrs[t.attr.idx()]
+                    .get_or_insert_with(|| builder.add_attribute(self.attribute_name(t.attr)));
+                let v = *values[t.value.idx()]
+                    .get_or_insert_with(|| builder.add_literal(self.literal_value(t.value)));
                 builder.add_attr_triple_ids(e, a, v);
             }
         }
@@ -284,17 +341,21 @@ impl KgBuilder {
         self.attr_triples.sort_unstable();
         self.attr_triples.dedup();
 
+        // Rows are filled in triple order, so each is sorted the way the
+        // triples are: out-edges by (relation, tail), in-edges by (head,
+        // relation), attributes by (attribute, literal).
         let n = self.entities.len();
-        let mut out_edges: Vec<Vec<(RelationId, EntityId)>> = vec![Vec::new(); n];
-        let mut in_edges: Vec<Vec<(RelationId, EntityId)>> = vec![Vec::new(); n];
-        let mut attrs: Vec<Vec<(AttributeId, LiteralId)>> = vec![Vec::new(); n];
-        for t in &self.rel_triples {
-            out_edges[t.head.idx()].push((t.rel, t.tail));
-            in_edges[t.tail.idx()].push((t.rel, t.head));
-        }
-        for t in &self.attr_triples {
-            attrs[t.entity.idx()].push((t.attr, t.value));
-        }
+        let edge = (RelationId(0), EntityId(0));
+        let rels = self.rel_triples.iter();
+        let out_edges = Csr::build(n, rels.clone().map(|t| (t.head, (t.rel, t.tail))), edge);
+        let in_edges = Csr::build(n, rels.map(|t| (t.tail, (t.rel, t.head))), edge);
+        let attrs = Csr::build(
+            n,
+            self.attr_triples
+                .iter()
+                .map(|t| (t.entity, (t.attr, t.value))),
+            (AttributeId(0), LiteralId(0)),
+        );
 
         KnowledgeGraph {
             name: self.name,

@@ -178,7 +178,8 @@ impl Default for TrainOptions {
     }
 }
 
-/// Rejected training configurations.
+/// Why a training run produced no output: a configuration rejected before
+/// the first epoch, or a run that stopped being a number.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrainError {
     /// `negs_per_pos == 0`: every positive would train on nothing.
@@ -192,6 +193,10 @@ pub enum TrainError {
     ZeroDim,
     /// `max_epochs == 0`: the run could never train.
     ZeroMaxEpochs,
+    /// The mean loss of `epoch` was NaN or infinite: the parameters have
+    /// left the range of `f32` (too high a learning rate for this data),
+    /// and every later epoch and every similarity would be NaN too.
+    Diverged { epoch: usize },
 }
 
 impl std::fmt::Display for TrainError {
@@ -209,6 +214,9 @@ impl std::fmt::Display for TrainError {
             }
             TrainError::ZeroDim => write!(f, "dim must be >= 1"),
             TrainError::ZeroMaxEpochs => write!(f, "max_epochs must be >= 1"),
+            TrainError::Diverged { epoch } => {
+                write!(f, "training diverged: non-finite loss in epoch {epoch}")
+            }
         }
     }
 }

@@ -46,7 +46,9 @@
 //! so compliant clients see bounded latency instead of collapse; the
 //! shed decisions are visible as `shed_total.latency` in `/stats`. A full
 //! job queue likewise sheds (`shed_total.queue`), as does the
-//! `max_conns` ceiling at accept time (`shed_total.conn_limit`).
+//! `max_conns` ceiling at accept time (`shed_total.conn_limit`) — held
+//! against the connections still open once every hang-up the kernel has
+//! already queued is handled.
 //!
 //! ## Shutdown
 //!
@@ -386,14 +388,22 @@ impl Reactor {
             };
             let mut events = std::mem::take(&mut self.scratch);
             let _ = self.poller.wait(&mut events, timeout);
+            // The listener goes last, whatever its place among the events: a
+            // connection that closed in this wake has given its slot back
+            // before the accept path counts slots against `max_conns`, and
+            // no slot changes hands while events for it are still queued.
+            let mut accept = false;
             for ev in &events {
                 match ev.token {
                     TOKEN_WAKER => self.shared.waker.drain(),
-                    TOKEN_LISTENER => self.accept_ready(),
+                    TOKEN_LISTENER => accept = true,
                     token => self.conn_ready(token as usize),
                 }
             }
             self.scratch = events;
+            if accept {
+                self.accept_ready();
+            }
             self.drain_completions();
             if !self.draining && self.shared.shutdown.load(Ordering::SeqCst) {
                 self.begin_drain();
@@ -429,8 +439,11 @@ impl Reactor {
                         .fetch_add(1, Ordering::Relaxed);
                     let cap = self.shared.opts.max_conns;
                     if cap != 0 && self.open >= cap {
-                        self.shed_at_accept(stream);
-                        continue;
+                        self.reap_hangups();
+                        if self.open >= cap {
+                            self.shed_at_accept(stream);
+                            continue;
+                        }
                     }
                     if stream.set_nonblocking(true).is_err() {
                         continue;
@@ -458,6 +471,24 @@ impl Reactor {
                 Err(_) => return,
             }
         }
+    }
+
+    /// At the ceiling with a connection in hand: handles what the other
+    /// connections have pending right now, without waiting. A peer that hung
+    /// up before this one connected — while this loop was between two
+    /// `accept` calls, say — has a slot to give back, and its hang-up is
+    /// already queued; only what is still open after this counts against
+    /// `max_conns`. The waker and the listener are level-triggered and stay
+    /// queued for the next wait.
+    fn reap_hangups(&mut self) {
+        let mut events = std::mem::take(&mut self.scratch);
+        let _ = self.poller.wait(&mut events, Some(Duration::ZERO));
+        for ev in &events {
+            if ev.token != TOKEN_WAKER && ev.token != TOKEN_LISTENER {
+                self.conn_ready(ev.token as usize);
+            }
+        }
+        self.scratch = events;
     }
 
     /// Over the connection ceiling: answer 503 from the accept path and

@@ -491,3 +491,44 @@ fn stats_gauges_track_connections() {
     wait_for_stats(addr, |s| get_i64(s, "open_conns") <= 1, "gauge to fall");
     server.stop();
 }
+
+/// The ceiling counts a slot as free once its connection has closed, even
+/// when the close and the next connection reach the reactor in one wake with
+/// the listener reported first. Two pipelined `/stats` bursts arrange exactly
+/// that: while the loop answers the first, the over-limit connection and the
+/// second burst queue up behind it in that order, so the loop sheds the one
+/// and is then busy with the other while this test drops a held connection
+/// and connects again — and the level-triggered listener, reported a moment
+/// ago, is polled ahead of the dropped connection's hang-up.
+#[test]
+fn conn_limit_counts_a_slot_freed_in_the_same_wake() {
+    let burst = "GET /stats HTTP/1.1\r\n\r\n".repeat(256);
+    for round in 0..5 {
+        let mut server = start(
+            tiny_index(41 + round),
+            ServerOptions {
+                max_conns: 3,
+                ..Default::default()
+            },
+        );
+        let addr = server.addr();
+        let mut held: Vec<TcpStream> = (0..3).map(|_| connect(addr)).collect();
+        for c in held.iter_mut() {
+            assert_eq!(http_get(c, "/health").0, 200);
+        }
+
+        held[0].write_all(burst.as_bytes()).unwrap();
+        let extra = connect(addr);
+        held[1].write_all(burst.as_bytes()).unwrap();
+        let (status, ..) = read_response(&mut BufReader::new(extra));
+        assert_eq!(status, 503);
+        drop(held.pop());
+        let mut next = connect(addr);
+        assert_eq!(
+            http_get(&mut next, "/health").0,
+            200,
+            "round {round}: shed although a slot was free"
+        );
+        server.stop();
+    }
+}

@@ -3,9 +3,10 @@
 
 use crate::vocab::{LatentValue, Vocabulary};
 use crate::world::World;
-use openea_core::{KgBuilder, KgPair};
+use openea_core::{EntityId, KgBuilder, KgPair, KnowledgeGraph};
 use openea_runtime::rng::Rng;
 use openea_runtime::rng::SliceRandom;
+use std::fmt::Write;
 
 /// How one KG is projected out of the world.
 #[derive(Clone, Debug)]
@@ -62,8 +63,9 @@ impl ProjectionConfig {
 }
 
 struct Projection {
-    /// Per world entity: the URI in this KG, or `None` if absent.
-    uris: Vec<Option<String>>,
+    /// Per world entity: its position in this KG's shuffled order — the
+    /// number its URI ends in — or `None` if absent.
+    positions: Vec<Option<u32>>,
     /// World relation id → local relation name.
     rel_names: Vec<String>,
     /// World attribute id → local attribute name.
@@ -73,23 +75,12 @@ struct Projection {
 fn project_schema<R: Rng>(cfg: &ProjectionConfig, world: &World, rng: &mut R) -> Projection {
     let n = world.num_entities();
     // Per-KG-shuffled entity URIs: insertion order must not leak alignment.
-    // Meaningful URIs embed the entity's rendered name tokens (as DBpedia
-    // local names do); the shuffled position keeps them unique.
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(rng);
-    let mut uris: Vec<Option<String>> = vec![None; n];
+    let mut positions: Vec<Option<u32>> = vec![None; n];
     for (pos, &e) in order.iter().enumerate() {
         if rng.gen_bool(cfg.entity_coverage) {
-            let uri = if cfg.meaningful_uris {
-                let slug: Vec<String> = world.names[e as usize]
-                    .iter()
-                    .map(|&t| cfg.vocabulary.render_token(t))
-                    .collect();
-                format!("{}{}_{}", cfg.uri_prefix, slug.join("_"), pos)
-            } else {
-                format!("{}Q{}", cfg.uri_prefix, pos)
-            };
-            uris[e as usize] = Some(uri);
+            positions[e as usize] = Some(pos as u32);
         }
     }
 
@@ -117,10 +108,85 @@ fn project_schema<R: Rng>(cfg: &ProjectionConfig, world: &World, rng: &mut R) ->
     let attr_names = map_names(world.config.num_attributes, cfg.num_attributes, "attr", rng);
 
     Projection {
-        uris,
+        positions,
         rel_names,
         attr_names,
     }
+}
+
+/// Writes the URI of world entity `e`, at shuffled position `pos`, into `uri`.
+/// Meaningful URIs embed the entity's rendered name tokens (as DBpedia local
+/// names do); the shuffled position keeps them unique.
+fn render_uri(cfg: &ProjectionConfig, world: &World, e: usize, pos: u32, uri: &mut String) {
+    uri.clear();
+    uri.push_str(&cfg.uri_prefix);
+    if cfg.meaningful_uris {
+        for (i, &t) in world.names[e].iter().enumerate() {
+            if i > 0 {
+                uri.push('_');
+            }
+            cfg.vocabulary.render_token_into(t, uri);
+        }
+        write!(uri, "_{pos}")
+    } else {
+        write!(uri, "Q{pos}")
+    }
+    .expect("writing to a String cannot fail");
+}
+
+/// Builds one projected KG. Every symbol is interned once: a present entity
+/// when it is registered, a relation or attribute name at its first use (the
+/// ids per-triple interning gives), and triples are added by id. Returns the
+/// KG and each world entity's id in it.
+fn build_kg<R: Rng>(
+    cfg: &ProjectionConfig,
+    p: &Projection,
+    world: &World,
+    rng: &mut R,
+) -> (KnowledgeGraph, Vec<Option<EntityId>>) {
+    let mut b = KgBuilder::new(&cfg.name);
+    // One buffer for every URI and literal the KG renders.
+    let mut text = String::new();
+    // Register every present entity (even ones that end up isolated —
+    // real samples have them too).
+    let ids: Vec<Option<EntityId>> = p
+        .positions
+        .iter()
+        .enumerate()
+        .map(|(e, pos)| {
+            pos.map(|pos| {
+                render_uri(cfg, world, e, pos, &mut text);
+                b.add_entity(&text)
+            })
+        })
+        .collect();
+    let mut rels = vec![None; p.rel_names.len()];
+    for &(h, r, t) in &world.rel_triples {
+        if let (Some(h), Some(t)) = (ids[h as usize], ids[t as usize]) {
+            if rng.gen_bool(cfg.triple_coverage) {
+                let r = r as usize;
+                let r = *rels[r].get_or_insert_with(|| b.add_relation(&p.rel_names[r]));
+                b.add_rel_triple_ids(h, r, t);
+            }
+        }
+    }
+    let mut attrs = vec![None; p.attr_names.len()];
+    for a in &world.attr_triples {
+        if a.attr == 0 && !cfg.include_name_attr {
+            continue; // label deletion (paper Sect. 3.2)
+        }
+        if let Some(e) = ids[a.entity as usize] {
+            if rng.gen_bool(cfg.attr_coverage) {
+                text.clear();
+                cfg.vocabulary.render_into(&a.value, rng, &mut text);
+                let attr = a.attr as usize;
+                let attr = *attrs[attr].get_or_insert_with(|| b.add_attribute(&p.attr_names[attr]));
+                let value = b.add_literal(&text);
+                b.add_attr_triple_ids(e, attr, value);
+            }
+        }
+    }
+    (b.build(), ids)
 }
 
 /// Projects the world into two KGs and assembles the reference alignment
@@ -133,46 +199,13 @@ pub fn generate_pair<R: Rng>(
 ) -> KgPair {
     let p1 = project_schema(cfg1, world, rng);
     let p2 = project_schema(cfg2, world, rng);
-
-    let build = |cfg: &ProjectionConfig, p: &Projection, rng: &mut R| {
-        let mut b = KgBuilder::new(&cfg.name);
-        // Register every present entity (even ones that end up isolated —
-        // real samples have them too).
-        for uri in p.uris.iter().flatten() {
-            b.add_entity(uri);
-        }
-        for &(h, r, t) in &world.rel_triples {
-            if let (Some(hu), Some(tu)) = (&p.uris[h as usize], &p.uris[t as usize]) {
-                if rng.gen_bool(cfg.triple_coverage) {
-                    b.add_rel_triple(hu, &p.rel_names[r as usize], tu);
-                }
-            }
-        }
-        for a in &world.attr_triples {
-            if a.attr == 0 && !cfg.include_name_attr {
-                continue; // label deletion (paper Sect. 3.2)
-            }
-            if let Some(eu) = &p.uris[a.entity as usize] {
-                if rng.gen_bool(cfg.attr_coverage) {
-                    let value = cfg.vocabulary.render(&a.value, rng);
-                    b.add_attr_triple(eu, &p.attr_names[a.attr as usize], &value);
-                }
-            }
-        }
-        b.build()
-    };
-
-    let kg1 = build(cfg1, &p1, rng);
-    let kg2 = build(cfg2, &p2, rng);
-
-    let mut alignment = Vec::new();
-    for e in 0..world.num_entities() {
-        if let (Some(u1), Some(u2)) = (&p1.uris[e], &p2.uris[e]) {
-            let e1 = kg1.entity_by_name(u1).expect("registered entity");
-            let e2 = kg2.entity_by_name(u2).expect("registered entity");
-            alignment.push((e1, e2));
-        }
-    }
+    let (kg1, ids1) = build_kg(cfg1, &p1, world, rng);
+    let (kg2, ids2) = build_kg(cfg2, &p2, world, rng);
+    let alignment = ids1
+        .into_iter()
+        .zip(ids2)
+        .filter_map(|(a, b)| a.zip(b))
+        .collect();
     KgPair::new(kg1, kg2, alignment)
 }
 

@@ -8,6 +8,7 @@
 //! machine translation, for the conventional baselines) exploit.
 
 use openea_runtime::rng::Rng;
+use std::fmt::Write;
 
 /// A latent attribute value in the world.
 #[derive(Clone, Debug, PartialEq)]
@@ -43,6 +44,13 @@ impl Vocabulary {
     /// Renders a single latent token under this vocabulary. Deterministic
     /// given `(token, language)`.
     pub fn render_token(&self, token: u32) -> String {
+        let mut word = String::new();
+        self.render_token_into(token, &mut word);
+        word
+    }
+
+    /// [`Vocabulary::render_token`], appended to `out`.
+    pub fn render_token_into(&self, token: u32, out: &mut String) {
         // A base-20 consonant-vowel encoding produces pronounceable,
         // language-looking words; each language uses a different alphabet so
         // that raw string equality across languages fails (as it does between
@@ -52,64 +60,70 @@ impl Vocabulary {
             Language::L2 => (b"nprstvwxzq", b"aeiou"),
             Language::L3 => (b"mbtdkgplrs", b"ouiea"),
         };
-        let mut word = String::new();
         let mut t = token as u64 + 7; // avoid the empty rendering for 0
         while t > 0 {
-            word.push(cons[(t % cons.len() as u64) as usize] as char);
+            out.push(cons[(t % cons.len() as u64) as usize] as char);
             t /= cons.len() as u64;
-            word.push(vow[(t % vow.len() as u64) as usize] as char);
+            out.push(vow[(t % vow.len() as u64) as usize] as char);
             t /= vow.len() as u64;
         }
-        word
     }
 
     /// Renders a latent value to a surface string, applying noise with the
     /// provided RNG (noise differs per occurrence, like real data entry).
     pub fn render<R: Rng>(&self, value: &LatentValue, rng: &mut R) -> String {
+        let mut out = String::new();
+        self.render_into(value, rng, &mut out);
+        out
+    }
+
+    /// [`Vocabulary::render`], appended to `out`: a caller rendering many
+    /// values clears and reuses one buffer. Same RNG draws in the same order.
+    pub fn render_into<R: Rng>(&self, value: &LatentValue, rng: &mut R, out: &mut String) {
         match value {
             LatentValue::Tokens(tokens) => {
-                let mut words = Vec::with_capacity(tokens.len());
+                let start = out.len();
                 for &t in tokens {
-                    if rng.gen_bool(self.noise) {
-                        match rng.gen_range(0..3u8) {
-                            0 => continue,                                // drop token
-                            1 => words.push(self.render_token(t ^ 0x9e)), // replace token
-                            _ => {
-                                // Typo: duplicate the first letter.
-                                let w = self.render_token(t);
-                                let mut typo = String::with_capacity(w.len() + 1);
-                                let mut chars = w.chars();
-                                if let Some(c) = chars.next() {
-                                    typo.push(c);
-                                    typo.push(c);
-                                }
-                                typo.extend(chars);
-                                words.push(typo);
+                    let noise = rng.gen_bool(self.noise).then(|| rng.gen_range(0..3u8));
+                    if noise == Some(0) {
+                        continue; // drop token
+                    }
+                    if out.len() > start {
+                        out.push(' ');
+                    }
+                    let word = out.len();
+                    match noise {
+                        None => self.render_token_into(t, out),
+                        Some(1) => self.render_token_into(t ^ 0x9e, out), // replace token
+                        Some(_) => {
+                            // Typo: duplicate the first letter.
+                            self.render_token_into(t, out);
+                            if let Some(c) = out[word..].chars().next() {
+                                out.insert(word, c);
                             }
                         }
-                    } else {
-                        words.push(self.render_token(t));
                     }
                 }
-                if words.is_empty() {
+                if out.len() == start {
                     // Never render an empty literal.
-                    words.push(self.render_token(tokens.first().copied().unwrap_or(0)));
+                    self.render_token_into(tokens.first().copied().unwrap_or(0), out);
                 }
-                words.join(" ")
             }
             LatentValue::Number(x) => {
                 if rng.gen_bool(self.noise) {
                     // Unit/precision drift.
-                    format!("{:.1}", x + rng.gen_range(-0.5..0.5))
+                    write!(out, "{:.1}", x + rng.gen_range(-0.5..0.5))
                 } else {
-                    format!("{x:.3}")
+                    write!(out, "{x:.3}")
                 }
+                .expect("writing to a String cannot fail");
             }
             LatentValue::Date(y, m, d) => match self.language {
-                Language::L1 => format!("{y:04}-{m:02}-{d:02}"),
-                Language::L2 => format!("{d:02}/{m:02}/{y:04}"),
-                Language::L3 => format!("{m:02}.{d:02}.{y:04}"),
-            },
+                Language::L1 => write!(out, "{y:04}-{m:02}-{d:02}"),
+                Language::L2 => write!(out, "{d:02}/{m:02}/{y:04}"),
+                Language::L3 => write!(out, "{m:02}.{d:02}.{y:04}"),
+            }
+            .expect("writing to a String cannot fail"),
         }
     }
 

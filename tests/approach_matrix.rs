@@ -390,6 +390,65 @@ mod engine {
         }));
         assert!(panicked.is_err(), "run() must panic on an invalid config");
     }
+
+    #[test]
+    fn a_non_finite_loss_ends_the_run_with_a_typed_error() {
+        struct Overflowing;
+        impl EpochHooks for Overflowing {
+            fn train_epoch(&mut self, epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
+                EpochStats {
+                    mean_loss: if epoch < 3 { 1.0 } else { f32::NAN },
+                    pairs: 10,
+                }
+            }
+
+            fn after_epoch(&mut self, epoch: usize, _ctx: &RunContext<'_>) {
+                assert!(epoch < 3, "no hook runs on diverged parameters");
+            }
+
+            fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
+                panic!("a diverged run has no output to checkpoint");
+            }
+        }
+        let cfg = RunConfig {
+            check_every: 5,
+            ..cfg()
+        };
+        let err = run_driver("test", &mut Overflowing, &RunContext::new(&cfg), &cfg).unwrap_err();
+        assert_eq!(err, TrainError::Diverged { epoch: 3 });
+    }
+
+    /// The configuration the repository benchmark had to avoid: it trained
+    /// to NaN and then panicked in inference.
+    #[test]
+    fn bootea_at_3k_dim32_lr002_diverges_into_a_typed_error() {
+        let pair = PresetConfig::new(DatasetFamily::DY, 3000, false, 1).generate();
+        let mut rng = SmallRng::seed_from_u64(1);
+        let fold = k_fold_splits(&pair.alignment, 5, &mut rng).swap_remove(0);
+        let cfg = RunConfig {
+            dim: 32,
+            lr: 0.02,
+            patience: usize::MAX,
+            threads: 2,
+            seed: 1,
+            ..RunConfig::default()
+        };
+        let ctx = RunContext::new(&cfg).for_valid(&fold.valid);
+        let bootea = approach_by_name("BootEA").unwrap();
+        let err = bootea.try_run(&pair, &fold, &cfg, &ctx).map(|_| ());
+        assert!(
+            matches!(err, Err(TrainError::Diverged { .. })),
+            "expected a diverged run, got {err:?}"
+        );
+        let message = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            bootea.run_with(&pair, &fold, &cfg, &ctx)
+        }))
+        .map(|_| ())
+        .unwrap_err();
+        let message = message.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains("diverged"), "{message}");
+        assert!(!message.contains("invalid run config"), "{message}");
+    }
 }
 
 mod warm_start {

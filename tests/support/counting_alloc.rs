@@ -11,9 +11,45 @@
 //! measurement is open. Counts are exact and repeat run to run: they are
 //! the sizes the program asked for, not what the allocator or the kernel
 //! made of them.
+//!
+//! A binary with several tests measures with [`CountingAlloc::on_this_thread`]
+//! instead: the harness runs each test on a thread of its own, and that view
+//! counts only what the calling thread did.
+
+// Each binary that includes this file uses one of the two views.
+#![allow(dead_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+/// What one thread asked of the allocator.
+#[derive(Clone, Copy, Debug)]
+pub struct Tally {
+    /// Calls that can return new memory: `alloc`, `alloc_zeroed`, `realloc`.
+    pub calls: usize,
+    /// Bytes allocated less bytes freed. Wraps below zero when a thread
+    /// frees what another allocated; the difference of two readings is
+    /// still exact.
+    pub live: usize,
+}
+
+thread_local! {
+    // Const-initialised and without a destructor, so the allocator can reach
+    // it at any point of a thread's life, and reaching it never allocates.
+    static MINE: Cell<Tally> = const { Cell::new(Tally { calls: 0, live: 0 }) };
+}
+
+fn tally(calls: usize, grown: usize, shrunk: usize) {
+    // A thread past its thread-local teardown is not measuring anything.
+    let _ = MINE.try_with(|t| {
+        let Tally { calls: c, live } = t.get();
+        t.set(Tally {
+            calls: c + calls,
+            live: live.wrapping_add(grown).wrapping_sub(shrunk),
+        });
+    });
+}
 
 pub struct CountingAlloc {
     live: AtomicUsize,
@@ -43,6 +79,20 @@ impl CountingAlloc {
         (value, self.peak.load(Relaxed).saturating_sub(base))
     }
 
+    /// Runs `f` and returns its value with what the calling thread did
+    /// inside it: the allocator calls it made, and the bytes it allocated
+    /// and still holds (`f`'s value included).
+    pub fn on_this_thread<T>(&self, f: impl FnOnce() -> T) -> (T, Tally) {
+        let before = MINE.get();
+        let value = f();
+        let after = MINE.get();
+        let during = Tally {
+            calls: after.calls - before.calls,
+            live: after.live.wrapping_sub(before.live),
+        };
+        (value, during)
+    }
+
     fn grew(&self, bytes: usize) {
         let now = self.live.fetch_add(bytes, Relaxed) + bytes;
         self.peak.fetch_max(now, Relaxed);
@@ -58,6 +108,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             self.grew(layout.size());
+            tally(1, layout.size(), 0);
         }
         p
     }
@@ -67,6 +118,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
             self.grew(layout.size());
+            tally(1, layout.size(), 0);
         }
         p
     }
@@ -76,6 +128,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // this `layout`.
         unsafe { System.dealloc(p, layout) };
         self.live.fetch_sub(layout.size(), Relaxed);
+        tally(0, 0, layout.size());
     }
 
     /// Counted as the worst case — the new block live beside the old one —
@@ -88,6 +141,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if !q.is_null() {
             self.grew(new_size);
             self.live.fetch_sub(layout.size(), Relaxed);
+            tally(1, new_size, layout.size());
         }
         q
     }
