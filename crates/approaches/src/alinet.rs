@@ -75,10 +75,7 @@ impl AliNetParams {
         let gate_in = g.matmul(h1, wg);
         let gate = g.sigmoid(gate_in);
         let keep = g.mul(gate, h1);
-        let neg_gate = g.scale(gate, -1.0);
-        let shape = (g.value(gate).rows, g.value(gate).cols, g.value(gate).len());
-        let ones = g.leaf(Tensor::from_vec(shape.0, shape.1, vec![1.0; shape.2]));
-        let inv = g.add(ones, neg_gate);
+        let inv = g.one_minus(gate);
         let far = g.mul(inv, h2);
         g.add(keep, far)
     }
@@ -103,10 +100,10 @@ impl AliNetParams {
 
         self.graph.reset();
         let g = &mut self.graph;
-        let x = g.leaf(self.x.clone());
-        let w1 = g.leaf(self.w1.clone());
-        let w2 = g.leaf(self.w2.clone());
-        let wg = g.leaf(self.wg.clone());
+        let x = g.leaf_from(&self.x);
+        let w1 = g.leaf_from(&self.w1);
+        let w2 = g.leaf_from(&self.w2);
+        let wg = g.leaf_from(&self.wg);
         let h = Self::forward(g, self.adj1, self.adj2, x, w1, w2, wg);
 
         let h1 = g.gather(h, idx1);
@@ -123,7 +120,7 @@ impl AliNetParams {
             g.sum_rows(a)
         };
         let diff = g.sub(pd, nd);
-        let m = g.leaf(Tensor::from_vec(1, 1, vec![margin]));
+        let m = g.leaf_slice(1, 1, &[margin]);
         let arg = g.add_row(diff, m);
         let hinge = g.relu(arg);
         let loss = g.mean(hinge);
@@ -135,8 +132,7 @@ impl AliNetParams {
             (&mut self.w2, w2),
             (&mut self.wg, wg),
         ] {
-            let grad = g.grad(var);
-            for (p, gg) in param.data.iter_mut().zip(&grad.data) {
+            for (p, gg) in param.data.iter_mut().zip(&g.grad_ref(var).data) {
                 *p -= lr * gg;
             }
         }
@@ -146,12 +142,15 @@ impl AliNetParams {
     fn output(&mut self, _cfg: &RunConfig) -> ApproachOutput {
         self.graph.reset();
         let g = &mut self.graph;
-        let x = g.leaf(self.x.clone());
-        let w1 = g.leaf(self.w1.clone());
-        let w2 = g.leaf(self.w2.clone());
-        let wg = g.leaf(self.wg.clone());
+        let x = g.leaf_from(&self.x);
+        let w1 = g.leaf_from(&self.w1);
+        let w2 = g.leaf_from(&self.w2);
+        let wg = g.leaf_from(&self.wg);
         let h = Self::forward(g, self.adj1, self.adj2, x, w1, w2, wg);
-        split_normalized(g.value(h), self.n1)
+        let out = split_normalized(g.value(h), self.n1);
+        // As in `GcnEncoder::output`: a checkpoint is a pause.
+        g.release();
+        out
     }
 }
 

@@ -125,10 +125,10 @@ impl GcnEncoder {
 
         self.graph.reset();
         let g = &mut self.graph;
-        let x = g.leaf(self.x.clone());
-        let w1 = g.leaf(self.w1.clone());
-        let w2 = g.leaf(self.w2.clone());
-        let wg = self.wg.as_ref().map(|t| g.leaf(t.clone()));
+        let x = g.leaf_from(&self.x);
+        let w1 = g.leaf_from(&self.w1);
+        let w2 = g.leaf_from(&self.w2);
+        let wg = self.wg.as_ref().map(|t| g.leaf_from(t));
         let h = forward(g, self.adj, x, w1, w2, wg);
 
         let h1 = g.gather(h, idx1);
@@ -145,31 +145,25 @@ impl GcnEncoder {
             g.sum_rows(a)
         };
         let diff = g.sub(pd, nd);
-        let m = g.leaf(Tensor::from_vec(1, 1, vec![margin]));
+        let m = g.leaf_slice(1, 1, &[margin]);
         let arg = g.add_row(diff, m);
         let hinge = g.relu(arg);
         let loss = g.mean(hinge);
         let lv = g.value(loss).item();
         g.backward(loss);
 
-        let apply = |param: &mut Tensor, grad: Tensor| {
+        let apply = |param: &mut Tensor, grad: &Tensor| {
             for (p, gg) in param.data.iter_mut().zip(&grad.data) {
                 *p -= lr * gg;
             }
         };
         if self.x_trainable {
-            let gx = g.grad(x);
-            apply(&mut self.x, gx);
+            apply(&mut self.x, g.grad_ref(x));
         }
-        let gw1 = g.grad(w1);
-        apply(&mut self.w1, gw1);
-        let gw2 = g.grad(w2);
-        apply(&mut self.w2, gw2);
+        apply(&mut self.w1, g.grad_ref(w1));
+        apply(&mut self.w2, g.grad_ref(w2));
         if let (Some(wg_var), Some(wg_t)) = (wg, self.wg.as_mut()) {
-            let ggate = g.grad(wg_var);
-            for (p, gg) in wg_t.data.iter_mut().zip(&ggate.data) {
-                *p -= lr * gg;
-            }
+            apply(wg_t, g.grad_ref(wg_var));
         }
         lv
     }
@@ -178,12 +172,17 @@ impl GcnEncoder {
     pub fn output(&mut self, _cfg: &RunConfig) -> ApproachOutput {
         self.graph.reset();
         let g = &mut self.graph;
-        let x = g.leaf(self.x.clone());
-        let w1 = g.leaf(self.w1.clone());
-        let w2 = g.leaf(self.w2.clone());
-        let wg = self.wg.as_ref().map(|t| g.leaf(t.clone()));
+        let x = g.leaf_from(&self.x);
+        let w1 = g.leaf_from(&self.w1);
+        let w2 = g.leaf_from(&self.w2);
+        let wg = self.wg.as_ref().map(|t| g.leaf_from(t));
         let h = forward(g, self.adj, x, w1, w2, wg);
-        split_normalized(g.value(h), self.n1)
+        let out = split_normalized(g.value(h), self.n1);
+        // A checkpoint is a pause: what follows (validation, the snapshot,
+        // or the publish after the last one) should not run on top of a
+        // pool of step buffers. The next step re-warms it.
+        g.release();
+        out
     }
 }
 
@@ -284,13 +283,7 @@ fn forward(
             let gate_in = g.matmul(x, wg);
             let gate = g.sigmoid(gate_in);
             let keep = g.mul(gate, x);
-            let neg_gate = g.scale(gate, -1.0);
-            let one_t = g.leaf(Tensor::from_vec(
-                g.value(gate).rows,
-                g.value(gate).cols,
-                vec![1.0; g.value(gate).len()],
-            ));
-            let inv_gate = g.add(one_t, neg_gate);
+            let inv_gate = g.one_minus(gate);
             let new = g.mul(inv_gate, h1);
             g.add(keep, new)
         }
@@ -306,13 +299,7 @@ fn forward(
             let gate_in = g.matmul(x, wg);
             let gate = g.sigmoid(gate_in);
             let keep = g.mul(gate, x);
-            let neg_gate = g.scale(gate, -1.0);
-            let one_t = g.leaf(Tensor::from_vec(
-                g.value(gate).rows,
-                g.value(gate).cols,
-                vec![1.0; g.value(gate).len()],
-            ));
-            let inv_gate = g.add(one_t, neg_gate);
+            let inv_gate = g.one_minus(gate);
             let new = g.mul(inv_gate, h2);
             g.add(keep, new)
         }

@@ -97,6 +97,9 @@ struct RsnParams {
     wx: Tensor,
     w1: Tensor,
     w2: Tensor,
+    /// One tape for every walk: its buffer pool warms on the first few and
+    /// serves the rest.
+    tape: Graph,
 }
 
 impl Approach for Rsn4Ea {
@@ -131,6 +134,7 @@ impl Approach for Rsn4Ea {
             wx: Tensor::xavier(cfg.dim, cfg.dim, &mut rng),
             w1: Tensor::xavier(cfg.dim, cfg.dim, &mut rng),
             w2: Tensor::xavier(cfg.dim, cfg.dim, &mut rng),
+            tape: Graph::new(),
         };
 
         let walks_per_epoch = ((space.num_entities as f32 * self.walks_per_entity) as usize).max(8);
@@ -250,12 +254,13 @@ impl Rsn4Ea {
         for &gid in &local {
             buf.extend_from_slice(params.elements.row(gid as usize));
         }
-        let mut g = Graph::new();
+        let g = &mut params.tape;
+        g.reset();
         let emb = g.leaf(Tensor::from_vec(local.len(), dim, buf));
-        let wh = g.leaf(params.wh.clone());
-        let wx = g.leaf(params.wx.clone());
-        let w1 = g.leaf(params.w1.clone());
-        let w2 = g.leaf(params.w2.clone());
+        let wh = g.leaf_from(&params.wh);
+        let wx = g.leaf_from(&params.wx);
+        let w1 = g.leaf_from(&params.w1);
+        let w2 = g.leaf_from(&params.w2);
 
         // Recurrence over the walk; predict each next entity.
         let mut h = g.gather(emb, vec![ent_rows[0]]); // h₀ = subject embedding
@@ -306,7 +311,7 @@ impl Rsn4Ea {
         g.backward(loss);
 
         // Apply gradients.
-        let gemb = g.grad(emb);
+        let gemb = g.grad_ref(emb);
         for (local_row, &gid) in local.iter().enumerate() {
             params
                 .elements
@@ -318,8 +323,7 @@ impl Rsn4Ea {
             (&mut params.w1, w1),
             (&mut params.w2, w2),
         ] {
-            let grad = g.grad(var);
-            for (p, gg) in param.data.iter_mut().zip(&grad.data) {
+            for (p, gg) in param.data.iter_mut().zip(&g.grad_ref(var).data) {
                 *p -= cfg.lr * gg;
             }
         }

@@ -20,7 +20,60 @@
 //! assert_eq!(gx.cols, 2);
 //! assert!(gx.data[0] > 0.0 && gx.data[1] < 0.0);
 //! ```
+//!
+//! # Buffers
+//!
+//! A training loop tapes the same shapes step after step, so a `Graph` owns
+//! its memory: every value and gradient is drawn from a pool of free buffers
+//! keyed by exact length, [`Graph::reset`] hands every buffer back instead of
+//! dropping it, and a tape that is reset and rebuilt with the shapes of the
+//! step before asks the allocator for nothing. (A buffer the caller moved in
+//! through [`Graph::leaf`] is the exception: it is dropped at `reset`, or a
+//! leaf per step would grow the pool by one buffer per step. Parameters go
+//! in through [`Graph::leaf_from`], which copies into a pooled buffer.) The
+//! pool holds the most buffers of each length the tape has had in use at
+//! once, until [`Graph::release`] gives them back to the allocator — which
+//! is for the moments a tape pauses, such as a checkpoint between steps.
+//!
+//! # What can be read after `backward`
+//!
+//! [`Graph::backward`] recycles the interior of the tape — every node that
+//! is neither a leaf nor the target — as it goes, in two moves:
+//!
+//! 1. Before the sweep, the value of every interior node that no backward
+//!    step reads returns to the pool. Most steps need only the *shape* of
+//!    what they touch (`add`, `spmm`, `gather`, the reductions, …); the
+//!    values that are read — both factors of a product, the input of `relu`
+//!    and `abs`, the output of `tanh` and `sigmoid` — are marked as the tape
+//!    is built (`Op::reads`).
+//! 2. When the sweep has run the step of an interior node, that node's
+//!    gradient is complete and has been passed on, and nothing later in the
+//!    sweep reads its value: its consumers were appended after it, so they
+//!    have higher ids and their steps ran first. Both buffers return to the
+//!    pool at that moment.
+//!
+//! The freed buffers carry the next gradients, so a step holds the forward
+//! values plus the two or three gradients in flight, not a gradient per
+//! node. After `backward(t)`:
+//!
+//! * [`Graph::grad`] / [`Graph::grad_ref`] are defined for **leaves** (zeros
+//!   for one `t` does not depend on) and for **`t`** itself;
+//! * [`Graph::value`] is defined for **leaves** and for **`t`**;
+//! * reading any other node **panics** with a message that says its buffers
+//!   were recycled — never stale numbers or zeros;
+//! * a tape takes one `backward` between resets; read interior values (a
+//!   prediction, a second loss) before calling it.
+//!
+//! # Arithmetic
+//!
+//! No kernel here reorders a sum. Each output element of every op, forward
+//! and backward, is the floating-point expression of the plain nested loop:
+//! the same terms in the same order, `*` and `+` separate. The products keep
+//! their running sums in registers (`kernel.rs`) and walk transposed
+//! copies instead of columns; `tests/autodiff_equivalence.rs` holds all of it
+//! to the bits of the plain loops.
 
+use crate::kernel::{accumulate_row, transpose};
 use crate::sparse::SparseMatrix;
 use crate::tensor::Tensor;
 
@@ -28,7 +81,7 @@ use crate::tensor::Tensor;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Var(usize);
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum Op {
     Leaf,
     Add(Var, Var),
@@ -39,6 +92,8 @@ enum Op {
     /// `[n,c] ⊙ [1,c]` broadcast over rows.
     MulRow(Var, Var),
     Scale(Var, f32),
+    /// `1 − x`, the complement of a gate.
+    OneMinus(Var),
     Matmul(Var, Var),
     /// Constant sparse matrix × dense var.
     Spmm(usize, Var),
@@ -67,17 +122,128 @@ enum Op {
     },
 }
 
+/// Where a node's value buffer is, and where it goes at `reset`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Held {
+    /// Drawn from the pool; returns to it.
+    Pooled,
+    /// Moved in by the caller of [`Graph::leaf`]; dropped.
+    Foreign,
+    /// Already back in the pool: `backward` has passed this interior node.
+    Recycled,
+}
+
 struct Node {
+    /// `rows`/`cols` stay valid after the data has been recycled.
     value: Tensor,
     grad: Option<Tensor>,
     op: Op,
+    held: Held,
+    /// Some backward step reads this value: the node's own, or that of an
+    /// op it feeds ([`Op::reads`]). Set as the tape is built.
+    read_by_backward: bool,
+}
+
+impl Node {
+    /// Elements in the value, recycled or not.
+    fn size(&self) -> usize {
+        self.value.rows * self.value.cols
+    }
+}
+
+impl Op {
+    /// The values this op's backward step reads: those of which inputs, and
+    /// whether the node's own. Of every other node it touches, a step needs
+    /// the shape only — which is what lets `backward` hand the values no
+    /// step reads back to the pool before the sweep begins. (A step that
+    /// reads a value this does not list panics on it: `value_of`.)
+    fn reads(&self) -> ([Option<Var>; 2], bool) {
+        match *self {
+            Op::Mul(a, b) | Op::MulRow(a, b) | Op::Matmul(a, b) => ([Some(a), Some(b)], false),
+            Op::Conv2d { input, filters, .. } => ([Some(input), Some(filters)], false),
+            Op::Relu(a) | Op::Abs(a) | Op::SoftmaxCe(a, _) => ([Some(a), None], false),
+            Op::Sigmoid(_) | Op::Tanh(_) => ([None, None], true),
+            Op::Leaf
+            | Op::Add(..)
+            | Op::AddRow(..)
+            | Op::Sub(..)
+            | Op::Scale(..)
+            | Op::OneMinus(_)
+            | Op::Spmm(..)
+            | Op::Gather(..)
+            | Op::Sum(_)
+            | Op::Mean(_)
+            | Op::SumRows(_)
+            | Op::Concat(..)
+            | Op::Reshape(_) => ([None, None], false),
+        }
+    }
+}
+
+const RECYCLED: &str = "this node's buffers were recycled by backward(): \
+    after it only leaves and the target can be read (read interior values before it)";
+
+/// A node's value, for the ops as well as for callers: nothing computes from
+/// a buffer that has gone back to the pool.
+fn value_of(nodes: &[Node], v: Var) -> &Tensor {
+    let node = &nodes[v.0];
+    assert!(node.held != Held::Recycled, "{RECYCLED}");
+    &node.value
+}
+
+/// Free buffers by exact length. Shapes repeat from step to step, so after
+/// the first step every request finds a buffer of its length waiting.
+#[derive(Default)]
+struct Pool {
+    /// `(length, free buffers of that length)`, sorted by length.
+    free: Vec<(usize, Vec<Vec<f32>>)>,
+}
+
+impl Pool {
+    /// A buffer of `len` elements holding whatever its last user left: for
+    /// outputs whose every element is written.
+    fn take(&mut self, len: usize) -> Vec<f32> {
+        let found = match self.free.binary_search_by_key(&len, |class| class.0) {
+            Ok(at) => self.free[at].1.pop(),
+            Err(_) => None,
+        };
+        found.unwrap_or_else(|| vec![0.0; len])
+    }
+
+    /// A buffer of `len` zeros: for accumulators.
+    fn zeroed(&mut self, len: usize) -> Vec<f32> {
+        let mut buf = self.take(len);
+        buf.fill(0.0);
+        buf
+    }
+
+    fn copy_of(&mut self, src: &[f32]) -> Vec<f32> {
+        let mut buf = self.take(src.len());
+        buf.copy_from_slice(src);
+        buf
+    }
+
+    fn give(&mut self, buf: Vec<f32>) {
+        if buf.is_empty() {
+            return;
+        }
+        match self.free.binary_search_by_key(&buf.len(), |class| class.0) {
+            Ok(at) => self.free[at].1.push(buf),
+            Err(at) => self.free.insert(at, (buf.len(), vec![buf])),
+        }
+    }
 }
 
 /// The autodiff tape.
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    sparse: Vec<SparseMatrix>,
+    /// Each sparse constant beside its transpose, which `spmm`'s backward
+    /// pass multiplies by.
+    sparse: Vec<(SparseMatrix, SparseMatrix)>,
+    pool: Pool,
+    /// `backward` has run since the last `reset`.
+    swept: bool,
 }
 
 impl Graph {
@@ -85,219 +251,280 @@ impl Graph {
         Self::default()
     }
 
-    /// Clears the tape for the next step (sparse constants are kept).
+    /// Clears the tape for the next step. Sparse constants are kept, and so
+    /// is every buffer the tape drew from its pool.
     pub fn reset(&mut self) {
-        self.nodes.clear();
+        self.swept = false;
+        for node in self.nodes.drain(..) {
+            if let Some(grad) = node.grad {
+                self.pool.give(grad.data);
+            }
+            if node.held == Held::Pooled {
+                self.pool.give(node.value.data);
+            }
+        }
+    }
+
+    /// [`Graph::reset`], and the pool's buffers go back to the allocator: for
+    /// a tape that will not be stepped again for a while. The next step
+    /// warms the pool as the first did.
+    pub fn release(&mut self) {
+        self.reset();
+        self.pool = Pool::default();
     }
 
     /// Registers a constant sparse matrix; returns its id for [`Graph::spmm`].
     pub fn add_sparse(&mut self, m: SparseMatrix) -> usize {
-        self.sparse.push(m);
+        let transposed = m.transposed();
+        self.sparse.push((m, transposed));
         self.sparse.len() - 1
     }
 
-    fn push(&mut self, value: Tensor, op: Op) -> Var {
+    fn push(&mut self, rows: usize, cols: usize, data: Vec<f32>, op: Op) -> Var {
+        let (inputs, own) = op.reads();
+        for v in inputs.into_iter().flatten() {
+            self.nodes[v.0].read_by_backward = true;
+        }
         self.nodes.push(Node {
-            value,
+            value: Tensor::from_vec(rows, cols, data),
             grad: None,
             op,
+            held: Held::Pooled,
+            read_by_backward: own,
         });
         Var(self.nodes.len() - 1)
     }
 
-    /// A leaf tensor (input or parameter snapshot).
+    /// A leaf tensor (input or parameter snapshot) the caller gives away.
+    /// Its buffer is dropped at the next `reset`; a tensor the caller keeps
+    /// goes in through [`Graph::leaf_from`] instead of being cloned for this.
     pub fn leaf(&mut self, t: Tensor) -> Var {
-        self.push(t, Op::Leaf)
+        self.nodes.push(Node {
+            value: t,
+            grad: None,
+            op: Op::Leaf,
+            held: Held::Foreign,
+            read_by_backward: false,
+        });
+        Var(self.nodes.len() - 1)
     }
 
+    /// A leaf holding a copy of `t` in a pooled buffer.
+    pub fn leaf_from(&mut self, t: &Tensor) -> Var {
+        self.leaf_slice(t.rows, t.cols, &t.data)
+    }
+
+    /// A leaf holding a copy of row-major `data` in a pooled buffer.
+    pub fn leaf_slice(&mut self, rows: usize, cols: usize, data: &[f32]) -> Var {
+        let buf = self.pool.copy_of(data);
+        self.push(rows, cols, buf, Op::Leaf)
+    }
+
+    /// The value of `v`. After [`Graph::backward`] only leaves and the
+    /// target have one; any other node panics.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        value_of(&self.nodes, v)
     }
 
-    /// Gradient of the last `backward` target with respect to `v`
-    /// (zeros if the node is unreachable from the target).
+    /// Gradient of the last `backward` target with respect to `v` (zeros if
+    /// `v` is unreachable from the target, or before any `backward`).
+    /// Defined for leaves and the target; any other node panics.
     pub fn grad(&self, v: Var) -> Tensor {
-        match &self.nodes[v.0].grad {
+        let node = &self.nodes[v.0];
+        assert!(node.held != Held::Recycled, "{RECYCLED}");
+        match &node.grad {
             Some(g) => g.clone(),
-            None => Tensor::zeros(self.nodes[v.0].value.rows, self.nodes[v.0].value.cols),
+            None => Tensor::zeros(node.value.rows, node.value.cols),
         }
+    }
+
+    /// [`Graph::grad`] without the copy. Needs a `backward` to have run.
+    pub fn grad_ref(&self, v: Var) -> &Tensor {
+        let node = &self.nodes[v.0];
+        assert!(node.held != Held::Recycled, "{RECYCLED}");
+        node.grad
+            .as_ref()
+            .expect("grad_ref: no backward() has run on this tape")
+    }
+
+    /// `f(a)` element by element.
+    fn map(&mut self, a: Var, op: Op, f: impl Fn(f32) -> f32) -> Var {
+        let ta = value_of(&self.nodes, a);
+        let mut out = self.pool.take(ta.len());
+        for (o, &x) in out.iter_mut().zip(&ta.data) {
+            *o = f(x);
+        }
+        let (rows, cols) = (ta.rows, ta.cols);
+        self.push(rows, cols, out, op)
+    }
+
+    /// `f(a, b)` element by element over two tensors of one shape.
+    fn zip(&mut self, a: Var, b: Var, what: &str, op: Op, f: impl Fn(f32, f32) -> f32) -> Var {
+        let (ta, tb) = (value_of(&self.nodes, a), value_of(&self.nodes, b));
+        assert!(ta.same_shape(tb), "{what} shape mismatch");
+        let mut out = self.pool.take(ta.len());
+        for ((o, &x), &y) in out.iter_mut().zip(&ta.data).zip(&tb.data) {
+            *o = f(x, y);
+        }
+        let (rows, cols) = (ta.rows, ta.cols);
+        self.push(rows, cols, out, op)
+    }
+
+    /// `f(a[i,j], row[j])`: a row vector broadcast over the rows of `a`.
+    fn zip_row(
+        &mut self,
+        a: Var,
+        row: Var,
+        what: &str,
+        op: Op,
+        f: impl Fn(f32, f32) -> f32,
+    ) -> Var {
+        let (ta, tr) = (value_of(&self.nodes, a), value_of(&self.nodes, row));
+        assert_eq!(tr.rows, 1, "broadcast operand must be a row vector");
+        assert_eq!(ta.cols, tr.cols, "{what} width mismatch");
+        let (rows, cols) = (ta.rows, ta.cols);
+        let mut out = self.pool.take(ta.len());
+        for i in 0..rows {
+            let orow = &mut out[i * cols..(i + 1) * cols];
+            for ((o, &x), &b) in orow.iter_mut().zip(ta.row(i)).zip(&tr.data) {
+                *o = f(x, b);
+            }
+        }
+        self.push(rows, cols, out, op)
     }
 
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert!(ta.same_shape(tb), "add shape mismatch");
-        let data = ta.data.iter().zip(&tb.data).map(|(x, y)| x + y).collect();
-        let t = Tensor::from_vec(ta.rows, ta.cols, data);
-        self.push(t, Op::Add(a, b))
+        self.zip(a, b, "add", Op::Add(a, b), |x, y| x + y)
     }
 
     pub fn add_row(&mut self, a: Var, row: Var) -> Var {
-        let (ta, tr) = (&self.nodes[a.0].value, &self.nodes[row.0].value);
-        assert_eq!(tr.rows, 1, "broadcast operand must be a row vector");
-        assert_eq!(ta.cols, tr.cols, "add_row width mismatch");
-        let mut out = ta.clone();
-        for r in 0..out.rows {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(&tr.data) {
-                *o += b;
-            }
-        }
-        self.push(out, Op::AddRow(a, row))
+        self.zip_row(a, row, "add_row", Op::AddRow(a, row), |x, b| x + b)
     }
 
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert!(ta.same_shape(tb), "sub shape mismatch");
-        let data = ta.data.iter().zip(&tb.data).map(|(x, y)| x - y).collect();
-        let t = Tensor::from_vec(ta.rows, ta.cols, data);
-        self.push(t, Op::Sub(a, b))
+        self.zip(a, b, "sub", Op::Sub(a, b), |x, y| x - y)
     }
 
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert!(ta.same_shape(tb), "mul shape mismatch");
-        let data = ta.data.iter().zip(&tb.data).map(|(x, y)| x * y).collect();
-        let t = Tensor::from_vec(ta.rows, ta.cols, data);
-        self.push(t, Op::Mul(a, b))
+        self.zip(a, b, "mul", Op::Mul(a, b), |x, y| x * y)
     }
 
     pub fn mul_row(&mut self, a: Var, row: Var) -> Var {
-        let (ta, tr) = (&self.nodes[a.0].value, &self.nodes[row.0].value);
-        assert_eq!(tr.rows, 1, "broadcast operand must be a row vector");
-        assert_eq!(ta.cols, tr.cols, "mul_row width mismatch");
-        let mut out = ta.clone();
-        for r in 0..out.rows {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(&tr.data) {
-                *o *= b;
-            }
-        }
-        self.push(out, Op::MulRow(a, row))
+        self.zip_row(a, row, "mul_row", Op::MulRow(a, row), |x, b| x * b)
     }
 
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
-        let ta = &self.nodes[a.0].value;
-        let data = ta.data.iter().map(|x| x * s).collect();
-        let t = Tensor::from_vec(ta.rows, ta.cols, data);
-        self.push(t, Op::Scale(a, s))
+        self.map(a, Op::Scale(a, s), |x| x * s)
+    }
+
+    /// `1 − a` element by element: the complement of a gate. One node, and
+    /// the same bits forward and backward as `add(ones, scale(a, −1))`,
+    /// since `1 + (−x) ≡ 1 − x` and `x · −1 ≡ −x` in IEEE arithmetic.
+    pub fn one_minus(&mut self, a: Var) -> Var {
+        self.map(a, Op::OneMinus(a), |x| 1.0 - x)
     }
 
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let (ta, tb) = (value_of(&self.nodes, a), value_of(&self.nodes, b));
         assert_eq!(ta.cols, tb.rows, "matmul shape mismatch");
-        let mut out = Tensor::zeros(ta.rows, tb.cols);
-        for i in 0..ta.rows {
-            for k in 0..ta.cols {
-                let av = ta.get(i, k);
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = tb.row(k);
-                let orow = out.row_mut(i);
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
-        self.push(out, Op::Matmul(a, b))
+        let (rows, inner, cols) = (ta.rows, ta.cols, tb.cols);
+        let mut out = self.pool.zeroed(rows * cols);
+        product(&ta.data, &tb.data, &mut out, rows, inner, cols);
+        self.push(rows, cols, out, Op::Matmul(a, b))
     }
 
     pub fn spmm(&mut self, sparse_id: usize, b: Var) -> Var {
-        let out = self.sparse[sparse_id].matmul(&self.nodes[b.0].value);
-        self.push(out, Op::Spmm(sparse_id, b))
+        let (m, tb) = (&self.sparse[sparse_id].0, value_of(&self.nodes, b));
+        let (rows, cols) = (m.rows(), tb.cols);
+        let mut out = self.pool.zeroed(rows * cols);
+        m.matmul_into(&tb.data, cols, &mut out);
+        self.push(rows, cols, out, Op::Spmm(sparse_id, b))
     }
 
     /// Row gather: output row `i` is input row `idx[i]`.
     pub fn gather(&mut self, a: Var, idx: Vec<u32>) -> Var {
-        let ta = &self.nodes[a.0].value;
-        let mut out = Tensor::zeros(idx.len(), ta.cols);
+        let ta = value_of(&self.nodes, a);
+        let cols = ta.cols;
+        let mut out = self.pool.take(idx.len() * cols);
         for (i, &r) in idx.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(ta.row(r as usize));
+            out[i * cols..(i + 1) * cols].copy_from_slice(ta.row(r as usize));
         }
-        self.push(out, Op::Gather(a, idx))
+        self.push(idx.len(), cols, out, Op::Gather(a, idx))
     }
 
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let ta = &self.nodes[a.0].value;
-        let data = ta
-            .data
-            .iter()
-            .map(|&x| {
-                if x >= 0.0 {
-                    1.0 / (1.0 + (-x).exp())
-                } else {
-                    let e = x.exp();
-                    e / (1.0 + e)
-                }
-            })
-            .collect();
-        let t = Tensor::from_vec(ta.rows, ta.cols, data);
-        self.push(t, Op::Sigmoid(a))
+        self.map(a, Op::Sigmoid(a), |x| {
+            if x >= 0.0 {
+                1.0 / (1.0 + (-x).exp())
+            } else {
+                let e = x.exp();
+                e / (1.0 + e)
+            }
+        })
     }
 
     pub fn tanh(&mut self, a: Var) -> Var {
-        let ta = &self.nodes[a.0].value;
-        let data = ta.data.iter().map(|x| x.tanh()).collect();
-        let t = Tensor::from_vec(ta.rows, ta.cols, data);
-        self.push(t, Op::Tanh(a))
+        self.map(a, Op::Tanh(a), |x| x.tanh())
     }
 
     pub fn relu(&mut self, a: Var) -> Var {
-        let ta = &self.nodes[a.0].value;
-        let data = ta.data.iter().map(|x| x.max(0.0)).collect();
-        let t = Tensor::from_vec(ta.rows, ta.cols, data);
-        self.push(t, Op::Relu(a))
+        self.map(a, Op::Relu(a), |x| x.max(0.0))
     }
 
     pub fn abs(&mut self, a: Var) -> Var {
-        let ta = &self.nodes[a.0].value;
-        let data = ta.data.iter().map(|x| x.abs()).collect();
-        let t = Tensor::from_vec(ta.rows, ta.cols, data);
-        self.push(t, Op::Abs(a))
+        self.map(a, Op::Abs(a), |x| x.abs())
+    }
+
+    fn push_scalar(&mut self, v: f32, op: Op) -> Var {
+        let mut buf = self.pool.take(1);
+        buf[0] = v;
+        self.push(1, 1, buf, op)
     }
 
     pub fn sum(&mut self, a: Var) -> Var {
-        let s: f32 = self.nodes[a.0].value.data.iter().sum();
-        self.push(Tensor::scalar(s), Op::Sum(a))
+        let s: f32 = value_of(&self.nodes, a).data.iter().sum();
+        self.push_scalar(s, Op::Sum(a))
     }
 
     pub fn mean(&mut self, a: Var) -> Var {
-        let ta = &self.nodes[a.0].value;
+        let ta = value_of(&self.nodes, a);
         let s: f32 = ta.data.iter().sum::<f32>() / ta.len().max(1) as f32;
-        self.push(Tensor::scalar(s), Op::Mean(a))
+        self.push_scalar(s, Op::Mean(a))
     }
 
     pub fn sum_rows(&mut self, a: Var) -> Var {
-        let ta = &self.nodes[a.0].value;
-        let mut out = Tensor::zeros(ta.rows, 1);
-        for i in 0..ta.rows {
-            out.data[i] = ta.row(i).iter().sum();
+        let ta = value_of(&self.nodes, a);
+        let rows = ta.rows;
+        let mut out = self.pool.take(rows);
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = ta.row(i).iter().sum();
         }
-        self.push(out, Op::SumRows(a))
+        self.push(rows, 1, out, Op::SumRows(a))
     }
 
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let (ta, tb) = (value_of(&self.nodes, a), value_of(&self.nodes, b));
         assert_eq!(ta.rows, tb.rows, "concat row mismatch");
-        let mut out = Tensor::zeros(ta.rows, ta.cols + tb.cols);
-        for i in 0..ta.rows {
-            out.row_mut(i)[..ta.cols].copy_from_slice(ta.row(i));
+        let (rows, ca, cols) = (ta.rows, ta.cols, ta.cols + tb.cols);
+        let mut out = self.pool.take(rows * cols);
+        for i in 0..rows {
+            let orow = &mut out[i * cols..(i + 1) * cols];
+            orow[..ca].copy_from_slice(ta.row(i));
+            orow[ca..].copy_from_slice(tb.row(i));
         }
-        for i in 0..tb.rows {
-            let c0 = ta.cols;
-            out.row_mut(i)[c0..].copy_from_slice(tb.row(i));
-        }
-        self.push(out, Op::Concat(a, b))
+        self.push(rows, cols, out, Op::Concat(a, b))
     }
 
     pub fn reshape(&mut self, a: Var, rows: usize, cols: usize) -> Var {
-        let ta = &self.nodes[a.0].value;
+        let ta = value_of(&self.nodes, a);
         assert_eq!(ta.len(), rows * cols, "reshape size mismatch");
-        let t = Tensor::from_vec(rows, cols, ta.data.clone());
-        self.push(t, Op::Reshape(a))
+        let out = self.pool.copy_of(&ta.data);
+        self.push(rows, cols, out, Op::Reshape(a))
     }
 
     /// Mean softmax cross-entropy of `logits` `[n,c]` against `targets[i] < c`.
     pub fn softmax_cross_entropy(&mut self, logits: Var, targets: Vec<u32>) -> Var {
-        let tl = &self.nodes[logits.0].value;
+        let tl = value_of(&self.nodes, logits);
         assert_eq!(tl.rows, targets.len(), "one target per row");
         let mut loss = 0.0f64;
         for (i, &t) in targets.iter().enumerate() {
@@ -306,8 +533,8 @@ impl Graph {
             let lse: f32 = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
             loss += (lse - row[t as usize]) as f64;
         }
-        let t = Tensor::scalar((loss / targets.len().max(1) as f64) as f32);
-        self.push(t, Op::SoftmaxCe(logits, targets))
+        let v = (loss / targets.len().max(1) as f64) as f32;
+        self.push_scalar(v, Op::SoftmaxCe(logits, targets))
     }
 
     /// Single-channel valid convolution (used by ConvE).
@@ -320,14 +547,16 @@ impl Graph {
         kh: usize,
         kw: usize,
     ) -> Var {
-        let (ti, tf) = (&self.nodes[input.0].value, &self.nodes[filters.0].value);
+        let (ti, tf) = (value_of(&self.nodes, input), value_of(&self.nodes, filters));
         assert_eq!(ti.cols, h * w, "conv input shape");
         assert_eq!(tf.cols, kh * kw, "conv filter shape");
         let (oh, ow) = (h - kh + 1, w - kw + 1);
         let k = tf.rows;
-        let mut out = Tensor::zeros(ti.rows, k * oh * ow);
-        for n in 0..ti.rows {
+        let (rows, cols) = (ti.rows, k * oh * ow);
+        let mut out = self.pool.take(rows * cols);
+        for n in 0..rows {
             let img = ti.row(n);
+            let orow = &mut out[n * cols..(n + 1) * cols];
             for f in 0..k {
                 let filt = tf.row(f);
                 for oy in 0..oh {
@@ -338,12 +567,14 @@ impl Graph {
                                 acc += img[(oy + fy) * w + (ox + fx)] * filt[fy * kw + fx];
                             }
                         }
-                        out.row_mut(n)[f * oh * ow + oy * ow + ox] = acc;
+                        orow[f * oh * ow + oy * ow + ox] = acc;
                     }
                 }
             }
         }
         self.push(
+            rows,
+            cols,
             out,
             Op::Conv2d {
                 input,
@@ -356,310 +587,391 @@ impl Graph {
         )
     }
 
-    /// Runs the reverse pass from scalar node `target`.
+    /// Runs the reverse pass from scalar node `target`, recycling interior
+    /// nodes as it passes them (see the module docs for what can be read
+    /// afterwards). One `backward` per tape: `reset` before the next.
     pub fn backward(&mut self, target: Var) {
         assert_eq!(
-            self.nodes[target.0].value.len(),
+            value_of(&self.nodes, target).len(),
             1,
             "backward target must be scalar"
         );
-        for n in &mut self.nodes {
-            n.grad = None;
+        assert!(
+            !self.swept,
+            "backward() has already run on this tape and recycled its interior: reset() and re-tape first"
+        );
+        self.swept = true;
+        let Graph {
+            nodes,
+            sparse,
+            pool,
+            ..
+        } = self;
+        let recycle = |node: &mut Node, pool: &mut Pool| {
+            pool.give(std::mem::take(&mut node.value.data));
+            node.held = Held::Recycled;
+        };
+        // Interior values no step reads are dead already: they carry the
+        // first gradients.
+        for (id, node) in nodes.iter_mut().enumerate() {
+            let interior = id != target.0 && !matches!(node.op, Op::Leaf);
+            if interior && !node.read_by_backward {
+                recycle(node, pool);
+            }
         }
-        self.nodes[target.0].grad = Some(Tensor::scalar(1.0));
+        let mut one = pool.take(1);
+        one[0] = 1.0;
+        nodes[target.0].grad = Some(Tensor::from_vec(1, 1, one));
 
-        for id in (0..=target.0).rev() {
-            // Taken out for the node's own step (its inputs all have lower
-            // ids) and put back below: `grad` reads it after the pass.
-            let Some(g) = self.nodes[id].grad.take() else {
+        for id in (0..nodes.len()).rev() {
+            // A node's inputs all have lower ids, its consumers higher ones.
+            let (inputs, rest) = nodes.split_at_mut(id);
+            let node = &mut rest[0];
+            if matches!(node.op, Op::Leaf) {
                 continue;
-            };
-            let op = self.nodes[id].op.clone();
-            match op {
-                Op::Leaf => {}
-                Op::Add(a, b) => {
-                    self.accum(a, &g);
-                    self.accum(b, &g);
-                }
-                Op::AddRow(a, row) => {
-                    self.accum(a, &g);
-                    let mut rg = Tensor::zeros(1, g.cols);
-                    for i in 0..g.rows {
-                        for (o, &x) in rg.data.iter_mut().zip(g.row(i)) {
-                            *o += x;
-                        }
-                    }
-                    self.accum_owned(row, rg);
-                }
-                Op::Sub(a, b) => {
-                    self.accum(a, &g);
-                    let neg = Tensor::from_vec(g.rows, g.cols, g.data.iter().map(|x| -x).collect());
-                    self.accum_owned(b, neg);
-                }
-                Op::Mul(a, b) => {
-                    let ga = {
-                        let tb = &self.nodes[b.0].value;
-                        Tensor::from_vec(
-                            g.rows,
-                            g.cols,
-                            g.data.iter().zip(&tb.data).map(|(x, y)| x * y).collect(),
-                        )
-                    };
-                    let gb = {
-                        let ta = &self.nodes[a.0].value;
-                        Tensor::from_vec(
-                            g.rows,
-                            g.cols,
-                            g.data.iter().zip(&ta.data).map(|(x, y)| x * y).collect(),
-                        )
-                    };
-                    self.accum_owned(a, ga);
-                    self.accum_owned(b, gb);
-                }
-                Op::MulRow(a, row) => {
-                    let (ga, gr) = {
-                        let ta = &self.nodes[a.0].value;
-                        let tr = &self.nodes[row.0].value;
-                        let mut ga = Tensor::zeros(g.rows, g.cols);
-                        let mut gr = Tensor::zeros(1, g.cols);
-                        for i in 0..g.rows {
-                            for j in 0..g.cols {
-                                ga.row_mut(i)[j] = g.get(i, j) * tr.data[j];
-                                gr.data[j] += g.get(i, j) * ta.get(i, j);
-                            }
-                        }
-                        (ga, gr)
-                    };
-                    self.accum_owned(a, ga);
-                    self.accum_owned(row, gr);
-                }
-                Op::Scale(a, s) => {
-                    let ga =
-                        Tensor::from_vec(g.rows, g.cols, g.data.iter().map(|x| x * s).collect());
-                    self.accum_owned(a, ga);
-                }
-                Op::Matmul(a, b) => {
-                    // dA = g · Bᵀ ; dB = Aᵀ · g
-                    let (ga, gb) = {
-                        let ta = &self.nodes[a.0].value;
-                        let tb = &self.nodes[b.0].value;
-                        let mut ga = Tensor::zeros(ta.rows, ta.cols);
-                        for i in 0..ta.rows {
-                            for j in 0..tb.cols {
-                                let gv = g.get(i, j);
-                                if gv == 0.0 {
-                                    continue;
-                                }
-                                for k in 0..ta.cols {
-                                    ga.row_mut(i)[k] += gv * tb.get(k, j);
-                                }
-                            }
-                        }
-                        let mut gb = Tensor::zeros(tb.rows, tb.cols);
-                        for i in 0..ta.rows {
-                            for k in 0..ta.cols {
-                                let av = ta.get(i, k);
-                                if av == 0.0 {
-                                    continue;
-                                }
-                                for (o, &gv) in gb.row_mut(k).iter_mut().zip(g.row(i)) {
-                                    *o += av * gv;
-                                }
-                            }
-                        }
-                        (ga, gb)
-                    };
-                    self.accum_owned(a, ga);
-                    self.accum_owned(b, gb);
-                }
-                Op::Spmm(s, b) => {
-                    let gb = self.sparse[s].matmul_t(&g);
-                    self.accum_owned(b, gb);
-                }
-                Op::Gather(a, idx) => {
-                    let ta_cols = self.nodes[a.0].value.cols;
-                    let ta_rows = self.nodes[a.0].value.rows;
-                    let mut ga = Tensor::zeros(ta_rows, ta_cols);
-                    for (i, &r) in idx.iter().enumerate() {
-                        for (o, &x) in ga.row_mut(r as usize).iter_mut().zip(g.row(i)) {
-                            *o += x;
-                        }
-                    }
-                    self.accum_owned(a, ga);
-                }
-                Op::Sigmoid(a) => {
-                    let y = &self.nodes[id].value;
-                    let ga = Tensor::from_vec(
-                        g.rows,
-                        g.cols,
-                        g.data
-                            .iter()
-                            .zip(&y.data)
-                            .map(|(gv, yv)| gv * yv * (1.0 - yv))
-                            .collect(),
-                    );
-                    self.accum_owned(a, ga);
-                }
-                Op::Tanh(a) => {
-                    let y = &self.nodes[id].value;
-                    let ga = Tensor::from_vec(
-                        g.rows,
-                        g.cols,
-                        g.data
-                            .iter()
-                            .zip(&y.data)
-                            .map(|(gv, yv)| gv * (1.0 - yv * yv))
-                            .collect(),
-                    );
-                    self.accum_owned(a, ga);
-                }
-                Op::Relu(a) => {
-                    let x = &self.nodes[a.0].value;
-                    let ga = Tensor::from_vec(
-                        g.rows,
-                        g.cols,
-                        g.data
-                            .iter()
-                            .zip(&x.data)
-                            .map(|(gv, xv)| if *xv > 0.0 { *gv } else { 0.0 })
-                            .collect(),
-                    );
-                    self.accum_owned(a, ga);
-                }
-                Op::Abs(a) => {
-                    let x = &self.nodes[a.0].value;
-                    let ga = Tensor::from_vec(
-                        g.rows,
-                        g.cols,
-                        g.data
-                            .iter()
-                            .zip(&x.data)
-                            .map(|(gv, xv)| gv * xv.signum())
-                            .collect(),
-                    );
-                    self.accum_owned(a, ga);
-                }
-                Op::Sum(a) => {
-                    let ta = &self.nodes[a.0].value;
-                    let ga = Tensor::from_vec(ta.rows, ta.cols, vec![g.item(); ta.len()]);
-                    self.accum_owned(a, ga);
-                }
-                Op::Mean(a) => {
-                    let ta = &self.nodes[a.0].value;
-                    let v = g.item() / ta.len().max(1) as f32;
-                    let ga = Tensor::from_vec(ta.rows, ta.cols, vec![v; ta.len()]);
-                    self.accum_owned(a, ga);
-                }
-                Op::SumRows(a) => {
-                    let ta = &self.nodes[a.0].value;
-                    let mut ga = Tensor::zeros(ta.rows, ta.cols);
-                    for i in 0..ta.rows {
-                        let gv = g.data[i];
-                        ga.row_mut(i).fill(gv);
-                    }
-                    self.accum_owned(a, ga);
-                }
-                Op::Concat(a, b) => {
-                    let ca = self.nodes[a.0].value.cols;
-                    let cb = self.nodes[b.0].value.cols;
-                    let mut ga = Tensor::zeros(g.rows, ca);
-                    let mut gb = Tensor::zeros(g.rows, cb);
-                    for i in 0..g.rows {
-                        ga.row_mut(i).copy_from_slice(&g.row(i)[..ca]);
-                        gb.row_mut(i).copy_from_slice(&g.row(i)[ca..]);
-                    }
-                    self.accum_owned(a, ga);
-                    self.accum_owned(b, gb);
-                }
-                Op::Reshape(a) => {
-                    let ta = &self.nodes[a.0].value;
-                    let ga = Tensor::from_vec(ta.rows, ta.cols, g.data.clone());
-                    self.accum_owned(a, ga);
-                }
-                Op::SoftmaxCe(logits, targets) => {
-                    let tl = &self.nodes[logits.0].value;
-                    let n = targets.len().max(1) as f32;
-                    let scale = g.item() / n;
-                    let mut gl = Tensor::zeros(tl.rows, tl.cols);
-                    for (i, &t) in targets.iter().enumerate() {
-                        let row = tl.row(i);
-                        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                        let exps: Vec<f32> = row.iter().map(|&x| (x - max).exp()).collect();
-                        let z: f32 = exps.iter().sum();
-                        let grow = gl.row_mut(i);
-                        for (j, e) in exps.iter().enumerate() {
-                            grow[j] = scale * (e / z - if j == t as usize { 1.0 } else { 0.0 });
-                        }
-                    }
-                    self.accum_owned(logits, gl);
-                }
-                Op::Conv2d {
-                    input,
-                    filters,
-                    h,
-                    w,
-                    kh,
-                    kw,
-                } => {
-                    let (gi, gf) = {
-                        let ti = &self.nodes[input.0].value;
-                        let tf = &self.nodes[filters.0].value;
-                        let (oh, ow) = (h - kh + 1, w - kw + 1);
-                        let k = tf.rows;
-                        let mut gi = Tensor::zeros(ti.rows, ti.cols);
-                        let mut gf = Tensor::zeros(tf.rows, tf.cols);
-                        for n in 0..ti.rows {
-                            let img = ti.row(n);
-                            let gout = g.row(n);
-                            for f in 0..k {
-                                let filt = tf.row(f);
-                                for oy in 0..oh {
-                                    for ox in 0..ow {
-                                        let gv = gout[f * oh * ow + oy * ow + ox];
-                                        if gv == 0.0 {
-                                            continue;
-                                        }
-                                        for fy in 0..kh {
-                                            for fx in 0..kw {
-                                                gi.row_mut(n)[(oy + fy) * w + (ox + fx)] +=
-                                                    gv * filt[fy * kw + fx];
-                                                gf.row_mut(f)[fy * kw + fx] +=
-                                                    gv * img[(oy + fy) * w + (ox + fx)];
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        (gi, gf)
-                    };
-                    self.accum_owned(input, gi);
-                    self.accum_owned(filters, gf);
-                }
             }
-            self.nodes[id].grad = Some(g);
+            if let Some(grad) = node.grad.take() {
+                if id == target.0 {
+                    // The target keeps its gradient; its step consumes a copy.
+                    node.grad = Some(Tensor::from_vec(1, 1, pool.copy_of(&grad.data)));
+                }
+                step(node, grad.data, inputs, sparse, pool);
+            }
+            if id != target.0 && node.held == Held::Pooled {
+                // Every consumer's step has run, and now its own: nothing
+                // reads this value again.
+                recycle(node, pool);
+            }
+        }
+        for node in nodes.iter_mut() {
+            if matches!(node.op, Op::Leaf) && node.grad.is_none() {
+                let (rows, cols) = (node.value.rows, node.value.cols);
+                node.grad = Some(Tensor::from_vec(rows, cols, pool.zeroed(rows * cols)));
+            }
         }
     }
+}
 
-    fn accum(&mut self, v: Var, g: &Tensor) {
-        let node = &mut self.nodes[v.0];
-        match &mut node.grad {
-            Some(existing) => {
-                for (e, &x) in existing.data.iter_mut().zip(&g.data) {
-                    *e += x;
-                }
+/// Adds `g` to `node`'s gradient; a first contribution is copied in.
+fn accum(node: &mut Node, pool: &mut Pool, g: &[f32]) {
+    match &mut node.grad {
+        Some(existing) => {
+            for (e, &x) in existing.data.iter_mut().zip(g) {
+                *e += x;
             }
-            None => node.grad = Some(g.clone()),
+        }
+        None => {
+            let (rows, cols) = (node.value.rows, node.value.cols);
+            node.grad = Some(Tensor::from_vec(rows, cols, pool.copy_of(g)));
         }
     }
+}
 
-    /// `accum` of a gradient its caller is done with: a first contribution
-    /// moves in instead of being copied and then dropped.
-    fn accum_owned(&mut self, v: Var, g: Tensor) {
-        if self.nodes[v.0].grad.is_some() {
-            self.accum(v, &g);
-        } else {
-            self.nodes[v.0].grad = Some(g);
+/// `accum` of a buffer its caller is done with: a first contribution moves
+/// in, a later one is added and its buffer returns to the pool.
+fn accum_owned(node: &mut Node, pool: &mut Pool, g: Vec<f32>) {
+    if node.grad.is_some() {
+        accum(node, pool, &g);
+        pool.give(g);
+    } else {
+        let (rows, cols) = (node.value.rows, node.value.cols);
+        node.grad = Some(Tensor::from_vec(rows, cols, g));
+    }
+}
+
+/// The non-zero entries of `row` as kernel terms `(entry, index · stride)`:
+/// the dense products' `if v == 0.0 { continue; }`.
+fn nonzero_terms(row: &[f32], stride: usize) -> impl Iterator<Item = (f32, usize)> + Clone + '_ {
+    row.iter()
+        .enumerate()
+        .filter(|&(_, &v)| v != 0.0)
+        .map(move |(k, &v)| (v, k * stride))
+}
+
+/// `out += a · b` for row-major `a` (`rows × inner`) and `b` (`inner ×
+/// cols`): output row `i` is the sum over `k`, ascending, of `a[i,k]` times
+/// row `k` of `b`, zero entries of `a` skipped.
+fn product(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, inner: usize, cols: usize) {
+    for i in 0..rows {
+        let terms = nonzero_terms(&a[i * inner..(i + 1) * inner], cols);
+        accumulate_row(&mut out[i * cols..(i + 1) * cols], b, terms);
+    }
+}
+
+/// `out += aᵀ · g` for row-major `a` (`rows × inner`) and `g` (`rows ×
+/// cols`): output row `k` is the sum over `i`, ascending, of `a[i,k]` times
+/// row `i` of `g`, zero entries of `a` skipped. Rows are taken a block at a
+/// time so that `a` and `g` are each streamed once: a block of both stays in
+/// L1 while every output row takes its terms from it, and an output row's
+/// sum continues from block to block in the same order.
+fn product_at(a: &[f32], g: &[f32], out: &mut [f32], rows: usize, inner: usize, cols: usize) {
+    const BLOCK: usize = 64;
+    for i0 in (0..rows).step_by(BLOCK) {
+        let i1 = (i0 + BLOCK).min(rows);
+        for k in 0..inner {
+            let terms = (i0..i1)
+                .map(|i| (a[i * inner + k], i * cols))
+                .filter(|&(av, _)| av != 0.0);
+            accumulate_row(&mut out[k * cols..(k + 1) * cols], g, terms);
+        }
+    }
+}
+
+/// One node's backward step: passes `g`, the node's complete gradient, on to
+/// its inputs. `g` is the step's to consume — an op whose input gradient has
+/// `g`'s shape computes it in place and moves the buffer on.
+///
+/// Contributions reach a node's gradient in a fixed order (steps by
+/// descending id, an op's first operand before its second), because a sum
+/// of three or more floats depends on it.
+fn step(
+    node: &Node,
+    mut g: Vec<f32>,
+    inputs: &mut [Node],
+    sparse: &[(SparseMatrix, SparseMatrix)],
+    pool: &mut Pool,
+) {
+    // The shape is always there; the data only if `Op::reads` said so.
+    let value = &node.value;
+    match node.op {
+        Op::Leaf => unreachable!("leaves have no step"),
+        Op::Add(a, b) => {
+            accum(&mut inputs[a.0], pool, &g);
+            accum_owned(&mut inputs[b.0], pool, g);
+        }
+        Op::AddRow(a, row) => {
+            let cols = value.cols;
+            let mut rg = pool.zeroed(cols);
+            for i in 0..value.rows {
+                for (o, &x) in rg.iter_mut().zip(&g[i * cols..(i + 1) * cols]) {
+                    *o += x;
+                }
+            }
+            accum_owned(&mut inputs[a.0], pool, g);
+            accum_owned(&mut inputs[row.0], pool, rg);
+        }
+        Op::Sub(a, b) => {
+            accum(&mut inputs[a.0], pool, &g);
+            for x in g.iter_mut() {
+                *x = -*x;
+            }
+            accum_owned(&mut inputs[b.0], pool, g);
+        }
+        Op::Mul(a, b) => {
+            let mut ga = pool.take(g.len());
+            let tb = value_of(inputs, b);
+            for ((o, &x), &y) in ga.iter_mut().zip(&g).zip(&tb.data) {
+                *o = x * y;
+            }
+            let ta = value_of(inputs, a);
+            for (x, &y) in g.iter_mut().zip(&ta.data) {
+                *x *= y;
+            }
+            accum_owned(&mut inputs[a.0], pool, ga);
+            accum_owned(&mut inputs[b.0], pool, g);
+        }
+        Op::MulRow(a, row) => {
+            let cols = value.cols;
+            let mut gr = pool.zeroed(cols);
+            let ta = value_of(inputs, a);
+            for i in 0..value.rows {
+                let span = i * cols..(i + 1) * cols;
+                for ((o, &x), &y) in gr.iter_mut().zip(&g[span.clone()]).zip(&ta.data[span]) {
+                    *o += x * y;
+                }
+            }
+            let tr = value_of(inputs, row);
+            for i in 0..value.rows {
+                for (x, &y) in g[i * cols..(i + 1) * cols].iter_mut().zip(&tr.data) {
+                    *x *= y;
+                }
+            }
+            accum_owned(&mut inputs[a.0], pool, g);
+            accum_owned(&mut inputs[row.0], pool, gr);
+        }
+        Op::Scale(a, s) => {
+            for x in g.iter_mut() {
+                *x *= s;
+            }
+            accum_owned(&mut inputs[a.0], pool, g);
+        }
+        Op::OneMinus(a) => {
+            for x in g.iter_mut() {
+                *x = -*x;
+            }
+            accum_owned(&mut inputs[a.0], pool, g);
+        }
+        Op::Matmul(a, b) => {
+            let (ta, tb) = (value_of(inputs, a), value_of(inputs, b));
+            let (rows, inner, cols) = (ta.rows, ta.cols, tb.cols);
+            // dA = g · Bᵀ, with B transposed once so that the sum over B's
+            // columns walks rows; an all-zero row of g (hinge gradients are
+            // zero outside the gathered rows) has no terms at all.
+            let mut bt = pool.take(tb.len());
+            transpose(&tb.data, inner, cols, &mut bt);
+            let mut ga = pool.zeroed(ta.len());
+            product(&g, &bt, &mut ga, rows, cols, inner);
+            pool.give(bt);
+            // dB = Aᵀ · g
+            let mut gb = pool.zeroed(tb.len());
+            product_at(&ta.data, &g, &mut gb, rows, inner, cols);
+            pool.give(g);
+            accum_owned(&mut inputs[a.0], pool, ga);
+            accum_owned(&mut inputs[b.0], pool, gb);
+        }
+        Op::Spmm(s, b) => {
+            // Âᵀ · g as a row gather over the transpose: each output row
+            // sums its terms by ascending source row, the order in which the
+            // scatter over Â's rows reaches it.
+            let transposed = &sparse[s].1;
+            let mut gb = pool.zeroed(transposed.rows() * value.cols);
+            transposed.matmul_into(&g, value.cols, &mut gb);
+            pool.give(g);
+            accum_owned(&mut inputs[b.0], pool, gb);
+        }
+        Op::Gather(a, ref idx) => {
+            // Summed into zeros first and added whole: rows may repeat in
+            // `idx`, and `(e + x₁) + x₂` is not `e + (x₁ + x₂)`; and the
+            // `+ 0.0` a skipped row would miss turns a −0.0 into +0.0.
+            let cols = value.cols;
+            let mut ga = pool.zeroed(inputs[a.0].size());
+            for (i, &r) in idx.iter().enumerate() {
+                let r = r as usize;
+                for (o, &x) in ga[r * cols..(r + 1) * cols]
+                    .iter_mut()
+                    .zip(&g[i * cols..(i + 1) * cols])
+                {
+                    *o += x;
+                }
+            }
+            pool.give(g);
+            accum_owned(&mut inputs[a.0], pool, ga);
+        }
+        Op::Sigmoid(a) => {
+            assert!(node.held != Held::Recycled, "{RECYCLED}");
+            for (gv, &yv) in g.iter_mut().zip(&value.data) {
+                *gv = *gv * yv * (1.0 - yv);
+            }
+            accum_owned(&mut inputs[a.0], pool, g);
+        }
+        Op::Tanh(a) => {
+            assert!(node.held != Held::Recycled, "{RECYCLED}");
+            for (gv, &yv) in g.iter_mut().zip(&value.data) {
+                *gv *= 1.0 - yv * yv;
+            }
+            accum_owned(&mut inputs[a.0], pool, g);
+        }
+        Op::Relu(a) => {
+            let x = value_of(inputs, a);
+            for (gv, &xv) in g.iter_mut().zip(&x.data) {
+                *gv = if xv > 0.0 { *gv } else { 0.0 };
+            }
+            accum_owned(&mut inputs[a.0], pool, g);
+        }
+        Op::Abs(a) => {
+            let x = value_of(inputs, a);
+            for (gv, &xv) in g.iter_mut().zip(&x.data) {
+                *gv *= xv.signum();
+            }
+            accum_owned(&mut inputs[a.0], pool, g);
+        }
+        Op::Sum(a) => {
+            let mut ga = pool.take(inputs[a.0].size());
+            ga.fill(g[0]);
+            pool.give(g);
+            accum_owned(&mut inputs[a.0], pool, ga);
+        }
+        Op::Mean(a) => {
+            let len = inputs[a.0].size();
+            let mut ga = pool.take(len);
+            ga.fill(g[0] / len.max(1) as f32);
+            pool.give(g);
+            accum_owned(&mut inputs[a.0], pool, ga);
+        }
+        Op::SumRows(a) => {
+            let cols = inputs[a.0].value.cols;
+            let mut ga = pool.take(value.rows * cols);
+            for (i, &gv) in g.iter().enumerate() {
+                ga[i * cols..(i + 1) * cols].fill(gv);
+            }
+            pool.give(g);
+            accum_owned(&mut inputs[a.0], pool, ga);
+        }
+        Op::Concat(a, b) => {
+            let (rows, cols) = (value.rows, value.cols);
+            let ca = inputs[a.0].value.cols;
+            let cb = cols - ca;
+            let mut ga = pool.take(rows * ca);
+            let mut gb = pool.take(rows * cb);
+            for i in 0..rows {
+                let grow = &g[i * cols..(i + 1) * cols];
+                ga[i * ca..(i + 1) * ca].copy_from_slice(&grow[..ca]);
+                gb[i * cb..(i + 1) * cb].copy_from_slice(&grow[ca..]);
+            }
+            pool.give(g);
+            accum_owned(&mut inputs[a.0], pool, ga);
+            accum_owned(&mut inputs[b.0], pool, gb);
+        }
+        Op::Reshape(a) => accum_owned(&mut inputs[a.0], pool, g),
+        Op::SoftmaxCe(logits, ref targets) => {
+            let tl = value_of(inputs, logits);
+            let cols = tl.cols;
+            let scale = g[0] / targets.len().max(1) as f32;
+            let mut gl = pool.take(tl.len());
+            for (i, &t) in targets.iter().enumerate() {
+                let row = tl.row(i);
+                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let grow = &mut gl[i * cols..(i + 1) * cols];
+                for (e, &x) in grow.iter_mut().zip(row) {
+                    *e = (x - max).exp();
+                }
+                let z: f32 = grow.iter().sum();
+                for (j, e) in grow.iter_mut().enumerate() {
+                    *e = scale * (*e / z - if j == t as usize { 1.0 } else { 0.0 });
+                }
+            }
+            pool.give(g);
+            accum_owned(&mut inputs[logits.0], pool, gl);
+        }
+        Op::Conv2d {
+            input,
+            filters,
+            h,
+            w,
+            kh,
+            kw,
+        } => {
+            let (ti, tf) = (value_of(inputs, input), value_of(inputs, filters));
+            let (oh, ow) = (h - kh + 1, w - kw + 1);
+            let k = tf.rows;
+            let mut gi = pool.zeroed(ti.len());
+            let mut gf = pool.zeroed(tf.len());
+            for n in 0..ti.rows {
+                let img = ti.row(n);
+                let gout = &g[n * value.cols..(n + 1) * value.cols];
+                let gi_row = &mut gi[n * ti.cols..(n + 1) * ti.cols];
+                for f in 0..k {
+                    let filt = tf.row(f);
+                    let gf_row = &mut gf[f * tf.cols..(f + 1) * tf.cols];
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let gv = gout[f * oh * ow + oy * ow + ox];
+                            if gv == 0.0 {
+                                continue;
+                            }
+                            for fy in 0..kh {
+                                for fx in 0..kw {
+                                    gi_row[(oy + fy) * w + (ox + fx)] += gv * filt[fy * kw + fx];
+                                    gf_row[fy * kw + fx] += gv * img[(oy + fy) * w + (ox + fx)];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            pool.give(g);
+            accum_owned(&mut inputs[input.0], pool, gi);
+            accum_owned(&mut inputs[filters.0], pool, gf);
         }
     }
 }
@@ -718,20 +1030,91 @@ mod tests {
         );
     }
 
-    #[test]
-    fn every_reached_node_keeps_its_gradient_after_backward() {
-        // `backward` moves gradients instead of copying them; interior
-        // nodes and fan-out (x feeds two ops) must still read back whole.
+    /// `x` feeds two ops, `y` and `z` are interior.
+    fn fan_out_tape() -> (Graph, [Var; 4]) {
         let mut g = Graph::new();
         let x = g.leaf(Tensor::from_vec(1, 2, vec![3.0, -1.0]));
         let y = g.scale(x, 2.0);
         let z = g.add(y, x);
         let loss = g.sum(z);
         g.backward(loss);
-        assert_eq!(g.grad(loss).data, [1.0]);
-        assert_eq!(g.grad(z).data, [1.0, 1.0]);
-        assert_eq!(g.grad(y).data, [1.0, 1.0]);
+        (g, [x, y, z, loss])
+    }
+
+    #[test]
+    fn every_reached_node_keeps_its_gradient_after_backward() {
+        // What `backward` promises to keep: a leaf's whole gradient, fan-out
+        // included, and the target's value and gradient. (The name is from
+        // when interior nodes kept theirs too; they are recycled now, and
+        // the tests below hold that a read of one panics.)
+        let (g, [x, _, _, loss]) = fan_out_tape();
         assert_eq!(g.grad(x).data, [3.0, 3.0]);
+        assert_eq!(g.grad_ref(x).data, [3.0, 3.0]);
+        assert_eq!(g.value(x).data, [3.0, -1.0]);
+        assert_eq!(g.grad(loss).data, [1.0]);
+        assert_eq!(g.value(loss).data, [6.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "recycled")]
+    fn interior_gradient_after_backward_panics() {
+        let (g, [_, y, _, _]) = fan_out_tape();
+        let _ = g.grad(y);
+    }
+
+    #[test]
+    #[should_panic(expected = "recycled")]
+    fn interior_value_after_backward_panics() {
+        let (g, [_, _, z, _]) = fan_out_tape();
+        let _ = g.value(z);
+    }
+
+    #[test]
+    #[should_panic(expected = "already run")]
+    fn second_backward_without_reset_panics() {
+        let (mut g, [_, _, _, loss]) = fan_out_tape();
+        g.backward(loss);
+    }
+
+    #[test]
+    fn reset_tape_reuses_its_buffers() {
+        // Same shapes, second step: every buffer comes from the pool, and a
+        // zeroed one is really zero (the gather's accumulator held the
+        // first step's gradient).
+        let mut g = Graph::new();
+        let mut grads = Vec::new();
+        for _ in 0..2 {
+            g.reset();
+            let x = g.leaf_from(&Tensor::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
+            let picked = g.gather(x, vec![2, 0, 2]);
+            let sq = g.mul(picked, picked);
+            let loss = g.sum(sq);
+            g.backward(loss);
+            grads.push(g.grad(x).data);
+        }
+        assert_eq!(grads[0], [2.0, 4.0, 0.0, 0.0, 20.0, 24.0]);
+        assert_eq!(grads[0], grads[1]);
+    }
+
+    #[test]
+    fn released_tape_keeps_its_constants_and_steps_again() {
+        let mut g = Graph::new();
+        let id = g.add_sparse(SparseMatrix::from_triplets(
+            2,
+            2,
+            vec![(0, 1, 2.0), (1, 0, 3.0)],
+        ));
+        let run = |g: &mut Graph| {
+            let x = g.leaf_from(&Tensor::from_vec(2, 1, vec![1.0, 10.0]));
+            let y = g.spmm(id, x);
+            let loss = g.sum(y);
+            g.backward(loss);
+            g.grad(x).data
+        };
+        let first = run(&mut g);
+        assert_eq!(first, [3.0, 2.0]);
+        g.release();
+        assert_eq!(run(&mut g), first);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! every one of them covered by finite-difference gradient checks.
 
 pub mod graph;
+mod kernel;
 pub mod sparse;
 pub mod tensor;
 

@@ -2,6 +2,7 @@
 //! graph-convolution layers. Sparse matrices carry no gradient; only the
 //! dense operand of an `spmm` is differentiated.
 
+use crate::kernel::accumulate_row;
 use crate::tensor::Tensor;
 
 /// Compressed sparse row matrix with `f32` values.
@@ -103,35 +104,61 @@ impl SparseMatrix {
     pub fn matmul(&self, m: &Tensor) -> Tensor {
         assert_eq!(self.cols, m.rows, "spmm shape mismatch");
         let mut out = Tensor::zeros(self.rows, m.cols);
-        for r in 0..self.rows {
-            let out_row = out.row_mut(r);
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let c = self.col_idx[k] as usize;
-                let v = self.values[k];
-                for (o, &x) in out_row.iter_mut().zip(m.row(c)) {
-                    *o += v * x;
-                }
-            }
-        }
+        self.matmul_into(&m.data, m.cols, &mut out.data);
         out
     }
 
-    /// Transposed product `selfᵀ · m` (used in the backward pass of `spmm`).
-    pub fn matmul_t(&self, m: &Tensor) -> Tensor {
-        assert_eq!(self.rows, m.rows, "spmmᵀ shape mismatch");
-        let mut out = Tensor::zeros(self.cols, m.cols);
+    /// `out += self · m` for row-major `m` (`self.cols × cols`) and `out`
+    /// (`self.rows × cols`): output row `r` is the sum over the stored
+    /// entries of row `r`, by ascending column, of the entry times that row
+    /// of `m`.
+    pub(crate) fn matmul_into(&self, m: &[f32], cols: usize, out: &mut [f32]) {
+        assert_eq!(m.len(), self.cols * cols, "spmm shape mismatch");
+        assert_eq!(out.len(), self.rows * cols, "spmm output shape");
         for r in 0..self.rows {
-            let m_row = m.row(r);
+            let terms = (self.row_ptr[r]..self.row_ptr[r + 1])
+                .map(|k| (self.values[k], self.col_idx[k] as usize * cols));
+            accumulate_row(&mut out[r * cols..(r + 1) * cols], m, terms);
+        }
+    }
+
+    /// `selfᵀ` as a matrix of its own. Row `c` of it lists the entries of
+    /// column `c` by ascending row, so `selfᵀ · m` computed with
+    /// [`SparseMatrix::matmul`] adds each output row's terms in the order a
+    /// scatter over the rows of `self` would reach them.
+    pub fn transposed(&self) -> SparseMatrix {
+        let mut row_ptr = vec![0usize; self.cols + 1];
+        for &c in &self.col_idx {
+            row_ptr[c as usize + 1] += 1;
+        }
+        for c in 0..self.cols {
+            row_ptr[c + 1] += row_ptr[c];
+        }
+        let mut next = row_ptr[..self.cols].to_vec();
+        let mut col_idx = vec![0u32; self.nnz()];
+        let mut values = vec![0.0f32; self.nnz()];
+        for r in 0..self.rows {
             for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let c = self.col_idx[k] as usize;
-                let v = self.values[k];
-                let out_row = out.row_mut(c);
-                for (o, &x) in out_row.iter_mut().zip(m_row) {
-                    *o += v * x;
-                }
+                let at = &mut next[self.col_idx[k] as usize];
+                col_idx[*at] = r as u32;
+                values[*at] = self.values[k];
+                *at += 1;
             }
         }
-        out
+        SparseMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// Transposed product `selfᵀ · m`. Builds the transpose on every call;
+    /// the tape builds it once, in `Graph::add_sparse`.
+    pub fn matmul_t(&self, m: &Tensor) -> Tensor {
+        assert_eq!(self.rows, m.rows, "spmmᵀ shape mismatch");
+        self.transposed().matmul(m)
     }
 }
 
@@ -164,6 +191,21 @@ mod tests {
         let x = Tensor::from_vec(2, 1, vec![1.0, 1.0]);
         let y = s.matmul_t(&x);
         assert_eq!(y.data, vec![4.0, 2.0]);
+    }
+
+    #[test]
+    fn transposed_lists_each_column_by_ascending_row() {
+        // [[1, 0, 2], [0, 0, 0], [3, 0, 4]]: an empty row and an empty column.
+        let s = SparseMatrix::from_triplets(
+            3,
+            3,
+            vec![(2, 2, 4.0), (0, 0, 1.0), (2, 0, 3.0), (0, 2, 2.0)],
+        );
+        let t = s.transposed();
+        assert_eq!((t.rows(), t.cols(), t.nnz()), (3, 3, 4));
+        assert_eq!(t.row_ptr, [0, 2, 2, 4]);
+        assert_eq!(t.col_idx, [0, 2, 0, 2]);
+        assert_eq!(t.values, [1.0, 3.0, 2.0, 4.0]);
     }
 
     #[test]

@@ -21,6 +21,8 @@ pub struct ProjE {
     pub dr: Tensor,
     pub bias: Tensor,
     pub margin: f32,
+    /// The training tape, reset per step so its buffer pool stays warm.
+    tape: Graph,
 }
 
 impl ProjE {
@@ -38,11 +40,8 @@ impl ProjE {
             dr: Tensor::from_vec(1, dim, vec![1.0; dim]),
             bias: Tensor::zeros(1, dim),
             margin,
+            tape: Graph::new(),
         }
-    }
-
-    fn row(&self, table: &EmbeddingTable, i: u32) -> Tensor {
-        Tensor::from_vec(1, table.dim(), table.row(i as usize).to_vec())
     }
 
     /// Builds the score node for a triple on `g`; returns
@@ -56,9 +55,10 @@ impl ProjE {
         triple: RawTriple,
     ) -> (Var, Var, Var, Var) {
         let (h, r, t) = triple;
-        let hv = g.leaf(self.row(&self.entities, h));
-        let rv = g.leaf(self.row(&self.relations, r));
-        let tv = g.leaf(self.row(&self.entities, t));
+        let dim = self.entities.dim();
+        let hv = g.leaf_slice(1, dim, self.entities.row(h as usize));
+        let rv = g.leaf_slice(1, dim, self.relations.row(r as usize));
+        let tv = g.leaf_slice(1, dim, self.entities.row(t as usize));
         let he = g.mul(hv, de);
         let re = g.mul(rv, dr);
         let sum = g.add(he, re);
@@ -77,23 +77,25 @@ impl RelationModel for ProjE {
 
     fn energy(&self, triple: RawTriple) -> f32 {
         let mut g = Graph::new();
-        let de = g.leaf(self.de.clone());
-        let dr = g.leaf(self.dr.clone());
-        let b = g.leaf(self.bias.clone());
+        let de = g.leaf_from(&self.de);
+        let dr = g.leaf_from(&self.dr);
+        let b = g.leaf_from(&self.bias);
         let (score, ..) = self.score_node(&mut g, de, dr, b, triple);
         -g.value(score).item()
     }
 
     fn step(&mut self, pos: RawTriple, neg: RawTriple, lr: f32) -> f32 {
-        let mut g = Graph::new();
-        let de = g.leaf(self.de.clone());
-        let dr = g.leaf(self.dr.clone());
-        let b = g.leaf(self.bias.clone());
+        // Taken out for the step: `score_node` borrows the tables beside it.
+        let mut g = std::mem::take(&mut self.tape);
+        g.reset();
+        let de = g.leaf_from(&self.de);
+        let dr = g.leaf_from(&self.dr);
+        let b = g.leaf_from(&self.bias);
         let (sp, hp, rp, tp) = self.score_node(&mut g, de, dr, b, pos);
         let (sn, hn, rn, tn) = self.score_node(&mut g, de, dr, b, neg);
         // hinge(margin − s⁺ + s⁻)
         let diff = g.sub(sn, sp);
-        let m = g.leaf(Tensor::scalar(self.margin));
+        let m = g.leaf_slice(1, 1, &[self.margin]);
         let arg = g.add(diff, m);
         let loss = g.relu(arg);
         let lv = g.value(loss).item();
@@ -107,21 +109,20 @@ impl RelationModel for ProjE {
                 (rn, (neg.1, 1)),
                 (tn, (neg.2, 0)),
             ] {
-                let grad = g.grad(var);
                 let table = if which == 0 {
                     &mut self.entities
                 } else {
                     &mut self.relations
                 };
-                table.sgd_row(table_row as usize, grad.row(0), lr);
+                table.sgd_row(table_row as usize, g.grad_ref(var).row(0), lr);
             }
             for (param, var) in [(&mut self.de, de), (&mut self.dr, dr), (&mut self.bias, b)] {
-                let grad = g.grad(var);
-                for (p, gg) in param.data.iter_mut().zip(&grad.data) {
+                for (p, gg) in param.data.iter_mut().zip(&g.grad_ref(var).data) {
                     *p -= lr * gg;
                 }
             }
         }
+        self.tape = g;
         lv
     }
 
@@ -148,6 +149,8 @@ pub struct ConvE {
     /// Projection `k·oh·ow × dim`.
     pub w: Tensor,
     pub margin: f32,
+    /// The training tape, reset per step so its buffer pool stays warm.
+    tape: Graph,
     img_h: usize,
     img_w: usize,
     kh: usize,
@@ -180,6 +183,7 @@ impl ConvE {
             filters: Tensor::xavier(k, kh * kw, rng),
             w: Tensor::xavier(k * oh * ow, dim, rng),
             margin,
+            tape: Graph::new(),
             img_h,
             img_w,
             kh,
@@ -196,21 +200,9 @@ impl ConvE {
     ) -> (Var, Var, Var, Var) {
         let (h, r, t) = triple;
         let dim = self.entities.dim();
-        let hv = g.leaf(Tensor::from_vec(
-            1,
-            dim,
-            self.entities.row(h as usize).to_vec(),
-        ));
-        let rv = g.leaf(Tensor::from_vec(
-            1,
-            dim,
-            self.relations.row(r as usize).to_vec(),
-        ));
-        let tv = g.leaf(Tensor::from_vec(
-            1,
-            dim,
-            self.entities.row(t as usize).to_vec(),
-        ));
+        let hv = g.leaf_slice(1, dim, self.entities.row(h as usize));
+        let rv = g.leaf_slice(1, dim, self.relations.row(r as usize));
+        let tv = g.leaf_slice(1, dim, self.entities.row(t as usize));
         let img = g.concat_cols(hv, rv); // [1, 2·dim] ≙ [2·ih, iw] image
         let conv = g.conv2d(img, filt, self.img_h, self.img_w, self.kh, self.kw);
         let act = g.relu(conv);
@@ -229,20 +221,22 @@ impl RelationModel for ConvE {
 
     fn energy(&self, triple: RawTriple) -> f32 {
         let mut g = Graph::new();
-        let f = g.leaf(self.filters.clone());
-        let w = g.leaf(self.w.clone());
+        let f = g.leaf_from(&self.filters);
+        let w = g.leaf_from(&self.w);
         let (score, ..) = self.score_node(&mut g, f, w, triple);
         -g.value(score).item()
     }
 
     fn step(&mut self, pos: RawTriple, neg: RawTriple, lr: f32) -> f32 {
-        let mut g = Graph::new();
-        let f = g.leaf(self.filters.clone());
-        let w = g.leaf(self.w.clone());
+        // Taken out for the step: `score_node` borrows the tables beside it.
+        let mut g = std::mem::take(&mut self.tape);
+        g.reset();
+        let f = g.leaf_from(&self.filters);
+        let w = g.leaf_from(&self.w);
         let (sp, hp, rp, tp) = self.score_node(&mut g, f, w, pos);
         let (sn, hn, rn, tn) = self.score_node(&mut g, f, w, neg);
         let diff = g.sub(sn, sp);
-        let m = g.leaf(Tensor::scalar(self.margin));
+        let m = g.leaf_slice(1, 1, &[self.margin]);
         let arg = g.add(diff, m);
         let loss = g.relu(arg);
         let lv = g.value(loss).item();
@@ -256,21 +250,20 @@ impl RelationModel for ConvE {
                 (rn, neg.1, true),
                 (tn, neg.2, false),
             ] {
-                let grad = g.grad(var);
                 let table = if is_rel {
                     &mut self.relations
                 } else {
                     &mut self.entities
                 };
-                table.sgd_row(row as usize, grad.row(0), lr);
+                table.sgd_row(row as usize, g.grad_ref(var).row(0), lr);
             }
             for (param, var) in [(&mut self.filters, f), (&mut self.w, w)] {
-                let grad = g.grad(var);
-                for (p, gg) in param.data.iter_mut().zip(&grad.data) {
+                for (p, gg) in param.data.iter_mut().zip(&g.grad_ref(var).data) {
                     *p -= lr * gg;
                 }
             }
         }
+        self.tape = g;
         lv
     }
 

@@ -23,11 +23,20 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
+/// A request of at least this many bytes counts as large: glibc serves
+/// those from `mmap` or the heap top, where a free is a trim and the next
+/// use a page fault per 4 KiB.
+pub const LARGE: usize = 64 * 1024;
+
 /// What one thread asked of the allocator.
 #[derive(Clone, Copy, Debug)]
 pub struct Tally {
     /// Calls that can return new memory: `alloc`, `alloc_zeroed`, `realloc`.
     pub calls: usize,
+    /// Those of them that asked for [`LARGE`] bytes or more.
+    pub large_calls: usize,
+    /// Bytes those calls asked for, freed since or not.
+    pub requested: usize,
     /// Bytes allocated less bytes freed. Wraps below zero when a thread
     /// frees what another allocated; the difference of two readings is
     /// still exact.
@@ -37,17 +46,29 @@ pub struct Tally {
 thread_local! {
     // Const-initialised and without a destructor, so the allocator can reach
     // it at any point of a thread's life, and reaching it never allocates.
-    static MINE: Cell<Tally> = const { Cell::new(Tally { calls: 0, live: 0 }) };
+    static MINE: Cell<Tally> = const {
+        Cell::new(Tally {
+            calls: 0,
+            large_calls: 0,
+            requested: 0,
+            live: 0,
+        })
+    };
 }
 
-fn tally(calls: usize, grown: usize, shrunk: usize) {
+/// One allocator call on this thread: `grown` bytes asked for (0 for a
+/// free), `shrunk` bytes given back.
+fn tally(grown: usize, shrunk: usize) {
     // A thread past its thread-local teardown is not measuring anything.
     let _ = MINE.try_with(|t| {
-        let Tally { calls: c, live } = t.get();
-        t.set(Tally {
-            calls: c + calls,
-            live: live.wrapping_add(grown).wrapping_sub(shrunk),
-        });
+        let mut now = t.get();
+        if grown > 0 {
+            now.calls += 1;
+            now.large_calls += usize::from(grown >= LARGE);
+            now.requested += grown;
+        }
+        now.live = now.live.wrapping_add(grown).wrapping_sub(shrunk);
+        t.set(now);
     });
 }
 
@@ -88,6 +109,8 @@ impl CountingAlloc {
         let after = MINE.get();
         let during = Tally {
             calls: after.calls - before.calls,
+            large_calls: after.large_calls - before.large_calls,
+            requested: after.requested - before.requested,
             live: after.live.wrapping_sub(before.live),
         };
         (value, during)
@@ -108,7 +131,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             self.grew(layout.size());
-            tally(1, layout.size(), 0);
+            tally(layout.size(), 0);
         }
         p
     }
@@ -118,7 +141,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
             self.grew(layout.size());
-            tally(1, layout.size(), 0);
+            tally(layout.size(), 0);
         }
         p
     }
@@ -128,7 +151,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // this `layout`.
         unsafe { System.dealloc(p, layout) };
         self.live.fetch_sub(layout.size(), Relaxed);
-        tally(0, 0, layout.size());
+        tally(0, layout.size());
     }
 
     /// Counted as the worst case — the new block live beside the old one —
@@ -141,7 +164,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if !q.is_null() {
             self.grew(new_size);
             self.live.fetch_sub(layout.size(), Relaxed);
-            tally(1, new_size, layout.size());
+            tally(new_size, layout.size());
         }
         q
     }
