@@ -121,12 +121,16 @@ pub struct RunConfig {
     pub use_relations: bool,
     /// Pre-trained (cross-lingual) word vectors for literal encoders.
     pub word_vectors: WordVectors,
-    /// Cap on positives per mini-batch of the training engine. The
-    /// effective size is `triples / batches_per_epoch` (OpenEA's fixed
-    /// batch *count*), clamped to this — small KGs keep near-serial SGD
-    /// dynamics, large ones get batches worth parallelizing.
+    /// Cap on *pairs* (a positive with one negative) per mini-batch of the
+    /// training engine — `TrainOptions::batch_size` counts pairs. The
+    /// effective size is `triples / batches_per_epoch`, clamped to this —
+    /// small KGs keep near-serial SGD dynamics, large ones get larger
+    /// batches.
     pub batch_size: usize,
-    /// Mini-batches per epoch the effective batch size aims for.
+    /// Divisor the effective batch size is derived with — not the batch
+    /// count: an epoch has `triples × negs` pairs, so it runs about
+    /// `batches_per_epoch × negs` batches (150 at the defaults) unless
+    /// `batch_size` caps the size and it runs more.
     pub batches_per_epoch: usize,
     /// Worker threads for similarity search and batched training.
     pub threads: usize,
@@ -156,9 +160,15 @@ impl Default for RunConfig {
 
 impl RunConfig {
     /// Rejects configurations the driver engine cannot run: a zero
-    /// `check_every` would divide by zero in the validation cadence, and a
-    /// zero `dim` or `max_epochs` could never produce trained embeddings.
+    /// `check_every` would divide by zero in the validation cadence, a zero
+    /// `dim` or `max_epochs` could never produce trained embeddings, and
+    /// zero `negs` is what the relation trainer refuses
+    /// (`TrainError::ZeroNegatives`) — refused here so that every approach
+    /// answers alike, whether or not it reaches that trainer.
     pub fn validate(&self) -> Result<(), TrainError> {
+        if self.negs == 0 {
+            return Err(TrainError::ZeroNegatives);
+        }
         if self.check_every == 0 {
             return Err(TrainError::ZeroCheckEvery);
         }

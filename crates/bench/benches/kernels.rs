@@ -9,10 +9,9 @@ use openea::align::{
 };
 use openea::graph::{pagerank, PageRankConfig};
 use openea::math::negsamp::UniformSampler;
-use openea::models::{train_epoch, TransE};
+use openea::models::{train_epoch_batched, TrainOptions, TransE};
 use openea::prelude::*;
-use openea_runtime::rng::SmallRng;
-use openea_runtime::rng::{Rng, SeedableRng};
+use openea_runtime::rng::{split_seed, Rng, SeedableRng, SmallRng};
 use openea_runtime::testkit::bench::{black_box, Harness};
 
 fn random_embeddings(n: usize, dim: usize, seed: u64) -> Vec<f32> {
@@ -110,8 +109,11 @@ fn bench_transe_epoch(h: &mut Harness) {
         1.0,
         &mut rng,
     );
+    let opts = TrainOptions::default();
+    let mut epoch = 0u64;
     h.bench("transe_epoch_800", || {
-        train_epoch(&mut model, &triples, &sampler, 0.02, 5, &mut rng)
+        epoch += 1;
+        train_epoch_batched(&mut model, &triples, &sampler, &opts, split_seed(1, epoch))
     });
 }
 

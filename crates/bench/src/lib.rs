@@ -20,7 +20,6 @@ pub mod runner;
 pub mod serve;
 pub mod swap;
 pub mod tables;
-pub mod training;
 
 use openea_runtime::json::ToJson;
 use std::path::PathBuf;

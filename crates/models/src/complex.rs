@@ -1,6 +1,7 @@
 //! ComplEx \[76\] and TuckER \[3\] — the remaining semantic-matching models
 //! of the paper's survey (Sect. 2.1.1), with hand-derived gradients.
 
+use crate::trainer::{train_batch_stepwise, TrainOptions, Workspace};
 use crate::traits::RelationModel;
 use openea_math::loss::logistic_loss;
 use openea_math::negsamp::RawTriple;
@@ -70,6 +71,16 @@ impl RelationModel for ComplEx {
 
     fn energy(&self, t: RawTriple) -> f32 {
         -self.score(t)
+    }
+
+    fn train_batch(
+        &mut self,
+        pairs: &[(RawTriple, RawTriple)],
+        opts: &TrainOptions,
+        _ws: &mut Workspace,
+        total: &mut f64,
+    ) {
+        train_batch_stepwise(self, pairs, opts.lr, total);
     }
 
     fn step(&mut self, pos: RawTriple, neg: RawTriple, lr: f32) -> f32 {
@@ -186,6 +197,16 @@ impl RelationModel for TuckEr {
 
     fn energy(&self, t: RawTriple) -> f32 {
         -self.score(t)
+    }
+
+    fn train_batch(
+        &mut self,
+        pairs: &[(RawTriple, RawTriple)],
+        opts: &TrainOptions,
+        _ws: &mut Workspace,
+        total: &mut f64,
+    ) {
+        train_batch_stepwise(self, pairs, opts.lr, total);
     }
 
     fn step(&mut self, pos: RawTriple, neg: RawTriple, lr: f32) -> f32 {

@@ -6,6 +6,7 @@
 //! graph over only the involved embedding rows plus the dense parameters, so
 //! a step costs O(d²) regardless of KG size.
 
+use crate::trainer::{train_batch_stepwise, TrainOptions, Workspace};
 use crate::traits::RelationModel;
 use openea_autodiff::{Graph, Tensor, Var};
 use openea_math::negsamp::RawTriple;
@@ -82,6 +83,16 @@ impl RelationModel for ProjE {
         let b = g.leaf_from(&self.bias);
         let (score, ..) = self.score_node(&mut g, de, dr, b, triple);
         -g.value(score).item()
+    }
+
+    fn train_batch(
+        &mut self,
+        pairs: &[(RawTriple, RawTriple)],
+        opts: &TrainOptions,
+        _ws: &mut Workspace,
+        total: &mut f64,
+    ) {
+        train_batch_stepwise(self, pairs, opts.lr, total);
     }
 
     fn step(&mut self, pos: RawTriple, neg: RawTriple, lr: f32) -> f32 {
@@ -225,6 +236,16 @@ impl RelationModel for ConvE {
         let w = g.leaf_from(&self.w);
         let (score, ..) = self.score_node(&mut g, f, w, triple);
         -g.value(score).item()
+    }
+
+    fn train_batch(
+        &mut self,
+        pairs: &[(RawTriple, RawTriple)],
+        opts: &TrainOptions,
+        _ws: &mut Workspace,
+        total: &mut f64,
+    ) {
+        train_batch_stepwise(self, pairs, opts.lr, total);
     }
 
     fn step(&mut self, pos: RawTriple, neg: RawTriple, lr: f32) -> f32 {

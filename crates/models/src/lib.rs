@@ -32,8 +32,8 @@ pub use linkpred::{evaluate_link_prediction, LinkPredEval};
 pub use literal::{char_ngram_vector, LiteralEncoder, WordVectors};
 pub use semantic::{DistMult, HolE, RotatE, SimplE};
 pub use trainer::{
-    train_epoch_batched, train_epoch_serial, EpochTrace, Gradients, PairScratch, StopReason,
-    TraceRecorder, TrainError, TrainOptions, TrainTrace,
+    train_epoch_batched, train_epoch_serial, EpochTrace, Gradients, StopReason, TraceRecorder,
+    TrainError, TrainOptions, TrainTrace, Workspace,
 };
-pub use traits::{train_epoch, EpochStats, RelationModel};
+pub use traits::{EpochStats, PairGradients, RelationModel};
 pub use translational::{TransD, TransE, TransH, TransR};

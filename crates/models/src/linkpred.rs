@@ -77,19 +77,25 @@ pub fn evaluate_link_prediction<M: RelationModel + ?Sized>(
 mod tests {
     use super::*;
     use crate::testkit::toy_triples;
-    use crate::traits::train_epoch;
+    use crate::trainer::{train_epoch_batched, TrainOptions};
     use crate::TransE;
     use openea_math::negsamp::UniformSampler;
-    use openea_runtime::rng::SeedableRng;
-    use openea_runtime::rng::SmallRng;
+    use openea_runtime::rng::{split_seed, SeedableRng, SmallRng};
 
     fn trained_model(n: u32) -> (TransE, Vec<RawTriple>) {
         let mut rng = SmallRng::seed_from_u64(5);
         let triples = toy_triples(n);
         let mut model = TransE::new(n as usize, 2, 16, 0.5, &mut rng);
         let sampler = UniformSampler { num_entities: n };
-        for _ in 0..120 {
-            train_epoch(&mut model, &triples, &sampler, 0.05, 2, &mut rng);
+        let opts = TrainOptions {
+            lr: 0.05,
+            negs_per_pos: 2,
+            batch_size: 1,
+            ..TrainOptions::default()
+        };
+        for epoch in 0..120 {
+            train_epoch_batched(&mut model, &triples, &sampler, &opts, split_seed(5, epoch))
+                .expect("valid options");
         }
         (model, triples)
     }

@@ -5,15 +5,14 @@
 //! the logistic loss; RotatE rotates in complex space and trains with the
 //! marginal ranking loss, as in its paper.
 //!
-//! All four implement the pure gradient pathway
-//! ([`RelationModel::pair_gradients`]): both the positive and the negative
-//! pair's deltas are computed against the same pre-update parameters (the
-//! historical in-place `step` let the negative update observe the positive
-//! one), which is what lets the batched trainer evaluate pairs in parallel
-//! deterministically.
+//! All four implement the pure gradient ([`PairGradients`]): both the
+//! positive and the negative pair's deltas are computed against the same
+//! pre-update parameters (the historical in-place `step` let the negative
+//! update observe the positive one), which is what lets
+//! [`train_batch_recorded`] evaluate pairs in parallel deterministically.
 
-use crate::trainer::{add_delta, Gradients};
-use crate::traits::RelationModel;
+use crate::trainer::{add_delta, train_batch_recorded, Gradients, TrainOptions, Workspace};
+use crate::traits::{PairGradients, RelationModel};
 use openea_math::loss::{logistic_loss, margin_ranking_loss};
 use openea_math::negsamp::RawTriple;
 use openea_math::vecops;
@@ -76,32 +75,14 @@ impl RelationModel for DistMult {
         -self.score(t)
     }
 
-    fn supports_gradients(&self) -> bool {
-        true
-    }
-
-    fn pair_gradients(
-        &self,
-        pos: RawTriple,
-        neg: RawTriple,
-        lr: f32,
-        out: &mut Gradients,
-    ) -> Option<f32> {
-        let (loss, gp, gn) = logistic_loss(self.energy(pos), self.energy(neg));
-        self.emit(pos, gp, lr, out);
-        self.emit(neg, gn, lr, out);
-        Some(loss)
-    }
-
-    fn apply_gradients(&mut self, grads: &Gradients) {
-        for (table, row, delta) in grads.iter() {
-            let dst = if table == Self::ENT {
-                self.entities.row_mut(row)
-            } else {
-                self.relations.row_mut(row)
-            };
-            add_delta(dst, delta);
-        }
+    fn train_batch(
+        &mut self,
+        pairs: &[(RawTriple, RawTriple)],
+        opts: &TrainOptions,
+        ws: &mut Workspace,
+        total: &mut f64,
+    ) {
+        train_batch_recorded(self, pairs, opts, ws, total);
     }
 
     fn epoch_hook(&mut self) {
@@ -114,6 +95,26 @@ impl RelationModel for DistMult {
 
     fn entities_mut(&mut self) -> &mut EmbeddingTable {
         &mut self.entities
+    }
+}
+
+impl PairGradients for DistMult {
+    fn pair_gradients(&self, pos: RawTriple, neg: RawTriple, lr: f32, out: &mut Gradients) -> f32 {
+        let (loss, gp, gn) = logistic_loss(self.energy(pos), self.energy(neg));
+        self.emit(pos, gp, lr, out);
+        self.emit(neg, gn, lr, out);
+        loss
+    }
+
+    fn apply_gradients(&mut self, grads: &Gradients) {
+        for (table, row, delta) in grads.iter() {
+            let dst = if table == Self::ENT {
+                self.entities.row_mut(row)
+            } else {
+                self.relations.row_mut(row)
+            };
+            add_delta(dst, delta);
+        }
     }
 }
 
@@ -195,32 +196,14 @@ impl RelationModel for HolE {
         -self.score(t)
     }
 
-    fn supports_gradients(&self) -> bool {
-        true
-    }
-
-    fn pair_gradients(
-        &self,
-        pos: RawTriple,
-        neg: RawTriple,
-        lr: f32,
-        out: &mut Gradients,
-    ) -> Option<f32> {
-        let (loss, gp, gn) = logistic_loss(self.energy(pos), self.energy(neg));
-        self.emit(pos, gp, lr, out);
-        self.emit(neg, gn, lr, out);
-        Some(loss)
-    }
-
-    fn apply_gradients(&mut self, grads: &Gradients) {
-        for (table, row, delta) in grads.iter() {
-            let dst = if table == Self::ENT {
-                self.entities.row_mut(row)
-            } else {
-                self.relations.row_mut(row)
-            };
-            add_delta(dst, delta);
-        }
+    fn train_batch(
+        &mut self,
+        pairs: &[(RawTriple, RawTriple)],
+        opts: &TrainOptions,
+        ws: &mut Workspace,
+        total: &mut f64,
+    ) {
+        train_batch_recorded(self, pairs, opts, ws, total);
     }
 
     fn epoch_hook(&mut self) {
@@ -233,6 +216,26 @@ impl RelationModel for HolE {
 
     fn entities_mut(&mut self) -> &mut EmbeddingTable {
         &mut self.entities
+    }
+}
+
+impl PairGradients for HolE {
+    fn pair_gradients(&self, pos: RawTriple, neg: RawTriple, lr: f32, out: &mut Gradients) -> f32 {
+        let (loss, gp, gn) = logistic_loss(self.energy(pos), self.energy(neg));
+        self.emit(pos, gp, lr, out);
+        self.emit(neg, gn, lr, out);
+        loss
+    }
+
+    fn apply_gradients(&mut self, grads: &Gradients) {
+        for (table, row, delta) in grads.iter() {
+            let dst = if table == Self::ENT {
+                self.entities.row_mut(row)
+            } else {
+                self.relations.row_mut(row)
+            };
+            add_delta(dst, delta);
+        }
     }
 }
 
@@ -307,32 +310,14 @@ impl RelationModel for SimplE {
         -self.score(t)
     }
 
-    fn supports_gradients(&self) -> bool {
-        true
-    }
-
-    fn pair_gradients(
-        &self,
-        pos: RawTriple,
-        neg: RawTriple,
-        lr: f32,
-        out: &mut Gradients,
-    ) -> Option<f32> {
-        let (loss, gp, gn) = logistic_loss(self.energy(pos), self.energy(neg));
-        self.emit(pos, gp, lr, out);
-        self.emit(neg, gn, lr, out);
-        Some(loss)
-    }
-
-    fn apply_gradients(&mut self, grads: &Gradients) {
-        for (table, row, delta) in grads.iter() {
-            let dst = if table == Self::ENT {
-                self.entities.row_mut(row)
-            } else {
-                self.relations.row_mut(row)
-            };
-            add_delta(dst, delta);
-        }
+    fn train_batch(
+        &mut self,
+        pairs: &[(RawTriple, RawTriple)],
+        opts: &TrainOptions,
+        ws: &mut Workspace,
+        total: &mut f64,
+    ) {
+        train_batch_recorded(self, pairs, opts, ws, total);
     }
 
     fn epoch_hook(&mut self) {
@@ -345,6 +330,26 @@ impl RelationModel for SimplE {
 
     fn entities_mut(&mut self) -> &mut EmbeddingTable {
         &mut self.entities
+    }
+}
+
+impl PairGradients for SimplE {
+    fn pair_gradients(&self, pos: RawTriple, neg: RawTriple, lr: f32, out: &mut Gradients) -> f32 {
+        let (loss, gp, gn) = logistic_loss(self.energy(pos), self.energy(neg));
+        self.emit(pos, gp, lr, out);
+        self.emit(neg, gn, lr, out);
+        loss
+    }
+
+    fn apply_gradients(&mut self, grads: &Gradients) {
+        for (table, row, delta) in grads.iter() {
+            let dst = if table == Self::ENT {
+                self.entities.row_mut(row)
+            } else {
+                self.relations.row_mut(row)
+            };
+            add_delta(dst, delta);
+        }
     }
 }
 
@@ -443,37 +448,14 @@ impl RelationModel for RotatE {
         vecops::norm2_sq(&self.residual(t))
     }
 
-    fn supports_gradients(&self) -> bool {
-        true
-    }
-
-    fn pair_gradients(
-        &self,
-        pos: RawTriple,
-        neg: RawTriple,
-        lr: f32,
-        out: &mut Gradients,
-    ) -> Option<f32> {
-        let up = self.residual(pos);
-        let un = self.residual(neg);
-        let (loss, gp, gn) =
-            margin_ranking_loss(vecops::norm2_sq(&up), vecops::norm2_sq(&un), self.margin);
-        if loss > 0.0 {
-            self.emit(pos, gp, &up, lr, out);
-            self.emit(neg, gn, &un, lr, out);
-        }
-        Some(loss)
-    }
-
-    fn apply_gradients(&mut self, grads: &Gradients) {
-        for (table, row, delta) in grads.iter() {
-            let dst = if table == Self::ENT {
-                self.entities.row_mut(row)
-            } else {
-                self.phases.row_mut(row)
-            };
-            add_delta(dst, delta);
-        }
+    fn train_batch(
+        &mut self,
+        pairs: &[(RawTriple, RawTriple)],
+        opts: &TrainOptions,
+        ws: &mut Workspace,
+        total: &mut f64,
+    ) {
+        train_batch_recorded(self, pairs, opts, ws, total);
     }
 
     fn epoch_hook(&mut self) {
@@ -486,6 +468,31 @@ impl RelationModel for RotatE {
 
     fn entities_mut(&mut self) -> &mut EmbeddingTable {
         &mut self.entities
+    }
+}
+
+impl PairGradients for RotatE {
+    fn pair_gradients(&self, pos: RawTriple, neg: RawTriple, lr: f32, out: &mut Gradients) -> f32 {
+        let up = self.residual(pos);
+        let un = self.residual(neg);
+        let (loss, gp, gn) =
+            margin_ranking_loss(vecops::norm2_sq(&up), vecops::norm2_sq(&un), self.margin);
+        if loss > 0.0 {
+            self.emit(pos, gp, &up, lr, out);
+            self.emit(neg, gn, &un, lr, out);
+        }
+        loss
+    }
+
+    fn apply_gradients(&mut self, grads: &Gradients) {
+        for (table, row, delta) in grads.iter() {
+            let dst = if table == Self::ENT {
+                self.entities.row_mut(row)
+            } else {
+                self.phases.row_mut(row)
+            };
+            add_delta(dst, delta);
+        }
     }
 }
 

@@ -8,31 +8,24 @@
 //! 2. The shuffled positives are expanded to `triples × negs_per_pos`
 //!    training *pairs* (triple-major, corruption-index-minor) and sharded
 //!    into fixed `batch_size` mini-batches. Batch `b` draws its negatives
-//!    sequentially, in pair order, from stream `b` — sampling is *fused*
-//!    into the gradient sweep, there is no separate negative buffer.
-//! 3. Per-pair gradients are computed concurrently on the scoped pool
-//!    against the batch-start parameters ([`RelationModel::pair_gradients`]
-//!    is read-only) into *flat per-chunk arenas*, then the arenas replay
-//!    serially in ascending chunk order
-//!    ([`RelationModel::apply_gradients`]). Entry order equals pair order
-//!    whatever the chunk boundaries, so the result is bit-identical at 1,
-//!    2 or 8 threads. Single-pair batches skip the arena machinery
-//!    entirely through [`RelationModel::apply_pair`] — there "batch-start"
-//!    and "current" parameters coincide, so the fused rank-1 fast path is
-//!    unobservable in the trained bits.
+//!    sequentially, in pair order, from stream `b`.
+//! 3. Each batch goes to [`RelationModel::train_batch`], whose contract is
+//!    deferred semantics: every read is of batch-start parameters, writes
+//!    land in pair order. How a model meets it is its own business —
+//!    [`train_batch_recorded`] (parallel read-only gradients into per-chunk
+//!    arenas, serial replay in chunk order), TransE's copy-on-first-write
+//!    kernel over [`FrozenRows`], or [`train_batch_stepwise`] for models
+//!    whose update is opaque — and none of them lets the thread count show
+//!    in the result.
 //!
-//! [`train_epoch_serial`] is the kept reference: per-pair RNG streams and
-//! one fused compute→apply cycle per pair. At `batch_size == 1` the batched
-//! engine's stream indices coincide with the serial ones and both paths
-//! produce bit-identical parameters.
-//!
-//! Models that do not implement the gradient pathway fall back to
-//! [`RelationModel::step`] inside the same stream discipline: batch size
-//! then only controls RNG stream boundaries and the epoch stays serial (and
-//! trivially thread-invariant).
+//! [`train_epoch_serial`] is the kept reference: per-pair RNG streams around
+//! [`RelationModel::step`]. At `batch_size == 1` the batched engine's stream
+//! indices coincide with the serial ones and both produce bit-identical
+//! parameters.
 
-use crate::traits::{EpochStats, RelationModel};
+use crate::traits::{EpochStats, PairGradients, RelationModel};
 use openea_math::negsamp::{NegSampler, RawTriple};
+use openea_math::EmbeddingTable;
 use openea_runtime::json::{object, Json, ToJson};
 use openea_runtime::pool::{balanced_chunk_len, parallel_chunks};
 use openea_runtime::rng::{SliceRandom, SmallRng};
@@ -46,7 +39,7 @@ pub const SHUFFLE_STREAM: u64 = u64::MAX;
 ///
 /// A flat arena: models record `(table, row)`-addressed delta slices in the
 /// order their old in-place updates wrote memory, and
-/// [`RelationModel::apply_gradients`] replays them in exactly that order.
+/// [`PairGradients::apply_gradients`] replays them in exactly that order.
 /// Entries are deliberately *not* coalesced per row — on aliased rows (e.g.
 /// a self-loop triple, head == tail) the per-location addition sequence is
 /// part of the bit-determinism contract.
@@ -122,29 +115,79 @@ pub fn add_delta(dst: &mut [f32], delta: &[f32]) {
     }
 }
 
-/// Reusable workspace for [`RelationModel::apply_pair`] — the fused
-/// compute-and-apply path. The trainer owns exactly one of these per epoch;
-/// models resize the scratch vectors to whatever they need and the steady
-/// state allocates nothing.
+/// Copy-on-first-write view of one parameter table for the length of a
+/// batch: [`FrozenRows::frozen`] reads a row as it was when the batch
+/// started while the live table is being written, at the cost of one row
+/// copy per row *touched* — no table copy, no recorded pass.
 ///
-/// The default `apply_pair` only touches `grads`; models with a direct
-/// rank-1 fast path (e.g. `TransE`) use `a`/`b`/`c` as difference/gradient
-/// buffers and skip the arena entirely.
+/// A row is current when its `stamp` equals the batch counter, so starting
+/// a batch clears nothing.
 #[derive(Clone, Debug, Default)]
-pub struct PairScratch {
-    pub a: Vec<f32>,
-    pub b: Vec<f32>,
-    pub c: Vec<f32>,
-    pub grads: Gradients,
-    /// Batch-start parameter snapshots for the fused single-thread compact
-    /// path ([`RelationModel::begin_compact_batch`]): the model copies
-    /// whatever parameter state its deferred update *reads* into these
-    /// buffers once per batch, then [`RelationModel::apply_compact_pair`]
-    /// computes against the frozen copies while mutating the live rows —
-    /// deferred batch semantics at fused-update speed, with no per-pair
-    /// state recording at all.
-    pub snap_a: Vec<f32>,
-    pub snap_b: Vec<f32>,
+pub struct FrozenRows {
+    /// Batch in which each row was last saved; `0` is never a live batch.
+    stamp: Vec<u32>,
+    /// Where in `saved` that copy starts.
+    slot: Vec<u32>,
+    saved: Vec<f32>,
+    batch: u32,
+}
+
+impl FrozenRows {
+    /// Starts a batch over a table of `rows` rows: every earlier save stops
+    /// being current. A table of another size (a workspace handed to a
+    /// different model) or a wrapped counter restarts the stamps.
+    pub fn begin_batch(&mut self, rows: usize) {
+        self.batch = self.batch.wrapping_add(1);
+        if self.stamp.len() != rows || self.batch == 0 {
+            self.stamp.clear();
+            self.stamp.resize(rows, 0);
+            self.slot.resize(rows, 0);
+            self.batch = 1;
+        }
+        self.saved.clear();
+    }
+
+    /// `row` as it was when the batch started: the saved copy if the row
+    /// has been written this batch, else the live row.
+    #[inline]
+    pub fn frozen<'a>(&'a self, live: &'a EmbeddingTable, row: u32) -> &'a [f32] {
+        let r = row as usize;
+        if self.stamp[r] == self.batch {
+            let at = self.slot[r] as usize;
+            &self.saved[at..at + live.dim()]
+        } else {
+            live.row(r)
+        }
+    }
+
+    /// Call before a row's first write of the batch (later calls are free):
+    /// keeps the batch-start copy [`FrozenRows::frozen`] will answer with.
+    #[inline]
+    pub fn save(&mut self, live: &EmbeddingTable, row: u32) {
+        let r = row as usize;
+        if self.stamp[r] != self.batch {
+            self.stamp[r] = self.batch;
+            self.slot[r] = u32::try_from(self.saved.len()).expect("saved rows overflow u32");
+            self.saved.extend_from_slice(live.row(r));
+        }
+    }
+}
+
+/// The trainer-owned workspace every [`RelationModel::train_batch`] call of
+/// an epoch shares. A model takes the part its implementation needs — the
+/// chunk arenas of [`train_batch_recorded`], or the frozen-row views and
+/// `dim`-long vectors of TransE's kernel — sizes it on first use, and the
+/// steady state allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct Workspace {
+    units: Vec<ChunkUnit>,
+    pub entity_rows: FrozenRows,
+    pub relation_rows: FrozenRows,
+    /// The positive's and the negative's difference vectors, and the delta
+    /// being written.
+    pub d_pos: Vec<f32>,
+    pub d_neg: Vec<f32>,
+    pub delta: Vec<f32>,
 }
 
 /// Options of the batched training engine.
@@ -156,8 +199,9 @@ pub struct TrainOptions {
     /// Pairs per mini-batch; must be >= 1. Affects results (gradients are
     /// computed against batch-start parameters) but not thread-sensitivity.
     pub batch_size: usize,
-    /// Worker threads for the gradient computation. Never observable in the
-    /// trained parameters.
+    /// Worker threads of the [`train_batch_recorded`] gradient pass. Never
+    /// observable in the trained parameters; TransE, whose kernel is serial,
+    /// trains at the same speed whatever this says.
     pub threads: usize,
     /// Parallelism gate: a batch only fans out when every worker would get
     /// at least this many pairs — below that, scoped-thread spawn overhead
@@ -241,8 +285,8 @@ fn finish_epoch<M: RelationModel + ?Sized>(model: &mut M, total: f64, pairs: usi
     }
 }
 
-/// The serial reference: one compute→apply cycle per pair, negatives drawn
-/// from per-pair RNG streams (pair `p` uses stream `p` of `seed`). The
+/// The serial reference: one [`RelationModel::step`] per pair, negatives
+/// drawn from per-pair RNG streams (pair `p` uses stream `p` of `seed`). The
 /// batched engine at `batch_size == 1` is bit-identical to this.
 pub fn train_epoch_serial<M, S>(
     model: &mut M,
@@ -261,40 +305,26 @@ where
     }
     let order = epoch_order(triples.len(), seed);
     let n_pairs = triples.len() * negs_per_pos;
-    let use_grads = model.supports_gradients();
-    let mut scratch = PairScratch::default();
     let mut total = 0.0f64;
     for p in 0..n_pairs {
         let pos = triples[order[p / negs_per_pos]];
-        let mut rng = SmallRng::stream(seed, p as u64);
-        let neg = sampler.corrupt(pos, &mut rng);
-        let loss = if use_grads {
-            // `apply_pair` is contractually bit-identical to the recorded
-            // clear→pair_gradients→apply_gradients sequence, so the fast
-            // path changes nothing this function is the reference *for*.
-            model
-                .apply_pair(pos, neg, lr, &mut scratch)
-                .expect("supports_gradients implies apply_pair")
-        } else {
-            model.step(pos, neg, lr)
-        };
-        total += loss as f64;
+        let neg = sampler.corrupt(pos, &mut SmallRng::stream(seed, p as u64));
+        total += model.step(pos, neg, lr) as f64;
     }
     Ok(finish_epoch(model, total, n_pairs))
 }
 
-/// One worker chunk's workspace on the deferred gradient path: a contiguous
-/// pair range `[start, end)` of the batch's job list, one *flat* arena
-/// holding every pair's deltas in pair order, and the per-pair losses.
-/// Reused across batches so the steady state allocates nothing.
+/// One worker chunk's workspace in [`train_batch_recorded`]: a contiguous
+/// pair range `[start, end)` of the batch, one *flat* arena holding every
+/// pair's deltas in pair order, and the per-pair losses. Reused across
+/// batches so the steady state allocates nothing.
 ///
-/// Replacing the historical one-arena-per-pair slots with one arena per
-/// chunk turns the apply sweep into `n_chunks` dense replays instead of
-/// `batch_size` tiny ones, without touching the determinism argument: the
-/// concatenation of the chunk arenas in ascending chunk order lists exactly
-/// the same `(table, row, delta)` entries, in exactly the same order, as
-/// the per-pair arenas did — chunk boundaries move with the thread count
-/// but can never reorder entries.
+/// One arena per chunk (not per pair) makes the apply sweep `n_chunks` dense
+/// replays, without touching the determinism argument: the concatenation of
+/// the chunk arenas in ascending chunk order lists exactly the same
+/// `(table, row, delta)` entries, in exactly the same order, as per-pair
+/// arenas would — chunk boundaries move with the thread count but can never
+/// reorder entries.
 #[derive(Clone, Debug, Default)]
 struct ChunkUnit {
     start: usize,
@@ -303,35 +333,74 @@ struct ChunkUnit {
     losses: Vec<f32>,
 }
 
-/// One worker chunk's workspace on the *compact* deferred pathway
-/// ([`RelationModel::compact_state_len`]): instead of recording full
-/// `(table, row, delta)` arenas, pass 1 stores each pair's small read-only
-/// state (`stride` floats at offset `i · stride`) plus its loss terms, and
-/// pass 2 replays rank-1 row updates from that state serially in pair
-/// order. The determinism argument is the ChunkUnit one unchanged — chunk
-/// boundaries move with the thread count but pass 2 walks pairs in
-/// ascending order regardless — while the recorded bytes shrink (TransE:
-/// `2·dim` state vs `6·dim` deltas) and pass 2 does strictly less
-/// arithmetic than an arena replay.
-#[derive(Clone, Debug, Default)]
-struct CompactUnit {
-    start: usize,
-    end: usize,
-    /// Concatenated per-pair pass-1 state, `stride` floats per pair.
-    state: Vec<f32>,
-    /// Per-pair `(loss, g_pos, g_neg)` loss terms, in pair order.
-    terms: Vec<(f32, f32, f32)>,
-}
-
 fn effective_threads(pairs: usize, opts: &TrainOptions) -> usize {
     let cap = (pairs / opts.min_pairs_per_thread.max(1)).max(1);
     opts.threads.clamp(1, cap)
 }
 
-/// One epoch of the batched, thread-parallel engine (see module docs for
-/// the determinism construction). Bit-identical across `opts.threads` for
-/// models on the gradient pathway; models without it fall back to
-/// [`RelationModel::step`] under the same RNG stream discipline.
+/// [`RelationModel::train_batch`] for models with a pure gradient: worker
+/// chunks fill flat per-chunk arenas against the batch-start parameters
+/// ([`PairGradients::pair_gradients`] is read-only), then the arenas replay
+/// serially in ascending chunk order — entry order equals pair order, so
+/// the thread count (which only moves chunk boundaries) is unobservable in
+/// the result.
+pub fn train_batch_recorded<M: PairGradients>(
+    model: &mut M,
+    pairs: &[(RawTriple, RawTriple)],
+    opts: &TrainOptions,
+    ws: &mut Workspace,
+    total: &mut f64,
+) {
+    let len = pairs.len();
+    let threads = effective_threads(len, opts);
+    let chunk_len = balanced_chunk_len(len, threads, 2);
+    let n_chunks = len.div_ceil(chunk_len);
+    let units = &mut ws.units;
+    if units.len() < n_chunks {
+        units.resize_with(n_chunks, ChunkUnit::default);
+    }
+    for (c, u) in units.iter_mut().enumerate().take(n_chunks) {
+        u.start = c * chunk_len;
+        u.end = (u.start + chunk_len).min(len);
+    }
+    let shared: &M = model;
+    parallel_chunks(&mut units[..n_chunks], 1, threads, |_, chunk| {
+        for u in chunk {
+            u.grads.clear();
+            u.losses.clear();
+            for &(pos, neg) in &pairs[u.start..u.end] {
+                let loss = shared.pair_gradients(pos, neg, opts.lr, &mut u.grads);
+                u.losses.push(loss);
+            }
+        }
+    });
+    for u in &units[..n_chunks] {
+        model.apply_gradients(&u.grads);
+        for &l in &u.losses {
+            *total += l as f64;
+        }
+    }
+}
+
+/// [`RelationModel::train_batch`] for models whose update is an opaque
+/// in-place [`RelationModel::step`]: one step per pair, in pair order. The
+/// batch then only sets RNG stream boundaries and the epoch is serial (and
+/// trivially thread-invariant). The model must override `step` — the
+/// provided one is a one-pair `train_batch` and would come straight back.
+pub fn train_batch_stepwise<M: RelationModel + ?Sized>(
+    model: &mut M,
+    pairs: &[(RawTriple, RawTriple)],
+    lr: f32,
+    total: &mut f64,
+) {
+    for &(pos, neg) in pairs {
+        *total += model.step(pos, neg, lr) as f64;
+    }
+}
+
+/// One epoch of the batched engine (see module docs for the determinism
+/// construction): shuffle, cut the pair sequence into batches, draw batch
+/// `b`'s negatives from stream `b`, hand the batch to the model.
 pub fn train_epoch_batched<M, S>(
     model: &mut M,
     triples: &[RawTriple],
@@ -351,161 +420,17 @@ where
     }
     let order = epoch_order(triples.len(), seed);
     let n_pairs = triples.len() * opts.negs_per_pos;
-    let use_grads = model.supports_gradients();
-    let compact = if use_grads {
-        model.compact_state_len()
-    } else {
-        None
-    };
-    let mut scratch = PairScratch::default();
-    let mut jobs: Vec<(RawTriple, RawTriple)> = Vec::new();
-    let mut units: Vec<ChunkUnit> = Vec::new();
-    let mut cunits: Vec<CompactUnit> = Vec::new();
+    let mut ws = Workspace::default();
+    let mut pairs: Vec<(RawTriple, RawTriple)> = Vec::with_capacity(opts.batch_size.min(n_pairs));
     let mut total = 0.0f64;
-    let mut start = 0usize;
-    let mut batch = 0u64;
-    while start < n_pairs {
-        let end = (start + opts.batch_size).min(n_pairs);
-        let len = end - start;
-        let mut rng = SmallRng::stream(seed, batch);
-        if use_grads && len == 1 {
-            // Single-pair batch: "against batch-start parameters" and
-            // "against current parameters" coincide, so the arena-skipping
-            // fused fast path is unobservable in the result — and at
-            // `batch_size == 1` the stream index `batch` equals the pair
-            // index, making this bit-identical to the serial reference.
-            let pos = triples[order[start / opts.negs_per_pos]];
-            let neg = sampler.corrupt(pos, &mut rng);
-            let loss = model
-                .apply_pair(pos, neg, opts.lr, &mut scratch)
-                .expect("supports_gradients implies apply_pair");
-            total += loss as f64;
-        } else if compact.is_some()
-            && effective_threads(len, opts) == 1
-            && len * 256 >= model.num_entities() * model.dim()
-        {
-            // Fused compact path: with one effective worker there is no
-            // parallel recording pass to preserve, so the engine freezes
-            // the batch-start parameters once (a table copy, amortized by
-            // the guard above) and runs one fused compute-from-snapshot /
-            // apply-to-live update per pair — deferred semantics at the
-            // rank-1 fast path's speed, with no per-pair state recorded.
-            // Pairs walk in per-positive groups: every pair of a positive
-            // reads the same frozen parameters, so its difference state is
-            // computed once and reused (a reuse the serial reference cannot
-            // make — its parameters drift between a positive's pairs).
-            // Which compact variant runs is pure scheduling policy: both
-            // produce identical bits (the equivalence suite pins this), so
-            // the guard can never be observed in the trained parameters.
-            model.begin_compact_batch(&mut scratch);
-            let mut p = start;
-            while p < end {
-                let pos = triples[order[p / opts.negs_per_pos]];
-                let group_end = (p - p % opts.negs_per_pos + opts.negs_per_pos).min(end);
-                let pos_energy = model.compact_positive(pos, &mut scratch);
-                while p < group_end {
-                    let neg = sampler.corrupt(pos, &mut rng);
-                    let loss =
-                        model.apply_compact_pair(pos, neg, pos_energy, opts.lr, &mut scratch);
-                    total += loss as f64;
-                    p += 1;
-                }
-            }
-        } else if let Some(stride) = compact {
-            // Compact deferred path: same fused sampling, same chunking and
-            // same apply order as the arena path below, but pass 1 records
-            // each pair's small state vector instead of full deltas and
-            // pass 2 replays rank-1 updates from it. Both passes are
-            // contractually bit-identical to the arena pathway, so the two
-            // branches are interchangeable in the trained bits.
-            jobs.clear();
-            for p in start..end {
-                let pos = triples[order[p / opts.negs_per_pos]];
-                let neg = sampler.corrupt(pos, &mut rng);
-                jobs.push((pos, neg));
-            }
-            let threads = effective_threads(len, opts);
-            let chunk_len = balanced_chunk_len(len, threads, 2);
-            let n_chunks = len.div_ceil(chunk_len);
-            if cunits.len() < n_chunks {
-                cunits.resize_with(n_chunks, CompactUnit::default);
-            }
-            for (c, u) in cunits.iter_mut().enumerate().take(n_chunks) {
-                u.start = c * chunk_len;
-                u.end = (u.start + chunk_len).min(len);
-            }
-            let shared: &M = model;
-            let jobs_ref: &[(RawTriple, RawTriple)] = &jobs;
-            parallel_chunks(&mut cunits[..n_chunks], 1, threads, |_, chunk| {
-                for u in chunk {
-                    u.state.clear();
-                    u.terms.clear();
-                    u.state.reserve((u.end - u.start) * stride);
-                    for &(pos, neg) in &jobs_ref[u.start..u.end] {
-                        u.terms.push(shared.pair_compact(pos, neg, &mut u.state));
-                    }
-                }
-            });
-            for u in &cunits[..n_chunks] {
-                for (i, &(loss, gp, gn)) in u.terms.iter().enumerate() {
-                    let (pos, neg) = jobs[u.start + i];
-                    let state = &u.state[i * stride..(i + 1) * stride];
-                    model.apply_compact(pos, neg, (loss, gp, gn), state, opts.lr, &mut scratch);
-                    total += loss as f64;
-                }
-            }
-        } else if use_grads {
-            // Deferred path: one fused-sampling pass builds the batch's job
-            // list, worker chunks fill flat per-chunk arenas against the
-            // batch-start parameters, then the arenas replay serially in
-            // ascending chunk order — entry order equals pair order, so the
-            // thread count (which only moves chunk boundaries) is
-            // unobservable in the result.
-            jobs.clear();
-            for p in start..end {
-                let pos = triples[order[p / opts.negs_per_pos]];
-                let neg = sampler.corrupt(pos, &mut rng);
-                jobs.push((pos, neg));
-            }
-            let threads = effective_threads(len, opts);
-            let chunk_len = balanced_chunk_len(len, threads, 2);
-            let n_chunks = len.div_ceil(chunk_len);
-            if units.len() < n_chunks {
-                units.resize_with(n_chunks, ChunkUnit::default);
-            }
-            for (c, u) in units.iter_mut().enumerate().take(n_chunks) {
-                u.start = c * chunk_len;
-                u.end = (u.start + chunk_len).min(len);
-            }
-            let shared: &M = model;
-            let jobs_ref: &[(RawTriple, RawTriple)] = &jobs;
-            parallel_chunks(&mut units[..n_chunks], 1, threads, |_, chunk| {
-                for u in chunk {
-                    u.grads.clear();
-                    u.losses.clear();
-                    for &(pos, neg) in &jobs_ref[u.start..u.end] {
-                        let loss = shared
-                            .pair_gradients(pos, neg, opts.lr, &mut u.grads)
-                            .expect("supports_gradients implies pair_gradients");
-                        u.losses.push(loss);
-                    }
-                }
-            });
-            for u in &units[..n_chunks] {
-                model.apply_gradients(&u.grads);
-                for &l in &u.losses {
-                    total += l as f64;
-                }
-            }
-        } else {
-            for p in start..end {
-                let pos = triples[order[p / opts.negs_per_pos]];
-                let neg = sampler.corrupt(pos, &mut rng);
-                total += model.step(pos, neg, opts.lr) as f64;
-            }
+    for (batch, start) in (0..n_pairs).step_by(opts.batch_size).enumerate() {
+        let mut rng = SmallRng::stream(seed, batch as u64);
+        pairs.clear();
+        for p in start..(start + opts.batch_size).min(n_pairs) {
+            let pos = triples[order[p / opts.negs_per_pos]];
+            pairs.push((pos, sampler.corrupt(pos, &mut rng)));
         }
-        start = end;
-        batch += 1;
+        model.train_batch(&pairs, opts, &mut ws, &mut total);
     }
     Ok(finish_epoch(model, total, n_pairs))
 }
@@ -731,6 +656,39 @@ mod tests {
         g.clear();
         assert!(g.is_empty());
         assert_eq!(g.iter().count(), 0);
+    }
+
+    #[test]
+    fn frozen_rows_answer_batch_start_and_never_a_stale_save() {
+        let mut table = model(3).entities;
+        let start = table.row(4).to_vec();
+        let mut f = FrozenRows::default();
+        f.begin_batch(table.count());
+        f.save(&table, 4);
+        table.row_mut(4)[0] += 1.0;
+        f.save(&table, 4); // not the first write: keeps the first copy
+        assert_eq!(f.frozen(&table, 4), &start[..]);
+        assert_eq!(
+            f.frozen(&table, 5),
+            table.row(5),
+            "unwritten rows read live"
+        );
+        f.begin_batch(table.count());
+        assert_eq!(f.frozen(&table, 4), table.row(4), "a new batch starts here");
+
+        // The counter wraps: a stamp left by batch 1 of long ago must not
+        // read as current in the batch 1 that follows the wrap.
+        f.batch = u32::MAX;
+        f.stamp[7] = 1;
+        f.begin_batch(table.count());
+        assert_eq!(f.batch, 1);
+        assert_eq!(f.frozen(&table, 7), table.row(7));
+
+        // A table of another size restarts the stamps at that size.
+        f.save(&table, 7);
+        let smaller = TransE::new(8, 2, 8, 1.0, &mut SmallRng::seed_from_u64(0)).entities;
+        f.begin_batch(smaller.count());
+        assert_eq!(f.frozen(&smaller, 7), smaller.row(7));
     }
 
     #[test]

@@ -1,22 +1,23 @@
-//! The shared interface of relation-embedding models and the generic
-//! epoch-based training loop.
+//! The shared interface of relation-embedding models.
 //!
-//! Two training pathways exist:
+//! A model trains through one method, [`RelationModel::train_batch`]: one
+//! mini-batch of positive/negative pairs with *deferred* semantics (every
+//! read is of batch-start parameters, writes land in pair order). There are
+//! three ways to implement it, all in [`crate::trainer`] or beside the
+//! model:
 //!
-//! * [`RelationModel::step`] — the original serial primitive: one SGD update
-//!   per positive/negative pair, mutating parameters in place.
-//! * [`RelationModel::pair_gradients`] + [`RelationModel::apply_gradients`]
-//!   — the batched pathway: a *pure* gradient computation against the
-//!   current parameters, recorded into a [`Gradients`] arena and applied
-//!   separately. Migrated models implement this pair and inherit `step` as a
-//!   derived default; unmigrated models keep their `step` override and the
-//!   batched trainer (see [`crate::trainer`]) falls back to it.
+//! * models whose gradient is a pure function of the current parameters
+//!   implement [`PairGradients`] and forward to
+//!   [`crate::trainer::train_batch_recorded`] (parallel recording into
+//!   [`Gradients`] arenas, serial replay);
+//! * models with an opaque in-place update (ComplEx, TuckER, ProjE, ConvE)
+//!   override [`RelationModel::step`] and forward to
+//!   [`crate::trainer::train_batch_stepwise`];
+//! * TransE has a copy-on-first-write kernel of its own.
 
-use crate::trainer::{Gradients, PairScratch};
-use openea_math::negsamp::{NegSampler, RawTriple};
+use crate::trainer::{Gradients, TrainOptions, Workspace};
+use openea_math::negsamp::RawTriple;
 use openea_math::EmbeddingTable;
-use openea_runtime::rng::Rng;
-use openea_runtime::rng::SliceRandom;
 
 /// A relation-embedding model trainable on `(h, r, t)` triples.
 ///
@@ -34,199 +35,38 @@ pub trait RelationModel: Send + Sync {
     /// Plausibility cost of a triple: lower = more plausible.
     fn energy(&self, t: RawTriple) -> f32;
 
+    /// Trains one mini-batch of `(positive, negative)` pairs and adds each
+    /// pair's loss to `total`, one at a time in pair order (the sum's bits
+    /// are part of [`EpochStats::mean_loss`]).
+    ///
+    /// Deferred semantics: every pair's gradient reads the parameters as
+    /// they were when the batch started, and the updates land in pair order
+    /// — so the result depends on the batch boundaries but never on
+    /// `opts.threads`. `ws` is the caller's reusable workspace; a model
+    /// takes what it needs from it and the steady state allocates nothing.
+    /// Models without a pure gradient ([`crate::trainer::train_batch_stepwise`])
+    /// update pair by pair instead; for them a batch is only an RNG stream
+    /// boundary.
+    fn train_batch(
+        &mut self,
+        pairs: &[(RawTriple, RawTriple)],
+        opts: &TrainOptions,
+        ws: &mut Workspace,
+        total: &mut f64,
+    );
+
     /// One SGD update on a positive/negative pair; returns the pair loss.
-    ///
-    /// Models on the gradient pathway inherit this default (compute deltas,
-    /// then apply them); models not yet migrated override it directly.
+    /// A one-pair batch with a workspace of its own — the serial reference
+    /// and the unit tests use it, the engine never does. Models with an
+    /// opaque in-place update override it and build `train_batch` on it.
     fn step(&mut self, pos: RawTriple, neg: RawTriple, lr: f32) -> f32 {
-        let mut grads = Gradients::new();
-        let loss = self
-            .pair_gradients(pos, neg, lr, &mut grads)
-            .unwrap_or_else(|| {
-                panic!(
-                    "{}: model implements neither `step` nor `pair_gradients`",
-                    self.name()
-                )
-            });
-        self.apply_gradients(&grads);
-        loss
-    }
-
-    /// Pure gradient computation for one positive/negative pair: records the
-    /// additive parameter deltas into `out` — reading only the *current*
-    /// parameters, mutating nothing — and returns the pair loss. Returns
-    /// `None` (the default) for models not yet migrated, which train through
-    /// their `step` override instead.
-    ///
-    /// This is the primitive the batched trainer parallelises: because the
-    /// computation is read-only, many pairs are evaluated concurrently
-    /// against the same batch-start parameters, and applying the recorded
-    /// deltas in fixed pair order makes the result bit-identical across
-    /// thread counts.
-    fn pair_gradients(
-        &self,
-        _pos: RawTriple,
-        _neg: RawTriple,
-        _lr: f32,
-        _out: &mut Gradients,
-    ) -> Option<f32> {
-        None
-    }
-
-    /// Applies deltas recorded by [`RelationModel::pair_gradients`], entry
-    /// by entry in recording order. The order is part of the determinism
-    /// contract: floating-point accumulation onto aliased rows (e.g. a
-    /// self-loop triple where head == tail) must not be reordered.
-    fn apply_gradients(&mut self, _grads: &Gradients) {
-        panic!(
-            "{}: `apply_gradients` called but the gradient pathway is not implemented",
-            self.name()
-        );
-    }
-
-    /// Whether the gradient pathway ([`RelationModel::pair_gradients`] /
-    /// [`RelationModel::apply_gradients`]) is implemented. The batched
-    /// trainer checks this once per epoch to pick the parallel path.
-    fn supports_gradients(&self) -> bool {
-        false
-    }
-
-    /// Fused compute-and-apply for one pair: equivalent to
-    /// `pair_gradients` into `scratch.grads` followed by `apply_gradients`,
-    /// and **bit-identical** to that sequence — overrides may skip the arena
-    /// (applying rank-1 updates straight onto the parameter rows) but must
-    /// preserve the exact per-location arithmetic and write order of the
-    /// recorded path. Returns `None` for models without the gradient
-    /// pathway.
-    ///
-    /// This is the fast path of the serial reference and of single-pair
-    /// batches, where "deltas against batch-start parameters" and "deltas
-    /// against current parameters" coincide, so skipping the arena cannot be
-    /// observed in the trained bits.
-    fn apply_pair(
-        &mut self,
-        pos: RawTriple,
-        neg: RawTriple,
-        lr: f32,
-        scratch: &mut PairScratch,
-    ) -> Option<f32> {
-        scratch.grads.clear();
-        let loss = self.pair_gradients(pos, neg, lr, &mut scratch.grads)?;
-        self.apply_gradients(&scratch.grads);
-        Some(loss)
-    }
-
-    /// Length (in `f32`s) of one pair's pass-1 state on the *compact*
-    /// batched pathway, or `None` (the default) to train through the
-    /// general [`Gradients`] arena.
-    ///
-    /// The compact pathway is a specialisation for models whose per-pair
-    /// update is a rank-1 function of a small read-only state vector (e.g.
-    /// TransE's two difference vectors, `2·dim` floats instead of `6·dim`
-    /// recorded deltas): pass 1 ([`RelationModel::pair_compact`]) records
-    /// that state in parallel against the batch-start parameters, pass 2
-    /// ([`RelationModel::apply_compact`]) replays the rank-1 row updates
-    /// serially in pair order. Implementations must keep both passes
-    /// bit-identical to the recorded `pair_gradients` → `apply_gradients`
-    /// sequence — same per-location arithmetic, same write order — so the
-    /// batched trainer may substitute one pathway for the other without the
-    /// trained bits (or the cross-thread determinism argument) changing.
-    fn compact_state_len(&self) -> Option<usize> {
-        None
-    }
-
-    /// Pass 1 of the compact pathway: reading only the *current* parameters,
-    /// appends exactly [`RelationModel::compact_state_len`] floats of
-    /// per-pair state to `out` and returns the pair's `(loss, g_pos, g_neg)`
-    /// loss terms. State is appended even for inactive (`loss <= 0`) pairs
-    /// so pair `i` of a chunk always lives at `i · compact_state_len()`.
-    fn pair_compact(
-        &self,
-        _pos: RawTriple,
-        _neg: RawTriple,
-        _out: &mut Vec<f32>,
-    ) -> (f32, f32, f32) {
-        panic!(
-            "{}: `pair_compact` called but the compact pathway is not implemented",
-            self.name()
-        );
-    }
-
-    /// Pass 2 of the compact pathway: replays one pair's parameter update
-    /// from the state recorded by [`RelationModel::pair_compact`] and the
-    /// returned loss `terms`, mutating the rows in exactly the order (and
-    /// with exactly the per-location arithmetic) the recorded
-    /// `apply_gradients` replay would have used. Inactive pairs
-    /// (`loss <= 0`) must write nothing — the recorded path emits no
-    /// entries for them, and adding even a `±0.0` delta is not bitwise
-    /// neutral.
-    fn apply_compact(
-        &mut self,
-        _pos: RawTriple,
-        _neg: RawTriple,
-        _terms: (f32, f32, f32),
-        _state: &[f32],
-        _lr: f32,
-        _scratch: &mut PairScratch,
-    ) {
-        panic!(
-            "{}: `apply_compact` called but the compact pathway is not implemented",
-            self.name()
-        );
-    }
-
-    /// Prepares the *fused* single-thread variant of the compact pathway
-    /// for one batch: copies every piece of parameter state that
-    /// [`RelationModel::apply_compact_pair`] reads into the trainer-owned
-    /// snapshot buffers (`scratch.snap_a` / `scratch.snap_b`), reusing
-    /// their allocations. Required whenever `compact_state_len()` is
-    /// `Some`.
-    fn begin_compact_batch(&self, _scratch: &mut PairScratch) {
-        panic!(
-            "{}: `begin_compact_batch` called but the compact pathway is not implemented",
-            self.name()
-        );
-    }
-
-    /// Computes one *positive* triple's shared pass state from the
-    /// batch-start snapshot (e.g. TransE's difference vector, into
-    /// `scratch.a`) and returns its energy. On the fused path every one of
-    /// a positive's `negs_per_pos` pairs reads the same frozen parameters,
-    /// so this runs **once per positive** and
-    /// [`RelationModel::apply_compact_pair`] reuses it — a reuse the
-    /// serial reference cannot perform (its parameters legitimately drift
-    /// between a positive's pairs) and which is bitwise-free here: the
-    /// recomputed vector would be identical.
-    fn compact_positive(&self, _pos: RawTriple, _scratch: &mut PairScratch) -> f32 {
-        panic!(
-            "{}: `compact_positive` called but the compact pathway is not implemented",
-            self.name()
-        );
-    }
-
-    /// Fused deferred update for one pair: computes the negative's state
-    /// and the loss terms *from the batch-start snapshot* taken by
-    /// [`RelationModel::begin_compact_batch`] (the positive's state and
-    /// energy come from [`RelationModel::compact_positive`]), applies the
-    /// rank-1 updates to the live rows, and returns the pair loss. Because
-    /// every read comes from the frozen snapshot, this is bit-identical to
-    /// recording the whole batch first and replaying it in pair order —
-    /// the two-pass pathway and the arena pathway — while skipping all
-    /// per-pair state traffic. The trainer only takes this route at one
-    /// effective worker thread, where there is no parallel recording pass
-    /// to preserve.
-    fn apply_compact_pair(
-        &mut self,
-        _pos: RawTriple,
-        _neg: RawTriple,
-        _pos_energy: f32,
-        _lr: f32,
-        _scratch: &mut PairScratch,
-    ) -> f32 {
-        panic!(
-            "{}: `apply_compact_pair` called but the compact pathway is not implemented",
-            self.name()
-        );
+        let opts = TrainOptions {
+            lr,
+            ..TrainOptions::default()
+        };
+        let mut total = 0.0f64;
+        self.train_batch(&[(pos, neg)], &opts, &mut Workspace::default(), &mut total);
+        total as f32
     }
 
     /// Per-epoch maintenance (norm constraints etc.). Default: none.
@@ -290,6 +130,24 @@ pub trait RelationModel: Send + Sync {
     }
 }
 
+/// The pure gradient of one positive/negative pair, recorded and applied
+/// separately — what [`crate::trainer::train_batch_recorded`] parallelises,
+/// and the recorded reference TransE's kernel is tested against.
+pub trait PairGradients: Sync {
+    /// Records the additive parameter deltas of one pair into `out` —
+    /// reading only the *current* parameters, mutating nothing — and
+    /// returns the pair loss. Because the computation is read-only, many
+    /// pairs are evaluated concurrently against the same batch-start
+    /// parameters.
+    fn pair_gradients(&self, pos: RawTriple, neg: RawTriple, lr: f32, out: &mut Gradients) -> f32;
+
+    /// Applies recorded deltas entry by entry in recording order. The order
+    /// is part of the determinism contract: floating-point accumulation
+    /// onto aliased rows (e.g. a self-loop triple where head == tail) must
+    /// not be reordered.
+    fn apply_gradients(&mut self, grads: &Gradients);
+}
+
 /// Statistics of one training epoch.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EpochStats {
@@ -316,79 +174,9 @@ impl EpochStats {
     }
 }
 
-/// Runs one epoch of pairwise training: shuffles `triples`, draws
-/// `negs_per_pos` corruptions per positive from `sampler`, and applies
-/// [`RelationModel::step`] for each pair.
-///
-/// This is the legacy convenience entry point driven by a caller-owned
-/// generator; the deterministic mini-batch engine lives in
-/// [`crate::trainer`]. Panics if `negs_per_pos == 0` — training on zero
-/// negatives would silently be a no-op per positive (historically the value
-/// was clamped to 1, masking caller bugs).
-pub fn train_epoch<M: RelationModel + ?Sized, S: NegSampler, R: Rng>(
-    model: &mut M,
-    triples: &[RawTriple],
-    sampler: &S,
-    lr: f32,
-    negs_per_pos: usize,
-    rng: &mut R,
-) -> EpochStats {
-    assert!(
-        negs_per_pos > 0,
-        "train_epoch: negs_per_pos must be >= 1 (0 would train on nothing)"
-    );
-    let mut order: Vec<usize> = (0..triples.len()).collect();
-    order.shuffle(rng);
-    let mut total = 0.0f64;
-    let mut pairs = 0usize;
-    for &i in &order {
-        let pos = triples[i];
-        for _ in 0..negs_per_pos {
-            let neg = sampler.corrupt(pos, rng);
-            total += model.step(pos, neg, lr) as f64;
-            pairs += 1;
-        }
-    }
-    model.epoch_hook();
-    EpochStats {
-        mean_loss: if pairs == 0 {
-            0.0
-        } else {
-            (total / pairs as f64) as f32
-        },
-        pairs,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::toy_triples;
-    use crate::TransE;
-    use openea_math::negsamp::UniformSampler;
-    use openea_runtime::rng::{SeedableRng, SmallRng};
-
-    #[test]
-    #[should_panic(expected = "negs_per_pos must be >= 1")]
-    fn train_epoch_rejects_zero_negatives() {
-        // Regression: this used to be silently clamped to 1 corruption per
-        // positive, masking caller bugs.
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut model = TransE::new(10, 2, 4, 1.0, &mut rng);
-        let sampler = UniformSampler { num_entities: 10 };
-        train_epoch(&mut model, &toy_triples(10), &sampler, 0.01, 0, &mut rng);
-    }
-
-    #[test]
-    fn train_epoch_on_empty_triples_reports_zero_stats() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut model = TransE::new(10, 2, 4, 1.0, &mut rng);
-        let sampler = UniformSampler { num_entities: 10 };
-        let stats = train_epoch(&mut model, &[], &sampler, 0.01, 2, &mut rng);
-        assert_eq!(stats, EpochStats::default());
-        assert_eq!(stats.pairs, 0);
-        assert_eq!(stats.mean_loss, 0.0);
-    }
 
     #[test]
     fn merged_stats_are_pair_weighted() {

@@ -3,15 +3,15 @@
 //!
 //! Energies use the squared L2 norm (or L1 for TransE when configured);
 //! margins are calibrated to that convention. All four models implement the
-//! pure gradient pathway ([`RelationModel::pair_gradients`]): deltas are
-//! recorded against the current parameters in the same per-location order
-//! the historical in-place updates used, so the derived `step` (and the
-//! batched trainer built on it) reproduces the original arithmetic exactly
-//! for the positive pair, and both pairs now read consistent pre-update
-//! state.
+//! pure gradient ([`PairGradients`]): deltas are recorded against the
+//! current parameters in the same per-location order the historical
+//! in-place updates used. TransH, TransR and TransD train through it
+//! ([`train_batch_recorded`]); TransE trains through a kernel of its own
+//! and keeps the recorded gradient as the reference the kernel is tested
+//! against.
 
-use crate::trainer::{add_delta, Gradients, PairScratch};
-use crate::traits::RelationModel;
+use crate::trainer::{add_delta, train_batch_recorded, Gradients, TrainOptions, Workspace};
+use crate::traits::{PairGradients, RelationModel};
 use openea_math::loss::margin_ranking_loss;
 use openea_math::negsamp::RawTriple;
 use openea_math::vecops;
@@ -37,12 +37,6 @@ pub enum LossKind {
         lambda_neg: f32,
         mu: f32,
     },
-}
-
-/// One row of a flat snapshot table (the compact pathway's frozen
-/// batch-start copies live in plain `Vec<f32>`s, not `EmbeddingTable`s).
-fn snap_row(table: &[f32], i: u32, dim: usize) -> &[f32] {
-    &table[i as usize * dim..(i as usize + 1) * dim]
 }
 
 /// TransE: `φ(h, r, t) = ‖h + r − t‖`.
@@ -74,15 +68,6 @@ impl TransE {
         }
     }
 
-    fn diff(&self, (h, r, t): RawTriple, out: &mut [f32]) {
-        let he = self.entities.row(h as usize);
-        let re = self.relations.row(r as usize);
-        let te = self.entities.row(t as usize);
-        for i in 0..out.len() {
-            out[i] = he[i] + re[i] - te[i];
-        }
-    }
-
     /// The energy `‖h + r − t‖`, streamed with no difference buffer. The
     /// fold replicates `vecops::norm1`/`norm2_sq` over a materialized
     /// difference vector exactly (`f32` iterator sums seed from `-0.0` and
@@ -107,29 +92,6 @@ impl TransE {
             }
         }
         acc
-    }
-
-    /// Gradient of the energy w.r.t. the difference vector `d`.
-    fn denergy(&self, d: &[f32], out: &mut [f32]) {
-        match self.norm {
-            Norm::L1 => {
-                for (o, &x) in out.iter_mut().zip(d) {
-                    *o = x.signum();
-                }
-            }
-            Norm::L2Sq => {
-                for (o, &x) in out.iter_mut().zip(d) {
-                    *o = 2.0 * x;
-                }
-            }
-        }
-    }
-
-    fn norm_of(&self, d: &[f32]) -> f32 {
-        match self.norm {
-            Norm::L1 => vecops::norm1(d),
-            Norm::L2Sq => vecops::norm2_sq(d),
-        }
     }
 
     fn loss_terms(&self, np: f32, nn: f32) -> (f32, f32, f32) {
@@ -176,25 +138,12 @@ impl TransE {
         }
     }
 
-    /// Fused difference-and-energy pass: writes `d = h + r − t` into `out`
-    /// while folding the norm in the same per-location sequence
-    /// [`TransE::phi`] uses (accumulator seeded from `-0.0`, one add per
-    /// location, in order) — the returned energy is bit-identical to
-    /// [`TransE::norm_of`] over the materialized vector, in one pass
-    /// instead of two.
-    fn diff_phi(&self, (h, r, t): RawTriple, out: &mut [f32]) -> f32 {
-        self.diff_phi_rows(
-            self.entities.row(h as usize),
-            self.relations.row(r as usize),
-            self.entities.row(t as usize),
-            out,
-        )
-    }
-
-    /// [`TransE::diff_phi`] over caller-supplied rows — the same fold, so
-    /// the fused snapshot path (reading frozen batch-start copies) produces
-    /// the exact bits of the live-table path.
-    fn diff_phi_rows(&self, he: &[f32], re: &[f32], te: &[f32], out: &mut [f32]) -> f32 {
+    /// Fused difference-and-energy pass over caller-supplied rows: writes
+    /// `d = h + r − t` into `out` while folding the norm in the same
+    /// per-location sequence [`TransE::phi`] uses (accumulator seeded from
+    /// `-0.0`, one add per location, in order), so the returned energy has
+    /// `phi`'s bits whichever copy of the rows it is given.
+    fn diff_phi(&self, he: &[f32], re: &[f32], te: &[f32], out: &mut [f32]) -> f32 {
         // Equal-length reslices let the element loops drop their bounds
         // checks; the arithmetic per location is untouched.
         let n = out.len();
@@ -219,14 +168,15 @@ impl TransE {
         acc
     }
 
-    /// Pass 2 of the compact pathway for one triple: materializes
-    /// `v[i] = -(coeff·g(i)·lr)` once into `v` — the exact expression
-    /// [`TransE::emit`] records for the head entry — then replays the
-    /// arena's row updates as `h += v`, `r += v`, `t += −v`. Negation is an
-    /// exact sign flip, so `−v[i]` carries the bit pattern of the recorded
-    /// tail delta `coeff·g(i)·lr`; every written bit matches the
-    /// `emit` + `apply_gradients` sequence at a third of the multiplies.
-    fn apply_compact_triple(
+    /// One triple's update from its batch-start difference vector `d`,
+    /// straight onto the live rows: materializes `v[i] = -(coeff·g(i)·lr)`
+    /// once into `v` — the exact expression [`TransE::emit`] records for the
+    /// head entry — while applying it to `h`, then replays `r += v`,
+    /// `t += −v`. Negation is an exact sign flip, so `−v[i]` carries the bit
+    /// pattern of the recorded tail delta `coeff·g(i)·lr`; every written bit
+    /// matches the `emit` + `apply_gradients` sequence at a third of the
+    /// multiplies.
+    fn apply_triple(
         &mut self,
         (h, r, t): RawTriple,
         coeff: f32,
@@ -234,11 +184,6 @@ impl TransE {
         v: &mut [f32],
         lr: f32,
     ) {
-        // The head pass materializes v and applies it in one sweep; the
-        // relation and tail rows then replay `+v` / `+(−v)`. Every write is
-        // the recorded path's expression: `-(coeff·g·lr)` for head and
-        // relation, and `-v` is an exact sign flip, so the tail's
-        // `+(coeff·g·lr)` bits are reproduced, not re-derived.
         match self.norm {
             Norm::L1 => {
                 for ((o, &x), row) in v.iter_mut().zip(d).zip(self.entities.row_mut(h as usize)) {
@@ -262,22 +207,6 @@ impl TransE {
             *o += -x;
         }
     }
-
-    /// [`TransE::emit`] applied straight onto the parameter rows: the same
-    /// expressions, in the same per-location order (`h`, `r`, `t`) the
-    /// recorded arena would have replayed — `row += -(coeff·g·lr)` is the
-    /// exact bit pattern of zero-init + `emit` + `add_delta`.
-    fn apply_rank1(&mut self, (h, r, t): RawTriple, coeff: f32, grad_d: &[f32], lr: f32) {
-        for (o, &g) in self.entities.row_mut(h as usize).iter_mut().zip(grad_d) {
-            *o += -(coeff * g * lr);
-        }
-        for (o, &g) in self.relations.row_mut(r as usize).iter_mut().zip(grad_d) {
-            *o += -(coeff * g * lr);
-        }
-        for (o, &g) in self.entities.row_mut(t as usize).iter_mut().zip(grad_d) {
-            *o += coeff * g * lr;
-        }
-    }
 }
 
 impl RelationModel for TransE {
@@ -289,172 +218,68 @@ impl RelationModel for TransE {
         self.phi(triple)
     }
 
-    fn supports_gradients(&self) -> bool {
-        true
-    }
-
-    /// Allocation-free: losses stream through [`TransE::phi`] and the
-    /// deltas recompute the difference vectors inside [`TransE::emit`] —
-    /// the historical three scratch `Vec`s per pair are gone, the recorded
-    /// bits are unchanged.
-    fn pair_gradients(
-        &self,
-        pos: RawTriple,
-        neg: RawTriple,
-        lr: f32,
-        out: &mut Gradients,
-    ) -> Option<f32> {
-        let (loss, gp, gn) = self.loss_terms(self.phi(pos), self.phi(neg));
-        if loss > 0.0 {
-            self.emit(pos, gp, lr, out);
-            self.emit(neg, gn, lr, out);
-        }
-        Some(loss)
-    }
-
-    /// The arena-skipping rank-1 fast path: difference vectors and gradients
-    /// land in the trainer's reusable scratch, deltas go straight onto the
-    /// rows via [`TransE::apply_rank1`]. Bit-identical to the recorded
-    /// default — both gradient vectors derive from pre-update parameters and
-    /// the write order matches `emit`'s entry order exactly.
-    fn apply_pair(
+    /// The copy-on-first-write kernel. Every difference vector and energy is
+    /// computed from batch-start rows ([`crate::trainer::FrozenRows`]), every
+    /// row is saved before its first write of the batch, and the updates go
+    /// straight onto the live rows — bit-identical to recording the whole
+    /// batch with [`PairGradients::pair_gradients`] and replaying it in pair
+    /// order, at O(rows touched) extra memory. A positive's `negs_per_pos`
+    /// pairs are adjacent and read the same frozen rows, so its difference
+    /// vector and energy are computed once per run of equal positives.
+    /// Inactive pairs (`loss <= 0`) write nothing: the recorded path emits
+    /// no entries for them, and adding even a `±0.0` delta is not bitwise
+    /// neutral.
+    fn train_batch(
         &mut self,
-        pos: RawTriple,
-        neg: RawTriple,
-        lr: f32,
-        scratch: &mut PairScratch,
-    ) -> Option<f32> {
-        let dim = self.entities.dim();
-        scratch.a.resize(dim, 0.0);
-        scratch.b.resize(dim, 0.0);
-        scratch.c.resize(dim, 0.0);
-        self.diff(pos, &mut scratch.a);
-        self.diff(neg, &mut scratch.b);
-        let (loss, gp, gn) = self.loss_terms(self.norm_of(&scratch.a), self.norm_of(&scratch.b));
-        if loss > 0.0 {
-            self.denergy(&scratch.a, &mut scratch.c);
-            self.apply_rank1(pos, gp, &scratch.c, lr);
-            self.denergy(&scratch.b, &mut scratch.c);
-            self.apply_rank1(neg, gn, &scratch.c, lr);
-        }
-        Some(loss)
-    }
-
-    fn apply_gradients(&mut self, grads: &Gradients) {
-        for (table, row, delta) in grads.iter() {
-            let dst = if table == Self::ENT {
-                self.entities.row_mut(row)
-            } else {
-                self.relations.row_mut(row)
-            };
-            add_delta(dst, delta);
-        }
-    }
-
-    /// The compact pathway's per-pair state: the two difference vectors
-    /// (`2·dim` floats), the only batch-start-dependent inputs of TransE's
-    /// update — a third of the `6·dim` deltas the arena records per pair.
-    fn compact_state_len(&self) -> Option<usize> {
-        Some(2 * self.entities.dim())
-    }
-
-    /// Pass 1: appends `d_pos` then `d_neg` while folding each energy in
-    /// the same pass ([`TransE::diff_phi`]). Read-only, so worker chunks
-    /// record concurrently against batch-start parameters; the returned
-    /// loss terms reproduce [`TransE::pair_gradients`]' bits exactly.
-    fn pair_compact(&self, pos: RawTriple, neg: RawTriple, out: &mut Vec<f32>) -> (f32, f32, f32) {
-        let dim = self.entities.dim();
-        let base = out.len();
-        out.resize(base + 2 * dim, 0.0);
-        let (dp, dn) = out[base..].split_at_mut(dim);
-        let np = self.diff_phi(pos, dp);
-        let nn = self.diff_phi(neg, dn);
-        self.loss_terms(np, nn)
-    }
-
-    /// Pass 2: replays both triples' rank-1 updates from the recorded
-    /// difference vectors ([`TransE::apply_compact_triple`]). Inactive
-    /// pairs write nothing, mirroring `pair_gradients`' `loss > 0` guard —
-    /// the recorded path emits no entries for them.
-    fn apply_compact(
-        &mut self,
-        pos: RawTriple,
-        neg: RawTriple,
-        terms: (f32, f32, f32),
-        state: &[f32],
-        lr: f32,
-        scratch: &mut PairScratch,
+        pairs: &[(RawTriple, RawTriple)],
+        opts: &TrainOptions,
+        ws: &mut Workspace,
+        total: &mut f64,
     ) {
-        let (loss, gp, gn) = terms;
-        if loss <= 0.0 {
-            return;
-        }
         let dim = self.entities.dim();
-        scratch.c.resize(dim, 0.0);
-        let (dp, dn) = state.split_at(dim);
-        self.apply_compact_triple(pos, gp, dp, &mut scratch.c, lr);
-        self.apply_compact_triple(neg, gn, dn, &mut scratch.c, lr);
-    }
-
-    /// Freezes the batch-start parameters for the fused path: both tables,
-    /// since [`TransE::apply_compact_pair`] reads entity and relation rows.
-    fn begin_compact_batch(&self, scratch: &mut PairScratch) {
-        scratch.snap_a.clear();
-        scratch.snap_a.extend_from_slice(self.entities.data());
-        scratch.snap_b.clear();
-        scratch.snap_b.extend_from_slice(self.relations.data());
-    }
-
-    /// The positive's difference vector and energy, from the frozen
-    /// snapshot into `scratch.a` — computed once per positive and reused
-    /// across its `negs_per_pos` pairs (identical bits to recomputing:
-    /// every pair of the positive reads the same batch-start parameters).
-    fn compact_positive(&self, pos: RawTriple, scratch: &mut PairScratch) -> f32 {
-        let dim = self.entities.dim();
-        scratch.a.resize(dim, 0.0);
-        self.diff_phi_rows(
-            snap_row(&scratch.snap_a, pos.0, dim),
-            snap_row(&scratch.snap_b, pos.1, dim),
-            snap_row(&scratch.snap_a, pos.2, dim),
-            &mut scratch.a,
-        )
-    }
-
-    /// The fused single-thread compact update: difference vectors and loss
-    /// terms come from the frozen snapshot (exact batch-start bits), the
-    /// rank-1 replay goes onto the live rows — the same arithmetic, in the
-    /// same order, as recording the batch and replaying it pair by pair.
-    fn apply_compact_pair(
-        &mut self,
-        pos: RawTriple,
-        neg: RawTriple,
-        pos_energy: f32,
-        lr: f32,
-        scratch: &mut PairScratch,
-    ) -> f32 {
-        let dim = self.entities.dim();
-        let PairScratch {
-            a,
-            b,
-            c,
-            snap_a,
-            snap_b,
+        let Workspace {
+            entity_rows: ent,
+            relation_rows: rel,
+            d_pos,
+            d_neg,
+            delta,
             ..
-        } = scratch;
-        b.resize(dim, 0.0);
-        c.resize(dim, 0.0);
-        let nn = self.diff_phi_rows(
-            snap_row(snap_a, neg.0, dim),
-            snap_row(snap_b, neg.1, dim),
-            snap_row(snap_a, neg.2, dim),
-            b,
-        );
-        let (loss, gp, gn) = self.loss_terms(pos_energy, nn);
-        if loss > 0.0 {
-            self.apply_compact_triple(pos, gp, a, c, lr);
-            self.apply_compact_triple(neg, gn, b, c, lr);
+        } = ws;
+        ent.begin_batch(self.entities.count());
+        rel.begin_batch(self.relations.count());
+        for buf in [&mut *d_pos, &mut *d_neg, &mut *delta] {
+            buf.resize(dim, 0.0);
         }
-        loss
+        let mut current: Option<RawTriple> = None;
+        let mut np = 0.0f32;
+        for &(pos, neg) in pairs {
+            if current != Some(pos) {
+                current = Some(pos);
+                np = self.diff_phi(
+                    ent.frozen(&self.entities, pos.0),
+                    rel.frozen(&self.relations, pos.1),
+                    ent.frozen(&self.entities, pos.2),
+                    d_pos,
+                );
+            }
+            let nn = self.diff_phi(
+                ent.frozen(&self.entities, neg.0),
+                rel.frozen(&self.relations, neg.1),
+                ent.frozen(&self.entities, neg.2),
+                d_neg,
+            );
+            let (loss, gp, gn) = self.loss_terms(np, nn);
+            if loss > 0.0 {
+                for (h, r, t) in [pos, neg] {
+                    ent.save(&self.entities, h);
+                    rel.save(&self.relations, r);
+                    ent.save(&self.entities, t);
+                }
+                self.apply_triple(pos, gp, d_pos, delta, opts.lr);
+                self.apply_triple(neg, gn, d_neg, delta, opts.lr);
+            }
+            *total += loss as f64;
+        }
     }
 
     fn epoch_hook(&mut self) {
@@ -468,6 +293,33 @@ impl RelationModel for TransE {
 
     fn entities_mut(&mut self) -> &mut EmbeddingTable {
         &mut self.entities
+    }
+}
+
+/// The recorded reference of [`TransE::train_batch`]: the kernel must
+/// leave the bits that recording a whole batch with `pair_gradients` and
+/// replaying it with `apply_gradients` leaves (`tests/trainer_equivalence.rs`).
+impl PairGradients for TransE {
+    /// Allocation-free: losses stream through [`TransE::phi`] and the
+    /// deltas recompute the difference vectors inside [`TransE::emit`].
+    fn pair_gradients(&self, pos: RawTriple, neg: RawTriple, lr: f32, out: &mut Gradients) -> f32 {
+        let (loss, gp, gn) = self.loss_terms(self.phi(pos), self.phi(neg));
+        if loss > 0.0 {
+            self.emit(pos, gp, lr, out);
+            self.emit(neg, gn, lr, out);
+        }
+        loss
+    }
+
+    fn apply_gradients(&mut self, grads: &Gradients) {
+        for (table, row, delta) in grads.iter() {
+            let dst = if table == Self::ENT {
+                self.entities.row_mut(row)
+            } else {
+                self.relations.row_mut(row)
+            };
+            add_delta(dst, delta);
+        }
     }
 }
 
@@ -561,37 +413,14 @@ impl RelationModel for TransH {
         vecops::norm2_sq(&self.residual(triple))
     }
 
-    fn supports_gradients(&self) -> bool {
-        true
-    }
-
-    fn pair_gradients(
-        &self,
-        pos: RawTriple,
-        neg: RawTriple,
-        lr: f32,
-        out: &mut Gradients,
-    ) -> Option<f32> {
-        let up = self.residual(pos);
-        let un = self.residual(neg);
-        let (loss, gp, gn) =
-            margin_ranking_loss(vecops::norm2_sq(&up), vecops::norm2_sq(&un), self.margin);
-        if loss > 0.0 {
-            self.emit(pos, gp, &up, lr, out);
-            self.emit(neg, gn, &un, lr, out);
-        }
-        Some(loss)
-    }
-
-    fn apply_gradients(&mut self, grads: &Gradients) {
-        for (table, row, delta) in grads.iter() {
-            let dst = match table {
-                Self::ENT => self.entities.row_mut(row),
-                Self::D => self.d_r.row_mut(row),
-                _ => self.w_r.row_mut(row),
-            };
-            add_delta(dst, delta);
-        }
+    fn train_batch(
+        &mut self,
+        pairs: &[(RawTriple, RawTriple)],
+        opts: &TrainOptions,
+        ws: &mut Workspace,
+        total: &mut f64,
+    ) {
+        train_batch_recorded(self, pairs, opts, ws, total);
     }
 
     fn epoch_hook(&mut self) {
@@ -605,6 +434,31 @@ impl RelationModel for TransH {
 
     fn entities_mut(&mut self) -> &mut EmbeddingTable {
         &mut self.entities
+    }
+}
+
+impl PairGradients for TransH {
+    fn pair_gradients(&self, pos: RawTriple, neg: RawTriple, lr: f32, out: &mut Gradients) -> f32 {
+        let up = self.residual(pos);
+        let un = self.residual(neg);
+        let (loss, gp, gn) =
+            margin_ranking_loss(vecops::norm2_sq(&up), vecops::norm2_sq(&un), self.margin);
+        if loss > 0.0 {
+            self.emit(pos, gp, &up, lr, out);
+            self.emit(neg, gn, &un, lr, out);
+        }
+        loss
+    }
+
+    fn apply_gradients(&mut self, grads: &Gradients) {
+        for (table, row, delta) in grads.iter() {
+            let dst = match table {
+                Self::ENT => self.entities.row_mut(row),
+                Self::D => self.d_r.row_mut(row),
+                _ => self.w_r.row_mut(row),
+            };
+            add_delta(dst, delta);
+        }
     }
 }
 
@@ -697,37 +551,14 @@ impl RelationModel for TransR {
         vecops::norm2_sq(&self.residual(triple))
     }
 
-    fn supports_gradients(&self) -> bool {
-        true
-    }
-
-    fn pair_gradients(
-        &self,
-        pos: RawTriple,
-        neg: RawTriple,
-        lr: f32,
-        out: &mut Gradients,
-    ) -> Option<f32> {
-        let up = self.residual(pos);
-        let un = self.residual(neg);
-        let (loss, gp, gn) =
-            margin_ranking_loss(vecops::norm2_sq(&up), vecops::norm2_sq(&un), self.margin);
-        if loss > 0.0 {
-            self.emit(pos, gp, &up, lr, out);
-            self.emit(neg, gn, &un, lr, out);
-        }
-        Some(loss)
-    }
-
-    fn apply_gradients(&mut self, grads: &Gradients) {
-        for (table, row, delta) in grads.iter() {
-            let dst = match table {
-                Self::ENT => self.entities.row_mut(row),
-                Self::REL => self.relations.row_mut(row),
-                _ => self.maps[row].data_mut(),
-            };
-            add_delta(dst, delta);
-        }
+    fn train_batch(
+        &mut self,
+        pairs: &[(RawTriple, RawTriple)],
+        opts: &TrainOptions,
+        ws: &mut Workspace,
+        total: &mut f64,
+    ) {
+        train_batch_recorded(self, pairs, opts, ws, total);
     }
 
     fn epoch_hook(&mut self) {
@@ -741,6 +572,31 @@ impl RelationModel for TransR {
 
     fn entities_mut(&mut self) -> &mut EmbeddingTable {
         &mut self.entities
+    }
+}
+
+impl PairGradients for TransR {
+    fn pair_gradients(&self, pos: RawTriple, neg: RawTriple, lr: f32, out: &mut Gradients) -> f32 {
+        let up = self.residual(pos);
+        let un = self.residual(neg);
+        let (loss, gp, gn) =
+            margin_ranking_loss(vecops::norm2_sq(&up), vecops::norm2_sq(&un), self.margin);
+        if loss > 0.0 {
+            self.emit(pos, gp, &up, lr, out);
+            self.emit(neg, gn, &un, lr, out);
+        }
+        loss
+    }
+
+    fn apply_gradients(&mut self, grads: &Gradients) {
+        for (table, row, delta) in grads.iter() {
+            let dst = match table {
+                Self::ENT => self.entities.row_mut(row),
+                Self::REL => self.relations.row_mut(row),
+                _ => self.maps[row].data_mut(),
+            };
+            add_delta(dst, delta);
+        }
     }
 }
 
@@ -850,38 +706,14 @@ impl RelationModel for TransD {
         vecops::norm2_sq(&self.residual(triple))
     }
 
-    fn supports_gradients(&self) -> bool {
-        true
-    }
-
-    fn pair_gradients(
-        &self,
-        pos: RawTriple,
-        neg: RawTriple,
-        lr: f32,
-        out: &mut Gradients,
-    ) -> Option<f32> {
-        let up = self.residual(pos);
-        let un = self.residual(neg);
-        let (loss, gp, gn) =
-            margin_ranking_loss(vecops::norm2_sq(&up), vecops::norm2_sq(&un), self.margin);
-        if loss > 0.0 {
-            self.emit(pos, gp, &up, lr, out);
-            self.emit(neg, gn, &un, lr, out);
-        }
-        Some(loss)
-    }
-
-    fn apply_gradients(&mut self, grads: &Gradients) {
-        for (table, row, delta) in grads.iter() {
-            let dst = match table {
-                Self::ENT => self.entities.row_mut(row),
-                Self::REL => self.relations.row_mut(row),
-                Self::EPROJ => self.ent_proj.row_mut(row),
-                _ => self.rel_proj.row_mut(row),
-            };
-            add_delta(dst, delta);
-        }
+    fn train_batch(
+        &mut self,
+        pairs: &[(RawTriple, RawTriple)],
+        opts: &TrainOptions,
+        ws: &mut Workspace,
+        total: &mut f64,
+    ) {
+        train_batch_recorded(self, pairs, opts, ws, total);
     }
 
     fn epoch_hook(&mut self) {
@@ -895,6 +727,32 @@ impl RelationModel for TransD {
 
     fn entities_mut(&mut self) -> &mut EmbeddingTable {
         &mut self.entities
+    }
+}
+
+impl PairGradients for TransD {
+    fn pair_gradients(&self, pos: RawTriple, neg: RawTriple, lr: f32, out: &mut Gradients) -> f32 {
+        let up = self.residual(pos);
+        let un = self.residual(neg);
+        let (loss, gp, gn) =
+            margin_ranking_loss(vecops::norm2_sq(&up), vecops::norm2_sq(&un), self.margin);
+        if loss > 0.0 {
+            self.emit(pos, gp, &up, lr, out);
+            self.emit(neg, gn, &un, lr, out);
+        }
+        loss
+    }
+
+    fn apply_gradients(&mut self, grads: &Gradients) {
+        for (table, row, delta) in grads.iter() {
+            let dst = match table {
+                Self::ENT => self.entities.row_mut(row),
+                Self::REL => self.relations.row_mut(row),
+                Self::EPROJ => self.ent_proj.row_mut(row),
+                _ => self.rel_proj.row_mut(row),
+            };
+            add_delta(dst, delta);
+        }
     }
 }
 
@@ -990,50 +848,6 @@ mod tests {
                 _ => run(&mut TransD::new(3, 1, 8, 2.0, &mut rng)),
             }
             assert!(after < before, "model {which}: {before} -> {after}");
-        }
-    }
-
-    /// TransE's rank-1 `apply_pair` override skips the gradient arena but
-    /// must reproduce the recorded path's bits exactly — per location, in
-    /// the same write order. Checked over repeated pairs (so parameters
-    /// drift), both norms, and self-loop triples where head == tail aliases
-    /// the same row within one pair.
-    #[test]
-    fn transe_apply_pair_matches_recorded_path_bitwise() {
-        for norm in [Norm::L2Sq, Norm::L1] {
-            let mut recorded = TransE::new(6, 2, 8, 1.5, &mut rng());
-            recorded.norm = norm;
-            let mut fast = TransE::new(6, 2, 8, 1.5, &mut rng());
-            fast.norm = norm;
-            let mut grads = Gradients::new();
-            let mut scratch = PairScratch::default();
-            let pairs: [(RawTriple, RawTriple); 4] = [
-                ((0, 0, 1), (0, 0, 2)),
-                ((3, 1, 3), (3, 1, 4)), // self-loop positive
-                ((1, 0, 2), (5, 0, 5)), // self-loop negative
-                ((0, 0, 1), (0, 0, 2)), // repeat after drift
-            ];
-            for &(pos, neg) in &pairs {
-                grads.clear();
-                let l0 = recorded
-                    .pair_gradients(pos, neg, 0.07, &mut grads)
-                    .expect("gradient pathway");
-                recorded.apply_gradients(&grads);
-                let l1 = fast
-                    .apply_pair(pos, neg, 0.07, &mut scratch)
-                    .expect("gradient pathway");
-                assert_eq!(l0.to_bits(), l1.to_bits(), "loss bits ({norm:?})");
-                assert_eq!(
-                    recorded.entities.data(),
-                    fast.entities.data(),
-                    "entity bits diverged ({norm:?})"
-                );
-                assert_eq!(
-                    recorded.relations.data(),
-                    fast.relations.data(),
-                    "relation bits diverged ({norm:?})"
-                );
-            }
         }
     }
 

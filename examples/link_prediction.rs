@@ -10,12 +10,10 @@
 
 use openea::math::negsamp::UniformSampler;
 use openea::models::{
-    evaluate_link_prediction, train_epoch, ComplEx, DistMult, RelationModel, RotatE, TransD,
-    TransE, TransH, TuckEr,
+    evaluate_link_prediction, train_epoch_batched, ComplEx, DistMult, RelationModel, RotatE,
+    TrainOptions, TransD, TransE, TransH, TuckEr,
 };
-use openea_runtime::rng::SeedableRng;
-use openea_runtime::rng::SliceRandom;
-use openea_runtime::rng::SmallRng;
+use openea_runtime::rng::{split_seed, SeedableRng, SliceRandom, SmallRng};
 use std::collections::HashSet;
 
 /// A rule-structured KG: entities on a ring with algebraic relations
@@ -54,7 +52,12 @@ fn main() {
     };
     let dim = 32;
     let epochs = 200;
-    let lr = 0.05;
+    let opts = TrainOptions {
+        lr: 0.05,
+        negs_per_pos: 5,
+        batch_size: 32,
+        ..TrainOptions::default()
+    };
 
     let mut models: Vec<Box<dyn RelationModel>> = vec![
         Box::new(TransE::new(n, r, dim, 1.0, &mut rng)),
@@ -71,8 +74,9 @@ fn main() {
         "Model", "Hits@1", "Hits@10", "MR", "MRR"
     );
     for model in models.iter_mut() {
-        for _ in 0..epochs {
-            train_epoch(model.as_mut(), train, &sampler, lr, 5, &mut rng);
+        for epoch in 0..epochs {
+            train_epoch_batched(model.as_mut(), train, &sampler, &opts, split_seed(0, epoch))
+                .expect("valid options");
         }
         // Evaluate on a subsample to keep the example quick.
         let eval = evaluate_link_prediction(

@@ -41,14 +41,6 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # grid. Exits non-zero on any divergence. Budget: well under 30 s.
 cargo run --release --offline -p openea-bench -- kernels --smoke --no-out
 
-# Training smoke gate: proves the batched trainer bit-identical to the serial
-# reference (batch size 1) and across thread counts {1,2,8} for every model
-# on the gradient pathway, times one tiny grid, then enforces the throughput
-# ratchet: batched TransE at one thread must stay >= 1.0x the serial
-# reference (the per-pair slot arenas this replaced sat at ~0.54x; that
-# regression must not come back). Budget: a few seconds.
-cargo run --release --offline -p openea-bench -- training --smoke --no-out
-
 # Driver-engine smoke gate: proves the shared hook-based engine honours its
 # budget contract (wall-clock and epoch deadlines stop gracefully with
 # StopReason::DeadlineExceeded, a zero-epoch run still yields a checkpoint)

@@ -74,10 +74,11 @@ fn run_family(family: DatasetFamily, min_hits1: f64) {
 /// reviewed update of this table (the test prints the replacement constants
 /// on divergence); thread-count invariance is asserted unconditionally.
 ///
-/// These constants pre-date the flat-arena trainer overhaul and survived it
-/// unchanged: the chunked gradient arenas, fused in-batch negative sampling
-/// and single-pair `apply_pair` fast path were all engineered to replay the
-/// historical per-pair arithmetic bit-for-bit, and this table is the proof.
+/// These constants pre-date the flat-arena trainer overhaul and TransE's
+/// copy-on-first-write kernel and survived both unchanged: the chunked
+/// gradient arenas, in-batch negative sampling and the kernel were all
+/// engineered to replay the historical per-pair arithmetic bit-for-bit, and
+/// this table is the proof.
 const GOLDEN_HASHES: [(&str, u64); 12] = [
     ("MTransE", 0xa355c7feec9e21ea),
     ("IPTransE", 0xa56ddc7bdd0adbe9),
@@ -147,8 +148,8 @@ mod trainer_golden {
 
     use openea::math::negsamp::{RawTriple, UniformSampler};
     use openea::models::{
-        train_epoch_batched, DistMult, HolE, RelationModel, RotatE, SimplE, TrainOptions, TransD,
-        TransE, TransH, TransR,
+        train_epoch_batched, ComplEx, ConvE, DistMult, HolE, ProjE, RelationModel, RotatE, SimplE,
+        TrainOptions, TransD, TransE, TransH, TransR, TuckEr,
     };
     use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
 
@@ -162,7 +163,7 @@ mod trainer_golden {
     /// applied in ascending chunk order, so the concatenated entry sequence
     /// equals pair order — the exact arithmetic of the historical per-pair
     /// slot engine, independent of thread count and chunk geometry.
-    const GOLDEN: [(&str, u64); 8] = [
+    const GOLDEN: [(&str, u64); 12] = [
         ("TransE", 0x0d480ae3ccdd1de9),
         ("TransH", 0x41bb246175357ff5),
         ("TransR", 0xf0bf6a88e5d4bc91),
@@ -171,6 +172,10 @@ mod trainer_golden {
         ("HolE", 0xfd3af46dbb0b9b82),
         ("SimplE", 0x0fe856a0b7d52559),
         ("RotatE", 0xe48025675704a481),
+        ("ComplEx", 0x7b6812a168ad76c6),
+        ("TuckER", 0x116f6fd51ab24da5),
+        ("ProjE", 0x4bcc59ec58ccc2a5),
+        ("ConvE", 0xd683ff3533cd8249),
     ];
 
     /// FNV-1a 64 over little-endian `f32` bit patterns — the repo's standard
@@ -198,7 +203,11 @@ mod trainer_golden {
             "DistMult" => Box::new(DistMult::new(n, r, d, &mut rng)),
             "HolE" => Box::new(HolE::new(n, r, d, &mut rng)),
             "SimplE" => Box::new(SimplE::new(n, r, d, &mut rng)),
-            _ => Box::new(RotatE::new(n, r, d, 1.0, &mut rng)),
+            "RotatE" => Box::new(RotatE::new(n, r, d, 1.0, &mut rng)),
+            "ComplEx" => Box::new(ComplEx::new(n, r, d, &mut rng)),
+            "TuckER" => Box::new(TuckEr::new(n, r, d, &mut rng)),
+            "ProjE" => Box::new(ProjE::new(n, r, d, 1.0, &mut rng)),
+            _ => Box::new(ConvE::new(n, r, d, 1.0, &mut rng)),
         }
     }
 
@@ -416,6 +425,25 @@ mod engine {
         };
         let err = run_driver("test", &mut Overflowing, &RunContext::new(&cfg), &cfg).unwrap_err();
         assert_eq!(err, TrainError::Diverged { epoch: 3 });
+    }
+
+    /// `negs: 0` used to reach the trainer's `ZeroNegatives` behind an
+    /// `expect` and panic nine approaches; the three that never sample
+    /// negatives from it ran. Every approach now refuses it alike.
+    #[test]
+    fn zero_negatives_is_a_typed_error_for_every_approach() {
+        let pair = PresetConfig::new(DatasetFamily::EnFr, 60, false, 7).generate();
+        let mut rng = SmallRng::seed_from_u64(0);
+        let folds = k_fold_splits(&pair.alignment, 5, &mut rng);
+        let cfg = RunConfig {
+            negs: 0,
+            ..RunConfig::default()
+        };
+        let ctx = RunContext::new(&cfg);
+        for a in all_approaches() {
+            let err = a.try_run(&pair, &folds[0], &cfg, &ctx).map(|_| ());
+            assert_eq!(err, Err(TrainError::ZeroNegatives), "{}", a.name());
+        }
     }
 
     /// The configuration the repository benchmark had to avoid: it trained

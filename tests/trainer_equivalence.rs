@@ -1,16 +1,24 @@
 //! Trainer-equivalence suite: the batched mini-batch engine must be
 //! *bit-identical* across thread counts {1, 2, 8} at every batch size
 //! {1, 7, 64}, and — at batch size 1 on one thread — bit-identical to the
-//! kept serial reference `train_epoch_serial`, for every model on the
-//! gradient pathway. This is the contract that lets every approach driver
-//! use the parallel engine without changing a single reported number.
+//! kept serial reference `train_epoch_serial`, for every model. This is the
+//! contract that lets every approach driver use the parallel engine without
+//! changing a single reported number.
+//!
+//! TransE's `train_batch` is a kernel of its own, so it is also held, batch
+//! by batch, to the recorded path it replaces: `pair_gradients` for the
+//! whole batch against the untouched model, then `apply_gradients`.
 
 use openea::math::negsamp::{RawTriple, UniformSampler};
+use openea::models::translational::{LossKind, Norm};
 use openea::models::{
-    train_epoch_batched, train_epoch_serial, DistMult, HolE, RelationModel, RotatE, SimplE,
-    TrainOptions, TransD, TransE, TransH, TransR,
+    train_epoch_batched, train_epoch_serial, ComplEx, ConvE, DistMult, Gradients, HolE,
+    PairGradients, ProjE, RelationModel, RotatE, SimplE, TrainOptions, TransD, TransE, TransH,
+    TransR, TuckEr, Workspace,
 };
 use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
+use openea_runtime::testkit::any_bool;
+use openea_runtime::{prop_assert_eq, props};
 
 const BATCH_SIZES: [usize; 3] = [1, 7, 64];
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -64,11 +72,6 @@ fn check_model(name: &str, make: impl Fn() -> Box<dyn RelationModel>) {
     let sampler = UniformSampler {
         num_entities: ENTITIES,
     };
-    assert!(
-        make().supports_gradients(),
-        "{name}: must be on the gradient pathway"
-    );
-
     // Serial reference, trained once.
     let mut serial = make();
     for e in 0..EPOCHS {
@@ -134,6 +137,121 @@ equivalence_tests! {
         |r: &mut SmallRng| SimplE::new(ENTITIES as usize, RELATIONS as usize, DIM, r);
     rotate_bit_identical, "RotatE",
         |r: &mut SmallRng| RotatE::new(ENTITIES as usize, RELATIONS as usize, DIM, 1.0, r);
+    complex_bit_identical, "ComplEx",
+        |r: &mut SmallRng| ComplEx::new(ENTITIES as usize, RELATIONS as usize, DIM, r);
+    tucker_bit_identical, "TuckER",
+        |r: &mut SmallRng| TuckEr::new(ENTITIES as usize, RELATIONS as usize, DIM, r);
+    proje_bit_identical, "ProjE",
+        |r: &mut SmallRng| ProjE::new(ENTITIES as usize, RELATIONS as usize, DIM, 1.0, r);
+    conve_bit_identical, "ConvE",
+        |r: &mut SmallRng| ConvE::new(ENTITIES as usize, RELATIONS as usize, DIM, 1.0, r);
+}
+
+fn small_transe(entities: u32, seed: u64, norm: Norm, loss: LossKind) -> TransE {
+    let mut m = TransE::new(
+        entities as usize,
+        2,
+        DIM,
+        1.5,
+        &mut SmallRng::seed_from_u64(seed),
+    );
+    m.norm = norm;
+    m.loss = loss;
+    m
+}
+
+/// A batch of `len` pairs over `entities` entities, built to alias: runs of
+/// one positive with several negatives (as the engine produces them), then
+/// a self-loop positive, a negative that differs from its positive in one
+/// place only (so it shares two rows), the first positive again — no longer
+/// adjacent to its run — and an exact duplicate of the pair before it.
+fn aliasing_batch(len: usize, entities: u32, rng: &mut SmallRng) -> Vec<(RawTriple, RawTriple)> {
+    let triple = |rng: &mut SmallRng| {
+        (
+            rng.gen_range(0..entities),
+            rng.gen_range(0..2u32),
+            rng.gen_range(0..entities),
+        )
+    };
+    let mut pairs: Vec<(RawTriple, RawTriple)> = Vec::with_capacity(len);
+    while pairs.len() < len {
+        let pos = match pairs.len() % 5 {
+            3 => {
+                let e = rng.gen_range(0..entities);
+                (e, rng.gen_range(0..2u32), e)
+            }
+            4 => pairs[0].0,
+            _ => triple(rng),
+        };
+        for _ in 0..rng.gen_range(1..4usize) {
+            let neg = if rng.gen_bool(0.5) {
+                (pos.0, pos.1, rng.gen_range(0..entities))
+            } else {
+                triple(rng)
+            };
+            pairs.push((pos, neg));
+        }
+        if rng.gen_bool(0.3) {
+            pairs.push(*pairs.last().expect("pushed above"));
+        }
+    }
+    pairs.truncate(len);
+    pairs
+}
+
+props! {
+    #![cases = 64]
+
+    /// TransE's copy-on-first-write kernel leaves, batch after batch, the
+    /// bits that recording the whole batch against the untouched model and
+    /// replaying it leaves: both tables and the running loss total. One
+    /// workspace serves every batch of both epochs — a row saved in an
+    /// earlier batch must never read as saved in this one — after a model
+    /// of another size has used it.
+    #[test]
+    fn transe_kernel_matches_recorded_replay_bitwise(
+        seed in 0u64..u64::MAX,
+        entities in 2u32..12,
+        l1 in any_bool(),
+        limit in any_bool(),
+    ) {
+        let norm = if l1 { Norm::L1 } else { Norm::L2Sq };
+        let loss = if limit {
+            LossKind::Limit { lambda_pos: 0.4, lambda_neg: 2.5, mu: 0.3 }
+        } else {
+            LossKind::Margin
+        };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let opts = TrainOptions { lr: 0.07, ..TrainOptions::default() };
+        let mut ws = Workspace::default();
+        let mut other = small_transe(entities + 9, seed, norm, loss);
+        other.train_batch(&aliasing_batch(7, entities + 9, &mut rng), &opts, &mut ws, &mut 0.0);
+
+        let mut kernel = small_transe(entities, seed, norm, loss);
+        let mut recorded = small_transe(entities, seed, norm, loss);
+        let (mut total_k, mut total_r) = (0.0f64, 0.0f64);
+        let mut grads = Gradients::new();
+        for _epoch in 0..2 {
+            for len in [1, 2, 7, 64, entities as usize + 5] {
+                let pairs = aliasing_batch(len, entities, &mut rng);
+                kernel.train_batch(&pairs, &opts, &mut ws, &mut total_k);
+                grads.clear();
+                for &(pos, neg) in &pairs {
+                    total_r += recorded.pair_gradients(pos, neg, opts.lr, &mut grads) as f64;
+                }
+                recorded.apply_gradients(&grads);
+                prop_assert_eq!(total_k.to_bits(), total_r.to_bits(), "losses, batch of {}", len);
+                prop_assert_eq!(bits(kernel.entities.data()), bits(recorded.entities.data()));
+                prop_assert_eq!(bits(kernel.relations.data()), bits(recorded.relations.data()));
+            }
+            kernel.epoch_hook();
+            recorded.epoch_hook();
+        }
+    }
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 #[test]
