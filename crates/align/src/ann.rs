@@ -314,6 +314,13 @@ impl IvfIndex {
     /// Partitions in probe order for `query`: descending centroid score
     /// under the index metric, ties toward the lower partition index.
     pub fn probe_order(&self, query: &[f32]) -> Vec<u32> {
+        self.best_partitions(query, self.nlist)
+    }
+
+    /// The first `nprobe ≤ nlist` entries of [`IvfIndex::probe_order`]. The
+    /// comparator is a total order, so selecting the prefix and sorting only
+    /// it gives exactly what sorting every partition would.
+    fn best_partitions(&self, query: &[f32], nprobe: usize) -> Vec<u32> {
         assert_eq!(query.len(), self.dim);
         if self.nlist == 0 {
             return Vec::new();
@@ -331,8 +338,14 @@ impl IvfIndex {
             &self.centroid_norms,
             &mut scores,
         );
+        let by_score =
+            |a: &u32, b: &u32| score_desc(scores[*a as usize], scores[*b as usize]).then(a.cmp(b));
         let mut order: Vec<u32> = (0..self.nlist as u32).collect();
-        order.sort_by(|&a, &b| score_desc(scores[a as usize], scores[b as usize]).then(a.cmp(&b)));
+        if nprobe < self.nlist {
+            order.select_nth_unstable_by(nprobe, by_score);
+            order.truncate(nprobe);
+        }
+        order.sort_unstable_by(by_score);
         order
     }
 
@@ -357,7 +370,7 @@ impl IvfIndex {
             return (Vec::new(), 0);
         }
         let nprobe = nprobe.clamp(1, self.nlist);
-        let order = self.probe_order(query);
+        let order = self.best_partitions(query, nprobe);
         let q_norm = if self.metric.needs_norms() {
             vecops::norm2(query)
         } else {
@@ -366,7 +379,7 @@ impl IvfIndex {
         let mut acc: Vec<(u32, f32)> = Vec::with_capacity(k.min(self.ids.len()));
         let mut scores = vec![0.0f32; DEFAULT_TILE];
         let mut scanned = 0usize;
-        for &c in &order[..nprobe] {
+        for &c in &order {
             let (lo, hi) = (self.offsets[c as usize], self.offsets[c as usize + 1]);
             scanned += hi - lo;
             let mut g = lo;
@@ -525,6 +538,28 @@ mod tests {
         reference.sort_by(|a, b| score_desc(a.1, b.1).then(a.0.cmp(&b.0)));
         reference.truncate(7);
         assert_eq!(got, reference);
+    }
+
+    #[test]
+    fn probed_partitions_are_the_prefix_of_the_full_order() {
+        let dst = embeddings(240, 4, 51);
+        let cfg = AnnConfig {
+            nlist: 12,
+            ..Default::default()
+        };
+        // The zero query ties every centroid score, so only the
+        // partition-id tie-break orders its probes.
+        let mut queries = embeddings(6, 4, 52);
+        queries.extend([0.0; 4]);
+        for metric in Metric::ALL {
+            let ix = IvfIndex::build(&dst, 4, metric, &cfg, 1);
+            for q in queries.chunks(4) {
+                let full = ix.probe_order(q);
+                for nprobe in [1, 3, ix.nlist()] {
+                    assert_eq!(ix.best_partitions(q, nprobe), full[..nprobe]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,12 +23,21 @@
 //!
 //! ## Determinism
 //!
-//! Every entity derives its randomness from
-//! [`split_seed`](openea_runtime::rng::split_seed)`(seed, 4·i + stream)`,
-//! so the output is a pure function of [`ScaleConfig`] — independent of
-//! thread count and chunk schedule, and any row can be regenerated in
-//! isolation. The three streams per entity are: 0 = community pick +
-//! latent offset, 1 = side-1 noise, 2 = side-2 noise.
+//! Every entity `i` owns three RNG streams,
+//! [`split_seed`](openea_runtime::rng::split_seed)`(seed, 4·i + stream)`:
+//!
+//! * 0, latent — one uniform (the community pick), then one Gaussian per
+//!   dimension (the offset from the center), in dimension order;
+//! * 1 and 2, side-1 and side-2 noise — one Gaussian per dimension each.
+//!
+//! The generator visits each entity once: it seeds the three streams, writes
+//! the label, and for each dimension draws the latent Gaussian once and
+//! writes both sides from it. The draw order *within* a stream is the whole
+//! contract — how the streams interleave is not observable — so the output
+//! is a pure function of [`ScaleConfig`], independent of thread count and
+//! chunk schedule, and any row can be regenerated in isolation.
+//! `tests/scale_inputs.rs` holds it bit for bit to a serial generator that
+//! re-derives the latent stream once per output, and pins its digests.
 
 use openea_runtime::pool::{balanced_chunk_len, parallel_chunks};
 use openea_runtime::rng::{split_seed, Rng, SeedableRng, SmallRng};
@@ -115,17 +124,39 @@ pub fn generate_embedded_pair(cfg: &ScaleConfig, threads: usize) -> EmbeddedPair
         .map(|_| (crng.gen_gaussian() * inv_sqrt_dim) as f32)
         .collect();
 
+    let spread = cfg.spread as f64;
+    let noise = cfg.noise as f64;
+
     let mut community = vec![0u32; n];
+    let mut emb1 = vec![0.0f32; n * dim];
+    let mut emb2 = vec![0.0f32; n * dim];
+    // One task per chunk of rows, carrying that range of all three outputs.
     let chunk = balanced_chunk_len(n, threads, 4);
-    parallel_chunks(&mut community, chunk, threads, |ci, rows| {
-        for (off, slot) in rows.iter_mut().enumerate() {
-            let i = ci * chunk + off;
-            *slot = pick_community(cfg.seed, i, k);
+    let mut tasks: Vec<_> = community
+        .chunks_mut(chunk)
+        .zip(emb1.chunks_mut(chunk * dim))
+        .zip(emb2.chunks_mut(chunk * dim))
+        .collect();
+    parallel_chunks(&mut tasks, 1, threads, |ci, task| {
+        let ((labels, rows1), rows2) = &mut task[0];
+        let rows = rows1.chunks_mut(dim).zip(rows2.chunks_mut(dim));
+        for (r, (label, (row1, row2))) in labels.iter_mut().zip(rows).enumerate() {
+            let i = (ci * chunk + r) as u64;
+            let mut lat = SmallRng::stream(cfg.seed, 4 * i + STREAM_LATENT);
+            let mut noi1 = SmallRng::stream(cfg.seed, 4 * i + STREAM_SIDE1);
+            let mut noi2 = SmallRng::stream(cfg.seed, 4 * i + STREAM_SIDE2);
+            // The quadratically skewed pick: the latent stream's first draw.
+            let u: f64 = lat.gen_range(0.0..1.0);
+            let c = ((u * u * k as f64) as usize).min(k - 1);
+            *label = c as u32;
+            let center = &centers[c * dim..(c + 1) * dim];
+            for ((&mid, s1), s2) in center.iter().zip(row1).zip(row2) {
+                let latent = mid as f64 + spread * lat.gen_gaussian() * inv_sqrt_dim;
+                *s1 = (latent + noise * noi1.gen_gaussian() * inv_sqrt_dim) as f32;
+                *s2 = (latent + noise * noi2.gen_gaussian() * inv_sqrt_dim) as f32;
+            }
         }
     });
-
-    let emb1 = side(cfg, &centers, dim, k, STREAM_SIDE1, threads);
-    let emb2 = side(cfg, &centers, dim, k, STREAM_SIDE2, threads);
 
     EmbeddedPair {
         dim,
@@ -133,47 +164,6 @@ pub fn generate_embedded_pair(cfg: &ScaleConfig, threads: usize) -> EmbeddedPair
         emb2,
         community,
     }
-}
-
-/// The quadratically skewed community pick for entity `i` — the first draw
-/// on its latent stream, so every pass that re-derives the stream agrees.
-fn pick_community(seed: u64, i: usize, k: usize) -> u32 {
-    let mut rng = SmallRng::seed_from_u64(split_seed(seed, 4 * i as u64 + STREAM_LATENT));
-    let u: f64 = rng.gen_range(0.0..1.0);
-    ((u * u * k as f64) as usize).min(k - 1) as u32
-}
-
-/// Fills one KG side. Each row re-derives the entity's latent stream (pick
-/// + offset) and then perturbs it with the side's own noise stream.
-fn side(
-    cfg: &ScaleConfig,
-    centers: &[f32],
-    dim: usize,
-    k: usize,
-    noise_stream: u64,
-    threads: usize,
-) -> Vec<f32> {
-    let n = cfg.entities;
-    let inv_sqrt_dim = 1.0 / (dim as f64).sqrt();
-    let spread = cfg.spread as f64;
-    let noise = cfg.noise as f64;
-    let mut emb = vec![0.0f32; n * dim];
-    let chunk_rows = balanced_chunk_len(n, threads, 4);
-    parallel_chunks(&mut emb, chunk_rows * dim, threads, |ci, rows| {
-        for (r, row) in rows.chunks_mut(dim).enumerate() {
-            let i = (ci * chunk_rows + r) as u64;
-            let mut lat = SmallRng::seed_from_u64(split_seed(cfg.seed, 4 * i + STREAM_LATENT));
-            let u: f64 = lat.gen_range(0.0..1.0);
-            let c = ((u * u * k as f64) as usize).min(k - 1);
-            let mut noi = SmallRng::seed_from_u64(split_seed(cfg.seed, 4 * i + noise_stream));
-            let center = &centers[c * dim..(c + 1) * dim];
-            for (d, slot) in row.iter_mut().enumerate() {
-                let latent = center[d] as f64 + spread * lat.gen_gaussian() * inv_sqrt_dim;
-                *slot = (latent + noise * noi.gen_gaussian() * inv_sqrt_dim) as f32;
-            }
-        }
-    });
-    emb
 }
 
 #[cfg(test)]

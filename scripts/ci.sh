@@ -23,6 +23,13 @@ done
 cargo build --release --offline
 cargo test -q --offline
 
+# The benchmark's third input: `scale_200k_ivf_uniform --seed 1` serves the
+# 200 000 × 32 pair whose digest this pins, the way `kg_model` (in the pass
+# above) pins the 15K pair the two trained workloads start from. Ignored in
+# tier-1 because it is too slow unoptimised. Budget: < 5 s after the release
+# build above.
+cargo test --release --offline -p openea --test scale_inputs -- --include-ignored
+
 # Reactor soak slice: the end-to-end serving suite five more times with every
 # test on a thread of its own, which is how its accept/close races were found
 # (`conn_limit_sheds_at_accept` failed 1 run in 11 before the ceiling reaped
