@@ -314,29 +314,36 @@ impl IvfIndex {
     /// Partitions in probe order for `query`: descending centroid score
     /// under the index metric, ties toward the lower partition index.
     pub fn probe_order(&self, query: &[f32]) -> Vec<u32> {
-        self.best_partitions(query, self.nlist)
+        self.best_partitions(query, self.query_norm(query), self.nlist)
+    }
+
+    /// The query's norm under the index metric (0 when it needs none):
+    /// taken once per query, shared by probe ordering and re-rank.
+    fn query_norm(&self, query: &[f32]) -> f32 {
+        if self.metric.needs_norms() {
+            vecops::norm2(query)
+        } else {
+            0.0
+        }
     }
 
     /// The first `nprobe ≤ nlist` entries of [`IvfIndex::probe_order`]. The
     /// comparator is a total order, so selecting the prefix and sorting only
     /// it gives exactly what sorting every partition would.
-    fn best_partitions(&self, query: &[f32], nprobe: usize) -> Vec<u32> {
+    fn best_partitions(&self, query: &[f32], q_norm: f32, nprobe: usize) -> Vec<u32> {
         assert_eq!(query.len(), self.dim);
         if self.nlist == 0 {
             return Vec::new();
         }
-        let q_norm = if self.metric.needs_norms() {
-            vecops::norm2(query)
-        } else {
-            0.0
-        };
         let mut scores = vec![0.0f32; self.nlist];
-        self.metric.similarity_block_t(
+        self.metric.similarity_tile(
             query,
-            q_norm,
+            &[q_norm],
+            self.dim,
             &self.centroids_t,
             &self.centroid_norms,
             &mut scores,
+            self.nlist,
         );
         let by_score =
             |a: &u32, b: &u32| score_desc(scores[*a as usize], scores[*b as usize]).then(a.cmp(b));
@@ -370,12 +377,8 @@ impl IvfIndex {
             return (Vec::new(), 0);
         }
         let nprobe = nprobe.clamp(1, self.nlist);
-        let order = self.best_partitions(query, nprobe);
-        let q_norm = if self.metric.needs_norms() {
-            vecops::norm2(query)
-        } else {
-            0.0
-        };
+        let q_norm = [self.query_norm(query)];
+        let order = self.best_partitions(query, q_norm[0], nprobe);
         let mut acc: Vec<(u32, f32)> = Vec::with_capacity(k.min(self.ids.len()));
         let mut scores = vec![0.0f32; DEFAULT_TILE];
         let mut scanned = 0usize;
@@ -393,7 +396,7 @@ impl IvfIndex {
                 };
                 let block = &mut scores[..g1 - g];
                 self.metric
-                    .similarity_block_t(query, q_norm, tile_t, tn, block);
+                    .similarity_tile(query, &q_norm, self.dim, tile_t, tn, block, g1 - g);
                 for (off, &s) in block.iter().enumerate() {
                     push_topk_any(&mut acc, k, self.ids[g + off], s);
                 }
@@ -556,7 +559,8 @@ mod tests {
             for q in queries.chunks(4) {
                 let full = ix.probe_order(q);
                 for nprobe in [1, 3, ix.nlist()] {
-                    assert_eq!(ix.best_partitions(q, nprobe), full[..nprobe]);
+                    let got = ix.best_partitions(q, ix.query_norm(q), nprobe);
+                    assert_eq!(got, full[..nprobe]);
                 }
             }
         }

@@ -101,7 +101,7 @@ pub struct BlockedMatch {
 /// Greedy nearest-neighbour search restricted to LSH candidates.
 ///
 /// Candidates are gathered into contiguous tiles and scored with the same
-/// block kernels as the dense matrix (bit-identical scores); score ties
+/// block kernel as the dense matrix (bit-identical scores); score ties
 /// resolve toward the candidate appearing first in the (deterministic)
 /// bucket-union order.
 pub fn blocked_greedy_match(
@@ -113,42 +113,40 @@ pub fn blocked_greedy_match(
 ) -> BlockedMatch {
     assert_eq!(sources.len() % dim, 0);
     assert_eq!(targets.len() % dim, 0);
-    let n = sources.len() / dim;
     let src_norms = metric.row_norms(sources, dim);
     let dst_norms = metric.row_norms(targets, dim);
-    let mut matches = Vec::with_capacity(n);
+    let mut matches = Vec::with_capacity(sources.len() / dim);
     let mut comparisons = 0usize;
-    // Gather buffers, reused across queries.
-    let mut tile = vec![0.0f32; DEFAULT_TILE * dim];
+    // Gather buffers, reused across queries: each batch of candidates is
+    // gathered straight into the dimension-major layout the kernel sweeps.
+    let mut tile_t = vec![0.0f32; DEFAULT_TILE * dim];
     let mut tile_norms = vec![0.0f32; DEFAULT_TILE];
     let mut scores = vec![0.0f32; DEFAULT_TILE];
-    for i in 0..n {
-        let q = &sources[i * dim..(i + 1) * dim];
-        let q_norm = src_norms.get(i).copied().unwrap_or(0.0);
+    for (i, q) in sources.chunks_exact(dim).enumerate() {
+        let q_norm = [src_norms.get(i).copied().unwrap_or(0.0)];
         let cands = index.candidates(q);
         comparisons += cands.len();
         let mut best: Option<(u32, f32)> = None;
         for batch in cands.chunks(DEFAULT_TILE) {
+            let width = batch.len();
             for (slot, &j) in batch.iter().enumerate() {
                 let j = j as usize;
-                tile[slot * dim..(slot + 1) * dim]
-                    .copy_from_slice(&targets[j * dim..(j + 1) * dim]);
+                for (d, &v) in targets[j * dim..(j + 1) * dim].iter().enumerate() {
+                    tile_t[d * width + slot] = v;
+                }
                 if !dst_norms.is_empty() {
                     tile_norms[slot] = dst_norms[j];
                 }
             }
-            let out = &mut scores[..batch.len()];
-            metric.similarity_block(
+            let out = &mut scores[..width];
+            metric.similarity_tile(
                 q,
-                q_norm,
-                &tile[..batch.len() * dim],
-                if dst_norms.is_empty() {
-                    &[]
-                } else {
-                    &tile_norms[..batch.len()]
-                },
+                &q_norm,
                 dim,
+                &tile_t[..width * dim],
+                &tile_norms[..width],
                 out,
+                width,
             );
             for (slot, &s) in out.iter().enumerate() {
                 match best {
@@ -206,6 +204,40 @@ mod tests {
             "comparisons {} not sublinear",
             blocked.comparisons
         );
+    }
+
+    #[test]
+    fn match_is_the_first_best_candidate_under_every_metric() {
+        // Two bits per table: buckets of ~50 targets, so the union over
+        // four tables passes one gathered tile and ends in a short one.
+        let (src, dst) = paired(200, 6, 0.3, 7);
+        let mut rng = SmallRng::seed_from_u64(8);
+        let index = LshIndex::build(&dst, 6, 2, 4, &mut rng);
+        for metric in Metric::ALL {
+            let blocked = blocked_greedy_match(&src, &dst, 6, metric, &index);
+            let (mut comparisons, mut widest) = (0, 0);
+            for (i, q) in src.chunks_exact(6).enumerate() {
+                let cands = index.candidates(q);
+                comparisons += cands.len();
+                widest = widest.max(cands.len());
+                let mut best: Option<(u32, f32)> = None;
+                for &j in &cands {
+                    let s = metric.similarity(q, &dst[j as usize * 6..(j as usize + 1) * 6]);
+                    if best.is_none_or(|(_, bs)| score_desc(s, bs) == Ordering::Less) {
+                        best = Some((j, s));
+                    }
+                }
+                assert_eq!(
+                    blocked.matches[i],
+                    best.map(|(j, _)| j),
+                    "{} source {i} of {} candidates",
+                    metric.label(),
+                    cands.len()
+                );
+            }
+            assert_eq!(blocked.comparisons, comparisons, "{}", metric.label());
+            assert!(widest > DEFAULT_TILE && widest % DEFAULT_TILE != 0);
+        }
     }
 
     #[test]

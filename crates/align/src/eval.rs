@@ -4,7 +4,7 @@
 
 use crate::metric::Metric;
 use crate::simmat::{SimilarityMatrix, DEFAULT_TILE};
-use openea_runtime::pool::{balanced_chunk_len, parallel_chunks};
+use crate::sweep;
 use std::collections::HashSet;
 
 /// Ranking metrics over a test set. `hits[m]` is Hits@m.
@@ -24,33 +24,29 @@ pub struct RankEval {
 /// the true counterpart of row `i`.
 pub fn rank_eval(sim: &SimilarityMatrix, gold: &[usize]) -> RankEval {
     assert_eq!(sim.rows(), gold.len(), "one gold target per source row");
-    if gold.is_empty() {
+    summarize(gold.iter().enumerate().map(|(i, &g)| sim.rank_of(i, g)))
+}
+
+/// Hits@{1,5,10}, MR and MRR of the gold targets' 1-based ranks.
+fn summarize(ranks: impl ExactSizeIterator<Item = usize>) -> RankEval {
+    if ranks.len() == 0 {
         return RankEval::default();
     }
-    let mut hits1 = 0usize;
-    let mut hits5 = 0usize;
-    let mut hits10 = 0usize;
+    let n = ranks.len() as f64;
+    let mut hits = [0usize; 3];
     let mut mr = 0.0f64;
     let mut mrr = 0.0f64;
-    for (i, &g) in gold.iter().enumerate() {
-        let rank = sim.rank_of(i, g);
-        if rank <= 1 {
-            hits1 += 1;
-        }
-        if rank <= 5 {
-            hits5 += 1;
-        }
-        if rank <= 10 {
-            hits10 += 1;
+    for rank in ranks {
+        for (h, at) in hits.iter_mut().zip([1, 5, 10]) {
+            *h += usize::from(rank <= at);
         }
         mr += rank as f64;
         mrr += 1.0 / rank as f64;
     }
-    let n = gold.len() as f64;
     RankEval {
-        hits1: hits1 as f64 / n,
-        hits5: hits5 as f64 / n,
-        hits10: hits10 as f64 / n,
+        hits1: hits[0] as f64 / n,
+        hits5: hits[1] as f64 / n,
+        hits10: hits[2] as f64 / n,
         mr: mr / n,
         mrr: mrr / n,
     }
@@ -62,8 +58,8 @@ pub fn rank_eval(sim: &SimilarityMatrix, gold: &[usize]) -> RankEval {
 /// Each row's gold score is computed once, then the row's similarities are
 /// streamed tile by tile and only the count of targets scoring at least the
 /// gold score is kept — O(tile) transient memory per worker. Scores come
-/// from the same block kernels as [`SimilarityMatrix::compute`], so the
-/// result equals `rank_eval(&SimilarityMatrix::compute(..), gold)` exactly.
+/// from the same sweep as [`SimilarityMatrix::compute`], so the result
+/// equals `rank_eval(&SimilarityMatrix::compute(..), gold)` exactly.
 pub fn rank_eval_streaming(
     src: &[f32],
     dst: &[f32],
@@ -73,84 +69,36 @@ pub fn rank_eval_streaming(
     threads: usize,
 ) -> RankEval {
     assert!(dim > 0, "dim must be positive");
-    assert_eq!(src.len() % dim, 0);
-    assert_eq!(dst.len() % dim, 0);
-    let rows = src.len() / dim;
     let cols = dst.len() / dim;
-    assert_eq!(rows, gold.len(), "one gold target per source row");
-    if gold.is_empty() {
-        return RankEval::default();
-    }
-    let src_norms = metric.row_norms(src, dim);
-    let dst_norms = metric.row_norms(dst, dim);
-    let mut ranks = vec![0usize; rows];
-    let threads = threads.clamp(1, rows);
-    let chunk_rows = balanced_chunk_len(rows, threads, 4);
-    parallel_chunks(&mut ranks, chunk_rows, threads, |chunk_idx, out| {
-        let row0 = chunk_idx * chunk_rows;
-        let mut scores = vec![0.0f32; DEFAULT_TILE.min(cols)];
-        for (local, out_rank) in out.iter_mut().enumerate() {
-            let i = row0 + local;
-            let g = gold[i];
+    assert_eq!(
+        src.len() / dim,
+        gold.len(),
+        "one gold target per source row"
+    );
+    let gold_scores: Vec<f32> = (gold.iter().zip(src.chunks_exact(dim)).enumerate())
+        .map(|(i, (&g, a))| {
             assert!(g < cols, "gold target {g} out of range for row {i}");
-            let a = &src[i * dim..(i + 1) * dim];
-            let a_norm = src_norms.get(i).copied().unwrap_or(0.0);
-            let s = metric.similarity(a, &dst[g * dim..(g + 1) * dim]);
+            metric.similarity(a, &dst[g * dim..(g + 1) * dim])
+        })
+        .collect();
+    let mut ahead = vec![0usize; gold.len()];
+    sweep::reduce(
+        src,
+        dst,
+        dim,
+        metric,
+        threads,
+        DEFAULT_TILE,
+        &mut ahead,
+        |i, j0, scores, ahead| {
             // Ties count pessimistically (>=), matching `rank_of`.
-            let mut ahead = 0usize;
-            let mut j0 = 0;
-            while j0 < cols {
-                let j1 = (j0 + DEFAULT_TILE).min(cols);
-                let block = &mut scores[..j1 - j0];
-                metric.similarity_block(
-                    a,
-                    a_norm,
-                    &dst[j0 * dim..j1 * dim],
-                    if dst_norms.is_empty() {
-                        &[]
-                    } else {
-                        &dst_norms[j0..j1]
-                    },
-                    dim,
-                    block,
-                );
-                for (off, &x) in block.iter().enumerate() {
-                    if x >= s && j0 + off != g {
-                        ahead += 1;
-                    }
-                }
-                j0 = j1;
-            }
-            *out_rank = 1 + ahead;
-        }
-    });
-
-    let mut hits1 = 0usize;
-    let mut hits5 = 0usize;
-    let mut hits10 = 0usize;
-    let mut mr = 0.0f64;
-    let mut mrr = 0.0f64;
-    for &rank in &ranks {
-        if rank <= 1 {
-            hits1 += 1;
-        }
-        if rank <= 5 {
-            hits5 += 1;
-        }
-        if rank <= 10 {
-            hits10 += 1;
-        }
-        mr += rank as f64;
-        mrr += 1.0 / rank as f64;
-    }
-    let n = gold.len() as f64;
-    RankEval {
-        hits1: hits1 as f64 / n,
-        hits5: hits5 as f64 / n,
-        hits10: hits10 as f64 / n,
-        mr: mr / n,
-        mrr: mrr / n,
-    }
+            let (g, s) = (gold[i], gold_scores[i]);
+            ahead[0] += (scores.iter().enumerate())
+                .filter(|&(off, &x)| x >= s && j0 + off != g)
+                .count();
+        },
+    );
+    summarize(ahead.iter().map(|&n| 1 + n))
 }
 
 /// Precision / recall / F1 of a predicted alignment set against gold pairs.

@@ -20,6 +20,7 @@ pub mod infer;
 pub mod metric;
 pub mod simmat;
 pub mod sinkhorn;
+mod sweep;
 pub mod topk;
 
 pub use analysis::{

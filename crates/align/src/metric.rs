@@ -1,6 +1,7 @@
 //! Distance metrics, expressed as similarities (higher = more alike) so that
 //! every inference strategy can maximize uniformly.
 
+use openea_math::kernel::{self, Fold};
 use openea_math::vecops;
 
 /// The distance metrics used across the 23 surveyed approaches (Table 1),
@@ -56,73 +57,57 @@ impl Metric {
         }
     }
 
-    /// Similarities of one source row `a` against a contiguous row-major
-    /// `tile` of target rows, written to `out` (one value per tile row).
+    /// Similarities of the `a.len() / dim` row-major source rows of `a`
+    /// against one *dimension-major* tile of targets
+    /// ([`vecops::transpose_tile`] layout): `out[r * stride + j]` for every
+    /// row `r` and tile column `j`, with `stride ≥` the tile width so a
+    /// caller can write straight into the rows of a wider matrix.
     ///
-    /// `a_norm`/`tile_norms` are the precomputed norms from
-    /// [`Metric::row_norms`] and are only read for norm-using metrics. Each
-    /// output is bit-identical to [`Metric::similarity`] on the same pair —
-    /// the per-pair accumulation order never changes.
-    #[inline]
-    pub fn similarity_block(
+    /// `a_norms` (one per source row) and `tile_norms` (one per column) are
+    /// the norms from [`Metric::row_norms`], read only when
+    /// [`Metric::needs_norms`]. Each output is bit-identical to
+    /// [`Metric::similarity`] on the same pair: the kernel folds every pair
+    /// sequentially in the embedding dimension on every backend, and the
+    /// per-metric finish here is the same expression as the scalar one.
+    #[allow(clippy::too_many_arguments)] // two operands with norms, one strided output
+    pub fn similarity_tile(
         self,
         a: &[f32],
-        a_norm: f32,
-        tile: &[f32],
-        tile_norms: &[f32],
+        a_norms: &[f32],
         dim: usize,
-        out: &mut [f32],
-    ) {
-        match self {
-            Metric::Cosine => vecops::cosine_block(a, a_norm, tile, tile_norms, dim, out),
-            Metric::Inner => vecops::inner_block(a, tile, dim, out),
-            Metric::Euclidean => vecops::neg_euclidean_block(a, tile, dim, out),
-            Metric::Manhattan => vecops::neg_manhattan_block(a, tile, dim, out),
-        }
-    }
-
-    /// [`Metric::similarity_block`] over a *dimension-major* tile produced
-    /// by [`vecops::transpose_tile`] — the hot-loop variant: the caller
-    /// transposes each tile once per chunk and every source row then runs a
-    /// contiguous SIMD sweep over independent columns. Output bits are
-    /// identical to the row-major path.
-    #[inline]
-    pub fn similarity_block_t(
-        self,
-        a: &[f32],
-        a_norm: f32,
         tile_t: &[f32],
         tile_norms: &[f32],
         out: &mut [f32],
+        stride: usize,
     ) {
-        match self {
-            Metric::Cosine => vecops::cosine_block_t(a, a_norm, tile_t, tile_norms, out),
-            Metric::Inner => vecops::inner_block_t(a, tile_t, out),
-            Metric::Euclidean => vecops::neg_euclidean_block_t(a, tile_t, out),
-            Metric::Manhattan => vecops::neg_manhattan_block_t(a, tile_t, out),
+        let (rows, cols) = (a.len() / dim, tile_t.len() / dim);
+        if rows == 0 || cols == 0 {
+            return;
         }
-    }
-
-    /// [`Metric::similarity_block_t`] for [`vecops::PANEL`] source rows at
-    /// once (`a` is row-major `PANEL × dim`): the register-panel microkernel
-    /// amortizes each tile lane load over the four rows. Every output row is
-    /// bit-identical to the single-row `_t` dispatch, so callers can mix
-    /// panel and single-row sweeps freely.
-    #[inline]
-    pub fn similarity_panel_t(
-        self,
-        a: &[f32],
-        dim: usize,
-        a_norms: [f32; vecops::PANEL],
-        tile_t: &[f32],
-        tile_norms: &[f32],
-        out: [&mut [f32]; vecops::PANEL],
-    ) {
-        match self {
-            Metric::Cosine => vecops::cosine_panel_t(a, dim, a_norms, tile_t, tile_norms, out),
-            Metric::Inner => vecops::inner_panel_t(a, dim, tile_t, out),
-            Metric::Euclidean => vecops::neg_euclidean_panel_t(a, dim, tile_t, out),
-            Metric::Manhattan => vecops::neg_manhattan_panel_t(a, dim, tile_t, out),
+        let fold = match self {
+            Metric::Cosine | Metric::Inner => Fold::Dot,
+            Metric::Euclidean => Fold::SqDist,
+            Metric::Manhattan => Fold::AbsDist,
+        };
+        kernel::score_tile(fold, a, rows, tile_t, cols, out, stride);
+        for (r, row) in out.chunks_mut(stride).take(rows).enumerate() {
+            let row = &mut row[..cols];
+            match self {
+                Metric::Inner => {}
+                Metric::Cosine => {
+                    let na = a_norms[r];
+                    for (v, &nb) in row.iter_mut().zip(tile_norms) {
+                        *v = if na == 0.0 || nb == 0.0 {
+                            0.0
+                        } else {
+                            (*v / (na * nb)).clamp(-1.0, 1.0)
+                        };
+                    }
+                }
+                // `sqrt` is correctly rounded, so a scalar pass keeps the bits.
+                Metric::Euclidean => row.iter_mut().for_each(|v| *v = -v.sqrt()),
+                Metric::Manhattan => row.iter_mut().for_each(|v| *v = -*v),
+            }
         }
     }
 
@@ -185,10 +170,13 @@ mod tests {
         assert_eq!(Metric::Cosine.similarity(&zero, &v), 0.0);
         assert_eq!(Metric::Cosine.similarity(&v, &zero), 0.0);
         assert_eq!(Metric::Cosine.similarity(&zero, &zero), 0.0);
-        // And the block kernel agrees.
-        let norms = Metric::Cosine.row_norms(&zero, 3);
+        // And the block method agrees, for a zero source row and a zero
+        // tile column alike (a one-row tile is its own transpose).
         let mut out = [f32::NAN];
-        Metric::Cosine.similarity_block(&v, vecops::norm2(&v), &zero, &norms, 3, &mut out);
+        Metric::Cosine.similarity_tile(&v, &[vecops::norm2(&v)], 3, &zero, &[0.0], &mut out, 1);
+        assert_eq!(out[0], 0.0);
+        out[0] = f32::NAN;
+        Metric::Cosine.similarity_tile(&zero, &[0.0], 3, &v, &[vecops::norm2(&v)], &mut out, 1);
         assert_eq!(out[0], 0.0);
     }
 
@@ -204,27 +192,42 @@ mod tests {
 
     #[test]
     fn block_dispatch_matches_similarity() {
-        let a = [0.3f32, -0.7, 1.1, 0.0];
-        let tile: Vec<f32> = (0..3 * 4).map(|x| ((x * 7 % 5) as f32) - 2.0).collect();
+        // 0..=9 source rows (empty, below a panel, exact panels, panels plus
+        // a remainder; row 2 all-zero) against 11 targets (target 3
+        // all-zero), written at a stride wider than the tile.
+        let (dim, cols, stride) = (4, 11, 13);
+        let mut src: Vec<f32> = (0..9 * dim).map(|x| ((x * 7 % 5) as f32) - 2.0).collect();
+        src[2 * dim..3 * dim].fill(0.0);
+        let mut tile: Vec<f32> = (0..cols * dim).map(|x| (x as f32 * 0.37).sin()).collect();
+        tile[3 * dim..4 * dim].fill(0.0);
+        let mut tile_t = Vec::new();
+        vecops::transpose_tile(&tile, dim, &mut tile_t);
         for m in Metric::ALL {
-            let tile_norms = m.row_norms(&tile, 4);
-            let a_norm = if m.needs_norms() {
-                vecops::norm2(&a)
-            } else {
-                0.0
-            };
-            let mut out = [0.0f32; 3];
-            m.similarity_block(&a, a_norm, &tile, &tile_norms, 4, &mut out);
-            for (j, b) in tile.chunks_exact(4).enumerate() {
-                assert_eq!(out[j], m.similarity(&a, b), "{} col {j}", m.label());
-            }
-            // The transposed dispatch produces the same bits.
-            let mut tile_t = Vec::new();
-            vecops::transpose_tile(&tile, 4, &mut tile_t);
-            let mut out_t = [0.0f32; 3];
-            m.similarity_block_t(&a, a_norm, &tile_t, &tile_norms, &mut out_t);
-            for j in 0..3 {
-                assert_eq!(out_t[j].to_bits(), out[j].to_bits(), "{}", m.label());
+            let tile_norms = m.row_norms(&tile, dim);
+            for rows in 0..=9 {
+                let a = &src[..rows * dim];
+                let mut out = vec![f32::NAN; rows * stride];
+                m.similarity_tile(
+                    a,
+                    &m.row_norms(a, dim),
+                    dim,
+                    &tile_t,
+                    &tile_norms,
+                    &mut out,
+                    stride,
+                );
+                for (r, got) in out.chunks_exact(stride).enumerate() {
+                    for (j, b) in tile.chunks_exact(dim).enumerate() {
+                        let want = m.similarity(&a[r * dim..(r + 1) * dim], b);
+                        assert_eq!(
+                            got[j].to_bits(),
+                            want.to_bits(),
+                            "{} rows {rows} ({r},{j})",
+                            m.label()
+                        );
+                    }
+                    assert!(got[cols..].iter().all(|g| g.is_nan()), "gap overwritten");
+                }
             }
         }
     }

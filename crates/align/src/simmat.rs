@@ -18,8 +18,8 @@
 //! ```
 
 use crate::metric::Metric;
+use crate::sweep;
 use crate::topk::{push_topk, score_desc, TopKMatrix};
-use openea_math::vecops;
 use openea_runtime::pool::{balanced_chunk_len, parallel_chunks};
 
 /// Default column-tile width for the block kernels. 64 targets × 64 dims of
@@ -59,86 +59,22 @@ impl SimilarityMatrix {
         tile: usize,
     ) -> Self {
         assert!(dim > 0, "dim must be positive");
-        assert!(tile > 0, "tile must be positive");
-        assert_eq!(src.len() % dim, 0);
-        assert_eq!(dst.len() % dim, 0);
-        let rows = src.len() / dim;
-        let cols = dst.len() / dim;
+        let (rows, cols) = (src.len() / dim, dst.len() / dim);
         let mut data = vec![0.0f32; rows * cols];
-        if rows == 0 || cols == 0 {
-            return Self { rows, cols, data };
-        }
-        let threads = threads.clamp(1, rows);
-        let src_norms = metric.row_norms(src, dim);
-        let dst_norms = metric.row_norms(dst, dim);
-
-        // Chunk at row granularity — several chunks per worker so the pool's
-        // stealing absorbs per-row cost skew. Chunk boundaries (and therefore
-        // results) depend only on `rows`, never on the thread count. Within a
-        // chunk the column tile is the outer loop: one tile of targets stays
-        // hot in cache while every row of the chunk streams against it.
-        let chunk_rows = balanced_chunk_len(rows, threads, 4);
-        parallel_chunks(
-            &mut data,
-            chunk_rows * cols,
+        // Stored, not reduced: every (chunk, tile) block of scores lands in
+        // the chunk's rows at stride `cols`, with no scratch in between.
+        sweep::tiles(
+            src,
+            dst,
+            dim,
+            metric,
             threads,
-            |chunk_idx, out_chunk| {
-                let row0 = chunk_idx * chunk_rows;
-                let chunk_len = out_chunk.len() / cols;
-                let mut tile_t = Vec::new();
-                let mut j0 = 0;
-                while j0 < cols {
-                    let j1 = (j0 + tile).min(cols);
-                    // Transposed once per tile, amortized over the chunk's
-                    // rows: the block kernel then sweeps contiguous lanes.
-                    vecops::transpose_tile(&dst[j0 * dim..j1 * dim], dim, &mut tile_t);
-                    let tn: &[f32] = if dst_norms.is_empty() {
-                        &[]
-                    } else {
-                        &dst_norms[j0..j1]
-                    };
-                    // Register panels: PANEL source rows share each tile
-                    // lane load; the remainder rows take the single-row
-                    // kernel (bit-identical, so the split is unobservable).
-                    const P: usize = vecops::PANEL;
-                    let mut local = 0;
-                    while local + P <= chunk_len {
-                        let i = row0 + local;
-                        let a = &src[i * dim..(i + P) * dim];
-                        let a_norms: [f32; P] =
-                            std::array::from_fn(|r| src_norms.get(i + r).copied().unwrap_or(0.0));
-                        let quad = &mut out_chunk[local * cols..(local + P) * cols];
-                        let (r0, rest) = quad.split_at_mut(cols);
-                        let (r1, rest) = rest.split_at_mut(cols);
-                        let (r2, r3) = rest.split_at_mut(cols);
-                        metric.similarity_panel_t(
-                            a,
-                            dim,
-                            a_norms,
-                            &tile_t,
-                            tn,
-                            [
-                                &mut r0[j0..j1],
-                                &mut r1[j0..j1],
-                                &mut r2[j0..j1],
-                                &mut r3[j0..j1],
-                            ],
-                        );
-                        local += P;
-                    }
-                    while local < chunk_len {
-                        let i = row0 + local;
-                        let a = &src[i * dim..(i + 1) * dim];
-                        let a_norm = src_norms.get(i).copied().unwrap_or(0.0);
-                        let out = &mut out_chunk[local * cols + j0..local * cols + j1];
-                        metric.similarity_block_t(a, a_norm, &tile_t, tn, out);
-                        local += 1;
-                    }
-                    j0 = j1;
-                }
+            tile,
+            &mut data,
+            |chunk, tile_cols, out_chunk, score, _| {
+                score(0..chunk.len(), &mut out_chunk[tile_cols.start..], cols);
             },
         );
-
         Self { rows, cols, data }
     }
 
@@ -223,15 +159,12 @@ impl SimilarityMatrix {
     /// The `k` most similar targets for source `i`, most similar first; ties
     /// break toward the lowest target index (a stable argsort prefix).
     pub fn topk_row(&self, i: usize, k: usize) -> Vec<(usize, f32)> {
-        let row = self.row(i);
-        let k = k.min(self.cols);
-        let mut acc: Vec<(u32, f32)> = Vec::with_capacity(k);
-        if k > 0 {
-            for (j, &s) in row.iter().enumerate() {
-                push_topk(&mut acc, k, j as u32, s);
-            }
+        let mut kept = vec![(0u32, 0.0f32); k.min(self.cols)];
+        let mut filled = 0;
+        for (j, &s) in self.row(i).iter().enumerate() {
+            push_topk(&mut kept, &mut filled, j as u32, s);
         }
-        acc.into_iter().map(|(j, s)| (j as usize, s)).collect()
+        kept.into_iter().map(|(j, s)| (j as usize, s)).collect()
     }
 
     /// The rank (1-based) of target `j` among all targets for source `i`,

@@ -23,8 +23,7 @@
 
 use crate::metric::Metric;
 use crate::simmat::{SimilarityMatrix, DEFAULT_TILE};
-use openea_math::vecops;
-use openea_runtime::pool::{balanced_chunk_len, parallel_chunks};
+use crate::sweep;
 use std::cmp::Ordering;
 
 /// Descending score order with NaN sorted last — the one comparator every
@@ -39,23 +38,28 @@ pub(crate) fn score_desc(a: f32, b: f32) -> Ordering {
     }
 }
 
-/// Pushes `(idx, score)` into `acc`, keeping at most `k` entries sorted by
-/// descending score with ties toward the lower index. Callers feed indices
-/// in ascending order, so inserting *after* equal scores preserves the
-/// lowest-index-wins rule.
+/// Pushes `(idx, score)` into `kept[..*filled]`, keeping at most
+/// `kept.len()` entries sorted by descending score with ties toward the
+/// lower index. Callers feed indices in ascending order, so inserting
+/// *after* equal scores preserves the lowest-index-wins rule. The entries
+/// live in the caller's row, so a push never allocates.
 #[inline]
-pub(crate) fn push_topk(acc: &mut Vec<(u32, f32)>, k: usize, idx: u32, score: f32) {
-    debug_assert!(acc.last().is_none_or(|&(i, _)| i < idx), "indices ascend");
-    if acc.len() == k {
-        match acc.last() {
-            Some(&(_, worst)) if score_desc(worst, score) == Ordering::Greater => {
-                acc.pop();
-            }
+pub(crate) fn push_topk(kept: &mut [(u32, f32)], filled: &mut usize, idx: u32, score: f32) {
+    let mut n = *filled;
+    debug_assert!(
+        kept[..n].last().is_none_or(|&(i, _)| i < idx),
+        "indices ascend"
+    );
+    if n == kept.len() {
+        match kept.last() {
+            Some(&(_, worst)) if score_desc(worst, score) == Ordering::Greater => n -= 1,
             _ => return,
         }
     }
-    let pos = acc.partition_point(|&(_, s)| score_desc(s, score) != Ordering::Greater);
-    acc.insert(pos, (idx, score));
+    let pos = kept[..n].partition_point(|&(_, s)| score_desc(s, score) != Ordering::Greater);
+    kept.copy_within(pos..n, pos + 1);
+    kept[pos] = (idx, score);
+    *filled = n + 1;
 }
 
 /// [`push_topk`] for callers that feed indices in *arbitrary* order (the
@@ -118,91 +122,28 @@ impl TopKMatrix {
         tile: usize,
     ) -> Self {
         assert!(dim > 0, "dim must be positive");
-        assert!(tile > 0, "tile must be positive");
-        assert_eq!(src.len() % dim, 0);
-        assert_eq!(dst.len() % dim, 0);
-        let rows = src.len() / dim;
-        let cols = dst.len() / dim;
+        let (rows, cols) = (src.len() / dim, dst.len() / dim);
         let k = k.min(cols);
-        if rows == 0 || k == 0 {
-            return Self {
-                rows,
-                cols,
-                k,
-                entries: Vec::new(),
-            };
-        }
-        let src_norms = metric.row_norms(src, dim);
-        let dst_norms = metric.row_norms(dst, dim);
+        // Each row accumulates in its own `k` output entries. Tiles advance
+        // left to right, so a row has seen exactly `j0` columns — and kept
+        // `min(j0, k)` of them — when the tile at `j0` arrives, and indices
+        // keep ascending, which is what `push_topk`'s tie rule relies on.
         let mut entries = vec![(0u32, 0.0f32); rows * k];
-        let threads = threads.clamp(1, rows);
-        let chunk_rows = balanced_chunk_len(rows, threads, 4);
-        parallel_chunks(&mut entries, chunk_rows * k, threads, |chunk_idx, out| {
-            let row0 = chunk_idx * chunk_rows;
-            let chunk_len = out.len() / k;
-            const P: usize = vecops::PANEL;
-            let mut scores = vec![0.0f32; P * tile.min(cols)];
-            let mut tile_t = Vec::new();
-            // Tile-outer / row-inner so the transpose is amortized over the
-            // chunk's rows. Each row's accumulator still sees target indices
-            // in ascending order (tiles advance left to right), which is what
-            // `push_topk`'s tie rule relies on.
-            let mut accs: Vec<Vec<(u32, f32)>> = vec![Vec::with_capacity(k); chunk_len];
-            let mut j0 = 0;
-            while j0 < cols {
-                let j1 = (j0 + tile).min(cols);
-                vecops::transpose_tile(&dst[j0 * dim..j1 * dim], dim, &mut tile_t);
-                let tn: &[f32] = if dst_norms.is_empty() {
-                    &[]
-                } else {
-                    &dst_norms[j0..j1]
-                };
-                let bw = j1 - j0;
-                // Register panels over quads of chunk rows (scores are
-                // bit-identical to the single-row kernel, so the split is
-                // unobservable in the kept entries), remainder rows single.
-                let mut local = 0;
-                while local + P <= chunk_len {
-                    let i = row0 + local;
-                    let a = &src[i * dim..(i + P) * dim];
-                    let a_norms: [f32; P] =
-                        std::array::from_fn(|r| src_norms.get(i + r).copied().unwrap_or(0.0));
-                    let (s0, rest) = scores[..P * bw].split_at_mut(bw);
-                    let (s1, rest) = rest.split_at_mut(bw);
-                    let (s2, s3) = rest.split_at_mut(bw);
-                    metric.similarity_panel_t(
-                        a,
-                        dim,
-                        a_norms,
-                        &tile_t,
-                        tn,
-                        [&mut *s0, &mut *s1, &mut *s2, &mut *s3],
-                    );
-                    for (r, block) in [s0, s1, s2, s3].into_iter().enumerate() {
-                        let acc = &mut accs[local + r];
-                        for (off, &s) in block.iter().enumerate() {
-                            push_topk(acc, k, (j0 + off) as u32, s);
-                        }
-                    }
-                    local += P;
+        sweep::reduce(
+            src,
+            dst,
+            dim,
+            metric,
+            threads,
+            tile,
+            &mut entries,
+            |_, j0, scores, kept| {
+                let mut filled = j0.min(k);
+                for (off, &s) in scores.iter().enumerate() {
+                    push_topk(kept, &mut filled, (j0 + off) as u32, s);
                 }
-                while local < chunk_len {
-                    let i = row0 + local;
-                    let a = &src[i * dim..(i + 1) * dim];
-                    let a_norm = src_norms.get(i).copied().unwrap_or(0.0);
-                    let block = &mut scores[..bw];
-                    metric.similarity_block_t(a, a_norm, &tile_t, tn, block);
-                    for (off, &s) in block.iter().enumerate() {
-                        push_topk(&mut accs[local], k, (j0 + off) as u32, s);
-                    }
-                    local += 1;
-                }
-                j0 = j1;
-            }
-            for (out_row, acc) in out.chunks_mut(k).zip(&accs) {
-                out_row.copy_from_slice(acc);
-            }
-        });
+            },
+        );
         Self {
             rows,
             cols,
@@ -216,14 +157,14 @@ impl TopKMatrix {
     pub fn from_matrix(sim: &SimilarityMatrix, k: usize) -> Self {
         let (rows, cols) = (sim.rows(), sim.cols());
         let k = k.min(cols);
-        let mut entries = Vec::with_capacity(rows * k);
-        let mut acc: Vec<(u32, f32)> = Vec::with_capacity(k);
-        for i in 0..rows {
-            acc.clear();
-            for (j, &s) in sim.row(i).iter().enumerate() {
-                push_topk(&mut acc, k, j as u32, s);
+        let mut entries = vec![(0u32, 0.0f32); rows * k];
+        if k > 0 {
+            for (i, kept) in entries.chunks_mut(k).enumerate() {
+                let mut filled = 0;
+                for (j, &s) in sim.row(i).iter().enumerate() {
+                    push_topk(kept, &mut filled, j as u32, s);
+                }
             }
-            entries.extend_from_slice(&acc);
         }
         Self {
             rows,
@@ -238,17 +179,15 @@ impl TopKMatrix {
     pub fn from_matrix_cols(sim: &SimilarityMatrix, k: usize) -> Self {
         let (rows, cols) = (sim.rows(), sim.cols());
         let k = k.min(rows);
-        let mut accs: Vec<Vec<(u32, f32)>> = vec![Vec::with_capacity(k); cols];
+        let mut entries = vec![(0u32, 0.0f32); cols * k];
         if k > 0 {
             for i in 0..rows {
-                for (j, &s) in sim.row(i).iter().enumerate() {
-                    push_topk(&mut accs[j], k, i as u32, s);
+                // Every column has been offered rows `0..i` so far.
+                for (kept, &s) in entries.chunks_mut(k).zip(sim.row(i)) {
+                    let mut filled = i.min(k);
+                    push_topk(kept, &mut filled, i as u32, s);
                 }
             }
-        }
-        let mut entries = Vec::with_capacity(cols * k);
-        for acc in &accs {
-            entries.extend_from_slice(acc);
         }
         Self {
             rows: cols,

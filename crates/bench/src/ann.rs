@@ -19,7 +19,7 @@
 
 use crate::HarnessConfig;
 use openea::align::{AnnConfig, IvfIndex, Metric, TopKMatrix, DEFAULT_TILE};
-use openea::math::{kernel, vecops};
+use openea::math::kernel;
 use openea::synth::{generate_embedded_pair, EmbeddedPair, ScaleConfig};
 use openea_runtime::json::{object, Json, ToJson};
 use openea_runtime::timer::Monotonic;
@@ -252,7 +252,7 @@ pub fn ann(cfg: &HarnessConfig, smoke: bool) {
         ("experiment", "ann".to_json()),
         ("kernel_backend", kernel::active_backend().label().to_json()),
         ("tile", DEFAULT_TILE.to_json()),
-        ("panel_rows", vecops::PANEL.to_json()),
+        ("panel_rows", kernel::PANEL_ROWS.to_json()),
         ("entities", scale.entities.to_json()),
         ("dim", dim.to_json()),
         ("communities", scale.resolved_communities().to_json()),

@@ -14,7 +14,6 @@ pub mod ann;
 pub mod approaches_gate;
 pub mod datasets;
 pub mod figures;
-pub mod kernels;
 pub mod live;
 pub mod runner;
 pub mod serve;

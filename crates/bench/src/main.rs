@@ -7,7 +7,6 @@
 //! experiments:
 //!   table2 table3 table4 table5 table6 table7 table8 table9
 //!   fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 ablation
-//!   kernels    (similarity-kernel micro-bench; --smoke = CI gate)
 //!   approaches (driver-engine deadline gate; --smoke = CI gate)
 //!   serve      (snapshot + query-server load bench; --smoke = CI gate)
 //!   ann        (two-stage index recall/speedup curve; --smoke = CI gate)
@@ -17,7 +16,7 @@
 //! ```
 
 use openea_bench::{
-    ann, approaches_gate, figures, kernels, live, serve, swap, tables, HarnessConfig, Scale,
+    ann, approaches_gate, figures, live, serve, swap, tables, HarnessConfig, Scale,
 };
 
 fn main() {
@@ -101,7 +100,6 @@ fn main() {
         "alinet" => figures::alinet(&cfg),
         "seeds" => figures::seeds(&cfg),
         "orthogonal" => figures::orthogonal(&cfg),
-        "kernels" => kernels::kernels(&cfg, smoke),
         "approaches" => approaches_gate::approaches(&cfg, smoke),
         "serve" => serve::serve_bench(&cfg, smoke),
         "ann" => ann::ann(&cfg, smoke),
@@ -142,7 +140,7 @@ fn print_usage() {
          usage: openea-bench <experiment> [--scale small|medium|large] [--seed N]\n\
                 [--out DIR | --no-out] [--include-large] [--smoke] [--deadline SECS]\n\n\
          experiments: table2 table3 table4 table5 table6 table7 table8 table9\n\
-                      fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12\n                      ablation unsupervised blocking alinet seeds orthogonal kernels\n                      approaches serve swap live all"
+                      fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12\n                      ablation unsupervised blocking alinet seeds orthogonal approaches\n                      serve swap live all"
     );
 }
 

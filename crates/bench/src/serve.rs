@@ -30,7 +30,7 @@
 
 use crate::HarnessConfig;
 use openea::align::DEFAULT_TILE;
-use openea::math::{kernel, vecops};
+use openea::math::kernel;
 use openea::prelude::*;
 use openea_runtime::json::{object, Json, ToJson};
 use openea_runtime::os::{Interest, PollEvent, Poller};
@@ -780,7 +780,7 @@ pub fn serve_bench(cfg: &HarnessConfig, smoke: bool) {
         ("experiment", "serve".to_json()),
         ("kernel_backend", kernel::active_backend().label().to_json()),
         ("tile", DEFAULT_TILE.to_json()),
-        ("panel_rows", vecops::PANEL.to_json()),
+        ("panel_rows", kernel::PANEL_ROWS.to_json()),
         ("seed", (cfg.seed as i64).to_json()),
         (
             "threads_available",

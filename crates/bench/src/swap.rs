@@ -27,7 +27,7 @@
 use crate::serve::build_snapshot;
 use crate::HarnessConfig;
 use openea::align::DEFAULT_TILE;
-use openea::math::{kernel, vecops};
+use openea::math::kernel;
 use openea_runtime::json::{object, parse, Json, ToJson};
 use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
 use openea_runtime::testkit::replay::{replay, ReplayOptions, ReplayOutcome, ReplayReport};
@@ -496,7 +496,7 @@ pub fn swap_bench(cfg: &HarnessConfig, smoke: bool) {
         ("experiment", "swap".to_json()),
         ("kernel_backend", kernel::active_backend().label().to_json()),
         ("tile", DEFAULT_TILE.to_json()),
-        ("panel_rows", vecops::PANEL.to_json()),
+        ("panel_rows", kernel::PANEL_ROWS.to_json()),
         ("seed", (cfg.seed as i64).to_json()),
         (
             "snapshot",

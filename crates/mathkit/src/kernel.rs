@@ -1,28 +1,29 @@
 //! Register-blocked SIMD microkernels with runtime ISA dispatch.
 //!
-//! This module owns the innermost loops under the dimension-major
-//! ("transposed-tile") block kernels in [`crate::vecops`]: one or four
-//! source rows swept against a tile stored `tile_t[d * cols + j]`, with the
-//! embedding dimension `d` as the outer loop. Each output column keeps its
-//! own accumulator that folds **sequentially in `d`** — the same op
-//! sequence at every vector width — so the scalar, SSE2 and AVX2 backends
-//! are *bit-identical* to each other and to the naive per-pair kernels
-//! (`dot`, `euclidean`, `manhattan`). Vectorizing across columns instead of
-//! across `d` is what makes that possible: no horizontal reduction, no
-//! reassociation, no FMA (fused rounding would differ from `mul` + `add`).
+//! This module owns the innermost loop of every similarity sweep:
+//! [`score_tile`] scores any number of source rows against one tile stored
+//! dimension-major (`tile_t[d * cols + j]`), with the embedding dimension
+//! `d` as the outer loop. Each output column keeps its own accumulator that
+//! folds **sequentially in `d`** — the same op sequence at every vector
+//! width — so the scalar, SSE2 and AVX2 backends are *bit-identical* to each
+//! other and to the naive per-pair kernels (`dot`, `euclidean`,
+//! `manhattan`). Vectorizing across columns instead of across `d` is what
+//! makes that possible: no horizontal reduction, no reassociation, no FMA
+//! (fused rounding would differ from `mul` + `add`).
 //!
-//! Float-order contract per accumulation op:
+//! Float-order contract per [`Fold`]:
 //! - inner product: seeds from `-0.0` (the IEEE additive identity
 //!   `f32::sum` folds from), `acc + x*b` per step;
 //! - squared Euclidean: seeds from `+0.0`, `acc + (x-b)*(x-b)` per step;
 //! - Manhattan: seeds from `+0.0`, `acc + |x-b|` per step, where `|v|` is a
 //!   sign-bit clear (`f32::abs`) on every backend.
 //!
-//! Register geometry: single-row kernels block four vectors of columns per
-//! `d`-pass (32 f32 lanes at AVX2); the [`PANEL_ROWS`]-row panel kernels
-//! block 4 rows × 2 vectors = 8 wide-register accumulators, so each tile
+//! Register geometry: the single-row kernel blocks four vectors of columns
+//! per `d`-pass (32 f32 lanes at AVX2); the [`PANEL_ROWS`]-row panel kernel
+//! blocks 4 rows × 2 vectors = 8 wide-register accumulators, so each tile
 //! lane load is amortized over four source rows. Remainders fall through to
 //! narrower vector loops and finally a scalar tail with the identical fold.
+//! [`score_tile`] alone decides which rows go through which.
 //!
 //! Dispatch: the backend is detected once (AVX2 via
 //! `is_x86_feature_detected!`, else SSE2 which is baseline on `x86_64`,
@@ -41,7 +42,7 @@ use std::arch::x86_64::{
 };
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Source rows per register panel (see [`panel_dot`] and friends).
+/// Source rows per register panel of [`score_tile`].
 pub const PANEL_ROWS: usize = 4;
 
 /// Environment variable that pins the kernel backend for a whole process
@@ -432,137 +433,145 @@ unsafe fn panel_kernel<V: Lanes, A: Accum>(
     }
 }
 
-// ------------------------------------------------------ dispatch wrappers
+// ------------------------------------------------------------ the one entry
 
-macro_rules! dispatch_kernels {
-    (
-        $acc:ty,
-        $row:ident, $row_sse2:ident, $row_avx2:ident, $row_doc:literal,
-        $panel:ident, $panel_sse2:ident, $panel_avx2:ident, $panel_doc:literal
-    ) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "sse2")]
-        unsafe fn $row_sse2(a: &[f32], tile_t: *const f32, cols: usize, out: *mut f32) {
-            row_kernel::<__m128, $acc>(a, tile_t, cols, 0, out)
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        unsafe fn $row_avx2(a: &[f32], tile_t: *const f32, cols: usize, out: *mut f32) {
-            row_kernel::<__m256, $acc>(a, tile_t, cols, 0, out)
-        }
-
-        #[doc = $row_doc]
-        pub fn $row(a: &[f32], tile_t: &[f32], out: &mut [f32]) {
-            let cols = out.len();
-            assert_eq!(tile_t.len(), a.len() * cols, "tile_t shape");
-            let (t, o) = (tile_t.as_ptr(), out.as_mut_ptr());
-            match active_backend() {
-                // Safety: bounds asserted above; wide wrappers only run
-                // after their ISA was detected (or clamped) at dispatch.
-                Backend::Scalar => unsafe { row_kernel::<f32, $acc>(a, t, cols, 0, o) },
-                #[cfg(target_arch = "x86_64")]
-                Backend::Sse2 => unsafe { $row_sse2(a, t, cols, o) },
-                #[cfg(target_arch = "x86_64")]
-                Backend::Avx2 => unsafe { $row_avx2(a, t, cols, o) },
-                #[cfg(not(target_arch = "x86_64"))]
-                _ => unsafe { row_kernel::<f32, $acc>(a, t, cols, 0, o) },
-            }
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "sse2")]
-        unsafe fn $panel_sse2(
-            a: *const f32,
-            dim: usize,
-            tile_t: *const f32,
-            cols: usize,
-            out: [*mut f32; PANEL_ROWS],
-        ) {
-            panel_kernel::<__m128, $acc>(a, dim, tile_t, cols, out)
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        unsafe fn $panel_avx2(
-            a: *const f32,
-            dim: usize,
-            tile_t: *const f32,
-            cols: usize,
-            out: [*mut f32; PANEL_ROWS],
-        ) {
-            panel_kernel::<__m256, $acc>(a, dim, tile_t, cols, out)
-        }
-
-        #[doc = $panel_doc]
-        pub fn $panel(a: &[f32], dim: usize, tile_t: &[f32], out: [&mut [f32]; PANEL_ROWS]) {
-            assert_eq!(a.len(), PANEL_ROWS * dim, "panel source shape");
-            let cols = out[0].len();
-            assert!(out.iter().all(|o| o.len() == cols), "ragged panel out");
-            assert_eq!(tile_t.len(), dim * cols, "tile_t shape");
-            let [o0, o1, o2, o3] = out;
-            let o = [
-                o0.as_mut_ptr(),
-                o1.as_mut_ptr(),
-                o2.as_mut_ptr(),
-                o3.as_mut_ptr(),
-            ];
-            let (ap, t) = (a.as_ptr(), tile_t.as_ptr());
-            match active_backend() {
-                // Safety: as in the row dispatcher above.
-                Backend::Scalar => unsafe { panel_kernel::<f32, $acc>(ap, dim, t, cols, o) },
-                #[cfg(target_arch = "x86_64")]
-                Backend::Sse2 => unsafe { $panel_sse2(ap, dim, t, cols, o) },
-                #[cfg(target_arch = "x86_64")]
-                Backend::Avx2 => unsafe { $panel_avx2(ap, dim, t, cols, o) },
-                #[cfg(not(target_arch = "x86_64"))]
-                _ => unsafe { panel_kernel::<f32, $acc>(ap, dim, t, cols, o) },
-            }
-        }
-    };
+/// The per-dimension fold of a column accumulator — which line of the
+/// float-order contract above a sweep runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fold {
+    /// `acc + x*b` from `-0.0`: bit-identical to `vecops::dot` per pair.
+    Dot,
+    /// `acc + (x-b)²` from `+0.0`: bit-identical to `vecops::euclidean_sq`.
+    SqDist,
+    /// `acc + |x-b|` from `+0.0`: bit-identical to `vecops::manhattan`.
+    AbsDist,
 }
 
-dispatch_kernels!(
-    DotA,
-    row_dot,
-    row_dot_sse2,
-    row_dot_avx2,
-    "`out[j] = Σ_d a[d] * tile_t[d*cols + j]`, folded sequentially in `d` \
-     from `-0.0` — bit-identical to `vecops::dot` per column.",
-    panel_dot,
-    panel_dot_sse2,
-    panel_dot_avx2,
-    "Four-row inner-product panel over one dimension-major tile; \
-     `out[r][j]` is bit-identical to [`row_dot`] of row `r`."
-);
+/// All `rows` source rows against the tile on lanes `V`: whole panels of
+/// [`PANEL_ROWS`] through [`panel_kernel`], the rest one row at a time
+/// through [`row_kernel`] — the same fold either way, so the split never
+/// shows in the output.
+///
+/// Safety: `rows > 0` must divide `a.len()`, `tile_t` must hold
+/// `a.len() / rows * cols` f32s, `out` must be writable for
+/// `(rows - 1) * stride + cols`, and `V`'s ISA must be live in the calling
+/// frame.
+#[inline(always)]
+unsafe fn rows_kernel<V: Lanes, A: Accum>(
+    a: &[f32],
+    rows: usize,
+    tile_t: *const f32,
+    cols: usize,
+    out: *mut f32,
+    stride: usize,
+) {
+    let dim = a.len() / rows;
+    let mut r = 0;
+    while r + PANEL_ROWS <= rows {
+        let o = out.add(r * stride);
+        let panel = [o, o.add(stride), o.add(2 * stride), o.add(3 * stride)];
+        panel_kernel::<V, A>(a.as_ptr().add(r * dim), dim, tile_t, cols, panel);
+        r += PANEL_ROWS;
+    }
+    while r < rows {
+        row_kernel::<V, A>(
+            &a[r * dim..(r + 1) * dim],
+            tile_t,
+            cols,
+            0,
+            out.add(r * stride),
+        );
+        r += 1;
+    }
+}
 
-dispatch_kernels!(
-    SqA,
-    row_sqdist,
-    row_sqdist_sse2,
-    row_sqdist_avx2,
-    "`out[j] = Σ_d (a[d] - tile_t[d*cols + j])²`, folded sequentially in \
-     `d` from `+0.0` — bit-identical to `vecops::euclidean_sq` per column.",
-    panel_sqdist,
-    panel_sqdist_sse2,
-    panel_sqdist_avx2,
-    "Four-row squared-Euclidean panel over one dimension-major tile; \
-     `out[r][j]` is bit-identical to [`row_sqdist`] of row `r`."
-);
+/// [`rows_kernel`] under `fold`. Safety: as there.
+#[inline(always)]
+unsafe fn tile_kernel<V: Lanes>(
+    fold: Fold,
+    a: &[f32],
+    rows: usize,
+    tile_t: *const f32,
+    cols: usize,
+    out: *mut f32,
+    stride: usize,
+) {
+    match fold {
+        Fold::Dot => rows_kernel::<V, DotA>(a, rows, tile_t, cols, out, stride),
+        Fold::SqDist => rows_kernel::<V, SqA>(a, rows, tile_t, cols, out, stride),
+        Fold::AbsDist => rows_kernel::<V, AbsA>(a, rows, tile_t, cols, out, stride),
+    }
+}
 
-dispatch_kernels!(
-    AbsA,
-    row_absdist,
-    row_absdist_sse2,
-    row_absdist_avx2,
-    "`out[j] = Σ_d |a[d] - tile_t[d*cols + j]|`, folded sequentially in \
-     `d` from `+0.0` — bit-identical to `vecops::manhattan` per column.",
-    panel_absdist,
-    panel_absdist_sse2,
-    panel_absdist_avx2,
-    "Four-row Manhattan panel over one dimension-major tile; `out[r][j]` \
-     is bit-identical to [`row_absdist`] of row `r`."
-);
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn tile_sse2(
+    fold: Fold,
+    a: &[f32],
+    rows: usize,
+    tile_t: *const f32,
+    cols: usize,
+    out: *mut f32,
+    stride: usize,
+) {
+    tile_kernel::<__m128>(fold, a, rows, tile_t, cols, out, stride)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tile_avx2(
+    fold: Fold,
+    a: &[f32],
+    rows: usize,
+    tile_t: *const f32,
+    cols: usize,
+    out: *mut f32,
+    stride: usize,
+) {
+    tile_kernel::<__m256>(fold, a, rows, tile_t, cols, out, stride)
+}
+
+/// Scores `rows` row-major source rows (`a`, `rows × dim`) against one
+/// dimension-major tile (`tile_t[d * cols + j]`, `dim × cols`):
+/// `out[r * stride + j]` is the `fold` of row `r` with column `j`, folded
+/// sequentially in `d`. `stride ≥ cols` is the distance between output
+/// rows, so a caller can write a tile's columns straight into a wider
+/// matrix; whatever lies between one row's `cols` and the next row's start
+/// is not touched. `dim` is `a.len() / rows` and may be 0 (every output is
+/// the fold's seed); `rows == 0` or `cols == 0` writes nothing.
+///
+/// This is the only function that dispatches on [`active_backend`] and the
+/// only one that knows [`PANEL_ROWS`]: callers pass as many rows as they
+/// have.
+pub fn score_tile(
+    fold: Fold,
+    a: &[f32],
+    rows: usize,
+    tile_t: &[f32],
+    cols: usize,
+    out: &mut [f32],
+    stride: usize,
+) {
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    assert_eq!(a.len() % rows, 0, "source shape");
+    assert_eq!(tile_t.len(), a.len() / rows * cols, "tile_t shape");
+    assert!(stride >= cols, "row stride below the tile width");
+    assert!(out.len() >= (rows - 1) * stride + cols, "out too short");
+    let (t, o) = (tile_t.as_ptr(), out.as_mut_ptr());
+    match active_backend() {
+        // SAFETY: shapes asserted above; the wide wrappers only run after
+        // their ISA was detected (or clamped) when the backend was chosen.
+        Backend::Scalar => unsafe { tile_kernel::<f32>(fold, a, rows, t, cols, o, stride) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 => unsafe { tile_sse2(fold, a, rows, t, cols, o, stride) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe { tile_avx2(fold, a, rows, t, cols, o, stride) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unsafe { tile_kernel::<f32>(fold, a, rows, t, cols, o, stride) },
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -590,16 +599,17 @@ mod tests {
         out
     }
 
-    fn scalar_ref(a: &[f32], tile: &[f32], dim: usize, op: &str) -> Vec<f32> {
+    fn scalar_ref(a: &[f32], tile: &[f32], dim: usize, fold: Fold) -> Vec<f32> {
         tile.chunks_exact(dim)
-            .map(|b| match op {
-                "dot" => a.iter().zip(b).map(|(x, y)| x * y).sum(),
-                "sq" => a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum(),
-                "abs" => a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum(),
-                _ => unreachable!(),
+            .map(|b| match fold {
+                Fold::Dot => a.iter().zip(b).map(|(x, y)| x * y).sum(),
+                Fold::SqDist => a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum(),
+                Fold::AbsDist => a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum(),
             })
             .collect()
     }
+
+    const FOLDS: [Fold; 3] = [Fold::Dot, Fold::SqDist, Fold::AbsDist];
 
     #[test]
     fn labels_parse_roundtrip() {
@@ -627,56 +637,37 @@ mod tests {
 
     #[test]
     fn every_backend_matches_the_scalar_fold_bitwise() {
-        // Shapes chosen to hit the 4-vector block, the 1-vector loop and
-        // the scalar tail on every backend (cols 67 = 2*32 + 3 at AVX2).
-        for &(rows, dim) in &[(1usize, 1usize), (5, 3), (67, 16), (97, 7)] {
-            let tile = pseudo(rows * dim, 7);
+        // Columns chosen to hit the 4-vector block, the 1-vector loop and
+        // the scalar tail on every backend (67 = 2*32 + 3 at AVX2); rows
+        // 0..=9 cover empty, below a panel, exact panels and panels plus a
+        // remainder. The output stride leaves a gap that must stay untouched.
+        const GAP: f32 = 9.0;
+        for &(cols, dim) in &[(1usize, 1usize), (5, 3), (67, 16), (97, 7)] {
+            let tile = pseudo(cols * dim, 7);
             let tile_t = transpose(&tile, dim);
-            let a = pseudo(PANEL_ROWS * dim, 1312);
-            for op in ["dot", "sq", "abs"] {
-                let run_row = |x: &[f32], out: &mut [f32]| match op {
-                    "dot" => row_dot(x, &tile_t, out),
-                    "sq" => row_sqdist(x, &tile_t, out),
-                    "abs" => row_absdist(x, &tile_t, out),
-                    _ => unreachable!(),
-                };
-                let want = scalar_ref(&a[..dim], &tile, dim, op);
-                for b in supported_backends() {
-                    force_backend(Some(b));
-                    let mut got = vec![9.0f32; rows];
-                    run_row(&a[..dim], &mut got);
-                    for j in 0..rows {
-                        assert_eq!(
-                            got[j].to_bits(),
-                            want[j].to_bits(),
-                            "{op} row kernel, backend {}, col {j}",
-                            b.label()
-                        );
-                    }
-                    // Panel result must equal the row kernel per row.
-                    let mut p = vec![9.0f32; PANEL_ROWS * rows];
-                    let (p0, rest) = p.split_at_mut(rows);
-                    let (p1, rest) = rest.split_at_mut(rows);
-                    let (p2, p3) = rest.split_at_mut(rows);
-                    match op {
-                        "dot" => panel_dot(&a, dim, &tile_t, [p0, p1, p2, p3]),
-                        "sq" => panel_sqdist(&a, dim, &tile_t, [p0, p1, p2, p3]),
-                        "abs" => panel_absdist(&a, dim, &tile_t, [p0, p1, p2, p3]),
-                        _ => unreachable!(),
-                    }
-                    for r in 0..PANEL_ROWS {
-                        let want_r = scalar_ref(&a[r * dim..(r + 1) * dim], &tile, dim, op);
-                        for j in 0..rows {
-                            assert_eq!(
-                                p[r * rows + j].to_bits(),
-                                want_r[j].to_bits(),
-                                "{op} panel kernel, backend {}, row {r} col {j}",
-                                b.label()
-                            );
+            let stride = cols + 2;
+            for rows in 0..=9usize {
+                let a = pseudo(rows * dim, 1312);
+                for fold in FOLDS {
+                    for b in supported_backends() {
+                        force_backend(Some(b));
+                        let mut got = vec![GAP; rows * stride];
+                        score_tile(fold, &a, rows, &tile_t, cols, &mut got, stride);
+                        for (r, out_row) in got.chunks_exact(stride).enumerate() {
+                            let want = scalar_ref(&a[r * dim..(r + 1) * dim], &tile, dim, fold);
+                            for j in 0..cols {
+                                assert_eq!(
+                                    out_row[j].to_bits(),
+                                    want[j].to_bits(),
+                                    "{fold:?} backend {} rows {rows} row {r} col {j}",
+                                    b.label()
+                                );
+                            }
+                            assert_eq!(out_row[cols..], [GAP; 2], "{fold:?} row {r} gap");
                         }
                     }
+                    force_backend(None);
                 }
-                force_backend(None);
             }
         }
     }
@@ -684,16 +675,17 @@ mod tests {
     #[test]
     fn dot_seeds_from_negative_zero_on_every_backend() {
         // dot(-1, 0) = -0.0 exactly like `f32::sum`; distances seed +0.0.
-        let a = [-1.0f32];
+        // Five rows: the seed holds through the panel and the single rows.
+        let a = [-1.0f32; 5];
         let tile_t = [0.0f32; 9];
         for b in supported_backends() {
             force_backend(Some(b));
-            let mut out = [9.0f32; 9];
-            row_dot(&a, &tile_t, &mut out);
+            let mut out = [9.0f32; 45];
+            score_tile(Fold::Dot, &a, 5, &tile_t, 9, &mut out, 9);
             for (j, o) in out.iter().enumerate() {
-                assert_eq!(o.to_bits(), (-0.0f32).to_bits(), "{} col {j}", b.label());
+                assert_eq!(o.to_bits(), (-0.0f32).to_bits(), "{} out {j}", b.label());
             }
-            row_sqdist(&a, &tile_t, &mut out);
+            score_tile(Fold::SqDist, &a, 5, &tile_t, 9, &mut out, 9);
             assert_eq!(out[0].to_bits(), 1.0f32.to_bits());
         }
         force_backend(None);
@@ -702,9 +694,9 @@ mod tests {
     #[test]
     fn empty_dim_writes_the_seed() {
         let mut out = [5.0f32; 3];
-        row_dot(&[], &[], &mut out);
+        score_tile(Fold::Dot, &[], 1, &[], 3, &mut out, 3);
         assert!(out.iter().all(|o| o.to_bits() == (-0.0f32).to_bits()));
-        row_absdist(&[], &[], &mut out);
+        score_tile(Fold::AbsDist, &[], 1, &[], 3, &mut out, 3);
         assert!(out.iter().all(|o| o.to_bits() == 0.0f32.to_bits()));
     }
 }

@@ -86,18 +86,6 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
 }
 
-// ------------------------------------------------------------ block kernels
-//
-// One source row against a contiguous row-major tile of target rows. These
-// are the building blocks of the cache-tiled similarity kernels: the caller
-// keeps a small target tile hot in cache and streams source rows past it,
-// and (for cosine) hoists the per-row norms out of the O(rows × cols) loop.
-//
-// Contract: each output element is bit-identical to the corresponding
-// scalar kernel above (`dot`, `cosine`, `euclidean`, `manhattan`) — the
-// per-pair accumulation order never changes, only the loop structure around
-// it. The kernel-equivalence test suite pins this down.
-
 /// Per-row L2 norms of a row-major `n × dim` buffer.
 pub fn row_norms(data: &[f32], dim: usize) -> Vec<f32> {
     assert!(dim > 0, "dim must be positive");
@@ -137,7 +125,10 @@ fn quad_rows(quad: &[f32], dim: usize) -> (&[f32], &[f32], &[f32], &[f32]) {
     (b0, b1, b2, b3)
 }
 
-/// `out[j] = dot(a, tile_j)` for each `dim`-sized row `tile_j` of `tile`.
+/// `out[j] = dot(a, tile_j)` for each `dim`-sized row `tile_j` of a
+/// row-major `tile`, bit-identical to [`dot`] per pair. The portable
+/// reference the repository benchmark times; similarity sweeps go through
+/// [`crate::kernel::score_tile`] over a [`transpose_tile`]d tile.
 #[inline]
 pub fn inner_block(a: &[f32], tile: &[f32], dim: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), dim);
@@ -155,128 +146,6 @@ pub fn inner_block(a: &[f32], tile: &[f32], dim: usize, out: &mut [f32]) {
     }
 }
 
-/// `out[j] = cosine(a, tile_j)` with precomputed norms (`na = norm2(a)`,
-/// `tile_norms[j] = norm2(tile_j)`); 0 when either vector is zero, exactly
-/// like [`cosine`].
-#[inline]
-pub fn cosine_block(
-    a: &[f32],
-    na: f32,
-    tile: &[f32],
-    tile_norms: &[f32],
-    dim: usize,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(a.len(), dim);
-    debug_assert_eq!(tile.len(), out.len() * dim);
-    debug_assert_eq!(tile_norms.len(), out.len());
-    if na == 0.0 {
-        out.fill(0.0);
-        return;
-    }
-    let finish = |s: f32, nb: f32| {
-        if nb == 0.0 {
-            0.0
-        } else {
-            (s / (na * nb)).clamp(-1.0, 1.0)
-        }
-    };
-    let mut quads = tile.chunks_exact(4 * dim);
-    let mut j = 0;
-    for quad in &mut quads {
-        let (b0, b1, b2, b3) = quad_rows(quad, dim);
-        let s = dot4(a, b0, b1, b2, b3);
-        for (o, &si) in s.iter().enumerate() {
-            out[j + o] = finish(si, tile_norms[j + o]);
-        }
-        j += 4;
-    }
-    for b in quads.remainder().chunks_exact(dim) {
-        out[j] = finish(dot(a, b), tile_norms[j]);
-        j += 1;
-    }
-}
-
-/// `out[j] = -euclidean(a, tile_j)` (negated distance = similarity).
-#[inline]
-pub fn neg_euclidean_block(a: &[f32], tile: &[f32], dim: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), dim);
-    debug_assert_eq!(tile.len(), out.len() * dim);
-    let mut quads = tile.chunks_exact(4 * dim);
-    let mut j = 0;
-    for quad in &mut quads {
-        let (b0, b1, b2, b3) = quad_rows(quad, dim);
-        // Same 4-independent-accumulator shape as `dot4`; per-column fold
-        // order matches `euclidean_sq` exactly.
-        let n = a.len();
-        let (b0, b1, b2, b3) = (&b0[..n], &b1[..n], &b2[..n], &b3[..n]);
-        let (mut s0, mut s1, mut s2, mut s3) = (-0.0f32, -0.0f32, -0.0f32, -0.0f32);
-        for (d, &x) in a.iter().enumerate() {
-            s0 += (x - b0[d]) * (x - b0[d]);
-            s1 += (x - b1[d]) * (x - b1[d]);
-            s2 += (x - b2[d]) * (x - b2[d]);
-            s3 += (x - b3[d]) * (x - b3[d]);
-        }
-        for (o, s) in [s0, s1, s2, s3].into_iter().enumerate() {
-            out[j + o] = -s.sqrt();
-        }
-        j += 4;
-    }
-    for b in quads.remainder().chunks_exact(dim) {
-        out[j] = -euclidean(a, b);
-        j += 1;
-    }
-}
-
-/// `out[j] = -manhattan(a, tile_j)` (negated distance = similarity).
-#[inline]
-pub fn neg_manhattan_block(a: &[f32], tile: &[f32], dim: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), dim);
-    debug_assert_eq!(tile.len(), out.len() * dim);
-    let mut quads = tile.chunks_exact(4 * dim);
-    let mut j = 0;
-    for quad in &mut quads {
-        let (b0, b1, b2, b3) = quad_rows(quad, dim);
-        let n = a.len();
-        let (b0, b1, b2, b3) = (&b0[..n], &b1[..n], &b2[..n], &b3[..n]);
-        let (mut s0, mut s1, mut s2, mut s3) = (-0.0f32, -0.0f32, -0.0f32, -0.0f32);
-        for (d, &x) in a.iter().enumerate() {
-            s0 += (x - b0[d]).abs();
-            s1 += (x - b1[d]).abs();
-            s2 += (x - b2[d]).abs();
-            s3 += (x - b3[d]).abs();
-        }
-        for (o, s) in [s0, s1, s2, s3].into_iter().enumerate() {
-            out[j + o] = -s;
-        }
-        j += 4;
-    }
-    for b in quads.remainder().chunks_exact(dim) {
-        out[j] = -manhattan(a, b);
-        j += 1;
-    }
-}
-
-// ------------------------------------------- transposed-tile block kernels
-//
-// Same contract as the row-major block kernels (each output element
-// bit-identical to the scalar kernel; per-pair fold order sequential in the
-// embedding dimension) but over a tile stored dimension-major:
-// `tile_t[d * cols + j] = tile[j * dim + d]`. With `d` as the outer loop the
-// inner sweep updates independent per-column accumulators from contiguous
-// memory — straight-line SIMD with no reassociation. The caller transposes
-// each tile once and amortizes it over every source row in its chunk.
-//
-// The accumulation loops live in [`crate::kernel`]: register-blocked
-// scalar/SSE2/AVX2 microkernels behind one runtime-dispatched entry point,
-// all bit-identical to each other (see that module's float-order contract).
-// This layer adds the metric-specific finish (cosine normalization, sqrt /
-// negation post-passes) and the `PANEL`-row variants that amortize each
-// tile load over four source rows.
-
-/// Source rows per register panel of the `*_panel_t` kernels.
-pub const PANEL: usize = crate::kernel::PANEL_ROWS;
-
 /// Transposes a row-major `rows × dim` tile into `out` (dimension-major:
 /// `out[d * rows + j] = tile[j * dim + d]`), reusing `out`'s allocation.
 pub fn transpose_tile(tile: &[f32], dim: usize, out: &mut Vec<f32>) {
@@ -287,120 +156,6 @@ pub fn transpose_tile(tile: &[f32], dim: usize, out: &mut Vec<f32>) {
     for (j, b) in tile.chunks_exact(dim).enumerate() {
         for (d, &v) in b.iter().enumerate() {
             out[d * rows + j] = v;
-        }
-    }
-}
-
-/// `out[j] = dot(a, tile_j)` over a dimension-major tile: each column's
-/// accumulator folds in the same sequential `d` order as [`dot`], from the
-/// same `-0.0` identity (see [`dot4`]).
-#[inline]
-pub fn inner_block_t(a: &[f32], tile_t: &[f32], out: &mut [f32]) {
-    crate::kernel::row_dot(a, tile_t, out);
-}
-
-/// `out[j] = cosine(a, tile_j)` over a dimension-major tile with precomputed
-/// norms; 0 when either vector is zero, exactly like [`cosine`].
-#[inline]
-pub fn cosine_block_t(a: &[f32], na: f32, tile_t: &[f32], tile_norms: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(tile_norms.len(), out.len());
-    if na == 0.0 {
-        out.fill(0.0);
-        return;
-    }
-    inner_block_t(a, tile_t, out);
-    for (o, &nb) in out.iter_mut().zip(tile_norms) {
-        *o = if nb == 0.0 {
-            0.0
-        } else {
-            (*o / (na * nb)).clamp(-1.0, 1.0)
-        };
-    }
-}
-
-/// `out[j] = -euclidean(a, tile_j)` over a dimension-major tile. The
-/// squared-distance fold is the SIMD microkernel; `sqrt` is IEEE
-/// correctly-rounded, so the scalar post-pass preserves bit identity.
-#[inline]
-pub fn neg_euclidean_block_t(a: &[f32], tile_t: &[f32], out: &mut [f32]) {
-    crate::kernel::row_sqdist(a, tile_t, out);
-    for o in out.iter_mut() {
-        *o = -o.sqrt();
-    }
-}
-
-/// `out[j] = -manhattan(a, tile_j)` over a dimension-major tile.
-#[inline]
-pub fn neg_manhattan_block_t(a: &[f32], tile_t: &[f32], out: &mut [f32]) {
-    crate::kernel::row_absdist(a, tile_t, out);
-    for o in out.iter_mut() {
-        *o = -*o;
-    }
-}
-
-// ------------------------------------------------- register-panel kernels
-//
-// `PANEL` source rows against one dimension-major tile per call. Each
-// output row is bit-identical to the corresponding single-row `_t` kernel
-// (the microkernel contract), so callers may mix panel and single-row
-// sweeps freely — `SimilarityMatrix` / `TopKMatrix` use panels for the
-// quotient rows of a chunk and the single-row kernels for the remainder.
-
-/// `out[r][j] = dot(a_r, tile_j)` for the `PANEL` rows of `a`.
-#[inline]
-pub fn inner_panel_t(a: &[f32], dim: usize, tile_t: &[f32], out: [&mut [f32]; PANEL]) {
-    crate::kernel::panel_dot(a, dim, tile_t, out);
-}
-
-/// `out[r][j] = cosine(a_r, tile_j)` with precomputed norms; rows or
-/// columns with zero norm yield 0 exactly like [`cosine`].
-#[inline]
-pub fn cosine_panel_t(
-    a: &[f32],
-    dim: usize,
-    na: [f32; PANEL],
-    tile_t: &[f32],
-    tile_norms: &[f32],
-    out: [&mut [f32]; PANEL],
-) {
-    let [o0, o1, o2, o3] = out;
-    crate::kernel::panel_dot(a, dim, tile_t, [&mut *o0, &mut *o1, &mut *o2, &mut *o3]);
-    for (r, o) in [o0, o1, o2, o3].into_iter().enumerate() {
-        debug_assert_eq!(tile_norms.len(), o.len());
-        if na[r] == 0.0 {
-            o.fill(0.0);
-            continue;
-        }
-        for (v, &nb) in o.iter_mut().zip(tile_norms) {
-            *v = if nb == 0.0 {
-                0.0
-            } else {
-                (*v / (na[r] * nb)).clamp(-1.0, 1.0)
-            };
-        }
-    }
-}
-
-/// `out[r][j] = -euclidean(a_r, tile_j)` for the `PANEL` rows of `a`.
-#[inline]
-pub fn neg_euclidean_panel_t(a: &[f32], dim: usize, tile_t: &[f32], out: [&mut [f32]; PANEL]) {
-    let [o0, o1, o2, o3] = out;
-    crate::kernel::panel_sqdist(a, dim, tile_t, [&mut *o0, &mut *o1, &mut *o2, &mut *o3]);
-    for o in [o0, o1, o2, o3] {
-        for v in o.iter_mut() {
-            *v = -v.sqrt();
-        }
-    }
-}
-
-/// `out[r][j] = -manhattan(a_r, tile_j)` for the `PANEL` rows of `a`.
-#[inline]
-pub fn neg_manhattan_panel_t(a: &[f32], dim: usize, tile_t: &[f32], out: [&mut [f32]; PANEL]) {
-    let [o0, o1, o2, o3] = out;
-    crate::kernel::panel_absdist(a, dim, tile_t, [&mut *o0, &mut *o1, &mut *o2, &mut *o3]);
-    for o in [o0, o1, o2, o3] {
-        for v in o.iter_mut() {
-            *v = -*v;
         }
     }
 }
@@ -449,6 +204,7 @@ pub fn sigmoid(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{score_tile, Fold};
     use openea_runtime::testkit::prelude::*;
 
     #[test]
@@ -512,35 +268,43 @@ mod tests {
         assert_eq!(out, [3.0, 10.0]);
     }
 
+    /// One source row against a dimension-major tile under `fold`.
+    fn score_row(fold: Fold, a: &[f32], tile_t: &[f32], out: &mut [f32]) {
+        score_tile(fold, a, 1, tile_t, out.len(), out, out.len());
+    }
+
     #[test]
     fn block_kernels_match_scalar_kernels() {
-        // 6 rows: one full quad plus a 2-row remainder, covering both paths.
+        // 6 rows: one full quad plus a 2-row remainder, covering both paths
+        // of the row-major block; the dimension-major entry folds the same.
         let dim = 3;
         let a = [0.5f32, -1.0, 2.0];
         let tile: Vec<f32> = (0..6 * dim).map(|x| (x as f32).sin()).collect();
-        let norms = row_norms(&tile, dim);
+        let mut tile_t = Vec::new();
+        transpose_tile(&tile, dim, &mut tile_t);
         let mut out = [0.0f32; 6];
         inner_block(&a, &tile, dim, &mut out);
         for (j, b) in tile.chunks_exact(dim).enumerate() {
             assert_eq!(out[j], dot(&a, b));
         }
-        cosine_block(&a, norm2(&a), &tile, &norms, dim, &mut out);
+        score_row(Fold::Dot, &a, &tile_t, &mut out);
         for (j, b) in tile.chunks_exact(dim).enumerate() {
-            assert_eq!(out[j], cosine(&a, b));
+            assert_eq!(out[j], dot(&a, b));
         }
-        neg_euclidean_block(&a, &tile, dim, &mut out);
+        score_row(Fold::SqDist, &a, &tile_t, &mut out);
         for (j, b) in tile.chunks_exact(dim).enumerate() {
-            assert_eq!(out[j], -euclidean(&a, b));
+            assert_eq!(out[j], euclidean_sq(&a, b));
         }
-        neg_manhattan_block(&a, &tile, dim, &mut out);
+        score_row(Fold::AbsDist, &a, &tile_t, &mut out);
         for (j, b) in tile.chunks_exact(dim).enumerate() {
-            assert_eq!(out[j], -manhattan(&a, b));
+            assert_eq!(out[j], manhattan(&a, b));
         }
     }
 
     #[test]
     fn transposed_block_kernels_match_scalar_kernels() {
-        // 6 rows at dim 3: transposed layout, both full lanes and edges.
+        // 6 rows at dim 3: the transposed layout, and each metric's finish
+        // over the entry's fold against its scalar reference.
         let dim = 3;
         let a = [0.5f32, -1.0, 2.0];
         let tile: Vec<f32> = (0..6 * dim).map(|x| (x as f32).sin()).collect();
@@ -549,106 +313,93 @@ mod tests {
         transpose_tile(&tile, dim, &mut tile_t);
         assert_eq!(tile_t[2], tile[2 * dim]); // spot-check layout: dim 0, row 2
         let mut out = [0.0f32; 6];
-        inner_block_t(&a, &tile_t, &mut out);
+        score_row(Fold::Dot, &a, &tile_t, &mut out);
         for (j, b) in tile.chunks_exact(dim).enumerate() {
-            assert_eq!(out[j], dot(&a, b));
+            let c = (out[j] / (norm2(&a) * norms[j])).clamp(-1.0, 1.0);
+            assert_eq!(c, cosine(&a, b));
         }
-        cosine_block_t(&a, norm2(&a), &tile_t, &norms, &mut out);
+        score_row(Fold::SqDist, &a, &tile_t, &mut out);
         for (j, b) in tile.chunks_exact(dim).enumerate() {
-            assert_eq!(out[j], cosine(&a, b));
+            assert_eq!(-out[j].sqrt(), -euclidean(&a, b));
         }
-        neg_euclidean_block_t(&a, &tile_t, &mut out);
+        score_row(Fold::AbsDist, &a, &tile_t, &mut out);
         for (j, b) in tile.chunks_exact(dim).enumerate() {
-            assert_eq!(out[j], -euclidean(&a, b));
-        }
-        neg_manhattan_block_t(&a, &tile_t, &mut out);
-        for (j, b) in tile.chunks_exact(dim).enumerate() {
-            assert_eq!(out[j], -manhattan(&a, b));
+            assert_eq!(-out[j], -manhattan(&a, b));
         }
     }
 
     #[test]
     fn panel_kernels_match_single_row_kernels() {
-        // PANEL source rows (one of them all-zero to hit the cosine
-        // zero-norm row path) against 11 tile rows: vector blocks plus a
-        // scalar tail on every backend.
+        // 0..=9 source rows (one of them all-zero) against 11 tile rows:
+        // whole panels, panels plus a remainder and no panel at all must
+        // each give the bits of one row at a time.
         let dim = 5;
         let cols = 11;
-        let mut a: Vec<f32> = (0..PANEL * dim).map(|x| (x as f32 * 0.7).cos()).collect();
+        let mut a: Vec<f32> = (0..9 * dim).map(|x| (x as f32 * 0.7).cos()).collect();
         a[2 * dim..3 * dim].fill(0.0);
         let tile: Vec<f32> = (0..cols * dim).map(|x| (x as f32).sin()).collect();
-        let norms = row_norms(&tile, dim);
         let mut tile_t = Vec::new();
         transpose_tile(&tile, dim, &mut tile_t);
-        let na: [f32; PANEL] = std::array::from_fn(|r| norm2(&a[r * dim..(r + 1) * dim]));
-
-        let mut p = vec![0.0f32; PANEL * cols];
-        let run = |which: usize, p: &mut [f32]| {
-            let (o0, rest) = p.split_at_mut(cols);
-            let (o1, rest) = rest.split_at_mut(cols);
-            let (o2, o3) = rest.split_at_mut(cols);
-            let out = [o0, o1, o2, o3];
-            match which {
-                0 => inner_panel_t(&a, dim, &tile_t, out),
-                1 => cosine_panel_t(&a, dim, na, &tile_t, &norms, out),
-                2 => neg_euclidean_panel_t(&a, dim, &tile_t, out),
-                _ => neg_manhattan_panel_t(&a, dim, &tile_t, out),
-            }
-        };
         let mut single = vec![0.0f32; cols];
-        for which in 0..4 {
-            run(which, &mut p);
-            for r in 0..PANEL {
-                let ar = &a[r * dim..(r + 1) * dim];
-                match which {
-                    0 => inner_block_t(ar, &tile_t, &mut single),
-                    1 => cosine_block_t(ar, na[r], &tile_t, &norms, &mut single),
-                    2 => neg_euclidean_block_t(ar, &tile_t, &mut single),
-                    _ => neg_manhattan_block_t(ar, &tile_t, &mut single),
-                }
-                for j in 0..cols {
-                    assert_eq!(
-                        p[r * cols + j].to_bits(),
-                        single[j].to_bits(),
-                        "kernel {which} row {r} col {j}"
-                    );
+        for fold in [Fold::Dot, Fold::SqDist, Fold::AbsDist] {
+            for rows in 0..=9 {
+                let mut p = vec![0.0f32; rows * cols];
+                score_tile(fold, &a[..rows * dim], rows, &tile_t, cols, &mut p, cols);
+                for r in 0..rows {
+                    score_row(fold, &a[r * dim..(r + 1) * dim], &tile_t, &mut single);
+                    for j in 0..cols {
+                        assert_eq!(
+                            p[r * cols + j].to_bits(),
+                            single[j].to_bits(),
+                            "{fold:?} rows {rows} row {r} col {j}"
+                        );
+                    }
                 }
             }
         }
     }
 
-    #[test]
-    fn cosine_block_t_handles_zero_vectors() {
-        let dim = 2;
-        let zero = [0.0f32, 0.0];
-        let tile = [1.0f32, 2.0, 0.0, 0.0];
-        let norms = row_norms(&tile, dim);
-        let mut tile_t = Vec::new();
-        transpose_tile(&tile, dim, &mut tile_t);
-        let mut out = [9.0f32; 2];
-        cosine_block_t(&zero, norm2(&zero), &tile_t, &norms, &mut out);
-        assert_eq!(out, [0.0, 0.0]);
-        let a = [1.0f32, 1.0];
-        cosine_block_t(&a, norm2(&a), &tile_t, &norms, &mut out);
-        assert_eq!(out[1], 0.0);
-        assert_eq!(out[0], cosine(&a, &tile[..2]));
+    /// What a cosine sweep is assembled from — hoisted norms, a raw dot
+    /// block, the `(s / (na·nb)).clamp(-1, 1)` finish — against [`cosine`].
+    /// A zero vector's hoisted norm must read exactly `0.0`: that is the
+    /// test the finish makes before it divides.
+    fn assert_cosine_pieces(a: &[f32], tile: &[f32], norms: &[f32], dots: &[f32]) {
+        let na = norm2(a);
+        for (j, b) in tile.chunks_exact(a.len()).enumerate() {
+            let got = if na == 0.0 || norms[j] == 0.0 {
+                0.0
+            } else {
+                (dots[j] / (na * norms[j])).clamp(-1.0, 1.0)
+            };
+            assert_eq!(got.to_bits(), cosine(a, b).to_bits(), "col {j}");
+        }
     }
 
     #[test]
-    fn cosine_block_handles_zero_vectors() {
+    fn cosine_over_a_transposed_tile_handles_zero_vectors() {
         let dim = 2;
-        let zero = [0.0f32, 0.0];
         let tile = [1.0f32, 2.0, 0.0, 0.0];
         let norms = row_norms(&tile, dim);
-        let mut out = [9.0f32; 2];
-        // Zero query: every output is 0, matching `cosine`.
-        cosine_block(&zero, norm2(&zero), &tile, &norms, dim, &mut out);
-        assert_eq!(out, [0.0, 0.0]);
-        // Zero tile row: that column is 0.
-        let a = [1.0f32, 1.0];
-        cosine_block(&a, norm2(&a), &tile, &norms, dim, &mut out);
-        assert_eq!(out[1], 0.0);
-        assert_eq!(out[0], cosine(&a, &tile[..2]));
+        assert_eq!(norms[1].to_bits(), 0.0f32.to_bits());
+        let mut tile_t = Vec::new();
+        transpose_tile(&tile, dim, &mut tile_t);
+        let mut dots = [9.0f32; 2];
+        for a in [[0.0f32, 0.0], [1.0, 1.0]] {
+            score_row(Fold::Dot, &a, &tile_t, &mut dots);
+            assert_cosine_pieces(&a, &tile, &norms, &dots);
+        }
+    }
+
+    #[test]
+    fn cosine_over_a_row_major_tile_handles_zero_vectors() {
+        let dim = 2;
+        let tile = [1.0f32, 2.0, 0.0, 0.0];
+        let norms = row_norms(&tile, dim);
+        let mut dots = [9.0f32; 2];
+        for a in [[0.0f32, 0.0], [1.0, 1.0]] {
+            inner_block(&a, &tile, dim, &mut dots);
+            assert_cosine_pieces(&a, &tile, &norms, &dots);
+        }
     }
 
     #[test]
@@ -677,7 +428,7 @@ mod tests {
         let mut t5 = Vec::new();
         transpose_tile(&tile5, 1, &mut t5);
         let mut out5t = [9.0f32; 5];
-        inner_block_t(&a, &t5, &mut out5t);
+        score_row(Fold::Dot, &a, &t5, &mut out5t);
         for j in 0..5 {
             assert_eq!(out5[j].to_bits(), want, "quad path col {j}");
             assert_eq!(out5t[j].to_bits(), want, "transposed path col {j}");

@@ -30,6 +30,13 @@ cargo test -q --offline
 # build above.
 cargo test --release --offline -p openea --test scale_inputs -- --include-ignored
 
+# The kernel gates once more under the release profile's codegen (tier-1
+# tests build at `opt-level = 2`): every ISA backend the host supports ×
+# metric × tile {1, 7, 64} × thread {1, 2, 8} bit-identical to the naive
+# reference, top-k equal to the argsort prefix. Budget: a few seconds after
+# the release build above.
+cargo test --release --offline -p openea --test kernel_conformance --test kernel_equivalence
+
 # Reactor soak slice: the end-to-end serving suite five more times with every
 # test on a thread of its own, which is how its accept/close races were found
 # (`conn_limit_sheds_at_accept` failed 1 run in 11 before the ceiling reaped
@@ -41,12 +48,6 @@ done
 
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
-
-# Kernel smoke gate: proves the tiled/top-k kernels bit-identical to the
-# naive reference on a fixed seed — on every ISA backend the host supports
-# (scalar/SSE2/AVX2, via the dispatch override) — then runs one tiny timing
-# grid. Exits non-zero on any divergence. Budget: well under 30 s.
-cargo run --release --offline -p openea-bench -- kernels --smoke --no-out
 
 # Driver-engine smoke gate: proves the shared hook-based engine honours its
 # budget contract (wall-clock and epoch deadlines stop gracefully with

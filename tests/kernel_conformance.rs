@@ -22,7 +22,8 @@
 use std::sync::{Mutex, MutexGuard};
 
 use openea::align::{AnnConfig, IvfIndex, Metric, SimilarityMatrix, TopKMatrix};
-use openea::math::kernel::{self, Backend};
+use openea::math::kernel::{self, Backend, Fold};
+use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
 use openea_runtime::testkit::prelude::*;
 
 const TILES: [usize; 3] = [1, 7, 64];
@@ -295,10 +296,21 @@ fn adversarial_shapes_conform_on_every_backend() {
         (7, 3, 31),
         (3, 64, 8),
     ];
-    for &(rows, cols, dim) in &shapes {
-        assert!((rows + cols) * dim <= values.len());
-        let src = &values[..rows * dim];
-        let dst = &values[rows * dim..(rows + cols) * dim];
+    let mut inputs: Vec<(usize, usize, usize, Vec<f32>)> = shapes
+        .iter()
+        .map(|&(rows, cols, dim)| (rows, cols, dim, values[..(rows + cols) * dim].to_vec()))
+        .collect();
+    // Two sizes a sweep actually meets (seed 7): several row chunks per
+    // worker at every thread count, and up to ten column tiles per chunk
+    // with a short last one. At these the kept top-10 is checked too.
+    let mut rng = SmallRng::seed_from_u64(7);
+    for (rows, cols, dim) in [(157usize, 211usize, 17usize), (600, 600, 32)] {
+        let data = (0..(rows + cols) * dim).map(|_| rng.gen_range(-1.0f32..1.0));
+        inputs.push((rows, cols, dim, data.collect()));
+    }
+    for (rows, cols, dim, data) in &inputs {
+        let (rows, cols, dim) = (*rows, *cols, *dim);
+        let (src, dst) = data.split_at(rows * dim);
         for metric in Metric::ALL {
             let naive = SimilarityMatrix::compute_naive(src, dst, dim, metric, 1);
             for backend in kernel::supported_backends() {
@@ -307,6 +319,22 @@ fn adversarial_shapes_conform_on_every_backend() {
                     for threads in THREADS {
                         let tiled =
                             SimilarityMatrix::compute_tiled(src, dst, dim, metric, threads, tile);
+                        if rows >= 100 {
+                            let topk =
+                                TopKMatrix::compute_tiled(src, dst, dim, metric, 10, threads, tile);
+                            for i in 0..rows {
+                                let want: Vec<(u32, f32)> = (naive.topk_row(i, 10).into_iter())
+                                    .map(|(j, s)| (j as u32, s))
+                                    .collect();
+                                assert_eq!(
+                                    topk.row(i),
+                                    want,
+                                    "{} backend={} tile={tile} threads={threads} top-10 row {i}",
+                                    metric.label(),
+                                    backend.label()
+                                );
+                            }
+                        }
                         for i in 0..rows {
                             for j in 0..cols {
                                 assert_eq!(
@@ -382,10 +410,10 @@ fn env_knob_selects_and_clamps_backends() {
         let a = [1.5f32, -0.25, 3.0e-39];
         let tile_t = [0.5f32, -0.5, 2.0, -1.0, 0.25, 1.0e-44];
         let mut got = [0.0f32; 2];
-        kernel::row_dot(&a, &tile_t, &mut got);
+        kernel::score_tile(Fold::Dot, &a, 1, &tile_t, 2, &mut got, 2);
         kernel::force_backend(Some(Backend::Scalar));
         let mut want = [0.0f32; 2];
-        kernel::row_dot(&a, &tile_t, &mut want);
+        kernel::score_tile(Fold::Dot, &a, 1, &tile_t, 2, &mut want, 2);
         assert_eq!(
             [got[0].to_bits(), got[1].to_bits()],
             [want[0].to_bits(), want[1].to_bits()],

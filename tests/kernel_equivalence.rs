@@ -5,8 +5,18 @@
 //! every consumer (eval, CSLS, inference, bootstrapping) switch to the fast
 //! paths without changing a single reported number.
 
-use openea::align::{csls_topk, Metric, SimilarityMatrix, TopKMatrix};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::CountingAlloc;
+use openea::align::{
+    csls_topk, rank_eval, rank_eval_streaming, Metric, SimilarityMatrix, TopKMatrix,
+};
+use openea::math::kernel;
 use openea_runtime::testkit::prelude::*;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 const TILES: [usize; 3] = [1, 7, 64];
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -113,6 +123,47 @@ props! {
                 }
             }
         }
+    }
+
+    /// Streaming rank evaluation equals the dense evaluation of the naive
+    /// matrix exactly — for every metric × thread count × backend — once
+    /// the targets span more than one `DEFAULT_TILE`: copies of target 3 in
+    /// the second tile and at `cols - 2` tie across tiles (counted
+    /// pessimistically), the gold targets sit in the first tile, on both
+    /// sides of the first boundary and at the end of the short last tile,
+    /// and source row 0 is all-zero (every cosine score ties at 0).
+    #[test]
+    fn streaming_rank_eval_matches_dense_across_tiles(
+        rows in 1usize..12,
+        cols in 65usize..200,
+        dim_m1 in 0usize..8,
+        values in vec_of(-2.0f32..2.0, 1700)
+    ) {
+        let dim = dim_m1 + 1;
+        prop_assume!((rows + cols) * dim <= values.len());
+        let mut values = values;
+        let (src, dst) = values[..(rows + cols) * dim].split_at_mut(rows * dim);
+        src[..dim].fill(0.0);
+        for copy in [64 + (cols - 65) / 2, cols - 2] {
+            dst.copy_within(3 * dim..4 * dim, copy * dim);
+        }
+        let gold: Vec<usize> =
+            (0..rows).map(|i| [3, 63, 64, cols - 2, cols - 1][i % 5]).collect();
+        for metric in Metric::ALL {
+            let naive = SimilarityMatrix::compute_naive(src, dst, dim, metric, 1);
+            let want = rank_eval(&naive, &gold);
+            for backend in kernel::supported_backends() {
+                kernel::force_backend(Some(backend));
+                for threads in THREADS {
+                    let got = rank_eval_streaming(src, dst, dim, metric, &gold, threads);
+                    prop_assert_eq!(
+                        want, got,
+                        "{} backend={} threads={}", metric.label(), backend.label(), threads
+                    );
+                }
+            }
+        }
+        kernel::force_backend(None);
     }
 
     /// Edge-value stress: embeddings drawn from a palette of ±0.0,
@@ -271,4 +322,22 @@ fn known_answer_cosine_tiled_and_topk() {
     assert_eq!(t.row(0), &[(0, 1.0), (1, 0.0)]);
     // Row 1 ties targets 0 and 2 at score 0 — lowest index wins.
     assert_eq!(t.row(1), &[(1, 1.0), (0, 0.0)]);
+}
+
+/// The streaming top-k accumulates in the output rows it returns: what it
+/// asks of the allocator is per call, per chunk and per tile buffer, never
+/// per source row. At one thread the sweep runs on the calling thread, both
+/// sizes split into the same number of chunks, and the counts are exact.
+#[test]
+fn topk_sweep_makes_no_allocator_call_per_source_row() {
+    let dim = 8;
+    let values: Vec<f32> = (0..(1024 + 300) * dim)
+        .map(|i| ((i * 37 % 101) as f32 - 50.0) / 25.0)
+        .collect();
+    let (src, dst) = values.split_at(1024 * dim);
+    let calls = |rows: usize| {
+        let sweep = || TopKMatrix::compute(&src[..rows * dim], dst, dim, Metric::Cosine, 10, 1);
+        ALLOC.on_this_thread(sweep).1.calls
+    };
+    assert_eq!(calls(64), calls(1024));
 }
