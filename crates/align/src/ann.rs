@@ -20,7 +20,7 @@
 //! Therefore with `nprobe = nlist` every target is a candidate and the
 //! result is **bit-identical** to the dense exact sweep — approximation
 //! error comes only from partitions not probed, never from re-scoring.
-//! `tests/ann_equivalence.rs` and the `openea-bench ann` gate pin this.
+//! `tests/ann_equivalence.rs` pins this.
 //!
 //! ## Determinism
 //!

@@ -108,7 +108,7 @@ pub fn stable_marriage_topk(topk: &TopKMatrix) -> Vec<Option<usize>> {
                     break;
                 }
                 Some((other, other_s)) => {
-                    if s > other_s {
+                    if score_desc(s, other_s) == Ordering::Less {
                         source_of[j] = Some((i, s));
                         target_of[i] = Some(j);
                         target_of[other] = None;
@@ -262,6 +262,10 @@ mod tests {
             assert_eq!(got[..3], want[..]);
             assert_eq!(got[3], Some(3));
         }
+        // The streamed twin ranks by the same order: the NaN row engages
+        // target 0 first and a finite proposal must win it back.
+        let full = TopKMatrix::from_matrix(&bordered, 4);
+        assert_eq!(stable_marriage_topk(&full), stable_marriage(&bordered));
     }
 
     #[test]

@@ -19,9 +19,14 @@
 use openea::approaches::DeltaPlan;
 use openea::prelude::*;
 use openea::synth::EvolutionConfig;
-use openea_bench::live::{publish, train_generation};
-use openea_serve::Snapshot;
-use std::path::PathBuf;
+use openea_runtime::rng::{SeedableRng, SmallRng};
+use openea_runtime::timer::Monotonic;
+use openea_serve::{ModelParams, Snapshot, SnapshotWriter};
+use std::path::{Path, PathBuf};
+
+/// The registry approach the pipeline trains. Its snapshot dimension
+/// equals `RunConfig::dim`, so the warm-start dimension guard accepts.
+const APPROACH: &str = "MTransE";
 
 struct Args {
     out: PathBuf,
@@ -110,9 +115,73 @@ fn parse_args() -> Args {
     args
 }
 
+/// One trained generation: the reloaded artifact (the exact bytes a
+/// watching server will flip in) plus its training cost and test quality.
+struct TrainedGen {
+    snap: Snapshot,
+    /// Epochs actually trained this generation (early stopping included).
+    epochs: usize,
+    /// Hits@1 on the step's test split.
+    hits1: f64,
+    train_s: f64,
+}
+
+/// Trains one generation on `pair` — cold when `parent` is `None`,
+/// warm-started delta-training capped at a quarter of `--epochs` otherwise
+/// — through the real engine → snapshot-writer → reload path.
+fn train_generation(
+    pair: &KgPair,
+    args: &Args,
+    parent: Option<(&ModelParams, DeltaPlan)>,
+    work_dir: &Path,
+) -> TrainedGen {
+    let mut rng = SmallRng::seed_from_u64(args.seed);
+    let folds = k_fold_splits(&pair.alignment, 3, &mut rng);
+    let rc = RunConfig {
+        dim: 16,
+        max_epochs: args.epochs,
+        threads: args.threads,
+        seed: args.seed,
+        ..RunConfig::default()
+    };
+    std::fs::create_dir_all(work_dir)
+        .unwrap_or_else(|e| die(&format!("cannot create train dir: {e}")));
+    let writer = SnapshotWriter::new(work_dir, Vec::new(), Vec::new());
+    let approach = approach_by_name(APPROACH).expect("registry approach");
+    let warm = parent.map(|(p, _)| p.warm_start());
+    let mut ctx = RunContext::new(&rc)
+        .for_valid(&folds[0].valid)
+        .with_artifacts(&writer);
+    if let (Some(w), Some((_, plan))) = (warm.as_ref(), parent) {
+        ctx = ctx
+            .resume_from(w)
+            .with_delta(plan)
+            .with_budget(Budget::epochs((args.epochs / 4).max(1)));
+    }
+    let clock = Monotonic::start();
+    let out = approach.run_with(pair, &folds[0], &rc, &ctx);
+    let train_s = clock.seconds();
+    if let Some(e) = writer.take_error() {
+        die(&format!("snapshot write error: {e}"));
+    }
+    let snap = Snapshot::read_from(&writer.final_path(APPROACH))
+        .unwrap_or_else(|e| die(&format!("cannot reload emitted snapshot: {e}")));
+    if snap.to_output().content_hash() != out.content_hash() {
+        die("snapshot roundtrip changed the embeddings");
+    }
+    if snap.lineage != out.lineage {
+        die("snapshot roundtrip changed the lineage");
+    }
+    TrainedGen {
+        snap,
+        epochs: out.trace.epochs.len(),
+        hits1: evaluate_output(&out, &folds[0].test, args.threads).hits1,
+        train_s,
+    }
+}
+
 fn main() {
     let args = parse_args();
-    let delta_cap = (args.epochs / 4).max(1);
     std::fs::create_dir_all(&args.out).unwrap_or_else(|e| die(&format!("cannot create out: {e}")));
     let live = args.out.join("live.snap");
     let train_dir = args.out.join(".train");
@@ -147,14 +216,15 @@ fn main() {
         };
         let gen = train_generation(
             &step.pair,
-            args.seed,
-            args.threads,
-            args.epochs,
+            &args,
             parent.as_ref().map(|p| (p, plan)),
-            delta_cap,
             &train_dir,
         );
-        publish(&gen.snap, &live, k);
+        // `write_to` stages beside `live`, fsyncs and renames: a watching
+        // server sees the old generation or the new one, never a torn file.
+        gen.snap
+            .write_to(&live)
+            .unwrap_or_else(|e| die(&format!("cannot publish generation artifact: {e}")));
         if args.emit_generations {
             let keep = args.out.join(format!("gen-{k}.snap"));
             gen.snap

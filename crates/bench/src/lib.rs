@@ -10,14 +10,9 @@
 //! how families differ, where CSLS/stable-marriage help — are the
 //! reproduction target. See `EXPERIMENTS.md` at the repository root.
 
-pub mod ann;
-pub mod approaches_gate;
 pub mod datasets;
 pub mod figures;
-pub mod live;
 pub mod runner;
-pub mod serve;
-pub mod swap;
 pub mod tables;
 
 use openea_runtime::json::ToJson;

@@ -2,22 +2,16 @@
 //!
 //! ```text
 //! openea-bench <experiment> [--scale small|medium|large] [--seed N]
-//!              [--out DIR] [--include-large] [--smoke] [--deadline SECS]
+//!              [--out DIR | --no-out] [--include-large] [--deadline SECS]
 //!
 //! experiments:
 //!   table2 table3 table4 table5 table6 table7 table8 table9
-//!   fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 ablation
-//!   approaches (driver-engine deadline gate; --smoke = CI gate)
-//!   serve      (snapshot + query-server load bench; --smoke = CI gate)
-//!   ann        (two-stage index recall/speedup curve; --smoke = CI gate)
-//!   swap       (hot-swap flip latency + correctness gate; --smoke = CI gate)
-//!   live       (warm-start delta-training -> live flip pipeline; --smoke = CI gate)
+//!   fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
+//!   ablation unsupervised blocking alinet seeds orthogonal
 //!   all        (everything; fig8 reuses table5's timings)
 //! ```
 
-use openea_bench::{
-    ann, approaches_gate, figures, live, serve, swap, tables, HarnessConfig, Scale,
-};
+use openea_bench::{figures, tables, HarnessConfig, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,7 +22,6 @@ fn main() {
     let experiment = args[0].clone();
     let mut cfg = HarnessConfig::default();
     let mut include_large = false;
-    let mut smoke = false;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -56,7 +49,6 @@ fn main() {
             }
             "--no-out" => cfg.out_dir = None,
             "--include-large" => include_large = true,
-            "--smoke" => smoke = true,
             "--deadline" => {
                 i += 1;
                 cfg.deadline_s = Some(
@@ -100,11 +92,6 @@ fn main() {
         "alinet" => figures::alinet(&cfg),
         "seeds" => figures::seeds(&cfg),
         "orthogonal" => figures::orthogonal(&cfg),
-        "approaches" => approaches_gate::approaches(&cfg, smoke),
-        "serve" => serve::serve_bench(&cfg, smoke),
-        "ann" => ann::ann(&cfg, smoke),
-        "swap" => swap::swap_bench(&cfg, smoke),
-        "live" => live::live_bench(&cfg, smoke),
         "all" => {
             tables::table2(&cfg, include_large);
             tables::table3(&cfg);
@@ -138,9 +125,10 @@ fn print_usage() {
     println!(
         "openea-bench — regenerate the OpenEA paper's tables and figures\n\n\
          usage: openea-bench <experiment> [--scale small|medium|large] [--seed N]\n\
-                [--out DIR | --no-out] [--include-large] [--smoke] [--deadline SECS]\n\n\
+                [--out DIR | --no-out] [--include-large] [--deadline SECS]\n\n\
          experiments: table2 table3 table4 table5 table6 table7 table8 table9\n\
-                      fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12\n                      ablation unsupervised blocking alinet seeds orthogonal approaches\n                      serve swap live all"
+                      fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12\n\
+                      ablation unsupervised blocking alinet seeds orthogonal all"
     );
 }
 

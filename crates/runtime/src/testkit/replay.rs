@@ -1,5 +1,5 @@
 //! Zipf-replay concurrency driver: the load half of the hot-swap torture
-//! suite, reusable by tier-1 tests and `openea-bench`.
+//! suite (`tests/swap_torture.rs`).
 //!
 //! The driver spawns `clients` threads, each sampling query entities from
 //! a [`Zipf`] distribution (web-like popularity skew) on its own seeded

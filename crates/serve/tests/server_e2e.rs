@@ -1,22 +1,29 @@
 //! End-to-end serving path: train a registry approach with checkpointing →
 //! the driver engine emits snapshots through `SnapshotWriter` → the final
 //! snapshot loads into a `BatchIndex` → a real HTTP server answers
-//! concurrent clients bit-identically to the offline dense evaluation.
+//! concurrent clients bit-identically to the offline dense evaluation. Then
+//! the same server across a hot swap, and across the live chain: delta
+//! generations trained from the served artifact and flipped in by the watcher.
 
+mod common;
+
+use common::{connect, http_get, tiny_snapshot};
 use openea_align::SimilarityMatrix;
-use openea_approaches::{approach_by_name, RunConfig, RunContext};
-use openea_core::k_fold_splits;
-use openea_runtime::json::{self, Json};
+use openea_approaches::{
+    approach_by_name, evaluate_output, Budget, DeltaPlan, Lineage, RunConfig, RunContext,
+    StopReason,
+};
+use openea_core::{k_fold_splits, KgPair};
+use openea_runtime::json::Json;
 use openea_runtime::rng::{SeedableRng, SmallRng};
 use openea_serve::{
-    serve, serve_hot, AlignmentIndex, BatchIndex, HotSwapIndex, IndexOptions, ServerOptions,
-    Snapshot, SnapshotWriter,
+    serve, serve_hot, AlignmentIndex, BatchIndex, HotSwapIndex, IndexOptions, ModelParams,
+    ServerOptions, Snapshot, SnapshotWriter,
 };
-use openea_synth::{DatasetFamily, PresetConfig};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
+use openea_synth::{DatasetFamily, EvolutionConfig, PresetConfig};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A scratch directory, removed on drop.
 struct TempDir(PathBuf);
@@ -39,38 +46,9 @@ impl Drop for TempDir {
     }
 }
 
-/// One keep-alive HTTP GET: returns (status, parsed JSON body).
-fn http_get(conn: &mut TcpStream, path: &str) -> (u16, Json) {
-    conn.write_all(format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").as_bytes())
-        .expect("write request");
-    conn.flush().expect("flush");
-    let mut reader = BufReader::new(conn.try_clone().expect("clone stream"));
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        let line = line.trim();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = line.split_once(':') {
-            if k.eq_ignore_ascii_case("content-length") {
-                content_length = v.trim().parse().expect("length");
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    std::io::Read::read_exact(&mut reader, &mut body).expect("body");
-    let body = String::from_utf8(body).expect("utf-8 body");
-    (status, json::parse(&body).expect("json body"))
+/// A generation the way the server prints it.
+fn hex(generation: u64) -> String {
+    format!("{generation:#018x}")
 }
 
 #[test]
@@ -160,7 +138,7 @@ fn train_snapshot_serve_roundtrip_is_bit_identical_to_dense() {
     std::thread::scope(|s| {
         for client in 0..4usize {
             s.spawn(move || {
-                let mut conn = TcpStream::connect(addr).expect("connect");
+                let mut conn = connect(addr);
                 for q in 0..20usize {
                     let entity = (client * 7 + q * 3) % n1;
                     let k = 1 + (q % 5);
@@ -194,7 +172,7 @@ fn train_snapshot_serve_roundtrip_is_bit_identical_to_dense() {
     });
 
     // 5. Routes and error paths over one more connection.
-    let mut conn = TcpStream::connect(addr).expect("connect");
+    let mut conn = connect(addr);
     let (status, body) = http_get(&mut conn, "/health");
     assert_eq!(status, 200);
     assert_eq!(body.get("status").and_then(Json::as_str), Some("ok"));
@@ -236,31 +214,6 @@ fn train_snapshot_serve_roundtrip_is_bit_identical_to_dense() {
     handle.stop();
 }
 
-/// Deterministic synthetic snapshot for the hot-swap test: same shape per
-/// seed, different weights — two "deployments" of one model.
-fn synth_snapshot(seed: u64) -> Snapshot {
-    use openea_runtime::rng::Rng;
-    let (n1, n2, dim) = (24usize, 30usize, 6usize);
-    let mut rng = SmallRng::seed_from_u64(0xE2E ^ seed);
-    let mut emb =
-        |n: usize| -> Vec<f32> { (0..n * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect() };
-    Snapshot {
-        dim,
-        metric: openea_align::Metric::Cosine,
-        emb1: emb(n1),
-        emb2: emb(n2),
-        names1: Vec::new(),
-        names2: Vec::new(),
-        trace: openea_approaches::TrainTrace {
-            label: format!("e2e-gen-{seed}"),
-            epochs: Vec::new(),
-            stop: openea_approaches::StopReason::default(),
-            total_wall_s: 0.0,
-        },
-        lineage: None,
-    }
-}
-
 /// A keep-alive client connection spans `/admin/reload`: answers before
 /// the flip come from the old generation, answers after from the new one,
 /// the generation a connection observes never moves backwards, `/stats`
@@ -270,13 +223,14 @@ fn synth_snapshot(seed: u64) -> Snapshot {
 fn hot_swap_mid_connection_is_monotone_and_bit_correct() {
     let dir = TempDir::new("hotswap");
     let live = dir.0.join("live.snap");
-    let snap_a = synth_snapshot(1);
-    let mut snap_b = synth_snapshot(2);
-    let hex = |g: u64| format!("{g:#018x}");
+    // Same shape per seed, different weights: two "deployments" of one model.
+    let deployment = |seed: u64| tiny_snapshot(24, 30, 6, seed);
+    let snap_a = deployment(1);
+    let mut snap_b = deployment(2);
     let (gen_a, gen_b) = (snap_a.generation(), snap_b.generation());
     // B is a warm-started child of A: lineage is provenance only and must
     // not move the generation, while /stats surfaces it after the flip.
-    snap_b.lineage = Some(openea_approaches::Lineage {
+    snap_b.lineage = Some(Lineage {
         parent_generation: gen_a,
         trained_epochs: 7,
     });
@@ -305,8 +259,8 @@ fn hot_swap_mid_connection_is_monotone_and_bit_correct() {
 
     // Local references with identical options: served answers must match
     // bit for bit under whichever generation the server reports.
-    let ref_a = opts.build(synth_snapshot(1));
-    let ref_b = opts.build(synth_snapshot(2));
+    let ref_a = opts.build(deployment(1));
+    let ref_b = opts.build(deployment(2));
     let expect = |reference: &BatchIndex, entity: u32, k: usize| -> Vec<(u32, f64)> {
         reference
             .query(entity, k)
@@ -329,7 +283,7 @@ fn hot_swap_mid_connection_is_monotone_and_bit_correct() {
     };
 
     // One keep-alive connection across the whole scenario.
-    let mut conn = TcpStream::connect(addr).expect("connect");
+    let mut conn = connect(addr);
     for entity in 0..6u32 {
         let (status, body) = http_get(&mut conn, &format!("/align?entity={entity}&k=4"));
         assert_eq!(status, 200);
@@ -417,5 +371,192 @@ fn hot_swap_mid_connection_is_monotone_and_bit_correct() {
     );
     assert!(stats.get("snapshot_age_ms").and_then(Json::as_f64).unwrap() >= 0.0);
 
+    handle.stop();
+}
+
+/// The live pipeline's shape: D-Y, 150 final entities, base 0.6, two delta
+/// steps; 8-epoch retrains against delta runs capped at a quarter of that.
+const LIVE_SEED: u64 = 7;
+const FULL_EPOCHS: usize = 8;
+const DELTA_CAP: usize = 2;
+
+/// One trained generation, as reloaded from the artifact the engine wrote.
+struct Generation {
+    snap: Snapshot,
+    stop: StopReason,
+    epochs: usize,
+    hits1: f64,
+}
+
+/// Trains MTransE on `pair` the way `openea-trainer` does — cold when
+/// `parent` is `None`, else warm-started from the parent's parameters under
+/// a delta plan and the epoch cap — with the snapshot writer as the
+/// engine's artifact sink, and reloads what it emitted.
+fn train_generation(
+    pair: &KgPair,
+    parent: Option<(&ModelParams, DeltaPlan)>,
+    work_dir: &Path,
+) -> Generation {
+    let mut rng = SmallRng::seed_from_u64(LIVE_SEED);
+    let folds = k_fold_splits(&pair.alignment, 3, &mut rng);
+    let rc = RunConfig {
+        dim: 16,
+        max_epochs: FULL_EPOCHS,
+        threads: 2,
+        seed: LIVE_SEED,
+        ..RunConfig::default()
+    };
+    std::fs::create_dir_all(work_dir).expect("create train dir");
+    let writer = SnapshotWriter::new(work_dir, Vec::new(), Vec::new());
+    let warm = parent.map(|(p, _)| p.warm_start());
+    let mut ctx = RunContext::new(&rc)
+        .for_valid(&folds[0].valid)
+        .with_artifacts(&writer);
+    if let (Some(w), Some((_, plan))) = (warm.as_ref(), parent) {
+        ctx = ctx
+            .resume_from(w)
+            .with_delta(plan)
+            .with_budget(Budget::epochs(DELTA_CAP));
+    }
+    let approach = approach_by_name("MTransE").expect("registry approach");
+    let out = approach.run_with(pair, &folds[0], &rc, &ctx);
+    assert!(writer.take_error().is_none(), "artifact writes succeed");
+    let snap = Snapshot::read_from(&writer.final_path("MTransE")).expect("valid artifact");
+    assert_eq!(snap.to_output().content_hash(), out.content_hash());
+    assert_eq!(
+        snap.lineage, out.lineage,
+        "the artifact carries the lineage"
+    );
+    Generation {
+        snap,
+        stop: out.trace.stop,
+        epochs: out.trace.epochs.len(),
+        hits1: evaluate_output(&out, &folds[0].test, 2).hits1,
+    }
+}
+
+/// The train-to-serve chain end to end: an evolution trace, a cold base,
+/// then per step the served artifact read back → `into_model_params` →
+/// warm-started, budget-capped delta training → a lineage-stamped artifact
+/// written over the live path, which the watcher alone flips in while one
+/// keep-alive client keeps asking.
+#[test]
+fn delta_chain_flips_in_through_the_watcher_with_lineage_intact() {
+    let trace = EvolutionConfig::new(DatasetFamily::DY, 150, 2, LIVE_SEED)
+        .with_base_fraction(0.6)
+        .generate();
+    let dir = TempDir::new("live");
+    let train_dir = dir.0.join("train");
+    let live = dir.0.join("live.snap");
+
+    let base = train_generation(&trace.steps[0].pair, None, &train_dir);
+    assert_eq!(base.snap.lineage, None, "a cold run has no parent");
+    assert_eq!(
+        (base.stop, base.epochs),
+        (StopReason::MaxEpochs, FULL_EPOCHS)
+    );
+    base.snap.write_to(&live).unwrap();
+
+    let opts = IndexOptions {
+        threads: 2,
+        cache_cap: 64,
+        warm_keys: 8,
+        ..IndexOptions::default()
+    };
+    let (hot, _) = HotSwapIndex::open(&live, opts).unwrap();
+    let _watcher = hot.spawn_watcher(Duration::from_millis(8));
+    let mut handle = serve_hot(
+        hot,
+        "127.0.0.1:0".parse().unwrap(),
+        ServerOptions::default(),
+    )
+    .expect("bind");
+    let mut conn = connect(handle.addr());
+
+    // Publish order of the generations; base entities keep their rows in
+    // every later one (ids only ever append), so they stay valid queries.
+    let mut chain = vec![hex(base.snap.generation())];
+    let base_queries = base.snap.num_queries();
+    let mut trained_epochs = FULL_EPOCHS as u64;
+    let mut newest = 0usize;
+    let mut polls = 0usize;
+
+    for (k, step) in trace.steps.iter().enumerate().skip(1) {
+        let parent = Snapshot::read_from(&live).expect("served artifact");
+        let parent_gen = parent.generation();
+        assert_eq!(hex(parent_gen), chain[k - 1]);
+        let params = parent.into_model_params();
+        assert_eq!(params.trained_epochs, trained_epochs);
+        let plan = DeltaPlan {
+            known1: step.known1(),
+            known2: step.known2(),
+            new_triples: step.new_rel_triples,
+        };
+        let full = train_generation(&step.pair, None, &train_dir);
+        let delta = train_generation(&step.pair, Some((&params, plan)), &train_dir);
+
+        assert_eq!(
+            (delta.stop, delta.epochs),
+            (StopReason::DeadlineExceeded { epoch: DELTA_CAP }, DELTA_CAP),
+            "step {k}: the epoch budget ends a real registry run at the cap"
+        );
+        trained_epochs += delta.epochs as u64;
+        assert_eq!(
+            delta.snap.lineage,
+            Some(Lineage {
+                parent_generation: parent_gen,
+                trained_epochs,
+            }),
+            "step {k}: lineage cites the served parent and accumulates epochs"
+        );
+        assert!(
+            delta.hits1 + 0.02 >= full.hits1,
+            "step {k}: delta Hits@1 {} against full retrain {}",
+            delta.hits1,
+            full.hits1
+        );
+
+        // Publish. No `/admin/reload`: only the watcher can flip this in.
+        chain.push(hex(delta.snap.generation()));
+        delta.snap.write_to(&live).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let stats = loop {
+            let (status, stats) = http_get(&mut conn, "/stats");
+            assert_eq!(status, 200);
+            let flipped = stats.get("generation").and_then(Json::as_str) == Some(&chain[k]);
+            let entity = polls % base_queries;
+            polls += 1;
+            let (status, body) = http_get(&mut conn, &format!("/align?entity={entity}&k=3"));
+            assert_eq!(status, 200, "step {k}: a query failed across the flip");
+            let generation = body.get("generation").and_then(Json::as_str);
+            let seen = chain
+                .iter()
+                .position(|g| Some(g.as_str()) == generation)
+                .unwrap_or_else(|| panic!("step {k}: unknown generation {generation:?}"));
+            assert!(seen >= newest, "step {k}: generation moved backwards");
+            newest = seen;
+            if flipped {
+                assert_eq!(
+                    seen, k,
+                    "once /stats reports it, the new generation answers"
+                );
+                break stats;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "step {k}: the watcher never flipped the new artifact in"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        assert_eq!(
+            stats.get("parent_generation").and_then(Json::as_str),
+            Some(chain[k - 1].as_str())
+        );
+        assert_eq!(
+            stats.get("trained_epochs").and_then(Json::as_f64),
+            Some(trained_epochs as f64)
+        );
+        assert_eq!(stats.get("reloads").and_then(Json::as_f64), Some(k as f64));
+    }
     handle.stop();
 }

@@ -327,6 +327,15 @@ mod engine {
         assert_eq!(hooks.trained, 4);
         assert_eq!(out.trace.epochs.len(), 4);
         assert_eq!(out.trace.stop, StopReason::DeadlineExceeded { epoch: 4 });
+
+        // A budget the run never reaches changes nothing: it ends on its own.
+        for roomy in [Budget::wall_secs(600.0), Budget::epochs(cfg.max_epochs + 1)] {
+            let mut hooks = CountingHooks::new();
+            let ctx = RunContext::new(&cfg).with_budget(roomy);
+            let out = run_driver("test", &mut hooks, &ctx, &cfg).unwrap();
+            assert_eq!(hooks.trained, cfg.max_epochs);
+            assert_eq!(out.trace.stop, StopReason::MaxEpochs);
+        }
     }
 
     #[test]

@@ -122,7 +122,7 @@ fn default_pair_digest(entities: usize, seed: u64) -> u64 {
 }
 
 /// A change of any generated bit fails here and not first as a different
-/// recall curve in `openea-bench ann`.
+/// `recall_at_10` in the benchmark's `scale_200k_ivf_uniform`.
 #[test]
 fn the_1k_pair_digest_is_pinned() {
     assert_eq!(
