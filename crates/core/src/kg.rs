@@ -281,6 +281,27 @@ impl KgBuilder {
         }
     }
 
+    /// A builder sized for `entities` entities, `rel_triples` relation
+    /// triples and `attr_triples` attribute triples (and as many literals):
+    /// up to those counts, the triple lists and the symbol tables' id
+    /// arrays are allocated once and never grow. Only the interned text
+    /// does, whose length no count gives.
+    pub fn with_capacity(
+        name: &str,
+        entities: usize,
+        rel_triples: usize,
+        attr_triples: usize,
+    ) -> Self {
+        Self {
+            name: name.to_owned(),
+            entities: Interner::with_capacity(entities),
+            literals: Interner::with_capacity(attr_triples),
+            rel_triples: Vec::with_capacity(rel_triples),
+            attr_triples: Vec::with_capacity(attr_triples),
+            ..Self::default()
+        }
+    }
+
     /// Interns an entity by name, registering it even if it has no triples.
     pub fn add_entity(&mut self, name: &str) -> EntityId {
         EntityId(self.entities.intern(name))

@@ -10,10 +10,11 @@
 //!   [`rng::SeedableRng`], [`rng::SliceRandom`] and the distribution types
 //!   [`rng::WeightedIndex`] / [`rng::Normal`]. Streams are stable across
 //!   platforms and releases: the same seed always yields the same values.
-//! - [`pool`] — a scoped thread pool with atomic work-stealing chunk
-//!   dispatch for data-parallel loops over disjoint output slices. Results
-//!   are bit-identical for every thread count because workers only race for
-//!   *which* chunk to compute, never for what to write into it.
+//! - [`pool`] — persistent workers, and the calling thread beside them,
+//!   with atomic work-stealing chunk dispatch for data-parallel loops over
+//!   disjoint output slices. Results are bit-identical for every thread
+//!   count because runners only race for *which* chunk to compute, never
+//!   for what to write into it.
 //! - [`json`] — a minimal JSON encoder/decoder for the benchmark result
 //!   artifacts, format-compatible with the pretty printer that produced the
 //!   checked-in `results/*.json` files.

@@ -1,17 +1,28 @@
-//! Scoped data-parallelism with atomic work-stealing chunk dispatch.
+//! Data-parallelism on persistent workers with atomic work-stealing chunk
+//! dispatch.
 //!
 //! The workspace's hot loops (all-pairs similarity, BootEA's candidate
 //! refresh) write disjoint chunks of one output buffer. The old pattern —
 //! statically splitting the buffer into `threads` equal parts — suffers
 //! load imbalance when per-row cost is skewed: one unlucky worker finishes
 //! last while the rest idle. Here the buffer is split into many *small*
-//! chunks instead, and workers atomically claim the next unclaimed chunk
-//! until none remain, so a slow chunk only delays its own worker.
+//! chunks instead, and runners atomically claim the next unclaimed chunk
+//! until none remain, so a slow chunk only delays its own runner.
 //!
 //! Scheduling never affects results: chunk `i` always covers the same
 //! elements and is computed by a pure function of `i`, so output is
 //! bit-identical for every thread count — a property the determinism test
 //! matrix pins down.
+//!
+//! The runners of a call are its caller and up to `threads - 1` helpers
+//! from one process-wide set of worker threads. A worker is started the
+//! first time a call asks for more helpers than exist — so there are as many
+//! as the largest `threads - 1` ever asked for — and between calls it sleeps
+//! on a condition variable. A call does not wait for helpers to arrive: the
+//! caller claims chunks from the start, and a helper that comes late finds
+//! none left. So a call nested inside a chunk, or made while every worker
+//! is busy with other callers, still runs all its chunks, on its caller if
+//! need be, and never waits for a worker to come free.
 //!
 //! ```
 //! let mut data = vec![0u64; 103];
@@ -23,10 +34,15 @@
 //! assert!(data.iter().enumerate().all(|(i, &x)| x == i as u64 * 2));
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Thread};
 
 /// A raw pointer that may cross thread boundaries. Sound here because every
-/// worker derives *disjoint* subslices from it (chunk indices are handed
+/// runner derives *disjoint* subslices from it (chunk indices are handed
 /// out exactly once by the atomic counter).
 struct SendPtr<T>(*mut T);
 
@@ -35,13 +51,15 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Splits `data` into contiguous chunks of `chunk_len` elements (the last
 /// may be shorter) and runs `f(chunk_index, chunk)` for each, on up to
-/// `threads` scoped worker threads with atomic chunk claiming.
+/// `threads` runners — the calling thread and `threads - 1` pool workers —
+/// with atomic chunk claiming. Returns once every chunk has run.
 ///
 /// With `threads <= 1`, or a single chunk, runs inline on the caller's
 /// thread with no synchronization at all.
 ///
-/// Panics in `f` are propagated to the caller once all workers have
-/// stopped claiming new chunks.
+/// A panic in `f` stops the handing out of chunks; once every chunk already
+/// claimed has finished, the first panic's payload is re-raised on the
+/// caller. The pool stays usable.
 pub fn parallel_chunks<T, F>(data: &mut [T], chunk_len: usize, threads: usize, f: F)
 where
     T: Send,
@@ -62,37 +80,162 @@ where
     }
 
     let base = SendPtr(data.as_mut_ptr());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let base = &base;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_chunks {
-                            break;
-                        }
-                        let start = i * chunk_len;
-                        let end = (start + chunk_len).min(len);
-                        // SAFETY: chunk i spans [start, end) and the counter
-                        // hands each i to exactly one worker, so the subslices
-                        // are pairwise disjoint views into `data`, which the
-                        // exclusive borrow keeps alive for the whole scope.
-                        let chunk = unsafe {
-                            std::slice::from_raw_parts_mut(base.0.add(start), end - start)
-                        };
-                        f(i, chunk);
-                    }
-                })
-            })
-            .collect();
-        for worker in workers {
-            if let Err(payload) = worker.join() {
-                std::panic::resume_unwind(payload);
+    let run_chunk = |i: usize| {
+        let base = &base;
+        let start = i * chunk_len;
+        let end = (start + chunk_len).min(len);
+        // SAFETY: chunk i spans [start, end) and the counter hands each
+        // i < n_chunks to exactly one runner, so the subslices are pairwise
+        // disjoint views into `data`, which the exclusive borrow keeps alive
+        // until every claimed chunk has finished (see `Job::task`).
+        let chunk = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), end - start) };
+        f(i, chunk);
+    };
+    let task: &(dyn Fn(usize) + Sync) = &run_chunk;
+    // SAFETY: only the lifetime changes. `Job::run` calls `task` for a
+    // claimed index i < n_chunks alone, and every such call lies between a
+    // runner's increment and decrement of `active`. This frame does not
+    // return, nor unwind, before its own claiming loop has pushed `next`
+    // past the last chunk and it has then read `active == 0` (`SeqCst`
+    // throughout): a runner whose increment that read missed claims after
+    // it, gets an index ≥ n_chunks, and leaves without calling `task`. So
+    // every call of `task` finishes while `run_chunk` and the borrows it
+    // holds are alive; a `Job` that outlives this frame, in the queue or
+    // in a late helper's hands, keeps a reference that is never read.
+    let task = unsafe {
+        std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(task)
+    };
+    let job = Arc::new(Job {
+        task,
+        n_chunks,
+        next: AtomicUsize::new(0),
+        active: AtomicUsize::new(0),
+        panic: Mutex::new(None),
+        caller: thread::current(),
+    });
+    POOL.ask_for_helpers(&job, threads - 1);
+    job.run();
+    while job.active.load(SeqCst) != 0 {
+        thread::park();
+    }
+    let panic = lock(&job.panic).take();
+    if let Some(payload) = panic {
+        panic::resume_unwind(payload);
+    }
+}
+
+/// One multi-runner call of [`parallel_chunks`], shared by its caller and
+/// the helpers that join it.
+struct Job {
+    /// Runs chunk `i`. Borrowed from the caller's frame under an erased
+    /// lifetime: called only for `i < n_chunks`, which only the caller's
+    /// call can hand out (the SAFETY argument in `parallel_chunks`).
+    task: &'static (dyn Fn(usize) + Sync),
+    n_chunks: usize,
+    /// The next chunk to hand out; at or past `n_chunks` once none remain.
+    next: AtomicUsize,
+    /// Runners inside [`Job::run`], the caller among them.
+    active: AtomicUsize,
+    /// The first panic a chunk raised.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Unparked by the last runner to leave.
+    caller: Thread,
+}
+
+impl Job {
+    /// Claims and runs chunks until none remain.
+    fn run(&self) {
+        self.active.fetch_add(1, SeqCst);
+        loop {
+            let i = self.next.fetch_add(1, SeqCst);
+            if i >= self.n_chunks {
+                break;
+            }
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| (self.task)(i))) {
+                // Hand out nothing more; keep the first payload.
+                self.next.fetch_max(self.n_chunks, SeqCst);
+                lock(&self.panic).get_or_insert(payload);
             }
         }
-    });
+        if self.active.fetch_sub(1, SeqCst) == 1 {
+            self.caller.unpark();
+        }
+    }
+}
+
+/// The process-wide workers and the help they have been asked for.
+struct Pool {
+    queue: Mutex<Queue>,
+    /// Signalled once per request queued.
+    requests: Condvar,
+}
+
+struct Queue {
+    /// One entry per helper a call asked for, oldest first. An entry
+    /// whose call has finished costs its taker one failed claim.
+    requests: VecDeque<Arc<Job>>,
+    /// Workers started so far.
+    workers: usize,
+}
+
+static POOL: Pool = Pool {
+    queue: Mutex::new(Queue {
+        requests: VecDeque::new(),
+        workers: 0,
+    }),
+    requests: Condvar::new(),
+};
+
+impl Pool {
+    /// Queues `helpers` requests to join `job`, first starting workers
+    /// until there are at least `helpers`.
+    fn ask_for_helpers(&'static self, job: &Arc<Job>, helpers: usize) {
+        let mut queue = lock(&self.queue);
+        while queue.workers < helpers {
+            thread::Builder::new()
+                .name(format!("openea-pool-{}", queue.workers))
+                .spawn(move || self.serve())
+                .expect("the OS starts a pool worker");
+            queue.workers += 1;
+        }
+        queue
+            .requests
+            .extend(std::iter::repeat_with(|| Arc::clone(job)).take(helpers));
+        drop(queue);
+        for _ in 0..helpers {
+            self.requests.notify_one();
+        }
+    }
+
+    /// A worker's life: join the oldest request's job, repeat. Never
+    /// returns and never unwinds — every chunk runs under `catch_unwind` —
+    /// so the worker is never joined, and there is no panic to lose.
+    fn serve(&self) {
+        loop {
+            let job = {
+                let mut queue = lock(&self.queue);
+                loop {
+                    match queue.requests.pop_front() {
+                        Some(job) => break job,
+                        None => {
+                            queue = self
+                                .requests
+                                .wait(queue)
+                                .unwrap_or_else(PoisonError::into_inner)
+                        }
+                    }
+                }
+            };
+            job.run();
+        }
+    }
+}
+
+/// Locks `m`, poisoned or not: no lock of this module is held while a chunk
+/// runs, and every update under one is a single push, pop or store, so the
+/// data is whole even if a thread died holding it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A chunk length that yields several chunks per worker (so stealing can

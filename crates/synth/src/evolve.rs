@@ -26,6 +26,7 @@
 
 use crate::presets::{DatasetFamily, PresetConfig};
 use openea_core::{AttrTriple, EntityId, KgBuilder, KgPair, KnowledgeGraph, RelTriple};
+use openea_runtime::pool::parallel_chunks;
 
 /// Recipe for an evolution trace: a preset pair plus a growth schedule.
 #[derive(Clone, Copy, Debug)]
@@ -251,28 +252,15 @@ fn prefix_kg(fin: &KnowledgeGraph, n: usize, threads: usize) -> KnowledgeGraph {
 fn par_filter<T: Copy + Send + Sync>(
     items: &[T],
     threads: usize,
-    pred: impl Fn(&T) -> bool + Send + Sync,
+    pred: impl Fn(&T) -> bool + Sync,
 ) -> Vec<T> {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 {
-        return items.iter().copied().filter(|t| pred(t)).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut parts: Vec<Vec<T>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| scope.spawn(|| c.iter().copied().filter(|t| pred(t)).collect::<Vec<T>>()))
-            .collect();
-        for hnd in handles {
-            parts.push(hnd.join().expect("filter worker panicked"));
-        }
+    let chunk = items.len().div_ceil(threads.max(1)).max(1);
+    let mut parts: Vec<Vec<T>> = vec![Vec::new(); items.len().div_ceil(chunk)];
+    parallel_chunks(&mut parts, 1, threads, |i, part| {
+        let items = items.chunks(chunk).nth(i).expect("one part per chunk");
+        part[0] = items.iter().copied().filter(|t| pred(t)).collect();
     });
-    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for p in parts {
-        out.extend(p);
-    }
-    out
+    parts.concat()
 }
 
 /// FNV-1a, 64-bit — the same digest primitive the test suite pins golden

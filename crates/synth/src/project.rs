@@ -1,9 +1,10 @@
 //! Projecting the latent world into two concrete KGs plus their reference
 //! alignment.
 
-use crate::vocab::{LatentValue, Vocabulary};
+use crate::vocab::{LatentValue, NoiseDraws, Vocabulary};
 use crate::world::World;
 use openea_core::{EntityId, KgBuilder, KgPair, KnowledgeGraph};
+use openea_runtime::pool::parallel_chunks;
 use openea_runtime::rng::Rng;
 use openea_runtime::rng::SliceRandom;
 use std::fmt::Write;
@@ -134,17 +135,65 @@ fn render_uri(cfg: &ProjectionConfig, world: &World, e: usize, pos: u32, uri: &m
     .expect("writing to a String cannot fail");
 }
 
-/// Builds one projected KG. Every symbol is interned once: a present entity
-/// when it is registered, a relation or attribute name at its first use (the
-/// ids per-triple interning gives), and triples are added by id. Returns the
-/// KG and each world entity's id in it.
-fn build_kg<R: Rng>(
+/// Every RNG draw one KG's build decides by: which world triples it keeps,
+/// and the noise of each literal it renders.
+struct Draws {
+    /// Kept world relation triples (both endpoints present), in world order.
+    rel_kept: Vec<u32>,
+    /// Kept world attribute triples, in world order.
+    attr_kept: Vec<u32>,
+    /// The rendering noise of `attr_kept`'s values, in the same order.
+    noise: NoiseDraws,
+}
+
+/// Makes one KG's draws, in the order the generated data is pinned to: a
+/// keep draw per relation triple with both endpoints present, then per
+/// attribute triple of a present entity a keep draw and, if kept, the draws
+/// rendering its value.
+fn draw<R: Rng>(cfg: &ProjectionConfig, p: &Projection, world: &World, rng: &mut R) -> Draws {
+    let present = |e: u32| p.positions[e as usize].is_some();
+    let mut rel_kept = Vec::new();
+    for (i, &(h, _, t)) in (0u32..).zip(&world.rel_triples) {
+        if present(h) && present(t) && rng.gen_bool(cfg.triple_coverage) {
+            rel_kept.push(i);
+        }
+    }
+    let mut attr_kept = Vec::new();
+    let mut noise = NoiseDraws::default();
+    for (i, a) in (0u32..).zip(&world.attr_triples) {
+        if a.attr == 0 && !cfg.include_name_attr {
+            continue; // label deletion (paper Sect. 3.2)
+        }
+        if present(a.entity) && rng.gen_bool(cfg.attr_coverage) {
+            attr_kept.push(i);
+            cfg.vocabulary.draw_noise(&a.value, rng, &mut noise);
+        }
+    }
+    Draws {
+        rel_kept,
+        attr_kept,
+        noise,
+    }
+}
+
+/// Builds one projected KG from its draws; makes none. Every symbol is
+/// interned once: a present entity when it is registered, a relation or
+/// attribute name at its first use (the ids per-triple interning gives),
+/// and triples are added by id. Returns the KG and each world entity's id
+/// in it.
+fn build_kg(
     cfg: &ProjectionConfig,
     p: &Projection,
     world: &World,
-    rng: &mut R,
+    draws: &Draws,
 ) -> (KnowledgeGraph, Vec<Option<EntityId>>) {
-    let mut b = KgBuilder::new(&cfg.name);
+    let present = p.positions.iter().flatten().count();
+    let mut b = KgBuilder::with_capacity(
+        &cfg.name,
+        present,
+        draws.rel_kept.len(),
+        draws.attr_kept.len(),
+    );
     // One buffer for every URI and literal the KG renders.
     let mut text = String::new();
     // Register every present entity (even ones that end up isolated —
@@ -160,37 +209,35 @@ fn build_kg<R: Rng>(
             })
         })
         .collect();
+    let id = |e: u32| ids[e as usize].expect("a kept triple's entities are present");
     let mut rels = vec![None; p.rel_names.len()];
-    for &(h, r, t) in &world.rel_triples {
-        if let (Some(h), Some(t)) = (ids[h as usize], ids[t as usize]) {
-            if rng.gen_bool(cfg.triple_coverage) {
-                let r = r as usize;
-                let r = *rels[r].get_or_insert_with(|| b.add_relation(&p.rel_names[r]));
-                b.add_rel_triple_ids(h, r, t);
-            }
-        }
+    for &i in &draws.rel_kept {
+        let (h, r, t) = world.rel_triples[i as usize];
+        let r = r as usize;
+        let r = *rels[r].get_or_insert_with(|| b.add_relation(&p.rel_names[r]));
+        b.add_rel_triple_ids(id(h), r, id(t));
     }
     let mut attrs = vec![None; p.attr_names.len()];
-    for a in &world.attr_triples {
-        if a.attr == 0 && !cfg.include_name_attr {
-            continue; // label deletion (paper Sect. 3.2)
-        }
-        if let Some(e) = ids[a.entity as usize] {
-            if rng.gen_bool(cfg.attr_coverage) {
-                text.clear();
-                cfg.vocabulary.render_into(&a.value, rng, &mut text);
-                let attr = a.attr as usize;
-                let attr = *attrs[attr].get_or_insert_with(|| b.add_attribute(&p.attr_names[attr]));
-                let value = b.add_literal(&text);
-                b.add_attr_triple_ids(e, attr, value);
-            }
-        }
+    let mut noise = draws.noise.replay();
+    for &i in &draws.attr_kept {
+        let a = &world.attr_triples[i as usize];
+        text.clear();
+        cfg.vocabulary.render_drawn(&a.value, &mut noise, &mut text);
+        let attr = a.attr as usize;
+        let attr = *attrs[attr].get_or_insert_with(|| b.add_attribute(&p.attr_names[attr]));
+        let value = b.add_literal(&text);
+        b.add_attr_triple_ids(id(a.entity), attr, value);
     }
     (b.build(), ids)
 }
 
 /// Projects the world into two KGs and assembles the reference alignment
 /// (world entities present in both projections).
+///
+/// Every draw is made here, on `rng`, in one fixed order: schema 1, schema
+/// 2, KG1's keep and noise draws, KG2's. The two KGs are then built from
+/// what was drawn, as two tasks on the worker pool, so the pair is the same
+/// bits whichever thread builds which.
 pub fn generate_pair<R: Rng>(
     world: &World,
     cfg1: &ProjectionConfig,
@@ -199,8 +246,17 @@ pub fn generate_pair<R: Rng>(
 ) -> KgPair {
     let p1 = project_schema(cfg1, world, rng);
     let p2 = project_schema(cfg2, world, rng);
-    let (kg1, ids1) = build_kg(cfg1, &p1, world, rng);
-    let (kg2, ids2) = build_kg(cfg2, &p2, world, rng);
+    let d1 = draw(cfg1, &p1, world, rng);
+    let d2 = draw(cfg2, &p2, world, rng);
+    let sides = [(cfg1, &p1, &d1), (cfg2, &p2, &d2)];
+    let mut built = [None, None];
+    parallel_chunks(&mut built, 1, 2, |i, slot| {
+        let (cfg, p, draws) = sides[i];
+        slot[0] = Some(build_kg(cfg, p, world, draws));
+    });
+    let [Some((kg1, ids1)), Some((kg2, ids2))] = built else {
+        unreachable!("parallel_chunks runs every chunk")
+    };
     let alignment = ids1
         .into_iter()
         .zip(ids2)

@@ -40,6 +40,60 @@ pub enum Language {
     L3,
 }
 
+/// What the noise draws decided for one token or one number.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Drawn {
+    /// Rendered as is.
+    Clean,
+    /// A token left out.
+    Drop,
+    /// A token rendered as another one.
+    Replace,
+    /// A token with its first letter doubled.
+    Typo,
+    /// A number moved by the next offset of [`NoiseDraws::drifts`].
+    Drift,
+}
+
+/// The noise draws of one or more renderings, in draw order: what
+/// [`Vocabulary::draw_noise`] records and [`Vocabulary::render_drawn`] reads.
+/// One byte per token or number, plus one offset per drifted number.
+#[derive(Default)]
+pub(crate) struct NoiseDraws {
+    drawn: Vec<Drawn>,
+    drifts: Vec<f64>,
+}
+
+impl NoiseDraws {
+    /// Reads the draws from the first.
+    pub(crate) fn replay(&self) -> NoiseReplay<'_> {
+        NoiseReplay {
+            drawn: self.drawn.iter(),
+            drifts: self.drifts.iter(),
+        }
+    }
+}
+
+/// A reading position in [`NoiseDraws`]: each rendering takes its value's
+/// draws and leaves the next value's.
+pub(crate) struct NoiseReplay<'a> {
+    drawn: std::slice::Iter<'a, Drawn>,
+    drifts: std::slice::Iter<'a, f64>,
+}
+
+impl NoiseReplay<'_> {
+    fn next(&mut self) -> Drawn {
+        *self
+            .drawn
+            .next()
+            .expect("rendered from the draws of the same values")
+    }
+
+    fn drift(&mut self) -> f64 {
+        *self.drifts.next().expect("one offset per drifted number")
+    }
+}
+
 impl Vocabulary {
     /// Renders a single latent token under this vocabulary. Deterministic
     /// given `(token, language)`.
@@ -78,30 +132,77 @@ impl Vocabulary {
     }
 
     /// [`Vocabulary::render`], appended to `out`: a caller rendering many
-    /// values clears and reuses one buffer. Same RNG draws in the same order.
+    /// values clears and reuses one buffer. The draws of
+    /// [`Vocabulary::draw_noise`], rendered by [`Vocabulary::render_drawn`].
     pub fn render_into<R: Rng>(&self, value: &LatentValue, rng: &mut R, out: &mut String) {
+        let mut noise = NoiseDraws::default();
+        self.draw_noise(value, rng, &mut noise);
+        self.render_drawn(value, &mut noise.replay(), out);
+    }
+
+    /// Every RNG draw rendering `value` makes, appended to `noise` — the one
+    /// place their order is written. A caller may draw for many values here
+    /// and render them later, anywhere, from what was recorded.
+    pub(crate) fn draw_noise<R: Rng>(
+        &self,
+        value: &LatentValue,
+        rng: &mut R,
+        noise: &mut NoiseDraws,
+    ) {
+        match value {
+            LatentValue::Tokens(tokens) => {
+                for _ in tokens {
+                    let drawn = match rng.gen_bool(self.noise).then(|| rng.gen_range(0..3u8)) {
+                        None => Drawn::Clean,
+                        Some(0) => Drawn::Drop,
+                        Some(1) => Drawn::Replace,
+                        Some(_) => Drawn::Typo,
+                    };
+                    noise.drawn.push(drawn);
+                }
+            }
+            LatentValue::Number(_) => {
+                if rng.gen_bool(self.noise) {
+                    noise.drawn.push(Drawn::Drift);
+                    noise.drifts.push(rng.gen_range(-0.5..0.5));
+                } else {
+                    noise.drawn.push(Drawn::Clean);
+                }
+            }
+            LatentValue::Date(..) => {}
+        }
+    }
+
+    /// Renders `value` from its draws — the next ones `noise` holds —
+    /// appended to `out`. Makes no draw.
+    pub(crate) fn render_drawn(
+        &self,
+        value: &LatentValue,
+        noise: &mut NoiseReplay<'_>,
+        out: &mut String,
+    ) {
         match value {
             LatentValue::Tokens(tokens) => {
                 let start = out.len();
                 for &t in tokens {
-                    let noise = rng.gen_bool(self.noise).then(|| rng.gen_range(0..3u8));
-                    if noise == Some(0) {
-                        continue; // drop token
+                    let drawn = noise.next();
+                    if drawn == Drawn::Drop {
+                        continue;
                     }
                     if out.len() > start {
                         out.push(' ');
                     }
                     let word = out.len();
-                    match noise {
-                        None => self.render_token_into(t, out),
-                        Some(1) => self.render_token_into(t ^ 0x9e, out), // replace token
-                        Some(_) => {
-                            // Typo: duplicate the first letter.
+                    match drawn {
+                        Drawn::Replace => self.render_token_into(t ^ 0x9e, out),
+                        Drawn::Typo => {
+                            // Duplicate the first letter.
                             self.render_token_into(t, out);
                             if let Some(c) = out[word..].chars().next() {
                                 out.insert(word, c);
                             }
                         }
+                        _ => self.render_token_into(t, out),
                     }
                 }
                 if out.len() == start {
@@ -110,9 +211,9 @@ impl Vocabulary {
                 }
             }
             LatentValue::Number(x) => {
-                if rng.gen_bool(self.noise) {
+                if noise.next() == Drawn::Drift {
                     // Unit/precision drift.
-                    write!(out, "{:.1}", x + rng.gen_range(-0.5..0.5))
+                    write!(out, "{:.1}", x + noise.drift())
                 } else {
                     write!(out, "{x:.3}")
                 }
@@ -276,5 +377,121 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let s = v.render(&LatentValue::Number(3.25), &mut rng);
         assert!((s.parse::<f64>().unwrap() - 3.25).abs() < 1e-9);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use openea_runtime::rng::{RngCore, SeedableRng, SmallRng};
+    use openea_runtime::testkit::prelude::*;
+
+    /// The one-pass renderer that drew and rendered each token in turn,
+    /// before the two were split: the reference.
+    fn one_pass_render<R: Rng>(v: &Vocabulary, value: &LatentValue, rng: &mut R) -> String {
+        let mut out = String::new();
+        match value {
+            LatentValue::Tokens(tokens) => {
+                for &t in tokens {
+                    let noise = rng.gen_bool(v.noise).then(|| rng.gen_range(0..3u8));
+                    if noise == Some(0) {
+                        continue;
+                    }
+                    if !out.is_empty() {
+                        out.push(' ');
+                    }
+                    let word = out.len();
+                    match noise {
+                        None => v.render_token_into(t, &mut out),
+                        Some(1) => v.render_token_into(t ^ 0x9e, &mut out),
+                        Some(_) => {
+                            v.render_token_into(t, &mut out);
+                            let c = out[word..].chars().next().unwrap();
+                            out.insert(word, c);
+                        }
+                    }
+                }
+                if out.is_empty() {
+                    v.render_token_into(tokens.first().copied().unwrap_or(0), &mut out);
+                }
+            }
+            LatentValue::Number(x) => {
+                out = if rng.gen_bool(v.noise) {
+                    format!("{:.1}", x + rng.gen_range(-0.5..0.5))
+                } else {
+                    format!("{x:.3}")
+                };
+            }
+            LatentValue::Date(y, m, d) => {
+                out = match v.language {
+                    Language::L1 => format!("{y:04}-{m:02}-{d:02}"),
+                    Language::L2 => format!("{d:02}/{m:02}/{y:04}"),
+                    Language::L3 => format!("{m:02}.{d:02}.{y:04}"),
+                }
+            }
+        }
+        out
+    }
+
+    fn value_of(kind: u8, tokens: Vec<u32>, x: f64, (y, m, d): (u32, u8, u8)) -> LatentValue {
+        match kind {
+            0 => LatentValue::Tokens(tokens),
+            1 => LatentValue::Number(x),
+            _ => LatentValue::Date(y, m, d),
+        }
+    }
+
+    props! {
+        #![cases = 64]
+
+        /// Drawing every value's noise first and rendering them all after
+        /// gives the text the one-pass renderer gives — and `render_into`,
+        /// their composition, value by value — and leaves the RNG where it
+        /// left it: over noise {0, 0.3, 1} × the three languages × the three
+        /// kinds of latent value, mixed in one stream.
+        #[test]
+        fn drawing_then_rendering_matches_the_one_pass_renderer(
+            values in vec_of(
+                (0u8..3, vec_of(0u32..5000, 0..5), 0.0f64..10_000.0, (1800u32..2020, 1u8..13, 1u8..29)),
+                0..24,
+            ),
+            seed in 0u64..1_000_000,
+        ) {
+            let values: Vec<LatentValue> = values
+                .into_iter()
+                .map(|(kind, tokens, x, date)| value_of(kind, tokens, x, date))
+                .collect();
+            for noise in [0.0, 0.3, 1.0] {
+                for language in [Language::L1, Language::L2, Language::L3] {
+                    let v = Vocabulary { language, noise };
+                    let mut one_pass = SmallRng::seed_from_u64(seed);
+                    let want: Vec<String> =
+                        values.iter().map(|x| one_pass_render(&v, x, &mut one_pass)).collect();
+
+                    let mut composed = SmallRng::seed_from_u64(seed);
+                    let got: Vec<String> = values.iter().map(|x| v.render(x, &mut composed)).collect();
+                    prop_assert_eq!(&got, &want, "render_into, noise {} {:?}", noise, language);
+                    prop_assert_eq!(composed.next_u64(), one_pass.clone().next_u64());
+
+                    let mut split = SmallRng::seed_from_u64(seed);
+                    let mut draws = NoiseDraws::default();
+                    for x in &values {
+                        v.draw_noise(x, &mut split, &mut draws);
+                    }
+                    let mut replay = draws.replay();
+                    let got: Vec<String> = values
+                        .iter()
+                        .map(|x| {
+                            let mut out = String::new();
+                            v.render_drawn(x, &mut replay, &mut out);
+                            out
+                        })
+                        .collect();
+                    prop_assert_eq!(&got, &want, "draw all, render all, noise {} {:?}", noise, language);
+                    prop_assert_eq!(split.next_u64(), one_pass.next_u64());
+                    prop_assert!(replay.drawn.next().is_none() && replay.drifts.next().is_none());
+                }
+            }
+        }
     }
 }

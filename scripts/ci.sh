@@ -43,6 +43,13 @@ cargo test --release --offline -p openea --test scale_inputs -- --include-ignore
 # the release build above.
 cargo test --release --offline -p openea --test kernel_conformance --test kernel_equivalence
 
+# The pair generator's same-bits pins under the release profile's codegen:
+# the text of every generated URI, name and literal (all four families ×
+# V1/V2 at 3 000 entities, D-Y at 15 000), the ids the benchmark hashes,
+# and the pair's 12 MB live gate — built with the two KGs on two threads.
+# Budget: about a second after the release build above.
+cargo test --release --offline -p openea --test synth_pins --test kg_model --test pair_memory
+
 # Reactor soak slice: the end-to-end serving suite five more times with every
 # test on a thread of its own, which is how its accept/close races were found
 # (`conn_limit_sheds_at_accept` failed 1 run in 11 before the ceiling reaped
@@ -50,6 +57,14 @@ cargo test --release --offline -p openea --test kernel_conformance --test kernel
 # a second once built.
 for _ in 1 2 3 4 5; do
     cargo test -q --offline -p openea-serve --test reactor_e2e -- --test-threads=32
+done
+
+# The worker pool's contract the same way, in release: nested calls, eight
+# concurrent callers, a panic with a chunk still in flight and thousands of
+# calls shorter than a worker's wake-up, all sharing the one process-wide
+# pool with every test on a thread of its own. Budget: a few seconds.
+for _ in 1 2 3 4 5; do
+    cargo test -q --release --offline -p openea-runtime --test pool_contract -- --test-threads=32
 done
 
 cargo fmt --check

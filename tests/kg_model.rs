@@ -9,6 +9,8 @@
 //! same slices and the same order. The gates read a counting allocator's
 //! per-thread view (the harness gives each test its own thread), so the
 //! numbers are the sizes and calls the code asked for and repeat exactly.
+//! The generated pair's byte gate reads the global view, in
+//! `tests/pair_memory.rs`: its two KGs are built on two threads.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -307,21 +309,6 @@ props! {
 /// on at seed 1.
 fn pair_15k() -> KgPair {
     PresetConfig::new(DatasetFamily::DY, 15_000, false, 1).generate()
-}
-
-#[test]
-fn the_15k_pair_is_at_most_12_mb_live() {
-    let (pair, during) = ALLOC.on_this_thread(pair_15k);
-    assert_eq!(pair.kg1.num_entities() + pair.kg2.num_entities(), 28_847);
-    assert_eq!(
-        pair.kg1.num_rel_triples() + pair.kg2.num_rel_triples(),
-        62_701
-    );
-    assert!(
-        during.live <= 12_000_000,
-        "the pair holds {} bytes (the nested-Vec, doubled-string model held 22 978 316)",
-        during.live
-    );
 }
 
 /// FNV-1a over little-endian `u64`s: the digest `benchmark/src/pipeline.rs`
