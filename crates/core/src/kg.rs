@@ -57,6 +57,37 @@ impl<T: Copy> Csr<T> {
     fn row(&self, e: EntityId) -> &[T] {
         &self.items[self.starts[e.idx()] as usize..self.starts[e.idx() + 1] as usize]
     }
+
+    /// Every row's items in order, each with its entity.
+    fn entries(&self) -> impl Iterator<Item = (EntityId, T)> + '_ {
+        (0..self.starts.len() - 1).flat_map(move |e| {
+            let e = EntityId::from_idx(e);
+            self.row(e).iter().map(move |&item| (e, item))
+        })
+    }
+}
+
+impl<T: Copy + Ord> Csr<T> {
+    /// Sorts every row and drops its repeats, in place: each row is sorted
+    /// and deduplicated where it lies, then moved down over the gaps the
+    /// rows before it left. `items` keeps its capacity.
+    fn sort_dedup_rows(&mut self) {
+        let mut kept = 0;
+        let mut row_start = 0;
+        for e in 1..self.starts.len() {
+            let row_end = self.starts[e] as usize;
+            self.items[row_start..row_end].sort_unstable();
+            for i in row_start..row_end {
+                if i == row_start || self.items[i] != self.items[i - 1] {
+                    self.items[kept] = self.items[i];
+                    kept += 1;
+                }
+            }
+            self.starts[e] = kept as u32;
+            row_start = row_end;
+        }
+        self.items.truncate(kept);
+    }
 }
 
 /// An immutable knowledge graph with adjacency indexes.
@@ -355,27 +386,50 @@ impl KgBuilder {
         self.entities.len()
     }
 
-    /// Finalizes the graph: deduplicates triples and builds adjacency indexes.
+    /// Finalizes the graph: sorts and deduplicates the triples and builds
+    /// the adjacency indexes.
+    ///
+    /// A triple sorts by its head (or entity) first, so the sorted list is
+    /// the out-edge (attribute) rows read in entity order once each row is
+    /// sorted: the counting pass that files the triples under their heads is
+    /// the sort's first key, and what is left is sorting each short row in
+    /// place. Both lists are then rewritten from their rows, into the
+    /// capacity they already have, and the in-edge rows filled from the
+    /// sorted list.
     pub fn build(mut self) -> KnowledgeGraph {
-        self.rel_triples.sort_unstable();
-        self.rel_triples.dedup();
-        self.attr_triples.sort_unstable();
-        self.attr_triples.dedup();
-
-        // Rows are filled in triple order, so each is sorted the way the
-        // triples are: out-edges by (relation, tail), in-edges by (head,
-        // relation), attributes by (attribute, literal).
         let n = self.entities.len();
         let edge = (RelationId(0), EntityId(0));
-        let rels = self.rel_triples.iter();
-        let out_edges = Csr::build(n, rels.clone().map(|t| (t.head, (t.rel, t.tail))), edge);
-        let in_edges = Csr::build(n, rels.map(|t| (t.tail, (t.rel, t.head))), edge);
-        let attrs = Csr::build(
+        let mut out_edges = Csr::build(
+            n,
+            self.rel_triples.iter().map(|t| (t.head, (t.rel, t.tail))),
+            edge,
+        );
+        out_edges.sort_dedup_rows();
+        self.rel_triples.clear();
+        self.rel_triples.extend(
+            out_edges
+                .entries()
+                .map(|(head, (rel, tail))| RelTriple::new(head, rel, tail)),
+        );
+        let mut attrs = Csr::build(
             n,
             self.attr_triples
                 .iter()
                 .map(|t| (t.entity, (t.attr, t.value))),
             (AttributeId(0), LiteralId(0)),
+        );
+        attrs.sort_dedup_rows();
+        self.attr_triples.clear();
+        self.attr_triples.extend(
+            attrs
+                .entries()
+                .map(|(entity, (attr, value))| AttrTriple::new(entity, attr, value)),
+        );
+        // Filled stably in triple order: each row by (head, relation).
+        let in_edges = Csr::build(
+            n,
+            self.rel_triples.iter().map(|t| (t.tail, (t.rel, t.head))),
+            edge,
         );
 
         KnowledgeGraph {

@@ -298,6 +298,75 @@ mod tests {
         }
     }
 
+    /// The latent world behind the benchmark's 15K D-Y pair at seed 1, hashed
+    /// by value (FNV-1a over little-endian `u64`s): every relation triple,
+    /// every name token, and each attribute's entity, attribute id and value
+    /// — a tag, then its tokens, the bits of its number or its date. Read
+    /// while each world value was still an owned `Vec`, before the world
+    /// became flat arrays.
+    #[test]
+    fn the_15k_dy_world_is_pinned() {
+        use crate::vocab::LatentRef;
+
+        struct Fnv(u64);
+        impl Fnv {
+            fn u64(&mut self, v: u64) {
+                for b in v.to_le_bytes() {
+                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+
+        let cfg = PresetConfig::new(DatasetFamily::DY, 15_000, false, 1);
+        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ family_seed(cfg.family));
+        let w = World::generate(cfg.world_config(), &mut rng);
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        h.u64(w.rel_triples.len() as u64);
+        for &(head, rel, tail) in &w.rel_triples {
+            for id in [head, rel, tail] {
+                h.u64(u64::from(id));
+            }
+        }
+        h.u64(w.num_entities() as u64);
+        for e in 0..w.num_entities() as u32 {
+            for &t in w.name(e) {
+                h.u64(u64::from(t));
+            }
+        }
+        h.u64(w.attr_triples.len() as u64);
+        for a in &w.attr_triples {
+            h.u64(u64::from(a.entity));
+            h.u64(u64::from(a.attr));
+            match w.value(a) {
+                LatentRef::Tokens(tokens) => {
+                    h.u64(0);
+                    h.u64(tokens.len() as u64);
+                    for &t in tokens {
+                        h.u64(u64::from(t));
+                    }
+                }
+                LatentRef::Number(x) => {
+                    h.u64(1);
+                    h.u64(x.to_bits());
+                }
+                LatentRef::Date(y, m, d) => {
+                    h.u64(2);
+                    for part in [y, u32::from(m), u32::from(d)] {
+                        h.u64(u64::from(part));
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            (w.rel_triples.len(), w.attr_triples.len()),
+            (41_250, 75_355)
+        );
+        assert_eq!(
+            h.0, 0x9efe_0815_610d_fd2b,
+            "the seed-1 15K D-Y world changed"
+        );
+    }
+
     #[test]
     fn source_generation_is_larger() {
         let cfg = PresetConfig::new(DatasetFamily::EnFr, 200, false, 6);

@@ -1,13 +1,12 @@
 //! Projecting the latent world into two concrete KGs plus their reference
 //! alignment.
 
-use crate::vocab::{LatentValue, NoiseDraws, Vocabulary};
+use crate::vocab::{push_padded, NoiseDraws, Vocabulary};
 use crate::world::World;
 use openea_core::{EntityId, KgBuilder, KgPair, KnowledgeGraph};
 use openea_runtime::pool::parallel_chunks;
 use openea_runtime::rng::Rng;
 use openea_runtime::rng::SliceRandom;
-use std::fmt::Write;
 
 /// How one KG is projected out of the world.
 #[derive(Clone, Debug)]
@@ -118,21 +117,21 @@ fn project_schema<R: Rng>(cfg: &ProjectionConfig, world: &World, rng: &mut R) ->
 /// Writes the URI of world entity `e`, at shuffled position `pos`, into `uri`.
 /// Meaningful URIs embed the entity's rendered name tokens (as DBpedia local
 /// names do); the shuffled position keeps them unique.
-fn render_uri(cfg: &ProjectionConfig, world: &World, e: usize, pos: u32, uri: &mut String) {
+fn render_uri(cfg: &ProjectionConfig, world: &World, e: u32, pos: u32, uri: &mut String) {
     uri.clear();
     uri.push_str(&cfg.uri_prefix);
     if cfg.meaningful_uris {
-        for (i, &t) in world.names[e].iter().enumerate() {
+        for (i, &t) in world.name(e).iter().enumerate() {
             if i > 0 {
                 uri.push('_');
             }
             cfg.vocabulary.render_token_into(t, uri);
         }
-        write!(uri, "_{pos}")
+        uri.push('_');
     } else {
-        write!(uri, "Q{pos}")
+        uri.push('Q');
     }
-    .expect("writing to a String cannot fail");
+    push_padded(uri, u64::from(pos), 1);
 }
 
 /// Every RNG draw one KG's build decides by: which world triples it keeps,
@@ -166,7 +165,7 @@ fn draw<R: Rng>(cfg: &ProjectionConfig, p: &Projection, world: &World, rng: &mut
         }
         if present(a.entity) && rng.gen_bool(cfg.attr_coverage) {
             attr_kept.push(i);
-            cfg.vocabulary.draw_noise(&a.value, rng, &mut noise);
+            cfg.vocabulary.draw_noise(world.value(a), rng, &mut noise);
         }
     }
     Draws {
@@ -198,10 +197,8 @@ fn build_kg(
     let mut text = String::new();
     // Register every present entity (even ones that end up isolated —
     // real samples have them too).
-    let ids: Vec<Option<EntityId>> = p
-        .positions
-        .iter()
-        .enumerate()
+    let ids: Vec<Option<EntityId>> = (0u32..)
+        .zip(&p.positions)
         .map(|(e, pos)| {
             pos.map(|pos| {
                 render_uri(cfg, world, e, pos, &mut text);
@@ -222,7 +219,8 @@ fn build_kg(
     for &i in &draws.attr_kept {
         let a = &world.attr_triples[i as usize];
         text.clear();
-        cfg.vocabulary.render_drawn(&a.value, &mut noise, &mut text);
+        cfg.vocabulary
+            .render_drawn(world.value(a), &mut noise, &mut text);
         let attr = a.attr as usize;
         let attr = *attrs[attr].get_or_insert_with(|| b.add_attribute(&p.attr_names[attr]));
         let value = b.add_literal(&text);
@@ -263,17 +261,6 @@ pub fn generate_pair<R: Rng>(
         .filter_map(|(a, b)| a.zip(b))
         .collect();
     KgPair::new(kg1, kg2, alignment)
-}
-
-/// Renders the latent value of every world attribute in `LatentValue` form —
-/// exposed for tests that need ground-truth literals.
-pub fn latent_of(world: &World, entity: u32) -> Vec<&LatentValue> {
-    world
-        .attr_triples
-        .iter()
-        .filter(|a| a.entity == entity)
-        .map(|a| &a.value)
-        .collect()
 }
 
 #[cfg(test)]

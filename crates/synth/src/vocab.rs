@@ -10,7 +10,7 @@
 use openea_runtime::rng::Rng;
 use std::fmt::Write;
 
-/// A latent attribute value in the world.
+/// A latent attribute value, owned.
 #[derive(Clone, Debug, PartialEq)]
 pub enum LatentValue {
     /// A sequence of latent token ids (names, categories, descriptions).
@@ -19,6 +19,30 @@ pub enum LatentValue {
     Number(f64),
     /// A calendar date (year, month, day).
     Date(u32, u8, u8),
+}
+
+/// A latent attribute value, borrowed: what rendering reads. The world hands
+/// these out of its flat token arrays without a `Vec` per value;
+/// [`LatentValue::borrowed`] gives the owned form's.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum LatentRef<'a> {
+    /// A sequence of latent token ids.
+    Tokens(&'a [u32]),
+    /// A numeric quantity.
+    Number(f64),
+    /// A calendar date (year, month, day).
+    Date(u32, u8, u8),
+}
+
+impl LatentValue {
+    /// This value as rendering reads it.
+    pub(crate) fn borrowed(&self) -> LatentRef<'_> {
+        match *self {
+            LatentValue::Tokens(ref tokens) => LatentRef::Tokens(tokens),
+            LatentValue::Number(x) => LatentRef::Number(x),
+            LatentValue::Date(y, m, d) => LatentRef::Date(y, m, d),
+        }
+    }
 }
 
 /// Surface-rendering rules of one projected KG.
@@ -135,6 +159,7 @@ impl Vocabulary {
     /// values clears and reuses one buffer. The draws of
     /// [`Vocabulary::draw_noise`], rendered by [`Vocabulary::render_drawn`].
     pub fn render_into<R: Rng>(&self, value: &LatentValue, rng: &mut R, out: &mut String) {
+        let value = value.borrowed();
         let mut noise = NoiseDraws::default();
         self.draw_noise(value, rng, &mut noise);
         self.render_drawn(value, &mut noise.replay(), out);
@@ -145,12 +170,12 @@ impl Vocabulary {
     /// and render them later, anywhere, from what was recorded.
     pub(crate) fn draw_noise<R: Rng>(
         &self,
-        value: &LatentValue,
+        value: LatentRef<'_>,
         rng: &mut R,
         noise: &mut NoiseDraws,
     ) {
         match value {
-            LatentValue::Tokens(tokens) => {
+            LatentRef::Tokens(tokens) => {
                 for _ in tokens {
                     let drawn = match rng.gen_bool(self.noise).then(|| rng.gen_range(0..3u8)) {
                         None => Drawn::Clean,
@@ -161,7 +186,7 @@ impl Vocabulary {
                     noise.drawn.push(drawn);
                 }
             }
-            LatentValue::Number(_) => {
+            LatentRef::Number(_) => {
                 if rng.gen_bool(self.noise) {
                     noise.drawn.push(Drawn::Drift);
                     noise.drifts.push(rng.gen_range(-0.5..0.5));
@@ -169,7 +194,7 @@ impl Vocabulary {
                     noise.drawn.push(Drawn::Clean);
                 }
             }
-            LatentValue::Date(..) => {}
+            LatentRef::Date(..) => {}
         }
     }
 
@@ -177,12 +202,12 @@ impl Vocabulary {
     /// appended to `out`. Makes no draw.
     pub(crate) fn render_drawn(
         &self,
-        value: &LatentValue,
+        value: LatentRef<'_>,
         noise: &mut NoiseReplay<'_>,
         out: &mut String,
     ) {
         match value {
-            LatentValue::Tokens(tokens) => {
+            LatentRef::Tokens(tokens) => {
                 let start = out.len();
                 for &t in tokens {
                     let drawn = noise.next();
@@ -210,21 +235,29 @@ impl Vocabulary {
                     self.render_token_into(tokens.first().copied().unwrap_or(0), out);
                 }
             }
-            LatentValue::Number(x) => {
+            LatentRef::Number(x) => {
                 if noise.next() == Drawn::Drift {
                     // Unit/precision drift.
-                    write!(out, "{:.1}", x + noise.drift())
+                    push_fixed(out, x + noise.drift(), 1);
                 } else {
-                    write!(out, "{x:.3}")
+                    push_fixed(out, x, 3);
                 }
-                .expect("writing to a String cannot fail");
             }
-            LatentValue::Date(y, m, d) => match self.language {
-                Language::L1 => write!(out, "{y:04}-{m:02}-{d:02}"),
-                Language::L2 => write!(out, "{d:02}/{m:02}/{y:04}"),
-                Language::L3 => write!(out, "{m:02}.{d:02}.{y:04}"),
+            LatentRef::Date(y, m, d) => {
+                let (y, m, d) = (u64::from(y), u64::from(m), u64::from(d));
+                // `{y:04}-{m:02}-{d:02}`, `{d:02}/{m:02}/{y:04}`, `{m:02}.{d:02}.{y:04}`.
+                let (sep, fields) = match self.language {
+                    Language::L1 => ('-', [(y, 4), (m, 2), (d, 2)]),
+                    Language::L2 => ('/', [(d, 2), (m, 2), (y, 4)]),
+                    Language::L3 => ('.', [(m, 2), (d, 2), (y, 4)]),
+                };
+                for (i, (value, width)) in fields.into_iter().enumerate() {
+                    if i > 0 {
+                        out.push(sep);
+                    }
+                    push_padded(out, value, width);
+                }
             }
-            .expect("writing to a String cannot fail"),
         }
     }
 
@@ -258,6 +291,62 @@ impl Vocabulary {
             other => l1.render(other, rng),
         }
     }
+}
+
+/// Appends `x` with `decimals` (at most 3) digits after the point: the text
+/// of `format!("{x:.3}")` at 3, by integer arithmetic instead of `core::fmt`.
+/// Below 2⁵² in magnitude `x` is `mantissa / 2^shift` with `shift ≥ 1`, so
+/// `x · 10^decimals` is `mantissa · 10^decimals < 2⁶³` over `2^shift`, and
+/// rounding that half to even is what `core::fmt` does with the exact binary
+/// value. NaN, ±∞ and larger magnitudes are written by `write!`.
+fn push_fixed(out: &mut String, x: f64, decimals: u32) {
+    debug_assert!(decimals <= 3, "mantissa · 10^decimals must fit 63 bits");
+    if x.is_nan() || x.abs() >= (1u64 << 52) as f64 {
+        write!(out, "{x:.prec$}", prec = decimals as usize)
+            .expect("writing to a String cannot fail");
+        return;
+    }
+    let bits = x.to_bits();
+    // ±0 and subnormals, which lack the implicit bit, have `shift ≥ 64` and
+    // round to 0 with or without it.
+    let mantissa = bits & ((1 << 52) - 1) | 1 << 52;
+    let shift = 1075 - (bits >> 52 & 0x7ff) as u32;
+    let scale = 10u64.pow(decimals);
+    let units = shift_rounding_half_to_even(mantissa * scale, shift);
+    if bits >> 63 == 1 {
+        out.push('-');
+    }
+    push_padded(out, units / scale, 1);
+    out.push('.');
+    push_padded(out, units % scale, decimals as usize);
+}
+
+/// `n / 2^shift`, rounded half to even, for `n < 2⁶³` and `shift ≥ 1`.
+fn shift_rounding_half_to_even(n: u64, shift: u32) -> u64 {
+    if shift >= 64 {
+        return 0; // below a half
+    }
+    let quotient = n >> shift;
+    let rest = n & ((1 << shift) - 1);
+    let half = 1 << (shift - 1);
+    quotient + u64::from(rest > half || (rest == half && quotient & 1 == 1))
+}
+
+/// Appends `value` in decimal, zero-padded to at least `width` (≤ 20)
+/// digits: `{value:0width$}`.
+pub(crate) fn push_padded(out: &mut String, mut value: u64, width: usize) {
+    let mut digits = [b'0'; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    let start = start.min(digits.len() - width);
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 #[cfg(test)]
@@ -476,20 +565,76 @@ mod proptests {
                     let mut split = SmallRng::seed_from_u64(seed);
                     let mut draws = NoiseDraws::default();
                     for x in &values {
-                        v.draw_noise(x, &mut split, &mut draws);
+                        v.draw_noise(x.borrowed(), &mut split, &mut draws);
                     }
                     let mut replay = draws.replay();
                     let got: Vec<String> = values
                         .iter()
                         .map(|x| {
                             let mut out = String::new();
-                            v.render_drawn(x, &mut replay, &mut out);
+                            v.render_drawn(x.borrowed(), &mut replay, &mut out);
                             out
                         })
                         .collect();
                     prop_assert_eq!(&got, &want, "draw all, render all, noise {} {:?}", noise, language);
                     prop_assert_eq!(split.next_u64(), one_pass.next_u64());
                     prop_assert!(replay.drawn.next().is_none() && replay.drifts.next().is_none());
+                }
+            }
+        }
+    }
+
+    props! {
+        #![cases = 64]
+
+        /// The number and date renderers write what `core::fmt` writes:
+        /// `{x:.3}` and `{x:.1}` over any bit pattern (mostly the `write!`
+        /// fallback: NaN, ±∞, |x| ≥ 2⁵², and tiny magnitudes), the range the
+        /// generator's numbers and drifts take, near-ties k/2000 and exact
+        /// binary ties k/16 (half to even on the exact value), ±0.0,
+        /// subnormals and negatives that round to zero ("-0.0"); and the
+        /// three date patterns with years and months past their field width.
+        #[test]
+        fn number_and_date_text_match_core_fmt(seed in 0u64..u64::MAX) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let two_52 = (1u64 << 52) as f64;
+            let mut xs = vec![
+                0.0, -0.0, 0.05, 0.25, 0.0625, 0.9995, 9999.9995, 10_000.5,
+                f64::MIN_POSITIVE, f64::from_bits(1), f64::NAN, f64::INFINITY,
+                f64::NEG_INFINITY, f64::MAX, two_52, two_52 - 0.5, two_52 - 1.0,
+            ];
+            for _ in 0..512 {
+                let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+                xs.push(f64::from_bits(rng.next_u64()));
+                xs.push(rng.gen_range(-0.5..10_000.5));
+                xs.push(f64::from(rng.gen_range(-20_001_000..20_001_000)) / 2000.0);
+                xs.push(f64::from(rng.gen_range(-160_008..160_008)) / 16.0);
+                xs.push(sign * f64::from_bits(rng.gen_range(1..1u64 << 52)));
+                xs.push(-rng.gen_range(0.0..0.05f64));
+                xs.push(-rng.gen_range(0.0..0.0005f64));
+                xs.push(sign * rng.gen_range(0.0..two_52));
+            }
+            for &x in &xs {
+                for decimals in [1, 3] {
+                    let mut got = String::new();
+                    push_fixed(&mut got, x, decimals);
+                    let want = format!("{x:.prec$}", prec = decimals as usize);
+                    prop_assert_eq!(got, want, "{:?} = {:#018x} at {}", x, x.to_bits(), decimals);
+                }
+            }
+
+            let mut no_draws = SmallRng::seed_from_u64(0);
+            for _ in 0..512 {
+                let y = if rng.gen_bool(0.5) { rng.gen_range(0..100_000) } else { rng.gen_range(0..=u32::MAX) };
+                let (m, d) = (rng.gen_range(0..=u8::MAX), rng.gen_range(0..=u8::MAX));
+                for (language, want) in [
+                    (Language::L1, format!("{y:04}-{m:02}-{d:02}")),
+                    (Language::L2, format!("{d:02}/{m:02}/{y:04}")),
+                    (Language::L3, format!("{m:02}.{d:02}.{y:04}")),
+                ] {
+                    let v = Vocabulary { language, noise: 0.5 };
+                    let got = v.render(&LatentValue::Date(y, m, d), &mut no_draws);
+                    prop_assert_eq!(got, want, "{:?}", language);
                 }
             }
         }

@@ -1,10 +1,12 @@
 //! The latent world: a preferential-attachment relation graph plus latent
 //! attribute values, from which both KGs of a pair are projected.
 
-use crate::vocab::LatentValue;
+use crate::vocab::LatentRef;
 use openea_runtime::rng::Distribution;
 use openea_runtime::rng::Rng;
 use openea_runtime::rng::WeightedIndex;
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Configuration of the latent world.
 #[derive(Clone, Copy, Debug)]
@@ -39,15 +41,30 @@ impl Default for WorldConfig {
     }
 }
 
+/// A world attribute's latent value. `Copy`: the tokens a value names live
+/// in the [`World`]'s flat `names` and `tokens` arrays.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum WorldValue {
+    /// The entity's latent name (what attribute 0 carries).
+    Name,
+    /// `World::tokens[start..end]`.
+    Tokens { start: u32, end: u32 },
+    /// A numeric quantity.
+    Number(f64),
+    /// A calendar date (year, month, day).
+    Date(u32, u8, u8),
+}
+
 /// A latent world entity's attribute triple.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct WorldAttr {
     pub entity: u32,
     pub attr: u32,
-    pub value: LatentValue,
+    pub value: WorldValue,
 }
 
-/// The latent world shared by the two projected KGs.
+/// The latent world shared by the two projected KGs: a fixed number of flat
+/// arrays, however many entities and values it holds.
 #[derive(Clone, Debug)]
 pub struct World {
     pub config: WorldConfig,
@@ -55,8 +72,35 @@ pub struct World {
     pub rel_triples: Vec<(u32, u32, u32)>,
     /// Attribute triples with latent values.
     pub attr_triples: Vec<WorldAttr>,
-    /// Latent name tokens per entity (attribute 0 renders these).
-    pub names: Vec<Vec<u32>>,
+    /// Latent name tokens, `config.name_tokens` per entity back to back
+    /// (attribute 0 renders these).
+    pub names: Vec<u32>,
+    /// The tokens of every [`WorldValue::Tokens`], back to back.
+    pub tokens: Vec<u32>,
+}
+
+/// A fixed multiplicative hash for the relation-triple dedup set: per word,
+/// rotate, xor it in, multiply by an odd constant. Its keys are this
+/// generator's own draws, not input, so unlike the `Interner` — whose names
+/// come from files — it needs no per-process random key.
+#[derive(Default)]
+struct FixedHasher(u64);
+
+impl Hasher for FixedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(x)).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits, which a product mixes least.
+        self.0.rotate_left(26)
+    }
 }
 
 impl World {
@@ -84,8 +128,9 @@ impl World {
         // Preferential attachment: maintain a repeated-endpoints pool; each
         // new edge picks its tail from the pool with prob. p, else uniformly.
         let mut rel_triples = Vec::with_capacity(total_triples);
-        let mut pool: Vec<u32> = Vec::with_capacity(total_triples * 2);
-        let mut seen = std::collections::HashSet::with_capacity(total_triples);
+        let mut pool: Vec<u32> = Vec::with_capacity(2 + total_triples * 2);
+        let mut seen: HashSet<(u32, u32, u32), BuildHasherDefault<FixedHasher>> =
+            HashSet::with_capacity_and_hasher(total_triples, Default::default());
         // Seed the pool so early picks are valid.
         pool.push(0);
         pool.push(1 % n as u32);
@@ -109,36 +154,46 @@ impl World {
             pool.push(tail);
             rel_triples.push((head, rel, tail));
         }
+        // Freed before the attribute arrays are filled.
+        drop((pool, seen));
 
         // Latent names: distinct token tuples per entity.
-        let names: Vec<Vec<u32>> = (0..n)
-            .map(|_| {
-                (0..config.name_tokens)
-                    .map(|_| rng.gen_range(0..config.vocab_size))
-                    .collect()
-            })
+        let names: Vec<u32> = (0..n * config.name_tokens)
+            .map(|_| rng.gen_range(0..config.vocab_size))
             .collect();
 
         // Attribute triples: attribute 0 is reserved for the name; further
         // attributes carry tokens, numbers or dates depending on attr id.
-        let mut attr_triples = Vec::new();
+        // The triples are sized for the Poisson mean plus four standard
+        // deviations, the token pool for one token per extra attribute;
+        // past that they grow.
+        let extras = n as f64 * config.attrs_per_entity;
+        let mut attr_triples = Vec::with_capacity(n + (extras + 4.0 * extras.sqrt()) as usize);
+        let mut tokens = Vec::with_capacity(extras as usize);
+        let no_extra = (-config.attrs_per_entity).exp();
         for e in 0..n as u32 {
             attr_triples.push(WorldAttr {
                 entity: e,
                 attr: 0,
-                value: LatentValue::Tokens(names[e as usize].clone()),
+                value: WorldValue::Name,
             });
-            let extra = poisson_knuth(config.attrs_per_entity, rng);
+            let extra = poisson_knuth(no_extra, rng);
             for _ in 0..extra {
                 let a = attr_dist.sample(rng) as u32;
                 let value = match a % 3 {
-                    0 => LatentValue::Tokens(
-                        (0..rng.gen_range(1..=3))
-                            .map(|_| rng.gen_range(0..config.vocab_size))
-                            .collect(),
-                    ),
-                    1 => LatentValue::Number(rng.gen_range(0.0..10_000.0)),
-                    _ => LatentValue::Date(
+                    0 => {
+                        let start = tokens.len();
+                        for _ in 0..rng.gen_range(1..=3) {
+                            tokens.push(rng.gen_range(0..config.vocab_size));
+                        }
+                        let at = |i: usize| u32::try_from(i).expect("token pool overflows u32");
+                        WorldValue::Tokens {
+                            start: at(start),
+                            end: at(tokens.len()),
+                        }
+                    }
+                    1 => WorldValue::Number(rng.gen_range(0.0..10_000.0)),
+                    _ => WorldValue::Date(
                         rng.gen_range(1800..2020),
                         rng.gen_range(1..=12),
                         rng.gen_range(1..=28),
@@ -157,22 +212,41 @@ impl World {
             rel_triples,
             attr_triples,
             names,
+            tokens,
         }
     }
 
     pub fn num_entities(&self) -> usize {
         self.config.num_entities
     }
+
+    /// The latent name tokens of entity `e`.
+    pub(crate) fn name(&self, e: u32) -> &[u32] {
+        let k = self.config.name_tokens;
+        &self.names[e as usize * k..][..k]
+    }
+
+    /// The value of `a`, borrowed from this world.
+    pub(crate) fn value(&self, a: &WorldAttr) -> LatentRef<'_> {
+        match a.value {
+            WorldValue::Name => LatentRef::Tokens(self.name(a.entity)),
+            WorldValue::Tokens { start, end } => {
+                LatentRef::Tokens(&self.tokens[start as usize..end as usize])
+            }
+            WorldValue::Number(x) => LatentRef::Number(x),
+            WorldValue::Date(y, m, d) => LatentRef::Date(y, m, d),
+        }
+    }
 }
 
 /// Small-λ Poisson sampling (Knuth's algorithm); λ ≤ ~10 in our configs.
-fn poisson_knuth<R: Rng>(lambda: f64, rng: &mut R) -> usize {
-    let l = (-lambda).exp();
+/// Takes `e^-λ`, the chance of no event, which the caller computes once.
+fn poisson_knuth<R: Rng>(no_event: f64, rng: &mut R) -> usize {
     let mut k = 0usize;
     let mut p = 1.0;
     loop {
         p *= rng.gen::<f64>();
-        if p <= l {
+        if p <= no_event {
             return k;
         }
         k += 1;
@@ -291,7 +365,7 @@ mod proptests {
                 vocab_size: 500,
             };
             let w = World::generate(cfg, &mut rng);
-            prop_assert_eq!(w.names.len(), entities);
+            prop_assert_eq!(w.names.len(), entities * cfg.name_tokens);
             for &(h, r, t) in &w.rel_triples {
                 prop_assert!((h as usize) < entities);
                 prop_assert!((t as usize) < entities);
@@ -301,7 +375,7 @@ mod proptests {
             for a in &w.attr_triples {
                 prop_assert!((a.entity as usize) < entities);
                 prop_assert!((a.attr as usize) < attributes);
-                if let crate::vocab::LatentValue::Tokens(ts) = &a.value {
+                if let LatentRef::Tokens(ts) = w.value(a) {
                     prop_assert!(ts.iter().all(|&t| t < 500));
                 }
             }

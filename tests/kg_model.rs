@@ -20,7 +20,7 @@ use openea_core::{
     k_fold_splits, AttrTriple, AttributeId, EntityId, Interner, KgBuilder, KgPair, KnowledgeGraph,
     LiteralId, RelTriple, RelationId,
 };
-use openea_runtime::rng::{SeedableRng, SmallRng};
+use openea_runtime::rng::{SeedableRng, SliceRandom, SmallRng};
 use openea_runtime::testkit::prelude::*;
 use openea_synth::{DatasetFamily, PresetConfig};
 use std::collections::{HashMap, HashSet};
@@ -138,6 +138,46 @@ fn multigraph(n: usize, rels: &[Edge], attrs: &[Edge]) -> KnowledgeGraph {
     b.build()
 }
 
+/// Compares `kg`, built from `rel_triples` and `attr_triples` as added, with
+/// the reference: `sort_unstable` + `dedup` of each list, then each triple
+/// pushed onto its entity's own `Vec`.
+fn matches_the_sorted_nested_vec_reference(
+    kg: &KnowledgeGraph,
+    mut rel_triples: Vec<RelTriple>,
+    mut attr_triples: Vec<AttrTriple>,
+) -> PropResult {
+    let n = kg.num_entities();
+    rel_triples.sort_unstable();
+    rel_triples.dedup();
+    attr_triples.sort_unstable();
+    attr_triples.dedup();
+    let mut out_edges = vec![Vec::new(); n];
+    let mut in_edges = vec![Vec::new(); n];
+    let mut attrs_of = vec![Vec::new(); n];
+    for t in &rel_triples {
+        out_edges[t.head.idx()].push((t.rel, t.tail));
+        in_edges[t.tail.idx()].push((t.rel, t.head));
+    }
+    for t in &attr_triples {
+        attrs_of[t.entity.idx()].push((t.attr, t.value));
+    }
+
+    prop_assert_eq!(kg.rel_triples(), &rel_triples[..]);
+    prop_assert_eq!(kg.attr_triples(), &attr_triples[..]);
+    for e in kg.entity_ids() {
+        prop_assert_eq!(kg.out_edges(e), &out_edges[e.idx()][..]);
+        prop_assert_eq!(kg.in_edges(e), &in_edges[e.idx()][..]);
+        prop_assert_eq!(kg.attrs_of(e), &attrs_of[e.idx()][..]);
+        prop_assert_eq!(
+            kg.degree(e),
+            out_edges[e.idx()].len() + in_edges[e.idx()].len()
+        );
+    }
+    let isolated = (0..n).filter(|&e| out_edges[e].is_empty() && in_edges[e].is_empty());
+    prop_assert_eq!(kg.num_isolated(), isolated.count());
+    Ok(())
+}
+
 props! {
     #![cases = 128]
 
@@ -148,43 +188,72 @@ props! {
         attrs in vec_of((0u32..40, 0u32..3, 0u32..5), 0..120),
     ) {
         let kg = multigraph(n, &rels, &attrs);
-
-        // The reference: sort, deduplicate, push each triple onto its
-        // entity's own Vec.
         let m = n as u32;
-        let mut rel_triples: Vec<RelTriple> = rels
+        let rel_triples = rels
             .iter()
             .map(|&(h, r, t)| RelTriple::new(EntityId(h % m), RelationId(r % 3), EntityId(t % m)))
             .collect();
-        rel_triples.sort_unstable();
-        rel_triples.dedup();
-        let mut attr_triples: Vec<AttrTriple> = attrs
+        let attr_triples = attrs
             .iter()
             .map(|&(e, a, v)| AttrTriple::new(EntityId(e % m), AttributeId(a % 3), LiteralId(v % 5)))
             .collect();
-        attr_triples.sort_unstable();
-        attr_triples.dedup();
-        let mut out_edges = vec![Vec::new(); n];
-        let mut in_edges = vec![Vec::new(); n];
-        let mut attrs_of = vec![Vec::new(); n];
+        matches_the_sorted_nested_vec_reference(&kg, rel_triples, attr_triples)?;
+    }
+
+    /// `build` sorts and deduplicates through the rows of its counting
+    /// pass; it must give what sorting the whole lists gives. Triples name
+    /// only the first `named` entities, so every one after them is isolated
+    /// (all of them when there are no triples: `drop` 1 leaves out the
+    /// relation triples, 2 the attribute triples, 3 both), small `named`
+    /// makes hub rows, every triple is added `copies` times, and the
+    /// additions come in a shuffled order.
+    #[test]
+    fn build_sorts_through_its_rows_like_sorting_the_lists(
+        n in 1u32..120,
+        named in 1u32..120,
+        rels in vec_of((0u32..1000, 0u32..4, 0u32..1000), 0..300),
+        attrs in vec_of((0u32..1000, 0u32..4, 0u32..6), 0..200),
+        drop_and_copies in (0u8..4, 1usize..4),
+        seed in 0u64..1_000_000,
+    ) {
+        let (drop, copies) = drop_and_copies;
+        let named = named.min(n);
+        let rels = if drop & 1 == 1 { &[][..] } else { &rels[..] };
+        let attrs = if drop & 2 == 2 { &[][..] } else { &attrs[..] };
+        let mut rel_triples: Vec<RelTriple> = rels
+            .iter()
+            .map(|&(h, r, t)| RelTriple::new(EntityId(h % named), RelationId(r), EntityId(t % named)))
+            .collect();
+        let mut attr_triples: Vec<AttrTriple> = attrs
+            .iter()
+            .map(|&(e, a, v)| AttrTriple::new(EntityId(e % named), AttributeId(a), LiteralId(v)))
+            .collect();
+        rel_triples = rel_triples.repeat(copies);
+        attr_triples = attr_triples.repeat(copies);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        rel_triples.shuffle(&mut rng);
+        attr_triples.shuffle(&mut rng);
+
+        let mut b = KgBuilder::new("g");
+        for e in 0..n {
+            b.add_entity(&format!("e{e}"));
+        }
+        for r in 0..4 {
+            b.add_relation(&format!("r{r}"));
+        }
+        for a in 0..4 {
+            b.add_attribute(&format!("a{a}"));
+        }
+        for v in 0..6 {
+            b.add_literal(&format!("v{v}"));
+        }
         for t in &rel_triples {
-            out_edges[t.head.idx()].push((t.rel, t.tail));
-            in_edges[t.tail.idx()].push((t.rel, t.head));
+            b.add_rel_triple_ids(t.head, t.rel, t.tail);
         }
         for t in &attr_triples {
-            attrs_of[t.entity.idx()].push((t.attr, t.value));
+            b.add_attr_triple_ids(t.entity, t.attr, t.value);
         }
-
-        prop_assert_eq!(kg.rel_triples(), &rel_triples[..]);
-        prop_assert_eq!(kg.attr_triples(), &attr_triples[..]);
-        for e in kg.entity_ids() {
-            prop_assert_eq!(kg.out_edges(e), &out_edges[e.idx()][..]);
-            prop_assert_eq!(kg.in_edges(e), &in_edges[e.idx()][..]);
-            prop_assert_eq!(kg.attrs_of(e), &attrs_of[e.idx()][..]);
-            prop_assert_eq!(kg.degree(e), out_edges[e.idx()].len() + in_edges[e.idx()].len());
-        }
-        let isolated = (0..n).filter(|&e| out_edges[e].is_empty() && in_edges[e].is_empty());
-        prop_assert_eq!(kg.num_isolated(), isolated.count());
+        matches_the_sorted_nested_vec_reference(&b.build(), rel_triples, attr_triples)?;
     }
 }
 

@@ -1,5 +1,6 @@
-//! The memory contract of a generated pair, gated by a count and not a
-//! clock: *the 15K pair the benchmark trains on holds at most 12 MB*.
+//! The memory contract of a generated pair, gated by counts and not a
+//! clock: *the 15K pair the benchmark trains on holds at most 12 MB, and
+//! generating it takes at most 3 000 allocator calls*.
 //!
 //! The two KGs of a pair are built on two threads, the caller and a pool
 //! worker, and each frees memory the other allocated, so a per-thread view
@@ -21,10 +22,15 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 #[test]
 fn the_15k_pair_is_at_most_12_mb_live() {
     let before = ALLOC.live();
+    let calls_before = ALLOC.calls();
     let (pair, peak) =
         ALLOC.measure(|| PresetConfig::new(DatasetFamily::DY, 15_000, false, 1).generate());
     let live = ALLOC.live() - before;
-    println!("the pair holds {live} bytes; generating it peaked {peak} bytes above the start");
+    let calls = ALLOC.calls() - calls_before;
+    println!(
+        "the pair holds {live} bytes; generating it peaked {peak} bytes above the start \
+         and made {calls} allocator calls"
+    );
     assert_eq!(pair.kg1.num_entities() + pair.kg2.num_entities(), 28_847);
     assert_eq!(
         pair.kg1.num_rel_triples() + pair.kg2.num_rel_triples(),
@@ -33,5 +39,10 @@ fn the_15k_pair_is_at_most_12_mb_live() {
     assert!(
         live <= 12_000_000,
         "the pair holds {live} bytes (the nested-Vec, doubled-string model held 22 978 316)"
+    );
+    assert!(
+        calls <= 3_000,
+        "generating the pair made {calls} allocator calls (57 303 while the latent world \
+         held one Vec per name and per token literal)"
     );
 }

@@ -1,6 +1,7 @@
 //! A std-only counting global allocator for tests that gate on *bytes*, not
-//! on a clock: live bytes, and the peak of live bytes since the last
-//! [`CountingAlloc::measure`] began. A test binary installs it with
+//! on a clock: live bytes, the peak of live bytes since the last
+//! [`CountingAlloc::measure`] began, and allocator calls. A test binary
+//! installs it with
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -75,6 +76,7 @@ fn tally(grown: usize, shrunk: usize) {
 pub struct CountingAlloc {
     live: AtomicUsize,
     peak: AtomicUsize,
+    calls: AtomicUsize,
 }
 
 impl CountingAlloc {
@@ -82,12 +84,19 @@ impl CountingAlloc {
         Self {
             live: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
+            calls: AtomicUsize::new(0),
         }
     }
 
     /// Bytes allocated and not yet freed.
     pub fn live(&self) -> usize {
         self.live.load(Relaxed)
+    }
+
+    /// Calls that could return new memory (`alloc`, `alloc_zeroed`,
+    /// `realloc`) on any thread since the program started.
+    pub fn calls(&self) -> usize {
+        self.calls.load(Relaxed)
     }
 
     /// Runs `f` and returns its value with the most bytes that were live at
@@ -117,6 +126,7 @@ impl CountingAlloc {
     }
 
     fn grew(&self, bytes: usize) {
+        self.calls.fetch_add(1, Relaxed);
         let now = self.live.fetch_add(bytes, Relaxed) + bytes;
         self.peak.fetch_max(now, Relaxed);
     }
