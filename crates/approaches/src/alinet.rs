@@ -7,7 +7,7 @@
 
 use crate::common::{Approach, ApproachOutput, Requirements, RunConfig, TrainError};
 use crate::engine::{run_driver, RunContext};
-use crate::gcn::{split_normalized, union_edges, GnnHooks, GnnModel};
+use crate::gcn::{near_identity, split_normalized, union_edges, GnnHooks, GnnModel};
 use openea_autodiff::{Graph, SparseMatrix, Tensor};
 use openea_core::{AlignedPair, FoldSplit, KgPair};
 use openea_runtime::rng::Rng;
@@ -220,17 +220,6 @@ impl Approach for AliNet {
         };
         run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)
     }
-}
-
-fn near_identity<R: Rng>(dim: usize, rng: &mut R) -> Tensor {
-    let mut t = Tensor::zeros(dim, dim);
-    for i in 0..dim {
-        t.data[i * dim + i] = 1.0;
-    }
-    for v in t.data.iter_mut() {
-        *v += rng.gen_range(-0.05f32..0.05);
-    }
-    t
 }
 
 #[cfg(test)]

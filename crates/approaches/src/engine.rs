@@ -126,21 +126,6 @@ impl WarmStart<'_> {
     }
 }
 
-/// What is new in this run's inputs relative to the warm snapshot. Entity
-/// ids are stable and delta steps strictly extend, so "new" is a suffix:
-/// KG1 entities `>= known1` (and KG2 `>= known2`) did not exist in the
-/// parent generation. Carried for telemetry and delta bookkeeping; the
-/// engine itself only threads it through.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DeltaPlan {
-    /// KG1 entities already present in the warm snapshot.
-    pub known1: usize,
-    /// KG2 entities already present in the warm snapshot.
-    pub known2: usize,
-    /// Relation triples (both KGs) new since the warm snapshot.
-    pub new_triples: usize,
-}
-
 /// Provenance of a trained output: which snapshot generation it resumed
 /// from and the cumulative epoch count across the whole lineage chain.
 /// Stamped by the engine on every checkpoint of a warm-started run and
@@ -176,8 +161,6 @@ pub struct RunContext<'a> {
     /// Previous-generation parameters to resume from. `None` — the default
     /// — trains cold, bit-identical to the pre-warm-start engine.
     pub warm: Option<&'a WarmStart<'a>>,
-    /// What is new relative to `warm`; `None` when unknown or cold.
-    pub delta: Option<DeltaPlan>,
 }
 
 impl<'a> RunContext<'a> {
@@ -192,7 +175,6 @@ impl<'a> RunContext<'a> {
             sink: None,
             artifacts: None,
             warm: None,
-            delta: None,
         }
     }
 
@@ -226,23 +208,10 @@ impl<'a> RunContext<'a> {
         self
     }
 
-    /// The same context annotated with what is new relative to the warm
-    /// snapshot.
-    pub fn with_delta(mut self, plan: DeltaPlan) -> RunContext<'a> {
-        self.delta = Some(plan);
-        self
-    }
-
     /// The driver's own RNG (model init, shuffles, per-epoch train seeds) —
     /// seeded from the run seed exactly as the historical drivers did.
     pub fn driver_rng(&self) -> SmallRng {
         SmallRng::seed_from_u64(self.seed)
-    }
-
-    /// Reserved stream `idx` of the run seed's stream registry, decorrelated
-    /// from the driver RNG and from other streams.
-    pub fn stream(&self, idx: u64) -> SmallRng {
-        SmallRng::stream(self.seed, idx)
     }
 
     /// Salted seed for an auxiliary sub-model (KDCoE's second KG model, the

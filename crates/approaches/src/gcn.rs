@@ -254,7 +254,7 @@ impl<M: GnnModel> EpochHooks for GnnHooks<'_, M> {
     }
 }
 
-fn near_identity<R: Rng>(dim: usize, rng: &mut R) -> Tensor {
+pub(crate) fn near_identity<R: Rng>(dim: usize, rng: &mut R) -> Tensor {
     let mut t = Tensor::zeros(dim, dim);
     for i in 0..dim {
         t.data[i * dim + i] = 1.0;

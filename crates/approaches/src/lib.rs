@@ -46,7 +46,6 @@ pub use common::{
     TrainError, TrainTrace, UnifiedSpace,
 };
 pub use engine::{
-    run_driver, Budget, CheckpointSink, DeltaPlan, EpochHooks, Lineage, RunContext, TelemetrySink,
-    WarmStart,
+    run_driver, Budget, CheckpointSink, EpochHooks, Lineage, RunContext, TelemetrySink, WarmStart,
 };
 pub use registry::{all_approaches, approach_by_name, ApproachKind};

@@ -16,7 +16,6 @@
 //!                       DIR/gen-<k>.snap next to the live artifact
 //! ```
 
-use openea::approaches::DeltaPlan;
 use openea::prelude::*;
 use openea::synth::EvolutionConfig;
 use openea_runtime::rng::{SeedableRng, SmallRng};
@@ -132,7 +131,7 @@ struct TrainedGen {
 fn train_generation(
     pair: &KgPair,
     args: &Args,
-    parent: Option<(&ModelParams, DeltaPlan)>,
+    parent: Option<&ModelParams>,
     work_dir: &Path,
 ) -> TrainedGen {
     let mut rng = SmallRng::seed_from_u64(args.seed);
@@ -148,14 +147,13 @@ fn train_generation(
         .unwrap_or_else(|e| die(&format!("cannot create train dir: {e}")));
     let writer = SnapshotWriter::new(work_dir, Vec::new(), Vec::new());
     let approach = approach_by_name(APPROACH).expect("registry approach");
-    let warm = parent.map(|(p, _)| p.warm_start());
+    let warm = parent.map(ModelParams::warm_start);
     let mut ctx = RunContext::new(&rc)
         .for_valid(&folds[0].valid)
         .with_artifacts(&writer);
-    if let (Some(w), Some((_, plan))) = (warm.as_ref(), parent) {
+    if let Some(w) = warm.as_ref() {
         ctx = ctx
             .resume_from(w)
-            .with_delta(plan)
             .with_budget(Budget::epochs((args.epochs / 4).max(1)));
     }
     let clock = Monotonic::start();
@@ -209,17 +207,7 @@ fn main() {
         } else {
             None
         };
-        let plan = DeltaPlan {
-            known1: step.known1(),
-            known2: step.known2(),
-            new_triples: step.new_rel_triples,
-        };
-        let gen = train_generation(
-            &step.pair,
-            &args,
-            parent.as_ref().map(|p| (p, plan)),
-            &train_dir,
-        );
+        let gen = train_generation(&step.pair, &args, parent.as_ref(), &train_dir);
         // `write_to` stages beside `live`, fsyncs and renames: a watching
         // server sees the old generation or the new one, never a torn file.
         gen.snap

@@ -3,7 +3,7 @@
 //! The std-only substrate beneath every other crate of the workspace. The
 //! repository's design contract is "every substrate implemented here"; this
 //! crate is where that bottoms out, replacing what used to be crates.io
-//! dependencies with four small, fully deterministic subsystems:
+//! dependencies with six small, fully deterministic subsystems:
 //!
 //! - [`rng`] — a seedable pseudo-random generator (SplitMix64 seeding into
 //!   xoshiro256**) behind `rand`-style traits: [`rng::Rng`],
@@ -23,10 +23,6 @@
 //! - [`timer`] — a monotonic microsecond clock and a fixed-footprint
 //!   power-of-two latency histogram for the serving layer's percentile
 //!   telemetry.
-//! - [`swap`] — [`swap::SwapCell`], an atomically swappable `Arc<T>`
-//!   (wait-free reads, pointer-flip publication with an RCU-style grace
-//!   period) — the std-only `arc-swap` replacement behind zero-downtime
-//!   snapshot hot-swap in the serving layer.
 //! - [`os`] — the one sanctioned raw-OS-call site: a safe, level-triggered
 //!   epoll [`os::Poller`] plus a self-pipe [`os::Waker`], the readiness
 //!   primitive under the event-driven serving core (Linux only).
@@ -43,6 +39,5 @@ pub mod json;
 pub mod os;
 pub mod pool;
 pub mod rng;
-pub mod swap;
 pub mod testkit;
 pub mod timer;

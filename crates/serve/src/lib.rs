@@ -24,13 +24,14 @@
 //!    to a compute worker as one batch, and sheds with explicit 503
 //!    backpressure. Routes: `/align?entity=&k=`, `/health`, `/stats`,
 //!    `/admin/reload`.
-//! 4. [`swap`] — zero-downtime snapshot hot-swap: the live index sits
-//!    behind a wait-free [`SwapCell`](openea_runtime::swap::SwapCell);
+//! 4. [`swap`] — zero-downtime snapshot hot-swap: the live index is an
+//!    `Arc` behind a mutex that each request holds for one `Arc` clone;
 //!    `/admin/reload` (or a directory watcher) loads and validates a new
 //!    artifact off the serving path, warms its cache from the retiring
-//!    index's hottest keys, and flips with one atomic pointer swap.
-//!    Retiring generations drain; generation-keyed answer caches make
-//!    cross-generation aliasing impossible.
+//!    index's hottest keys, and flips by replacing the pointer under that
+//!    lock. A retired generation is freed by the last request holding it;
+//!    generation-keyed answer caches make cross-generation aliasing
+//!    impossible.
 //!
 //! The `openea-serve` binary glues them together:
 //!

@@ -4,11 +4,11 @@
 //!
 //! ## Flip protocol
 //!
-//! The live [`BatchIndex`] sits behind a
-//! [`SwapCell`](openea_runtime::swap::SwapCell): readers grab an `Arc` to
-//! the current index with one wait-free atomic load per request, and a
-//! reload publishes its replacement with one atomic pointer flip. The
-//! full reload sequence is:
+//! The live [`BatchIndex`] sits behind a `Mutex<Arc<BatchIndex>>`: a
+//! request clones the `Arc` under the lock once (a reference-count bump,
+//! nothing else inside), and a reload publishes its replacement by
+//! overwriting that pointer under the same lock. The full reload sequence
+//! is:
 //!
 //! 1. **Load off-thread** — read and fully validate the new artifact
 //!    (monolithic snapshot or shard manifest, budget-truncated or not)
@@ -23,13 +23,13 @@
 //! 3. **Warm** — replay the old index's most-recently-used cache keys
 //!    against the new index, so the flip does not land a popular-query
 //!    cold-start on live traffic.
-//! 4. **Flip** — one `SwapCell::swap`. The pause this inflicts on the
-//!    writer is the grace-period wait (readers never pause at all); it is
-//!    measured with a nanosecond clock and exported as `last_flip_us`.
-//! 5. **Retire** — the old index drains: requests that loaded it before
-//!    the flip finish on it, and its memory is reclaimed when the last
-//!    one drops its `Arc`. `/stats` reports how many generations are
-//!    still draining.
+//! 4. **Flip** — replace the pointer under the lock. The critical section
+//!    is one pointer store, so a reader waits at most that long; the flip
+//!    is measured with a nanosecond clock and exported as `last_flip_us`.
+//! 5. **Retire** — the old index drains: requests that took it before the
+//!    flip finish on it, and the last of them to drop its `Arc` frees it.
+//!    The swap keeps only a `Weak` to it, so `/stats` can report how many
+//!    generations are still draining without keeping any alive.
 //!
 //! ## Why answers can never alias across a flip
 //!
@@ -44,11 +44,10 @@ use crate::index::{AlignmentIndex, BatchIndex, Probe};
 use crate::shard::ShardManifest;
 use crate::snapshot::{Snapshot, SnapshotError};
 use openea_align::AnnConfig;
-use openea_runtime::swap::SwapCell;
 use openea_runtime::timer::Monotonic;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::Duration;
 
 /// A fully validated artifact load: the assembled snapshot plus how much
@@ -190,8 +189,7 @@ pub struct ReloadOutcome {
     pub shards_total: usize,
     /// True when a memory budget truncated the load.
     pub partial: bool,
-    /// Writer-side pause of the pointer flip (grace-period wait included);
-    /// readers never pause.
+    /// Time the pointer flip held the live-index lock.
     pub flip_ns: u64,
     /// Cache keys replayed against the new index before the flip.
     pub warmed: usize,
@@ -202,9 +200,9 @@ pub struct ReloadOutcome {
 pub struct SwapStats {
     pub reloads: u64,
     pub reload_failures: u64,
-    /// Writer-side pause of the most recent flip, nanoseconds.
+    /// Time the most recent flip held the live-index lock, nanoseconds.
     pub last_flip_ns: u64,
-    /// Retired indices still draining in-flight holders.
+    /// Retired indices some in-flight request still holds.
     pub draining_generations: usize,
     /// Nanoseconds since the live snapshot was flipped in (or since the
     /// index was opened, before the first flip) — the serving side of the
@@ -243,8 +241,13 @@ fn fingerprint(path: &Path) -> Option<Fingerprint> {
 }
 
 struct SwapState {
-    /// Retired indices kept until every in-flight holder drops its `Arc`.
-    retired: Vec<Arc<BatchIndex>>,
+    /// Artifact the live index was loaded from; `None` for in-memory
+    /// indices ([`HotSwapIndex::fixed`]), which cannot reload without an
+    /// explicit path.
+    artifact: Option<PathBuf>,
+    /// Retired indices, observed without being kept alive: the last
+    /// request holding one frees it.
+    retired: Vec<Weak<BatchIndex>>,
     reloads: u64,
     failures: u64,
     last_flip_ns: u64,
@@ -262,12 +265,10 @@ struct SwapState {
 /// The hot-swappable serving index: what the HTTP server actually holds.
 /// `current()` is the per-request entry point; `reload*` republishes.
 pub struct HotSwapIndex {
-    cell: SwapCell<BatchIndex>,
+    /// The index serving right now. Held for a pointer clone or a pointer
+    /// store and nothing else.
+    live: Mutex<Arc<BatchIndex>>,
     opts: IndexOptions,
-    /// Artifact the index was loaded from; `None` for in-memory indices
-    /// ([`HotSwapIndex::fixed`]), which cannot reload without an explicit
-    /// path.
-    artifact: Mutex<Option<PathBuf>>,
     /// Serializes reloads end to end (load → build → warm → flip) without
     /// ever blocking readers.
     reload_lock: Mutex<()>,
@@ -288,24 +289,7 @@ impl HotSwapIndex {
     /// was built (same partition shape, cache size, threading).
     pub fn fixed_with(index: Arc<BatchIndex>, opts: IndexOptions) -> Arc<Self> {
         let loaded = index.index().num_targets();
-        Arc::new(Self {
-            cell: SwapCell::new(index),
-            opts,
-            artifact: Mutex::new(None),
-            reload_lock: Mutex::new(()),
-            state: Mutex::new(SwapState {
-                retired: Vec::new(),
-                reloads: 0,
-                failures: 0,
-                last_flip_ns: 0,
-                flipped_at_ns: 0,
-                loaded_entities: loaded,
-                total_entities: loaded,
-                last_error: None,
-                loaded_fingerprint: None,
-            }),
-            clock: Monotonic::start(),
-        })
+        Self::with_state(index, opts, None, loaded, None)
     }
 
     /// Loads `path` under `opts` and returns the serving handle plus the
@@ -317,15 +301,27 @@ impl HotSwapIndex {
         let fp = fingerprint(path);
         let art = load_artifact(path, opts.mem_budget_bytes)?;
         let info = art.coverage();
-        let loaded_entities = art.snapshot.num_targets();
-        let total_entities = art.total_targets;
         let index = opts.build(art.snapshot);
-        let this = Arc::new(Self {
-            cell: SwapCell::new(index),
+        let this = Self::with_state(index, opts, Some(path.to_path_buf()), art.total_targets, fp);
+        Ok((this, info))
+    }
+
+    /// The one constructor behind [`HotSwapIndex::fixed_with`] and
+    /// [`HotSwapIndex::open`]: `index` serving, nothing reloaded yet.
+    fn with_state(
+        index: Arc<BatchIndex>,
+        opts: IndexOptions,
+        artifact: Option<PathBuf>,
+        total_entities: usize,
+        loaded_fingerprint: Option<Fingerprint>,
+    ) -> Arc<Self> {
+        let loaded_entities = index.index().num_targets();
+        Arc::new(Self {
+            live: Mutex::new(index),
             opts,
-            artifact: Mutex::new(Some(path.to_path_buf())),
             reload_lock: Mutex::new(()),
             state: Mutex::new(SwapState {
+                artifact,
                 retired: Vec::new(),
                 reloads: 0,
                 failures: 0,
@@ -334,18 +330,23 @@ impl HotSwapIndex {
                 loaded_entities,
                 total_entities,
                 last_error: None,
-                loaded_fingerprint: fp,
+                loaded_fingerprint,
             }),
             clock: Monotonic::start(),
-        });
-        Ok((this, info))
+        })
     }
 
-    /// The index serving right now: one wait-free atomic load. Hold the
-    /// returned `Arc` for the duration of one request so every read in it
-    /// sees one coherent generation.
+    /// The index serving right now: an `Arc` clone under the live lock.
+    /// Hold the returned `Arc` for the duration of one request so every
+    /// read in it sees one coherent generation.
     pub fn current(&self) -> Arc<BatchIndex> {
-        self.cell.load()
+        Arc::clone(&self.live.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// The swap counters. Neither this lock nor the live one is held across
+    /// anything that can panic, so a poisoned guard is as good as a clean one.
+    fn state(&self) -> MutexGuard<'_, SwapState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The options every reload builds its index with.
@@ -355,11 +356,12 @@ impl HotSwapIndex {
 
     /// Reloads from the remembered artifact path.
     pub fn reload(&self) -> Result<ReloadOutcome, SnapshotError> {
-        let Some(path) = self.artifact.lock().unwrap().clone() else {
+        let artifact = self.state().artifact.clone();
+        let Some(path) = artifact else {
             let e = SnapshotError::Malformed(
                 "no artifact path to reload from (in-memory index)".into(),
             );
-            let mut st = self.state.lock().unwrap();
+            let mut st = self.state();
             st.failures += 1;
             st.last_error = Some(e.to_string());
             return Err(e);
@@ -375,14 +377,14 @@ impl HotSwapIndex {
         let art = match load_artifact(path, self.opts.mem_budget_bytes) {
             Ok(a) => a,
             Err(e) => {
-                let mut st = self.state.lock().unwrap();
+                let mut st = self.state();
                 st.failures += 1;
                 st.last_error = Some(e.to_string());
                 return Err(e);
             }
         };
         let outcome = self.swap_in_loaded(art, fp);
-        *self.artifact.lock().unwrap() = Some(path.to_path_buf());
+        self.state().artifact = Some(path.to_path_buf());
         Ok(outcome)
     }
 
@@ -411,7 +413,7 @@ impl HotSwapIndex {
         let shards_total = art.shards_total;
         let partial = art.partial();
         let new = self.opts.build(art.snapshot);
-        let old = self.cell.load();
+        let old = self.current();
 
         // Warm the new index's cache with the old one's hottest keys, so
         // popular queries do not all miss at once after the flip. Probe
@@ -436,16 +438,17 @@ impl HotSwapIndex {
             .filter(|r| r.is_ok())
             .count();
 
-        let t0 = self.clock.nanos();
-        let retired = self.cell.swap(Arc::clone(&new));
-        let flip_ns = self.clock.nanos().saturating_sub(t0);
-        drop(old);
-
         let generation = new.index().generation();
-        let mut st = self.state.lock().unwrap();
+        let t0 = self.clock.nanos();
+        *self.live.lock().unwrap_or_else(PoisonError::into_inner) = new;
+        let flip_ns = self.clock.nanos().saturating_sub(t0);
+
+        // From here on the last in-flight request holding `old` frees it.
+        let retired = Arc::downgrade(&old);
+        drop(old);
+        let mut st = self.state();
         st.retired.push(retired);
-        // An index only we still hold has fully drained; reclaim it.
-        st.retired.retain(|ix| Arc::strong_count(ix) > 1);
+        st.retired.retain(|ix| ix.strong_count() > 0);
         st.reloads += 1;
         st.last_flip_ns = flip_ns;
         st.flipped_at_ns = self.clock.nanos();
@@ -465,15 +468,14 @@ impl HotSwapIndex {
         }
     }
 
-    /// Swap counters for `/stats`; also prunes fully-drained generations.
+    /// Swap counters for `/stats`.
     pub fn stats(&self) -> SwapStats {
-        let mut st = self.state.lock().unwrap();
-        st.retired.retain(|ix| Arc::strong_count(ix) > 1);
+        let st = self.state();
         SwapStats {
             reloads: st.reloads,
             reload_failures: st.failures,
             last_flip_ns: st.last_flip_ns,
-            draining_generations: st.retired.len(),
+            draining_generations: st.retired.iter().filter(|ix| ix.strong_count() > 0).count(),
             snapshot_age_ns: self.clock.nanos().saturating_sub(st.flipped_at_ns),
             loaded_entities: st.loaded_entities,
             total_entities: st.total_entities,
@@ -497,13 +499,13 @@ impl HotSwapIndex {
                 let mut pending: Option<Fingerprint> = None;
                 while !flag.load(Ordering::SeqCst) {
                     std::thread::sleep(interval);
-                    let Some(path) = me.artifact.lock().unwrap().clone() else {
+                    let Some(path) = me.state().artifact.clone() else {
                         continue;
                     };
                     let Some(fp) = fingerprint(&path) else {
                         continue;
                     };
-                    if me.state.lock().unwrap().loaded_fingerprint == Some(fp) {
+                    if me.state().loaded_fingerprint == Some(fp) {
                         pending = None;
                         continue;
                     }
@@ -590,6 +592,22 @@ mod tests {
         assert_eq!(before.index().generation(), gen_a);
         assert_eq!(before.query(0, 2).unwrap(), ans_a);
         assert_eq!(hot.stats().reloads, 1);
+    }
+
+    #[test]
+    fn a_retired_generation_is_freed_by_its_last_holder() {
+        let hot = HotSwapIndex::fixed(IndexOptions::default().build(tiny_snapshot()));
+        let held = hot.current();
+        let weak = Arc::downgrade(&held);
+        hot.swap_in({
+            let mut s = tiny_snapshot();
+            s.emb2[0] += 0.5;
+            s
+        });
+        assert_eq!(hot.stats().draining_generations, 1);
+        drop(held);
+        assert!(weak.upgrade().is_none(), "the last holder frees it");
+        assert_eq!(hot.stats().draining_generations, 0);
     }
 
     #[test]

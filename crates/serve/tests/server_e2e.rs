@@ -10,8 +10,7 @@ mod common;
 use common::{connect, http_get, tiny_snapshot};
 use openea_align::SimilarityMatrix;
 use openea_approaches::{
-    approach_by_name, evaluate_output, Budget, DeltaPlan, Lineage, RunConfig, RunContext,
-    StopReason,
+    approach_by_name, evaluate_output, Budget, Lineage, RunConfig, RunContext, StopReason,
 };
 use openea_core::{k_fold_splits, KgPair};
 use openea_runtime::json::Json;
@@ -390,13 +389,9 @@ struct Generation {
 
 /// Trains MTransE on `pair` the way `openea-trainer` does — cold when
 /// `parent` is `None`, else warm-started from the parent's parameters under
-/// a delta plan and the epoch cap — with the snapshot writer as the
-/// engine's artifact sink, and reloads what it emitted.
-fn train_generation(
-    pair: &KgPair,
-    parent: Option<(&ModelParams, DeltaPlan)>,
-    work_dir: &Path,
-) -> Generation {
+/// the epoch cap — with the snapshot writer as the engine's artifact sink,
+/// and reloads what it emitted.
+fn train_generation(pair: &KgPair, parent: Option<&ModelParams>, work_dir: &Path) -> Generation {
     let mut rng = SmallRng::seed_from_u64(LIVE_SEED);
     let folds = k_fold_splits(&pair.alignment, 3, &mut rng);
     let rc = RunConfig {
@@ -408,15 +403,12 @@ fn train_generation(
     };
     std::fs::create_dir_all(work_dir).expect("create train dir");
     let writer = SnapshotWriter::new(work_dir, Vec::new(), Vec::new());
-    let warm = parent.map(|(p, _)| p.warm_start());
+    let warm = parent.map(ModelParams::warm_start);
     let mut ctx = RunContext::new(&rc)
         .for_valid(&folds[0].valid)
         .with_artifacts(&writer);
-    if let (Some(w), Some((_, plan))) = (warm.as_ref(), parent) {
-        ctx = ctx
-            .resume_from(w)
-            .with_delta(plan)
-            .with_budget(Budget::epochs(DELTA_CAP));
+    if let Some(w) = warm.as_ref() {
+        ctx = ctx.resume_from(w).with_budget(Budget::epochs(DELTA_CAP));
     }
     let approach = approach_by_name("MTransE").expect("registry approach");
     let out = approach.run_with(pair, &folds[0], &rc, &ctx);
@@ -487,13 +479,8 @@ fn delta_chain_flips_in_through_the_watcher_with_lineage_intact() {
         assert_eq!(hex(parent_gen), chain[k - 1]);
         let params = parent.into_model_params();
         assert_eq!(params.trained_epochs, trained_epochs);
-        let plan = DeltaPlan {
-            known1: step.known1(),
-            known2: step.known2(),
-            new_triples: step.new_rel_triples,
-        };
         let full = train_generation(&step.pair, None, &train_dir);
-        let delta = train_generation(&step.pair, Some((&params, plan)), &train_dir);
+        let delta = train_generation(&step.pair, Some(&params), &train_dir);
 
         assert_eq!(
             (delta.stop, delta.epochs),

@@ -70,6 +70,15 @@ for _ in 1 2 3 4 5; do
     cargo test -q --release --offline -p openea-runtime --test pool_contract -- --test-threads=32
 done
 
+# The hot-swap contract the same way, in release: typed faults with the live
+# index bit-unchanged, the non-atomic writer, the watcher, and zero dropped,
+# stale or incorrect answers from Zipf replay clients across repeated flips
+# of the `Mutex<Arc<_>>` the server reads. Budget: about a second for all
+# five (0.9 s on 2 vCPUs).
+for _ in 1 2 3 4 5; do
+    cargo test -q --release --offline -p openea --test swap_torture -- --test-threads=32
+done
+
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
