@@ -1,10 +1,12 @@
 //! Shared semi-supervised machinery: proposing new aligned pairs from the
 //! current embeddings (self-training), with or without BootEA's conflict
-//! editing.
+//! editing. A round reads its candidates' rows where they live — the trained
+//! table, a feature view — and copies nothing else.
 
-use crate::common::ApproachOutput;
-use openea_align::greedy_collective;
-use openea_core::EntityId;
+use crate::common::UnifiedSpace;
+use openea_align::{greedy_collective, Metric, SimilarityMatrix, TopKMatrix};
+use openea_core::{EntityId, KgPair};
+use openea_math::EmbeddingTable;
 use std::collections::HashSet;
 
 /// Candidates for augmentation: entities not yet in the (augmented) seed set.
@@ -15,77 +17,122 @@ pub fn unaligned_entities(total: usize, taken: &HashSet<EntityId>) -> Vec<Entity
         .collect()
 }
 
-/// Proposes new alignment from the current embeddings.
-///
-/// * `editing = false` (IPTransE-style): every source's nearest target above
-///   `threshold` is proposed — conflicts and errors accumulate.
-/// * `editing = true` (BootEA-style): proposals are filtered to a 1-to-1
-///   matching (greedy collective), which is the paper's "heuristic editing
-///   method to remove wrong alignment".
-pub fn propose_alignment(
-    out: &ApproachOutput,
-    cand1: &[EntityId],
-    cand2: &[EntityId],
+/// One self-training round's candidates: KG1 `sources` and KG2 `targets`
+/// with their rows, row-major and in the same order (`src` row `i` is
+/// `sources[i]`'s), compared under `metric`.
+pub(crate) struct Candidates {
+    pub(crate) sources: Vec<EntityId>,
+    pub(crate) targets: Vec<EntityId>,
+    pub(crate) src: Vec<f32>,
+    pub(crate) dst: Vec<f32>,
+    pub(crate) dim: usize,
+    pub(crate) metric: Metric,
+}
+
+impl Candidates {
+    /// The entities outside `taken1` / `taken2` of a pair trained in one
+    /// unified space, their rows read in place from the trained `table`.
+    /// Compared by cosine whatever the approach's output metric: a Euclidean
+    /// similarity is a negative distance and cannot carry a positive cutoff.
+    pub(crate) fn unified(
+        pair: &KgPair,
+        space: &UnifiedSpace,
+        table: &EmbeddingTable,
+        taken1: &HashSet<EntityId>,
+        taken2: &HashSet<EntityId>,
+    ) -> Self {
+        let sources = unaligned_entities(pair.kg1.num_entities(), taken1);
+        let targets = unaligned_entities(pair.kg2.num_entities(), taken2);
+        let (src, dst) = space.gather(table, &sources, &targets);
+        Self {
+            sources,
+            targets,
+            src,
+            dst,
+            dim: table.dim(),
+            metric: Metric::Cosine,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.sources.is_empty() || self.targets.is_empty()
+    }
+}
+
+/// IPTransE-style proposals: every source's nearest target above
+/// `threshold` — conflicts and errors accumulate. Nearest needs only k = 1,
+/// so the scores stream instead of filling a |sources| × |targets| matrix.
+pub(crate) fn propose_nearest(
+    c: &Candidates,
     threshold: f32,
-    editing: bool,
     threads: usize,
 ) -> Vec<(EntityId, EntityId)> {
-    if cand1.is_empty() || cand2.is_empty() {
+    if c.is_empty() {
         return Vec::new();
     }
-    if editing {
-        let sim = out.similarity(cand1, cand2, threads);
-        greedy_collective(&sim)
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, j)| {
-                let j = j?;
-                (sim.get(i, j) >= threshold).then_some((cand1[i], cand2[j]))
-            })
-            .collect()
-    } else {
-        // Per-source nearest neighbour only needs k = 1: stream it instead
-        // of materializing the |cand1| × |cand2| matrix.
-        let topk = out.topk(cand1, cand2, 1, threads);
-        (0..cand1.len())
-            .filter_map(|i| {
-                let (j, s) = topk.best(i)?;
-                (s >= threshold).then_some((cand1[i], cand2[j]))
-            })
-            .collect()
+    let topk = TopKMatrix::compute(&c.src, &c.dst, c.dim, c.metric, 1, threads);
+    (0..c.sources.len())
+        .filter_map(|i| {
+            let (j, s) = topk.best(i)?;
+            (s >= threshold).then_some((c.sources[i], c.targets[j]))
+        })
+        .collect()
+}
+
+/// BootEA-style proposals: the pairs above `threshold` of a 1-to-1 greedy
+/// collective matching, which is the paper's "heuristic editing method to
+/// remove wrong alignment".
+pub(crate) fn propose_edited(
+    c: &Candidates,
+    threshold: f32,
+    threads: usize,
+) -> Vec<(EntityId, EntityId)> {
+    if c.is_empty() {
+        return Vec::new();
     }
+    let sim = SimilarityMatrix::compute(&c.src, &c.dst, c.dim, c.metric, threads);
+    greedy_collective(&sim)
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, j)| {
+            let j = j?;
+            (sim.get(i, j) >= threshold).then_some((c.sources[i], c.targets[j]))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openea_align::Metric;
 
-    fn out(emb1: Vec<f32>, emb2: Vec<f32>) -> ApproachOutput {
-        ApproachOutput::new(2, Metric::Cosine, emb1, emb2)
+    fn cands(src: Vec<f32>, dst: Vec<f32>) -> Candidates {
+        Candidates {
+            sources: (0..src.len() / 2).map(EntityId::from_idx).collect(),
+            targets: (0..dst.len() / 2).map(EntityId::from_idx).collect(),
+            src,
+            dst,
+            dim: 2,
+            metric: Metric::Cosine,
+        }
     }
 
     #[test]
     fn editing_enforces_one_to_one() {
         // Both sources point at target 0.
-        let o = out(vec![1.0, 0.0, 0.9, 0.1], vec![1.0, 0.0, 0.0, 1.0]);
-        let c1 = vec![EntityId(0), EntityId(1)];
-        let c2 = vec![EntityId(0), EntityId(1)];
-        let naive = propose_alignment(&o, &c1, &c2, 0.0, false, 1);
+        let c = cands(vec![1.0, 0.0, 0.9, 0.1], vec![1.0, 0.0, 0.0, 1.0]);
+        let naive = propose_nearest(&c, 0.0, 1);
         let targets: Vec<_> = naive.iter().map(|&(_, b)| b).collect();
         assert_eq!(targets, vec![EntityId(0), EntityId(0)]); // conflict kept
-        let edited = propose_alignment(&o, &c1, &c2, 0.0, true, 1);
+        let edited = propose_edited(&c, 0.0, 1);
         let tset: HashSet<_> = edited.iter().map(|&(_, b)| b).collect();
         assert_eq!(tset.len(), edited.len()); // 1-to-1
     }
 
     #[test]
     fn threshold_filters_weak_matches() {
-        let o = out(vec![1.0, 0.0], vec![0.0, 1.0]); // orthogonal: sim 0
-        let c1 = vec![EntityId(0)];
-        let c2 = vec![EntityId(0)];
-        assert!(propose_alignment(&o, &c1, &c2, 0.5, false, 1).is_empty());
-        assert_eq!(propose_alignment(&o, &c1, &c2, -1.0, false, 1).len(), 1);
+        let c = cands(vec![1.0, 0.0], vec![0.0, 1.0]); // orthogonal: sim 0
+        assert!(propose_nearest(&c, 0.5, 1).is_empty());
+        assert_eq!(propose_nearest(&c, -1.0, 1).len(), 1);
     }
 
     #[test]
@@ -95,5 +142,92 @@ mod tests {
             unaligned_entities(3, &taken),
             vec![EntityId(0), EntityId(2)]
         );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::common::proptests::random_pair;
+    use crate::common::{ApproachOutput, Combination};
+    use openea_core::AlignedPair;
+    use openea_runtime::testkit::prelude::*;
+
+    /// The proposal path as it was before rounds read rows in place: the
+    /// whole output extracted, then the candidates gathered out of it.
+    fn reference(
+        out: &ApproachOutput,
+        cand1: &[EntityId],
+        cand2: &[EntityId],
+        threshold: f32,
+        editing: bool,
+        threads: usize,
+    ) -> Vec<(EntityId, EntityId)> {
+        if cand1.is_empty() || cand2.is_empty() {
+            return Vec::new();
+        }
+        if editing {
+            let sim = out.similarity(cand1, cand2, threads);
+            greedy_collective(&sim)
+                .into_iter()
+                .enumerate()
+                .filter_map(|(i, j)| {
+                    let j = j?;
+                    (sim.get(i, j) >= threshold).then_some((cand1[i], cand2[j]))
+                })
+                .collect()
+        } else {
+            let topk = out.topk(cand1, cand2, 1, threads);
+            (0..cand1.len())
+                .filter_map(|i| {
+                    let (j, s) = topk.best(i)?;
+                    (s >= threshold).then_some((cand1[i], cand2[j]))
+                })
+                .collect()
+        }
+    }
+
+    props! {
+        #![cases = 48]
+
+        /// Both proposal functions, fed rows gathered from the trained table,
+        /// propose exactly what the extracting path proposed — under every
+        /// combination mode, with seed-shared rows, already-taken entities
+        /// and a coarse value grid that makes scores tie.
+        #[test]
+        fn proposals_match_the_extracting_reference(
+            edges in vec_of((0u8..7, 0u8..4, 0u8..7), 1..24),
+            num_seeds in 0usize..4,
+            taken in vec_of(any_bool(), 14),
+            grid in vec_of(-2i8..=2, 1..40),
+            threshold in -1.0f32..1.0,
+            threads in 1usize..4,
+        ) {
+            let pair = random_pair(&edges, &edges, 7);
+            let seeds: Vec<AlignedPair> = pair.alignment.iter().copied().take(num_seeds).collect();
+            let taken1: HashSet<EntityId> =
+                (0..7).filter(|&i| taken[i]).map(EntityId::from_idx).collect();
+            let taken2: HashSet<EntityId> =
+                (0..7).filter(|&i| taken[7 + i]).map(EntityId::from_idx).collect();
+            let dim = 3;
+            for mode in [Combination::Calibration, Combination::Sharing, Combination::Swapping] {
+                let space = UnifiedSpace::build(&pair, &seeds, mode);
+                let mut table = EmbeddingTable::zeros(space.num_entities, dim);
+                for (k, x) in table.data_mut().iter_mut().enumerate() {
+                    *x = grid[k % grid.len()] as f32;
+                }
+                let (emb1, emb2) = space.extract(&table);
+                let out = ApproachOutput::new(dim, Metric::Cosine, emb1, emb2);
+                let c = Candidates::unified(&pair, &space, &table, &taken1, &taken2);
+                prop_assert_eq!(
+                    propose_nearest(&c, threshold, threads),
+                    reference(&out, &c.sources, &c.targets, threshold, false, threads)
+                );
+                prop_assert_eq!(
+                    propose_edited(&c, threshold, threads),
+                    reference(&out, &c.sources, &c.targets, threshold, true, threads)
+                );
+            }
+        }
     }
 }

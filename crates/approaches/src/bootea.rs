@@ -5,7 +5,7 @@
 //! alignment, which is fed back as swapped triples and calibration targets.
 //! Cosine metric, semi-supervised.
 
-use crate::boot::{propose_alignment, unaligned_entities};
+use crate::boot::{propose_edited, Candidates};
 use crate::common::{
     augmentation_quality, calibrate, train_epoch_batched, Approach, ApproachOutput, Combination,
     EpochStats, Req, Requirements, RunConfig, TrainError, TrainOptions, UnifiedSpace,
@@ -198,17 +198,14 @@ impl EpochHooks for Hooks<'_> {
             // Refresh hard negatives from the current space.
             self.truncated = Some(self.approach.refresh_sampler(&self.model, self.cfg.threads));
             // Propose a fresh, conflict-edited alignment each round.
-            let out = self.approach.output(&self.space, &self.model, self.cfg);
-            let cand1 = unaligned_entities(self.pair.kg1.num_entities(), &self.train_set);
-            let cand2 = unaligned_entities(self.pair.kg2.num_entities(), &self.train_set2);
-            self.proposed = propose_alignment(
-                &out,
-                &cand1,
-                &cand2,
-                self.approach.threshold,
-                true,
-                self.cfg.threads,
+            let cands = Candidates::unified(
+                self.pair,
+                &self.space,
+                self.model.entities(),
+                &self.train_set,
+                &self.train_set2,
             );
+            self.proposed = propose_edited(&cands, self.approach.threshold, self.cfg.threads);
             self.augmentation
                 .push(augmentation_quality(&self.proposed, &self.gold));
             // Swap triples for the new proposals on top of the base set.

@@ -275,15 +275,10 @@ impl ApproachOutput {
     /// Gathers the given entities' embeddings into contiguous row-major
     /// buffers (sources from KG1, targets from KG2) for the kernel layer.
     pub fn gather(&self, sources: &[EntityId], targets: &[EntityId]) -> (Vec<f32>, Vec<f32>) {
-        let mut src = Vec::with_capacity(sources.len() * self.dim);
-        for &e in sources {
-            src.extend_from_slice(self.vec1(e));
-        }
-        let mut dst = Vec::with_capacity(targets.len() * self.dim);
-        for &e in targets {
-            dst.extend_from_slice(self.vec2(e));
-        }
-        (src, dst)
+        (
+            gather_rows(&self.emb1, self.dim, sources),
+            gather_rows(&self.emb2, self.dim, targets),
+        )
     }
 
     /// Similarity matrix between the given source and target entities.
@@ -310,6 +305,15 @@ impl ApproachOutput {
         let (src, dst) = self.gather(sources, targets);
         TopKMatrix::compute(&src, &dst, self.dim, self.metric, k, threads)
     }
+}
+
+/// The rows of `ids` in a row-major `dim`-wide matrix, in their order.
+pub(crate) fn gather_rows(emb: &[f32], dim: usize, ids: &[EntityId]) -> Vec<f32> {
+    let mut out = Vec::with_capacity(ids.len() * dim);
+    for &e in ids {
+        out.extend_from_slice(&emb[e.idx() * dim..(e.idx() + 1) * dim]);
+    }
+    out
 }
 
 /// Evaluates an output on the fold's test pairs with the OpenEA convention:
@@ -453,6 +457,26 @@ impl UnifiedSpace {
             e2.extend_from_slice(table.row(u as usize));
         }
         (e1, e2)
+    }
+
+    /// The rows of KG1 `sources` and KG2 `targets`, read in place from a
+    /// unified table: what [`UnifiedSpace::extract`] followed by
+    /// [`ApproachOutput::gather`] returns, without copying the whole table
+    /// first.
+    pub(crate) fn gather(
+        &self,
+        table: &EmbeddingTable,
+        sources: &[EntityId],
+        targets: &[EntityId],
+    ) -> (Vec<f32>, Vec<f32>) {
+        let rows = |map: &[u32], ids: &[EntityId]| {
+            let mut out = Vec::with_capacity(ids.len() * table.dim());
+            for &e in ids {
+                out.extend_from_slice(table.row(map[e.idx()] as usize));
+            }
+            out
+        };
+        (rows(&self.map1, sources), rows(&self.map2, targets))
     }
 }
 
@@ -847,13 +871,13 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+pub(crate) mod proptests {
     use super::*;
     use openea_core::KgBuilder;
     use openea_runtime::testkit::prelude::*;
 
     /// Builds a random pair where entity i of KG1 aligns with entity i of KG2.
-    fn random_pair(edges1: &[(u8, u8, u8)], edges2: &[(u8, u8, u8)], n: u8) -> KgPair {
+    pub(crate) fn random_pair(edges1: &[(u8, u8, u8)], edges2: &[(u8, u8, u8)], n: u8) -> KgPair {
         let mut b1 = KgBuilder::new("g1");
         let mut b2 = KgBuilder::new("g2");
         for i in 0..n {
@@ -953,6 +977,40 @@ mod proptests {
             }
             for e in pair.kg2.entity_ids() {
                 prop_assert_eq!(e2[e.idx() * 3], space.uid2(e) as f32);
+            }
+        }
+
+        /// gather() reads exactly the rows extract() then
+        /// ApproachOutput::gather() copied, in the same order, under every
+        /// combination mode — seed entities, whose rows a sharing space
+        /// holds once for both KGs, always among them.
+        #[test]
+        fn gather_in_place_equals_extract_then_gather(
+            edges1 in vec_of((0u8..6, 0u8..4, 0u8..6), 1..24),
+            edges2 in vec_of((0u8..6, 0u8..4, 0u8..6), 1..24),
+            num_seeds in 0usize..4,
+            sources in vec_of(0usize..6, 0..10),
+            targets in vec_of(0usize..6, 0..10),
+            dim in 1usize..5,
+        ) {
+            let pair = random_pair(&edges1, &edges2, 6);
+            let seeds: Vec<AlignedPair> = pair.alignment.iter().copied().take(num_seeds).collect();
+            let mut sources: Vec<EntityId> = sources.into_iter().map(EntityId::from_idx).collect();
+            let mut targets: Vec<EntityId> = targets.into_iter().map(EntityId::from_idx).collect();
+            sources.extend(seeds.iter().map(|&(a, _)| a));
+            targets.extend(seeds.iter().map(|&(_, b)| b));
+            for mode in [Combination::Calibration, Combination::Sharing, Combination::Swapping] {
+                let space = UnifiedSpace::build(&pair, &seeds, mode);
+                let mut table = EmbeddingTable::zeros(space.num_entities, dim);
+                for (k, x) in table.data_mut().iter_mut().enumerate() {
+                    *x = k as f32 * 0.5 - 3.0;
+                }
+                let (emb1, emb2) = space.extract(&table);
+                let out = ApproachOutput::new(dim, Metric::Cosine, emb1, emb2);
+                prop_assert_eq!(
+                    space.gather(&table, &sources, &targets),
+                    out.gather(&sources, &targets)
+                );
             }
         }
     }

@@ -8,7 +8,7 @@
 //! (no editing) — reproducing the paper's observation that IPTransE's
 //! augmentation precision degrades over iterations.
 
-use crate::boot::{propose_alignment, unaligned_entities};
+use crate::boot::{propose_nearest, Candidates};
 use crate::common::{
     augmentation_quality, calibrate, Approach, ApproachOutput, Combination, EpochStats,
     Requirements, RunConfig, TrainError, UnifiedSpace, UnifiedTransE,
@@ -18,7 +18,7 @@ use openea_align::{Metric, PrfScores};
 use openea_core::{EntityId, FoldSplit, KgPair};
 use openea_models::TransE;
 use openea_runtime::rng::SliceRandom;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A mined path instance: relations `r1, r2` composing to direct `r3`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,30 +28,48 @@ pub struct PathInstance {
     pub r3: u32,
 }
 
-/// Mines two-hop relation paths that parallel a direct relation, capped at
-/// `max_instances` (they grow combinatorially).
+/// Mines two-hop relation paths `h -r1-> m -r2-> t` that parallel a direct
+/// relation `h -r3-> t` (`t ≠ h`), in triple order, capped at
+/// `max_instances` (they grow combinatorially; the instance that reaches
+/// the cap is kept, so a cap of 0 still yields one).
 pub fn mine_paths(triples: &[(u32, u32, u32)], max_instances: usize) -> Vec<PathInstance> {
-    // direct[(h, t)] -> relations
-    let mut direct: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-    let mut out_edges: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
-    for &(h, r, t) in triples {
-        direct.entry((h, t)).or_default().push(r);
-        out_edges.entry(h).or_default().push((r, t));
+    // Out-edges `(r, t)` filed under their heads by one stable counting
+    // pass, so that a row keeps its triples' order. Row `e` is
+    // `edges[starts[e]..starts[e + 1]]`.
+    let n = triples
+        .iter()
+        .map(|&(h, _, t)| h.max(t) as usize + 1)
+        .max()
+        .unwrap_or(0);
+    // Counted two places up, so that after the running sum `starts[e + 1]`
+    // is where row `e` begins; filling advances it to where row `e` ends.
+    let mut starts = vec![0usize; n + 2];
+    for &(h, _, _) in triples {
+        starts[h as usize + 2] += 1;
     }
+    for e in 1..starts.len() {
+        starts[e] += starts[e - 1];
+    }
+    let mut edges = vec![(0u32, 0u32); triples.len()];
+    for &(h, r, t) in triples {
+        let next = &mut starts[h as usize + 1];
+        edges[*next] = (r, t);
+        *next += 1;
+    }
+    let row = |e: u32| &edges[starts[e as usize]..starts[e as usize + 1]];
+
     let mut found = Vec::new();
     'outer: for &(h, r1, m) in triples {
-        if let Some(nexts) = out_edges.get(&m) {
-            for &(r2, t) in nexts {
-                if t == h {
-                    continue;
-                }
-                if let Some(r3s) = direct.get(&(h, t)) {
-                    for &r3 in r3s {
-                        found.push(PathInstance { r1, r2, r3 });
-                        if found.len() >= max_instances {
-                            break 'outer;
-                        }
-                    }
+        for &(r2, t) in row(m) {
+            if t == h {
+                continue;
+            }
+            // The direct relations `h -> t`: the entries of `h`'s row whose
+            // tail is `t`, in triple order.
+            for &(r3, _) in row(h).iter().filter(|&&(_, t3)| t3 == t) {
+                found.push(PathInstance { r1, r2, r3 });
+                if found.len() >= max_instances {
+                    break 'outer;
                 }
             }
         }
@@ -191,23 +209,14 @@ impl EpochHooks for Hooks<'_> {
         calibrate(&mut self.base.model.entities, &prop_uids, self.cfg.lr);
 
         if (epoch + 1).is_multiple_of(self.approach.boot_every) {
-            // Proposals are thresholded on cosine similarity (the output
-            // metric is Euclidean, whose similarities are negative
-            // distances and cannot carry a positive cutoff).
-            let mut out = self
-                .approach
-                .output(&self.base.space, &self.base.model, self.cfg);
-            out.metric = openea_align::Metric::Cosine;
-            let cand1 = unaligned_entities(self.pair.kg1.num_entities(), &self.taken1);
-            let cand2 = unaligned_entities(self.pair.kg2.num_entities(), &self.taken2);
-            let new_pairs = propose_alignment(
-                &out,
-                &cand1,
-                &cand2,
-                self.approach.threshold,
-                false,
-                self.cfg.threads,
+            let cands = Candidates::unified(
+                self.pair,
+                &self.base.space,
+                &self.base.model.entities,
+                &self.taken1,
+                &self.taken2,
             );
+            let new_pairs = propose_nearest(&cands, self.approach.threshold, self.cfg.threads);
             for &(a, b) in &new_pairs {
                 self.taken1.insert(a);
                 self.taken2.insert(b);

@@ -8,13 +8,13 @@
 //! view, which limits how much co-training helps — the behaviour Figure 7
 //! reports for KDCoE.
 
-use crate::boot::{propose_alignment, unaligned_entities};
+use crate::boot::{propose_edited, unaligned_entities, Candidates};
 use crate::common::{
-    augmentation_quality, entity_literal_text, train_epoch_batched, weighted_concat, Approach,
-    ApproachOutput, EpochStats, Requirements, RunConfig, TrainError, TrainOptions,
+    augmentation_quality, entity_literal_text, gather_rows, train_epoch_batched, weighted_concat,
+    Approach, ApproachOutput, EpochStats, Requirements, RunConfig, TrainError, TrainOptions,
 };
 use crate::engine::{run_driver, EpochHooks, RunContext};
-use crate::transformation::{kg_triples, mapped_output, seed_step};
+use crate::transformation::{kg_triples, mapped_output, mapped_rows, seed_step};
 use openea_align::{Metric, PrfScores};
 use openea_core::{AlignedPair, EntityId, FoldSplit, KgPair, KnowledgeGraph};
 use openea_math::negsamp::UniformSampler;
@@ -219,7 +219,6 @@ impl EpochHooks for Hooks<'_> {
             let mut new_pairs = Vec::new();
             if let Some((d1, d2)) = &self.desc {
                 let enc_dim = self.enc.dim();
-                let desc_out = ApproachOutput::new(enc_dim, Metric::Cosine, d1.clone(), d2.clone());
                 let with_desc = |n: usize, taken: &HashSet<EntityId>, d: &[f32]| {
                     unaligned_entities(n, taken)
                         .into_iter()
@@ -230,29 +229,38 @@ impl EpochHooks for Hooks<'_> {
                         })
                         .collect::<Vec<EntityId>>()
                 };
-                let cand1 = with_desc(self.pair.kg1.num_entities(), &self.taken1, d1);
-                let cand2 = with_desc(self.pair.kg2.num_entities(), &self.taken2, d2);
-                new_pairs.extend(propose_alignment(
-                    &desc_out,
-                    &cand1,
-                    &cand2,
+                let sources = with_desc(self.pair.kg1.num_entities(), &self.taken1, d1);
+                let targets = with_desc(self.pair.kg2.num_entities(), &self.taken2, d2);
+                let cands = Candidates {
+                    src: gather_rows(d1, enc_dim, &sources),
+                    dst: gather_rows(d2, enc_dim, &targets),
+                    sources,
+                    targets,
+                    dim: enc_dim,
+                    metric: Metric::Cosine,
+                };
+                new_pairs.extend(propose_edited(
+                    &cands,
                     self.approach.desc_threshold,
-                    true,
                     self.cfg.threads,
                 ));
             }
-            // Relation view proposes.
+            // Relation view proposes: mapped KG1 rows against raw KG2 rows.
             {
-                let rel_out =
-                    mapped_output(&self.m1, &self.m2, &self.map, self.cfg, Metric::Euclidean);
-                let cand1 = unaligned_entities(self.pair.kg1.num_entities(), &self.taken1);
-                let cand2 = unaligned_entities(self.pair.kg2.num_entities(), &self.taken2);
-                new_pairs.extend(propose_alignment(
-                    &rel_out,
-                    &cand1,
-                    &cand2,
+                let dim = self.cfg.dim;
+                let sources = unaligned_entities(self.pair.kg1.num_entities(), &self.taken1);
+                let targets = unaligned_entities(self.pair.kg2.num_entities(), &self.taken2);
+                let cands = Candidates {
+                    src: mapped_rows(&self.m1, &self.map, dim, sources.iter().map(|e| e.idx())),
+                    dst: gather_rows(self.m2.entities.data(), dim, &targets),
+                    sources,
+                    targets,
+                    dim,
+                    metric: Metric::Euclidean,
+                };
+                new_pairs.extend(propose_edited(
+                    &cands,
                     self.approach.rel_threshold,
-                    true,
                     self.cfg.threads,
                 ));
             }

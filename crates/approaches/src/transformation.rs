@@ -265,14 +265,24 @@ pub(crate) fn mapped_output(
     cfg: &RunConfig,
     metric: Metric,
 ) -> ApproachOutput {
-    let n1 = m1.num_entities();
-    let mut emb1 = Vec::with_capacity(n1 * cfg.dim);
-    let mut buf = vec![0.0f32; cfg.dim];
-    for e in 0..n1 {
-        map.matvec_into(m1.entities().row(e), &mut buf);
-        emb1.extend_from_slice(&buf);
-    }
+    let emb1 = mapped_rows(m1, map, cfg.dim, 0..m1.num_entities());
     ApproachOutput::new(cfg.dim, metric, emb1, m2.entities().data().to_vec())
+}
+
+/// `M·e₁` for the given KG1 `rows`, row-major and in their order.
+pub(crate) fn mapped_rows(
+    m1: &dyn RelationModel,
+    map: &Matrix,
+    dim: usize,
+    rows: impl ExactSizeIterator<Item = usize>,
+) -> Vec<f32> {
+    let mut out = Vec::with_capacity(rows.len() * dim);
+    let mut buf = vec![0.0f32; dim];
+    for e in rows {
+        map.matvec_into(m1.entities().row(e), &mut buf);
+        out.extend_from_slice(&buf);
+    }
+    out
 }
 
 impl TransformationHarness<'_> {

@@ -8,7 +8,7 @@
 //! BootEA-style embedding is trained on them, and conflict-edited
 //! self-training grows the alignment — zero gold seeds consumed.
 
-use crate::boot::{propose_alignment, unaligned_entities};
+use crate::boot::{propose_edited, Candidates};
 use crate::common::{
     calibrate, train_epoch_batched, ApproachOutput, Combination, EpochStats, RunConfig,
     TrainOptions, UnifiedSpace,
@@ -136,17 +136,14 @@ impl EpochHooks for Hooks<'_> {
         }
         // Round boundary: propose new pairs from the current embeddings
         // (conflict-edited, never touching entities already aligned).
-        let out = extract(&self.space, &self.model, self.cfg);
-        let cand1 = unaligned_entities(self.pair.kg1.num_entities(), &self.taken1);
-        let cand2 = unaligned_entities(self.pair.kg2.num_entities(), &self.taken2);
-        let new_pairs = propose_alignment(
-            &out,
-            &cand1,
-            &cand2,
-            self.ucfg.boot_threshold,
-            true,
-            self.cfg.threads,
+        let cands = Candidates::unified(
+            self.pair,
+            &self.space,
+            self.model.entities(),
+            &self.taken1,
+            &self.taken2,
         );
+        let new_pairs = propose_edited(&cands, self.ucfg.boot_threshold, self.cfg.threads);
         for &(a, b) in &new_pairs {
             self.taken1.insert(a);
             self.taken2.insert(b);

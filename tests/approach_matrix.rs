@@ -155,6 +155,76 @@ fn alinet_golden_hash_bit_identical_across_thread_counts() {
     }
 }
 
+/// IPTransE's `boot_every` is 20, the golden fixture's `max_epochs`, so its
+/// one self-training round there falls in the last epoch and its proposals
+/// never reach the hash. Forty epochs calibrate the round-20 proposals for
+/// twenty more, so this pin holds the proposal path to its bits. Validation
+/// runs once, at the end: with the fixture's cadence of 10 the epoch-20
+/// checkpoint scores best and is what the run returns.
+const IPTRANSE_40_GOLDEN: u64 = 0x27d22fb99a6d305b;
+
+#[test]
+fn iptranse_self_training_hash_bit_identical_across_thread_counts() {
+    use openea::approaches::iptranse::IpTransE;
+    let (pair, folds, mut cfg) = golden_fixture();
+    cfg.max_epochs = 40;
+    cfg.check_every = 40;
+    for threads in [1usize, 2, 8] {
+        cfg.threads = threads;
+        let out = IpTransE::default().run(&pair, &folds[0], &cfg);
+        assert_eq!(out.augmentation.len(), 2, "two self-training rounds");
+        let hash = out.content_hash();
+        assert_eq!(
+            hash, IPTRANSE_40_GOLDEN,
+            "IPTransE at 40 epochs, {threads} threads: {hash:#018x}"
+        );
+    }
+    // The pin covers the proposals: with none accepted (cosine ≤ 1), the
+    // same run hashes differently.
+    let silent = IpTransE {
+        threshold: 2.0,
+        ..IpTransE::default()
+    };
+    assert_ne!(
+        silent.run(&pair, &folds[0], &cfg).content_hash(),
+        IPTRANSE_40_GOLDEN
+    );
+}
+
+/// `align_unsupervised` proposes conflict-edited pairs at every round
+/// boundary; its output and the size of its predicted alignment, pinned.
+const UNSUPERVISED_GOLDEN: (u64, usize) = (0xd363eb6a5a7b06f6, 152);
+
+#[test]
+fn unsupervised_hash_bit_identical_across_thread_counts() {
+    use openea::approaches::unsupervised::{align_unsupervised, UnsupervisedConfig};
+    let pair = PresetConfig::new(DatasetFamily::DY, 200, false, 89).generate();
+    let ucfg = UnsupervisedConfig {
+        boot_rounds: 2,
+        epochs_per_round: 5,
+        ..UnsupervisedConfig::default()
+    };
+    for threads in [1usize, 2, 8] {
+        let cfg = RunConfig {
+            dim: 16,
+            threads,
+            seed: 1234,
+            ..RunConfig::default()
+        };
+        let outcome = align_unsupervised(&pair, ucfg, &cfg);
+        assert!(
+            outcome.predicted.len() > outcome.pseudo_seeds.len(),
+            "self-training must propose pairs for the pin to cover it"
+        );
+        let got = (outcome.output.content_hash(), outcome.predicted.len());
+        assert_eq!(
+            got, UNSUPERVISED_GOLDEN,
+            "unsupervised at {threads} threads: ({:#018x}, {})",
+            got.0, got.1
+        );
+    }
+}
+
 mod trainer_golden {
     //! Golden FNV-1a hashes of the raw batched-trainer output, one per
     //! gradient-pathway model — a tighter net than the approach-level table
