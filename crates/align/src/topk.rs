@@ -224,6 +224,21 @@ impl TopKMatrix {
         (0..self.rows).map(move |i| &self.entries[i * self.k..(i + 1) * self.k])
     }
 
+    /// Folds every row's kept entries into `acc[i]`, the running top-`k` of
+    /// source `i` over a wider target set in which this matrix's targets are
+    /// columns `col0..col0 + cols()`. Blocks may arrive in any order: `acc`
+    /// always holds exactly the first `k` of a stable argsort (descending
+    /// score, NaN last, lowest index on ties) of every block folded so far,
+    /// provided each block kept at least `k` entries or all of its columns.
+    pub fn fold_into(&self, col0: usize, k: usize, acc: &mut [Vec<(u32, f32)>]) {
+        assert_eq!(acc.len(), self.rows, "one accumulator per source row");
+        for (row, kept) in self.iter_rows().zip(acc) {
+            for &(j, s) in row {
+                push_topk_any(kept, k, (col0 + j as usize) as u32, s);
+            }
+        }
+    }
+
     /// The best target of source `i` (lowest index on ties), if any.
     pub fn best(&self, i: usize) -> Option<(usize, f32)> {
         if self.k == 0 {
@@ -322,6 +337,40 @@ mod tests {
                 let expect: Vec<(u32, f32)> =
                     idx[..5].iter().map(|&j| (j, row[j as usize])).collect();
                 assert_eq!(topk.row(i), &expect[..], "{} row {i}", metric.label());
+            }
+        }
+    }
+
+    #[test]
+    fn folded_column_blocks_equal_one_sweep() {
+        // A coarse grid makes scores tie within and across blocks.
+        let grid = |n: usize, seed: usize| -> Vec<f32> {
+            (0..n * 3)
+                .map(|x| ((x * 7 + seed) % 5) as f32 - 2.0)
+                .collect()
+        };
+        let (src, dst) = (grid(6, 1), grid(11, 4));
+        for metric in Metric::ALL {
+            for k in [1, 3] {
+                let whole = TopKMatrix::compute(&src, &dst, 3, metric, k, 1);
+                for block in [1, 4, 11] {
+                    let mut acc = vec![Vec::new(); 6];
+                    // Last block first: the fold must not rely on order.
+                    let starts: Vec<usize> = (0..11).step_by(block).collect();
+                    for &j0 in starts.iter().rev() {
+                        let j1 = (j0 + block).min(11);
+                        TopKMatrix::compute(&src, &dst[j0 * 3..j1 * 3], 3, metric, k, 1)
+                            .fold_into(j0, k, &mut acc);
+                    }
+                    for (i, kept) in acc.iter().enumerate() {
+                        assert_eq!(
+                            &kept[..],
+                            whole.row(i),
+                            "{} k {k} block {block}",
+                            metric.label()
+                        );
+                    }
+                }
             }
         }
     }

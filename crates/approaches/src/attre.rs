@@ -13,10 +13,10 @@ use crate::common::{
 };
 use crate::engine::{run_driver, EpochHooks, RunContext, WarmStart};
 use openea_align::Metric;
-use openea_core::{FoldSplit, KgPair, KnowledgeGraph};
+use openea_core::{AlignedPair, FoldSplit, KgPair, KnowledgeGraph};
 use openea_math::vecops;
 use openea_models::literal::char_ngram_vector;
-use openea_models::{RelationModel, TransE};
+use openea_models::RelationModel;
 
 /// The character-level literal profile of every entity: the normalized sum
 /// of character-n-gram vectors of its attribute values.
@@ -62,6 +62,20 @@ impl Approach for AttrE {
         cfg: &RunConfig,
         ctx: &RunContext<'_>,
     ) -> Result<ApproachOutput, TrainError> {
+        let mut hooks = self.hooks(pair, split, cfg, ctx);
+        run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)
+    }
+}
+
+impl AttrE {
+    /// The engine hooks of a run on `split`, before its first epoch.
+    pub(crate) fn hooks<'a>(
+        &'a self,
+        pair: &KgPair,
+        split: &FoldSplit,
+        cfg: &'a RunConfig,
+        ctx: &RunContext<'_>,
+    ) -> Hooks<'a> {
         let space = UnifiedSpace::build(pair, &split.train, Combination::Sharing);
 
         // Fixed character-level literal profiles (unified ids).
@@ -84,17 +98,19 @@ impl Approach for AttrE {
             v
         });
 
-        let mut hooks = Hooks {
+        Hooks {
             approach: self,
             cfg,
             base: UnifiedTransE::new(space, cfg, ctx.driver_rng()),
             profiles,
-        };
-        run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)
+        }
     }
 }
 
-struct Hooks<'a> {
+/// AttrE ranks by cosine.
+const METRIC: Metric = Metric::Cosine;
+
+pub(crate) struct Hooks<'a> {
     approach: &'a AttrE,
     cfg: &'a RunConfig,
     base: UnifiedTransE,
@@ -125,15 +141,16 @@ impl EpochHooks for Hooks<'_> {
     }
 
     fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        self.approach
-            .output(&self.base.space, &self.base.model, self.cfg)
+        self.base.space.output(self.base.model.entities(), METRIC)
     }
-}
 
-impl AttrE {
-    fn output(&self, space: &UnifiedSpace, model: &TransE, cfg: &RunConfig) -> ApproachOutput {
-        let (emb1, emb2) = space.extract(model.entities());
-        ApproachOutput::new(cfg.dim, Metric::Cosine, emb1, emb2)
+    fn validate_in_place(&mut self, valid: &[AlignedPair], ctx: &RunContext<'_>) -> Option<f64> {
+        let table = self.base.model.entities();
+        Some(
+            self.base
+                .space
+                .validation_hits1(table, METRIC, valid, ctx.threads),
+        )
     }
 }
 

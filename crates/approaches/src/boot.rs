@@ -17,8 +17,8 @@ pub fn unaligned_entities(total: usize, taken: &HashSet<EntityId>) -> Vec<Entity
         .collect()
 }
 
-/// One self-training round's candidates: KG1 `sources` and KG2 `targets`
-/// with their rows, row-major and in the same order (`src` row `i` is
+/// One editing round's candidates: KG1 `sources` and KG2 `targets` with
+/// their rows, row-major and in the same order (`src` row `i` is
 /// `sources[i]`'s), compared under `metric`.
 pub(crate) struct Candidates {
     pub(crate) sources: Vec<EntityId>,
@@ -59,24 +59,68 @@ impl Candidates {
     }
 }
 
-/// IPTransE-style proposals: every source's nearest target above
-/// `threshold` — conflicts and errors accumulate. Nearest needs only k = 1,
-/// so the scores stream instead of filling a |sources| × |targets| matrix.
+/// Candidate rows gathered at a time, per side, by [`propose_nearest`].
+const PROPOSAL_BLOCK: usize = 1024;
+
+/// IPTransE-style proposals: every KG1 source's nearest KG2 target by
+/// cosine, kept when it scores at least `threshold` — conflicts and errors
+/// accumulate. The rows are read from the trained unified `table`
+/// [`PROPOSAL_BLOCK`] at a time per side, and each source's best is carried
+/// across target blocks by [`TopKMatrix::fold_into`] at k = 1, so the round
+/// holds two blocks of rows, not every candidate's.
 pub(crate) fn propose_nearest(
-    c: &Candidates,
+    space: &UnifiedSpace,
+    table: &EmbeddingTable,
+    sources: &[EntityId],
+    targets: &[EntityId],
     threshold: f32,
     threads: usize,
 ) -> Vec<(EntityId, EntityId)> {
-    if c.is_empty() {
-        return Vec::new();
+    nearest_in_blocks(
+        space,
+        table,
+        sources,
+        targets,
+        threshold,
+        threads,
+        PROPOSAL_BLOCK,
+    )
+}
+
+fn nearest_in_blocks(
+    space: &UnifiedSpace,
+    table: &EmbeddingTable,
+    sources: &[EntityId],
+    targets: &[EntityId],
+    threshold: f32,
+    threads: usize,
+    block: usize,
+) -> Vec<(EntityId, EntityId)> {
+    let mut found = Vec::new();
+    let (mut src, mut dst) = (Vec::new(), Vec::new());
+    // Room for the one kept entry and the one `push_topk_any` inserts
+    // before it trims, so a better score never reallocates.
+    let mut best: Vec<Vec<(u32, f32)>> = (0..block.min(sources.len()))
+        .map(|_| Vec::with_capacity(2))
+        .collect();
+    for source_block in sources.chunks(block) {
+        space.rows1_into(table, source_block, &mut src);
+        let best = &mut best[..source_block.len()];
+        best.iter_mut().for_each(Vec::clear);
+        for (b, target_block) in targets.chunks(block).enumerate() {
+            space.rows2_into(table, target_block, &mut dst);
+            let nearest = TopKMatrix::compute(&src, &dst, table.dim(), Metric::Cosine, 1, threads);
+            nearest.fold_into(b * block, 1, best);
+        }
+        for (&a, kept) in source_block.iter().zip(best.iter()) {
+            if let Some(&(j, s)) = kept.first() {
+                if s >= threshold {
+                    found.push((a, targets[j as usize]));
+                }
+            }
+        }
     }
-    let topk = TopKMatrix::compute(&c.src, &c.dst, c.dim, c.metric, 1, threads);
-    (0..c.sources.len())
-        .filter_map(|i| {
-            let (j, s) = topk.best(i)?;
-            (s >= threshold).then_some((c.sources[i], c.targets[j]))
-        })
-        .collect()
+    found
 }
 
 /// BootEA-style proposals: the pairs above `threshold` of a 1-to-1 greedy
@@ -104,23 +148,38 @@ pub(crate) fn propose_edited(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::proptests::random_pair;
+    use crate::common::Combination;
 
-    fn cands(src: Vec<f32>, dst: Vec<f32>) -> Candidates {
-        Candidates {
-            sources: (0..src.len() / 2).map(EntityId::from_idx).collect(),
-            targets: (0..dst.len() / 2).map(EntityId::from_idx).collect(),
-            src,
-            dst,
-            dim: 2,
-            metric: Metric::Cosine,
+    /// A space over as many unconnected entities per KG as `src` and `dst`
+    /// have two-float rows, trained to exactly those rows, and its
+    /// candidates: every entity of both KGs.
+    fn trained(src: &[f32], dst: &[f32]) -> (UnifiedSpace, EmbeddingTable, Candidates) {
+        let n = src.len() / 2;
+        assert_eq!(dst.len(), 2 * n);
+        let pair = random_pair(&[], &[], n as u8);
+        let space = UnifiedSpace::build(&pair, &[], Combination::Calibration);
+        let mut table = EmbeddingTable::zeros(space.num_entities, 2);
+        for (e, row) in src.chunks(2).enumerate() {
+            table
+                .row_mut(space.uid1(EntityId::from_idx(e)) as usize)
+                .copy_from_slice(row);
         }
+        for (e, row) in dst.chunks(2).enumerate() {
+            table
+                .row_mut(space.uid2(EntityId::from_idx(e)) as usize)
+                .copy_from_slice(row);
+        }
+        let none = HashSet::new();
+        let c = Candidates::unified(&pair, &space, &table, &none, &none);
+        (space, table, c)
     }
 
     #[test]
     fn editing_enforces_one_to_one() {
         // Both sources point at target 0.
-        let c = cands(vec![1.0, 0.0, 0.9, 0.1], vec![1.0, 0.0, 0.0, 1.0]);
-        let naive = propose_nearest(&c, 0.0, 1);
+        let (space, table, c) = trained(&[1.0, 0.0, 0.9, 0.1], &[1.0, 0.0, 0.0, 1.0]);
+        let naive = propose_nearest(&space, &table, &c.sources, &c.targets, 0.0, 1);
         let targets: Vec<_> = naive.iter().map(|&(_, b)| b).collect();
         assert_eq!(targets, vec![EntityId(0), EntityId(0)]); // conflict kept
         let edited = propose_edited(&c, 0.0, 1);
@@ -130,9 +189,11 @@ mod tests {
 
     #[test]
     fn threshold_filters_weak_matches() {
-        let c = cands(vec![1.0, 0.0], vec![0.0, 1.0]); // orthogonal: sim 0
-        assert!(propose_nearest(&c, 0.5, 1).is_empty());
-        assert_eq!(propose_nearest(&c, -1.0, 1).len(), 1);
+        let (space, table, c) = trained(&[1.0, 0.0], &[0.0, 1.0]); // orthogonal: sim 0
+        let propose =
+            |threshold| propose_nearest(&space, &table, &c.sources, &c.targets, threshold, 1);
+        assert!(propose(0.5).is_empty());
+        assert_eq!(propose(-1.0).len(), 1);
     }
 
     #[test]
@@ -154,7 +215,8 @@ mod proptests {
     use openea_runtime::testkit::prelude::*;
 
     /// The proposal path as it was before rounds read rows in place: the
-    /// whole output extracted, then the candidates gathered out of it.
+    /// whole output extracted, then every candidate's rows gathered out of
+    /// it at once.
     fn reference(
         out: &ApproachOutput,
         cand1: &[EntityId],
@@ -190,10 +252,12 @@ mod proptests {
     props! {
         #![cases = 48]
 
-        /// Both proposal functions, fed rows gathered from the trained table,
-        /// propose exactly what the extracting path proposed — under every
-        /// combination mode, with seed-shared rows, already-taken entities
-        /// and a coarse value grid that makes scores tie.
+        /// Both proposal rules, fed rows from the trained table, propose
+        /// exactly what the extracting path proposed — under every
+        /// combination mode, with seed-shared rows, already-taken entities,
+        /// a coarse value grid that makes scores tie and a zero row. Nearest
+        /// proposals also at blocks of one to four rows, which candidate
+        /// counts of zero to seven mostly do not divide.
         #[test]
         fn proposals_match_the_extracting_reference(
             edges in vec_of((0u8..7, 0u8..4, 0u8..7), 1..24),
@@ -201,7 +265,7 @@ mod proptests {
             taken in vec_of(any_bool(), 14),
             grid in vec_of(-2i8..=2, 1..40),
             threshold in -1.0f32..1.0,
-            threads in 1usize..4,
+            (zero_row, threads) in (0usize..14, 1usize..4),
         ) {
             let pair = random_pair(&edges, &edges, 7);
             let seeds: Vec<AlignedPair> = pair.alignment.iter().copied().take(num_seeds).collect();
@@ -216,13 +280,23 @@ mod proptests {
                 for (k, x) in table.data_mut().iter_mut().enumerate() {
                     *x = grid[k % grid.len()] as f32;
                 }
+                table.row_mut(zero_row % space.num_entities).fill(0.0);
                 let (emb1, emb2) = space.extract(&table);
                 let out = ApproachOutput::new(dim, Metric::Cosine, emb1, emb2);
                 let c = Candidates::unified(&pair, &space, &table, &taken1, &taken2);
+                let nearest = reference(&out, &c.sources, &c.targets, threshold, false, threads);
                 prop_assert_eq!(
-                    propose_nearest(&c, threshold, threads),
-                    reference(&out, &c.sources, &c.targets, threshold, false, threads)
+                    &propose_nearest(&space, &table, &c.sources, &c.targets, threshold, threads),
+                    &nearest
                 );
+                for block in 1..5 {
+                    prop_assert_eq!(
+                        &nearest_in_blocks(
+                            &space, &table, &c.sources, &c.targets, threshold, threads, block
+                        ),
+                        &nearest
+                    );
+                }
                 prop_assert_eq!(
                     propose_edited(&c, threshold, threads),
                     reference(&out, &c.sources, &c.targets, threshold, true, threads)

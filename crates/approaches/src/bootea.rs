@@ -12,7 +12,7 @@ use crate::common::{
 };
 use crate::engine::{run_driver, EpochHooks, RunContext};
 use openea_align::{Metric, PrfScores, TopKMatrix};
-use openea_core::{EntityId, FoldSplit, KgPair};
+use openea_core::{AlignedPair, EntityId, FoldSplit, KgPair};
 use openea_math::negsamp::{RawTriple, TruncatedSampler, UniformSampler};
 use openea_models::translational::LossKind;
 use openea_models::{RelationModel, TransE};
@@ -69,11 +69,6 @@ impl BootEa {
             .collect();
         TruncatedSampler::new(candidates)
     }
-
-    fn output(&self, space: &UnifiedSpace, model: &TransE, cfg: &RunConfig) -> ApproachOutput {
-        let (emb1, emb2) = space.extract(model.entities());
-        ApproachOutput::new(cfg.dim, Metric::Cosine, emb1, emb2)
-    }
 }
 
 impl Approach for BootEa {
@@ -93,6 +88,22 @@ impl Approach for BootEa {
         cfg: &RunConfig,
         ctx: &RunContext<'_>,
     ) -> Result<ApproachOutput, TrainError> {
+        let mut hooks = self.hooks(pair, split, cfg, ctx);
+        let mut out = run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)?;
+        out.augmentation = hooks.augmentation;
+        Ok(out)
+    }
+}
+
+impl BootEa {
+    /// The engine hooks of a run on `split`, before its first epoch.
+    pub(crate) fn hooks<'a>(
+        &'a self,
+        pair: &'a KgPair,
+        split: &FoldSplit,
+        cfg: &'a RunConfig,
+        ctx: &RunContext<'_>,
+    ) -> Hooks<'a> {
         let mut rng = ctx.driver_rng();
         let space = UnifiedSpace::build(pair, &split.train, Combination::Swapping);
         let base_triples = space.triples.clone();
@@ -119,7 +130,7 @@ impl Approach for BootEa {
         let uniform = UniformSampler {
             num_entities: space.num_entities.max(1) as u32,
         };
-        let mut hooks = Hooks {
+        Hooks {
             approach: self,
             pair,
             cfg,
@@ -136,18 +147,18 @@ impl Approach for BootEa {
             augmentation: Vec::new(),
             opts,
             rng,
-        };
-        let mut out = run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)?;
-        out.augmentation = hooks.augmentation;
-        Ok(out)
+        }
     }
 }
+
+/// BootEA ranks and proposes by cosine.
+const METRIC: Metric = Metric::Cosine;
 
 /// Engine hooks: limit-loss TransE over the (possibly swapped) triples with
 /// truncated negatives once bootstrapping starts, per-epoch calibration of
 /// the proposed pairs, and a conflict-edited self-training round every
 /// `boot_every` epochs.
-struct Hooks<'a> {
+pub(crate) struct Hooks<'a> {
     approach: &'a BootEa,
     pair: &'a KgPair,
     cfg: &'a RunConfig,
@@ -216,7 +227,15 @@ impl EpochHooks for Hooks<'_> {
     }
 
     fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        self.approach.output(&self.space, &self.model, self.cfg)
+        self.space.output(self.model.entities(), METRIC)
+    }
+
+    fn validate_in_place(&mut self, valid: &[AlignedPair], ctx: &RunContext<'_>) -> Option<f64> {
+        let table = self.model.entities();
+        Some(
+            self.space
+                .validation_hits1(table, METRIC, valid, ctx.threads),
+        )
     }
 }
 

@@ -320,11 +320,16 @@ pub(crate) fn gather_rows(emb: &[f32], dim: usize, ids: &[EntityId]) -> Vec<f32>
 /// candidates are the test targets. Ranks are streamed through the kernel
 /// layer, so the `test × test` similarity matrix is never materialized.
 pub fn evaluate_output(out: &ApproachOutput, test: &[AlignedPair], threads: usize) -> RankEval {
-    let sources: Vec<EntityId> = test.iter().map(|&(a, _)| a).collect();
-    let targets: Vec<EntityId> = test.iter().map(|&(_, b)| b).collect();
+    let (sources, targets): (Vec<EntityId>, Vec<EntityId>) = test.iter().copied().unzip();
     let (src, dst) = out.gather(&sources, &targets);
-    let gold: Vec<usize> = (0..test.len()).collect();
-    rank_eval_streaming(&src, &dst, out.dim, out.metric, &gold, threads)
+    rank_pairs(&src, &dst, out.dim, out.metric, threads)
+}
+
+/// Ranks every pair's target among all the pairs' targets, for rows
+/// gathered in pair order (source row `i` and target row `i` are pair `i`).
+fn rank_pairs(src: &[f32], dst: &[f32], dim: usize, metric: Metric, threads: usize) -> RankEval {
+    let gold: Vec<usize> = (0..src.len() / dim).collect();
+    rank_eval_streaming(src, dst, dim, metric, &gold, threads)
 }
 
 /// How the two KGs' parameters are combined (Sect. 2.2.3).
@@ -469,14 +474,53 @@ impl UnifiedSpace {
         sources: &[EntityId],
         targets: &[EntityId],
     ) -> (Vec<f32>, Vec<f32>) {
-        let rows = |map: &[u32], ids: &[EntityId]| {
-            let mut out = Vec::with_capacity(ids.len() * table.dim());
-            for &e in ids {
-                out.extend_from_slice(table.row(map[e.idx()] as usize));
-            }
-            out
-        };
-        (rows(&self.map1, sources), rows(&self.map2, targets))
+        let (mut src, mut dst) = (Vec::new(), Vec::new());
+        self.rows1_into(table, sources, &mut src);
+        self.rows2_into(table, targets, &mut dst);
+        (src, dst)
+    }
+
+    /// Replaces `out` with the rows of KG1 entities `ids`, in their order.
+    pub(crate) fn rows1_into(&self, table: &EmbeddingTable, ids: &[EntityId], out: &mut Vec<f32>) {
+        rows_into(table, &self.map1, ids, out);
+    }
+
+    /// Replaces `out` with the rows of KG2 entities `ids`, in their order.
+    pub(crate) fn rows2_into(&self, table: &EmbeddingTable, ids: &[EntityId], out: &mut Vec<f32>) {
+        rows_into(table, &self.map2, ids, out);
+    }
+
+    /// The output of an approach trained in this space: both KGs' rows of
+    /// `table`, compared under `metric` — a driver's checkpoint.
+    pub(crate) fn output(&self, table: &EmbeddingTable, metric: Metric) -> ApproachOutput {
+        let (emb1, emb2) = self.extract(table);
+        ApproachOutput::new(table.dim(), metric, emb1, emb2)
+    }
+
+    /// [`validation_hits1`] of [`UnifiedSpace::output`], bit for bit, scored
+    /// in place: only the validation pairs' rows are gathered from `table`,
+    /// so a checkpoint need not be extracted to be judged.
+    pub(crate) fn validation_hits1(
+        &self,
+        table: &EmbeddingTable,
+        metric: Metric,
+        valid: &[AlignedPair],
+        threads: usize,
+    ) -> f64 {
+        if valid.is_empty() {
+            return 0.0;
+        }
+        let (sources, targets): (Vec<EntityId>, Vec<EntityId>) = valid.iter().copied().unzip();
+        let (src, dst) = self.gather(table, &sources, &targets);
+        rank_pairs(&src, &dst, table.dim(), metric, threads).hits1
+    }
+}
+
+fn rows_into(table: &EmbeddingTable, map: &[u32], ids: &[EntityId], out: &mut Vec<f32>) {
+    out.clear();
+    out.reserve(ids.len() * table.dim());
+    for &e in ids {
+        out.extend_from_slice(table.row(map[e.idx()] as usize));
     }
 }
 
@@ -1011,6 +1055,40 @@ pub(crate) mod proptests {
                     space.gather(&table, &sources, &targets),
                     out.gather(&sources, &targets)
                 );
+            }
+        }
+
+        /// The in-place validation score is the extracted output's, bit for
+        /// bit, under every combination mode and metric — tied scores from a
+        /// coarse grid, seed-shared rows and an empty validation set among
+        /// the cases.
+        #[test]
+        fn validation_in_place_equals_validation_of_the_output(
+            edges in vec_of((0u8..6, 0u8..4, 0u8..6), 1..24),
+            num_seeds in 0usize..4,
+            valid in vec_of((0usize..6, 0usize..6), 0..8),
+            grid in vec_of(-2i8..=2, 1..30),
+            threads in 1usize..4,
+        ) {
+            let pair = random_pair(&edges, &edges, 6);
+            let seeds: Vec<AlignedPair> = pair.alignment.iter().copied().take(num_seeds).collect();
+            let valid: Vec<AlignedPair> = valid
+                .into_iter()
+                .map(|(a, b)| (EntityId::from_idx(a), EntityId::from_idx(b)))
+                .collect();
+            for mode in [Combination::Calibration, Combination::Sharing, Combination::Swapping] {
+                let space = UnifiedSpace::build(&pair, &seeds, mode);
+                let mut table = EmbeddingTable::zeros(space.num_entities, 3);
+                for (k, x) in table.data_mut().iter_mut().enumerate() {
+                    *x = grid[k % grid.len()] as f32;
+                }
+                for metric in Metric::ALL {
+                    let out = space.output(&table, metric);
+                    prop_assert_eq!(
+                        space.validation_hits1(&table, metric, &valid, threads).to_bits(),
+                        validation_hits1(&out, &valid, threads).to_bits()
+                    );
+                }
             }
         }
     }

@@ -75,19 +75,22 @@ pub trait TelemetrySink: Sync {
 }
 
 /// Artifact receiver for trained embeddings: the engine hands over every
-/// validation checkpoint (with its score and the trace recorded so far) and
-/// the finished run's final output. Installing one on [`RunContext`] lets
-/// *any* registry approach emit durable serving artifacts — the snapshot
-/// writer in `openea-serve` is the canonical implementation — without the
-/// driver knowing anything about persistence formats.
+/// validation checkpoint that improved on the best so far (with its score
+/// and the trace recorded so far) and the finished run's final output.
+/// Installing one on [`RunContext`] lets *any* registry approach emit
+/// durable serving artifacts — the snapshot writer in `openea-serve` is the
+/// canonical implementation — without the driver knowing anything about
+/// persistence formats.
 ///
-/// Checkpoint outputs carry the partial trace (`stop` still
+/// The engine is the one judge of "improved" (see [`run_driver`]): the last
+/// checkpoint a sink receives is the one the run returns, unless validation
+/// never ran. Checkpoint outputs carry the partial trace (`stop` still
 /// `NotRecorded`); the completion output carries the finished trace. Sinks
 /// run on the driver thread, so expensive work (disk writes of large
 /// embedding tables) bills to the epoch that produced the checkpoint.
 pub trait CheckpointSink: Sync {
-    /// A validation checkpoint: `out` is the extracted output with the
-    /// trace-so-far attached, `score` its validation Hits@1.
+    /// An improved validation checkpoint: `out` is the extracted output with
+    /// the trace-so-far attached, `score` its validation Hits@1.
     fn on_checkpoint(&self, _label: &str, _epoch: usize, _out: &ApproachOutput, _score: f64) {}
 
     /// The finished run's output, final trace attached.
@@ -222,7 +225,8 @@ impl<'a> RunContext<'a> {
 }
 
 /// The per-approach hooks the engine drives. Only `train_epoch` and
-/// `checkpoint` carry real work for most drivers; `before_epoch` /
+/// `checkpoint` carry real work for most drivers (plus
+/// `validate_in_place` for those trained in one table); `before_epoch` /
 /// `after_epoch` host the semi-supervised extras (sampler refresh,
 /// bootstrapping, iterative augmentation, co-training, soft calibration) at
 /// exactly the loop positions the historical drivers used.
@@ -241,6 +245,15 @@ pub trait EpochHooks {
     /// checkpoints and once more for the final result when no checkpoint
     /// was retained.
     fn checkpoint(&mut self, ctx: &RunContext<'_>) -> ApproachOutput;
+
+    /// Validation Hits@1 of the output [`EpochHooks::checkpoint`] would
+    /// extract now, scored where the embeddings live — exactly
+    /// `validation_hits1(&self.checkpoint(ctx), valid, ctx.threads)`, bit
+    /// for bit. Then the engine extracts only the checkpoints it keeps. The
+    /// default, `None`, has it extract every checkpoint and score that.
+    fn validate_in_place(&mut self, _valid: &[AlignedPair], _ctx: &RunContext<'_>) -> Option<f64> {
+        None
+    }
 
     /// Absorbs previous-generation parameters before epoch 0 when the
     /// context carries a [`WarmStart`]. Returns `true` when the parameters
@@ -267,6 +280,13 @@ pub trait EpochHooks {
 /// that prevented the run from starting, or [`TrainError::Diverged`] for the
 /// first epoch whose loss is not finite — checked here, once, for every
 /// driver.
+///
+/// A checkpoint *improves* when it is the first or its score beats every
+/// earlier one (`>`: a tie keeps the earlier). That is decided here, once:
+/// only an improving checkpoint is kept and handed to the
+/// [`CheckpointSink`], and the best it replaces is dropped before it is
+/// extracted, so hooks that score in place
+/// ([`EpochHooks::validate_in_place`]) hold at most one extracted output.
 pub fn run_driver<H: EpochHooks>(
     label: &str,
     hooks: &mut H,
@@ -313,15 +333,23 @@ pub fn run_driver<H: EpochHooks>(
         let mut stop = false;
         if let Some(valid) = ctx.valid {
             if (epoch + 1).is_multiple_of(cfg.check_every) {
-                let mut out = hooks.checkpoint(ctx);
-                stamp(&mut out, epochs_done);
-                let score = validation_hits1(&out, valid, ctx.threads);
+                let (score, extracted) = match hooks.validate_in_place(valid, ctx) {
+                    Some(score) => (score, None),
+                    None => {
+                        let out = hooks.checkpoint(ctx);
+                        (validation_hits1(&out, valid, ctx.threads), Some(out))
+                    }
+                };
                 rec.record_validation(score);
-                if let Some(artifacts) = ctx.artifacts {
-                    out.trace = rec.so_far();
-                    artifacts.on_checkpoint(label, epoch, &out, score);
-                }
                 if score > stopper.best() || best.is_none() {
+                    // Before the extract, so that the two are never live together.
+                    drop(best.take());
+                    let mut out = extracted.unwrap_or_else(|| hooks.checkpoint(ctx));
+                    stamp(&mut out, epochs_done);
+                    if let Some(artifacts) = ctx.artifacts {
+                        out.trace = rec.so_far();
+                        artifacts.on_checkpoint(label, epoch, &out, score);
+                    }
                     best = Some(out);
                 }
                 if stopper.should_stop(score) {
@@ -350,4 +378,127 @@ pub fn run_driver<H: EpochHooks>(
         artifacts.on_complete(label, &out);
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::attre::AttrE;
+    use crate::bootea::BootEa;
+    use crate::common::Approach;
+    use crate::iptranse::IpTransE;
+    use crate::rsn4ea::Rsn4Ea;
+    use openea_core::{k_fold_splits, FoldSplit, KgPair};
+
+    /// Drives `inner` unchanged, except that every in-place validation is
+    /// first held to the score of an extracted checkpoint — bit for bit, for
+    /// the validation pairs and for none.
+    struct Checked<H> {
+        inner: H,
+        checks: usize,
+    }
+
+    impl<H: EpochHooks> EpochHooks for Checked<H> {
+        fn before_epoch(&mut self, epoch: usize, ctx: &RunContext<'_>) {
+            self.inner.before_epoch(epoch, ctx);
+        }
+
+        fn train_epoch(&mut self, epoch: usize, ctx: &RunContext<'_>) -> EpochStats {
+            self.inner.train_epoch(epoch, ctx)
+        }
+
+        fn after_epoch(&mut self, epoch: usize, ctx: &RunContext<'_>) {
+            self.inner.after_epoch(epoch, ctx);
+        }
+
+        fn checkpoint(&mut self, ctx: &RunContext<'_>) -> ApproachOutput {
+            self.inner.checkpoint(ctx)
+        }
+
+        fn validate_in_place(
+            &mut self,
+            valid: &[AlignedPair],
+            ctx: &RunContext<'_>,
+        ) -> Option<f64> {
+            let out = self.inner.checkpoint(ctx);
+            for pairs in [valid, &[]] {
+                let in_place = self
+                    .inner
+                    .validate_in_place(pairs, ctx)
+                    .expect("scores in place");
+                let extracted = validation_hits1(&out, pairs, ctx.threads);
+                assert_eq!(
+                    in_place.to_bits(),
+                    extracted.to_bits(),
+                    "{} pairs",
+                    pairs.len()
+                );
+            }
+            self.checks += 1;
+            self.inner.validate_in_place(valid, ctx)
+        }
+    }
+
+    /// Runs `hooks` checked, and returns the output and the checks made.
+    fn checked<H: EpochHooks>(
+        hooks: H,
+        split: &FoldSplit,
+        cfg: &RunConfig,
+    ) -> (ApproachOutput, usize) {
+        let mut checked = Checked {
+            inner: hooks,
+            checks: 0,
+        };
+        let ctx = RunContext::new(cfg).for_valid(&split.valid);
+        let out = run_driver("checked", &mut checked, &ctx, cfg).unwrap();
+        (out, checked.checks)
+    }
+
+    #[test]
+    fn table_drivers_score_in_place_exactly_as_their_checkpoints() {
+        use openea_synth::{DatasetFamily, PresetConfig};
+        let pair: KgPair = PresetConfig::new(DatasetFamily::EnFr, 150, false, 303).generate();
+        let mut rng = SmallRng::seed_from_u64(3);
+        let split = k_fold_splits(&pair.alignment, 5, &mut rng).swap_remove(0);
+        assert!(!split.valid.is_empty());
+        let cfg = RunConfig {
+            dim: 16,
+            max_epochs: 20,
+            check_every: 5,
+            patience: usize::MAX,
+            threads: 2,
+            seed: 1234,
+            ..RunConfig::default()
+        };
+        let ctx = RunContext::new(&cfg);
+        let (iptranse, bootea) = (IpTransE::default(), BootEa::default());
+        let (attre, rsn4ea) = (AttrE::default(), Rsn4Ea::default());
+        let runs = [
+            (
+                iptranse.name(),
+                checked(iptranse.hooks(&pair, &split, &cfg, &ctx), &split, &cfg),
+                iptranse.run(&pair, &split, &cfg),
+            ),
+            (
+                bootea.name(),
+                checked(bootea.hooks(&pair, &split, &cfg, &ctx), &split, &cfg),
+                bootea.run(&pair, &split, &cfg),
+            ),
+            (
+                attre.name(),
+                checked(attre.hooks(&pair, &split, &cfg, &ctx), &split, &cfg),
+                attre.run(&pair, &split, &cfg),
+            ),
+            (
+                rsn4ea.name(),
+                checked(rsn4ea.hooks(&pair, &split, &cfg, &ctx), &split, &cfg),
+                rsn4ea.run(&pair, &split, &cfg),
+            ),
+        ];
+        for (name, (out, checks), plain) in runs {
+            assert_eq!(checks, 4, "{name}: every validation checked");
+            // The extra extracts are reads: the run ends on the same bits.
+            assert_eq!(out.content_hash(), plain.content_hash(), "{name}");
+        }
+    }
 }

@@ -8,14 +8,14 @@
 //! (no editing) — reproducing the paper's observation that IPTransE's
 //! augmentation precision degrades over iterations.
 
-use crate::boot::{propose_nearest, Candidates};
+use crate::boot::{propose_nearest, unaligned_entities};
 use crate::common::{
     augmentation_quality, calibrate, Approach, ApproachOutput, Combination, EpochStats,
     Requirements, RunConfig, TrainError, UnifiedSpace, UnifiedTransE,
 };
 use crate::engine::{run_driver, EpochHooks, RunContext, WarmStart};
 use openea_align::{Metric, PrfScores};
-use openea_core::{EntityId, FoldSplit, KgPair};
+use openea_core::{AlignedPair, EntityId, FoldSplit, KgPair};
 use openea_models::TransE;
 use openea_runtime::rng::SliceRandom;
 use std::collections::HashSet;
@@ -103,14 +103,13 @@ impl Default for IpTransE {
 impl IpTransE {
     fn path_step(&self, model: &mut TransE, paths: &[PathInstance], lr: f32) {
         let dim = model.relations.dim();
+        let mut u = vec![0.0f32; dim];
         for p in paths {
             // u = (r1 + r2) − r3 ; pull each relation along −∇‖u‖².
-            let u: Vec<f32> = (0..dim)
-                .map(|i| {
-                    model.relations.row(p.r1 as usize)[i] + model.relations.row(p.r2 as usize)[i]
-                        - model.relations.row(p.r3 as usize)[i]
-                })
-                .collect();
+            for (i, ui) in u.iter_mut().enumerate() {
+                *ui = model.relations.row(p.r1 as usize)[i] + model.relations.row(p.r2 as usize)[i]
+                    - model.relations.row(p.r3 as usize)[i];
+            }
             let s = 2.0 * lr * self.path_weight;
             #[allow(clippy::needless_range_loop)] // multi-array indexed math reads clearer
             for i in 0..dim {
@@ -138,6 +137,22 @@ impl Approach for IpTransE {
         cfg: &RunConfig,
         ctx: &RunContext<'_>,
     ) -> Result<ApproachOutput, TrainError> {
+        let mut hooks = self.hooks(pair, split, cfg, ctx);
+        let mut out = run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)?;
+        out.augmentation = hooks.augmentation;
+        Ok(out)
+    }
+}
+
+impl IpTransE {
+    /// The engine hooks of a run on `split`, before its first epoch.
+    pub(crate) fn hooks<'a>(
+        &'a self,
+        pair: &'a KgPair,
+        split: &FoldSplit,
+        cfg: &'a RunConfig,
+        ctx: &RunContext<'_>,
+    ) -> Hooks<'a> {
         let space = UnifiedSpace::build(pair, &split.train, Combination::Sharing);
         let mut base = UnifiedTransE::new(space, cfg, ctx.driver_rng());
         let mut paths = mine_paths(&base.space.triples, 20_000);
@@ -150,7 +165,7 @@ impl Approach for IpTransE {
             .copied()
             .filter(|p| !split.train.contains(p))
             .collect();
-        let mut hooks = Hooks {
+        Hooks {
             approach: self,
             pair,
             cfg,
@@ -162,17 +177,17 @@ impl Approach for IpTransE {
             proposed: Vec::new(),
             gold,
             augmentation: Vec::new(),
-        };
-        let mut out = run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)?;
-        out.augmentation = hooks.augmentation;
-        Ok(out)
+        }
     }
 }
+
+/// IPTransE ranks by Euclidean distance; self-training compares by cosine.
+const METRIC: Metric = Metric::Euclidean;
 
 /// Engine hooks: translational training plus the path objective per epoch,
 /// then soft calibration of proposed pairs and (every `boot_every` epochs)
 /// a new self-training round.
-struct Hooks<'a> {
+pub(crate) struct Hooks<'a> {
     approach: &'a IpTransE,
     pair: &'a KgPair,
     cfg: &'a RunConfig,
@@ -209,14 +224,16 @@ impl EpochHooks for Hooks<'_> {
         calibrate(&mut self.base.model.entities, &prop_uids, self.cfg.lr);
 
         if (epoch + 1).is_multiple_of(self.approach.boot_every) {
-            let cands = Candidates::unified(
-                self.pair,
+            let sources = unaligned_entities(self.pair.kg1.num_entities(), &self.taken1);
+            let targets = unaligned_entities(self.pair.kg2.num_entities(), &self.taken2);
+            let new_pairs = propose_nearest(
                 &self.base.space,
                 &self.base.model.entities,
-                &self.taken1,
-                &self.taken2,
+                &sources,
+                &targets,
+                self.approach.threshold,
+                self.cfg.threads,
             );
-            let new_pairs = propose_nearest(&cands, self.approach.threshold, self.cfg.threads);
             for &(a, b) in &new_pairs {
                 self.taken1.insert(a);
                 self.taken2.insert(b);
@@ -228,15 +245,16 @@ impl EpochHooks for Hooks<'_> {
     }
 
     fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        self.approach
-            .output(&self.base.space, &self.base.model, self.cfg)
+        self.base.space.output(&self.base.model.entities, METRIC)
     }
-}
 
-impl IpTransE {
-    fn output(&self, space: &UnifiedSpace, model: &TransE, cfg: &RunConfig) -> ApproachOutput {
-        let (emb1, emb2) = space.extract(&model.entities);
-        ApproachOutput::new(cfg.dim, Metric::Euclidean, emb1, emb2)
+    fn validate_in_place(&mut self, valid: &[AlignedPair], ctx: &RunContext<'_>) -> Option<f64> {
+        let table = &self.base.model.entities;
+        Some(
+            self.base
+                .space
+                .validation_hits1(table, METRIC, valid, ctx.threads),
+        )
     }
 }
 

@@ -12,7 +12,7 @@ use crate::common::{
 use crate::engine::{run_driver, EpochHooks, RunContext};
 use openea_align::Metric;
 use openea_autodiff::{Graph, Tensor};
-use openea_core::{FoldSplit, KgPair};
+use openea_core::{AlignedPair, FoldSplit, KgPair};
 use openea_math::{EmbeddingTable, Initializer};
 use openea_runtime::rng::Rng;
 use openea_runtime::rng::SmallRng;
@@ -119,6 +119,20 @@ impl Approach for Rsn4Ea {
         cfg: &RunConfig,
         ctx: &RunContext<'_>,
     ) -> Result<ApproachOutput, TrainError> {
+        let mut hooks = self.hooks(pair, split, cfg, ctx);
+        run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)
+    }
+}
+
+impl Rsn4Ea {
+    /// The engine hooks of a run on `split`, before its first epoch.
+    pub(crate) fn hooks<'a>(
+        &'a self,
+        pair: &KgPair,
+        split: &FoldSplit,
+        cfg: &'a RunConfig,
+        ctx: &RunContext<'_>,
+    ) -> Hooks<'a> {
         let mut rng = ctx.driver_rng();
         let space = UnifiedSpace::build(pair, &split.train, Combination::Sharing);
         // Element table: entities then 2·relations (forward + inverse).
@@ -138,19 +152,23 @@ impl Approach for Rsn4Ea {
         };
 
         let walks_per_epoch = ((space.num_entities as f32 * self.walks_per_entity) as usize).max(8);
-        let mut hooks = Hooks {
+        Hooks {
             approach: self,
             cfg,
             space,
             params,
             walks_per_epoch,
             rng,
-        };
-        run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)
+        }
     }
 }
 
-struct Hooks<'a> {
+/// RSN4EA ranks by cosine. Its element table holds the entities first, so
+/// a unified id is also the entity's row there and the relation rows after
+/// them are never read.
+const METRIC: Metric = Metric::Cosine;
+
+pub(crate) struct Hooks<'a> {
     approach: &'a Rsn4Ea,
     cfg: &'a RunConfig,
     space: UnifiedSpace,
@@ -199,7 +217,15 @@ impl EpochHooks for Hooks<'_> {
     }
 
     fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        self.approach.output(&self.space, &self.params, self.cfg)
+        self.space.output(&self.params.elements, METRIC)
+    }
+
+    fn validate_in_place(&mut self, valid: &[AlignedPair], ctx: &RunContext<'_>) -> Option<f64> {
+        let table = &self.params.elements;
+        Some(
+            self.space
+                .validation_hits1(table, METRIC, valid, ctx.threads),
+        )
     }
 }
 
@@ -328,13 +354,6 @@ impl Rsn4Ea {
             }
         }
         loss_value
-    }
-
-    fn output(&self, space: &UnifiedSpace, params: &RsnParams, cfg: &RunConfig) -> ApproachOutput {
-        let (emb1, emb2) = space.extract(&params.elements);
-        // extract() reads rows 0..n from the element table; entity rows come
-        // first, so the relation tail is never touched.
-        ApproachOutput::new(cfg.dim, Metric::Cosine, emb1, emb2)
     }
 }
 

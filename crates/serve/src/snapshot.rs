@@ -69,7 +69,7 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const MAGIC: &[u8; 8] = b"OPENEASN";
 const VERSION: u32 = 1;
@@ -916,17 +916,19 @@ fn file_stem(label: &str) -> String {
 }
 
 /// A [`CheckpointSink`] that persists driver-engine artifacts as snapshots:
-/// every *improved* validation checkpoint overwrites `<label>.ckpt.snap`
-/// (crash-safe serving artifact mid-training) and the finished run writes
-/// `<label>.snap`. Install on a [`RunContext`] via `with_artifacts` — works
-/// for any registry approach, none of which know this type exists.
+/// every checkpoint it is handed overwrites `<label>.ckpt.snap` (crash-safe
+/// serving artifact mid-training) and the finished run writes
+/// `<label>.snap`. The engine hands over only checkpoints that improved on
+/// the run's best, so the checkpoint file always holds the output the run
+/// would return if it ended now. Install on a [`RunContext`] via
+/// `with_artifacts` — works for any registry approach, none of which know
+/// this type exists.
 ///
 /// [`RunContext`]: openea_approaches::RunContext
 pub struct SnapshotWriter {
     dir: PathBuf,
     names1: Vec<String>,
     names2: Vec<String>,
-    best: Mutex<f64>,
     checkpoints: AtomicUsize,
     completions: AtomicUsize,
     last_error: Mutex<Option<SnapshotError>>,
@@ -940,7 +942,6 @@ impl SnapshotWriter {
             dir: dir.into(),
             names1,
             names2,
-            best: Mutex::new(f64::NEG_INFINITY),
             checkpoints: AtomicUsize::new(0),
             completions: AtomicUsize::new(0),
             last_error: Mutex::new(None),
@@ -970,28 +971,32 @@ impl SnapshotWriter {
     /// The most recent write error, if any (the sink interface cannot
     /// propagate it through the engine).
     pub fn take_error(&self) -> Option<SnapshotError> {
-        self.last_error.lock().unwrap().take()
+        self.last_error().take()
     }
 
     fn write(&self, path: &Path, out: &ApproachOutput) -> bool {
         match SnapshotView::of_output(out, &self.names1, &self.names2).write_to(path) {
             Ok(()) => true,
             Err(e) => {
-                *self.last_error.lock().unwrap() = Some(e);
+                *self.last_error() = Some(e);
                 false
             }
         }
     }
+
+    /// The error slot; a guard poisoned by a panicking writer still holds
+    /// a consistent `Option`, so it is recovered, not re-panicked.
+    fn last_error(&self) -> MutexGuard<'_, Option<SnapshotError>> {
+        self.last_error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl CheckpointSink for SnapshotWriter {
-    fn on_checkpoint(&self, label: &str, _epoch: usize, out: &ApproachOutput, score: f64) {
-        let mut best = self.best.lock().unwrap();
-        if score >= *best {
-            *best = score;
-            if self.write(&self.checkpoint_path(label), out) {
-                self.checkpoints.fetch_add(1, Ordering::SeqCst);
-            }
+    fn on_checkpoint(&self, label: &str, _epoch: usize, out: &ApproachOutput, _score: f64) {
+        if self.write(&self.checkpoint_path(label), out) {
+            self.checkpoints.fetch_add(1, Ordering::SeqCst);
         }
     }
 

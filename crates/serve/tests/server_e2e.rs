@@ -8,11 +8,13 @@
 mod common;
 
 use common::{connect, http_get, tiny_snapshot};
-use openea_align::SimilarityMatrix;
+use openea_align::{Metric, SimilarityMatrix};
+use openea_approaches::common::EpochStats;
 use openea_approaches::{
-    approach_by_name, evaluate_output, Budget, Lineage, RunConfig, RunContext, StopReason,
+    approach_by_name, evaluate_output, run_driver, ApproachOutput, Budget, EpochHooks, Lineage,
+    RunConfig, RunContext, StopReason,
 };
-use openea_core::{k_fold_splits, KgPair};
+use openea_core::{k_fold_splits, EntityId, KgPair};
 use openea_runtime::json::Json;
 use openea_runtime::rng::{SeedableRng, SmallRng};
 use openea_serve::{
@@ -48,6 +50,55 @@ impl Drop for TempDir {
 /// A generation the way the server prints it.
 fn hex(generation: u64) -> String {
     format!("{generation:#018x}")
+}
+
+/// The engine keeps a checkpoint only when it beats the best so far, so on
+/// a tie it returns the earlier one — and the rolling checkpoint file must
+/// hold that one too, not the later tie.
+#[test]
+fn checkpoint_file_holds_the_returned_output_when_validation_ties() {
+    /// Every epoch's output scores validation Hits@1 0.5 (source 1 sits on
+    /// target 0), and a third KG2 row, which no validation pair ranks,
+    /// carries the epoch so that the outputs differ.
+    struct Tied {
+        epoch: usize,
+    }
+    impl EpochHooks for Tied {
+        fn train_epoch(&mut self, epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
+            self.epoch = epoch;
+            EpochStats {
+                mean_loss: 1.0,
+                pairs: 1,
+            }
+        }
+        fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
+            let emb2 = vec![1.0, 0.0, 0.0, 1.0, self.epoch as f32, 0.0];
+            ApproachOutput::new(2, Metric::Cosine, vec![1.0, 0.0, 1.0, 0.0], emb2)
+        }
+    }
+    let rc = RunConfig {
+        dim: 2,
+        max_epochs: 2,
+        check_every: 1,
+        ..RunConfig::default()
+    };
+    let valid = [(EntityId(0), EntityId(0)), (EntityId(1), EntityId(1))];
+    let dir = TempDir::new("tie");
+    let writer = SnapshotWriter::new(&dir.0, Vec::new(), Vec::new());
+    let ctx = RunContext::new(&rc)
+        .for_valid(&valid)
+        .with_artifacts(&writer);
+    let out = run_driver("Tied", &mut Tied { epoch: 0 }, &ctx, &rc).unwrap();
+    let scores: Vec<Option<f64>> = out.trace.epochs.iter().map(|e| e.val_hits1).collect();
+    assert_eq!(scores, [Some(0.5), Some(0.5)], "the two checkpoints tie");
+    assert_eq!(out.emb2[4], 0.0, "a tie keeps the earlier checkpoint");
+    let on_disk = Snapshot::read_from(&writer.checkpoint_path("Tied")).expect("a checkpoint");
+    assert_eq!(
+        hex(on_disk.generation()),
+        hex(Snapshot::from_output(&out, Vec::new(), Vec::new()).generation()),
+        "the checkpoint file must hold the output the run returned"
+    );
+    assert_eq!(writer.checkpoints_written(), 1);
 }
 
 #[test]

@@ -48,12 +48,18 @@ cargo test --release --offline -p openea --test kernel_conformance --test kernel
 # V1/V2 at 3 000 entities, D-Y at 15 000), the ids the benchmark hashes,
 # and the pair's 12 MB / 3 000-call gate — built with the two KGs on two
 # threads — and one IPTransE generation on that pair through its
-# self-training round, held to 26 MB of heap above its inputs. Then the
-# generator's own unit tests: the latent world's pin and the number and date
-# renderers against `core::fmt`, under the code generation that ships.
-# Budget: a few seconds after the release build above.
+# self-training round, held to 18 MB of heap above its inputs. Beside it, the
+# two differentials that generation's memory rests on: validation scored in
+# place against the extracted checkpoint's score (the shared helper, and all
+# four table drivers through the engine), and blocked nearest proposals
+# against the gathered reference. Then the generator's own unit tests: the
+# latent world's pin and the number and date renderers against `core::fmt`,
+# under the code generation that ships. Budget: a few seconds after the
+# release build above.
 cargo test --release --offline -p openea --test synth_pins --test kg_model --test pair_memory \
     --test generation_memory
+cargo test --release --offline -p openea-approaches --lib -- \
+    engine::tests common::proptests::validation_in_place boot::proptests
 cargo test --release --offline -p openea-synth --lib
 
 # Reactor soak slice: the end-to-end serving suite five more times with every

@@ -524,6 +524,120 @@ mod engine {
         assert_eq!(err, TrainError::Diverged { epoch: 3 });
     }
 
+    /// Hooks with one scripted validation score per epoch. Scoring in place,
+    /// they return it; on the default path the engine scores their outputs,
+    /// which are built to score it (1.0 or 0.5 only). Every output carries
+    /// the epoch it was extracted at in a KG2 row no validation pair ranks.
+    struct Scripted {
+        scores: Vec<f64>,
+        in_place: bool,
+        epoch: usize,
+        extracted_at: Vec<usize>,
+    }
+
+    impl EpochHooks for Scripted {
+        fn train_epoch(&mut self, epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
+            self.epoch = epoch;
+            EpochStats {
+                mean_loss: 1.0,
+                pairs: 10,
+            }
+        }
+
+        fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
+            self.extracted_at.push(self.epoch);
+            // Source 1 on target 1 scores 1.0; on target 0, 0.5.
+            let emb1 = if self.scores[self.epoch] == 1.0 {
+                vec![1.0, 0.0, 0.0, 1.0]
+            } else {
+                vec![1.0, 0.0, 1.0, 0.0]
+            };
+            let emb2 = vec![1.0, 0.0, 0.0, 1.0, self.epoch as f32, 0.0];
+            ApproachOutput::new(2, Metric::Cosine, emb1, emb2)
+        }
+
+        fn validate_in_place(
+            &mut self,
+            _valid: &[AlignedPair],
+            _ctx: &RunContext<'_>,
+        ) -> Option<f64> {
+            self.in_place.then(|| self.scores[self.epoch])
+        }
+    }
+
+    /// The checkpoints a sink was handed: `(epoch, score, epoch tag)`.
+    #[derive(Default)]
+    struct Handed(std::sync::Mutex<Vec<(usize, f64, f32)>>);
+
+    impl CheckpointSink for Handed {
+        fn on_checkpoint(&self, _label: &str, epoch: usize, out: &ApproachOutput, score: f64) {
+            self.0.lock().unwrap().push((epoch, score, out.emb2[4]));
+        }
+    }
+
+    /// Validates every epoch of a `scores.len()`-epoch run.
+    fn scripted_run(
+        scores: &[f64],
+        in_place: bool,
+        patience: usize,
+    ) -> (Vec<usize>, Vec<(usize, f64, f32)>, ApproachOutput) {
+        let cfg = RunConfig {
+            dim: 2,
+            max_epochs: scores.len(),
+            check_every: 1,
+            patience,
+            ..RunConfig::default()
+        };
+        let valid = [(EntityId(0), EntityId(0)), (EntityId(1), EntityId(1))];
+        let sink = Handed::default();
+        let ctx = RunContext::new(&cfg)
+            .for_valid(&valid)
+            .with_artifacts(&sink);
+        let mut hooks = Scripted {
+            scores: scores.to_vec(),
+            in_place,
+            epoch: 0,
+            extracted_at: Vec::new(),
+        };
+        let out = run_driver("test", &mut hooks, &ctx, &cfg).unwrap();
+        let recorded: Vec<Option<f64>> = out.trace.epochs.iter().map(|e| e.val_hits1).collect();
+        let expected: Vec<Option<f64>> =
+            scores[..recorded.len()].iter().copied().map(Some).collect();
+        assert_eq!(recorded, expected, "the trace records every score");
+        (hooks.extracted_at, sink.0.into_inner().unwrap(), out)
+    }
+
+    #[test]
+    fn in_place_scoring_extracts_and_hands_over_improving_checkpoints_only() {
+        let (extracted_at, handed, out) = scripted_run(&[0.5, 0.5, 0.4, 0.6], true, 5);
+        assert_eq!(extracted_at, [0, 3], "a tie and a drop are not extracted");
+        assert_eq!(handed, [(0, 0.5, 0.0), (3, 0.6, 3.0)]);
+        assert_eq!(out.emb2[4], 3.0, "the run returns epoch 3's output");
+        assert_eq!(out.trace.stop, StopReason::MaxEpochs);
+    }
+
+    #[test]
+    fn in_place_scoring_stops_early_on_the_one_extracted_checkpoint() {
+        // Patience 1: the second check in a row without a gain stops the run.
+        let (extracted_at, handed, out) = scripted_run(&[0.5, 0.4, 0.4, 0.9], true, 1);
+        assert_eq!(extracted_at, [0]);
+        assert_eq!(handed, [(0, 0.5, 0.0)]);
+        assert_eq!(out.emb2[4], 0.0);
+        assert_eq!(out.trace.stop, StopReason::EarlyStopped { epoch: 2 });
+    }
+
+    #[test]
+    fn the_default_path_extracts_every_checkpoint_and_hands_over_improving_ones() {
+        let (extracted_at, handed, out) = scripted_run(&[0.5, 0.5, 1.0, 0.5], false, 5);
+        assert_eq!(extracted_at, [0, 1, 2, 3], "extract, then score");
+        assert_eq!(
+            handed,
+            [(0, 0.5, 0.0), (2, 1.0, 2.0)],
+            "a non-improving extract is dropped"
+        );
+        assert_eq!(out.emb2[4], 2.0, "the run returns epoch 2's output");
+    }
+
     /// `negs: 0` used to reach the trainer's `ZeroNegatives` behind an
     /// `expect` and panic nine approaches; the three that never sample
     /// negatives from it ran. Every approach now refuses it alike.
