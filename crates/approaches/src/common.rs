@@ -1093,143 +1093,3 @@ pub(crate) mod proptests {
         }
     }
 }
-
-impl ApproachOutput {
-    /// Writes the embeddings as TSV (`entity-uri \t v0 \t v1 …`), one file
-    /// section per KG separated by a blank line — a portable analogue of
-    /// OpenEA's saved embedding matrices.
-    pub fn write_tsv(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        pair: &KgPair,
-    ) -> std::io::Result<()> {
-        use std::io::Write;
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        for (kg, emb) in [(&pair.kg1, &self.emb1), (&pair.kg2, &self.emb2)] {
-            for e in kg.entity_ids() {
-                write!(w, "{}", kg.entity_name(e))?;
-                for v in &emb[e.idx() * self.dim..(e.idx() + 1) * self.dim] {
-                    write!(w, "\t{v}")?;
-                }
-                writeln!(w)?;
-            }
-            writeln!(w)?;
-        }
-        w.flush()
-    }
-
-    /// Reads embeddings written by [`ApproachOutput::write_tsv`] back,
-    /// resolving rows against `pair`'s entity names.
-    pub fn read_tsv(
-        path: impl AsRef<std::path::Path>,
-        pair: &KgPair,
-        metric: Metric,
-    ) -> std::io::Result<ApproachOutput> {
-        let text = std::fs::read_to_string(path)?;
-        let mut sections = text.split("\n\n");
-        let parse = |section: &str, kg: &KnowledgeGraph| -> std::io::Result<(usize, Vec<f32>)> {
-            let mut dim = 0usize;
-            let mut emb: Vec<f32> = Vec::new();
-            let mut rows = 0usize;
-            let mut buf: Vec<(EntityId, Vec<f32>)> = Vec::new();
-            for line in section.lines() {
-                if line.is_empty() {
-                    continue;
-                }
-                let mut cols = line.split('\t');
-                let name = cols.next().unwrap_or_default();
-                let e = kg.entity_by_name(name).ok_or_else(|| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("unknown entity {name}"),
-                    )
-                })?;
-                let v: Vec<f32> = cols
-                    .map(|c| {
-                        c.parse::<f32>()
-                            .map_err(|x| std::io::Error::new(std::io::ErrorKind::InvalidData, x))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if dim == 0 {
-                    dim = v.len();
-                } else if dim != v.len() {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "ragged embedding rows",
-                    ));
-                }
-                buf.push((e, v));
-                rows += 1;
-            }
-            if rows != kg.num_entities() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("expected {} rows, found {rows}", kg.num_entities()),
-                ));
-            }
-            emb.resize(kg.num_entities() * dim, 0.0);
-            for (e, v) in buf {
-                emb[e.idx() * dim..(e.idx() + 1) * dim].copy_from_slice(&v);
-            }
-            Ok((dim, emb))
-        };
-        let s1 = sections.next().unwrap_or_default();
-        let s2 = sections.next().unwrap_or_default();
-        let (d1, emb1) = parse(s1, &pair.kg1)?;
-        let (d2, emb2) = parse(s2, &pair.kg2)?;
-        if d1 != d2 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "dimension mismatch between KGs",
-            ));
-        }
-        Ok(ApproachOutput::new(d1, metric, emb1, emb2))
-    }
-}
-
-#[cfg(test)]
-mod tsv_tests {
-    use super::*;
-    use openea_core::KgBuilder;
-
-    #[test]
-    fn embeddings_roundtrip_through_tsv() {
-        let mut b1 = KgBuilder::new("g1");
-        b1.add_rel_triple("a1", "r", "b1");
-        let mut b2 = KgBuilder::new("g2");
-        b2.add_rel_triple("a2", "s", "b2");
-        let kg1 = b1.build();
-        let kg2 = b2.build();
-        let al = vec![(
-            kg1.entity_by_name("a1").unwrap(),
-            kg2.entity_by_name("a2").unwrap(),
-        )];
-        let pair = KgPair::new(kg1, kg2, al);
-        let out = ApproachOutput::new(
-            3,
-            Metric::Cosine,
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
-            vec![0.5, -1.5, 2.5, 7.0, 8.0, 9.0],
-        );
-        let path = std::env::temp_dir().join(format!("openea_emb_{}.tsv", std::process::id()));
-        out.write_tsv(&path, &pair).unwrap();
-        let back = ApproachOutput::read_tsv(&path, &pair, Metric::Cosine).unwrap();
-        assert_eq!(back.dim, 3);
-        assert_eq!(back.emb1, out.emb1);
-        assert_eq!(back.emb2, out.emb2);
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn read_tsv_rejects_wrong_entities() {
-        let mut b1 = KgBuilder::new("g1");
-        b1.add_entity("a1");
-        let mut b2 = KgBuilder::new("g2");
-        b2.add_entity("a2");
-        let pair = KgPair::new(b1.build(), b2.build(), vec![]);
-        let path = std::env::temp_dir().join(format!("openea_embbad_{}.tsv", std::process::id()));
-        std::fs::write(&path, "nope\t1\t2\n\nmore\t1\t2\n\n").unwrap();
-        assert!(ApproachOutput::read_tsv(&path, &pair, Metric::Cosine).is_err());
-        std::fs::remove_file(path).unwrap();
-    }
-}

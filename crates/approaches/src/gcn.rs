@@ -1,12 +1,16 @@
-//! Shared graph-convolutional encoder for GCNAlign and RDGCN: a two-layer
-//! GCN over the disjoint union of both KGs, trained full-batch with a
-//! margin-based Manhattan calibration loss on the seed alignment.
+//! The GNN family's one encoder and one driver (GCNAlign, RDGCN, AliNet): a
+//! two-layer graph encoder over the disjoint union of both KGs, trained
+//! full-batch with a margin-based Manhattan calibration loss on the seed
+//! alignment. The members differ only in how a layer aggregates neighbours —
+//! a plain or highway GCN ([`GcnEncoder::new`]) or AliNet's gated
+//! one-/two-hop layer — and in the node features they start from.
 
-use crate::common::{ApproachOutput, EpochStats, RunConfig};
-use crate::engine::{EpochHooks, RunContext};
+use crate::alinet::two_hop_edges;
+use crate::common::{ApproachOutput, EpochStats, RunConfig, TrainError};
+use crate::engine::{run_driver, EpochHooks, RunContext};
 use openea_align::Metric;
-use openea_autodiff::{Graph, SparseMatrix, Tensor};
-use openea_core::{AlignedPair, KgPair};
+use openea_autodiff::{Graph, SparseMatrix, Tensor, Var};
+use openea_core::{AlignedPair, FoldSplit, KgPair};
 use openea_runtime::rng::{Rng, SmallRng};
 
 /// Builds the union-graph edge list over `n1 + n2` nodes. `relation_aware`
@@ -46,14 +50,26 @@ pub fn union_edges(pair: &KgPair, relation_aware: bool) -> (usize, Vec<(u32, u32
     (n, edges)
 }
 
-/// The trainable two-layer (optionally gated/highway) GCN.
+/// How a [`GcnEncoder`] aggregates neighbours: its adjacency ids on the tape.
+enum Layers {
+    /// `H₁ = tanh(Â·X·W₁)`, then the linear `H₂ = Â·H₁·W₂`; with a gate, each
+    /// layer's output is blended with the input features (highway), so
+    /// RDGCN's literal signal survives both propagation rounds.
+    Gcn { adj: usize },
+    /// AliNet: `H₁ = tanh(Â₁·X·W₁)` over one-hop and `H₂ = tanh(Â₂·X·W₂)`
+    /// over two-hop neighbours, blended by a gate on `H₁`.
+    AliNet { one_hop: usize, two_hop: usize },
+}
+
+/// The trainable two-layer GNN encoder.
 pub struct GcnEncoder {
     graph: Graph,
-    adj: usize,
+    layers: Layers,
     pub x: Tensor,
     pub w1: Tensor,
     pub w2: Tensor,
-    /// Highway gate weights (RDGCN); `None` for a plain GCN (GCNAlign).
+    /// Gate weights (RDGCN's highway, AliNet's hop gate); `None` for a plain
+    /// GCN (GCNAlign).
     pub wg: Option<Tensor>,
     pub x_trainable: bool,
     n1: usize,
@@ -61,6 +77,8 @@ pub struct GcnEncoder {
 }
 
 impl GcnEncoder {
+    /// A plain (or, with `highway`, gated) GCN over the union graph, its node
+    /// features `features` or Xavier-random.
     #[allow(clippy::too_many_arguments)]
     pub fn new<R: Rng>(
         pair: &KgPair,
@@ -72,9 +90,8 @@ impl GcnEncoder {
         rng: &mut R,
     ) -> Self {
         let (n, edges) = union_edges(pair, relation_aware);
-        let adj_matrix = SparseMatrix::gcn_normalized_weighted(n, &edges);
         let mut graph = Graph::new();
-        let adj = graph.add_sparse(adj_matrix);
+        let adj = graph.add_sparse(SparseMatrix::gcn_normalized_weighted(n, &edges));
         let x = match features {
             Some(f) => {
                 assert_eq!(f.len(), n * dim, "feature matrix shape");
@@ -82,17 +99,85 @@ impl GcnEncoder {
             }
             None => Tensor::xavier(n, dim, rng),
         };
+        Self::with_layers(
+            pair,
+            graph,
+            Layers::Gcn { adj },
+            x,
+            highway,
+            x_trainable,
+            rng,
+        )
+    }
+
+    /// AliNet's encoder: trainable random features and the gated multi-hop
+    /// layer over the relation-aware union graph and its length-2 paths.
+    pub(crate) fn alinet<R: Rng>(pair: &KgPair, dim: usize, rng: &mut R) -> Self {
+        let (n, edges) = union_edges(pair, true);
+        let mut graph = Graph::new();
+        let one_hop = graph.add_sparse(SparseMatrix::gcn_normalized_weighted(n, &edges));
+        let paths = two_hop_edges(n, &edges);
+        let two_hop = graph.add_sparse(SparseMatrix::gcn_normalized_weighted(n, &paths));
+        let x = Tensor::xavier(n, dim, rng);
+        let layers = Layers::AliNet { one_hop, two_hop };
+        Self::with_layers(pair, graph, layers, x, true, true, rng)
+    }
+
+    /// The weights, drawn in the order `w1, w2, wg` after the features.
+    fn with_layers<R: Rng>(
+        pair: &KgPair,
+        graph: Graph,
+        layers: Layers,
+        x: Tensor,
+        gated: bool,
+        x_trainable: bool,
+        rng: &mut R,
+    ) -> Self {
+        let dim = x.cols;
         Self {
             graph,
-            adj,
+            layers,
             x,
             w1: near_identity(dim, rng),
             w2: near_identity(dim, rng),
-            wg: highway.then(|| Tensor::xavier(dim, dim, rng)),
+            wg: gated.then(|| Tensor::xavier(dim, dim, rng)),
             x_trainable,
             n1: pair.kg1.num_entities(),
             n2: pair.kg2.num_entities(),
         }
+    }
+
+    /// Resets the tape and tapes the forward pass over the current
+    /// parameters: the node embeddings, and the leaves `[x, w1, w2]` and `wg`.
+    fn forward(&mut self) -> (Var, [Var; 3], Option<Var>) {
+        self.graph.reset();
+        let g = &mut self.graph;
+        let x = g.leaf_from(&self.x);
+        let w1 = g.leaf_from(&self.w1);
+        let w2 = g.leaf_from(&self.w2);
+        let wg = self.wg.as_ref().map(|t| g.leaf_from(t));
+        let h = match self.layers {
+            Layers::Gcn { adj } => {
+                let p1 = propagate(g, adj, x, w1);
+                let mut h1 = g.tanh(p1);
+                if let Some(wg) = wg {
+                    h1 = blend(g, x, wg, h1);
+                }
+                let h2 = propagate(g, adj, h1, w2);
+                match wg {
+                    Some(wg) => blend(g, x, wg, h2),
+                    None => h2,
+                }
+            }
+            Layers::AliNet { one_hop, two_hop } => {
+                let p1 = propagate(g, one_hop, x, w1);
+                let h1 = g.tanh(p1);
+                let p2 = propagate(g, two_hop, x, w2);
+                let h2 = g.tanh(p2);
+                blend(g, h1, wg.expect("AliNet's layer is gated"), h2)
+            }
+        };
+        (h, [x, w1, w2], wg)
     }
 
     /// One full-batch training step on the margin calibration loss:
@@ -123,14 +208,8 @@ impl GcnEncoder {
             })
             .collect();
 
-        self.graph.reset();
+        let (h, [x, w1, w2], wg) = self.forward();
         let g = &mut self.graph;
-        let x = g.leaf_from(&self.x);
-        let w1 = g.leaf_from(&self.w1);
-        let w2 = g.leaf_from(&self.w2);
-        let wg = self.wg.as_ref().map(|t| g.leaf_from(t));
-        let h = forward(g, self.adj, x, w1, w2, wg);
-
         let h1 = g.gather(h, idx1);
         let h2 = g.gather(h, idx2);
         let hn = g.gather(h, neg2);
@@ -168,67 +247,95 @@ impl GcnEncoder {
         lv
     }
 
-    /// The current node embeddings, split per KG.
-    pub fn output(&mut self, _cfg: &RunConfig) -> ApproachOutput {
-        self.graph.reset();
-        let g = &mut self.graph;
-        let x = g.leaf_from(&self.x);
-        let w1 = g.leaf_from(&self.w1);
-        let w2 = g.leaf_from(&self.w2);
-        let wg = self.wg.as_ref().map(|t| g.leaf_from(t));
-        let h = forward(g, self.adj, x, w1, w2, wg);
-        let out = split_normalized(g.value(h), self.n1);
+    /// The current node embeddings, split per KG, every row L2-normalized:
+    /// Manhattan comparisons then measure direction, not magnitude (GNN
+    /// outputs have uninformative norms).
+    pub fn output(&mut self) -> ApproachOutput {
+        let (h, ..) = self.forward();
+        let hv = self.graph.value(h);
+        let dim = hv.cols;
+        let mut emb1 = hv.data[..self.n1 * dim].to_vec();
+        let mut emb2 = hv.data[self.n1 * dim..].to_vec();
+        for row in emb1.chunks_mut(dim).chain(emb2.chunks_mut(dim)) {
+            openea_math::vecops::normalize(row);
+        }
         // A checkpoint is a pause: what follows (validation, the snapshot,
         // or the publish after the last one) should not run on top of a
         // pool of step buffers. The next step re-warms it.
-        g.release();
-        out
+        self.graph.release();
+        ApproachOutput::new(dim, Metric::Manhattan, emb1, emb2)
     }
 }
 
-/// Splits union-graph node embeddings per KG and L2-normalizes every row:
-/// Manhattan comparisons then measure direction, not magnitude (GNN outputs
-/// have uninformative norms).
-pub(crate) fn split_normalized(hv: &Tensor, n1: usize) -> ApproachOutput {
-    let dim = hv.cols;
-    let mut emb1 = hv.data[..n1 * dim].to_vec();
-    let mut emb2 = hv.data[n1 * dim..].to_vec();
-    for row in emb1.chunks_mut(dim).chain(emb2.chunks_mut(dim)) {
-        openea_math::vecops::normalize(row);
+/// `Â·H·W`: one propagation over the adjacency `adj`.
+fn propagate(g: &mut Graph, adj: usize, h: Var, w: Var) -> Var {
+    let hw = g.matmul(h, w);
+    g.spmm(adj, hw)
+}
+
+/// The gated blend `s ⊙ a + (1 − s) ⊙ b` with `s = σ(a·W_g)` per dimension.
+fn blend(g: &mut Graph, a: Var, wg: Var, b: Var) -> Var {
+    let gate_in = g.matmul(a, wg);
+    let gate = g.sigmoid(gate_in);
+    let keep = g.mul(gate, a);
+    let inv_gate = g.one_minus(gate);
+    let other = g.mul(inv_gate, b);
+    g.add(keep, other)
+}
+
+fn near_identity<R: Rng>(dim: usize, rng: &mut R) -> Tensor {
+    let mut t = Tensor::zeros(dim, dim);
+    for i in 0..dim {
+        t.data[i * dim + i] = 1.0;
     }
-    ApproachOutput::new(dim, Metric::Manhattan, emb1, emb2)
-}
-
-/// A GNN encoder the shared [`GnnHooks`] can drive: full-batch calibration
-/// steps on the seed alignment plus an inference-time output.
-pub(crate) trait GnnModel {
-    fn step(&mut self, seeds: &[AlignedPair], margin: f32, lr: f32, rng: &mut SmallRng) -> f32;
-    fn output(&mut self, cfg: &RunConfig) -> ApproachOutput;
-}
-
-impl GnnModel for GcnEncoder {
-    fn step(&mut self, seeds: &[AlignedPair], margin: f32, lr: f32, rng: &mut SmallRng) -> f32 {
-        GcnEncoder::step(self, seeds, margin, lr, rng)
+    for v in t.data.iter_mut() {
+        *v += rng.gen_range(-0.05f32..0.05);
     }
+    t
+}
 
-    fn output(&mut self, cfg: &RunConfig) -> ApproachOutput {
-        GcnEncoder::output(self, cfg)
+/// Post-processing applied to every checkpoint (GCNAlign's attribute view).
+pub(crate) type Finish<'a> = Box<dyn Fn(ApproachOutput) -> ApproachOutput + 'a>;
+
+/// Runs a member of the GNN family. `build` makes its encoder, and an
+/// optional [`Finish`], from the driver RNG after the config is validated.
+/// Without relation triples (Table 8) the encoder has no graph to learn
+/// from, so the run is its untrained checkpoint.
+pub(crate) fn run_gnn<'a>(
+    label: &str,
+    split: &'a FoldSplit,
+    cfg: &'a RunConfig,
+    ctx: &RunContext<'_>,
+    build: impl FnOnce(&mut SmallRng) -> (GcnEncoder, Option<Finish<'a>>),
+) -> Result<ApproachOutput, TrainError> {
+    cfg.validate()?;
+    let mut rng = ctx.driver_rng();
+    let (model, finish) = build(&mut rng);
+    let mut hooks = GnnHooks {
+        cfg,
+        seeds: &split.train,
+        model,
+        rng,
+        finish,
+    };
+    if !cfg.use_relations {
+        return Ok(hooks.checkpoint(ctx));
     }
+    run_driver(label, &mut hooks, &ctx.for_valid(&split.valid), cfg)
 }
 
-/// Engine hooks shared by the GNN family (GCNAlign, RDGCN, AliNet). GNN
-/// training is full-batch: each epoch tick runs several steps at a higher
-/// learning rate than the sparse SGD approaches. `finish` optionally
-/// post-processes every checkpoint (GCNAlign's attribute-view combination).
-pub(crate) struct GnnHooks<'a, M: GnnModel> {
-    pub cfg: &'a RunConfig,
-    pub seeds: &'a [AlignedPair],
-    pub model: M,
-    pub rng: SmallRng,
-    pub finish: Option<Box<dyn Fn(ApproachOutput) -> ApproachOutput + 'a>>,
+/// Engine hooks of the GNN family. GNN training is full-batch: each epoch
+/// tick runs several steps at a higher learning rate than the sparse SGD
+/// approaches.
+struct GnnHooks<'a> {
+    cfg: &'a RunConfig,
+    seeds: &'a [AlignedPair],
+    model: GcnEncoder,
+    rng: SmallRng,
+    finish: Option<Finish<'a>>,
 }
 
-impl<M: GnnModel> EpochHooks for GnnHooks<'_, M> {
+impl EpochHooks for GnnHooks<'_> {
     fn train_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
         let mut loss = 0.0f64;
         for _ in 0..8 {
@@ -246,64 +353,11 @@ impl<M: GnnModel> EpochHooks for GnnHooks<'_, M> {
     }
 
     fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        let out = self.model.output(self.cfg);
+        let out = self.model.output();
         match &self.finish {
             Some(f) => f(out),
             None => out,
         }
-    }
-}
-
-pub(crate) fn near_identity<R: Rng>(dim: usize, rng: &mut R) -> Tensor {
-    let mut t = Tensor::zeros(dim, dim);
-    for i in 0..dim {
-        t.data[i * dim + i] = 1.0;
-    }
-    for v in t.data.iter_mut() {
-        *v += rng.gen_range(-0.05f32..0.05);
-    }
-    t
-}
-
-fn forward(
-    g: &mut Graph,
-    adj: usize,
-    x: openea_autodiff::Var,
-    w1: openea_autodiff::Var,
-    w2: openea_autodiff::Var,
-    wg: Option<openea_autodiff::Var>,
-) -> openea_autodiff::Var {
-    // Layer 1: H₁ = tanh(Â·X·W₁), optionally gated with the input
-    // (highway): H₁' = g⊙X + (1−g)⊙H₁ with g = σ(X·W_g).
-    let xw = g.matmul(x, w1);
-    let prop = g.spmm(adj, xw);
-    let h1 = g.tanh(prop);
-    let h1 = match wg {
-        Some(wg) => {
-            let gate_in = g.matmul(x, wg);
-            let gate = g.sigmoid(gate_in);
-            let keep = g.mul(gate, x);
-            let inv_gate = g.one_minus(gate);
-            let new = g.mul(inv_gate, h1);
-            g.add(keep, new)
-        }
-        None => h1,
-    };
-    // Layer 2: H₂ = Â·H₁·W₂ (linear output layer), gated with the input
-    // again when a highway gate exists — RDGCN's name signal must survive
-    // both propagation rounds.
-    let hw = g.matmul(h1, w2);
-    let h2 = g.spmm(adj, hw);
-    match wg {
-        Some(wg) => {
-            let gate_in = g.matmul(x, wg);
-            let gate = g.sigmoid(gate_in);
-            let keep = g.mul(gate, x);
-            let inv_gate = g.one_minus(gate);
-            let new = g.mul(inv_gate, h2);
-            g.add(keep, new)
-        }
-        None => h2,
     }
 }
 
@@ -394,8 +448,7 @@ mod tests {
             last = enc.step(&seeds, 1.0, 0.05, &mut rng);
         }
         assert!(last <= first, "loss should not increase: {first} -> {last}");
-        let cfg = RunConfig::default();
-        let out = enc.output(&cfg);
+        let out = enc.output();
         // A trained seed pair ends up closer (Manhattan) than a cross pair
         // with the far end of the other path.
         let d_pos =

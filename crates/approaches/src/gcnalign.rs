@@ -3,18 +3,11 @@
 //! margin-based Manhattan calibration loss on the seeds, and an auxiliary
 //! attribute-correlation view combined at inference. Supervised.
 
-use crate::common::{
-    weighted_concat, Approach, ApproachOutput, Req, Requirements, RunConfig, TrainError,
-};
-use crate::engine::{run_driver, RunContext};
-use crate::gcn::{GcnEncoder, GnnHooks};
-use crate::jape::{entity_attr_sets, unify_attributes};
-use openea_align::Metric;
+use crate::common::{Approach, ApproachOutput, Req, Requirements, RunConfig, TrainError};
+use crate::engine::RunContext;
+use crate::gcn::{run_gnn, Finish, GcnEncoder};
+use crate::jape::{attr_features, with_attr_view};
 use openea_core::{FoldSplit, KgPair};
-use openea_models::AttrCorrelationModel;
-
-/// Per-KG attribute-correlation feature vectors (row-major, `dim` wide).
-type AttrFeatures = (Vec<f32>, Vec<f32>);
 
 /// GCNAlign.
 pub struct GcnAlign {
@@ -47,60 +40,15 @@ impl Approach for GcnAlign {
         cfg: &RunConfig,
         ctx: &RunContext<'_>,
     ) -> Result<ApproachOutput, TrainError> {
-        cfg.validate()?;
-        let mut rng = ctx.driver_rng();
-        let mut enc = GcnEncoder::new(pair, None, cfg.dim, false, false, true, &mut rng);
-
-        // Attribute view (shared with JAPE's AC2Vec machinery).
-        let attr_features = cfg.use_attributes.then(|| {
-            let (map1, map2, num_attrs) = unify_attributes(&pair.kg1, &pair.kg2);
-            let sets1 = entity_attr_sets(&pair.kg1, &map1);
-            let sets2 = entity_attr_sets(&pair.kg2, &map2);
-            let mut all = sets1.clone();
-            all.extend(sets2.iter().cloned());
-            let mut ac = AttrCorrelationModel::new(num_attrs.max(2), cfg.dim, &mut rng);
-            ac.train(&all, 4, cfg.lr, &mut rng);
-            let f1: Vec<f32> = sets1.iter().flat_map(|s| ac.entity_feature(s)).collect();
-            let f2: Vec<f32> = sets2.iter().flat_map(|s| ac.entity_feature(s)).collect();
-            (f1, f2)
-        });
-
-        if !cfg.use_relations {
-            // Without relation triples a GCN has no graph: fall back to the
-            // (untrained) features — the degenerate case of Table 8.
-            return Ok(self.combine(enc.output(cfg), attr_features.as_ref(), cfg));
-        }
-        let mut hooks = GnnHooks {
-            cfg,
-            seeds: &split.train,
-            model: enc,
-            rng,
-            finish: Some(Box::new(move |out| {
-                self.combine(out, attr_features.as_ref(), cfg)
-            })),
-        };
-        run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)
-    }
-}
-
-impl GcnAlign {
-    fn combine(
-        &self,
-        structure: ApproachOutput,
-        attr: Option<&AttrFeatures>,
-        cfg: &RunConfig,
-    ) -> ApproachOutput {
-        let Some((f1, f2)) = attr else {
-            return structure;
-        };
-        let sdim = structure.dim;
-        let (ws, wa) = (self.structure_weight, 1.0 - self.structure_weight);
-        ApproachOutput::new(
-            sdim + cfg.dim,
-            Metric::Manhattan,
-            weighted_concat(&structure.emb1, sdim, ws, &[(f1, cfg.dim, wa)]),
-            weighted_concat(&structure.emb2, sdim, ws, &[(f2, cfg.dim, wa)]),
-        )
+        let structure_weight = self.structure_weight;
+        run_gnn(self.name(), split, cfg, ctx, |rng| {
+            let enc = GcnEncoder::new(pair, None, cfg.dim, false, false, true, rng);
+            // Attribute view: JAPE's AC2Vec, drawn after the encoder.
+            let attr = cfg.use_attributes.then(|| attr_features(pair, cfg, rng));
+            let finish: Finish =
+                Box::new(move |out| with_attr_view(out, attr.as_ref(), cfg.dim, structure_weight));
+            (enc, Some(finish))
+        })
     }
 }
 

@@ -15,7 +15,8 @@ use crate::common::{
 use crate::engine::{run_driver, EpochHooks, RunContext, WarmStart};
 use openea_align::Metric;
 use openea_core::{AttributeId, FoldSplit, KgPair, KnowledgeGraph};
-use openea_models::{AttrCorrelationModel, TransE};
+use openea_models::AttrCorrelationModel;
+use openea_runtime::rng::Rng;
 use std::collections::HashMap;
 
 /// Unified attribute ids across two KGs: attributes with identical names
@@ -59,7 +60,46 @@ pub fn entity_attr_sets(kg: &KnowledgeGraph, map: &[u32]) -> Vec<Vec<u32>> {
 }
 
 /// Per-KG attribute-correlation feature vectors (row-major, `dim` wide).
-type AttrFeatures = (Vec<f32>, Vec<f32>);
+pub(crate) type AttrFeatures = (Vec<f32>, Vec<f32>);
+
+/// The AC2Vec attribute view (JAPE's, and GCNAlign's): an
+/// attribute-correlation model trained on both KGs' attribute sets, drawing
+/// from `rng`, and every entity's `cfg.dim`-wide feature under it.
+pub(crate) fn attr_features<R: Rng>(pair: &KgPair, cfg: &RunConfig, rng: &mut R) -> AttrFeatures {
+    let (map1, map2, num_attrs) = unify_attributes(&pair.kg1, &pair.kg2);
+    let sets1 = entity_attr_sets(&pair.kg1, &map1);
+    let sets2 = entity_attr_sets(&pair.kg2, &map2);
+    let mut all_sets = sets1.clone();
+    all_sets.extend(sets2.iter().cloned());
+    let mut ac = AttrCorrelationModel::new(num_attrs.max(2), cfg.dim, rng);
+    ac.train(&all_sets, 4, cfg.lr, rng);
+    let f1: Vec<f32> = sets1.iter().flat_map(|s| ac.entity_feature(s)).collect();
+    let f2: Vec<f32> = sets2.iter().flat_map(|s| ac.entity_feature(s)).collect();
+    (f1, f2)
+}
+
+/// Combines a structural output with the `attr_dim`-wide attribute view by
+/// weighted concatenation, under the structure's metric (which over the
+/// concat realizes the paper's weighted similarity combination). Without a
+/// view the structure is returned as it is.
+pub(crate) fn with_attr_view(
+    structure: ApproachOutput,
+    attr: Option<&AttrFeatures>,
+    attr_dim: usize,
+    structure_weight: f32,
+) -> ApproachOutput {
+    let Some((f1, f2)) = attr else {
+        return structure;
+    };
+    let sdim = structure.dim;
+    let (ws, wa) = (structure_weight, 1.0 - structure_weight);
+    ApproachOutput::new(
+        sdim + attr_dim,
+        structure.metric,
+        weighted_concat(&structure.emb1, sdim, ws, &[(f1, attr_dim, wa)]),
+        weighted_concat(&structure.emb2, sdim, ws, &[(f2, attr_dim, wa)]),
+    )
+}
 
 /// JAPE.
 pub struct Jape {
@@ -97,23 +137,11 @@ impl Approach for Jape {
 
         // Attribute-correlation view (drawing from the driver RNG after
         // model init, as the pre-engine driver did).
-        let attr_features = if cfg.use_attributes {
-            let (map1, map2, num_attrs) = unify_attributes(&pair.kg1, &pair.kg2);
-            let sets1 = entity_attr_sets(&pair.kg1, &map1);
-            let sets2 = entity_attr_sets(&pair.kg2, &map2);
-            let mut all_sets = sets1.clone();
-            all_sets.extend(sets2.iter().cloned());
-            let mut ac = AttrCorrelationModel::new(num_attrs.max(2), cfg.dim, &mut base.rng);
-            ac.train(&all_sets, 4, cfg.lr, &mut base.rng);
-            let f1: Vec<f32> = sets1.iter().flat_map(|s| ac.entity_feature(s)).collect();
-            let f2: Vec<f32> = sets2.iter().flat_map(|s| ac.entity_feature(s)).collect();
-            Some((f1, f2))
-        } else {
-            None
-        };
-
+        let attr_features = cfg
+            .use_attributes
+            .then(|| attr_features(pair, cfg, &mut base.rng));
         let mut hooks = Hooks {
-            approach: self,
+            structure_weight: self.structure_weight,
             cfg,
             base,
             attr_features,
@@ -123,7 +151,7 @@ impl Approach for Jape {
 }
 
 struct Hooks<'a> {
-    approach: &'a Jape,
+    structure_weight: f32,
     cfg: &'a RunConfig,
     base: UnifiedTransE,
     attr_features: Option<AttrFeatures>,
@@ -139,39 +167,16 @@ impl EpochHooks for Hooks<'_> {
     }
 
     fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        self.approach.output(
-            &self.base.space,
-            &self.base.model,
+        let structure = self
+            .base
+            .space
+            .output(&self.base.model.entities, Metric::Cosine);
+        with_attr_view(
+            structure,
             self.attr_features.as_ref(),
-            self.cfg,
+            self.cfg.dim,
+            self.structure_weight,
         )
-    }
-}
-
-impl Jape {
-    /// Combines the structural embedding with the attribute feature by
-    /// weighted concatenation (cosine over the concat realizes the paper's
-    /// weighted similarity combination).
-    fn output(
-        &self,
-        space: &UnifiedSpace,
-        model: &TransE,
-        attr: Option<&AttrFeatures>,
-        cfg: &RunConfig,
-    ) -> ApproachOutput {
-        let (s1, s2) = space.extract(&model.entities);
-        match attr {
-            None => ApproachOutput::new(cfg.dim, Metric::Cosine, s1, s2),
-            Some((f1, f2)) => {
-                let (ws, wa) = (self.structure_weight, 1.0 - self.structure_weight);
-                ApproachOutput::new(
-                    cfg.dim * 2,
-                    Metric::Cosine,
-                    weighted_concat(&s1, cfg.dim, ws, &[(f1, cfg.dim, wa)]),
-                    weighted_concat(&s2, cfg.dim, ws, &[(f2, cfg.dim, wa)]),
-                )
-            }
-        }
     }
 }
 

@@ -1,39 +1,22 @@
-//! RDGCN \[83\]: relation-aware dual-graph convolutional network. Entity
-//! *name* literals (encoded with pre-trained word vectors) initialize the
-//! node features — the signal that makes RDGCN the strongest approach in the
-//! paper — and a gated (highway) GCN over a relation-rarity-weighted union
-//! graph refines them structurally. Margin calibration loss, Manhattan
-//! metric, supervised.
+//! RDGCN \[83\]: relation-aware dual-graph convolutional network. Each
+//! entity's literals, encoded with pre-trained word vectors and summed to a
+//! unit row, initialize the node features — the signal that makes RDGCN the
+//! strongest approach in the paper — and a gated (highway) GCN over a
+//! relation-rarity-weighted union graph refines them structurally. Margin
+//! calibration loss, Manhattan metric, supervised.
 
 use crate::common::{
-    entity_name_literal, Approach, ApproachOutput, Req, Requirements, RunConfig, TrainError,
+    literal_features, Approach, ApproachOutput, Req, Requirements, RunConfig, TrainError,
 };
-use crate::engine::{run_driver, RunContext};
-use crate::gcn::{GcnEncoder, GnnHooks};
-use openea_core::{FoldSplit, KgPair, KnowledgeGraph};
+use crate::engine::RunContext;
+use crate::gcn::{run_gnn, GcnEncoder};
+use openea_core::{FoldSplit, KgPair};
 use openea_models::literal::LiteralEncoder;
-
-/// Name-literal features for the union graph (`(n1+n2) × dim`).
-pub fn name_features(pair: &KgPair, enc: &LiteralEncoder) -> Vec<f32> {
-    let dim = enc.dim();
-    let encode_kg = |kg: &KnowledgeGraph, out: &mut Vec<f32>| {
-        for e in kg.entity_ids() {
-            match entity_name_literal(kg, e) {
-                Some(name) => out.extend(enc.encode(name)),
-                None => out.extend(std::iter::repeat_n(0.0, dim)),
-            }
-        }
-    };
-    let mut out = Vec::with_capacity((pair.kg1.num_entities() + pair.kg2.num_entities()) * dim);
-    encode_kg(&pair.kg1, &mut out);
-    encode_kg(&pair.kg2, &mut out);
-    out
-}
 
 /// RDGCN.
 #[derive(Default)]
 pub struct Rdgcn {
-    /// Whether node features stay frozen (the name signal) or fine-tune.
+    /// Whether node features stay frozen (the literal signal) or fine-tune.
     pub freeze_features: bool,
 }
 
@@ -54,87 +37,47 @@ impl Approach for Rdgcn {
         cfg: &RunConfig,
         ctx: &RunContext<'_>,
     ) -> Result<ApproachOutput, TrainError> {
-        cfg.validate()?;
-        let mut rng = ctx.driver_rng();
-        // Name features are RDGCN's key input; the Figure-6 ablation
-        // (without attribute/literal information) falls back to random
-        // trainable features.
-        let features = cfg.use_attributes.then(|| {
-            let enc = LiteralEncoder::new(cfg.word_vectors.clone());
-            // Full literal profiles are stabler than the single name literal
-            // under value noise (the name heuristic can pick different
-            // literals on the two sides); they carry the same signal.
-            let mut f = crate::common::literal_features(&pair.kg1, &enc);
-            f.extend(crate::common::literal_features(&pair.kg2, &enc));
-            f
-        });
-        let dim = cfg.dim;
-        let features = features.map(|f| {
-            // Project the encoder dimension onto cfg.dim if they differ
-            // (truncate or pad — encoder dims match cfg.dim by default).
-            let enc_dim = f.len() / (pair.kg1.num_entities() + pair.kg2.num_entities()).max(1);
-            if enc_dim == dim {
-                f
-            } else {
-                let n = f.len() / enc_dim.max(1);
-                let mut out = vec![0.0f32; n * dim];
-                for i in 0..n {
-                    for j in 0..dim.min(enc_dim) {
-                        out[i * dim + j] = f[i * enc_dim + j];
-                    }
+        run_gnn(self.name(), split, cfg, ctx, |rng| {
+            // Literal features are RDGCN's key input; the Figure-6 ablation
+            // (without attribute/literal information) falls back to random
+            // trainable features.
+            let features = cfg.use_attributes.then(|| {
+                let enc = LiteralEncoder::new(cfg.word_vectors.clone());
+                // Full literal profiles are stabler than the single name
+                // literal under value noise (the name heuristic can pick
+                // different literals on the two sides); they carry the same
+                // signal.
+                let mut f = literal_features(&pair.kg1, &enc);
+                f.extend(literal_features(&pair.kg2, &enc));
+                // Truncate or zero-pad the encoder's rows to cfg.dim (they
+                // match by default).
+                if enc.dim() == cfg.dim {
+                    return f;
                 }
-                out
-            }
-        });
-        let trainable = features.is_none() || !self.freeze_features;
-        // The highway gate exists to preserve the name-feature signal; with
-        // random features (attribute ablation) fall back to a plain GCN so
-        // the relation module can still learn, as in the paper's Table 8.
-        let highway = features.is_some();
-        let mut enc = GcnEncoder::new(pair, features, dim, true, highway, trainable, &mut rng);
-
-        if !cfg.use_relations {
-            // Table 8: RDGCN cannot learn embeddings without relation
-            // triples (the GCN has no edges) — output the raw features.
-            return Ok(enc.output(cfg));
-        }
-        let mut hooks = GnnHooks {
-            cfg,
-            seeds: &split.train,
-            model: enc,
-            rng,
-            finish: None,
-        };
-        run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)
+                f.chunks(enc.dim())
+                    .flat_map(|row| {
+                        row.iter()
+                            .copied()
+                            .chain(std::iter::repeat(0.0))
+                            .take(cfg.dim)
+                    })
+                    .collect()
+            });
+            let trainable = features.is_none() || !self.freeze_features;
+            // The highway gate exists to preserve the literal signal; with
+            // random features (attribute ablation) fall back to a plain GCN
+            // so the relation module can still learn, as in the paper's
+            // Table 8.
+            let highway = features.is_some();
+            let enc = GcnEncoder::new(pair, features, cfg.dim, true, highway, trainable, rng);
+            (enc, None)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openea_core::KgBuilder;
-    use openea_models::literal::WordVectors;
-
-    #[test]
-    fn name_features_cover_both_kgs() {
-        let mut b1 = KgBuilder::new("a");
-        b1.add_attr_triple("x", "name", "alpha");
-        let mut b2 = KgBuilder::new("b");
-        b2.add_attr_triple("u", "label", "alpha");
-        b2.add_entity("nameless");
-        let kg1 = b1.build();
-        let kg2 = b2.build();
-        let x = kg1.entity_by_name("x").unwrap();
-        let u = kg2.entity_by_name("u").unwrap();
-        let pair = KgPair::new(kg1, kg2, vec![(x, u)]);
-        let enc = LiteralEncoder::new(WordVectors::hash_only(8));
-        let f = name_features(&pair, &enc);
-        assert_eq!(f.len(), (1 + 2) * 8);
-        // Identical names produce identical feature rows.
-        assert_eq!(&f[0..8], &f[8..16]);
-        // The nameless entity has a zero row.
-        assert!(f[16..24].iter().all(|&v| v == 0.0));
-    }
 
     #[test]
     fn requirements_mark_word_embeddings_mandatory() {

@@ -204,9 +204,9 @@ pub struct TrainOptions {
     /// trains at the same speed whatever this says.
     pub threads: usize,
     /// Parallelism gate: a batch only fans out when every worker would get
-    /// at least this many pairs — below that, scoped-thread spawn overhead
-    /// dominates the gradient math. Tests set 1 to force the parallel path
-    /// on tiny batches.
+    /// at least this many pairs — below that, handing chunks to the worker
+    /// pool and waking its workers costs more than the gradient math. Tests
+    /// set 1 to force the parallel path on tiny batches.
     pub min_pairs_per_thread: usize,
 }
 

@@ -26,7 +26,7 @@ use openea_math::EmbeddingTable;
 /// of [`RelationModel::entities`], which lets the interaction modes
 /// (calibration, sharing, swapping, transformation) operate uniformly across
 /// models. The `Send + Sync` bound is what allows the batched trainer to
-/// share `&self` across scoped worker threads; every model is plain owned
+/// share `&self` with the worker pool's threads; every model is plain owned
 /// data, so the bound costs nothing.
 pub trait RelationModel: Send + Sync {
     /// Human-readable model name (e.g. `"TransE"`).

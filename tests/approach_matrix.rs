@@ -155,6 +155,53 @@ fn alinet_golden_hash_bit_identical_across_thread_counts() {
     }
 }
 
+/// The GNN family's ablation paths, which the tables above never reach:
+/// Table 8's `use_relations: false` (no training, the untrained encoder's
+/// output, with GCNAlign's attribute view still combined) for all three, and
+/// Figure 6's `use_attributes: false` for RDGCN (random trainable features,
+/// relation-aware plain GCN without the highway gate).
+const GNN_ABLATION_GOLDEN: [(&str, bool, bool, u64); 4] = [
+    ("GCNAlign", false, true, 0x49f005e06a8ba451),
+    ("RDGCN", false, true, 0xede94f1fb0776e82),
+    ("AliNet", false, true, 0x28d7aecc8eca9d5f),
+    ("RDGCN", true, false, 0x18d08dc78174103c),
+];
+
+#[test]
+fn gnn_ablation_hashes_bit_identical_across_thread_counts() {
+    use openea::approaches::alinet::AliNet;
+    let (pair, folds, mut cfg) = golden_fixture();
+    let mut diverged = Vec::new();
+    for (name, use_relations, use_attributes, want) in GNN_ABLATION_GOLDEN {
+        let approach: Box<dyn Approach> = match name {
+            "AliNet" => Box::new(AliNet),
+            _ => approach_by_name(name).expect("registered"),
+        };
+        cfg.use_relations = use_relations;
+        cfg.use_attributes = use_attributes;
+        let mut hashes = Vec::new();
+        for threads in [1usize, 2, 8] {
+            cfg.threads = threads;
+            hashes.push(approach.run(&pair, &folds[0], &cfg).content_hash());
+        }
+        assert!(
+            hashes.iter().all(|&h| h == hashes[0]),
+            "{name}: embeddings must be thread-invariant, got {hashes:x?}"
+        );
+        println!(
+            "    (\"{name}\", {use_relations}, {use_attributes}, {:#018x}),",
+            hashes[0]
+        );
+        if hashes[0] != want {
+            diverged.push((name, use_relations, use_attributes));
+        }
+    }
+    assert!(
+        diverged.is_empty(),
+        "ablation hashes diverged from golden for {diverged:?}"
+    );
+}
+
 /// IPTransE's `boot_every` is 20, the golden fixture's `max_epochs`, so its
 /// one self-training round there falls in the last epoch and its proposals
 /// never reach the hash. Forty epochs calibrate the round-20 proposals for
