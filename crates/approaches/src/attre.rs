@@ -16,7 +16,6 @@ use openea_align::Metric;
 use openea_core::{AlignedPair, FoldSplit, KgPair, KnowledgeGraph};
 use openea_math::vecops;
 use openea_models::literal::char_ngram_vector;
-use openea_models::RelationModel;
 
 /// The character-level literal profile of every entity: the normalized sum
 /// of character-n-gram vectors of its attribute values.
@@ -141,16 +140,11 @@ impl EpochHooks for Hooks<'_> {
     }
 
     fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        self.base.space.output(self.base.model.entities(), METRIC)
+        self.base.output(METRIC)
     }
 
     fn validate_in_place(&mut self, valid: &[AlignedPair], ctx: &RunContext<'_>) -> Option<f64> {
-        let table = self.base.model.entities();
-        Some(
-            self.base
-                .space
-                .validation_hits1(table, METRIC, valid, ctx.threads),
-        )
+        Some(self.base.validation_hits1(METRIC, valid, ctx.threads))
     }
 }
 

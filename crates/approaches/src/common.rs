@@ -3,11 +3,10 @@
 //! Hits@1, literal feature extraction and output evaluation.
 
 use openea_align::{
-    precision_recall_f1, rank_eval_streaming, Metric, PrfScores, RankEval, SimilarityMatrix,
-    TopKMatrix,
+    rank_eval_streaming, Metric, PrfScores, RankEval, SimilarityMatrix, TopKMatrix,
 };
 use openea_core::{AlignedPair, EntityId, FoldSplit, KgPair, KnowledgeGraph};
-use openea_math::negsamp::{RawTriple, UniformSampler};
+use openea_math::negsamp::{NegSampler, RawTriple, UniformSampler};
 use openea_math::vecops;
 use openea_math::EmbeddingTable;
 use openea_models::literal::{LiteralEncoder, WordVectors};
@@ -19,7 +18,7 @@ use openea_runtime::rng::{RngCore, SmallRng};
 
 use crate::engine::{Lineage, RunContext, WarmStart};
 pub use openea_models::traits::EpochStats;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Requirement level of an input resource (Table 9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -649,18 +648,6 @@ pub(crate) fn weighted_concat(
     out
 }
 
-/// Precision/recall/F1 of a set of proposed pairs against the full gold
-/// alignment, for the Figure 7 augmentation curves. Both are given in KG
-/// entity ids.
-pub fn augmentation_quality(
-    proposed: &[(EntityId, EntityId)],
-    gold: &HashSet<(EntityId, EntityId)>,
-) -> PrfScores {
-    let pred: Vec<(u32, u32)> = proposed.iter().map(|&(a, b)| (a.0, b.0)).collect();
-    let gold_raw: HashSet<(u32, u32)> = gold.iter().map(|&(a, b)| (a.0, b.0)).collect();
-    precision_recall_f1(&pred, &gold_raw)
-}
-
 /// Reserved RNG stream tag for warm-start seeding: new entities are seeded
 /// from `stream(seed ^ WARM_SEED_STREAM, key)` where `key` identifies the
 /// entity, so the seeded bits depend only on `(run seed, entity)` — not on
@@ -680,9 +667,10 @@ pub fn warm_seed_row(seed: u64, key: u64, row: &mut [f32]) {
 }
 
 /// Shared driver state for approaches whose epoch is one batched TransE
-/// pass over a unified space (JAPE, IMUSE, IPTransE, AttrE, MultiKE): the
-/// space, the model initialized from the driver RNG, the uniform negative
-/// sampler and the per-epoch seed draws, in exactly the historical order.
+/// pass over a unified space (IPTransE, BootEA, JAPE, AttrE, IMUSE, MultiKE
+/// and the unsupervised pipeline): the space, the model initialized from the
+/// driver RNG, the uniform negative sampler and the per-epoch seed draws, in
+/// exactly the historical order.
 pub(crate) struct UnifiedTransE {
     pub space: UnifiedSpace,
     pub model: openea_models::TransE,
@@ -739,19 +727,37 @@ impl UnifiedTransE {
             })
     }
 
-    /// One guarded batched epoch; a no-op under `use_relations == false`.
+    /// One guarded batched epoch with uniform negatives; a no-op under
+    /// `use_relations == false`.
     pub fn train_epoch(&mut self, cfg: &RunConfig) -> EpochStats {
+        let uniform = self.sampler;
+        self.train_epoch_with(cfg, &uniform)
+    }
+
+    /// [`UnifiedTransE::train_epoch`] with negatives drawn by `sampler`.
+    pub fn train_epoch_with(&mut self, cfg: &RunConfig, sampler: &impl NegSampler) -> EpochStats {
         if !cfg.use_relations {
             return EpochStats::default();
         }
         train_epoch_batched(
             &mut self.model,
             &self.space.triples,
-            &self.sampler,
+            sampler,
             &self.opts,
             self.rng.next_u64(),
         )
         .expect("valid train options")
+    }
+
+    /// The trained table as a checkpoint compared under `metric`.
+    pub fn output(&self, metric: Metric) -> ApproachOutput {
+        self.space.output(&self.model.entities, metric)
+    }
+
+    /// Validation Hits@1 of [`UnifiedTransE::output`], scored in place.
+    pub fn validation_hits1(&self, metric: Metric, valid: &[AlignedPair], threads: usize) -> f64 {
+        self.space
+            .validation_hits1(&self.model.entities, metric, valid, threads)
     }
 }
 

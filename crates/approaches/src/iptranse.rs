@@ -8,17 +8,16 @@
 //! (no editing) — reproducing the paper's observation that IPTransE's
 //! augmentation precision degrades over iterations.
 
-use crate::boot::{propose_nearest, unaligned_entities};
+use crate::boot::{propose_nearest, Ledger};
 use crate::common::{
-    augmentation_quality, calibrate, Approach, ApproachOutput, Combination, EpochStats,
-    Requirements, RunConfig, TrainError, UnifiedSpace, UnifiedTransE,
+    Approach, ApproachOutput, Combination, EpochStats, Requirements, RunConfig, TrainError,
+    UnifiedSpace, UnifiedTransE,
 };
 use crate::engine::{run_driver, EpochHooks, RunContext, WarmStart};
-use openea_align::{Metric, PrfScores};
-use openea_core::{AlignedPair, EntityId, FoldSplit, KgPair};
+use openea_align::Metric;
+use openea_core::{AlignedPair, FoldSplit, KgPair};
 use openea_models::TransE;
 use openea_runtime::rng::SliceRandom;
-use std::collections::HashSet;
 
 /// A mined path instance: relations `r1, r2` composing to direct `r3`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -139,7 +138,7 @@ impl Approach for IpTransE {
     ) -> Result<ApproachOutput, TrainError> {
         let mut hooks = self.hooks(pair, split, cfg, ctx);
         let mut out = run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)?;
-        out.augmentation = hooks.augmentation;
+        out.augmentation = hooks.ledger.curve;
         Ok(out)
     }
 }
@@ -148,7 +147,7 @@ impl IpTransE {
     /// The engine hooks of a run on `split`, before its first epoch.
     pub(crate) fn hooks<'a>(
         &'a self,
-        pair: &'a KgPair,
+        pair: &KgPair,
         split: &FoldSplit,
         cfg: &'a RunConfig,
         ctx: &RunContext<'_>,
@@ -158,25 +157,12 @@ impl IpTransE {
         let mut paths = mine_paths(&base.space.triples, 20_000);
         paths.shuffle(&mut base.rng);
         paths.truncate(4_000);
-
-        let gold: HashSet<(EntityId, EntityId)> = pair
-            .alignment
-            .iter()
-            .copied()
-            .filter(|p| !split.train.contains(p))
-            .collect();
         Hooks {
             approach: self,
-            pair,
             cfg,
             base,
             paths,
-            // Self-training state: cumulative proposals (never revoked).
-            taken1: split.train.iter().map(|&(a, _)| a).collect(),
-            taken2: split.train.iter().map(|&(_, b)| b).collect(),
-            proposed: Vec::new(),
-            gold,
-            augmentation: Vec::new(),
+            ledger: Ledger::scored(pair, &split.train),
         }
     }
 }
@@ -189,15 +175,10 @@ const METRIC: Metric = Metric::Euclidean;
 /// a new self-training round.
 pub(crate) struct Hooks<'a> {
     approach: &'a IpTransE,
-    pair: &'a KgPair,
     cfg: &'a RunConfig,
     base: UnifiedTransE,
     paths: Vec<PathInstance>,
-    taken1: HashSet<EntityId>,
-    taken2: HashSet<EntityId>,
-    proposed: Vec<(EntityId, EntityId)>,
-    gold: HashSet<(EntityId, EntityId)>,
-    augmentation: Vec<PrfScores>,
+    ledger: Ledger,
 }
 
 impl EpochHooks for Hooks<'_> {
@@ -216,45 +197,24 @@ impl EpochHooks for Hooks<'_> {
 
     fn after_epoch(&mut self, epoch: usize, _ctx: &RunContext<'_>) {
         // Soft alignment for proposed pairs (seed pairs share ids already).
-        let prop_uids: Vec<(u32, u32)> = self
-            .proposed
-            .iter()
-            .map(|&(a, b)| (self.base.space.uid1(a), self.base.space.uid2(b)))
-            .collect();
-        calibrate(&mut self.base.model.entities, &prop_uids, self.cfg.lr);
+        let table = &mut self.base.model.entities;
+        self.ledger.calibrate(&self.base.space, table, self.cfg.lr);
 
         if (epoch + 1).is_multiple_of(self.approach.boot_every) {
-            let sources = unaligned_entities(self.pair.kg1.num_entities(), &self.taken1);
-            let targets = unaligned_entities(self.pair.kg2.num_entities(), &self.taken2);
-            let new_pairs = propose_nearest(
-                &self.base.space,
-                &self.base.model.entities,
-                &sources,
-                &targets,
-                self.approach.threshold,
-                self.cfg.threads,
-            );
-            for &(a, b) in &new_pairs {
-                self.taken1.insert(a);
-                self.taken2.insert(b);
-            }
-            self.proposed.extend(new_pairs);
-            self.augmentation
-                .push(augmentation_quality(&self.proposed, &self.gold));
+            let (sources, targets) = self.ledger.unaligned();
+            let (threshold, threads) = (self.approach.threshold, self.cfg.threads);
+            let space = &self.base.space;
+            let new_pairs = propose_nearest(space, table, &sources, &targets, threshold, threads);
+            self.ledger.extend(new_pairs);
         }
     }
 
     fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        self.base.space.output(&self.base.model.entities, METRIC)
+        self.base.output(METRIC)
     }
 
     fn validate_in_place(&mut self, valid: &[AlignedPair], ctx: &RunContext<'_>) -> Option<f64> {
-        let table = &self.base.model.entities;
-        Some(
-            self.base
-                .space
-                .validation_hits1(table, METRIC, valid, ctx.threads),
-        )
+        Some(self.base.validation_hits1(METRIC, valid, ctx.threads))
     }
 }
 

@@ -167,10 +167,7 @@ impl EpochHooks for Hooks<'_> {
     }
 
     fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        let structure = self
-            .base
-            .space
-            .output(&self.base.model.entities, Metric::Cosine);
+        let structure = self.base.output(Metric::Cosine);
         with_attr_view(
             structure,
             self.attr_features.as_ref(),

@@ -8,21 +8,17 @@
 //! view, which limits how much co-training helps — the behaviour Figure 7
 //! reports for KDCoE.
 
-use crate::boot::{propose_edited, unaligned_entities, Candidates};
+use crate::boot::{propose_edited, Candidates, Ledger};
 use crate::common::{
-    augmentation_quality, entity_literal_text, gather_rows, train_epoch_batched, weighted_concat,
-    Approach, ApproachOutput, EpochStats, Requirements, RunConfig, TrainError, TrainOptions,
+    entity_literal_text, gather_rows, weighted_concat, Approach, ApproachOutput, EpochStats,
+    Requirements, RunConfig, TrainError,
 };
 use crate::engine::{run_driver, EpochHooks, RunContext};
-use crate::transformation::{kg_triples, mapped_output, mapped_rows, seed_step};
-use openea_align::{Metric, PrfScores};
+use crate::transformation::TransformationCore;
+use openea_align::Metric;
 use openea_core::{AlignedPair, EntityId, FoldSplit, KgPair, KnowledgeGraph};
-use openea_math::negsamp::UniformSampler;
-use openea_math::Matrix;
 use openea_models::literal::LiteralEncoder;
-use openea_models::TransE;
-use openea_runtime::rng::{Rng, RngCore, SmallRng};
-use std::collections::HashSet;
+use openea_models::{RelationModel, TransE};
 
 /// Description vectors for every entity (unit rows; zero when the entity has
 /// no literals, i.e. "lacks a textual description").
@@ -80,26 +76,17 @@ impl Approach for KdCoe {
         ctx: &RunContext<'_>,
     ) -> Result<ApproachOutput, TrainError> {
         let mut rng = ctx.driver_rng();
-        let m1 = TransE::new(
-            pair.kg1.num_entities(),
-            pair.kg1.num_relations().max(1),
-            cfg.dim,
-            cfg.margin,
-            &mut rng,
-        );
-        let m2 = TransE::new(
-            pair.kg2.num_entities(),
-            pair.kg2.num_relations().max(1),
-            cfg.dim,
-            cfg.margin,
-            &mut rng,
-        );
-        let t1 = kg_triples(&pair.kg1);
-        let t2 = kg_triples(&pair.kg2);
-        let mut map = Matrix::identity(cfg.dim);
-        for v in map.data_mut() {
-            *v += rng.gen_range(-0.02f32..0.02);
-        }
+        let mut model = |kg: &KnowledgeGraph| -> Box<dyn RelationModel> {
+            Box::new(TransE::new(
+                kg.num_entities(),
+                kg.num_relations().max(1),
+                cfg.dim,
+                cfg.margin,
+                &mut rng,
+            ))
+        };
+        let (m1, m2) = (model(&pair.kg1), model(&pair.kg2));
+        let core = TransformationCore::new(pair, m1, m2, cfg, rng);
 
         // Description view (fixed encodings — the co-trained "other" model).
         let enc = cfg.literal_encoder();
@@ -110,196 +97,102 @@ impl Approach for KdCoe {
             )
         });
 
-        let seeds = split.train.clone();
-        let gold: HashSet<(EntityId, EntityId)> = pair
-            .alignment
-            .iter()
-            .copied()
-            .filter(|p| !split.train.contains(p))
-            .collect();
-
-        let opts1 = cfg.train_options(t1.len());
-        let opts2 = cfg.train_options(t2.len());
         let mut hooks = Hooks {
             approach: self,
-            pair,
             cfg,
-            m1,
-            m2,
-            map,
-            t1,
-            t2,
-            s1: UniformSampler {
-                num_entities: pair.kg1.num_entities().max(1) as u32,
-            },
-            s2: UniformSampler {
-                num_entities: pair.kg2.num_entities().max(1) as u32,
-            },
+            core,
             enc,
             desc,
-            taken1: seeds.iter().map(|&(a, _)| a).collect(),
-            taken2: seeds.iter().map(|&(_, b)| b).collect(),
-            seeds,
-            gold,
-            proposed_all: Vec::new(),
-            augmentation: Vec::new(),
-            opts1,
-            opts2,
-            rng,
+            seeds: &split.train,
+            ledger: Ledger::scored(pair, &split.train),
         };
         let mut out = run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)?;
-        out.augmentation = hooks.augmentation;
+        out.augmentation = hooks.ledger.curve;
         Ok(out)
     }
 }
 
-/// Engine hooks: per-KG TransE epochs plus the joint transformation step,
-/// then (every `co_every` epochs) a co-training round where the description
-/// and relation views each propose confident new seeds for the other.
+/// Engine hooks: per-KG TransE epochs plus the joint transformation step
+/// over the seeds and every accepted pair, then (every `co_every` epochs) a
+/// co-training round where the description and relation views each propose
+/// confident new seeds for the other.
 struct Hooks<'a> {
     approach: &'a KdCoe,
-    pair: &'a KgPair,
     cfg: &'a RunConfig,
-    m1: TransE,
-    m2: TransE,
-    map: Matrix,
-    t1: Vec<(u32, u32, u32)>,
-    t2: Vec<(u32, u32, u32)>,
-    s1: UniformSampler,
-    s2: UniformSampler,
+    core: TransformationCore,
     enc: LiteralEncoder,
     desc: Option<(Vec<f32>, Vec<f32>)>,
-    taken1: HashSet<EntityId>,
-    taken2: HashSet<EntityId>,
-    seeds: Vec<AlignedPair>,
-    gold: HashSet<(EntityId, EntityId)>,
-    proposed_all: Vec<(EntityId, EntityId)>,
-    augmentation: Vec<PrfScores>,
-    opts1: TrainOptions,
-    opts2: TrainOptions,
-    rng: SmallRng,
+    seeds: &'a [AlignedPair],
+    ledger: Ledger,
 }
 
 impl EpochHooks for Hooks<'_> {
     fn train_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
-        if !self.cfg.use_relations {
-            return EpochStats::default();
-        }
-        let a = train_epoch_batched(
-            &mut self.m1,
-            &self.t1,
-            &self.s1,
-            &self.opts1,
-            self.rng.next_u64(),
-        )
-        .expect("valid train options");
-        let b = train_epoch_batched(
-            &mut self.m2,
-            &self.t2,
-            &self.s2,
-            &self.opts2,
-            self.rng.next_u64(),
-        )
-        .expect("valid train options");
-        EpochStats::merged(&[a, b])
+        self.core.train_epoch(self.cfg)
     }
 
     fn after_epoch(&mut self, epoch: usize, _ctx: &RunContext<'_>) {
-        seed_step(
-            &mut self.m1,
-            &mut self.m2,
-            &mut self.map,
-            &self.seeds,
-            self.cfg,
-            true,
-        );
+        let seeds = self.seeds.iter().chain(&self.ledger.proposed).copied();
+        self.core.seed_step(seeds, self.cfg, true);
 
         if (epoch + 1).is_multiple_of(self.approach.co_every) {
+            let (sources, targets) = self.ledger.unaligned();
+            let threads = self.cfg.threads;
             // Description view proposes (only entities with descriptions).
             let mut new_pairs = Vec::new();
             if let Some((d1, d2)) = &self.desc {
-                let enc_dim = self.enc.dim();
-                let with_desc = |n: usize, taken: &HashSet<EntityId>, d: &[f32]| {
-                    unaligned_entities(n, taken)
-                        .into_iter()
+                let dim = self.enc.dim();
+                let described = |ids: &[EntityId], d: &[f32]| -> Vec<EntityId> {
+                    ids.iter()
+                        .copied()
                         .filter(|e| {
-                            d[e.idx() * enc_dim..(e.idx() + 1) * enc_dim]
+                            d[e.idx() * dim..(e.idx() + 1) * dim]
                                 .iter()
                                 .any(|&x| x != 0.0)
                         })
-                        .collect::<Vec<EntityId>>()
+                        .collect()
                 };
-                let sources = with_desc(self.pair.kg1.num_entities(), &self.taken1, d1);
-                let targets = with_desc(self.pair.kg2.num_entities(), &self.taken2, d2);
+                let (sources, targets) = (described(&sources, d1), described(&targets, d2));
                 let cands = Candidates {
-                    src: gather_rows(d1, enc_dim, &sources),
-                    dst: gather_rows(d2, enc_dim, &targets),
-                    sources,
-                    targets,
-                    dim: enc_dim,
-                    metric: Metric::Cosine,
-                };
-                new_pairs.extend(propose_edited(
-                    &cands,
-                    self.approach.desc_threshold,
-                    self.cfg.threads,
-                ));
-            }
-            // Relation view proposes: mapped KG1 rows against raw KG2 rows.
-            {
-                let dim = self.cfg.dim;
-                let sources = unaligned_entities(self.pair.kg1.num_entities(), &self.taken1);
-                let targets = unaligned_entities(self.pair.kg2.num_entities(), &self.taken2);
-                let cands = Candidates {
-                    src: mapped_rows(&self.m1, &self.map, dim, sources.iter().map(|e| e.idx())),
-                    dst: gather_rows(self.m2.entities.data(), dim, &targets),
+                    src: gather_rows(d1, dim, &sources),
+                    dst: gather_rows(d2, dim, &targets),
                     sources,
                     targets,
                     dim,
-                    metric: Metric::Euclidean,
+                    metric: Metric::Cosine,
                 };
-                new_pairs.extend(propose_edited(
-                    &cands,
-                    self.approach.rel_threshold,
-                    self.cfg.threads,
-                ));
+                new_pairs = propose_edited(&cands, self.approach.desc_threshold, threads);
             }
-            for &(a, b) in &new_pairs {
-                if !self.taken1.contains(&a) && !self.taken2.contains(&b) {
-                    self.taken1.insert(a);
-                    self.taken2.insert(b);
-                    self.seeds.push((a, b));
-                    self.proposed_all.push((a, b));
-                }
-            }
-            self.augmentation
-                .push(augmentation_quality(&self.proposed_all, &self.gold));
+            // Relation view proposes: mapped KG1 rows against raw KG2 rows.
+            let dim = self.cfg.dim;
+            let cands = Candidates {
+                src: self.core.mapped_rows(dim, sources.iter().map(|e| e.idx())),
+                dst: gather_rows(self.core.m2.entities().data(), dim, &targets),
+                sources,
+                targets,
+                dim,
+                metric: Metric::Euclidean,
+            };
+            new_pairs.extend(propose_edited(&cands, self.approach.rel_threshold, threads));
+            self.ledger.accept(new_pairs);
         }
     }
 
     fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        self.approach.combined_output(
-            &self.m1,
-            &self.m2,
-            &self.map,
-            self.desc.as_ref(),
-            &self.enc,
-            self.cfg,
-        )
+        self.approach
+            .combined_output(&self.core, self.desc.as_ref(), &self.enc, self.cfg)
     }
 }
 
 impl KdCoe {
     fn combined_output(
         &self,
-        m1: &TransE,
-        m2: &TransE,
-        map: &Matrix,
+        core: &TransformationCore,
         desc: Option<&(Vec<f32>, Vec<f32>)>,
         enc: &LiteralEncoder,
         cfg: &RunConfig,
     ) -> ApproachOutput {
-        let rel = mapped_output(m1, m2, map, cfg, Metric::Euclidean);
+        let rel = core.output(cfg, Metric::Euclidean);
         match desc {
             None => rel,
             Some((d1, d2)) => {

@@ -1,7 +1,8 @@
 //! The *embedding-space transformation* interaction mode (MTransE, SEA,
 //! KDCoE's relation view, and the Figure-11 harness for unexplored models):
 //! each KG is embedded in its own space and a linear map `M` is trained so
-//! that `M·e₁ ≈ e₂` on the seed alignment.
+//! that `M·e₁ ≈ e₂` on the seed alignment. All of them train on one
+//! [`TransformationCore`].
 
 use crate::common::{
     train_epoch_batched, Approach, ApproachOutput, EpochStats, Requirements, RunConfig, TrainError,
@@ -9,7 +10,7 @@ use crate::common::{
 };
 use crate::engine::{run_driver, EpochHooks, RunContext, WarmStart};
 use openea_align::Metric;
-use openea_core::{AlignedPair, FoldSplit, KgPair};
+use openea_core::{AlignedPair, FoldSplit, KgPair, KnowledgeGraph};
 use openea_math::negsamp::{RawTriple, UniformSampler};
 use openea_math::Matrix;
 use openea_models::RelationModel;
@@ -19,7 +20,7 @@ use openea_runtime::rng::{Rng, RngCore, SmallRng};
 pub type ModelFactory = dyn Fn(usize, usize, usize, u64) -> Box<dyn RelationModel> + Sync;
 
 /// Raw triples of one KG in its own id space.
-pub fn kg_triples(kg: &openea_core::KnowledgeGraph) -> Vec<RawTriple> {
+pub fn kg_triples(kg: &KnowledgeGraph) -> Vec<RawTriple> {
     kg.rel_triples()
         .iter()
         .map(|t| (t.head.0, t.rel.0, t.tail.0))
@@ -62,76 +63,84 @@ impl Approach for TransformationHarness<'_> {
         cfg: &RunConfig,
         ctx: &RunContext<'_>,
     ) -> Result<ApproachOutput, TrainError> {
-        let mut rng = ctx.driver_rng();
-        let m1 = (self.factory)(
-            pair.kg1.num_entities(),
-            pair.kg1.num_relations().max(1),
-            cfg.dim,
-            ctx.model_seed(1),
+        let model = |kg: &KnowledgeGraph, stream| {
+            (self.factory)(
+                kg.num_entities(),
+                kg.num_relations().max(1),
+                cfg.dim,
+                ctx.model_seed(stream),
+            )
+        };
+        let core = TransformationCore::new(
+            pair,
+            model(&pair.kg1, 1),
+            model(&pair.kg2, 2),
+            cfg,
+            ctx.driver_rng(),
         );
-        let m2 = (self.factory)(
-            pair.kg2.num_entities(),
-            pair.kg2.num_relations().max(1),
-            cfg.dim,
-            ctx.model_seed(2),
-        );
-        let t1 = kg_triples(&pair.kg1);
-        let t2 = kg_triples(&pair.kg2);
-
-        // The transformation matrix, near-identity at start.
-        let mut map = Matrix::identity(cfg.dim);
-        for v in map.data_mut() {
-            *v += rng.gen_range(-0.02f32..0.02);
-        }
-
-        let opts1 = cfg.train_options(t1.len());
-        let opts2 = cfg.train_options(t2.len());
         let mut hooks = Hooks {
             harness: self,
             cfg,
             seeds: &split.train,
-            m1,
-            m2,
-            map,
+            core,
             back: Matrix::identity(cfg.dim),
-            s1: UniformSampler {
-                num_entities: pair.kg1.num_entities().max(1) as u32,
-            },
-            s2: UniformSampler {
-                num_entities: pair.kg2.num_entities().max(1) as u32,
-            },
-            t1,
-            t2,
-            opts1,
-            opts2,
-            rng,
         };
         run_driver(self.label, &mut hooks, &ctx.for_valid(&split.valid), cfg)
     }
 }
 
-/// Engine hooks: per-KG relation-model epochs, then the joint seed step,
-/// optional cycle consistency and optional orthogonal projection.
-struct Hooks<'a, 'f> {
-    harness: &'a TransformationHarness<'f>,
-    cfg: &'a RunConfig,
-    seeds: &'a [AlignedPair],
-    m1: Box<dyn RelationModel>,
-    m2: Box<dyn RelationModel>,
-    map: Matrix,
-    back: Matrix,
-    s1: UniformSampler,
-    s2: UniformSampler,
+/// What every transformation-mode driver trains: one relation model per KG
+/// over that KG's own triples with uniform negatives, and the map `M`,
+/// near-identity at start. The caller builds the two models, each its own
+/// way, and hands over the driver RNG after; the map's perturbation is
+/// drawn from it here, then one seed per model per epoch.
+pub(crate) struct TransformationCore {
+    pub m1: Box<dyn RelationModel>,
+    pub m2: Box<dyn RelationModel>,
+    pub map: Matrix,
     t1: Vec<RawTriple>,
     t2: Vec<RawTriple>,
+    s1: UniformSampler,
+    s2: UniformSampler,
     opts1: TrainOptions,
     opts2: TrainOptions,
-    rng: SmallRng,
+    pub rng: SmallRng,
 }
 
-impl EpochHooks for Hooks<'_, '_> {
-    fn train_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
-        if !self.cfg.use_relations {
+impl TransformationCore {
+    pub fn new(
+        pair: &KgPair,
+        m1: Box<dyn RelationModel>,
+        m2: Box<dyn RelationModel>,
+        cfg: &RunConfig,
+        mut rng: SmallRng,
+    ) -> Self {
+        let mut map = Matrix::identity(cfg.dim);
+        for v in map.data_mut() {
+            *v += rng.gen_range(-0.02f32..0.02);
+        }
+        let (t1, t2) = (kg_triples(&pair.kg1), kg_triples(&pair.kg2));
+        let uniform = |kg: &KnowledgeGraph| UniformSampler {
+            num_entities: kg.num_entities().max(1) as u32,
+        };
+        Self {
+            m1,
+            m2,
+            map,
+            s1: uniform(&pair.kg1),
+            s2: uniform(&pair.kg2),
+            opts1: cfg.train_options(t1.len()),
+            opts2: cfg.train_options(t2.len()),
+            t1,
+            t2,
+            rng,
+        }
+    }
+
+    /// One batched epoch of each model; a no-op under `use_relations ==
+    /// false`.
+    pub fn train_epoch(&mut self, cfg: &RunConfig) -> EpochStats {
+        if !cfg.use_relations {
             return EpochStats::default();
         }
         let a = train_epoch_batched(
@@ -153,37 +162,95 @@ impl EpochHooks for Hooks<'_, '_> {
         EpochStats::merged(&[a, b])
     }
 
+    /// Joint SGD on `‖M·e₁ − e₂‖²` for every seed pair, in order;
+    /// `update_entities` selects the joint objective (map + seed
+    /// embeddings) over map-only.
+    pub fn seed_step(
+        &mut self,
+        seeds: impl IntoIterator<Item = AlignedPair>,
+        cfg: &RunConfig,
+        update_entities: bool,
+    ) {
+        let (dim, lr, map) = (cfg.dim, cfg.lr, &mut self.map);
+        let mut me1 = vec![0.0f32; dim];
+        let mut mtu = vec![0.0f32; dim];
+        for (a, b) in seeds {
+            let e1: Vec<f32> = self.m1.entities().row(a.idx()).to_vec();
+            map.matvec_into(&e1, &mut me1);
+            let u: Vec<f32> = {
+                let e2 = self.m2.entities().row(b.idx());
+                me1.iter().zip(e2).map(|(x, y)| x - y).collect()
+            };
+            // dL/dM = 2·u·e₁ᵀ ; dL/de₁ = 2·Mᵀu ; dL/de₂ = −2u.
+            map.matvec_t_into(&u, &mut mtu);
+            for i in 0..dim {
+                for j in 0..dim {
+                    map[(i, j)] -= 2.0 * lr * u[i] * e1[j];
+                }
+            }
+            if update_entities {
+                self.m1.entities_mut().sgd_row(a.idx(), &mtu, 2.0 * lr);
+                let neg_u: Vec<f32> = u.iter().map(|x| -x).collect();
+                self.m2.entities_mut().sgd_row(b.idx(), &neg_u, 2.0 * lr);
+            }
+        }
+    }
+
+    /// `M`-mapped KG1 embeddings against raw KG2 embeddings.
+    pub fn output(&self, cfg: &RunConfig, metric: Metric) -> ApproachOutput {
+        let emb1 = self.mapped_rows(cfg.dim, 0..self.m1.num_entities());
+        ApproachOutput::new(cfg.dim, metric, emb1, self.m2.entities().data().to_vec())
+    }
+
+    /// `M·e₁` for the given KG1 `rows`, row-major and in their order.
+    pub fn mapped_rows(&self, dim: usize, rows: impl ExactSizeIterator<Item = usize>) -> Vec<f32> {
+        let mut out = Vec::with_capacity(rows.len() * dim);
+        let mut buf = vec![0.0f32; dim];
+        for e in rows {
+            self.map.matvec_into(self.m1.entities().row(e), &mut buf);
+            out.extend_from_slice(&buf);
+        }
+        out
+    }
+}
+
+/// Engine hooks: per-KG relation-model epochs, then the joint seed step,
+/// optional cycle consistency and optional orthogonal projection.
+struct Hooks<'a, 'f> {
+    harness: &'a TransformationHarness<'f>,
+    cfg: &'a RunConfig,
+    seeds: &'a [AlignedPair],
+    core: TransformationCore,
+    back: Matrix,
+}
+
+impl EpochHooks for Hooks<'_, '_> {
+    fn train_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
+        self.core.train_epoch(self.cfg)
+    }
+
     fn after_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) {
-        seed_step(
-            self.m1.as_mut(),
-            self.m2.as_mut(),
-            &mut self.map,
-            self.seeds,
+        self.core.seed_step(
+            self.seeds.iter().copied(),
             self.cfg,
             self.harness.update_entities,
         );
         if self.harness.cycle_weight > 0.0 {
             self.harness.cycle_step(
-                self.m1.as_mut(),
-                &mut self.map,
+                self.core.m1.as_mut(),
+                &mut self.core.map,
                 &mut self.back,
                 self.cfg,
-                &mut self.rng,
+                &mut self.core.rng,
             );
         }
         if self.harness.orthogonal {
-            self.map = openea_math::nearest_orthogonal(&self.map);
+            self.core.map = openea_math::nearest_orthogonal(&self.core.map);
         }
     }
 
     fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        mapped_output(
-            self.m1.as_ref(),
-            self.m2.as_ref(),
-            &self.map,
-            self.cfg,
-            self.harness.metric,
-        )
+        self.core.output(self.cfg, self.harness.metric)
     }
 
     fn warm_start(&mut self, warm: &WarmStart<'_>, ctx: &RunContext<'_>) -> bool {
@@ -195,7 +262,7 @@ impl EpochHooks for Hooks<'_, '_> {
         // KG2 keys offset into a disjoint range.
         let seed = ctx.seed;
         let (rows1, rows2) = (warm.rows1(), warm.rows2());
-        if !self.m1.init_from(
+        if !self.core.m1.init_from(
             warm.dim,
             warm.emb1,
             &|i| (i < rows1).then_some(i),
@@ -205,7 +272,7 @@ impl EpochHooks for Hooks<'_, '_> {
         }
         // Same factory and cfg.dim as m1, so this cannot refuse once m1
         // absorbed — the guard is belt and braces.
-        if !self.m2.init_from(
+        if !self.core.m2.init_from(
             warm.dim,
             warm.emb2,
             &|i| (i < rows2).then_some(i),
@@ -213,76 +280,10 @@ impl EpochHooks for Hooks<'_, '_> {
         ) {
             return false;
         }
-        self.map = Matrix::identity(self.cfg.dim);
+        self.core.map = Matrix::identity(self.cfg.dim);
         self.back = Matrix::identity(self.cfg.dim);
         true
     }
-}
-
-/// Joint SGD on `‖M·e₁ − e₂‖²` for every seed pair; `update_entities`
-/// selects the joint objective (map + seed embeddings) over map-only.
-/// Shared with KDCoE's relation view (its co-training loop owns concrete
-/// models, so it bypasses the harness).
-pub(crate) fn seed_step(
-    m1: &mut dyn RelationModel,
-    m2: &mut dyn RelationModel,
-    map: &mut Matrix,
-    seeds: &[AlignedPair],
-    cfg: &RunConfig,
-    update_entities: bool,
-) {
-    let dim = cfg.dim;
-    let lr = cfg.lr;
-    let mut me1 = vec![0.0f32; dim];
-    let mut mtu = vec![0.0f32; dim];
-    for &(a, b) in seeds {
-        let e1: Vec<f32> = m1.entities().row(a.idx()).to_vec();
-        map.matvec_into(&e1, &mut me1);
-        let u: Vec<f32> = {
-            let e2 = m2.entities().row(b.idx());
-            me1.iter().zip(e2).map(|(x, y)| x - y).collect()
-        };
-        // dL/dM = 2·u·e₁ᵀ ; dL/de₁ = 2·Mᵀu ; dL/de₂ = −2u.
-        map.matvec_t_into(&u, &mut mtu);
-        for i in 0..dim {
-            for j in 0..dim {
-                map[(i, j)] -= 2.0 * lr * u[i] * e1[j];
-            }
-        }
-        if update_entities {
-            m1.entities_mut().sgd_row(a.idx(), &mtu, 2.0 * lr);
-            let neg_u: Vec<f32> = u.iter().map(|x| -x).collect();
-            m2.entities_mut().sgd_row(b.idx(), &neg_u, 2.0 * lr);
-        }
-    }
-}
-
-/// `M`-mapped KG1 embeddings against raw KG2 embeddings.
-pub(crate) fn mapped_output(
-    m1: &dyn RelationModel,
-    m2: &dyn RelationModel,
-    map: &Matrix,
-    cfg: &RunConfig,
-    metric: Metric,
-) -> ApproachOutput {
-    let emb1 = mapped_rows(m1, map, cfg.dim, 0..m1.num_entities());
-    ApproachOutput::new(cfg.dim, metric, emb1, m2.entities().data().to_vec())
-}
-
-/// `M·e₁` for the given KG1 `rows`, row-major and in their order.
-pub(crate) fn mapped_rows(
-    m1: &dyn RelationModel,
-    map: &Matrix,
-    dim: usize,
-    rows: impl ExactSizeIterator<Item = usize>,
-) -> Vec<f32> {
-    let mut out = Vec::with_capacity(rows.len() * dim);
-    let mut buf = vec![0.0f32; dim];
-    for e in rows {
-        map.matvec_into(m1.entities().row(e), &mut buf);
-        out.extend_from_slice(&buf);
-    }
-    out
 }
 
 impl TransformationHarness<'_> {

@@ -8,20 +8,14 @@
 //! BootEA-style embedding is trained on them, and conflict-edited
 //! self-training grows the alignment — zero gold seeds consumed.
 
-use crate::boot::{propose_edited, Candidates};
+use crate::boot::{propose_edited, Ledger};
 use crate::common::{
-    calibrate, train_epoch_batched, ApproachOutput, Combination, EpochStats, RunConfig,
-    TrainOptions, UnifiedSpace,
+    ApproachOutput, Combination, EpochStats, RunConfig, UnifiedSpace, UnifiedTransE,
 };
 use crate::engine::{run_driver, EpochHooks, RunContext};
 use crate::imuse::string_match_seeds;
 use openea_align::Metric;
 use openea_core::{EntityId, KgPair};
-use openea_math::negsamp::UniformSampler;
-use openea_models::{RelationModel, TransE};
-use openea_runtime::rng::RngCore;
-use openea_runtime::rng::SmallRng;
-use std::collections::HashSet;
 
 /// Configuration of the unsupervised pipeline.
 #[derive(Clone, Copy, Debug)]
@@ -63,34 +57,13 @@ pub fn align_unsupervised(
     cfg: &RunConfig,
 ) -> UnsupervisedOutcome {
     let ctx = RunContext::new(cfg);
-    let mut rng = ctx.driver_rng();
     let pseudo_seeds = string_match_seeds(&pair.kg1, &pair.kg2, ucfg.string_threshold);
-
     let space = UnifiedSpace::build(pair, &pseudo_seeds, Combination::Sharing);
-    let model = TransE::new(
-        space.num_entities,
-        space.num_relations.max(1),
-        cfg.dim,
-        cfg.margin,
-        &mut rng,
-    );
-    let sampler = UniformSampler {
-        num_entities: space.num_entities.max(1) as u32,
-    };
-
-    let opts = cfg.train_options(space.triples.len());
     let mut hooks = Hooks {
-        pair,
         ucfg,
         cfg,
-        space,
-        model,
-        sampler,
-        taken1: pseudo_seeds.iter().map(|&(a, _)| a).collect(),
-        taken2: pseudo_seeds.iter().map(|&(_, b)| b).collect(),
-        boot_pairs: Vec::new(),
-        opts,
-        rng,
+        base: UnifiedTransE::new(space, cfg, ctx.driver_rng()),
+        ledger: Ledger::new(pair, &pseudo_seeds),
     };
 
     // One flat epoch sequence: `epochs_per_round` epochs per round, with a
@@ -104,7 +77,7 @@ pub fn align_unsupervised(
     let output =
         run_driver("unsupervised", &mut hooks, &ctx, &ecfg).expect("valid unsupervised run config");
     let mut predicted = pseudo_seeds.clone();
-    predicted.extend(hooks.boot_pairs);
+    predicted.extend(hooks.ledger.proposed);
     UnsupervisedOutcome {
         output,
         pseudo_seeds,
@@ -113,17 +86,10 @@ pub fn align_unsupervised(
 }
 
 struct Hooks<'a> {
-    pair: &'a KgPair,
     ucfg: UnsupervisedConfig,
     cfg: &'a RunConfig,
-    space: UnifiedSpace,
-    model: TransE,
-    sampler: UniformSampler,
-    taken1: HashSet<EntityId>,
-    taken2: HashSet<EntityId>,
-    boot_pairs: Vec<(EntityId, EntityId)>,
-    opts: TrainOptions,
-    rng: SmallRng,
+    base: UnifiedTransE,
+    ledger: Ledger,
 }
 
 impl EpochHooks for Hooks<'_> {
@@ -136,55 +102,33 @@ impl EpochHooks for Hooks<'_> {
         }
         // Round boundary: propose new pairs from the current embeddings
         // (conflict-edited, never touching entities already aligned).
-        let cands = Candidates::unified(
-            self.pair,
-            &self.space,
-            self.model.entities(),
-            &self.taken1,
-            &self.taken2,
-        );
-        let new_pairs = propose_edited(&cands, self.ucfg.boot_threshold, self.cfg.threads);
-        for &(a, b) in &new_pairs {
-            self.taken1.insert(a);
-            self.taken2.insert(b);
-        }
-        self.boot_pairs.extend(new_pairs);
+        let cands = self
+            .ledger
+            .candidates(&self.base.space, &self.base.model.entities);
+        let threshold = self.ucfg.boot_threshold;
+        self.ledger
+            .accept(propose_edited(&cands, threshold, self.cfg.threads));
     }
 
     fn train_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
-        train_epoch_batched(
-            &mut self.model,
-            &self.space.triples,
-            &self.sampler,
-            &self.opts,
-            self.rng.next_u64(),
-        )
-        .expect("valid train options")
+        self.base.train_epoch(self.cfg)
     }
 
     fn after_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) {
-        let uids: Vec<(u32, u32)> = self
-            .boot_pairs
-            .iter()
-            .map(|&(a, b)| (self.space.uid1(a), self.space.uid2(b)))
-            .collect();
-        calibrate(&mut self.model.entities, &uids, self.cfg.lr);
+        let table = &mut self.base.model.entities;
+        self.ledger.calibrate(&self.base.space, table, self.cfg.lr);
     }
 
     fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        extract(&self.space, &self.model, self.cfg)
+        self.base.output(Metric::Cosine)
     }
-}
-
-fn extract(space: &UnifiedSpace, model: &TransE, cfg: &RunConfig) -> ApproachOutput {
-    let (emb1, emb2) = space.extract(model.entities());
-    ApproachOutput::new(cfg.dim, Metric::Cosine, emb1, emb2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use openea_align::precision_recall_f1;
+    use std::collections::HashSet;
 
     #[test]
     fn unsupervised_alignment_beats_chance_without_gold_seeds() {

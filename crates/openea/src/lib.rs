@@ -33,10 +33,10 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`core`] | KG data model, dataset I/O, folds, statistics |
-//! | [`graph`] | PageRank, clustering coefficient, components, walks |
+//! | [`graph`] | PageRank, clustering coefficient, random walks |
 //! | [`synth`] | synthetic source-KG generation (DBpedia/Wikidata/YAGO stand-ins) |
 //! | [`sampling`] | IDS (Algorithm 1), RAS, PRS, Table-3 quality report |
-//! | [`math`] | embedding tables, losses, optimizers, negative sampling |
+//! | [`math`] | embedding tables, losses, negative sampling |
 //! | [`autodiff`] | the reverse-mode tape used by the deep models |
 //! | [`models`] | TransE/H/R/D, DistMult, HolE, SimplE, RotatE, ProjE, ConvE, attribute/literal encoders |
 //! | [`align`] | metrics, CSLS, greedy/stable-marriage/Hungarian inference, evaluation, geometric analyses |

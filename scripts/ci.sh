@@ -49,10 +49,15 @@ cargo test --release --offline -p openea --test kernel_conformance --test kernel
 # and the pair's 12 MB / 3 000-call gate — built with the two KGs on two
 # threads — and one IPTransE generation on that pair through its
 # self-training round, held to 18 MB of heap above its inputs. Beside it, the
-# two differentials that generation's memory rests on: validation scored in
+# differentials that generation rests on: validation scored in
 # place against the extracted checkpoint's score (the shared helper, and all
-# four table drivers through the engine), and blocked nearest proposals
-# against the gathered reference. Then the generator's own unit tests: the
+# four table drivers through the engine), blocked nearest proposals against
+# the gathered reference, and the self-training ledger's three commit rules
+# and Figure-7 scores against the driver loops they replaced (all three in
+# `boot::proptests`). Beside them, the pins of what the embedding hashes do
+# not see: the Figure-7 curves of IPTransE, BootEA and KDCoE bit for bit,
+# the unsupervised pipeline's predicted alignment, and BootEA's and KDCoE's
+# proposals reaching an output hash. Then the generator's own unit tests: the
 # latent world's pin and the number and date renderers against `core::fmt`,
 # under the code generation that ships. Beside `generation_memory`, the
 # autodiff tape's gate: `GcnEncoder::step`'s loss bits and allocator calls on
@@ -63,6 +68,7 @@ cargo test --release --offline -p openea --test synth_pins --test kg_model --tes
     --test generation_memory --test autodiff_memory
 cargo test --release --offline -p openea-approaches --lib -- \
     engine::tests common::proptests::validation_in_place boot::proptests
+cargo test --release --offline -p openea --test approach_matrix -- self_training::
 cargo test --release --offline -p openea-synth --lib
 
 # Reactor soak slice: the end-to-end serving suite five more times with every

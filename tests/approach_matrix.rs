@@ -272,6 +272,168 @@ fn unsupervised_hash_bit_identical_across_thread_counts() {
     }
 }
 
+mod self_training {
+    //! What the embedding hashes above do not see: the Figure-7 curve of
+    //! every semi-supervised approach, bit for bit per round, and the
+    //! unsupervised pipeline's predicted alignment. Both proposal rules'
+    //! paths are also shown to reach an output hash.
+
+    use super::{golden_fixture, GOLDEN_HASHES};
+    use openea::approaches::bootea::BootEa;
+    use openea::approaches::iptranse::IpTransE;
+    use openea::approaches::kdcoe::KdCoe;
+    use openea::approaches::unsupervised::{align_unsupervised, UnsupervisedConfig};
+    use openea::prelude::*;
+
+    /// `to_bits` of each round's precision, recall and F1.
+    fn curve(out: &ApproachOutput) -> Vec<[u64; 3]> {
+        out.augmentation
+            .iter()
+            .map(|s| [s.precision.to_bits(), s.recall.to_bits(), s.f1.to_bits()])
+            .collect()
+    }
+
+    /// IPTransE on `IPTRANSE_40_GOLDEN`'s run: two nearest-neighbour rounds,
+    /// the second scored over both rounds' accumulated proposals.
+    const IPTRANSE_40_CURVE: [[u64; 3]; 2] = [
+        [0x3fb0bf66e0e5aea7, 0x3fb070bbe3d1070c, 0x3fb097b425ed097b],
+        [0x3fb070bbe3d1070c, 0x3fb070bbe3d1070c, 0x3fb070bbe3d1070c],
+    ];
+
+    /// BootEA on the golden fixture: one edited round, at epoch 15.
+    const BOOTEA_CURVE: [[u64; 3]; 1] =
+        [[0x3fd999999999999a, 0x3fa2c9fb4d812ca0, 0x3fb135c81135c811]];
+
+    /// KDCoE accepts nothing on the golden fixture: no description pair
+    /// reaches a cosine of 0.9, and a Euclidean similarity (a negative
+    /// distance) never reaches 0.85. So this run lowers both thresholds,
+    /// and both views propose into each of its two rounds.
+    fn kdcoe() -> KdCoe {
+        KdCoe {
+            desc_threshold: 0.7,
+            rel_threshold: -1.0,
+            ..KdCoe::default()
+        }
+    }
+
+    /// The run above for 40 epochs, validated once at the end, so that the
+    /// accepted pairs' seed steps reach the returned checkpoint.
+    const KDCOE_40: (u64, [[u64; 3]; 2]) = (
+        0xc27df0a94a6efb06,
+        [
+            [0x3fc1555555555555, 0x3fbe88385df1e884, 0x3fc03bf103bf103c],
+            [0x3fbe88385df1e884, 0x3fbe88385df1e884, 0x3fbe88385df1e884],
+        ],
+    );
+
+    fn forty_epochs(cfg: &mut RunConfig) {
+        cfg.max_epochs = 40;
+        cfg.check_every = 40;
+    }
+
+    #[test]
+    fn figure7_curves_bit_identical_across_thread_counts() {
+        let (pair, folds, mut cfg) = golden_fixture();
+        for threads in [1usize, 2, 8] {
+            cfg.threads = threads;
+            cfg.max_epochs = 20;
+            cfg.check_every = 10;
+            let boot = BootEa::default().run(&pair, &folds[0], &cfg);
+            assert_eq!(curve(&boot), BOOTEA_CURVE, "BootEA at {threads} threads");
+            forty_epochs(&mut cfg);
+            let ip = IpTransE::default().run(&pair, &folds[0], &cfg);
+            assert_eq!(
+                curve(&ip),
+                IPTRANSE_40_CURVE,
+                "IPTransE at {threads} threads"
+            );
+            let kd = kdcoe().run(&pair, &folds[0], &cfg);
+            assert_eq!(
+                (kd.content_hash(), curve(&kd)),
+                (KDCOE_40.0, KDCOE_40.1.to_vec()),
+                "KDCoE at {threads} threads: {:#018x} {:x?}",
+                kd.content_hash(),
+                curve(&kd)
+            );
+        }
+    }
+
+    /// With every proposal refused (a cosine never exceeds 1, a negative
+    /// distance never reaches 2) each run hashes differently from its pin,
+    /// so the pins hold the proposal paths. KDCoE's views are shown one at
+    /// a time as well.
+    #[test]
+    fn bootea_and_kdcoe_proposals_reach_the_hash() {
+        let (pair, folds, mut cfg) = golden_fixture();
+        let golden: std::collections::HashMap<&str, u64> = GOLDEN_HASHES.into_iter().collect();
+        let silent = BootEa {
+            threshold: 2.0,
+            ..BootEa::default()
+        };
+        assert_ne!(
+            silent.run(&pair, &folds[0], &cfg).content_hash(),
+            golden["BootEA"]
+        );
+        forty_epochs(&mut cfg);
+        let hash = |desc_threshold, rel_threshold| {
+            KdCoe {
+                desc_threshold,
+                rel_threshold,
+                ..kdcoe()
+            }
+            .run(&pair, &folds[0], &cfg)
+            .content_hash()
+        };
+        let silent = hash(2.0, 2.0);
+        let (desc, rel) = (kdcoe().desc_threshold, kdcoe().rel_threshold);
+        for (views, got) in [
+            ("both", hash(desc, rel)),
+            ("description", hash(desc, 2.0)),
+            ("relation", hash(2.0, rel)),
+        ] {
+            assert_ne!(got, silent, "KDCoE's {views} view(s) must reach the hash");
+        }
+    }
+
+    /// FNV-1a over the predicted pairs' ids: the pseudo-seeds sorted (they
+    /// tie on score and arrive in hash-map order, which varies between
+    /// runs), then the bootstrapped pairs in the order they were proposed.
+    const UNSUPERVISED_PREDICTED: u64 = 0xd061388406228c5a;
+
+    #[test]
+    fn unsupervised_predicted_alignment_bit_identical_across_thread_counts() {
+        let pair = PresetConfig::new(DatasetFamily::DY, 200, false, 89).generate();
+        let ucfg = UnsupervisedConfig {
+            boot_rounds: 2,
+            epochs_per_round: 5,
+            ..UnsupervisedConfig::default()
+        };
+        for threads in [1usize, 2, 8] {
+            let cfg = RunConfig {
+                dim: 16,
+                threads,
+                seed: 1234,
+                ..RunConfig::default()
+            };
+            let outcome = align_unsupervised(&pair, ucfg, &cfg);
+            let (seeds, booted) = outcome.predicted.split_at(outcome.pseudo_seeds.len());
+            let mut seeds = seeds.to_vec();
+            seeds.sort_unstable();
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for &(a, b) in seeds.iter().chain(booted) {
+                for byte in a.0.to_le_bytes().into_iter().chain(b.0.to_le_bytes()) {
+                    h ^= byte as u64;
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(
+                h, UNSUPERVISED_PREDICTED,
+                "unsupervised at {threads} threads: {h:#018x}"
+            );
+        }
+    }
+}
+
 mod trainer_golden {
     //! Golden FNV-1a hashes of the raw batched-trainer output, one per
     //! gradient-pathway model — a tighter net than the approach-level table
