@@ -36,7 +36,5 @@ pub use infer::{
 };
 pub use metric::Metric;
 pub use simmat::{SimilarityMatrix, DEFAULT_TILE};
-pub use sinkhorn::{
-    sinkhorn_match, sinkhorn_match_topk, sinkhorn_plan, sinkhorn_plan_topk, SinkhornConfig,
-};
+pub use sinkhorn::{sinkhorn_match, sinkhorn_plan, SinkhornConfig};
 pub use topk::{csls_topk, TopKMatrix};

@@ -6,7 +6,7 @@
 //! 1-to-1 matching.
 
 use crate::simmat::SimilarityMatrix;
-use crate::topk::{score_desc, TopKMatrix};
+use crate::topk::score_desc;
 
 /// Parameters of [`sinkhorn_match`].
 #[derive(Clone, Copy, Debug)]
@@ -102,92 +102,6 @@ pub fn sinkhorn_match(sim: &SimilarityMatrix, cfg: SinkhornConfig) -> Vec<Option
     out
 }
 
-/// Sparse Sinkhorn over a streamed top-k support: the transport plan is
-/// restricted to each source's `k` best targets, so memory and per-iteration
-/// cost are O(rows·k) instead of O(rows·cols). Returns per-row
-/// `(target, mass)` entries aligned with `topk`'s rows.
-///
-/// With `k ≥ cols` the support is dense and the plan converges to the same
-/// transport as [`sinkhorn_plan`] (up to float summation order — the sparse
-/// path sums each row in descending-similarity order).
-pub fn sinkhorn_plan_topk(topk: &TopKMatrix, cfg: SinkhornConfig) -> Vec<Vec<(u32, f32)>> {
-    let rows = topk.rows();
-    let cols = topk.cols();
-    if rows == 0 || cols == 0 || topk.k() == 0 {
-        return vec![Vec::new(); rows];
-    }
-    // Gibbs kernel on the support, row-max normalized for stability. Rows
-    // are sorted descending, so entry 0 carries the row maximum.
-    let kernel: Vec<Vec<(u32, f32)>> = (0..rows)
-        .map(|i| {
-            let row = topk.row(i);
-            let max = row[0].1;
-            row.iter()
-                .map(|&(j, s)| (j, ((s - max) / cfg.epsilon).exp()))
-                .collect()
-        })
-        .collect();
-    let (ra, ca) = (1.0 / rows as f32, 1.0 / cols as f32);
-    let mut u = vec![1.0f32; rows];
-    let mut v = vec![1.0f32; cols];
-    let mut ku = vec![0.0f32; cols];
-    for _ in 0..cfg.iterations {
-        for (i, row) in kernel.iter().enumerate() {
-            let kv: f32 = row.iter().map(|&(j, k)| k * v[j as usize]).sum();
-            u[i] = ra / kv.max(1e-30);
-        }
-        ku.fill(0.0);
-        for (i, row) in kernel.iter().enumerate() {
-            for &(j, k) in row {
-                ku[j as usize] += k * u[i];
-            }
-        }
-        for (j, kuj) in ku.iter().enumerate() {
-            // Targets outside every support row keep v = 1; they carry no
-            // mass anyway.
-            if *kuj > 0.0 {
-                v[j] = ca / kuj.max(1e-30);
-            }
-        }
-    }
-    kernel
-        .into_iter()
-        .enumerate()
-        .map(|(i, row)| {
-            row.into_iter()
-                .map(|(j, k)| (j, u[i] * k * v[j as usize]))
-                .collect()
-        })
-        .collect()
-}
-
-/// Rounds the sparse transport plan of [`sinkhorn_plan_topk`] to a 1-to-1
-/// matching by greedy selection over transported mass; mass ties break on
-/// `(source, target)` index order for determinism.
-pub fn sinkhorn_match_topk(topk: &TopKMatrix, cfg: SinkhornConfig) -> Vec<Option<usize>> {
-    let rows = topk.rows();
-    let cols = topk.cols();
-    let plan = sinkhorn_plan_topk(topk, cfg);
-    let mut cells: Vec<(f32, u32, u32)> = plan
-        .iter()
-        .enumerate()
-        .flat_map(|(i, row)| row.iter().map(move |&(j, m)| (m, i as u32, j)))
-        .collect();
-    cells.sort_by(|a, b| score_desc(a.0, b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    let mut used_src = vec![false; rows];
-    let mut used_dst = vec![false; cols];
-    let mut out = vec![None; rows];
-    for (_, i, j) in cells {
-        let (i, j) = (i as usize, j as usize);
-        if !used_src[i] && !used_dst[j] {
-            used_src[i] = true;
-            used_dst[j] = true;
-            out[i] = Some(j);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,73 +183,6 @@ mod tests {
         let sim = SimilarityMatrix::from_raw(0, 0, vec![]);
         assert!(sinkhorn_plan(&sim, SinkhornConfig::default()).is_empty());
         assert!(sinkhorn_match(&sim, SinkhornConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn sparse_plan_with_full_support_has_uniform_marginals() {
-        let sim =
-            SimilarityMatrix::from_raw(3, 3, vec![0.9, 0.1, 0.0, 0.2, 0.8, 0.1, 0.0, 0.3, 0.7]);
-        let topk = TopKMatrix::from_matrix(&sim, 3);
-        let plan = sinkhorn_plan_topk(&topk, SinkhornConfig::default());
-        let mut col_sums = [0.0f32; 3];
-        for (i, row) in plan.iter().enumerate() {
-            let row_sum: f32 = row.iter().map(|&(_, m)| m).sum();
-            assert!(
-                (row_sum - 1.0 / 3.0).abs() < 1e-3,
-                "row {i} sums to {row_sum}"
-            );
-            for &(j, m) in row {
-                col_sums[j as usize] += m;
-            }
-        }
-        for (j, s) in col_sums.iter().enumerate() {
-            assert!((s - 1.0 / 3.0).abs() < 1e-3, "col {j} sums to {s}");
-        }
-    }
-
-    #[test]
-    fn sparse_match_with_full_support_equals_dense_match() {
-        let sim = SimilarityMatrix::from_raw(
-            4,
-            4,
-            vec![
-                0.9, 0.1, 0.2, 0.0, //
-                0.0, 0.8, 0.1, 0.2, //
-                0.1, 0.0, 0.9, 0.1, //
-                0.2, 0.1, 0.0, 0.7,
-            ],
-        );
-        let topk = TopKMatrix::from_matrix(&sim, 4);
-        assert_eq!(
-            sinkhorn_match_topk(&topk, SinkhornConfig::default()),
-            sinkhorn_match(&sim, SinkhornConfig::default())
-        );
-    }
-
-    #[test]
-    fn sparse_match_resolves_hub_conflict_on_truncated_support() {
-        // Same hub fixture as the dense test, but with only 2-of-2 support
-        // kept per row the conflict must still split.
-        let sim = SimilarityMatrix::from_raw(2, 2, vec![0.9, 0.1, 0.8, 0.75]);
-        let topk = TopKMatrix::from_matrix(&sim, 2);
-        assert_eq!(
-            sinkhorn_match_topk(&topk, SinkhornConfig::default()),
-            vec![Some(0), Some(1)]
-        );
-    }
-
-    #[test]
-    fn sparse_empty_support_is_handled() {
-        let sim = SimilarityMatrix::from_raw(0, 0, vec![]);
-        let topk = TopKMatrix::from_matrix(&sim, 3);
-        assert!(sinkhorn_plan_topk(&topk, SinkhornConfig::default()).is_empty());
-        assert!(sinkhorn_match_topk(&topk, SinkhornConfig::default()).is_empty());
-        let sim = SimilarityMatrix::from_raw(2, 3, vec![0.1; 6]);
-        let topk = TopKMatrix::from_matrix(&sim, 0);
-        assert_eq!(
-            sinkhorn_match_topk(&topk, SinkhornConfig::default()),
-            vec![None, None]
-        );
     }
 
     #[test]

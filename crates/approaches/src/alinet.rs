@@ -8,6 +8,7 @@
 use crate::common::{Approach, ApproachOutput, Requirements, RunConfig, TrainError};
 use crate::engine::RunContext;
 use crate::gcn::{run_gnn, GcnEncoder};
+use crate::views::Fusion;
 use openea_core::{FoldSplit, KgPair};
 
 /// AliNet: the GNN family's encoder ([`GcnEncoder`]) with AliNet's layer
@@ -57,7 +58,7 @@ impl Approach for AliNet {
         ctx: &RunContext<'_>,
     ) -> Result<ApproachOutput, TrainError> {
         run_gnn(self.name(), split, cfg, ctx, |rng| {
-            (GcnEncoder::alinet(pair, cfg.dim, rng), None)
+            (GcnEncoder::alinet(pair, cfg.dim, rng), Fusion::default())
         })
     }
 }

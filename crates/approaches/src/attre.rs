@@ -12,25 +12,10 @@ use crate::common::{
     UnifiedSpace, UnifiedTransE,
 };
 use crate::engine::{run_driver, EpochHooks, RunContext, WarmStart};
+use crate::views::literal_sum;
 use openea_align::Metric;
-use openea_core::{AlignedPair, FoldSplit, KgPair, KnowledgeGraph};
-use openea_math::vecops;
+use openea_core::{AlignedPair, FoldSplit, KgPair};
 use openea_models::literal::char_ngram_vector;
-
-/// The character-level literal profile of every entity: the normalized sum
-/// of character-n-gram vectors of its attribute values.
-pub fn char_profiles(kg: &KnowledgeGraph, dim: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; kg.num_entities() * dim];
-    for e in kg.entity_ids() {
-        let row = &mut out[e.idx() * dim..(e.idx() + 1) * dim];
-        for &(_, v) in kg.attrs_of(e) {
-            let cv = char_ngram_vector(kg.literal_value(v), dim);
-            vecops::axpy(1.0, &cv, row);
-        }
-        vecops::normalize(row);
-    }
-    out
-}
 
 /// AttrE.
 pub struct AttrE {
@@ -77,24 +62,21 @@ impl AttrE {
     ) -> Hooks<'a> {
         let space = UnifiedSpace::build(pair, &split.train, Combination::Sharing);
 
-        // Fixed character-level literal profiles (unified ids).
-        let profiles: Option<Vec<(u32, Vec<f32>)>> = cfg.use_attributes.then(|| {
-            let p1 = char_profiles(&pair.kg1, cfg.dim);
-            let p2 = char_profiles(&pair.kg2, cfg.dim);
-            let mut v = Vec::new();
-            for e in pair.kg1.entity_ids() {
-                let row = &p1[e.idx() * cfg.dim..(e.idx() + 1) * cfg.dim];
-                if row.iter().any(|&x| x != 0.0) {
-                    v.push((space.uid1(e), row.to_vec()));
-                }
-            }
-            for e in pair.kg2.entity_ids() {
-                let row = &p2[e.idx() * cfg.dim..(e.idx() + 1) * cfg.dim];
-                if row.iter().any(|&x| x != 0.0) {
-                    v.push((space.uid2(e), row.to_vec()));
-                }
-            }
-            v
+        // Fixed character-level literal profiles — the normalized sum of
+        // character-n-gram vectors of each entity's attribute values — of
+        // every entity that has literals, by unified id.
+        let dim = cfg.dim;
+        let profiles = cfg.use_attributes.then(|| {
+            let profile = |kg| literal_sum(kg, dim, |s| char_ngram_vector(s, dim));
+            let (p1, p2) = (profile(&pair.kg1), profile(&pair.kg2));
+            let uids1 = pair.kg1.entity_ids().map(|e| space.uid1(e));
+            let uids2 = pair.kg2.entity_ids().map(|e| space.uid2(e));
+            uids1
+                .zip(p1.chunks(dim))
+                .chain(uids2.zip(p2.chunks(dim)))
+                .filter(|(_, row)| row.iter().any(|&x| x != 0.0))
+                .map(|(uid, row)| (uid, row.to_vec()))
+                .collect()
         });
 
         Hooks {
@@ -152,6 +134,7 @@ impl EpochHooks for Hooks<'_> {
 mod tests {
     use super::*;
     use openea_core::{EntityId, KgBuilder};
+    use openea_math::vecops;
 
     #[test]
     fn char_profiles_match_shared_literals() {
@@ -163,8 +146,8 @@ mod tests {
         b2.add_attr_triple("u", "label", "mount everest");
         let kg2 = b2.build();
         let dim = 32;
-        let p1 = char_profiles(&kg1, dim);
-        let p2 = char_profiles(&kg2, dim);
+        let p1 = literal_sum(&kg1, dim, |s| char_ngram_vector(s, dim));
+        let p2 = literal_sum(&kg2, dim, |s| char_ngram_vector(s, dim));
         let x = kg1.entity_by_name("x").unwrap();
         let y = kg1.entity_by_name("y").unwrap();
         let u = kg2.entity_by_name("u").unwrap();
@@ -180,7 +163,7 @@ mod tests {
         let mut b = KgBuilder::new("a");
         b.add_rel_triple("x", "r", "y");
         let kg = b.build();
-        let p = char_profiles(&kg, 8);
+        let p = literal_sum(&kg, 8, |s| char_ngram_vector(s, 8));
         assert!(p.iter().all(|&v| v == 0.0));
     }
 }

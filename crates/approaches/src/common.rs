@@ -603,51 +603,6 @@ pub fn entity_name_literal(kg: &KnowledgeGraph, e: EntityId) -> Option<&str> {
         .max_by_key(|s| s.chars().filter(|c| c.is_alphabetic()).count())
 }
 
-/// Literal feature vectors for every entity of a KG (unit rows; zero for
-/// entities without literals).
-pub fn literal_features(kg: &KnowledgeGraph, enc: &LiteralEncoder) -> Vec<f32> {
-    let dim = enc.dim();
-    let mut out = vec![0.0f32; kg.num_entities() * dim];
-    for e in kg.entity_ids() {
-        let attrs = kg.attrs_of(e);
-        if attrs.is_empty() {
-            continue;
-        }
-        let row = &mut out[e.idx() * dim..(e.idx() + 1) * dim];
-        for &(_, v) in attrs {
-            let lv = enc.encode(kg.literal_value(v));
-            vecops::axpy(1.0, &lv, row);
-        }
-        vecops::normalize(row);
-    }
-    out
-}
-
-/// Weighted concatenation of a structural embedding with auxiliary feature
-/// views — the inference-time combination JAPE, GCNAlign, IMUSE, KDCoE and
-/// MultiKE share. Each `dim`-wide structural row is L2-normalized then
-/// scaled by `w`; each `(features, feature_dim, weight)` view appends its
-/// matching row scaled raw (literal features are already unit rows).
-pub(crate) fn weighted_concat(
-    structure: &[f32],
-    dim: usize,
-    w: f32,
-    views: &[(&[f32], usize, f32)],
-) -> Vec<f32> {
-    let n = structure.len() / dim.max(1);
-    let out_dim = dim + views.iter().map(|&(_, d, _)| d).sum::<usize>();
-    let mut out = Vec::with_capacity(n * out_dim);
-    for i in 0..n {
-        let mut srow = structure[i * dim..(i + 1) * dim].to_vec();
-        vecops::normalize(&mut srow);
-        out.extend(srow.iter().map(|x| x * w));
-        for &(f, fd, fw) in views {
-            out.extend(f[i * fd..(i + 1) * fd].iter().map(|x| x * fw));
-        }
-    }
-    out
-}
-
 /// Reserved RNG stream tag for warm-start seeding: new entities are seeded
 /// from `stream(seed ^ WARM_SEED_STREAM, key)` where `key` identifies the
 /// entity, so the seeded bits depend only on `(run seed, entity)` — not on
@@ -910,7 +865,7 @@ mod tests {
     fn literal_features_are_unit_or_zero() {
         let p = tiny_pair();
         let enc = LiteralEncoder::new(WordVectors::hash_only(8));
-        let f = literal_features(&p.kg1, &enc);
+        let f = crate::views::literal_sum(&p.kg1, 8, |s| enc.encode(s));
         let a1 = p.kg1.entity_by_name("a1").unwrap();
         let row = &f[a1.idx() * 8..(a1.idx() + 1) * 8];
         assert!((vecops::norm2(row) - 1.0).abs() < 1e-4);

@@ -8,6 +8,7 @@
 use crate::alinet::two_hop_edges;
 use crate::common::{ApproachOutput, EpochStats, RunConfig, TrainError};
 use crate::engine::{run_driver, EpochHooks, RunContext};
+use crate::views::Fusion;
 use openea_align::Metric;
 use openea_autodiff::{Graph, SparseMatrix, Tensor, Var};
 use openea_core::{AlignedPair, FoldSplit, KgPair};
@@ -294,29 +295,27 @@ fn near_identity<R: Rng>(dim: usize, rng: &mut R) -> Tensor {
     t
 }
 
-/// Post-processing applied to every checkpoint (GCNAlign's attribute view).
-pub(crate) type Finish<'a> = Box<dyn Fn(ApproachOutput) -> ApproachOutput + 'a>;
-
-/// Runs a member of the GNN family. `build` makes its encoder, and an
-/// optional [`Finish`], from the driver RNG after the config is validated.
-/// Without relation triples (Table 8) the encoder has no graph to learn
-/// from, so the run is its untrained checkpoint.
-pub(crate) fn run_gnn<'a>(
+/// Runs a member of the GNN family. `build` makes its encoder, and the
+/// [`Fusion`] of every checkpoint (GCNAlign's attribute view), from the
+/// driver RNG after the config is validated. Without relation triples
+/// (Table 8) the encoder has no graph to learn from, so the run is its
+/// untrained checkpoint.
+pub(crate) fn run_gnn(
     label: &str,
-    split: &'a FoldSplit,
-    cfg: &'a RunConfig,
+    split: &FoldSplit,
+    cfg: &RunConfig,
     ctx: &RunContext<'_>,
-    build: impl FnOnce(&mut SmallRng) -> (GcnEncoder, Option<Finish<'a>>),
+    build: impl FnOnce(&mut SmallRng) -> (GcnEncoder, Fusion),
 ) -> Result<ApproachOutput, TrainError> {
     cfg.validate()?;
     let mut rng = ctx.driver_rng();
-    let (model, finish) = build(&mut rng);
+    let (model, fusion) = build(&mut rng);
     let mut hooks = GnnHooks {
         cfg,
         seeds: &split.train,
         model,
         rng,
-        finish,
+        fusion,
     };
     if !cfg.use_relations {
         return Ok(hooks.checkpoint(ctx));
@@ -332,7 +331,7 @@ struct GnnHooks<'a> {
     seeds: &'a [AlignedPair],
     model: GcnEncoder,
     rng: SmallRng,
-    finish: Option<Finish<'a>>,
+    fusion: Fusion,
 }
 
 impl EpochHooks for GnnHooks<'_> {
@@ -353,11 +352,7 @@ impl EpochHooks for GnnHooks<'_> {
     }
 
     fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        let out = self.model.output();
-        match &self.finish {
-            Some(f) => f(out),
-            None => out,
-        }
+        self.fusion.apply(self.model.output())
     }
 }
 

@@ -5,8 +5,8 @@
 
 use crate::common::{Approach, ApproachOutput, Req, Requirements, RunConfig, TrainError};
 use crate::engine::RunContext;
-use crate::gcn::{run_gnn, Finish, GcnEncoder};
-use crate::jape::{attr_features, with_attr_view};
+use crate::gcn::{run_gnn, GcnEncoder};
+use crate::jape::attr_fusion;
 use openea_core::{FoldSplit, KgPair};
 
 /// GCNAlign.
@@ -40,14 +40,10 @@ impl Approach for GcnAlign {
         cfg: &RunConfig,
         ctx: &RunContext<'_>,
     ) -> Result<ApproachOutput, TrainError> {
-        let structure_weight = self.structure_weight;
         run_gnn(self.name(), split, cfg, ctx, |rng| {
             let enc = GcnEncoder::new(pair, None, cfg.dim, false, false, true, rng);
             // Attribute view: JAPE's AC2Vec, drawn after the encoder.
-            let attr = cfg.use_attributes.then(|| attr_features(pair, cfg, rng));
-            let finish: Finish =
-                Box::new(move |out| with_attr_view(out, attr.as_ref(), cfg.dim, structure_weight));
-            (enc, Some(finish))
+            (enc, attr_fusion(pair, cfg, self.structure_weight, rng))
         })
     }
 }

@@ -6,13 +6,12 @@
 //! only *augments* it (and the errors it introduces can hurt).
 
 use crate::common::{
-    weighted_concat, Approach, ApproachOutput, Combination, EpochStats, Requirements, RunConfig,
-    TrainError, UnifiedSpace, UnifiedTransE,
+    Approach, ApproachOutput, Combination, Requirements, RunConfig, TrainError, UnifiedSpace,
+    UnifiedTransE,
 };
-use crate::engine::{run_driver, EpochHooks, RunContext, WarmStart};
-use openea_align::{greedy_collective, Metric, SimilarityMatrix};
+use crate::engine::{run_driver, RunContext};
+use crate::views::{literal_sum, FusedTransE, Fusion, View};
 use openea_core::{AlignedPair, EntityId, FoldSplit, KgPair, KnowledgeGraph};
-use openea_models::{RelationModel, TransE};
 use std::collections::{HashMap, HashSet};
 
 /// Finds candidate pairs by shared literal values, scores them by weighted
@@ -44,9 +43,10 @@ pub fn string_match_seeds(
             }
         }
     }
-    // Greedy 1-to-1 by descending score.
+    // Greedy 1-to-1 by descending score, ties by ids (the map's iteration
+    // order differs from run to run).
     let mut ranked: Vec<((EntityId, EntityId), f32)> = scores.into_iter().collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
     let mut used1 = HashSet::new();
     let mut used2 = HashSet::new();
     let mut out = Vec::new();
@@ -110,87 +110,22 @@ impl Approach for Imuse {
         let space = UnifiedSpace::build(pair, &seeds, Combination::Sharing);
         let base = UnifiedTransE::new(space, cfg, ctx.driver_rng());
 
-        // Attribute view: literal features through the (word-vector) encoder.
+        // Attribute view: literal features through the (word-vector) encoder,
+        // merged with the relation view under cosine.
         let enc = cfg.literal_encoder();
-        let attr1 = cfg
-            .use_attributes
-            .then(|| crate::common::literal_features(&pair.kg1, &enc));
-        let attr2 = cfg
-            .use_attributes
-            .then(|| crate::common::literal_features(&pair.kg2, &enc));
-
-        let mut hooks = Hooks {
-            approach: self,
-            cfg,
-            base,
-            attr1,
-            attr2,
+        let d = enc.dim();
+        let literals = cfg.use_attributes.then(|| {
+            View::of(pair, d, 1.0 - self.rel_weight, |kg| {
+                literal_sum(kg, d, |s| enc.encode(s))
+            })
+        });
+        let fusion = Fusion {
+            structure_weight: self.rel_weight,
+            views: literals.into_iter().collect(),
         };
+        let mut hooks = FusedTransE { cfg, base, fusion };
         run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)
     }
-}
-
-struct Hooks<'a> {
-    approach: &'a Imuse,
-    cfg: &'a RunConfig,
-    base: UnifiedTransE,
-    attr1: Option<Vec<f32>>,
-    attr2: Option<Vec<f32>>,
-}
-
-impl EpochHooks for Hooks<'_> {
-    fn warm_start(&mut self, warm: &WarmStart<'_>, ctx: &RunContext<'_>) -> bool {
-        self.base.warm_start(warm, ctx)
-    }
-
-    fn train_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
-        // Attribute-only mode still needs *some* embedding: entities keep
-        // their initialization; only the combination matters.
-        self.base.train_epoch(self.cfg)
-    }
-
-    fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        self.approach.output(
-            &self.base.space,
-            &self.base.model,
-            self.attr1.as_deref(),
-            self.attr2.as_deref(),
-            self.cfg,
-        )
-    }
-}
-
-impl Imuse {
-    fn output(
-        &self,
-        space: &UnifiedSpace,
-        model: &TransE,
-        attr1: Option<&[f32]>,
-        attr2: Option<&[f32]>,
-        cfg: &RunConfig,
-    ) -> ApproachOutput {
-        let (s1, s2) = space.extract(model.entities());
-        match (attr1, attr2) {
-            // Weighted concatenation realizes the relation/attribute
-            // similarity merge under cosine.
-            (Some(a1), Some(a2)) => {
-                let (wr, wa) = (self.rel_weight, 1.0 - self.rel_weight);
-                let enc_dim = a1.len() / (s1.len() / cfg.dim).max(1);
-                ApproachOutput::new(
-                    cfg.dim + enc_dim,
-                    Metric::Cosine,
-                    weighted_concat(&s1, cfg.dim, wr, &[(a1, enc_dim, wa)]),
-                    weighted_concat(&s2, cfg.dim, wr, &[(a2, enc_dim, wa)]),
-                )
-            }
-            _ => ApproachOutput::new(cfg.dim, Metric::Cosine, s1, s2),
-        }
-    }
-}
-
-/// Greedy-collective match over a similarity matrix, exposed for tests.
-pub fn one_to_one(sim: &SimilarityMatrix) -> Vec<Option<usize>> {
-    greedy_collective(sim)
 }
 
 #[cfg(test)]
@@ -229,6 +164,22 @@ mod tests {
             seeds.is_empty(),
             "shared common value must not create seeds"
         );
+    }
+
+    #[test]
+    fn tied_conflicting_seeds_resolve_by_ids() {
+        let mut b1 = KgBuilder::new("a");
+        b1.add_attr_triple("x", "name", "val shared");
+        b1.add_attr_triple("y", "name", "val shared");
+        let mut b2 = KgBuilder::new("b");
+        b2.add_attr_triple("u", "label", "val shared");
+        let (kg1, kg2) = (b1.build(), b2.build());
+        let x = kg1.entity_by_name("x").unwrap();
+        let u = kg2.entity_by_name("u").unwrap();
+        // x and y both score 1.0 against u; each call hashes afresh.
+        for _ in 0..20 {
+            assert_eq!(string_match_seeds(&kg1, &kg2, 0.5), [(x, u)]);
+        }
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! the attribute signal is weak, exactly the behaviour Figure 6 reports.
 
 use crate::common::{
-    weighted_concat, Approach, ApproachOutput, Combination, EpochStats, Req, Requirements,
-    RunConfig, TrainError, UnifiedSpace, UnifiedTransE,
+    Approach, ApproachOutput, Combination, Req, Requirements, RunConfig, TrainError, UnifiedSpace,
+    UnifiedTransE,
 };
-use crate::engine::{run_driver, EpochHooks, RunContext, WarmStart};
-use openea_align::Metric;
+use crate::engine::{run_driver, RunContext};
+use crate::views::{FusedTransE, Fusion, View};
 use openea_core::{AttributeId, FoldSplit, KgPair, KnowledgeGraph};
 use openea_models::AttrCorrelationModel;
 use openea_runtime::rng::Rng;
@@ -59,46 +59,36 @@ pub fn entity_attr_sets(kg: &KnowledgeGraph, map: &[u32]) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// Per-KG attribute-correlation feature vectors (row-major, `dim` wide).
-pub(crate) type AttrFeatures = (Vec<f32>, Vec<f32>);
-
-/// The AC2Vec attribute view (JAPE's, and GCNAlign's): an
-/// attribute-correlation model trained on both KGs' attribute sets, drawing
-/// from `rng`, and every entity's `cfg.dim`-wide feature under it.
-pub(crate) fn attr_features<R: Rng>(pair: &KgPair, cfg: &RunConfig, rng: &mut R) -> AttrFeatures {
-    let (map1, map2, num_attrs) = unify_attributes(&pair.kg1, &pair.kg2);
-    let sets1 = entity_attr_sets(&pair.kg1, &map1);
-    let sets2 = entity_attr_sets(&pair.kg2, &map2);
-    let mut all_sets = sets1.clone();
-    all_sets.extend(sets2.iter().cloned());
-    let mut ac = AttrCorrelationModel::new(num_attrs.max(2), cfg.dim, rng);
-    ac.train(&all_sets, 4, cfg.lr, rng);
-    let f1: Vec<f32> = sets1.iter().flat_map(|s| ac.entity_feature(s)).collect();
-    let f2: Vec<f32> = sets2.iter().flat_map(|s| ac.entity_feature(s)).collect();
-    (f1, f2)
-}
-
-/// Combines a structural output with the `attr_dim`-wide attribute view by
-/// weighted concatenation, under the structure's metric (which over the
-/// concat realizes the paper's weighted similarity combination). Without a
-/// view the structure is returned as it is.
-pub(crate) fn with_attr_view(
-    structure: ApproachOutput,
-    attr: Option<&AttrFeatures>,
-    attr_dim: usize,
+/// The fusion of JAPE and GCNAlign: the structure at `structure_weight`
+/// and, under `cfg.use_attributes`, the AC2Vec attribute view at the rest —
+/// an attribute-correlation model trained on both KGs' attribute sets,
+/// drawing from `rng`, and every entity's `cfg.dim`-wide feature under it.
+pub(crate) fn attr_fusion<R: Rng>(
+    pair: &KgPair,
+    cfg: &RunConfig,
     structure_weight: f32,
-) -> ApproachOutput {
-    let Some((f1, f2)) = attr else {
-        return structure;
-    };
-    let sdim = structure.dim;
-    let (ws, wa) = (structure_weight, 1.0 - structure_weight);
-    ApproachOutput::new(
-        sdim + attr_dim,
-        structure.metric,
-        weighted_concat(&structure.emb1, sdim, ws, &[(f1, attr_dim, wa)]),
-        weighted_concat(&structure.emb2, sdim, ws, &[(f2, attr_dim, wa)]),
-    )
+    rng: &mut R,
+) -> Fusion {
+    let views = cfg.use_attributes.then(|| {
+        let (map1, map2, num_attrs) = unify_attributes(&pair.kg1, &pair.kg2);
+        let sets1 = entity_attr_sets(&pair.kg1, &map1);
+        let sets2 = entity_attr_sets(&pair.kg2, &map2);
+        let mut all_sets = sets1.clone();
+        all_sets.extend(sets2.iter().cloned());
+        let mut ac = AttrCorrelationModel::new(num_attrs.max(2), cfg.dim, rng);
+        ac.train(&all_sets, 4, cfg.lr, rng);
+        let features = |sets: &[Vec<u32>]| sets.iter().flat_map(|s| ac.entity_feature(s)).collect();
+        View {
+            rows1: features(&sets1),
+            rows2: features(&sets2),
+            dim: cfg.dim,
+            weight: 1.0 - structure_weight,
+        }
+    });
+    Fusion {
+        structure_weight,
+        views: views.into_iter().collect(),
+    }
 }
 
 /// JAPE.
@@ -134,46 +124,11 @@ impl Approach for Jape {
     ) -> Result<ApproachOutput, TrainError> {
         let space = UnifiedSpace::build(pair, &split.train, Combination::Sharing);
         let mut base = UnifiedTransE::new(space, cfg, ctx.driver_rng());
-
-        // Attribute-correlation view (drawing from the driver RNG after
-        // model init, as the pre-engine driver did).
-        let attr_features = cfg
-            .use_attributes
-            .then(|| attr_features(pair, cfg, &mut base.rng));
-        let mut hooks = Hooks {
-            structure_weight: self.structure_weight,
-            cfg,
-            base,
-            attr_features,
-        };
+        // The attribute view draws from the driver RNG after model init, as
+        // the pre-engine driver did.
+        let fusion = attr_fusion(pair, cfg, self.structure_weight, &mut base.rng);
+        let mut hooks = FusedTransE { cfg, base, fusion };
         run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)
-    }
-}
-
-struct Hooks<'a> {
-    structure_weight: f32,
-    cfg: &'a RunConfig,
-    base: UnifiedTransE,
-    attr_features: Option<AttrFeatures>,
-}
-
-impl EpochHooks for Hooks<'_> {
-    fn warm_start(&mut self, warm: &WarmStart<'_>, ctx: &RunContext<'_>) -> bool {
-        self.base.warm_start(warm, ctx)
-    }
-
-    fn train_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
-        self.base.train_epoch(self.cfg)
-    }
-
-    fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        let structure = self.base.output(Metric::Cosine);
-        with_attr_view(
-            structure,
-            self.attr_features.as_ref(),
-            self.cfg.dim,
-            self.structure_weight,
-        )
     }
 }
 

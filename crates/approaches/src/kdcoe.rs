@@ -10,30 +10,22 @@
 
 use crate::boot::{propose_edited, Candidates, Ledger};
 use crate::common::{
-    entity_literal_text, gather_rows, weighted_concat, Approach, ApproachOutput, EpochStats,
-    Requirements, RunConfig, TrainError,
+    entity_literal_text, gather_rows, Approach, ApproachOutput, EpochStats, Requirements,
+    RunConfig, TrainError,
 };
 use crate::engine::{run_driver, EpochHooks, RunContext};
 use crate::transformation::TransformationCore;
+use crate::views::{optional_rows, Fusion, View};
 use openea_align::Metric;
 use openea_core::{AlignedPair, EntityId, FoldSplit, KgPair, KnowledgeGraph};
 use openea_models::literal::LiteralEncoder;
 use openea_models::{RelationModel, TransE};
 
-/// Description vectors for every entity (unit rows; zero when the entity has
-/// no literals, i.e. "lacks a textual description").
-pub fn description_vectors(kg: &KnowledgeGraph, enc: &LiteralEncoder) -> Vec<f32> {
-    let dim = enc.dim();
-    let mut out = vec![0.0f32; kg.num_entities() * dim];
-    for e in kg.entity_ids() {
-        let text = entity_literal_text(kg, e);
-        if text.is_empty() {
-            continue;
-        }
-        let v = enc.encode(&text);
-        out[e.idx() * dim..(e.idx() + 1) * dim].copy_from_slice(&v);
-    }
-    out
+/// An entity's textual description encoded to a unit row, or `None` when
+/// it has no literals, i.e. "lacks a textual description".
+fn description(kg: &KnowledgeGraph, enc: &LiteralEncoder, e: EntityId) -> Option<Vec<f32>> {
+    let text = entity_literal_text(kg, e);
+    (!text.is_empty()).then(|| enc.encode(&text))
 }
 
 /// KDCoE.
@@ -90,19 +82,22 @@ impl Approach for KdCoe {
 
         // Description view (fixed encodings — the co-trained "other" model).
         let enc = cfg.literal_encoder();
+        let d = enc.dim();
         let desc = cfg.use_attributes.then(|| {
-            (
-                description_vectors(&pair.kg1, &enc),
-                description_vectors(&pair.kg2, &enc),
-            )
+            View::of(pair, d, self.desc_weight, |kg| {
+                optional_rows(kg, d, |e| description(kg, &enc, e))
+            })
         });
+        let fusion = Fusion {
+            structure_weight: 1.0 - self.desc_weight,
+            views: desc.into_iter().collect(),
+        };
 
         let mut hooks = Hooks {
             approach: self,
             cfg,
             core,
-            enc,
-            desc,
+            fusion,
             seeds: &split.train,
             ledger: Ledger::scored(pair, &split.train),
         };
@@ -120,8 +115,8 @@ struct Hooks<'a> {
     approach: &'a KdCoe,
     cfg: &'a RunConfig,
     core: TransformationCore,
-    enc: LiteralEncoder,
-    desc: Option<(Vec<f32>, Vec<f32>)>,
+    /// The description view, if any, fused onto every checkpoint.
+    fusion: Fusion,
     seeds: &'a [AlignedPair],
     ledger: Ledger,
 }
@@ -140,8 +135,8 @@ impl EpochHooks for Hooks<'_> {
             let threads = self.cfg.threads;
             // Description view proposes (only entities with descriptions).
             let mut new_pairs = Vec::new();
-            if let Some((d1, d2)) = &self.desc {
-                let dim = self.enc.dim();
+            if let Some(desc) = self.fusion.views.first() {
+                let (d1, d2, dim) = (&desc.rows1, &desc.rows2, desc.dim);
                 let described = |ids: &[EntityId], d: &[f32]| -> Vec<EntityId> {
                     ids.iter()
                         .copied()
@@ -179,32 +174,8 @@ impl EpochHooks for Hooks<'_> {
     }
 
     fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        self.approach
-            .combined_output(&self.core, self.desc.as_ref(), &self.enc, self.cfg)
-    }
-}
-
-impl KdCoe {
-    fn combined_output(
-        &self,
-        core: &TransformationCore,
-        desc: Option<&(Vec<f32>, Vec<f32>)>,
-        enc: &LiteralEncoder,
-        cfg: &RunConfig,
-    ) -> ApproachOutput {
-        let rel = core.output(cfg, Metric::Euclidean);
-        match desc {
-            None => rel,
-            Some((d1, d2)) => {
-                let (enc_dim, w) = (enc.dim(), self.desc_weight);
-                ApproachOutput::new(
-                    cfg.dim + enc_dim,
-                    Metric::Euclidean,
-                    weighted_concat(&rel.emb1, cfg.dim, 1.0 - w, &[(d1, enc_dim, w)]),
-                    weighted_concat(&rel.emb2, cfg.dim, 1.0 - w, &[(d2, enc_dim, w)]),
-                )
-            }
-        }
+        let relation = self.core.output(self.cfg, Metric::Euclidean);
+        self.fusion.apply(relation)
     }
 }
 
@@ -222,7 +193,7 @@ mod tests {
         b.add_attr_triple("x", "desc", "a city in the alps");
         let kg = b.build();
         let enc = LiteralEncoder::new(WordVectors::hash_only(16));
-        let d = description_vectors(&kg, &enc);
+        let d = optional_rows(&kg, 16, |e| description(&kg, &enc, e));
         let x = kg.entity_by_name("x").unwrap();
         let y = kg.entity_by_name("y").unwrap();
         assert!(vecops::norm2(&d[x.idx() * 16..(x.idx() + 1) * 16]) > 0.9);
@@ -241,8 +212,8 @@ mod tests {
         let kg1 = b1.build();
         let kg2 = b2.build();
         let enc = LiteralEncoder::new(WordVectors::hash_only(32));
-        let d1 = description_vectors(&kg1, &enc);
-        let d2 = description_vectors(&kg2, &enc);
+        let d1 = optional_rows(&kg1, 32, |e| description(&kg1, &enc, e));
+        let d2 = optional_rows(&kg2, 32, |e| description(&kg2, &enc, e));
         let x = kg1.entity_by_name("x").unwrap();
         let u = kg2.entity_by_name("u").unwrap();
         let w = kg2.entity_by_name("w").unwrap();

@@ -40,6 +40,7 @@ pub mod rsn4ea;
 pub mod sea;
 pub mod transformation;
 pub mod unsupervised;
+mod views;
 
 pub use common::{
     evaluate_output, Approach, ApproachOutput, Req, Requirements, RunConfig, StopReason,

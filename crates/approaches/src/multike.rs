@@ -7,14 +7,12 @@
 //! sweet spot). Cosine metric, supervised.
 
 use crate::common::{
-    entity_name_literal, literal_features, weighted_concat, Approach, ApproachOutput, Combination,
-    EpochStats, Req, Requirements, RunConfig, TrainError, UnifiedSpace, UnifiedTransE,
+    entity_name_literal, Approach, ApproachOutput, Combination, Req, Requirements, RunConfig,
+    TrainError, UnifiedSpace, UnifiedTransE,
 };
-use crate::engine::{run_driver, EpochHooks, RunContext, WarmStart};
-use openea_align::Metric;
-use openea_core::{FoldSplit, KgPair, KnowledgeGraph};
-use openea_models::literal::LiteralEncoder;
-use openea_models::{RelationModel, TransE};
+use crate::engine::{run_driver, RunContext};
+use crate::views::{literal_sum, optional_rows, FusedTransE, Fusion, View};
+use openea_core::{FoldSplit, KgPair};
 
 /// MultiKE view weights.
 pub struct MultiKe {
@@ -31,19 +29,6 @@ impl Default for MultiKe {
             attr_weight: 0.2,
         }
     }
-}
-
-/// Name-view features for one KG.
-fn name_view(kg: &KnowledgeGraph, enc: &LiteralEncoder) -> Vec<f32> {
-    let dim = enc.dim();
-    let mut out = Vec::with_capacity(kg.num_entities() * dim);
-    for e in kg.entity_ids() {
-        match entity_name_literal(kg, e) {
-            Some(name) => out.extend(enc.encode(name)),
-            None => out.extend(std::iter::repeat_n(0.0, dim)),
-        }
-    }
-    out
 }
 
 impl Approach for MultiKe {
@@ -66,71 +51,6 @@ impl Approach for MultiKe {
         ctx: &RunContext<'_>,
     ) -> Result<ApproachOutput, TrainError> {
         let space = UnifiedSpace::build(pair, &split.train, Combination::Swapping);
-        let enc = cfg.literal_encoder();
-        let views = cfg.use_attributes.then(|| {
-            (
-                name_view(&pair.kg1, &enc),
-                name_view(&pair.kg2, &enc),
-                literal_features(&pair.kg1, &enc),
-                literal_features(&pair.kg2, &enc),
-            )
-        });
-
-        let mut hooks = Hooks {
-            approach: self,
-            cfg,
-            base: UnifiedTransE::new(space, cfg, ctx.driver_rng()),
-            enc,
-            views,
-        };
-        run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)
-    }
-}
-
-struct Hooks<'a> {
-    approach: &'a MultiKe,
-    cfg: &'a RunConfig,
-    base: UnifiedTransE,
-    enc: LiteralEncoder,
-    #[allow(clippy::type_complexity)]
-    views: Option<(Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>)>,
-}
-
-impl EpochHooks for Hooks<'_> {
-    fn warm_start(&mut self, warm: &WarmStart<'_>, ctx: &RunContext<'_>) -> bool {
-        self.base.warm_start(warm, ctx)
-    }
-
-    fn train_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
-        self.base.train_epoch(self.cfg)
-    }
-
-    fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        self.approach.combine(
-            &self.base.space,
-            &self.base.model,
-            self.views.as_ref(),
-            &self.enc,
-            self.cfg,
-        )
-    }
-}
-
-impl MultiKe {
-    #[allow(clippy::type_complexity)]
-    fn combine(
-        &self,
-        space: &UnifiedSpace,
-        model: &TransE,
-        views: Option<&(Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>)>,
-        enc: &LiteralEncoder,
-        cfg: &RunConfig,
-    ) -> ApproachOutput {
-        let (s1, s2) = space.extract(model.entities());
-        let Some((n1, n2, a1, a2)) = views else {
-            return ApproachOutput::new(cfg.dim, Metric::Cosine, s1, s2);
-        };
-        let enc_dim = enc.dim();
         let (wn, wr, wa) = if cfg.use_relations {
             (self.name_weight, self.relation_weight, self.attr_weight)
         } else {
@@ -138,14 +58,27 @@ impl MultiKe {
             let z = self.name_weight + self.attr_weight;
             (self.name_weight / z, 0.0, self.attr_weight / z)
         };
-        let v1 = [(&n1[..], enc_dim, wn), (&a1[..], enc_dim, wa)];
-        let v2 = [(&n2[..], enc_dim, wn), (&a2[..], enc_dim, wa)];
-        ApproachOutput::new(
-            cfg.dim + 2 * enc_dim,
-            Metric::Cosine,
-            weighted_concat(&s1, cfg.dim, wr, &v1),
-            weighted_concat(&s2, cfg.dim, wr, &v2),
-        )
+        let enc = cfg.literal_encoder();
+        let d = enc.dim();
+        let views = if cfg.use_attributes {
+            vec![
+                View::of(pair, d, wn, |kg| {
+                    optional_rows(kg, d, |e| entity_name_literal(kg, e).map(|s| enc.encode(s)))
+                }),
+                View::of(pair, d, wa, |kg| literal_sum(kg, d, |s| enc.encode(s))),
+            ]
+        } else {
+            Vec::new()
+        };
+        let mut hooks = FusedTransE {
+            cfg,
+            base: UnifiedTransE::new(space, cfg, ctx.driver_rng()),
+            fusion: Fusion {
+                structure_weight: wr,
+                views,
+            },
+        };
+        run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)
     }
 }
 

@@ -5,13 +5,11 @@
 //! relation-rarity-weighted union graph refines them structurally. Margin
 //! calibration loss, Manhattan metric, supervised.
 
-use crate::common::{
-    literal_features, Approach, ApproachOutput, Req, Requirements, RunConfig, TrainError,
-};
+use crate::common::{Approach, ApproachOutput, Req, Requirements, RunConfig, TrainError};
 use crate::engine::RunContext;
 use crate::gcn::{run_gnn, GcnEncoder};
-use openea_core::{FoldSplit, KgPair};
-use openea_models::literal::LiteralEncoder;
+use crate::views::{literal_sum, Fusion};
+use openea_core::{FoldSplit, KgPair, KnowledgeGraph};
 
 /// RDGCN.
 #[derive(Default)]
@@ -42,13 +40,14 @@ impl Approach for Rdgcn {
             // (without attribute/literal information) falls back to random
             // trainable features.
             let features = cfg.use_attributes.then(|| {
-                let enc = LiteralEncoder::new(cfg.word_vectors.clone());
+                let enc = cfg.literal_encoder();
                 // Full literal profiles are stabler than the single name
                 // literal under value noise (the name heuristic can pick
                 // different literals on the two sides); they carry the same
                 // signal.
-                let mut f = literal_features(&pair.kg1, &enc);
-                f.extend(literal_features(&pair.kg2, &enc));
+                let profiles = |kg: &KnowledgeGraph| literal_sum(kg, enc.dim(), |s| enc.encode(s));
+                let mut f = profiles(&pair.kg1);
+                f.extend(profiles(&pair.kg2));
                 // Truncate or zero-pad the encoder's rows to cfg.dim (they
                 // match by default).
                 if enc.dim() == cfg.dim {
@@ -70,7 +69,7 @@ impl Approach for Rdgcn {
             // Table 8.
             let highway = features.is_some();
             let enc = GcnEncoder::new(pair, features, cfg.dim, true, highway, trainable, rng);
-            (enc, None)
+            (enc, Fusion::default())
         })
     }
 }

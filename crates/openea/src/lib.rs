@@ -33,7 +33,7 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`core`] | KG data model, dataset I/O, folds, statistics |
-//! | [`graph`] | PageRank, clustering coefficient, random walks |
+//! | [`graph`] | PageRank, clustering coefficient |
 //! | [`synth`] | synthetic source-KG generation (DBpedia/Wikidata/YAGO stand-ins) |
 //! | [`sampling`] | IDS (Algorithm 1), RAS, PRS, Table-3 quality report |
 //! | [`math`] | embedding tables, losses, negative sampling |

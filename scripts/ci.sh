@@ -57,7 +57,9 @@ cargo test --release --offline -p openea --test kernel_conformance --test kernel
 # `boot::proptests`). Beside them, the pins of what the embedding hashes do
 # not see: the Figure-7 curves of IPTransE, BootEA and KDCoE bit for bit,
 # the unsupervised pipeline's predicted alignment, and BootEA's and KDCoE's
-# proposals reaching an output hash. Then the generator's own unit tests: the
+# proposals reaching an output hash, and the side-view drivers' ablation
+# paths (`VIEW_ABLATION_GOLDEN`: structure only, and untrained structure fused
+# with the views). Then the generator's own unit tests: the
 # latent world's pin and the number and date renderers against `core::fmt`,
 # under the code generation that ships. Beside `generation_memory`, the
 # autodiff tape's gate: `GcnEncoder::step`'s loss bits and allocator calls on
@@ -68,7 +70,8 @@ cargo test --release --offline -p openea --test synth_pins --test kg_model --tes
     --test generation_memory --test autodiff_memory
 cargo test --release --offline -p openea-approaches --lib -- \
     engine::tests common::proptests::validation_in_place boot::proptests
-cargo test --release --offline -p openea --test approach_matrix -- self_training::
+cargo test --release --offline -p openea --test approach_matrix -- self_training:: \
+    view_ablation_hashes
 cargo test --release --offline -p openea-synth --lib
 
 # Reactor soak slice: the end-to-end serving suite five more times with every
