@@ -150,30 +150,32 @@ impl GcnEncoder {
 
     /// Resets the tape and tapes the forward pass over the current
     /// parameters: the node embeddings, and the leaves `[x, w1, w2]` and `wg`.
+    /// The features are lent to the tape, not copied: until the caller takes
+    /// them back with `take_value(x)`, `self.x` is empty.
     fn forward(&mut self) -> (Var, [Var; 3], Option<Var>) {
         self.graph.reset();
         let g = &mut self.graph;
-        let x = g.leaf_from(&self.x);
+        let x = g.leaf(std::mem::replace(&mut self.x, Tensor::zeros(0, 0)));
         let w1 = g.leaf_from(&self.w1);
         let w2 = g.leaf_from(&self.w2);
         let wg = self.wg.as_ref().map(|t| g.leaf_from(t));
         let h = match self.layers {
             Layers::Gcn { adj } => {
-                let p1 = propagate(g, adj, x, w1);
+                let p1 = g.propagate(adj, x, w1);
                 let mut h1 = g.tanh(p1);
                 if let Some(wg) = wg {
                     h1 = blend(g, x, wg, h1);
                 }
-                let h2 = propagate(g, adj, h1, w2);
+                let h2 = g.propagate(adj, h1, w2);
                 match wg {
                     Some(wg) => blend(g, x, wg, h2),
                     None => h2,
                 }
             }
             Layers::AliNet { one_hop, two_hop } => {
-                let p1 = propagate(g, one_hop, x, w1);
+                let p1 = g.propagate(one_hop, x, w1);
                 let h1 = g.tanh(p1);
-                let p2 = propagate(g, two_hop, x, w2);
+                let p2 = g.propagate(two_hop, x, w2);
                 let h2 = g.tanh(p2);
                 blend(g, h1, wg.expect("AliNet's layer is gated"), h2)
             }
@@ -231,6 +233,7 @@ impl GcnEncoder {
         let loss = g.mean(hinge);
         let lv = g.value(loss).item();
         g.backward(loss);
+        self.x = g.take_value(x);
 
         let apply = |param: &mut Tensor, grad: &Tensor| {
             for (p, gg) in param.data.iter_mut().zip(&grad.data) {
@@ -252,26 +255,22 @@ impl GcnEncoder {
     /// Manhattan comparisons then measure direction, not magnitude (GNN
     /// outputs have uninformative norms).
     pub fn output(&mut self) -> ApproachOutput {
-        let (h, ..) = self.forward();
-        let hv = self.graph.value(h);
-        let dim = hv.cols;
-        let mut emb1 = hv.data[..self.n1 * dim].to_vec();
-        let mut emb2 = hv.data[self.n1 * dim..].to_vec();
+        let (h, [x, ..], _) = self.forward();
+        self.x = self.graph.take_value(x);
+        let h = self.graph.take_value(h);
+        // A checkpoint is a pause: what follows (validation, the snapshot,
+        // or the publish after the last one) should not run on top of a
+        // pool of step buffers, and neither should the copies below. The
+        // next step re-warms it.
+        self.graph.release();
+        let dim = h.cols;
+        let mut emb1 = h.data[..self.n1 * dim].to_vec();
+        let mut emb2 = h.data[self.n1 * dim..].to_vec();
         for row in emb1.chunks_mut(dim).chain(emb2.chunks_mut(dim)) {
             openea_math::vecops::normalize(row);
         }
-        // A checkpoint is a pause: what follows (validation, the snapshot,
-        // or the publish after the last one) should not run on top of a
-        // pool of step buffers. The next step re-warms it.
-        self.graph.release();
         ApproachOutput::new(dim, Metric::Manhattan, emb1, emb2)
     }
-}
-
-/// `Â·H·W`: one propagation over the adjacency `adj`.
-fn propagate(g: &mut Graph, adj: usize, h: Var, w: Var) -> Var {
-    let hw = g.matmul(h, w);
-    g.spmm(adj, hw)
 }
 
 /// The gated blend `s ⊙ a + (1 − s) ⊙ b` with `s = σ(a·W_g)` per dimension.

@@ -27,13 +27,25 @@
 //! its memory: every value and gradient is drawn from a pool of free buffers
 //! keyed by exact length, [`Graph::reset`] hands every buffer back instead of
 //! dropping it, and a tape that is reset and rebuilt with the shapes of the
-//! step before asks the allocator for nothing. (A buffer the caller moved in
-//! through [`Graph::leaf`] is the exception: it is dropped at `reset`, or a
-//! leaf per step would grow the pool by one buffer per step. Parameters go
-//! in through [`Graph::leaf_from`], which copies into a pooled buffer.) The
-//! pool holds the most buffers of each length the tape has had in use at
-//! once, until [`Graph::release`] gives them back to the allocator — which
-//! is for the moments a tape pauses, such as a checkpoint between steps.
+//! step before asks the allocator for nothing. The pool holds the most
+//! buffers of each length the tape has had in use at once, until
+//! [`Graph::release`] gives them back to the allocator — which is for the
+//! moments a tape pauses, such as a checkpoint between steps. Three things
+//! keep buffers off the tape that no backward step would read:
+//!
+//! * **Transient products.** [`Graph::propagate`] is `Â·(H·W)` as one node:
+//!   `H·W` is made in a pooled scratch buffer and handed back before the
+//!   node is pushed, because `spmm`'s step needs its shape only.
+//! * **Lent leaves.** A tensor moved in through [`Graph::leaf`] is not
+//!   pooled: it is dropped at `reset`, or a leaf per step would grow the pool
+//!   by one buffer per step. A caller that keeps the tensor — a model's
+//!   features between steps — lends it instead of copying it: `leaf(t)`,
+//!   then [`Graph::take_value`] before the next `reset`. The leaf's gradient
+//!   stays readable after the value has gone back. (A parameter the caller
+//!   cannot move goes in through [`Graph::leaf_from`], a pooled copy.)
+//! * **Moved-out values.** `take_value` on any node moves its buffer out
+//!   without a copy, so a result can outlive [`Graph::release`] and be
+//!   post-processed without the pool still held under it.
 //!
 //! # What can be read after `backward`
 //!
@@ -43,9 +55,9 @@
 //! 1. Before the sweep, the value of every interior node that no backward
 //!    step reads returns to the pool. Most steps need only the *shape* of
 //!    what they touch (`add`, `spmm`, `gather`, the reductions, …); the
-//!    values that are read — both factors of a product, the input of `relu`
-//!    and `abs`, the output of `tanh` and `sigmoid` — are marked as the tape
-//!    is built (`Op::reads`).
+//!    values that are read — both factors of a product (`propagate`'s `H`
+//!    and `W`), the input of `relu` and `abs`, the output of `tanh` and
+//!    `sigmoid` — are marked as the tape is built (`Op::reads`).
 //! 2. When the sweep has run the step of an interior node, that node's
 //!    gradient is complete and has been passed on, and nothing later in the
 //!    sweep reads its value: its consumers were appended after it, so they
@@ -61,6 +73,9 @@
 //! * [`Graph::value`] is defined for **leaves** and for **`t`**;
 //! * reading any other node **panics** with a message that says its buffers
 //!   were recycled — never stale numbers or zeros;
+//! * a value moved out by [`Graph::take_value`], before or after `backward`,
+//!   panics the same way when read; a leaf's gradient is the exception and
+//!   stays readable;
 //! * a tape takes one `backward` between resets; read interior values (a
 //!   prediction, a second loss) before calling it.
 //!
@@ -97,6 +112,8 @@ enum Op {
     Matmul(Var, Var),
     /// Constant sparse matrix × dense var.
     Spmm(usize, Var),
+    /// `Â·(H·W)`: one graph propagation, the product `H·W` not kept.
+    Propagate(usize, Var, Var),
     Gather(Var, Vec<u32>),
     Sigmoid(Var),
     Tanh(Var),
@@ -127,9 +144,11 @@ enum Op {
 enum Held {
     /// Drawn from the pool; returns to it.
     Pooled,
-    /// Moved in by the caller of [`Graph::leaf`]; dropped.
+    /// Moved in by the caller of [`Graph::leaf`]; dropped, unless
+    /// [`Graph::take_value`] hands it back first.
     Foreign,
-    /// Already back in the pool: `backward` has passed this interior node.
+    /// Gone: back in the pool once `backward` has passed this interior
+    /// node, or moved out by [`Graph::take_value`].
     Recycled,
 }
 
@@ -159,7 +178,9 @@ impl Op {
     /// reads a value this does not list panics on it: `value_of`.)
     fn reads(&self) -> ([Option<Var>; 2], bool) {
         match *self {
-            Op::Mul(a, b) | Op::MulRow(a, b) | Op::Matmul(a, b) => ([Some(a), Some(b)], false),
+            Op::Mul(a, b) | Op::MulRow(a, b) | Op::Matmul(a, b) | Op::Propagate(_, a, b) => {
+                ([Some(a), Some(b)], false)
+            }
             Op::Conv2d { input, filters, .. } => ([Some(input), Some(filters)], false),
             Op::Relu(a) | Op::Abs(a) | Op::SoftmaxCe(a, _) => ([Some(a), None], false),
             Op::Sigmoid(_) | Op::Tanh(_) => ([None, None], true),
@@ -180,8 +201,9 @@ impl Op {
     }
 }
 
-const RECYCLED: &str = "this node's buffers were recycled by backward(): \
-    after it only leaves and the target can be read (read interior values before it)";
+const RECYCLED: &str = "this node's value is gone, recycled by backward() or moved out \
+    by take_value(): after backward() only leaves and the target can be read (read interior \
+    values before it)";
 
 /// A node's value, for the ops as well as for callers: nothing computes from
 /// a buffer that has gone back to the pool.
@@ -296,8 +318,9 @@ impl Graph {
     }
 
     /// A leaf tensor (input or parameter snapshot) the caller gives away.
-    /// Its buffer is dropped at the next `reset`; a tensor the caller keeps
-    /// goes in through [`Graph::leaf_from`] instead of being cloned for this.
+    /// Its buffer is dropped at the next `reset` unless [`Graph::take_value`]
+    /// hands it back first — which is how a caller lends the tape a tensor
+    /// it keeps, without a copy.
     pub fn leaf(&mut self, t: Tensor) -> Var {
         self.nodes.push(Node {
             value: t,
@@ -326,12 +349,33 @@ impl Graph {
         value_of(&self.nodes, v)
     }
 
+    /// Moves `v`'s value off the tape without a copy: a tensor lent through
+    /// [`Graph::leaf`] goes back to its owner, a result leaves before
+    /// [`Graph::release`]. A leaf's gradient stays readable; a later read of
+    /// the value panics as a recycled one does, and `reset` frees nothing of
+    /// it. A value `backward` still has to read must not be taken before it.
+    pub fn take_value(&mut self, v: Var) -> Tensor {
+        let node = &mut self.nodes[v.0];
+        assert!(node.held != Held::Recycled, "{RECYCLED}");
+        node.held = Held::Recycled;
+        let data = std::mem::take(&mut node.value.data);
+        Tensor::from_vec(node.value.rows, node.value.cols, data)
+    }
+
+    /// The node whose gradient is asked for: a leaf's outlives its value
+    /// ([`Graph::take_value`]), any other node's goes with it.
+    fn grad_node(&self, v: Var) -> &Node {
+        let node = &self.nodes[v.0];
+        let leaf = matches!(node.op, Op::Leaf);
+        assert!(leaf || node.held != Held::Recycled, "{RECYCLED}");
+        node
+    }
+
     /// Gradient of the last `backward` target with respect to `v` (zeros if
     /// `v` is unreachable from the target, or before any `backward`).
     /// Defined for leaves and the target; any other node panics.
     pub fn grad(&self, v: Var) -> Tensor {
-        let node = &self.nodes[v.0];
-        assert!(node.held != Held::Recycled, "{RECYCLED}");
+        let node = self.grad_node(v);
         match &node.grad {
             Some(g) => g.clone(),
             None => Tensor::zeros(node.value.rows, node.value.cols),
@@ -340,9 +384,8 @@ impl Graph {
 
     /// [`Graph::grad`] without the copy. Needs a `backward` to have run.
     pub fn grad_ref(&self, v: Var) -> &Tensor {
-        let node = &self.nodes[v.0];
-        assert!(node.held != Held::Recycled, "{RECYCLED}");
-        node.grad
+        self.grad_node(v)
+            .grad
             .as_ref()
             .expect("grad_ref: no backward() has run on this tape")
     }
@@ -439,6 +482,25 @@ impl Graph {
         let mut out = self.pool.zeroed(rows * cols);
         m.matmul_into(&tb.data, cols, &mut out);
         self.push(rows, cols, out, Op::Spmm(sparse_id, b))
+    }
+
+    /// `Â·(H·W)` for the sparse constant `Â` registered as `sparse_id`: one
+    /// node with the bits of `spmm(sparse_id, matmul(h, w))` forward and
+    /// backward. `H·W` lives in a pooled scratch buffer for the forward pass
+    /// only — its one reader, `spmm`'s step, needs its shape and not its
+    /// value — and the backward step runs `spmm`'s step and then `matmul`'s.
+    pub fn propagate(&mut self, sparse_id: usize, h: Var, w: Var) -> Var {
+        let (th, tw) = (value_of(&self.nodes, h), value_of(&self.nodes, w));
+        assert_eq!(th.cols, tw.rows, "propagate shape mismatch");
+        let cols = tw.cols;
+        let mut hw = self.pool.zeroed(th.rows * cols);
+        product(&th.data, &tw.data, &mut hw, th.rows, th.cols, cols);
+        let m = &self.sparse[sparse_id].0;
+        let rows = m.rows();
+        let mut out = self.pool.zeroed(rows * cols);
+        m.matmul_into(&hw, cols, &mut out);
+        self.pool.give(hw);
+        self.push(rows, cols, out, Op::Propagate(sparse_id, h, w))
     }
 
     /// Row gather: output row `i` is input row `idx[i]`.
@@ -717,6 +779,36 @@ fn product_at(a: &[f32], g: &[f32], out: &mut [f32], rows: usize, inner: usize, 
     }
 }
 
+/// `matmul`'s step: `g`, the gradient of `A·B`, passed on to `a` and `b`.
+fn matmul_step(a: Var, b: Var, g: Vec<f32>, inputs: &mut [Node], pool: &mut Pool) {
+    let (ta, tb) = (value_of(inputs, a), value_of(inputs, b));
+    let (rows, inner, cols) = (ta.rows, ta.cols, tb.cols);
+    // dA = g · Bᵀ, with B transposed once so that the sum over B's columns
+    // walks rows; an all-zero row of g (hinge gradients are zero outside the
+    // gathered rows) has no terms at all.
+    let mut bt = pool.take(tb.len());
+    transpose(&tb.data, inner, cols, &mut bt);
+    let mut ga = pool.zeroed(ta.len());
+    product(&g, &bt, &mut ga, rows, cols, inner);
+    pool.give(bt);
+    // dB = Aᵀ · g
+    let mut gb = pool.zeroed(tb.len());
+    product_at(&ta.data, &g, &mut gb, rows, inner, cols);
+    pool.give(g);
+    accum_owned(&mut inputs[a.0], pool, ga);
+    accum_owned(&mut inputs[b.0], pool, gb);
+}
+
+/// `spmm`'s input gradient `Âᵀ · g`, for `g` of width `cols`, as a row
+/// gather over the transpose: each output row sums its terms by ascending
+/// source row, the order in which the scatter over `Â`'s rows reaches it.
+fn spmm_grad(transposed: &SparseMatrix, g: Vec<f32>, cols: usize, pool: &mut Pool) -> Vec<f32> {
+    let mut gb = pool.zeroed(transposed.rows() * cols);
+    transposed.matmul_into(&g, cols, &mut gb);
+    pool.give(g);
+    gb
+}
+
 /// One node's backward step: passes `g`, the node's complete gradient, on to
 /// its inputs. `g` is the step's to consume — an op whose input gradient has
 /// `g`'s shape computes it in place and moves the buffer on.
@@ -801,33 +893,16 @@ fn step(
             }
             accum_owned(&mut inputs[a.0], pool, g);
         }
-        Op::Matmul(a, b) => {
-            let (ta, tb) = (value_of(inputs, a), value_of(inputs, b));
-            let (rows, inner, cols) = (ta.rows, ta.cols, tb.cols);
-            // dA = g · Bᵀ, with B transposed once so that the sum over B's
-            // columns walks rows; an all-zero row of g (hinge gradients are
-            // zero outside the gathered rows) has no terms at all.
-            let mut bt = pool.take(tb.len());
-            transpose(&tb.data, inner, cols, &mut bt);
-            let mut ga = pool.zeroed(ta.len());
-            product(&g, &bt, &mut ga, rows, cols, inner);
-            pool.give(bt);
-            // dB = Aᵀ · g
-            let mut gb = pool.zeroed(tb.len());
-            product_at(&ta.data, &g, &mut gb, rows, inner, cols);
-            pool.give(g);
-            accum_owned(&mut inputs[a.0], pool, ga);
+        Op::Matmul(a, b) => matmul_step(a, b, g, inputs, pool),
+        Op::Spmm(s, b) => {
+            let gb = spmm_grad(&sparse[s].1, g, value.cols, pool);
             accum_owned(&mut inputs[b.0], pool, gb);
         }
-        Op::Spmm(s, b) => {
-            // Âᵀ · g as a row gather over the transpose: each output row
-            // sums its terms by ascending source row, the order in which the
-            // scatter over Â's rows reaches it.
-            let transposed = &sparse[s].1;
-            let mut gb = pool.zeroed(transposed.rows() * value.cols);
-            transposed.matmul_into(&g, value.cols, &mut gb);
-            pool.give(g);
-            accum_owned(&mut inputs[b.0], pool, gb);
+        Op::Propagate(s, h, w) => {
+            // The gradient of `H·W` is complete here — `Â` was its only
+            // consumer — so it goes straight on to `matmul`'s step.
+            let ghw = spmm_grad(&sparse[s].1, g, value.cols, pool);
+            matmul_step(h, w, ghw, inputs, pool);
         }
         Op::Gather(a, ref idx) => {
             // Summed into zeros first and added whole: rows may repeat in
@@ -1115,6 +1190,119 @@ mod tests {
         assert_eq!(first, [3.0, 2.0]);
         g.release();
         assert_eq!(run(&mut g), first);
+    }
+
+    /// `propagate` against the `matmul` → `spmm` chain it replaced, as
+    /// bits: the forward value, the loss and every leaf gradient. `Â` is
+    /// 4 × 5 with an empty row, `x` has a zero row, only rows 0 and 2 of the
+    /// propagation are gathered (so its gradient has zero rows), and `x` also
+    /// feeds a gate taped before or after the propagation, so two
+    /// contributions reach `x`'s gradient in an order that must not change.
+    #[test]
+    fn propagate_is_the_matmul_spmm_chain_bit_for_bit() {
+        let adj = SparseMatrix::from_triplets(
+            4,
+            5,
+            vec![
+                (0, 1, 0.5),
+                (0, 4, -1.25),
+                (2, 0, 2.0),
+                (2, 1, 0.75),
+                (3, 3, 1.5),
+            ],
+        );
+        let mut x0 = rand_tensor(5, 3, 30);
+        x0.data[3..6].fill(0.0);
+        let (w0, wg0) = (rand_tensor(3, 2, 31), rand_tensor(3, 3, 32));
+        let bits = |t: &Tensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let run = |fused: bool, gate_first: bool| {
+            let mut g = Graph::new();
+            let id = g.add_sparse(adj.clone());
+            let x = g.leaf_from(&x0);
+            let w = g.leaf_from(&w0);
+            let wg = g.leaf_from(&wg0);
+            let gate = |g: &mut Graph| {
+                let gate_in = g.matmul(x, wg);
+                let s = g.sigmoid(gate_in);
+                let keep = g.mul(s, x);
+                g.sum(keep)
+            };
+            let early = if gate_first { Some(gate(&mut g)) } else { None };
+            let p = if fused {
+                g.propagate(id, x, w)
+            } else {
+                let xw = g.matmul(x, w);
+                g.spmm(id, xw)
+            };
+            let forward = bits(g.value(p));
+            let t = g.tanh(p);
+            let picked = g.gather(t, vec![0, 2, 2]);
+            let mut loss = g.sum(picked);
+            let gated = match early {
+                Some(gated) => gated,
+                None => gate(&mut g),
+            };
+            loss = g.add(loss, gated);
+            g.backward(loss);
+            let grads = [x, w, wg].map(|v| bits(g.grad_ref(v)));
+            (forward, bits(g.value(loss)), grads)
+        };
+        for gate_first in [false, true] {
+            let want = run(false, gate_first);
+            assert!(want.2[0].iter().any(|&b| b != 0), "x has a gradient");
+            assert_eq!(run(true, gate_first), want, "gate first: {gate_first}");
+        }
+    }
+
+    #[test]
+    fn a_lent_leaf_comes_back_with_its_bits_and_its_gradient() {
+        let x0 = rand_tensor(4, 3, 40);
+        let w0 = rand_tensor(3, 2, 41);
+        let run = |lend: bool| {
+            let mut g = Graph::new();
+            let x = if lend {
+                g.leaf(x0.clone())
+            } else {
+                g.leaf_from(&x0)
+            };
+            let w = g.leaf_from(&w0);
+            let y = g.matmul(x, w);
+            let loss = g.sum(y);
+            g.backward(loss);
+            (g, x)
+        };
+        let (want, wx) = run(false);
+        let (mut g, x) = run(true);
+        let lent = g.value(x).data.as_ptr();
+        let back = g.take_value(x);
+        assert_eq!(back.data.as_ptr(), lent, "moved, not copied");
+        assert_eq!((back.rows, back.cols), (4, 3));
+        assert!(back
+            .data
+            .iter()
+            .zip(&x0.data)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert_eq!(g.grad_ref(x), want.grad_ref(wx));
+        assert_eq!(g.grad(x), want.grad(wx));
+        // `reset` pools the leaf's gradient (4 × 3) and nothing else of it:
+        // the value it would have dropped is the caller's again.
+        g.reset();
+        let pooled = |len: usize| match g.pool.free.binary_search_by_key(&len, |c| c.0) {
+            Ok(at) => g.pool.free[at].1.len(),
+            Err(_) => 0,
+        };
+        assert_eq!(pooled(12), 1);
+        assert_eq!(back.data, x0.data);
+    }
+
+    #[test]
+    #[should_panic(expected = "moved out by take_value")]
+    fn reading_a_moved_out_interior_value_panics() {
+        let mut g = Graph::new();
+        let x = g.leaf(Tensor::from_vec(1, 2, vec![3.0, -1.0]));
+        let y = g.scale(x, 2.0);
+        assert_eq!(g.take_value(y).data, [6.0, -2.0]);
+        let _ = g.value(y);
     }
 
     #[test]

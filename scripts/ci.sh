@@ -62,12 +62,14 @@ cargo test --release --offline -p openea --test kernel_conformance --test kernel
 # with the views). Then the generator's own unit tests: the
 # latent world's pin and the number and date renderers against `core::fmt`,
 # under the code generation that ships. Beside `generation_memory`, the
-# autodiff tape's gate: `GcnEncoder::step`'s loss bits and allocator calls on
-# the benchmark's GCNAlign shape (the 3 000-entity D-Y pair at dim 32), the
-# step `gcnalign_3k_exact_uniform` generates through. Budget: a few seconds
-# after the release build above.
+# autodiff tape's gates: `GcnEncoder::step`'s loss bits, allocator calls and
+# peak, and a checkpoint's peak against a step's, on the benchmark's GCNAlign
+# shape (the 3 000-entity D-Y pair at dim 32), the step
+# `gcnalign_3k_exact_uniform` generates through; and that workload's whole
+# seed-1 generation, held to 8 MB of heap above its inputs. Budget: a few
+# seconds after the release build above.
 cargo test --release --offline -p openea --test synth_pins --test kg_model --test pair_memory \
-    --test generation_memory --test autodiff_memory
+    --test generation_memory --test autodiff_memory --test gcnalign_memory
 cargo test --release --offline -p openea-approaches --lib -- \
     engine::tests common::proptests::validation_in_place boot::proptests
 cargo test --release --offline -p openea --test approach_matrix -- self_training:: \

@@ -1,7 +1,8 @@
 //! The memory contract of the autodiff tape, gated by counts and not a
-//! clock: *a training step holds the forward values plus the gradients in
-//! flight, and from the second step on the tape asks the allocator for
-//! nothing it does not already own*.
+//! clock: *a training step holds the forward values `backward` reads plus
+//! the gradients in flight, from the second step on the tape asks the
+//! allocator for nothing it does not already own, and a checkpoint peaks no
+//! higher than a step*.
 //!
 //! The shape is the benchmark's `gcnalign_3k_exact_uniform` generation unit:
 //! the seed-1 D-Y pair at 3 000 entities per KG, fold 0, a plain two-layer
@@ -13,13 +14,19 @@
 //! | per steady-state step | fresh tensor per node and gradient | pooled tape |
 //! |---|---|---|
 //! | peak above the encoder, steps 0–2 | 10.14 MiB | 4.74 MiB |
+//! | … one node per propagation, `x` lent to the tape | — | 3.33 MiB |
 //! | allocator calls | 55 | 3 (the three index vectors) |
 //! | of them ≥ 64 KiB | 29 | 0 |
 //! | bytes requested | 11.55 MiB | 6.5 KiB |
 //!
 //! The left column is the tape that kept every node's value *and* gradient
 //! until the next `reset()` and freed them there; this test fails on all
-//! three gates against it.
+//! three gates against it. The pooled tape's 4.74 MiB held both `H·W`
+//! products and a pooled copy of `x`, values no backward step reads, and its
+//! checkpoint copied the embeddings out on top of the whole pool before
+//! releasing it (5.43 MiB); it fails the step and the checkpoint gates. With
+//! one node per propagation, `x` lent and the checkpoint moved out of the
+//! pool, a checkpoint peaks at 3.32 MiB.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -54,12 +61,19 @@ fn a_steady_state_step_allocates_nothing_it_does_not_own() {
         losses.push(loss);
         steps.push(during);
     };
+    let base = ALLOC.live();
     let ((), peak) = ALLOC.measure(|| {
         for _ in 0..3 {
             step(&mut losses, &mut steps);
         }
     });
     step(&mut losses, &mut steps);
+    // A checkpoint after the steps, with the pool they warmed still held:
+    // its peak on the same footing as theirs, above the encoder.
+    let held = ALLOC.live() - base;
+    let (out, above) = ALLOC.measure(|| enc.output());
+    let checkpoint = held + above;
+    drop(out);
 
     for (i, (loss, during)) in losses.iter().zip(&steps).enumerate() {
         println!(
@@ -75,16 +89,27 @@ fn a_steady_state_step_allocates_nothing_it_does_not_own() {
         "peak over steps 0-2: {peak} bytes ({:.2} MiB) above the encoder",
         peak as f64 / MIB as f64
     );
+    println!(
+        "checkpoint after step 3: {checkpoint} bytes ({:.2} MiB) above the encoder",
+        checkpoint as f64 / MIB as f64
+    );
 
     let bits: Vec<u32> = losses.iter().map(|l| l.to_bits()).collect();
     assert_eq!(bits, LOSS_BITS, "losses {losses:?}");
     // Every gate is read before any of them fails the test, so one run
     // against another tape shows all that it breaks.
     let mut broken = Vec::new();
-    // Six values of 5 762 × 32 (the forward pass; backward never needs more
-    // at once) are 4.22 MiB of the 4.74; a seventh is a regression.
-    if peak > 5 * MIB + MIB / 4 {
+    // Four values of 5 762 × 32 (the forward pass at the second
+    // propagation: `H₁`, `Â·X·W₁`, the transient `H₁·W₂` and the output;
+    // backward never needs more at once) are 2.81 MiB of the 3.33; a fifth
+    // is a regression.
+    if peak > 3 * MIB + MIB / 2 {
         broken.push(format!("steps 0-2 peaked {peak} bytes above the encoder"));
+    }
+    if checkpoint > peak {
+        broken.push(format!(
+            "a checkpoint peaked {checkpoint} bytes above the encoder, over the steps' {peak}"
+        ));
     }
     for (i, during) in steps.iter().enumerate().skip(1) {
         if during.large_calls > 0 {
