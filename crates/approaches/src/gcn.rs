@@ -10,7 +10,7 @@ use crate::common::{ApproachOutput, EpochStats, RunConfig, TrainError};
 use crate::engine::{run_driver, EpochHooks, RunContext};
 use crate::views::Fusion;
 use openea_align::Metric;
-use openea_autodiff::{Graph, SparseMatrix, Tensor, Var};
+use openea_autodiff::{Act, Graph, SparseMatrix, Tensor, Var};
 use openea_core::{AlignedPair, FoldSplit, KgPair};
 use openea_runtime::rng::{Rng, SmallRng};
 
@@ -161,22 +161,19 @@ impl GcnEncoder {
         let wg = self.wg.as_ref().map(|t| g.leaf_from(t));
         let h = match self.layers {
             Layers::Gcn { adj } => {
-                let p1 = g.propagate(adj, x, w1);
-                let mut h1 = g.tanh(p1);
+                let mut h1 = g.propagate(adj, x, w1, Act::Tanh);
                 if let Some(wg) = wg {
                     h1 = blend(g, x, wg, h1);
                 }
-                let h2 = g.propagate(adj, h1, w2);
+                let h2 = g.propagate(adj, h1, w2, Act::Linear);
                 match wg {
                     Some(wg) => blend(g, x, wg, h2),
                     None => h2,
                 }
             }
             Layers::AliNet { one_hop, two_hop } => {
-                let p1 = g.propagate(one_hop, x, w1);
-                let h1 = g.tanh(p1);
-                let p2 = g.propagate(two_hop, x, w2);
-                let h2 = g.tanh(p2);
+                let h1 = g.propagate(one_hop, x, w1, Act::Tanh);
+                let h2 = g.propagate(two_hop, x, w2, Act::Tanh);
                 blend(g, h1, wg.expect("AliNet's layer is gated"), h2)
             }
         };

@@ -30,12 +30,20 @@
 //! step before asks the allocator for nothing. The pool holds the most
 //! buffers of each length the tape has had in use at once, until
 //! [`Graph::release`] gives them back to the allocator — which is for the
-//! moments a tape pauses, such as a checkpoint between steps. Three things
+//! moments a tape pauses, such as a checkpoint between steps. Four things
 //! keep buffers off the tape that no backward step would read:
 //!
-//! * **Transient products.** [`Graph::propagate`] is `Â·(H·W)` as one node:
-//!   `H·W` is made in a pooled scratch buffer and handed back before the
-//!   node is pushed, because `spmm`'s step needs its shape only.
+//! * **One node per layer.** [`Graph::propagate`] is a graph-convolution
+//!   layer, `act(Â·(H·W))`, as one node. `H·W` is made in a pooled scratch
+//!   buffer and handed back before the node is pushed, because `spmm`'s
+//!   step needs its shape only; with [`Act::Tanh`] the activation runs in
+//!   place on the product, because `tanh`'s step reads its own output and
+//!   not its input. ([`Graph::tanh`] on its own still writes a new buffer:
+//!   a program may read its operand again.)
+//! * **Symmetric constants once.** [`Graph::add_sparse`] keeps the
+//!   transpose that `spmm`'s backward step multiplies by only if it differs
+//!   from the matrix in a bit; a GCN's normalized adjacency is symmetric by
+//!   construction, and its backward step multiplies by the matrix itself.
 //! * **Lent leaves.** A tensor moved in through [`Graph::leaf`] is not
 //!   pooled: it is dropped at `reset`, or a leaf per step would grow the pool
 //!   by one buffer per step. A caller that keeps the tensor — a model's
@@ -56,8 +64,9 @@
 //!    step reads returns to the pool. Most steps need only the *shape* of
 //!    what they touch (`add`, `spmm`, `gather`, the reductions, …); the
 //!    values that are read — both factors of a product (`propagate`'s `H`
-//!    and `W`), the input of `relu` and `abs`, the output of `tanh` and
-//!    `sigmoid` — are marked as the tape is built (`Op::reads`).
+//!    and `W`), the input of `relu` and `abs`, the output of `tanh`,
+//!    `sigmoid` and a `propagate` through `tanh` — are marked as the tape
+//!    is built (`Op::reads`).
 //! 2. When the sweep has run the step of an interior node, that node's
 //!    gradient is complete and has been passed on, and nothing later in the
 //!    sweep reads its value: its consumers were appended after it, so they
@@ -96,6 +105,16 @@ use crate::tensor::Tensor;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Var(usize);
 
+/// The activation [`Graph::propagate`] applies to its output.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Act {
+    /// None: the layer's output is `Â·(H·W)` itself.
+    Linear,
+    /// `tanh`, in place on the product: the bits of [`Graph::tanh`] of it,
+    /// without a second buffer.
+    Tanh,
+}
+
 #[derive(Debug)]
 enum Op {
     Leaf,
@@ -112,8 +131,9 @@ enum Op {
     Matmul(Var, Var),
     /// Constant sparse matrix × dense var.
     Spmm(usize, Var),
-    /// `Â·(H·W)`: one graph propagation, the product `H·W` not kept.
-    Propagate(usize, Var, Var),
+    /// `act(Â·(H·W))`: one graph-convolution layer, the product `H·W` and
+    /// the pre-activation not kept.
+    Propagate(usize, Var, Var, Act),
     Gather(Var, Vec<u32>),
     Sigmoid(Var),
     Tanh(Var),
@@ -178,9 +198,8 @@ impl Op {
     /// reads a value this does not list panics on it: `value_of`.)
     fn reads(&self) -> ([Option<Var>; 2], bool) {
         match *self {
-            Op::Mul(a, b) | Op::MulRow(a, b) | Op::Matmul(a, b) | Op::Propagate(_, a, b) => {
-                ([Some(a), Some(b)], false)
-            }
+            Op::Mul(a, b) | Op::MulRow(a, b) | Op::Matmul(a, b) => ([Some(a), Some(b)], false),
+            Op::Propagate(_, h, w, act) => ([Some(h), Some(w)], act == Act::Tanh),
             Op::Conv2d { input, filters, .. } => ([Some(input), Some(filters)], false),
             Op::Relu(a) | Op::Abs(a) | Op::SoftmaxCe(a, _) => ([Some(a), None], false),
             Op::Sigmoid(_) | Op::Tanh(_) => ([None, None], true),
@@ -256,13 +275,25 @@ impl Pool {
     }
 }
 
+/// A sparse constant registered with [`Graph::add_sparse`].
+struct Constant {
+    matrix: SparseMatrix,
+    /// Its transpose, unless that is the matrix itself, bit for bit.
+    transposed: Option<SparseMatrix>,
+}
+
+impl Constant {
+    /// What `spmm`'s backward pass multiplies by: `Âᵀ`.
+    fn transposed(&self) -> &SparseMatrix {
+        self.transposed.as_ref().unwrap_or(&self.matrix)
+    }
+}
+
 /// The autodiff tape.
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    /// Each sparse constant beside its transpose, which `spmm`'s backward
-    /// pass multiplies by.
-    sparse: Vec<(SparseMatrix, SparseMatrix)>,
+    sparse: Vec<Constant>,
     pool: Pool,
     /// `backward` has run since the last `reset`.
     swept: bool,
@@ -295,10 +326,14 @@ impl Graph {
         self.pool = Pool::default();
     }
 
-    /// Registers a constant sparse matrix; returns its id for [`Graph::spmm`].
-    pub fn add_sparse(&mut self, m: SparseMatrix) -> usize {
-        let transposed = m.transposed();
-        self.sparse.push((m, transposed));
+    /// Registers a constant sparse matrix; returns its id for [`Graph::spmm`]
+    /// and [`Graph::propagate`]. The transpose their backward steps multiply
+    /// by is built here, and kept only if it differs from `matrix` in a bit:
+    /// a symmetric matrix — a GCN's normalized adjacency — is stored once.
+    pub fn add_sparse(&mut self, matrix: SparseMatrix) -> usize {
+        let transposed = matrix.transposed();
+        let transposed = (!transposed.same_bits(&matrix)).then_some(transposed);
+        self.sparse.push(Constant { matrix, transposed });
         self.sparse.len() - 1
     }
 
@@ -477,30 +512,38 @@ impl Graph {
     }
 
     pub fn spmm(&mut self, sparse_id: usize, b: Var) -> Var {
-        let (m, tb) = (&self.sparse[sparse_id].0, value_of(&self.nodes, b));
+        let (m, tb) = (&self.sparse[sparse_id].matrix, value_of(&self.nodes, b));
         let (rows, cols) = (m.rows(), tb.cols);
         let mut out = self.pool.zeroed(rows * cols);
         m.matmul_into(&tb.data, cols, &mut out);
         self.push(rows, cols, out, Op::Spmm(sparse_id, b))
     }
 
-    /// `Â·(H·W)` for the sparse constant `Â` registered as `sparse_id`: one
-    /// node with the bits of `spmm(sparse_id, matmul(h, w))` forward and
-    /// backward. `H·W` lives in a pooled scratch buffer for the forward pass
-    /// only — its one reader, `spmm`'s step, needs its shape and not its
-    /// value — and the backward step runs `spmm`'s step and then `matmul`'s.
-    pub fn propagate(&mut self, sparse_id: usize, h: Var, w: Var) -> Var {
+    /// `act(Â·(H·W))` for the sparse constant `Â` registered as `sparse_id`:
+    /// one graph-convolution layer as one node, with the bits of
+    /// `spmm(sparse_id, matmul(h, w))` — then of `tanh` of it, for
+    /// [`Act::Tanh`] — forward and backward. `H·W` lives in a pooled scratch
+    /// buffer for the forward pass only (its one reader, `spmm`'s step,
+    /// needs its shape and not its value), and `tanh` runs in place on the
+    /// product (its step reads its own output, not its input). The backward
+    /// step runs `tanh`'s step, then `spmm`'s and then `matmul`'s.
+    pub fn propagate(&mut self, sparse_id: usize, h: Var, w: Var, act: Act) -> Var {
         let (th, tw) = (value_of(&self.nodes, h), value_of(&self.nodes, w));
         assert_eq!(th.cols, tw.rows, "propagate shape mismatch");
         let cols = tw.cols;
         let mut hw = self.pool.zeroed(th.rows * cols);
         product(&th.data, &tw.data, &mut hw, th.rows, th.cols, cols);
-        let m = &self.sparse[sparse_id].0;
+        let m = &self.sparse[sparse_id].matrix;
         let rows = m.rows();
         let mut out = self.pool.zeroed(rows * cols);
         m.matmul_into(&hw, cols, &mut out);
         self.pool.give(hw);
-        self.push(rows, cols, out, Op::Propagate(sparse_id, h, w))
+        if act == Act::Tanh {
+            for o in out.iter_mut() {
+                *o = o.tanh();
+            }
+        }
+        self.push(rows, cols, out, Op::Propagate(sparse_id, h, w, act))
     }
 
     /// Row gather: output row `i` is input row `idx[i]`.
@@ -809,6 +852,14 @@ fn spmm_grad(transposed: &SparseMatrix, g: Vec<f32>, cols: usize, pool: &mut Poo
     gb
 }
 
+/// `tanh`'s step, in place: `g ⊙ (1 − y²)` for `node`'s output `y`.
+fn tanh_step(node: &Node, g: &mut [f32]) {
+    assert!(node.held != Held::Recycled, "{RECYCLED}");
+    for (gv, &yv) in g.iter_mut().zip(&node.value.data) {
+        *gv *= 1.0 - yv * yv;
+    }
+}
+
 /// One node's backward step: passes `g`, the node's complete gradient, on to
 /// its inputs. `g` is the step's to consume — an op whose input gradient has
 /// `g`'s shape computes it in place and moves the buffer on.
@@ -816,13 +867,7 @@ fn spmm_grad(transposed: &SparseMatrix, g: Vec<f32>, cols: usize, pool: &mut Poo
 /// Contributions reach a node's gradient in a fixed order (steps by
 /// descending id, an op's first operand before its second), because a sum
 /// of three or more floats depends on it.
-fn step(
-    node: &Node,
-    mut g: Vec<f32>,
-    inputs: &mut [Node],
-    sparse: &[(SparseMatrix, SparseMatrix)],
-    pool: &mut Pool,
-) {
+fn step(node: &Node, mut g: Vec<f32>, inputs: &mut [Node], sparse: &[Constant], pool: &mut Pool) {
     // The shape is always there; the data only if `Op::reads` said so.
     let value = &node.value;
     match node.op {
@@ -895,13 +940,16 @@ fn step(
         }
         Op::Matmul(a, b) => matmul_step(a, b, g, inputs, pool),
         Op::Spmm(s, b) => {
-            let gb = spmm_grad(&sparse[s].1, g, value.cols, pool);
+            let gb = spmm_grad(sparse[s].transposed(), g, value.cols, pool);
             accum_owned(&mut inputs[b.0], pool, gb);
         }
-        Op::Propagate(s, h, w) => {
+        Op::Propagate(s, h, w, act) => {
+            if act == Act::Tanh {
+                tanh_step(node, &mut g);
+            }
             // The gradient of `H·W` is complete here — `Â` was its only
             // consumer — so it goes straight on to `matmul`'s step.
-            let ghw = spmm_grad(&sparse[s].1, g, value.cols, pool);
+            let ghw = spmm_grad(sparse[s].transposed(), g, value.cols, pool);
             matmul_step(h, w, ghw, inputs, pool);
         }
         Op::Gather(a, ref idx) => {
@@ -930,10 +978,7 @@ fn step(
             accum_owned(&mut inputs[a.0], pool, g);
         }
         Op::Tanh(a) => {
-            assert!(node.held != Held::Recycled, "{RECYCLED}");
-            for (gv, &yv) in g.iter_mut().zip(&value.data) {
-                *gv *= 1.0 - yv * yv;
-            }
+            tanh_step(node, &mut g);
             accum_owned(&mut inputs[a.0], pool, g);
         }
         Op::Relu(a) => {
@@ -1192,12 +1237,17 @@ mod tests {
         assert_eq!(run(&mut g), first);
     }
 
-    /// `propagate` against the `matmul` → `spmm` chain it replaced, as
-    /// bits: the forward value, the loss and every leaf gradient. `Â` is
-    /// 4 × 5 with an empty row, `x` has a zero row, only rows 0 and 2 of the
-    /// propagation are gathered (so its gradient has zero rows), and `x` also
-    /// feeds a gate taped before or after the propagation, so two
-    /// contributions reach `x`'s gradient in an order that must not change.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `propagate` against the `matmul` → `spmm` (→ `tanh`) chain it
+    /// replaced, as bits: the layer's value, the loss and every leaf
+    /// gradient. `Â` is 4 × 5 with an empty row, `x` has a zero row, only
+    /// rows 0 and 2 of the layer are gathered (so its gradient has zero
+    /// rows), and `x` also feeds a gate taped before the layer and another
+    /// taped after it, so three contributions reach `x`'s gradient in an
+    /// order that must not change.
     #[test]
     fn propagate_is_the_matmul_spmm_chain_bit_for_bit() {
         let adj = SparseMatrix::from_triplets(
@@ -1214,8 +1264,7 @@ mod tests {
         let mut x0 = rand_tensor(5, 3, 30);
         x0.data[3..6].fill(0.0);
         let (w0, wg0) = (rand_tensor(3, 2, 31), rand_tensor(3, 3, 32));
-        let bits = |t: &Tensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let run = |fused: bool, gate_first: bool| {
+        let run = |fused: bool, act: Act| {
             let mut g = Graph::new();
             let id = g.add_sparse(adj.clone());
             let x = g.leaf_from(&x0);
@@ -1227,30 +1276,84 @@ mod tests {
                 let keep = g.mul(s, x);
                 g.sum(keep)
             };
-            let early = if gate_first { Some(gate(&mut g)) } else { None };
-            let p = if fused {
-                g.propagate(id, x, w)
+            let early = gate(&mut g);
+            let layer = if fused {
+                g.propagate(id, x, w, act)
             } else {
                 let xw = g.matmul(x, w);
-                g.spmm(id, xw)
+                let p = g.spmm(id, xw);
+                match act {
+                    Act::Linear => p,
+                    Act::Tanh => g.tanh(p),
+                }
             };
-            let forward = bits(g.value(p));
-            let t = g.tanh(p);
-            let picked = g.gather(t, vec![0, 2, 2]);
-            let mut loss = g.sum(picked);
-            let gated = match early {
-                Some(gated) => gated,
-                None => gate(&mut g),
-            };
-            loss = g.add(loss, gated);
+            let forward = bits(g.value(layer));
+            let picked = g.gather(layer, vec![0, 2, 2]);
+            let sq = g.mul(picked, picked);
+            let mut loss = g.sum(sq);
+            loss = g.add(loss, early);
+            let late = gate(&mut g);
+            loss = g.add(loss, late);
             g.backward(loss);
             let grads = [x, w, wg].map(|v| bits(g.grad_ref(v)));
             (forward, bits(g.value(loss)), grads)
         };
-        for gate_first in [false, true] {
-            let want = run(false, gate_first);
+        for act in [Act::Linear, Act::Tanh] {
+            let want = run(false, act);
             assert!(want.2[0].iter().any(|&b| b != 0), "x has a gradient");
-            assert_eq!(run(true, gate_first), want, "gate first: {gate_first}");
+            assert_eq!(run(true, act), want, "{act:?}");
+        }
+    }
+
+    /// `spmm`'s input gradient for an upstream gradient `up`, read off a
+    /// tape, against `Âᵀ·up` through a transpose built for the purpose.
+    fn spmm_grad_against_matmul_t(adj: &SparseMatrix, up: &Tensor) -> (Graph, usize) {
+        let mut g = Graph::new();
+        let id = g.add_sparse(adj.clone());
+        let x = g.leaf(rand_tensor(adj.cols(), up.cols, 50));
+        let y = g.spmm(id, x);
+        let r = g.leaf_from(up);
+        let weighted = g.mul(y, r);
+        let loss = g.sum(weighted);
+        g.backward(loss);
+        assert_eq!(bits(g.grad_ref(x)), bits(&adj.matmul_t(up)));
+        (g, id)
+    }
+
+    #[test]
+    fn a_symmetric_constant_is_stored_once() {
+        let adj = SparseMatrix::gcn_normalized_weighted(
+            5,
+            &[
+                (0, 1, 1.0),
+                (1, 2, 0.5),
+                (3, 1, 0.25),
+                (4, 4, 1.0),
+                (2, 0, 2.0),
+            ],
+        );
+        let (g, id) = spmm_grad_against_matmul_t(&adj, &rand_tensor(5, 3, 51));
+        assert!(g.sparse[id].transposed.is_none(), "Â is its own transpose");
+    }
+
+    #[test]
+    fn an_asymmetric_constant_keeps_its_transpose() {
+        let directed =
+            SparseMatrix::from_triplets(3, 3, vec![(0, 1, 0.5), (1, 2, -1.0), (2, 0, 2.0)]);
+        // Equal as numbers, not as bits: `+0.0` mirrored by `−0.0`.
+        let signed_zeros = SparseMatrix::from_triplets(
+            2,
+            2,
+            vec![(0, 0, 1.0), (0, 1, 0.0), (1, 0, -0.0), (1, 1, 1.0)],
+        );
+        for adj in [directed, signed_zeros] {
+            let up = rand_tensor(adj.rows(), 2, 52);
+            let (g, id) = spmm_grad_against_matmul_t(&adj, &up);
+            let kept = g.sparse[id]
+                .transposed
+                .as_ref()
+                .expect("the transpose is kept");
+            assert!(kept.same_bits(&adj.transposed()));
         }
     }
 

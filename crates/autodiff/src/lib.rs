@@ -13,6 +13,6 @@ mod kernel;
 pub mod sparse;
 pub mod tensor;
 
-pub use graph::{Graph, Var};
+pub use graph::{Act, Graph, Var};
 pub use sparse::SparseMatrix;
 pub use tensor::Tensor;

@@ -154,6 +154,19 @@ impl SparseMatrix {
         }
     }
 
+    /// The same matrix, bit for bit: shape, structure and every value's
+    /// `to_bits` — so a stored `+0.0` and `−0.0` differ.
+    pub(crate) fn same_bits(&self, other: &SparseMatrix) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols)
+            && self.row_ptr == other.row_ptr
+            && self.col_idx == other.col_idx
+            && self
+                .values
+                .iter()
+                .zip(&other.values)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
     /// Transposed product `selfᵀ · m`. Builds the transpose on every call;
     /// the tape builds it once, in `Graph::add_sparse`.
     pub fn matmul_t(&self, m: &Tensor) -> Tensor {

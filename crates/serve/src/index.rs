@@ -55,7 +55,7 @@ use openea_runtime::pool::{balanced_chunk_len, parallel_chunks};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// One served answer: `(target entity id, similarity score)`, best first.
 pub type Answer = Vec<(u32, f32)>;
@@ -496,7 +496,20 @@ impl BatchIndex {
     /// The answer cache's hottest `limit` keys, most recently used first —
     /// what a hot-swap replays against a replacement index before flipping.
     pub fn recent_cache_keys(&self, limit: usize) -> Vec<CacheKey> {
-        self.cache.lock().unwrap().recent_keys(limit)
+        self.cache().recent_keys(limit)
+    }
+
+    /// The answer cache's lock. The cache only memoises, so a guard
+    /// poisoned by a panic under it is recovered by starting the cache over,
+    /// empty at the same capacity: every answer stays exact, only the
+    /// cache's warmth is lost.
+    fn cache(&self) -> MutexGuard<'_, LruCache> {
+        self.cache.lock().unwrap_or_else(|poisoned| {
+            let mut cache = poisoned.into_inner();
+            *cache = LruCache::new(cache.capacity());
+            self.cache.clear_poison();
+            cache
+        })
     }
 
     fn validate(&self, entity: u32, k: usize) -> Result<usize, QueryError> {
@@ -558,7 +571,7 @@ impl BatchIndex {
         // every query uses the default probe and there is one group.
         let mut groups: Vec<ProbeGroup> = Vec::new();
         {
-            let mut cache = self.cache.lock().unwrap();
+            let mut cache = self.cache();
             for (i, &(entity, k, probe)) in queries.iter().enumerate() {
                 let k = match self.validate(entity, k) {
                     Ok(k) => k,
@@ -594,7 +607,7 @@ impl BatchIndex {
             self.batches.fetch_add(1, Ordering::Relaxed);
             self.batched_queries
                 .fetch_add(g.members.len() as u64, Ordering::Relaxed);
-            let mut cache = self.cache.lock().unwrap();
+            let mut cache = self.cache();
             for ((i, (entity, k)), answer) in g.slots.into_iter().zip(g.members).zip(answers) {
                 cache.insert(self.cache_key(entity, k, g.probe), answer.clone());
                 results[i] = Some(Ok(answer));
@@ -604,5 +617,48 @@ impl BatchIndex {
             .into_iter()
             .map(|r| r.expect("every query resolved"))
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::snapshot::tests::tiny_snapshot;
+
+    fn bits(results: &[Result<Answer, QueryError>]) -> Vec<Vec<(u32, u32)>> {
+        results
+            .iter()
+            .map(|r| {
+                let answer = r.as_ref().expect("a valid query");
+                answer.iter().map(|&(t, s)| (t, s.to_bits())).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_panic_under_the_cache_lock_costs_the_cache_and_no_answer() {
+        let index = BatchIndex::new(AlignmentIndex::new(tiny_snapshot()), 1, 8);
+        let queries = [(0, 2, None), (1, 1, None), (2, 2, None)];
+        let before = bits(&index.query_batch(&queries));
+        let keys = index.recent_cache_keys(8);
+        assert_eq!(keys.len(), queries.len());
+
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = index.cache.lock();
+                panic!("a job panics while it holds the cache lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(index.cache.is_poisoned());
+
+        // The cache started over, and the lock is clean again.
+        assert!(index.recent_cache_keys(8).is_empty());
+        assert!(!index.cache.is_poisoned());
+        assert_eq!(index.cache().capacity(), 8);
+        let misses = index.stats().cache_misses;
+        assert_eq!(bits(&index.query_batch(&queries)), before);
+        assert_eq!(index.stats().cache_misses, misses + queries.len() as u64);
+        assert_eq!(index.recent_cache_keys(8), keys);
     }
 }

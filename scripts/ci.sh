@@ -66,10 +66,15 @@ cargo test --release --offline -p openea --test kernel_conformance --test kernel
 # peak, and a checkpoint's peak against a step's, on the benchmark's GCNAlign
 # shape (the 3 000-entity D-Y pair at dim 32), the step
 # `gcnalign_3k_exact_uniform` generates through; and that workload's whole
-# seed-1 generation, held to 8 MB of heap above its inputs. Budget: a few
-# seconds after the release build above.
+# seed-1 generation, held to 6.7 MB of heap above its inputs. Beside them,
+# the tape's bit-identity gates — every op, the fused graph layer included,
+# against the plain loops, and the layer's and the sparse constants' unit
+# tests — under the code generation that ships. Budget: a few seconds after
+# the release build above.
 cargo test --release --offline -p openea --test synth_pins --test kg_model --test pair_memory \
-    --test generation_memory --test autodiff_memory --test gcnalign_memory
+    --test generation_memory --test autodiff_memory --test gcnalign_memory \
+    --test autodiff_equivalence
+cargo test --release --offline -p openea-autodiff --lib
 cargo test --release --offline -p openea-approaches --lib -- \
     engine::tests common::proptests::validation_in_place boot::proptests
 cargo test --release --offline -p openea --test approach_matrix -- self_training:: \

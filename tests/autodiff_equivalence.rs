@@ -19,14 +19,16 @@
 //! other shapes, then with the first shapes again, so that every buffer it
 //! hands out has stale contents of exactly that length.
 //!
-//! The file uses only what the tape had before the rebuild, except in the
-//! last section, so that everything above it also runs against the parent
-//! commit's `crates/autodiff` — it pins that arithmetic, not the new code's.
+//! The random programs also draw `propagate`, the tape's one fused op (a
+//! graph layer: `Â·(H·W)`, optionally through `tanh`), which the reference
+//! spells as the `matmul`, `spmm` and `tanh` nodes it stands for; half of
+//! its square constants are symmetric, the kind `add_sparse` stores without
+//! a second copy for the transpose.
 
 #[path = "support/reference_tape.rs"]
 mod reference;
 
-use openea_autodiff::Tensor;
+use openea_autodiff::{Act, Tensor};
 use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
 use openea_runtime::testkit::prelude::*;
 
@@ -43,6 +45,8 @@ enum Ins {
     Matmul(usize, usize),
     /// Index into [`Program::sparse`], then the dense operand.
     Spmm(usize, usize),
+    /// Index into [`Program::sparse`], then `H` and `W`.
+    Propagate(usize, usize, usize, Act),
     Gather(usize, Vec<u32>),
     Sigmoid(usize),
     Tanh(usize),
@@ -119,6 +123,7 @@ macro_rules! interpreter {
                     Ins::Scale(a, s) => g.scale(vars[a], s),
                     Ins::Matmul(a, b) => g.matmul(vars[a], vars[b]),
                     Ins::Spmm(s, a) => g.spmm(sparse[s], vars[a]),
+                    Ins::Propagate(s, h, w, act) => g.propagate(sparse[s], vars[h], vars[w], act),
                     Ins::Gather(a, ref idx) => g.gather(vars[a], idx.clone()),
                     Ins::Sigmoid(a) => g.sigmoid(vars[a]),
                     Ins::Tanh(a) => g.tanh(vars[a]),
@@ -326,11 +331,43 @@ impl Builder {
         self.prog.sparse.len() - 1
     }
 
+    /// A symmetric `n × n` constant: each cell of the upper triangle drawn
+    /// at most once and mirrored, so the two halves hold the same bits.
+    fn symmetric_sparse(&mut self, n: usize) -> usize {
+        let mut triplets = Vec::new();
+        for r in 0..n as u32 {
+            for c in r..n as u32 {
+                if self.rng.gen_bool(0.1) {
+                    let v = match self.rng.gen_range(0..10) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => self.rng.gen_range(-1.0f32..1.0),
+                    };
+                    triplets.push((r, c, v));
+                    if r != c {
+                        triplets.push((c, r, v));
+                    }
+                }
+            }
+        }
+        self.prog.sparse.push((n, n, triplets));
+        self.prog.sparse.len() - 1
+    }
+
+    /// A square constant over `n` nodes, symmetric half of the time.
+    fn adjacency(&mut self, n: usize) -> usize {
+        if self.rng.gen_bool(0.5) {
+            self.symmetric_sparse(n)
+        } else {
+            self.sparse(n, n)
+        }
+    }
+
     /// Appends one random op on earlier instructions.
     fn step(&mut self) {
         let a = self.pick();
         let (rows, cols) = self.shapes[a];
-        match self.rng.gen_range(0..21) {
+        match self.rng.gen_range(0..23) {
             0 => {
                 let b = self.with_shape(rows, cols);
                 self.push(Ins::Add(a, b), rows, cols);
@@ -412,6 +449,20 @@ impl Builder {
                 };
                 self.push(Ins::Reshape(a, r, c), r, c);
             }
+            20 | 21 => {
+                // A graph layer over `a`: a square `Â` most of the time (a
+                // GNN's), a rectangular one sometimes.
+                let out = self.of(&COLS);
+                let w = self.with_shape(cols, out);
+                let (s, out_rows) = if self.rng.gen_bool(0.7) {
+                    (self.adjacency(rows), rows)
+                } else {
+                    let out_rows = self.of(&ROWS);
+                    (self.sparse(out_rows, rows), out_rows)
+                };
+                let act = self.of(&[Act::Linear, Act::Tanh]);
+                self.push(Ins::Propagate(s, a, w, act), out_rows, out);
+            }
             _ => {
                 // An image of `h × w = cols`, filters no larger than it.
                 let h = (1..=cols).filter(|h| cols % h == 0).nth(1).unwrap_or(1);
@@ -478,21 +529,27 @@ fn random_program(seed: u64, steps: usize) -> Program {
 }
 
 /// The tape of one `GcnEncoder::step`: two propagation layers over a random
-/// graph, three gathers of the output (the negatives repeat rows), Manhattan
-/// distances and a hinge — so the gradient that reaches the layers is zero
-/// outside the gathered rows, and all of it where no pair violates the
-/// margin.
+/// graph (symmetric or not; taped as the encoder tapes them, fused, or as
+/// the nodes that stand for them), three gathers of the output (the
+/// negatives repeat rows), Manhattan distances and a hinge — so the gradient
+/// that reaches the layers is zero outside the gathered rows, and all of it
+/// where no pair violates the margin.
 fn gcn_program(seed: u64, nodes: usize, dim: usize, seeds: usize, margin: f32) -> Program {
     let mut b = Builder::new(seed);
     let x = b.leaf(nodes, dim);
     let w1 = b.leaf(dim, dim);
     let w2 = b.leaf(dim, dim);
-    let adj = b.sparse(nodes, nodes);
-    let xw = b.push(Ins::Matmul(x, w1), nodes, dim);
-    let prop = b.push(Ins::Spmm(adj, xw), nodes, dim);
-    let h1 = b.push(Ins::Tanh(prop), nodes, dim);
-    let hw = b.push(Ins::Matmul(h1, w2), nodes, dim);
-    let h = b.push(Ins::Spmm(adj, hw), nodes, dim);
+    let adj = b.adjacency(nodes);
+    let h = if b.rng.gen_bool(0.5) {
+        let h1 = b.push(Ins::Propagate(adj, x, w1, Act::Tanh), nodes, dim);
+        b.push(Ins::Propagate(adj, h1, w2, Act::Linear), nodes, dim)
+    } else {
+        let xw = b.push(Ins::Matmul(x, w1), nodes, dim);
+        let prop = b.push(Ins::Spmm(adj, xw), nodes, dim);
+        let h1 = b.push(Ins::Tanh(prop), nodes, dim);
+        let hw = b.push(Ins::Matmul(h1, w2), nodes, dim);
+        b.push(Ins::Spmm(adj, hw), nodes, dim)
+    };
     let rows = |b: &mut Builder| -> Vec<u32> {
         (0..seeds)
             .map(|_| b.rng.gen_range(0..nodes) as u32)
@@ -586,8 +643,9 @@ fn sparse_products_match_the_plain_loops() {
 
 // ---------------------------------------------- new with the rebuilt tape
 //
-// Everything below uses what the rebuilt tape added (`one_minus`,
-// `leaf_from`, `leaf_slice`, `grad_ref`); the parent commit has none of it.
+// Everything below holds what the rebuilt tape added (`one_minus`,
+// `leaf_from`, `leaf_slice`, `grad_ref`) to what it stands for; the
+// reference has none of it.
 
 props! {
     #![cases = 100]

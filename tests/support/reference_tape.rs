@@ -5,11 +5,13 @@
 //! in `dA = g·Bᵀ`, and scatters in `spmm`'s backward — the arithmetic that
 //! `tests/autodiff_equivalence.rs` pins the tape to, bit for bit. Do not
 //! tidy these loops: their order of operations is the specification.
+//! Beside the former API there is one composition, `propagate`: the nodes
+//! the tape's fused graph layer stands for.
 
 // The reference keeps the whole former API, used by the test or not.
 #![allow(dead_code)]
 
-use openea_autodiff::Tensor;
+use openea_autodiff::{Act, Tensor};
 
 /// Compressed sparse row matrix with `f32` values.
 #[derive(Clone, Debug)]
@@ -422,6 +424,17 @@ impl Graph {
                 kw,
             },
         )
+    }
+
+    /// `act(Â·(H·W))` as three nodes: `matmul`, `spmm`, and `tanh` for
+    /// [`Act::Tanh`].
+    pub fn propagate(&mut self, sparse_id: usize, h: Var, w: Var, act: Act) -> Var {
+        let hw = self.matmul(h, w);
+        let p = self.spmm(sparse_id, hw);
+        match act {
+            Act::Linear => p,
+            Act::Tanh => self.tanh(p),
+        }
     }
 
     /// Runs the reverse pass from scalar node `target`.
