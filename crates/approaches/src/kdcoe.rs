@@ -136,7 +136,8 @@ impl EpochHooks for Hooks<'_> {
             // Description view proposes (only entities with descriptions).
             let mut new_pairs = Vec::new();
             if let Some(desc) = self.fusion.views.first() {
-                let (d1, d2, dim) = (&desc.rows1, &desc.rows2, desc.dim);
+                let (d1, d2) = desc.rows().expect("the description view stores its rows");
+                let dim = desc.dim;
                 let described = |ids: &[EntityId], d: &[f32]| -> Vec<EntityId> {
                     ids.iter()
                         .copied()

@@ -9,15 +9,29 @@
 
 use crate::common::{ApproachOutput, EpochStats, RunConfig, UnifiedTransE};
 use crate::engine::{EpochHooks, RunContext, WarmStart};
+use crate::jape::AttrSets;
 use openea_align::Metric;
 use openea_core::{EntityId, KgPair, KnowledgeGraph};
 use openea_math::vecops;
+use openea_models::AttrCorrelationModel;
 
-/// Fixed `dim`-wide feature rows of every entity of both KGs (row-major, in
-/// entity-id order) and their weight in a [`Fusion`].
+/// Where a [`View`]'s row of an entity comes from.
+pub(crate) enum Features {
+    /// Stored: one row per entity of each KG, row-major, in entity-id order.
+    Rows { rows1: Vec<f32>, rows2: Vec<f32> },
+    /// Computed when fused: AC2Vec's feature of each entity's attribute ids
+    /// under the trained model. The fused checkpoint is the only copy.
+    Attrs {
+        model: AttrCorrelationModel,
+        sets1: AttrSets,
+        sets2: AttrSets,
+    },
+}
+
+/// `dim`-wide feature rows of every entity of both KGs and their weight in
+/// a [`Fusion`].
 pub(crate) struct View {
-    pub rows1: Vec<f32>,
-    pub rows2: Vec<f32>,
+    pub features: Features,
     pub dim: usize,
     pub weight: f32,
 }
@@ -31,11 +45,41 @@ impl View {
         rows: impl Fn(&KnowledgeGraph) -> Vec<f32>,
     ) -> Self {
         Self {
-            rows1: rows(&pair.kg1),
-            rows2: rows(&pair.kg2),
+            features: Features::Rows {
+                rows1: rows(&pair.kg1),
+                rows2: rows(&pair.kg2),
+            },
             dim,
             weight,
         }
+    }
+
+    /// The stored rows of KG1 and KG2; `None` for a computed view.
+    pub fn rows(&self) -> Option<(&[f32], &[f32])> {
+        match &self.features {
+            Features::Rows { rows1, rows2 } => Some((rows1, rows2)),
+            Features::Attrs { .. } => None,
+        }
+    }
+
+    /// Writes entity `e`'s row of KG `side` (1 or 2), scaled by the view's
+    /// weight, over `out`.
+    fn weighted_row_into(&self, side: u8, e: usize, out: &mut [f32]) {
+        match &self.features {
+            Features::Rows { rows1, rows2 } => {
+                let rows = if side == 1 { rows1 } else { rows2 };
+                out.copy_from_slice(&rows[e * self.dim..(e + 1) * self.dim]);
+            }
+            Features::Attrs {
+                model,
+                sets1,
+                sets2,
+            } => {
+                let sets = if side == 1 { sets1 } else { sets2 };
+                model.entity_feature_into(sets.row(e), out);
+            }
+        }
+        vecops::scale(out, self.weight);
     }
 }
 
@@ -66,27 +110,25 @@ impl Fusion {
             ..
         } = structure;
         let fused_dim = dim + self.views.iter().map(|v| v.dim).sum::<usize>();
-        let emb1 = self.concat(emb1, dim, fused_dim, |v| &v.rows1);
-        let emb2 = self.concat(emb2, dim, fused_dim, |v| &v.rows2);
+        let emb1 = self.concat(emb1, dim, fused_dim, 1);
+        let emb2 = self.concat(emb2, dim, fused_dim, 2);
         ApproachOutput::new(fused_dim, metric, emb1, emb2)
     }
 
-    fn concat(
-        &self,
-        mut structure: Vec<f32>,
-        dim: usize,
-        fused_dim: usize,
-        side: impl Fn(&View) -> &[f32],
-    ) -> Vec<f32> {
+    fn concat(&self, mut structure: Vec<f32>, dim: usize, fused_dim: usize, side: u8) -> Vec<f32> {
         let n = structure.len() / dim.max(1);
-        let mut out = Vec::with_capacity(n * fused_dim);
-        for i in 0..n {
-            let row = &mut structure[i * dim..(i + 1) * dim];
+        let mut out = vec![0.0f32; n * fused_dim];
+        for (e, fused) in out.chunks_exact_mut(fused_dim).enumerate() {
+            let row = &mut structure[e * dim..(e + 1) * dim];
             vecops::normalize(row);
-            out.extend(row.iter().map(|x| x * self.structure_weight));
+            let (head, mut rest) = fused.split_at_mut(dim);
+            for (o, x) in head.iter_mut().zip(row.iter()) {
+                *o = x * self.structure_weight;
+            }
             for v in &self.views {
-                let row = &side(v)[i * v.dim..(i + 1) * v.dim];
-                out.extend(row.iter().map(|x| x * v.weight));
+                let (slot, tail) = rest.split_at_mut(v.dim);
+                v.weighted_row_into(side, e, slot);
+                rest = tail;
             }
         }
         out
@@ -161,8 +203,10 @@ mod tests {
         let fusion = Fusion {
             structure_weight: 0.5,
             views: vec![View {
-                rows1: vec![1.0],
-                rows2: vec![-2.0],
+                features: Features::Rows {
+                    rows1: vec![1.0],
+                    rows2: vec![-2.0],
+                },
                 dim: 1,
                 weight: 0.25,
             }],

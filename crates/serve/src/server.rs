@@ -47,7 +47,7 @@ use openea_runtime::json::{object, Json, ToJson};
 use openea_runtime::timer::{MicrosHistogram, Monotonic};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Server tuning knobs.
@@ -114,6 +114,8 @@ pub(crate) struct Telemetry {
     /// Compute jobs that carried more than one pipelined `/align` request.
     pub pipelined_batches: AtomicU64,
     /// Per-endpoint service latency (µs), parse-complete → response queued.
+    /// Its guard is held for one histogram update or one read, which leave
+    /// the histograms whole, so a poisoned guard is as good as a clean one.
     pub latency: Mutex<[MicrosHistogram; N_ENDPOINTS]>,
     /// Admission-control snapshot for `/stats` (written by the reactor).
     pub window_p99_us: AtomicU64,
@@ -151,7 +153,7 @@ impl Telemetry {
     /// Records one answered request on `endpoint` with service latency `us`.
     pub(crate) fn record(&self, endpoint: usize, us: u64) {
         self.served.fetch_add(1, Ordering::Relaxed);
-        self.latency.lock().unwrap()[endpoint].record(us);
+        self.latency.lock().unwrap_or_else(PoisonError::into_inner)[endpoint].record(us);
     }
 
     pub(crate) fn shed_total(&self) -> u64 {
@@ -310,7 +312,7 @@ pub(crate) fn stats_json(
     let ix = index.stats();
     let raw = index.index();
     let (merged, endpoints) = {
-        let lat = tel.latency.lock().unwrap();
+        let lat = tel.latency.lock().unwrap_or_else(PoisonError::into_inner);
         let mut merged = MicrosHistogram::new();
         let mut endpoints = Vec::with_capacity(N_ENDPOINTS);
         for (name, h) in ENDPOINT_NAMES.iter().zip(lat.iter()) {
@@ -566,4 +568,36 @@ pub fn serve_hot(
     let addr = listener.local_addr()?;
     let reactor = crate::event::spawn_reactor(index, listener, opts)?;
     Ok(ServerHandle { addr, reactor })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::snapshot::tests::tiny_snapshot;
+    use crate::swap::IndexOptions;
+
+    #[test]
+    fn telemetry_recovers_a_latency_lock_poisoned_mid_record() {
+        let tel = Telemetry::new();
+        tel.record(EP_ALIGN, 100);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _lat = tel.latency.lock();
+                panic!("a recorder panics while it holds the latency lock");
+            })
+            .join()
+            .unwrap_err();
+        });
+        assert!(tel.latency.is_poisoned());
+
+        tel.record(EP_ALIGN, 300);
+        let hot = HotSwapIndex::fixed(IndexOptions::default().build(tiny_snapshot()));
+        let body = stats_json(&hot, &tel, 0, 1_000);
+        let align = body.get("endpoints").and_then(|e| e.get("align"));
+        assert_eq!(
+            align.and_then(|a| a.get("count")).and_then(Json::as_f64),
+            Some(2.0)
+        );
+        assert_eq!(body.get("served").and_then(Json::as_f64), Some(2.0));
+    }
 }

@@ -270,7 +270,8 @@ pub struct HotSwapIndex {
     live: Mutex<Arc<BatchIndex>>,
     opts: IndexOptions,
     /// Serializes reloads end to end (load → build → warm → flip) without
-    /// ever blocking readers.
+    /// ever blocking readers. It guards no data, and a reload that panics
+    /// has flipped nothing, so a poisoned guard is as good as a clean one.
     reload_lock: Mutex<()>,
     state: Mutex<SwapState>,
     clock: Monotonic,
@@ -372,7 +373,10 @@ impl HotSwapIndex {
     /// Reloads from an explicit path, which becomes the remembered path on
     /// success (so the watcher follows the newest artifact).
     pub fn reload_from(&self, path: &Path) -> Result<ReloadOutcome, SnapshotError> {
-        let _serialize = self.reload_lock.lock().unwrap();
+        let _serialize = self
+            .reload_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let fp = fingerprint(path);
         let art = match load_artifact(path, self.opts.mem_budget_bytes) {
             Ok(a) => a,
@@ -392,7 +396,10 @@ impl HotSwapIndex {
     /// build → warm → flip → retire tail of a reload. Benches use this to
     /// flip between in-memory generations.
     pub fn swap_in(&self, snapshot: Snapshot) -> ReloadOutcome {
-        let _serialize = self.reload_lock.lock().unwrap();
+        let _serialize = self
+            .reload_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let total = snapshot.num_targets();
         self.swap_in_loaded(
             LoadedArtifact {
@@ -650,6 +657,34 @@ mod tests {
         assert_eq!(st.reload_failures, 1);
         assert_eq!(st.reloads, 0);
         assert!(st.last_error.is_some());
+    }
+
+    #[test]
+    fn a_reload_that_panicked_does_not_block_the_next() {
+        let dir = tmpdir("poisoned");
+        let path = dir.join("live.snap");
+        tiny_snapshot().write_to(&path).unwrap();
+        let (hot, _) = HotSwapIndex::open(&path, IndexOptions::default()).unwrap();
+        let panicking = Arc::clone(&hot);
+        std::thread::spawn(move || {
+            let _serialize = panicking.reload_lock.lock();
+            panic!("a reload panics while it holds the reload lock");
+        })
+        .join()
+        .unwrap_err();
+        assert!(hot.reload_lock.is_poisoned());
+
+        let mut snap_b = tiny_snapshot();
+        snap_b.emb1[0] += 1.0;
+        snap_b.write_to(&path).unwrap();
+        let outcome = hot.reload_from(&path).unwrap();
+        assert_eq!(outcome.generation, snap_b.generation());
+        let mut snap_c = tiny_snapshot();
+        snap_c.emb2[0] += 0.5;
+        let generation = snap_c.generation();
+        assert_eq!(hot.swap_in(snap_c).generation, generation);
+        assert_eq!(hot.current().index().generation(), generation);
+        assert_eq!(hot.stats().reloads, 2);
     }
 
     #[test]

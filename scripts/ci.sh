@@ -66,17 +66,23 @@ cargo test --release --offline -p openea --test kernel_conformance --test kernel
 # peak, and a checkpoint's peak against a step's, on the benchmark's GCNAlign
 # shape (the 3 000-entity D-Y pair at dim 32), the step
 # `gcnalign_3k_exact_uniform` generates through; and that workload's whole
-# seed-1 generation, held to 6.7 MB of heap above its inputs. Beside them,
-# the tape's bit-identity gates — every op, the fused graph layer included,
-# against the plain loops, and the layer's and the sparse constants' unit
-# tests — under the code generation that ships. Budget: a few seconds after
-# the release build above.
+# seed-1 generation, held to 5.5 MB of heap above its inputs and 20 000
+# allocator calls. Beside them, the tape's bit-identity gates — every op, the
+# fused graph layer included, against the plain loops, and the layer's and
+# the sparse constants' unit tests — under the code generation that ships.
+# Then the AC2Vec attribute
+# view that generation fuses: computed into the fused checkpoint bit for bit
+# like the rows it once stored (`jape::tests::computed_ac2vec_view`), and
+# AC2Vec's own unit tests, its step's scratch copies against fresh ones
+# among them. Budget: a few seconds after the release build above.
 cargo test --release --offline -p openea --test synth_pins --test kg_model --test pair_memory \
     --test generation_memory --test autodiff_memory --test gcnalign_memory \
     --test autodiff_equivalence
 cargo test --release --offline -p openea-autodiff --lib
 cargo test --release --offline -p openea-approaches --lib -- \
-    engine::tests common::proptests::validation_in_place boot::proptests
+    engine::tests common::proptests::validation_in_place boot::proptests \
+    jape::tests::computed_ac2vec_view
+cargo test --release --offline -p openea-models --lib
 cargo test --release --offline -p openea --test approach_matrix -- self_training:: \
     view_ablation_hashes
 cargo test --release --offline -p openea-synth --lib

@@ -159,12 +159,14 @@ fn alinet_golden_hash_bit_identical_across_thread_counts() {
 /// Table 8's `use_relations: false` (no training, the untrained encoder's
 /// output, with GCNAlign's attribute view still combined) for all three, and
 /// Figure 6's `use_attributes: false` for RDGCN (random trainable features,
-/// relation-aware plain GCN without the highway gate).
-const GNN_ABLATION_GOLDEN: [(&str, bool, bool, u64); 4] = [
+/// relation-aware plain GCN without the highway gate) and for GCNAlign (the
+/// trained structure alone, no attribute view fused).
+const GNN_ABLATION_GOLDEN: [(&str, bool, bool, u64); 5] = [
     ("GCNAlign", false, true, 0x49f005e06a8ba451),
     ("RDGCN", false, true, 0xede94f1fb0776e82),
     ("AliNet", false, true, 0x28d7aecc8eca9d5f),
     ("RDGCN", true, false, 0x18d08dc78174103c),
+    ("GCNAlign", true, false, 0x02ed31029334605d),
 ];
 
 #[test]
