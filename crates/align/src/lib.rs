@@ -14,7 +14,6 @@
 
 pub mod analysis;
 pub mod ann;
-pub mod blocking;
 pub mod eval;
 pub mod infer;
 pub mod metric;
@@ -28,7 +27,6 @@ pub use analysis::{
     OverlapBreakdown,
 };
 pub use ann::{AnnConfig, IvfIndex};
-pub use blocking::{blocked_greedy_match, BlockedMatch, LshIndex};
 pub use eval::{precision_recall_f1, rank_eval, rank_eval_streaming, MeanStd, PrfScores, RankEval};
 pub use infer::{
     greedy_collective, greedy_match, greedy_match_topk, hungarian, stable_marriage,

@@ -96,6 +96,18 @@ impl Requirements {
     );
 }
 
+/// Cap on *pairs* (a positive with one negative) per mini-batch of the
+/// training engine — `TrainOptions::batch_size` counts pairs. The effective
+/// size is `triples / BATCHES_PER_EPOCH`, clamped to this — small KGs keep
+/// near-serial SGD dynamics, large ones get larger batches.
+const MAX_BATCH_PAIRS: usize = 4096;
+
+/// Divisor the effective batch size is derived with — not the batch count:
+/// an epoch has `triples × negs` pairs, so it runs about
+/// `BATCHES_PER_EPOCH × negs` batches (150 at 5 negatives) unless
+/// [`MAX_BATCH_PAIRS`] caps the size and it runs more.
+const BATCHES_PER_EPOCH: usize = 30;
+
 /// Hyper-parameters shared by every run (Table 4 analogue).
 #[derive(Clone, Debug)]
 pub struct RunConfig {
@@ -120,17 +132,6 @@ pub struct RunConfig {
     pub use_relations: bool,
     /// Pre-trained (cross-lingual) word vectors for literal encoders.
     pub word_vectors: WordVectors,
-    /// Cap on *pairs* (a positive with one negative) per mini-batch of the
-    /// training engine — `TrainOptions::batch_size` counts pairs. The
-    /// effective size is `triples / batches_per_epoch`, clamped to this —
-    /// small KGs keep near-serial SGD dynamics, large ones get larger
-    /// batches.
-    pub batch_size: usize,
-    /// Divisor the effective batch size is derived with — not the batch
-    /// count: an epoch has `triples × negs` pairs, so it runs about
-    /// `batches_per_epoch × negs` batches (150 at the defaults) unless
-    /// `batch_size` caps the size and it runs more.
-    pub batches_per_epoch: usize,
     /// Worker threads for similarity search and batched training.
     pub threads: usize,
     pub seed: u64,
@@ -149,8 +150,6 @@ impl Default for RunConfig {
             use_attributes: true,
             use_relations: true,
             word_vectors: WordVectors::hash_only(32),
-            batch_size: 4096,
-            batches_per_epoch: 30,
             threads: 4,
             seed: 42,
         }
@@ -187,11 +186,11 @@ impl RunConfig {
     /// The batched-trainer options implied by this configuration for a KG
     /// (or unified space) with `n_triples` positive triples.
     pub fn train_options(&self, n_triples: usize) -> TrainOptions {
-        let aimed = n_triples.div_ceil(self.batches_per_epoch.max(1));
+        let aimed = n_triples.div_ceil(BATCHES_PER_EPOCH);
         TrainOptions {
             lr: self.lr,
             negs_per_pos: self.negs,
-            batch_size: aimed.clamp(1, self.batch_size.max(1)),
+            batch_size: aimed.clamp(1, MAX_BATCH_PAIRS),
             threads: self.threads,
             ..TrainOptions::default()
         }

@@ -468,13 +468,16 @@ pub fn unsupervised(cfg: &HarnessConfig) {
     cfg.write_json("unsupervised", &rows);
 }
 
-/// Exploratory: LSH blocking for large-scale alignment (paper Sect. 7.2,
-/// direction 3) — how much of exact greedy Hits@1 survives blocking, at what
-/// fraction of the comparisons.
+/// Exploratory: blocking for large-scale alignment (paper Sect. 7.2,
+/// direction 3), answered with the IVF partition the server probes — how
+/// much of exact greedy Hits@1 survives probing `nprobe` of its `nlist`
+/// partitions, at what fraction of the comparisons. A probe costs one
+/// centroid score per partition plus the members it re-ranks; at
+/// `nprobe = nlist` it re-ranks every target and equals the exact sweep.
 pub fn blocking(cfg: &HarnessConfig) {
-    use openea::align::{blocked_greedy_match, LshIndex};
+    use openea::align::{AnnConfig, IvfIndex};
 
-    println!("== Exploratory: LSH blocking (D-Y, V1, MultiKE embeddings) ==");
+    println!("== Exploratory: IVF blocking (D-Y, V1, MultiKE embeddings) ==");
     let key = DatasetKey {
         family: DatasetFamily::DY,
         dense: false,
@@ -483,57 +486,53 @@ pub fn blocking(cfg: &HarnessConfig) {
     let dataset = build_dataset(key, cfg);
     let approach = approach_by_name("MultiKE").unwrap();
     let (out, rc) = run_fold0(approach.as_ref(), &dataset, cfg, |_| {});
-    let test = &dataset.folds[0].test;
-    let sources: Vec<EntityId> = test.iter().map(|&(a, _)| a).collect();
-    let targets: Vec<EntityId> = test.iter().map(|&(_, b)| b).collect();
-    let mut src = Vec::new();
-    for &e in &sources {
-        src.extend_from_slice(out.vec1(e));
-    }
-    let mut dst = Vec::new();
-    for &e in &targets {
-        dst.extend_from_slice(out.vec2(e));
-    }
+    let (sources, targets): (Vec<EntityId>, Vec<EntityId>) =
+        dataset.folds[0].test.iter().copied().unzip();
+    let n = sources.len();
+    let hits1 = |correct: usize| correct as f64 / n.max(1) as f64;
     let exact = greedy_match_topk(&out.topk(&sources, &targets, 1, rc.threads));
-    let exact_hits: f64 = exact
-        .iter()
-        .enumerate()
-        .filter(|&(i, &m)| m == Some(i))
-        .count() as f64
-        / test.len().max(1) as f64;
-    let total = test.len() * test.len();
+    let exact_hits = hits1((0..n).filter(|&i| exact[i] == Some(i)).count());
+    let total = n * n;
+
+    let (src, dst) = out.gather(&sources, &targets);
+    let ann = AnnConfig {
+        seed: cfg.seed,
+        ..AnnConfig::default()
+    };
+    let index = IvfIndex::build(&dst, out.dim, out.metric, &ann, rc.threads);
+    let nlist = index.nlist();
+    println!("{n} test pairs, nlist {nlist}");
     println!(
-        "{:>6} {:>7} {:>10} {:>12} {:>10}",
-        "bits", "tables", "Hits@1", "comparisons", "vs exact"
+        "{:>8} {:>10} {:>12} {:>10}",
+        "nprobe", "Hits@1", "comparisons", "vs exact"
     );
     println!(
-        "{:>6} {:>7} {:>10.3} {:>12} {:>10}",
-        "-", "-", exact_hits, total, "1.00x"
+        "{:>8} {:>10.3} {:>12} {:>10}",
+        "exact", exact_hits, total, "1.00x"
     );
-    let mut rows = Vec::new();
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    // High-dimensional embeddings need short hashes and many tables: the
-    // per-bit collision probability for a true pair at cosine ~0.8 is ~0.8,
-    // so recall ≈ 1 − (1 − 0.8^bits)^tables.
-    for (bits, tables) in [(4usize, 8usize), (6, 16), (8, 24)] {
-        let index = LshIndex::build(&dst, out.dim, bits, tables, &mut rng);
-        let blocked = blocked_greedy_match(&src, &dst, out.dim, Metric::Cosine, &index);
-        let hits: f64 = blocked
-            .matches
-            .iter()
-            .enumerate()
-            .filter(|&(i, &m)| m == Some(i as u32))
-            .count() as f64
-            / test.len().max(1) as f64;
+    let mut rows = vec![("exact".to_owned(), exact_hits, total)];
+    let doubling = std::iter::successors((nlist > 0).then_some(1), |&p| {
+        (p < nlist).then(|| (2 * p).min(nlist))
+    });
+    for nprobe in doubling {
+        let mut correct = 0;
+        let mut comparisons = n * nlist;
+        for (i, q) in src.chunks_exact(out.dim).enumerate() {
+            let (best, scanned) = index.search_counted(q, 1, nprobe);
+            comparisons += scanned;
+            if best.first().is_some_and(|&(j, _)| j as usize == i) {
+                correct += 1;
+            }
+        }
+        let hits = hits1(correct);
         println!(
-            "{:>6} {:>7} {:>10.3} {:>12} {:>9.2}x",
-            bits,
-            tables,
+            "{:>8} {:>10.3} {:>12} {:>9.2}x",
+            nprobe,
             hits,
-            blocked.comparisons,
-            blocked.comparisons as f64 / total as f64
+            comparisons,
+            comparisons as f64 / total as f64
         );
-        rows.push((bits, tables, hits, blocked.comparisons));
+        rows.push((format!("nprobe {nprobe}"), hits, comparisons));
     }
     cfg.write_json("blocking", &rows);
 }

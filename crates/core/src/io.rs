@@ -12,7 +12,6 @@
 //! ```
 
 use crate::error::{Error, Result};
-use crate::ids::EntityId;
 use crate::kg::{KgBuilder, KnowledgeGraph};
 use crate::pair::{AlignedPair, FoldSplit, KgPair};
 use std::fs;
@@ -231,11 +230,6 @@ pub fn alignment_names(pair: &KgPair, pairs: &[AlignedPair]) -> Vec<(String, Str
             )
         })
         .collect()
-}
-
-/// Re-export used by tests and the sampling crate to look up ids.
-pub fn entity_ids_by_names(kg: &KnowledgeGraph, names: &[&str]) -> Vec<Option<EntityId>> {
-    names.iter().map(|n| kg.entity_by_name(n)).collect()
 }
 
 #[cfg(test)]

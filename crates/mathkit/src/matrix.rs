@@ -133,11 +133,6 @@ impl Matrix {
         out
     }
 
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f32 {
-        vecops::norm2(&self.data)
-    }
-
     /// Makes the rows orthonormal in place via modified Gram–Schmidt.
     /// Rows that become (numerically) zero are re-seeded from the identity.
     pub fn orthonormalize_rows(&mut self) {

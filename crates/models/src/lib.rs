@@ -20,7 +20,8 @@ pub mod deep;
 pub mod linkpred;
 pub mod literal;
 pub mod semantic;
-pub mod testkit;
+#[cfg(test)]
+mod testkit;
 pub mod trainer;
 pub mod traits;
 pub mod translational;

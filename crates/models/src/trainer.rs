@@ -598,11 +598,6 @@ impl TraceRecorder {
         self.trace.epochs.last()
     }
 
-    /// Seconds elapsed since the recorder was created.
-    pub fn elapsed_s(&self) -> f64 {
-        self.run_start.elapsed().as_secs_f64()
-    }
-
     /// A clone of the trace recorded so far, with the running wall time
     /// filled in — the stop reason stays whatever has been recorded (usually
     /// [`StopReason::NotRecorded`] mid-run). The driver engine attaches this

@@ -61,11 +61,6 @@ impl EvolutionConfig {
         }
     }
 
-    pub fn with_dense(mut self, dense: bool) -> Self {
-        self.dense = dense;
-        self
-    }
-
     pub fn with_base_fraction(mut self, frac: f64) -> Self {
         self.base_fraction = frac;
         self

@@ -24,10 +24,13 @@ cargo build --release --offline
 cargo test -q --offline
 
 # The paper harness itself — argument parsing, dataset build, table printing
-# — on its two cheapest experiments (the serving and training contracts are
-# tier-1 tests, above). Budget: under a second.
+# — on its three cheapest experiments (the serving and training contracts are
+# tier-1 tests, above). `blocking` trains MultiKE on the small D-Y pair and
+# sweeps the IVF index's `nprobe` up to every partition, whose Hits@1 is the
+# exact row's. Budget: under a second.
 cargo run --release --offline -p openea-bench -- table9 --no-out
 cargo run --release --offline -p openea-bench -- table2 --scale small --no-out
+cargo run --release --offline -p openea-bench -- blocking --scale small --no-out
 
 # The benchmark's third input: `scale_200k_ivf_uniform --seed 1` serves the
 # 200 000 × 32 pair whose digest this pins, the way `kg_model` (in the pass
