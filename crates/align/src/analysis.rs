@@ -2,22 +2,23 @@
 //! Figure 5 (recall per alignment-degree bucket), Figure 9 (top-k similarity
 //! profile), Figure 10 (hubness and isolation) and Figure 12 (three-system
 //! overlap of correct alignment).
+//!
+//! Figures 9 and 10 read only each source's best few targets, so they take
+//! streamed [`TopKMatrix`] lists: a width of `k_max` for the profile, 1 for
+//! hubness.
 
-use crate::simmat::SimilarityMatrix;
+use crate::topk::TopKMatrix;
 use std::collections::HashSet;
 
 /// Figure 9: mean similarity between each source entity and its k-th nearest
 /// target, for k = 1..=k_max. A good approach shows a high first value and a
-/// steep drop (discriminative neighbours).
-pub fn topk_similarity_profile(sim: &SimilarityMatrix, k_max: usize) -> Vec<f64> {
-    let rows = sim.rows();
-    if rows == 0 {
-        return vec![0.0; k_max];
-    }
+/// steep drop (discriminative neighbours). Reads the first `k_max` kept
+/// entries of each row; a rank no row kept reads 0.
+pub fn topk_similarity_profile(topk: &TopKMatrix, k_max: usize) -> Vec<f64> {
     let mut sums = vec![0.0f64; k_max];
     let mut counts = vec![0usize; k_max];
-    for i in 0..rows {
-        for (k, &(_, s)) in sim.topk_row(i, k_max).iter().enumerate() {
+    for row in topk.iter_rows() {
+        for (k, &(_, s)) in row.iter().take(k_max).enumerate() {
             sums[k] += s as f64;
             counts[k] += 1;
         }
@@ -43,8 +44,8 @@ pub struct HubnessProfile {
 }
 
 /// Computes the hubness/isolation profile of greedy top-1 matching.
-pub fn hubness_profile(sim: &SimilarityMatrix) -> HubnessProfile {
-    let cols = sim.cols();
+pub fn hubness_profile(topk: &TopKMatrix) -> HubnessProfile {
+    let cols = topk.cols();
     if cols == 0 {
         return HubnessProfile {
             zero: 0.0,
@@ -54,8 +55,8 @@ pub fn hubness_profile(sim: &SimilarityMatrix) -> HubnessProfile {
         };
     }
     let mut counts = vec![0usize; cols];
-    for i in 0..sim.rows() {
-        if let Some(j) = sim.argmax_row(i) {
+    for i in 0..topk.rows() {
+        if let Some((j, _)) = topk.best(i) {
             counts[j] += 1;
         }
     }
@@ -149,20 +150,41 @@ pub fn overlap3(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simmat::SimilarityMatrix;
+
+    /// Every target of every row, most similar first.
+    pub(super) fn full(rows: usize, cols: usize, values: Vec<f32>) -> TopKMatrix {
+        TopKMatrix::from_matrix(&SimilarityMatrix::from_raw(rows, cols, values), cols)
+    }
 
     #[test]
     fn similarity_profile_is_descending() {
-        let sim = SimilarityMatrix::from_raw(2, 4, vec![0.9, 0.3, 0.5, 0.1, 0.2, 0.8, 0.6, 0.4]);
+        let sim = full(2, 4, vec![0.9, 0.3, 0.5, 0.1, 0.2, 0.8, 0.6, 0.4]);
         let prof = topk_similarity_profile(&sim, 3);
         assert_eq!(prof.len(), 3);
         assert!(prof[0] >= prof[1] && prof[1] >= prof[2]);
         assert!((prof[0] - (0.9 + 0.8) / 2.0).abs() < 1e-6);
+        // Lists of exactly `k_max` give the same profile; ranks past the
+        // kept width read 0, as do ranks of an empty set of sources.
+        let raw = SimilarityMatrix::from_raw(2, 4, vec![0.9, 0.3, 0.5, 0.1, 0.2, 0.8, 0.6, 0.4]);
+        assert_eq!(
+            topk_similarity_profile(&TopKMatrix::from_matrix(&raw, 3), 3),
+            prof
+        );
+        assert_eq!(
+            topk_similarity_profile(&full(2, 2, vec![0.5; 4]), 3)[2],
+            0.0
+        );
+        assert_eq!(
+            topk_similarity_profile(&full(0, 4, vec![]), 2),
+            vec![0.0; 2]
+        );
     }
 
     #[test]
     fn hubness_counts_regions() {
         // 4 sources all pick target 0; targets 1..3 never picked.
-        let sim = SimilarityMatrix::from_raw(
+        let sim = full(
             4,
             4,
             vec![
@@ -181,8 +203,7 @@ mod tests {
 
     #[test]
     fn hubness_ideal_case() {
-        let sim =
-            SimilarityMatrix::from_raw(3, 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
+        let sim = full(3, 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
         let h = hubness_profile(&sim);
         assert_eq!(h.one, 1.0);
         assert_eq!(h.zero, 0.0);
@@ -235,6 +256,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::full;
     use super::*;
     use openea_runtime::testkit::prelude::*;
 
@@ -242,7 +264,7 @@ mod proptests {
         /// The top-k similarity profile is non-increasing in k.
         #[test]
         fn similarity_profile_is_monotone(values in vec_of(-1.0f32..1.0, 24)) {
-            let sim = SimilarityMatrix::from_raw(4, 6, values);
+            let sim = full(4, 6, values);
             let prof = topk_similarity_profile(&sim, 5);
             for w in prof.windows(2) {
                 prop_assert!(w[0] >= w[1] - 1e-6);
@@ -252,7 +274,7 @@ mod proptests {
         /// Hubness fractions always partition the target set.
         #[test]
         fn hubness_fractions_sum_to_one(values in vec_of(-1.0f32..1.0, 30)) {
-            let sim = SimilarityMatrix::from_raw(5, 6, values);
+            let sim = full(5, 6, values);
             let h = hubness_profile(&sim);
             let total = h.zero + h.one + h.two_to_four + h.five_plus;
             prop_assert!((total - 1.0).abs() < 1e-9);

@@ -1,91 +1,42 @@
 //! Alignment-inference strategies (paper Sect. 2.2.2 and Table 6).
 //!
-//! * [`greedy_match`] — independent nearest-neighbour per source (what every
-//!   surveyed approach uses);
-//! * [`stable_marriage`] — Gale–Shapley: no source/target pair prefers each
-//!   other over their assigned partners;
+//! * [`greedy_match_topk`] — independent nearest-neighbour per source (what
+//!   every surveyed approach uses);
+//! * [`stable_marriage_topk`] — Gale–Shapley: no source/target pair prefers
+//!   each other over their assigned partners;
 //! * [`hungarian`] — Kuhn–Munkres maximum-weight matching, the O(N³)
 //!   collective-search optimum;
 //! * [`greedy_collective`] — the linear-ish heuristic: sort candidate pairs
 //!   by similarity, accept greedily under the 1-to-1 constraint.
+//!
+//! Greedy and stable marriage read streamed [`TopKMatrix`] lists, so they
+//! never need the `rows × cols` matrix; the two collective strategies weigh
+//! every cell and take a dense [`SimilarityMatrix`].
 
 use crate::simmat::SimilarityMatrix;
 use crate::topk::{score_desc, TopKMatrix};
 use std::cmp::Ordering;
 
 /// Greedy nearest-neighbour: each source independently picks its most
-/// similar target (targets may be reused). Returns `match[i] = j`.
-pub fn greedy_match(sim: &SimilarityMatrix) -> Vec<Option<usize>> {
-    (0..sim.rows()).map(|i| sim.argmax_row(i)).collect()
-}
-
-/// [`greedy_match`] over streamed top-k lists — never needs the full matrix.
-/// Identical to the dense result (both resolve ties toward the lowest
-/// target index).
+/// similar target (targets may be reused; ties go to the lowest target
+/// index). Returns `match[i] = j`; a list of width 1 is all it reads.
 pub fn greedy_match_topk(topk: &TopKMatrix) -> Vec<Option<usize>> {
     (0..topk.rows())
         .map(|i| topk.best(i).map(|(j, _)| j))
         .collect()
 }
 
-/// Gale–Shapley stable marriage with sources proposing. All similarities
-/// act as preferences; every source is matched when `rows <= cols`. Equal
-/// preferences resolve toward the lower target index, and a target keeps its
-/// current partner unless the new proposal is strictly better. Both sides
-/// rank by the kernel layer's total order (descending, NaN last), so a
-/// diverged run's NaN similarities lose to every finite one instead of
-/// panicking the sort.
-pub fn stable_marriage(sim: &SimilarityMatrix) -> Vec<Option<usize>> {
-    let rows = sim.rows();
-    let cols = sim.cols();
-    // Preference lists: targets sorted by descending similarity per source,
-    // ties toward the lower index (the kernel layer's shared tie rule).
-    let prefs: Vec<Vec<usize>> = (0..rows)
-        .map(|i| {
-            let row = sim.row(i);
-            let mut idx: Vec<usize> = (0..cols).collect();
-            idx.sort_by(|&a, &b| score_desc(row[a], row[b]).then(a.cmp(&b)));
-            idx
-        })
-        .collect();
-    let mut next_proposal = vec![0usize; rows];
-    let mut target_of = vec![None::<usize>; rows];
-    let mut source_of = vec![None::<usize>; cols];
-    let mut free: Vec<usize> = (0..rows).collect();
-
-    while let Some(i) = free.pop() {
-        // Source i proposes down its preference list.
-        while next_proposal[i] < cols {
-            let j = prefs[i][next_proposal[i]];
-            next_proposal[i] += 1;
-            match source_of[j] {
-                None => {
-                    source_of[j] = Some(i);
-                    target_of[i] = Some(j);
-                    break;
-                }
-                Some(other) => {
-                    if score_desc(sim.get(i, j), sim.get(other, j)) == Ordering::Less {
-                        // j dumps `other` for i.
-                        source_of[j] = Some(i);
-                        target_of[i] = Some(j);
-                        target_of[other] = None;
-                        free.push(other);
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    target_of
-}
-
-/// [`stable_marriage`] over streamed top-k preference lists: each source only
-/// proposes to its `k` best targets (a source whose list runs dry stays
-/// unmatched). Rows of a [`TopKMatrix`] are already sorted under the shared
-/// tie rule, so with `k ≥ cols` this reproduces the dense result exactly;
-/// truncated lists give the usual blocking-approximate variant at
-/// O(rows·k) memory.
+/// Gale–Shapley stable marriage with sources proposing down their kept
+/// lists. Rows of a [`TopKMatrix`] are sorted under the kernel layer's total
+/// order (descending, NaN last, ties toward the lower target index), and a
+/// target keeps its current partner unless the new proposal is strictly
+/// better, so a diverged run's NaN similarities lose to every finite one
+/// instead of panicking a comparison.
+///
+/// With `k ≥ cols` every list is complete and this is Gale–Shapley over full
+/// preference lists: every source is matched when `rows <= cols`. Truncated
+/// lists give the usual blocking-approximate variant at O(rows·k) memory: a
+/// source whose list runs dry stays unmatched.
 pub fn stable_marriage_topk(topk: &TopKMatrix) -> Vec<Option<usize>> {
     let rows = topk.rows();
     let cols = topk.cols();
@@ -243,17 +194,28 @@ mod tests {
         SimilarityMatrix::from_raw(rows, cols, v)
     }
 
+    /// Every target of every row: the lists greedy and stable marriage read
+    /// when nothing is truncated.
+    pub(super) fn full(sim: &SimilarityMatrix) -> TopKMatrix {
+        TopKMatrix::from_matrix(sim, sim.cols())
+    }
+
+    pub(super) fn stable_marriage_full(sim: &SimilarityMatrix) -> Vec<Option<usize>> {
+        stable_marriage_topk(&full(sim))
+    }
+
     #[test]
     fn nan_similarities_rank_last_and_never_panic() {
         // What a diverged run hands inference: a finite 3×3 problem inside
-        // a 4×4 whose last row and last column are NaN.
+        // a 4×4 whose last row and last column are NaN. The NaN row engages
+        // target 0 first and a finite proposal must win it back.
         let finite = [0.2, 0.9, 0.4, 0.8, 0.7, 0.1, 0.3, 0.6, 0.5];
         let mut bordered = vec![f32::NAN; 16];
         for (i, row) in finite.chunks(3).enumerate() {
             bordered[i * 4..i * 4 + 3].copy_from_slice(row);
         }
         let (clean, bordered) = (mat(3, 3, finite.to_vec()), mat(4, 4, bordered));
-        for matcher in [stable_marriage, greedy_collective] {
+        for matcher in [stable_marriage_full, greedy_collective] {
             let want = matcher(&clean);
             assert_eq!(want, vec![Some(1), Some(0), Some(2)]);
             let got = matcher(&bordered);
@@ -262,23 +224,24 @@ mod tests {
             assert_eq!(got[..3], want[..]);
             assert_eq!(got[3], Some(3));
         }
-        // The streamed twin ranks by the same order: the NaN row engages
-        // target 0 first and a finite proposal must win it back.
-        let full = TopKMatrix::from_matrix(&bordered, 4);
-        assert_eq!(stable_marriage_topk(&full), stable_marriage(&bordered));
+        // Greedy never picks a NaN cell over a finite one either.
+        let greedy = greedy_match_topk(&full(&bordered));
+        assert_eq!(greedy[..3], greedy_match_topk(&full(&clean))[..]);
     }
 
     #[test]
     fn greedy_allows_conflicts() {
         let m = mat(2, 2, vec![0.9, 0.1, 0.8, 0.2]);
-        let g = greedy_match(&m);
+        let g = greedy_match_topk(&full(&m));
         assert_eq!(g, vec![Some(0), Some(0)]); // both pick target 0
+                                               // Width 1 is all greedy reads.
+        assert_eq!(greedy_match_topk(&TopKMatrix::from_matrix(&m, 1)), g);
     }
 
     #[test]
     fn stable_marriage_resolves_conflicts() {
         let m = mat(2, 2, vec![0.9, 0.1, 0.8, 0.2]);
-        let sm = stable_marriage(&m);
+        let sm = stable_marriage_full(&m);
         // Source 0 prefers 0 more strongly; source 1 settles for 1.
         assert_eq!(sm, vec![Some(0), Some(1)]);
     }
@@ -286,7 +249,7 @@ mod tests {
     #[test]
     fn stable_marriage_has_no_blocking_pair() {
         let m = mat(3, 3, vec![0.5, 0.9, 0.1, 0.4, 0.8, 0.3, 0.95, 0.2, 0.6]);
-        let sm = stable_marriage(&m);
+        let sm = stable_marriage_full(&m);
         // Verify stability: no (i, j) both preferring each other over current.
         let matched: Vec<usize> = sm.iter().map(|x| x.unwrap()).collect();
         for i in 0..3 {
@@ -342,8 +305,8 @@ mod tests {
     fn all_strategies_agree_on_unambiguous_input() {
         let m = mat(3, 3, vec![0.9, 0.0, 0.1, 0.0, 0.8, 0.1, 0.1, 0.0, 0.9]);
         let expect = vec![Some(0), Some(1), Some(2)];
-        assert_eq!(greedy_match(&m), expect);
-        assert_eq!(stable_marriage(&m), expect);
+        assert_eq!(greedy_match_topk(&full(&m)), expect);
+        assert_eq!(stable_marriage_full(&m), expect);
         assert_eq!(hungarian(&m), expect);
         assert_eq!(greedy_collective(&m), expect);
     }
@@ -351,31 +314,17 @@ mod tests {
     #[test]
     fn empty_matrix_is_handled() {
         let m = mat(0, 0, vec![]);
-        assert!(greedy_match(&m).is_empty());
-        assert!(stable_marriage(&m).is_empty());
         assert!(hungarian(&m).is_empty());
         assert!(greedy_collective(&m).is_empty());
-        let t = TopKMatrix::from_matrix(&m, 3);
-        assert!(greedy_match_topk(&t).is_empty());
-        assert!(stable_marriage_topk(&t).is_empty());
-    }
-
-    #[test]
-    fn topk_greedy_equals_dense_greedy() {
-        let m = mat(
-            3,
-            4,
-            vec![0.1, 0.9, 0.9, 0.2, 0.5, 0.5, 0.5, 0.5, 0.0, 0.1, 0.2, 0.3],
-        );
-        let t = TopKMatrix::from_matrix(&m, 1);
-        assert_eq!(greedy_match_topk(&t), greedy_match(&m));
-    }
-
-    #[test]
-    fn topk_stable_marriage_with_full_k_equals_dense() {
-        let m = mat(3, 3, vec![0.5, 0.9, 0.1, 0.4, 0.8, 0.3, 0.95, 0.2, 0.6]);
-        let t = TopKMatrix::from_matrix(&m, 3);
-        assert_eq!(stable_marriage_topk(&t), stable_marriage(&m));
+        for k in [0, 3] {
+            let t = TopKMatrix::from_matrix(&m, k);
+            assert!(greedy_match_topk(&t).is_empty());
+            assert!(stable_marriage_topk(&t).is_empty());
+        }
+        // Sources without targets stay unmatched.
+        let t = full(&mat(2, 0, vec![]));
+        assert_eq!(greedy_match_topk(&t), vec![None, None]);
+        assert_eq!(stable_marriage_topk(&t), vec![None, None]);
     }
 
     #[test]
@@ -390,6 +339,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{full, stable_marriage_full};
     use super::*;
     use openea_runtime::testkit::prelude::*;
 
@@ -398,6 +348,14 @@ mod proptests {
             .enumerate()
             .filter_map(|(i, &j)| j.map(|j| sim.get(i, j) as f64))
             .sum()
+    }
+
+    /// A `rows × cols` matrix from the head of `values`; with `ties`, every
+    /// value snaps to one of three levels, so rows and columns tie often.
+    fn shaped(rows: usize, cols: usize, values: &[f32], ties: bool) -> SimilarityMatrix {
+        let snap = |v: f32| if ties { (v * 3.0).floor() / 3.0 } else { v };
+        let data = values[..rows * cols].iter().map(|&v| snap(v)).collect();
+        SimilarityMatrix::from_raw(rows, cols, data)
     }
 
     props! {
@@ -415,25 +373,28 @@ mod proptests {
             prop_assert!(matching_weight(&sim, &h) >= matching_weight(&sim, &gc) - 1e-4);
         }
 
-        /// Stable marriage never leaves a blocking pair.
+        /// Stable marriage over full lists never leaves a blocking pair —
+        /// an unmatched source would take any target — and matches
+        /// `min(rows, cols)` sources, on either side of square and with
+        /// three-level ties.
         #[test]
         fn stable_marriage_has_no_blocking_pair_prop(
-            values in vec_of(0.0f32..1.0, 20)
+            rows in 1usize..7,
+            cols in 1usize..7,
+            ties in any_bool(),
+            values in vec_of(0.0f32..1.0, 36)
         ) {
-            let sim = SimilarityMatrix::from_raw(4, 5, values);
-            let sm = stable_marriage(&sim);
-            for i in 0..4 {
-                for j in 0..5 {
-                    let Some(mi) = sm[i] else { continue };
-                    if mi == j {
+            let sim = shaped(rows, cols, &values, ties);
+            let sm = stable_marriage_full(&sim);
+            prop_assert_eq!(sm.iter().flatten().count(), rows.min(cols));
+            for i in 0..rows {
+                for j in 0..cols {
+                    if sm[i] == Some(j) {
                         continue;
                     }
-                    let i_prefers = sim.get(i, j) > sim.get(i, mi);
-                    let owner = (0..4).find(|&o| sm[o] == Some(j));
-                    let j_prefers = match owner {
-                        None => true,
-                        Some(o) => sim.get(i, j) > sim.get(o, j),
-                    };
+                    let i_prefers = sm[i].is_none_or(|mi| sim.get(i, j) > sim.get(i, mi));
+                    let owner = (0..rows).find(|&o| sm[o] == Some(j));
+                    let j_prefers = owner.is_none_or(|o| sim.get(i, j) > sim.get(o, j));
                     prop_assert!(!(i_prefers && j_prefers), "blocking pair ({i},{j})");
                 }
             }
@@ -442,13 +403,32 @@ mod proptests {
         /// Every 1-to-1 strategy returns distinct targets.
         #[test]
         fn one_to_one_strategies_have_distinct_targets(
-            values in vec_of(0.0f32..1.0, 25)
+            rows in 1usize..7,
+            cols in 1usize..7,
+            ties in any_bool(),
+            values in vec_of(0.0f32..1.0, 36)
         ) {
-            let sim = SimilarityMatrix::from_raw(5, 5, values);
-            for m in [stable_marriage(&sim), hungarian(&sim), greedy_collective(&sim)] {
+            let sim = shaped(rows, cols, &values, ties);
+            for m in [stable_marriage_full(&sim), hungarian(&sim), greedy_collective(&sim)] {
                 let picked: Vec<usize> = m.iter().flatten().copied().collect();
                 let set: std::collections::HashSet<_> = picked.iter().collect();
                 prop_assert_eq!(set.len(), picked.len());
+            }
+        }
+
+        /// Greedy picks each row's maximum, the lowest index among ties.
+        #[test]
+        fn greedy_picks_the_first_row_maximum(
+            rows in 1usize..7,
+            cols in 1usize..7,
+            ties in any_bool(),
+            values in vec_of(0.0f32..1.0, 36)
+        ) {
+            let sim = shaped(rows, cols, &values, ties);
+            for (i, got) in greedy_match_topk(&full(&sim)).into_iter().enumerate() {
+                let row = sim.row(i);
+                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                prop_assert_eq!(got, row.iter().position(|&s| s == max));
             }
         }
 

@@ -13,13 +13,13 @@
 //! let src = vec![1.0, 0.0,  0.0, 1.0]; // two 2-d source embeddings
 //! let dst = vec![0.9, 0.1,  0.1, 0.9]; // two targets, slightly rotated
 //! let sim = SimilarityMatrix::compute(&src, &dst, 2, Metric::Cosine, 1);
-//! assert_eq!(sim.argmax_row(0), Some(0));
-//! assert_eq!(sim.argmax_row(1), Some(1));
+//! assert_eq!(sim.rank_of(0, 0), 1);
+//! assert_eq!(sim.rank_of(1, 1), 1);
 //! ```
 
 use crate::metric::Metric;
 use crate::sweep;
-use crate::topk::{push_topk, score_desc, TopKMatrix};
+use crate::topk::{push_topk, TopKMatrix};
 use openea_runtime::pool::{balanced_chunk_len, parallel_chunks};
 
 /// Default column-tile width for the block kernels. 64 targets × 64 dims of
@@ -142,20 +142,6 @@ impl SimilarityMatrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Index of the most similar target for source `i` — the lowest such
-    /// index when several targets tie, matching the top-k tie rule.
-    pub fn argmax_row(&self, i: usize) -> Option<usize> {
-        let row = self.row(i);
-        let mut best: Option<(usize, f32)> = None;
-        for (j, &s) in row.iter().enumerate() {
-            match best {
-                Some((_, bs)) if score_desc(s, bs) != std::cmp::Ordering::Less => {}
-                _ => best = Some((j, s)),
-            }
-        }
-        best.map(|(j, _)| j)
-    }
-
     /// The `k` most similar targets for source `i`, most similar first; ties
     /// break toward the lowest target index (a stable argsort prefix).
     pub fn topk_row(&self, i: usize, k: usize) -> Vec<(usize, f32)> {
@@ -212,6 +198,12 @@ impl SimilarityMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Source `i`'s most similar target (the dense row's argmax), as greedy
+    /// inference reads it.
+    fn best(m: &SimilarityMatrix, i: usize) -> Option<usize> {
+        TopKMatrix::from_matrix(m, 1).best(i).map(|(j, _)| j)
+    }
 
     fn embeddings() -> (Vec<f32>, Vec<f32>) {
         // Three 2-d source points, three targets that mirror them.
@@ -273,7 +265,7 @@ mod tests {
             assert_eq!((m.rows(), m.cols()), (2, 0));
             assert!(m.data.is_empty());
             assert_eq!(m.topk_row(0, 3), vec![]);
-            assert_eq!(m.argmax_row(0), None);
+            assert_eq!(best(&m, 0), None);
             // 0×0: nothing at all.
             let m = SimilarityMatrix::compute(&[], &[], 2, Metric::Cosine, threads);
             assert_eq!((m.rows(), m.cols()), (0, 0));
@@ -285,9 +277,9 @@ mod tests {
     fn argmax_and_rank() {
         let (src, dst) = embeddings();
         let m = SimilarityMatrix::compute(&src, &dst, 2, Metric::Cosine, 1);
-        assert_eq!(m.argmax_row(0), Some(0));
-        assert_eq!(m.argmax_row(1), Some(1));
-        assert_eq!(m.argmax_row(2), Some(2));
+        assert_eq!(best(&m, 0), Some(0));
+        assert_eq!(best(&m, 1), Some(1));
+        assert_eq!(best(&m, 2), Some(2));
         assert_eq!(m.rank_of(0, 0), 1);
         assert!(m.rank_of(0, 1) > 1);
     }
@@ -295,7 +287,9 @@ mod tests {
     #[test]
     fn argmax_ties_break_toward_lowest_index() {
         let m = SimilarityMatrix::from_raw(1, 4, vec![0.3, 0.9, 0.9, 0.1]);
-        assert_eq!(m.argmax_row(0), Some(1));
+        for k in [1, 4] {
+            assert_eq!(TopKMatrix::from_matrix(&m, k).best(0), Some((1, 0.9)));
+        }
     }
 
     #[test]
@@ -333,14 +327,14 @@ mod tests {
                 0.9, 0.1, 0.85, // source 2: true match is target 2
             ],
         );
-        assert_eq!(m.argmax_row(1), Some(0));
-        assert_eq!(m.argmax_row(2), Some(0));
+        assert_eq!(best(&m, 1), Some(0));
+        assert_eq!(best(&m, 2), Some(0));
         let c = m.csls(2);
         // CSLS penalizes the hub globally: sources 1 and 2 flip to their
         // true matches, source 0 keeps the hub.
-        assert_eq!(c.argmax_row(0), Some(0), "csls row0 = {:?}", c.row(0));
-        assert_eq!(c.argmax_row(1), Some(1), "csls row1 = {:?}", c.row(1));
-        assert_eq!(c.argmax_row(2), Some(2), "csls row2 = {:?}", c.row(2));
+        assert_eq!(best(&c, 0), Some(0), "csls row0 = {:?}", c.row(0));
+        assert_eq!(best(&c, 1), Some(1), "csls row1 = {:?}", c.row(1));
+        assert_eq!(best(&c, 2), Some(2), "csls row2 = {:?}", c.row(2));
     }
 
     #[test]
@@ -349,7 +343,7 @@ mod tests {
         let m = SimilarityMatrix::compute(&src, &dst, 2, Metric::Cosine, 1);
         let c = m.csls(2);
         for i in 0..3 {
-            assert_eq!(c.argmax_row(i), Some(i));
+            assert_eq!(best(&c, i), Some(i));
         }
     }
 

@@ -105,7 +105,8 @@ pub fn sinkhorn_match(sim: &SimilarityMatrix, cfg: SinkhornConfig) -> Vec<Option
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::{greedy_match, hungarian};
+    use crate::infer::{greedy_match_topk, hungarian};
+    use crate::topk::TopKMatrix;
 
     #[test]
     fn plan_marginals_are_uniform() {
@@ -132,7 +133,7 @@ mod tests {
     fn sinkhorn_resolves_hub_conflicts() {
         // Greedy sends both sources to target 0; OT must split them.
         let sim = SimilarityMatrix::from_raw(2, 2, vec![0.9, 0.1, 0.8, 0.75]);
-        let greedy = greedy_match(&sim);
+        let greedy = greedy_match_topk(&TopKMatrix::from_matrix(&sim, sim.cols()));
         assert_eq!(greedy, vec![Some(0), Some(0)]);
         let ot = sinkhorn_match(&sim, SinkhornConfig::default());
         assert_eq!(ot, vec![Some(0), Some(1)]);

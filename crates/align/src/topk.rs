@@ -261,36 +261,26 @@ impl TopKMatrix {
             .collect()
     }
 
-    /// Applies the CSLS rescaling (Eq. 7) to every kept entry:
+    /// Applies the CSLS rescaling (Eq. 7) to every kept entry in place:
     /// `2·s − psi_src[i] − psi_dst[j]`, re-sorting each row under the same
     /// descending-score, lowest-index-wins order.
-    pub fn rescaled(&self, psi_src: &[f32], psi_dst: &[f32]) -> TopKMatrix {
+    pub fn rescaled(mut self, psi_src: &[f32], psi_dst: &[f32]) -> TopKMatrix {
         assert_eq!(psi_src.len(), self.rows);
         assert_eq!(psi_dst.len(), self.cols);
-        let mut entries = self.entries.clone();
-        for (i, row) in entries
-            .chunks_mut(self.k.max(1))
-            .take(self.rows)
-            .enumerate()
-        {
+        for (row, &psi) in self.entries.chunks_mut(self.k.max(1)).zip(psi_src) {
             for e in row.iter_mut() {
-                e.1 = 2.0 * e.1 - psi_src[i] - psi_dst[e.0 as usize];
+                e.1 = 2.0 * e.1 - psi - psi_dst[e.0 as usize];
             }
             row.sort_by(|a, b| score_desc(a.1, b.1).then(a.0.cmp(&b.0)));
         }
-        TopKMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            k: self.k,
-            entries,
-        }
+        self
     }
 }
 
 /// Streaming CSLS: computes the forward top-`keep` lists, both ψ
 /// neighborhood-mean vectors (via a backward top-k pass over `dst × src`)
-/// and returns the rescaled, re-ranked lists — all without materializing
-/// the `n × m` matrix.
+/// and returns the forward lists rescaled and re-ranked in place — all
+/// without materializing the `n × m` matrix or a second copy of the lists.
 ///
 /// With `keep ≥ cols` this is exactly
 /// [`SimilarityMatrix::csls`](crate::simmat::SimilarityMatrix::csls)
@@ -381,6 +371,19 @@ mod tests {
         let sim = SimilarityMatrix::from_raw(1, 5, vec![0.2, 0.9, 0.1, 0.9, 0.2]);
         let t = TopKMatrix::from_matrix(&sim, 3);
         assert_eq!(t.row(0), &[(1, 0.9), (3, 0.9), (0, 0.2)]);
+    }
+
+    #[test]
+    fn best_skips_nan_unless_the_row_is_all_nan() {
+        let nan = f32::NAN;
+        let sim = SimilarityMatrix::from_raw(2, 4, vec![nan, 0.3, nan, 0.3, nan, nan, nan, nan]);
+        for k in [1, 4] {
+            let t = TopKMatrix::from_matrix(&sim, k);
+            assert_eq!(t.best(0), Some((1, 0.3)));
+            let (j, s) = t.best(1).expect("a NaN row still has a first entry");
+            assert_eq!(j, 0);
+            assert!(s.is_nan());
+        }
     }
 
     #[test]

@@ -7,9 +7,7 @@ use crate::datasets::{build_dataset, DatasetKey};
 use crate::runner::{run_fold0, CvResult};
 use crate::tables::conventional_input;
 use crate::HarnessConfig;
-use openea::align::{
-    degree_bucket_recall, greedy_match_topk, hubness_profile, overlap3, topk_similarity_profile,
-};
+use openea::align::{degree_bucket_recall, hubness_profile, overlap3, topk_similarity_profile};
 use openea::approaches::mtranse::{MTransE, RelModelKind};
 use openea::prelude::*;
 use openea_runtime::rng::SeedableRng;
@@ -234,9 +232,9 @@ pub fn fig9_10(cfg: &HarnessConfig) {
         // Cosine similarities for comparability across approaches (Fig. 9).
         let mut cos_out = out.clone();
         cos_out.metric = Metric::Cosine;
-        let sim = cos_out.similarity(&sources, &targets, rc.threads);
-        let profile = topk_similarity_profile(&sim, 5);
-        let hubs = hubness_profile(&sim);
+        let topk = cos_out.topk(&sources, &targets, 5, rc.threads);
+        let profile = topk_similarity_profile(&topk, 5);
+        let hubs = hubness_profile(&topk);
         println!(
             "{:10} {:>7.3} {:>7.3} {:>7.3} {:>7.3} {:>7.3} | {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%",
             approach.name(),

@@ -6,7 +6,6 @@
 use crate::datasets::{build_dataset, main_grid, DatasetKey};
 use crate::runner::{run_cv, run_fold0, CvResult};
 use crate::HarnessConfig;
-use openea::align::{csls_topk, greedy_match_topk, stable_marriage_topk};
 use openea::prelude::*;
 use openea::synth::Language;
 use openea_runtime::json::{object, Json, ToJson};

@@ -250,14 +250,22 @@ fn run(opts: &Opts) {
     // Predict over the test pairs with the chosen inference strategy.
     let sources: Vec<EntityId> = split.test.iter().map(|&(a, _)| a).collect();
     let targets: Vec<EntityId> = split.test.iter().map(|&(_, b)| b).collect();
-    let mut sim = out.similarity(&sources, &targets, cfg.threads);
-    if opts.contains_key("csls") {
-        sim = sim.csls(10);
-    }
-    let matching = if opts.contains_key("stable-marriage") {
-        stable_marriage(&sim)
+    // Greedy reads each source's best target; stable marriage proposes down
+    // full lists and CSLS re-ranks them, so both keep every target — the
+    // streamed lists are then exact, without the `test × test` matrix.
+    let stable = opts.contains_key("stable-marriage");
+    let ranked = if opts.contains_key("csls") {
+        let (src, dst) = out.gather(&sources, &targets);
+        let cols = targets.len();
+        csls_topk(&src, &dst, out.dim, out.metric, 10, cols, cfg.threads)
     } else {
-        greedy_match(&sim)
+        let keep = if stable { targets.len() } else { 1 };
+        out.topk(&sources, &targets, keep, cfg.threads)
+    };
+    let matching = if stable {
+        stable_marriage_topk(&ranked)
+    } else {
+        greedy_match_topk(&ranked)
     };
     let predictions: Vec<String> = matching
         .iter()

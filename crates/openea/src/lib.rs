@@ -39,7 +39,7 @@
 //! | [`math`] | embedding tables, losses, negative sampling |
 //! | [`autodiff`] | the reverse-mode tape used by the deep models |
 //! | [`models`] | TransE/H/R/D, DistMult, HolE, SimplE, RotatE, ProjE, ConvE, attribute/literal encoders |
-//! | [`align`] | metrics, CSLS, greedy/stable-marriage/Hungarian inference, evaluation, geometric analyses |
+//! | [`align`] | metrics; CSLS, greedy and stable-marriage inference and the Figure 9/10 analyses over streamed `TopKMatrix` lists; Hungarian, greedy-collective and Sinkhorn over the dense `SimilarityMatrix`; evaluation |
 //! | [`approaches`] | the 12 OpenEA approaches plus the shared trainer |
 //! | [`conventional`] | PARIS and the LogMap-style matcher |
 
@@ -57,8 +57,8 @@ pub use openea_synth as synth;
 /// The most common imports for working with OpenEA-rs.
 pub mod prelude {
     pub use openea_align::{
-        greedy_match, hungarian, precision_recall_f1, rank_eval, stable_marriage, MeanStd, Metric,
-        PrfScores, RankEval, SimilarityMatrix,
+        csls_topk, greedy_match_topk, hungarian, precision_recall_f1, rank_eval,
+        stable_marriage_topk, MeanStd, Metric, PrfScores, RankEval, SimilarityMatrix, TopKMatrix,
     };
     pub use openea_approaches::{
         all_approaches, approach_by_name, evaluate_output, run_driver, Approach, ApproachKind,

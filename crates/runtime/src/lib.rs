@@ -18,8 +18,8 @@
 //! - [`json`] — a minimal JSON encoder/decoder for the benchmark result
 //!   artifacts, format-compatible with the pretty printer that produced the
 //!   checked-in `results/*.json` files.
-//! - [`testkit`] — a property-testing harness with shrinking generators and
-//!   a wall-clock micro-bench timer, replacing `proptest` and `criterion`.
+//! - [`testkit`] — a property-testing harness with shrinking generators,
+//!   replacing `proptest`, plus fault-injection and replay helpers.
 //! - [`timer`] — a monotonic microsecond clock and a fixed-footprint
 //!   power-of-two latency histogram for the serving layer's percentile
 //!   telemetry.

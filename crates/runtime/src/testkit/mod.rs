@@ -1,6 +1,6 @@
-//! Property-based testing with shrinking, plus a micro-bench timer.
+//! Property-based testing with shrinking.
 //!
-//! The in-tree replacement for `proptest` + `criterion`. A property is an
+//! The in-tree replacement for `proptest`. A property is an
 //! ordinary `#[test]` written through the [`props!`] macro: each parameter
 //! names a [`Gen`] (value generator), the harness runs the body over many
 //! generated inputs, and on failure it *shrinks* — greedily walking toward
@@ -26,7 +26,6 @@
 //! `OPENEA_PROP_SEED` to reproduce a specific failure; the failure message
 //! prints the seed that found it).
 
-pub mod bench;
 pub mod faults;
 pub mod replay;
 

@@ -51,8 +51,8 @@ fn main() {
     let out = rdgcn.run(&pair, &folds[0], &cfg);
     let sources: Vec<EntityId> = pair.kg1.entity_ids().collect();
     let targets: Vec<EntityId> = pair.kg2.entity_ids().collect();
-    let sim = out.similarity(&sources, &targets, cfg.threads);
-    let emb_pred: Vec<(u32, u32)> = greedy_match(&sim)
+    let best = out.topk(&sources, &targets, 1, cfg.threads);
+    let emb_pred: Vec<(u32, u32)> = greedy_match_topk(&best)
         .into_iter()
         .enumerate()
         .filter_map(|(i, j)| j.map(|j| (sources[i].0, targets[j].0)))

@@ -32,6 +32,15 @@ cargo run --release --offline -p openea-bench -- table9 --no-out
 cargo run --release --offline -p openea-bench -- table2 --scale small --no-out
 cargo run --release --offline -p openea-bench -- blocking --scale small --no-out
 
+# The command-line tool's inference on a pair it generates: MTransE, then
+# CSLS re-ranking and stable marriage over full-width streamed top-k lists
+# of the test pairs. Budget: under a second.
+cli_pair=$(mktemp -d)
+./target/release/openea-cli generate --family D-Y --entities 1500 --seed 3 --out "$cli_pair"
+./target/release/openea-cli run --dataset "$cli_pair" --approach MTransE --epochs 20 \
+    --csls --stable-marriage
+rm -rf "$cli_pair"
+
 # The benchmark's third input: `scale_200k_ivf_uniform --seed 1` serves the
 # 200 000 × 32 pair whose digest this pins, the way `kg_model` (in the pass
 # above) pins the 15K pair the two trained workloads start from. Ignored in

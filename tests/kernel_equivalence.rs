@@ -341,3 +341,30 @@ fn topk_sweep_makes_no_allocator_call_per_source_row() {
     };
     assert_eq!(calls(64), calls(1024));
 }
+
+/// Streaming CSLS rescales its forward lists in place: at a keep-width of
+/// every target, everything it asks of the allocator — and so its peak —
+/// is one `rows × cols` entry table, the backward pass's `cols × k` table,
+/// the two ψ vectors and the sweeps' per-chunk buffers. A second copy of
+/// the forward table would double the first term.
+#[test]
+fn csls_topk_at_full_keep_allocates_one_entry_table() {
+    let (dim, rows, cols, k) = (8, 300, 280, 10);
+    let values: Vec<f32> = (0..(rows + cols) * dim)
+        .map(|i| ((i * 37 % 101) as f32 - 50.0) / 25.0)
+        .collect();
+    let (src, dst) = values.split_at(rows * dim);
+    let entry = std::mem::size_of::<(u32, f32)>();
+    let (table, backward) = (rows * cols * entry, cols * k * entry);
+    let psi = (rows + cols) * std::mem::size_of::<f32>();
+    // Tile transposes, panel scratch and row norms, per chunk of a sweep.
+    let sweep_buffers = 64 * 1024;
+    let (lists, tally) =
+        ALLOC.on_this_thread(|| csls_topk(src, dst, dim, Metric::Cosine, k, cols, 1));
+    assert_eq!((lists.rows(), lists.k()), (rows, cols));
+    assert!(
+        tally.requested <= table + backward + psi + sweep_buffers,
+        "csls_topk asked for {} bytes; one entry table is {table}, the backward pass {backward}",
+        tally.requested
+    );
+}

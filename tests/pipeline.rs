@@ -64,13 +64,16 @@ fn csls_and_stable_marriage_do_not_hurt_much() {
 
     let sources: Vec<EntityId> = folds[0].test.iter().map(|&(a, _)| a).collect();
     let targets: Vec<EntityId> = folds[0].test.iter().map(|&(_, b)| b).collect();
-    let sim = out.similarity(&sources, &targets, cfg.threads);
+    let cols = targets.len();
+    let topk = out.topk(&sources, &targets, cols, cfg.threads);
+    let (src, dst) = out.gather(&sources, &targets);
+    let csls_lists = csls_topk(&src, &dst, out.dim, out.metric, 10, cols, cfg.threads);
     let hits1 = |m: &[Option<usize>]| {
         m.iter().enumerate().filter(|&(i, &x)| x == Some(i)).count() as f64 / m.len() as f64
     };
-    let greedy = hits1(&greedy_match(&sim));
-    let csls = hits1(&greedy_match(&sim.csls(10)));
-    let sm = hits1(&stable_marriage(&sim));
+    let greedy = hits1(&greedy_match_topk(&topk));
+    let csls = hits1(&greedy_match_topk(&csls_lists));
+    let sm = hits1(&stable_marriage_topk(&topk));
     assert!(greedy > 0.05, "greedy {greedy}");
     assert!(csls >= greedy * 0.9, "csls {csls} vs greedy {greedy}");
     assert!(sm >= greedy * 0.9, "sm {sm} vs greedy {greedy}");
