@@ -3,15 +3,15 @@
 //! * [`greedy_match_topk`] — independent nearest-neighbour per source (what
 //!   every surveyed approach uses);
 //! * [`stable_marriage_topk`] — Gale–Shapley: no source/target pair prefers
-//!   each other over their assigned partners;
+//!   each other over their assigned partners. Under the kernel layer's one
+//!   total order on pairs it is also the greedy collective matching, so it
+//!   is BootEA's editing and Sinkhorn's rounding too;
 //! * [`hungarian`] — Kuhn–Munkres maximum-weight matching, the O(N³)
-//!   collective-search optimum;
-//! * [`greedy_collective`] — the linear-ish heuristic: sort candidate pairs
-//!   by similarity, accept greedily under the 1-to-1 constraint.
+//!   collective-search optimum.
 //!
 //! Greedy and stable marriage read streamed [`TopKMatrix`] lists, so they
-//! never need the `rows × cols` matrix; the two collective strategies weigh
-//! every cell and take a dense [`SimilarityMatrix`].
+//! never need the `rows × cols` matrix; Hungarian weighs every cell and
+//! takes a dense [`SimilarityMatrix`].
 
 use crate::simmat::SimilarityMatrix;
 use crate::topk::{score_desc, TopKMatrix};
@@ -27,16 +27,21 @@ pub fn greedy_match_topk(topk: &TopKMatrix) -> Vec<Option<usize>> {
 }
 
 /// Gale–Shapley stable marriage with sources proposing down their kept
-/// lists. Rows of a [`TopKMatrix`] are sorted under the kernel layer's total
-/// order (descending, NaN last, ties toward the lower target index), and a
-/// target keeps its current partner unless the new proposal is strictly
-/// better, so a diverged run's NaN similarities lose to every finite one
-/// instead of panicking a comparison.
+/// lists. Both sides rank by the kernel layer's total order on pairs:
+/// score descending, NaN last, then the lower source, then the lower
+/// target. Rows of a [`TopKMatrix`] are already sorted that way, and a
+/// target takes a new proposer when its score ranks first, or ties and its
+/// source index is lower — so a diverged run's NaN similarities lose to
+/// every finite one instead of panicking a comparison.
 ///
-/// With `k ≥ cols` every list is complete and this is Gale–Shapley over full
-/// preference lists: every source is matched when `rows <= cols`. Truncated
-/// lists give the usual blocking-approximate variant at O(rows·k) memory: a
-/// source whose list runs dry stays unmatched.
+/// The result is the greedy collective matching over the kept entries:
+/// pairs taken in that order, each accepted when both ends are free. The
+/// first pair in the order is matched in every stable matching (each end
+/// ranks it above any other partner); remove that pair and repeat. So the
+/// stable matching is unique and the order sources propose in does not
+/// matter. With `k ≥ cols` this is the sort-every-cell greedy heuristic at
+/// O(rows·k) memory; over truncated lists a source whose list runs dry
+/// stays unmatched.
 pub fn stable_marriage_topk(topk: &TopKMatrix) -> Vec<Option<usize>> {
     let rows = topk.rows();
     let cols = topk.cols();
@@ -52,22 +57,16 @@ pub fn stable_marriage_topk(topk: &TopKMatrix) -> Vec<Option<usize>> {
             let (j, s) = row[next_proposal[i]];
             let j = j as usize;
             next_proposal[i] += 1;
-            match source_of[j] {
-                None => {
-                    source_of[j] = Some((i, s));
-                    target_of[i] = Some(j);
-                    break;
+            if let Some((other, other_s)) = source_of[j] {
+                if score_desc(s, other_s).then(i.cmp(&other)) != Ordering::Less {
+                    continue;
                 }
-                Some((other, other_s)) => {
-                    if score_desc(s, other_s) == Ordering::Less {
-                        source_of[j] = Some((i, s));
-                        target_of[i] = Some(j);
-                        target_of[other] = None;
-                        free.push(other);
-                        break;
-                    }
-                }
+                target_of[other] = None;
+                free.push(other);
             }
+            source_of[j] = Some((i, s));
+            target_of[i] = Some(j);
+            break;
         }
     }
     target_of
@@ -158,34 +157,6 @@ pub fn hungarian(sim: &SimilarityMatrix) -> Vec<Option<usize>> {
     result
 }
 
-/// Greedy collective heuristic: consider all pairs in descending similarity
-/// (NaN last), accept a pair if both sides are still unmatched. Near-optimal
-/// in practice at O(RC log RC).
-pub fn greedy_collective(sim: &SimilarityMatrix) -> Vec<Option<usize>> {
-    let rows = sim.rows();
-    let cols = sim.cols();
-    let mut pairs: Vec<(f32, u32, u32)> = Vec::with_capacity(rows * cols);
-    for i in 0..rows {
-        let row = sim.row(i);
-        for (j, &s) in row.iter().enumerate() {
-            pairs.push((s, i as u32, j as u32));
-        }
-    }
-    pairs.sort_by(|a, b| score_desc(a.0, b.0));
-    let mut used_src = vec![false; rows];
-    let mut used_dst = vec![false; cols];
-    let mut result = vec![None; rows];
-    for (_, i, j) in pairs {
-        let (i, j) = (i as usize, j as usize);
-        if !used_src[i] && !used_dst[j] {
-            used_src[i] = true;
-            used_dst[j] = true;
-            result[i] = Some(j);
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,15 +186,13 @@ mod tests {
             bordered[i * 4..i * 4 + 3].copy_from_slice(row);
         }
         let (clean, bordered) = (mat(3, 3, finite.to_vec()), mat(4, 4, bordered));
-        for matcher in [stable_marriage_full, greedy_collective] {
-            let want = matcher(&clean);
-            assert_eq!(want, vec![Some(1), Some(0), Some(2)]);
-            let got = matcher(&bordered);
-            // Finite rows match as if the NaNs were not there; the NaN row
-            // is left the NaN column, never a cell a finite row wanted.
-            assert_eq!(got[..3], want[..]);
-            assert_eq!(got[3], Some(3));
-        }
+        let want = stable_marriage_full(&clean);
+        assert_eq!(want, vec![Some(1), Some(0), Some(2)]);
+        let got = stable_marriage_full(&bordered);
+        // Finite rows match as if the NaNs were not there; the NaN row is
+        // left the NaN column, never a cell a finite row wanted.
+        assert_eq!(got[..3], want[..]);
+        assert_eq!(got[3], Some(3));
         // Greedy never picks a NaN cell over a finite one either.
         let greedy = greedy_match_topk(&full(&bordered));
         assert_eq!(greedy[..3], greedy_match_topk(&full(&clean))[..]);
@@ -296,7 +265,7 @@ mod tests {
     #[test]
     fn greedy_collective_respects_one_to_one() {
         let m = mat(2, 2, vec![0.9, 0.8, 0.85, 0.1]);
-        let gc = greedy_collective(&m);
+        let gc = stable_marriage_full(&m);
         // Highest pair (0,0)=0.9 taken, then (1,?) only 1 left.
         assert_eq!(gc, vec![Some(0), Some(1)]);
     }
@@ -308,14 +277,12 @@ mod tests {
         assert_eq!(greedy_match_topk(&full(&m)), expect);
         assert_eq!(stable_marriage_full(&m), expect);
         assert_eq!(hungarian(&m), expect);
-        assert_eq!(greedy_collective(&m), expect);
     }
 
     #[test]
     fn empty_matrix_is_handled() {
         let m = mat(0, 0, vec![]);
         assert!(hungarian(&m).is_empty());
-        assert!(greedy_collective(&m).is_empty());
         for k in [0, 3] {
             let t = TopKMatrix::from_matrix(&m, k);
             assert!(greedy_match_topk(&t).is_empty());
@@ -343,6 +310,36 @@ mod proptests {
     use super::*;
     use openea_runtime::testkit::prelude::*;
 
+    /// The sort-every-cell matcher stable marriage replaced: every
+    /// `(score, source, target)` cell in the kernel's total order (score
+    /// descending, NaN last, then source, then target), each accepted when
+    /// both ends are still free.
+    fn greedy_collective(
+        rows: usize,
+        cols: usize,
+        mut cells: Vec<(f32, usize, usize)>,
+    ) -> Vec<Option<usize>> {
+        cells.sort_by(|a, b| score_desc(a.0, b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+        let mut used_src = vec![false; rows];
+        let mut used_dst = vec![false; cols];
+        let mut result = vec![None; rows];
+        for (_, i, j) in cells {
+            if !used_src[i] && !used_dst[j] {
+                used_src[i] = true;
+                used_dst[j] = true;
+                result[i] = Some(j);
+            }
+        }
+        result
+    }
+
+    /// Every cell of `sim`, for [`greedy_collective`].
+    fn all_cells(sim: &SimilarityMatrix) -> Vec<(f32, usize, usize)> {
+        (0..sim.rows())
+            .flat_map(|i| sim.row(i).iter().enumerate().map(move |(j, &s)| (s, i, j)))
+            .collect()
+    }
+
     fn matching_weight(sim: &SimilarityMatrix, m: &[Option<usize>]) -> f64 {
         m.iter()
             .enumerate()
@@ -358,18 +355,44 @@ mod proptests {
         SimilarityMatrix::from_raw(rows, cols, data)
     }
 
+    /// [`shaped`], with its last row and last column NaN when `nan_border`
+    /// — what a diverged run hands inference.
+    fn bordered(
+        rows: usize,
+        cols: usize,
+        values: &[f32],
+        ties: bool,
+        nan_border: bool,
+    ) -> SimilarityMatrix {
+        let sim = shaped(rows, cols, values, ties);
+        if !nan_border {
+            return sim;
+        }
+        let data = (0..rows)
+            .flat_map(|i| (0..cols).map(move |j| (i, j)))
+            .map(|(i, j)| {
+                if i + 1 == rows || j + 1 == cols {
+                    f32::NAN
+                } else {
+                    sim.get(i, j)
+                }
+            })
+            .collect();
+        SimilarityMatrix::from_raw(rows, cols, data)
+    }
+
     props! {
         #![cases = 64]
 
-        /// Hungarian is optimal: at least the weight of the greedy-collective
-        /// heuristic on square matrices.
+        /// Hungarian is optimal: at least the weight of the greedy collective
+        /// heuristic (stable marriage over full lists) on square matrices.
         #[test]
         fn hungarian_weight_dominates_greedy_collective(
             values in vec_of(0.0f32..1.0, 16)
         ) {
             let sim = SimilarityMatrix::from_raw(4, 4, values);
             let h = hungarian(&sim);
-            let gc = greedy_collective(&sim);
+            let gc = stable_marriage_full(&sim);
             prop_assert!(matching_weight(&sim, &h) >= matching_weight(&sim, &gc) - 1e-4);
         }
 
@@ -400,6 +423,46 @@ mod proptests {
             }
         }
 
+        /// Over full lists stable marriage is the sort-every-cell greedy
+        /// collective matching — whichever order sources propose in — on
+        /// tie-heavy, NaN-bordered, rectangular and empty shapes.
+        #[test]
+        fn stable_marriage_over_full_lists_is_greedy_collective(
+            rows in 0usize..=7,
+            cols in 0usize..=7,
+            ties in any_bool(),
+            nan_border in any_bool(),
+            values in vec_of(0.0f32..1.0, 49)
+        ) {
+            let sim = bordered(rows, cols, &values, ties, nan_border);
+            prop_assert_eq!(
+                stable_marriage_full(&sim),
+                greedy_collective(rows, cols, all_cells(&sim))
+            );
+        }
+
+        /// Over lists truncated to any `k` it is greedy collective over the
+        /// kept entries.
+        #[test]
+        fn stable_marriage_over_truncated_lists_is_greedy_over_the_kept_entries(
+            rows in 0usize..=7,
+            cols in 0usize..=7,
+            ties in any_bool(),
+            nan_border in any_bool(),
+            values in vec_of(0.0f32..1.0, 49)
+        ) {
+            let sim = bordered(rows, cols, &values, ties, nan_border);
+            for k in 1..=cols {
+                let topk = TopKMatrix::from_matrix(&sim, k);
+                let kept = topk
+                    .iter_rows()
+                    .enumerate()
+                    .flat_map(|(i, row)| row.iter().map(move |&(j, s)| (s, i, j as usize)))
+                    .collect();
+                prop_assert_eq!(stable_marriage_topk(&topk), greedy_collective(rows, cols, kept));
+            }
+        }
+
         /// Every 1-to-1 strategy returns distinct targets.
         #[test]
         fn one_to_one_strategies_have_distinct_targets(
@@ -409,7 +472,7 @@ mod proptests {
             values in vec_of(0.0f32..1.0, 36)
         ) {
             let sim = shaped(rows, cols, &values, ties);
-            for m in [stable_marriage_full(&sim), hungarian(&sim), greedy_collective(&sim)] {
+            for m in [stable_marriage_full(&sim), hungarian(&sim)] {
                 let picked: Vec<usize> = m.iter().flatten().copied().collect();
                 let set: std::collections::HashSet<_> = picked.iter().collect();
                 prop_assert_eq!(set.len(), picked.len());

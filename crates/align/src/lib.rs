@@ -5,9 +5,9 @@
 //! * similarity metrics — cosine, Euclidean, Manhattan — plus **CSLS**
 //!   (cross-domain similarity local scaling), which counteracts hubness;
 //! * alignment-inference strategies — greedy nearest neighbour and **stable
-//!   marriage** over streamed top-k lists, Kuhn–Munkres maximum-weight
-//!   matching and a linear-time greedy collective heuristic over the dense
-//!   matrix;
+//!   marriage** over streamed top-k lists (stable marriage is also the
+//!   greedy collective matching: BootEA's editing and Sinkhorn's rounding),
+//!   and Kuhn–Munkres maximum-weight matching over the dense matrix;
 //! * evaluation — Hits@m, MR, MRR, precision/recall/F1, fold aggregation;
 //! * geometric analysis — top-k similarity distributions (Figure 9),
 //!   hubness/isolation statistics (Figure 10), degree-bucket recall
@@ -29,7 +29,7 @@ pub use analysis::{
 };
 pub use ann::{AnnConfig, IvfIndex};
 pub use eval::{precision_recall_f1, rank_eval, rank_eval_streaming, MeanStd, PrfScores, RankEval};
-pub use infer::{greedy_collective, greedy_match_topk, hungarian, stable_marriage_topk};
+pub use infer::{greedy_match_topk, hungarian, stable_marriage_topk};
 pub use metric::Metric;
 pub use simmat::{SimilarityMatrix, DEFAULT_TILE};
 pub use sinkhorn::{sinkhorn_match, sinkhorn_plan, SinkhornConfig};

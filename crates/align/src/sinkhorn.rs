@@ -5,8 +5,9 @@
 //! transport plan between source and target entities and round it to a
 //! 1-to-1 matching.
 
+use crate::infer::stable_marriage_topk;
 use crate::simmat::SimilarityMatrix;
-use crate::topk::score_desc;
+use crate::topk::TopKMatrix;
 
 /// Parameters of [`sinkhorn_match`].
 #[derive(Clone, Copy, Debug)]
@@ -75,38 +76,18 @@ pub fn sinkhorn_plan(sim: &SimilarityMatrix, cfg: SinkhornConfig) -> Vec<f32> {
     plan
 }
 
-/// Rounds the transport plan to a 1-to-1 matching by greedy selection over
-/// transported mass. Returns `match[i] = j`.
+/// Rounds the transport plan to a 1-to-1 matching: greedy collective over
+/// transported mass, which is [`stable_marriage_topk`] over every plan cell.
+/// Returns `match[i] = j`.
 pub fn sinkhorn_match(sim: &SimilarityMatrix, cfg: SinkhornConfig) -> Vec<Option<usize>> {
-    let rows = sim.rows();
-    let cols = sim.cols();
-    let plan = sinkhorn_plan(sim, cfg);
-    let mut cells: Vec<(f32, u32, u32)> = Vec::with_capacity(rows * cols);
-    for i in 0..rows {
-        for j in 0..cols {
-            cells.push((plan[i * cols + j], i as u32, j as u32));
-        }
-    }
-    cells.sort_by(|a, b| score_desc(a.0, b.0));
-    let mut used_src = vec![false; rows];
-    let mut used_dst = vec![false; cols];
-    let mut out = vec![None; rows];
-    for (_, i, j) in cells {
-        let (i, j) = (i as usize, j as usize);
-        if !used_src[i] && !used_dst[j] {
-            used_src[i] = true;
-            used_dst[j] = true;
-            out[i] = Some(j);
-        }
-    }
-    out
+    let plan = SimilarityMatrix::from_raw(sim.rows(), sim.cols(), sinkhorn_plan(sim, cfg));
+    stable_marriage_topk(&TopKMatrix::from_matrix(&plan, plan.cols()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::infer::{greedy_match_topk, hungarian};
-    use crate::topk::TopKMatrix;
 
     #[test]
     fn plan_marginals_are_uniform() {
@@ -199,7 +180,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::infer::{greedy_collective, hungarian};
+    use crate::infer::hungarian;
     use openea_runtime::testkit::prelude::*;
 
     fn weight(sim: &SimilarityMatrix, m: &[Option<usize>]) -> f64 {
@@ -221,7 +202,7 @@ mod proptests {
             let distinct: std::collections::HashSet<_> = picked.iter().collect();
             prop_assert_eq!(picked.len(), distinct.len());
             let h = hungarian(&sim);
-            let gc = greedy_collective(&sim);
+            let gc = stable_marriage_topk(&TopKMatrix::from_matrix(&sim, 4));
             // At least as good as the greedy heuristic, within tolerance of
             // the optimum (entropic smoothing costs a little).
             prop_assert!(weight(&sim, &ot) >= weight(&sim, &gc) - 0.15);

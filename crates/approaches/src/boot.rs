@@ -5,9 +5,7 @@
 //! table, a feature view — and copies nothing else.
 
 use crate::common::{calibrate, UnifiedSpace};
-use openea_align::{
-    greedy_collective, precision_recall_f1, Metric, PrfScores, SimilarityMatrix, TopKMatrix,
-};
+use openea_align::{precision_recall_f1, stable_marriage_topk, Metric, PrfScores, TopKMatrix};
 use openea_core::{AlignedPair, EntityId, KgPair};
 use openea_math::EmbeddingTable;
 use std::collections::HashSet;
@@ -230,7 +228,8 @@ fn nearest_in_blocks(
 
 /// BootEA-style proposals: the pairs above `threshold` of a 1-to-1 greedy
 /// collective matching, which is the paper's "heuristic editing method to
-/// remove wrong alignment".
+/// remove wrong alignment". Greedy collective is stable marriage over every
+/// candidate's full list, streamed at 8 B per candidate pair.
 pub(crate) fn propose_edited(
     c: &Candidates,
     threshold: f32,
@@ -239,13 +238,15 @@ pub(crate) fn propose_edited(
     if c.is_empty() {
         return Vec::new();
     }
-    let sim = SimilarityMatrix::compute(&c.src, &c.dst, c.dim, c.metric, threads);
-    greedy_collective(&sim)
+    let lists = TopKMatrix::compute(&c.src, &c.dst, c.dim, c.metric, c.targets.len(), threads);
+    stable_marriage_topk(&lists)
         .into_iter()
-        .enumerate()
-        .filter_map(|(i, j)| {
+        .zip(lists.iter_rows())
+        .zip(&c.sources)
+        .filter_map(|((j, row), &a)| {
             let j = j?;
-            (sim.get(i, j) >= threshold).then_some((c.sources[i], c.targets[j]))
+            let &(_, s) = row.iter().find(|&&(t, _)| t as usize == j)?;
+            (s >= threshold).then_some((a, c.targets[j]))
         })
         .collect()
 }
@@ -332,13 +333,14 @@ mod proptests {
             return Vec::new();
         }
         if editing {
-            let sim = out.similarity(cand1, cand2, threads);
-            greedy_collective(&sim)
+            let lists = out.topk(cand1, cand2, cand2.len(), threads);
+            stable_marriage_topk(&lists)
                 .into_iter()
                 .enumerate()
                 .filter_map(|(i, j)| {
                     let j = j?;
-                    (sim.get(i, j) >= threshold).then_some((cand1[i], cand2[j]))
+                    let s = lists.row(i).iter().find(|&&(t, _)| t as usize == j)?.1;
+                    (s >= threshold).then_some((cand1[i], cand2[j]))
                 })
                 .collect()
         } else {

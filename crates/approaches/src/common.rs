@@ -2,9 +2,7 @@
 //! id space with the four combination modes, early stopping on validation
 //! Hits@1, literal feature extraction and output evaluation.
 
-use openea_align::{
-    rank_eval_streaming, Metric, PrfScores, RankEval, SimilarityMatrix, TopKMatrix,
-};
+use openea_align::{rank_eval_streaming, Metric, PrfScores, RankEval, TopKMatrix};
 use openea_core::{AlignedPair, EntityId, FoldSplit, KgPair, KnowledgeGraph};
 use openea_math::negsamp::{NegSampler, RawTriple, UniformSampler};
 use openea_math::vecops;
@@ -279,20 +277,9 @@ impl ApproachOutput {
         )
     }
 
-    /// Similarity matrix between the given source and target entities.
-    pub fn similarity(
-        &self,
-        sources: &[EntityId],
-        targets: &[EntityId],
-        threads: usize,
-    ) -> SimilarityMatrix {
-        let (src, dst) = self.gather(sources, targets);
-        SimilarityMatrix::compute(&src, &dst, self.dim, self.metric, threads)
-    }
-
     /// Streaming top-`k` targets per source among the given entities —
-    /// O(sources·k) memory, same scores and tie rule as
-    /// [`ApproachOutput::similarity`].
+    /// O(sources·k) memory, same scores and tie rule as a stable argsort of
+    /// each row of the dense similarity matrix.
     pub fn topk(
         &self,
         sources: &[EntityId],

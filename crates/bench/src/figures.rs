@@ -4,7 +4,7 @@
 //! models) and 12 (overlap of correct alignment).
 
 use crate::datasets::{build_dataset, DatasetKey};
-use crate::runner::{run_fold0, CvResult};
+use crate::runner::{run_fold0, try_run_fold0, CvResult};
 use crate::tables::conventional_input;
 use crate::HarnessConfig;
 use openea::align::{degree_bucket_recall, hubness_profile, overlap3, topk_similarity_profile};
@@ -283,16 +283,23 @@ pub fn fig11(cfg: &HarnessConfig) {
                 model: kind,
                 orthogonal: false,
             };
-            let (out, rc) = run_fold0(&approach, &dataset, cfg, |rc| {
+            let (out, rc) = try_run_fold0(&approach, &dataset, cfg, |rc| {
                 // The deep models pay a large constant per step; keep the
                 // budget bounded at small scales.
                 if matches!(kind, RelModelKind::ConvE | RelModelKind::ProjE) {
                     rc.max_epochs = rc.max_epochs.min(40);
                 }
             });
-            let eval = evaluate_output(&out, &dataset.folds[0].test, rc.threads);
-            print!(" {:>8.3}", eval.hits1);
-            row.push(eval.hits1);
+            // A diverged model prints `div` and records `null`: the paper
+            // drops such models (Hits@1 < 0.01) rather than failing.
+            let hits1 = out
+                .ok()
+                .map(|out| evaluate_output(&out, &dataset.folds[0].test, rc.threads).hits1);
+            match hits1 {
+                Some(h) => print!(" {h:>8.3}"),
+                None => print!(" {:>8}", "div"),
+            }
+            row.push(hits1);
         }
         println!();
         rows.push((kind.label().to_owned(), row));

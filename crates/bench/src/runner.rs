@@ -3,6 +3,7 @@
 
 use crate::datasets::{run_config, Dataset};
 use crate::HarnessConfig;
+use openea::approaches::TrainError;
 use openea::prelude::*;
 use openea_runtime::json::{object, Json, ToJson};
 use std::time::Instant;
@@ -101,13 +102,26 @@ pub fn run_fold0(
     cfg: &HarnessConfig,
     tweak: impl Fn(&mut RunConfig),
 ) -> (ApproachOutput, RunConfig) {
+    let (out, rc) = try_run_fold0(approach, dataset, cfg, tweak);
+    let out = out.unwrap_or_else(|e| panic!("{}: {e}", approach.name()));
+    (out, rc)
+}
+
+/// [`run_fold0`] for runs that may fail: a diverged model is a finding of
+/// the experiment, not a harness failure.
+pub fn try_run_fold0(
+    approach: &dyn Approach,
+    dataset: &Dataset,
+    cfg: &HarnessConfig,
+    tweak: impl Fn(&mut RunConfig),
+) -> (Result<ApproachOutput, TrainError>, RunConfig) {
     let mut rc = run_config(cfg, dataset);
     tweak(&mut rc);
     let mut ctx = RunContext::new(&rc);
     if let Some(secs) = cfg.deadline_s {
         ctx.budget = Budget::wall_secs(secs);
     }
-    let out = approach.run_with(&dataset.pair, &dataset.folds[0], &rc, &ctx);
+    let out = approach.try_run(&dataset.pair, &dataset.folds[0], &rc, &ctx);
     (out, rc)
 }
 

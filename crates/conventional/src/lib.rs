@@ -14,7 +14,9 @@
 //!   heterogeneity (the D-W effect).
 //!
 //! Both are unsupervised: they consume a [`openea_core::KgPair`] without the
-//! seed alignment and emit a predicted alignment.
+//! seed alignment and emit a predicted alignment. Both keep their candidates
+//! in key-ordered maps, so score sums and ties (to the lower `(e1, e2)`) do
+//! not depend on a hasher and a run repeats exactly.
 //!
 //! ```
 //! use openea_conventional::{ConventionalSystem, Paris};

@@ -10,7 +10,7 @@
 
 use crate::ConventionalSystem;
 use openea_core::{AlignedPair, EntityId, KgPair, KnowledgeGraph};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// LogMap-lite configuration.
 #[derive(Clone, Copy, Debug)]
@@ -90,7 +90,7 @@ impl ConventionalSystem for LogMap {
         let kg2 = &pair.kg2;
 
         // 1. Lexical indexation of KG2.
-        let mut index: HashMap<String, Vec<EntityId>> = HashMap::new();
+        let mut index: BTreeMap<String, Vec<EntityId>> = BTreeMap::new();
         for e in kg2.entity_ids() {
             for key in lexical_keys(kg2, e) {
                 index.entry(key).or_default().push(e);
@@ -98,7 +98,7 @@ impl ConventionalSystem for LogMap {
         }
 
         // 2. Anchors: unambiguous exact lexical matches.
-        let mut anchor_votes: HashMap<(EntityId, EntityId), usize> = HashMap::new();
+        let mut anchor_votes: BTreeMap<(EntityId, EntityId), usize> = BTreeMap::new();
         for e1 in kg1.entity_ids() {
             for key in lexical_keys(kg1, e1) {
                 if let Some(matches) = index.get(&key) {
@@ -109,9 +109,10 @@ impl ConventionalSystem for LogMap {
             }
         }
         let mut anchors: Vec<((EntityId, EntityId), usize)> = anchor_votes.into_iter().collect();
+        // Stable over key order: ties go to the lower (e1, e2).
         anchors.sort_by_key(|&(_, votes)| std::cmp::Reverse(votes));
-        let mut matched1: HashMap<EntityId, EntityId> = HashMap::new();
-        let mut used2: HashSet<EntityId> = HashSet::new();
+        let mut matched1: BTreeMap<EntityId, EntityId> = BTreeMap::new();
+        let mut used2: BTreeSet<EntityId> = BTreeSet::new();
         for ((e1, e2), _) in anchors {
             if !matched1.contains_key(&e1) && !used2.contains(&e2) {
                 matched1.insert(e1, e2);
@@ -127,7 +128,7 @@ impl ConventionalSystem for LogMap {
 
         // 3. Structural propagation: candidates voted by aligned neighbours.
         for _ in 0..self.config.propagation_rounds {
-            let mut votes: HashMap<(EntityId, EntityId), f64> = HashMap::new();
+            let mut votes: BTreeMap<(EntityId, EntityId), f64> = BTreeMap::new();
             for e1 in kg1.entity_ids() {
                 if matched1.contains_key(&e1) {
                     continue;
@@ -158,10 +159,10 @@ impl ConventionalSystem for LogMap {
 
         // 4. Repair: drop pairs whose structural consistency is
         // contradicted (no shared aligned neighbour AND no lexical tie).
-        let lexical_ok: HashSet<(EntityId, EntityId)> = matched1
+        let lexical_ok: BTreeSet<(EntityId, EntityId)> = matched1
             .iter()
             .filter(|&(&e1, &e2)| {
-                let k1: HashSet<String> = lexical_keys(kg1, e1).into_iter().collect();
+                let k1: BTreeSet<String> = lexical_keys(kg1, e1).into_iter().collect();
                 lexical_keys(kg2, e2).iter().any(|k| k1.contains(k))
             })
             .map(|(&e1, &e2)| (e1, e2))
@@ -172,7 +173,7 @@ impl ConventionalSystem for LogMap {
                 lexical_ok.contains(&(e1, e2)) || {
                     // structurally supported: some neighbour aligned to a
                     // neighbour of the counterpart
-                    let n2: HashSet<EntityId> = kg2.neighbors(e2).into_iter().collect();
+                    let n2: BTreeSet<EntityId> = kg2.neighbors(e2).into_iter().collect();
                     kg1.neighbors(e1)
                         .iter()
                         .filter_map(|n| matched1.get(n))
@@ -189,7 +190,7 @@ fn neighbour_candidates(
     kg1: &KnowledgeGraph,
     kg2: &KnowledgeGraph,
     e1: EntityId,
-    matched1: &HashMap<EntityId, EntityId>,
+    matched1: &BTreeMap<EntityId, EntityId>,
 ) -> Vec<EntityId> {
     let mut out = Vec::new();
     for n in kg1.neighbors(e1) {
@@ -204,6 +205,7 @@ fn neighbour_candidates(
 mod tests {
     use super::*;
     use openea_core::KgBuilder;
+    use openea_synth::{DatasetFamily, PresetConfig};
 
     #[test]
     fn normalize_is_order_and_case_insensitive() {
@@ -214,15 +216,23 @@ mod tests {
 
     #[test]
     fn logmap_aligns_clean_pair() {
-        let pair = openea_synth::PresetConfig::new(openea_synth::DatasetFamily::DY, 300, false, 9)
-            .generate();
+        let pair = PresetConfig::new(DatasetFamily::DY, 300, false, 9).generate();
         let lm = LogMap::default();
         let predicted = lm.align(&pair);
         assert!(!predicted.is_empty());
-        let gold: HashSet<AlignedPair> = pair.alignment.iter().copied().collect();
+        let gold: BTreeSet<AlignedPair> = pair.alignment.iter().copied().collect();
         let correct = predicted.iter().filter(|p| gold.contains(p)).count();
         let precision = correct as f64 / predicted.len() as f64;
         assert!(precision > 0.8, "precision {precision}");
+    }
+
+    #[test]
+    fn aligning_the_same_pair_twice_gives_the_same_output() {
+        let pair = PresetConfig::new(DatasetFamily::DY, 600, false, 7).generate();
+        assert_eq!(
+            LogMap::default().align(&pair),
+            LogMap::default().align(&pair)
+        );
     }
 
     #[test]
@@ -283,8 +293,8 @@ mod tests {
         // y/w is ambiguous structurally (y vs z candidates for w) but with z
         // taken by v it can be voted; don't require it strictly but confirm
         // no wrong pair contradicts the gold 1-to-1.
-        let mut s1 = HashSet::new();
-        let mut s2 = HashSet::new();
+        let mut s1 = BTreeSet::new();
+        let mut s2 = BTreeSet::new();
         for (a, b) in &predicted {
             assert!(s1.insert(*a), "duplicate source");
             assert!(s2.insert(*b), "duplicate target");

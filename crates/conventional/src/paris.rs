@@ -15,7 +15,7 @@
 
 use crate::ConventionalSystem;
 use openea_core::{AlignedPair, AttributeId, EntityId, KgPair, KnowledgeGraph, RelationId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Tuning knobs of the PARIS fixpoint.
 #[derive(Clone, Copy, Debug)]
@@ -56,8 +56,7 @@ pub struct Paris {
 /// Functionality of every relation: `#distinct subjects / #triples`
 /// (a relation is functional when each subject has one object).
 fn relation_functionality(kg: &KnowledgeGraph) -> Vec<f64> {
-    let mut subjects: Vec<std::collections::HashSet<EntityId>> =
-        vec![std::collections::HashSet::new(); kg.num_relations()];
+    let mut subjects: Vec<BTreeSet<EntityId>> = vec![BTreeSet::new(); kg.num_relations()];
     let mut counts = vec![0usize; kg.num_relations()];
     for t in kg.rel_triples() {
         subjects[t.rel.idx()].insert(t.head);
@@ -78,8 +77,7 @@ fn relation_functionality(kg: &KnowledgeGraph) -> Vec<f64> {
 
 /// Functionality of every attribute.
 fn attribute_functionality(kg: &KnowledgeGraph) -> Vec<f64> {
-    let mut subjects: Vec<std::collections::HashSet<EntityId>> =
-        vec![std::collections::HashSet::new(); kg.num_attributes()];
+    let mut subjects: Vec<BTreeSet<EntityId>> = vec![BTreeSet::new(); kg.num_attributes()];
     let mut counts = vec![0usize; kg.num_attributes()];
     for t in kg.attr_triples() {
         subjects[t.attr.idx()].insert(t.entity);
@@ -98,7 +96,7 @@ fn attribute_functionality(kg: &KnowledgeGraph) -> Vec<f64> {
         .collect()
 }
 
-type Equiv = HashMap<EntityId, Vec<(EntityId, f64)>>;
+type Equiv = BTreeMap<EntityId, Vec<(EntityId, f64)>>;
 
 impl Paris {
     pub fn new(config: ParisConfig) -> Self {
@@ -112,7 +110,7 @@ impl Paris {
         let fun1 = attribute_functionality(kg1);
         let fun2 = attribute_functionality(kg2);
         // Inverted index over KG2 literal values.
-        let mut index: HashMap<&str, Vec<(EntityId, AttributeId)>> = HashMap::new();
+        let mut index: BTreeMap<&str, Vec<(EntityId, AttributeId)>> = BTreeMap::new();
         for t in kg2.attr_triples() {
             index
                 .entry(kg2.literal_value(t.value))
@@ -120,7 +118,7 @@ impl Paris {
                 .push((t.entity, t.attr));
         }
         // Accumulate 1 − Π(1 − fun₁·fun₂) per candidate pair.
-        let mut neg_log: HashMap<(EntityId, EntityId), f64> = HashMap::new();
+        let mut neg_log: BTreeMap<(EntityId, EntityId), f64> = BTreeMap::new();
         for t in kg1.attr_triples() {
             let Some(matches) = index.get(kg1.literal_value(t.value)) else {
                 continue;
@@ -134,7 +132,7 @@ impl Paris {
                 *neg_log.entry((t.entity, e2)).or_insert(0.0) += (1.0 - p).ln();
             }
         }
-        let mut equiv: Equiv = HashMap::new();
+        let mut equiv: Equiv = BTreeMap::new();
         for ((e1, e2), nl) in neg_log {
             let p = 1.0 - nl.exp();
             if p > 0.05 {
@@ -152,15 +150,15 @@ impl Paris {
         &self,
         pair: &KgPair,
         equiv: &Equiv,
-    ) -> HashMap<(RelationId, RelationId), f64> {
+    ) -> BTreeMap<(RelationId, RelationId), f64> {
         let kg2 = &pair.kg2;
         // Index KG2 edges by (head, tail) for lookup under equivalence.
-        let mut edges2: HashMap<(EntityId, EntityId), Vec<RelationId>> = HashMap::new();
+        let mut edges2: BTreeMap<(EntityId, EntityId), Vec<RelationId>> = BTreeMap::new();
         for t in kg2.rel_triples() {
             edges2.entry((t.head, t.tail)).or_default().push(t.rel);
         }
-        let mut overlap: HashMap<(RelationId, RelationId), f64> = HashMap::new();
-        let mut usage1: HashMap<RelationId, f64> = HashMap::new();
+        let mut overlap: BTreeMap<(RelationId, RelationId), f64> = BTreeMap::new();
+        let mut usage1: BTreeMap<RelationId, f64> = BTreeMap::new();
         for t in pair.kg1.rel_triples() {
             *usage1.entry(t.rel).or_insert(0.0) += 1.0;
             let (Some(hs), Some(ts)) = (equiv.get(&t.head), equiv.get(&t.tail)) else {
@@ -190,7 +188,7 @@ impl Paris {
         &self,
         pair: &KgPair,
         equiv: &Equiv,
-        rel_align: &HashMap<(RelationId, RelationId), f64>,
+        rel_align: &BTreeMap<(RelationId, RelationId), f64>,
     ) -> Equiv {
         let kg1 = &pair.kg1;
         let kg2 = &pair.kg2;
@@ -198,16 +196,16 @@ impl Paris {
         let fun2 = relation_functionality(kg2);
         // For each KG1 entity, walk its triples; matching KG2 triples via
         // equivalent neighbours vote for head equivalence.
-        let mut in_index2: HashMap<EntityId, Vec<(RelationId, EntityId)>> = HashMap::new();
+        let mut in_index2: BTreeMap<EntityId, Vec<(RelationId, EntityId)>> = BTreeMap::new();
         for t in kg2.rel_triples() {
             in_index2.entry(t.tail).or_default().push((t.rel, t.head));
         }
-        let mut out_index2: HashMap<EntityId, Vec<(RelationId, EntityId)>> = HashMap::new();
+        let mut out_index2: BTreeMap<EntityId, Vec<(RelationId, EntityId)>> = BTreeMap::new();
         for t in kg2.rel_triples() {
             out_index2.entry(t.head).or_default().push((t.rel, t.tail));
         }
 
-        let mut neg_log: HashMap<(EntityId, EntityId), f64> = HashMap::new();
+        let mut neg_log: BTreeMap<(EntityId, EntityId), f64> = BTreeMap::new();
         let mut add = |e1: EntityId, e2: EntityId, p: f64| {
             let p = p.clamp(0.0, 0.999);
             if p > 1e-4 {
@@ -242,7 +240,7 @@ impl Paris {
                 }
             }
         }
-        let mut next: Equiv = HashMap::new();
+        let mut next: Equiv = BTreeMap::new();
         for ((e1, e2), nl) in neg_log {
             let p = 1.0 - nl.exp();
             if p > 0.05 {
@@ -265,10 +263,10 @@ impl Paris {
     }
 }
 
-/// Keeps only the `beam` best candidates per entity.
+/// Keeps only the `beam` best candidates per entity, the lower id on ties.
 fn prune(equiv: &mut Equiv, beam: usize) {
     for cands in equiv.values_mut() {
-        cands.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+        cands.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
         cands.truncate(beam);
     }
 }
@@ -287,14 +285,19 @@ impl ConventionalSystem for Paris {
             let rel_align = self.relation_alignment(pair, &equiv);
             equiv = self.relational_round(pair, &equiv, &rel_align);
         }
-        // Final decision: greedy 1-to-1 over all candidates by probability.
+        // Final decision: greedy 1-to-1 over all candidates by probability,
+        // the lower (e1, e2) on ties.
         let mut ranked: Vec<(EntityId, EntityId, f64)> = equiv
             .into_iter()
             .flat_map(|(e1, cands)| cands.into_iter().map(move |(e2, p)| (e1, e2, p)))
             .collect();
-        ranked.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite"));
-        let mut used1 = std::collections::HashSet::new();
-        let mut used2 = std::collections::HashSet::new();
+        ranked.sort_by(|a, b| {
+            b.2.partial_cmp(&a.2)
+                .expect("finite")
+                .then((a.0, a.1).cmp(&(b.0, b.1)))
+        });
+        let mut used1 = BTreeSet::new();
+        let mut used2 = BTreeSet::new();
         let mut out = Vec::new();
         for (e1, e2, p) in ranked {
             if p < self.config.threshold {
@@ -314,9 +317,9 @@ impl ConventionalSystem for Paris {
 mod tests {
     use super::*;
     use openea_core::KgBuilder;
-    use std::collections::HashSet;
+    use openea_synth::{DatasetFamily, PresetConfig};
 
-    fn gold_set(pair: &KgPair) -> HashSet<AlignedPair> {
+    fn gold_set(pair: &KgPair) -> BTreeSet<AlignedPair> {
         pair.alignment.iter().copied().collect()
     }
 
@@ -340,8 +343,7 @@ mod tests {
 
     #[test]
     fn paris_aligns_on_clean_synthetic_pair() {
-        let pair = openea_synth::PresetConfig::new(openea_synth::DatasetFamily::DY, 300, false, 5)
-            .generate();
+        let pair = PresetConfig::new(DatasetFamily::DY, 300, false, 5).generate();
         let paris = Paris::default();
         let predicted = paris.align(&pair);
         let gold = gold_set(&pair);
@@ -351,6 +353,14 @@ mod tests {
         let recall = correct as f64 / gold.len() as f64;
         assert!(precision > 0.8, "precision {precision}");
         assert!(recall > 0.5, "recall {recall}");
+    }
+
+    #[test]
+    fn aligning_the_same_pair_twice_gives_the_same_output() {
+        for family in [DatasetFamily::EnFr, DatasetFamily::DY] {
+            let pair = PresetConfig::new(family, 600, false, 7).generate();
+            assert_eq!(Paris::default().align(&pair), Paris::default().align(&pair));
+        }
     }
 
     #[test]
@@ -443,8 +453,8 @@ mod proptests {
                 .collect();
             let pair = KgPair::new(kg1, kg2, alignment);
             let predicted = Paris::default().align(&pair);
-            let mut s1 = std::collections::HashSet::new();
-            let mut s2 = std::collections::HashSet::new();
+            let mut s1 = std::collections::BTreeSet::new();
+            let mut s2 = std::collections::BTreeSet::new();
             for (a, b) in &predicted {
                 prop_assert!(a.idx() < pair.kg1.num_entities());
                 prop_assert!(b.idx() < pair.kg2.num_entities());

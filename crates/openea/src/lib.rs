@@ -39,7 +39,7 @@
 //! | [`math`] | embedding tables, losses, negative sampling |
 //! | [`autodiff`] | the reverse-mode tape used by the deep models |
 //! | [`models`] | TransE/H/R/D, DistMult, HolE, SimplE, RotatE, ProjE, ConvE, attribute/literal encoders |
-//! | [`align`] | metrics; CSLS, greedy and stable-marriage inference and the Figure 9/10 analyses over streamed `TopKMatrix` lists; Hungarian, greedy-collective and Sinkhorn over the dense `SimilarityMatrix`; evaluation |
+//! | [`align`] | metrics; CSLS, greedy and stable-marriage inference (stable marriage is also greedy collective: BootEA's editing, Sinkhorn's rounding) and the Figure 9/10 analyses over streamed `TopKMatrix` lists; Hungarian and the Sinkhorn plan over the dense `SimilarityMatrix`; evaluation |
 //! | [`approaches`] | the 12 OpenEA approaches plus the shared trainer |
 //! | [`conventional`] | PARIS and the LogMap-style matcher |
 

@@ -34,7 +34,7 @@ fn main() {
     let topk = out.topk(&sources, &targets, cols, cfg.threads);
     let (src, dst) = out.gather(&sources, &targets);
     let csls = csls_topk(&src, &dst, out.dim, out.metric, 10, cols, cfg.threads);
-    let sim = out.similarity(&sources, &targets, cfg.threads);
+    let sim = SimilarityMatrix::compute(&src, &dst, out.dim, out.metric, cfg.threads);
 
     // Geometric diagnostics (Figures 9 and 10).
     let profile = topk_similarity_profile(&topk, 5);

@@ -32,6 +32,18 @@ cargo run --release --offline -p openea-bench -- table9 --no-out
 cargo run --release --offline -p openea-bench -- table2 --scale small --no-out
 cargo run --release --offline -p openea-bench -- blocking --scale small --no-out
 
+# The recorded results stay what the binary prints: Figure 7, the Sect. 5.2
+# ablations, the unsupervised rounds, Tables 7 and 8 and Figure 12,
+# regenerated at their recorded scale and seed and compared byte for byte
+# with `results/`. This also catches PARIS or LogMap reading a hash map's
+# order again. Budget: about 12 s.
+fresh=$(mktemp -d)
+for experiment in fig7 ablation unsupervised table7 table8 fig12; do
+    ./target/release/openea-bench "$experiment" --scale small --seed 7 --out "$fresh" >/dev/null
+    cmp "$fresh/$experiment.json" "results/$experiment.json"
+done
+rm -rf "$fresh"
+
 # The command-line tool's inference on a pair it generates: MTransE, then
 # CSLS re-ranking and stable marriage over full-width streamed top-k lists
 # of the test pairs. Budget: under a second.
@@ -86,10 +98,13 @@ cargo test --release --offline -p openea --test kernel_conformance --test kernel
 # view that generation fuses: computed into the fused checkpoint bit for bit
 # like the rows it once stored (`jape::tests::computed_ac2vec_view`), and
 # AC2Vec's own unit tests, its step's scratch copies against fresh ones
-# among them. Budget: a few seconds after the release build above.
+# among them. Beside `generation_memory` too, BootEA's editing round on the
+# 1 000-entity D-Y pair, held to 9 MB of heap above its inputs: stable
+# marriage over streamed lists, not a dense matrix sorted cell by cell.
+# Budget: a few seconds after the release build above.
 cargo test --release --offline -p openea --test synth_pins --test kg_model --test pair_memory \
-    --test generation_memory --test autodiff_memory --test gcnalign_memory \
-    --test autodiff_equivalence
+    --test generation_memory --test bootea_memory --test autodiff_memory \
+    --test gcnalign_memory --test autodiff_equivalence
 cargo test --release --offline -p openea-autodiff --lib
 cargo test --release --offline -p openea-approaches --lib -- \
     engine::tests common::proptests::validation_in_place boot::proptests \
