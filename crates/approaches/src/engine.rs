@@ -88,6 +88,11 @@ pub trait TelemetrySink: Sync {
 /// `NotRecorded`); the completion output carries the finished trace. Sinks
 /// run on the driver thread, so expensive work (disk writes of large
 /// embedding tables) bills to the epoch that produced the checkpoint.
+///
+/// A sink that stores what it is handed can also give it back
+/// ([`CheckpointSink::holds`], [`CheckpointSink::restore`]). The engine then
+/// drops its own copy of the best's two tables for the rest of the run and
+/// reads them back once the loop ends.
 pub trait CheckpointSink: Sync {
     /// An improved validation checkpoint: `out` is the extracted output with
     /// the trace-so-far attached, `score` its validation Hits@1.
@@ -95,6 +100,20 @@ pub trait CheckpointSink: Sync {
 
     /// The finished run's output, final trace attached.
     fn on_complete(&self, _label: &str, _out: &ApproachOutput) {}
+
+    /// Whether the last `on_checkpoint` for `label` is stored here and
+    /// [`CheckpointSink::restore`] can give its tables back. Asked right
+    /// after each `on_checkpoint`; the default stores nothing.
+    fn holds(&self, _label: &str) -> bool {
+        false
+    }
+
+    /// The `emb1`/`emb2` tables of the last checkpoint for `label`, read
+    /// back, or `None` — with the cause kept on the sink — when they can no
+    /// longer be.
+    fn restore(&self, _label: &str) -> Option<(Vec<f32>, Vec<f32>)> {
+        None
+    }
 }
 
 /// Previous-generation parameters for resuming training, in the layout the
@@ -287,6 +306,12 @@ pub trait EpochHooks {
 /// [`CheckpointSink`], and the best it replaces is dropped before it is
 /// extracted, so hooks that score in place
 /// ([`EpochHooks::validate_in_place`]) hold at most one extracted output.
+///
+/// When the sink [`holds`](CheckpointSink::holds) an improving checkpoint,
+/// the engine keeps only its husk (dim, metric, augmentation, lineage) and
+/// its content hash, and restores the tables after the loop. A restore that
+/// fails, or gives back tables of another hash, is
+/// [`TrainError::CheckpointLost`]: the run never returns a different model.
 pub fn run_driver<H: EpochHooks>(
     label: &str,
     hooks: &mut H,
@@ -314,6 +339,9 @@ pub fn run_driver<H: EpochHooks>(
     let mut rec = TraceRecorder::new(label);
     let mut stopper = EarlyStopper::new(cfg.patience);
     let mut best: Option<ApproachOutput> = None;
+    // While the sink holds the best's tables for it: the epoch the best was
+    // validated at and its content hash.
+    let mut held: Option<(usize, u64)> = None;
     let mut epochs_done = 0u64;
     for epoch in 0..cfg.max_epochs {
         if ctx.budget.exhausted(start.elapsed(), epoch) {
@@ -344,11 +372,17 @@ pub fn run_driver<H: EpochHooks>(
                 if score > stopper.best() || best.is_none() {
                     // Before the extract, so that the two are never live together.
                     drop(best.take());
+                    held = None;
                     let mut out = extracted.unwrap_or_else(|| hooks.checkpoint(ctx));
                     stamp(&mut out, epochs_done);
                     if let Some(artifacts) = ctx.artifacts {
                         out.trace = rec.so_far();
                         artifacts.on_checkpoint(label, epoch, &out, score);
+                        if artifacts.holds(label) {
+                            held = Some((epoch, out.content_hash()));
+                            out.emb1 = Vec::new();
+                            out.emb2 = Vec::new();
+                        }
                     }
                     best = Some(out);
                 }
@@ -370,6 +404,15 @@ pub fn run_driver<H: EpochHooks>(
         stamp(&mut o, epochs_done);
         o
     });
+    if let (Some((epoch, hash)), Some(artifacts)) = (held, ctx.artifacts) {
+        let Some((emb1, emb2)) = artifacts.restore(label) else {
+            return Err(TrainError::CheckpointLost { epoch });
+        };
+        (out.emb1, out.emb2) = (emb1, emb2);
+        if out.content_hash() != hash {
+            return Err(TrainError::CheckpointLost { epoch });
+        }
+    }
     out.trace = rec.finish();
     if let Some(sink) = ctx.sink {
         sink.on_stop(label, &out.trace.stop);

@@ -223,7 +223,8 @@ impl Default for TrainOptions {
 }
 
 /// Why a training run produced no output: a configuration rejected before
-/// the first epoch, or a run that stopped being a number.
+/// the first epoch, a run that stopped being a number, or a best
+/// checkpoint its sink could not give back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrainError {
     /// `negs_per_pos == 0`: every positive would train on nothing.
@@ -241,6 +242,10 @@ pub enum TrainError {
     /// left the range of `f32` (too high a learning rate for this data),
     /// and every later epoch and every similarity would be NaN too.
     Diverged { epoch: usize },
+    /// The best checkpoint, validated at `epoch` and handed to the run's
+    /// checkpoint sink, could not be read back from it unchanged. The
+    /// sink keeps the cause.
+    CheckpointLost { epoch: usize },
 }
 
 impl std::fmt::Display for TrainError {
@@ -261,6 +266,10 @@ impl std::fmt::Display for TrainError {
             TrainError::Diverged { epoch } => {
                 write!(f, "training diverged: non-finite loss in epoch {epoch}")
             }
+            TrainError::CheckpointLost { epoch } => write!(
+                f,
+                "the best checkpoint (epoch {epoch}) could not be restored from its sink"
+            ),
         }
     }
 }

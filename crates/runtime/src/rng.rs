@@ -391,15 +391,10 @@ impl Distribution<usize> for WeightedIndex {
         let total = *self.cumulative.last().expect("non-empty");
         let u: f64 = FromRandom::from_random(rng);
         let x = u * total;
-        // First index whose cumulative weight exceeds x; zero-weight
-        // entries (cumulative == x on their left edge) are never selected.
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&x).expect("finite"))
-        {
-            Ok(i) => (i + 1).min(self.cumulative.len() - 1),
-            Err(i) => i.min(self.cumulative.len() - 1),
-        }
+        // First index whose cumulative weight exceeds x; a zero-weight
+        // entry repeats its left neighbour's sum, so it is never selected.
+        let i = self.cumulative.partition_point(|&c| c <= x);
+        i.min(self.cumulative.len() - 1)
     }
 }
 
@@ -595,6 +590,14 @@ mod tests {
         assert!(WeightedIndex::new(&[]).is_err());
         assert!(WeightedIndex::new(&[0.0, 0.0]).is_err());
         assert!(WeightedIndex::new(&[-1.0]).is_err());
+    }
+
+    #[test]
+    fn weighted_index_skips_a_zero_weight_on_a_repeated_sum() {
+        // u = 0.5 puts x = 1.0 exactly on the sum that index 1 repeats.
+        let mut rng = StepRng::new(1 << 63, 0);
+        let w = WeightedIndex::new(&[1.0, 0.0, 1.0]).unwrap();
+        assert_eq!(w.sample(&mut rng), 2);
     }
 
     #[test]

@@ -63,6 +63,7 @@ use openea_align::Metric;
 use openea_approaches::common::EpochTrace;
 use openea_approaches::engine::{CheckpointSink, Lineage, WarmStart};
 use openea_approaches::{ApproachOutput, StopReason, TrainTrace};
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -478,12 +479,20 @@ impl<R: Read> FrameReader<R> {
     /// Decodes a whole section with `body`, releasing its value — or its
     /// structural error — only once the frame has verified.
     pub(crate) fn decode<T>(
-        mut self,
+        self,
         body: impl FnOnce(&mut Self) -> Result<T, SnapshotError>,
     ) -> Result<T, SnapshotError> {
+        self.decode_summed(body).map(|(value, _)| value)
+    }
+
+    /// [`FrameReader::decode`], with the payload checksum beside the value.
+    pub(crate) fn decode_summed<T>(
+        mut self,
+        body: impl FnOnce(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<(T, u64), SnapshotError> {
         let parsed = body(&mut self).and_then(|value| self.at_end().map(|()| value));
-        self.finish()?;
-        parsed
+        let checksum = self.finish()?;
+        parsed.map(|value| (value, checksum))
     }
 }
 
@@ -678,14 +687,19 @@ impl Snapshot {
     /// leaves a half snapshot under the final name and a failed one leaves
     /// no staging file.
     pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
-        self.view().write_to(path)
+        self.view().write_to(path).map(drop)
     }
 
     /// Reads and fully validates a snapshot file, decoding the matrices
     /// straight into the vectors the returned snapshot owns.
     pub fn read_from(path: &Path) -> Result<Self, SnapshotError> {
+        Self::read_summed(path).map(|(snap, _)| snap)
+    }
+
+    /// [`Snapshot::read_from`], with the payload checksum beside the snapshot.
+    fn read_summed(path: &Path) -> Result<(Self, u64), SnapshotError> {
         FrameReader::open_file(fs::File::open(path)?, MAGIC, VERSION..=VERSION_LINEAGE)?
-            .decode(Self::read_payload)
+            .decode_summed(Self::read_payload)
     }
 }
 
@@ -750,8 +764,9 @@ impl<'a> SnapshotView<'a> {
         Ok(())
     }
 
-    fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
-        write_file(path, MAGIC, self.version(), &|w| self.write_payload(w)).map(drop)
+    /// Writes atomically; returns the payload checksum.
+    fn write_to(&self, path: &Path) -> Result<u64, SnapshotError> {
+        write_file(path, MAGIC, self.version(), &|w| self.write_payload(w))
     }
 }
 
@@ -924,6 +939,12 @@ fn file_stem(label: &str) -> String {
 /// `with_artifacts` — works for any registry approach, none of which know
 /// this type exists.
 ///
+/// The writer [`holds`](CheckpointSink::holds) a label's checkpoint while
+/// its latest checkpoint write succeeded, so the engine does not keep the
+/// best's tables beside the file. [`restore`](CheckpointSink::restore)
+/// reads them back through [`Snapshot::read_from`]'s checksummed reader and
+/// rejects a file whose payload checksum is not the one this writer wrote.
+///
 /// [`RunContext`]: openea_approaches::RunContext
 pub struct SnapshotWriter {
     dir: PathBuf,
@@ -932,6 +953,9 @@ pub struct SnapshotWriter {
     checkpoints: AtomicUsize,
     completions: AtomicUsize,
     last_error: Mutex<Option<SnapshotError>>,
+    /// Payload checksum of each label's checkpoint file, while its latest
+    /// checkpoint write succeeded.
+    held: Mutex<HashMap<String, u64>>,
 }
 
 impl SnapshotWriter {
@@ -945,6 +969,7 @@ impl SnapshotWriter {
             checkpoints: AtomicUsize::new(0),
             completions: AtomicUsize::new(0),
             last_error: Mutex::new(None),
+            held: Mutex::new(HashMap::new()),
         }
     }
 
@@ -974,14 +999,16 @@ impl SnapshotWriter {
         self.last_error().take()
     }
 
-    fn write(&self, path: &Path, out: &ApproachOutput) -> bool {
-        match SnapshotView::of_output(out, &self.names1, &self.names2).write_to(path) {
-            Ok(()) => true,
-            Err(e) => {
-                *self.last_error() = Some(e);
-                false
-            }
-        }
+    /// Writes `out` to `path`; returns its payload checksum, or `None` with
+    /// the error recorded.
+    fn write(&self, path: &Path, out: &ApproachOutput) -> Option<u64> {
+        let written = SnapshotView::of_output(out, &self.names1, &self.names2).write_to(path);
+        self.recorded(written)
+    }
+
+    /// The value of `result`, or `None` with its error recorded.
+    fn recorded<T>(&self, result: Result<T, SnapshotError>) -> Option<T> {
+        result.map_err(|e| *self.last_error() = Some(e)).ok()
     }
 
     /// The error slot; a guard poisoned by a panicking writer still holds
@@ -991,17 +1018,50 @@ impl SnapshotWriter {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// The held checksums, recovered from poisoning like the error slot.
+    fn held(&self) -> MutexGuard<'_, HashMap<String, u64>> {
+        self.held.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl CheckpointSink for SnapshotWriter {
     fn on_checkpoint(&self, label: &str, _epoch: usize, out: &ApproachOutput, _score: f64) {
-        if self.write(&self.checkpoint_path(label), out) {
-            self.checkpoints.fetch_add(1, Ordering::SeqCst);
+        match self.write(&self.checkpoint_path(label), out) {
+            Some(checksum) => {
+                self.checkpoints.fetch_add(1, Ordering::SeqCst);
+                self.held().insert(label.to_owned(), checksum);
+            }
+            None => {
+                self.held().remove(label);
+            }
         }
     }
 
+    fn holds(&self, label: &str) -> bool {
+        self.held().contains_key(label)
+    }
+
+    fn restore(&self, label: &str) -> Option<(Vec<f32>, Vec<f32>)> {
+        let written = self.held().get(label).copied();
+        let read = written
+            .ok_or_else(|| {
+                let why = format!("no checkpoint of {label} is held");
+                SnapshotError::Io(io::Error::new(io::ErrorKind::NotFound, why))
+            })
+            .and_then(|expected| {
+                let (snap, actual) = Snapshot::read_summed(&self.checkpoint_path(label))?;
+                if actual == expected {
+                    Ok(snap)
+                } else {
+                    Err(SnapshotError::ChecksumMismatch { expected, actual })
+                }
+            });
+        self.recorded(read).map(|snap| (snap.emb1, snap.emb2))
+    }
+
     fn on_complete(&self, label: &str, out: &ApproachOutput) {
-        if self.write(&self.final_path(label), out) {
+        if self.write(&self.final_path(label), out).is_some() {
             self.completions.fetch_add(1, Ordering::SeqCst);
         }
     }

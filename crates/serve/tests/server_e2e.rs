@@ -11,15 +11,15 @@ use common::{connect, http_get, tiny_snapshot};
 use openea_align::{Metric, SimilarityMatrix};
 use openea_approaches::common::EpochStats;
 use openea_approaches::{
-    approach_by_name, evaluate_output, run_driver, ApproachOutput, Budget, EpochHooks, Lineage,
-    RunConfig, RunContext, StopReason,
+    approach_by_name, evaluate_output, run_driver, ApproachOutput, Budget, CheckpointSink,
+    EpochHooks, Lineage, RunConfig, RunContext, StopReason, TrainError,
 };
 use openea_core::{k_fold_splits, EntityId, KgPair};
 use openea_runtime::json::Json;
 use openea_runtime::rng::{SeedableRng, SmallRng};
 use openea_serve::{
     serve, serve_hot, AlignmentIndex, BatchIndex, HotSwapIndex, IndexOptions, ModelParams,
-    ServerOptions, Snapshot, SnapshotWriter,
+    ServerOptions, Snapshot, SnapshotError, SnapshotWriter,
 };
 use openea_synth::{DatasetFamily, EvolutionConfig, PresetConfig};
 use std::path::{Path, PathBuf};
@@ -99,6 +99,163 @@ fn checkpoint_file_holds_the_returned_output_when_validation_ties() {
         "the checkpoint file must hold the output the run returned"
     );
     assert_eq!(writer.checkpoints_written(), 1);
+}
+
+/// With a `SnapshotWriter` installed, the engine drops its own copy of the
+/// best checkpoint once the writer holds it in `<label>.ckpt.snap`, and reads
+/// it back when the loop ends: the model a registry run returns is the
+/// sinkless run's, bit for bit.
+#[test]
+fn a_run_whose_writer_holds_the_best_returns_the_sinkless_model() {
+    let pair = PresetConfig::new(DatasetFamily::DY, 150, false, 5).generate();
+    let mut rng = SmallRng::seed_from_u64(5);
+    let fold = k_fold_splits(&pair.alignment, 5, &mut rng).swap_remove(0);
+    let rc = RunConfig {
+        dim: 8,
+        max_epochs: 30,
+        patience: usize::MAX,
+        threads: 2,
+        ..RunConfig::default()
+    };
+    for name in ["GCNAlign", "MTransE"] {
+        let approach = approach_by_name(name).expect("registry approach");
+        let plain = approach
+            .try_run(&pair, &fold, &rc, &RunContext::new(&rc))
+            .expect("a sinkless run");
+        let dir = TempDir::new(name);
+        let writer = SnapshotWriter::new(&dir.0, Vec::new(), Vec::new());
+        let ctx = RunContext::new(&rc).with_artifacts(&writer);
+        let held = approach
+            .try_run(&pair, &fold, &rc, &ctx)
+            .expect("a run with the writer");
+        assert!(writer.take_error().is_none(), "{name}");
+        assert!(writer.holds(name), "{name}: the writer holds the best");
+        assert_eq!(
+            hex(held.content_hash()),
+            hex(plain.content_hash()),
+            "{name}: the restored best is the sinkless run's"
+        );
+    }
+}
+
+/// Hooks whose epoch-`e` output scores validation Hits@1 `scores[e]` (1.0 or
+/// 0.5) and carries `e` in a KG2 row no validation pair ranks. `meddle`
+/// runs after each epoch's training, before its validation.
+struct Meddled<'a> {
+    scores: &'a [f64],
+    epoch: usize,
+    meddle: &'a dyn Fn(usize),
+}
+
+impl EpochHooks for Meddled<'_> {
+    fn train_epoch(&mut self, epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
+        self.epoch = epoch;
+        EpochStats {
+            mean_loss: 1.0,
+            pairs: 1,
+        }
+    }
+    fn after_epoch(&mut self, epoch: usize, _ctx: &RunContext<'_>) {
+        (self.meddle)(epoch);
+    }
+    fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
+        // Source 1 on target 1 scores 1.0; on target 0, 0.5.
+        let emb1 = if self.scores[self.epoch] == 1.0 {
+            vec![1.0, 0.0, 0.0, 1.0]
+        } else {
+            vec![1.0, 0.0, 1.0, 0.0]
+        };
+        let emb2 = vec![1.0, 0.0, 0.0, 1.0, self.epoch as f32, 0.0];
+        ApproachOutput::new(2, Metric::Cosine, emb1, emb2)
+    }
+}
+
+/// One validation per epoch of a `scores.len()`-epoch run, into `writer`
+/// when given.
+fn meddled_run(
+    scores: &[f64],
+    writer: Option<&SnapshotWriter>,
+    meddle: &dyn Fn(usize),
+) -> Result<ApproachOutput, TrainError> {
+    let rc = RunConfig {
+        dim: 2,
+        max_epochs: scores.len(),
+        check_every: 1,
+        ..RunConfig::default()
+    };
+    let valid = [(EntityId(0), EntityId(0)), (EntityId(1), EntityId(1))];
+    let mut ctx = RunContext::new(&rc).for_valid(&valid);
+    if let Some(writer) = writer {
+        ctx = ctx.with_artifacts(writer);
+    }
+    let mut hooks = Meddled {
+        scores,
+        epoch: 0,
+        meddle,
+    };
+    run_driver("Meddled", &mut hooks, &ctx, &rc)
+}
+
+/// The writer restores only the file it wrote: replaced by another valid
+/// snapshot, or removed, the checkpoint is lost — a typed error with its
+/// cause on the writer, never another model.
+#[test]
+fn snapshot_writer_restores_only_the_checkpoint_it_wrote() {
+    let scores = [1.0, 0.5, 0.5];
+    let plain = meddled_run(&scores, None, &|_| {}).unwrap();
+    let dir = TempDir::new("restore");
+    let writer = SnapshotWriter::new(&dir.0, Vec::new(), Vec::new());
+    let ckpt = writer.checkpoint_path("Meddled");
+
+    let out = meddled_run(&scores, Some(&writer), &|_| {}).unwrap();
+    assert!(writer.take_error().is_none());
+    assert!(writer.holds("Meddled"));
+    assert_eq!(out.emb2[4], 0.0, "epoch 0 is the best");
+    assert_eq!(hex(out.content_hash()), hex(plain.content_hash()));
+
+    let replace = |epoch: usize| {
+        if epoch == 2 {
+            tiny_snapshot(2, 3, 2, 9).write_to(&ckpt).unwrap();
+        }
+    };
+    let err = meddled_run(&scores, Some(&writer), &replace).unwrap_err();
+    assert_eq!(err, TrainError::CheckpointLost { epoch: 0 });
+    let cause = writer.take_error().expect("the cause stays on the writer");
+    assert!(
+        matches!(cause, SnapshotError::ChecksumMismatch { .. }),
+        "{cause:?}"
+    );
+
+    let remove = |epoch: usize| {
+        if epoch == 2 {
+            std::fs::remove_file(&ckpt).unwrap();
+        }
+    };
+    let err = meddled_run(&scores, Some(&writer), &remove).unwrap_err();
+    assert_eq!(err, TrainError::CheckpointLost { epoch: 0 });
+    let cause = writer.take_error().expect("the cause stays on the writer");
+    assert!(matches!(cause, SnapshotError::Io(_)), "{cause:?}");
+}
+
+/// A checkpoint write that fails clears what the writer holds, so the
+/// engine keeps that best in memory and returns it.
+#[test]
+fn a_failed_checkpoint_write_keeps_the_best_in_memory() {
+    let scores = [0.5, 1.0, 0.5];
+    let plain = meddled_run(&scores, None, &|_| {}).unwrap();
+    let dir = TempDir::new("unwritable");
+    let writer = SnapshotWriter::new(&dir.0, Vec::new(), Vec::new());
+    let unwritable = |epoch: usize| {
+        if epoch == 1 {
+            std::fs::remove_dir_all(&dir.0).unwrap();
+        }
+    };
+    let out = meddled_run(&scores, Some(&writer), &unwritable).unwrap();
+    assert_eq!(writer.checkpoints_written(), 1, "epoch 1's write failed");
+    assert!(!writer.holds("Meddled"));
+    assert!(writer.take_error().is_some());
+    assert_eq!(out.emb2[4], 1.0, "epoch 1 is the best");
+    assert_eq!(hex(out.content_hash()), hex(plain.content_hash()));
 }
 
 #[test]

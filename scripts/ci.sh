@@ -32,13 +32,14 @@ cargo run --release --offline -p openea-bench -- table9 --no-out
 cargo run --release --offline -p openea-bench -- table2 --scale small --no-out
 cargo run --release --offline -p openea-bench -- blocking --scale small --no-out
 
-# The recorded results stay what the binary prints: Figure 7, the Sect. 5.2
-# ablations, the unsupervised rounds, Tables 7 and 8 and Figure 12,
-# regenerated at their recorded scale and seed and compared byte for byte
-# with `results/`. This also catches PARIS or LogMap reading a hash map's
-# order again. Budget: about 12 s.
+# The recorded results stay what the binary prints: Tables 2 and 3 (dataset
+# statistics and the sampler comparison), Figure 7, the Sect. 5.2 ablations,
+# the unsupervised rounds, Tables 7 and 8, Figure 12 and the orthogonal
+# transformation, regenerated at their recorded scale and seed and compared
+# byte for byte with `results/`. This also catches PARIS or LogMap reading a
+# hash map's order again. Budget: about 15 s.
 fresh=$(mktemp -d)
-for experiment in fig7 ablation unsupervised table7 table8 fig12; do
+for experiment in table2 table3 fig7 ablation unsupervised table7 table8 fig12 orthogonal; do
     ./target/release/openea-bench "$experiment" --scale small --seed 7 --out "$fresh" >/dev/null
     cmp "$fresh/$experiment.json" "results/$experiment.json"
 done
@@ -91,7 +92,18 @@ cargo test --release --offline -p openea --test kernel_conformance --test kernel
 # shape (the 3 000-entity D-Y pair at dim 32), the step
 # `gcnalign_3k_exact_uniform` generates through; and that workload's whole
 # seed-1 generation, held to 5.5 MB of heap above its inputs and 20 000
-# allocator calls. Beside them, the tape's bit-identity gates — every op, the
+# allocator calls, and held to 4.2 MB again with a snapshot writer installed
+# — the writer holds the best checkpoint in its file, so the engine drops
+# its own copy and restores it at the end, to the sinkless run's content
+# hash. Beside it, the engine's contract for a sink that holds the best, in
+# `approach_matrix::engine`: the returned model is the sinkless run's bit
+# for bit when the last or an earlier validation is the best and when a
+# later write fails (the best then stays in memory), and a held best that
+# is lost or altered is `TrainError::CheckpointLost`, never a panic or
+# another model; and the snapshot writer's side of it in `server_e2e`: a
+# GCNAlign and an MTransE run return the sinkless content hash, a replaced
+# or removed checkpoint file is refused, a failed write clears what the
+# writer holds. Beside them, the tape's bit-identity gates — every op, the
 # fused graph layer included, against the plain loops, and the layer's and
 # the sparse constants' unit tests — under the code generation that ships.
 # Then the AC2Vec attribute
@@ -111,7 +123,9 @@ cargo test --release --offline -p openea-approaches --lib -- \
     jape::tests::computed_ac2vec_view
 cargo test --release --offline -p openea-models --lib
 cargo test --release --offline -p openea --test approach_matrix -- self_training:: \
-    view_ablation_hashes
+    view_ablation_hashes engine::
+cargo test --release --offline -p openea-serve --test server_e2e -- checkpoint \
+    a_run_whose_writer_holds_the_best
 cargo test --release --offline -p openea-synth --lib
 
 # Reactor soak slice: the end-to-end serving suite five more times with every

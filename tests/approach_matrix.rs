@@ -596,6 +596,8 @@ mod engine {
     use openea::models::EpochStats;
     use openea::prelude::*;
     use openea_runtime::rng::{SeedableRng, SmallRng};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     struct CountingHooks {
         trained: usize,
@@ -873,6 +875,125 @@ mod engine {
             "a non-improving extract is dropped"
         );
         assert_eq!(out.emb2[4], 2.0, "the run returns epoch 2's output");
+    }
+
+    /// What [`Keeping`] does with the tables it stores.
+    #[derive(Clone, Copy)]
+    enum Keep {
+        /// Gives back the last checkpoint's tables as they were handed over.
+        Faithfully,
+        /// Stores nothing from this epoch on, as a failed write would.
+        FailingFrom(usize),
+        /// Has lost them by the time the run ends.
+        Losing,
+        /// Gives them back with one bit flipped.
+        Altering,
+    }
+
+    /// A sink that keeps the tables of the checkpoints it is handed in a
+    /// `Mutex`, so that the engine can drop its own copy of the best.
+    struct Keeping {
+        keep: Keep,
+        tables: Mutex<Option<(Vec<f32>, Vec<f32>)>>,
+        restores: AtomicUsize,
+    }
+
+    impl Keeping {
+        fn new(keep: Keep) -> Self {
+            Self {
+                keep,
+                tables: Mutex::new(None),
+                restores: AtomicUsize::new(0),
+            }
+        }
+    }
+
+    impl CheckpointSink for Keeping {
+        fn on_checkpoint(&self, _label: &str, epoch: usize, out: &ApproachOutput, _score: f64) {
+            let stored = match self.keep {
+                Keep::FailingFrom(from) if epoch >= from => None,
+                _ => Some((out.emb1.clone(), out.emb2.clone())),
+            };
+            *self.tables.lock().unwrap() = stored;
+        }
+
+        fn holds(&self, _label: &str) -> bool {
+            self.tables.lock().unwrap().is_some()
+        }
+
+        fn restore(&self, _label: &str) -> Option<(Vec<f32>, Vec<f32>)> {
+            self.restores.fetch_add(1, Ordering::SeqCst);
+            let (emb1, mut emb2) = self.tables.lock().unwrap().take()?;
+            match self.keep {
+                Keep::Losing => return None,
+                Keep::Altering => emb2[0] = f32::from_bits(emb2[0].to_bits() ^ 1),
+                Keep::Faithfully | Keep::FailingFrom(_) => {}
+            }
+            Some((emb1, emb2))
+        }
+    }
+
+    /// A scripted run scoring in place, with `sink` installed when given.
+    fn scripted_with(
+        scores: &[f64],
+        sink: Option<&dyn CheckpointSink>,
+    ) -> Result<ApproachOutput, TrainError> {
+        let cfg = RunConfig {
+            dim: 2,
+            max_epochs: scores.len(),
+            check_every: 1,
+            ..RunConfig::default()
+        };
+        let valid = [(EntityId(0), EntityId(0)), (EntityId(1), EntityId(1))];
+        let mut ctx = RunContext::new(&cfg).for_valid(&valid);
+        if let Some(sink) = sink {
+            ctx = ctx.with_artifacts(sink);
+        }
+        let mut hooks = Scripted {
+            scores: scores.to_vec(),
+            in_place: true,
+            epoch: 0,
+            extracted_at: Vec::new(),
+        };
+        run_driver("test", &mut hooks, &ctx, &cfg)
+    }
+
+    /// Runs `scores` with a [`Keeping`] sink and without one, and holds the
+    /// two outputs to the same bits; returns the epoch tag and the restores.
+    fn kept_run(scores: &[f64], keep: Keep) -> (f32, usize) {
+        let plain = scripted_with(scores, None).unwrap();
+        let sink = Keeping::new(keep);
+        let kept = scripted_with(scores, Some(&sink)).unwrap();
+        assert_eq!(kept.content_hash(), plain.content_hash());
+        assert_eq!(kept.emb2[4].to_bits(), plain.emb2[4].to_bits());
+        assert_eq!(kept.trace.epochs.len(), plain.trace.epochs.len());
+        (kept.emb2[4], sink.restores.into_inner())
+    }
+
+    #[test]
+    fn a_held_best_validated_last_is_restored_bit_for_bit() {
+        assert_eq!(kept_run(&[0.5, 0.5, 1.0], Keep::Faithfully), (2.0, 1));
+    }
+
+    #[test]
+    fn a_held_best_validated_early_is_restored_bit_for_bit() {
+        assert_eq!(kept_run(&[0.5, 1.0, 0.5, 0.5], Keep::Faithfully), (1.0, 1));
+    }
+
+    #[test]
+    fn a_best_the_sink_failed_to_store_stays_in_memory() {
+        // Epoch 0 is stored and held; epoch 1 improves but is not stored.
+        assert_eq!(kept_run(&[0.5, 1.0, 0.5], Keep::FailingFrom(1)), (1.0, 0));
+    }
+
+    #[test]
+    fn a_held_best_lost_or_altered_is_a_typed_error() {
+        for keep in [Keep::Losing, Keep::Altering] {
+            let sink = Keeping::new(keep);
+            let err = scripted_with(&[0.5, 1.0, 0.5], Some(&sink)).unwrap_err();
+            assert_eq!(err, TrainError::CheckpointLost { epoch: 1 });
+            assert_eq!(sink.restores.into_inner(), 1);
+        }
     }
 
     /// `negs: 0` used to reach the trainer's `ZeroNegatives` behind an
