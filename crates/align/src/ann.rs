@@ -51,9 +51,6 @@ use openea_runtime::rng::{SeedableRng, SliceRandom, SmallRng};
 pub struct AnnConfig {
     /// Number of k-means partitions; `0` picks `≈ √n` automatically.
     pub nlist: usize,
-    /// Upper bound on the rows used to *train* the centroids (the final
-    /// assignment always covers every target). Stride-sampled for coverage.
-    pub train_sample: usize,
     /// Lloyd iterations.
     pub iters: usize,
     /// Seed for sampling and centroid initialization.
@@ -64,12 +61,15 @@ impl Default for AnnConfig {
     fn default() -> Self {
         Self {
             nlist: 0,
-            train_sample: 65_536,
             iters: 8,
             seed: 0x0A11,
         }
     }
 }
+
+/// Upper bound on the rows used to *train* the centroids (the final
+/// assignment always covers every target). Stride-sampled for coverage.
+pub const TRAIN_SAMPLE: usize = 65_536;
 
 /// An inverted-file index over one side's embeddings: `nlist` centroids,
 /// CSR member lists (ids ascending within each list) and a list-contiguous,
@@ -129,7 +129,7 @@ fn train_centroids(
     let n = targets.len() / dim;
     // Stride-sample the training set so it covers the whole corpus, then
     // shuffle a copy to seed the initial centroids.
-    let take = cfg.train_sample.max(nlist).min(n);
+    let take = TRAIN_SAMPLE.max(nlist).min(n);
     let stride = n / take;
     let train_ids: Vec<usize> = (0..take).map(|t| t * stride).collect();
     let mut train = Vec::with_capacity(take * dim);

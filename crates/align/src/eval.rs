@@ -170,11 +170,6 @@ impl MeanStd {
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
-
-    /// Paper-style rendering: `.507±.010`.
-    pub fn paper_format(&self) -> String {
-        format!("{:.3}±{:.3}", self.mean(), self.std()).replace("0.", ".")
-    }
 }
 
 impl Extend<f64> for MeanStd {
@@ -264,9 +259,6 @@ mod tests {
         assert!((ms.mean() - 0.5).abs() < 1e-12);
         assert!(ms.std() < 0.01);
         assert_eq!(ms.len(), 5);
-        let fmt = ms.paper_format();
-        assert!(fmt.starts_with(".500"), "{fmt}");
-        assert!(fmt.contains('±'));
     }
 
     #[test]

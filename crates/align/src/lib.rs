@@ -32,5 +32,5 @@ pub use eval::{precision_recall_f1, rank_eval, rank_eval_streaming, MeanStd, Prf
 pub use infer::{greedy_match_topk, hungarian, stable_marriage_topk};
 pub use metric::Metric;
 pub use simmat::{SimilarityMatrix, DEFAULT_TILE};
-pub use sinkhorn::{sinkhorn_match, sinkhorn_plan, SinkhornConfig};
+pub use sinkhorn::{sinkhorn_match, sinkhorn_plan};
 pub use topk::{csls_topk, TopKMatrix};

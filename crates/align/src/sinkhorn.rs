@@ -9,29 +9,17 @@ use crate::infer::stable_marriage_topk;
 use crate::simmat::SimilarityMatrix;
 use crate::topk::TopKMatrix;
 
-/// Parameters of [`sinkhorn_match`].
-#[derive(Clone, Copy, Debug)]
-pub struct SinkhornConfig {
-    /// Entropic regularization strength (smaller = closer to exact OT but
-    /// slower/less stable).
-    pub epsilon: f32,
-    /// Sinkhorn iterations.
-    pub iterations: usize,
-}
+/// Entropic regularization strength (smaller = closer to exact OT but
+/// slower/less stable).
+const EPSILON: f32 = 0.05;
 
-impl Default for SinkhornConfig {
-    fn default() -> Self {
-        Self {
-            epsilon: 0.05,
-            iterations: 60,
-        }
-    }
-}
+/// Sinkhorn iterations.
+const ITERATIONS: usize = 60;
 
 /// The entropy-regularized transport plan between uniform marginals, as a
 /// dense `rows × cols` matrix (rows sum to `1/rows` each after convergence
 /// when `rows == cols`).
-pub fn sinkhorn_plan(sim: &SimilarityMatrix, cfg: SinkhornConfig) -> Vec<f32> {
+pub fn sinkhorn_plan(sim: &SimilarityMatrix) -> Vec<f32> {
     let rows = sim.rows();
     let cols = sim.cols();
     if rows == 0 || cols == 0 {
@@ -43,13 +31,13 @@ pub fn sinkhorn_plan(sim: &SimilarityMatrix, cfg: SinkhornConfig) -> Vec<f32> {
         let row = sim.row(i);
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         for (j, &s) in row.iter().enumerate() {
-            k[i * cols + j] = ((s - max) / cfg.epsilon).exp();
+            k[i * cols + j] = ((s - max) / EPSILON).exp();
         }
     }
     let (ra, ca) = (1.0 / rows as f32, 1.0 / cols as f32);
     let mut u = vec![1.0f32; rows];
     let mut v = vec![1.0f32; cols];
-    for _ in 0..cfg.iterations {
+    for _ in 0..ITERATIONS {
         // u = r / (K v)
         for i in 0..rows {
             let mut kv = 0.0f32;
@@ -79,8 +67,8 @@ pub fn sinkhorn_plan(sim: &SimilarityMatrix, cfg: SinkhornConfig) -> Vec<f32> {
 /// Rounds the transport plan to a 1-to-1 matching: greedy collective over
 /// transported mass, which is [`stable_marriage_topk`] over every plan cell.
 /// Returns `match[i] = j`.
-pub fn sinkhorn_match(sim: &SimilarityMatrix, cfg: SinkhornConfig) -> Vec<Option<usize>> {
-    let plan = SimilarityMatrix::from_raw(sim.rows(), sim.cols(), sinkhorn_plan(sim, cfg));
+pub fn sinkhorn_match(sim: &SimilarityMatrix) -> Vec<Option<usize>> {
+    let plan = SimilarityMatrix::from_raw(sim.rows(), sim.cols(), sinkhorn_plan(sim));
     stable_marriage_topk(&TopKMatrix::from_matrix(&plan, plan.cols()))
 }
 
@@ -93,7 +81,7 @@ mod tests {
     fn plan_marginals_are_uniform() {
         let sim =
             SimilarityMatrix::from_raw(3, 3, vec![0.9, 0.1, 0.0, 0.2, 0.8, 0.1, 0.0, 0.3, 0.7]);
-        let plan = sinkhorn_plan(&sim, SinkhornConfig::default());
+        let plan = sinkhorn_plan(&sim);
         for i in 0..3 {
             let row_sum: f32 = (0..3).map(|j| plan[i * 3 + j]).sum();
             assert!(
@@ -116,7 +104,7 @@ mod tests {
         let sim = SimilarityMatrix::from_raw(2, 2, vec![0.9, 0.1, 0.8, 0.75]);
         let greedy = greedy_match_topk(&TopKMatrix::from_matrix(&sim, sim.cols()));
         assert_eq!(greedy, vec![Some(0), Some(0)]);
-        let ot = sinkhorn_match(&sim, SinkhornConfig::default());
+        let ot = sinkhorn_match(&sim);
         assert_eq!(ot, vec![Some(0), Some(1)]);
     }
 
@@ -133,7 +121,7 @@ mod tests {
             ],
         );
         let h = hungarian(&sim);
-        let ot = sinkhorn_match(&sim, SinkhornConfig::default());
+        let ot = sinkhorn_match(&sim);
         assert_eq!(h, ot);
     }
 
@@ -150,10 +138,7 @@ mod tests {
         {
             sim[i * 4..i * 4 + 3].copy_from_slice(row);
         }
-        let m = sinkhorn_match(
-            &SimilarityMatrix::from_raw(4, 4, sim),
-            SinkhornConfig::default(),
-        );
+        let m = sinkhorn_match(&SimilarityMatrix::from_raw(4, 4, sim));
         let mut finite_cols: Vec<usize> = m[..3].iter().map(|j| j.unwrap()).collect();
         finite_cols.sort_unstable();
         assert_eq!(finite_cols, vec![0, 1, 2]);
@@ -163,14 +148,14 @@ mod tests {
     #[test]
     fn empty_matrix_is_handled() {
         let sim = SimilarityMatrix::from_raw(0, 0, vec![]);
-        assert!(sinkhorn_plan(&sim, SinkhornConfig::default()).is_empty());
-        assert!(sinkhorn_match(&sim, SinkhornConfig::default()).is_empty());
+        assert!(sinkhorn_plan(&sim).is_empty());
+        assert!(sinkhorn_match(&sim).is_empty());
     }
 
     #[test]
     fn rectangular_matrices_match_all_sources() {
         let sim = SimilarityMatrix::from_raw(2, 4, vec![0.9, 0.0, 0.1, 0.2, 0.1, 0.8, 0.0, 0.3]);
-        let ot = sinkhorn_match(&sim, SinkhornConfig::default());
+        let ot = sinkhorn_match(&sim);
         assert_eq!(ot.iter().flatten().count(), 2);
         let set: std::collections::HashSet<_> = ot.iter().flatten().collect();
         assert_eq!(set.len(), 2);
@@ -197,7 +182,7 @@ mod proptests {
         #[test]
         fn sinkhorn_matching_is_near_optimal(values in vec_of(0.0f32..1.0, 16)) {
             let sim = SimilarityMatrix::from_raw(4, 4, values);
-            let ot = sinkhorn_match(&sim, SinkhornConfig::default());
+            let ot = sinkhorn_match(&sim);
             let picked: Vec<usize> = ot.iter().flatten().copied().collect();
             let distinct: std::collections::HashSet<_> = picked.iter().collect();
             prop_assert_eq!(picked.len(), distinct.len());

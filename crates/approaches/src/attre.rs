@@ -18,16 +18,11 @@ use openea_core::{AlignedPair, FoldSplit, KgPair};
 use openea_models::literal::char_ngram_vector;
 
 /// AttrE.
-pub struct AttrE {
-    /// Strength of the pull toward the literal profile.
-    pub attr_weight: f32,
-}
+#[derive(Default)]
+pub struct AttrE;
 
-impl Default for AttrE {
-    fn default() -> Self {
-        Self { attr_weight: 0.5 }
-    }
-}
+/// Strength of the pull toward the literal profile.
+const ATTR_WEIGHT: f32 = 0.5;
 
 impl Approach for AttrE {
     fn name(&self) -> &'static str {
@@ -54,7 +49,7 @@ impl Approach for AttrE {
 impl AttrE {
     /// The engine hooks of a run on `split`, before its first epoch.
     pub(crate) fn hooks<'a>(
-        &'a self,
+        &self,
         pair: &KgPair,
         split: &FoldSplit,
         cfg: &'a RunConfig,
@@ -80,7 +75,6 @@ impl AttrE {
         });
 
         Hooks {
-            approach: self,
             cfg,
             base: UnifiedTransE::new(space, cfg, ctx.driver_rng()),
             profiles,
@@ -92,7 +86,6 @@ impl AttrE {
 const METRIC: Metric = Metric::Cosine;
 
 pub(crate) struct Hooks<'a> {
-    approach: &'a AttrE,
     cfg: &'a RunConfig,
     base: UnifiedTransE,
     profiles: Option<Vec<(u32, Vec<f32>)>>,
@@ -111,7 +104,7 @@ impl EpochHooks for Hooks<'_> {
         if let Some(profiles) = &self.profiles {
             // Pull each entity toward its (fixed) literal profile: the
             // cross-KG unification signal of AttrE.
-            let lr = self.cfg.lr * self.approach.attr_weight;
+            let lr = self.cfg.lr * ATTR_WEIGHT;
             for (uid, profile) in profiles {
                 let row = self.base.model.entities.row_mut(*uid as usize);
                 for i in 0..self.cfg.dim {

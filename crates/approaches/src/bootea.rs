@@ -19,13 +19,8 @@ use openea_models::translational::LossKind;
 
 /// BootEA.
 pub struct BootEa {
-    /// Epochs between bootstrapping rounds.
-    pub boot_every: usize,
     /// Cosine threshold for accepting proposals.
     pub threshold: f32,
-    /// ε of the truncated sampler (fraction of entities *excluded* from the
-    /// hard-candidate lists).
-    pub epsilon: f64,
     /// Ablation switch for the Sect. 5.2 study: disable self-training.
     pub bootstrapping: bool,
 }
@@ -33,39 +28,42 @@ pub struct BootEa {
 impl Default for BootEa {
     fn default() -> Self {
         Self {
-            boot_every: 15,
             threshold: 0.75,
-            epsilon: 0.98,
             bootstrapping: true,
         }
     }
 }
 
-impl BootEa {
-    /// Rebuilds the per-entity hard-negative candidate lists from the
-    /// current entity `table` (the "truncated ε-sampling" of the paper): the
-    /// σ most cosine-similar entities per entity, excluding self, via the
-    /// streaming top-k kernel (k = σ+1 so the self hit can be dropped).
-    fn refresh_sampler(&self, table: &EmbeddingTable, threads: usize) -> TruncatedSampler {
-        let n = table.count();
-        let sigma = TruncatedSampler::truncation_size(n, self.epsilon).min(64);
-        if n == 0 || sigma == 0 {
-            return TruncatedSampler::new(vec![Vec::new(); n]);
-        }
-        let data = table.data();
-        let topk = TopKMatrix::compute(data, data, table.dim(), Metric::Cosine, sigma + 1, threads);
-        let candidates: Vec<Vec<u32>> = (0..n)
-            .map(|e| {
-                topk.row(e)
-                    .iter()
-                    .filter(|&&(o, _)| o as usize != e)
-                    .take(sigma)
-                    .map(|&(o, _)| o)
-                    .collect()
-            })
-            .collect();
-        TruncatedSampler::new(candidates)
+/// Epochs between bootstrapping rounds.
+const BOOT_EVERY: usize = 15;
+
+/// ε of the truncated sampler (fraction of entities *excluded* from the
+/// hard-candidate lists).
+const EPSILON: f64 = 0.98;
+
+/// Rebuilds the per-entity hard-negative candidate lists from the current
+/// entity `table` (the "truncated ε-sampling" of the paper): the σ most
+/// cosine-similar entities per entity, excluding self, via the streaming
+/// top-k kernel (k = σ+1 so the self hit can be dropped).
+fn refresh_sampler(table: &EmbeddingTable, threads: usize) -> TruncatedSampler {
+    let n = table.count();
+    let sigma = TruncatedSampler::truncation_size(n, EPSILON).min(64);
+    if n == 0 || sigma == 0 {
+        return TruncatedSampler::new(vec![Vec::new(); n]);
     }
+    let data = table.data();
+    let topk = TopKMatrix::compute(data, data, table.dim(), Metric::Cosine, sigma + 1, threads);
+    let candidates: Vec<Vec<u32>> = (0..n)
+        .map(|e| {
+            topk.row(e)
+                .iter()
+                .filter(|&&(o, _)| o as usize != e)
+                .take(sigma)
+                .map(|&(o, _)| o)
+                .collect()
+        })
+        .collect();
+    TruncatedSampler::new(candidates)
 }
 
 impl Approach for BootEa {
@@ -126,7 +124,7 @@ const METRIC: Metric = Metric::Cosine;
 /// Engine hooks: limit-loss TransE over the (possibly swapped) triples with
 /// truncated negatives once bootstrapping starts, per-epoch calibration of
 /// the proposed pairs, and a conflict-edited self-training round every
-/// `boot_every` epochs.
+/// [`BOOT_EVERY`] epochs.
 pub(crate) struct Hooks<'a> {
     approach: &'a BootEa,
     pair: &'a KgPair,
@@ -152,9 +150,9 @@ impl EpochHooks for Hooks<'_> {
         let table = &mut self.base.model.entities;
         self.ledger.calibrate(&self.base.space, table, self.cfg.lr);
 
-        if self.approach.bootstrapping && (epoch + 1).is_multiple_of(self.approach.boot_every) {
+        if self.approach.bootstrapping && (epoch + 1).is_multiple_of(BOOT_EVERY) {
             // Refresh hard negatives from the current space.
-            self.truncated = Some(self.approach.refresh_sampler(table, self.cfg.threads));
+            self.truncated = Some(refresh_sampler(table, self.cfg.threads));
             // Propose a fresh, conflict-edited alignment each round.
             let cands = self.ledger.candidates(&self.base.space, table);
             let threshold = self.approach.threshold;
@@ -188,8 +186,7 @@ mod tests {
     fn refresh_sampler_builds_topk_lists() {
         let mut rng = SmallRng::seed_from_u64(1);
         let table = EmbeddingTable::new(30, 8, Initializer::Unit, &mut rng);
-        let b = BootEa::default();
-        let sampler = b.refresh_sampler(&table, 2);
+        let sampler = refresh_sampler(&table, 2);
         // Sampling must produce in-range corruptions.
         for _ in 0..50 {
             let (h, _, t) = sampler.corrupt((3, 0, 7), &mut rng);
@@ -206,12 +203,9 @@ mod tests {
         table.row_mut(1).copy_from_slice(&[0.99, 0.1]);
         table.row_mut(2).copy_from_slice(&[0.0, 1.0]);
         table.row_mut(3).copy_from_slice(&[0.0, -1.0]);
-        let b = BootEa {
-            epsilon: 0.75,
-            ..BootEa::default()
-        }; // σ = 1
-        let s = b.refresh_sampler(&table, 1);
-        // The hardest negative for entity 0 must be entity 1.
+        // σ = ⌈0.02 · 4⌉ = 1: the hardest negative for entity 0 must be
+        // entity 1.
+        let s = refresh_sampler(&table, 1);
         let mut saw_one = false;
         for _ in 0..100 {
             let (h, _, _) = s.corrupt((0, 0, 2), &mut rng);

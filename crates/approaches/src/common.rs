@@ -12,6 +12,7 @@ pub use openea_models::trainer::{
     train_epoch_batched, EpochTrace, StopReason, TraceRecorder, TrainError, TrainOptions,
     TrainTrace,
 };
+use openea_runtime::hash::Fnv1a;
 use openea_runtime::rng::{RngCore, SmallRng};
 
 use crate::engine::{Lineage, RunContext, WarmStart};
@@ -240,24 +241,16 @@ impl ApproachOutput {
     /// bit-identical — the regression oracle for the driver-engine golden
     /// tests and the cross-thread determinism contract.
     pub fn content_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(&(self.dim as u64).to_le_bytes());
-        eat(&[self.metric as u8]);
+        let mut h = Fnv1a::new();
+        h.update(&(self.dim as u64).to_le_bytes());
+        h.update(&[self.metric as u8]);
         for emb in [&self.emb1, &self.emb2] {
-            eat(&(emb.len() as u64).to_le_bytes());
+            h.update(&(emb.len() as u64).to_le_bytes());
             for v in emb {
-                eat(&v.to_bits().to_le_bytes());
+                h.update(&v.to_bits().to_le_bytes());
             }
         }
-        h
+        h.finish()
     }
 
     pub fn vec1(&self, e: EntityId) -> &[f32] {

@@ -245,14 +245,11 @@ impl<'a> RunContext<'a> {
 
 /// The per-approach hooks the engine drives. Only `train_epoch` and
 /// `checkpoint` carry real work for most drivers (plus
-/// `validate_in_place` for those trained in one table); `before_epoch` /
-/// `after_epoch` host the semi-supervised extras (sampler refresh,
-/// bootstrapping, iterative augmentation, co-training, soft calibration) at
-/// exactly the loop positions the historical drivers used.
+/// `validate_in_place` for those trained in one table); `after_epoch` hosts
+/// the semi-supervised extras (sampler refresh, bootstrapping, iterative
+/// augmentation, co-training, soft calibration) at exactly the loop
+/// positions the historical drivers used.
 pub trait EpochHooks {
-    /// Runs before an epoch's training step.
-    fn before_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) {}
-
     /// Trains one epoch and reports its loss/throughput stats.
     fn train_epoch(&mut self, epoch: usize, ctx: &RunContext<'_>) -> EpochStats;
 
@@ -349,7 +346,6 @@ pub fn run_driver<H: EpochHooks>(
             break;
         }
         rec.begin_epoch();
-        hooks.before_epoch(epoch, ctx);
         let stats = hooks.train_epoch(epoch, ctx);
         if !stats.mean_loss.is_finite() {
             return Err(TrainError::Diverged { epoch });
@@ -442,10 +438,6 @@ mod tests {
     }
 
     impl<H: EpochHooks> EpochHooks for Checked<H> {
-        fn before_epoch(&mut self, epoch: usize, ctx: &RunContext<'_>) {
-            self.inner.before_epoch(epoch, ctx);
-        }
-
         fn train_epoch(&mut self, epoch: usize, ctx: &RunContext<'_>) -> EpochStats {
             self.inner.train_epoch(epoch, ctx)
         }
@@ -515,7 +507,7 @@ mod tests {
         };
         let ctx = RunContext::new(&cfg);
         let (iptranse, bootea) = (IpTransE::default(), BootEa::default());
-        let (attre, rsn4ea) = (AttrE::default(), Rsn4Ea::default());
+        let (attre, rsn4ea) = (AttrE, Rsn4Ea);
         let runs = [
             (
                 iptranse.name(),

@@ -72,22 +72,19 @@ pub struct GcnEncoder {
     /// Gate weights (RDGCN's highway, AliNet's hop gate); `None` for a plain
     /// GCN (GCNAlign).
     pub wg: Option<Tensor>,
-    pub x_trainable: bool,
     n1: usize,
     n2: usize,
 }
 
 impl GcnEncoder {
     /// A plain (or, with `highway`, gated) GCN over the union graph, its node
-    /// features `features` or Xavier-random.
-    #[allow(clippy::too_many_arguments)]
+    /// features `features` or Xavier-random, trained with the weights.
     pub fn new<R: Rng>(
         pair: &KgPair,
         features: Option<Vec<f32>>,
         dim: usize,
         relation_aware: bool,
         highway: bool,
-        x_trainable: bool,
         rng: &mut R,
     ) -> Self {
         let (n, edges) = union_edges(pair, relation_aware);
@@ -100,15 +97,7 @@ impl GcnEncoder {
             }
             None => Tensor::xavier(n, dim, rng),
         };
-        Self::with_layers(
-            pair,
-            graph,
-            Layers::Gcn { adj },
-            x,
-            highway,
-            x_trainable,
-            rng,
-        )
+        Self::with_layers(pair, graph, Layers::Gcn { adj }, x, highway, rng)
     }
 
     /// AliNet's encoder: trainable random features and the gated multi-hop
@@ -121,7 +110,7 @@ impl GcnEncoder {
         let two_hop = graph.add_sparse(SparseMatrix::gcn_normalized_weighted(n, &paths));
         let x = Tensor::xavier(n, dim, rng);
         let layers = Layers::AliNet { one_hop, two_hop };
-        Self::with_layers(pair, graph, layers, x, true, true, rng)
+        Self::with_layers(pair, graph, layers, x, true, rng)
     }
 
     /// The weights, drawn in the order `w1, w2, wg` after the features.
@@ -131,7 +120,6 @@ impl GcnEncoder {
         layers: Layers,
         x: Tensor,
         gated: bool,
-        x_trainable: bool,
         rng: &mut R,
     ) -> Self {
         let dim = x.cols;
@@ -142,7 +130,6 @@ impl GcnEncoder {
             w1: near_identity(dim, rng),
             w2: near_identity(dim, rng),
             wg: gated.then(|| Tensor::xavier(dim, dim, rng)),
-            x_trainable,
             n1: pair.kg1.num_entities(),
             n2: pair.kg2.num_entities(),
         }
@@ -237,9 +224,7 @@ impl GcnEncoder {
                 *p -= lr * gg;
             }
         };
-        if self.x_trainable {
-            apply(&mut self.x, g.grad_ref(x));
-        }
+        apply(&mut self.x, g.grad_ref(x));
         apply(&mut self.w1, g.grad_ref(w1));
         apply(&mut self.w2, g.grad_ref(w2));
         if let (Some(wg_var), Some(wg_t)) = (wg, self.wg.as_mut()) {
@@ -431,7 +416,7 @@ mod tests {
     fn gcn_training_reduces_loss_and_aligns_seeds() {
         let p = path_pair();
         let mut rng = SmallRng::seed_from_u64(0);
-        let mut enc = GcnEncoder::new(&p, None, 8, false, false, true, &mut rng);
+        let mut enc = GcnEncoder::new(&p, None, 8, false, false, &mut rng);
         let seeds: Vec<_> = p.alignment[..3].to_vec();
         let first = enc.step(&seeds, 1.0, 0.0, &mut rng); // lr 0: measure only
         let mut last = first;
@@ -453,15 +438,11 @@ mod tests {
     fn highway_gate_is_trainable() {
         let p = pair();
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut enc = GcnEncoder::new(&p, None, 8, true, true, false, &mut rng);
+        let mut enc = GcnEncoder::new(&p, None, 8, true, true, &mut rng);
         let before = enc.wg.as_ref().unwrap().data.clone();
         for _ in 0..5 {
             enc.step(&p.alignment, 1.0, 0.1, &mut rng);
         }
         assert_ne!(&before, &enc.wg.as_ref().unwrap().data);
-        // x is frozen when not trainable.
-        let x0 = enc.x.data.clone();
-        enc.step(&p.alignment, 1.0, 0.1, &mut rng);
-        assert_eq!(x0, enc.x.data);
     }
 }

@@ -10,18 +10,11 @@ use crate::jape::attr_fusion;
 use openea_core::{FoldSplit, KgPair};
 
 /// GCNAlign.
-pub struct GcnAlign {
-    /// Weight of the structural GCN view (vs. the attribute view).
-    pub structure_weight: f32,
-}
+#[derive(Default)]
+pub struct GcnAlign;
 
-impl Default for GcnAlign {
-    fn default() -> Self {
-        Self {
-            structure_weight: 0.9,
-        }
-    }
-}
+/// Weight of the structural GCN view (vs. the attribute view).
+const STRUCTURE_WEIGHT: f32 = 0.9;
 
 impl Approach for GcnAlign {
     fn name(&self) -> &'static str {
@@ -41,9 +34,9 @@ impl Approach for GcnAlign {
         ctx: &RunContext<'_>,
     ) -> Result<ApproachOutput, TrainError> {
         run_gnn(self.name(), split, cfg, ctx, |rng| {
-            let enc = GcnEncoder::new(pair, None, cfg.dim, false, false, true, rng);
+            let enc = GcnEncoder::new(pair, None, cfg.dim, false, false, rng);
             // Attribute view: JAPE's AC2Vec, drawn after the encoder.
-            (enc, attr_fusion(pair, cfg, self.structure_weight, rng))
+            (enc, attr_fusion(pair, cfg, STRUCTURE_WEIGHT, rng))
         })
     }
 }
@@ -54,8 +47,7 @@ mod tests {
 
     #[test]
     fn requirements_match_table9() {
-        let g = GcnAlign::default();
-        let r = g.requirements();
+        let r = GcnAlign.requirements();
         assert_eq!(r.rel_triples, Req::Mandatory);
         assert_eq!(r.attr_triples, Req::Optional);
         assert_eq!(r.word_embeddings, Req::NotApplicable);

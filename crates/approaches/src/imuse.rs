@@ -64,21 +64,15 @@ pub fn string_match_seeds(
 }
 
 /// IMUSE.
-pub struct Imuse {
-    /// Minimum rarity-weighted overlap for a preprocessing seed.
-    pub string_threshold: f32,
-    /// Weight of the relation view in the final combined similarity.
-    pub rel_weight: f32,
-}
+#[derive(Default)]
+pub struct Imuse;
 
-impl Default for Imuse {
-    fn default() -> Self {
-        Self {
-            string_threshold: 1.5,
-            rel_weight: 0.6,
-        }
-    }
-}
+/// Minimum rarity-weighted overlap for a preprocessing seed (also the
+/// unsupervised pipeline's).
+pub(crate) const STRING_THRESHOLD: f32 = 1.5;
+
+/// Weight of the relation view in the final combined similarity.
+const REL_WEIGHT: f32 = 0.6;
 
 impl Approach for Imuse {
     fn name(&self) -> &'static str {
@@ -101,7 +95,7 @@ impl Approach for Imuse {
         if cfg.use_attributes {
             let taken1: HashSet<EntityId> = seeds.iter().map(|&(a, _)| a).collect();
             let taken2: HashSet<EntityId> = seeds.iter().map(|&(_, b)| b).collect();
-            for (a, b) in string_match_seeds(&pair.kg1, &pair.kg2, self.string_threshold) {
+            for (a, b) in string_match_seeds(&pair.kg1, &pair.kg2, STRING_THRESHOLD) {
                 if !taken1.contains(&a) && !taken2.contains(&b) {
                     seeds.push((a, b));
                 }
@@ -115,12 +109,12 @@ impl Approach for Imuse {
         let enc = cfg.literal_encoder();
         let d = enc.dim();
         let literals = cfg.use_attributes.then(|| {
-            View::of(pair, d, 1.0 - self.rel_weight, |kg| {
+            View::of(pair, d, 1.0 - REL_WEIGHT, |kg| {
                 literal_sum(kg, d, |s| enc.encode(s))
             })
         });
         let fusion = Fusion {
-            structure_weight: self.rel_weight,
+            structure_weight: REL_WEIGHT,
             views: literals.into_iter().collect(),
         };
         let mut hooks = FusedTransE { cfg, base, fusion };

@@ -78,8 +78,6 @@ pub fn mine_paths(triples: &[(u32, u32, u32)], max_instances: usize) -> Vec<Path
 
 /// IPTransE.
 pub struct IpTransE {
-    /// Epochs between self-training rounds.
-    pub boot_every: usize,
     /// Cosine threshold for accepting a proposed pair.
     pub threshold: f32,
     /// Weight of the path-composition loss.
@@ -92,12 +90,14 @@ impl Default for IpTransE {
         // liberally and has no error-editing mechanism, which is why its
         // augmentation precision degrades over iterations (Figure 7).
         Self {
-            boot_every: 20,
             threshold: 0.35,
             path_weight: 0.3,
         }
     }
 }
+
+/// Epochs between self-training rounds.
+const BOOT_EVERY: usize = 20;
 
 impl IpTransE {
     fn path_step(&self, model: &mut TransE, paths: &[PathInstance], lr: f32) {
@@ -171,7 +171,7 @@ impl IpTransE {
 const METRIC: Metric = Metric::Euclidean;
 
 /// Engine hooks: translational training plus the path objective per epoch,
-/// then soft calibration of proposed pairs and (every `boot_every` epochs)
+/// then soft calibration of proposed pairs and (every [`BOOT_EVERY`] epochs)
 /// a new self-training round.
 pub(crate) struct Hooks<'a> {
     approach: &'a IpTransE,
@@ -200,7 +200,7 @@ impl EpochHooks for Hooks<'_> {
         let table = &mut self.base.model.entities;
         self.ledger.calibrate(&self.base.space, table, self.cfg.lr);
 
-        if (epoch + 1).is_multiple_of(self.approach.boot_every) {
+        if (epoch + 1).is_multiple_of(BOOT_EVERY) {
             let (sources, targets) = self.ledger.unaligned();
             let (threshold, threads) = (self.approach.threshold, self.cfg.threads);
             let space = &self.base.space;

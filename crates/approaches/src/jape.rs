@@ -119,18 +119,11 @@ pub(crate) fn attr_fusion<R: Rng>(
 }
 
 /// JAPE.
-pub struct Jape {
-    /// Weight of the structural view in the combined embedding.
-    pub structure_weight: f32,
-}
+#[derive(Default)]
+pub struct Jape;
 
-impl Default for Jape {
-    fn default() -> Self {
-        Self {
-            structure_weight: 0.85,
-        }
-    }
-}
+/// Weight of the structural view in the combined embedding.
+const STRUCTURE_WEIGHT: f32 = 0.85;
 
 impl Approach for Jape {
     fn name(&self) -> &'static str {
@@ -153,7 +146,7 @@ impl Approach for Jape {
         let mut base = UnifiedTransE::new(space, cfg, ctx.driver_rng());
         // The attribute view draws from the driver RNG after model init, as
         // the pre-engine driver did.
-        let fusion = attr_fusion(pair, cfg, self.structure_weight, &mut base.rng);
+        let fusion = attr_fusion(pair, cfg, STRUCTURE_WEIGHT, &mut base.rng);
         let mut hooks = FusedTransE { cfg, base, fusion };
         run_driver(self.name(), &mut hooks, &ctx.for_valid(&split.valid), cfg)
     }
@@ -314,6 +307,6 @@ mod tests {
 
     #[test]
     fn requirements_mark_attributes_optional() {
-        assert_eq!(Jape::default().requirements().attr_triples, Req::Optional);
+        assert_eq!(Jape.requirements().attr_triples, Req::Optional);
     }
 }

@@ -30,26 +30,26 @@ fn description(kg: &KnowledgeGraph, enc: &LiteralEncoder, e: EntityId) -> Option
 
 /// KDCoE.
 pub struct KdCoe {
-    /// Epochs between co-training iterations.
-    pub co_every: usize,
     /// Confidence threshold of the description view.
     pub desc_threshold: f32,
     /// Confidence threshold of the relation view.
     pub rel_threshold: f32,
-    /// Weight of the description view in the final embedding.
-    pub desc_weight: f32,
 }
 
 impl Default for KdCoe {
     fn default() -> Self {
         Self {
-            co_every: 15,
             desc_threshold: 0.9,
             rel_threshold: 0.85,
-            desc_weight: 0.5,
         }
     }
 }
+
+/// Epochs between co-training iterations.
+const CO_EVERY: usize = 15;
+
+/// Weight of the description view in the final embedding.
+const DESC_WEIGHT: f32 = 0.5;
 
 impl Approach for KdCoe {
     fn name(&self) -> &'static str {
@@ -84,12 +84,12 @@ impl Approach for KdCoe {
         let enc = cfg.literal_encoder();
         let d = enc.dim();
         let desc = cfg.use_attributes.then(|| {
-            View::of(pair, d, self.desc_weight, |kg| {
+            View::of(pair, d, DESC_WEIGHT, |kg| {
                 optional_rows(kg, d, |e| description(kg, &enc, e))
             })
         });
         let fusion = Fusion {
-            structure_weight: 1.0 - self.desc_weight,
+            structure_weight: 1.0 - DESC_WEIGHT,
             views: desc.into_iter().collect(),
         };
 
@@ -108,7 +108,7 @@ impl Approach for KdCoe {
 }
 
 /// Engine hooks: per-KG TransE epochs plus the joint transformation step
-/// over the seeds and every accepted pair, then (every `co_every` epochs) a
+/// over the seeds and every accepted pair, then (every [`CO_EVERY`] epochs) a
 /// co-training round where the description and relation views each propose
 /// confident new seeds for the other.
 struct Hooks<'a> {
@@ -130,7 +130,7 @@ impl EpochHooks for Hooks<'_> {
         let seeds = self.seeds.iter().chain(&self.ledger.proposed).copied();
         self.core.seed_step(seeds, self.cfg, true);
 
-        if (epoch + 1).is_multiple_of(self.approach.co_every) {
+        if (epoch + 1).is_multiple_of(CO_EVERY) {
             let (sources, targets) = self.ledger.unaligned();
             let threads = self.cfg.threads;
             // Description view proposes (only entities with descriptions).

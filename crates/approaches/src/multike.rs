@@ -14,22 +14,14 @@ use crate::engine::{run_driver, RunContext};
 use crate::views::{literal_sum, optional_rows, FusedTransE, Fusion, View};
 use openea_core::{FoldSplit, KgPair};
 
-/// MultiKE view weights.
-pub struct MultiKe {
-    pub name_weight: f32,
-    pub relation_weight: f32,
-    pub attr_weight: f32,
-}
+/// MultiKE.
+#[derive(Default)]
+pub struct MultiKe;
 
-impl Default for MultiKe {
-    fn default() -> Self {
-        Self {
-            name_weight: 0.45,
-            relation_weight: 0.35,
-            attr_weight: 0.2,
-        }
-    }
-}
+/// Weights of the name, relation and attribute views.
+const NAME_WEIGHT: f32 = 0.45;
+const RELATION_WEIGHT: f32 = 0.35;
+const ATTR_WEIGHT: f32 = 0.2;
 
 impl Approach for MultiKe {
     fn name(&self) -> &'static str {
@@ -52,11 +44,11 @@ impl Approach for MultiKe {
     ) -> Result<ApproachOutput, TrainError> {
         let space = UnifiedSpace::build(pair, &split.train, Combination::Swapping);
         let (wn, wr, wa) = if cfg.use_relations {
-            (self.name_weight, self.relation_weight, self.attr_weight)
+            (NAME_WEIGHT, RELATION_WEIGHT, ATTR_WEIGHT)
         } else {
             // Relation view disabled (Table 8): renormalize the others.
-            let z = self.name_weight + self.attr_weight;
-            (self.name_weight / z, 0.0, self.attr_weight / z)
+            let z = NAME_WEIGHT + ATTR_WEIGHT;
+            (NAME_WEIGHT / z, 0.0, ATTR_WEIGHT / z)
         };
         let enc = cfg.literal_encoder();
         let d = enc.dim();
@@ -88,13 +80,12 @@ mod tests {
 
     #[test]
     fn default_weights_sum_to_one() {
-        let m = MultiKe::default();
-        assert!((m.name_weight + m.relation_weight + m.attr_weight - 1.0).abs() < 1e-6);
+        assert!((NAME_WEIGHT + RELATION_WEIGHT + ATTR_WEIGHT - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn requirements_match_table9() {
-        let r = MultiKe::default().requirements();
+        let r = MultiKe.requirements();
         assert_eq!(r.rel_triples, Req::Optional);
         assert_eq!(r.word_embeddings, Req::CrossLingualOnly);
     }

@@ -13,10 +13,7 @@ use openea_core::{FoldSplit, KgPair, KnowledgeGraph};
 
 /// RDGCN.
 #[derive(Default)]
-pub struct Rdgcn {
-    /// Whether node features stay frozen (the literal signal) or fine-tune.
-    pub freeze_features: bool,
-}
+pub struct Rdgcn;
 
 impl Approach for Rdgcn {
     fn name(&self) -> &'static str {
@@ -62,13 +59,12 @@ impl Approach for Rdgcn {
                     })
                     .collect()
             });
-            let trainable = features.is_none() || !self.freeze_features;
             // The highway gate exists to preserve the literal signal; with
             // random features (attribute ablation) fall back to a plain GCN
             // so the relation module can still learn, as in the paper's
             // Table 8.
             let highway = features.is_some();
-            let enc = GcnEncoder::new(pair, features, cfg.dim, true, highway, trainable, rng);
+            let enc = GcnEncoder::new(pair, features, cfg.dim, true, highway, rng);
             (enc, Fusion::default())
         })
     }
@@ -80,9 +76,6 @@ mod tests {
 
     #[test]
     fn requirements_mark_word_embeddings_mandatory() {
-        assert_eq!(
-            Rdgcn::default().requirements().word_embeddings,
-            Req::Mandatory
-        );
+        assert_eq!(Rdgcn.requirements().word_embeddings, Req::Mandatory);
     }
 }

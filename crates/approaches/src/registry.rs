@@ -52,26 +52,17 @@ impl ApproachKind {
         match self {
             ApproachKind::MTransE => Box::new(MTransE::default()),
             ApproachKind::IPTransE => Box::new(IpTransE::default()),
-            ApproachKind::Jape => Box::new(Jape::default()),
+            ApproachKind::Jape => Box::new(Jape),
             ApproachKind::KdCoe => Box::new(KdCoe::default()),
             ApproachKind::BootEa => Box::new(BootEa::default()),
-            ApproachKind::GcnAlign => Box::new(GcnAlign::default()),
-            ApproachKind::AttrE => Box::new(AttrE::default()),
-            ApproachKind::Imuse => Box::new(Imuse::default()),
+            ApproachKind::GcnAlign => Box::new(GcnAlign),
+            ApproachKind::AttrE => Box::new(AttrE),
+            ApproachKind::Imuse => Box::new(Imuse),
             ApproachKind::Sea => Box::new(Sea::default()),
-            ApproachKind::Rsn4Ea => Box::new(Rsn4Ea::default()),
-            ApproachKind::MultiKe => Box::new(MultiKe::default()),
-            ApproachKind::Rdgcn => Box::new(Rdgcn::default()),
+            ApproachKind::Rsn4Ea => Box::new(Rsn4Ea),
+            ApproachKind::MultiKe => Box::new(MultiKe),
+            ApproachKind::Rdgcn => Box::new(Rdgcn),
         }
-    }
-
-    /// Whether the approach reports semi-supervised augmentation curves
-    /// (the Figure 7 subjects).
-    pub fn is_semi_supervised(self) -> bool {
-        matches!(
-            self,
-            ApproachKind::IPTransE | ApproachKind::KdCoe | ApproachKind::BootEa
-        )
     }
 }
 
@@ -104,15 +95,6 @@ mod tests {
         assert!(approach_by_name("BootEA").is_some());
         assert!(approach_by_name("rdgcn").is_some());
         assert!(approach_by_name("NoSuchThing").is_none());
-    }
-
-    #[test]
-    fn semi_supervised_trio_matches_figure7() {
-        let semi: Vec<_> = ApproachKind::ALL
-            .iter()
-            .filter(|k| k.is_semi_supervised())
-            .collect();
-        assert_eq!(semi.len(), 3);
     }
 
     #[test]

@@ -73,23 +73,15 @@ fn sample_walks<R: Rng>(
 }
 
 /// RSN4EA.
-pub struct Rsn4Ea {
-    pub walk_len: usize,
-    /// Walks sampled per entity per epoch.
-    pub walks_per_entity: f32,
-    /// Negative candidates per prediction.
-    pub candidates: usize,
-}
+#[derive(Default)]
+pub struct Rsn4Ea;
 
-impl Default for Rsn4Ea {
-    fn default() -> Self {
-        Self {
-            walk_len: 5,
-            walks_per_entity: 3.0,
-            candidates: 12,
-        }
-    }
-}
+/// Hops per sampled walk.
+const WALK_LEN: usize = 5;
+/// Walks sampled per entity per epoch.
+const WALKS_PER_ENTITY: f32 = 3.0;
+/// Negative candidates per prediction.
+const CANDIDATES: usize = 12;
 
 struct RsnParams {
     elements: EmbeddingTable,
@@ -127,7 +119,7 @@ impl Approach for Rsn4Ea {
 impl Rsn4Ea {
     /// The engine hooks of a run on `split`, before its first epoch.
     pub(crate) fn hooks<'a>(
-        &'a self,
+        &self,
         pair: &KgPair,
         split: &FoldSplit,
         cfg: &'a RunConfig,
@@ -151,9 +143,8 @@ impl Rsn4Ea {
             tape: Graph::new(),
         };
 
-        let walks_per_epoch = ((space.num_entities as f32 * self.walks_per_entity) as usize).max(8);
+        let walks_per_epoch = ((space.num_entities as f32 * WALKS_PER_ENTITY) as usize).max(8);
         Hooks {
-            approach: self,
             cfg,
             space,
             params,
@@ -169,7 +160,6 @@ impl Rsn4Ea {
 const METRIC: Metric = Metric::Cosine;
 
 pub(crate) struct Hooks<'a> {
-    approach: &'a Rsn4Ea,
     cfg: &'a RunConfig,
     space: UnifiedSpace,
     params: RsnParams,
@@ -186,20 +176,14 @@ impl EpochHooks for Hooks<'_> {
             &self.space.triples,
             self.space.num_entities,
             self.space.num_relations as u32,
-            self.approach.walk_len,
+            WALK_LEN,
             self.walks_per_epoch,
             &mut self.rng,
         );
         let mut loss = 0.0f64;
         let mut pairs = 0usize;
         for walk in &walks {
-            let l = self.approach.train_walk(
-                &mut self.params,
-                &self.space,
-                walk,
-                self.cfg,
-                &mut self.rng,
-            );
+            let l = train_walk(&mut self.params, &self.space, walk, self.cfg, &mut self.rng);
             // Per-walk loss is the mean over its predictions; weight by
             // prediction count so short walks don't dominate.
             loss += l as f64 * walk.relations.len() as f64;
@@ -229,132 +213,127 @@ impl EpochHooks for Hooks<'_> {
     }
 }
 
-impl Rsn4Ea {
-    /// Builds the recurrent tape for one walk, applies one SGD step and
-    /// returns the walk's mean prediction loss.
-    fn train_walk(
-        &self,
-        params: &mut RsnParams,
-        space: &UnifiedSpace,
-        walk: &Walk,
-        cfg: &RunConfig,
-        rng: &mut SmallRng,
-    ) -> f32 {
-        let dim = cfg.dim;
-        let ne = space.num_entities as u32;
-        // Local element set: walk entities/relations plus sampled candidates.
-        let mut local: Vec<u32> = Vec::new();
-        let mut index_of = std::collections::HashMap::new();
-        let local_id = |ids: &mut Vec<u32>,
-                        map: &mut std::collections::HashMap<u32, u32>,
-                        global: u32|
-         -> u32 {
+/// Builds the recurrent tape for one walk, applies one SGD step and returns
+/// the walk's mean prediction loss.
+fn train_walk(
+    params: &mut RsnParams,
+    space: &UnifiedSpace,
+    walk: &Walk,
+    cfg: &RunConfig,
+    rng: &mut SmallRng,
+) -> f32 {
+    let dim = cfg.dim;
+    let ne = space.num_entities as u32;
+    // Local element set: walk entities/relations plus sampled candidates.
+    let mut local: Vec<u32> = Vec::new();
+    let mut index_of = std::collections::HashMap::new();
+    let local_id =
+        |ids: &mut Vec<u32>, map: &mut std::collections::HashMap<u32, u32>, global: u32| -> u32 {
             *map.entry(global).or_insert_with(|| {
                 ids.push(global);
                 (ids.len() - 1) as u32
             })
         };
-        let ent_rows: Vec<u32> = walk
-            .entities
-            .iter()
-            .map(|&e| local_id(&mut local, &mut index_of, e))
-            .collect();
-        let rel_rows: Vec<u32> = walk
-            .relations
-            .iter()
-            .map(|&r| local_id(&mut local, &mut index_of, ne + r))
-            .collect();
-        // Candidate sets per prediction step: the true next entity first.
-        let mut cand_rows: Vec<Vec<u32>> = Vec::with_capacity(walk.relations.len());
-        for step in 0..walk.relations.len() {
-            let mut c = vec![ent_rows[step + 1]];
-            for _ in 0..self.candidates {
-                let neg = rng.gen_range(0..ne);
-                c.push(local_id(&mut local, &mut index_of, neg));
-            }
-            cand_rows.push(c);
+    let ent_rows: Vec<u32> = walk
+        .entities
+        .iter()
+        .map(|&e| local_id(&mut local, &mut index_of, e))
+        .collect();
+    let rel_rows: Vec<u32> = walk
+        .relations
+        .iter()
+        .map(|&r| local_id(&mut local, &mut index_of, ne + r))
+        .collect();
+    // Candidate sets per prediction step: the true next entity first.
+    let mut cand_rows: Vec<Vec<u32>> = Vec::with_capacity(walk.relations.len());
+    for step in 0..walk.relations.len() {
+        let mut c = vec![ent_rows[step + 1]];
+        for _ in 0..CANDIDATES {
+            let neg = rng.gen_range(0..ne);
+            c.push(local_id(&mut local, &mut index_of, neg));
         }
-
-        // Local embedding leaf.
-        let mut buf = Vec::with_capacity(local.len() * dim);
-        for &gid in &local {
-            buf.extend_from_slice(params.elements.row(gid as usize));
-        }
-        let g = &mut params.tape;
-        g.reset();
-        let emb = g.leaf(Tensor::from_vec(local.len(), dim, buf));
-        let wh = g.leaf_from(&params.wh);
-        let wx = g.leaf_from(&params.wx);
-        let w1 = g.leaf_from(&params.w1);
-        let w2 = g.leaf_from(&params.w2);
-
-        // Recurrence over the walk; predict each next entity.
-        let mut h = g.gather(emb, vec![ent_rows[0]]); // h₀ = subject embedding
-        let mut losses = Vec::new();
-        for step in 0..walk.relations.len() {
-            let subject = g.gather(emb, vec![ent_rows[step]]);
-            let rel = g.gather(emb, vec![rel_rows[step]]);
-            // h ← tanh(h·W_h + x·W_x) consuming the relation.
-            let hh = g.matmul(h, wh);
-            let xx = g.matmul(rel, wx);
-            let s = g.add(hh, xx);
-            h = g.tanh(s);
-            // Skipping: o = tanh(h·W₁ + subject·W₂).
-            let o1 = g.matmul(h, w1);
-            let o2 = g.matmul(subject, w2);
-            let o_sum = g.add(o1, o2);
-            let o = g.tanh(o_sum);
-            // Scores against the candidate embeddings: o · candᵀ.
-            let cands = g.gather(emb, cand_rows[step].clone());
-            let cands_dim = g.value(cands).rows;
-            let _ = cands_dim;
-            // [1,d]·[d,m]: transpose candidates via matmul trick — build
-            // scores one a time is wasteful; instead compute o·candᵀ by
-            // matmul(cands, oᵀ) and reshape: [m,d]·[d,1] = [m,1].
-            let o_t = g.reshape(o, dim, 1);
-            let scores_col = g.matmul(cands, o_t); // [m, 1]
-            let scores_raw = g.reshape(scores_col, 1, cand_rows[step].len());
-            // Temperature: unit-ball embeddings cap dot products at 1, so
-            // sharpen the softmax to get usable gradients.
-            let scores = g.scale(scores_raw, 4.0);
-            let loss = g.softmax_cross_entropy(scores, vec![0]);
-            losses.push(loss);
-            // Consume the entity into the hidden state.
-            let next = g.gather(emb, vec![ent_rows[step + 1]]);
-            let hh2 = g.matmul(h, wh);
-            let xx2 = g.matmul(next, wx);
-            let s2 = g.add(hh2, xx2);
-            h = g.tanh(s2);
-        }
-        // Total loss = mean of the per-step losses.
-        let mut total = losses[0];
-        for &l in &losses[1..] {
-            total = g.add(total, l);
-        }
-        let scale = 1.0 / losses.len() as f32;
-        let loss = g.scale(total, scale);
-        let loss_value = g.value(loss).item();
-        g.backward(loss);
-
-        // Apply gradients.
-        let gemb = g.grad_ref(emb);
-        for (local_row, &gid) in local.iter().enumerate() {
-            params
-                .elements
-                .sgd_row(gid as usize, gemb.row(local_row), cfg.lr);
-        }
-        for (param, var) in [
-            (&mut params.wh, wh),
-            (&mut params.wx, wx),
-            (&mut params.w1, w1),
-            (&mut params.w2, w2),
-        ] {
-            for (p, gg) in param.data.iter_mut().zip(&g.grad_ref(var).data) {
-                *p -= cfg.lr * gg;
-            }
-        }
-        loss_value
+        cand_rows.push(c);
     }
+
+    // Local embedding leaf.
+    let mut buf = Vec::with_capacity(local.len() * dim);
+    for &gid in &local {
+        buf.extend_from_slice(params.elements.row(gid as usize));
+    }
+    let g = &mut params.tape;
+    g.reset();
+    let emb = g.leaf(Tensor::from_vec(local.len(), dim, buf));
+    let wh = g.leaf_from(&params.wh);
+    let wx = g.leaf_from(&params.wx);
+    let w1 = g.leaf_from(&params.w1);
+    let w2 = g.leaf_from(&params.w2);
+
+    // Recurrence over the walk; predict each next entity.
+    let mut h = g.gather(emb, vec![ent_rows[0]]); // h₀ = subject embedding
+    let mut losses = Vec::new();
+    for step in 0..walk.relations.len() {
+        let subject = g.gather(emb, vec![ent_rows[step]]);
+        let rel = g.gather(emb, vec![rel_rows[step]]);
+        // h ← tanh(h·W_h + x·W_x) consuming the relation.
+        let hh = g.matmul(h, wh);
+        let xx = g.matmul(rel, wx);
+        let s = g.add(hh, xx);
+        h = g.tanh(s);
+        // Skipping: o = tanh(h·W₁ + subject·W₂).
+        let o1 = g.matmul(h, w1);
+        let o2 = g.matmul(subject, w2);
+        let o_sum = g.add(o1, o2);
+        let o = g.tanh(o_sum);
+        // Scores against the candidate embeddings: o · candᵀ.
+        let cands = g.gather(emb, cand_rows[step].clone());
+        let cands_dim = g.value(cands).rows;
+        let _ = cands_dim;
+        // [1,d]·[d,m]: transpose candidates via matmul trick — build
+        // scores one a time is wasteful; instead compute o·candᵀ by
+        // matmul(cands, oᵀ) and reshape: [m,d]·[d,1] = [m,1].
+        let o_t = g.reshape(o, dim, 1);
+        let scores_col = g.matmul(cands, o_t); // [m, 1]
+        let scores_raw = g.reshape(scores_col, 1, cand_rows[step].len());
+        // Temperature: unit-ball embeddings cap dot products at 1, so
+        // sharpen the softmax to get usable gradients.
+        let scores = g.scale(scores_raw, 4.0);
+        let loss = g.softmax_cross_entropy(scores, vec![0]);
+        losses.push(loss);
+        // Consume the entity into the hidden state.
+        let next = g.gather(emb, vec![ent_rows[step + 1]]);
+        let hh2 = g.matmul(h, wh);
+        let xx2 = g.matmul(next, wx);
+        let s2 = g.add(hh2, xx2);
+        h = g.tanh(s2);
+    }
+    // Total loss = mean of the per-step losses.
+    let mut total = losses[0];
+    for &l in &losses[1..] {
+        total = g.add(total, l);
+    }
+    let scale = 1.0 / losses.len() as f32;
+    let loss = g.scale(total, scale);
+    let loss_value = g.value(loss).item();
+    g.backward(loss);
+
+    // Apply gradients.
+    let gemb = g.grad_ref(emb);
+    for (local_row, &gid) in local.iter().enumerate() {
+        params
+            .elements
+            .sgd_row(gid as usize, gemb.row(local_row), cfg.lr);
+    }
+    for (param, var) in [
+        (&mut params.wh, wh),
+        (&mut params.wx, wx),
+        (&mut params.w1, w1),
+        (&mut params.w2, w2),
+    ] {
+        for (p, gg) in param.data.iter_mut().zip(&g.grad_ref(var).data) {
+            *p -= cfg.lr * gg;
+        }
+    }
+    loss_value
 }
 
 #[cfg(test)]

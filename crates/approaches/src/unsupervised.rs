@@ -13,33 +13,30 @@ use crate::common::{
     ApproachOutput, Combination, EpochStats, RunConfig, UnifiedSpace, UnifiedTransE,
 };
 use crate::engine::{run_driver, EpochHooks, RunContext};
-use crate::imuse::string_match_seeds;
+use crate::imuse::{string_match_seeds, STRING_THRESHOLD};
 use openea_align::Metric;
 use openea_core::{EntityId, KgPair};
 
 /// Configuration of the unsupervised pipeline.
 #[derive(Clone, Copy, Debug)]
 pub struct UnsupervisedConfig {
-    /// Minimum rarity-weighted literal overlap for a pseudo-seed.
-    pub string_threshold: f32,
     /// Self-training rounds after the initial fit.
     pub boot_rounds: usize,
     /// Epochs between rounds.
     pub epochs_per_round: usize,
-    /// Cosine acceptance threshold for boot proposals.
-    pub boot_threshold: f32,
 }
 
 impl Default for UnsupervisedConfig {
     fn default() -> Self {
         Self {
-            string_threshold: 1.5,
             boot_rounds: 4,
             epochs_per_round: 20,
-            boot_threshold: 0.8,
         }
     }
 }
+
+/// Cosine acceptance threshold for boot proposals.
+const BOOT_THRESHOLD: f32 = 0.8;
 
 /// Result of an unsupervised run.
 pub struct UnsupervisedOutcome {
@@ -57,7 +54,7 @@ pub fn align_unsupervised(
     cfg: &RunConfig,
 ) -> UnsupervisedOutcome {
     let ctx = RunContext::new(cfg);
-    let pseudo_seeds = string_match_seeds(&pair.kg1, &pair.kg2, ucfg.string_threshold);
+    let pseudo_seeds = string_match_seeds(&pair.kg1, &pair.kg2, STRING_THRESHOLD);
     let space = UnifiedSpace::build(pair, &pseudo_seeds, Combination::Sharing);
     let mut hooks = Hooks {
         ucfg,
@@ -67,7 +64,7 @@ pub fn align_unsupervised(
     };
 
     // One flat epoch sequence: `epochs_per_round` epochs per round, with a
-    // self-training proposal at every round boundary (`before_epoch`). No
+    // self-training proposal at every round boundary. No
     // validation split exists, so the context carries no validation pairs
     // and the engine never early-stops.
     let ecfg = RunConfig {
@@ -93,24 +90,17 @@ struct Hooks<'a> {
 }
 
 impl EpochHooks for Hooks<'_> {
-    fn before_epoch(&mut self, epoch: usize, _ctx: &RunContext<'_>) {
-        if epoch == 0
-            || self.ucfg.epochs_per_round == 0
-            || !epoch.is_multiple_of(self.ucfg.epochs_per_round)
-        {
-            return;
+    fn train_epoch(&mut self, epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
+        let per_round = self.ucfg.epochs_per_round;
+        if epoch > 0 && per_round > 0 && epoch.is_multiple_of(per_round) {
+            // Round boundary: propose new pairs from the current embeddings
+            // (conflict-edited, never touching entities already aligned).
+            let cands = self
+                .ledger
+                .candidates(&self.base.space, &self.base.model.entities);
+            self.ledger
+                .accept(propose_edited(&cands, BOOT_THRESHOLD, self.cfg.threads));
         }
-        // Round boundary: propose new pairs from the current embeddings
-        // (conflict-edited, never touching entities already aligned).
-        let cands = self
-            .ledger
-            .candidates(&self.base.space, &self.base.model.entities);
-        let threshold = self.ucfg.boot_threshold;
-        self.ledger
-            .accept(propose_edited(&cands, threshold, self.cfg.threads));
-    }
-
-    fn train_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
         self.base.train_epoch(self.cfg)
     }
 
@@ -163,7 +153,6 @@ mod tests {
         let ucfg = UnsupervisedConfig {
             boot_rounds: 1,
             epochs_per_round: 5,
-            ..UnsupervisedConfig::default()
         };
         let outcome = align_unsupervised(&pair, ucfg, &cfg);
         let mut s1 = HashSet::new();

@@ -20,7 +20,7 @@ use openea::prelude::*;
 use openea::synth::EvolutionConfig;
 use openea_runtime::rng::{SeedableRng, SmallRng};
 use openea_runtime::timer::Monotonic;
-use openea_serve::{ModelParams, Snapshot, SnapshotWriter};
+use openea_serve::{Snapshot, SnapshotWriter};
 use std::path::{Path, PathBuf};
 
 /// The registry approach the pipeline trains. Its snapshot dimension
@@ -131,7 +131,7 @@ struct TrainedGen {
 fn train_generation(
     pair: &KgPair,
     args: &Args,
-    parent: Option<&ModelParams>,
+    parent: Option<&Snapshot>,
     work_dir: &Path,
 ) -> TrainedGen {
     let mut rng = SmallRng::seed_from_u64(args.seed);
@@ -147,7 +147,7 @@ fn train_generation(
         .unwrap_or_else(|e| die(&format!("cannot create train dir: {e}")));
     let writer = SnapshotWriter::new(work_dir, Vec::new(), Vec::new());
     let approach = approach_by_name(APPROACH).expect("registry approach");
-    let warm = parent.map(ModelParams::warm_start);
+    let warm = parent.map(Snapshot::warm_start);
     let mut ctx = RunContext::new(&rc)
         .for_valid(&folds[0].valid)
         .with_artifacts(&writer);
@@ -203,7 +203,7 @@ fn main() {
         let parent = if k > 0 && args.delta {
             let snap = Snapshot::read_from(&live)
                 .unwrap_or_else(|e| die(&format!("cannot read parent artifact: {e}")));
-            Some(snap.into_model_params())
+            Some(snap)
         } else {
             None
         };

@@ -27,7 +27,6 @@ pub fn fig3(cfg: &HarnessConfig) {
         IdsConfig {
             target,
             mu: target / 40 + 2,
-            ..IdsConfig::default()
         },
         &mut rng,
     );

@@ -79,7 +79,6 @@ pub fn table3(cfg: &HarnessConfig) {
         IdsConfig {
             target,
             mu: target / 40 + 2,
-            ..IdsConfig::default()
         },
         &mut rng,
     );

@@ -36,8 +36,8 @@
 pub mod logmap;
 pub mod paris;
 
-pub use logmap::{LogMap, LogMapConfig};
-pub use paris::{Paris, ParisConfig};
+pub use logmap::LogMap;
+pub use paris::Paris;
 
 use openea_core::{AlignedPair, KgPair};
 

@@ -12,11 +12,9 @@ use crate::ConventionalSystem;
 use openea_core::{AlignedPair, EntityId, KgPair, KnowledgeGraph};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// LogMap-lite configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct LogMapConfig {
-    /// Rounds of structural propagation.
-    pub propagation_rounds: usize,
+/// The LogMap-style system.
+#[derive(Clone, Debug)]
+pub struct LogMap {
     /// Minimum aligned-neighbour votes to accept a propagated pair.
     pub min_votes: f64,
     /// If fewer than this fraction of entities obtain an anchor, the system
@@ -24,27 +22,17 @@ pub struct LogMapConfig {
     pub min_anchor_fraction: f64,
 }
 
-impl Default for LogMapConfig {
+impl Default for LogMap {
     fn default() -> Self {
         Self {
-            propagation_rounds: 3,
             min_votes: 1.5,
             min_anchor_fraction: 0.05,
         }
     }
 }
 
-/// The LogMap-style system.
-#[derive(Clone, Debug, Default)]
-pub struct LogMap {
-    pub config: LogMapConfig,
-}
-
-impl LogMap {
-    pub fn new(config: LogMapConfig) -> Self {
-        Self { config }
-    }
-}
+/// Rounds of structural propagation.
+const PROPAGATION_ROUNDS: usize = 3;
 
 /// Normalizes a literal for lexical comparison: lowercase alphabetic words,
 /// sorted (order-insensitive). LogMap is *label*-oriented: purely numeric
@@ -122,12 +110,12 @@ impl ConventionalSystem for LogMap {
         // LogMap declares failure if the lexical layer produced (almost)
         // nothing — symbolic heterogeneity defeats it.
         let anchor_fraction = matched1.len() as f64 / kg1.num_entities().max(1) as f64;
-        if anchor_fraction < self.config.min_anchor_fraction {
+        if anchor_fraction < self.min_anchor_fraction {
             return Vec::new();
         }
 
         // 3. Structural propagation: candidates voted by aligned neighbours.
-        for _ in 0..self.config.propagation_rounds {
+        for _ in 0..PROPAGATION_ROUNDS {
             let mut votes: BTreeMap<(EntityId, EntityId), f64> = BTreeMap::new();
             for e1 in kg1.entity_ids() {
                 if matched1.contains_key(&e1) {
@@ -143,7 +131,7 @@ impl ConventionalSystem for LogMap {
             ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
             let mut added = 0;
             for ((e1, e2), v) in ranked {
-                if v < self.config.min_votes {
+                if v < self.min_votes {
                     break;
                 }
                 if !matched1.contains_key(&e1) && !used2.contains(&e2) {
@@ -282,11 +270,10 @@ mod tests {
             ),
         ];
         let pair = KgPair::new(kg1, kg2, gold.clone());
-        let lm = LogMap::new(LogMapConfig {
+        let lm = LogMap {
             min_votes: 0.5,
             min_anchor_fraction: 0.0,
-            ..LogMapConfig::default()
-        });
+        };
         let predicted = lm.align(&pair);
         assert!(predicted.contains(&gold[0]));
         assert!(predicted.contains(&gold[2]));

@@ -17,41 +17,33 @@ use crate::ConventionalSystem;
 use openea_core::{AlignedPair, AttributeId, EntityId, KgPair, KnowledgeGraph, RelationId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Tuning knobs of the PARIS fixpoint.
-#[derive(Clone, Copy, Debug)]
-pub struct ParisConfig {
-    /// Number of fixpoint iterations (the paper converges in a handful).
-    pub iterations: usize,
+/// The PARIS system.
+#[derive(Clone, Debug)]
+pub struct Paris {
     /// Final acceptance threshold on `P(e₁ ≡ e₂)`.
     pub threshold: f64,
-    /// Values shared by more than this many entities are ignored (too
-    /// common to be evidence).
-    pub max_value_fanout: usize,
-    /// Keep at most this many equivalence candidates per entity per round.
-    pub beam: usize,
-    /// Initial probability assumed for unseen relation pairs — PARIS's
-    /// bootstrap prior θ, which lets relational inference start before any
-    /// relation alignment has been estimated.
-    pub rel_prior: f64,
 }
 
-impl Default for ParisConfig {
+impl Default for Paris {
     fn default() -> Self {
-        Self {
-            iterations: 4,
-            threshold: 0.3,
-            max_value_fanout: 8,
-            beam: 8,
-            rel_prior: 0.1,
-        }
+        Self { threshold: 0.3 }
     }
 }
 
-/// The PARIS system.
-#[derive(Clone, Debug, Default)]
-pub struct Paris {
-    pub config: ParisConfig,
-}
+/// Number of fixpoint iterations (the paper converges in a handful).
+const ITERATIONS: usize = 4;
+
+/// Values shared by more than this many entities are ignored (too common to
+/// be evidence).
+const MAX_VALUE_FANOUT: usize = 8;
+
+/// Keep at most this many equivalence candidates per entity per round.
+const BEAM: usize = 8;
+
+/// Initial probability assumed for unseen relation pairs — PARIS's bootstrap
+/// prior θ, which lets relational inference start before any relation
+/// alignment has been estimated.
+const REL_PRIOR: f64 = 0.1;
 
 /// Functionality of every relation: `#distinct subjects / #triples`
 /// (a relation is functional when each subject has one object).
@@ -99,10 +91,6 @@ fn attribute_functionality(kg: &KnowledgeGraph) -> Vec<f64> {
 type Equiv = BTreeMap<EntityId, Vec<(EntityId, f64)>>;
 
 impl Paris {
-    pub fn new(config: ParisConfig) -> Self {
-        Self { config }
-    }
-
     /// Initial instance equivalences from shared literal values.
     fn literal_evidence(&self, pair: &KgPair) -> Equiv {
         let kg1 = &pair.kg1;
@@ -123,7 +111,7 @@ impl Paris {
             let Some(matches) = index.get(kg1.literal_value(t.value)) else {
                 continue;
             };
-            if matches.len() > self.config.max_value_fanout {
+            if matches.len() > MAX_VALUE_FANOUT {
                 continue;
             }
             for &(e2, a2) in matches {
@@ -139,7 +127,7 @@ impl Paris {
                 equiv.entry(e1).or_default().push((e2, p));
             }
         }
-        prune(&mut equiv, self.config.beam);
+        prune(&mut equiv, BEAM);
         equiv
     }
 
@@ -231,10 +219,7 @@ impl Paris {
                 let Some(xs) = equiv.get(&x) else { continue };
                 for &(y, pxy) in xs {
                     for &(r2, c) in out_index2.get(&y).map(|v| v.as_slice()).unwrap_or(&[]) {
-                        let pr = rel_align
-                            .get(&(r1, r2))
-                            .copied()
-                            .unwrap_or(self.config.rel_prior);
+                        let pr = rel_align.get(&(r1, r2)).copied().unwrap_or(REL_PRIOR);
                         add(e1, c, pr * fun1[r1.idx()] * fun2[r2.idx()] * pxy);
                     }
                 }
@@ -258,7 +243,7 @@ impl Paris {
                 }
             }
         }
-        prune(&mut next, self.config.beam);
+        prune(&mut next, BEAM);
         next
     }
 }
@@ -281,7 +266,7 @@ impl ConventionalSystem for Paris {
         if equiv.is_empty() {
             return Vec::new(); // no literal bootstrap → no output (Table 8)
         }
-        for _ in 0..self.config.iterations {
+        for _ in 0..ITERATIONS {
             let rel_align = self.relation_alignment(pair, &equiv);
             equiv = self.relational_round(pair, &equiv, &rel_align);
         }
@@ -300,7 +285,7 @@ impl ConventionalSystem for Paris {
         let mut used2 = BTreeSet::new();
         let mut out = Vec::new();
         for (e1, e2, p) in ranked {
-            if p < self.config.threshold {
+            if p < self.threshold {
                 break;
             }
             if !used1.contains(&e1) && !used2.contains(&e2) {
@@ -401,10 +386,7 @@ mod tests {
             ),
         ];
         let pair = KgPair::new(kg1, kg2, gold.clone());
-        let paris = Paris::new(ParisConfig {
-            threshold: 0.2,
-            ..ParisConfig::default()
-        });
+        let paris = Paris { threshold: 0.2 };
         let predicted = paris.align(&pair);
         assert!(predicted.contains(&gold[0]), "anchor pair found");
         assert!(

@@ -49,11 +49,6 @@ impl DegreeDistribution {
         }
     }
 
-    /// Proportions indexed by degree.
-    pub fn proportions(&self) -> &[f64] {
-        &self.props
-    }
-
     /// Jensen–Shannon divergence to another degree distribution (Eq. 6 of the
     /// paper), in nats. Zero iff the distributions are identical; bounded by
     /// `ln 2`.
@@ -188,7 +183,7 @@ mod tests {
         #[test]
         fn distribution_sums_to_one(degrees in vec_of(0usize..40, 1..200)) {
             let d = DegreeDistribution::from_degrees(&degrees);
-            let total: f64 = d.proportions().iter().sum();
+            let total: f64 = d.props.iter().sum();
             prop_assert!((total - 1.0).abs() < 1e-9);
         }
 

@@ -9,4 +9,4 @@ pub mod cluster;
 pub mod pagerank;
 
 pub use cluster::{average_clustering_coefficient, local_clustering_coefficient};
-pub use pagerank::{pagerank, PageRankConfig};
+pub use pagerank::pagerank;

@@ -7,30 +7,18 @@
 
 use openea_core::{EntityId, KnowledgeGraph};
 
-/// Parameters for [`pagerank`].
-#[derive(Clone, Copy, Debug)]
-pub struct PageRankConfig {
-    /// Damping factor, usually 0.85.
-    pub damping: f64,
-    /// Maximum number of power iterations.
-    pub max_iters: usize,
-    /// L1 convergence tolerance.
-    pub tol: f64,
-}
+/// Damping factor.
+const DAMPING: f64 = 0.85;
 
-impl Default for PageRankConfig {
-    fn default() -> Self {
-        Self {
-            damping: 0.85,
-            max_iters: 50,
-            tol: 1e-9,
-        }
-    }
-}
+/// Maximum number of power iterations.
+const MAX_ITERS: usize = 50;
+
+/// L1 convergence tolerance.
+const TOL: f64 = 1e-9;
 
 /// Computes PageRank scores for every entity. Scores sum to 1 (for a
 /// non-empty graph).
-pub fn pagerank(kg: &KnowledgeGraph, cfg: PageRankConfig) -> Vec<f64> {
+pub fn pagerank(kg: &KnowledgeGraph) -> Vec<f64> {
     let n = kg.num_entities();
     if n == 0 {
         return Vec::new();
@@ -42,23 +30,23 @@ pub fn pagerank(kg: &KnowledgeGraph, cfg: PageRankConfig) -> Vec<f64> {
         .map(|i| kg.out_edges(EntityId::from_idx(i)).len())
         .collect();
 
-    for _ in 0..cfg.max_iters {
+    for _ in 0..MAX_ITERS {
         // Mass from dangling nodes (no outgoing edges) spreads uniformly.
         let dangling: f64 = (0..n).filter(|&i| out_deg[i] == 0).map(|i| rank[i]).sum();
-        let base = (1.0 - cfg.damping) * uniform + cfg.damping * dangling * uniform;
+        let base = (1.0 - DAMPING) * uniform + DAMPING * dangling * uniform;
         next.iter_mut().for_each(|x| *x = base);
         for i in 0..n {
             if out_deg[i] == 0 {
                 continue;
             }
-            let share = cfg.damping * rank[i] / out_deg[i] as f64;
+            let share = DAMPING * rank[i] / out_deg[i] as f64;
             for &(_, t) in kg.out_edges(EntityId::from_idx(i)) {
                 next[t.idx()] += share;
             }
         }
         let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
         std::mem::swap(&mut rank, &mut next);
-        if delta < cfg.tol {
+        if delta < TOL {
             break;
         }
     }
@@ -83,7 +71,7 @@ mod tests {
     #[test]
     fn scores_sum_to_one() {
         let kg = star(10);
-        let pr = pagerank(&kg, PageRankConfig::default());
+        let pr = pagerank(&kg);
         let total: f64 = pr.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "sum = {total}");
     }
@@ -91,7 +79,7 @@ mod tests {
     #[test]
     fn hub_outranks_spokes() {
         let kg = star(10);
-        let pr = pagerank(&kg, PageRankConfig::default());
+        let pr = pagerank(&kg);
         let hub = kg.entity_by_name("hub").unwrap();
         for i in 0..10 {
             let spoke = kg.entity_by_name(&format!("spoke{i}")).unwrap();
@@ -106,7 +94,7 @@ mod tests {
             b.add_rel_triple(&format!("e{i}"), "r", &format!("e{}", (i + 1) % 6));
         }
         let kg = b.build();
-        let pr = pagerank(&kg, PageRankConfig::default());
+        let pr = pagerank(&kg);
         for &score in &pr {
             assert!((score - 1.0 / 6.0).abs() < 1e-6);
         }
@@ -115,7 +103,7 @@ mod tests {
     #[test]
     fn empty_graph_yields_empty_scores() {
         let kg = KgBuilder::new("empty").build();
-        assert!(pagerank(&kg, PageRankConfig::default()).is_empty());
+        assert!(pagerank(&kg).is_empty());
     }
 
     #[test]
@@ -124,7 +112,7 @@ mod tests {
         let mut b = KgBuilder::new("dangle");
         b.add_rel_triple("a", "r", "b");
         let kg = b.build();
-        let pr = pagerank(&kg, PageRankConfig::default());
+        let pr = pagerank(&kg);
         let total: f64 = pr.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
         // b receives from a, so b should outrank a.
@@ -141,7 +129,7 @@ mod tests {
                 b.add_rel_triple(&format!("e{h}"), "r", &format!("e{t}"));
             }
             let kg = b.build();
-            let pr = pagerank(&kg, PageRankConfig::default());
+            let pr = pagerank(&kg);
             let total: f64 = pr.iter().sum();
             prop_assert!((total - 1.0).abs() < 1e-6);
             prop_assert!(pr.iter().all(|&x| x > 0.0));

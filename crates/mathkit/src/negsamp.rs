@@ -33,22 +33,6 @@ impl NegSampler for UniformSampler {
     }
 }
 
-/// Draws one corruption per positive into `out`, in iteration order, all
-/// from the same generator. The batched trainer uses this to materialise a
-/// mini-batch's negatives from its dedicated RNG stream before fanning the
-/// gradient work out to threads: the draw order (and hence the result) is a
-/// pure function of `(positives, rng state)`, never of the thread count.
-pub fn draw_negatives<S, R, I>(sampler: &S, positives: I, rng: &mut R, out: &mut Vec<RawTriple>)
-where
-    S: NegSampler + ?Sized,
-    R: Rng,
-    I: IntoIterator<Item = RawTriple>,
-{
-    for pos in positives {
-        out.push(sampler.corrupt(pos, rng));
-    }
-}
-
 /// Truncated ε-sampling: each entity has a precomputed candidate list (its
 /// nearest neighbours in the current embedding space); corruptions are drawn
 /// from that list. Falls back to uniform when a list is empty.
@@ -155,23 +139,6 @@ mod tests {
             let (h, _, t) = s.corrupt((1, 0, 1), &mut rng);
             assert!(h < 3 && t < 3);
         }
-    }
-
-    #[test]
-    fn draw_negatives_matches_sequential_corrupt_calls() {
-        let s = UniformSampler { num_entities: 40 };
-        let positives: Vec<RawTriple> = (0..17).map(|i| (i, i % 3, (i + 1) % 17)).collect();
-        let mut batch = Vec::new();
-        draw_negatives(
-            &s,
-            positives.iter().copied(),
-            &mut SmallRng::seed_from_u64(4),
-            &mut batch,
-        );
-        let mut rng = SmallRng::seed_from_u64(4);
-        let one_by_one: Vec<RawTriple> =
-            positives.iter().map(|&p| s.corrupt(p, &mut rng)).collect();
-        assert_eq!(batch, one_by_one);
     }
 
     #[test]

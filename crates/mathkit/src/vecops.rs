@@ -160,36 +160,6 @@ pub fn transpose_tile(tile: &[f32], dim: usize, out: &mut Vec<f32>) {
     }
 }
 
-/// Elementwise `out = a - b` into a caller-provided buffer.
-#[inline]
-pub fn sub_into(a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), out.len());
-    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = x - y;
-    }
-}
-
-/// Elementwise `out = a + b` into a caller-provided buffer.
-#[inline]
-pub fn add_into(a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), out.len());
-    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = x + y;
-    }
-}
-
-/// Elementwise Hadamard product `out = a ⊙ b`.
-#[inline]
-pub fn mul_into(a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), out.len());
-    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = x * y;
-    }
-}
-
 /// Numerically-stable logistic sigmoid.
 #[inline]
 pub fn sigmoid(x: f32) -> f32 {
@@ -253,19 +223,6 @@ mod tests {
         assert!(sigmoid(-100.0) < 1e-6);
         assert!(sigmoid(-1000.0).is_finite());
         assert!(sigmoid(1000.0).is_finite());
-    }
-
-    #[test]
-    fn elementwise_buffers() {
-        let a = [1.0, 2.0];
-        let b = [3.0, 5.0];
-        let mut out = [0.0; 2];
-        sub_into(&a, &b, &mut out);
-        assert_eq!(out, [-2.0, -3.0]);
-        add_into(&a, &b, &mut out);
-        assert_eq!(out, [4.0, 7.0]);
-        mul_into(&a, &b, &mut out);
-        assert_eq!(out, [3.0, 10.0]);
     }
 
     /// One source row against a dimension-major tile under `fold`.

@@ -7,31 +7,16 @@
 //! same vector, and a bilingual dictionary can pin translation pairs onto
 //! nearby vectors.
 
+use openea_runtime::hash::fnv1a;
+use openea_runtime::rng::splitmix64;
 use std::collections::HashMap;
-
-/// Deterministic 64-bit mix (splitmix64).
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
-fn str_hash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// A deterministic unit vector derived from a string hash.
 pub fn hash_vector(s: &str, dim: usize) -> Vec<f32> {
-    let base = str_hash(s);
+    let base = fnv1a(s.as_bytes());
     let mut v: Vec<f32> = (0..dim)
         .map(|i| {
-            let bits = splitmix(base ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15));
+            let bits = splitmix64(&mut (base ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15)));
             (bits as f64 / u64::MAX as f64) as f32 * 2.0 - 1.0
         })
         .collect();
@@ -52,7 +37,7 @@ pub fn char_ngram_vector(s: &str, dim: usize) -> Vec<f32> {
     }
     for w in padded.windows(3) {
         let tri: String = w.iter().collect();
-        let h = str_hash(&tri);
+        let h = fnv1a(tri.as_bytes());
         v[(h % dim as u64) as usize] += if h & (1 << 63) == 0 { 1.0 } else { -1.0 };
     }
     openea_math::vecops::normalize(&mut v);

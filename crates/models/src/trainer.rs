@@ -527,12 +527,6 @@ pub struct TrainTrace {
     pub total_wall_s: f64,
 }
 
-impl TrainTrace {
-    pub fn final_loss(&self) -> Option<f32> {
-        self.epochs.last().map(|e| e.mean_loss)
-    }
-}
-
 impl ToJson for TrainTrace {
     fn to_json(&self) -> Json {
         object([
@@ -799,7 +793,7 @@ mod tests {
         assert_eq!(trace.epochs[0].val_hits1, Some(0.25));
         assert_eq!(trace.epochs[1].val_hits1, None);
         assert_eq!(trace.stop, StopReason::EarlyStopped { epoch: 1 });
-        assert_eq!(trace.final_loss(), Some(1.0));
+        assert_eq!(trace.epochs[1].mean_loss, 1.0);
         assert!(trace.total_wall_s >= 0.0);
 
         let j = trace.to_json();

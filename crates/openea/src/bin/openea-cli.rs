@@ -136,7 +136,6 @@ fn sample(opts: &Opts) {
                 IdsConfig {
                     target,
                     mu: (target / 40).max(4),
-                    ..IdsConfig::default()
                 },
                 &mut rng,
             );

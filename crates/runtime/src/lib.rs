@@ -3,13 +3,15 @@
 //! The std-only substrate beneath every other crate of the workspace. The
 //! repository's design contract is "every substrate implemented here"; this
 //! crate is where that bottoms out, replacing what used to be crates.io
-//! dependencies with six small, fully deterministic subsystems:
+//! dependencies with seven small, fully deterministic subsystems:
 //!
-//! - [`rng`] — a seedable pseudo-random generator (SplitMix64 seeding into
-//!   xoshiro256**) behind `rand`-style traits: [`rng::Rng`],
+//! - [`rng`] — a seedable pseudo-random generator ([`rng::splitmix64`]
+//!   seeding into xoshiro256**) behind `rand`-style traits: [`rng::Rng`],
 //!   [`rng::SeedableRng`], [`rng::SliceRandom`] and the distribution types
 //!   [`rng::WeightedIndex`] / [`rng::Normal`]. Streams are stable across
 //!   platforms and releases: the same seed always yields the same values.
+//! - [`hash`] — FNV-1a 64, the one digest of output hashes, snapshot
+//!   checksums and string hashes.
 //! - [`pool`] — persistent workers, and the calling thread beside them,
 //!   with atomic work-stealing chunk dispatch for data-parallel loops over
 //!   disjoint output slices. Results are bit-identical for every thread
@@ -35,6 +37,7 @@
 //! assert_eq!(a.gen_range(0..1000u32), b.gen_range(0..1000u32));
 //! ```
 
+pub mod hash;
 pub mod json;
 pub mod os;
 pub mod pool;

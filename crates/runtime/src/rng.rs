@@ -49,8 +49,12 @@ pub trait SeedableRng: Sized {
     fn seed_from_u64(seed: u64) -> Self;
 }
 
+/// SplitMix64: advances `state` by the golden-ratio increment and returns
+/// the mixed value — the workspace's one 64-bit mixer, which seeds
+/// [`SmallRng`], derives [`split_seed`] streams and hashes literal strings
+/// into vectors.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);

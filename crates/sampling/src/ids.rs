@@ -9,7 +9,7 @@
 //! PageRank, protecting structurally important entities.
 
 use openea_core::{DegreeDistribution, EntityId, KgPair};
-use openea_graph::{pagerank, PageRankConfig};
+use openea_graph::pagerank;
 use openea_runtime::rng::Rng;
 use std::collections::HashSet;
 
@@ -20,10 +20,6 @@ pub struct IdsConfig {
     pub target: usize,
     /// Base deletion step size μ (paper: 100 for 15K, 500 for 100K).
     pub mu: usize,
-    /// JS-divergence acceptance threshold ε (paper: 5%).
-    pub epsilon: f64,
-    /// Maximum number of restarts when the JS check fails.
-    pub max_restarts: usize,
 }
 
 impl Default for IdsConfig {
@@ -31,11 +27,15 @@ impl Default for IdsConfig {
         Self {
             target: 1000,
             mu: 20,
-            epsilon: 0.05,
-            max_restarts: 4,
         }
     }
 }
+
+/// JS-divergence acceptance threshold ε (paper: 5%).
+const EPSILON: f64 = 0.05;
+
+/// Maximum number of restarts when the JS check fails.
+const MAX_RESTARTS: usize = 4;
 
 /// Result of an IDS run.
 #[derive(Clone, Debug)]
@@ -71,11 +71,11 @@ pub fn ids_sample<R: Rng>(source: &KgPair, cfg: IdsConfig, rng: &mut R) -> IdsOu
     }
 
     let mut best: Option<IdsOutcome> = None;
-    for restart in 0..=cfg.max_restarts {
+    for restart in 0..=MAX_RESTARTS {
         let pair = ids_one_run(&filtered, &q1, &q2, cfg, rng);
         let js1 = DegreeDistribution::of(&pair.kg1).js_divergence(&q1);
         let js2 = DegreeDistribution::of(&pair.kg2).js_divergence(&q2);
-        let converged = js1 <= cfg.epsilon && js2 <= cfg.epsilon;
+        let converged = js1 <= EPSILON && js2 <= EPSILON;
         let outcome = IdsOutcome {
             pair,
             js1,
@@ -164,7 +164,7 @@ fn plan_deletions<R: Rng>(
     let kg = if side == 0 { &ds.kg1 } else { &ds.kg2 };
     let degrees = kg.degrees();
     let p = DegreeDistribution::from_degrees(&degrees);
-    let pr = pagerank(kg, PageRankConfig::default());
+    let pr = pagerank(kg);
 
     // Group entities by degree.
     let max_deg = degrees.iter().copied().max().unwrap_or(0);
@@ -269,7 +269,6 @@ mod tests {
             IdsConfig {
                 target: 300,
                 mu: 15,
-                ..IdsConfig::default()
             },
             &mut rng,
         );
@@ -287,7 +286,6 @@ mod tests {
             IdsConfig {
                 target: 400,
                 mu: 15,
-                ..IdsConfig::default()
             },
             &mut rng,
         );
@@ -306,7 +304,6 @@ mod tests {
             IdsConfig {
                 target: 400,
                 mu: 15,
-                ..IdsConfig::default()
             },
             &mut rng,
         );
@@ -346,7 +343,6 @@ mod tests {
             IdsConfig {
                 target: 250,
                 mu: 20,
-                ..IdsConfig::default()
             },
             &mut rng,
         );

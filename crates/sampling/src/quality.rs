@@ -62,7 +62,6 @@ mod tests {
             IdsConfig {
                 target: 300,
                 mu: 15,
-                ..IdsConfig::default()
             },
             &mut rng,
         );

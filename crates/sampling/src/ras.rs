@@ -4,7 +4,7 @@
 //! the quality comparison is Table 3.
 
 use openea_core::{EntityId, KgPair};
-use openea_graph::{pagerank, PageRankConfig};
+use openea_graph::pagerank;
 use openea_runtime::rng::Rng;
 use openea_runtime::rng::SliceRandom;
 use std::collections::HashSet;
@@ -30,7 +30,7 @@ pub fn prs_sample<R: Rng>(source: &KgPair, target: usize, rng: &mut R) -> KgPair
     if filtered.num_aligned() <= target {
         return filtered;
     }
-    let pr = pagerank(&filtered.kg1, PageRankConfig::default());
+    let pr = pagerank(&filtered.kg1);
     // Efraimidis–Spirakis weighted sampling without replacement.
     let mut keyed: Vec<(f64, usize)> = filtered
         .alignment

@@ -53,7 +53,7 @@ pub use index::{
 };
 pub use server::{serve, serve_hot, ServerHandle, ServerOptions};
 pub use shard::{shard_path, write_sharded, ShardManifest, ShardMeta};
-pub use snapshot::{ModelParams, Snapshot, SnapshotError, SnapshotWriter};
+pub use snapshot::{Snapshot, SnapshotError, SnapshotWriter};
 pub use swap::{
     load_artifact, HotSwapIndex, IndexOptions, LoadCoverage, LoadedArtifact, ReloadOutcome,
     SwapStats, WatcherHandle,

@@ -63,6 +63,7 @@ use openea_align::Metric;
 use openea_approaches::common::EpochTrace;
 use openea_approaches::engine::{CheckpointSink, Lineage, WarmStart};
 use openea_approaches::{ApproachOutput, StopReason, TrainTrace};
+use openea_runtime::hash::Fnv1a;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
@@ -173,27 +174,6 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// Streaming FNV-1a 64 — the same algorithm `ApproachOutput::content_hash`
-/// uses, so the two integrity stories share one primitive.
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Bytes of the fixed conversion buffer floats pass through, either way.
 const CHUNK: usize = 64 << 10;
 
@@ -205,7 +185,7 @@ pub(crate) type FrameBody<'a> = &'a dyn Fn(&mut FrameWriter<'_>) -> io::Result<(
 pub(crate) struct FrameWriter<'a> {
     out: Option<&'a mut dyn Write>,
     len: u64,
-    hash: Fnv,
+    hash: Fnv1a,
 }
 
 impl<'a> FrameWriter<'a> {
@@ -213,7 +193,7 @@ impl<'a> FrameWriter<'a> {
         Self {
             out,
             len: 0,
-            hash: Fnv::new(),
+            hash: Fnv1a::new(),
         }
     }
 
@@ -318,7 +298,7 @@ pub(crate) struct FrameReader<R> {
     payload_len: usize,
     /// Payload bytes claimed so far.
     pos: usize,
-    hash: Fnv,
+    hash: Fnv1a,
 }
 
 /// One little-endian field reader per primitive, named after it.
@@ -384,7 +364,7 @@ impl<R: Read> FrameReader<R> {
             version,
             payload_len,
             pos: 0,
-            hash: Fnv::new(),
+            hash: Fnv1a::new(),
         })
     }
 
@@ -578,25 +558,21 @@ impl Snapshot {
         out
     }
 
-    /// Consumes the snapshot into the parameter set a trainer resumes
-    /// from, avoiding a copy of the embedding matrices. The returned
-    /// [`ModelParams`] cites *this* snapshot's generation as the parent and
-    /// carries the cumulative epoch count (from the lineage record when
-    /// present, else this run's trace length) — exactly what
-    /// [`ModelParams::warm_start`] feeds back into the engine.
-    pub fn into_model_params(self) -> ModelParams {
-        let parent_generation = self.generation();
-        let trained_epochs = match self.lineage {
-            Some(l) => l.trained_epochs,
-            None => self.trace.epochs.len() as u64,
-        };
-        ModelParams {
+    /// The parameters a trainer resumes from, lent without a copy of the
+    /// embedding matrices, for `RunContext::resume_from`. The view cites
+    /// *this* snapshot's generation as the parent and carries the cumulative
+    /// epoch count (from the lineage record when present, else this run's
+    /// trace length).
+    pub fn warm_start(&self) -> WarmStart<'_> {
+        WarmStart {
             dim: self.dim,
-            metric: self.metric,
-            emb1: self.emb1,
-            emb2: self.emb2,
-            parent_generation,
-            trained_epochs,
+            emb1: &self.emb1,
+            emb2: &self.emb2,
+            parent_generation: self.generation(),
+            trained_epochs: match self.lineage {
+                Some(l) => l.trained_epochs,
+                None => self.trace.epochs.len() as u64,
+            },
         }
     }
 
@@ -668,7 +644,7 @@ impl Snapshot {
     /// they share a generation, so the serving cache keys on it and the
     /// shard manifest uses it to tie shard files to one snapshot.
     pub fn generation(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         h.update(&(self.dim as u64).to_le_bytes());
         h.update(&[metric_tag(self.metric)]);
         h.update(&(self.num_queries() as u64).to_le_bytes());
@@ -767,41 +743,6 @@ impl<'a> SnapshotView<'a> {
     /// Writes atomically; returns the payload checksum.
     fn write_to(&self, path: &Path) -> Result<u64, SnapshotError> {
         write_file(path, MAGIC, self.version(), &|w| self.write_payload(w))
-    }
-}
-
-/// The parameter set a trainer warm-starts from: both embedding matrices
-/// (bit-exact as the snapshot stored them), the metric, and the lineage
-/// coordinates of the generation being extended. Obtained with
-/// [`Snapshot::into_model_params`]; borrow a [`WarmStart`] view with
-/// [`ModelParams::warm_start`] and install it on a `RunContext` via
-/// `resume_from`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ModelParams {
-    pub dim: usize,
-    pub metric: Metric,
-    /// Row-major `n1 × dim` KG1 embeddings, bit-exact from the snapshot.
-    pub emb1: Vec<f32>,
-    /// Row-major `n2 × dim` KG2 embeddings, bit-exact from the snapshot.
-    pub emb2: Vec<f32>,
-    /// Generation of the snapshot these parameters came from — the value a
-    /// child run stamps as its `parent_generation`.
-    pub parent_generation: u64,
-    /// Cumulative epochs across the lineage chain up to this snapshot.
-    pub trained_epochs: u64,
-}
-
-impl ModelParams {
-    /// The borrowed view [`openea_approaches::RunContext::resume_from`]
-    /// takes.
-    pub fn warm_start(&self) -> WarmStart<'_> {
-        WarmStart {
-            dim: self.dim,
-            emb1: &self.emb1,
-            emb2: &self.emb2,
-            parent_generation: self.parent_generation,
-            trained_epochs: self.trained_epochs,
-        }
     }
 }
 
@@ -1155,19 +1096,18 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn into_model_params_is_bit_exact_and_cites_self_as_parent() {
+    fn warm_start_is_bit_exact_and_cites_self_as_parent() {
         let snap = tiny_lineage_snapshot();
         let generation = snap.generation();
-        let params = snap.clone().into_model_params();
-        assert_eq!(params.emb1, snap.emb1);
-        assert_eq!(params.emb2, snap.emb2);
-        assert_eq!(params.parent_generation, generation);
-        assert_eq!(params.trained_epochs, 42);
-        let warm = params.warm_start();
+        let warm = snap.warm_start();
+        assert_eq!(warm.emb1, snap.emb1);
+        assert_eq!(warm.emb2, snap.emb2);
+        assert_eq!(warm.parent_generation, generation);
+        assert_eq!(warm.trained_epochs, 42);
         assert_eq!(warm.rows1(), 3);
         assert_eq!(warm.rows2(), 2);
         // A cold snapshot falls back to its trace length for the epoch count.
-        assert_eq!(tiny_snapshot().into_model_params().trained_epochs, 2);
+        assert_eq!(tiny_snapshot().warm_start().trained_epochs, 2);
     }
 
     #[test]

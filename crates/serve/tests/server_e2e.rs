@@ -18,8 +18,8 @@ use openea_core::{k_fold_splits, EntityId, KgPair};
 use openea_runtime::json::Json;
 use openea_runtime::rng::{SeedableRng, SmallRng};
 use openea_serve::{
-    serve, serve_hot, AlignmentIndex, BatchIndex, HotSwapIndex, IndexOptions, ModelParams,
-    ServerOptions, Snapshot, SnapshotError, SnapshotWriter,
+    serve, serve_hot, AlignmentIndex, BatchIndex, HotSwapIndex, IndexOptions, ServerOptions,
+    Snapshot, SnapshotError, SnapshotWriter,
 };
 use openea_synth::{DatasetFamily, EvolutionConfig, PresetConfig};
 use std::path::{Path, PathBuf};
@@ -599,7 +599,7 @@ struct Generation {
 /// `parent` is `None`, else warm-started from the parent's parameters under
 /// the epoch cap — with the snapshot writer as the engine's artifact sink,
 /// and reloads what it emitted.
-fn train_generation(pair: &KgPair, parent: Option<&ModelParams>, work_dir: &Path) -> Generation {
+fn train_generation(pair: &KgPair, parent: Option<&Snapshot>, work_dir: &Path) -> Generation {
     let mut rng = SmallRng::seed_from_u64(LIVE_SEED);
     let folds = k_fold_splits(&pair.alignment, 3, &mut rng);
     let rc = RunConfig {
@@ -611,7 +611,7 @@ fn train_generation(pair: &KgPair, parent: Option<&ModelParams>, work_dir: &Path
     };
     std::fs::create_dir_all(work_dir).expect("create train dir");
     let writer = SnapshotWriter::new(work_dir, Vec::new(), Vec::new());
-    let warm = parent.map(ModelParams::warm_start);
+    let warm = parent.map(Snapshot::warm_start);
     let mut ctx = RunContext::new(&rc)
         .for_valid(&folds[0].valid)
         .with_artifacts(&writer);
@@ -636,7 +636,7 @@ fn train_generation(pair: &KgPair, parent: Option<&ModelParams>, work_dir: &Path
 }
 
 /// The train-to-serve chain end to end: an evolution trace, a cold base,
-/// then per step the served artifact read back → `into_model_params` →
+/// then per step the served artifact read back → `warm_start` →
 /// warm-started, budget-capped delta training → a lineage-stamped artifact
 /// written over the live path, which the watcher alone flips in while one
 /// keep-alive client keeps asking.
@@ -685,10 +685,9 @@ fn delta_chain_flips_in_through_the_watcher_with_lineage_intact() {
         let parent = Snapshot::read_from(&live).expect("served artifact");
         let parent_gen = parent.generation();
         assert_eq!(hex(parent_gen), chain[k - 1]);
-        let params = parent.into_model_params();
-        assert_eq!(params.trained_epochs, trained_epochs);
+        assert_eq!(parent.warm_start().trained_epochs, trained_epochs);
         let full = train_generation(&step.pair, None, &train_dir);
-        let delta = train_generation(&step.pair, Some(&params), &train_dir);
+        let delta = train_generation(&step.pair, Some(&parent), &train_dir);
 
         assert_eq!(
             (delta.stop, delta.epochs),

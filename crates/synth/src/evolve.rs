@@ -26,6 +26,7 @@
 
 use crate::presets::{DatasetFamily, PresetConfig};
 use openea_core::{AttrTriple, EntityId, KgBuilder, KgPair, KnowledgeGraph, RelTriple};
+use openea_runtime::hash::Fnv1a;
 use openea_runtime::pool::parallel_chunks;
 
 /// Recipe for an evolution trace: a preset pair plus a growth schedule.
@@ -146,18 +147,6 @@ pub struct EvolutionStep {
     pub new_alignment: usize,
 }
 
-impl EvolutionStep {
-    /// Entities of KG1 / KG2 that already existed at the previous step
-    /// (their ids are `0..known`, by the prefix construction).
-    pub fn known1(&self) -> usize {
-        self.pair.kg1.num_entities() - self.new_entities1
-    }
-
-    pub fn known2(&self) -> usize {
-        self.pair.kg2.num_entities() - self.new_entities2
-    }
-}
-
 /// A base pair plus N delta steps; `steps[0]` is the base and
 /// `steps.last()` the full final pair.
 #[derive(Clone, Debug)]
@@ -166,43 +155,40 @@ pub struct EvolutionTrace {
 }
 
 impl EvolutionTrace {
-    pub fn num_steps(&self) -> usize {
-        self.steps.len()
-    }
-
     /// FNV-1a-64 digest of everything observable in the trace: entity
     /// names, symbol tables, triples and alignments of every step. Two
     /// traces with equal digests are bit-identical for all practical
     /// purposes; the determinism tests compare digests across thread
     /// counts and repeated generation.
     pub fn content_digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.word(self.steps.len() as u64);
+        let mut h = Fnv1a::new();
+        let word = |h: &mut Fnv1a, w: usize| h.update(&(w as u64).to_le_bytes());
+        word(&mut h, self.steps.len());
         for s in &self.steps {
-            h.word(s.step as u64);
+            word(&mut h, s.step);
             for kg in [&s.pair.kg1, &s.pair.kg2] {
-                h.word(kg.num_entities() as u64);
+                word(&mut h, kg.num_entities());
                 for e in kg.entity_ids() {
-                    h.bytes(kg.entity_name(e).as_bytes());
+                    h.update(kg.entity_name(e).as_bytes());
                 }
-                h.word(kg.num_relations() as u64);
-                h.word(kg.num_attributes() as u64);
-                h.word(kg.num_literals() as u64);
+                word(&mut h, kg.num_relations());
+                word(&mut h, kg.num_attributes());
+                word(&mut h, kg.num_literals());
                 for t in kg.rel_triples() {
-                    h.word(t.head.0 as u64);
-                    h.word(t.rel.0 as u64);
-                    h.word(t.tail.0 as u64);
+                    word(&mut h, t.head.idx());
+                    word(&mut h, t.rel.idx());
+                    word(&mut h, t.tail.idx());
                 }
                 for t in kg.attr_triples() {
-                    h.word(t.entity.0 as u64);
-                    h.word(t.attr.0 as u64);
-                    h.word(t.value.0 as u64);
-                    h.bytes(kg.literal_value(t.value).as_bytes());
+                    word(&mut h, t.entity.idx());
+                    word(&mut h, t.attr.idx());
+                    word(&mut h, t.value.idx());
+                    h.update(kg.literal_value(t.value).as_bytes());
                 }
             }
             for &(a, b) in &s.pair.alignment {
-                h.word(a.0 as u64);
-                h.word(b.0 as u64);
+                word(&mut h, a.idx());
+                word(&mut h, b.idx());
             }
         }
         h.finish()
@@ -258,31 +244,6 @@ fn par_filter<T: Copy + Send + Sync>(
     parts.concat()
 }
 
-/// FNV-1a, 64-bit — the same digest primitive the test suite pins golden
-/// hashes with, kept local so `openea-synth` stays dependency-light.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1_0000_01b3);
-        }
-    }
-
-    fn word(&mut self, w: u64) {
-        self.bytes(&w.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,7 +256,7 @@ mod tests {
     #[test]
     fn trace_shape_and_monotone_growth() {
         let trace = tiny().generate();
-        assert_eq!(trace.num_steps(), 4);
+        assert_eq!(trace.steps.len(), 4);
         for w in trace.steps.windows(2) {
             assert!(w[1].pair.kg1.num_entities() >= w[0].pair.kg1.num_entities());
             assert!(w[1].pair.kg2.num_entities() >= w[0].pair.kg2.num_entities());
@@ -368,7 +329,6 @@ mod tests {
         let trace = tiny().generate();
         let mut seen1 = 0usize;
         for s in &trace.steps {
-            assert_eq!(s.known1(), seen1);
             seen1 += s.new_entities1;
             assert_eq!(s.pair.kg1.num_entities(), seen1);
             let rel = s.pair.kg1.num_rel_triples() + s.pair.kg2.num_rel_triples();

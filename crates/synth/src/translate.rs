@@ -10,6 +10,7 @@
 
 use crate::vocab::{Language, Vocabulary};
 use openea_core::{KgBuilder, KgPair, KnowledgeGraph};
+use openea_runtime::hash::fnv1a;
 use std::collections::HashMap;
 
 /// A word-level translator from one surface language into `L1`.
@@ -59,7 +60,7 @@ impl Translator {
                 Some(t) if !self.is_error(w) => t.clone(),
                 Some(_) => {
                     // Mistranslation: deterministic wrong-but-valid word.
-                    let h = fxhash(w) as u32;
+                    let h = fnv1a(w.as_bytes()) as u32;
                     Vocabulary {
                         language: Language::L1,
                         noise: 0.0,
@@ -76,7 +77,7 @@ impl Translator {
         if self.error_rate <= 0.0 {
             return false;
         }
-        (fxhash(word) % 10_000) as f64 / 10_000.0 < self.error_rate
+        (fnv1a(word.as_bytes()) % 10_000) as f64 / 10_000.0 < self.error_rate
     }
 }
 
@@ -100,15 +101,6 @@ fn normalize_date(s: &str) -> Option<String> {
         }
         _ => None,
     }
-}
-
-fn fxhash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Returns a copy of `kg` with every literal translated.

@@ -34,15 +34,7 @@ fn main() {
         js2,
         converged,
         restarts,
-    } = ids_sample(
-        &source,
-        IdsConfig {
-            target,
-            mu: 25,
-            ..IdsConfig::default()
-        },
-        &mut rng,
-    );
+    } = ids_sample(&source, IdsConfig { target, mu: 25 }, &mut rng);
     println!("IDS: js=({js1:.3}, {js2:.3}) converged={converged} restarts={restarts}");
 
     println!(

@@ -7,7 +7,7 @@
 //! cargo run --release -p openea --example inference_strategies
 //! ```
 
-use openea::align::{hubness_profile, sinkhorn_match, topk_similarity_profile, SinkhornConfig};
+use openea::align::{hubness_profile, sinkhorn_match, topk_similarity_profile};
 use openea::prelude::*;
 use openea_runtime::rng::SeedableRng;
 use openea_runtime::rng::SmallRng;
@@ -81,6 +81,6 @@ fn main() {
     );
     // Bonus: the optimal-transport strategy of OTEA's family (not in the
     // paper's Table 6, but a fourth collective alternative).
-    let ot = sinkhorn_match(&sim, SinkhornConfig::default());
+    let ot = sinkhorn_match(&sim);
     println!("{:22} {:.3}", "Sinkhorn OT", hits1(&ot));
 }

@@ -33,13 +33,17 @@ cargo run --release --offline -p openea-bench -- table2 --scale small --no-out
 cargo run --release --offline -p openea-bench -- blocking --scale small --no-out
 
 # The recorded results stay what the binary prints: Tables 2 and 3 (dataset
-# statistics and the sampler comparison), Figure 7, the Sect. 5.2 ablations,
-# the unsupervised rounds, Tables 7 and 8, Figure 12 and the orthogonal
-# transformation, regenerated at their recorded scale and seed and compared
-# byte for byte with `results/`. This also catches PARIS or LogMap reading a
-# hash map's order again. Budget: about 15 s.
+# statistics and the sampler comparison), Figures 3 and 7, the Sect. 5.2
+# ablations, the unsupervised rounds, Tables 7 and 8, Figure 12, the
+# orthogonal transformation, Figure 6, AliNet and the seed-fraction sweep,
+# regenerated at their recorded scale and seed and compared byte for byte
+# with `results/`. This also catches PARIS or LogMap reading a hash map's
+# order again, and Figure 6 and AliNet train every side-view and GNN driver,
+# so a changed setting of one of them shows here. Budget: about a minute on
+# 2 vCPUs (`alinet` ≈ 12 s, `fig6` ≈ 10 s, `seeds` ≈ 6 s, `fig3` ≈ 4 s).
 fresh=$(mktemp -d)
-for experiment in table2 table3 fig7 ablation unsupervised table7 table8 fig12 orthogonal; do
+for experiment in table2 table3 fig3 fig7 ablation unsupervised table7 table8 fig12 orthogonal \
+    fig6 alinet seeds; do
     ./target/release/openea-bench "$experiment" --scale small --seed 7 --out "$fresh" >/dev/null
     cmp "$fresh/$experiment.json" "results/$experiment.json"
 done

@@ -233,7 +233,7 @@ fn assert_ablation_hashes(table: &[(&str, bool, bool, u64)]) {
     );
 }
 
-/// IPTransE's `boot_every` is 20, the golden fixture's `max_epochs`, so its
+/// IPTransE's `BOOT_EVERY` is 20, the golden fixture's `max_epochs`, so its
 /// one self-training round there falls in the last epoch and its proposals
 /// never reach the hash. Forty epochs calibrate the round-20 proposals for
 /// twenty more, so this pin holds the proposal path to its bits. Validation
@@ -280,7 +280,6 @@ fn unsupervised_hash_bit_identical_across_thread_counts() {
     let ucfg = UnsupervisedConfig {
         boot_rounds: 2,
         epochs_per_round: 5,
-        ..UnsupervisedConfig::default()
     };
     for threads in [1usize, 2, 8] {
         let cfg = RunConfig {
@@ -343,7 +342,6 @@ mod self_training {
         KdCoe {
             desc_threshold: 0.7,
             rel_threshold: -1.0,
-            ..KdCoe::default()
         }
     }
 
@@ -410,7 +408,6 @@ mod self_training {
             KdCoe {
                 desc_threshold,
                 rel_threshold,
-                ..kdcoe()
             }
             .run(&pair, &folds[0], &cfg)
             .content_hash()
@@ -437,7 +434,6 @@ mod self_training {
         let ucfg = UnsupervisedConfig {
             boot_rounds: 2,
             epochs_per_round: 5,
-            ..UnsupervisedConfig::default()
         };
         for threads in [1usize, 2, 8] {
             let cfg = RunConfig {

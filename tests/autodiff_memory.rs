@@ -56,7 +56,7 @@ fn a_steady_state_step_allocates_nothing_it_does_not_own() {
     let pair = PresetConfig::new(DatasetFamily::DY, 3000, false, 1).generate();
     let mut rng = SmallRng::seed_from_u64(1);
     let fold = k_fold_splits(&pair.alignment, 5, &mut rng).swap_remove(0);
-    let mut enc = GcnEncoder::new(&pair, None, 32, false, false, true, &mut rng);
+    let mut enc = GcnEncoder::new(&pair, None, 32, false, false, &mut rng);
 
     let mut losses = Vec::with_capacity(LOSS_BITS.len());
     let mut steps: Vec<Tally> = Vec::with_capacity(LOSS_BITS.len());

@@ -4,7 +4,7 @@
 //!
 //! The run is BootEA at its default configuration (dimension 32, learning
 //! rate 0.02) on the 1 000-entity D-Y pair at seed 1, fold 0, for fifteen
-//! epochs with patience off, so exactly one editing round (`boot_every` =
+//! epochs with patience off, so exactly one editing round (`BOOT_EVERY` =
 //! 15) happens, in the last epoch. The round's greedy collective matching is
 //! stable marriage over every candidate's full list, streamed at 8 B per
 //! candidate pair; sorting every cell of a dense similarity matrix held 22 B

@@ -14,16 +14,7 @@ fn table3_ordering_ids_beats_prs_beats_ras() {
     let target = 300;
     let ras = ras_sample(&source, target, &mut rng);
     let prs = prs_sample(&source, target, &mut rng);
-    let ids = ids_sample(
-        &source,
-        IdsConfig {
-            target,
-            mu: 8,
-            ..IdsConfig::default()
-        },
-        &mut rng,
-    )
-    .pair;
+    let ids = ids_sample(&source, IdsConfig { target, mu: 8 }, &mut rng).pair;
 
     let q = |p: &KgPair| sample_quality(&source, p).0;
     let (ras_q, prs_q, ids_q) = (q(&ras), q(&prs), q(&ids));
@@ -96,7 +87,6 @@ fn degree_distribution_of_ids_sample_tracks_source() {
         IdsConfig {
             target: 300,
             mu: 15,
-            ..IdsConfig::default()
         },
         &mut rng,
     );

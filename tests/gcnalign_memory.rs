@@ -73,7 +73,7 @@ fn a_gcnalign_generation_tapes_only_what_backward_reads() {
         ..RunConfig::default()
     };
     let calls_at_start = ALLOC.calls();
-    let (out, peak) = ALLOC.measure(|| GcnAlign::default().run(&pair, &fold, &cfg));
+    let (out, peak) = ALLOC.measure(|| GcnAlign.run(&pair, &fold, &cfg));
     let calls = ALLOC.calls() - calls_at_start;
     println!(
         "a GCNAlign generation peaked {peak} bytes above its inputs \
@@ -95,8 +95,7 @@ fn a_gcnalign_generation_tapes_only_what_backward_reads() {
     std::fs::create_dir_all(&dir).expect("create the checkpoint directory");
     let writer = SnapshotWriter::new(&dir, Vec::new(), Vec::new());
     let ctx = RunContext::new(&cfg).with_artifacts(&writer);
-    let (held, held_peak) =
-        ALLOC.measure(|| GcnAlign::default().run_with(&pair, &fold, &cfg, &ctx));
+    let (held, held_peak) = ALLOC.measure(|| GcnAlign.run_with(&pair, &fold, &cfg, &ctx));
     let write_error = writer.take_error();
     let _ = std::fs::remove_dir_all(&dir);
     println!(

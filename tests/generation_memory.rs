@@ -4,7 +4,7 @@
 //!
 //! The run is the `iptranse_15k_exact_zipf` benchmark workload's at seed 1:
 //! the 15K D-Y pair, dimension 64, twenty epochs with validation every ten,
-//! so the one self-training round (`boot_every` = 20) falls in the last
+//! so the one self-training round (`BOOT_EVERY` = 20) falls in the last
 //! epoch, right before the second checkpoint. The round streams its
 //! candidates' rows a block at a time instead of gathering them all (5.9
 //! MB); validation gathers only the validation pairs' rows; and the epoch-20

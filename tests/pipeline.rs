@@ -24,7 +24,6 @@ fn generate_sample_train_evaluate() {
         IdsConfig {
             target: 300,
             mu: 15,
-            ..IdsConfig::default()
         },
         &mut rng,
     );

@@ -13,6 +13,7 @@
 mod counting_alloc;
 
 use counting_alloc::CountingAlloc;
+use openea_align::ann::TRAIN_SAMPLE;
 use openea_align::{AnnConfig, IvfIndex, Metric};
 use openea_approaches::{StopReason, TrainTrace};
 use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
@@ -116,7 +117,7 @@ fn a_publish_needs_no_buffer_proportional_to_the_artifact() {
         nlist: NLIST,
         ..AnnConfig::default()
     };
-    let train_sample = cfg.train_sample.min(N) * DIM * 4;
+    let train_sample = TRAIN_SAMPLE.min(N) * DIM * 4;
     let before = ALLOC.live();
     let (ivf, peak) = ALLOC.measure(|| IvfIndex::build(&snap.emb2, DIM, snap.metric, &cfg, 2));
     assert_eq!(ivf.len(), N);
