@@ -286,8 +286,6 @@ fn train_walk(
         let o = g.tanh(o_sum);
         // Scores against the candidate embeddings: o · candᵀ.
         let cands = g.gather(emb, cand_rows[step].clone());
-        let cands_dim = g.value(cands).rows;
-        let _ = cands_dim;
         // [1,d]·[d,m]: transpose candidates via matmul trick — build
         // scores one a time is wasteful; instead compute o·candᵀ by
         // matmul(cands, oᵀ) and reshape: [m,d]·[d,1] = [m,1].

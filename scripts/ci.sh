@@ -58,13 +58,6 @@ cli_pair=$(mktemp -d)
     --csls --stable-marriage
 rm -rf "$cli_pair"
 
-# The benchmark's third input: `scale_200k_ivf_uniform --seed 1` serves the
-# 200 000 × 32 pair whose digest this pins, the way `kg_model` (in the pass
-# above) pins the 15K pair the two trained workloads start from. Ignored in
-# tier-1 because it is too slow unoptimised. Budget: < 5 s after the release
-# build above.
-cargo test --release --offline -p openea --test scale_inputs -- --include-ignored
-
 # The kernel gates once more under the release profile's codegen (tier-1
 # tests build at `opt-level = 2`): every ISA backend the host supports ×
 # metric × tile {1, 7, 64} × thread {1, 2, 8} bit-identical to the naive
