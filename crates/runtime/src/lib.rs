@@ -7,9 +7,10 @@
 //!
 //! - [`rng`] — a seedable pseudo-random generator ([`rng::splitmix64`]
 //!   seeding into xoshiro256**) behind `rand`-style traits: [`rng::Rng`],
-//!   [`rng::SeedableRng`], [`rng::SliceRandom`] and the distribution types
-//!   [`rng::WeightedIndex`] / [`rng::Normal`]. Streams are stable across
-//!   platforms and releases: the same seed always yields the same values.
+//!   [`rng::SeedableRng`], [`rng::SliceRandom`], the distribution type
+//!   [`rng::WeightedIndex`] and a ziggurat [`rng::standard_gaussian`].
+//!   Streams are stable across platforms and releases: the same seed always
+//!   yields the same values.
 //! - [`hash`] — FNV-1a 64, the one digest of output hashes, snapshot
 //!   checksums and string hashes.
 //! - [`pool`] — persistent workers, and the calling thread beside them,

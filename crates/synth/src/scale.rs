@@ -26,18 +26,17 @@
 //! Every entity `i` owns three RNG streams,
 //! [`split_seed`](openea_runtime::rng::split_seed)`(seed, 4·i + stream)`:
 //!
-//! * 0, latent — one uniform (the community pick), then ⌈dim/2⌉ Gaussian
-//!   pairs, pair `j` being the offsets from the center in dimensions `2j`
-//!   and `2j + 1`;
-//! * 1 and 2, side-1 and side-2 noise — ⌈dim/2⌉ Gaussian pairs each, in the
-//!   same dimension order.
+//! * 0, latent — one uniform (the community pick), then `dim` Gaussians,
+//!   the offsets from the center in dimension order;
+//! * 1 and 2, side-1 and side-2 noise — `dim` Gaussians each, in dimension
+//!   order.
 //!
-//! Every Gaussian here, the cluster centers' included, comes from one pair
-//! of Marsaglia's polar method: no trigonometry, one `ln` per two values.
-//! At an odd `dim` the last pair's second value is drawn and discarded. The
-//! generator visits each entity once: it seeds the three streams, writes
-//! the label, and for each pair of dimensions draws one pair per stream and
-//! writes both sides from the latent pair. The draw order *within* a stream
+//! The cluster centers are `k·dim` Gaussians of one more stream, in
+//! row-major order. Every Gaussian is one
+//! [`gen_gaussian`](openea_runtime::rng::Rng::gen_gaussian) call, the
+//! runtime's ziggurat. The generator visits each entity once: it seeds the
+//! three streams, writes the label, and for each dimension draws one value
+//! per stream and writes both sides. The draw order *within* a stream
 //! is the whole contract — how the streams interleave is not observable —
 //! so the output is a pure function of [`ScaleConfig`], independent of
 //! thread count and chunk schedule, and any row can be regenerated in
@@ -115,24 +114,6 @@ const STREAM_LATENT: u64 = 0;
 const STREAM_SIDE1: u64 = 1;
 const STREAM_SIDE2: u64 = 2;
 
-/// Two independent standard Gaussians by Marsaglia's polar method: a point
-/// drawn uniformly in the square `[-1, 1)²` until it falls strictly inside
-/// the unit disc, scaled by `√(−2 ln s / s)` where `s` is its squared norm.
-/// One `ln`, one `sqrt` and one division per pair, and 4/π ≈ 1.27 points
-/// (2.55 words) drawn on average.
-#[inline]
-fn polar_pair(rng: &mut SmallRng) -> (f64, f64) {
-    loop {
-        let u = 2.0 * rng.gen::<f64>() - 1.0;
-        let v = 2.0 * rng.gen::<f64>() - 1.0;
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            let m = (-2.0 * s.ln() / s).sqrt();
-            return (u * m, v * m);
-        }
-    }
-}
-
 /// Generates an aligned embedded pair from `cfg`, using up to `threads`
 /// workers. The result is bit-identical for every `threads` value.
 pub fn generate_embedded_pair(cfg: &ScaleConfig, threads: usize) -> EmbeddedPair {
@@ -143,15 +124,11 @@ pub fn generate_embedded_pair(cfg: &ScaleConfig, threads: usize) -> EmbeddedPair
 
     // Cluster centers live on their own stream, disjoint from the per-entity
     // streams (which are < 4·n + 3 « u64::MAX): k·dim values in row-major
-    // order, drawn as ⌈k·dim/2⌉ pairs.
+    // order.
     let mut crng = SmallRng::stream(cfg.seed, u64::MAX);
-    let mut centers = vec![0.0f32; k * dim];
-    for slots in centers.chunks_mut(2) {
-        let g: [f64; 2] = polar_pair(&mut crng).into();
-        for (slot, g) in slots.iter_mut().zip(g) {
-            *slot = (g * inv_sqrt_dim) as f32;
-        }
-    }
+    let centers: Vec<f32> = (0..k * dim)
+        .map(|_| (crng.gen_gaussian() * inv_sqrt_dim) as f32)
+        .collect();
 
     let spread = cfg.spread as f64;
     let noise = cfg.noise as f64;
@@ -179,21 +156,10 @@ pub fn generate_embedded_pair(cfg: &ScaleConfig, threads: usize) -> EmbeddedPair
             let c = ((u * u * k as f64) as usize).min(k - 1);
             *label = c as u32;
             let center = &centers[c * dim..(c + 1) * dim];
-            // Dimensions (2j, 2j + 1) take pair j of each stream; a last
-            // single dimension uses its pairs' first halves.
-            let dims = center
-                .chunks(2)
-                .zip(row1.chunks_mut(2))
-                .zip(row2.chunks_mut(2));
-            for ((mid, s1), s2) in dims {
-                let g: [f64; 2] = polar_pair(&mut lat).into();
-                let g1: [f64; 2] = polar_pair(&mut noi1).into();
-                let g2: [f64; 2] = polar_pair(&mut noi2).into();
-                for t in 0..mid.len() {
-                    let latent = mid[t] as f64 + spread * g[t] * inv_sqrt_dim;
-                    s1[t] = (latent + noise * g1[t] * inv_sqrt_dim) as f32;
-                    s2[t] = (latent + noise * g2[t] * inv_sqrt_dim) as f32;
-                }
+            for ((&mid, s1), s2) in center.iter().zip(row1.iter_mut()).zip(row2.iter_mut()) {
+                let latent = mid as f64 + spread * lat.gen_gaussian() * inv_sqrt_dim;
+                *s1 = (latent + noise * noi1.gen_gaussian() * inv_sqrt_dim) as f32;
+                *s2 = (latent + noise * noi2.gen_gaussian() * inv_sqrt_dim) as f32;
             }
         }
     });
@@ -307,29 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn polar_pairs_are_standard_normal_and_scale_the_side_noise() {
-        const PAIRS: usize = 1_000_000;
-        let mut rng = SmallRng::stream(0x9A05_5000, 0);
-        let (mut sa, mut sb, mut saa, mut sbb, mut sab) = (0.0, 0.0, 0.0, 0.0, 0.0);
-        let mut tails = 0usize;
-        for _ in 0..PAIRS {
-            let (a, b) = polar_pair(&mut rng);
-            (sa, sb) = (sa + a, sb + b);
-            (saa, sbb, sab) = (saa + a * a, sbb + b * b, sab + a * b);
-            tails += usize::from(a.abs() > 3.0) + usize::from(b.abs() > 3.0);
-        }
-        let n = PAIRS as f64;
-        let mean = (sa + sb) / (2.0 * n);
-        let var = (saa + sbb) / (2.0 * n) - mean * mean;
-        // Two-sided P(|g| > 3) of a standard normal is 0.0027.
-        let tail = tails as f64 / (2.0 * n);
-        let (ma, mb) = (sa / n, sb / n);
-        let rho = (sab / n - ma * mb) / ((saa / n - ma * ma) * (sbb / n - mb * mb)).sqrt();
-        assert!(mean.abs() < 0.005, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.01, "variance {var}");
-        assert!((0.0020..=0.0034).contains(&tail), "P(|g| > 3) = {tail}");
-        assert!(rho.abs() < 0.005, "correlation of a pair's halves {rho}");
-
+    fn aligned_rows_differ_by_the_side_noise() {
         // Aligned rows differ by the two sides' noise only, each coordinate
         // by noise·(g₁ − g₂)/√dim: variance 2·noise²/dim.
         let cfg = ScaleConfig {

@@ -124,6 +124,11 @@ cargo test --release --offline -p openea --test approach_matrix -- self_training
 cargo test --release --offline -p openea-serve --test server_e2e -- checkpoint \
     a_run_whose_writer_holds_the_best
 cargo test --release --offline -p openea-synth --lib
+# The runtime's ziggurat Gaussian, which the index-scale generator draws
+# every coordinate through: its distribution over 10⁶ draws, the exact word,
+# wedge and tail counts of those draws, and its tables' bits, under the code
+# generation that ships. Budget: well under a second after the build.
+cargo test --release --offline -p openea-runtime --lib rng::
 
 # Reactor soak slice: the end-to-end serving suite five more times with every
 # test on a thread of its own, which is how its accept/close races were found
