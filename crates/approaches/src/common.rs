@@ -50,15 +50,6 @@ pub struct Requirements {
     pub word_embeddings: Req,
 }
 
-impl Default for Requirements {
-    /// Everything optional — the neutral column for internal harnesses that
-    /// are not one of the Table 9 approaches.
-    fn default() -> Self {
-        use Req::Optional;
-        Self::of(Optional, Optional, Optional, Optional, Optional)
-    }
-}
-
 impl Requirements {
     /// Positional Table 9 column: relation triples, attribute triples,
     /// pre-aligned entities, pre-aligned properties, word embeddings.
@@ -796,8 +787,6 @@ mod tests {
     fn extract_roundtrips_embeddings() {
         let p = tiny_pair();
         let s = UnifiedSpace::build(&p, &[], Combination::Calibration);
-        let mut rng = openea_runtime::rng::StepRng::new(1, 1);
-        let _ = &mut rng;
         let mut table = EmbeddingTable::zeros(s.num_entities, 4);
         for i in 0..s.num_entities {
             table.row_mut(i).fill(i as f32);

@@ -236,8 +236,8 @@ impl<'a> RunContext<'a> {
         SmallRng::seed_from_u64(self.seed)
     }
 
-    /// Salted seed for an auxiliary sub-model (KDCoE's second KG model, the
-    /// transformation harness factories).
+    /// Salted seed for a sub-model: the transformation driver (MTransE,
+    /// SEA) seeds its KG1 and KG2 models from salts 1 and 2.
     pub fn model_seed(&self, salt: u64) -> u64 {
         self.seed ^ salt
     }
@@ -279,7 +279,7 @@ pub trait EpochHooks {
     /// driver accepts a resume request without per-driver changes.
     ///
     /// Implementations live in the shared components (the unified-space
-    /// trainer, the transformation harness), not in individual drivers:
+    /// trainer, the transformation driver), not in individual drivers:
     /// copy warm rows for entities the parent generation knew, seed new
     /// entities from a reserved per-entity RNG stream, and refuse (return
     /// `false`) on any dimension mismatch.

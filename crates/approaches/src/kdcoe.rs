@@ -128,7 +128,7 @@ impl EpochHooks for Hooks<'_> {
 
     fn after_epoch(&mut self, epoch: usize, _ctx: &RunContext<'_>) {
         let seeds = self.seeds.iter().chain(&self.ledger.proposed).copied();
-        self.core.seed_step(seeds, self.cfg, true);
+        self.core.seed_step(seeds, self.cfg);
 
         if (epoch + 1).is_multiple_of(CO_EVERY) {
             let (sources, targets) = self.ledger.unaligned();

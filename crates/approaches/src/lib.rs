@@ -38,7 +38,7 @@ pub mod rdgcn;
 pub mod registry;
 pub mod rsn4ea;
 pub mod sea;
-pub mod transformation;
+mod transformation;
 pub mod unsupervised;
 mod views;
 

@@ -2,20 +2,20 @@
 //! space transformation learned from the seed alignment. Euclidean metric,
 //! supervised. The first embedding-based entity-alignment approach.
 //!
-//! This module also hosts the Figure-11 harness: MTransE with its TransE
-//! replaced by any other relation model (TransH/R/D, DistMult, HolE, SimplE,
-//! RotatE, ProjE, ConvE).
+//! [`RelModelKind`] swaps its TransE for any other relation model (TransH/R/D,
+//! DistMult, HolE, SimplE, RotatE, ProjE, ConvE): the Figure-11 study. The
+//! training is the transformation-mode driver it shares with SEA.
 
 use crate::common::{Approach, ApproachOutput, Requirements, RunConfig, TrainError};
 use crate::engine::RunContext;
-use crate::transformation::{ModelFactory, TransformationHarness};
 use openea_align::Metric;
 use openea_core::{FoldSplit, KgPair};
-use openea_models::{ConvE, DistMult, HolE, ProjE, RotatE, SimplE, TransD, TransE, TransH, TransR};
-use openea_runtime::rng::SeedableRng;
-use openea_runtime::rng::SmallRng;
+use openea_models::{
+    ConvE, DistMult, HolE, ProjE, RelationModel, RotatE, SimplE, TransD, TransE, TransH, TransR,
+};
+use openea_runtime::rng::{SeedableRng, SmallRng};
 
-/// Which relation model powers the MTransE-style harness.
+/// Which relation model embeds each KG of a transformation-mode run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RelModelKind {
     TransE,
@@ -59,48 +59,23 @@ impl RelModelKind {
         }
     }
 
-    /// A factory building this model kind.
-    pub fn factory(self) -> Box<ModelFactory> {
-        macro_rules! boxed {
-            ($ctor:expr) => {
-                Box::new(move |n: usize, r: usize, d: usize, seed: u64| {
-                    let mut rng = SmallRng::seed_from_u64(seed);
-                    #[allow(clippy::redundant_closure_call)]
-                    let m: Box<dyn openea_models::RelationModel> =
-                        Box::new(($ctor)(n, r, d, &mut rng));
-                    m
-                })
-            };
-        }
+    /// This model over `n` entities and `r` relations at `dim`, initialised
+    /// from `SmallRng::seed_from_u64(seed)`. SimplE embeds at `dim / 2` per
+    /// half; the translational and deep models train at margin 1.0, RotatE
+    /// at 2.0.
+    pub fn build(self, n: usize, r: usize, dim: usize, seed: u64) -> Box<dyn RelationModel> {
+        let rng = &mut SmallRng::seed_from_u64(seed);
         match self {
-            RelModelKind::TransE => {
-                boxed!(|n, r, d, rng: &mut SmallRng| TransE::new(n, r, d, 1.0, rng))
-            }
-            RelModelKind::TransH => {
-                boxed!(|n, r, d, rng: &mut SmallRng| TransH::new(n, r, d, 1.0, rng))
-            }
-            RelModelKind::TransR => {
-                boxed!(|n, r, d, rng: &mut SmallRng| TransR::new(n, r, d, 1.0, rng))
-            }
-            RelModelKind::TransD => {
-                boxed!(|n, r, d, rng: &mut SmallRng| TransD::new(n, r, d, 1.0, rng))
-            }
-            RelModelKind::DistMult => {
-                boxed!(|n, r, d, rng: &mut SmallRng| DistMult::new(n, r, d, rng))
-            }
-            RelModelKind::HolE => boxed!(|n, r, d, rng: &mut SmallRng| HolE::new(n, r, d, rng)),
-            RelModelKind::SimplE => {
-                boxed!(|n, r, d, rng: &mut SmallRng| SimplE::new(n, r, d / 2, rng))
-            }
-            RelModelKind::RotatE => {
-                boxed!(|n, r, d, rng: &mut SmallRng| RotatE::new(n, r, d, 2.0, rng))
-            }
-            RelModelKind::ProjE => {
-                boxed!(|n, r, d, rng: &mut SmallRng| ProjE::new(n, r, d, 1.0, rng))
-            }
-            RelModelKind::ConvE => {
-                boxed!(|n, r, d, rng: &mut SmallRng| ConvE::new(n, r, d, 1.0, rng))
-            }
+            RelModelKind::TransE => Box::new(TransE::new(n, r, dim, 1.0, rng)),
+            RelModelKind::TransH => Box::new(TransH::new(n, r, dim, 1.0, rng)),
+            RelModelKind::TransR => Box::new(TransR::new(n, r, dim, 1.0, rng)),
+            RelModelKind::TransD => Box::new(TransD::new(n, r, dim, 1.0, rng)),
+            RelModelKind::DistMult => Box::new(DistMult::new(n, r, dim, rng)),
+            RelModelKind::HolE => Box::new(HolE::new(n, r, dim, rng)),
+            RelModelKind::SimplE => Box::new(SimplE::new(n, r, dim / 2, rng)),
+            RelModelKind::RotatE => Box::new(RotatE::new(n, r, dim, 2.0, rng)),
+            RelModelKind::ProjE => Box::new(ProjE::new(n, r, dim, 1.0, rng)),
+            RelModelKind::ConvE => Box::new(ConvE::new(n, r, dim, 1.0, rng)),
         }
     }
 }
@@ -139,17 +114,17 @@ impl Approach for MTransE {
         cfg: &RunConfig,
         ctx: &RunContext<'_>,
     ) -> Result<ApproachOutput, TrainError> {
-        let factory = self.model.factory();
-        let h = TransformationHarness {
-            factory: &factory,
-            label: self.name(),
-            metric: Metric::Euclidean,
-            cycle_weight: 0.0,
-            orthogonal: self.orthogonal,
-            update_entities: true,
-            requirements: self.requirements(),
-        };
-        h.try_run(pair, split, cfg, ctx)
+        crate::transformation::run(
+            self.name(),
+            self.model,
+            Metric::Euclidean,
+            0.0,
+            self.orthogonal,
+            pair,
+            split,
+            cfg,
+            ctx,
+        )
     }
 }
 
@@ -167,10 +142,9 @@ mod tests {
     }
 
     #[test]
-    fn factories_build_models_of_right_shape() {
+    fn builds_models_of_right_shape() {
         for kind in RelModelKind::FIGURE11 {
-            let f = kind.factory();
-            let m = f(10, 3, 16, 1);
+            let m = kind.build(10, 3, 16, 1);
             assert_eq!(m.num_entities(), 10, "{}", kind.label());
             // Entity dim may exceed the nominal dim (SimplE halves then
             // doubles; RotatE interleaves), but must be nonzero.

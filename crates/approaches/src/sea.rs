@@ -7,7 +7,6 @@
 use crate::common::{Approach, ApproachOutput, Requirements, RunConfig, TrainError};
 use crate::engine::RunContext;
 use crate::mtranse::RelModelKind;
-use crate::transformation::TransformationHarness;
 use openea_align::Metric;
 use openea_core::{FoldSplit, KgPair};
 
@@ -39,17 +38,17 @@ impl Approach for Sea {
         cfg: &RunConfig,
         ctx: &RunContext<'_>,
     ) -> Result<ApproachOutput, TrainError> {
-        let factory = RelModelKind::TransE.factory();
-        let h = TransformationHarness {
-            factory: &factory,
-            label: self.name(),
-            metric: Metric::Cosine,
-            cycle_weight: self.cycle_weight,
-            orthogonal: false,
-            update_entities: true,
-            requirements: self.requirements(),
-        };
-        h.try_run(pair, split, cfg, ctx)
+        crate::transformation::run(
+            self.name(),
+            RelModelKind::TransE,
+            Metric::Cosine,
+            self.cycle_weight,
+            false,
+            pair,
+            split,
+            cfg,
+            ctx,
+        )
     }
 }
 

@@ -1,14 +1,14 @@
-//! The *embedding-space transformation* interaction mode (MTransE, SEA,
-//! KDCoE's relation view, and the Figure-11 harness for unexplored models):
-//! each KG is embedded in its own space and a linear map `M` is trained so
-//! that `M·e₁ ≈ e₂` on the seed alignment. All of them train on one
-//! [`TransformationCore`].
+//! The *embedding-space transformation* interaction mode (MTransE and its
+//! Figure-11 backbones, SEA, KDCoE's relation view): each KG is embedded in
+//! its own space and a linear map `M` is trained so that `M·e₁ ≈ e₂` on the
+//! seed alignment. All of them train on one [`TransformationCore`]; MTransE
+//! and SEA through [`run`], KDCoE through hooks of its own.
 
 use crate::common::{
-    train_epoch_batched, Approach, ApproachOutput, EpochStats, Requirements, RunConfig, TrainError,
-    TrainOptions,
+    train_epoch_batched, ApproachOutput, EpochStats, RunConfig, TrainError, TrainOptions,
 };
 use crate::engine::{run_driver, EpochHooks, RunContext, WarmStart};
+use crate::mtranse::RelModelKind;
 use openea_align::Metric;
 use openea_core::{AlignedPair, FoldSplit, KgPair, KnowledgeGraph};
 use openea_math::negsamp::{RawTriple, UniformSampler};
@@ -16,77 +16,49 @@ use openea_math::Matrix;
 use openea_models::RelationModel;
 use openea_runtime::rng::{Rng, RngCore, SmallRng};
 
-/// Builds a fresh relation model: `(num_entities, num_relations, dim, seed)`.
-pub type ModelFactory = dyn Fn(usize, usize, usize, u64) -> Box<dyn RelationModel> + Sync;
-
 /// Raw triples of one KG in its own id space.
-pub fn kg_triples(kg: &KnowledgeGraph) -> Vec<RawTriple> {
+fn kg_triples(kg: &KnowledgeGraph) -> Vec<RawTriple> {
     kg.rel_triples()
         .iter()
         .map(|t| (t.head.0, t.rel.0, t.tail.0))
         .collect()
 }
 
-/// The transformation harness. `cycle_weight > 0` adds SEA-style cycle
-/// consistency (`M̄·M·e₁ ≈ e₁`) over unlabeled entities, which regularizes
-/// the map using non-seed data (a simple semi-supervised signal).
-pub struct TransformationHarness<'f> {
-    pub factory: &'f ModelFactory,
-    /// Label stamped on the emitted `TrainTrace` (the approach's name).
-    pub label: &'static str,
-    pub metric: Metric,
-    pub cycle_weight: f32,
-    /// Project `M` onto the nearest orthogonal matrix after each epoch —
-    /// MTransE's orthogonality variant, via orthogonal Procrustes machinery.
-    pub orthogonal: bool,
-    /// Whether the seed loss also updates the seed *entity* embeddings (the
-    /// joint objective). Multiplicative models are brittle under these
-    /// direct pulls; map-only training preserves their relational geometry.
-    pub update_entities: bool,
-    /// Table 9 column of the approach wrapping this harness.
-    pub requirements: Requirements,
-}
-
-impl Approach for TransformationHarness<'_> {
-    fn name(&self) -> &'static str {
-        self.label
-    }
-
-    fn requirements(&self) -> Requirements {
-        self.requirements
-    }
-
-    fn try_run(
-        &self,
-        pair: &KgPair,
-        split: &FoldSplit,
-        cfg: &RunConfig,
-        ctx: &RunContext<'_>,
-    ) -> Result<ApproachOutput, TrainError> {
-        let model = |kg: &KnowledgeGraph, stream| {
-            (self.factory)(
-                kg.num_entities(),
-                kg.num_relations().max(1),
-                cfg.dim,
-                ctx.model_seed(stream),
-            )
-        };
-        let core = TransformationCore::new(
-            pair,
-            model(&pair.kg1, 1),
-            model(&pair.kg2, 2),
-            cfg,
-            ctx.driver_rng(),
-        );
-        let mut hooks = Hooks {
-            harness: self,
-            cfg,
-            seeds: &split.train,
-            core,
-            back: Matrix::identity(cfg.dim),
-        };
-        run_driver(self.label, &mut hooks, &ctx.for_valid(&split.valid), cfg)
-    }
+/// Trains MTransE or SEA under `label`: a `model` per KG, seeded from
+/// `ctx.model_seed(1)` and `ctx.model_seed(2)`, and the map `M` on the seed
+/// alignment. `cycle_weight > 0` adds SEA's cycle consistency
+/// (`M̄·M·e₁ ≈ e₁`) over unlabeled entities, a semi-supervised signal from
+/// non-seed data; `orthogonal` projects `M` onto the nearest orthogonal
+/// matrix after each epoch (MTransE's orthogonality variant, via orthogonal
+/// Procrustes). The output compares mapped KG1 rows with raw KG2 rows under
+/// `metric`.
+#[allow(clippy::too_many_arguments)] // five settings tell the approaches apart, four are the run's
+pub(crate) fn run(
+    label: &'static str,
+    model: RelModelKind,
+    metric: Metric,
+    cycle_weight: f32,
+    orthogonal: bool,
+    pair: &KgPair,
+    split: &FoldSplit,
+    cfg: &RunConfig,
+    ctx: &RunContext<'_>,
+) -> Result<ApproachOutput, TrainError> {
+    let build = |kg: &KnowledgeGraph, stream| {
+        let (n, r) = (kg.num_entities(), kg.num_relations().max(1));
+        model.build(n, r, cfg.dim, ctx.model_seed(stream))
+    };
+    let (m1, m2) = (build(&pair.kg1, 1), build(&pair.kg2, 2));
+    let mut hooks = Hooks {
+        cfg,
+        seeds: &split.train,
+        core: TransformationCore::new(pair, m1, m2, cfg, ctx.driver_rng()),
+        metric,
+        cycle_weight,
+        orthogonal,
+        back: Matrix::identity(cfg.dim),
+    };
+    run_driver(label, &mut hooks, &ctx.for_valid(&split.valid), cfg)
 }
 
 /// What every transformation-mode driver trains: one relation model per KG
@@ -162,15 +134,9 @@ impl TransformationCore {
         EpochStats::merged(&[a, b])
     }
 
-    /// Joint SGD on `‖M·e₁ − e₂‖²` for every seed pair, in order;
-    /// `update_entities` selects the joint objective (map + seed
-    /// embeddings) over map-only.
-    pub fn seed_step(
-        &mut self,
-        seeds: impl IntoIterator<Item = AlignedPair>,
-        cfg: &RunConfig,
-        update_entities: bool,
-    ) {
+    /// Joint SGD on `‖M·e₁ − e₂‖²` for every seed pair, in order: the map
+    /// and both seed embeddings move.
+    pub fn seed_step(&mut self, seeds: impl IntoIterator<Item = AlignedPair>, cfg: &RunConfig) {
         let (dim, lr, map) = (cfg.dim, cfg.lr, &mut self.map);
         let mut me1 = vec![0.0f32; dim];
         let mut mtu = vec![0.0f32; dim];
@@ -188,11 +154,9 @@ impl TransformationCore {
                     map[(i, j)] -= 2.0 * lr * u[i] * e1[j];
                 }
             }
-            if update_entities {
-                self.m1.entities_mut().sgd_row(a.idx(), &mtu, 2.0 * lr);
-                let neg_u: Vec<f32> = u.iter().map(|x| -x).collect();
-                self.m2.entities_mut().sgd_row(b.idx(), &neg_u, 2.0 * lr);
-            }
+            self.m1.entities_mut().sgd_row(a.idx(), &mtu, 2.0 * lr);
+            let neg_u: Vec<f32> = u.iter().map(|x| -x).collect();
+            self.m2.entities_mut().sgd_row(b.idx(), &neg_u, 2.0 * lr);
         }
     }
 
@@ -216,41 +180,34 @@ impl TransformationCore {
 
 /// Engine hooks: per-KG relation-model epochs, then the joint seed step,
 /// optional cycle consistency and optional orthogonal projection.
-struct Hooks<'a, 'f> {
-    harness: &'a TransformationHarness<'f>,
+struct Hooks<'a> {
     cfg: &'a RunConfig,
     seeds: &'a [AlignedPair],
     core: TransformationCore,
+    metric: Metric,
+    cycle_weight: f32,
+    orthogonal: bool,
+    /// The cycle's back-map `M̄`, trained only when `cycle_weight > 0`.
     back: Matrix,
 }
 
-impl EpochHooks for Hooks<'_, '_> {
+impl EpochHooks for Hooks<'_> {
     fn train_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
         self.core.train_epoch(self.cfg)
     }
 
     fn after_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) {
-        self.core.seed_step(
-            self.seeds.iter().copied(),
-            self.cfg,
-            self.harness.update_entities,
-        );
-        if self.harness.cycle_weight > 0.0 {
-            self.harness.cycle_step(
-                self.core.m1.as_mut(),
-                &mut self.core.map,
-                &mut self.back,
-                self.cfg,
-                &mut self.core.rng,
-            );
+        self.core.seed_step(self.seeds.iter().copied(), self.cfg);
+        if self.cycle_weight > 0.0 {
+            self.cycle_step();
         }
-        if self.harness.orthogonal {
+        if self.orthogonal {
             self.core.map = openea_math::nearest_orthogonal(&self.core.map);
         }
     }
 
     fn checkpoint(&mut self, _ctx: &RunContext<'_>) -> ApproachOutput {
-        self.core.output(self.cfg, self.harness.metric)
+        self.core.output(self.cfg, self.metric)
     }
 
     fn warm_start(&mut self, warm: &WarmStart<'_>, ctx: &RunContext<'_>) -> bool {
@@ -270,7 +227,7 @@ impl EpochHooks for Hooks<'_, '_> {
         ) {
             return false;
         }
-        // Same factory and cfg.dim as m1, so this cannot refuse once m1
+        // Same model kind and cfg.dim as m1, so this cannot refuse once m1
         // absorbed — the guard is belt and braces.
         if !self.core.m2.init_from(
             warm.dim,
@@ -286,23 +243,18 @@ impl EpochHooks for Hooks<'_, '_> {
     }
 }
 
-impl TransformationHarness<'_> {
+impl Hooks<'_> {
     /// Cycle consistency on random unlabeled KG1 entities:
     /// `‖M̄·(M·e₁) − e₁‖²` trains both maps.
-    fn cycle_step(
-        &self,
-        m1: &mut dyn RelationModel,
-        map: &mut Matrix,
-        back: &mut Matrix,
-        cfg: &RunConfig,
-        rng: &mut SmallRng,
-    ) {
-        let dim = cfg.dim;
+    fn cycle_step(&mut self) {
+        let dim = self.cfg.dim;
+        let TransformationCore { m1, map, rng, .. } = &mut self.core;
+        let back = &mut self.back;
         let n = m1.num_entities();
         if n == 0 {
             return;
         }
-        let lr = cfg.lr * self.cycle_weight;
+        let lr = self.cfg.lr * self.cycle_weight;
         let mut fwd = vec![0.0f32; dim];
         let mut cyc = vec![0.0f32; dim];
         let mut btu = vec![0.0f32; dim];
@@ -326,17 +278,10 @@ impl TransformationHarness<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::common::{Approach, RunConfig};
+    use crate::mtranse::MTransE;
     use openea_math::vecops;
-    use openea_models::TransE;
-    use openea_runtime::rng::SeedableRng;
-
-    fn transe_factory() -> Box<ModelFactory> {
-        Box::new(|n, r, d, seed| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            Box::new(TransE::new(n, r, d, 1.0, &mut rng))
-        })
-    }
+    use openea_runtime::rng::{SeedableRng, SmallRng};
 
     #[test]
     fn transformation_maps_seeds_close() {
@@ -347,30 +292,19 @@ mod tests {
                 .generate();
         let mut rng = SmallRng::seed_from_u64(0);
         let folds = openea_core::k_fold_splits(&pair.alignment, 5, &mut rng);
-        let factory = transe_factory();
-        let h = TransformationHarness {
-            factory: &factory,
-            label: "test",
-            metric: Metric::Euclidean,
-            cycle_weight: 0.0,
-            orthogonal: false,
-            update_entities: true,
-            requirements: Requirements::default(),
-        };
         let cfg = RunConfig {
             dim: 16,
             max_epochs: 30,
             ..RunConfig::default()
         };
-        let out = h.run(&pair, &folds[0], &cfg);
+        let out = MTransE::default().run(&pair, &folds[0], &cfg);
         // Mapped seed pairs are closer than random pairs on average.
         let mut seed_d = 0.0;
         let mut rand_d = 0.0;
         let train = &folds[0].train;
         for (k, &(a, b)) in train.iter().enumerate() {
             seed_d += vecops::euclidean(out.vec1(a), out.vec2(b));
-            let (c, d) = train[(k + 1) % train.len()];
-            let _ = c;
+            let (_, d) = train[(k + 1) % train.len()];
             rand_d += vecops::euclidean(out.vec1(a), out.vec2(d));
         }
         assert!(seed_d < rand_d, "seed {seed_d} vs random {rand_d}");

@@ -259,7 +259,7 @@ pub fn fig9_10(cfg: &HarnessConfig) {
     cfg.write_json("fig9_10", &rows);
 }
 
-/// Figure 11: unexplored KG embedding models in the MTransE harness.
+/// Figure 11: unexplored KG embedding models in place of MTransE's TransE.
 pub fn fig11(cfg: &HarnessConfig) {
     println!("== Figure 11: unexplored embedding models (V1, Hits@1) ==");
     let mut rows = Vec::new();

@@ -51,7 +51,7 @@ pub mod swap;
 pub use index::{
     AlignmentIndex, Answer, BatchIndex, CacheKey, IndexStats, LruCache, Probe, QueryError,
 };
-pub use server::{serve, serve_hot, ServerHandle, ServerOptions};
+pub use server::{serve_hot, ServerHandle, ServerOptions};
 pub use shard::{shard_path, write_sharded, ShardManifest, ShardMeta};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotWriter};
 pub use swap::{

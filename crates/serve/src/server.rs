@@ -30,7 +30,7 @@
 //!
 //! ## One front end
 //!
-//! [`serve`] / [`serve_hot`] bind the listener and start the reactor: one
+//! [`serve_hot`] binds the listener and starts the reactor: one
 //! event-loop thread multiplexes every connection through nonblocking
 //! reads and the incremental parser in [`crate::conn`], each connection's
 //! pipelined `/align` run goes to a compute worker as one
@@ -546,19 +546,9 @@ impl Drop for ServerHandle {
 }
 
 /// Binds `addr` (use port 0 for an ephemeral port) and starts the reactor
-/// over a fixed in-memory index (`/admin/reload` works only with an
-/// explicit `path`). For an index that reloads from its own artifact, use
-/// [`serve_hot`].
-pub fn serve(
-    index: Arc<BatchIndex>,
-    addr: SocketAddr,
-    opts: ServerOptions,
-) -> std::io::Result<ServerHandle> {
-    serve_hot(HotSwapIndex::fixed(index), addr, opts)
-}
-
-/// [`serve`] over a hot-swappable index: `/admin/reload` republishes from
-/// the index's artifact path and a watcher (if spawned) follows it.
+/// over `index`: `/admin/reload` republishes from the index's artifact path
+/// (or an explicit `path`) and a watcher (if spawned) follows it. An
+/// in-memory index serves through [`HotSwapIndex::fixed_with`].
 pub fn serve_hot(
     index: Arc<HotSwapIndex>,
     addr: SocketAddr,
@@ -591,7 +581,8 @@ mod tests {
         assert!(tel.latency.is_poisoned());
 
         tel.record(EP_ALIGN, 300);
-        let hot = HotSwapIndex::fixed(IndexOptions::default().build(tiny_snapshot()));
+        let opts = IndexOptions::default();
+        let hot = HotSwapIndex::fixed_with(opts.build(tiny_snapshot()), opts);
         let body = stats_json(&hot, &tel, 0, 1_000);
         let align = body.get("endpoints").and_then(|e| e.get("align"));
         assert_eq!(

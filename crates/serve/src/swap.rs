@@ -242,7 +242,7 @@ fn fingerprint(path: &Path) -> Option<Fingerprint> {
 
 struct SwapState {
     /// Artifact the live index was loaded from; `None` for in-memory
-    /// indices ([`HotSwapIndex::fixed`]), which cannot reload without an
+    /// indices ([`HotSwapIndex::fixed_with`]), which cannot reload without an
     /// explicit path.
     artifact: Option<PathBuf>,
     /// Retired indices, observed without being kept alive: the last
@@ -278,16 +278,11 @@ pub struct HotSwapIndex {
 }
 
 impl HotSwapIndex {
-    /// Wraps an already-built index with no backing artifact: serving and
-    /// `swap_in` work, path-less `reload()` reports an error. This is how
-    /// tests and benches drive the server from in-memory snapshots.
-    pub fn fixed(index: Arc<BatchIndex>) -> Arc<Self> {
-        Self::fixed_with(index, IndexOptions::default())
-    }
-
-    /// [`HotSwapIndex::fixed`] with explicit options, so later `swap_in`
-    /// calls build their replacement indices the same way the wrapped one
-    /// was built (same partition shape, cache size, threading).
+    /// Wraps an index already built under `opts`, with no backing artifact:
+    /// serving and `swap_in` work, path-less `reload()` reports an error.
+    /// Later `swap_in` calls build their replacements under the same `opts`
+    /// (same partition shape, cache size, threading). This is how tests and
+    /// benches drive the server from in-memory snapshots.
     pub fn fixed_with(index: Arc<BatchIndex>, opts: IndexOptions) -> Arc<Self> {
         let loaded = index.index().num_targets();
         Self::with_state(index, opts, None, loaded, None)
@@ -568,7 +563,8 @@ mod tests {
     #[test]
     fn fixed_index_serves_and_reports_no_artifact() {
         let snap = tiny_snapshot();
-        let hot = HotSwapIndex::fixed(IndexOptions::default().build(snap));
+        let opts = IndexOptions::default();
+        let hot = HotSwapIndex::fixed_with(opts.build(snap), opts);
         assert!(hot.current().query(0, 1).is_ok());
         let err = hot.reload().unwrap_err();
         assert!(err.to_string().contains("no artifact path"), "{err}");
@@ -588,7 +584,8 @@ mod tests {
         let gen_b = snap_b.generation();
         assert_ne!(gen_a, gen_b);
 
-        let hot = HotSwapIndex::fixed(IndexOptions::default().build(snap));
+        let opts = IndexOptions::default();
+        let hot = HotSwapIndex::fixed_with(opts.build(snap), opts);
         let before = hot.current();
         let ans_a = before.query(0, 2).unwrap();
         let outcome = hot.swap_in(snap_b);
@@ -602,8 +599,39 @@ mod tests {
     }
 
     #[test]
+    fn an_in_memory_index_keeps_its_options_across_swap_in() {
+        // Eight targets, so four partitions are not clamped away.
+        let snap = |shift: f32| Snapshot {
+            emb1: (0..16).map(|i| i as f32 + shift).collect(),
+            emb2: (0..16).map(|i| (i * 7 % 16) as f32).collect(),
+            names1: Vec::new(),
+            names2: Vec::new(),
+            ..tiny_snapshot()
+        };
+        let opts = IndexOptions {
+            nlist: 4,
+            cache_cap: 7,
+            ..IndexOptions::default()
+        };
+        let hot = HotSwapIndex::fixed_with(opts.build(snap(0.0)), opts);
+        hot.swap_in(snap(0.5));
+        let live = hot.current();
+        assert_eq!(live.index().generation(), snap(0.5).generation());
+        assert_eq!(live.index().ann().map(|ivf| ivf.nlist()), Some(4));
+        for entity in 0..8 {
+            live.query(entity, 1).unwrap();
+        }
+        assert_eq!(
+            live.recent_cache_keys(usize::MAX).len(),
+            7,
+            "cache capacity"
+        );
+    }
+
+    #[test]
     fn a_retired_generation_is_freed_by_its_last_holder() {
-        let hot = HotSwapIndex::fixed(IndexOptions::default().build(tiny_snapshot()));
+        let opts = IndexOptions::default();
+        let hot = HotSwapIndex::fixed_with(opts.build(tiny_snapshot()), opts);
         let held = hot.current();
         let weak = Arc::downgrade(&held);
         hot.swap_in({
@@ -690,7 +718,8 @@ mod tests {
     #[test]
     fn warming_replays_recent_keys_into_the_new_cache() {
         let snap = tiny_snapshot();
-        let hot = HotSwapIndex::fixed(IndexOptions::default().build(snap));
+        let opts = IndexOptions::default();
+        let hot = HotSwapIndex::fixed_with(opts.build(snap), opts);
         hot.current().query(0, 2).unwrap();
         hot.current().query(1, 1).unwrap();
         let outcome = hot.swap_in({

@@ -6,22 +6,23 @@ mod common;
 
 use common::{connect, http_get, read_response, tiny_snapshot};
 use openea_runtime::json::{self, Json};
-use openea_serve::{serve, AlignmentIndex, BatchIndex, ServerHandle, ServerOptions};
+use openea_serve::{serve_hot, HotSwapIndex, IndexOptions, ServerHandle, ServerOptions};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn tiny_index(seed: u64) -> Arc<BatchIndex> {
-    Arc::new(BatchIndex::new(
-        AlignmentIndex::new(tiny_snapshot(40, 50, 8, seed)),
-        2,
-        128,
-    ))
+/// The seed's tiny snapshot, served exactly with a 128-answer cache.
+fn tiny_index(seed: u64) -> Arc<HotSwapIndex> {
+    let opts = IndexOptions {
+        cache_cap: 128,
+        ..IndexOptions::default()
+    };
+    HotSwapIndex::fixed_with(opts.build(tiny_snapshot(40, 50, 8, seed)), opts)
 }
 
-fn start(index: Arc<BatchIndex>, opts: ServerOptions) -> ServerHandle {
-    serve(index, "127.0.0.1:0".parse().unwrap(), opts).expect("bind ephemeral port")
+fn start(index: Arc<HotSwapIndex>, opts: ServerOptions) -> ServerHandle {
+    serve_hot(index, "127.0.0.1:0".parse().unwrap(), opts).expect("bind ephemeral port")
 }
 
 fn get_i64(obj: &Json, key: &str) -> i64 {

@@ -18,12 +18,11 @@ use openea_core::{k_fold_splits, EntityId, KgPair};
 use openea_runtime::json::Json;
 use openea_runtime::rng::{SeedableRng, SmallRng};
 use openea_serve::{
-    serve, serve_hot, AlignmentIndex, BatchIndex, HotSwapIndex, IndexOptions, ServerOptions,
-    Snapshot, SnapshotError, SnapshotWriter,
+    serve_hot, BatchIndex, HotSwapIndex, IndexOptions, ServerOptions, Snapshot, SnapshotError,
+    SnapshotWriter,
 };
 use openea_synth::{DatasetFamily, EvolutionConfig, PresetConfig};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A scratch directory, removed on drop.
@@ -329,9 +328,12 @@ fn train_snapshot_serve_roundtrip_is_bit_identical_to_dense() {
 
     // 4. Serve it and hit it with concurrent keep-alive clients.
     let n1 = snap.num_queries();
-    let index = BatchIndex::new(AlignmentIndex::new(snap), 2, 128);
-    let mut handle = serve(
-        Arc::new(index),
+    let opts = IndexOptions {
+        cache_cap: 128,
+        ..IndexOptions::default()
+    };
+    let mut handle = serve_hot(
+        HotSwapIndex::fixed_with(opts.build(snap), opts),
         "127.0.0.1:0".parse().unwrap(),
         ServerOptions {
             workers: 4,

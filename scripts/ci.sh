@@ -119,8 +119,15 @@ cargo test --release --offline -p openea-approaches --lib -- \
     engine::tests common::proptests::validation_in_place boot::proptests \
     jape::tests::computed_ac2vec_view
 cargo test --release --offline -p openea-models --lib
+# Beside them, `FIG11_GOLDEN`: MTransE over each of the nine Figure-11
+# relation models and with its orthogonal map, on the golden fixture at
+# threads {1, 2, 8}, which pins every backbone `RelModelKind::build` makes.
+# It stands in for `fig11` in the byte-compare loop above: `openea-bench
+# fig11 --scale small --seed 7` takes 100–130 s on 2 vCPUs with the release
+# binary already built, and the `orthogonal` and `ablation` byte-compares
+# already cover MTransE-orthogonal and SEA.
 cargo test --release --offline -p openea --test approach_matrix -- self_training:: \
-    view_ablation_hashes engine::
+    view_ablation_hashes engine:: fig11_backbone_hashes
 cargo test --release --offline -p openea-serve --test server_e2e -- checkpoint \
     a_run_whose_writer_holds_the_best
 cargo test --release --offline -p openea-synth --lib

@@ -1,6 +1,7 @@
 //! Every registered approach must run end-to-end on every dataset family and
 //! beat random guessing. This is the library's broadest integration net.
 
+use openea::approaches::TrainError;
 use openea::prelude::*;
 use openea_runtime::rng::SeedableRng;
 use openea_runtime::rng::SmallRng;
@@ -134,6 +135,62 @@ fn golden_hashes_bit_identical_across_thread_counts() {
     assert!(
         diverged.is_empty(),
         "embedding hashes diverged from golden for {diverged:?}"
+    );
+}
+
+/// MTransE over every Figure-11 backbone, then TransE-backed MTransE with
+/// its orthogonal map: the table above reaches only the default. A backbone
+/// that diverges on this fixture pins its typed error instead of a hash.
+const FIG11_GOLDEN: [(&str, bool, Result<u64, TrainError>); 10] = [
+    ("TransE", false, Ok(0xa355c7feec9e21ea)),
+    ("TransH", false, Ok(0x220487c6484d65ef)),
+    ("TransR", false, Ok(0x85567a3d44f66d3c)),
+    ("TransD", false, Ok(0x3416218bd0e4e53d)),
+    ("HolE", false, Ok(0xb7a2c3a65ddc47fb)),
+    ("SimplE", false, Ok(0x6801fa0400176c53)),
+    ("RotatE", false, Ok(0x4dbb9b3681b1cfc8)),
+    ("ProjE", false, Ok(0x520fc4001b0932eb)),
+    ("ConvE", false, Ok(0x59807d738693d5bd)),
+    ("TransE", true, Ok(0x5d23482e788e4138)),
+];
+
+#[test]
+fn fig11_backbone_hashes_bit_identical_across_thread_counts() {
+    use openea::approaches::mtranse::{MTransE, RelModelKind};
+    let (pair, folds, mut cfg) = golden_fixture();
+    let runs = RelModelKind::FIGURE11
+        .into_iter()
+        .map(|kind| (kind, false))
+        .chain([(RelModelKind::TransE, true)]);
+    let mut diverged = Vec::new();
+    for ((model, orthogonal), &(label, ortho, want)) in runs.zip(&FIG11_GOLDEN) {
+        assert_eq!((model.label(), orthogonal), (label, ortho), "table order");
+        let approach = MTransE { model, orthogonal };
+        let mut got = Vec::new();
+        for threads in [1usize, 2, 8] {
+            cfg.threads = threads;
+            let ctx = RunContext::new(&cfg);
+            got.push(
+                approach
+                    .try_run(&pair, &folds[0], &cfg, &ctx)
+                    .map(|out| out.content_hash()),
+            );
+        }
+        assert!(
+            got.iter().all(|g| *g == got[0]),
+            "{label} (orthogonal: {orthogonal}): must be thread-invariant, got {got:x?}"
+        );
+        match got[0] {
+            Ok(h) => println!("    (\"{label}\", {orthogonal}, Ok({h:#018x})),"),
+            Err(e) => println!("    (\"{label}\", {orthogonal}, Err(TrainError::{e:?})),"),
+        }
+        if got[0] != want {
+            diverged.push((label, orthogonal));
+        }
+    }
+    assert!(
+        diverged.is_empty(),
+        "Figure-11 hashes diverged from golden for {diverged:?}"
     );
 }
 
