@@ -1,5 +1,5 @@
 //! Streaming top-k similarity search — the O(n·k) companion to the dense
-//! [`SimilarityMatrix`](crate::simmat::SimilarityMatrix).
+//! [`SimilarityMatrix`].
 //!
 //! Hits@k evaluation, CSLS neighborhood means, greedy/stable-marriage
 //! inference and BootEA's candidate refresh only ever need the `k` best

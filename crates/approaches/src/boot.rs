@@ -1,4 +1,4 @@
-//! Shared semi-supervised machinery: the self-training [`Ledger`] every
+//! Shared semi-supervised machinery: the self-training `Ledger` every
 //! semi-supervised driver keeps its rounds in, and proposing new aligned
 //! pairs from the current embeddings, with or without BootEA's conflict
 //! editing. A round reads its candidates' rows where they live — the trained

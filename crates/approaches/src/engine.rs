@@ -129,7 +129,7 @@ pub struct WarmStart<'a> {
     pub dim: usize,
     pub emb1: &'a [f32],
     pub emb2: &'a [f32],
-    /// [`Snapshot::generation`] of the snapshot these parameters came from;
+    /// `Snapshot::generation` (`openea-serve`) of the snapshot these parameters came from;
     /// stamped into the output's [`Lineage`].
     pub parent_generation: u64,
     /// Cumulative epochs already spent producing these parameters.

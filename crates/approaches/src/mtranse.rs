@@ -61,21 +61,28 @@ impl RelModelKind {
 
     /// This model over `n` entities and `r` relations at `dim`, initialised
     /// from `SmallRng::seed_from_u64(seed)`. SimplE embeds at `dim / 2` per
-    /// half; the translational and deep models train at margin 1.0, RotatE
-    /// at 2.0.
-    pub fn build(self, n: usize, r: usize, dim: usize, seed: u64) -> Box<dyn RelationModel> {
+    /// half; the translational and deep models train at `margin`, RotatE at
+    /// twice it (2.0 at the default 1.0).
+    pub fn build(
+        self,
+        n: usize,
+        r: usize,
+        dim: usize,
+        margin: f32,
+        seed: u64,
+    ) -> Box<dyn RelationModel> {
         let rng = &mut SmallRng::seed_from_u64(seed);
         match self {
-            RelModelKind::TransE => Box::new(TransE::new(n, r, dim, 1.0, rng)),
-            RelModelKind::TransH => Box::new(TransH::new(n, r, dim, 1.0, rng)),
-            RelModelKind::TransR => Box::new(TransR::new(n, r, dim, 1.0, rng)),
-            RelModelKind::TransD => Box::new(TransD::new(n, r, dim, 1.0, rng)),
+            RelModelKind::TransE => Box::new(TransE::new(n, r, dim, margin, rng)),
+            RelModelKind::TransH => Box::new(TransH::new(n, r, dim, margin, rng)),
+            RelModelKind::TransR => Box::new(TransR::new(n, r, dim, margin, rng)),
+            RelModelKind::TransD => Box::new(TransD::new(n, r, dim, margin, rng)),
             RelModelKind::DistMult => Box::new(DistMult::new(n, r, dim, rng)),
             RelModelKind::HolE => Box::new(HolE::new(n, r, dim, rng)),
             RelModelKind::SimplE => Box::new(SimplE::new(n, r, dim / 2, rng)),
-            RelModelKind::RotatE => Box::new(RotatE::new(n, r, dim, 2.0, rng)),
-            RelModelKind::ProjE => Box::new(ProjE::new(n, r, dim, 1.0, rng)),
-            RelModelKind::ConvE => Box::new(ConvE::new(n, r, dim, 1.0, rng)),
+            RelModelKind::RotatE => Box::new(RotatE::new(n, r, dim, 2.0 * margin, rng)),
+            RelModelKind::ProjE => Box::new(ProjE::new(n, r, dim, margin, rng)),
+            RelModelKind::ConvE => Box::new(ConvE::new(n, r, dim, margin, rng)),
         }
     }
 }
@@ -144,7 +151,7 @@ mod tests {
     #[test]
     fn builds_models_of_right_shape() {
         for kind in RelModelKind::FIGURE11 {
-            let m = kind.build(10, 3, 16, 1);
+            let m = kind.build(10, 3, 16, 1.0, 1);
             assert_eq!(m.num_entities(), 10, "{}", kind.label());
             // Entity dim may exceed the nominal dim (SimplE halves then
             // doubles; RotatE interleaves), but must be nonzero.

@@ -46,7 +46,7 @@ pub(crate) fn run(
 ) -> Result<ApproachOutput, TrainError> {
     let build = |kg: &KnowledgeGraph, stream| {
         let (n, r) = (kg.num_entities(), kg.num_relations().max(1));
-        model.build(n, r, cfg.dim, ctx.model_seed(stream))
+        model.build(n, r, cfg.dim, cfg.margin, ctx.model_seed(stream))
     };
     let (m1, m2) = (build(&pair.kg1, 1), build(&pair.kg2, 2));
     let mut hooks = Hooks {

@@ -123,8 +123,6 @@ enum Op {
     AddRow(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
-    /// `[n,c] ⊙ [1,c]` broadcast over rows.
-    MulRow(Var, Var),
     Scale(Var, f32),
     /// `1 − x`, the complement of a gate.
     OneMinus(Var),
@@ -198,7 +196,7 @@ impl Op {
     /// reads a value this does not list panics on it: `value_of`.)
     fn reads(&self) -> ([Option<Var>; 2], bool) {
         match *self {
-            Op::Mul(a, b) | Op::MulRow(a, b) | Op::Matmul(a, b) => ([Some(a), Some(b)], false),
+            Op::Mul(a, b) | Op::Matmul(a, b) => ([Some(a), Some(b)], false),
             Op::Propagate(_, h, w, act) => ([Some(h), Some(w)], act == Act::Tanh),
             Op::Conv2d { input, filters, .. } => ([Some(input), Some(filters)], false),
             Op::Relu(a) | Op::Abs(a) | Op::SoftmaxCe(a, _) => ([Some(a), None], false),
@@ -449,34 +447,24 @@ impl Graph {
     }
 
     /// `f(a[i,j], row[j])`: a row vector broadcast over the rows of `a`.
-    fn zip_row(
-        &mut self,
-        a: Var,
-        row: Var,
-        what: &str,
-        op: Op,
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Var {
+    pub fn add(&mut self, a: Var, b: Var) -> Var {
+        self.zip(a, b, "add", Op::Add(a, b), |x, y| x + y)
+    }
+
+    /// `[n,c] + [1,c]`: `row` added to every row of `a`.
+    pub fn add_row(&mut self, a: Var, row: Var) -> Var {
         let (ta, tr) = (value_of(&self.nodes, a), value_of(&self.nodes, row));
         assert_eq!(tr.rows, 1, "broadcast operand must be a row vector");
-        assert_eq!(ta.cols, tr.cols, "{what} width mismatch");
+        assert_eq!(ta.cols, tr.cols, "add_row width mismatch");
         let (rows, cols) = (ta.rows, ta.cols);
         let mut out = self.pool.take(ta.len());
         for i in 0..rows {
             let orow = &mut out[i * cols..(i + 1) * cols];
             for ((o, &x), &b) in orow.iter_mut().zip(ta.row(i)).zip(&tr.data) {
-                *o = f(x, b);
+                *o = x + b;
             }
         }
-        self.push(rows, cols, out, op)
-    }
-
-    pub fn add(&mut self, a: Var, b: Var) -> Var {
-        self.zip(a, b, "add", Op::Add(a, b), |x, y| x + y)
-    }
-
-    pub fn add_row(&mut self, a: Var, row: Var) -> Var {
-        self.zip_row(a, row, "add_row", Op::AddRow(a, row), |x, b| x + b)
+        self.push(rows, cols, out, Op::AddRow(a, row))
     }
 
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
@@ -485,10 +473,6 @@ impl Graph {
 
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         self.zip(a, b, "mul", Op::Mul(a, b), |x, y| x * y)
-    }
-
-    pub fn mul_row(&mut self, a: Var, row: Var) -> Var {
-        self.zip_row(a, row, "mul_row", Op::MulRow(a, row), |x, b| x * b)
     }
 
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
@@ -906,25 +890,6 @@ fn step(node: &Node, mut g: Vec<f32>, inputs: &mut [Node], sparse: &[Constant], 
             }
             accum_owned(&mut inputs[a.0], pool, ga);
             accum_owned(&mut inputs[b.0], pool, g);
-        }
-        Op::MulRow(a, row) => {
-            let cols = value.cols;
-            let mut gr = pool.zeroed(cols);
-            let ta = value_of(inputs, a);
-            for i in 0..value.rows {
-                let span = i * cols..(i + 1) * cols;
-                for ((o, &x), &y) in gr.iter_mut().zip(&g[span.clone()]).zip(&ta.data[span]) {
-                    *o += x * y;
-                }
-            }
-            let tr = value_of(inputs, row);
-            for i in 0..value.rows {
-                for (x, &y) in g[i * cols..(i + 1) * cols].iter_mut().zip(&tr.data) {
-                    *x *= y;
-                }
-            }
-            accum_owned(&mut inputs[a.0], pool, g);
-            accum_owned(&mut inputs[row.0], pool, gr);
         }
         Op::Scale(a, s) => {
             for x in g.iter_mut() {
@@ -1459,7 +1424,7 @@ mod tests {
                 let a = g.leaf(x.clone());
                 let r = g.leaf(rand_tensor(1, 3, 103));
                 let y = g.add_row(a, r);
-                let z = g.mul_row(y, r);
+                let z = g.mul(y, y);
                 g.mean(z)
             },
             rand_tensor(4, 3, 4),
@@ -1469,8 +1434,9 @@ mod tests {
             |g, x| {
                 let r = g.leaf(x.clone());
                 let a = g.leaf(rand_tensor(4, 3, 104));
-                let y = g.mul_row(a, r);
-                g.sum(y)
+                let y = g.add_row(a, r);
+                let z = g.mul(y, a);
+                g.sum(z)
             },
             rand_tensor(1, 3, 5),
         );

@@ -583,7 +583,7 @@ pub fn alinet(cfg: &HarnessConfig) {
 }
 
 /// Exploratory: sensitivity to the seed-alignment fraction. The paper fixes
-/// 20% training seeds ("conform[s] to the real world" — Sect. 5.1); this
+/// 20% training seeds ("conform\[s\] to the real world" — Sect. 5.1); this
 /// sweep shows how each learning strategy degrades as seeds get scarce,
 /// the motivation behind semi-supervised and unsupervised alignment.
 pub fn seeds(cfg: &HarnessConfig) {

@@ -29,16 +29,20 @@ pub enum Scale {
     Large,
 }
 
-impl Scale {
-    pub fn parse(s: &str) -> Option<Scale> {
+impl std::str::FromStr for Scale {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "small" => Some(Scale::Small),
-            "medium" => Some(Scale::Medium),
-            "large" => Some(Scale::Large),
-            _ => None,
+            "small" => Ok(Scale::Small),
+            "medium" => Ok(Scale::Medium),
+            "large" => Ok(Scale::Large),
+            _ => Err("expected small, medium or large"),
         }
     }
+}
 
+impl Scale {
     /// Entities per KG of the "15K-analog" datasets.
     pub fn base_entities(self) -> usize {
         match self {
@@ -97,17 +101,10 @@ impl Default for HarnessConfig {
             scale: Scale::Small,
             seed: 7,
             out_dir: Some(PathBuf::from("results")),
-            threads: num_threads(),
+            threads: openea_runtime::pool::num_threads(),
             deadline_s: None,
         }
     }
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(16)
 }
 
 impl HarnessConfig {
@@ -154,10 +151,10 @@ mod tests {
 
     #[test]
     fn scale_parsing() {
-        assert_eq!(Scale::parse("small"), Some(Scale::Small));
-        assert_eq!(Scale::parse("medium"), Some(Scale::Medium));
-        assert_eq!(Scale::parse("large"), Some(Scale::Large));
-        assert_eq!(Scale::parse("huge"), None);
+        assert_eq!("small".parse(), Ok(Scale::Small));
+        assert_eq!("medium".parse(), Ok(Scale::Medium));
+        assert_eq!("large".parse(), Ok(Scale::Large));
+        assert!("huge".parse::<Scale>().is_err());
     }
 
     #[test]

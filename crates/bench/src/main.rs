@@ -1,66 +1,37 @@
-//! `openea-bench`: regenerate the paper's tables and figures.
-//!
-//! ```text
-//! openea-bench <experiment> [--scale small|medium|large] [--seed N]
-//!              [--out DIR | --no-out] [--include-large] [--deadline SECS]
-//!
-//! experiments:
-//!   table2 table3 table4 table5 table6 table7 table8 table9
-//!   fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-//!   ablation unsupervised blocking alinet seeds orthogonal
-//!   all        (everything; fig8 reuses table5's timings)
-//! ```
+//! `openea-bench`: regenerate the paper's tables and figures, one
+//! experiment per run (`USAGE` below). `all` runs every one; `fig8` then
+//! reuses `table5`'s timings.
 
-use openea_bench::{figures, tables, HarnessConfig, Scale};
+use openea_bench::{figures, tables, HarnessConfig};
+use openea_runtime::cli::{die, Args};
+
+const USAGE: &str = "openea-bench — regenerate the OpenEA paper's tables and figures
+
+usage: openea-bench <experiment> [--scale small|medium|large] [--seed N]
+                    [--out DIR | --no-out] [--include-large] [--deadline SECS]
+
+experiments: table2 table3 table4 table5 table6 table7 table8 table9
+             fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
+             ablation unsupervised blocking alinet seeds orthogonal all";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
-        print_usage();
+    let mut args = Args::from_env(USAGE, &["no-out", "include-large"]);
+    if args.is_empty() {
+        println!("{USAGE}");
         return;
     }
-    let experiment = args[0].clone();
-    let mut cfg = HarnessConfig::default();
-    let mut include_large = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                cfg.scale = args
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| die("--scale needs small|medium|large"));
-            }
-            "--seed" => {
-                i += 1;
-                cfg.seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs a number"));
-            }
-            "--out" => {
-                i += 1;
-                cfg.out_dir = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--out needs a path"))
-                        .into(),
-                );
-            }
-            "--no-out" => cfg.out_dir = None,
-            "--include-large" => include_large = true,
-            "--deadline" => {
-                i += 1;
-                cfg.deadline_s = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--deadline needs seconds")),
-                );
-            }
-            other => die(&format!("unknown option {other}")),
-        }
-        i += 1;
-    }
+    let experiment: String = args.positional("experiment");
+    let defaults = HarnessConfig::default();
+    let out_dir = args.value("out").or(defaults.out_dir);
+    let cfg = HarnessConfig {
+        scale: args.value_or("scale", defaults.scale),
+        seed: args.value_or("seed", defaults.seed),
+        out_dir: if args.flag("no-out") { None } else { out_dir },
+        deadline_s: args.value("deadline"),
+        ..defaults
+    };
+    let include_large = args.flag("include-large");
+    args.finish();
 
     println!(
         "openea-bench: experiment={experiment} scale={:?} seed={} (see EXPERIMENTS.md for expected shapes)\n",
@@ -113,26 +84,10 @@ fn main() {
             figures::blocking(&cfg);
             figures::alinet(&cfg);
         }
-        other => die(&format!("unknown experiment {other}")),
+        other => die(format_args!("unknown experiment {other}")),
     }
     println!(
         "\n[{experiment} done in {:.1}s]",
         t0.elapsed().as_secs_f64()
     );
-}
-
-fn print_usage() {
-    println!(
-        "openea-bench — regenerate the OpenEA paper's tables and figures\n\n\
-         usage: openea-bench <experiment> [--scale small|medium|large] [--seed N]\n\
-                [--out DIR | --no-out] [--include-large] [--deadline SECS]\n\n\
-         experiments: table2 table3 table4 table5 table6 table7 table8 table9\n\
-                      fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12\n\
-                      ablation unsupervised blocking alinet seeds orthogonal all"
-    );
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
 }

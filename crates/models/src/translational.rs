@@ -300,8 +300,8 @@ impl RelationModel for TransE {
 /// leave the bits that recording a whole batch with `pair_gradients` and
 /// replaying it with `apply_gradients` leaves (`tests/trainer_equivalence.rs`).
 impl PairGradients for TransE {
-    /// Allocation-free: losses stream through [`TransE::phi`] and the
-    /// deltas recompute the difference vectors inside [`TransE::emit`].
+    /// Allocation-free: losses stream through `TransE::phi` and the
+    /// deltas recompute the difference vectors inside `TransE::emit`.
     fn pair_gradients(&self, pos: RawTriple, neg: RawTriple, lr: f32, out: &mut Gradients) -> f32 {
         let (loss, gp, gn) = self.loss_terms(self.phi(pos), self.phi(neg));
         if loss > 0.0 {

@@ -1,83 +1,42 @@
-//! `openea-cli`: run entity alignment on datasets in the OpenEA disk format.
-//!
-//! ```text
-//! openea-cli generate --family EN-FR --entities 1000 --out DIR [--dense] [--seed N]
-//!     Generate a synthetic benchmark dataset (with 5-fold splits) into DIR.
-//!
-//! openea-cli sample --source DIR --target N --out DIR [--sampler ids|ras|prs]
-//!     Sample a smaller dataset from a source dataset directory.
-//!
-//! openea-cli stats --dataset DIR
-//!     Print Table-2-style statistics for a dataset directory.
-//!
-//! openea-cli run --dataset DIR --approach NAME [--fold K] [--epochs N]
-//!                [--dim D] [--out FILE] [--csls] [--stable-marriage]
-//!     Train an approach on fold K and write/print the predicted alignment
-//!     and its evaluation.
-//!
-//! openea-cli conventional --dataset DIR --system paris|logmap [--out FILE]
-//!     Run an unsupervised conventional system on the dataset.
-//! ```
+//! `openea-cli`: run entity alignment on datasets in the OpenEA disk format
+//! — generate a synthetic pair with its 5-fold splits, sample a smaller one,
+//! print Table-2 statistics, train an approach on a fold and write its
+//! predicted alignment, or run a conventional system. `USAGE` below lists
+//! every command's options; one a command does not read is refused, as is a
+//! value that does not parse (`error: …`, exit status 2).
 
 use openea::core::io;
 use openea::prelude::*;
+use openea_runtime::cli::{die, Args};
 use openea_runtime::rng::SeedableRng;
 use openea_runtime::rng::SmallRng;
-use std::collections::HashMap;
 use std::path::PathBuf;
 
+const USAGE: &str = "openea-cli — entity alignment on OpenEA-format datasets
+
+commands:
+  generate     --family EN-FR --entities N --out DIR [--dense] [--seed N]
+  sample       --source DIR --target N --out DIR [--sampler ids|ras|prs] [--seed N]
+  stats        --dataset DIR
+  run          --dataset DIR --approach NAME [--fold K] [--epochs N] [--dim D]
+               [--out FILE] [--csls] [--stable-marriage]
+  conventional --dataset DIR --system paris|logmap [--out FILE]";
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let Some(command) = args.next() else {
-        usage();
+    let mut args = Args::from_env(USAGE, &["dense", "csls", "stable-marriage"]);
+    if args.is_empty() {
+        println!("{USAGE}");
         return;
-    };
-    let opts = parse_opts(args.collect());
-    match command.as_str() {
-        "generate" => generate(&opts),
-        "sample" => sample(&opts),
-        "stats" => stats(&opts),
-        "run" => run(&opts),
-        "conventional" => conventional(&opts),
-        "--help" | "-h" | "help" => usage(),
-        other => die(&format!("unknown command {other}")),
     }
-}
-
-type Opts = HashMap<String, String>;
-
-fn parse_opts(args: Vec<String>) -> Opts {
-    let mut opts = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].trim_start_matches("--").to_owned();
-        if !args[i].starts_with("--") {
-            die(&format!("expected an option, got {}", args[i]));
-        }
-        // Flags without values.
-        let flag_only = matches!(key.as_str(), "dense" | "csls" | "stable-marriage");
-        if flag_only {
-            opts.insert(key, "true".to_owned());
-            i += 1;
-        } else {
-            let value = args
-                .get(i + 1)
-                .unwrap_or_else(|| die(&format!("--{key} needs a value")));
-            opts.insert(key, value.clone());
-            i += 2;
-        }
+    match args.positional::<String>("command").as_str() {
+        "generate" => generate(args),
+        "sample" => sample(args),
+        "stats" => stats(args),
+        "run" => run(args),
+        "conventional" => conventional(args),
+        "help" => println!("{USAGE}"),
+        other => die(format_args!("unknown command {other}")),
     }
-    opts
-}
-
-fn get<'a>(opts: &'a Opts, key: &str) -> &'a str {
-    opts.get(key)
-        .map(|s| s.as_str())
-        .unwrap_or_else(|| die(&format!("missing --{key}")))
-}
-
-fn get_or<'a>(opts: &'a Opts, key: &str, default: &'a str) -> &'a str {
-    opts.get(key).map(|s| s.as_str()).unwrap_or(default)
 }
 
 fn parse_family(s: &str) -> DatasetFamily {
@@ -86,26 +45,26 @@ fn parse_family(s: &str) -> DatasetFamily {
         "EN-DE" | "ENDE" => DatasetFamily::EnDe,
         "D-W" | "DW" => DatasetFamily::DW,
         "D-Y" | "DY" => DatasetFamily::DY,
-        other => die(&format!("unknown family {other} (EN-FR, EN-DE, D-W, D-Y)")),
+        other => die(format_args!(
+            "--family: unknown family {other} (EN-FR, EN-DE, D-W, D-Y)"
+        )),
     }
 }
 
-fn generate(opts: &Opts) {
-    let family = parse_family(get(opts, "family"));
-    let entities: usize = get(opts, "entities")
-        .parse()
-        .unwrap_or_else(|_| die("--entities must be a number"));
-    let out = PathBuf::from(get(opts, "out"));
-    let dense = opts.contains_key("dense");
-    let seed: u64 = get_or(opts, "seed", "7")
-        .parse()
-        .unwrap_or_else(|_| die("--seed must be a number"));
+fn generate(mut args: Args) {
+    let family: String = args.required("family");
+    let entities: usize = args.required("entities");
+    let out: PathBuf = args.required("out");
+    let dense = args.flag("dense");
+    let seed = args.value_or("seed", 7u64);
+    args.finish();
+    let family = parse_family(&family);
 
     let pair = PresetConfig::new(family, entities, dense, seed).generate();
     let mut rng = SmallRng::seed_from_u64(seed);
     let folds = k_fold_splits(&pair.alignment, 5, &mut rng);
-    io::write_pair(&out, &pair).unwrap_or_else(|e| die(&e.to_string()));
-    io::write_folds(&out, &pair, &folds).unwrap_or_else(|e| die(&e.to_string()));
+    io::write_pair(&out, &pair).unwrap_or_else(|e| die(e));
+    io::write_folds(&out, &pair, &folds).unwrap_or_else(|e| die(e));
     println!(
         "wrote {} ({} entities per KG, {} aligned, {} folds) to {}",
         family.label(),
@@ -116,20 +75,17 @@ fn generate(opts: &Opts) {
     );
 }
 
-fn sample(opts: &Opts) {
-    let source_dir = get(opts, "source");
-    let target: usize = get(opts, "target")
-        .parse()
-        .unwrap_or_else(|_| die("--target must be a number"));
-    let out = PathBuf::from(get(opts, "out"));
-    let sampler = get_or(opts, "sampler", "ids");
-    let seed: u64 = get_or(opts, "seed", "7")
-        .parse()
-        .unwrap_or_else(|_| die("--seed must be a number"));
+fn sample(mut args: Args) {
+    let source_dir: String = args.required("source");
+    let target: usize = args.required("target");
+    let out: PathBuf = args.required("out");
+    let sampler = args.value_or("sampler", "ids".to_owned());
+    let seed = args.value_or("seed", 7u64);
+    args.finish();
 
-    let source = io::read_pair(source_dir).unwrap_or_else(|e| die(&e.to_string()));
+    let source = io::read_pair(&source_dir).unwrap_or_else(|e| die(e));
     let mut rng = SmallRng::seed_from_u64(seed);
-    let sampled = match sampler {
+    let sampled = match sampler.as_str() {
         "ids" => {
             let outcome = ids_sample(
                 &source,
@@ -147,7 +103,9 @@ fn sample(opts: &Opts) {
         }
         "ras" => ras_sample(&source, target, &mut rng),
         "prs" => prs_sample(&source, target, &mut rng),
-        other => die(&format!("unknown sampler {other} (ids, ras, prs)")),
+        other => die(format_args!(
+            "--sampler: unknown sampler {other} (ids, ras, prs)"
+        )),
     };
     let (q1, q2) = sample_quality(&source, &sampled);
     for q in [q1, q2] {
@@ -161,8 +119,8 @@ fn sample(opts: &Opts) {
         );
     }
     let folds = k_fold_splits(&sampled.alignment, 5, &mut rng);
-    io::write_pair(&out, &sampled).unwrap_or_else(|e| die(&e.to_string()));
-    io::write_folds(&out, &sampled, &folds).unwrap_or_else(|e| die(&e.to_string()));
+    io::write_pair(&out, &sampled).unwrap_or_else(|e| die(e));
+    io::write_folds(&out, &sampled, &folds).unwrap_or_else(|e| die(e));
     println!(
         "wrote {} aligned entities to {}",
         sampled.num_aligned(),
@@ -170,8 +128,10 @@ fn sample(opts: &Opts) {
     );
 }
 
-fn stats(opts: &Opts) {
-    let pair = io::read_pair(get(opts, "dataset")).unwrap_or_else(|e| die(&e.to_string()));
+fn stats(mut args: Args) {
+    let dir: String = args.required("dataset");
+    args.finish();
+    let pair = io::read_pair(&dir).unwrap_or_else(|e| die(e));
     println!(
         "{:>6} {:>7} {:>7} {:>9} {:>9} {:>7} {:>10}",
         "KG", "#Rel.", "#Att.", "#Rel tr.", "#Att tr.", "Deg.", "Isolates"
@@ -192,12 +152,24 @@ fn stats(opts: &Opts) {
     println!("reference alignment: {}", pair.num_aligned());
 }
 
-fn run(opts: &Opts) {
-    let dir = get(opts, "dataset");
-    let name = get(opts, "approach");
-    let approach = approach_by_name(name).unwrap_or_else(|| {
-        die(&format!(
-            "unknown approach {name}; available: {}",
+fn run(mut args: Args) {
+    let dir: String = args.required("dataset");
+    let name: String = args.required("approach");
+    let fold = args.value_or("fold", 0usize);
+    let defaults = RunConfig::default();
+    let cfg = RunConfig {
+        max_epochs: args.value_or("epochs", defaults.max_epochs),
+        dim: args.value_or("dim", defaults.dim),
+        ..defaults
+    };
+    let out_path: Option<String> = args.value("out");
+    let stable = args.flag("stable-marriage");
+    let csls = args.flag("csls");
+    args.finish();
+
+    let approach = approach_by_name(&name).unwrap_or_else(|| {
+        die(format_args!(
+            "--approach: unknown approach {name}; available: {}",
             all_approaches()
                 .iter()
                 .map(|a| a.name())
@@ -205,11 +177,8 @@ fn run(opts: &Opts) {
                 .join(", ")
         ))
     });
-    let fold: usize = get_or(opts, "fold", "0")
-        .parse()
-        .unwrap_or_else(|_| die("--fold must be a number"));
-    let pair = io::read_pair(dir).unwrap_or_else(|e| die(&e.to_string()));
-    let mut folds = io::read_folds(dir, &pair).unwrap_or_else(|e| die(&e.to_string()));
+    let pair = io::read_pair(&dir).unwrap_or_else(|e| die(e));
+    let mut folds = io::read_folds(&dir, &pair).unwrap_or_else(|e| die(e));
     if folds.is_empty() {
         println!("no 721_5fold splits found; creating a fresh 20/10/70 split");
         let mut rng = SmallRng::seed_from_u64(7);
@@ -219,15 +188,6 @@ fn run(opts: &Opts) {
         .get(fold)
         .unwrap_or_else(|| die("--fold out of range"));
 
-    let mut cfg = RunConfig::default();
-    if let Some(e) = opts.get("epochs") {
-        cfg.max_epochs = e
-            .parse()
-            .unwrap_or_else(|_| die("--epochs must be a number"));
-    }
-    if let Some(d) = opts.get("dim") {
-        cfg.dim = d.parse().unwrap_or_else(|_| die("--dim must be a number"));
-    }
     println!(
         "training {} on fold {fold} ({} seeds)...",
         approach.name(),
@@ -252,8 +212,7 @@ fn run(opts: &Opts) {
     // Greedy reads each source's best target; stable marriage proposes down
     // full lists and CSLS re-ranks them, so both keep every target — the
     // streamed lists are then exact, without the `test × test` matrix.
-    let stable = opts.contains_key("stable-marriage");
-    let ranked = if opts.contains_key("csls") {
+    let ranked = if csls {
         let (src, dst) = out.gather(&sources, &targets);
         let cols = targets.len();
         csls_topk(&src, &dst, out.dim, out.metric, 10, cols, cfg.threads)
@@ -279,10 +238,9 @@ fn run(opts: &Opts) {
             })
         })
         .collect();
-    match opts.get("out") {
+    match out_path {
         Some(path) => {
-            std::fs::write(path, predictions.join("\n") + "\n")
-                .unwrap_or_else(|e| die(&e.to_string()));
+            std::fs::write(&path, predictions.join("\n") + "\n").unwrap_or_else(|e| die(e));
             println!("wrote {} predicted pairs to {path}", predictions.len());
         }
         None => println!(
@@ -292,13 +250,19 @@ fn run(opts: &Opts) {
     }
 }
 
-fn conventional(opts: &Opts) {
-    let pair = io::read_pair(get(opts, "dataset")).unwrap_or_else(|e| die(&e.to_string()));
-    let system = get(opts, "system");
-    let predicted = match system {
+fn conventional(mut args: Args) {
+    let dir: String = args.required("dataset");
+    let system: String = args.required("system");
+    let out_path: Option<String> = args.value("out");
+    args.finish();
+
+    let pair = io::read_pair(&dir).unwrap_or_else(|e| die(e));
+    let predicted = match system.as_str() {
         "paris" => Paris::default().align(&pair),
         "logmap" => LogMap::default().align(&pair),
-        other => die(&format!("unknown system {other} (paris, logmap)")),
+        other => die(format_args!(
+            "--system: unknown system {other} (paris, logmap)"
+        )),
     };
     let gold: std::collections::HashSet<(u32, u32)> =
         pair.alignment.iter().map(|&(a, b)| (a.0, b.0)).collect();
@@ -311,30 +275,12 @@ fn conventional(opts: &Opts) {
         prf.recall,
         prf.f1
     );
-    if let Some(path) = opts.get("out") {
+    if let Some(path) = out_path {
         let lines: Vec<String> = predicted
             .iter()
             .map(|&(a, b)| format!("{}\t{}", pair.kg1.entity_name(a), pair.kg2.entity_name(b)))
             .collect();
-        std::fs::write(path, lines.join("\n") + "\n").unwrap_or_else(|e| die(&e.to_string()));
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap_or_else(|e| die(e));
         println!("wrote predictions to {path}");
     }
-}
-
-fn usage() {
-    println!(
-        "openea-cli — entity alignment on OpenEA-format datasets\n\n\
-         commands:\n\
-           generate     --family EN-FR --entities N --out DIR [--dense] [--seed N]\n\
-           sample       --source DIR --target N --out DIR [--sampler ids|ras|prs]\n\
-           stats        --dataset DIR\n\
-           run          --dataset DIR --approach NAME [--fold K] [--epochs N] [--dim D]\n\
-                        [--out FILE] [--csls] [--stable-marriage]\n\
-           conventional --dataset DIR --system paris|logmap [--out FILE]"
-    );
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
 }

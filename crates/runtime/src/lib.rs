@@ -3,7 +3,7 @@
 //! The std-only substrate beneath every other crate of the workspace. The
 //! repository's design contract is "every substrate implemented here"; this
 //! crate is where that bottoms out, replacing what used to be crates.io
-//! dependencies with seven small, fully deterministic subsystems:
+//! dependencies with eight small, fully deterministic subsystems:
 //!
 //! - [`rng`] — a seedable pseudo-random generator ([`rng::splitmix64`]
 //!   seeding into xoshiro256**) behind `rand`-style traits: [`rng::Rng`],
@@ -29,6 +29,8 @@
 //! - [`os`] — the one sanctioned raw-OS-call site: a safe, level-triggered
 //!   epoll [`os::Poller`] plus a self-pipe [`os::Waker`], the readiness
 //!   primitive under the event-driven serving core (Linux only).
+//! - [`cli`] — the binaries' command line: options, flags and positional
+//!   words read by name, then one check that refuses whatever nothing read.
 //!
 //! ```
 //! use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
@@ -38,6 +40,7 @@
 //! assert_eq!(a.gen_range(0..1000u32), b.gen_range(0..1000u32));
 //! ```
 
+pub mod cli;
 pub mod hash;
 pub mod json;
 pub mod os;

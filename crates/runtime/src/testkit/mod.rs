@@ -1,7 +1,7 @@
 //! Property-based testing with shrinking.
 //!
 //! The in-tree replacement for `proptest`. A property is an
-//! ordinary `#[test]` written through the [`props!`] macro: each parameter
+//! ordinary `#[test]` written through the [`props!`](crate::props) macro: each parameter
 //! names a [`Gen`] (value generator), the harness runs the body over many
 //! generated inputs, and on failure it *shrinks* — greedily walking toward
 //! the smallest input that still fails before reporting it.
@@ -472,7 +472,7 @@ fn shrink_failure<G: Gen>(
     (value, msg, steps)
 }
 
-/// Everything a property-test module needs: the [`props!`] /
+/// Everything a property-test module needs: the [`props!`](crate::props) /
 /// `prop_assert*` macros, the generator constructors and the [`Gen`] trait.
 pub mod prelude {
     pub use super::{any_bool, string_of, vec_of, Gen, PropFail, PropResult};

@@ -4,13 +4,13 @@
 //! ## Architecture
 //!
 //! One reactor thread owns every socket and multiplexes them through the
-//! level-triggered [`Poller`](openea_runtime::os::Poller): it accepts,
+//! level-triggered [`Poller`]: it accepts,
 //! reads into the incremental parser ([`crate::conn`]), answers cheap
 //! routes (`/health`, `/stats`, parameter errors) inline, and dispatches
 //! `/align` and `/admin/reload` work to a small pool of compute workers
 //! over a bounded job queue. Workers never touch sockets: they compute,
 //! encode the response bytes, push a completion record, and wake the
-//! reactor through its self-pipe [`Waker`](openea_runtime::os::Waker).
+//! reactor through its self-pipe [`Waker`].
 //! Each open connection costs one fd, one parser buffer and one slab
 //! slot — no thread, no stack — so the concurrency ceiling is `max_conns`,
 //! not a thread count.
@@ -26,7 +26,7 @@
 //! Nothing downstream re-batches or waits for more arrivals, so a lone
 //! request costs exactly its own sweep. Responses are encoded in request
 //! order, so pipelining is invisible to the client except in throughput
-//! ([`Telemetry::pipelined_batches`] counts the multi-request jobs).
+//! (`/stats`' `pipelined_batches` counts the multi-request jobs).
 //!
 //! At most one job per connection is in flight at a time; further parsed
 //! requests queue on the connection (bounded by

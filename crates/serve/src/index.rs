@@ -103,7 +103,7 @@ impl Probe {
         }
     }
 
-    /// Inverse of [`Probe::code`]: reconstructs the probe an answer (or a
+    /// Inverse of the cache-key encoding (0 for exact, else the width): reconstructs the probe an answer (or a
     /// cache key) was computed under. Used by hot-swap warming to replay a
     /// retiring index's hottest keys with their exact probes.
     pub fn from_code(code: u32) -> Self {
@@ -253,7 +253,7 @@ impl AlignmentIndex {
 
 /// Cache key: the full identity of an answer. `metric` is part of the key
 /// so a cache can never hand back scores computed under another
-/// similarity; `probe` ([`Probe::code`]: 0 = exact, else the width) so
+/// similarity; `probe` (0 = exact, else the width) so
 /// approximate and exact answers never alias; `generation` so answers
 /// never survive a snapshot reload.
 #[derive(Clone, Copy, Debug, Hash, PartialEq, Eq)]
@@ -261,7 +261,8 @@ pub struct CacheKey {
     pub entity: u32,
     pub k: u32,
     pub metric: Metric,
-    /// [`Probe::code`] of the probe that produced the answer.
+    /// Cache-key encoding of the probe that produced the answer (see
+    /// [`Probe::from_code`]).
     pub probe: u32,
     /// [`Snapshot::generation`] of the snapshot that produced the answer.
     pub generation: u64,

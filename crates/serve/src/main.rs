@@ -1,135 +1,91 @@
 //! `openea-serve` — load a snapshot and serve alignment queries over HTTP,
 //! with zero-downtime hot-swap of the artifact.
 
+use openea_runtime::cli::Args;
 use openea_serve::{serve_hot, HotSwapIndex, IndexOptions, ServerOptions};
-use std::net::SocketAddr;
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 use std::path::PathBuf;
 use std::process::exit;
 use std::time::Duration;
 
-const USAGE: &str = "usage: openea-serve <snapshot.snap | snapshot.manifest> [options]
+/// The usage text, with the defaults `ServerOptions` and `IndexOptions` hold.
+fn usage(server: &ServerOptions, index: &IndexOptions) -> String {
+    format!(
+        "usage: openea-serve <snapshot.snap | snapshot.manifest> [options]
 
 A `.manifest` path loads a sharded snapshot (shard files resolved next to
 the manifest); any other path loads a monolithic snapshot.
 
 options:
-  --addr HOST:PORT   bind address          (default 127.0.0.1:7077)
-  --workers N        compute worker threads (default 4)
+  --addr HOST:PORT   bind address          (default {ADDR})
+  --workers N        compute worker threads (default {workers})
   --max-conns N      open-connection ceiling; 503 above it
-                     (default 8192, 0 = unlimited)
+                     (default {max_conns}, 0 = unlimited)
   --p99-budget-us T  admission control: shed align load while the
-                     windowed p99 exceeds T µs (default 0 = disabled)
-  --threads N        kernel threads per batch sweep (default 2)
-  --cache N          LRU answer-cache capacity (default 4096, 0 disables)
-  --queue N          pending compute jobs before 503s (default 64)
-  --nlist N          IVF partitions for two-stage answering (default 0 = exact only)
-  --nprobe N         default probe width (default 0 = nlist/8; needs --nlist)
+                     windowed p99 exceeds T µs (default {p99} = disabled)
+  --threads N        kernel threads per batch sweep (default {threads})
+  --cache N          LRU answer-cache capacity (default {cache}, 0 disables)
+  --queue N          pending compute jobs before 503s (default {queue})
+  --nlist N          IVF partitions for two-stage answering (default {nlist} = exact only)
+  --nprobe N         default probe width (default {nprobe} = nlist/8; needs --nlist)
   --mem-budget-mb N  load only the shard prefix fitting N MiB of target
                      embeddings (default unlimited; manifests only)
   --warm-keys N      hottest cache keys replayed into a reloaded index
-                     before the flip (default 256, 0 disables)
+                     before the flip (default {warm}, 0 disables)
   --watch            poll the artifact and hot-swap when it changes
-  --watch-ms T       watch poll interval in milliseconds (default 2000)
+  --watch-ms T       watch poll interval in milliseconds (default {WATCH_MS})
 
 routes: /align?entity=<id>&k=<k>[&nprobe=<n>]   /health   /stats
-        /admin/reload[?path=<artifact>]";
-
-struct Args {
-    snapshot: PathBuf,
-    addr: SocketAddr,
-    workers: usize,
-    queue: usize,
-    max_conns: usize,
-    p99_budget_us: u64,
-    watch: bool,
-    watch_ms: u64,
-    index: IndexOptions,
+        /admin/reload[?path=<artifact>]",
+        workers = server.workers,
+        max_conns = server.max_conns,
+        p99 = server.p99_budget_us,
+        threads = index.threads,
+        cache = index.cache_cap,
+        queue = server.queue_cap,
+        nlist = index.nlist,
+        nprobe = index.nprobe,
+        warm = index.warm_keys,
+    )
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let mut snapshot = None;
-    let mut warm_keys = 256usize;
-    let mut mem_budget_mb = 0usize;
-    let mut out = Args {
-        snapshot: PathBuf::new(),
-        addr: "127.0.0.1:7077".parse().unwrap(),
-        workers: 4,
-        queue: 64,
-        max_conns: 8192,
-        p99_budget_us: 0,
-        watch: false,
-        watch_ms: 2000,
-        index: IndexOptions::default(),
-    };
-    while let Some(a) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} expects a value"));
-        match a.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                exit(0);
-            }
-            "--addr" => {
-                out.addr = value("--addr")?
-                    .parse()
-                    .map_err(|e| format!("--addr: {e}"))?
-            }
-            "--workers" => out.workers = parse_num(&value("--workers")?, "--workers")?,
-            "--max-conns" => out.max_conns = parse_num(&value("--max-conns")?, "--max-conns")?,
-            "--p99-budget-us" => {
-                out.p99_budget_us = parse_num(&value("--p99-budget-us")?, "--p99-budget-us")? as u64
-            }
-            "--threads" => out.index.threads = parse_num(&value("--threads")?, "--threads")?,
-            "--cache" => out.index.cache_cap = parse_num(&value("--cache")?, "--cache")?,
-            "--queue" => out.queue = parse_num(&value("--queue")?, "--queue")?,
-            "--nlist" => out.index.nlist = parse_num(&value("--nlist")?, "--nlist")?,
-            "--nprobe" => out.index.nprobe = parse_num(&value("--nprobe")?, "--nprobe")?,
-            "--mem-budget-mb" => {
-                mem_budget_mb = parse_num(&value("--mem-budget-mb")?, "--mem-budget-mb")?
-            }
-            "--warm-keys" => warm_keys = parse_num(&value("--warm-keys")?, "--warm-keys")?,
-            "--watch" => out.watch = true,
-            "--watch-ms" => out.watch_ms = parse_num(&value("--watch-ms")?, "--watch-ms")? as u64,
-            other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
-            path if snapshot.is_none() => snapshot = Some(PathBuf::from(path)),
-            extra => return Err(format!("unexpected argument {extra}")),
-        }
-    }
-    out.index.warm_keys = warm_keys;
-    out.index.mem_budget_bytes = if mem_budget_mb == 0 {
-        u64::MAX
-    } else {
-        mem_budget_mb as u64 * (1 << 20)
-    };
-    out.snapshot = snapshot.ok_or("missing snapshot path")?;
-    Ok(out)
-}
-
-fn parse_num(s: &str, flag: &str) -> Result<usize, String> {
-    s.parse().map_err(|_| format!("{flag}: not a number: {s}"))
-}
+const ADDR: SocketAddr = SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 7077));
+const WATCH_MS: u64 = 2000;
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            exit(2);
-        }
-    };
-    let (hot, coverage) = match HotSwapIndex::open(&args.snapshot, args.index) {
+    let (mut server, mut index) = (ServerOptions::default(), IndexOptions::default());
+    let mut args = Args::from_env(usage(&server, &index), &["watch"]);
+    let snapshot: PathBuf = args.positional("snapshot path");
+    let addr = args.value_or("addr", ADDR);
+    server.workers = args.value_or("workers", server.workers);
+    server.queue_cap = args.value_or("queue", server.queue_cap);
+    server.max_conns = args.value_or("max-conns", server.max_conns);
+    server.p99_budget_us = args.value_or("p99-budget-us", server.p99_budget_us);
+    index.threads = args.value_or("threads", index.threads);
+    index.cache_cap = args.value_or("cache", index.cache_cap);
+    index.nlist = args.value_or("nlist", index.nlist);
+    index.nprobe = args.value_or("nprobe", index.nprobe);
+    index.warm_keys = args.value_or("warm-keys", index.warm_keys);
+    if let Some(mb) = args.value::<u64>("mem-budget-mb").filter(|&mb| mb > 0) {
+        index.mem_budget_bytes = mb.saturating_mul(1 << 20);
+    }
+    let watch = args.flag("watch");
+    let watch_ms = args.value_or("watch-ms", WATCH_MS);
+    args.finish();
+
+    let (hot, coverage) = match HotSwapIndex::open(&snapshot, index) {
         Ok(pair) => pair,
         Err(e) => {
-            eprintln!("error: cannot load {}: {e}", args.snapshot.display());
+            eprintln!("error: cannot load {}: {e}", snapshot.display());
             exit(1);
         }
     };
     {
-        let index = hot.current();
-        let snap = index.index().snapshot();
+        let live = hot.current();
+        let snap = live.index().snapshot();
         println!(
             "loaded {}: '{}' — {} query entities × {} targets, dim {}, metric {}, {} trained epochs",
-            args.snapshot.display(),
+            snapshot.display(),
             snap.trace.label,
             snap.num_queries(),
             snap.num_targets(),
@@ -148,34 +104,27 @@ fn main() {
                 coverage.total_entities,
             );
         }
-        if let Some(ivf) = index.index().ann() {
+        if let Some(ivf) = live.index().ann() {
             println!(
                 "two-stage index: {} partitions over {} targets, default {}",
                 ivf.nlist(),
                 ivf.len(),
-                index.default_probe().label(),
+                live.default_probe().label(),
             );
         }
     }
-    let opts = ServerOptions {
-        workers: args.workers,
-        queue_cap: args.queue,
-        max_conns: args.max_conns,
-        p99_budget_us: args.p99_budget_us,
-        ..Default::default()
-    };
-    let handle = match serve_hot(hot.clone(), args.addr, opts) {
+    let handle = match serve_hot(hot.clone(), addr, server) {
         Ok(h) => h,
         Err(e) => {
-            eprintln!("error: cannot bind {}: {e}", args.addr);
+            eprintln!("error: cannot bind {addr}: {e}");
             exit(1);
         }
     };
-    let _watcher = if args.watch {
-        let interval = Duration::from_millis(args.watch_ms.max(1));
+    let _watcher = if watch {
+        let interval = Duration::from_millis(watch_ms.max(1));
         println!(
             "watching {} every {} ms for hot-swap",
-            args.snapshot.display(),
+            snapshot.display(),
             interval.as_millis(),
         );
         Some(hot.spawn_watcher(interval))
@@ -185,9 +134,9 @@ fn main() {
     println!(
         "serving on http://{} (epoll reactor, {} workers, cache {}, queue {})",
         handle.addr(),
-        args.workers,
-        args.index.cache_cap,
-        args.queue,
+        server.workers,
+        index.cache_cap,
+        server.queue_cap,
     );
     println!(
         "routes: /align?entity=<id>&k=<k>[&nprobe=<n>]  /health  /stats  /admin/reload  (ctrl-c to stop)"

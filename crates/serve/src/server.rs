@@ -286,11 +286,11 @@ pub(crate) fn reload_response(hot: &HotSwapIndex, path: Option<&str>) -> (u16, J
             200,
             object([
                 ("generation", format!("{:#018x}", o.generation).to_json()),
-                ("loaded_entities", o.loaded_entities.to_json()),
-                ("total_entities", o.total_entities.to_json()),
-                ("shards_loaded", o.shards_loaded.to_json()),
-                ("shards_total", o.shards_total.to_json()),
-                ("partial", o.partial.to_json()),
+                ("loaded_entities", o.coverage.loaded_entities.to_json()),
+                ("total_entities", o.coverage.total_entities.to_json()),
+                ("shards_loaded", o.coverage.shards_loaded.to_json()),
+                ("shards_total", o.coverage.shards_total.to_json()),
+                ("partial", o.coverage.partial().to_json()),
                 ("flip_us", (o.flip_ns as f64 / 1_000.0).to_json()),
                 ("warmed", o.warmed.to_json()),
             ]),
@@ -341,8 +341,8 @@ pub(crate) fn stats_json(
             raw.ann().map(|ivf| ivf.nlist()).unwrap_or(0).to_json(),
         ),
         ("default_probe", index.default_probe().label().to_json()),
-        ("loaded_entities", swap.loaded_entities.to_json()),
-        ("total_entities", swap.total_entities.to_json()),
+        ("loaded_entities", swap.coverage.loaded_entities.to_json()),
+        ("total_entities", swap.coverage.total_entities.to_json()),
         ("reloads", (swap.reloads as i64).to_json()),
         ("reload_failures", (swap.reload_failures as i64).to_json()),
         (

@@ -55,42 +55,33 @@ use std::time::Duration;
 /// complete).
 pub struct LoadedArtifact {
     pub snapshot: Snapshot,
-    /// Shards assembled into `snapshot` (1 for a monolithic `.snap`).
-    pub shards_loaded: usize,
-    /// Shards the manifest names (1 for a monolithic `.snap`).
-    pub shards_total: usize,
-    /// Target entities the *full* artifact holds; `snapshot.num_targets()`
-    /// is what the budget actually loaded.
-    pub total_targets: usize,
-}
-
-impl LoadedArtifact {
-    /// True when a memory budget truncated the load to a shard prefix.
-    pub fn partial(&self) -> bool {
-        self.snapshot.num_targets() < self.total_targets
-    }
-
-    /// The coverage summary, detached from the snapshot payload.
-    pub fn coverage(&self) -> LoadCoverage {
-        LoadCoverage {
-            loaded_entities: self.snapshot.num_targets(),
-            total_entities: self.total_targets,
-            shards_loaded: self.shards_loaded,
-            shards_total: self.shards_total,
-        }
-    }
+    pub coverage: LoadCoverage,
 }
 
 /// How much of an artifact a (possibly budgeted) load actually covered.
 #[derive(Clone, Copy, Debug)]
 pub struct LoadCoverage {
+    /// Target entities loaded (`snapshot.num_targets()`).
     pub loaded_entities: usize,
+    /// Target entities the *full* artifact holds.
     pub total_entities: usize,
+    /// Shards assembled (1 for a monolithic `.snap`).
     pub shards_loaded: usize,
+    /// Shards the manifest names (1 for a monolithic `.snap`).
     pub shards_total: usize,
 }
 
 impl LoadCoverage {
+    /// A whole monolithic snapshot of `targets` target entities.
+    fn complete(targets: usize) -> Self {
+        Self {
+            loaded_entities: targets,
+            total_entities: targets,
+            shards_loaded: 1,
+            shards_total: 1,
+        }
+    }
+
     /// True when a memory budget truncated the load to a shard prefix.
     pub fn partial(&self) -> bool {
         self.loaded_entities < self.total_entities
@@ -103,23 +94,19 @@ impl LoadCoverage {
 pub fn load_artifact(path: &Path, budget_bytes: u64) -> Result<LoadedArtifact, SnapshotError> {
     if path.extension().is_some_and(|e| e == "manifest") {
         let manifest = ShardManifest::read_from(path)?;
-        let (shards_total, total_targets) = (manifest.shards.len(), manifest.n2);
+        let (shards_total, total_entities) = (manifest.shards.len(), manifest.n2);
         let (snapshot, shards_loaded) = manifest.load_budgeted(path, budget_bytes)?;
-        Ok(LoadedArtifact {
-            snapshot,
+        let coverage = LoadCoverage {
+            loaded_entities: snapshot.num_targets(),
+            total_entities,
             shards_loaded,
             shards_total,
-            total_targets,
-        })
+        };
+        Ok(LoadedArtifact { snapshot, coverage })
     } else {
         let snapshot = Snapshot::read_from(path)?;
-        let total_targets = snapshot.num_targets();
-        Ok(LoadedArtifact {
-            snapshot,
-            shards_loaded: 1,
-            shards_total: 1,
-            total_targets,
-        })
+        let coverage = LoadCoverage::complete(snapshot.num_targets());
+        Ok(LoadedArtifact { snapshot, coverage })
     }
 }
 
@@ -181,14 +168,8 @@ impl IndexOptions {
 pub struct ReloadOutcome {
     /// Generation of the index now serving.
     pub generation: u64,
-    /// Target entities the new index serves.
-    pub loaded_entities: usize,
-    /// Target entities the full artifact holds.
-    pub total_entities: usize,
-    pub shards_loaded: usize,
-    pub shards_total: usize,
-    /// True when a memory budget truncated the load.
-    pub partial: bool,
+    /// How much of the artifact the new index serves.
+    pub coverage: LoadCoverage,
     /// Time the pointer flip held the live-index lock.
     pub flip_ns: u64,
     /// Cache keys replayed against the new index before the flip.
@@ -196,7 +177,7 @@ pub struct ReloadOutcome {
 }
 
 /// Swap-related counters exported through `/stats`.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct SwapStats {
     pub reloads: u64,
     pub reload_failures: u64,
@@ -208,11 +189,8 @@ pub struct SwapStats {
     /// index was opened, before the first flip) — the serving side of the
     /// train-to-serve freshness story, exported as `snapshot_age_ms`.
     pub snapshot_age_ns: u64,
-    /// Target entities the live index serves.
-    pub loaded_entities: usize,
-    /// Target entities the full artifact holds (== `loaded_entities`
-    /// unless a budget truncated the load).
-    pub total_entities: usize,
+    /// How much of its artifact the live index serves.
+    pub coverage: LoadCoverage,
     pub last_error: Option<String>,
 }
 
@@ -254,8 +232,7 @@ struct SwapState {
     /// Monotonic-clock timestamp of the last flip (0 = construction, the
     /// clock's epoch), from which `snapshot_age_ns` is derived.
     flipped_at_ns: u64,
-    loaded_entities: usize,
-    total_entities: usize,
+    coverage: LoadCoverage,
     last_error: Option<String>,
     /// Fingerprint of the artifact the live index was built from; the
     /// watcher skips reloads while it is unchanged.
@@ -284,8 +261,8 @@ impl HotSwapIndex {
     /// (same partition shape, cache size, threading). This is how tests and
     /// benches drive the server from in-memory snapshots.
     pub fn fixed_with(index: Arc<BatchIndex>, opts: IndexOptions) -> Arc<Self> {
-        let loaded = index.index().num_targets();
-        Self::with_state(index, opts, None, loaded, None)
+        let coverage = LoadCoverage::complete(index.index().num_targets());
+        Self::with_state(index, opts, None, coverage, None)
     }
 
     /// Loads `path` under `opts` and returns the serving handle plus the
@@ -296,10 +273,9 @@ impl HotSwapIndex {
     ) -> Result<(Arc<Self>, LoadCoverage), SnapshotError> {
         let fp = fingerprint(path);
         let art = load_artifact(path, opts.mem_budget_bytes)?;
-        let info = art.coverage();
         let index = opts.build(art.snapshot);
-        let this = Self::with_state(index, opts, Some(path.to_path_buf()), art.total_targets, fp);
-        Ok((this, info))
+        let this = Self::with_state(index, opts, Some(path.to_path_buf()), art.coverage, fp);
+        Ok((this, art.coverage))
     }
 
     /// The one constructor behind [`HotSwapIndex::fixed_with`] and
@@ -308,10 +284,9 @@ impl HotSwapIndex {
         index: Arc<BatchIndex>,
         opts: IndexOptions,
         artifact: Option<PathBuf>,
-        total_entities: usize,
+        coverage: LoadCoverage,
         loaded_fingerprint: Option<Fingerprint>,
     ) -> Arc<Self> {
-        let loaded_entities = index.index().num_targets();
         Arc::new(Self {
             live: Mutex::new(index),
             opts,
@@ -323,8 +298,7 @@ impl HotSwapIndex {
                 failures: 0,
                 last_flip_ns: 0,
                 flipped_at_ns: 0,
-                loaded_entities,
-                total_entities,
+                coverage,
                 last_error: None,
                 loaded_fingerprint,
             }),
@@ -395,25 +369,13 @@ impl HotSwapIndex {
             .reload_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let total = snapshot.num_targets();
-        self.swap_in_loaded(
-            LoadedArtifact {
-                snapshot,
-                shards_loaded: 1,
-                shards_total: 1,
-                total_targets: total,
-            },
-            None,
-        )
+        let coverage = LoadCoverage::complete(snapshot.num_targets());
+        self.swap_in_loaded(LoadedArtifact { snapshot, coverage }, None)
     }
 
     /// Build → warm → flip → retire. Caller holds `reload_lock`.
     fn swap_in_loaded(&self, art: LoadedArtifact, fp: Option<Fingerprint>) -> ReloadOutcome {
-        let loaded_entities = art.snapshot.num_targets();
-        let total_entities = art.total_targets;
-        let shards_loaded = art.shards_loaded;
-        let shards_total = art.shards_total;
-        let partial = art.partial();
+        let coverage = art.coverage;
         let new = self.opts.build(art.snapshot);
         let old = self.current();
 
@@ -454,17 +416,12 @@ impl HotSwapIndex {
         st.reloads += 1;
         st.last_flip_ns = flip_ns;
         st.flipped_at_ns = self.clock.nanos();
-        st.loaded_entities = loaded_entities;
-        st.total_entities = total_entities;
+        st.coverage = coverage;
         st.last_error = None;
         st.loaded_fingerprint = fp;
         ReloadOutcome {
             generation,
-            loaded_entities,
-            total_entities,
-            shards_loaded,
-            shards_total,
-            partial,
+            coverage,
             flip_ns,
             warmed,
         }
@@ -479,8 +436,7 @@ impl HotSwapIndex {
             last_flip_ns: st.last_flip_ns,
             draining_generations: st.retired.iter().filter(|ix| ix.strong_count() > 0).count(),
             snapshot_age_ns: self.clock.nanos().saturating_sub(st.flipped_at_ns),
-            loaded_entities: st.loaded_entities,
-            total_entities: st.total_entities,
+            coverage: st.coverage,
             last_error: st.last_error.clone(),
         }
     }

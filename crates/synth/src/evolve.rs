@@ -8,7 +8,7 @@
 //! The construction works *backwards from the end state*: the **final**
 //! pair is generated once from a [`PresetConfig`], and each step `k` is
 //! the sub-pair induced by an entity-id *prefix* of each KG. Because
-//! [`KgBuilder`](openea_core::KgBuilder) interns entities in insertion
+//! [`KgBuilder`] interns entities in insertion
 //! order and [`EvolutionConfig::generate`] replays the final graph's
 //! symbol tables up front, every id is stable across the whole trace:
 //!

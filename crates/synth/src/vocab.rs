@@ -157,7 +157,7 @@ impl Vocabulary {
 
     /// [`Vocabulary::render`], appended to `out`: a caller rendering many
     /// values clears and reuses one buffer. The draws of
-    /// [`Vocabulary::draw_noise`], rendered by [`Vocabulary::render_drawn`].
+    /// `Vocabulary::draw_noise`, rendered by `Vocabulary::render_drawn`.
     pub fn render_into<R: Rng>(&self, value: &LatentValue, rng: &mut R, out: &mut String) {
         let value = value.borrowed();
         let mut noise = NoiseDraws::default();

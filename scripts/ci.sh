@@ -165,6 +165,9 @@ done
 
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# The API docs: no intra-doc link may be unresolved, redundant or point at
+# a private item. Budget: about ten seconds after the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 # Repository benchmark gate: builds `benchmark/` (a workspace of its own, so
 # nothing above compiles it) against the crates as they are now — an API

@@ -194,6 +194,23 @@ fn fig11_backbone_hashes_bit_identical_across_thread_counts() {
     );
 }
 
+/// The transformation mode's backbones train at `RunConfig::margin`, as
+/// KDCoE's TransE does: a run at margin 2.0 is another model than one at the
+/// default 1.0, which `FIG11_GOLDEN` and the table above pin.
+#[test]
+fn transformation_backbones_train_at_the_run_margin() {
+    let (pair, folds, mut cfg) = golden_fixture();
+    for name in ["MTransE", "SEA"] {
+        let approach = approach_by_name(name).expect("registry approach");
+        let mut hashes = Vec::new();
+        for margin in [1.0, 2.0] {
+            cfg.margin = margin;
+            hashes.push(approach.run(&pair, &folds[0], &cfg).content_hash());
+        }
+        assert_ne!(hashes[0], hashes[1], "{name} ignored margin 2.0");
+    }
+}
+
 /// AliNet is not in the registry (the paper defers it to a future release),
 /// so the table above misses it; its hash on the same fixture is pinned here.
 const ALINET_GOLDEN: u64 = 0x1b32b094a2cbc735;

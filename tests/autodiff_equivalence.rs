@@ -40,7 +40,6 @@ enum Ins {
     AddRow(usize, usize),
     Sub(usize, usize),
     Mul(usize, usize),
-    MulRow(usize, usize),
     Scale(usize, f32),
     Matmul(usize, usize),
     /// Index into [`Program::sparse`], then the dense operand.
@@ -119,7 +118,6 @@ macro_rules! interpreter {
                     Ins::AddRow(a, b) => g.add_row(vars[a], vars[b]),
                     Ins::Sub(a, b) => g.sub(vars[a], vars[b]),
                     Ins::Mul(a, b) => g.mul(vars[a], vars[b]),
-                    Ins::MulRow(a, b) => g.mul_row(vars[a], vars[b]),
                     Ins::Scale(a, s) => g.scale(vars[a], s),
                     Ins::Matmul(a, b) => g.matmul(vars[a], vars[b]),
                     Ins::Spmm(s, a) => g.spmm(sparse[s], vars[a]),
@@ -380,13 +378,9 @@ impl Builder {
                 let b = self.with_shape(rows, cols);
                 self.push(Ins::Mul(a, b), rows, cols);
             }
-            3 => {
+            3 | 4 => {
                 let row = self.with_shape(1, cols);
                 self.push(Ins::AddRow(a, row), rows, cols);
-            }
-            4 => {
-                let row = self.with_shape(1, cols);
-                self.push(Ins::MulRow(a, row), rows, cols);
             }
             5 => {
                 let s = self.of(&[-1.0, 0.5, 2.0, 0.0, -0.0]);

@@ -106,8 +106,6 @@ enum Op {
     AddRow(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
-    /// `[n,c] ⊙ [1,c]` broadcast over rows.
-    MulRow(Var, Var),
     Scale(Var, f32),
     Matmul(Var, Var),
     /// Constant sparse matrix × dense var.
@@ -228,19 +226,6 @@ impl Graph {
         let data = ta.data.iter().zip(&tb.data).map(|(x, y)| x * y).collect();
         let t = Tensor::from_vec(ta.rows, ta.cols, data);
         self.push(t, Op::Mul(a, b))
-    }
-
-    pub fn mul_row(&mut self, a: Var, row: Var) -> Var {
-        let (ta, tr) = (&self.nodes[a.0].value, &self.nodes[row.0].value);
-        assert_eq!(tr.rows, 1, "broadcast operand must be a row vector");
-        assert_eq!(ta.cols, tr.cols, "mul_row width mismatch");
-        let mut out = ta.clone();
-        for r in 0..out.rows {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(&tr.data) {
-                *o *= b;
-            }
-        }
-        self.push(out, Op::MulRow(a, row))
     }
 
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
@@ -496,23 +481,6 @@ impl Graph {
                     };
                     self.accum_owned(a, ga);
                     self.accum_owned(b, gb);
-                }
-                Op::MulRow(a, row) => {
-                    let (ga, gr) = {
-                        let ta = &self.nodes[a.0].value;
-                        let tr = &self.nodes[row.0].value;
-                        let mut ga = Tensor::zeros(g.rows, g.cols);
-                        let mut gr = Tensor::zeros(1, g.cols);
-                        for i in 0..g.rows {
-                            for j in 0..g.cols {
-                                ga.row_mut(i)[j] = g.get(i, j) * tr.data[j];
-                                gr.data[j] += g.get(i, j) * ta.get(i, j);
-                            }
-                        }
-                        (ga, gr)
-                    };
-                    self.accum_owned(a, ga);
-                    self.accum_owned(row, gr);
                 }
                 Op::Scale(a, s) => {
                     let ga =

@@ -387,7 +387,7 @@ fn sharded_faults_produce_their_own_typed_errors() {
     std::fs::write(&shard1, &shard1_pristine).unwrap();
     let outcome = hot.reload().unwrap();
     assert_eq!(outcome.generation, gen_a);
-    assert_eq!(outcome.shards_loaded, 3);
+    assert_eq!(outcome.coverage.shards_loaded, 3);
 }
 
 /// A producer that ignores tmp-then-rename and dribbles bytes straight
@@ -483,8 +483,8 @@ fn watcher_follows_the_artifact_and_budgeted_loads_stay_distinct() {
     assert_eq!(coverage.loaded_entities, 16);
     assert_eq!(coverage.total_entities, N2);
     let st = partial_hot.stats();
-    assert_eq!(st.loaded_entities, 16);
-    assert_eq!(st.total_entities, N2);
+    assert_eq!(st.coverage.loaded_entities, 16);
+    assert_eq!(st.coverage.total_entities, N2);
     assert_ne!(
         partial_hot.current().index().generation(),
         full.generation(),
