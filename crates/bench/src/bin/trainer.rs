@@ -8,6 +8,7 @@
 use openea::prelude::*;
 use openea::synth::EvolutionConfig;
 use openea_runtime::cli::{die, Args};
+use openea_runtime::outln;
 use openea_runtime::rng::{SeedableRng, SmallRng};
 use openea_runtime::timer::Monotonic;
 use openea_serve::{Snapshot, SnapshotWriter};
@@ -130,7 +131,7 @@ fn main() {
     let live = opts.out.join("live.snap");
     let train_dir = opts.out.join(".train");
 
-    println!(
+    outln!(
         "trace: {} final entities/KG, {} delta steps; mode: {}",
         opts.entities,
         opts.steps,
@@ -172,7 +173,7 @@ fn main() {
             ),
             None => "cold".into(),
         };
-        println!(
+        outln!(
             "gen {k}: {:#018x} ({} entities, {} epochs, Hits@1 {:.3}, {:.1}s) — {}",
             gen.snap.generation(),
             step.pair.kg1.num_entities(),
@@ -183,5 +184,5 @@ fn main() {
         );
     }
     let _ = std::fs::remove_dir_all(&train_dir);
-    println!("live artifact: {}", live.display());
+    outln!("live artifact: {}", live.display());
 }

@@ -4,6 +4,7 @@
 
 use openea_bench::{figures, tables, HarnessConfig};
 use openea_runtime::cli::{die, Args};
+use openea_runtime::outln;
 
 const USAGE: &str = "openea-bench — regenerate the OpenEA paper's tables and figures
 
@@ -17,7 +18,7 @@ experiments: table2 table3 table4 table5 table6 table7 table8 table9
 fn main() {
     let mut args = Args::from_env(USAGE, &["no-out", "include-large"]);
     if args.is_empty() {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return;
     }
     let experiment: String = args.positional("experiment");
@@ -33,7 +34,7 @@ fn main() {
     let include_large = args.flag("include-large");
     args.finish();
 
-    println!(
+    outln!(
         "openea-bench: experiment={experiment} scale={:?} seed={} (see EXPERIMENTS.md for expected shapes)\n",
         cfg.scale, cfg.seed
     );
@@ -86,7 +87,7 @@ fn main() {
         }
         other => die(format_args!("unknown experiment {other}")),
     }
-    println!(
+    outln!(
         "\n[{experiment} done in {:.1}s]",
         t0.elapsed().as_secs_f64()
     );

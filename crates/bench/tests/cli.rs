@@ -5,7 +5,7 @@
 #[path = "../../../tests/support/binary.rs"]
 mod binary;
 
-use binary::{assert_help, assert_refused};
+use binary::{assert_help, assert_quiet_on_closed_stdout, assert_refused};
 
 const BENCH: &str = env!("CARGO_BIN_EXE_openea-bench");
 const TRAINER: &str = env!("CARGO_BIN_EXE_openea-trainer");
@@ -27,4 +27,10 @@ fn openea_trainer_reads_its_command_line_or_refuses_it() {
     assert_refused(TRAINER, &["--steps"], "--steps");
     assert_refused(TRAINER, &["--steps", "x"], "--steps");
     assert_refused(TRAINER, &["--steps", "0"], "--steps");
+}
+
+#[test]
+fn a_closed_stdout_ends_quietly() {
+    assert_quiet_on_closed_stdout(BENCH);
+    assert_quiet_on_closed_stdout(TRAINER);
 }

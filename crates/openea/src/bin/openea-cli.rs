@@ -8,6 +8,7 @@
 use openea::core::io;
 use openea::prelude::*;
 use openea_runtime::cli::{die, Args};
+use openea_runtime::outln;
 use openea_runtime::rng::SeedableRng;
 use openea_runtime::rng::SmallRng;
 use std::path::PathBuf;
@@ -25,7 +26,7 @@ commands:
 fn main() {
     let mut args = Args::from_env(USAGE, &["dense", "csls", "stable-marriage"]);
     if args.is_empty() {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return;
     }
     match args.positional::<String>("command").as_str() {
@@ -34,7 +35,7 @@ fn main() {
         "stats" => stats(args),
         "run" => run(args),
         "conventional" => conventional(args),
-        "help" => println!("{USAGE}"),
+        "help" => outln!("{USAGE}"),
         other => die(format_args!("unknown command {other}")),
     }
 }
@@ -65,7 +66,7 @@ fn generate(mut args: Args) {
     let folds = k_fold_splits(&pair.alignment, 5, &mut rng);
     io::write_pair(&out, &pair).unwrap_or_else(|e| die(e));
     io::write_folds(&out, &pair, &folds).unwrap_or_else(|e| die(e));
-    println!(
+    outln!(
         "wrote {} ({} entities per KG, {} aligned, {} folds) to {}",
         family.label(),
         pair.kg1.num_entities(),
@@ -95,9 +96,11 @@ fn sample(mut args: Args) {
                 },
                 &mut rng,
             );
-            println!(
+            outln!(
                 "IDS: js = ({:.3}, {:.3}), converged = {}",
-                outcome.js1, outcome.js2, outcome.converged
+                outcome.js1,
+                outcome.js2,
+                outcome.converged
             );
             outcome.pair
         }
@@ -109,7 +112,7 @@ fn sample(mut args: Args) {
     };
     let (q1, q2) = sample_quality(&source, &sampled);
     for q in [q1, q2] {
-        println!(
+        outln!(
             "{}: deg {:.2}, JS {:.1}%, isolates {:.1}%, clustering {:.3}",
             q.kg_name,
             q.avg_degree,
@@ -121,7 +124,7 @@ fn sample(mut args: Args) {
     let folds = k_fold_splits(&sampled.alignment, 5, &mut rng);
     io::write_pair(&out, &sampled).unwrap_or_else(|e| die(e));
     io::write_folds(&out, &sampled, &folds).unwrap_or_else(|e| die(e));
-    println!(
+    outln!(
         "wrote {} aligned entities to {}",
         sampled.num_aligned(),
         out.display()
@@ -132,13 +135,19 @@ fn stats(mut args: Args) {
     let dir: String = args.required("dataset");
     args.finish();
     let pair = io::read_pair(&dir).unwrap_or_else(|e| die(e));
-    println!(
+    outln!(
         "{:>6} {:>7} {:>7} {:>9} {:>9} {:>7} {:>10}",
-        "KG", "#Rel.", "#Att.", "#Rel tr.", "#Att tr.", "Deg.", "Isolates"
+        "KG",
+        "#Rel.",
+        "#Att.",
+        "#Rel tr.",
+        "#Att tr.",
+        "Deg.",
+        "Isolates"
     );
     for kg in [&pair.kg1, &pair.kg2] {
         let s = KgStats::of(kg);
-        println!(
+        outln!(
             "{:>6} {:>7} {:>7} {:>9} {:>9} {:>7.2} {:>9.1}%",
             s.name,
             s.relations,
@@ -149,7 +158,7 @@ fn stats(mut args: Args) {
             s.isolated_fraction * 100.0
         );
     }
-    println!("reference alignment: {}", pair.num_aligned());
+    outln!("reference alignment: {}", pair.num_aligned());
 }
 
 fn run(mut args: Args) {
@@ -180,7 +189,7 @@ fn run(mut args: Args) {
     let pair = io::read_pair(&dir).unwrap_or_else(|e| die(e));
     let mut folds = io::read_folds(&dir, &pair).unwrap_or_else(|e| die(e));
     if folds.is_empty() {
-        println!("no 721_5fold splits found; creating a fresh 20/10/70 split");
+        outln!("no 721_5fold splits found; creating a fresh 20/10/70 split");
         let mut rng = SmallRng::seed_from_u64(7);
         folds = k_fold_splits(&pair.alignment, 5, &mut rng);
     }
@@ -188,7 +197,7 @@ fn run(mut args: Args) {
         .get(fold)
         .unwrap_or_else(|| die("--fold out of range"));
 
-    println!(
+    outln!(
         "training {} on fold {fold} ({} seeds)...",
         approach.name(),
         split.train.len()
@@ -196,7 +205,7 @@ fn run(mut args: Args) {
     let t0 = std::time::Instant::now();
     let out = approach.run(&pair, split, &cfg);
     let eval = evaluate_output(&out, &split.test, cfg.threads);
-    println!(
+    outln!(
         "{}: Hits@1 {:.3}  Hits@5 {:.3}  MR {:.1}  MRR {:.3}  ({:.1}s)",
         approach.name(),
         eval.hits1,
@@ -241,9 +250,9 @@ fn run(mut args: Args) {
     match out_path {
         Some(path) => {
             std::fs::write(&path, predictions.join("\n") + "\n").unwrap_or_else(|e| die(e));
-            println!("wrote {} predicted pairs to {path}", predictions.len());
+            outln!("wrote {} predicted pairs to {path}", predictions.len());
         }
-        None => println!(
+        None => outln!(
             "{} predicted pairs (pass --out FILE to save them)",
             predictions.len()
         ),
@@ -268,7 +277,7 @@ fn conventional(mut args: Args) {
         pair.alignment.iter().map(|&(a, b)| (a.0, b.0)).collect();
     let raw: Vec<(u32, u32)> = predicted.iter().map(|&(a, b)| (a.0, b.0)).collect();
     let prf = precision_recall_f1(&raw, &gold);
-    println!(
+    outln!(
         "{system}: {} predictions, precision {:.3}, recall {:.3}, f1 {:.3}",
         predicted.len(),
         prf.precision,
@@ -281,6 +290,6 @@ fn conventional(mut args: Args) {
             .map(|&(a, b)| format!("{}\t{}", pair.kg1.entity_name(a), pair.kg2.entity_name(b)))
             .collect();
         std::fs::write(&path, lines.join("\n") + "\n").unwrap_or_else(|e| die(e));
-        println!("wrote predictions to {path}");
+        outln!("wrote predictions to {path}");
     }
 }

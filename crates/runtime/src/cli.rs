@@ -8,6 +8,10 @@
 //! never a silent default. A refusal prints `error: …` and the usage text
 //! and exits 2; [`die`] is the same exit for errors met after that.
 //!
+//! The binaries print their output through [`print_line`] (the
+//! [`crate::outln!`] macro): a reader that closes the pipe early, as `head`
+//! does, ends the process quietly with status 0 instead of a panic.
+//!
 //! ```
 //! use openea_runtime::cli::Args;
 //!
@@ -19,13 +23,41 @@
 //! assert_eq!(args.check(), Ok(()));
 //! ```
 
-use std::fmt::Display;
+use std::fmt::{self, Display};
+use std::io::{self, Write};
 use std::str::FromStr;
 
 /// Prints `error: {msg}` to stderr and exits with status 2.
 pub fn die(msg: impl Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
+}
+
+/// Writes `line` and a newline to stdout. A closed stdout (`BrokenPipe`: its
+/// reader has gone) ends the process quietly with status 0, since nobody is
+/// left to read the rest; any other write error is [`die`].
+pub fn print_line(line: fmt::Arguments<'_>) {
+    let written = {
+        let mut out = io::stdout().lock();
+        out.write_fmt(line).and_then(|()| out.write_all(b"\n"))
+    };
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => die(format_args!("cannot write to stdout: {e}")),
+    }
+}
+
+/// `println!` through [`print_line`]: a closed stdout ends the process
+/// quietly instead of panicking.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::cli::print_line(format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::print_line(format_args!($($arg)*))
+    };
 }
 
 enum Kind {
@@ -56,7 +88,7 @@ impl Args {
         let usage = usage.into();
         let words: Vec<String> = std::env::args().skip(1).collect();
         if words.iter().any(|w| w == "--help" || w == "-h") {
-            println!("{usage}");
+            print_line(format_args!("{usage}"));
             std::process::exit(0);
         }
         Self::parse(usage, flags, words)

@@ -52,9 +52,8 @@ pub use index::{
     AlignmentIndex, Answer, BatchIndex, CacheKey, IndexStats, LruCache, Probe, QueryError,
 };
 pub use server::{serve_hot, ServerHandle, ServerOptions};
-pub use shard::{shard_path, write_sharded, ShardManifest, ShardMeta};
-pub use snapshot::{Snapshot, SnapshotError, SnapshotWriter};
-pub use swap::{
-    load_artifact, HotSwapIndex, IndexOptions, LoadCoverage, LoadedArtifact, ReloadOutcome,
-    SwapStats, WatcherHandle,
+pub use shard::{shard_path, write_sharded};
+pub use snapshot::{
+    load_artifact, LoadCoverage, LoadedArtifact, Snapshot, SnapshotError, SnapshotWriter,
 };
+pub use swap::{HotSwapIndex, IndexOptions, ReloadOutcome, SwapStats, WatcherHandle};

@@ -2,6 +2,7 @@
 //! with zero-downtime hot-swap of the artifact.
 
 use openea_runtime::cli::Args;
+use openea_runtime::outln;
 use openea_serve::{serve_hot, HotSwapIndex, IndexOptions, ServerOptions};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 use std::path::PathBuf;
@@ -12,9 +13,6 @@ use std::time::Duration;
 fn usage(server: &ServerOptions, index: &IndexOptions) -> String {
     format!(
         "usage: openea-serve <snapshot.snap | snapshot.manifest> [options]
-
-A `.manifest` path loads a sharded snapshot (shard files resolved next to
-the manifest); any other path loads a monolithic snapshot.
 
 options:
   --addr HOST:PORT   bind address          (default {ADDR})
@@ -28,8 +26,9 @@ options:
   --queue N          pending compute jobs before 503s (default {queue})
   --nlist N          IVF partitions for two-stage answering (default {nlist} = exact only)
   --nprobe N         default probe width (default {nprobe} = nlist/8; needs --nlist)
-  --mem-budget-mb N  load only the shard prefix fitting N MiB of target
-                     embeddings (default unlimited; manifests only)
+  --mem-budget-mb N  keep the longest prefix of whole shards fitting N MiB
+                     of target embeddings, at least one (default
+                     unlimited; a .snap is one shard)
   --warm-keys N      hottest cache keys replayed into a reloaded index
                      before the flip (default {warm}, 0 disables)
   --watch            poll the artifact and hot-swap when it changes
@@ -83,7 +82,7 @@ fn main() {
     {
         let live = hot.current();
         let snap = live.index().snapshot();
-        println!(
+        outln!(
             "loaded {}: '{}' — {} query entities × {} targets, dim {}, metric {}, {} trained epochs",
             snapshot.display(),
             snap.trace.label,
@@ -105,7 +104,7 @@ fn main() {
             );
         }
         if let Some(ivf) = live.index().ann() {
-            println!(
+            outln!(
                 "two-stage index: {} partitions over {} targets, default {}",
                 ivf.nlist(),
                 ivf.len(),
@@ -122,7 +121,7 @@ fn main() {
     };
     let _watcher = if watch {
         let interval = Duration::from_millis(watch_ms.max(1));
-        println!(
+        outln!(
             "watching {} every {} ms for hot-swap",
             snapshot.display(),
             interval.as_millis(),
@@ -131,14 +130,14 @@ fn main() {
     } else {
         None
     };
-    println!(
+    outln!(
         "serving on http://{} (epoll reactor, {} workers, cache {}, queue {})",
         handle.addr(),
         server.workers,
         index.cache_cap,
         server.queue_cap,
     );
-    println!(
+    outln!(
         "routes: /align?entity=<id>&k=<k>[&nprobe=<n>]  /health  /stats  /admin/reload  (ctrl-c to stop)"
     );
     loop {

@@ -7,9 +7,14 @@
 //!
 //! ## On-disk layout (versions 1 and 2)
 //!
+//! One layout, two placements of the target-side matrix `emb2`: *inline*
+//! in the payload (a `.snap`), or in *sibling shards* (a `.manifest` plus
+//! `.shard000`, `.shard001`, … beside it; see [`crate::shard`]). The magic
+//! names the placement; nothing else about the file does.
+//!
 //! ```text
 //! offset  size  field
-//! 0       8     magic  b"OPENEASN"
+//! 0       8     magic  b"OPENEASN" (emb2 inline) or b"OPENEASM" (emb2 in shards)
 //! 8       4     format version, u32 LE (1 or 2)
 //! 12      8     payload length N, u64 LE
 //! 20      N     payload (see below)
@@ -20,8 +25,10 @@
 //!
 //! ```text
 //! dim u32 · metric u8 · n1 u64 · n2 u64
+//! shards (sharded only) generation u64 · u64 count
+//!         · per shard: start u64 · end u64 · checksum u64
 //! emb1  f32 × n1·dim      (row-major, IEEE-754 bit patterns)
-//! emb2  f32 × n2·dim
+//! emb2  (inline only) f32 × n2·dim
 //! names1  u64 count (0 or n1) · count strings
 //! names2  u64 count (0 or n2) · count strings
 //! trace   label string · stop u8 tag (+ u64 epoch for tags 2/3)
@@ -33,7 +40,15 @@
 //!
 //! A snapshot without lineage (a cold run) always encodes as version 1, so
 //! pre-lineage artifacts and fixtures stay byte-pinned; warm-started runs
-//! carry their provenance in the version-2 extension. Readers accept both.
+//! carry their provenance in the version-2 extension, in either placement.
+//! Readers accept both.
+//!
+//! One payload writer serves both placements, and one
+//! file reader ([`load_artifact`]) reads both: it decodes and verifies the
+//! payload, then, when `emb2` is sharded, streams each verified shard onto
+//! the `emb2` it returns. A memory budget keeps the longest prefix of whole
+//! shards that fits it (always at least one); an inline `emb2` is one shard,
+//! so a `.snap` always loads whole.
 //!
 //! ## Guarantees
 //!
@@ -59,6 +74,7 @@
 //!   payload is `ChecksumMismatch` whatever its fields claim, and nothing
 //!   decoded reaches a caller before all of it passes.
 
+use crate::shard::ShardTable;
 use openea_align::Metric;
 use openea_approaches::common::EpochTrace;
 use openea_approaches::engine::{CheckpointSink, Lineage, WarmStart};
@@ -73,7 +89,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-const MAGIC: &[u8; 8] = b"OPENEASN";
+/// The magic of a snapshot whose `emb2` is inline.
+const INLINE: &[u8; 8] = b"OPENEASN";
+/// The magic of a snapshot whose `emb2` is in sibling shards (a manifest).
+const SHARDED: &[u8; 8] = b"OPENEASM";
 const VERSION: u32 = 1;
 /// Version-2 extension: the payload ends with a 16-byte lineage record.
 const VERSION_LINEAGE: u32 = 2;
@@ -255,14 +274,6 @@ fn write_frame(
     Ok(checksum)
 }
 
-/// One framed section as bytes, in a `Vec` reserved once at its exact size.
-pub(crate) fn encode_frame(magic: &[u8; 8], version: u32, body: FrameBody<'_>) -> Vec<u8> {
-    let n = payload_len(body).expect("sizing does no I/O");
-    let mut bytes = Vec::with_capacity(HEADER_LEN + n as usize + 8);
-    write_frame(&mut bytes, magic, version, n, body).expect("a Vec takes every write");
-    bytes
-}
-
 /// Streams one framed section to `path` atomically: into `<file name>.tmp`
 /// beside it (the *whole* name, so `live.manifest`, `live.shard000` and
 /// `live.snap` never share a staging file), fsync, rename over `path`; a
@@ -294,7 +305,9 @@ pub(crate) fn write_file(
 /// out is hashed and was first `claim`ed against what the payload holds.
 pub(crate) struct FrameReader<R> {
     src: R,
-    pub(crate) version: u32,
+    /// Which of the accepted magics the stream starts with.
+    magic: [u8; 8],
+    version: u32,
     payload_len: usize,
     /// Payload bytes claimed so far.
     pos: usize,
@@ -314,28 +327,29 @@ impl FrameReader<BufReader<fs::File>> {
     /// Over an open file: one descriptor, its length read once.
     pub(crate) fn open_file(
         file: fs::File,
-        magic: &[u8; 8],
+        magics: &[&[u8; 8]],
         versions: RangeInclusive<u32>,
     ) -> Result<Self, SnapshotError> {
         let len = file.metadata()?.len();
-        Self::open(BufReader::new(file), len, magic, versions)
+        Self::open(BufReader::new(file), len, magics, versions)
     }
 }
 
 impl<R: Read> FrameReader<R> {
-    /// Validates the header: magic, version, and the framed length against
-    /// `len`, the real byte length of `src` (short is `Truncated`, long is
-    /// trailing bytes).
+    /// Validates the header: one of `magics`, a version in `versions`, and
+    /// the framed length against `len`, the real byte length of `src` (short
+    /// is `Truncated`, long is trailing bytes).
     pub(crate) fn open(
         mut src: R,
         len: u64,
-        magic: &[u8; 8],
+        magics: &[&[u8; 8]],
         versions: RangeInclusive<u32>,
     ) -> Result<Self, SnapshotError> {
         let (have, need) = (len as usize, HEADER_LEN);
         let mut head = [0u8; HEADER_LEN];
         src.read_exact(&mut head[..have.min(need)])?;
-        if have >= 8 && &head[..8] != magic {
+        let magic: [u8; 8] = head[..8].try_into().unwrap();
+        if have >= 8 && !magics.contains(&&magic) {
             return Err(SnapshotError::BadMagic);
         }
         if have < need {
@@ -361,6 +375,7 @@ impl<R: Read> FrameReader<R> {
         }
         Ok(Self {
             src,
+            magic,
             version,
             payload_len,
             pos: 0,
@@ -457,16 +472,9 @@ impl<R: Read> FrameReader<R> {
     }
 
     /// Decodes a whole section with `body`, releasing its value — or its
-    /// structural error — only once the frame has verified.
-    pub(crate) fn decode<T>(
-        self,
-        body: impl FnOnce(&mut Self) -> Result<T, SnapshotError>,
-    ) -> Result<T, SnapshotError> {
-        self.decode_summed(body).map(|(value, _)| value)
-    }
-
-    /// [`FrameReader::decode`], with the payload checksum beside the value.
-    pub(crate) fn decode_summed<T>(
+    /// structural error — only once the frame has verified, with the
+    /// payload checksum beside it.
+    fn decode_summed<T>(
         mut self,
         body: impl FnOnce(&mut Self) -> Result<T, SnapshotError>,
     ) -> Result<(T, u64), SnapshotError> {
@@ -476,7 +484,7 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
-pub(crate) fn metric_tag(m: Metric) -> u8 {
+fn metric_tag(m: Metric) -> u8 {
     match m {
         Metric::Cosine => 0,
         Metric::Inner => 1,
@@ -485,7 +493,7 @@ pub(crate) fn metric_tag(m: Metric) -> u8 {
     }
 }
 
-pub(crate) fn metric_from_tag(tag: u8) -> Result<Metric, SnapshotError> {
+fn metric_from_tag(tag: u8) -> Result<Metric, SnapshotError> {
     Ok(match tag {
         0 => Metric::Cosine,
         1 => Metric::Inner,
@@ -534,13 +542,14 @@ impl Snapshot {
         }
     }
 
-    /// The borrowed form the codec writes from.
-    fn view(&self) -> SnapshotView<'_> {
+    /// The borrowed form the codec writes from, with `emb2` inline.
+    pub(crate) fn view(&self) -> SnapshotView<'_> {
         SnapshotView {
             dim: self.dim,
             metric: self.metric,
             emb1: &self.emb1,
             emb2: &self.emb2,
+            shards: None,
             names1: &self.names1,
             names2: &self.names2,
             trace: &self.trace,
@@ -586,24 +595,36 @@ impl Snapshot {
         self.emb2.len() / self.dim
     }
 
-    /// Serializes to the byte layout: version 1 when the snapshot has no
+    /// Serializes to the inline layout: version 1 when the snapshot has no
     /// lineage (bit-for-bit the pre-lineage format), version 2 with the
     /// 16-byte lineage record appended otherwise. Pure function of the
     /// data: equal snapshots encode to equal bytes.
     pub fn encode(&self) -> Vec<u8> {
         let view = self.view();
-        encode_frame(MAGIC, view.version(), &|w| view.write_payload(w))
+        let body: FrameBody<'_> = &|w| view.write_payload(w);
+        let n = payload_len(body).expect("sizing does no I/O");
+        let mut bytes = Vec::with_capacity(HEADER_LEN + n as usize + 8);
+        write_frame(&mut bytes, INLINE, view.version(), n, body).expect("a Vec takes every write");
+        bytes
     }
 
-    /// Decodes a version-1 or version-2 byte stream. Nothing decoded is
-    /// returned unless magic, version, length, checksum and structure all
-    /// verify.
+    /// Decodes a version-1 or version-2 byte stream of the inline layout (a
+    /// sharded snapshot's rows are files, read by [`load_artifact`]).
+    /// Nothing decoded is returned unless magic, version, length, checksum
+    /// and structure all verify.
     pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        FrameReader::open(bytes, bytes.len() as u64, MAGIC, VERSION..=VERSION_LINEAGE)?
-            .decode(Self::read_payload)
+        let len = bytes.len() as u64;
+        let r = FrameReader::open(bytes, len, &[INLINE], VERSION..=VERSION_LINEAGE)?;
+        let ((snap, _), _) = r.decode_summed(Self::read_payload)?;
+        Ok(snap)
     }
 
-    fn read_payload(r: &mut FrameReader<impl Read>) -> Result<Self, SnapshotError> {
+    /// The one payload reader, for either placement: the snapshot with
+    /// `emb2` decoded when it is inline and empty when it is sharded, and
+    /// then the shard table.
+    fn read_payload(
+        r: &mut FrameReader<impl Read>,
+    ) -> Result<(Self, Option<ShardTable>), SnapshotError> {
         let dim = r.u32()? as usize;
         if dim == 0 {
             return Err(SnapshotError::Malformed("dim is zero".into()));
@@ -611,9 +632,16 @@ impl Snapshot {
         let metric = metric_from_tag(r.u8()?)?;
         let n1 = r.u64()? as usize;
         let n2 = r.u64()? as usize;
+        let table = if &r.magic == SHARDED {
+            Some(ShardTable::read(r, n2)?)
+        } else {
+            None
+        };
         let (mut emb1, mut emb2) = (Vec::new(), Vec::new());
         r.floats_into(n1.checked_mul(dim).ok_or_else(overflow)?, &mut emb1)?;
-        r.floats_into(n2.checked_mul(dim).ok_or_else(overflow)?, &mut emb2)?;
+        if table.is_none() {
+            r.floats_into(n2.checked_mul(dim).ok_or_else(overflow)?, &mut emb2)?;
+        }
         let names1 = read_names(r, n1)?;
         let names2 = read_names(r, n2)?;
         let trace = read_trace(r)?;
@@ -625,7 +653,7 @@ impl Snapshot {
         } else {
             None
         };
-        Ok(Self {
+        let snap = Self {
             dim,
             metric,
             emb1,
@@ -634,7 +662,8 @@ impl Snapshot {
             names2,
             trace,
             lineage,
-        })
+        };
+        Ok((snap, table))
     }
 
     /// The snapshot's *generation*: an FNV-1a 64 digest of everything that
@@ -658,35 +687,121 @@ impl Snapshot {
         h.finish()
     }
 
-    /// Writes the snapshot atomically: stream it into `<file name>.tmp`
-    /// beside `path`, fsync, rename over `path`. A crashed writer never
-    /// leaves a half snapshot under the final name and a failed one leaves
-    /// no staging file.
+    /// Writes the snapshot atomically, `emb2` inline: stream it into
+    /// `<file name>.tmp` beside `path`, fsync, rename over `path`. A crashed
+    /// writer never leaves a half snapshot under the final name and a failed
+    /// one leaves no staging file.
     pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
         self.view().write_to(path).map(drop)
     }
 
-    /// Reads and fully validates a snapshot file, decoding the matrices
-    /// straight into the vectors the returned snapshot owns.
+    /// Reads and fully validates a snapshot file of either placement, every
+    /// shard included, decoding the matrices straight into the vectors the
+    /// returned snapshot owns.
     pub fn read_from(path: &Path) -> Result<Self, SnapshotError> {
-        Self::read_summed(path).map(|(snap, _)| snap)
-    }
-
-    /// [`Snapshot::read_from`], with the payload checksum beside the snapshot.
-    fn read_summed(path: &Path) -> Result<(Self, u64), SnapshotError> {
-        FrameReader::open_file(fs::File::open(path)?, MAGIC, VERSION..=VERSION_LINEAGE)?
-            .decode_summed(Self::read_payload)
+        load_artifact(path, u64::MAX).map(|art| art.snapshot)
     }
 }
 
-/// A snapshot by reference — what the `.snap` codec writes from, so a
-/// checkpoint does not copy its matrices to serialize them.
+/// A fully validated artifact load: the assembled snapshot plus how much
+/// of the artifact it covers.
+pub struct LoadedArtifact {
+    pub snapshot: Snapshot,
+    pub coverage: LoadCoverage,
+}
+
+/// How much of an artifact a (possibly budgeted) load actually covered.
+#[derive(Clone, Copy, Debug)]
+pub struct LoadCoverage {
+    /// Target entities loaded (`snapshot.num_targets()`).
+    pub loaded_entities: usize,
+    /// Target entities the *full* artifact holds.
+    pub total_entities: usize,
+    /// Shards assembled (an inline `emb2` is one shard).
+    pub shards_loaded: usize,
+    /// Shards the artifact holds (1 for an inline `emb2`).
+    pub shards_total: usize,
+}
+
+impl LoadCoverage {
+    /// The longest prefix of shards of `rows` target rows each whose
+    /// `dim`-float rows fit `budget_bytes`, and always at least one shard,
+    /// so a tiny budget still serves the first slice and an inline `emb2`
+    /// (one shard) loads whole.
+    pub(crate) fn within(rows: &[usize], dim: usize, budget_bytes: u64) -> Self {
+        let (mut shards_loaded, mut loaded_entities) = (0, 0usize);
+        for &n in rows {
+            let more = loaded_entities.saturating_add(n);
+            if shards_loaded > 0
+                && (more.saturating_mul(dim) as u64).saturating_mul(4) > budget_bytes
+            {
+                break;
+            }
+            (shards_loaded, loaded_entities) = (shards_loaded + 1, more);
+        }
+        Self {
+            loaded_entities,
+            total_entities: rows.iter().sum(),
+            shards_loaded,
+            shards_total: rows.len(),
+        }
+    }
+
+    /// True when a memory budget truncated the load to a shard prefix.
+    pub fn partial(&self) -> bool {
+        self.loaded_entities < self.total_entities
+    }
+}
+
+/// The one artifact reader: loads the snapshot at `path`, applying
+/// `budget_bytes` to its target-side matrix (`u64::MAX` = unlimited). The
+/// file's magic picks the placement of `emb2`, whatever its name. The
+/// payload is decoded and verified first; then the budget picks a prefix of
+/// whole shards, at least one, and when `emb2` is sharded each of those
+/// shards is verified and decoded onto the end of `emb2`. A partial load
+/// keeps target ids stable (shards start at row 0) but is a *different*
+/// snapshot: its generation differs from the artifact's, so answer caches
+/// can never alias a slice with the full corpus.
+pub fn load_artifact(path: &Path, budget_bytes: u64) -> Result<LoadedArtifact, SnapshotError> {
+    load_artifact_summed(path, budget_bytes).map(|(art, _)| art)
+}
+
+/// [`load_artifact`], with the payload checksum beside the load.
+fn load_artifact_summed(
+    path: &Path,
+    budget_bytes: u64,
+) -> Result<(LoadedArtifact, u64), SnapshotError> {
+    let file = fs::File::open(path)?;
+    let r = FrameReader::open_file(file, &[INLINE, SHARDED], VERSION..=VERSION_LINEAGE)?;
+    let ((mut snapshot, table), checksum) = r.decode_summed(Snapshot::read_payload)?;
+    let rows = match &table {
+        Some(table) => table.rows(),
+        None => vec![snapshot.num_targets()],
+    };
+    let coverage = LoadCoverage::within(&rows, snapshot.dim, budget_bytes);
+    if let Some(table) = &table {
+        table.read_prefix(
+            path,
+            coverage.shards_loaded,
+            snapshot.dim,
+            &mut snapshot.emb2,
+        )?;
+    }
+    snapshot.names2.truncate(coverage.loaded_entities);
+    Ok((LoadedArtifact { snapshot, coverage }, checksum))
+}
+
+/// A snapshot by reference — what the codec writes from, so a checkpoint
+/// does not copy its matrices to serialize them.
 #[derive(Clone, Copy)]
-struct SnapshotView<'a> {
+pub(crate) struct SnapshotView<'a> {
     dim: usize,
     metric: Metric,
     emb1: &'a [f32],
     emb2: &'a [f32],
+    /// Where `emb2` goes: `None` writes it inline, a table writes the
+    /// manifest of shards already on disk.
+    shards: Option<&'a ShardTable>,
     names1: &'a [String],
     names2: &'a [String],
     trace: &'a TrainTrace,
@@ -712,6 +827,7 @@ impl<'a> SnapshotView<'a> {
             metric: out.metric,
             emb1: &out.emb1,
             emb2: &out.emb2,
+            shards: None,
             names1,
             names2,
             trace: &out.trace,
@@ -719,17 +835,31 @@ impl<'a> SnapshotView<'a> {
         }
     }
 
+    /// The same snapshot with `emb2` in the shards `table` describes.
+    pub(crate) fn with_shards(self, table: &'a ShardTable) -> Self {
+        Self {
+            shards: Some(table),
+            ..self
+        }
+    }
+
     fn version(&self) -> u32 {
         self.lineage.map_or(VERSION, |_| VERSION_LINEAGE)
     }
 
+    /// The one payload writer, for either placement.
     fn write_payload(&self, w: &mut FrameWriter<'_>) -> io::Result<()> {
         w.bytes(&(self.dim as u32).to_le_bytes())?;
         w.bytes(&[metric_tag(self.metric)])?;
         w.bytes(&((self.emb1.len() / self.dim) as u64).to_le_bytes())?;
         w.bytes(&((self.emb2.len() / self.dim) as u64).to_le_bytes())?;
+        if let Some(table) = self.shards {
+            table.write(w)?;
+        }
         w.floats(self.emb1)?;
-        w.floats(self.emb2)?;
+        if self.shards.is_none() {
+            w.floats(self.emb2)?;
+        }
         write_names(w, self.names1)?;
         write_names(w, self.names2)?;
         write_trace(w, self.trace)?;
@@ -741,8 +871,13 @@ impl<'a> SnapshotView<'a> {
     }
 
     /// Writes atomically; returns the payload checksum.
-    fn write_to(&self, path: &Path) -> Result<u64, SnapshotError> {
-        write_file(path, MAGIC, self.version(), &|w| self.write_payload(w))
+    pub(crate) fn write_to(&self, path: &Path) -> Result<u64, SnapshotError> {
+        let magic = if self.shards.is_some() {
+            SHARDED
+        } else {
+            INLINE
+        };
+        write_file(path, magic, self.version(), &|w| self.write_payload(w))
     }
 }
 
@@ -750,18 +885,14 @@ pub(crate) fn overflow() -> SnapshotError {
     SnapshotError::Malformed("embedding size overflows usize".into())
 }
 
-/// Encodes a name map: `u64` count followed by the strings. Shared by the
-/// monolithic snapshot payload and the shard manifest.
-pub(crate) fn write_names(w: &mut FrameWriter<'_>, names: &[String]) -> io::Result<()> {
+/// Encodes a name map: `u64` count followed by the strings.
+fn write_names(w: &mut FrameWriter<'_>, names: &[String]) -> io::Result<()> {
     w.bytes(&(names.len() as u64).to_le_bytes())?;
     names.iter().try_for_each(|n| w.str(n))
 }
 
 /// Decodes a name map for `n` entities (count must be 0 or `n`).
-pub(crate) fn read_names(
-    r: &mut FrameReader<impl Read>,
-    n: usize,
-) -> Result<Vec<String>, SnapshotError> {
+fn read_names(r: &mut FrameReader<impl Read>, n: usize) -> Result<Vec<String>, SnapshotError> {
     let count = r.u64()? as usize;
     if count != 0 && count != n {
         return Err(SnapshotError::Malformed(format!(
@@ -775,8 +906,8 @@ pub(crate) fn read_names(
     Ok(names)
 }
 
-/// Encodes a training trace — same byte layout as snapshot version 1.
-pub(crate) fn write_trace(w: &mut FrameWriter<'_>, trace: &TrainTrace) -> io::Result<()> {
+/// Encodes a training trace.
+fn write_trace(w: &mut FrameWriter<'_>, trace: &TrainTrace) -> io::Result<()> {
     w.str(&trace.label)?;
     match trace.stop {
         StopReason::NotRecorded => w.bytes(&[0])?,
@@ -810,7 +941,7 @@ pub(crate) fn write_trace(w: &mut FrameWriter<'_>, trace: &TrainTrace) -> io::Re
 
 /// Decodes a training trace; the bytes the payload still holds bound the
 /// epoch preallocation against a lying count.
-pub(crate) fn read_trace(r: &mut FrameReader<impl Read>) -> Result<TrainTrace, SnapshotError> {
+fn read_trace(r: &mut FrameReader<impl Read>) -> Result<TrainTrace, SnapshotError> {
     let label = r.string()?;
     let stop = match r.u8()? {
         0 => StopReason::NotRecorded,
@@ -991,9 +1122,9 @@ impl CheckpointSink for SnapshotWriter {
                 SnapshotError::Io(io::Error::new(io::ErrorKind::NotFound, why))
             })
             .and_then(|expected| {
-                let (snap, actual) = Snapshot::read_summed(&self.checkpoint_path(label))?;
+                let (art, actual) = load_artifact_summed(&self.checkpoint_path(label), u64::MAX)?;
                 if actual == expected {
-                    Ok(snap)
+                    Ok(art.snapshot)
                 } else {
                     Err(SnapshotError::ChecksumMismatch { expected, actual })
                 }

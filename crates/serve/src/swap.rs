@@ -11,8 +11,9 @@
 //! is:
 //!
 //! 1. **Load off-thread** — read and fully validate the new artifact
-//!    (monolithic snapshot or shard manifest, budget-truncated or not)
-//!    while the old index keeps serving. Every corruption path surfaces
+//!    through the one reader, [`load_artifact`] (`emb2` inline or in
+//!    shards, a budget keeping a prefix of whole shards), while the old
+//!    index keeps serving. Every corruption path surfaces
 //!    as a typed [`SnapshotError`] and leaves the old index untouched.
 //!    The load streams straight into the matrices the new index will
 //!    serve from, so a reload peaks at the live generation + the new
@@ -41,74 +42,13 @@
 //! partial reload of the *same* manifest cannot alias.
 
 use crate::index::{AlignmentIndex, BatchIndex, Probe};
-use crate::shard::ShardManifest;
-use crate::snapshot::{Snapshot, SnapshotError};
+use crate::snapshot::{load_artifact, LoadCoverage, LoadedArtifact, Snapshot, SnapshotError};
 use openea_align::AnnConfig;
 use openea_runtime::timer::Monotonic;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::Duration;
-
-/// A fully validated artifact load: the assembled snapshot plus how much
-/// of the manifest it covers (for `.snap` files the artifact is always
-/// complete).
-pub struct LoadedArtifact {
-    pub snapshot: Snapshot,
-    pub coverage: LoadCoverage,
-}
-
-/// How much of an artifact a (possibly budgeted) load actually covered.
-#[derive(Clone, Copy, Debug)]
-pub struct LoadCoverage {
-    /// Target entities loaded (`snapshot.num_targets()`).
-    pub loaded_entities: usize,
-    /// Target entities the *full* artifact holds.
-    pub total_entities: usize,
-    /// Shards assembled (1 for a monolithic `.snap`).
-    pub shards_loaded: usize,
-    /// Shards the manifest names (1 for a monolithic `.snap`).
-    pub shards_total: usize,
-}
-
-impl LoadCoverage {
-    /// A whole monolithic snapshot of `targets` target entities.
-    fn complete(targets: usize) -> Self {
-        Self {
-            loaded_entities: targets,
-            total_entities: targets,
-            shards_loaded: 1,
-            shards_total: 1,
-        }
-    }
-
-    /// True when a memory budget truncated the load to a shard prefix.
-    pub fn partial(&self) -> bool {
-        self.loaded_entities < self.total_entities
-    }
-}
-
-/// Loads `path` as a shard manifest (`.manifest` extension) or a
-/// monolithic snapshot (anything else), applying `budget_bytes` to the
-/// target-side matrix on manifest loads (`u64::MAX` = unlimited).
-pub fn load_artifact(path: &Path, budget_bytes: u64) -> Result<LoadedArtifact, SnapshotError> {
-    if path.extension().is_some_and(|e| e == "manifest") {
-        let manifest = ShardManifest::read_from(path)?;
-        let (shards_total, total_entities) = (manifest.shards.len(), manifest.n2);
-        let (snapshot, shards_loaded) = manifest.load_budgeted(path, budget_bytes)?;
-        let coverage = LoadCoverage {
-            loaded_entities: snapshot.num_targets(),
-            total_entities,
-            shards_loaded,
-            shards_total,
-        };
-        Ok(LoadedArtifact { snapshot, coverage })
-    } else {
-        let snapshot = Snapshot::read_from(path)?;
-        let coverage = LoadCoverage::complete(snapshot.num_targets());
-        Ok(LoadedArtifact { snapshot, coverage })
-    }
-}
 
 /// How a reload builds its [`BatchIndex`] — the same knobs the CLI
 /// exposes, captured once so every subsequent reload (admin-triggered or
@@ -123,7 +63,9 @@ pub struct IndexOptions {
     pub nlist: usize,
     /// Default probe width override (0 = the index's own default).
     pub nprobe: usize,
-    /// Byte budget for the target-side matrix on manifest loads.
+    /// Byte budget for the target-side matrix: a load keeps the longest
+    /// prefix of whole shards that fits it, at least one (an inline `emb2`
+    /// is one shard).
     pub mem_budget_bytes: u64,
     /// How many recently-used cache keys to replay against the new index
     /// before flipping (0 disables warming).
@@ -195,7 +137,8 @@ pub struct SwapStats {
 }
 
 /// On-disk identity of the artifact the watcher polls: (mtime, length,
-/// trailing checksum bytes) of the manifest/snapshot file. The trailer is
+/// trailing checksum bytes) of the snapshot file (for sharded `emb2`, the
+/// manifest). The trailer is
 /// the container framing's FNV-1a of the payload, so it changes with the
 /// content even when the length does not and the filesystem's mtime
 /// granularity is too coarse to tell two writes apart. Shard files are
@@ -261,7 +204,8 @@ impl HotSwapIndex {
     /// (same partition shape, cache size, threading). This is how tests and
     /// benches drive the server from in-memory snapshots.
     pub fn fixed_with(index: Arc<BatchIndex>, opts: IndexOptions) -> Arc<Self> {
-        let coverage = LoadCoverage::complete(index.index().num_targets());
+        // An in-memory snapshot is one inline shard, held whole.
+        let coverage = LoadCoverage::within(&[index.index().num_targets()], 1, u64::MAX);
         Self::with_state(index, opts, None, coverage, None)
     }
 
@@ -369,7 +313,7 @@ impl HotSwapIndex {
             .reload_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let coverage = LoadCoverage::complete(snapshot.num_targets());
+        let coverage = LoadCoverage::within(&[snapshot.num_targets()], 1, u64::MAX);
         self.swap_in_loaded(LoadedArtifact { snapshot, coverage }, None)
     }
 

@@ -5,7 +5,7 @@
 #[path = "../../../tests/support/binary.rs"]
 mod binary;
 
-use binary::{assert_help, assert_refused};
+use binary::{assert_help, assert_quiet_on_closed_stdout, assert_refused};
 
 const SERVE: &str = env!("CARGO_BIN_EXE_openea-serve");
 
@@ -23,4 +23,9 @@ fn openea_serve_reads_its_command_line_or_refuses_it() {
         let stderr = assert_refused(SERVE, args, what);
         assert!(stderr.contains(usage.trim_end()), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn a_closed_stdout_ends_quietly() {
+    assert_quiet_on_closed_stdout(SERVE);
 }

@@ -1,23 +1,31 @@
-//! Golden-file pinning of the version-1 *sharded* snapshot format, plus
-//! the typed-error contract for every way a shard set can be corrupted.
+//! Golden-file pinning of the *sharded* snapshot placement (versions 1 and
+//! 2), plus the typed-error contract for every way a shard set can be
+//! corrupted, all through the one artifact reader, [`load_artifact`].
 //!
 //! `fixtures/tiny.manifest` + `fixtures/tiny.shard000`/`tiny.shard001`
 //! are committed artifacts: the same logical snapshot as the monolithic
-//! golden fixture, sharded at two target rows per shard. Corruption tests
-//! copy the fixture set into a temp directory first — the committed files
-//! are never mutated.
+//! golden fixture, sharded at two target rows per shard.
+//! `fixtures/tiny-lineage.manifest` and its two shards are the same for
+//! `tiny-lineage.snap`'s warm-started snapshot: a version-2 manifest, its
+//! shards byte-identical to the cold set's (lineage never moves the
+//! generation). Corruption tests copy a fixture set into a temp directory
+//! first — the committed files are never mutated.
 //!
 //! To regenerate after an *intentional* format-version bump:
 //! `OPENEA_REGEN_FIXTURES=1 cargo test -p openea-serve --test sharded_golden`
 
 use openea_approaches::common::EpochTrace;
-use openea_approaches::{StopReason, TrainTrace};
-use openea_serve::{shard_path, write_sharded, ShardManifest, Snapshot, SnapshotError};
+use openea_approaches::{Lineage, StopReason, TrainTrace};
+use openea_serve::{load_artifact, shard_path, write_sharded, Snapshot, SnapshotError};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn fixture_manifest_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/tiny.manifest")
+}
+
+fn lineage_manifest_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/tiny-lineage.manifest")
 }
 
 /// Rows per shard in the committed fixture: 3 targets → shards of 2 + 1.
@@ -72,24 +80,46 @@ fn fixture_snapshot() -> Snapshot {
     }
 }
 
-/// Copies the committed fixture set into a fresh temp directory so
-/// corruption tests can mutate files freely.
-fn scratch_copy(tag: &str) -> PathBuf {
+/// `tiny-lineage.snap`'s snapshot: the fixture as a warm-started child
+/// generation.
+fn lineage_fixture_snapshot() -> Snapshot {
+    Snapshot {
+        lineage: Some(Lineage {
+            parent_generation: 0xfeed_f00d_dead_beef,
+            trained_epochs: 27,
+        }),
+        ..fixture_snapshot()
+    }
+}
+
+/// A fresh temp directory for one test.
+fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "openea-sharded-golden-{tag}-{}",
         std::process::id()
     ));
     fs::create_dir_all(&dir).unwrap();
-    let mpath = dir.join("tiny.manifest");
-    fs::copy(fixture_manifest_path(), &mpath).unwrap();
+    dir
+}
+
+/// Copies the committed fixture set of `manifest` into a fresh temp
+/// directory so corruption tests can mutate files freely.
+fn scratch_copy_of(manifest: &Path, tag: &str) -> PathBuf {
+    let mpath = scratch_dir(tag).join(manifest.file_name().unwrap());
+    fs::copy(manifest, &mpath).unwrap();
     for i in 0..NUM_SHARDS {
-        fs::copy(
-            shard_path(&fixture_manifest_path(), i),
-            shard_path(&mpath, i),
-        )
-        .unwrap();
+        fs::copy(shard_path(manifest, i), shard_path(&mpath, i)).unwrap();
     }
     mpath
+}
+
+fn scratch_copy(tag: &str) -> PathBuf {
+    scratch_copy_of(&fixture_manifest_path(), tag)
+}
+
+/// Loads the artifact at `path` whole.
+fn load(path: &Path) -> Result<Snapshot, SnapshotError> {
+    load_artifact(path, u64::MAX).map(|art| art.snapshot)
 }
 
 /// FNV-1a 64 (the codec's checksum primitive), reimplemented here so the
@@ -105,22 +135,18 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 const HEADER_LEN: usize = 20;
 
-#[test]
-fn golden_fixtures_match_todays_encoder() {
-    let snap = fixture_snapshot();
-    let mpath = fixture_manifest_path();
+/// Re-shards `snap` into a scratch directory and compares every file byte
+/// for byte against the committed set at `mpath` (regenerating that set
+/// first under `OPENEA_REGEN_FIXTURES`).
+fn assert_golden_set(snap: &Snapshot, mpath: &Path, tag: &str) {
     if std::env::var_os("OPENEA_REGEN_FIXTURES").is_some() {
         fs::create_dir_all(mpath.parent().unwrap()).unwrap();
-        write_sharded(&snap, &mpath, SHARD_ENTITIES).unwrap();
+        write_sharded(snap, mpath, SHARD_ENTITIES).unwrap();
     }
-    // Re-shard into a scratch directory and compare every file byte for
-    // byte against the committed set.
-    let dir = std::env::temp_dir().join(format!("openea-sharded-regen-{}", std::process::id()));
-    fs::create_dir_all(&dir).unwrap();
-    let fresh = dir.join("tiny.manifest");
-    let shard_paths = write_sharded(&snap, &fresh, SHARD_ENTITIES).unwrap();
+    let fresh = scratch_dir(tag).join(mpath.file_name().unwrap());
+    let shard_paths = write_sharded(snap, &fresh, SHARD_ENTITIES).unwrap();
     assert_eq!(shard_paths.len(), NUM_SHARDS);
-    let committed = fs::read(&mpath)
+    let committed = fs::read(mpath)
         .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", mpath.display()));
     assert_eq!(
         committed,
@@ -130,7 +156,7 @@ fn golden_fixtures_match_todays_encoder() {
     );
     for i in 0..NUM_SHARDS {
         assert_eq!(
-            fs::read(shard_path(&mpath, i)).unwrap(),
+            fs::read(shard_path(mpath, i)).unwrap(),
             fs::read(shard_path(&fresh, i)).unwrap(),
             "shard {i} format drifted from the committed golden file"
         );
@@ -138,37 +164,77 @@ fn golden_fixtures_match_todays_encoder() {
 }
 
 #[test]
-fn manifest_roundtrip_and_reassembly() {
-    let mpath = fixture_manifest_path();
-    let committed = fs::read(&mpath).unwrap();
-    let manifest = ShardManifest::decode(&committed).unwrap();
-    // Load → re-encode is byte-identical (pure-function codec).
-    assert_eq!(manifest.encode(), committed);
-    // The shard set reassembles exactly the monolithic snapshot, bit for
-    // bit, generation included.
-    let snap = fixture_snapshot();
-    assert_eq!(manifest.generation, snap.generation());
-    let back = manifest.clone().load(&mpath).unwrap();
-    assert_eq!(back, snap);
-    assert_eq!(back.generation(), snap.generation());
-    // And the shard ranges tile 0..n2 as promised.
-    assert_eq!(manifest.shards.len(), NUM_SHARDS);
+fn golden_fixtures_match_todays_encoder() {
+    assert_golden_set(&fixture_snapshot(), &fixture_manifest_path(), "regen");
+    let manifest = fs::read(fixture_manifest_path()).unwrap();
+    assert_eq!(manifest[8..12], 1u32.to_le_bytes(), "a cold manifest is v1");
+}
+
+#[test]
+fn lineage_golden_fixtures_match_todays_encoder() {
+    let mpath = lineage_manifest_path();
+    assert_golden_set(&lineage_fixture_snapshot(), &mpath, "regen-lineage");
+    let manifest = fs::read(&mpath).unwrap();
+    assert_eq!(manifest[8..12], 2u32.to_le_bytes(), "a warm manifest is v2");
+    // The snapshot is `tiny-lineage.snap`'s, and its shards are the cold
+    // set's: lineage never moves the generation.
+    let snap = mpath.with_extension("snap");
     assert_eq!(
-        manifest
-            .shards
-            .iter()
-            .map(|s| (s.start, s.end))
-            .collect::<Vec<_>>(),
-        vec![(0, 2), (2, 3)]
+        Snapshot::read_from(&snap).unwrap(),
+        lineage_fixture_snapshot()
     );
+    for i in 0..NUM_SHARDS {
+        assert_eq!(
+            fs::read(shard_path(&mpath, i)).unwrap(),
+            fs::read(shard_path(&fixture_manifest_path(), i)).unwrap()
+        );
+    }
+}
+
+#[test]
+fn manifest_roundtrip_and_reassembly() {
+    for (mpath, snap) in [
+        (fixture_manifest_path(), fixture_snapshot()),
+        (lineage_manifest_path(), lineage_fixture_snapshot()),
+    ] {
+        // The shard set reassembles exactly the monolithic snapshot, bit
+        // for bit, generation and lineage included.
+        let art = load_artifact(&mpath, u64::MAX).unwrap();
+        let back = art.snapshot;
+        assert_eq!(back, snap);
+        assert_eq!(back.generation(), snap.generation());
+        assert_eq!(back.lineage, snap.lineage);
+        // Load → re-save is byte-identical (pure-function codec).
+        let resaved = scratch_dir("resave").join(mpath.file_name().unwrap());
+        write_sharded(&back, &resaved, SHARD_ENTITIES).unwrap();
+        assert_eq!(fs::read(&resaved).unwrap(), fs::read(&mpath).unwrap());
+        // And the shard ranges tile 0..n2 as promised: 0..2, then 2..3.
+        assert_eq!(art.coverage.shards_total, NUM_SHARDS);
+        let first = load_artifact(&mpath, 2 * 2 * 4).unwrap().coverage;
+        assert_eq!((first.shards_loaded, first.loaded_entities), (1, 2));
+        assert_eq!(
+            (art.coverage.shards_loaded, art.coverage.loaded_entities),
+            (2, 3)
+        );
+    }
+}
+
+#[test]
+fn a_warm_started_sharded_artifact_keeps_its_lineage() {
+    let snap = lineage_fixture_snapshot();
+    let mpath = scratch_dir("lineage").join("live.manifest");
+    write_sharded(&snap, &mpath, 1).unwrap();
+    let back = load_artifact(&mpath, u64::MAX).unwrap().snapshot;
+    assert_eq!(back.lineage, snap.lineage);
+    assert_eq!(back.generation(), snap.generation());
+    assert_eq!(back, snap);
 }
 
 #[test]
 fn missing_shard_is_typed() {
     let mpath = scratch_copy("missing");
     fs::remove_file(shard_path(&mpath, 1)).unwrap();
-    let manifest = ShardManifest::read_from(&mpath).unwrap();
-    match manifest.load(&mpath) {
+    match load(&mpath) {
         Err(SnapshotError::MissingShard { index: 1, path }) => {
             assert_eq!(path, shard_path(&mpath, 1));
         }
@@ -186,9 +252,8 @@ fn tampered_shard_fails_its_own_trailer_checksum() {
     let mid = HEADER_LEN + (bytes.len() - HEADER_LEN - 8) / 2;
     bytes[mid] ^= 0x40;
     fs::write(&spath, &bytes).unwrap();
-    let manifest = ShardManifest::read_from(&mpath).unwrap();
     assert!(matches!(
-        manifest.load(&mpath),
+        load(&mpath),
         Err(SnapshotError::ChecksumMismatch { .. })
     ));
 }
@@ -206,8 +271,7 @@ fn resealed_shard_fails_the_manifest_checksum() {
     let seal = fnv1a64(&bytes[HEADER_LEN..payload_end]);
     bytes[payload_end..].copy_from_slice(&seal.to_le_bytes());
     fs::write(&spath, &bytes).unwrap();
-    let manifest = ShardManifest::read_from(&mpath).unwrap();
-    match manifest.load(&mpath) {
+    match load(&mpath) {
         Err(SnapshotError::ShardChecksumMismatch {
             index: 0,
             manifest: m,
@@ -232,8 +296,7 @@ fn foreign_generation_shard_is_typed() {
     let opath = dir.join("tiny.manifest");
     write_sharded(&other, &opath, SHARD_ENTITIES).unwrap();
     fs::copy(shard_path(&opath, 0), shard_path(&mpath, 0)).unwrap();
-    let manifest = ShardManifest::read_from(&mpath).unwrap();
-    match manifest.load(&mpath) {
+    match load(&mpath) {
         Err(SnapshotError::GenerationMismatch {
             index: 0,
             manifest: m,
@@ -246,37 +309,59 @@ fn foreign_generation_shard_is_typed() {
     }
 }
 
+/// Writes `image` as the manifest at `mpath`, a scratch copy of a fixture
+/// set, and loads it.
+fn load_manifest_image(mpath: &Path, image: &[u8]) -> Result<Snapshot, SnapshotError> {
+    fs::write(mpath, image).unwrap();
+    load(mpath)
+}
+
 #[test]
 fn truncating_the_manifest_anywhere_is_typed_not_a_panic() {
-    let bytes = fs::read(fixture_manifest_path()).unwrap();
-    for cut in 0..bytes.len() {
-        match ShardManifest::decode(&bytes[..cut]) {
-            Err(SnapshotError::Truncated { .. }) => {}
-            other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
+    for (fixture, tag) in [
+        (fixture_manifest_path(), "cut"),
+        (lineage_manifest_path(), "cut-lineage"),
+    ] {
+        let mpath = scratch_copy_of(&fixture, tag);
+        let bytes = fs::read(&fixture).unwrap();
+        for cut in 0..bytes.len() {
+            match load_manifest_image(&mpath, &bytes[..cut]) {
+                Err(SnapshotError::Truncated { .. }) => {}
+                other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
+            }
         }
     }
 }
 
 #[test]
 fn corrupt_manifest_header_paths_are_typed() {
+    let mpath = scratch_copy("header");
     let bytes = fs::read(fixture_manifest_path()).unwrap();
 
     let mut bad_magic = bytes.clone();
     bad_magic[3] = b'X';
     assert!(matches!(
-        ShardManifest::decode(&bad_magic),
+        load_manifest_image(&mpath, &bad_magic),
         Err(SnapshotError::BadMagic)
     ));
-    // A monolithic snapshot is not a manifest (distinct magics).
+    // A manifest is not the inline layout `decode` reads from memory (distinct
+    // magics) ...
     assert!(matches!(
-        ShardManifest::decode(&fixture_snapshot().encode()),
+        Snapshot::decode(&bytes),
         Err(SnapshotError::BadMagic)
     ));
+    // ... and the file reader goes by the magic, not the name: an inline
+    // snapshot under a manifest's name loads as what it is.
+    let inline = fixture_snapshot().encode();
+    assert_eq!(
+        load_manifest_image(&mpath, &inline).unwrap(),
+        fixture_snapshot()
+    );
 
     let mut future = bytes.clone();
     future[8..12].copy_from_slice(&9u32.to_le_bytes());
     assert!(matches!(
-        ShardManifest::decode(&future),
+        load_manifest_image(&mpath, &future),
         Err(SnapshotError::UnsupportedVersion(9))
     ));
 
@@ -284,7 +369,7 @@ fn corrupt_manifest_header_paths_are_typed() {
     let mid = HEADER_LEN + (bytes.len() - HEADER_LEN - 8) / 2;
     flipped[mid] ^= 0x01;
     assert!(matches!(
-        ShardManifest::decode(&flipped),
+        load_manifest_image(&mpath, &flipped),
         Err(SnapshotError::ChecksumMismatch { .. })
     ));
 }

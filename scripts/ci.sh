@@ -163,6 +163,14 @@ for _ in 1 2 3 4 5; do
     cargo test -q --release --offline -p openea --test swap_torture -- --test-threads=32
 done
 
+# The snapshot codec's contracts under the shipped code generation: the
+# corruption sweep of every fixture (both `emb2` placements, cold and
+# warm-started), the publish path's allocation bounds, and the byte-pinned
+# `.snap` and `.manifest` fixtures. Budget: about 4.5 s after the build
+# (4.3 s on 2 vCPUs, 3.6 s of it the corruption sweep).
+cargo test -q --release --offline -p openea -p openea-serve --test codec_corruption \
+    --test publish_memory --test sharded_golden --test snapshot_golden
+
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # The API docs: no intra-doc link may be unresolved, redundant or point at

@@ -5,7 +5,7 @@
 #[path = "support/binary.rs"]
 mod binary;
 
-use binary::{assert_help, assert_refused, run};
+use binary::{assert_help, assert_quiet_on_closed_stdout, assert_refused, run};
 
 const CLI: &str = env!("CARGO_BIN_EXE_openea-cli");
 
@@ -76,4 +76,9 @@ fn a_misspelt_run_option_is_refused_not_defaulted() {
     let ok = binary::run(CLI, &[&run[..], &["--epochs", "2"]].concat());
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(ok.status.code(), Some(0), "{ok:?}");
+}
+
+#[test]
+fn a_closed_stdout_ends_quietly() {
+    assert_quiet_on_closed_stdout(CLI);
 }

@@ -1,10 +1,12 @@
-//! Corruption sweep over the streaming snapshot, manifest and shard
-//! decoders: whatever happens to the bytes, a load ends in a typed
-//! [`SnapshotError`] or in exactly the pristine value — never a panic, a
-//! hang, or an allocation a lying length field talked it into.
+//! Corruption sweep over the streaming snapshot reader, for both placements
+//! of `emb2` (inline, and a manifest with its shards): whatever happens to
+//! the bytes, a load ends in a typed [`SnapshotError`] or in exactly the
+//! pristine value — never a panic, a hang, or an allocation a lying length
+//! field talked it into.
 //!
 //! Each case sweeps the committed fixtures (`tiny.snap`,
-//! `tiny-lineage.snap`, `tiny.manifest` + its two shards) with: a
+//! `tiny-lineage.snap`, `tiny.manifest` and `tiny-lineage.manifest`, each
+//! with its two shards) with: a
 //! truncation at every length; a flip of every header bit; flips striding
 //! through the payload and trailer (the case's generated `phase` and `bit`
 //! move the stride, so the cases together reach every lane); every length
@@ -59,8 +61,8 @@ impl Kind {
 
     fn max_version(self) -> u32 {
         match self {
-            Kind::Snapshot => 2,
-            Kind::Manifest | Kind::Shard => 1,
+            Kind::Snapshot | Kind::Manifest => 2,
+            Kind::Shard => 1,
         }
     }
 }
@@ -287,19 +289,23 @@ fn sweep_monolithic(name: &str, phase: usize, bit: u8) -> PropResult {
     Ok(())
 }
 
-fn sweep_shard_set(dir: &Path, phase: usize, bit: u8) -> PropResult {
-    let manifest = dir.join("tiny.manifest");
+fn sweep_shard_set(dir: &Path, stem: &str, phase: usize, bit: u8) -> PropResult {
+    let manifest = dir.join(format!("{stem}.manifest"));
     let files: Vec<(Kind, PathBuf, Vec<u8>)> = vec![
-        (Kind::Manifest, manifest.clone(), fixture("tiny.manifest")),
+        (
+            Kind::Manifest,
+            manifest.clone(),
+            fixture(&format!("{stem}.manifest")),
+        ),
         (
             Kind::Shard,
             shard_path(&manifest, 0),
-            fixture("tiny.shard000"),
+            fixture(&format!("{stem}.shard000")),
         ),
         (
             Kind::Shard,
             shard_path(&manifest, 1),
-            fixture("tiny.shard001"),
+            fixture(&format!("{stem}.shard001")),
         ),
     ];
     for (_, path, bytes) in &files {
@@ -338,7 +344,8 @@ props! {
         sweep_monolithic("tiny-lineage.snap", phase, bit)?;
         let dir = std::env::temp_dir().join(format!("openea-codec-corruption-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let swept = sweep_shard_set(&dir, phase, bit);
+        let swept = sweep_shard_set(&dir, "tiny", phase, bit)
+            .and_then(|()| sweep_shard_set(&dir, "tiny-lineage", phase, bit));
         let _ = std::fs::remove_dir_all(&dir);
         swept?;
     }

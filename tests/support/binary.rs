@@ -1,8 +1,9 @@
 //! Runs a built binary of the workspace and checks how it answers a command
-//! line: `--help` and `-h` print one usage text and exit 0, and a refusal
-//! exits 2 with an `error:` line naming what it refused.
+//! line: `--help` and `-h` print one usage text and exit 0, a refusal exits
+//! 2 with an `error:` line naming what it refused, and a stdout whose reader
+//! has gone ends it quietly.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 pub fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin)
@@ -34,4 +35,21 @@ pub fn assert_refused(bin: &str, args: &[&str], what: &str) -> String {
         "{args:?} should be refused naming {what}: {stderr}"
     );
     stderr
+}
+
+/// Runs `bin --help` with stdout a pipe whose reader is already closed, so
+/// its first write fails with `BrokenPipe`, and checks it exits 0 without a
+/// panic.
+pub fn assert_quiet_on_closed_stdout(bin: &str) {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(bin)
+        .arg("--help")
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("the binary starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+    assert_eq!(out.status.code(), Some(0), "{bin}: {stderr}");
 }

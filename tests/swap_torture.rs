@@ -18,7 +18,7 @@
 //!   and the live index keeps answering bit-identically.
 
 use openea_align::Metric;
-use openea_approaches::{StopReason, TrainTrace};
+use openea_approaches::{Lineage, StopReason, TrainTrace};
 use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
 use openea_runtime::testkit::faults::{bit_flips, truncations, Fault, SlowWriter};
 use openea_runtime::testkit::replay::{replay, ReplayOptions, ReplayOutcome, ReplayReport};
@@ -388,6 +388,34 @@ fn sharded_faults_produce_their_own_typed_errors() {
     let outcome = hot.reload().unwrap();
     assert_eq!(outcome.generation, gen_a);
     assert_eq!(outcome.coverage.shards_loaded, 3);
+}
+
+/// A warm-started generation published as shards flips in with its
+/// lineage, whether it replaces an inline or a sharded artifact.
+#[test]
+fn a_warm_started_sharded_artifact_reloads_with_its_lineage() {
+    let dir = TempDir::new("lineage");
+    let (snap_path, live) = (dir.0.join("live.snap"), dir.0.join("live.manifest"));
+    let parent = synth_snapshot(1);
+    parent.write_to(&snap_path).unwrap();
+    let (hot, _) = HotSwapIndex::open(&snap_path, build_opts(1, 0)).unwrap();
+    let warm = parent.warm_start();
+    let child = Snapshot {
+        lineage: Some(Lineage {
+            parent_generation: warm.parent_generation,
+            trained_epochs: warm.trained_epochs + 3,
+        }),
+        ..synth_snapshot(2)
+    };
+    write_sharded(&child, &live, 16).unwrap();
+    for _ in 0..2 {
+        let outcome = hot.reload_from(&live).unwrap();
+        assert_eq!(outcome.generation, child.generation());
+        assert_eq!(outcome.coverage.shards_loaded, 3);
+        let served = hot.current();
+        assert_eq!(served.index().snapshot().lineage, child.lineage);
+        assert_eq!(served.index().snapshot(), &child);
+    }
 }
 
 /// A producer that ignores tmp-then-rename and dribbles bytes straight
