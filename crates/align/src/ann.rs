@@ -11,16 +11,42 @@
 //! partitions and only re-ranks the targets inside them — typically a few
 //! percent of the corpus for >0.95 recall@10 on clustered embeddings.
 //!
+//! ## Storage: int8 lists, f32 rows borrowed
+//!
+//! An [`IvfPartition`] owns no target rows. Each member row is stored as
+//! `dim` int8 codes with one symmetric f32 scale (its largest coordinate
+//! maps to ±127), list-contiguous and pre-transposed into the
+//! [`DEFAULT_TILE`]-wide dimension-major blocks the scan consumes, plus an
+//! f32 upper bound on its quantization error `‖x − x̃‖₂` (computed in `f64`,
+//! rounded up) and, for cosine, its exact norm. That is `dim + 8` bytes
+//! per row (`dim + 12` under cosine) beside the ids, against `4·dim` for an
+//! f32 copy. The exact rows stay where they already are — the caller's
+//! row-major targets — and [`IvfPartition::over`] binds the two into an
+//! [`IvfIndex`] that searches.
+//!
 //! ## Exactness contract
 //!
-//! The second stage is *exact* on whatever candidates stage one admits:
-//! per-pair scores come from the same block kernels as the dense sweep
-//! (bit-identical accumulation order), and the accumulator implements the
-//! shared tie rule (descending score, lowest target index wins, NaN last).
-//! Therefore with `nprobe = nlist` every target is a candidate and the
-//! result is **bit-identical** to the dense exact sweep — approximation
-//! error comes only from partitions not probed, never from re-scoring.
-//! `tests/ann_equivalence.rs` pins this.
+//! Stage two dequantizes one tile of codes into f32 scratch and scores it
+//! with the same [`Metric::similarity_tile`] as the dense sweep: an
+//! approximate score `ã` per member. Each metric turns the stored error `e`
+//! into a bound `b ≥ s − ã` on the member's exact score `s` — `e/‖x‖` for
+//! cosine, `‖q‖·e` for inner, `e` for euclidean, `√dim·e` for manhattan
+//! (each distance is 1-Lipschitz in the row under its norm) — plus the
+//! `γ_dim`-style rounding slack of both kernel evaluations. A member is
+//! re-ranked exactly unless `ã + b < T`, `T` being the exact `k`-th best
+//! score accepted so far: its row is gathered from the targets by id,
+//! transposed, scored by `similarity_tile` and folded through
+//! `push_topk_any` under the shared tie rule (descending score, lowest
+//! target index wins, NaN last). A skipped member's exact score is strictly
+//! below `k` accepted ones, so it cannot be in the top `k`, and the answer
+//! is the exact top `k` of every probed member, scores and all. With
+//! `nprobe = nlist` that is **bit-identical** to the dense exact sweep —
+//! approximation error comes only from partitions not probed, never from
+//! the codes. The test is NaN-safe: a NaN anywhere makes it false. A row
+//! that is non-finite or whose norm lies outside `[2⁻⁵⁰, 2⁵⁰]` (zero
+//! included) has `e = +∞`, and a query whose norm lies outside that range
+//! prunes nothing, so those are always re-ranked. `tests/ann_equivalence.rs`
+//! pins all of this.
 //!
 //! ## Determinism
 //!
@@ -29,22 +55,27 @@
 //! partition — and hence every approximate answer — is a pure function of
 //! `(targets, dim, metric, config)`, regardless of build thread count.
 //! Queries are sequential per call; batching parallelism lives upstream.
+//! How many members a query re-ranks ([`SearchCounts`]) is a function of the
+//! same inputs and the query.
 //!
 //! ## Build memory
 //!
-//! A build's peak is the index it returns plus one k-means sample: the
+//! A build's peak is the partition it returns plus one k-means sample: the
 //! sample and the Lloyd accumulators live only inside centroid training,
-//! the assignment table is dropped once the CSR ids exist, and the
-//! list-contiguous transposed copy of the rows is filled in place, one
-//! [`DEFAULT_TILE`]-row block at a time (gather by id → norms → transpose),
-//! so no row-major gathered copy of the corpus ever exists beside it.
-//! `tests/publish_memory.rs` gates this on allocated bytes.
+//! the assignment table is dropped once the CSR ids exist, and the codes
+//! are filled in place, one [`DEFAULT_TILE`]-row block at a time (gather by
+//! id → norms → quantize and bound → transpose), so no f32 copy of the
+//! corpus ever exists beside them. `tests/publish_memory.rs` gates this on
+//! allocated bytes.
 
 use crate::metric::Metric;
 use crate::simmat::DEFAULT_TILE;
 use crate::topk::{push_topk_any, score_desc, TopKMatrix};
 use openea_math::vecops;
 use openea_runtime::rng::{SeedableRng, SliceRandom, SmallRng};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::ops::Deref;
 
 /// Build-time knobs for the IVF partition.
 #[derive(Clone, Copy, Debug)]
@@ -71,13 +102,23 @@ impl Default for AnnConfig {
 /// assignment always covers every target). Stride-sampled for coverage.
 pub const TRAIN_SAMPLE: usize = 65_536;
 
-/// An inverted-file index over one side's embeddings: `nlist` centroids,
-/// CSR member lists (ids ascending within each list) and a list-contiguous,
-/// tile-transposed copy of the member rows so re-ranking sweeps dense
-/// dimension-major memory with the register microkernels — no per-query
-/// transpose.
+/// The code a row's largest coordinate maps to: codes span `[-127, 127]`.
+const LEVELS: f32 = 127.0;
+
+/// Row and query norms the error bounds hold for: inside this range no
+/// kernel sum can overflow and underflow costs at most an absolute
+/// `2⁻⁵⁸`. Anything outside (zero, non-finite) is always re-ranked.
+const MIN_NORM: f64 = 1.0 / (1u64 << 50) as f64;
+const MAX_NORM: f64 = (1u64 << 50) as f64;
+
+/// An inverted-file partition over one side's embeddings: `nlist`
+/// centroids, CSR member lists (ids ascending within each list) and the
+/// members' int8 codes, list-contiguous and tile-transposed so the scan
+/// sweeps dense dimension-major memory with the register microkernels. It
+/// holds no target rows: [`IvfPartition::over`] binds it to the rows it was
+/// built over.
 #[derive(Clone, Debug)]
-pub struct IvfIndex {
+pub struct IvfPartition {
     dim: usize,
     metric: Metric,
     nlist: usize,
@@ -88,20 +129,46 @@ pub struct IvfIndex {
     /// Norms of `centroids` under `metric` (empty unless the metric needs
     /// them) — probe ordering scores centroids with the *index* metric.
     centroid_norms: Vec<f32>,
-    /// CSR offsets into `ids`/`gathered_t`, length `nlist + 1`.
+    /// CSR offsets into `ids` (and every per-member table), length
+    /// `nlist + 1`.
     offsets: Vec<usize>,
     /// Target indices, ascending within each list.
     ids: Vec<u32>,
-    /// The member rows gathered list-contiguously and pre-transposed at
-    /// build time into the exact [`DEFAULT_TILE`]-wide dimension-major
-    /// blocks the re-rank sweep consumes: within each list, rows
-    /// `[g, g1)` (stepping `DEFAULT_TILE` from the list's start) occupy
-    /// `gathered_t[g*dim..g1*dim]` in [`vecops::transpose_tile`] layout.
-    /// Queries then skip the per-tile transpose entirely.
-    gathered_t: Vec<f32>,
-    /// Norms of the gathered rows under `metric` (empty unless needed),
-    /// indexed by gathered position `g`.
-    gathered_norms: Vec<f32>,
+    /// The members' codes in list order, pre-transposed at build time into
+    /// the exact [`DEFAULT_TILE`]-wide dimension-major blocks the scan
+    /// consumes: within each list, rows `[g, g1)` (stepping `DEFAULT_TILE`
+    /// from the list's start) occupy `codes[g*dim..g1*dim]` in
+    /// [`vecops::transpose_tile`] layout. Member `g` dequantizes to
+    /// `code as f32 * scales[g]`.
+    codes: Vec<i8>,
+    /// One symmetric scale per member, by position `g` (0 for a member
+    /// that is always re-ranked).
+    scales: Vec<f32>,
+    /// `‖x − x̃‖₂` per member, rounded up; `+∞` for a member that is always
+    /// re-ranked.
+    errors: Vec<f32>,
+    /// Exact norms of the members under `metric` (empty unless it needs
+    /// them), by position `g`: the approximate and the exact score share
+    /// them.
+    norms: Vec<f32>,
+}
+
+/// An [`IvfPartition`] bound to the row-major targets it was built over:
+/// the searchable index. [`IvfIndex::build`] owns its partition;
+/// [`IvfPartition::over`] borrows one.
+#[derive(Clone, Debug)]
+pub struct IvfIndex<'a> {
+    part: Cow<'a, IvfPartition>,
+    targets: &'a [f32],
+}
+
+/// What one search touched.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SearchCounts {
+    /// Members of the probed lists, each scored from its codes.
+    pub scanned: usize,
+    /// Members whose exact row was gathered and scored.
+    pub reranked: usize,
 }
 
 /// The metric used to *cluster* (assignment + probe training): raw inner
@@ -174,7 +241,129 @@ fn train_centroids(
     centroids
 }
 
-impl IvfIndex {
+/// Quantizes row `x` into `codes`, one per coordinate: returns the row's
+/// scale and an upper bound on `‖x − x̃‖₂`, with `x̃[d] = codes[d] as f32 *
+/// scale` exactly as the scan dequantizes. A row whose norm is outside
+/// `[MIN_NORM, MAX_NORM]` (zero and non-finite rows included) gets zero
+/// codes, scale 0 and error `+∞`: it is always re-ranked.
+fn quantize(x: &[f32], codes: &mut [i8]) -> (f32, f32) {
+    let norm = x
+        .iter()
+        .map(|&v| f64::from(v) * f64::from(v))
+        .sum::<f64>()
+        .sqrt();
+    if !(MIN_NORM..=MAX_NORM).contains(&norm) {
+        codes.fill(0);
+        return (0.0, f32::INFINITY);
+    }
+    let amax = x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+    let (scale, inv) = (amax / LEVELS, LEVELS / amax);
+    for (c, &v) in codes.iter_mut().zip(x) {
+        // Any code is sound (the error below is measured, not assumed);
+        // round half away from zero without a libm call.
+        let y = v * inv;
+        *c = ((y + 0.5f32.copysign(y)) as i32).clamp(-127, 127) as i8;
+    }
+    let err: f64 = codes
+        .iter()
+        .zip(x)
+        .map(|(&c, &v)| (f64::from(v) - f64::from(f32::from(c) * scale)).powi(2))
+        .sum();
+    (scale, round_up(err.sqrt()))
+}
+
+/// `e`, an `f64` result whose relative error is far below `2⁻³⁰`, as the
+/// nearest `f32` that is not below the exact value.
+fn round_up(e: f64) -> f32 {
+    let e = e * (1.0 + 1.0 / (1u64 << 30) as f64);
+    let f = e as f32;
+    if f64::from(f) < e {
+        f.next_up()
+    } else {
+        f
+    }
+}
+
+/// Absolute slack for underflow in a kernel sum over rows and queries whose
+/// norms are at least [`MIN_NORM`]: far above `dim · 2⁻¹⁴⁸`.
+const TINY: f32 = 1.0 / (1u64 << 58) as f32;
+
+/// A query's side of the per-member bound `b ≥ s − ã` (module docs): the
+/// exact score `s` of a member is at most its approximate score `ã` plus
+/// [`Slack::bound`].
+struct Slack {
+    metric: Metric,
+    /// `2·(dim + 8)·ε`: four times the `γ_dim` of one kernel fold, so one
+    /// term covers the folds of both scores, the f32 norms they divide by
+    /// and the few roundings of the bound itself.
+    gamma: f32,
+    /// `‖q‖₂` (inner: `|q·(x − x̃)| ≤ ‖q‖₂·e`).
+    q2: f32,
+    /// `127·‖q‖₁` (inner): times a member's scale it bounds `Σ|q_d y_d|`
+    /// for `y` the row or its codes, which the fold's rounding scales with.
+    q1_levels: f32,
+    /// `√dim` (manhattan: `‖v‖₁ ≤ √dim·‖v‖₂`).
+    root_dim: f32,
+}
+
+impl Slack {
+    /// `None` when the query's norm is outside `[MIN_NORM, MAX_NORM]` (or
+    /// the dimension is too large for the first-order slack): then every
+    /// probed member is re-ranked.
+    fn new(metric: Metric, query: &[f32]) -> Option<Self> {
+        let norm = query
+            .iter()
+            .map(|&v| f64::from(v) * f64::from(v))
+            .sum::<f64>()
+            .sqrt();
+        let gamma = 2.0 * (query.len() as f32 + 8.0) * f32::EPSILON;
+        if !(MIN_NORM..=MAX_NORM).contains(&norm) || gamma > 1.0 / 64.0 {
+            return None;
+        }
+        Some(Self {
+            metric,
+            gamma,
+            q2: vecops::norm2(query),
+            q1_levels: vecops::norm1(query) * LEVELS,
+            root_dim: (query.len() as f32).sqrt(),
+        })
+    }
+
+    /// The bound for member `g` of `part` whose approximate score is
+    /// `approx`. `+∞` or NaN for a member that is always re-ranked.
+    #[inline]
+    fn bound(&self, part: &IvfPartition, g: usize, approx: f32) -> f32 {
+        let (e, grow) = (part.errors[g], 1.0 + self.gamma);
+        match self.metric {
+            Metric::Cosine => e / part.norms[g] * (1.0 + 4.0 * self.gamma) + 4.0 * self.gamma,
+            Metric::Inner => {
+                (self.q2 * e + self.gamma * self.q1_levels * part.scales[g]) * grow + TINY
+            }
+            Metric::Euclidean => (e + self.gamma * approx.abs()) * grow + TINY,
+            Metric::Manhattan => (self.root_dim * e + self.gamma * approx.abs()) * grow + TINY,
+        }
+    }
+}
+
+/// Whether a member whose exact score is at most `upper` may still enter
+/// a top `k` whose `k`-th exact score is `t`: anything but a proven `upper <
+/// t`, so a NaN on either side keeps it. Rounding is monotone, so the f32
+/// sum `ã + b` below `t` proves the exact `ã + b` is.
+fn may_enter(upper: f32, t: f32) -> bool {
+    upper.partial_cmp(&t) != Some(Ordering::Less)
+}
+
+/// Scratch of the exact re-rank: gathered rows, their transpose, their
+/// norms and their scores.
+#[derive(Default)]
+struct Rerank {
+    rows: Vec<f32>,
+    rows_t: Vec<f32>,
+    norms: Vec<f32>,
+    scores: Vec<f32>,
+}
+
+impl IvfPartition {
     /// Builds the partition over row-major `targets` (`n × dim`).
     ///
     /// Deterministic in `(targets, dim, metric, cfg)`; `threads` only
@@ -206,8 +395,10 @@ impl IvfIndex {
                 centroid_norms: Vec::new(),
                 offsets: vec![0],
                 ids: Vec::new(),
-                gathered_t: Vec::new(),
-                gathered_norms: Vec::new(),
+                codes: Vec::new(),
+                scales: Vec::new(),
+                errors: Vec::new(),
+                norms: Vec::new(),
             };
         }
         let cmetric = cluster_metric(metric);
@@ -236,15 +427,17 @@ impl IvfIndex {
         }
         let centroid_norms = metric.row_norms(&centroids, dim);
 
-        // Gather, norm and pre-transpose one re-rank tile at a time,
-        // straight into place: no list-ordered row-major copy of the
-        // corpus ever exists. Blocks step `DEFAULT_TILE` from each *list's*
-        // start (not the global origin) so the query sweep can slice
-        // `gathered_t` with the same `[g, g1)` bounds it probes with.
-        let mut gathered_t = vec![0.0f32; n * dim];
-        let mut gathered_norms = Vec::with_capacity(if metric.needs_norms() { n } else { 0 });
+        // Gather, norm, quantize and pre-transpose one scan tile at a time,
+        // straight into place: no f32 copy of the corpus ever exists.
+        // Blocks step `DEFAULT_TILE` from each *list's* start (not the
+        // global origin) so the scan can slice `codes` with the same
+        // `[g, g1)` bounds it probes with.
+        let mut codes = vec![0i8; n * dim];
+        let mut scales = Vec::with_capacity(n);
+        let mut errors = Vec::with_capacity(n);
+        let mut norms = Vec::with_capacity(if metric.needs_norms() { n } else { 0 });
         let mut tile = Vec::with_capacity(DEFAULT_TILE.min(n) * dim);
-        let mut scratch = Vec::new();
+        let mut row_codes = vec![0i8; dim];
         for c in 0..nlist {
             let (lo, hi) = (offsets[c], offsets[c + 1]);
             let mut g = lo;
@@ -255,9 +448,17 @@ impl IvfIndex {
                     let i = i as usize;
                     tile.extend_from_slice(&targets[i * dim..(i + 1) * dim]);
                 }
-                gathered_norms.extend(metric.row_norms(&tile, dim));
-                vecops::transpose_tile(&tile, dim, &mut scratch);
-                gathered_t[g * dim..g1 * dim].copy_from_slice(&scratch);
+                norms.extend(metric.row_norms(&tile, dim));
+                let rows = g1 - g;
+                let block = &mut codes[g * dim..g1 * dim];
+                for (j, x) in tile.chunks_exact(dim).enumerate() {
+                    let (scale, err) = quantize(x, &mut row_codes);
+                    scales.push(scale);
+                    errors.push(err);
+                    for (d, &q) in row_codes.iter().enumerate() {
+                        block[d * rows + j] = q;
+                    }
+                }
                 g = g1;
             }
         }
@@ -271,8 +472,28 @@ impl IvfIndex {
             centroid_norms,
             offsets,
             ids,
-            gathered_t,
-            gathered_norms,
+            codes,
+            scales,
+            errors,
+            norms,
+        }
+    }
+
+    /// Binds the partition to the row-major targets it was built over.
+    ///
+    /// # Panics
+    ///
+    /// When `targets` does not hold [`IvfPartition::len`] rows of
+    /// [`IvfPartition::dim`] values.
+    pub fn over<'a>(&'a self, targets: &'a [f32]) -> IvfIndex<'a> {
+        assert_eq!(
+            targets.len(),
+            self.ids.len() * self.dim,
+            "an IVF partition searches the rows it was built over"
+        );
+        IvfIndex {
+            part: Cow::Borrowed(self),
+            targets,
         }
     }
 
@@ -318,7 +539,7 @@ impl IvfIndex {
     }
 
     /// The query's norm under the index metric (0 when it needs none):
-    /// taken once per query, shared by probe ordering and re-rank.
+    /// taken once per query, shared by probe ordering and both scores.
     fn query_norm(&self, query: &[f32]) -> f32 {
         if self.metric.needs_norms() {
             vecops::norm2(query)
@@ -327,9 +548,9 @@ impl IvfIndex {
         }
     }
 
-    /// The first `nprobe ≤ nlist` entries of [`IvfIndex::probe_order`]. The
-    /// comparator is a total order, so selecting the prefix and sorting only
-    /// it gives exactly what sorting every partition would.
+    /// The first `nprobe ≤ nlist` entries of [`IvfPartition::probe_order`].
+    /// The comparator is a total order, so selecting the prefix and sorting
+    /// only it gives exactly what sorting every partition would.
     fn best_partitions(&self, query: &[f32], q_norm: f32, nprobe: usize) -> Vec<u32> {
         assert_eq!(query.len(), self.dim);
         if self.nlist == 0 {
@@ -356,54 +577,186 @@ impl IvfIndex {
         order
     }
 
-    /// Two-stage top-`k` for one query: probe the `nprobe` best partitions
-    /// (clamped to `[1, nlist]`), exactly re-rank their members. Answers are
-    /// sorted by the shared tie rule; with `nprobe ≥ nlist` the result is
-    /// bit-identical to the dense exact sweep.
-    pub fn search(&self, query: &[f32], k: usize, nprobe: usize) -> Vec<(u32, f32)> {
-        self.search_counted(query, k, nprobe).0
+    /// Dequantizes members `[g, g1)` — one scan tile — into `out`, in the
+    /// dimension-major layout of their codes.
+    fn dequantize(&self, g: usize, g1: usize, out: &mut [f32]) {
+        let rows = g1 - g;
+        let scales = &self.scales[g..g1];
+        let codes = &self.codes[g * self.dim..g1 * self.dim];
+        for (dst, src) in out.chunks_exact_mut(rows).zip(codes.chunks_exact(rows)) {
+            for ((o, &c), &s) in dst.iter_mut().zip(src).zip(scales) {
+                *o = f32::from(c) * s;
+            }
+        }
     }
 
-    /// [`IvfIndex::search`] also reporting how many targets were scored —
-    /// the bench derives its candidate-fraction curve from this.
+    /// The exact norms of members `[g, g1)` (empty unless the metric needs
+    /// them).
+    fn norms_of(&self, g: usize, g1: usize) -> &[f32] {
+        if self.norms.is_empty() {
+            &[]
+        } else {
+            &self.norms[g..g1]
+        }
+    }
+}
+
+impl<'a> IvfIndex<'a> {
+    /// Builds a partition over row-major `targets` (`n × dim`) and binds it
+    /// to them: [`IvfPartition::build`], then [`IvfPartition::over`].
+    pub fn build(
+        targets: &'a [f32],
+        dim: usize,
+        metric: Metric,
+        cfg: &AnnConfig,
+        threads: usize,
+    ) -> Self {
+        Self {
+            part: Cow::Owned(IvfPartition::build(targets, dim, metric, cfg, threads)),
+            targets,
+        }
+    }
+
+    /// Two-stage top-`k` for one query: probe the `nprobe` best partitions
+    /// (clamped to `[1, nlist]`), return the exact top `k` of their members.
+    /// Answers are sorted by the shared tie rule; with `nprobe ≥ nlist` the
+    /// result is bit-identical to the dense exact sweep.
+    pub fn search(&self, query: &[f32], k: usize, nprobe: usize) -> Vec<(u32, f32)> {
+        self.search_stats(query, k, nprobe).0
+    }
+
+    /// [`IvfIndex::search`] also reporting how many members the probed
+    /// lists hold — the bench derives its candidate-fraction curve from
+    /// this.
     pub fn search_counted(
         &self,
         query: &[f32],
         k: usize,
         nprobe: usize,
     ) -> (Vec<(u32, f32)>, usize) {
-        assert_eq!(query.len(), self.dim);
-        if self.nlist == 0 || k == 0 {
-            return (Vec::new(), 0);
+        let (answer, counts) = self.search_stats(query, k, nprobe);
+        (answer, counts.scanned)
+    }
+
+    /// [`IvfIndex::search`] with the members it scanned and re-ranked.
+    pub fn search_stats(
+        &self,
+        query: &[f32],
+        k: usize,
+        nprobe: usize,
+    ) -> (Vec<(u32, f32)>, SearchCounts) {
+        let part = &*self.part;
+        let dim = part.dim;
+        assert_eq!(query.len(), dim);
+        let mut counts = SearchCounts::default();
+        if part.nlist == 0 || k == 0 {
+            return (Vec::new(), counts);
         }
-        let nprobe = nprobe.clamp(1, self.nlist);
-        let q_norm = [self.query_norm(query)];
-        let order = self.best_partitions(query, q_norm[0], nprobe);
-        let mut acc: Vec<(u32, f32)> = Vec::with_capacity(k.min(self.ids.len()));
-        let mut scores = vec![0.0f32; DEFAULT_TILE];
-        let mut scanned = 0usize;
+        let q_norm = [part.query_norm(query)];
+        let order = part.best_partitions(query, q_norm[0], nprobe.clamp(1, part.nlist));
+        let slack = Slack::new(part.metric, query);
+        let mut acc: Vec<(u32, f32)> = Vec::with_capacity(k.min(part.len()));
+        let mut tile = vec![0.0f32; DEFAULT_TILE * dim];
+        let mut approx = vec![0.0f32; DEFAULT_TILE];
+        let (mut first, mut picked) = (Vec::new(), Vec::new());
+        let mut scratch = Rerank::default();
         for &c in &order {
-            let (lo, hi) = (self.offsets[c as usize], self.offsets[c as usize + 1]);
-            scanned += hi - lo;
+            let (lo, hi) = (part.offsets[c as usize], part.offsets[c as usize + 1]);
+            counts.scanned += hi - lo;
             let mut g = lo;
             while g < hi {
                 let g1 = (g + DEFAULT_TILE).min(hi);
-                let tile_t = &self.gathered_t[g * self.dim..g1 * self.dim];
-                let tn: &[f32] = if self.gathered_norms.is_empty() {
-                    &[]
-                } else {
-                    &self.gathered_norms[g..g1]
+                let rows = g1 - g;
+                let (tile, approx) = (&mut tile[..rows * dim], &mut approx[..rows]);
+                part.dequantize(g, g1, tile);
+                let tn = part.norms_of(g, g1);
+                part.metric
+                    .similarity_tile(query, &q_norm, dim, tile, tn, approx, rows);
+                let need = k - acc.len();
+                let Some(slack) = slack.as_ref().filter(|_| need < rows) else {
+                    // No threshold can prune this tile: re-rank all of it.
+                    picked.clear();
+                    picked.extend(g..g1);
+                    self.rerank(query, &q_norm, &picked, &mut acc, k, &mut scratch);
+                    counts.reranked += rows;
+                    g = g1;
+                    continue;
                 };
-                let block = &mut scores[..g1 - g];
-                self.metric
-                    .similarity_tile(query, &q_norm, self.dim, tile_t, tn, block, g1 - g);
-                for (off, &s) in block.iter().enumerate() {
-                    push_topk_any(&mut acc, k, self.ids[g + off], s);
+                // Fewer than `k` accepted: the tile's `need` best by
+                // approximate score set the threshold first.
+                first.clear();
+                if need > 0 {
+                    first.extend(g..g1);
+                    first.select_nth_unstable_by(need, |&a, &b| {
+                        score_desc(approx[a - g], approx[b - g]).then(a.cmp(&b))
+                    });
+                    first.truncate(need);
+                    first.sort_unstable();
+                    self.rerank(query, &q_norm, &first, &mut acc, k, &mut scratch);
                 }
+                let t = acc[k - 1].1;
+                picked.clear();
+                picked.extend((g..g1).filter(|&m| {
+                    let a = approx[m - g];
+                    may_enter(a + slack.bound(part, m, a), t) && first.binary_search(&m).is_err()
+                }));
+                self.rerank(query, &q_norm, &picked, &mut acc, k, &mut scratch);
+                counts.reranked += first.len() + picked.len();
                 g = g1;
             }
         }
-        (acc, scanned)
+        (acc, counts)
+    }
+
+    /// Scores `members` (positions in list order) exactly from their target
+    /// rows and folds them into `acc`.
+    fn rerank(
+        &self,
+        query: &[f32],
+        q_norm: &[f32; 1],
+        members: &[usize],
+        acc: &mut Vec<(u32, f32)>,
+        k: usize,
+        s: &mut Rerank,
+    ) {
+        if members.is_empty() {
+            return;
+        }
+        let part = &*self.part;
+        let dim = part.dim;
+        s.rows.clear();
+        s.norms.clear();
+        for &m in members {
+            let i = part.ids[m] as usize;
+            s.rows
+                .extend_from_slice(&self.targets[i * dim..(i + 1) * dim]);
+            if !part.norms.is_empty() {
+                s.norms.push(part.norms[m]);
+            }
+        }
+        vecops::transpose_tile(&s.rows, dim, &mut s.rows_t);
+        s.scores.clear();
+        s.scores.resize(members.len(), 0.0);
+        part.metric.similarity_tile(
+            query,
+            q_norm,
+            dim,
+            &s.rows_t,
+            &s.norms,
+            &mut s.scores,
+            members.len(),
+        );
+        for (&m, &score) in members.iter().zip(&s.scores) {
+            push_topk_any(acc, k, part.ids[m], score);
+        }
+    }
+}
+
+impl Deref for IvfIndex<'_> {
+    type Target = IvfPartition;
+
+    fn deref(&self) -> &IvfPartition {
+        &self.part
     }
 }
 

@@ -27,7 +27,7 @@ pub use analysis::{
     degree_bucket_recall, hubness_profile, overlap3, topk_similarity_profile, HubnessProfile,
     OverlapBreakdown,
 };
-pub use ann::{AnnConfig, IvfIndex};
+pub use ann::{AnnConfig, IvfIndex, IvfPartition, SearchCounts};
 pub use eval::{precision_recall_f1, rank_eval, rank_eval_streaming, MeanStd, PrfScores, RankEval};
 pub use infer::{greedy_match_topk, hungarian, stable_marriage_topk};
 pub use metric::Metric;

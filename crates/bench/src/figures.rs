@@ -6,7 +6,7 @@
 use crate::datasets::{build_dataset, DatasetKey};
 use crate::runner::{run_fold0, try_run_fold0, CvResult};
 use crate::tables::conventional_input;
-use crate::HarnessConfig;
+use crate::{show, showln, HarnessConfig};
 use openea::align::{degree_bucket_recall, hubness_profile, overlap3, topk_similarity_profile};
 use openea::approaches::mtranse::{MTransE, RelModelKind};
 use openea::prelude::*;
@@ -17,7 +17,10 @@ use std::collections::HashSet;
 /// Figure 3: degree distributions of the source KG vs the IDS sample vs a
 /// biased (RAS) sample.
 pub fn fig3(cfg: &HarnessConfig) {
-    println!("== Figure 3: degree distributions (EN-FR source vs samples) ==");
+    showln!(
+        cfg,
+        "== Figure 3: degree distributions (EN-FR source vs samples) =="
+    );
     let target = cfg.scale.base_entities().min(600);
     let source = PresetConfig::new(DatasetFamily::EnFr, target * 8, false, cfg.seed).generate();
     let filtered = source.filter_to_alignment();
@@ -37,11 +40,19 @@ pub fn fig3(cfg: &HarnessConfig) {
         ("IDS", DegreeDistribution::of(&ids.pair.kg1)),
         ("RAS", DegreeDistribution::of(&ras.kg1)),
     ];
-    println!("{:>4} {:>9} {:>9} {:>9}", "deg", "source", "IDS", "RAS");
+    showln!(
+        cfg,
+        "{:>4} {:>9} {:>9} {:>9}",
+        "deg",
+        "source",
+        "IDS",
+        "RAS"
+    );
     let mut rows = Vec::new();
     for d in 0..=15usize {
         let row: Vec<f64> = dists.iter().map(|(_, dist)| dist.proportion(d)).collect();
-        println!(
+        showln!(
+            cfg,
             "{d:>4} {:>8.1}% {:>8.1}% {:>8.1}%",
             row[0] * 100.0,
             row[1] * 100.0,
@@ -49,7 +60,8 @@ pub fn fig3(cfg: &HarnessConfig) {
         );
         rows.push((d, row));
     }
-    println!(
+    showln!(
+        cfg,
         "avg degree: source {:.2}  IDS {:.2}  RAS {:.2}",
         filtered.kg1.avg_degree(),
         ids.pair.kg1.avg_degree(),
@@ -60,7 +72,10 @@ pub fn fig3(cfg: &HarnessConfig) {
 
 /// Figure 5: recall per alignment-degree bucket on EN-FR (V1).
 pub fn fig5(cfg: &HarnessConfig) {
-    println!("== Figure 5: recall vs alignment degree (EN-FR, V1) ==");
+    showln!(
+        cfg,
+        "== Figure 5: recall vs alignment degree (EN-FR, V1) =="
+    );
     let key = DatasetKey {
         family: DatasetFamily::EnFr,
         dense: false,
@@ -68,9 +83,14 @@ pub fn fig5(cfg: &HarnessConfig) {
     };
     let dataset = build_dataset(key, cfg);
     let edges = [1usize, 6, 11, 16];
-    println!(
+    showln!(
+        cfg,
         "{:10} {:>9} {:>9} {:>9} {:>9}",
-        "Approach", "[1,6)", "[6,11)", "[11,16)", "[16,inf)"
+        "Approach",
+        "[1,6)",
+        "[6,11)",
+        "[11,16)",
+        "[16,inf)"
     );
     let mut rows = Vec::new();
     for approach in all_approaches() {
@@ -89,7 +109,8 @@ pub fn fig5(cfg: &HarnessConfig) {
             .map(|(i, &m)| m == Some(i))
             .collect();
         let buckets = degree_bucket_recall(&degrees, &correct, &edges);
-        println!(
+        showln!(
+            cfg,
             "{:10} {:>9.3} {:>9.3} {:>9.3} {:>9.3}   (n = {:?})",
             approach.name(),
             buckets[0].1,
@@ -105,7 +126,7 @@ pub fn fig5(cfg: &HarnessConfig) {
 
 /// Figure 6: Hits@1 with vs without attribute embedding, on D-W and D-Y.
 pub fn fig6(cfg: &HarnessConfig) {
-    println!("== Figure 6: attribute ablation (Hits@1) ==");
+    showln!(cfg, "== Figure 6: attribute ablation (Hits@1) ==");
     let subjects = [
         "JAPE", "GCNAlign", "KDCoE", "AttrE", "IMUSE", "MultiKE", "RDGCN",
     ];
@@ -117,8 +138,14 @@ pub fn fig6(cfg: &HarnessConfig) {
             large: false,
         };
         let dataset = build_dataset(key, cfg);
-        println!("\n-- {} --", key.label(cfg));
-        println!("{:10} {:>10} {:>10}", "Approach", "w/o attr", "w/ attr");
+        showln!(cfg, "\n-- {} --", key.label(cfg));
+        showln!(
+            cfg,
+            "{:10} {:>10} {:>10}",
+            "Approach",
+            "w/o attr",
+            "w/ attr"
+        );
         for name in subjects {
             let approach = approach_by_name(name).unwrap();
             let (out_with, rc) = run_fold0(approach.as_ref(), &dataset, cfg, |_| {});
@@ -127,7 +154,7 @@ pub fn fig6(cfg: &HarnessConfig) {
             });
             let with = evaluate_output(&out_with, &dataset.folds[0].test, rc.threads).hits1;
             let without = evaluate_output(&out_without, &dataset.folds[0].test, rc.threads).hits1;
-            println!("{name:10} {without:>10.3} {with:>10.3}");
+            showln!(cfg, "{name:10} {without:>10.3} {with:>10.3}");
             rows.push((key.label(cfg), name.to_owned(), without, with));
         }
     }
@@ -137,7 +164,10 @@ pub fn fig6(cfg: &HarnessConfig) {
 /// Figure 7: precision/recall/F1 of the augmented alignment per
 /// semi-supervised iteration (IPTransE, BootEA, KDCoE) on EN-FR (V1).
 pub fn fig7(cfg: &HarnessConfig) {
-    println!("== Figure 7: semi-supervised augmentation quality (EN-FR, V1) ==");
+    showln!(
+        cfg,
+        "== Figure 7: semi-supervised augmentation quality (EN-FR, V1) =="
+    );
     let key = DatasetKey {
         family: DatasetFamily::EnFr,
         dense: false,
@@ -152,10 +182,11 @@ pub fn fig7(cfg: &HarnessConfig) {
     ] {
         let approach = kind.build();
         let (out, _) = run_fold0(approach.as_ref(), &dataset, cfg, |_| {});
-        println!("\n{}:", approach.name());
-        println!("  iter  precision  recall     f1");
+        showln!(cfg, "\n{}:", approach.name());
+        showln!(cfg, "  iter  precision  recall     f1");
         for (i, prf) in out.augmentation.iter().enumerate() {
-            println!(
+            showln!(
+                cfg,
                 "  {:>4} {:>10.3} {:>7.3} {:>6.3}",
                 i + 1,
                 prf.precision,
@@ -177,7 +208,10 @@ pub fn fig7(cfg: &HarnessConfig) {
 /// Figure 8: running time per approach (log scale in the paper). Reuses the
 /// per-fold timings of a Table-5 run when available.
 pub fn fig8(cfg: &HarnessConfig, table5_results: Option<&[CvResult]>) {
-    println!("== Figure 8: running time (seconds per fold, V1 datasets) ==");
+    showln!(
+        cfg,
+        "== Figure 8: running time (seconds per fold, V1 datasets) =="
+    );
     let results_owned;
     let results: &[CvResult] = match table5_results {
         Some(r) => r,
@@ -199,7 +233,8 @@ pub fn fig8(cfg: &HarnessConfig, table5_results: Option<&[CvResult]>) {
     let mut rows = Vec::new();
     for (approach, times) in &per_approach {
         let total: f64 = times.iter().map(|&(_, t)| t).sum();
-        println!(
+        showln!(
+            cfg,
             "{approach:10} mean {:>8.1}s  {:?}",
             total / times.len() as f64,
             times
@@ -211,16 +246,26 @@ pub fn fig8(cfg: &HarnessConfig, table5_results: Option<&[CvResult]>) {
 
 /// Figures 9 and 10: similarity profiles and hubness/isolation on D-Y (V1).
 pub fn fig9_10(cfg: &HarnessConfig) {
-    println!("== Figures 9 & 10: geometric analysis (D-Y, V1) ==");
+    showln!(cfg, "== Figures 9 & 10: geometric analysis (D-Y, V1) ==");
     let key = DatasetKey {
         family: DatasetFamily::DY,
         dense: false,
         large: false,
     };
     let dataset = build_dataset(key, cfg);
-    println!(
+    showln!(
+        cfg,
         "{:10} {:>7} {:>7} {:>7} {:>7} {:>7} | {:>7} {:>7} {:>7} {:>7}",
-        "Approach", "top1", "top2", "top3", "top4", "top5", "zero", "once", "2-4", ">=5"
+        "Approach",
+        "top1",
+        "top2",
+        "top3",
+        "top4",
+        "top5",
+        "zero",
+        "once",
+        "2-4",
+        ">=5"
     );
     let mut rows = Vec::new();
     for approach in all_approaches() {
@@ -234,7 +279,8 @@ pub fn fig9_10(cfg: &HarnessConfig) {
         let topk = cos_out.topk(&sources, &targets, 5, rc.threads);
         let profile = topk_similarity_profile(&topk, 5);
         let hubs = hubness_profile(&topk);
-        println!(
+        showln!(
+            cfg,
             "{:10} {:>7.3} {:>7.3} {:>7.3} {:>7.3} {:>7.3} | {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%",
             approach.name(),
             profile[0],
@@ -261,15 +307,18 @@ pub fn fig9_10(cfg: &HarnessConfig) {
 
 /// Figure 11: unexplored KG embedding models in place of MTransE's TransE.
 pub fn fig11(cfg: &HarnessConfig) {
-    println!("== Figure 11: unexplored embedding models (V1, Hits@1) ==");
+    showln!(
+        cfg,
+        "== Figure 11: unexplored embedding models (V1, Hits@1) =="
+    );
     let mut rows = Vec::new();
-    print!("{:10}", "Model");
+    show!(cfg, "{:10}", "Model");
     for family in DatasetFamily::ALL {
-        print!(" {:>8}", family.label());
+        show!(cfg, " {:>8}", family.label());
     }
-    println!();
+    showln!(cfg);
     for kind in RelModelKind::FIGURE11 {
-        print!("{:10}", kind.label());
+        show!(cfg, "{:10}", kind.label());
         let mut row = Vec::new();
         for family in DatasetFamily::ALL {
             let key = DatasetKey {
@@ -295,12 +344,12 @@ pub fn fig11(cfg: &HarnessConfig) {
                 .ok()
                 .map(|out| evaluate_output(&out, &dataset.folds[0].test, rc.threads).hits1);
             match hits1 {
-                Some(h) => print!(" {h:>8.3}"),
-                None => print!(" {:>8}", "div"),
+                Some(h) => show!(cfg, " {h:>8.3}"),
+                None => show!(cfg, " {:>8}", "div"),
             }
             row.push(hits1);
         }
-        println!();
+        showln!(cfg);
         rows.push((kind.label().to_owned(), row));
     }
     cfg.write_json("fig11", &rows);
@@ -309,7 +358,10 @@ pub fn fig11(cfg: &HarnessConfig) {
 /// Figure 12: overlap of correct alignment found by the best embedding
 /// approach, LogMap and PARIS on EN-FR (V1).
 pub fn fig12(cfg: &HarnessConfig) {
-    println!("== Figure 12: correct-alignment overlap (EN-FR, V1) ==");
+    showln!(
+        cfg,
+        "== Figure 12: correct-alignment overlap (EN-FR, V1) =="
+    );
     let key = DatasetKey {
         family: DatasetFamily::EnFr,
         dense: false,
@@ -342,15 +394,15 @@ pub fn fig12(cfg: &HarnessConfig) {
         .collect();
 
     let o = overlap3(&gold, &openea_found, &logmap_found, &paris_found);
-    println!("fractions of the gold alignment:");
-    println!("  all three:            {:>5.1}%", o.all_three * 100.0);
-    println!("  OpenEA ∩ LogMap only: {:>5.1}%", o.a_and_b * 100.0);
-    println!("  OpenEA ∩ PARIS only:  {:>5.1}%", o.a_and_c * 100.0);
-    println!("  LogMap ∩ PARIS only:  {:>5.1}%", o.b_and_c * 100.0);
-    println!("  only OpenEA:          {:>5.1}%", o.only_a * 100.0);
-    println!("  only LogMap:          {:>5.1}%", o.only_b * 100.0);
-    println!("  only PARIS:           {:>5.1}%", o.only_c * 100.0);
-    println!("  none:                 {:>5.1}%", o.none * 100.0);
+    showln!(cfg, "fractions of the gold alignment:");
+    showln!(cfg, "  all three:            {:>5.1}%", o.all_three * 100.0);
+    showln!(cfg, "  OpenEA ∩ LogMap only: {:>5.1}%", o.a_and_b * 100.0);
+    showln!(cfg, "  OpenEA ∩ PARIS only:  {:>5.1}%", o.a_and_c * 100.0);
+    showln!(cfg, "  LogMap ∩ PARIS only:  {:>5.1}%", o.b_and_c * 100.0);
+    showln!(cfg, "  only OpenEA:          {:>5.1}%", o.only_a * 100.0);
+    showln!(cfg, "  only LogMap:          {:>5.1}%", o.only_b * 100.0);
+    showln!(cfg, "  only PARIS:           {:>5.1}%", o.only_c * 100.0);
+    showln!(cfg, "  none:                 {:>5.1}%", o.none * 100.0);
     cfg.write_json(
         "fig12",
         &[
@@ -374,7 +426,7 @@ pub fn ablation(cfg: &HarnessConfig) {
     use openea::approaches::iptranse::IpTransE;
     use openea::approaches::sea::Sea;
 
-    println!("== Ablations (EN-FR, V1, Hits@1) ==");
+    showln!(cfg, "== Ablations (EN-FR, V1, Hits@1) ==");
     let key = DatasetKey {
         family: DatasetFamily::EnFr,
         dense: false,
@@ -392,7 +444,8 @@ pub fn ablation(cfg: &HarnessConfig) {
         bootstrapping: false,
         ..BootEa::default()
     });
-    println!(
+    showln!(
+        cfg,
         "BootEA    with bootstrapping {with_boot:.3}  without {without_boot:.3}  (Δ {:+.3})",
         with_boot - without_boot
     );
@@ -403,7 +456,8 @@ pub fn ablation(cfg: &HarnessConfig) {
         path_weight: 0.0,
         ..IpTransE::default()
     });
-    println!(
+    showln!(
+        cfg,
         "IPTransE  with path loss     {with_path:.3}  without {without_path:.3}  (Δ {:+.3})",
         with_path - without_path
     );
@@ -411,7 +465,8 @@ pub fn ablation(cfg: &HarnessConfig) {
 
     let with_cycle = eval(&Sea::default());
     let without_cycle = eval(&Sea { cycle_weight: 0.0 });
-    println!(
+    showln!(
+        cfg,
         "SEA       with cycle reg.    {with_cycle:.3}  without {without_cycle:.3}  (Δ {:+.3})",
         with_cycle - without_cycle
     );
@@ -429,10 +484,18 @@ pub fn ablation(cfg: &HarnessConfig) {
 pub fn unsupervised(cfg: &HarnessConfig) {
     use openea::approaches::unsupervised::{align_unsupervised, UnsupervisedConfig};
 
-    println!("== Exploratory: unsupervised alignment (no gold seeds) ==");
-    println!(
+    showln!(
+        cfg,
+        "== Exploratory: unsupervised alignment (no gold seeds) =="
+    );
+    showln!(
+        cfg,
         "{:12} {:>8} {:>10} {:>8} {:>8}",
-        "Dataset", "pseudo", "precision", "recall", "f1"
+        "Dataset",
+        "pseudo",
+        "precision",
+        "recall",
+        "f1"
     );
     let mut rows = Vec::new();
     for family in DatasetFamily::ALL {
@@ -453,7 +516,8 @@ pub fn unsupervised(cfg: &HarnessConfig) {
             .collect();
         let raw: Vec<(u32, u32)> = outcome.predicted.iter().map(|&(a, b)| (a.0, b.0)).collect();
         let prf = precision_recall_f1(&raw, &gold);
-        println!(
+        showln!(
+            cfg,
             "{:12} {:>8} {:>10.3} {:>8.3} {:>8.3}",
             family.label(),
             outcome.pseudo_seeds.len(),
@@ -481,7 +545,10 @@ pub fn unsupervised(cfg: &HarnessConfig) {
 pub fn blocking(cfg: &HarnessConfig) {
     use openea::align::{AnnConfig, IvfIndex};
 
-    println!("== Exploratory: IVF blocking (D-Y, V1, MultiKE embeddings) ==");
+    showln!(
+        cfg,
+        "== Exploratory: IVF blocking (D-Y, V1, MultiKE embeddings) =="
+    );
     let key = DatasetKey {
         family: DatasetFamily::DY,
         dense: false,
@@ -505,14 +572,22 @@ pub fn blocking(cfg: &HarnessConfig) {
     };
     let index = IvfIndex::build(&dst, out.dim, out.metric, &ann, rc.threads);
     let nlist = index.nlist();
-    println!("{n} test pairs, nlist {nlist}");
-    println!(
+    showln!(cfg, "{n} test pairs, nlist {nlist}");
+    showln!(
+        cfg,
         "{:>8} {:>10} {:>12} {:>10}",
-        "nprobe", "Hits@1", "comparisons", "vs exact"
+        "nprobe",
+        "Hits@1",
+        "comparisons",
+        "vs exact"
     );
-    println!(
+    showln!(
+        cfg,
         "{:>8} {:>10.3} {:>12} {:>10}",
-        "exact", exact_hits, total, "1.00x"
+        "exact",
+        exact_hits,
+        total,
+        "1.00x"
     );
     let mut rows = vec![("exact".to_owned(), exact_hits, total)];
     let doubling = std::iter::successors((nlist > 0).then_some(1), |&p| {
@@ -529,7 +604,8 @@ pub fn blocking(cfg: &HarnessConfig) {
             }
         }
         let hits = hits1(correct);
-        println!(
+        showln!(
+            cfg,
             "{:>8} {:>10.3} {:>12} {:>9.2}x",
             nprobe,
             hits,
@@ -547,12 +623,15 @@ pub fn blocking(cfg: &HarnessConfig) {
 pub fn alinet(cfg: &HarnessConfig) {
     use openea::approaches::alinet::AliNet;
 
-    println!("== Exploratory: AliNet vs GCN approaches (structure only, Hits@1) ==");
-    print!("{:10}", "Approach");
+    showln!(
+        cfg,
+        "== Exploratory: AliNet vs GCN approaches (structure only, Hits@1) =="
+    );
+    show!(cfg, "{:10}", "Approach");
     for family in DatasetFamily::ALL {
-        print!(" {:>8}", family.label());
+        show!(cfg, " {:>8}", family.label());
     }
-    println!();
+    showln!(cfg);
     let mut rows = Vec::new();
     let alinet_box: Box<dyn Approach> = Box::new(AliNet);
     for approach in [
@@ -560,7 +639,7 @@ pub fn alinet(cfg: &HarnessConfig) {
         approach_by_name("GCNAlign").unwrap(),
         approach_by_name("RDGCN").unwrap(),
     ] {
-        print!("{:10}", approach.name());
+        show!(cfg, "{:10}", approach.name());
         let mut row = Vec::new();
         for family in DatasetFamily::ALL {
             let key = DatasetKey {
@@ -573,10 +652,10 @@ pub fn alinet(cfg: &HarnessConfig) {
                 rc.use_attributes = false; // structure-only comparison
             });
             let eval = evaluate_output(&out, &dataset.folds[0].test, rc.threads);
-            print!(" {:>8.3}", eval.hits1);
+            show!(cfg, " {:>8.3}", eval.hits1);
             row.push(eval.hits1);
         }
-        println!();
+        showln!(cfg);
         rows.push((approach.name().to_owned(), row));
     }
     cfg.write_json("alinet", &rows);
@@ -589,7 +668,10 @@ pub fn alinet(cfg: &HarnessConfig) {
 pub fn seeds(cfg: &HarnessConfig) {
     use openea_runtime::rng::SliceRandom;
 
-    println!("== Exploratory: Hits@1 vs seed fraction (EN-FR, V1) ==");
+    showln!(
+        cfg,
+        "== Exploratory: Hits@1 vs seed fraction (EN-FR, V1) =="
+    );
     let key = DatasetKey {
         family: DatasetFamily::EnFr,
         dense: false,
@@ -597,15 +679,15 @@ pub fn seeds(cfg: &HarnessConfig) {
     };
     let dataset = build_dataset(key, cfg);
     let fractions = [0.05f64, 0.10, 0.20, 0.30];
-    print!("{:10}", "Approach");
+    show!(cfg, "{:10}", "Approach");
     for f in fractions {
-        print!(" {:>7.0}%", f * 100.0);
+        show!(cfg, " {:>7.0}%", f * 100.0);
     }
-    println!();
+    showln!(cfg);
     let mut rows = Vec::new();
     for name in ["MTransE", "BootEA", "RDGCN", "IMUSE"] {
         let approach = approach_by_name(name).unwrap();
-        print!("{name:10}");
+        show!(cfg, "{name:10}");
         let mut row = Vec::new();
         for &frac in &fractions {
             // Re-split: `frac` train, 10% valid, rest test.
@@ -624,10 +706,10 @@ pub fn seeds(cfg: &HarnessConfig) {
             rc.seed = cfg.seed;
             let out = approach.run(&dataset.pair, &split, &rc);
             let eval = evaluate_output(&out, &split.test, rc.threads);
-            print!(" {:>8.3}", eval.hits1);
+            show!(cfg, " {:>8.3}", eval.hits1);
             row.push(eval.hits1);
         }
-        println!();
+        showln!(cfg);
         rows.push((name.to_owned(), row));
     }
     cfg.write_json("seeds", &rows);
@@ -639,8 +721,17 @@ pub fn seeds(cfg: &HarnessConfig) {
 pub fn orthogonal(cfg: &HarnessConfig) {
     use openea::approaches::mtranse::{MTransE, RelModelKind};
 
-    println!("== Exploratory: MTransE with orthogonal transformation (Hits@1) ==");
-    println!("{:10} {:>10} {:>12}", "Dataset", "linear", "orthogonal");
+    showln!(
+        cfg,
+        "== Exploratory: MTransE with orthogonal transformation (Hits@1) =="
+    );
+    showln!(
+        cfg,
+        "{:10} {:>10} {:>12}",
+        "Dataset",
+        "linear",
+        "orthogonal"
+    );
     let mut rows = Vec::new();
     for family in DatasetFamily::ALL {
         let key = DatasetKey {
@@ -661,7 +752,7 @@ pub fn orthogonal(cfg: &HarnessConfig) {
         let (out_o, _) = run_fold0(&ortho, &dataset, cfg, |_| {});
         let hl = evaluate_output(&out_l, &dataset.folds[0].test, rc.threads).hits1;
         let ho = evaluate_output(&out_o, &dataset.folds[0].test, rc.threads).hits1;
-        println!("{:10} {:>10.3} {:>12.3}", family.label(), hl, ho);
+        showln!(cfg, "{:10} {:>10.3} {:>12.3}", family.label(), hl, ho);
         rows.push((family.label(), hl, ho));
     }
     cfg.write_json("orthogonal", &rows);
@@ -677,6 +768,7 @@ mod tests {
         let cfg = HarnessConfig {
             out_dir: None,
             scale: Scale::Small,
+            out: crate::Output::to(std::io::sink()),
             ..HarnessConfig::default()
         };
         fig3(&cfg);

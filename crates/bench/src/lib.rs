@@ -16,7 +16,59 @@ pub mod runner;
 pub mod tables;
 
 use openea_runtime::json::ToJson;
+use std::fmt;
+use std::io::{self, Write};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// `print!` into a [`HarnessConfig`]'s [`Output`].
+#[macro_export]
+macro_rules! show {
+    ($cfg:expr, $($arg:tt)*) => {
+        $cfg.out.write(format_args!($($arg)*))
+    };
+}
+
+/// `println!` into a [`HarnessConfig`]'s [`Output`].
+#[macro_export]
+macro_rules! showln {
+    ($cfg:expr) => {
+        $cfg.out.write(format_args!("\n"))
+    };
+    ($cfg:expr, $($arg:tt)*) => {
+        $cfg.out.write(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Where the experiments print their tables and figures: stdout, or any
+/// writer a caller hands in (a unit test hands in its own, since a direct
+/// stdout write bypasses the test harness's output capture). A reader that
+/// closes the pipe early (`| head`) ends the process quietly with status 0,
+/// as [`openea_runtime::cli::write_or_exit`] does for every binary.
+#[derive(Clone)]
+pub struct Output(Arc<Mutex<dyn Write + Send>>);
+
+impl Output {
+    pub fn stdout() -> Self {
+        Self::to(io::stdout())
+    }
+
+    pub fn to(writer: impl Write + Send + 'static) -> Self {
+        Self(Arc::new(Mutex::new(writer)))
+    }
+
+    /// Writes `text` (the [`show!`] / [`showln!`] macros call this).
+    pub fn write(&self, text: fmt::Arguments<'_>) {
+        let mut out = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        openea_runtime::cli::write_or_exit(&mut *out, text);
+    }
+}
+
+impl fmt::Debug for Output {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Output")
+    }
+}
 
 /// How big the experiments run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,6 +145,8 @@ pub struct HarnessConfig {
     /// trace records `StopReason::DeadlineExceeded` (visible in
     /// `results/*.json`). `None` = unbounded.
     pub deadline_s: Option<f64>,
+    /// Where the printed tables and figures go.
+    pub out: Output,
 }
 
 impl Default for HarnessConfig {
@@ -103,6 +157,7 @@ impl Default for HarnessConfig {
             out_dir: Some(PathBuf::from("results")),
             threads: openea_runtime::pool::num_threads(),
             deadline_s: None,
+            out: Output::stdout(),
         }
     }
 }
@@ -120,7 +175,7 @@ impl HarnessConfig {
         if let Err(e) = std::fs::write(&path, s) {
             eprintln!("warn: cannot write {}: {e}", path.display());
         } else {
-            println!("[saved {}]", path.display());
+            showln!(self, "[saved {}]", path.display());
         }
     }
 
@@ -140,7 +195,7 @@ impl HarnessConfig {
             out.push('\n');
         }
         if std::fs::write(&path, out).is_ok() {
-            println!("[saved {}]", path.display());
+            showln!(self, "[saved {}]", path.display());
         }
     }
 }

@@ -5,7 +5,7 @@
 
 use crate::datasets::{build_dataset, main_grid, DatasetKey};
 use crate::runner::{run_cv, run_fold0, CvResult};
-use crate::HarnessConfig;
+use crate::{showln, HarnessConfig};
 use openea::prelude::*;
 use openea::synth::Language;
 use openea_runtime::json::{object, Json, ToJson};
@@ -13,17 +13,25 @@ use std::collections::HashSet;
 
 /// Table 2: dataset statistics over the family × V1/V2 grid.
 pub fn table2(cfg: &HarnessConfig, include_large: bool) {
-    println!("== Table 2: dataset statistics ==");
-    println!(
+    showln!(cfg, "== Table 2: dataset statistics ==");
+    showln!(
+        cfg,
         "{:24} {:>4} {:>7} {:>7} {:>9} {:>9} {:>7}",
-        "Dataset", "KG", "#Rel.", "#Att.", "#Rel tr.", "#Att tr.", "Deg."
+        "Dataset",
+        "KG",
+        "#Rel.",
+        "#Att.",
+        "#Rel tr.",
+        "#Att tr.",
+        "Deg."
     );
     let mut rows = Vec::new();
     for key in main_grid(include_large) {
         let d = build_dataset(key, cfg);
         for kg in [&d.pair.kg1, &d.pair.kg2] {
             let s = KgStats::of(kg);
-            println!(
+            showln!(
+                cfg,
                 "{:24} {:>4} {:>7} {:>7} {:>9} {:>9} {:>7.2}",
                 key.label(cfg),
                 s.name,
@@ -47,20 +55,28 @@ pub fn table2(cfg: &HarnessConfig, include_large: bool) {
 
 /// Table 3: RAS vs PRS vs IDS sample quality against the source.
 pub fn table3(cfg: &HarnessConfig) {
-    println!("== Table 3: sampler comparison (EN-FR) ==");
+    showln!(cfg, "== Table 3: sampler comparison (EN-FR) ==");
     let target = cfg.scale.base_entities().min(600);
     let source = PresetConfig::new(DatasetFamily::EnFr, target * 8, false, cfg.seed).generate();
     let mut rng = openea_runtime::rng::SmallRng::seed_from_u64(cfg.seed);
     use openea_runtime::rng::SeedableRng;
 
     let filtered = source.filter_to_alignment();
-    println!(
+    showln!(
+        cfg,
         "{:10} {:>4} {:>10} {:>7} {:>6} {:>10} {:>13}",
-        "Sampler", "KG", "#Align.", "Deg.", "JS", "Isolates", "Cluster coef."
+        "Sampler",
+        "KG",
+        "#Align.",
+        "Deg.",
+        "JS",
+        "Isolates",
+        "Cluster coef."
     );
     let (sq1, sq2) = sample_quality(&source, &filtered);
     for q in [&sq1, &sq2] {
-        println!(
+        showln!(
+            cfg,
             "{:10} {:>4} {:>10} {:>7.2} {:>6} {:>9.1}% {:>13.3}",
             "(source)",
             q.kg_name,
@@ -85,7 +101,8 @@ pub fn table3(cfg: &HarnessConfig) {
     for (name, sample) in [("RAS", &ras), ("PRS", &prs), ("IDS", &ids.pair)] {
         let (q1, q2) = sample_quality(&source, sample);
         for q in [q1, q2] {
-            println!(
+            showln!(
+                cfg,
                 "{:10} {:>4} {:>10} {:>7.2} {:>5.1}% {:>9.1}% {:>13.3}",
                 name,
                 q.kg_name,
@@ -111,18 +128,24 @@ pub fn table3(cfg: &HarnessConfig) {
 /// Table 5 (plus the Figure 8 timings): every approach × dataset grid with
 /// cross-validated Hits@1/Hits@5/MRR.
 pub fn table5(cfg: &HarnessConfig, include_large: bool) -> Vec<CvResult> {
-    println!("== Table 5: cross-validation results ==");
+    showln!(cfg, "== Table 5: cross-validation results ==");
     let mut results = Vec::new();
     for key in main_grid(include_large) {
         let dataset = build_dataset(key, cfg);
-        println!("\n-- {} --", key.label(cfg));
-        println!(
+        showln!(cfg, "\n-- {} --", key.label(cfg));
+        showln!(
+            cfg,
             "{:10} {:>12} {:>12} {:>12} {:>9}",
-            "Approach", "Hits@1", "Hits@5", "MRR", "sec/fold"
+            "Approach",
+            "Hits@1",
+            "Hits@5",
+            "MRR",
+            "sec/fold"
         );
         for approach in all_approaches() {
             let r = run_cv(approach.as_ref(), &dataset, cfg, |_| {});
-            println!(
+            showln!(
+                cfg,
                 "{:10} {:>12} {:>12} {:>12} {:>9.1}",
                 r.approach,
                 CvResult::cell(r.hits1_mean, r.hits1_std),
@@ -172,30 +195,36 @@ pub fn table5(cfg: &HarnessConfig, include_large: bool) -> Vec<CvResult> {
 /// Table 4: the common experiment settings (static, mirrors the paper's
 /// hyper-parameter table at this harness's scale).
 pub fn table4(cfg: &HarnessConfig) {
-    println!("== Table 4: common hyper-parameters ==");
-    println!("{:28} {}", "Embedding dimension", 32);
-    println!("{:28} {}", "Max. epochs", cfg.scale.max_epochs());
-    println!(
+    showln!(cfg, "== Table 4: common hyper-parameters ==");
+    showln!(cfg, "{:28} {}", "Embedding dimension", 32);
+    showln!(cfg, "{:28} {}", "Max. epochs", cfg.scale.max_epochs());
+    showln!(
+        cfg,
         "{:28} every 10 epochs on validation Hits@1 (patience 2)",
         "Termination"
     );
-    println!("{:28} {}", "Negatives per positive", 5);
-    println!("{:28} {}", "Cross-validation folds", cfg.scale.folds());
-    println!("{:28} 20% train / 10% valid / 70% test", "Split");
+    showln!(cfg, "{:28} {}", "Negatives per positive", 5);
+    showln!(cfg, "{:28} {}", "Cross-validation folds", cfg.scale.folds());
+    showln!(cfg, "{:28} 20% train / 10% valid / 70% test", "Split");
 }
 
 /// Table 6: Hits@1 under Greedy / Greedy+CSLS / SM / SM+CSLS per approach.
 pub fn table6(cfg: &HarnessConfig) {
-    println!("== Table 6: inference strategies (D-Y, V1) ==");
+    showln!(cfg, "== Table 6: inference strategies (D-Y, V1) ==");
     let key = DatasetKey {
         family: DatasetFamily::DY,
         dense: false,
         large: false,
     };
     let dataset = build_dataset(key, cfg);
-    println!(
+    showln!(
+        cfg,
         "{:10} {:>8} {:>10} {:>8} {:>10}",
-        "Approach", "Greedy", "G+CSLS", "SM", "SM+CSLS"
+        "Approach",
+        "Greedy",
+        "G+CSLS",
+        "SM",
+        "SM+CSLS"
     );
     let mut rows = Vec::new();
     for approach in all_approaches() {
@@ -220,9 +249,14 @@ pub fn table6(cfg: &HarnessConfig) {
             hits1(&stable_marriage_topk(&topk)),
             hits1(&stable_marriage_topk(&csls)),
         );
-        println!(
+        showln!(
+            cfg,
             "{:10} {:>8.3} {:>10.3} {:>8.3} {:>10.3}",
-            row.0, row.1, row.2, row.3, row.4
+            row.0,
+            row.1,
+            row.2,
+            row.3,
+            row.4
         );
         rows.push(row);
     }
@@ -293,10 +327,15 @@ fn embedding_predictions(
 
 /// Table 7: LogMap / PARIS / best embedding approach, P/R/F1 per dataset.
 pub fn table7(cfg: &HarnessConfig) {
-    println!("== Table 7: conventional vs embedding-based ==");
-    println!(
+    showln!(cfg, "== Table 7: conventional vs embedding-based ==");
+    showln!(
+        cfg,
         "{:16} {:10} {:>10} {:>8} {:>8}",
-        "Dataset", "System", "Precision", "Recall", "F1"
+        "Dataset",
+        "System",
+        "Precision",
+        "Recall",
+        "F1"
     );
     let mut rows: Vec<PrfRow> = Vec::new();
     for family in DatasetFamily::ALL {
@@ -322,7 +361,8 @@ pub fn table7(cfg: &HarnessConfig) {
                 } else {
                     format!("{:.3}", prf.precision)
                 };
-                println!(
+                showln!(
+                    cfg,
                     "{:16} {:10} {:>10} {:>8} {:>8}",
                     key.label(cfg),
                     system,
@@ -354,7 +394,7 @@ pub fn table7(cfg: &HarnessConfig) {
 /// Table 8: feature study on EN-FR (V1) — relation triples only vs attribute
 /// triples only.
 pub fn table8(cfg: &HarnessConfig) {
-    println!("== Table 8: feature study (EN-FR, V1) ==");
+    showln!(cfg, "== Table 8: feature study (EN-FR, V1) ==");
     let key = DatasetKey {
         family: DatasetFamily::EnFr,
         dense: false,
@@ -397,9 +437,14 @@ pub fn table8(cfg: &HarnessConfig) {
         )
     };
 
-    println!(
+    showln!(
+        cfg,
         "{:22} {:14} {:>10} {:>8} {:>8}",
-        "System", "Features", "Precision", "Recall", "F1"
+        "System",
+        "Features",
+        "Precision",
+        "Recall",
+        "F1"
     );
     for attrs_only in [false, true] {
         let features = if attrs_only {
@@ -414,14 +459,20 @@ pub fn table8(cfg: &HarnessConfig) {
         ] {
             let prf = prf_of(&predicted, &dataset.pair);
             if predicted.is_empty() {
-                println!(
+                showln!(
+                    cfg,
                     "{system:22} {features:14} {:>10} {:>8} {:>8}",
-                    "-", "-", "-"
+                    "-",
+                    "-",
+                    "-"
                 );
             } else {
-                println!(
+                showln!(
+                    cfg,
                     "{system:22} {features:14} {:>10.3} {:>8.3} {:>8.3}",
-                    prf.precision, prf.recall, prf.f1
+                    prf.precision,
+                    prf.recall,
+                    prf.f1
                 );
             }
             rows.push(PrfRow {
@@ -440,7 +491,8 @@ pub fn table8(cfg: &HarnessConfig) {
                 rc.use_attributes = attrs_only;
             });
             let eval = evaluate_output(&out, &dataset.folds[0].test, rc.threads);
-            println!(
+            showln!(
+                cfg,
                 "{:22} {features:14} {:>10.3} {:>8.3} {:>8.3}",
                 format!("OpenEA({name})"),
                 eval.hits1,
@@ -461,16 +513,26 @@ pub fn table8(cfg: &HarnessConfig) {
 
 /// Table 9: the required-information matrix (static approach metadata).
 pub fn table9(cfg: &HarnessConfig) {
-    println!("== Table 9: required information ==");
-    println!("legend: * mandatory, o optional, ^ cross-lingual only, (blank) not applicable");
-    println!(
+    showln!(cfg, "== Table 9: required information ==");
+    showln!(
+        cfg,
+        "legend: * mandatory, o optional, ^ cross-lingual only, (blank) not applicable"
+    );
+    showln!(
+        cfg,
         "{:10} {:>12} {:>12} {:>12} {:>12} {:>12}",
-        "Approach", "Rel. triples", "Att. triples", "Prealn. ent.", "Prealn. prop.", "Word emb."
+        "Approach",
+        "Rel. triples",
+        "Att. triples",
+        "Prealn. ent.",
+        "Prealn. prop.",
+        "Word emb."
     );
     let mut rows = Vec::new();
     for approach in all_approaches() {
         let r = approach.requirements();
-        println!(
+        showln!(
+            cfg,
             "{:10} {:>12} {:>12} {:>12} {:>12} {:>12}",
             approach.name(),
             r.rel_triples.symbol(),
@@ -495,9 +557,15 @@ pub fn table9(cfg: &HarnessConfig) {
         ("LogMap", ["o", "*", " ", " ", "^"]),
         ("PARIS", ["o", "*", " ", " ", "^"]),
     ] {
-        println!(
+        showln!(
+            cfg,
             "{:10} {:>12} {:>12} {:>12} {:>12} {:>12}",
-            name, row[0], row[1], row[2], row[3], row[4]
+            name,
+            row[0],
+            row[1],
+            row[2],
+            row[3],
+            row[4]
         );
         rows.push((name.to_owned(), row));
     }
@@ -513,6 +581,7 @@ mod tests {
         HarnessConfig {
             out_dir: None,
             scale: Scale::Small,
+            out: crate::Output::to(std::io::sink()),
             ..HarnessConfig::default()
         }
     }
@@ -546,8 +615,38 @@ mod tests {
         assert_eq!(same.kg2.num_attr_triples(), d.pair.kg2.num_attr_triples());
     }
 
+    /// A writer whose bytes the test can read back.
+    #[derive(Clone, Default)]
+    struct Captured(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl std::io::Write for Captured {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Table 9 prints into the configured output, not stdout.
     #[test]
     fn table9_runs() {
-        table9(&tiny());
+        let captured = Captured::default();
+        let cfg = HarnessConfig {
+            out: crate::Output::to(captured.clone()),
+            ..tiny()
+        };
+        table9(&cfg);
+        let text = String::from_utf8(captured.0.lock().unwrap().clone()).unwrap();
+        assert!(
+            text.starts_with("== Table 9: required information ==\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("\nMTransE ") && text.contains("\nBootEA "),
+            "{text}"
+        );
     }
 }

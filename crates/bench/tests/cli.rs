@@ -31,6 +31,8 @@ fn openea_trainer_reads_its_command_line_or_refuses_it() {
 
 #[test]
 fn a_closed_stdout_ends_quietly() {
-    assert_quiet_on_closed_stdout(BENCH);
-    assert_quiet_on_closed_stdout(TRAINER);
+    assert_quiet_on_closed_stdout(BENCH, &["--help"]);
+    assert_quiet_on_closed_stdout(TRAINER, &["--help"]);
+    // An experiment's table, printed from the library, ends the same way.
+    assert_quiet_on_closed_stdout(BENCH, &["table9", "--no-out"]);
 }

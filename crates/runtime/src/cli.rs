@@ -33,18 +33,19 @@ pub fn die(msg: impl Display) -> ! {
     std::process::exit(2);
 }
 
-/// Writes `line` and a newline to stdout. A closed stdout (`BrokenPipe`: its
-/// reader has gone) ends the process quietly with status 0, since nobody is
-/// left to read the rest; any other write error is [`die`].
+/// Writes `line` and a newline to stdout through [`write_or_exit`].
 pub fn print_line(line: fmt::Arguments<'_>) {
-    let written = {
-        let mut out = io::stdout().lock();
-        out.write_fmt(line).and_then(|()| out.write_all(b"\n"))
-    };
-    match written {
+    write_or_exit(&mut io::stdout().lock(), format_args!("{line}\n"));
+}
+
+/// Writes `text` to `out`. A closed reader (`BrokenPipe`: it has gone)
+/// ends the process quietly with status 0, since nobody is left to read the
+/// rest; any other write error is [`die`].
+pub fn write_or_exit(out: &mut dyn Write, text: fmt::Arguments<'_>) {
+    match out.write_fmt(text) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
-        Err(e) => die(format_args!("cannot write to stdout: {e}")),
+        Err(e) => die(format_args!("cannot write the output: {e}")),
     }
 }
 

@@ -29,13 +29,15 @@
 //! ## Two-stage (approximate) answering
 //!
 //! An index built with [`AlignmentIndex::with_ann`] carries an
-//! [`IvfIndex`] partition over the target side and answers through the
-//! two-stage path when a query selects [`Probe::Nprobe`]: stage one scans
-//! the partition centroids and picks the `nprobe` best lists, stage two
-//! re-ranks their members *exactly* with the same block kernels as the
-//! dense sweep. [`Probe::Exact`] — and any probe on an index without a
-//! partition — falls back to the exact sweep, and `nprobe ≥ nlist` is
-//! bit-identical to it by the ANN exactness contract.
+//! [`IvfPartition`] over the target side and answers through the two-stage
+//! path when a query selects [`Probe::Nprobe`]: stage one scans the
+//! partition centroids and picks the `nprobe` best lists, stage two scores
+//! their members from int8 codes and re-ranks *exactly*, from the
+//! snapshot's own `emb2` rows, every member that could still be in the top
+//! `k`. The partition holds no copy of `emb2`. [`Probe::Exact`] — and any
+//! probe on an index without a partition — falls back to the exact sweep,
+//! and `nprobe ≥ nlist` is bit-identical to it by the ANN exactness
+//! contract. `/stats` counts the members scanned and re-ranked.
 //!
 //! ## Caching
 //!
@@ -50,7 +52,7 @@
 //! whose generation differs from the full snapshot's by construction.
 
 use crate::snapshot::Snapshot;
-use openea_align::{AnnConfig, IvfIndex, Metric, TopKMatrix};
+use openea_align::{AnnConfig, IvfIndex, IvfPartition, Metric, SearchCounts, TopKMatrix};
 use openea_runtime::pool::{balanced_chunk_len, parallel_chunks};
 use std::collections::HashMap;
 use std::fmt;
@@ -126,7 +128,7 @@ impl Probe {
 pub struct AlignmentIndex {
     snap: Snapshot,
     generation: u64,
-    ann: Option<IvfIndex>,
+    ann: Option<IvfPartition>,
 }
 
 impl AlignmentIndex {
@@ -145,7 +147,7 @@ impl AlignmentIndex {
     /// parallelizes it without changing the (deterministic) partition.
     pub fn with_ann(snap: Snapshot, cfg: &AnnConfig, threads: usize) -> Self {
         let generation = snap.generation();
-        let ann = IvfIndex::build(&snap.emb2, snap.dim, snap.metric, cfg, threads);
+        let ann = IvfPartition::build(&snap.emb2, snap.dim, snap.metric, cfg, threads);
         Self {
             snap,
             generation,
@@ -162,16 +164,17 @@ impl AlignmentIndex {
         self.generation
     }
 
-    /// The IVF partition, when this index was built with one.
-    pub fn ann(&self) -> Option<&IvfIndex> {
-        self.ann.as_ref()
+    /// The IVF partition bound to the snapshot's `emb2`, when this index
+    /// was built with one.
+    pub fn ann(&self) -> Option<IvfIndex<'_>> {
+        self.ann.as_ref().map(|part| part.over(&self.snap.emb2))
     }
 
     /// The probe a query gets when it does not choose one: the partition's
     /// default width when a partition exists, otherwise the exact sweep.
     pub fn default_probe(&self) -> Probe {
         match &self.ann {
-            Some(ivf) => Probe::Nprobe(ivf.default_nprobe() as u32),
+            Some(part) => Probe::Nprobe(part.default_nprobe() as u32),
             None => Probe::Exact,
         }
     }
@@ -220,34 +223,45 @@ impl AlignmentIndex {
     /// [`AlignmentIndex::answer_batch`] behind the probe knob: `Exact` (or
     /// any probe on a partition-less index) runs the dense sweep;
     /// `Nprobe(n)` answers each query through the two-stage path,
-    /// parallelized across the batch's queries. Answers are independent of
-    /// `threads` and of which queries shared the batch.
+    /// parallelized across the batch's queries, and also returns the
+    /// members its queries scanned and re-ranked (zero for a dense sweep).
+    /// Answers and counts are independent of `threads` and of which queries
+    /// shared the batch.
     pub fn answer_batch_probed(
         &self,
         queries: &[(u32, usize)],
         probe: Probe,
         threads: usize,
-    ) -> Vec<Answer> {
-        let (n, ivf) = match (probe, &self.ann) {
+    ) -> (Vec<Answer>, SearchCounts) {
+        let (n, ivf) = match (probe, self.ann()) {
             (Probe::Nprobe(n), Some(ivf)) => (n.max(1) as usize, ivf),
-            _ => return self.answer_batch(queries, threads),
+            _ => return (self.answer_batch(queries, threads), SearchCounts::default()),
         };
         if queries.is_empty() {
-            return Vec::new();
+            return (Vec::new(), SearchCounts::default());
         }
         let dim = self.snap.dim;
-        let mut answers: Vec<Answer> = vec![Vec::new(); queries.len()];
+        let mut slots = vec![(Vec::new(), SearchCounts::default()); queries.len()];
         let threads = threads.clamp(1, queries.len());
         let chunk = balanced_chunk_len(queries.len(), threads, 4);
-        parallel_chunks(&mut answers, chunk, threads, |chunk_idx, out| {
+        parallel_chunks(&mut slots, chunk, threads, |chunk_idx, out| {
             let base = chunk_idx * chunk;
             for (local, slot) in out.iter_mut().enumerate() {
                 let (e, k) = queries[base + local];
                 let e = e as usize;
-                *slot = ivf.search(&self.snap.emb1[e * dim..(e + 1) * dim], k, n);
+                *slot = ivf.search_stats(&self.snap.emb1[e * dim..(e + 1) * dim], k, n);
             }
         });
-        answers
+        let mut total = SearchCounts::default();
+        let answers = slots
+            .into_iter()
+            .map(|(answer, counts)| {
+                total.scanned += counts.scanned;
+                total.reranked += counts.reranked;
+                answer
+            })
+            .collect();
+        (answers, total)
     }
 }
 
@@ -407,6 +421,10 @@ pub struct IndexStats {
     /// Queries answered by those sweeps (`batched_queries / batches` is the
     /// mean batch occupancy).
     pub batched_queries: u64,
+    /// Members of the probed IVF lists, scored from their int8 codes.
+    pub ivf_rows_scanned: u64,
+    /// Of those, the members re-ranked exactly from their f32 rows.
+    pub ivf_rows_reranked: u64,
 }
 
 impl IndexStats {
@@ -450,6 +468,8 @@ pub struct BatchIndex {
     misses: AtomicU64,
     batches: AtomicU64,
     batched_queries: AtomicU64,
+    ivf_rows_scanned: AtomicU64,
+    ivf_rows_reranked: AtomicU64,
 }
 
 impl BatchIndex {
@@ -466,6 +486,8 @@ impl BatchIndex {
             misses: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_queries: AtomicU64::new(0),
+            ivf_rows_scanned: AtomicU64::new(0),
+            ivf_rows_reranked: AtomicU64::new(0),
         }
     }
 
@@ -491,6 +513,8 @@ impl BatchIndex {
             cache_misses: self.misses.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             batched_queries: self.batched_queries.load(Ordering::Relaxed),
+            ivf_rows_scanned: self.ivf_rows_scanned.load(Ordering::Relaxed),
+            ivf_rows_reranked: self.ivf_rows_reranked.load(Ordering::Relaxed),
         }
     }
 
@@ -602,12 +626,16 @@ impl BatchIndex {
             }
         }
         for g in groups {
-            let answers = self
-                .index
-                .answer_batch_probed(&g.members, g.probe, self.threads);
+            let (answers, counts) =
+                self.index
+                    .answer_batch_probed(&g.members, g.probe, self.threads);
             self.batches.fetch_add(1, Ordering::Relaxed);
             self.batched_queries
                 .fetch_add(g.members.len() as u64, Ordering::Relaxed);
+            self.ivf_rows_scanned
+                .fetch_add(counts.scanned as u64, Ordering::Relaxed);
+            self.ivf_rows_reranked
+                .fetch_add(counts.reranked as u64, Ordering::Relaxed);
             let mut cache = self.cache();
             for ((i, (entity, k)), answer) in g.slots.into_iter().zip(g.members).zip(answers) {
                 cache.insert(self.cache_key(entity, k, g.probe), answer.clone());

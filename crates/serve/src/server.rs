@@ -431,6 +431,8 @@ pub(crate) fn stats_json(
         ("cache_hit_rate", ix.hit_rate().to_json()),
         ("batches", (ix.batches as i64).to_json()),
         ("mean_batch_occupancy", ix.mean_batch_occupancy().to_json()),
+        ("ivf_rows_scanned", (ix.ivf_rows_scanned as i64).to_json()),
+        ("ivf_rows_reranked", (ix.ivf_rows_reranked as i64).to_json()),
         (
             "latency_p50_us",
             (merged.percentile_us(50.0) as i64).to_json(),

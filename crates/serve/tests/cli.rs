@@ -27,5 +27,5 @@ fn openea_serve_reads_its_command_line_or_refuses_it() {
 
 #[test]
 fn a_closed_stdout_ends_quietly() {
-    assert_quiet_on_closed_stdout(SERVE);
+    assert_quiet_on_closed_stdout(SERVE, &["--help"]);
 }

@@ -12,7 +12,8 @@
 //!   `query_batch` calls, at whatever thread count and interleaving, every
 //!   query's answer is bit-identical to the dense `compute_naive` reference
 //!   under the shared tie rule (descending score, lowest target index
-//!   wins) — and each call costs exactly one sweep per probe.
+//!   wins) — and each call costs exactly one sweep per probe, and counts
+//!   the same IVF rows scanned and re-ranked at any thread count.
 
 use openea_align::{AnnConfig, Metric, SimilarityMatrix};
 use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
@@ -511,4 +512,72 @@ fn each_call_is_one_sweep_per_probe() {
     let stats = index.stats();
     assert_eq!(stats.batches, probes.len() as u64, "one sweep per probe");
     assert_eq!(stats.batched_queries, mixed.len() as u64);
+}
+
+/// `/stats`' IVF counters are sums of per-query [`IvfIndex::search_stats`]:
+/// the members the probed lists hold and the members re-ranked exactly. The
+/// same queries count the same rows at kernel threads {1, 2, 8}, whichever
+/// thread answered which query, and a dense sweep counts none.
+#[test]
+fn ivf_row_counters_repeat_exactly_across_thread_counts() {
+    let (n1, n2, dim) = (64, 3_000, 8);
+    let mut rng = SmallRng::seed_from_u64(17);
+    let snap = Snapshot {
+        dim,
+        metric: Metric::Cosine,
+        emb1: embeddings(n1, dim, &mut rng),
+        emb2: embeddings(n2, dim, &mut rng),
+        names1: Vec::new(),
+        names2: Vec::new(),
+        trace: Default::default(),
+        lineage: None,
+    };
+    let cfg = AnnConfig::default();
+    let queries: Vec<(u32, usize, Option<Probe>)> = (0..n1 as u32)
+        .map(|e| (e, 1 + e as usize % 12, None))
+        .collect();
+    let mut seen = Vec::new();
+    for threads in [1usize, 2, 8] {
+        let index = BatchIndex::new(
+            AlignmentIndex::with_ann(snap.clone(), &cfg, threads),
+            threads,
+            0,
+        );
+        assert!(index.query_batch(&queries).iter().all(Result::is_ok));
+        let ivf = index.index().ann().expect("built with ann");
+        let Probe::Nprobe(nprobe) = index.default_probe() else {
+            panic!("an index with a partition probes it by default");
+        };
+        let (mut scanned, mut reranked) = (0u64, 0u64);
+        for &(e, k, _) in &queries {
+            let q = &snap.emb1[e as usize * dim..(e as usize + 1) * dim];
+            let (_, counts) = ivf.search_stats(q, k, nprobe as usize);
+            scanned += counts.scanned as u64;
+            reranked += counts.reranked as u64;
+        }
+        let stats = index.stats();
+        assert_eq!(
+            (stats.ivf_rows_scanned, stats.ivf_rows_reranked),
+            (scanned, reranked),
+            "threads {threads}"
+        );
+        assert!(
+            0 < reranked && reranked < scanned,
+            "{reranked} of {scanned}"
+        );
+        seen.push((scanned, reranked));
+
+        let exact: Vec<(u32, usize, Option<Probe>)> = queries
+            .iter()
+            .map(|&(e, k, _)| (e, k, Some(Probe::Exact)))
+            .collect();
+        assert!(index.query_batch(&exact).iter().all(Result::is_ok));
+        let after = index.stats();
+        assert_eq!(
+            (after.ivf_rows_scanned, after.ivf_rows_reranked),
+            (scanned, reranked),
+            "a dense sweep scans no list"
+        );
+    }
+    assert!(seen.iter().all(|&c| c == seen[0]), "{seen:?}");
 }

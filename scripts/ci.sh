@@ -61,9 +61,12 @@ rm -rf "$cli_pair"
 # The kernel gates once more under the release profile's codegen (tier-1
 # tests build at `opt-level = 2`): every ISA backend the host supports ×
 # metric × tile {1, 7, 64} × thread {1, 2, 8} bit-identical to the naive
-# reference, top-k equal to the argsort prefix. Budget: a few seconds after
-# the release build above.
-cargo test --release --offline -p openea --test kernel_conformance --test kernel_equivalence
+# reference, top-k equal to the argsort prefix; and the IVF re-rank's
+# pruning bound, which rests on how the shipped kernels round, held to an
+# exact re-rank of every probed member and to the served answers. Budget:
+# a few seconds after the release build above.
+cargo test --release --offline -p openea -p openea-serve --test kernel_conformance \
+    --test kernel_equivalence --test ann_equivalence --test index_props
 
 # The pair generator's same-bits pins under the release profile's codegen:
 # the text of every generated URI, name and literal (all four families ×

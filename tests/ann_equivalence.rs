@@ -10,9 +10,16 @@
 //! A seeded recall gate on the scale generator closes the loop: at the
 //! default probe width, the curve the bench publishes must hold up —
 //! recall@10 ≥ 0.95 against exact ground truth.
+//!
+//! The lists are scanned from int8 codes and only the members a per-row
+//! error bound cannot rule out are re-ranked from their f32 rows; a
+//! differential suite holds that pruned re-rank to an exact re-rank of every
+//! probed member, on rows and queries the bound cannot cover, and a pin
+//! fixes how many members it re-ranks on one seeded shape.
 
 use openea::align::{AnnConfig, IvfIndex, Metric, TopKMatrix};
 use openea::synth::{generate_embedded_pair, ScaleConfig};
+use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
 use openea_runtime::testkit::prelude::*;
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -178,4 +185,182 @@ fn default_nprobe_recall_at_10_stays_above_095() {
         ivf.nlist(),
         ivf.len()
     );
+}
+
+/// Values a row or query may carry beside ordinary ones: every non-finite
+/// kind, zero, and magnitudes at both ends of `f32` — each breaks a
+/// first-order error bound unless the index re-ranks it unconditionally.
+const SPECIAL: [f32; 10] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    0.0,
+    -0.0,
+    1e30,
+    -3e38,
+    1e-30,
+    1e-41,
+    1e16,
+];
+
+/// Row scales on both sides of the range the bounds cover (`[2⁻⁵⁰, 2⁵⁰]`
+/// in norm) and far outside it.
+const ROW_SCALES: [f32; 6] = [1e-20, 1e-16, 1e-12, 1e12, 1e16, 1e20];
+
+/// `n` rows of `dim`: mostly ordinary (or, `ties`, drawn from {-1, 0, 1}),
+/// some all-zero, some with one [`SPECIAL`] coordinate, some scaled by a
+/// [`ROW_SCALES`] factor.
+fn hostile_rows(rng: &mut SmallRng, n: usize, dim: usize, ties: bool) -> Vec<f32> {
+    let mut out = Vec::with_capacity(n * dim);
+    for _ in 0..n {
+        let mut row: Vec<f32> = (0..dim)
+            .map(|_| {
+                if ties {
+                    rng.gen_range(0u32..3) as f32 - 1.0
+                } else {
+                    rng.gen_range(-2.0f32..2.0)
+                }
+            })
+            .collect();
+        match rng.gen_range(0u32..12) {
+            0 => row.fill(0.0),
+            1 | 2 => row[rng.gen_range(0..dim)] = SPECIAL[rng.gen_range(0..SPECIAL.len())],
+            3 => {
+                let s = ROW_SCALES[rng.gen_range(0..ROW_SCALES.len())];
+                row.iter_mut().for_each(|v| *v *= s);
+            }
+            _ => {}
+        }
+        out.extend(row);
+    }
+    out
+}
+
+/// The reference the pruned re-rank answers to: every member of the
+/// `nprobe` first lists scored exactly by the dense kernel, top `k` under
+/// the shared tie rule. Members are gathered in ascending id order, so the
+/// kernel's lowest-index tie rule is the lowest-id rule.
+fn exact_over_probed(
+    ivf: &IvfIndex,
+    targets: &[f32],
+    query: &[f32],
+    k: usize,
+    nprobe: usize,
+) -> Vec<(u32, f32)> {
+    let dim = ivf.dim();
+    let nprobe = nprobe.clamp(1, ivf.nlist());
+    let mut members: Vec<u32> = ivf.probe_order(query)[..nprobe]
+        .iter()
+        .flat_map(|&c| ivf.list_ids(c as usize).to_vec())
+        .collect();
+    members.sort_unstable();
+    let rows: Vec<f32> = members
+        .iter()
+        .flat_map(|&i| {
+            targets[i as usize * dim..(i as usize + 1) * dim]
+                .iter()
+                .copied()
+        })
+        .collect();
+    let top = TopKMatrix::compute(query, &rows, dim, ivf.metric(), k, 1);
+    top.row(0)
+        .iter()
+        .map(|&(j, s)| (members[j as usize], s))
+        .collect()
+}
+
+props! {
+    #![cases = 40]
+
+    /// The bound-pruned re-rank returns exactly what re-ranking every
+    /// probed member would — ids and score bits — at nprobe ∈ {1, default,
+    /// nlist}, for every metric × k × build-thread combination, on tie-heavy
+    /// and ordinary corpora laced with NaN, ±∞, zero, huge and tiny values
+    /// in rows and queries alike.
+    #[test]
+    fn pruned_rerank_equals_exact_rerank_of_every_probed_member(
+        seed in 0u64..1_000_000,
+        cols in 1usize..160,
+        dim_m1 in 0usize..8,
+        nlist in 0usize..9,
+        ties in any_bool()
+    ) {
+        let dim = dim_m1 + 1;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let targets = hostile_rows(&mut rng, cols, dim, ties);
+        let queries = hostile_rows(&mut rng, 4, dim, ties);
+        let cfg = AnnConfig { nlist, ..Default::default() };
+        for metric in Metric::ALL {
+            for threads in THREADS {
+                let ivf = IvfIndex::build(&targets, dim, metric, &cfg, threads);
+                for nprobe in [1, ivf.default_nprobe(), ivf.nlist()] {
+                    for k in KS {
+                        for (qi, q) in queries.chunks_exact(dim).enumerate() {
+                            let got = ivf.search(q, k, nprobe);
+                            let want = exact_over_probed(&ivf, &targets, q, k, nprobe);
+                            let bits = |a: &[(u32, f32)]| -> Vec<(u32, u32)> {
+                                a.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+                            };
+                            prop_assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{} threads={threads} nlist={} nprobe={nprobe} k={k} q{qi} \
+                                 ({cols} rows, dim {dim}, ties {ties})",
+                                metric.label(),
+                                ivf.nlist()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// How many members the pruned re-rank scores exactly, summed over 200
+/// queries at the default probe width on a seeded 20K × 32 pair: a pure
+/// function of the inputs, so it repeats to the row at any build thread
+/// count. A change to the codes, the bound or the scan order moves it.
+#[test]
+fn reranked_rows_on_a_seeded_20k_shape_are_pinned() {
+    const RERANKED: [usize; 4] = [8_809, 7_131, 6_539, 6_958];
+    let cfg = ScaleConfig {
+        entities: 20_000,
+        dim: 32,
+        communities: 64,
+        seed: 3,
+        ..Default::default()
+    };
+    let pair = generate_embedded_pair(&cfg, 2);
+    let dim = pair.dim;
+    let queries = &pair.emb1[..200 * dim];
+    let counts: Vec<Vec<(usize, usize)>> = Metric::ALL
+        .into_iter()
+        .map(|metric| {
+            THREADS
+                .into_iter()
+                .map(|threads| {
+                    let ivf =
+                        IvfIndex::build(&pair.emb2, dim, metric, &AnnConfig::default(), threads);
+                    let (mut scanned, mut reranked) = (0, 0);
+                    for q in queries.chunks_exact(dim) {
+                        let (_, c) = ivf.search_stats(q, 10, ivf.default_nprobe());
+                        scanned += c.scanned;
+                        reranked += c.reranked;
+                    }
+                    (scanned, reranked)
+                })
+                .collect()
+        })
+        .collect();
+    for (metric, c) in Metric::ALL.iter().zip(&counts) {
+        println!(
+            "{}: (scanned, re-ranked) at threads {THREADS:?}: {c:?}",
+            metric.label()
+        );
+    }
+    for ((metric, c), want) in Metric::ALL.iter().zip(&counts).zip(RERANKED) {
+        assert!(c.iter().all(|&x| x == c[0]), "{}: {c:?}", metric.label());
+        assert_eq!(c[0].1, want, "{}: {c:?}", metric.label());
+    }
 }

@@ -80,5 +80,5 @@ fn a_misspelt_run_option_is_refused_not_defaulted() {
 
 #[test]
 fn a_closed_stdout_ends_quietly() {
-    assert_quiet_on_closed_stdout(CLI);
+    assert_quiet_on_closed_stdout(CLI, &["--help"]);
 }

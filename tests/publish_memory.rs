@@ -1,13 +1,15 @@
 //! The memory contract of the publish path, gated by a count and not a
 //! clock: *writing or loading an artifact needs no buffer proportional to
-//! it, and a reload peaks at the live generation + the new generation + one
-//! k-means sample*.
+//! it, an IVF generation holds its snapshot plus one byte per target
+//! coordinate and O(n), and a reload peaks at the live generation + the new
+//! generation + one k-means sample*.
 //!
 //! Every number here is a byte count from a counting global allocator — the
 //! sizes the code asked for — so it repeats exactly, on any host, under any
 //! load. One `#[test]` only: nothing else may allocate while a measurement
 //! is open. Each bound sits at least one whole embedding matrix below what
-//! the whole-buffer codec and the gather-then-transpose IVF build needed.
+//! the whole-buffer codec, the gather-then-transpose IVF build and an IVF
+//! partition with an f32 copy of the targets needed.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -17,7 +19,7 @@ use openea_align::ann::TRAIN_SAMPLE;
 use openea_align::{AnnConfig, IvfIndex, Metric};
 use openea_approaches::{StopReason, TrainTrace};
 use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
-use openea_serve::{load_artifact, write_sharded, HotSwapIndex, IndexOptions, Snapshot};
+use openea_serve::{load_artifact, write_sharded, HotSwapIndex, IndexOptions, LruCache, Snapshot};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -111,20 +113,28 @@ fn a_publish_needs_no_buffer_proportional_to_the_artifact() {
     });
     drop(back);
 
-    // The IVF build keeps no list-ordered copy of the corpus beside the
-    // transposed one; its k-means sample is gone before that exists.
+    // The IVF partition holds the codes (one byte per target coordinate)
+    // and four n-long tables (ids, scales, error bounds, norms) — no f32
+    // copy of the corpus; its build keeps none either, and its k-means
+    // sample is gone before the codes exist.
     let cfg = AnnConfig {
         nlist: NLIST,
         ..AnnConfig::default()
     };
     let train_sample = TRAIN_SAMPLE.min(N) * DIM * 4;
+    let codes_and_tables = N * DIM + 16 * N;
     let before = ALLOC.live();
     let (ivf, peak) = ALLOC.measure(|| IvfIndex::build(&snap.emb2, DIM, snap.metric, &cfg, 2));
     assert_eq!(ivf.len(), N);
     readings.push(Reading {
         what: "IvfIndex::build",
         peak,
-        bound: ALLOC.live() - before + train_sample + 512 * KIB,
+        bound: codes_and_tables + train_sample + 512 * KIB,
+    });
+    readings.push(Reading {
+        what: "IvfIndex (held)",
+        peak: ALLOC.live() - before,
+        bound: codes_and_tables + 64 * KIB,
     });
     drop(ivf);
 
@@ -135,9 +145,21 @@ fn a_publish_needs_no_buffer_proportional_to_the_artifact() {
         nlist: NLIST,
         ..IndexOptions::default()
     };
+    // A live IVF generation: the snapshot's two matrices, the partition's
+    // codes and tables, and the answer cache, which reserves its slots up
+    // front.
+    let before = ALLOC.live();
+    let cache = LruCache::new(opts.cache_cap);
+    let cache_slots = ALLOC.live() - before;
+    drop(cache);
     let before = ALLOC.live();
     let (hot, _) = HotSwapIndex::open(&manifest, opts).unwrap();
     let generation = ALLOC.live() - before;
+    readings.push(Reading {
+        what: "live IVF generation",
+        peak: generation,
+        bound: 2 * N * DIM * 4 + codes_and_tables + cache_slots + 512 * KIB,
+    });
     let next = seeded_snapshot(2);
     write_sharded(&next, &manifest, N / SHARDS).unwrap();
     let (outcome, peak) = ALLOC.measure(|| hot.reload_from(&manifest).unwrap());

@@ -37,14 +37,14 @@ pub fn assert_refused(bin: &str, args: &[&str], what: &str) -> String {
     stderr
 }
 
-/// Runs `bin --help` with stdout a pipe whose reader is already closed, so
+/// Runs `bin args` with stdout a pipe whose reader is already closed, so
 /// its first write fails with `BrokenPipe`, and checks it exits 0 without a
 /// panic.
-pub fn assert_quiet_on_closed_stdout(bin: &str) {
+pub fn assert_quiet_on_closed_stdout(bin: &str, args: &[&str]) {
     let (reader, writer) = std::io::pipe().expect("a pipe");
     drop(reader);
     let out = Command::new(bin)
-        .arg("--help")
+        .args(args)
         .stdout(writer)
         .stderr(Stdio::piped())
         .output()
