@@ -10,7 +10,7 @@ use crate::common::{
     Approach, ApproachOutput, Combination, EpochStats, Req, Requirements, RunConfig, TrainError,
     UnifiedSpace, UnifiedTransE,
 };
-use crate::engine::{run_driver, EpochHooks, RunContext};
+use crate::engine::{run_driver, EpochHooks, RunContext, WarmStart};
 use openea_align::{Metric, TopKMatrix};
 use openea_core::{AlignedPair, FoldSplit, KgPair};
 use openea_math::negsamp::TruncatedSampler;
@@ -138,6 +138,10 @@ pub(crate) struct Hooks<'a> {
 }
 
 impl EpochHooks for Hooks<'_> {
+    fn warm_start(&mut self, warm: &WarmStart<'_>, ctx: &RunContext<'_>) -> bool {
+        self.base.warm_start(warm, ctx)
+    }
+
     fn train_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
         match &self.truncated {
             Some(hard) => self.base.train_epoch_with(self.cfg, hard),

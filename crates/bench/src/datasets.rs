@@ -1,4 +1,4 @@
-//! Dataset construction and caching for the harness: the 4 families ×
+//! Dataset construction for the harness: the 4 families ×
 //! {V1, V2} × {base, large} grid, their cross-validation folds, and the
 //! per-family word-vector resources.
 
@@ -8,10 +8,9 @@ use openea::prelude::*;
 use openea::synth::Language;
 use openea_runtime::rng::SeedableRng;
 use openea_runtime::rng::SmallRng;
-use std::collections::HashMap;
 
 /// A dataset variant in the Table 2/5 grid.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DatasetKey {
     pub family: DatasetFamily,
     /// V2 = dense.
@@ -50,28 +49,6 @@ pub struct Dataset {
     pub pair: KgPair,
     pub folds: Vec<FoldSplit>,
     pub word_vectors: WordVectors,
-}
-
-/// Cache of generated datasets (generation plus fold splitting is itself
-/// nontrivial at large scale).
-#[derive(Default)]
-pub struct DatasetCache {
-    cache: HashMap<DatasetKey, std::rc::Rc<Dataset>>,
-}
-
-impl DatasetCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn get(&mut self, key: DatasetKey, cfg: &HarnessConfig) -> std::rc::Rc<Dataset> {
-        if let Some(d) = self.cache.get(&key) {
-            return d.clone();
-        }
-        let d = std::rc::Rc::new(build_dataset(key, cfg));
-        self.cache.insert(key, d.clone());
-        d
-    }
 }
 
 /// Builds one dataset variant deterministically from the harness seed.
@@ -160,25 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_returns_same_instance() {
-        let cfg = HarnessConfig {
-            out_dir: None,
-            ..HarnessConfig::default()
-        };
-        let mut cache = DatasetCache::new();
-        let key = DatasetKey {
-            family: DatasetFamily::DY,
-            dense: false,
-            large: false,
-        };
-        let a = cache.get(key, &cfg);
-        let b = cache.get(key, &cfg);
-        assert!(std::rc::Rc::ptr_eq(&a, &b));
-        assert_eq!(a.folds.len(), cfg.scale.folds());
-        assert!(a.pair.num_aligned() > 300);
-    }
-
-    #[test]
     fn labels_are_readable() {
         let cfg = HarnessConfig {
             out_dir: None,
@@ -232,6 +190,8 @@ mod more_tests {
             large: false,
         };
         let d = build_dataset(key, &cfg);
+        assert_eq!(d.folds.len(), cfg.scale.folds());
+        assert!(d.pair.num_aligned() > 300);
         let rc = run_config(&cfg, &d);
         assert_eq!(rc.max_epochs, Scale::Small.max_epochs());
         assert_eq!(rc.dim, 32);

@@ -8,9 +8,11 @@
 //! reads into the incremental parser ([`crate::conn`]), answers cheap
 //! routes (`/health`, `/stats`, parameter errors) inline, and dispatches
 //! `/align` and `/admin/reload` work to a small pool of compute workers
-//! over a bounded job queue. Workers never touch sockets: they compute,
-//! encode the response bytes, push a completion record, and wake the
-//! reactor through its self-pipe [`Waker`].
+//! over a bounded job queue. Workers never touch sockets or counters: they
+//! compute, encode the response bytes, send the job back with its bytes
+//! over a channel, and wake the reactor through its self-pipe [`Waker`].
+//! The reactor alone owns the telemetry: it counts each job, and stamps
+//! its requests' latency, when it queues the job's bytes.
 //! Each open connection costs one fd, one parser buffer and one slab
 //! slot — no thread, no stack — so the concurrency ceiling is `max_conns`,
 //! not a thread count.
@@ -35,10 +37,14 @@
 //! socket — level triggering re-reports the unread bytes once the
 //! pipeline drains).
 //!
+//! A job runs under `catch_unwind`: one that panics answers `500` for each
+//! of its requests in sequence position (shed ones keep their `503`), its
+//! worker lives on, and `/stats` counts it in `panics_total`.
+//!
 //! ## Admission control
 //!
-//! The reactor tracks `/align` arrival-to-completion latency in two
-//! rotating histogram windows. When the windowed p99 exceeds
+//! The reactor tracks `/align` latency, request parsed to response queued,
+//! in two rotating histogram windows. When the windowed p99 exceeds
 //! `p99_budget_us`, a proportional fraction of incoming align requests —
 //! `clamp((p99 − budget) / budget, 0, 1)`, tracked by a deterministic
 //! fractional accumulator, no RNG — is answered `503` + `Retry-After`
@@ -70,13 +76,16 @@ use crate::server::{
     AlignQuery, RouteAction, ServerOptions, Telemetry, EP_ALIGN, EP_RELOAD,
 };
 use crate::swap::HotSwapIndex;
+use openea_runtime::json::Json;
 use openea_runtime::os::{Interest, PollEvent, Poller, Waker};
 use openea_runtime::timer::MicrosHistogram;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -89,46 +98,47 @@ const DRAIN_GRACE: Duration = Duration::from_secs(2);
 /// Minimum windowed sample count before latency shedding may engage.
 const ADMISSION_MIN_SAMPLES: u64 = 16;
 
-/// One unit of compute-worker work.
-enum Job {
+/// One unit of compute-worker work for the connection in `slot`.
+struct Job {
+    slot: usize,
+    /// Must match the connection's epoch when the job comes back, or its
+    /// bytes are dropped (the slot was closed and possibly reused while the
+    /// job was in flight).
+    epoch: u64,
+    /// The connection closes once the job's bytes are flushed.
+    close: bool,
+    work: Work,
+}
+
+enum Work {
     /// A contiguous run of `/align` requests from one connection.
-    Aligns {
-        slot: usize,
-        epoch: u64,
-        items: Vec<AlignItem>,
-    },
-    /// One `/admin/reload` (artifact loads are far too slow for the
-    /// event loop).
-    Reload {
-        slot: usize,
-        epoch: u64,
-        path: Option<String>,
-        close: bool,
-        t0: u64,
-    },
+    Aligns(Vec<AlignItem>),
+    /// One `/admin/reload` (artifact loads are far too slow for the event
+    /// loop), parsed at `t0`.
+    Reload { path: Option<String>, t0: u64 },
 }
 
 struct AlignItem {
     q: AlignQuery,
     close: bool,
-    /// Arrival stamp (head fully parsed), µs on the shared clock.
+    /// Arrival stamp (head fully parsed), µs on the reactor's clock.
     t0: u64,
     /// Admission control already decided to shed this one; the worker
     /// emits the 503 in sequence position so responses stay ordered.
     shed: bool,
 }
 
-/// A worker's finished job: encoded bytes ready for the out-buffer.
-struct Completion {
-    slot: usize,
-    /// Must match the connection's epoch or the bytes are dropped (the
-    /// slot was closed and possibly reused while the job was in flight).
-    epoch: u64,
+/// A finished job on its way back to the reactor.
+struct Done {
+    job: Job,
+    /// The encoded responses, in request order.
     bytes: Vec<u8>,
-    close: bool,
+    /// The job panicked: `bytes` answer 500 for each of its requests.
+    panicked: bool,
 }
 
 /// Bounded MPMC job queue (reactor produces, workers consume).
+#[derive(Default)]
 struct JobQueue {
     q: Mutex<VecDeque<Job>>,
     ready: Condvar,
@@ -136,23 +146,22 @@ struct JobQueue {
 }
 
 impl JobQueue {
-    fn new() -> Self {
-        Self {
-            q: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            closed: AtomicBool::new(false),
-        }
+    /// The queue's guard. It is held for one push, pop or length read,
+    /// which leave the queue whole, so a poisoned guard is as good as a
+    /// clean one.
+    fn queue(&self) -> MutexGuard<'_, VecDeque<Job>> {
+        self.q.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn push(&self, job: Job) {
-        self.q.lock().unwrap().push_back(job);
+        self.queue().push_back(job);
         self.ready.notify_one();
     }
 
     /// Blocks for the next job; `None` once closed **and** drained, so
     /// every dispatched job is completed even during shutdown.
     fn pop(&self) -> Option<Job> {
-        let mut q = self.q.lock().unwrap();
+        let mut q = self.queue();
         loop {
             if let Some(j) = q.pop_front() {
                 return Some(j);
@@ -160,7 +169,7 @@ impl JobQueue {
             if self.closed.load(Ordering::SeqCst) {
                 return None;
             }
-            q = self.ready.wait(q).unwrap();
+            q = self.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -170,26 +179,16 @@ impl JobQueue {
     }
 
     fn depth(&self) -> usize {
-        self.q.lock().unwrap().len()
+        self.queue().len()
     }
-}
-
-/// The rotating observation windows behind latency-aware admission.
-struct AdmissionWindow {
-    cur: MicrosHistogram,
-    prev: MicrosHistogram,
-    rotated_at_us: u64,
 }
 
 /// State shared between the reactor thread, the workers, and the handle.
 struct ReactorShared {
     index: Arc<HotSwapIndex>,
-    tel: Telemetry,
     jobs: JobQueue,
-    completions: Mutex<Vec<Completion>>,
     shutdown: AtomicBool,
     waker: Waker,
-    admission: Mutex<AdmissionWindow>,
     opts: ServerOptions,
 }
 
@@ -210,7 +209,7 @@ impl ReactorHandle {
         if let Some(h) = self.reactor.take() {
             let _ = h.join();
         }
-        // The reactor has drained: every dispatched job's completion was
+        // The reactor has drained: every dispatched job came back and was
         // either delivered or its connection force-closed. Now the queue
         // (already empty) closes and the workers exit.
         self.shared.jobs.close();
@@ -230,16 +229,9 @@ pub(crate) fn spawn_reactor(
     listener.set_nonblocking(true)?;
     let shared = Arc::new(ReactorShared {
         index,
-        tel: Telemetry::new(),
-        jobs: JobQueue::new(),
-        completions: Mutex::new(Vec::new()),
+        jobs: JobQueue::default(),
         shutdown: AtomicBool::new(false),
         waker: Waker::new()?,
-        admission: Mutex::new(AdmissionWindow {
-            cur: MicrosHistogram::new(),
-            prev: MicrosHistogram::new(),
-            rotated_at_us: 0,
-        }),
         opts,
     });
 
@@ -247,12 +239,13 @@ pub(crate) fn spawn_reactor(
     poller.register(&listener, TOKEN_LISTENER, Interest::READ)?;
     poller.register(shared.waker.reader(), TOKEN_WAKER, Interest::READ)?;
 
+    let (done_tx, done) = mpsc::channel();
     let workers = (0..opts.workers.max(1))
         .map(|i| {
-            let sh = Arc::clone(&shared);
+            let (sh, done_tx) = (Arc::clone(&shared), done_tx.clone());
             std::thread::Builder::new()
                 .name(format!("reactor-worker-{i}"))
-                .spawn(move || worker_loop(&sh))
+                .spawn(move || worker_loop(&sh, &done_tx))
                 .expect("spawn reactor worker")
         })
         .collect();
@@ -263,11 +256,12 @@ pub(crate) fn spawn_reactor(
         .spawn(move || {
             Reactor {
                 shared: sh,
+                tel: Telemetry::default(),
+                done,
                 poller,
                 listener: Some(listener),
                 conns: Vec::new(),
                 free: Vec::new(),
-                open: 0,
                 next_epoch: 1,
                 shed_acc: 0.0,
                 draining: false,
@@ -286,42 +280,40 @@ pub(crate) fn spawn_reactor(
 }
 
 // ---------------------------------------------------------------------------
-// Compute workers.
+// Compute workers: they touch the job queue, the index and the channel back
+// to the reactor, nothing else.
 
-fn worker_loop(sh: &ReactorShared) {
+fn worker_loop(sh: &ReactorShared, done: &Sender<Done>) {
     while let Some(job) = sh.jobs.pop() {
-        let (slot, epoch, bytes, close) = match job {
-            Job::Aligns { slot, epoch, items } => {
-                let (bytes, close) = run_aligns(sh, &items);
-                (slot, epoch, bytes, close)
-            }
-            Job::Reload {
-                slot,
-                epoch,
-                path,
-                close,
-                t0,
-            } => {
-                let (status, body) = reload_response(&sh.index, path.as_deref());
-                let bytes = response_bytes(status, &body, close, None);
-                sh.tel
-                    .record(EP_RELOAD, sh.tel.clock.micros().saturating_sub(t0));
-                (slot, epoch, bytes, close)
-            }
-        };
-        sh.completions.lock().unwrap().push(Completion {
-            slot,
-            epoch,
+        let run = catch_unwind(AssertUnwindSafe(|| run_job(sh, &job)));
+        let panicked = run.is_err();
+        let bytes = run.unwrap_or_else(|_| {
+            encode_job(&sh.opts, &job, |_| {
+                (500, err_json("internal error: the job panicked"))
+            })
+        });
+        // Fails only once the reactor has exited, when no connection waits
+        // for these bytes.
+        let _ = done.send(Done {
+            job,
             bytes,
-            close,
+            panicked,
         });
         sh.waker.wake();
     }
 }
 
-/// Resolves one run of align requests with one `query_batch` call and
-/// encodes the responses in request order.
-fn run_aligns(sh: &ReactorShared, items: &[AlignItem]) -> (Vec<u8>, bool) {
+/// Runs one job: a run of align requests with one `query_batch` call, or
+/// a reload.
+fn run_job(sh: &ReactorShared, job: &Job) -> Vec<u8> {
+    let items = match &job.work {
+        Work::Aligns(items) => items,
+        Work::Reload { path, .. } => {
+            return encode_job(&sh.opts, job, |_| {
+                reload_response(&sh.index, path.as_deref())
+            })
+        }
+    };
     // One `current()` per job: answers, metric, names and generation all
     // come from one coherent index even if a flip lands mid-job.
     let index = sh.index.current();
@@ -330,27 +322,34 @@ fn run_aligns(sh: &ReactorShared, items: &[AlignItem]) -> (Vec<u8>, bool) {
         .filter(|i| !i.shed)
         .map(|i| (i.q.entity, i.q.k, i.q.probe))
         .collect();
-    if live.len() > 1 {
-        sh.tel.pipelined_batches.fetch_add(1, Ordering::Relaxed);
-    }
     let mut results = index.query_batch(&live).into_iter();
-    let retry_s = retry_after_s(&sh.opts);
+    encode_job(&sh.opts, job, |q| {
+        let result = results.next().expect("one result per live query");
+        align_response(&index, q.expect("an align item"), result)
+    })
+}
+
+/// Encodes a job's responses in request order: `answer` for each request
+/// (with its query, `None` for a reload) and a 503 for each shed one.
+fn encode_job(
+    opts: &ServerOptions,
+    job: &Job,
+    mut answer: impl FnMut(Option<&AlignQuery>) -> (u16, Json),
+) -> Vec<u8> {
+    let Work::Aligns(items) = &job.work else {
+        let (status, body) = answer(None);
+        return response_bytes(status, &body, job.close, None);
+    };
     let mut bytes = Vec::new();
-    let mut close = false;
     for item in items {
-        if item.shed {
-            bytes.extend_from_slice(&shed_bytes("latency", retry_s, item.close));
+        bytes.extend_from_slice(&if item.shed {
+            shed_bytes("latency", retry_after_s(opts), item.close)
         } else {
-            let result = results.next().expect("one result per live query");
-            let (status, body) = align_response(&index, &item.q, result);
-            bytes.extend_from_slice(&response_bytes(status, &body, item.close, None));
-            let us = sh.tel.clock.micros().saturating_sub(item.t0);
-            sh.tel.record(EP_ALIGN, us);
-            sh.admission.lock().unwrap().cur.record(us);
-        }
-        close |= item.close;
+            let (status, body) = answer(Some(&item.q));
+            response_bytes(status, &body, item.close, None)
+        });
     }
-    (bytes, close)
+    bytes
 }
 
 /// `Retry-After` seconds hint: one admission window, at least 1s.
@@ -363,13 +362,17 @@ fn retry_after_s(opts: &ServerOptions) -> u32 {
 
 struct Reactor {
     shared: Arc<ReactorShared>,
+    /// Every counter and histogram `/stats` serves; only this thread
+    /// touches them.
+    tel: Telemetry,
+    /// Finished jobs, sent back by the workers.
+    done: Receiver<Done>,
     poller: Poller,
     /// Dropped (closing the socket) when draining starts.
     listener: Option<TcpListener>,
     /// Connection slab; token == slot index.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    open: usize,
     next_epoch: u64,
     /// Fractional-accumulator state for deterministic latency shedding.
     shed_acc: f64,
@@ -409,7 +412,7 @@ impl Reactor {
                 self.begin_drain();
             }
             if self.draining
-                && (self.open == 0 || self.shared.tel.clock.micros() >= self.drain_deadline_us)
+                && (self.tel.open_conns == 0 || self.tel.clock.micros() >= self.drain_deadline_us)
             {
                 break;
             }
@@ -433,14 +436,11 @@ impl Reactor {
             };
             match listener.accept() {
                 Ok((stream, _)) => {
-                    self.shared
-                        .tel
-                        .accepted_total
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.tel.accepted_total += 1;
                     let cap = self.shared.opts.max_conns;
-                    if cap != 0 && self.open >= cap {
+                    if cap != 0 && self.tel.open_conns >= cap {
                         self.reap_hangups();
-                        if self.open >= cap {
+                        if self.tel.open_conns >= cap {
                             self.shed_at_accept(stream);
                             continue;
                         }
@@ -464,8 +464,7 @@ impl Reactor {
                         continue;
                     }
                     self.conns[slot] = Some(Conn::new(stream, epoch));
-                    self.open += 1;
-                    self.shared.tel.open_conns.fetch_add(1, Ordering::Relaxed);
+                    self.tel.open_conns += 1;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(_) => return,
@@ -494,11 +493,8 @@ impl Reactor {
     /// Over the connection ceiling: answer 503 from the accept path and
     /// close. Best-effort nonblocking write — a canned response this small
     /// fits a fresh socket's send buffer.
-    fn shed_at_accept(&self, stream: TcpStream) {
-        self.shared
-            .tel
-            .shed_conn_limit
-            .fetch_add(1, Ordering::Relaxed);
+    fn shed_at_accept(&mut self, stream: TcpStream) {
+        self.tel.shed_conn_limit += 1;
         let _ = stream.set_nonblocking(true);
         let mut s = stream;
         let _ = s.write(&shed_bytes("conn_limit", 1, true));
@@ -523,7 +519,7 @@ impl Reactor {
 
     /// Pulls every complete request out of the parser and stamps arrival.
     fn pump_parse(&mut self, slot: usize) {
-        let now = self.shared.tel.clock.micros();
+        let now = self.tel.clock.micros();
         let conn = self.conns[slot].as_mut().expect("live slot");
         loop {
             match conn.parser.next_request() {
@@ -574,13 +570,11 @@ impl Reactor {
                         conn.read_closed = true;
                     }
                     conn.inflight = true;
-                    let epoch = conn.epoch;
-                    self.shared.jobs.push(Job::Reload {
+                    self.shared.jobs.push(Job {
                         slot,
-                        epoch,
-                        path,
+                        epoch: conn.epoch,
                         close: req.close,
-                        t0,
+                        work: Work::Reload { path, t0 },
                     });
                     return;
                 }
@@ -588,7 +582,7 @@ impl Reactor {
                     let req = conn.pending.pop_front().expect("head exists");
                     let body = stats_json(
                         &self.shared.index,
-                        &self.shared.tel,
+                        &self.tel,
                         self.shared.jobs.depth(),
                         self.shared.opts.p99_budget_us,
                     );
@@ -609,7 +603,7 @@ impl Reactor {
         status: u16,
         body: &openea_runtime::json::Json,
     ) {
-        let now = self.shared.tel.clock.micros();
+        let now = self.tel.clock.micros();
         let ep = Telemetry::endpoint(&req.path);
         let conn = self.conns[slot].as_mut().expect("live slot");
         conn.push_out(&response_bytes(status, body, req.close, None));
@@ -617,9 +611,7 @@ impl Reactor {
             conn.pending.clear();
             conn.close_after_flush = true;
         }
-        self.shared
-            .tel
-            .record(ep, now.saturating_sub(req.parsed_us));
+        self.tel.record(ep, now.saturating_sub(req.parsed_us));
     }
 
     /// Collects the maximal contiguous run of `/align` requests at the
@@ -643,7 +635,7 @@ impl Reactor {
             if queue_full {
                 // No job outstanding for this connection (dispatch only
                 // runs when idle), so inline 503s stay in request order.
-                self.shared.tel.shed_queue.fetch_add(1, Ordering::Relaxed);
+                self.tel.shed_queue += 1;
                 let conn = self.conns[slot].as_mut().expect("live slot");
                 conn.push_out(&shed_bytes("queue", retry_s, req.close));
                 if req.close {
@@ -657,7 +649,7 @@ impl Reactor {
                 self.shed_acc += frac;
                 if self.shed_acc >= 1.0 {
                     self.shed_acc -= 1.0;
-                    self.shared.tel.shed_latency.fetch_add(1, Ordering::Relaxed);
+                    self.tel.shed_latency += 1;
                     true
                 } else {
                     false
@@ -687,8 +679,12 @@ impl Reactor {
             conn.read_closed = true;
         }
         conn.inflight = true;
-        let epoch = conn.epoch;
-        self.shared.jobs.push(Job::Aligns { slot, epoch, items });
+        self.shared.jobs.push(Job {
+            slot,
+            epoch: conn.epoch,
+            close: saw_close,
+            work: Work::Aligns(items),
+        });
     }
 
     /// Current shed fraction from the windowed p99 vs the budget;
@@ -698,51 +694,73 @@ impl Reactor {
         if budget == 0 {
             return 0.0;
         }
-        let now = self.shared.tel.clock.micros();
+        let tel = &mut self.tel;
+        let now = tel.clock.micros();
         let window_us = (self.shared.opts.budget_window.as_micros() as u64).max(1000);
-        let (count, p99) = {
-            let mut w = self.shared.admission.lock().unwrap();
-            if now.saturating_sub(w.rotated_at_us) >= window_us {
-                w.prev = std::mem::replace(&mut w.cur, MicrosHistogram::new());
-                w.rotated_at_us = now;
-            }
-            let mut merged = MicrosHistogram::new();
-            merged.merge(&w.prev);
-            merged.merge(&w.cur);
-            (merged.count(), merged.percentile_us(99.0))
-        };
-        let frac = if count >= ADMISSION_MIN_SAMPLES && p99 > budget {
-            (((p99 - budget) as f64) / (budget as f64)).min(1.0)
+        if now.saturating_sub(tel.window_start_us) >= window_us {
+            tel.window[1] = std::mem::take(&mut tel.window[0]);
+            tel.window_start_us = now;
+        }
+        let mut merged = MicrosHistogram::new();
+        merged.merge(&tel.window[0]);
+        merged.merge(&tel.window[1]);
+        tel.window_p99_us = merged.percentile_us(99.0);
+        tel.shed_frac = if merged.count() >= ADMISSION_MIN_SAMPLES && tel.window_p99_us > budget {
+            (((tel.window_p99_us - budget) as f64) / (budget as f64)).min(1.0)
         } else {
             0.0
         };
-        self.shared.tel.window_p99_us.store(p99, Ordering::Relaxed);
-        self.shared
-            .tel
-            .shed_frac_milli
-            .store((frac * 1000.0) as u64, Ordering::Relaxed);
-        frac
+        tel.shed_frac
     }
 
     // -- completions, flushing, teardown ------------------------------------
 
+    /// Queues each finished job's bytes on its connection, if that is
+    /// still the one the job was for, after counting the job either way.
     fn drain_completions(&mut self) {
-        let batch = std::mem::take(&mut *self.shared.completions.lock().unwrap());
-        for c in batch {
-            let Some(conn) = self.conns.get_mut(c.slot).and_then(Option::as_mut) else {
+        while let Ok(Done {
+            job,
+            bytes,
+            panicked,
+        }) = self.done.try_recv()
+        {
+            self.count(&job, panicked);
+            let Some(conn) = self.conns.get_mut(job.slot).and_then(Option::as_mut) else {
                 continue; // connection closed while the job was in flight
             };
-            if conn.epoch != c.epoch {
+            if conn.epoch != job.epoch {
                 continue; // slot was reused; these bytes belong to the dead conn
             }
             conn.inflight = false;
-            conn.push_out(&c.bytes);
-            if c.close {
+            conn.push_out(&bytes);
+            if job.close {
                 conn.pending.clear();
                 conn.close_after_flush = true;
             }
-            self.pump_dispatch(c.slot);
-            self.flush_and_settle(c.slot);
+            self.pump_dispatch(job.slot);
+            self.flush_and_settle(job.slot);
+        }
+    }
+
+    /// Records a finished job as its bytes are queued: each answered
+    /// request's latency (an `/align` one feeds the admission window too),
+    /// a multi-request run, a panic.
+    fn count(&mut self, job: &Job, panicked: bool) {
+        let tel = &mut self.tel;
+        let now = tel.clock.micros();
+        tel.panics_total += u64::from(panicked);
+        match &job.work {
+            Work::Aligns(items) => {
+                let mut live = 0;
+                for item in items.iter().filter(|i| !i.shed) {
+                    let us = now.saturating_sub(item.t0);
+                    tel.record(EP_ALIGN, us);
+                    tel.window[0].record(us);
+                    live += 1;
+                }
+                tel.pipelined_batches += u64::from(live > 1);
+            }
+            Work::Reload { t0, .. } => tel.record(EP_RELOAD, now.saturating_sub(*t0)),
         }
     }
 
@@ -797,8 +815,7 @@ impl Reactor {
     fn close_conn(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].take() {
             let _ = self.poller.deregister(&conn.stream);
-            self.open -= 1;
-            self.shared.tel.open_conns.fetch_sub(1, Ordering::Relaxed);
+            self.tel.open_conns -= 1;
             self.free.push(slot);
         }
     }
@@ -807,7 +824,7 @@ impl Reactor {
     /// accepting, final read sweep, close idle.
     fn begin_drain(&mut self) {
         self.draining = true;
-        self.drain_deadline_us = self.shared.tel.clock.micros() + DRAIN_GRACE.as_micros() as u64;
+        self.drain_deadline_us = self.tel.clock.micros() + DRAIN_GRACE.as_micros() as u64;
         // Completed handshakes still in the backlog would be RST by the
         // drop below, requests and all; accept them so the sweep answers.
         self.accept_ready();

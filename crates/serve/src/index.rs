@@ -308,8 +308,8 @@ impl LruCache {
     pub fn new(cap: usize) -> Self {
         Self {
             cap,
-            map: HashMap::with_capacity(cap.min(1 << 20)),
-            slots: Vec::with_capacity(cap.min(1 << 20)),
+            map: HashMap::new(),
+            slots: Vec::new(),
             head: NIL,
             tail: NIL,
         }

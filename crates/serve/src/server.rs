@@ -16,7 +16,7 @@
 //!   of the two-stage index (exact fallback when none was built).
 //! * `GET /health` — liveness probe.
 //! * `GET /stats` — cache hit rate, batch occupancy, per-endpoint latency
-//!   percentiles, served/shed counters, connection gauges, snapshot
+//!   percentiles, served/shed/panic counters, connection gauges, snapshot
 //!   generation, partition shape, admission-control state, and the
 //!   hot-swap gauges.
 //! * `GET /admin/reload[?path=<artifact>]` — zero-downtime hot-swap: load
@@ -46,8 +46,7 @@ use crate::swap::HotSwapIndex;
 use openea_runtime::json::{object, Json, ToJson};
 use openea_runtime::timer::{MicrosHistogram, Monotonic};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Server tuning knobs.
@@ -95,51 +94,42 @@ pub(crate) const N_ENDPOINTS: usize = 5;
 
 const ENDPOINT_NAMES: [&str; N_ENDPOINTS] = ["align", "health", "stats", "reload", "other"];
 
-/// Counters and histograms exported through `/stats`, fed by the event
-/// loop and its compute workers.
+/// Counters and histograms exported through `/stats`. The event loop owns
+/// them: it counts what it answers inline, and each compute job when the
+/// job comes back with its bytes.
+#[derive(Default)]
 pub(crate) struct Telemetry {
     pub clock: Monotonic,
     /// Responses written (any status), across all endpoints.
-    pub served: AtomicU64,
+    pub served: u64,
     /// Connections accepted since startup (shed ones included).
-    pub accepted_total: AtomicU64,
+    pub accepted_total: u64,
     /// Currently open connections.
-    pub open_conns: AtomicU64,
+    pub open_conns: usize,
     /// 503s by reason: bounded queue full.
-    pub shed_queue: AtomicU64,
+    pub shed_queue: u64,
     /// 503s by reason: windowed p99 over its latency budget.
-    pub shed_latency: AtomicU64,
+    pub shed_latency: u64,
     /// 503s by reason: open-connection ceiling reached.
-    pub shed_conn_limit: AtomicU64,
+    pub shed_conn_limit: u64,
     /// Compute jobs that carried more than one pipelined `/align` request.
-    pub pipelined_batches: AtomicU64,
+    pub pipelined_batches: u64,
+    /// Compute jobs that panicked; each of their unshed requests got a 500.
+    pub panics_total: u64,
     /// Per-endpoint service latency (µs), parse-complete → response queued.
-    /// Its guard is held for one histogram update or one read, which leave
-    /// the histograms whole, so a poisoned guard is as good as a clean one.
-    pub latency: Mutex<[MicrosHistogram; N_ENDPOINTS]>,
-    /// Admission-control snapshot for `/stats` (written by the reactor).
-    pub window_p99_us: AtomicU64,
-    /// Current shed fraction in milli-units (0..=1000).
-    pub shed_frac_milli: AtomicU64,
+    pub latency: [MicrosHistogram; N_ENDPOINTS],
+    /// Admission control's `/align` latencies: the current window, then
+    /// the previous one.
+    pub window: [MicrosHistogram; 2],
+    /// When the current window opened (µs on `clock`).
+    pub window_start_us: u64,
+    /// The two windows' p99 at the last admission decision.
+    pub window_p99_us: u64,
+    /// The fraction of `/align` requests being shed (0..=1).
+    pub shed_frac: f64,
 }
 
 impl Telemetry {
-    pub(crate) fn new() -> Self {
-        Self {
-            clock: Monotonic::start(),
-            served: AtomicU64::new(0),
-            accepted_total: AtomicU64::new(0),
-            open_conns: AtomicU64::new(0),
-            shed_queue: AtomicU64::new(0),
-            shed_latency: AtomicU64::new(0),
-            shed_conn_limit: AtomicU64::new(0),
-            pipelined_batches: AtomicU64::new(0),
-            latency: Mutex::new(std::array::from_fn(|_| MicrosHistogram::new())),
-            window_p99_us: AtomicU64::new(0),
-            shed_frac_milli: AtomicU64::new(0),
-        }
-    }
-
     pub(crate) fn endpoint(path: &str) -> usize {
         match path {
             "/align" => EP_ALIGN,
@@ -151,15 +141,13 @@ impl Telemetry {
     }
 
     /// Records one answered request on `endpoint` with service latency `us`.
-    pub(crate) fn record(&self, endpoint: usize, us: u64) {
-        self.served.fetch_add(1, Ordering::Relaxed);
-        self.latency.lock().unwrap_or_else(PoisonError::into_inner)[endpoint].record(us);
+    pub(crate) fn record(&mut self, endpoint: usize, us: u64) {
+        self.served += 1;
+        self.latency[endpoint].record(us);
     }
 
     pub(crate) fn shed_total(&self) -> u64 {
-        self.shed_queue.load(Ordering::Relaxed)
-            + self.shed_latency.load(Ordering::Relaxed)
-            + self.shed_conn_limit.load(Ordering::Relaxed)
+        self.shed_queue + self.shed_latency + self.shed_conn_limit
     }
 }
 
@@ -311,24 +299,20 @@ pub(crate) fn stats_json(
     let swap = hot.stats();
     let ix = index.stats();
     let raw = index.index();
-    let (merged, endpoints) = {
-        let lat = tel.latency.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut merged = MicrosHistogram::new();
-        let mut endpoints = Vec::with_capacity(N_ENDPOINTS);
-        for (name, h) in ENDPOINT_NAMES.iter().zip(lat.iter()) {
-            merged.merge(h);
-            endpoints.push((
-                name.to_string(),
-                object([
-                    ("count", (h.count() as i64).to_json()),
-                    ("p50_us", (h.percentile_us(50.0) as i64).to_json()),
-                    ("p99_us", (h.percentile_us(99.0) as i64).to_json()),
-                    ("mean_us", h.mean_us().to_json()),
-                ]),
-            ));
-        }
-        (merged, endpoints)
-    };
+    let mut merged = MicrosHistogram::new();
+    let mut endpoints = Vec::with_capacity(N_ENDPOINTS);
+    for (name, h) in ENDPOINT_NAMES.iter().zip(&tel.latency) {
+        merged.merge(h);
+        endpoints.push((
+            name.to_string(),
+            object([
+                ("count", (h.count() as i64).to_json()),
+                ("p50_us", (h.percentile_us(50.0) as i64).to_json()),
+                ("p99_us", (h.percentile_us(99.0) as i64).to_json()),
+                ("mean_us", h.mean_us().to_json()),
+            ]),
+        ));
+    }
     object([
         // Hex string: a u64 generation does not fit f64-backed JSON numbers.
         (
@@ -376,38 +360,21 @@ pub(crate) fn stats_json(
                 .unwrap_or(raw.snapshot().trace.epochs.len() as u64) as i64)
                 .to_json(),
         ),
-        (
-            "served",
-            (tel.served.load(Ordering::Relaxed) as i64).to_json(),
-        ),
+        ("served", (tel.served as i64).to_json()),
         ("rejected_503", (tel.shed_total() as i64).to_json()),
-        (
-            "accepted_total",
-            (tel.accepted_total.load(Ordering::Relaxed) as i64).to_json(),
-        ),
-        (
-            "open_conns",
-            (tel.open_conns.load(Ordering::Relaxed) as i64).to_json(),
-        ),
+        ("accepted_total", (tel.accepted_total as i64).to_json()),
+        ("open_conns", (tel.open_conns as i64).to_json()),
         (
             "pipelined_batches",
-            (tel.pipelined_batches.load(Ordering::Relaxed) as i64).to_json(),
+            (tel.pipelined_batches as i64).to_json(),
         ),
+        ("panics_total", (tel.panics_total as i64).to_json()),
         (
             "shed_total",
             object([
-                (
-                    "queue",
-                    (tel.shed_queue.load(Ordering::Relaxed) as i64).to_json(),
-                ),
-                (
-                    "latency",
-                    (tel.shed_latency.load(Ordering::Relaxed) as i64).to_json(),
-                ),
-                (
-                    "conn_limit",
-                    (tel.shed_conn_limit.load(Ordering::Relaxed) as i64).to_json(),
-                ),
+                ("queue", (tel.shed_queue as i64).to_json()),
+                ("latency", (tel.shed_latency as i64).to_json()),
+                ("conn_limit", (tel.shed_conn_limit as i64).to_json()),
                 ("total", (tel.shed_total() as i64).to_json()),
             ]),
         ),
@@ -415,14 +382,8 @@ pub(crate) fn stats_json(
             "admission",
             object([
                 ("p99_budget_us", (p99_budget_us as i64).to_json()),
-                (
-                    "window_p99_us",
-                    (tel.window_p99_us.load(Ordering::Relaxed) as i64).to_json(),
-                ),
-                (
-                    "shed_frac",
-                    (tel.shed_frac_milli.load(Ordering::Relaxed) as f64 / 1000.0).to_json(),
-                ),
+                ("window_p99_us", (tel.window_p99_us as i64).to_json()),
+                ("shed_frac", tel.shed_frac.to_json()),
             ]),
         ),
         ("queue_depth", queue_depth.to_json()),
@@ -560,37 +521,4 @@ pub fn serve_hot(
     let addr = listener.local_addr()?;
     let reactor = crate::event::spawn_reactor(index, listener, opts)?;
     Ok(ServerHandle { addr, reactor })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::snapshot::tests::tiny_snapshot;
-    use crate::swap::IndexOptions;
-
-    #[test]
-    fn telemetry_recovers_a_latency_lock_poisoned_mid_record() {
-        let tel = Telemetry::new();
-        tel.record(EP_ALIGN, 100);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _lat = tel.latency.lock();
-                panic!("a recorder panics while it holds the latency lock");
-            })
-            .join()
-            .unwrap_err();
-        });
-        assert!(tel.latency.is_poisoned());
-
-        tel.record(EP_ALIGN, 300);
-        let opts = IndexOptions::default();
-        let hot = HotSwapIndex::fixed_with(opts.build(tiny_snapshot()), opts);
-        let body = stats_json(&hot, &tel, 0, 1_000);
-        let align = body.get("endpoints").and_then(|e| e.get("align"));
-        assert_eq!(
-            align.and_then(|a| a.get("count")).and_then(Json::as_f64),
-            Some(2.0)
-        );
-        assert_eq!(body.get("served").and_then(Json::as_f64), Some(2.0));
-    }
 }

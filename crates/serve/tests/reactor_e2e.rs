@@ -461,3 +461,43 @@ fn conn_limit_counts_a_slot_freed_in_the_same_wake() {
         server.stop();
     }
 }
+
+/// A job that panics answers 500 in its request's place, and its worker
+/// and connection live on. The snapshot's `emb2` is one float short of
+/// whole rows, so the kernel sweep's shape assertion fires on every
+/// `/align`; one worker means the second panic lands on the thread that
+/// survived the first.
+#[test]
+fn a_panicking_job_answers_500_and_its_connection_lives_on() {
+    let mut snap = tiny_snapshot(40, 50, 8, 43);
+    snap.emb2.pop();
+    let opts = IndexOptions::default();
+    let index = HotSwapIndex::fixed_with(opts.build(snap), opts);
+    let mut server = start(
+        index,
+        ServerOptions {
+            workers: 1,
+            ..Default::default()
+        },
+    );
+    let mut conn = connect(server.addr());
+    assert_eq!(http_get(&mut conn, "/align?entity=0&k=3").0, 500);
+    assert_eq!(http_get(&mut conn, "/health").0, 200);
+    assert_eq!(http_get(&mut conn, "/align?entity=1&k=3").0, 500);
+    let (status, stats) = http_get(&mut conn, "/stats");
+    assert_eq!(status, 200);
+    assert_eq!(get_i64(&stats, "panics_total"), 2);
+
+    // Pipelined, the 500s keep their sequence positions.
+    conn.write_all(
+        b"GET /align?entity=2&k=3 HTTP/1.1\r\n\r\nGET /health HTTP/1.1\r\n\r\n\
+          GET /align?entity=3&k=3 HTTP/1.1\r\n\r\nGET /align?entity=4&k=3 HTTP/1.1\r\n\r\n",
+    )
+    .unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let statuses: Vec<u16> = (0..4).map(|_| read_response(&mut reader).0).collect();
+    assert_eq!(statuses, [500, 200, 500, 500]);
+    let (_, stats) = http_get(&mut conn, "/stats");
+    assert_eq!(get_i64(&stats, "panics_total"), 4, "one per job: {stats:?}");
+    server.stop();
+}

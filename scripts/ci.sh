@@ -174,6 +174,11 @@ done
 cargo test -q --release --offline -p openea -p openea-serve --test codec_corruption \
     --test publish_memory --test sharded_golden --test snapshot_golden
 
+# The serving crate recovers every poisoned guard, so a job that panics
+# answers 500 and takes neither its worker nor the event loop with it: no
+# bare `lock().unwrap()` or `.wait(..).unwrap()` may come back there.
+if grep -rnE 'lock\(\)\.unwrap\(\)|\.wait\([^)]*\)\.unwrap\(\)' crates/serve/src; then exit 1; fi
+
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # The API docs: no intra-doc link may be unresolved, redundant or point at

@@ -1253,36 +1253,41 @@ mod warm_start {
 
     /// Resume-identity: warm-starting from a parent's output and training
     /// zero extra epochs reproduces the parent bit-for-bit, with lineage
-    /// citing the parent and no extra epochs accumulated.
+    /// citing the parent and no extra epochs accumulated — for the
+    /// transformation driver and for each unified-space driver that absorbs
+    /// a warm start through `UnifiedTransE`.
     #[test]
     fn zero_epoch_resume_reproduces_parent_bits() {
         let (pair, folds, mut cfg) = golden_fixture();
         cfg.threads = 2;
-        let a = approach_by_name("MTransE").unwrap();
-        let parent = a.run(&pair, &folds[0], &cfg);
-        let warm = WarmStart {
-            dim: parent.dim,
-            emb1: &parent.emb1,
-            emb2: &parent.emb2,
-            parent_generation: 0x1234,
-            trained_epochs: parent.trace.epochs.len() as u64,
-        };
-        let ctx = RunContext::new(&cfg)
-            .resume_from(&warm)
-            .with_budget(Budget::epochs(0));
-        let child = a.run_with(&pair, &folds[0], &cfg, &ctx);
-        assert_eq!(
-            child.content_hash(),
-            parent.content_hash(),
-            "zero-epoch warm resume must reproduce the parent generation"
-        );
-        assert_eq!(
-            child.lineage,
-            Some(Lineage {
+        for name in ["MTransE", "IPTransE", "AttrE", "BootEA"] {
+            let a = approach_by_name(name).unwrap();
+            let parent = a.run(&pair, &folds[0], &cfg);
+            let warm = WarmStart {
+                dim: parent.dim,
+                emb1: &parent.emb1,
+                emb2: &parent.emb2,
                 parent_generation: 0x1234,
                 trained_epochs: parent.trace.epochs.len() as u64,
-            })
-        );
+            };
+            let ctx = RunContext::new(&cfg)
+                .resume_from(&warm)
+                .with_budget(Budget::epochs(0));
+            let child = a.run_with(&pair, &folds[0], &cfg, &ctx);
+            assert_eq!(
+                child.content_hash(),
+                parent.content_hash(),
+                "{name}: a zero-epoch warm resume must reproduce the parent generation"
+            );
+            assert_eq!(
+                child.lineage,
+                Some(Lineage {
+                    parent_generation: 0x1234,
+                    trained_epochs: parent.trace.epochs.len() as u64,
+                }),
+                "{name}: an absorbed warm start stamps lineage"
+            );
+        }
     }
 }
 
