@@ -288,9 +288,14 @@ fn worker_loop(sh: &ReactorShared, done: &Sender<Done>) {
         let run = catch_unwind(AssertUnwindSafe(|| run_job(sh, &job)));
         let panicked = run.is_err();
         let bytes = run.unwrap_or_else(|_| {
-            encode_job(&sh.opts, &job, |_| {
-                (500, err_json("internal error: the job panicked"))
-            })
+            let failed = || (500, err_json("internal error: the job panicked"));
+            match &job.work {
+                Work::Aligns(items) => encode_aligns(&sh.opts, items, |_| failed()),
+                Work::Reload { .. } => {
+                    let (status, body) = failed();
+                    response_bytes(status, &body, job.close, None)
+                }
+            }
         });
         // Fails only once the reactor has exited, when no connection waits
         // for these bytes.
@@ -309,9 +314,8 @@ fn run_job(sh: &ReactorShared, job: &Job) -> Vec<u8> {
     let items = match &job.work {
         Work::Aligns(items) => items,
         Work::Reload { path, .. } => {
-            return encode_job(&sh.opts, job, |_| {
-                reload_response(&sh.index, path.as_deref())
-            })
+            let (status, body) = reload_response(&sh.index, path.as_deref());
+            return response_bytes(status, &body, job.close, None);
         }
     };
     // One `current()` per job: answers, metric, names and generation all
@@ -323,29 +327,25 @@ fn run_job(sh: &ReactorShared, job: &Job) -> Vec<u8> {
         .map(|i| (i.q.entity, i.q.k, i.q.probe))
         .collect();
     let mut results = index.query_batch(&live).into_iter();
-    encode_job(&sh.opts, job, |q| {
+    encode_aligns(&sh.opts, items, |q| {
         let result = results.next().expect("one result per live query");
-        align_response(&index, q.expect("an align item"), result)
+        align_response(&index, q, result)
     })
 }
 
-/// Encodes a job's responses in request order: `answer` for each request
-/// (with its query, `None` for a reload) and a 503 for each shed one.
-fn encode_job(
+/// Encodes a run of align requests' responses in request order: `answer`
+/// for each live one and a 503 for each shed one.
+fn encode_aligns(
     opts: &ServerOptions,
-    job: &Job,
-    mut answer: impl FnMut(Option<&AlignQuery>) -> (u16, Json),
+    items: &[AlignItem],
+    mut answer: impl FnMut(&AlignQuery) -> (u16, Json),
 ) -> Vec<u8> {
-    let Work::Aligns(items) = &job.work else {
-        let (status, body) = answer(None);
-        return response_bytes(status, &body, job.close, None);
-    };
     let mut bytes = Vec::new();
     for item in items {
         bytes.extend_from_slice(&if item.shed {
             shed_bytes("latency", retry_after_s(opts), item.close)
         } else {
-            let (status, body) = answer(Some(&item.q));
+            let (status, body) = answer(&item.q);
             response_bytes(status, &body, item.close, None)
         });
     }
