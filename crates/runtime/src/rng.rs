@@ -15,10 +15,12 @@
 //! slices.
 //!
 //! Gaussians come from one transform, the 256-layer ziggurat of
-//! [`standard_gaussian`]. Its tables are built from `exp` and `ln`, so its
-//! values also rest on libm: the unit tests pin the tables' bits, the exact
-//! word, wedge and tail counts of 10⁶ draws on a fixed stream, and the
-//! draws' distribution.
+//! [`standard_gaussian`]; [`GaussianLanes`] draws it on eight streams at
+//! once, each lane's values those of its stream. Its tables are built from
+//! `exp` and `ln`, so its values also rest on libm: the unit tests pin the
+//! tables' bits, the exact word, wedge and tail counts of 10⁶ draws on a
+//! fixed stream, and the draws' distribution, and hold every lane to the
+//! scalar draw bit for bit.
 //!
 //! ```
 //! use openea_runtime::rng::{Rng, SeedableRng, SliceRandom, SmallRng};
@@ -119,17 +121,25 @@ impl SeedableRng for SmallRng {
 impl RngCore for SmallRng {
     #[inline]
     fn next_u64(&mut self) -> u64 {
-        let s = &mut self.s;
-        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
-        result
+        let [s0, s1, s2, s3] = &mut self.s;
+        xoshiro(s0, s1, s2, s3)
     }
+}
+
+/// One xoshiro256\*\* step on the four words of a state: the output word,
+/// and the state advanced. [`SmallRng`] runs it on its own state, and
+/// [`GaussianLanes`] on each lane's.
+#[inline(always)]
+fn xoshiro(s0: &mut u64, s1: &mut u64, s2: &mut u64, s3: &mut u64) -> u64 {
+    let result = s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+    let t = *s1 << 17;
+    *s2 ^= *s0;
+    *s3 ^= *s1;
+    *s1 ^= *s2;
+    *s0 ^= *s3;
+    *s2 ^= t;
+    *s3 = s3.rotate_left(45);
+    result
 }
 
 /// A deterministic counter "generator" for tests that need a predictable,
@@ -375,25 +385,58 @@ enum ZigSlow {
 /// attempts. Otherwise the draw is in a wedge (accepted against `exp`) or,
 /// from the base layer, beyond `R` (sampled from the tail with `ln`).
 /// `256·V / √(π/2)` ≈ 1.0067 attempts and ≈ 1.022 words per value.
+/// [`GaussianLanes`] runs the same two parts on eight streams at once.
 #[inline]
 pub fn standard_gaussian<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     ziggurat(rng, |_| {})
 }
 
 /// [`standard_gaussian`], reporting each slow-path entry to `slow` (the
-/// unit tests count them; the public draw passes a no-op).
+/// unit tests count them; the public draw passes a no-op): the fast
+/// attempt on one word, and the exact resume when it misses.
 #[inline(always)]
-fn ziggurat<R: RngCore + ?Sized>(rng: &mut R, mut slow: impl FnMut(ZigSlow)) -> f64 {
+fn ziggurat<R: RngCore + ?Sized>(rng: &mut R, slow: impl FnMut(ZigSlow)) -> f64 {
     let t = &*ZIG;
+    let bits = rng.next_u64();
+    let (x, fast) = zig_attempt(t, bits);
+    if fast {
+        x
+    } else {
+        ziggurat_resume(t, rng, bits, slow)
+    }
+}
+
+/// The layer `i` and the uniform `u ∈ [−1, 1)` of an attempt on `bits`.
+#[inline(always)]
+fn zig_parts(bits: u64) -> (usize, f64) {
+    // [1, 2) from the top 52 bits as a mantissa, then 2·[1, 2) − 3.
+    let u = 2.0 * f64::from_bits(0x3FF0_0000_0000_0000 | (bits >> 12)) - 3.0;
+    ((bits & 0xff) as usize, u)
+}
+
+/// The fast attempt on one word: `x = u · x[i]`, and whether it lies
+/// inside the next layer's edge, where it is the draw.
+#[inline(always)]
+fn zig_attempt(t: &ZigTables, bits: u64) -> (f64, bool) {
+    let (i, u) = zig_parts(bits);
+    let x = u * t.x[i];
+    (x, x.abs() < t.x[i + 1])
+}
+
+/// The rest of a draw whose attempt on `bits` missed the fast path: the
+/// wedge test (one more word and an `exp`) or, from the base layer, the
+/// tail; after a rejected wedge, whole attempts until one is accepted.
+#[cold]
+#[inline(never)]
+fn ziggurat_resume<R: RngCore + ?Sized>(
+    t: &ZigTables,
+    rng: &mut R,
+    mut bits: u64,
+    mut slow: impl FnMut(ZigSlow),
+) -> f64 {
     loop {
-        let bits = rng.next_u64();
-        let i = (bits & 0xff) as usize;
-        // [1, 2) from the top 52 bits as a mantissa, then 2·[1, 2) − 3.
-        let u = 2.0 * f64::from_bits(0x3FF0_0000_0000_0000 | (bits >> 12)) - 3.0;
+        let (i, u) = zig_parts(bits);
         let x = u * t.x[i];
-        if x.abs() < t.x[i + 1] {
-            return x;
-        }
         if i == 0 {
             slow(ZigSlow::Tail);
             return gaussian_tail(rng, u < 0.0);
@@ -401,6 +444,11 @@ fn ziggurat<R: RngCore + ?Sized>(rng: &mut R, mut slow: impl FnMut(ZigSlow)) -> 
         slow(ZigSlow::Wedge);
         let y: f64 = FromRandom::from_random(rng);
         if t.f[i + 1] + (t.f[i] - t.f[i + 1]) * y < (-0.5 * x * x).exp() {
+            return x;
+        }
+        bits = rng.next_u64();
+        let (x, fast) = zig_attempt(t, bits);
+        if fast {
             return x;
         }
     }
@@ -420,6 +468,274 @@ fn gaussian_tail<R: RngCore + ?Sized>(rng: &mut R, negative: bool) -> f64 {
             return if negative { -(ZIG_R + x) } else { ZIG_R + x };
         }
     }
+}
+
+/// Lanes a [`GaussianLanes`] draws in lockstep.
+pub const LANES: usize = 8;
+
+/// Eight [`SmallRng`] streams drawing standard Gaussians in lockstep.
+///
+/// **Per-lane contract:** lane `l` of `GaussianLanes::new(rngs)` yields,
+/// draw after draw, exactly the values `rngs[l].gen_gaussian()` would, bit
+/// for bit, and [`GaussianLanes::into_lanes`] returns it in the state that
+/// `rngs[l]` would have after those calls. Lanes never read each other's
+/// words: a lane whose attempt misses the fast path is finished on its own
+/// stream by the scalar ziggurat's resume, while the others wait. So a
+/// caller that owns eight independent streams may draw them together and
+/// see nothing but the speed.
+///
+/// The state is held as a structure of arrays, word `w` of every lane side
+/// by side, so one step of xoshiro256\*\* and one fast attempt run on all
+/// eight lanes at once. The step has two bodies, a portable loop and an
+/// AVX2 one, which gathers the layer edges and makes the fast-path compare
+/// one mask; the AVX2 body runs wherever `is_x86_feature_detected!("avx2")`
+/// holds. Both share the scalar draw's attempt arithmetic and its resume,
+/// and give the same bits.
+///
+/// ```
+/// use openea_runtime::rng::{GaussianLanes, Rng, SmallRng, LANES};
+///
+/// let streams = |l| SmallRng::stream(7, l as u64);
+/// let mut lanes = GaussianLanes::new(std::array::from_fn(streams));
+/// let mut draws = [[0.0; LANES]; 3];
+/// lanes.fill(&mut draws);
+/// let mut third = streams(3);
+/// for draw in &draws {
+///     assert_eq!(draw[3].to_bits(), third.gen_gaussian().to_bits());
+/// }
+/// ```
+#[derive(Clone, Debug)]
+pub struct GaussianLanes {
+    /// `s[w][l]`: word `w` of lane `l`'s xoshiro256\*\* state.
+    s: [[u64; LANES]; 4],
+    body: LaneBody,
+}
+
+/// Which body of the lane step [`GaussianLanes::fill`] runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum LaneBody {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl LaneBody {
+    /// The fastest body this host runs.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return LaneBody::Avx2;
+        }
+        LaneBody::Portable
+    }
+}
+
+impl GaussianLanes {
+    /// Draws on the eight streams `lanes`, each from the state it is in.
+    pub fn new(lanes: [SmallRng; LANES]) -> Self {
+        Self::with_body(lanes, LaneBody::detect())
+    }
+
+    fn with_body(lanes: [SmallRng; LANES], body: LaneBody) -> Self {
+        GaussianLanes {
+            s: std::array::from_fn(|w| std::array::from_fn(|l| lanes[l].s[w])),
+            body,
+        }
+    }
+
+    /// The eight streams, each in the state its draws left it.
+    pub fn into_lanes(self) -> [SmallRng; LANES] {
+        std::array::from_fn(|l| SmallRng {
+            s: std::array::from_fn(|w| self.s[w][l]),
+        })
+    }
+
+    /// Draws `out.len()` times: `out[j][l]` is lane `l`'s `j`-th Gaussian.
+    pub fn fill(&mut self, out: &mut [[f64; LANES]]) {
+        self.fill_reporting(out, |_| {});
+    }
+
+    /// [`GaussianLanes::fill`], reporting each slow-path entry to `slow`.
+    fn fill_reporting(&mut self, out: &mut [[f64; LANES]], mut slow: impl FnMut(ZigSlow)) {
+        let t = &*ZIG;
+        match self.body {
+            LaneBody::Portable => {
+                for draw in out {
+                    lane_step_portable(&mut self.s, t, draw, &mut slow);
+                }
+            }
+            // SAFETY: `Avx2` is only chosen where the host has AVX2.
+            #[cfg(target_arch = "x86_64")]
+            LaneBody::Avx2 => unsafe { fill_avx2(&mut self.s, t, out, &mut slow) },
+        }
+    }
+}
+
+/// One draw of every lane, a lane at a time: one xoshiro256\*\* word and
+/// one fast attempt each, then the resume for each lane that missed.
+#[inline(always)]
+fn lane_step_portable(
+    s: &mut [[u64; LANES]; 4],
+    t: &ZigTables,
+    draw: &mut [f64; LANES],
+    slow: &mut impl FnMut(ZigSlow),
+) {
+    let [s0, s1, s2, s3] = s;
+    let mut bits = [0; LANES];
+    let mut fast = 0;
+    for l in 0..LANES {
+        bits[l] = xoshiro(&mut s0[l], &mut s1[l], &mut s2[l], &mut s3[l]);
+        let accepted;
+        (draw[l], accepted) = zig_attempt(t, bits[l]);
+        fast |= u32::from(accepted) << l;
+    }
+    if fast != (1 << LANES) - 1 {
+        resume_lanes(s, t, &bits, fast, draw, slow);
+    }
+}
+
+/// Finishes each lane outside the mask `fast`, whose attempt on `bits[l]`
+/// missed, by [`ziggurat_resume`] on its own state, taken out of `s` as a
+/// [`SmallRng`] and put back.
+#[cold]
+#[inline(never)]
+fn resume_lanes(
+    s: &mut [[u64; LANES]; 4],
+    t: &ZigTables,
+    bits: &[u64; LANES],
+    fast: u32,
+    draw: &mut [f64; LANES],
+    slow: &mut impl FnMut(ZigSlow),
+) {
+    let mut missed = !fast & ((1 << LANES) - 1);
+    while missed != 0 {
+        let l = missed.trailing_zeros() as usize;
+        missed &= missed - 1;
+        let mut rng = SmallRng {
+            s: std::array::from_fn(|w| s[w][l]),
+        };
+        draw[l] = ziggurat_resume(t, &mut rng, bits[l], &mut *slow);
+        for (w, word) in rng.s.into_iter().enumerate() {
+            s[w][l] = word;
+        }
+    }
+}
+
+/// `v[w][h]`: word `w` of lanes `4h..4h + 4`, in registers.
+#[cfg(target_arch = "x86_64")]
+type LaneStateAvx2 = [[std::arch::x86_64::__m256i; 2]; 4];
+
+/// The lane step for AVX2, drawing `out.len()` times. The eight states live
+/// in eight registers for the whole loop and go to memory only when a lane
+/// needs the resume.
+///
+/// The xoshiro256\*\* step is written with `std::arch` too, because the
+/// compiler does not vectorise the portable one: left to itself it keeps
+/// the state in memory and takes the 45-bit rotate one lane at a time
+/// (AVX2 has no 64-bit rotate), which drew slower than the scalar loop.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn fill_avx2(
+    s: &mut [[u64; LANES]; 4],
+    t: &ZigTables,
+    out: &mut [[f64; LANES]],
+    slow: &mut impl FnMut(ZigSlow),
+) {
+    use std::arch::x86_64::*;
+    let mut v = load_state(s);
+    for draw in out {
+        let mut bits = [_mm256_setzero_si256(); 2];
+        let mut fast = 0;
+        for (h, half) in draw.as_chunks_mut::<4>().0.iter_mut().enumerate() {
+            let [s0, s1, s2, s3] = [v[0][h], v[1][h], v[2][h], v[3][h]];
+            // `rotl(s1 · 5, 7) · 9`, each multiply a shift and an add.
+            let five = _mm256_add_epi64(_mm256_slli_epi64::<2>(s1), s1);
+            let rot = _mm256_or_si256(_mm256_slli_epi64::<7>(five), _mm256_srli_epi64::<57>(five));
+            bits[h] = _mm256_add_epi64(_mm256_slli_epi64::<3>(rot), rot);
+            let s2 = _mm256_xor_si256(s2, s0);
+            let s3 = _mm256_xor_si256(s3, s1);
+            v[0][h] = _mm256_xor_si256(s0, s3);
+            v[1][h] = _mm256_xor_si256(s1, s2);
+            v[2][h] = _mm256_xor_si256(s2, _mm256_slli_epi64::<17>(s1));
+            v[3][h] = _mm256_or_si256(_mm256_slli_epi64::<45>(s3), _mm256_srli_epi64::<19>(s3));
+            fast |= attempt_avx2(t, bits[h], half) << (4 * h);
+        }
+        if fast != (1 << LANES) - 1 {
+            let mut words = [0u64; LANES];
+            for (half, bits) in words.as_chunks_mut::<4>().0.iter_mut().zip(&bits) {
+                // SAFETY: `half` holds four `u64`s; `storeu` takes any
+                // alignment.
+                unsafe { _mm256_storeu_si256(half.as_mut_ptr().cast(), *bits) };
+            }
+            store_state(s, &v);
+            resume_lanes(s, t, &words, fast, draw, slow);
+            v = load_state(s);
+        }
+    }
+    store_state(s, &v);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn load_state(s: &[[u64; LANES]; 4]) -> LaneStateAvx2 {
+    use std::arch::x86_64::*;
+    std::array::from_fn(|w| {
+        let halves = s[w].as_chunks::<4>().0;
+        // SAFETY: each half holds four `u64`s; `loadu` takes any alignment.
+        std::array::from_fn(|h| unsafe { _mm256_loadu_si256(halves[h].as_ptr().cast()) })
+    })
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn store_state(s: &mut [[u64; LANES]; 4], v: &LaneStateAvx2) {
+    use std::arch::x86_64::*;
+    for (sw, vw) in s.iter_mut().zip(v) {
+        for (half, vh) in sw.as_chunks_mut::<4>().0.iter_mut().zip(vw) {
+            // SAFETY: `half` holds four `u64`s; `storeu` takes any alignment.
+            unsafe { _mm256_storeu_si256(half.as_mut_ptr().cast(), *vh) };
+        }
+    }
+}
+
+/// Four fast attempts on `bits` into `draw`, returning the mask of lanes
+/// that took the fast path: [`zig_attempt`]'s arithmetic, operation for
+/// operation (a multiply and a subtract, no fused multiply-add, so each
+/// lane rounds as the scalar draw does), with the layer edges `x[i]` and
+/// `x[i + 1]` gathered and the compare one mask.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn attempt_avx2(t: &ZigTables, bits: std::arch::x86_64::__m256i, draw: &mut [f64; 4]) -> u32 {
+    use std::arch::x86_64::*;
+    let i = _mm256_and_si256(bits, _mm256_set1_epi64x(0xff));
+    let one_two = _mm256_or_si256(
+        _mm256_srli_epi64::<12>(bits),
+        _mm256_set1_epi64x(0x3FF0_0000_0000_0000),
+    );
+    let u = _mm256_sub_pd(
+        _mm256_mul_pd(_mm256_set1_pd(2.0), _mm256_castsi256_pd(one_two)),
+        _mm256_set1_pd(3.0),
+    );
+    // SAFETY: every index is at most 255 and the table holds 257 edges, so
+    // `x[i]` and `x[i + 1]` are in bounds.
+    let (edge, inner) = unsafe {
+        (
+            _mm256_i64gather_pd::<8>(t.x.as_ptr(), i),
+            _mm256_i64gather_pd::<8>(t.x.as_ptr().add(1), i),
+        )
+    };
+    let x = _mm256_mul_pd(u, edge);
+    let abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
+    // SAFETY: `draw` holds four `f64`s; `storeu` takes any alignment.
+    unsafe { _mm256_storeu_pd(draw.as_mut_ptr(), x) };
+    _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(abs, inner)) as u32
 }
 
 /// `shuffle`/`choose` on slices (mirror of `rand::seq::SliceRandom`).
@@ -774,6 +1090,64 @@ mod tests {
             h.update(&v.to_le_bytes());
         }
         assert_eq!(h.finish(), 0x2551_ce23_766c_da97, "ziggurat tables");
+    }
+
+    /// Every lane of [`GaussianLanes`] against the scalar draw on its own
+    /// stream: 64 seeds × 8 lanes × 2¹⁷ Gaussians, each value's bits and
+    /// each lane's final state, on the portable body and, where the host
+    /// has AVX2, on the AVX2 body. Draws go in blocks of uneven lengths, so
+    /// a block boundary falls everywhere in the step. The run must cross
+    /// the resume often enough to test it: at least 100 tail and 10 000
+    /// wedge entries (≈ 16 000 and ≈ 10⁶ are expected).
+    #[test]
+    fn gaussian_lanes_match_scalar_streams() {
+        const SEEDS: u64 = 64;
+        const DRAWS: usize = 1 << 17;
+        let mut bodies = vec![LaneBody::Portable];
+        if LaneBody::detect() != LaneBody::Portable {
+            bodies.push(LaneBody::detect());
+        }
+        let mut block = vec![[0.0; LANES]; 4_099];
+        for body in bodies {
+            let (mut wedges, mut tails) = (0u64, 0u64);
+            for seed in 0..SEEDS {
+                let streams =
+                    || std::array::from_fn(|l| SmallRng::stream(0x1A7E5 + seed, l as u64));
+                let mut scalar: [SmallRng; LANES] = streams();
+                let mut lanes = GaussianLanes::with_body(streams(), body);
+                let mut drawn = 0;
+                for len in [1, 7, 4_099].into_iter().cycle() {
+                    let len = len.min(DRAWS - drawn);
+                    if len == 0 {
+                        break;
+                    }
+                    lanes.fill_reporting(&mut block[..len], |slow| match slow {
+                        ZigSlow::Wedge => wedges += 1,
+                        ZigSlow::Tail => tails += 1,
+                    });
+                    for (j, draw) in block[..len].iter().enumerate() {
+                        for (l, (x, rng)) in draw.iter().zip(&mut scalar).enumerate() {
+                            let want = rng.gen_gaussian();
+                            assert_eq!(
+                                x.to_bits(),
+                                want.to_bits(),
+                                "{body:?}: seed {seed}, lane {l}, draw {}: {x} against {want}",
+                                drawn + j
+                            );
+                        }
+                    }
+                    drawn += len;
+                }
+                for (l, (got, want)) in lanes.into_lanes().iter().zip(&scalar).enumerate() {
+                    assert_eq!(
+                        got.s, want.s,
+                        "{body:?}: seed {seed}, lane {l}: final state"
+                    );
+                }
+            }
+            assert!(tails >= 100, "{body:?}: {tails} tail entries");
+            assert!(wedges >= 10_000, "{body:?}: {wedges} wedge entries");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 
 /// Longest accepted request/header line, bytes (including CRLF).
 pub const MAX_LINE: usize = 8 * 1024;
@@ -326,6 +326,10 @@ pub const MAX_PIPELINE: usize = 256;
 /// Stop reading once this many unsent response bytes are queued.
 pub const MAX_OUTBUF: usize = 1 << 20;
 
+/// Input a closing connection discards after its last response before it
+/// closes anyway ([`Conn::discard_input`]).
+pub const LINGER_BYTES: usize = 1 << 20;
+
 /// Per-connection state the reactor owns: socket, parser, parsed-request
 /// queue, and the outgoing byte buffer.
 pub struct Conn {
@@ -342,6 +346,11 @@ pub struct Conn {
     pub close_after_flush: bool,
     /// EOF seen; no further requests will arrive.
     pub read_closed: bool,
+    /// The last response is flushed and the write half shut: the
+    /// connection only discards input until the peer's EOF.
+    pub lingering: bool,
+    /// Input bytes discarded while lingering.
+    discarded: usize,
     /// Slot-reuse guard: completions carry the epoch they were issued
     /// under and are dropped when it no longer matches.
     pub epoch: u64,
@@ -363,6 +372,8 @@ impl Conn {
             inflight: false,
             close_after_flush: false,
             read_closed: false,
+            lingering: false,
+            discarded: 0,
             epoch,
             reg_read: true,
             reg_write: false,
@@ -393,6 +404,37 @@ impl Conn {
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return ConnEvent::Continue,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => return ConnEvent::Broken,
+            }
+        }
+    }
+
+    /// Starts the close of a connection whose last response is flushed:
+    /// shuts the write half, so the peer reads the response and then EOF.
+    /// The read half stays open, because closing a socket with input
+    /// unread makes the kernel send a reset, which can reach the peer
+    /// before it has read the response. False when the shutdown fails.
+    pub fn start_linger(&mut self) -> bool {
+        self.lingering = true;
+        self.stream.shutdown(Shutdown::Write).is_ok()
+    }
+
+    /// Reads and drops what the peer still sends, up to `WouldBlock`.
+    /// True once the connection should close: the peer's EOF, a socket
+    /// error, or [`LINGER_BYTES`] discarded.
+    pub fn discard_input(&mut self) -> bool {
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return true,
+                Ok(n) => {
+                    self.discarded += n;
+                    if self.discarded >= LINGER_BYTES {
+                        return true;
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return true,
             }
         }
     }

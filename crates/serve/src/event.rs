@@ -95,6 +95,9 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKER: u64 = u64::MAX - 1;
 /// How long shutdown waits for owed responses before force-closing.
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
+/// How long a closing connection discards input after its last response
+/// before it closes anyway.
+const LINGER: Duration = Duration::from_secs(1);
 /// Minimum windowed sample count before latency shedding may engage.
 const ADMISSION_MIN_SAMPLES: u64 = 16;
 
@@ -266,6 +269,7 @@ pub(crate) fn spawn_reactor(
                 shed_acc: 0.0,
                 draining: false,
                 drain_deadline_us: 0,
+                lingering: VecDeque::new(),
                 scratch: Vec::new(),
             }
             .run()
@@ -378,6 +382,10 @@ struct Reactor {
     shed_acc: f64,
     draining: bool,
     drain_deadline_us: u64,
+    /// Connections that started to linger, `(slot, epoch, deadline_us)`
+    /// in deadline order; an entry whose connection closed earlier is
+    /// skipped when it expires.
+    lingering: VecDeque<(usize, u64, u64)>,
     scratch: Vec<PollEvent>,
 }
 
@@ -387,7 +395,10 @@ impl Reactor {
             let timeout = if self.draining {
                 Some(Duration::from_millis(25))
             } else {
-                None
+                // Until the oldest lingering connection's deadline.
+                self.lingering.front().map(|&(_, _, deadline)| {
+                    Duration::from_micros(deadline.saturating_sub(self.tel.clock.micros()))
+                })
             };
             let mut events = std::mem::take(&mut self.scratch);
             let _ = self.poller.wait(&mut events, timeout);
@@ -408,6 +419,7 @@ impl Reactor {
                 self.accept_ready();
             }
             self.drain_completions();
+            self.expire_lingering();
             if !self.draining && self.shared.shutdown.load(Ordering::SeqCst) {
                 self.begin_drain();
             }
@@ -506,6 +518,13 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return; // stale event for a slot closed earlier this sweep
         };
+        if conn.lingering {
+            // Shutdown does not wait for a peer that is still sending.
+            if conn.discard_input() || self.draining {
+                self.close_conn(slot);
+            }
+            return;
+        }
         if !conn.read_closed && !conn.close_after_flush {
             if conn.fill() == ConnEvent::Broken {
                 self.close_conn(slot);
@@ -776,7 +795,7 @@ impl Reactor {
         let conn = self.conns[slot].as_mut().expect("live slot");
         let flushed = conn.out_pending() == 0;
         if flushed && conn.close_after_flush {
-            self.close_conn(slot);
+            self.linger(slot);
             return;
         }
         if conn.read_closed && conn.pending.is_empty() && !conn.inflight && conn.out_pending() == 0
@@ -809,6 +828,49 @@ impl Reactor {
         {
             conn.reg_read = want.readable;
             conn.reg_write = want.writable;
+        }
+    }
+
+    /// Closes a connection whose last response is flushed the way that
+    /// keeps the response readable: the write half is shut at once, input
+    /// is discarded until the peer's EOF, [`LINGER_BYTES`] or [`LINGER`],
+    /// and only then is the socket closed.
+    ///
+    /// [`LINGER_BYTES`]: crate::conn::LINGER_BYTES
+    fn linger(&mut self, slot: usize) {
+        let conn = self.conns[slot].as_mut().expect("live slot");
+        // Shutdown waits for no peer, as in `conn_ready`.
+        if self.draining || !conn.start_linger() || conn.discard_input() {
+            self.close_conn(slot);
+            return;
+        }
+        let want = Interest {
+            readable: true,
+            writable: false,
+        };
+        if self.poller.modify(&conn.stream, slot as u64, want).is_err() {
+            self.close_conn(slot);
+            return;
+        }
+        (conn.reg_read, conn.reg_write) = (true, false);
+        let deadline = self.tel.clock.micros() + LINGER.as_micros() as u64;
+        self.lingering.push_back((slot, conn.epoch, deadline));
+    }
+
+    /// Closes each lingering connection whose deadline has passed.
+    fn expire_lingering(&mut self) {
+        let now = self.tel.clock.micros();
+        while let Some(&(slot, epoch, deadline)) = self.lingering.front() {
+            if deadline > now {
+                return;
+            }
+            self.lingering.pop_front();
+            let same = self.conns[slot]
+                .as_ref()
+                .is_some_and(|c| c.epoch == epoch && c.lingering);
+            if same {
+                self.close_conn(slot);
+            }
         }
     }
 

@@ -210,6 +210,42 @@ fn abusive_requests_get_typed_errors_and_close() {
     server.stop();
 }
 
+/// A client that keeps sending after its request was refused still reads
+/// the whole refusal and then a clean end of stream. Here the client writes
+/// 256 KiB more after its header line passed the 8 KiB cap, on a thread of
+/// its own, while it reads. A server that closes with those bytes unread
+/// makes the kernel answer them with a reset, and the client's read fails
+/// instead of ending. The server closes its write half after the response
+/// instead, and discards what still arrives before it closes.
+#[test]
+fn a_refused_client_that_keeps_writing_reads_the_error_then_eof() {
+    let index = tiny_index(23);
+    let mut server = start(index, ServerOptions::default());
+    let addr = server.addr();
+    for round in 0..5 {
+        let mut conn = connect(addr);
+        conn.write_all(b"GET /health HTTP/1.1\r\nX-Big: ").unwrap();
+        let mut writer = conn.try_clone().unwrap();
+        let pump = std::thread::spawn(move || {
+            let chunk = [b'x'; 16 * 1024];
+            (0..16).all(|_| writer.write_all(&chunk).is_ok())
+        });
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let (status, _, _, _) = read_response(&mut reader);
+        assert_eq!(status, 431, "round {round}");
+        let mut rest = Vec::new();
+        if let Err(e) = reader.read_to_end(&mut rest) {
+            panic!("round {round}: the refusal ended in {e}, not in EOF");
+        }
+        assert!(rest.is_empty(), "round {round}: bytes after the refusal");
+        assert!(
+            pump.join().unwrap(),
+            "round {round}: the server stopped taking bytes"
+        );
+    }
+    server.stop();
+}
+
 /// Clients that vanish mid-request leak nothing: the reactor reaps the
 /// connection and keeps serving.
 #[test]

@@ -32,20 +32,23 @@
 //!   order.
 //!
 //! The cluster centers are `k·dim` Gaussians of one more stream, in
-//! row-major order. Every Gaussian is one
-//! [`gen_gaussian`](openea_runtime::rng::Rng::gen_gaussian) call, the
-//! runtime's ziggurat. The generator visits each entity once: it seeds the
-//! three streams, writes the label, and for each dimension draws one value
-//! per stream and writes both sides. The draw order *within* a stream
-//! is the whole contract — how the streams interleave is not observable —
-//! so the output is a pure function of [`ScaleConfig`], independent of
-//! thread count and chunk schedule, and any row can be regenerated in
-//! isolation. `tests/scale_inputs.rs` holds it bit for bit to a serial
-//! generator that re-derives the latent stream once per output, and pins
-//! its digests.
+//! row-major order. Every Gaussian is the runtime's ziggurat, the value
+//! [`gen_gaussian`](openea_runtime::rng::Rng::gen_gaussian) gives on that
+//! stream. The generator takes eight entities per step: it seeds their 24
+//! streams, writes their labels, draws the latent streams and each side's
+//! noise streams through three [`GaussianLanes`] (eight streams in lockstep,
+//! each lane bit-identical to `gen_gaussian` on its own stream), and writes
+//! each row once into outputs that were reserved, not filled.
+//! The draw order *within* a stream is the whole contract — how the streams
+//! interleave is not observable — so the output is a pure function of
+//! [`ScaleConfig`], independent of thread count and chunk schedule, and any
+//! row can be regenerated in isolation. `tests/scale_inputs.rs` holds it
+//! bit for bit to a serial generator that re-derives the latent stream once
+//! per output, and pins its digests; `tests/scale_memory.rs` counts its
+//! allocations.
 
 use openea_runtime::pool::{balanced_chunk_len, parallel_chunks};
-use openea_runtime::rng::{Rng, SmallRng};
+use openea_runtime::rng::{GaussianLanes, Rng, SmallRng, LANES};
 
 /// Configuration for [`generate_embedded_pair`].
 #[derive(Debug, Clone, PartialEq)]
@@ -114,6 +117,11 @@ const STREAM_LATENT: u64 = 0;
 const STREAM_SIDE1: u64 = 1;
 const STREAM_SIDE2: u64 = 2;
 
+/// Coordinates drawn per stream between two writes of the output rows:
+/// three blocks of `[f64; LANES]` rows, 6 KiB, stay on the stack for any
+/// `dim`.
+const BLOCK: usize = 32;
+
 /// Generates an aligned embedded pair from `cfg`, using up to `threads`
 /// workers. The result is bit-identical for every `threads` value.
 pub fn generate_embedded_pair(cfg: &ScaleConfig, threads: usize) -> EmbeddedPair {
@@ -133,36 +141,75 @@ pub fn generate_embedded_pair(cfg: &ScaleConfig, threads: usize) -> EmbeddedPair
     let spread = cfg.spread as f64;
     let noise = cfg.noise as f64;
 
-    let mut community = vec![0u32; n];
-    let mut emb1 = vec![0.0f32; n * dim];
-    let mut emb2 = vec![0.0f32; n * dim];
-    // One task per chunk of rows, carrying that range of all three outputs.
-    let chunk = balanced_chunk_len(n, threads, 4);
-    let mut tasks: Vec<_> = community
+    // Reserved, not filled: the sweep writes every element exactly once.
+    let mut community: Vec<u32> = Vec::with_capacity(n);
+    let mut emb1: Vec<f32> = Vec::with_capacity(n * dim);
+    let mut emb2: Vec<f32> = Vec::with_capacity(n * dim);
+    // One task per chunk of rows, carrying that range of all three outputs;
+    // a chunk is whole groups of `LANES` entities, so only the last chunk
+    // may end in a short group.
+    let chunk = balanced_chunk_len(n, threads, 4).next_multiple_of(LANES);
+    let mut tasks: Vec<_> = community.spare_capacity_mut()[..n]
         .chunks_mut(chunk)
-        .zip(emb1.chunks_mut(chunk * dim))
-        .zip(emb2.chunks_mut(chunk * dim))
+        .zip(emb1.spare_capacity_mut()[..n * dim].chunks_mut(chunk * dim))
+        .zip(emb2.spare_capacity_mut()[..n * dim].chunks_mut(chunk * dim))
         .collect();
     parallel_chunks(&mut tasks, 1, threads, |ci, task| {
         let ((labels, rows1), rows2) = &mut task[0];
-        let rows = rows1.chunks_mut(dim).zip(rows2.chunks_mut(dim));
-        for (r, (label, (row1, row2))) in labels.iter_mut().zip(rows).enumerate() {
-            let i = (ci * chunk + r) as u64;
-            let mut lat = SmallRng::stream(cfg.seed, 4 * i + STREAM_LATENT);
-            let mut noi1 = SmallRng::stream(cfg.seed, 4 * i + STREAM_SIDE1);
-            let mut noi2 = SmallRng::stream(cfg.seed, 4 * i + STREAM_SIDE2);
+        let mut draws = [[[0.0; LANES]; BLOCK]; 3];
+        for (g, labels) in labels.chunks_mut(LANES).enumerate() {
+            // Eight entities per step; a short last group draws its unused
+            // lanes (streams of entities past `n`) and stores nothing.
+            let first = (ci * chunk + g * LANES) as u64;
+            let streams = |s: u64| -> [SmallRng; LANES] {
+                std::array::from_fn(|l| SmallRng::stream(cfg.seed, 4 * (first + l as u64) + s))
+            };
+            let mut latent = streams(STREAM_LATENT);
             // The quadratically skewed pick: the latent stream's first draw.
-            let u: f64 = lat.gen_range(0.0..1.0);
-            let c = ((u * u * k as f64) as usize).min(k - 1);
-            *label = c as u32;
-            let center = &centers[c * dim..(c + 1) * dim];
-            for ((&mid, s1), s2) in center.iter().zip(row1.iter_mut()).zip(row2.iter_mut()) {
-                let latent = mid as f64 + spread * lat.gen_gaussian() * inv_sqrt_dim;
-                *s1 = (latent + noise * noi1.gen_gaussian() * inv_sqrt_dim) as f32;
-                *s2 = (latent + noise * noi2.gen_gaussian() * inv_sqrt_dim) as f32;
+            let picks: [usize; LANES] = std::array::from_fn(|l| {
+                let u: f64 = latent[l].gen_range(0.0..1.0);
+                ((u * u * k as f64) as usize).min(k - 1)
+            });
+            for (label, &c) in labels.iter_mut().zip(&picks) {
+                label.write(c as u32);
+            }
+            let mut lanes = [
+                GaussianLanes::new(latent),
+                GaussianLanes::new(streams(STREAM_SIDE1)),
+                GaussianLanes::new(streams(STREAM_SIDE2)),
+            ];
+            let rows = g * LANES * dim..(g * LANES + labels.len()) * dim;
+            let (group1, group2) = (&mut rows1[rows.clone()], &mut rows2[rows]);
+            for d0 in (0..dim).step_by(BLOCK) {
+                let width = BLOCK.min(dim - d0);
+                for (stream, block) in lanes.iter_mut().zip(&mut draws) {
+                    stream.fill(&mut block[..width]);
+                }
+                let [lat, noi1, noi2] = &draws;
+                let rows = group1.chunks_mut(dim).zip(group2.chunks_mut(dim));
+                for (l, (row1, row2)) in rows.enumerate() {
+                    let center = &centers[picks[l] * dim + d0..][..width];
+                    let (row1, row2) = (&mut row1[d0..d0 + width], &mut row2[d0..d0 + width]);
+                    for (d, &mid) in center.iter().enumerate() {
+                        let latent = mid as f64 + spread * lat[d][l] * inv_sqrt_dim;
+                        row1[d].write((latent + noise * noi1[d][l] * inv_sqrt_dim) as f32);
+                        row2[d].write((latent + noise * noi2[d][l] * inv_sqrt_dim) as f32);
+                    }
+                }
             }
         }
     });
+    drop(tasks);
+    // SAFETY: the first `n` labels and `n · dim` coordinates of each side
+    // are initialised: the tasks cover them, `parallel_chunks` runs every
+    // task exactly once (a panic in one is re-raised before this line), and
+    // a task writes every label of its rows and every coordinate of every
+    // row, `dim` per row in blocks of `BLOCK`.
+    unsafe {
+        community.set_len(n);
+        emb1.set_len(n * dim);
+        emb2.set_len(n * dim);
+    }
 
     EmbeddedPair {
         dim,

@@ -77,6 +77,7 @@ pub struct CountingAlloc {
     live: AtomicUsize,
     peak: AtomicUsize,
     calls: AtomicUsize,
+    zeroed_large: AtomicUsize,
 }
 
 impl CountingAlloc {
@@ -85,6 +86,7 @@ impl CountingAlloc {
             live: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
             calls: AtomicUsize::new(0),
+            zeroed_large: AtomicUsize::new(0),
         }
     }
 
@@ -97,6 +99,13 @@ impl CountingAlloc {
     /// `realloc`) on any thread since the program started.
     pub fn calls(&self) -> usize {
         self.calls.load(Relaxed)
+    }
+
+    /// `alloc_zeroed` calls of [`LARGE`] bytes or more, on any thread: a
+    /// zeroed block that size is one the program then writes over, or
+    /// faults in page by page to read zeros.
+    pub fn zeroed_large_calls(&self) -> usize {
+        self.zeroed_large.load(Relaxed)
     }
 
     /// Runs `f` and returns its value with the most bytes that were live at
@@ -151,6 +160,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
             self.grew(layout.size());
+            if layout.size() >= LARGE {
+                self.zeroed_large.fetch_add(1, Relaxed);
+            }
             tally(layout.size(), 0);
         }
         p
