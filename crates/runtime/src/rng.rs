@@ -121,25 +121,17 @@ impl SeedableRng for SmallRng {
 impl RngCore for SmallRng {
     #[inline]
     fn next_u64(&mut self) -> u64 {
-        let [s0, s1, s2, s3] = &mut self.s;
-        xoshiro(s0, s1, s2, s3)
+        let s = &mut self.s;
+        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
-}
-
-/// One xoshiro256\*\* step on the four words of a state: the output word,
-/// and the state advanced. [`SmallRng`] runs it on its own state, and
-/// [`GaussianLanes`] on each lane's.
-#[inline(always)]
-fn xoshiro(s0: &mut u64, s1: &mut u64, s2: &mut u64, s3: &mut u64) -> u64 {
-    let result = s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-    let t = *s1 << 17;
-    *s2 ^= *s0;
-    *s3 ^= *s1;
-    *s1 ^= *s2;
-    *s0 ^= *s3;
-    *s2 ^= t;
-    *s3 = s3.rotate_left(45);
-    result
 }
 
 /// A deterministic counter "generator" for tests that need a predictable,
@@ -485,12 +477,12 @@ pub const LANES: usize = 8;
 /// see nothing but the speed.
 ///
 /// The state is held as a structure of arrays, word `w` of every lane side
-/// by side, so one step of xoshiro256\*\* and one fast attempt run on all
-/// eight lanes at once. The step has two bodies, a portable loop and an
-/// AVX2 one, which gathers the layer edges and makes the fast-path compare
-/// one mask; the AVX2 body runs wherever `is_x86_feature_detected!("avx2")`
-/// holds. Both share the scalar draw's attempt arithmetic and its resume,
-/// and give the same bits.
+/// by side. Where `is_x86_feature_detected!("avx2")` holds, one step of
+/// xoshiro256\*\* and one fast attempt run on all eight lanes at once, with
+/// the layer edges gathered and the fast-path compare one mask; elsewhere
+/// the lanes are drawn one after another by the scalar draw itself. Both
+/// bodies share the scalar draw's attempt arithmetic and its resume, and
+/// give the same bits.
 ///
 /// ```
 /// use openea_runtime::rng::{GaussianLanes, Rng, SmallRng, LANES};
@@ -545,9 +537,7 @@ impl GaussianLanes {
 
     /// The eight streams, each in the state its draws left it.
     pub fn into_lanes(self) -> [SmallRng; LANES] {
-        std::array::from_fn(|l| SmallRng {
-            s: std::array::from_fn(|w| self.s[w][l]),
-        })
+        std::array::from_fn(|l| take_lane(&self.s, l))
     }
 
     /// Draws `out.len()` times: `out[j][l]` is lane `l`'s `j`-th Gaussian.
@@ -559,9 +549,14 @@ impl GaussianLanes {
     fn fill_reporting(&mut self, out: &mut [[f64; LANES]], mut slow: impl FnMut(ZigSlow)) {
         let t = &*ZIG;
         match self.body {
+            // A lane at a time: the scalar draw on the lane's own stream.
             LaneBody::Portable => {
-                for draw in out {
-                    lane_step_portable(&mut self.s, t, draw, &mut slow);
+                for l in 0..LANES {
+                    let mut rng = take_lane(&self.s, l);
+                    for draw in out.iter_mut() {
+                        draw[l] = ziggurat(&mut rng, &mut slow);
+                    }
+                    put_lane(&mut self.s, l, rng);
                 }
             }
             // SAFETY: `Avx2` is only chosen where the host has AVX2.
@@ -571,32 +566,10 @@ impl GaussianLanes {
     }
 }
 
-/// One draw of every lane, a lane at a time: one xoshiro256\*\* word and
-/// one fast attempt each, then the resume for each lane that missed.
-#[inline(always)]
-fn lane_step_portable(
-    s: &mut [[u64; LANES]; 4],
-    t: &ZigTables,
-    draw: &mut [f64; LANES],
-    slow: &mut impl FnMut(ZigSlow),
-) {
-    let [s0, s1, s2, s3] = s;
-    let mut bits = [0; LANES];
-    let mut fast = 0;
-    for l in 0..LANES {
-        bits[l] = xoshiro(&mut s0[l], &mut s1[l], &mut s2[l], &mut s3[l]);
-        let accepted;
-        (draw[l], accepted) = zig_attempt(t, bits[l]);
-        fast |= u32::from(accepted) << l;
-    }
-    if fast != (1 << LANES) - 1 {
-        resume_lanes(s, t, &bits, fast, draw, slow);
-    }
-}
-
 /// Finishes each lane outside the mask `fast`, whose attempt on `bits[l]`
-/// missed, by [`ziggurat_resume`] on its own state, taken out of `s` as a
-/// [`SmallRng`] and put back.
+/// missed in the AVX2 step, by [`ziggurat_resume`] on its own state, taken
+/// out of `s` as a [`SmallRng`] and put back.
+#[cfg(target_arch = "x86_64")]
 #[cold]
 #[inline(never)]
 fn resume_lanes(
@@ -611,13 +584,23 @@ fn resume_lanes(
     while missed != 0 {
         let l = missed.trailing_zeros() as usize;
         missed &= missed - 1;
-        let mut rng = SmallRng {
-            s: std::array::from_fn(|w| s[w][l]),
-        };
+        let mut rng = take_lane(s, l);
         draw[l] = ziggurat_resume(t, &mut rng, bits[l], &mut *slow);
-        for (w, word) in rng.s.into_iter().enumerate() {
-            s[w][l] = word;
-        }
+        put_lane(s, l, rng);
+    }
+}
+
+/// Lane `l` of the states `s`, as a [`SmallRng`].
+fn take_lane(s: &[[u64; LANES]; 4], l: usize) -> SmallRng {
+    SmallRng {
+        s: std::array::from_fn(|w| s[w][l]),
+    }
+}
+
+/// Puts `rng` back into `s` as lane `l`.
+fn put_lane(s: &mut [[u64; LANES]; 4], l: usize, rng: SmallRng) {
+    for (w, word) in rng.s.into_iter().enumerate() {
+        s[w][l] = word;
     }
 }
 
@@ -630,9 +613,10 @@ type LaneStateAvx2 = [[std::arch::x86_64::__m256i; 2]; 4];
 /// needs the resume.
 ///
 /// The xoshiro256\*\* step is written with `std::arch` too, because the
-/// compiler does not vectorise the portable one: left to itself it keeps
-/// the state in memory and takes the 45-bit rotate one lane at a time
-/// (AVX2 has no 64-bit rotate), which drew slower than the scalar loop.
+/// compiler does not vectorise a plain eight-lane loop over it: left to
+/// itself it keeps the state in memory and takes the 45-bit rotate one
+/// lane at a time (AVX2 has no 64-bit rotate), which drew slower than the
+/// scalar loop.
 ///
 /// # Safety
 ///

@@ -452,7 +452,7 @@ impl Reactor {
                     let cap = self.shared.opts.max_conns;
                     if cap != 0 && self.tel.open_conns >= cap {
                         self.reap_hangups();
-                        if self.tel.open_conns >= cap {
+                        if self.tel.open_conns >= cap && !self.evict_lingering() {
                             self.shed_at_accept(stream);
                             continue;
                         }
@@ -834,7 +834,9 @@ impl Reactor {
     /// Closes a connection whose last response is flushed the way that
     /// keeps the response readable: the write half is shut at once, input
     /// is discarded until the peer's EOF, [`LINGER_BYTES`] or [`LINGER`],
-    /// and only then is the socket closed.
+    /// and only then is the socket closed. Until then it keeps its slot
+    /// under `max_conns`, but a new connection that finds the ceiling full
+    /// takes the slot of the oldest lingering one ([`Reactor::evict_lingering`]).
     ///
     /// [`LINGER_BYTES`]: crate::conn::LINGER_BYTES
     fn linger(&mut self, slot: usize) {
@@ -865,13 +867,31 @@ impl Reactor {
                 return;
             }
             self.lingering.pop_front();
-            let same = self.conns[slot]
-                .as_ref()
-                .is_some_and(|c| c.epoch == epoch && c.lingering);
-            if same {
+            if self.still_lingers(slot, epoch) {
                 self.close_conn(slot);
             }
         }
+    }
+
+    /// At the ceiling with a connection in hand: closes the oldest lingering
+    /// connection, whose last response is already flushed, so that the new
+    /// one takes its slot. False when none lingers.
+    fn evict_lingering(&mut self) -> bool {
+        while let Some((slot, epoch, _)) = self.lingering.pop_front() {
+            if self.still_lingers(slot, epoch) {
+                self.close_conn(slot);
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Whether the lingering entry `(slot, epoch)` is still that connection,
+    /// not one that closed earlier or a later connection on its slot.
+    fn still_lingers(&self, slot: usize, epoch: u64) -> bool {
+        self.conns[slot]
+            .as_ref()
+            .is_some_and(|c| c.epoch == epoch && c.lingering)
     }
 
     fn close_conn(&mut self, slot: usize) {

@@ -498,6 +498,42 @@ fn conn_limit_counts_a_slot_freed_in_the_same_wake() {
     }
 }
 
+/// A connection that closes after its response lingers to discard input,
+/// but holds no slot a new client needs. At `max_conns: 1` a client sends
+/// `Connection: close`, reads the response and the end of stream, and keeps
+/// its socket open; the next client is served, not shed, because the
+/// reactor closes the lingering connection to make room.
+#[test]
+fn a_lingering_close_gives_its_slot_to_the_next_client() {
+    for round in 0..5 {
+        let mut server = start(
+            tiny_index(47 + round),
+            ServerOptions {
+                max_conns: 1,
+                ..Default::default()
+            },
+        );
+        let addr = server.addr();
+        let mut first = connect(addr);
+        first
+            .write_all(b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut reader = BufReader::new(first.try_clone().unwrap());
+        assert_eq!(read_response(&mut reader).0, 200, "round {round}");
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "round {round}: bytes after the response");
+        let mut next = connect(addr);
+        assert_eq!(
+            http_get(&mut next, "/health").0,
+            200,
+            "round {round}: shed behind a lingering connection"
+        );
+        drop(first);
+        server.stop();
+    }
+}
+
 /// A job that panics answers 500 in its request's place, and its worker
 /// and connection live on. The snapshot's `emb2` is one float short of
 /// whole rows, so the kernel sweep's shape assertion fires on every

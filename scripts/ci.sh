@@ -136,15 +136,15 @@ cargo test --release --offline -p openea-serve --test server_e2e -- checkpoint \
 cargo test --release --offline -p openea-synth --lib
 # The runtime's ziggurat Gaussian and the eight-lane draw the index-scale
 # generator takes every coordinate from, under the code generation that ships
-# (tier-1 tests build at `opt-level = 2`; the lane body is built at 3 and
-# vectorised differently): the ziggurat's distribution over 10⁶ draws, the
-# exact word, wedge and tail counts of those draws and its tables' bits; each
-# lane of `GaussianLanes`, on the portable body and on AVX2 where the host has
-# it, bit for bit against the scalar draw on its own stream through at least
-# 100 tail and 10 000 wedge entries. Beside them the generator itself: bit
-# for bit against the two-pass reference at threads {1, 2, 3, 8}, its two
-# pinned digests, and its allocations (outputs reserved and written once, no
-# zeroed block). Budget: a few seconds after the build.
+# (tier-1 tests build at `opt-level = 2`, releases at 3, which inlines the
+# draw into its callers differently): the ziggurat's distribution over 10⁶
+# draws, the exact word, wedge and tail counts of those draws and its tables'
+# bits; each lane of `GaussianLanes`, on the portable body and on AVX2 where
+# the host has it, bit for bit against the scalar draw on its own stream
+# through at least 100 tail and 10 000 wedge entries. Beside them the
+# generator itself: bit for bit against the two-pass reference at threads
+# {1, 2, 3, 8}, its two pinned digests, and its allocations (outputs reserved
+# and written once, no zeroed block). Budget: a few seconds after the build.
 cargo test --release --offline -p openea-runtime --lib rng::
 cargo test --release --offline -p openea --test scale_inputs --test scale_memory
 
