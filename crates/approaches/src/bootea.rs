@@ -182,9 +182,12 @@ impl EpochHooks for Hooks<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openea_math::negsamp::NegSampler;
+    use openea_math::negsamp::{NegSampler, RawTriple};
     use openea_math::Initializer;
-    use openea_runtime::rng::{SeedableRng, SmallRng};
+    use openea_models::trainer::{train_epoch_batched, TrainOptions, Workspace};
+    use openea_models::traits::RelationModel;
+    use openea_runtime::rng::{RngCore, SeedableRng, SmallRng};
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn refresh_sampler_builds_topk_lists() {
@@ -219,6 +222,126 @@ mod tests {
             }
         }
         assert!(saw_one);
+    }
+
+    /// A relation model that trains nothing: it records, per batch, the
+    /// batch's size and how often each entity row appears in its pairs
+    /// (positive head and tail, negative head and tail — the rows one
+    /// gradient step writes).
+    struct RowCounter {
+        table: EmbeddingTable,
+        batches: Batches,
+    }
+
+    /// Per batch: its size, and the sorted counts of the rows it touches.
+    type Batches = Arc<Mutex<Vec<(usize, Vec<u32>)>>>;
+
+    impl RelationModel for RowCounter {
+        fn name(&self) -> &'static str {
+            "RowCounter"
+        }
+        fn energy(&self, _: RawTriple) -> f32 {
+            0.0
+        }
+        fn train_batch(
+            &mut self,
+            pairs: &[(RawTriple, RawTriple)],
+            _: &TrainOptions,
+            _: &mut Workspace,
+            _: &mut f64,
+        ) {
+            let mut rows = std::collections::HashMap::<u32, u32>::new();
+            for &((h, _, t), (nh, _, nt)) in pairs {
+                for e in [h, t, nh, nt] {
+                    *rows.entry(e).or_default() += 1;
+                }
+            }
+            let mut counts: Vec<u32> = rows.into_values().collect();
+            counts.sort_unstable();
+            self.batches.lock().unwrap().push((pairs.len(), counts));
+        }
+        fn entities(&self) -> &EmbeddingTable {
+            &self.table
+        }
+        fn entities_mut(&mut self) -> &mut EmbeddingTable {
+            &mut self.table
+        }
+    }
+
+    /// `(batch size, batches, max, p99)` of the batches a counter saw: the
+    /// largest count of one entity row within one batch, and the 99th
+    /// percentile over every (batch, row) that batch touched.
+    fn row_load(batches: &[(usize, Vec<u32>)]) -> (usize, usize, u32, u32) {
+        let mut all: Vec<u32> = batches
+            .iter()
+            .flat_map(|(_, c)| c.iter().copied())
+            .collect();
+        all.sort_unstable();
+        let p99 = all[(all.len() * 99).div_ceil(100) - 1];
+        (batches[0].0, batches.len(), *all.last().unwrap(), p99)
+    }
+
+    /// Epoch 0 of the BootEA run that diverges at epoch 0
+    /// (`approach_matrix::engine::bootea_at_3k_dim32_lr002_…`: D-Y 3 000,
+    /// seed 1, fold 0, dim 32, lr 0.02), its batches formed again through
+    /// `train_epoch_batched` on a model that trains nothing, beside MTransE's
+    /// KG1 model at the same shape, which converges. Epoch 0 samples no
+    /// truncated negatives (the first refresh follows epoch `BOOT_EVERY − 1`),
+    /// so the counts are of uniform negatives over the swapped space.
+    #[test]
+    fn epoch_zero_batches_are_pinned_for_bootea_and_mtranse() {
+        use crate::transformation::TransformationCore;
+        let pair = openea_synth::PresetConfig::new(openea_synth::DatasetFamily::DY, 3000, false, 1)
+            .generate();
+        let mut rng = SmallRng::seed_from_u64(1);
+        let fold = openea_core::k_fold_splits(&pair.alignment, 5, &mut rng).swap_remove(0);
+        let cfg = RunConfig {
+            dim: 32,
+            lr: 0.02,
+            patience: usize::MAX,
+            threads: 2,
+            seed: 1,
+            ..RunConfig::default()
+        };
+        let ctx = RunContext::new(&cfg).for_valid(&fold.valid);
+        let counter = |n: usize| {
+            let batches = Batches::default();
+            let model = RowCounter {
+                table: EmbeddingTable::zeros(n, 1),
+                batches: Arc::clone(&batches),
+            };
+            (model, batches)
+        };
+
+        let approach = BootEa::default();
+        let mut hooks = approach.hooks(&pair, &fold, &cfg, &ctx);
+        assert!(hooks.truncated.is_none());
+        let base = &mut hooks.base;
+        let (mut model, boot) = counter(base.space.num_entities);
+        let seed = base.rng.next_u64();
+        train_epoch_batched(
+            &mut model,
+            &base.space.triples,
+            &base.sampler,
+            &base.opts,
+            seed,
+        )
+        .unwrap();
+
+        let (m1, mtranse) = counter(pair.kg1.num_entities());
+        let (m2, _) = counter(pair.kg2.num_entities());
+        let mut core =
+            TransformationCore::new(&pair, Box::new(m1), Box::new(m2), &cfg, ctx.driver_rng());
+        core.train_epoch(&cfg);
+
+        let boot = row_load(&boot.lock().unwrap());
+        let mtranse = row_load(&mtranse.lock().unwrap());
+        assert_eq!(boot, (575, 150, 33, 11), "BootEA: batch, batches, max, p99");
+        assert_eq!(
+            mtranse,
+            (206, 150, 23, 10),
+            "MTransE KG1: batch, batches, max, p99"
+        );
     }
 
     #[test]

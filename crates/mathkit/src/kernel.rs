@@ -1,11 +1,11 @@
-//! Register-blocked SIMD microkernels with runtime ISA dispatch.
+//! Register-blocked SIMD microkernels, dispatched on the one ISA switch.
 //!
 //! This module owns the innermost loop of every similarity sweep:
 //! [`score_tile`] scores any number of source rows against one tile stored
 //! dimension-major (`tile_t[d * cols + j]`), with the embedding dimension
 //! `d` as the outer loop. Each output column keeps its own accumulator that
 //! folds **sequentially in `d`** — the same op sequence at every vector
-//! width — so the scalar, SSE2 and AVX2 backends are *bit-identical* to each
+//! width — so the scalar and AVX2 backends are *bit-identical* to each
 //! other and to the naive per-pair kernels (`dot`, `euclidean`,
 //! `manhattan`). Vectorizing across columns instead of across `d` is what
 //! makes that possible: no horizontal reduction, no reassociation, no FMA
@@ -25,146 +25,24 @@
 //! narrower vector loops and finally a scalar tail with the identical fold.
 //! [`score_tile`] alone decides which rows go through which.
 //!
-//! Dispatch: the backend is detected once (AVX2 via
-//! `is_x86_feature_detected!`, else SSE2 which is baseline on `x86_64`,
-//! else scalar) and cached in an atomic. The `OPENEA_KERNEL_BACKEND` env
-//! var (`scalar` | `sse2` | `avx2`, clamped to what the host supports)
-//! overrides detection, and [`force_backend`] re-points the dispatch at
-//! runtime — that is how CI exercises every backend on any host. Because
-//! all backends are bit-identical, concurrent readers racing a
-//! `force_backend` call still compute the same numbers.
+//! Dispatch: [`score_tile`] matches on [`active_backend`], the runtime's
+//! one ISA switch ([`openea_runtime::isa`], re-exported here), which the
+//! Gaussian lanes read too: AVX2 where the host has it, else the scalar
+//! body. [`force_backend`] re-points it — that is how the conformance
+//! suites run every backend the host supports.
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::{
-    __m128, __m256, _mm256_add_ps, _mm256_andnot_ps, _mm256_loadu_ps, _mm256_mul_ps,
-    _mm256_set1_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps, _mm_andnot_ps, _mm_loadu_ps,
-    _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps, _mm_sub_ps,
+    __m256, _mm256_add_ps, _mm256_andnot_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
+    _mm256_storeu_ps, _mm256_sub_ps,
 };
-use std::sync::atomic::{AtomicU8, Ordering};
+
+pub use openea_runtime::isa::{
+    active_backend, best_supported, force_backend, supported_backends, Backend,
+};
 
 /// Source rows per register panel of [`score_tile`].
 pub const PANEL_ROWS: usize = 4;
-
-/// Environment variable that pins the kernel backend for a whole process
-/// (`scalar` | `sse2` | `avx2`); requests above what the host supports are
-/// clamped down, unknown values fall back to auto-detection.
-pub const BACKEND_ENV: &str = "OPENEA_KERNEL_BACKEND";
-
-/// A kernel instruction-set backend, ordered weakest → strongest so that
-/// "clamp to the best supported" is a plain `min`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
-pub enum Backend {
-    /// Portable scalar loops — the reference every other backend must match
-    /// bit-for-bit, and the only backend off `x86_64`.
-    Scalar = 1,
-    /// 128-bit SSE2 lanes (baseline on `x86_64`, no detection needed).
-    Sse2 = 2,
-    /// 256-bit AVX2 lanes (runtime-detected).
-    Avx2 = 3,
-}
-
-impl Backend {
-    /// Every backend the dispatcher knows about, weakest first.
-    pub const ALL: [Backend; 3] = [Backend::Scalar, Backend::Sse2, Backend::Avx2];
-
-    /// Stable label, also the accepted [`BACKEND_ENV`] value.
-    pub fn label(self) -> &'static str {
-        match self {
-            Backend::Scalar => "scalar",
-            Backend::Sse2 => "sse2",
-            Backend::Avx2 => "avx2",
-        }
-    }
-
-    /// Parses a [`label`](Self::label) (case-insensitive).
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(Backend::Scalar),
-            "sse2" => Some(Backend::Sse2),
-            "avx2" => Some(Backend::Avx2),
-            _ => None,
-        }
-    }
-
-    fn from_u8(v: u8) -> Backend {
-        match v {
-            1 => Backend::Scalar,
-            2 => Backend::Sse2,
-            3 => Backend::Avx2,
-            _ => unreachable!("invalid backend tag {v}"),
-        }
-    }
-}
-
-/// Cached dispatch decision; 0 = not yet resolved.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-/// The strongest backend this host can execute.
-pub fn best_supported() -> Backend {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            Backend::Avx2
-        } else {
-            Backend::Sse2
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        Backend::Scalar
-    }
-}
-
-/// Clamps a requested backend to what this host can execute, so forcing
-/// `avx2` on an SSE2-only box degrades gracefully instead of faulting.
-pub fn clamp_to_supported(b: Backend) -> Backend {
-    b.min(best_supported())
-}
-
-/// Backends this host can actually execute (always includes `Scalar`).
-pub fn supported_backends() -> Vec<Backend> {
-    Backend::ALL
-        .into_iter()
-        .filter(|&b| clamp_to_supported(b) == b)
-        .collect()
-}
-
-fn resolve_auto() -> Backend {
-    match std::env::var(BACKEND_ENV) {
-        Ok(s) => match Backend::parse(&s) {
-            Some(b) => clamp_to_supported(b),
-            None => best_supported(),
-        },
-        Err(_) => best_supported(),
-    }
-}
-
-/// The backend every block kernel currently dispatches to. Resolved on
-/// first use from [`BACKEND_ENV`] / CPU detection and cached.
-pub fn active_backend() -> Backend {
-    match ACTIVE.load(Ordering::Relaxed) {
-        0 => {
-            let b = resolve_auto();
-            ACTIVE.store(b as u8, Ordering::Relaxed);
-            b
-        }
-        v => Backend::from_u8(v),
-    }
-}
-
-/// Re-points the dispatcher: `Some(b)` selects `b` (clamped to the host's
-/// capabilities), `None` restores [`BACKEND_ENV`] / auto-detection. Returns
-/// the backend that actually took effect. Safe to race with concurrent
-/// kernel calls — every backend computes identical bits.
-pub fn force_backend(b: Option<Backend>) -> Backend {
-    let eff = match b {
-        Some(b) => clamp_to_supported(b),
-        None => resolve_auto(),
-    };
-    ACTIVE.store(eff as u8, Ordering::Relaxed);
-    eff
-}
 
 // --------------------------------------------------------------- SIMD lanes
 
@@ -212,40 +90,6 @@ impl Lanes for f32 {
     #[inline(always)]
     unsafe fn abs(self) -> Self {
         self.abs()
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl Lanes for __m128 {
-    const N: usize = 4;
-    #[inline(always)]
-    unsafe fn load(p: *const f32) -> Self {
-        _mm_loadu_ps(p)
-    }
-    #[inline(always)]
-    unsafe fn store(self, p: *mut f32) {
-        _mm_storeu_ps(p, self)
-    }
-    #[inline(always)]
-    unsafe fn splat(x: f32) -> Self {
-        _mm_set1_ps(x)
-    }
-    #[inline(always)]
-    unsafe fn add(self, o: Self) -> Self {
-        _mm_add_ps(self, o)
-    }
-    #[inline(always)]
-    unsafe fn sub(self, o: Self) -> Self {
-        _mm_sub_ps(self, o)
-    }
-    #[inline(always)]
-    unsafe fn mul(self, o: Self) -> Self {
-        _mm_mul_ps(self, o)
-    }
-    #[inline(always)]
-    unsafe fn abs(self) -> Self {
-        // Sign-bit clear: bit-identical to `f32::abs` per lane.
-        _mm_andnot_ps(_mm_set1_ps(-0.0), self)
     }
 }
 
@@ -504,20 +348,6 @@ unsafe fn tile_kernel<V: Lanes>(
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn tile_sse2(
-    fold: Fold,
-    a: &[f32],
-    rows: usize,
-    tile_t: *const f32,
-    cols: usize,
-    out: *mut f32,
-    stride: usize,
-) {
-    tile_kernel::<__m128>(fold, a, rows, tile_t, cols, out, stride)
-}
-
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn tile_avx2(
     fold: Fold,
@@ -561,14 +391,10 @@ pub fn score_tile(
     assert!(out.len() >= (rows - 1) * stride + cols, "out too short");
     let (t, o) = (tile_t.as_ptr(), out.as_mut_ptr());
     match active_backend() {
-        // SAFETY: shapes asserted above; the wide wrappers only run after
-        // their ISA was detected (or clamped) when the backend was chosen.
-        Backend::Scalar => unsafe { tile_kernel::<f32>(fold, a, rows, t, cols, o, stride) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { tile_sse2(fold, a, rows, t, cols, o, stride) },
+        // SAFETY: shapes asserted above; `Avx2` is only active where the
+        // host has it.
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { tile_avx2(fold, a, rows, t, cols, o, stride) },
-        #[cfg(not(target_arch = "x86_64"))]
         _ => unsafe { tile_kernel::<f32>(fold, a, rows, t, cols, o, stride) },
     }
 }
@@ -612,23 +438,14 @@ mod tests {
     const FOLDS: [Fold; 3] = [Fold::Dot, Fold::SqDist, Fold::AbsDist];
 
     #[test]
-    fn labels_parse_roundtrip() {
-        for b in Backend::ALL {
-            assert_eq!(Backend::parse(b.label()), Some(b));
-            assert_eq!(Backend::parse(&b.label().to_uppercase()), Some(b));
-        }
-        assert_eq!(Backend::parse("neon"), None);
-        assert!(supported_backends().contains(&Backend::Scalar));
-    }
-
-    #[test]
     fn forcing_clamps_to_host_support() {
-        // Single test owns force_backend assertions (the knob is global);
+        // Single test owns force_backend assertions (the switch is global);
         // other tests only *compute*, which is backend-invariant.
         let prev = active_backend();
+        assert!(supported_backends().contains(&Backend::Scalar));
         for b in Backend::ALL {
             let eff = force_backend(Some(b));
-            assert_eq!(eff, clamp_to_supported(b));
+            assert_eq!(eff, b.min(best_supported()));
             assert!(supported_backends().contains(&eff));
         }
         force_backend(None);

@@ -3,7 +3,7 @@
 //! The std-only substrate beneath every other crate of the workspace. The
 //! repository's design contract is "every substrate implemented here"; this
 //! crate is where that bottoms out, replacing what used to be crates.io
-//! dependencies with eight small, fully deterministic subsystems:
+//! dependencies with nine small, fully deterministic subsystems:
 //!
 //! - [`rng`] — a seedable pseudo-random generator ([`rng::splitmix64`]
 //!   seeding into xoshiro256**) behind `rand`-style traits: [`rng::Rng`],
@@ -29,6 +29,9 @@
 //! - [`os`] — the one sanctioned raw-OS-call site: a safe, level-triggered
 //!   epoll [`os::Poller`] plus a self-pipe [`os::Waker`], the readiness
 //!   primitive under the event-driven serving core (Linux only).
+//! - [`isa`] — the one ISA switch: whether the hand-vectorised loops (the
+//!   similarity kernel, [`rng::GaussianLanes`]) run their AVX2 or their
+//!   portable body, detected once and bit-identical either way.
 //! - [`cli`] — the binaries' command line: options, flags and positional
 //!   words read by name, then one check that refuses whatever nothing read.
 //!
@@ -42,6 +45,7 @@
 
 pub mod cli;
 pub mod hash;
+pub mod isa;
 pub mod json;
 pub mod os;
 pub mod pool;

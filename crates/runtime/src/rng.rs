@@ -35,6 +35,8 @@
 //! assert_eq!(deck.len(), 52);
 //! ```
 
+use crate::isa;
+
 /// A raw source of random 64-bit words.
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;
@@ -477,12 +479,13 @@ pub const LANES: usize = 8;
 /// see nothing but the speed.
 ///
 /// The state is held as a structure of arrays, word `w` of every lane side
-/// by side. Where `is_x86_feature_detected!("avx2")` holds, one step of
+/// by side. [`fill`](GaussianLanes::fill) matches on the one ISA switch,
+/// [`isa::active_backend`]: at [`isa::Backend::Avx2`] one step of
 /// xoshiro256\*\* and one fast attempt run on all eight lanes at once, with
-/// the layer edges gathered and the fast-path compare one mask; elsewhere
-/// the lanes are drawn one after another by the scalar draw itself. Both
-/// bodies share the scalar draw's attempt arithmetic and its resume, and
-/// give the same bits.
+/// the layer edges gathered and the fast-path compare one mask; at
+/// [`isa::Backend::Scalar`] the lanes are drawn one after another by the
+/// scalar draw itself. Both bodies share the scalar draw's attempt
+/// arithmetic and its resume, and give the same bits.
 ///
 /// ```
 /// use openea_runtime::rng::{GaussianLanes, Rng, SmallRng, LANES};
@@ -500,38 +503,13 @@ pub const LANES: usize = 8;
 pub struct GaussianLanes {
     /// `s[w][l]`: word `w` of lane `l`'s xoshiro256\*\* state.
     s: [[u64; LANES]; 4],
-    body: LaneBody,
-}
-
-/// Which body of the lane step [`GaussianLanes::fill`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum LaneBody {
-    Portable,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl LaneBody {
-    /// The fastest body this host runs.
-    fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return LaneBody::Avx2;
-        }
-        LaneBody::Portable
-    }
 }
 
 impl GaussianLanes {
     /// Draws on the eight streams `lanes`, each from the state it is in.
     pub fn new(lanes: [SmallRng; LANES]) -> Self {
-        Self::with_body(lanes, LaneBody::detect())
-    }
-
-    fn with_body(lanes: [SmallRng; LANES], body: LaneBody) -> Self {
         GaussianLanes {
             s: std::array::from_fn(|w| std::array::from_fn(|l| lanes[l].s[w])),
-            body,
         }
     }
 
@@ -548,9 +526,12 @@ impl GaussianLanes {
     /// [`GaussianLanes::fill`], reporting each slow-path entry to `slow`.
     fn fill_reporting(&mut self, out: &mut [[f64; LANES]], mut slow: impl FnMut(ZigSlow)) {
         let t = &*ZIG;
-        match self.body {
+        match isa::active_backend() {
+            // SAFETY: `Avx2` is only active where the host has it.
+            #[cfg(target_arch = "x86_64")]
+            isa::Backend::Avx2 => unsafe { fill_avx2(&mut self.s, t, out, &mut slow) },
             // A lane at a time: the scalar draw on the lane's own stream.
-            LaneBody::Portable => {
+            _ => {
                 for l in 0..LANES {
                     let mut rng = take_lane(&self.s, l);
                     for draw in out.iter_mut() {
@@ -559,9 +540,6 @@ impl GaussianLanes {
                     put_lane(&mut self.s, l, rng);
                 }
             }
-            // SAFETY: `Avx2` is only chosen where the host has AVX2.
-            #[cfg(target_arch = "x86_64")]
-            LaneBody::Avx2 => unsafe { fill_avx2(&mut self.s, t, out, &mut slow) },
         }
     }
 }
@@ -1078,8 +1056,8 @@ mod tests {
 
     /// Every lane of [`GaussianLanes`] against the scalar draw on its own
     /// stream: 64 seeds × 8 lanes × 2¹⁷ Gaussians, each value's bits and
-    /// each lane's final state, on the portable body and, where the host
-    /// has AVX2, on the AVX2 body. Draws go in blocks of uneven lengths, so
+    /// each lane's final state, on every backend the host supports, forced
+    /// through the one ISA switch. Draws go in blocks of uneven lengths, so
     /// a block boundary falls everywhere in the step. The run must cross
     /// the resume often enough to test it: at least 100 tail and 10 000
     /// wedge entries (≈ 16 000 and ≈ 10⁶ are expected).
@@ -1087,18 +1065,15 @@ mod tests {
     fn gaussian_lanes_match_scalar_streams() {
         const SEEDS: u64 = 64;
         const DRAWS: usize = 1 << 17;
-        let mut bodies = vec![LaneBody::Portable];
-        if LaneBody::detect() != LaneBody::Portable {
-            bodies.push(LaneBody::detect());
-        }
         let mut block = vec![[0.0; LANES]; 4_099];
-        for body in bodies {
+        for body in isa::supported_backends() {
+            isa::force_backend(Some(body));
             let (mut wedges, mut tails) = (0u64, 0u64);
             for seed in 0..SEEDS {
                 let streams =
                     || std::array::from_fn(|l| SmallRng::stream(0x1A7E5 + seed, l as u64));
                 let mut scalar: [SmallRng; LANES] = streams();
-                let mut lanes = GaussianLanes::with_body(streams(), body);
+                let mut lanes = GaussianLanes::new(streams());
                 let mut drawn = 0;
                 for len in [1, 7, 4_099].into_iter().cycle() {
                     let len = len.min(DRAWS - drawn);
@@ -1132,6 +1107,7 @@ mod tests {
             assert!(tails >= 100, "{body:?}: {tails} tail entries");
             assert!(wedges >= 10_000, "{body:?}: {wedges} wedge entries");
         }
+        isa::force_backend(None);
     }
 
     #[test]

@@ -330,6 +330,26 @@ pub const MAX_OUTBUF: usize = 1 << 20;
 /// closes anyway ([`Conn::discard_input`]).
 pub const LINGER_BYTES: usize = 1 << 20;
 
+/// [`Conn::discard_input`] on a bare nonblocking `stream`, adding the count
+/// to `discarded`.
+pub(crate) fn discard_input(stream: &mut TcpStream, discarded: &mut usize) -> bool {
+    let mut chunk = [0u8; 16 * 1024];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => return true,
+            Ok(n) => {
+                *discarded += n;
+                if *discarded >= LINGER_BYTES {
+                    return true;
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return true,
+        }
+    }
+}
+
 /// Per-connection state the reactor owns: socket, parser, parsed-request
 /// queue, and the outgoing byte buffer.
 pub struct Conn {
@@ -422,21 +442,7 @@ impl Conn {
     /// True once the connection should close: the peer's EOF, a socket
     /// error, or [`LINGER_BYTES`] discarded.
     pub fn discard_input(&mut self) -> bool {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return true,
-                Ok(n) => {
-                    self.discarded += n;
-                    if self.discarded >= LINGER_BYTES {
-                        return true;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return true,
-            }
-        }
+        discard_input(&mut self.stream, &mut self.discarded)
     }
 
     /// Queues response bytes for writing.

@@ -69,7 +69,7 @@
 //! a request written to a connection the kernel accepted before `stop()`
 //! is never dropped unanswered.
 
-use crate::conn::{Conn, ConnEvent};
+use crate::conn::{self, Conn, ConnEvent};
 use crate::index::Probe;
 use crate::server::{
     align_response, classify, err_json, reload_response, response_bytes, shed_bytes, stats_json,
@@ -81,7 +81,7 @@ use openea_runtime::os::{Interest, PollEvent, Poller, Waker};
 use openea_runtime::timer::MicrosHistogram;
 use std::collections::VecDeque;
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -504,12 +504,22 @@ impl Reactor {
 
     /// Over the connection ceiling: answer 503 from the accept path and
     /// close. Best-effort nonblocking write — a canned response this small
-    /// fits a fresh socket's send buffer.
-    fn shed_at_accept(&mut self, stream: TcpStream) {
+    /// fits a fresh socket's send buffer. The write half is shut and the
+    /// input already queued (up to [`LINGER_BYTES`]) discarded before the
+    /// socket closes, as a lingering connection does, so a client whose
+    /// request arrived before the shed reads the 503 and EOF, not a reset.
+    ///
+    /// [`LINGER_BYTES`]: crate::conn::LINGER_BYTES
+    fn shed_at_accept(&mut self, mut stream: TcpStream) {
         self.tel.shed_conn_limit += 1;
-        let _ = stream.set_nonblocking(true);
-        let mut s = stream;
-        let _ = s.write(&shed_bytes("conn_limit", 1, true));
+        // A blocking socket would stall the loop in the discard below.
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let _ = stream.write(&shed_bytes("conn_limit", 1, true));
+        if stream.shutdown(Shutdown::Write).is_ok() {
+            conn::discard_input(&mut stream, &mut 0);
+        }
     }
 
     // -- per-connection I/O --------------------------------------------------

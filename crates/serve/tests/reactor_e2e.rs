@@ -418,6 +418,55 @@ fn conn_limit_sheds_at_accept() {
     server.stop();
 }
 
+/// A client shed at the ceiling reads its 503 and then the end of stream,
+/// even when its whole request reached the server before the shed. A
+/// server that closes with that request unread makes the kernel answer it
+/// with a reset, and the client's read fails instead of ending. At
+/// `max_conns: 1`, with the slot held, a second client writes one `/align`
+/// and reads; the held connection reads the shed counter.
+#[test]
+fn a_shed_client_reads_its_503_then_eof() {
+    let index = tiny_index(53);
+    let mut server = start(
+        index,
+        ServerOptions {
+            max_conns: 1,
+            ..Default::default()
+        },
+    );
+    let addr = server.addr();
+    let mut held = connect(addr);
+    assert_eq!(http_get(&mut held, "/health").0, 200);
+    for round in 0..5 {
+        let mut extra = connect(addr);
+        extra
+            .write_all(b"GET /align?entity=0&k=3 HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let mut reader = BufReader::new(extra);
+        let (status, _, body, _) = read_response(&mut reader);
+        assert_eq!(status, 503, "round {round}");
+        assert_eq!(
+            json::parse(&body)
+                .unwrap()
+                .get("reason")
+                .and_then(Json::as_str),
+            Some("conn_limit")
+        );
+        let mut rest = Vec::new();
+        if let Err(e) = reader.read_to_end(&mut rest) {
+            panic!("round {round}: the shed ended in {e}, not in EOF");
+        }
+        assert!(rest.is_empty(), "round {round}: bytes after the 503");
+        let (status, stats) = http_get(&mut held, "/stats");
+        assert_eq!(status, 200);
+        assert_eq!(
+            get_i64(stats.get("shed_total").unwrap(), "conn_limit"),
+            round + 1
+        );
+    }
+    server.stop();
+}
+
 /// Connection gauges move with real connections, per-endpoint histograms
 /// fill, and `server_mode` reports the active core.
 #[test]
@@ -538,7 +587,7 @@ fn a_lingering_close_gives_its_slot_to_the_next_client() {
 /// and connection live on. The snapshot's `emb2` is one float short of
 /// whole rows, so the kernel sweep's shape assertion fires on every
 /// `/align`; one worker means the second panic lands on the thread that
-/// survived the first.
+/// survived the first. The first 500 is compared byte for byte.
 #[test]
 fn a_panicking_job_answers_500_and_its_connection_lives_on() {
     let mut snap = tiny_snapshot(40, 50, 8, 43);
@@ -553,7 +602,18 @@ fn a_panicking_job_answers_500_and_its_connection_lives_on() {
         },
     );
     let mut conn = connect(server.addr());
-    assert_eq!(http_get(&mut conn, "/align?entity=0&k=3").0, 500);
+    conn.write_all(b"GET /align?entity=0&k=3 HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let (_, _, _, raw) = read_response(&mut BufReader::new(conn.try_clone().unwrap()));
+    assert_eq!(
+        String::from_utf8(raw).unwrap(),
+        "HTTP/1.1 500 Internal Server Error\r\n\
+         Content-Type: application/json\r\n\
+         Content-Length: 49\r\n\
+         Connection: keep-alive\r\n\
+         \r\n\
+         {\n  \"error\": \"internal error: the job panicked\"\n}"
+    );
     assert_eq!(http_get(&mut conn, "/health").0, 200);
     assert_eq!(http_get(&mut conn, "/align?entity=1&k=3").0, 500);
     let (status, stats) = http_get(&mut conn, "/stats");

@@ -139,9 +139,10 @@ cargo test --release --offline -p openea-synth --lib
 # (tier-1 tests build at `opt-level = 2`, releases at 3, which inlines the
 # draw into its callers differently): the ziggurat's distribution over 10⁶
 # draws, the exact word, wedge and tail counts of those draws and its tables'
-# bits; each lane of `GaussianLanes`, on the portable body and on AVX2 where
-# the host has it, bit for bit against the scalar draw on its own stream
-# through at least 100 tail and 10 000 wedge entries. Beside them the
+# bits; each lane of `GaussianLanes`, on every backend the one ISA switch
+# (`openea_runtime::isa`) supports on this host, forced in turn, bit for bit
+# against the scalar draw on its own stream through at least 100 tail and
+# 10 000 wedge entries. Beside them the
 # generator itself: bit for bit against the two-pass reference at threads
 # {1, 2, 3, 8}, its two pinned digests, and its allocations (outputs reserved
 # and written once, no zeroed block). Budget: a few seconds after the build.
@@ -186,6 +187,15 @@ cargo test -q --release --offline -p openea -p openea-serve --test codec_corrupt
 # answers 500 and takes neither its worker nor the event loop with it: no
 # bare `lock().unwrap()` or `.wait(..).unwrap()` may come back there.
 if grep -rnE 'lock\(\)\.unwrap\(\)|\.wait\([^)]*\)\.unwrap\(\)' crates/serve/src; then exit 1; fi
+
+# One ISA switch: `openea_runtime::isa` is the only place that asks the CPU
+# what it supports, and the shipped library reads no environment variable
+# (the property-test harness's seed override is the one exception).
+if [ "$(grep -rl 'is_x86_feature_detected[!]' crates/ | wc -l)" -gt 1 ]; then
+    grep -rn 'is_x86_feature_detected[!]' crates/
+    exit 1
+fi
+if grep -rn 'std::env::var' crates/*/src | grep -v '^crates/runtime/src/testkit'; then exit 1; fi
 
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -22,7 +22,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use openea::align::{AnnConfig, IvfIndex, Metric, SimilarityMatrix, TopKMatrix};
-use openea::math::kernel::{self, Backend, Fold};
+use openea::math::kernel::{self, Backend};
 use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
 use openea_runtime::testkit::prelude::*;
 
@@ -391,40 +391,6 @@ fn tie_saturated_topk_is_backend_invariant() {
         }
     }
     kernel::force_backend(None);
-}
-
-/// The `OPENEA_KERNEL_BACKEND` env knob: each supported label pins the
-/// dispatcher when auto-detection re-resolves, unknown labels fall back to
-/// the host's best backend, and requests above the host's capability clamp
-/// down instead of faulting.
-#[test]
-fn env_knob_selects_and_clamps_backends() {
-    let _guard = lock();
-    let best = kernel::best_supported();
-    for backend in Backend::ALL {
-        std::env::set_var(kernel::BACKEND_ENV, backend.label());
-        let eff = kernel::force_backend(None); // re-resolve from the env
-        assert_eq!(eff, kernel::clamp_to_supported(backend));
-        assert_eq!(kernel::active_backend(), eff);
-        // The forced results must match scalar bits — spot-check one kernel.
-        let a = [1.5f32, -0.25, 3.0e-39];
-        let tile_t = [0.5f32, -0.5, 2.0, -1.0, 0.25, 1.0e-44];
-        let mut got = [0.0f32; 2];
-        kernel::score_tile(Fold::Dot, &a, 1, &tile_t, 2, &mut got, 2);
-        kernel::force_backend(Some(Backend::Scalar));
-        let mut want = [0.0f32; 2];
-        kernel::score_tile(Fold::Dot, &a, 1, &tile_t, 2, &mut want, 2);
-        assert_eq!(
-            [got[0].to_bits(), got[1].to_bits()],
-            [want[0].to_bits(), want[1].to_bits()],
-            "env-selected {} diverged from scalar",
-            backend.label()
-        );
-    }
-    std::env::set_var(kernel::BACKEND_ENV, "quantum");
-    assert_eq!(kernel::force_backend(None), best);
-    std::env::remove_var(kernel::BACKEND_ENV);
-    assert_eq!(kernel::force_backend(None), best);
 }
 
 /// `force_backend` requests above host capability clamp; `None` restores
