@@ -9,7 +9,7 @@
 
 use crate::common::{
     Approach, ApproachOutput, Combination, EpochStats, Req, Requirements, RunConfig, TrainError,
-    UnifiedSpace, UnifiedTransE,
+    Unified,
 };
 use crate::engine::{run_driver, EpochHooks, RunContext, WarmStart};
 use crate::views::literal_sum;
@@ -55,7 +55,7 @@ impl AttrE {
         cfg: &'a RunConfig,
         ctx: &RunContext<'_>,
     ) -> Hooks<'a> {
-        let space = UnifiedSpace::build(pair, &split.train, Combination::Sharing);
+        let base = Unified::transe(pair, &split.train, Combination::Sharing, cfg, ctx);
 
         // Fixed character-level literal profiles — the normalized sum of
         // character-n-gram vectors of each entity's attribute values — of
@@ -64,8 +64,8 @@ impl AttrE {
         let profiles = cfg.use_attributes.then(|| {
             let profile = |kg| literal_sum(kg, dim, |s| char_ngram_vector(s, dim));
             let (p1, p2) = (profile(&pair.kg1), profile(&pair.kg2));
-            let uids1 = pair.kg1.entity_ids().map(|e| space.uid1(e));
-            let uids2 = pair.kg2.entity_ids().map(|e| space.uid2(e));
+            let uids1 = pair.kg1.entity_ids().map(|e| base.space.uid1(e));
+            let uids2 = pair.kg2.entity_ids().map(|e| base.space.uid2(e));
             uids1
                 .zip(p1.chunks(dim))
                 .chain(uids2.zip(p2.chunks(dim)))
@@ -76,7 +76,7 @@ impl AttrE {
 
         Hooks {
             cfg,
-            base: UnifiedTransE::new(space, cfg, ctx.driver_rng()),
+            base,
             profiles,
         }
     }
@@ -87,7 +87,7 @@ const METRIC: Metric = Metric::Cosine;
 
 pub(crate) struct Hooks<'a> {
     cfg: &'a RunConfig,
-    base: UnifiedTransE,
+    base: Unified,
     profiles: Option<Vec<(u32, Vec<f32>)>>,
 }
 
@@ -106,7 +106,7 @@ impl EpochHooks for Hooks<'_> {
             // cross-KG unification signal of AttrE.
             let lr = self.cfg.lr * ATTR_WEIGHT;
             for (uid, profile) in profiles {
-                let row = self.base.model.entities.row_mut(*uid as usize);
+                let row = self.base.unit.model.entities.row_mut(*uid as usize);
                 for i in 0..self.cfg.dim {
                     row[i] -= 2.0 * lr * (row[i] - profile[i]);
                 }

@@ -264,7 +264,7 @@ mod tests {
         let n = src.len() / 2;
         assert_eq!(dst.len(), 2 * n);
         let pair = random_pair(&[], &[], n as u8);
-        let space = UnifiedSpace::build(&pair, &[], Combination::Calibration);
+        let (space, _) = UnifiedSpace::build(&pair, &[], Combination::Calibration);
         let mut table = EmbeddingTable::zeros(space.num_entities, 2);
         for (e, row) in src.chunks(2).enumerate() {
             table
@@ -381,7 +381,7 @@ mod proptests {
             };
             let dim = 3;
             for mode in [Combination::Calibration, Combination::Sharing, Combination::Swapping] {
-                let space = UnifiedSpace::build(&pair, &seeds, mode);
+                let (space, _) = UnifiedSpace::build(&pair, &seeds, mode);
                 let mut table = EmbeddingTable::zeros(space.num_entities, dim);
                 for (k, x) in table.data_mut().iter_mut().enumerate() {
                     *x = grid[k % grid.len()] as f32;

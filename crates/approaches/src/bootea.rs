@@ -8,7 +8,7 @@
 use crate::boot::{propose_edited, Ledger};
 use crate::common::{
     Approach, ApproachOutput, Combination, EpochStats, Req, Requirements, RunConfig, TrainError,
-    UnifiedSpace, UnifiedTransE,
+    Unified,
 };
 use crate::engine::{run_driver, EpochHooks, RunContext, WarmStart};
 use openea_align::{Metric, TopKMatrix};
@@ -99,9 +99,8 @@ impl BootEa {
         cfg: &'a RunConfig,
         ctx: &RunContext<'_>,
     ) -> Hooks<'a> {
-        let space = UnifiedSpace::build(pair, &split.train, Combination::Swapping);
-        let mut base = UnifiedTransE::new(space, cfg, ctx.driver_rng());
-        base.model.loss = LossKind::Limit {
+        let mut base = Unified::transe(pair, &split.train, Combination::Swapping, cfg, ctx);
+        base.unit.model.loss = LossKind::Limit {
             lambda_pos: 0.05,
             lambda_neg: 1.2,
             mu: 0.2,
@@ -110,7 +109,7 @@ impl BootEa {
             approach: self,
             pair,
             cfg,
-            seed_triples: base.space.triples.len(),
+            seed_triples: base.unit.triples.len(),
             base,
             truncated: None,
             ledger: Ledger::scored(pair, &split.train),
@@ -129,8 +128,8 @@ pub(crate) struct Hooks<'a> {
     approach: &'a BootEa,
     pair: &'a KgPair,
     cfg: &'a RunConfig,
-    base: UnifiedTransE,
-    /// How many of `base.space.triples` the seeds' space holds; the swaps
+    base: Unified,
+    /// How many of `base.unit.triples` the seeds' space holds; the swaps
     /// of the current proposals follow them.
     seed_triples: usize,
     truncated: Option<TruncatedSampler>,
@@ -143,15 +142,16 @@ impl EpochHooks for Hooks<'_> {
     }
 
     fn train_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) -> EpochStats {
+        let base = &mut self.base;
         match &self.truncated {
-            Some(hard) => self.base.train_epoch_with(self.cfg, hard),
-            None => self.base.train_epoch(self.cfg),
+            Some(hard) => base.unit.epoch_with(self.cfg, hard, &mut base.rng),
+            None => base.train_epoch(self.cfg),
         }
     }
 
     fn after_epoch(&mut self, epoch: usize, _ctx: &RunContext<'_>) {
         // Calibrate the bootstrapped pairs each epoch.
-        let table = &mut self.base.model.entities;
+        let table = &mut self.base.unit.model.entities;
         self.ledger.calibrate(&self.base.space, table, self.cfg.lr);
 
         if self.approach.bootstrapping && (epoch + 1).is_multiple_of(BOOT_EVERY) {
@@ -163,10 +163,11 @@ impl EpochHooks for Hooks<'_> {
             self.ledger
                 .replace(propose_edited(&cands, threshold, self.cfg.threads));
             // Swap triples for the new proposals on top of the seeds' set.
-            let space = &mut self.base.space;
+            let space = &self.base.space;
             let swaps = space.swap_triples(self.pair, &self.ledger.proposed);
-            space.triples.truncate(self.seed_triples);
-            space.triples.extend(swaps);
+            let triples = &mut self.base.unit.triples;
+            triples.truncate(self.seed_triples);
+            triples.extend(swaps);
         }
     }
 
@@ -182,11 +183,12 @@ impl EpochHooks for Hooks<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::TrainUnit;
     use openea_math::negsamp::{NegSampler, RawTriple};
     use openea_math::Initializer;
-    use openea_models::trainer::{train_epoch_batched, TrainOptions, Workspace};
+    use openea_models::trainer::{TrainOptions, Workspace};
     use openea_models::traits::RelationModel;
-    use openea_runtime::rng::{RngCore, SeedableRng, SmallRng};
+    use openea_runtime::rng::{SeedableRng, SmallRng};
     use std::sync::{Arc, Mutex};
 
     #[test]
@@ -284,8 +286,9 @@ mod tests {
     /// Epoch 0 of the BootEA run that diverges at epoch 0
     /// (`approach_matrix::engine::bootea_at_3k_dim32_lr002_…`: D-Y 3 000,
     /// seed 1, fold 0, dim 32, lr 0.02), its batches formed again through
-    /// `train_epoch_batched` on a model that trains nothing, beside MTransE's
-    /// KG1 model at the same shape, which converges. Epoch 0 samples no
+    /// the training core on a model that trains nothing (BootEA's unified
+    /// space, options and driver RNG under a `Unified<RowCounter>`), beside
+    /// MTransE's KG1 model at the same shape, which converges. Epoch 0 samples no
     /// truncated negatives (the first refresh follows epoch `BOOT_EVERY − 1`),
     /// so the counts are of uniform negatives over the swapped space.
     #[test]
@@ -314,19 +317,12 @@ mod tests {
         };
 
         let approach = BootEa::default();
-        let mut hooks = approach.hooks(&pair, &fold, &cfg, &ctx);
+        let hooks = approach.hooks(&pair, &fold, &cfg, &ctx);
         assert!(hooks.truncated.is_none());
-        let base = &mut hooks.base;
-        let (mut model, boot) = counter(base.space.num_entities);
-        let seed = base.rng.next_u64();
-        train_epoch_batched(
-            &mut model,
-            &base.space.triples,
-            &base.sampler,
-            &base.opts,
-            seed,
-        )
-        .unwrap();
+        let Unified { space, unit, rng } = hooks.base;
+        let (model, boot) = counter(space.num_entities);
+        let unit = TrainUnit::new(Box::new(model), unit.triples, &cfg);
+        Unified { space, unit, rng }.train_epoch(&cfg);
 
         let (m1, mtranse) = counter(pair.kg1.num_entities());
         let (m2, _) = counter(pair.kg2.num_entities());

@@ -12,6 +12,7 @@ pub use openea_models::trainer::{
     train_epoch_batched, EpochTrace, StopReason, TraceRecorder, TrainError, TrainOptions,
     TrainTrace,
 };
+use openea_models::{RelationModel, TransE};
 use openea_runtime::hash::Fnv1a;
 use openea_runtime::rng::{RngCore, SmallRng};
 
@@ -317,17 +318,20 @@ pub enum Combination {
 pub struct UnifiedSpace {
     pub num_entities: usize,
     pub num_relations: usize,
-    /// Training triples over unified ids (KG1 + KG2, plus swaps if any).
-    pub triples: Vec<RawTriple>,
     map1: Vec<u32>,
     map2: Vec<u32>,
 }
 
 impl UnifiedSpace {
-    /// Builds the space. `seeds` drive sharing/swapping; with
+    /// Builds the space and its training triples over unified ids (KG1 +
+    /// KG2, plus swaps if any). `seeds` drive sharing/swapping; with
     /// [`Combination::Calibration`] they are ignored here (the approach adds
     /// its own loss).
-    pub fn build(pair: &KgPair, seeds: &[AlignedPair], mode: Combination) -> Self {
+    pub fn build(
+        pair: &KgPair,
+        seeds: &[AlignedPair],
+        mode: Combination,
+    ) -> (Self, Vec<RawTriple>) {
         let n1 = pair.kg1.num_entities();
         let n2 = pair.kg2.num_entities();
         let r1 = pair.kg1.num_relations();
@@ -367,18 +371,16 @@ impl UnifiedSpace {
             triples.push((map2[t.head.idx()], r1 as u32 + t.rel.0, map2[t.tail.idx()]));
         }
 
-        let mut space = Self {
+        let space = Self {
             num_entities,
             num_relations: r1 + r2,
-            triples,
             map1,
             map2,
         };
         if mode == Combination::Swapping {
-            let swaps = space.swap_triples(pair, seeds);
-            space.triples.extend(swaps);
+            triples.extend(space.swap_triples(pair, seeds));
         }
-        space
+        (space, triples)
     }
 
     /// Swapped triples for the given aligned pairs (Sect. 2.2.3): for
@@ -591,98 +593,151 @@ pub fn warm_seed_row(seed: u64, key: u64, row: &mut [f32]) {
     vecops::normalize(row);
 }
 
-/// Shared driver state for approaches whose epoch is one batched TransE
-/// pass over a unified space (IPTransE, BootEA, JAPE, AttrE, IMUSE, MultiKE
-/// and the unsupervised pipeline): the space, the model initialized from the
-/// driver RNG, the uniform negative sampler and the per-epoch seed draws, in
-/// exactly the historical order.
-pub(crate) struct UnifiedTransE {
-    pub space: UnifiedSpace,
-    pub model: openea_models::TransE,
-    pub sampler: UniformSampler,
-    pub opts: TrainOptions,
-    pub rng: SmallRng,
+/// One relation model and what trains it over its triples: the training
+/// options, sized from the triple count at construction, uniform negatives
+/// over the model's entities, one guarded epoch and the warm-start absorber.
+/// Both interaction modes train their models through it: [`Unified`] holds
+/// one over a unified space, `transformation::TransformationCore` one per
+/// KG. The box lets a unit hold any model, a `dyn RelationModel` included.
+pub(crate) struct TrainUnit<M: ?Sized> {
+    pub model: Box<M>,
+    pub triples: Vec<RawTriple>,
+    opts: TrainOptions,
 }
 
-impl UnifiedTransE {
-    pub fn new(space: UnifiedSpace, cfg: &RunConfig, mut rng: SmallRng) -> Self {
-        let model = openea_models::TransE::new(
-            space.num_entities,
-            space.num_relations.max(1),
-            cfg.dim,
-            cfg.margin,
-            &mut rng,
-        );
-        let sampler = UniformSampler {
-            num_entities: space.num_entities.max(1) as u32,
-        };
-        let opts = cfg.train_options(space.triples.len());
+impl<M: RelationModel + ?Sized> TrainUnit<M> {
+    pub fn new(model: Box<M>, triples: Vec<RawTriple>, cfg: &RunConfig) -> Self {
+        let opts = cfg.train_options(triples.len());
         Self {
-            space,
             model,
-            sampler,
+            triples,
             opts,
-            rng,
         }
     }
 
-    /// Absorbs previous-generation parameters into the unified table:
-    /// rows of entities the parent snapshot knew are copied from it (on
-    /// seed-shared unified rows the KG2 copy wins, a fixed write order),
-    /// new entities are seeded from the reserved warm stream keyed by
-    /// unified id. Returns `false` — leaving the cold init untouched —
-    /// when the snapshot dimension differs from the model's.
-    pub fn warm_start(&mut self, warm: &WarmStart<'_>, ctx: &RunContext<'_>) -> bool {
-        use openea_models::traits::RelationModel;
-        let (rows1, rows2) = (warm.rows1(), warm.rows2());
-        let mut prev = Vec::with_capacity(warm.emb1.len() + warm.emb2.len());
-        prev.extend_from_slice(warm.emb1);
-        prev.extend_from_slice(warm.emb2);
-        let mut src: Vec<Option<usize>> = vec![None; self.space.num_entities];
-        for (e, &u) in self.space.map1.iter().enumerate().take(rows1) {
-            src[u as usize] = Some(e);
-        }
-        for (e, &u) in self.space.map2.iter().enumerate().take(rows2) {
-            src[u as usize] = Some(rows1 + e);
-        }
-        let seed = ctx.seed;
-        self.model
-            .init_from(warm.dim, &prev, &|u| src[u], &mut |u, row| {
-                warm_seed_row(seed, u as u64, row)
-            })
+    /// [`TrainUnit::epoch_with`] with uniform negatives over the model's
+    /// entities.
+    pub fn epoch(&mut self, cfg: &RunConfig, rng: &mut SmallRng) -> EpochStats {
+        let uniform = UniformSampler {
+            num_entities: self.model.num_entities().max(1) as u32,
+        };
+        self.epoch_with(cfg, &uniform, rng)
     }
 
-    /// One guarded batched epoch with uniform negatives; a no-op under
-    /// `use_relations == false`.
-    pub fn train_epoch(&mut self, cfg: &RunConfig) -> EpochStats {
-        let uniform = self.sampler;
-        self.train_epoch_with(cfg, &uniform)
-    }
-
-    /// [`UnifiedTransE::train_epoch`] with negatives drawn by `sampler`.
-    pub fn train_epoch_with(&mut self, cfg: &RunConfig, sampler: &impl NegSampler) -> EpochStats {
+    /// One batched epoch with negatives drawn by `sampler`, seeded by the
+    /// next draw of `rng`; a no-op that draws nothing under `use_relations
+    /// == false`.
+    pub fn epoch_with(
+        &mut self,
+        cfg: &RunConfig,
+        sampler: &impl NegSampler,
+        rng: &mut SmallRng,
+    ) -> EpochStats {
         if !cfg.use_relations {
             return EpochStats::default();
         }
+        let seed = rng.next_u64();
         train_epoch_batched(
-            &mut self.model,
-            &self.space.triples,
+            self.model.as_mut(),
+            &self.triples,
             sampler,
             &self.opts,
-            self.rng.next_u64(),
+            seed,
         )
         .expect("valid train options")
     }
 
-    /// The trained table as a checkpoint compared under `metric`.
-    pub fn output(&self, metric: Metric) -> ApproachOutput {
-        self.space.output(&self.model.entities, metric)
+    /// Warm-starts the entity table from a parent generation's rows of
+    /// width `dim`, read in place: row `i` is copied from `parent(i)` when
+    /// the parent knew that entity, and seeded by [`warm_seed_row`] under
+    /// `key(i)` when it is new, so its bits depend only on the run seed and
+    /// the entity. Returns `false`, leaving the cold init untouched, when
+    /// `dim` is not the table's width (RotatE interleaves and SimplE halves
+    /// `cfg.dim`; fused side views widen the output). Only entities carry
+    /// over: relation and auxiliary parameters keep their cold init and
+    /// re-converge within the delta budget.
+    pub fn absorb<'p>(
+        &mut self,
+        dim: usize,
+        seed: u64,
+        parent: impl Fn(usize) -> Option<&'p [f32]>,
+        key: impl Fn(usize) -> u64,
+    ) -> bool {
+        let table = self.model.entities_mut();
+        if dim != table.dim() {
+            return false;
+        }
+        for i in 0..table.count() {
+            match parent(i) {
+                Some(row) => table.row_mut(i).copy_from_slice(row),
+                None => warm_seed_row(seed, key(i), table.row_mut(i)),
+            }
+        }
+        true
+    }
+}
+
+/// Driver state of the approaches trained in one unified space (IPTransE,
+/// BootEA, JAPE, AttrE, IMUSE, MultiKE and the unsupervised pipeline, all
+/// over TransE): the space, its [`TrainUnit`] and the driver RNG, which drew
+/// the model's init and then one seed per epoch, in the historical order.
+pub(crate) struct Unified<M = TransE> {
+    pub space: UnifiedSpace,
+    pub unit: TrainUnit<M>,
+    pub rng: SmallRng,
+}
+
+impl Unified {
+    /// TransE over the space `mode` builds from `pair` and `seeds`,
+    /// initialised from the driver RNG.
+    pub fn transe(
+        pair: &KgPair,
+        seeds: &[AlignedPair],
+        mode: Combination,
+        cfg: &RunConfig,
+        ctx: &RunContext<'_>,
+    ) -> Self {
+        let mut rng = ctx.driver_rng();
+        let (space, triples) = UnifiedSpace::build(pair, seeds, mode);
+        let (n, r) = (space.num_entities, space.num_relations.max(1));
+        let model = TransE::new(n, r, cfg.dim, cfg.margin, &mut rng);
+        Self {
+            space,
+            unit: TrainUnit::new(Box::new(model), triples, cfg),
+            rng,
+        }
+    }
+}
+
+impl<M: RelationModel> Unified<M> {
+    /// Absorbs a parent generation into the unified table: on seed-shared
+    /// rows the KG2 row wins, and new entities are keyed by unified id.
+    pub fn warm_start(&mut self, warm: &WarmStart<'_>, ctx: &RunContext<'_>) -> bool {
+        let mut src: Vec<Option<&[f32]>> = vec![None; self.space.num_entities];
+        let maps = [(&self.space.map1, warm.emb1), (&self.space.map2, warm.emb2)];
+        for (map, emb) in maps {
+            for (&u, row) in map.iter().zip(emb.chunks_exact(warm.dim.max(1))) {
+                src[u as usize] = Some(row);
+            }
+        }
+        self.unit
+            .absorb(warm.dim, ctx.seed, |u| src[u], |u| u as u64)
     }
 
-    /// Validation Hits@1 of [`UnifiedTransE::output`], scored in place.
+    /// One guarded epoch with uniform negatives.
+    pub fn train_epoch(&mut self, cfg: &RunConfig) -> EpochStats {
+        self.unit.epoch(cfg, &mut self.rng)
+    }
+
+    /// The trained table as a checkpoint compared under `metric`.
+    pub fn output(&self, metric: Metric) -> ApproachOutput {
+        self.space.output(self.unit.model.entities(), metric)
+    }
+
+    /// Validation Hits@1 of [`Unified::output`], scored in place.
     pub fn validation_hits1(&self, metric: Metric, valid: &[AlignedPair], threads: usize) -> f64 {
-        self.space
-            .validation_hits1(&self.model.entities, metric, valid, threads)
+        let table = self.unit.model.entities();
+        self.space.validation_hits1(table, metric, valid, threads)
     }
 }
 
@@ -760,7 +815,7 @@ mod tests {
     fn sharing_merges_seed_ids() {
         let p = tiny_pair();
         let seeds = vec![p.alignment[0]];
-        let s = UnifiedSpace::build(&p, &seeds, Combination::Sharing);
+        let (s, _) = UnifiedSpace::build(&p, &seeds, Combination::Sharing);
         assert_eq!(s.num_entities, 3 + 3 - 1);
         assert_eq!(s.uid1(seeds[0].0), s.uid2(seeds[0].1));
         // Non-seed entities stay distinct.
@@ -772,11 +827,11 @@ mod tests {
     fn swapping_adds_extra_triples() {
         let p = tiny_pair();
         let seeds = vec![p.alignment[0], p.alignment[1]];
-        let plain = UnifiedSpace::build(&p, &[], Combination::Calibration);
-        let swapped = UnifiedSpace::build(&p, &seeds, Combination::Swapping);
-        assert!(swapped.triples.len() > plain.triples.len());
+        let (_, plain) = UnifiedSpace::build(&p, &[], Combination::Calibration);
+        let (swapped, triples) = UnifiedSpace::build(&p, &seeds, Combination::Swapping);
+        assert!(triples.len() > plain.len());
         // Every swap references valid unified ids.
-        for &(h, r, t) in &swapped.triples {
+        for &(h, r, t) in &triples {
             assert!((h as usize) < swapped.num_entities);
             assert!((t as usize) < swapped.num_entities);
             assert!((r as usize) < swapped.num_relations);
@@ -786,7 +841,7 @@ mod tests {
     #[test]
     fn extract_roundtrips_embeddings() {
         let p = tiny_pair();
-        let s = UnifiedSpace::build(&p, &[], Combination::Calibration);
+        let (s, _) = UnifiedSpace::build(&p, &[], Combination::Calibration);
         let mut table = EmbeddingTable::zeros(s.num_entities, 4);
         for i in 0..s.num_entities {
             table.row_mut(i).fill(i as f32);
@@ -898,9 +953,9 @@ pub(crate) mod proptests {
             let pair = random_pair(&edges1, &edges2, 6);
             let seeds: Vec<AlignedPair> = pair.alignment.iter().copied().take(num_seeds).collect();
             for mode in [Combination::Calibration, Combination::Sharing, Combination::Swapping] {
-                let space = UnifiedSpace::build(&pair, &seeds, mode);
+                let (space, triples) = UnifiedSpace::build(&pair, &seeds, mode);
                 // Triples reference valid ids.
-                for &(h, r, t) in &space.triples {
+                for &(h, r, t) in &triples {
                     prop_assert!((h as usize) < space.num_entities);
                     prop_assert!((t as usize) < space.num_entities);
                     prop_assert!((r as usize) < space.num_relations);
@@ -939,7 +994,7 @@ pub(crate) mod proptests {
         ) {
             let pair = random_pair(&edges1, &edges1, 5);
             let seeds: Vec<AlignedPair> = pair.alignment.iter().copied().take(num_seeds).collect();
-            let space = UnifiedSpace::build(&pair, &seeds, Combination::Sharing);
+            let (space, _) = UnifiedSpace::build(&pair, &seeds, Combination::Sharing);
             let mut table = EmbeddingTable::zeros(space.num_entities, 3);
             for i in 0..space.num_entities {
                 table.row_mut(i).fill(i as f32);
@@ -973,7 +1028,7 @@ pub(crate) mod proptests {
             sources.extend(seeds.iter().map(|&(a, _)| a));
             targets.extend(seeds.iter().map(|&(_, b)| b));
             for mode in [Combination::Calibration, Combination::Sharing, Combination::Swapping] {
-                let space = UnifiedSpace::build(&pair, &seeds, mode);
+                let (space, _) = UnifiedSpace::build(&pair, &seeds, mode);
                 let mut table = EmbeddingTable::zeros(space.num_entities, dim);
                 for (k, x) in table.data_mut().iter_mut().enumerate() {
                     *x = k as f32 * 0.5 - 3.0;
@@ -1006,7 +1061,7 @@ pub(crate) mod proptests {
                 .map(|(a, b)| (EntityId::from_idx(a), EntityId::from_idx(b)))
                 .collect();
             for mode in [Combination::Calibration, Combination::Sharing, Combination::Swapping] {
-                let space = UnifiedSpace::build(&pair, &seeds, mode);
+                let (space, _) = UnifiedSpace::build(&pair, &seeds, mode);
                 let mut table = EmbeddingTable::zeros(space.num_entities, 3);
                 for (k, x) in table.data_mut().iter_mut().enumerate() {
                     *x = grid[k % grid.len()] as f32;

@@ -6,8 +6,7 @@
 //! only *augments* it (and the errors it introduces can hurt).
 
 use crate::common::{
-    Approach, ApproachOutput, Combination, Requirements, RunConfig, TrainError, UnifiedSpace,
-    UnifiedTransE,
+    Approach, ApproachOutput, Combination, Requirements, RunConfig, TrainError, Unified,
 };
 use crate::engine::{run_driver, RunContext};
 use crate::views::{literal_sum, FusedTransE, Fusion, View};
@@ -101,8 +100,7 @@ impl Approach for Imuse {
                 }
             }
         }
-        let space = UnifiedSpace::build(pair, &seeds, Combination::Sharing);
-        let base = UnifiedTransE::new(space, cfg, ctx.driver_rng());
+        let base = Unified::transe(pair, &seeds, Combination::Sharing, cfg, ctx);
 
         // Attribute view: literal features through the (word-vector) encoder,
         // merged with the relation view under cosine.

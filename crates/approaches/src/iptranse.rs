@@ -10,8 +10,7 @@
 
 use crate::boot::{propose_nearest, Ledger};
 use crate::common::{
-    Approach, ApproachOutput, Combination, EpochStats, Requirements, RunConfig, TrainError,
-    UnifiedSpace, UnifiedTransE,
+    Approach, ApproachOutput, Combination, EpochStats, Requirements, RunConfig, TrainError, Unified,
 };
 use crate::engine::{run_driver, EpochHooks, RunContext, WarmStart};
 use openea_align::Metric;
@@ -152,9 +151,8 @@ impl IpTransE {
         cfg: &'a RunConfig,
         ctx: &RunContext<'_>,
     ) -> Hooks<'a> {
-        let space = UnifiedSpace::build(pair, &split.train, Combination::Sharing);
-        let mut base = UnifiedTransE::new(space, cfg, ctx.driver_rng());
-        let mut paths = mine_paths(&base.space.triples, 20_000);
+        let mut base = Unified::transe(pair, &split.train, Combination::Sharing, cfg, ctx);
+        let mut paths = mine_paths(&base.unit.triples, 20_000);
         paths.shuffle(&mut base.rng);
         paths.truncate(4_000);
         Hooks {
@@ -176,7 +174,7 @@ const METRIC: Metric = Metric::Euclidean;
 pub(crate) struct Hooks<'a> {
     approach: &'a IpTransE,
     cfg: &'a RunConfig,
-    base: UnifiedTransE,
+    base: Unified,
     paths: Vec<PathInstance>,
     ledger: Ledger,
 }
@@ -190,14 +188,14 @@ impl EpochHooks for Hooks<'_> {
         let stats = self.base.train_epoch(self.cfg);
         if self.cfg.use_relations {
             self.approach
-                .path_step(&mut self.base.model, &self.paths, self.cfg.lr);
+                .path_step(&mut self.base.unit.model, &self.paths, self.cfg.lr);
         }
         stats
     }
 
     fn after_epoch(&mut self, epoch: usize, _ctx: &RunContext<'_>) {
         // Soft alignment for proposed pairs (seed pairs share ids already).
-        let table = &mut self.base.model.entities;
+        let table = &mut self.base.unit.model.entities;
         self.ledger.calibrate(&self.base.space, table, self.cfg.lr);
 
         if (epoch + 1).is_multiple_of(BOOT_EVERY) {

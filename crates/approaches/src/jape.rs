@@ -9,8 +9,7 @@
 //! the attribute signal is weak, exactly the behaviour Figure 6 reports.
 
 use crate::common::{
-    Approach, ApproachOutput, Combination, Req, Requirements, RunConfig, TrainError, UnifiedSpace,
-    UnifiedTransE,
+    Approach, ApproachOutput, Combination, Req, Requirements, RunConfig, TrainError, Unified,
 };
 use crate::engine::{run_driver, RunContext};
 use crate::views::{Features, FusedTransE, Fusion, View};
@@ -142,8 +141,7 @@ impl Approach for Jape {
         cfg: &RunConfig,
         ctx: &RunContext<'_>,
     ) -> Result<ApproachOutput, TrainError> {
-        let space = UnifiedSpace::build(pair, &split.train, Combination::Sharing);
-        let mut base = UnifiedTransE::new(space, cfg, ctx.driver_rng());
+        let mut base = Unified::transe(pair, &split.train, Combination::Sharing, cfg, ctx);
         // The attribute view draws from the driver RNG after model init, as
         // the pre-engine driver did.
         let fusion = attr_fusion(pair, cfg, STRUCTURE_WEIGHT, &mut base.rng);

@@ -163,7 +163,7 @@ impl EpochHooks for Hooks<'_> {
             let dim = self.cfg.dim;
             let cands = Candidates {
                 src: self.core.mapped_rows(dim, sources.iter().map(|e| e.idx())),
-                dst: gather_rows(self.core.m2.entities().data(), dim, &targets),
+                dst: gather_rows(self.core.kg2.model.entities().data(), dim, &targets),
                 sources,
                 targets,
                 dim,

@@ -8,7 +8,7 @@
 
 use crate::common::{
     entity_name_literal, Approach, ApproachOutput, Combination, Req, Requirements, RunConfig,
-    TrainError, UnifiedSpace, UnifiedTransE,
+    TrainError, Unified,
 };
 use crate::engine::{run_driver, RunContext};
 use crate::views::{literal_sum, optional_rows, FusedTransE, Fusion, View};
@@ -42,7 +42,6 @@ impl Approach for MultiKe {
         cfg: &RunConfig,
         ctx: &RunContext<'_>,
     ) -> Result<ApproachOutput, TrainError> {
-        let space = UnifiedSpace::build(pair, &split.train, Combination::Swapping);
         let (wn, wr, wa) = if cfg.use_relations {
             (NAME_WEIGHT, RELATION_WEIGHT, ATTR_WEIGHT)
         } else {
@@ -64,7 +63,7 @@ impl Approach for MultiKe {
         };
         let mut hooks = FusedTransE {
             cfg,
-            base: UnifiedTransE::new(space, cfg, ctx.driver_rng()),
+            base: Unified::transe(pair, &split.train, Combination::Swapping, cfg, ctx),
             fusion: Fusion {
                 structure_weight: wr,
                 views,

@@ -13,6 +13,7 @@ use crate::engine::{run_driver, EpochHooks, RunContext};
 use openea_align::Metric;
 use openea_autodiff::{Graph, Tensor};
 use openea_core::{AlignedPair, FoldSplit, KgPair};
+use openea_math::negsamp::RawTriple;
 use openea_math::{EmbeddingTable, Initializer};
 use openea_runtime::rng::Rng;
 use openea_runtime::rng::SmallRng;
@@ -126,7 +127,7 @@ impl Rsn4Ea {
         ctx: &RunContext<'_>,
     ) -> Hooks<'a> {
         let mut rng = ctx.driver_rng();
-        let space = UnifiedSpace::build(pair, &split.train, Combination::Sharing);
+        let (space, triples) = UnifiedSpace::build(pair, &split.train, Combination::Sharing);
         // Element table: entities then 2·relations (forward + inverse).
         let num_elements = space.num_entities + 2 * space.num_relations;
         let params = RsnParams {
@@ -147,6 +148,7 @@ impl Rsn4Ea {
         Hooks {
             cfg,
             space,
+            triples,
             params,
             walks_per_epoch,
             rng,
@@ -162,6 +164,7 @@ const METRIC: Metric = Metric::Cosine;
 pub(crate) struct Hooks<'a> {
     cfg: &'a RunConfig,
     space: UnifiedSpace,
+    triples: Vec<RawTriple>,
     params: RsnParams,
     walks_per_epoch: usize,
     rng: SmallRng,
@@ -173,7 +176,7 @@ impl EpochHooks for Hooks<'_> {
             return EpochStats::default();
         }
         let walks = sample_walks(
-            &self.space.triples,
+            &self.triples,
             self.space.num_entities,
             self.space.num_relations as u32,
             WALK_LEN,

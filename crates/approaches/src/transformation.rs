@@ -4,17 +4,15 @@
 //! seed alignment. All of them train on one [`TransformationCore`]; MTransE
 //! and SEA through [`run`], KDCoE through hooks of its own.
 
-use crate::common::{
-    train_epoch_batched, ApproachOutput, EpochStats, RunConfig, TrainError, TrainOptions,
-};
+use crate::common::{ApproachOutput, EpochStats, RunConfig, TrainError, TrainUnit};
 use crate::engine::{run_driver, EpochHooks, RunContext, WarmStart};
 use crate::mtranse::RelModelKind;
 use openea_align::Metric;
 use openea_core::{AlignedPair, FoldSplit, KgPair, KnowledgeGraph};
-use openea_math::negsamp::{RawTriple, UniformSampler};
+use openea_math::negsamp::RawTriple;
 use openea_math::Matrix;
 use openea_models::RelationModel;
-use openea_runtime::rng::{Rng, RngCore, SmallRng};
+use openea_runtime::rng::{Rng, SmallRng};
 
 /// Raw triples of one KG in its own id space.
 fn kg_triples(kg: &KnowledgeGraph) -> Vec<RawTriple> {
@@ -61,21 +59,15 @@ pub(crate) fn run(
     run_driver(label, &mut hooks, &ctx.for_valid(&split.valid), cfg)
 }
 
-/// What every transformation-mode driver trains: one relation model per KG
-/// over that KG's own triples with uniform negatives, and the map `M`,
-/// near-identity at start. The caller builds the two models, each its own
-/// way, and hands over the driver RNG after; the map's perturbation is
-/// drawn from it here, then one seed per model per epoch.
+/// What every transformation-mode driver trains: one [`TrainUnit`] per KG
+/// over that KG's own triples, and the map `M`, near-identity at start. The
+/// caller builds the two models, each its own way, and hands over the
+/// driver RNG after; the map's perturbation is drawn from it here, then one
+/// seed per model per epoch.
 pub(crate) struct TransformationCore {
-    pub m1: Box<dyn RelationModel>,
-    pub m2: Box<dyn RelationModel>,
+    pub kg1: TrainUnit<dyn RelationModel>,
+    pub kg2: TrainUnit<dyn RelationModel>,
     pub map: Matrix,
-    t1: Vec<RawTriple>,
-    t2: Vec<RawTriple>,
-    s1: UniformSampler,
-    s2: UniformSampler,
-    opts1: TrainOptions,
-    opts2: TrainOptions,
     pub rng: SmallRng,
 }
 
@@ -91,46 +83,18 @@ impl TransformationCore {
         for v in map.data_mut() {
             *v += rng.gen_range(-0.02f32..0.02);
         }
-        let (t1, t2) = (kg_triples(&pair.kg1), kg_triples(&pair.kg2));
-        let uniform = |kg: &KnowledgeGraph| UniformSampler {
-            num_entities: kg.num_entities().max(1) as u32,
-        };
         Self {
-            m1,
-            m2,
+            kg1: TrainUnit::new(m1, kg_triples(&pair.kg1), cfg),
+            kg2: TrainUnit::new(m2, kg_triples(&pair.kg2), cfg),
             map,
-            s1: uniform(&pair.kg1),
-            s2: uniform(&pair.kg2),
-            opts1: cfg.train_options(t1.len()),
-            opts2: cfg.train_options(t2.len()),
-            t1,
-            t2,
             rng,
         }
     }
 
-    /// One batched epoch of each model; a no-op under `use_relations ==
-    /// false`.
+    /// One guarded epoch of each model.
     pub fn train_epoch(&mut self, cfg: &RunConfig) -> EpochStats {
-        if !cfg.use_relations {
-            return EpochStats::default();
-        }
-        let a = train_epoch_batched(
-            self.m1.as_mut(),
-            &self.t1,
-            &self.s1,
-            &self.opts1,
-            self.rng.next_u64(),
-        )
-        .expect("valid train options");
-        let b = train_epoch_batched(
-            self.m2.as_mut(),
-            &self.t2,
-            &self.s2,
-            &self.opts2,
-            self.rng.next_u64(),
-        )
-        .expect("valid train options");
+        let a = self.kg1.epoch(cfg, &mut self.rng);
+        let b = self.kg2.epoch(cfg, &mut self.rng);
         EpochStats::merged(&[a, b])
     }
 
@@ -140,11 +104,12 @@ impl TransformationCore {
         let (dim, lr, map) = (cfg.dim, cfg.lr, &mut self.map);
         let mut me1 = vec![0.0f32; dim];
         let mut mtu = vec![0.0f32; dim];
+        let (m1, m2) = (&mut self.kg1.model, &mut self.kg2.model);
         for (a, b) in seeds {
-            let e1: Vec<f32> = self.m1.entities().row(a.idx()).to_vec();
+            let e1: Vec<f32> = m1.entities().row(a.idx()).to_vec();
             map.matvec_into(&e1, &mut me1);
             let u: Vec<f32> = {
-                let e2 = self.m2.entities().row(b.idx());
+                let e2 = m2.entities().row(b.idx());
                 me1.iter().zip(e2).map(|(x, y)| x - y).collect()
             };
             // dL/dM = 2·u·e₁ᵀ ; dL/de₁ = 2·Mᵀu ; dL/de₂ = −2u.
@@ -154,16 +119,17 @@ impl TransformationCore {
                     map[(i, j)] -= 2.0 * lr * u[i] * e1[j];
                 }
             }
-            self.m1.entities_mut().sgd_row(a.idx(), &mtu, 2.0 * lr);
+            m1.entities_mut().sgd_row(a.idx(), &mtu, 2.0 * lr);
             let neg_u: Vec<f32> = u.iter().map(|x| -x).collect();
-            self.m2.entities_mut().sgd_row(b.idx(), &neg_u, 2.0 * lr);
+            m2.entities_mut().sgd_row(b.idx(), &neg_u, 2.0 * lr);
         }
     }
 
     /// `M`-mapped KG1 embeddings against raw KG2 embeddings.
     pub fn output(&self, cfg: &RunConfig, metric: Metric) -> ApproachOutput {
-        let emb1 = self.mapped_rows(cfg.dim, 0..self.m1.num_entities());
-        ApproachOutput::new(cfg.dim, metric, emb1, self.m2.entities().data().to_vec())
+        let emb1 = self.mapped_rows(cfg.dim, 0..self.kg1.model.num_entities());
+        let emb2 = self.kg2.model.entities().data().to_vec();
+        ApproachOutput::new(cfg.dim, metric, emb1, emb2)
     }
 
     /// `M·e₁` for the given KG1 `rows`, row-major and in their order.
@@ -171,7 +137,8 @@ impl TransformationCore {
         let mut out = Vec::with_capacity(rows.len() * dim);
         let mut buf = vec![0.0f32; dim];
         for e in rows {
-            self.map.matvec_into(self.m1.entities().row(e), &mut buf);
+            self.map
+                .matvec_into(self.kg1.model.entities().row(e), &mut buf);
             out.extend_from_slice(&buf);
         }
         out
@@ -210,31 +177,24 @@ impl EpochHooks for Hooks<'_> {
         self.core.output(self.cfg, self.metric)
     }
 
-    fn warm_start(&mut self, warm: &WarmStart<'_>, ctx: &RunContext<'_>) -> bool {
+    fn warm_start<'w>(&mut self, warm: &WarmStart<'w>, ctx: &RunContext<'_>) -> bool {
         // The snapshot stores the *mapped* KG1 output (M·e₁) against raw
         // KG2 rows, so absorption folds the parent's map into e₁: load the
         // mapped rows directly and reset `M` (and the cycle back-map) to
         // the exact identity. A zero-epoch checkpoint then reproduces the
         // parent's bits. New entities seed from the reserved warm stream,
-        // KG2 keys offset into a disjoint range.
-        let seed = ctx.seed;
-        let (rows1, rows2) = (warm.rows1(), warm.rows2());
-        if !self.core.m1.init_from(
-            warm.dim,
-            warm.emb1,
-            &|i| (i < rows1).then_some(i),
-            &mut |i, row| crate::common::warm_seed_row(seed, i as u64, row),
-        ) {
-            return false;
-        }
-        // Same model kind and cfg.dim as m1, so this cannot refuse once m1
-        // absorbed — the guard is belt and braces.
-        if !self.core.m2.init_from(
-            warm.dim,
-            warm.emb2,
-            &|i| (i < rows2).then_some(i),
-            &mut |i, row| crate::common::warm_seed_row(seed, (1u64 << 32) | i as u64, row),
-        ) {
+        // KG2 keys offset into a disjoint range. Both models share one kind
+        // and `cfg.dim`, so KG2 cannot refuse once KG1 absorbed.
+        let (dim, seed) = (warm.dim, ctx.seed);
+        let row = |emb: &'w [f32], i: usize| emb.get(i * dim..(i + 1) * dim);
+        let core = &mut self.core;
+        if !(core
+            .kg1
+            .absorb(dim, seed, |i| row(warm.emb1, i), |i| i as u64)
+            && core
+                .kg2
+                .absorb(dim, seed, |i| row(warm.emb2, i), |i| (1 << 32) | i as u64))
+        {
             return false;
         }
         self.core.map = Matrix::identity(self.cfg.dim);
@@ -248,9 +208,9 @@ impl Hooks<'_> {
     /// `‖M̄·(M·e₁) − e₁‖²` trains both maps.
     fn cycle_step(&mut self) {
         let dim = self.cfg.dim;
-        let TransformationCore { m1, map, rng, .. } = &mut self.core;
+        let TransformationCore { kg1, map, rng, .. } = &mut self.core;
         let back = &mut self.back;
-        let n = m1.num_entities();
+        let n = kg1.model.num_entities();
         if n == 0 {
             return;
         }
@@ -260,7 +220,7 @@ impl Hooks<'_> {
         let mut btu = vec![0.0f32; dim];
         for _ in 0..(n / 10).max(1) {
             let e = rng.gen_range(0..n);
-            let e1: Vec<f32> = m1.entities().row(e).to_vec();
+            let e1: Vec<f32> = kg1.model.entities().row(e).to_vec();
             map.matvec_into(&e1, &mut fwd);
             back.matvec_into(&fwd, &mut cyc);
             let u: Vec<f32> = cyc.iter().zip(&e1).map(|(x, y)| x - y).collect();

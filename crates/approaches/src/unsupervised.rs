@@ -9,9 +9,7 @@
 //! self-training grows the alignment — zero gold seeds consumed.
 
 use crate::boot::{propose_edited, Ledger};
-use crate::common::{
-    ApproachOutput, Combination, EpochStats, RunConfig, UnifiedSpace, UnifiedTransE,
-};
+use crate::common::{ApproachOutput, Combination, EpochStats, RunConfig, Unified};
 use crate::engine::{run_driver, EpochHooks, RunContext};
 use crate::imuse::{string_match_seeds, STRING_THRESHOLD};
 use openea_align::Metric;
@@ -55,11 +53,10 @@ pub fn align_unsupervised(
 ) -> UnsupervisedOutcome {
     let ctx = RunContext::new(cfg);
     let pseudo_seeds = string_match_seeds(&pair.kg1, &pair.kg2, STRING_THRESHOLD);
-    let space = UnifiedSpace::build(pair, &pseudo_seeds, Combination::Sharing);
     let mut hooks = Hooks {
         ucfg,
         cfg,
-        base: UnifiedTransE::new(space, cfg, ctx.driver_rng()),
+        base: Unified::transe(pair, &pseudo_seeds, Combination::Sharing, cfg, &ctx),
         ledger: Ledger::new(pair, &pseudo_seeds),
     };
 
@@ -85,7 +82,7 @@ pub fn align_unsupervised(
 struct Hooks<'a> {
     ucfg: UnsupervisedConfig,
     cfg: &'a RunConfig,
-    base: UnifiedTransE,
+    base: Unified,
     ledger: Ledger,
 }
 
@@ -97,7 +94,7 @@ impl EpochHooks for Hooks<'_> {
             // (conflict-edited, never touching entities already aligned).
             let cands = self
                 .ledger
-                .candidates(&self.base.space, &self.base.model.entities);
+                .candidates(&self.base.space, &self.base.unit.model.entities);
             self.ledger
                 .accept(propose_edited(&cands, BOOT_THRESHOLD, self.cfg.threads));
         }
@@ -105,7 +102,7 @@ impl EpochHooks for Hooks<'_> {
     }
 
     fn after_epoch(&mut self, _epoch: usize, _ctx: &RunContext<'_>) {
-        let table = &mut self.base.model.entities;
+        let table = &mut self.base.unit.model.entities;
         self.ledger.calibrate(&self.base.space, table, self.cfg.lr);
     }
 

@@ -7,7 +7,7 @@
 //! checkpoint. No view trains inside the epoch loop (AC2Vec trains once,
 //! before it; the rest are fixed encodings), so a fusion is data, not hooks.
 
-use crate::common::{ApproachOutput, EpochStats, RunConfig, UnifiedTransE};
+use crate::common::{ApproachOutput, EpochStats, RunConfig, Unified};
 use crate::engine::{EpochHooks, RunContext, WarmStart};
 use crate::jape::AttrSets;
 use openea_align::Metric;
@@ -168,12 +168,12 @@ pub(crate) fn optional_rows(
     out
 }
 
-/// Engine hooks of the cosine `UnifiedTransE` drivers with side views
+/// Engine hooks of the cosine [`Unified`] TransE drivers with side views
 /// (JAPE, IMUSE, MultiKE): one TransE epoch over the unified space, and
 /// every checkpoint fused.
 pub(crate) struct FusedTransE<'a> {
     pub cfg: &'a RunConfig,
-    pub base: UnifiedTransE,
+    pub base: Unified,
     pub fusion: Fusion,
 }
 

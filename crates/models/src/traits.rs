@@ -86,48 +86,6 @@ pub trait RelationModel: Send + Sync {
     fn num_entities(&self) -> usize {
         self.entities().count()
     }
-
-    /// Warm-starts the entity table from a previous generation's parameters,
-    /// splitting construction from initialization: the model is built with
-    /// its usual cold init first, then `init_from` overwrites the rows.
-    ///
-    /// `prev` holds rows of width `prev_dim` back to back; `map(i)` gives the
-    /// `prev` row holding entity `i`'s previous-generation vector, or `None`
-    /// for entities new in this generation, whose rows are handed to
-    /// `seed_new(i, row)` instead (callers seed them from a reserved RNG
-    /// stream keyed by entity index, so the bits don't depend on how many
-    /// other entities exist). Returns `false` — leaving every parameter at
-    /// its cold init — when `prev_dim` doesn't match this model's entity
-    /// dimension (e.g. RotatE/SimplE reshape `cfg.dim`), so callers can fall
-    /// back to cold start deterministically.
-    ///
-    /// Only the entity table is warmed; relation (and any auxiliary)
-    /// parameters keep their fresh initialization. That is the warm-start
-    /// contract: entity geometry carries over, the rest re-converges within
-    /// the delta budget.
-    fn init_from(
-        &mut self,
-        prev_dim: usize,
-        prev: &[f32],
-        map: &dyn Fn(usize) -> Option<usize>,
-        seed_new: &mut dyn FnMut(usize, &mut [f32]),
-    ) -> bool {
-        let table = self.entities_mut();
-        if prev_dim != table.dim() {
-            return false;
-        }
-        for i in 0..table.count() {
-            match map(i) {
-                Some(j) if (j + 1) * prev_dim <= prev.len() => {
-                    table
-                        .row_mut(i)
-                        .copy_from_slice(&prev[j * prev_dim..(j + 1) * prev_dim]);
-                }
-                _ => seed_new(i, table.row_mut(i)),
-            }
-        }
-        true
-    }
 }
 
 /// The pure gradient of one positive/negative pair, recorded and applied

@@ -9,8 +9,32 @@ use openea_runtime::json::{self, Json};
 use openea_serve::{serve_hot, HotSwapIndex, IndexOptions, ServerHandle, ServerOptions};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+
+/// How long one test here may run. The client reads carry 10 s timeouts
+/// and the suite takes under a second, so a test still running at the
+/// bound is hung — in `ServerHandle::stop`'s joins, a connect or a pump's
+/// write, which have no timeout of their own — not slow.
+const WATCHDOG: Duration = Duration::from_secs(60);
+
+/// Arms a watchdog for the test `name`: unless the returned sender is
+/// dropped first (the test returned or panicked), it ends the test binary
+/// after [`WATCHDOG`] with a message naming the test, so a hang fails the
+/// run by name instead of stalling it.
+fn watchdog(name: &'static str) -> mpsc::Sender<()> {
+    let (guard, watch) = mpsc::channel::<()>();
+    std::thread::spawn(move || {
+        if let Err(mpsc::RecvTimeoutError::Timeout) = watch.recv_timeout(WATCHDOG) {
+            // Straight to the process's stderr: the harness captures the
+            // test's `eprintln!`, and this thread's with it.
+            let msg = format!("reactor_e2e::{name} still running after {WATCHDOG:?}: hung\n");
+            let _ = std::io::stderr().write_all(msg.as_bytes());
+            std::process::exit(101);
+        }
+    });
+    guard
+}
 
 /// The seed's tiny snapshot, served exactly with a 128-answer cache.
 fn tiny_index(seed: u64) -> Arc<HotSwapIndex> {
@@ -58,6 +82,7 @@ fn wait_for_stats(addr: SocketAddr, pred: impl Fn(&Json) -> bool, what: &str) ->
 /// front end replaced (over the same seed-7 index).
 #[test]
 fn reactor_answers_match_golden_bytes() {
+    let _watchdog = watchdog("reactor_answers_match_golden_bytes");
     let golden = include_bytes!("fixtures/responses.golden");
     let mut server = start(tiny_index(7), ServerOptions::default());
 
@@ -95,6 +120,7 @@ fn reactor_answers_match_golden_bytes() {
 /// order, and runs as one multi-request job (`pipelined_batches`).
 #[test]
 fn pipelined_burst_is_ordered_and_batched() {
+    let _watchdog = watchdog("pipelined_burst_is_ordered_and_batched");
     let index = tiny_index(11);
     let mut server = start(index, ServerOptions::default());
     let addr = server.addr();
@@ -138,6 +164,7 @@ fn pipelined_burst_is_ordered_and_batched() {
 /// request.
 #[test]
 fn slowloris_does_not_stall_other_clients() {
+    let _watchdog = watchdog("slowloris_does_not_stall_other_clients");
     let index = tiny_index(13);
     let mut server = start(index, ServerOptions::default());
     let addr = server.addr();
@@ -165,6 +192,7 @@ fn slowloris_does_not_stall_other_clients() {
 /// status and a clean close — never a hang or a desynced answer.
 #[test]
 fn abusive_requests_get_typed_errors_and_close() {
+    let _watchdog = watchdog("abusive_requests_get_typed_errors_and_close");
     let index = tiny_index(17);
     let mut server = start(index, ServerOptions::default());
     let addr = server.addr();
@@ -219,6 +247,7 @@ fn abusive_requests_get_typed_errors_and_close() {
 /// instead, and discards what still arrives before it closes.
 #[test]
 fn a_refused_client_that_keeps_writing_reads_the_error_then_eof() {
+    let _watchdog = watchdog("a_refused_client_that_keeps_writing_reads_the_error_then_eof");
     let index = tiny_index(23);
     let mut server = start(index, ServerOptions::default());
     let addr = server.addr();
@@ -250,6 +279,7 @@ fn a_refused_client_that_keeps_writing_reads_the_error_then_eof() {
 /// connection and keeps serving.
 #[test]
 fn mid_request_disconnects_are_reaped() {
+    let _watchdog = watchdog("mid_request_disconnects_are_reaped");
     let index = tiny_index(19);
     let mut server = start(index, ServerOptions::default());
     let addr = server.addr();
@@ -283,6 +313,7 @@ fn mid_request_disconnects_are_reaped() {
 /// write, so they are all still unaccepted when the flag flips.
 #[test]
 fn shutdown_never_drops_an_accepted_request() {
+    let _watchdog = watchdog("shutdown_never_drops_an_accepted_request");
     for round in 0..5 {
         let index = tiny_index(23 + round);
         let mut server = start(index, ServerOptions::default());
@@ -322,6 +353,7 @@ fn shutdown_never_drops_an_accepted_request() {
 /// `Retry-After` and the decisions are visible in `/stats`.
 #[test]
 fn admission_control_sheds_over_budget() {
+    let _watchdog = watchdog("admission_control_sheds_over_budget");
     let index = tiny_index(29);
     let mut server = start(
         index,
@@ -378,6 +410,7 @@ fn admission_control_sheds_over_budget() {
 /// The open-connection ceiling sheds at accept time with its own reason.
 #[test]
 fn conn_limit_sheds_at_accept() {
+    let _watchdog = watchdog("conn_limit_sheds_at_accept");
     let index = tiny_index(31);
     let mut server = start(
         index,
@@ -426,6 +459,7 @@ fn conn_limit_sheds_at_accept() {
 /// and reads; the held connection reads the shed counter.
 #[test]
 fn a_shed_client_reads_its_503_then_eof() {
+    let _watchdog = watchdog("a_shed_client_reads_its_503_then_eof");
     let index = tiny_index(53);
     let mut server = start(
         index,
@@ -471,6 +505,7 @@ fn a_shed_client_reads_its_503_then_eof() {
 /// fill, and `server_mode` reports the active core.
 #[test]
 fn stats_gauges_track_connections() {
+    let _watchdog = watchdog("stats_gauges_track_connections");
     let index = tiny_index(37);
     let mut server = start(index, ServerOptions::default());
     let addr = server.addr();
@@ -516,6 +551,7 @@ fn stats_gauges_track_connections() {
 /// ago, is polled ahead of the dropped connection's hang-up.
 #[test]
 fn conn_limit_counts_a_slot_freed_in_the_same_wake() {
+    let _watchdog = watchdog("conn_limit_counts_a_slot_freed_in_the_same_wake");
     let burst = "GET /stats HTTP/1.1\r\n\r\n".repeat(256);
     for round in 0..5 {
         let mut server = start(
@@ -554,6 +590,7 @@ fn conn_limit_counts_a_slot_freed_in_the_same_wake() {
 /// reactor closes the lingering connection to make room.
 #[test]
 fn a_lingering_close_gives_its_slot_to_the_next_client() {
+    let _watchdog = watchdog("a_lingering_close_gives_its_slot_to_the_next_client");
     for round in 0..5 {
         let mut server = start(
             tiny_index(47 + round),
@@ -590,6 +627,7 @@ fn a_lingering_close_gives_its_slot_to_the_next_client() {
 /// survived the first. The first 500 is compared byte for byte.
 #[test]
 fn a_panicking_job_answers_500_and_its_connection_lives_on() {
+    let _watchdog = watchdog("a_panicking_job_answers_500_and_its_connection_lives_on");
     let mut snap = tiny_snapshot(40, 50, 8, 43);
     snap.emb2.pop();
     let opts = IndexOptions::default();

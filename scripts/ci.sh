@@ -197,6 +197,18 @@ if [ "$(grep -rl 'is_x86_feature_detected[!]' crates/ | wc -l)" -gt 1 ]; then
 fi
 if grep -rn 'std::env::var' crates/*/src | grep -v '^crates/runtime/src/testkit'; then exit 1; fi
 
+# One training core: every relation model under `crates/approaches` trains
+# through `common::TrainUnit`, whose epoch is the only call of the batched
+# trainer there outside the test modules (the lines above each file's first
+# `#[cfg(test)]`).
+calls=$(for f in crates/approaches/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } /train_epoch_batched\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if [ "$(printf '%s\n' "$calls" | grep -c .)" -gt 1 ]; then
+    printf '%s\n' "$calls"
+    exit 1
+fi
+
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # The API docs: no intra-doc link may be unresolved, redundant or point at

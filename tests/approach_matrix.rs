@@ -252,7 +252,7 @@ fn gnn_ablation_hashes_bit_identical_across_thread_counts() {
 /// reaches either: Figure 6's structure-only run (`use_attributes: false`,
 /// no view fused) for every approach that fuses or pulls toward literal or
 /// attribute features, and Table 8's untrained structure fused with the
-/// views (`use_relations: false`) for the three `UnifiedTransE` drivers —
+/// views (`use_relations: false`) for the three fused `Unified` drivers —
 /// MultiKE's there with its name and attribute weights renormalised.
 const VIEW_ABLATION_GOLDEN: [(&str, bool, bool, u64); 8] = [
     ("JAPE", true, false, 0x52affc9a506e3b6e),
@@ -1251,16 +1251,47 @@ mod warm_start {
         );
     }
 
+    /// The side-view drivers resumed from their own output: the fused
+    /// width (32 or 48) is not `cfg.dim` (16), so each declines the warm
+    /// start, stamps no lineage and trains cold onto its golden bits, even
+    /// with no budget.
+    #[test]
+    fn fused_outputs_decline_their_own_resume_onto_golden_cold_bits() {
+        let (pair, folds, mut cfg) = golden_fixture();
+        cfg.threads = 2;
+        let golden: std::collections::HashMap<&str, u64> = GOLDEN_HASHES.into_iter().collect();
+        for name in ["JAPE", "IMUSE", "MultiKE", "KDCoE"] {
+            let a = approach_by_name(name).unwrap();
+            let parent = a.run(&pair, &folds[0], &cfg);
+            assert_ne!(parent.dim, cfg.dim, "{name}: a fused output is wider");
+            let warm = WarmStart {
+                dim: parent.dim,
+                emb1: &parent.emb1,
+                emb2: &parent.emb2,
+                parent_generation: 0x1234,
+                trained_epochs: parent.trace.epochs.len() as u64,
+            };
+            let ctx = RunContext::new(&cfg).resume_from(&warm);
+            let child = a.run_with(&pair, &folds[0], &cfg, &ctx);
+            assert_eq!(child.lineage, None, "{name}: a declined resume");
+            assert_eq!(
+                child.content_hash(),
+                golden[name],
+                "{name}: a declined resume must land on the golden cold bits"
+            );
+        }
+    }
+
     /// Resume-identity: warm-starting from a parent's output and training
     /// zero extra epochs reproduces the parent bit-for-bit, with lineage
-    /// citing the parent and no extra epochs accumulated — for the
-    /// transformation driver and for each unified-space driver that absorbs
-    /// a warm start through `UnifiedTransE`.
+    /// citing the parent and no extra epochs accumulated — for the two
+    /// transformation drivers (SEA's cycle back-map reset included) and for
+    /// each unified-space driver that absorbs a warm start.
     #[test]
     fn zero_epoch_resume_reproduces_parent_bits() {
         let (pair, folds, mut cfg) = golden_fixture();
         cfg.threads = 2;
-        for name in ["MTransE", "IPTransE", "AttrE", "BootEA"] {
+        for name in ["MTransE", "SEA", "IPTransE", "AttrE", "BootEA"] {
             let a = approach_by_name(name).unwrap();
             let parent = a.run(&pair, &folds[0], &cfg);
             let warm = WarmStart {
