@@ -27,9 +27,10 @@
 //!
 //! Dispatch: [`score_tile`] matches on [`active_backend`], the runtime's
 //! one ISA switch ([`openea_runtime::isa`], re-exported here), which the
-//! Gaussian lanes read too: AVX2 where the host has it, else the scalar
-//! body. [`force_backend`] re-points it — that is how the conformance
-//! suites run every backend the host supports.
+//! Gaussian lanes read too: the AVX2 body at `Avx2` and at `Avx512` (the
+//! AVX-512 rung is the Gaussian lanes'), the scalar body at `Scalar`.
+//! [`force_backend`] re-points it — that is how the conformance suites run
+//! every backend the host supports.
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::{
@@ -391,11 +392,15 @@ pub fn score_tile(
     assert!(out.len() >= (rows - 1) * stride + cols, "out too short");
     let (t, o) = (tile_t.as_ptr(), out.as_mut_ptr());
     match active_backend() {
-        // SAFETY: shapes asserted above; `Avx2` is only active where the
-        // host has it.
+        // SAFETY: shapes asserted above.
+        Backend::Scalar => unsafe { tile_kernel::<f32>(fold, a, rows, t, cols, o, stride) },
+        // SAFETY: shapes asserted above; `Avx2` and `Avx512` are only
+        // active where the host has AVX2. The AVX-512 rung runs the AVX2
+        // tile: its lanes are the Gaussian draw's.
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { tile_avx2(fold, a, rows, t, cols, o, stride) },
-        _ => unsafe { tile_kernel::<f32>(fold, a, rows, t, cols, o, stride) },
+        Backend::Avx2 | Backend::Avx512 => unsafe { tile_avx2(fold, a, rows, t, cols, o, stride) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 | Backend::Avx512 => unreachable!("x86 backends run on x86_64 only"),
     }
 }
 
@@ -439,17 +444,15 @@ mod tests {
 
     #[test]
     fn forcing_clamps_to_host_support() {
-        // Single test owns force_backend assertions (the switch is global);
-        // other tests only *compute*, which is backend-invariant.
-        let prev = active_backend();
+        // The switch is global and the other tests here force it too, so
+        // this asserts on what each call returns, never on a re-read.
         assert!(supported_backends().contains(&Backend::Scalar));
         for b in Backend::ALL {
             let eff = force_backend(Some(b));
             assert_eq!(eff, b.min(best_supported()));
             assert!(supported_backends().contains(&eff));
         }
-        force_backend(None);
-        assert_eq!(active_backend(), prev);
+        assert_eq!(force_backend(None), best_supported());
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //! - [`os`] — the one sanctioned raw-OS-call site: a safe, level-triggered
 //!   epoll [`os::Poller`] plus a self-pipe [`os::Waker`], the readiness
 //!   primitive under the event-driven serving core (Linux only).
-//! - [`isa`] — the one ISA switch: whether the hand-vectorised loops (the
-//!   similarity kernel, [`rng::GaussianLanes`]) run their AVX2 or their
-//!   portable body, detected once and bit-identical either way.
+//! - [`isa`] — the one ISA switch: which body the hand-vectorised loops
+//!   (the similarity kernel, [`rng::GaussianLanes`]) run — portable, AVX2
+//!   or, for the Gaussian lanes, AVX-512 — detected once and bit-identical
+//!   on every rung.
 //! - [`cli`] — the binaries' command line: options, flags and positional
 //!   words read by name, then one check that refuses whatever nothing read.
 //!

@@ -16,7 +16,8 @@
 //!
 //! Gaussians come from one transform, the 256-layer ziggurat of
 //! [`standard_gaussian`]; [`GaussianLanes`] draws it on eight streams at
-//! once, each lane's values those of its stream. Its tables are built from
+//! once, each lane's values, written to that lane's own slice, those of its
+//! stream. Its tables are built from
 //! `exp` and `ln`, so its values also rest on libm: the unit tests pin the
 //! tables' bits, the exact word, wedge and tail counts of 10⁶ draws on a
 //! fixed stream, and the draws' distribution, and hold every lane to the
@@ -478,25 +479,29 @@ pub const LANES: usize = 8;
 /// caller that owns eight independent streams may draw them together and
 /// see nothing but the speed.
 ///
-/// The state is held as a structure of arrays, word `w` of every lane side
-/// by side. [`fill`](GaussianLanes::fill) matches on the one ISA switch,
-/// [`isa::active_backend`]: at [`isa::Backend::Avx2`] one step of
-/// xoshiro256\*\* and one fast attempt run on all eight lanes at once, with
-/// the layer edges gathered and the fast-path compare one mask; at
-/// [`isa::Backend::Scalar`] the lanes are drawn one after another by the
-/// scalar draw itself. Both bodies share the scalar draw's attempt
-/// arithmetic and its resume, and give the same bits.
+/// Draws come out lane-major: [`fill`](GaussianLanes::fill) writes each
+/// lane's values into that lane's own slice. It matches on the one ISA
+/// switch, [`isa::active_backend`]. At [`isa::Backend::Avx512`] one step of
+/// xoshiro256\*\* and one fast attempt run on all eight lanes in one
+/// register each, with the layer edges gathered eight at a time and the
+/// fast-path compare one mask register, and eight steps are transposed in
+/// registers into eight lanes' runs of eight values. At
+/// [`isa::Backend::Avx2`] the same step runs as two four-lane halves and
+/// four steps are transposed at a time. At [`isa::Backend::Scalar`] the
+/// lanes are drawn one after another by the scalar draw itself. Every body
+/// shares the scalar draw's attempt arithmetic and its resume, and gives
+/// the same bits.
 ///
 /// ```
 /// use openea_runtime::rng::{GaussianLanes, Rng, SmallRng, LANES};
 ///
 /// let streams = |l| SmallRng::stream(7, l as u64);
 /// let mut lanes = GaussianLanes::new(std::array::from_fn(streams));
-/// let mut draws = [[0.0; LANES]; 3];
-/// lanes.fill(&mut draws);
+/// let mut draws = [[0.0; 3]; LANES];
+/// lanes.fill(draws.each_mut().map(|lane| &mut lane[..]));
 /// let mut third = streams(3);
-/// for draw in &draws {
-///     assert_eq!(draw[3].to_bits(), third.gen_gaussian().to_bits());
+/// for draw in &draws[3] {
+///     assert_eq!(draw.to_bits(), third.gen_gaussian().to_bits());
 /// }
 /// ```
 #[derive(Clone, Debug)]
@@ -518,58 +523,51 @@ impl GaussianLanes {
         std::array::from_fn(|l| take_lane(&self.s, l))
     }
 
-    /// Draws `out.len()` times: `out[j][l]` is lane `l`'s `j`-th Gaussian.
-    pub fn fill(&mut self, out: &mut [[f64; LANES]]) {
+    /// Draws `n` times on every lane, `n` the slices' common length:
+    /// `out[l][j]` is lane `l`'s `j`-th Gaussian.
+    ///
+    /// # Panics
+    ///
+    /// If the eight slices differ in length.
+    pub fn fill(&mut self, out: [&mut [f64]; LANES]) {
         self.fill_reporting(out, |_| {});
     }
 
     /// [`GaussianLanes::fill`], reporting each slow-path entry to `slow`.
-    fn fill_reporting(&mut self, out: &mut [[f64; LANES]], mut slow: impl FnMut(ZigSlow)) {
+    fn fill_reporting(&mut self, out: [&mut [f64]; LANES], mut slow: impl FnMut(ZigSlow)) {
+        let n = out[0].len();
+        assert!(
+            out.iter().all(|lane| lane.len() == n),
+            "GaussianLanes::fill: lanes of unequal length"
+        );
         let t = &*ZIG;
         match isa::active_backend() {
-            // SAFETY: `Avx2` is only active where the host has it.
-            #[cfg(target_arch = "x86_64")]
-            isa::Backend::Avx2 => unsafe { fill_avx2(&mut self.s, t, out, &mut slow) },
             // A lane at a time: the scalar draw on the lane's own stream.
-            _ => {
-                for l in 0..LANES {
+            isa::Backend::Scalar => {
+                for (l, lane) in out.into_iter().enumerate() {
                     let mut rng = take_lane(&self.s, l);
-                    for draw in out.iter_mut() {
-                        draw[l] = ziggurat(&mut rng, &mut slow);
+                    for x in lane {
+                        *x = ziggurat(&mut rng, &mut slow);
                     }
                     put_lane(&mut self.s, l, rng);
                 }
+            }
+            // SAFETY: `Avx2` is only active where the host has it.
+            #[cfg(target_arch = "x86_64")]
+            isa::Backend::Avx2 => unsafe { fill_avx2(&mut self.s, t, out, &mut slow) },
+            // SAFETY: `Avx512` is only active where the host has AVX-512F.
+            #[cfg(target_arch = "x86_64")]
+            isa::Backend::Avx512 => unsafe { fill_avx512(&mut self.s, t, out, &mut slow) },
+            #[cfg(not(target_arch = "x86_64"))]
+            isa::Backend::Avx2 | isa::Backend::Avx512 => {
+                unreachable!("x86 backends run on x86_64 only")
             }
         }
     }
 }
 
-/// Finishes each lane outside the mask `fast`, whose attempt on `bits[l]`
-/// missed in the AVX2 step, by [`ziggurat_resume`] on its own state, taken
-/// out of `s` as a [`SmallRng`] and put back.
-#[cfg(target_arch = "x86_64")]
-#[cold]
-#[inline(never)]
-fn resume_lanes(
-    s: &mut [[u64; LANES]; 4],
-    t: &ZigTables,
-    bits: &[u64; LANES],
-    fast: u32,
-    draw: &mut [f64; LANES],
-    slow: &mut impl FnMut(ZigSlow),
-) {
-    let mut missed = !fast & ((1 << LANES) - 1);
-    while missed != 0 {
-        let l = missed.trailing_zeros() as usize;
-        missed &= missed - 1;
-        let mut rng = take_lane(s, l);
-        draw[l] = ziggurat_resume(t, &mut rng, bits[l], &mut *slow);
-        put_lane(s, l, rng);
-    }
-}
-
 /// Lane `l` of the states `s`, as a [`SmallRng`].
-fn take_lane(s: &[[u64; LANES]; 4], l: usize) -> SmallRng {
+fn take_lane<const N: usize>(s: &[[u64; N]; 4], l: usize) -> SmallRng {
     SmallRng {
         s: std::array::from_fn(|w| s[w][l]),
     }
@@ -582,13 +580,42 @@ fn put_lane(s: &mut [[u64; LANES]; 4], l: usize, rng: SmallRng) {
     }
 }
 
-/// `v[w][h]`: word `w` of lanes `4h..4h + 4`, in registers.
+/// The lanes outside the mask `fast`, lowest first, each with
+/// [`ziggurat_resume`]'s value on its own stream and that stream's state
+/// after it. `spilled[w][l]` is word `w` of lane `l`'s state after the step
+/// whose attempt on `bits[l]` missed. The vector bodies put what this
+/// yields back into their registers lane by lane, so the state they hold
+/// is never reloaded whole from narrower stores.
 #[cfg(target_arch = "x86_64")]
-type LaneStateAvx2 = [[std::arch::x86_64::__m256i; 2]; 4];
+fn resumed_lanes<'a, const N: usize>(
+    spilled: &'a [[u64; N]; 4],
+    t: &'a ZigTables,
+    bits: &'a [u64; N],
+    fast: u32,
+    slow: &'a mut impl FnMut(ZigSlow),
+) -> impl Iterator<Item = (usize, f64, [u64; 4])> + 'a {
+    let mut missed = !fast & ((1 << N) - 1);
+    std::iter::from_fn(move || {
+        if missed == 0 {
+            return None;
+        }
+        let l = missed.trailing_zeros() as usize;
+        missed &= missed - 1;
+        let mut rng = take_lane(spilled, l);
+        let x = ziggurat_resume(t, &mut rng, bits[l], &mut *slow);
+        Some((l, x, rng.s))
+    })
+}
 
-/// The lane step for AVX2, drawing `out.len()` times. The eight states live
-/// in eight registers for the whole loop and go to memory only when a lane
-/// needs the resume.
+/// `v[w]`: word `w` of four lanes, in registers.
+#[cfg(target_arch = "x86_64")]
+type QuadStateAvx2 = [std::arch::x86_64::__m256i; 4];
+
+/// The lane step for AVX2, drawing `out[l].len()` times on every lane: the
+/// eight lanes as two quads of four, one after the other. A quad's four
+/// states live in four registers for its whole run, beside four steps'
+/// values, which are transposed into four values of each lane before they
+/// are stored; eight lanes at once would not fit AVX2's sixteen registers.
 ///
 /// The xoshiro256\*\* step is written with `std::arch` too, because the
 /// compiler does not vectorise a plain eight-lane loop over it: left to
@@ -598,93 +625,148 @@ type LaneStateAvx2 = [[std::arch::x86_64::__m256i; 2]; 4];
 ///
 /// # Safety
 ///
-/// The host must support AVX2.
+/// The host must support AVX2, and the eight slices must be of one length.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn fill_avx2(
     s: &mut [[u64; LANES]; 4],
     t: &ZigTables,
-    out: &mut [[f64; LANES]],
+    out: [&mut [f64]; LANES],
     slow: &mut impl FnMut(ZigSlow),
 ) {
     use std::arch::x86_64::*;
-    let mut v = load_state(s);
-    for draw in out {
-        let mut bits = [_mm256_setzero_si256(); 2];
-        let mut fast = 0;
-        for (h, half) in draw.as_chunks_mut::<4>().0.iter_mut().enumerate() {
-            let [s0, s1, s2, s3] = [v[0][h], v[1][h], v[2][h], v[3][h]];
-            // `rotl(s1 · 5, 7) · 9`, each multiply a shift and an add.
-            let five = _mm256_add_epi64(_mm256_slli_epi64::<2>(s1), s1);
-            let rot = _mm256_or_si256(_mm256_slli_epi64::<7>(five), _mm256_srli_epi64::<57>(five));
-            bits[h] = _mm256_add_epi64(_mm256_slli_epi64::<3>(rot), rot);
-            let s2 = _mm256_xor_si256(s2, s0);
-            let s3 = _mm256_xor_si256(s3, s1);
-            v[0][h] = _mm256_xor_si256(s0, s3);
-            v[1][h] = _mm256_xor_si256(s1, s2);
-            v[2][h] = _mm256_xor_si256(s2, _mm256_slli_epi64::<17>(s1));
-            v[3][h] = _mm256_or_si256(_mm256_slli_epi64::<45>(s3), _mm256_srli_epi64::<19>(s3));
-            fast |= attempt_avx2(t, bits[h], half) << (4 * h);
+    let [a, b, c, d, e, f, g, h] = out;
+    for (q, mut quad) in [[a, b, c, d], [e, f, g, h]].into_iter().enumerate() {
+        let n = quad[0].len();
+        let mut v = [_mm256_setzero_si256(); 4];
+        for (vw, sw) in v.iter_mut().zip(s.iter()) {
+            // SAFETY: the quad's four `u64`s; `loadu` takes any alignment.
+            *vw = unsafe { _mm256_loadu_si256(sw[4 * q..4 * q + 4].as_ptr().cast()) };
         }
-        if fast != (1 << LANES) - 1 {
-            let mut words = [0u64; LANES];
-            for (half, bits) in words.as_chunks_mut::<4>().0.iter_mut().zip(&bits) {
-                // SAFETY: `half` holds four `u64`s; `storeu` takes any
+        let whole = n - n % 4;
+        for j in (0..whole).step_by(4) {
+            let rows = [
+                step_avx2(&mut v, t, slow),
+                step_avx2(&mut v, t, slow),
+                step_avx2(&mut v, t, slow),
+                step_avx2(&mut v, t, slow),
+            ];
+            for (lane, col) in quad.iter_mut().zip(transpose4_avx2(rows)) {
+                // SAFETY: the slice holds four `f64`s; `storeu` takes any
                 // alignment.
-                unsafe { _mm256_storeu_si256(half.as_mut_ptr().cast(), *bits) };
+                unsafe { _mm256_storeu_pd(lane[j..j + 4].as_mut_ptr(), col) };
             }
-            store_state(s, &v);
-            resume_lanes(s, t, &words, fast, draw, slow);
-            v = load_state(s);
         }
-    }
-    store_state(s, &v);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-fn load_state(s: &[[u64; LANES]; 4]) -> LaneStateAvx2 {
-    use std::arch::x86_64::*;
-    std::array::from_fn(|w| {
-        let halves = s[w].as_chunks::<4>().0;
-        // SAFETY: each half holds four `u64`s; `loadu` takes any alignment.
-        std::array::from_fn(|h| unsafe { _mm256_loadu_si256(halves[h].as_ptr().cast()) })
-    })
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-fn store_state(s: &mut [[u64; LANES]; 4], v: &LaneStateAvx2) {
-    use std::arch::x86_64::*;
-    for (sw, vw) in s.iter_mut().zip(v) {
-        for (half, vh) in sw.as_chunks_mut::<4>().0.iter_mut().zip(vw) {
-            // SAFETY: `half` holds four `u64`s; `storeu` takes any alignment.
-            unsafe { _mm256_storeu_si256(half.as_mut_ptr().cast(), *vh) };
+        if whole < n {
+            let m = n - whole;
+            let mut rows = [_mm256_setzero_pd(); 4];
+            for row in &mut rows[..m] {
+                *row = step_avx2(&mut v, t, slow);
+            }
+            // All-ones in the first `m` of four 64-bit lanes.
+            let keep =
+                _mm256_cmpgt_epi64(_mm256_set1_epi64x(m as i64), _mm256_setr_epi64x(0, 1, 2, 3));
+            for (lane, col) in quad.iter_mut().zip(transpose4_avx2(rows)) {
+                // SAFETY: `keep` selects the first `m` values, which the
+                // slice holds; the others are not touched.
+                unsafe { _mm256_maskstore_pd(lane[whole..].as_mut_ptr(), keep, col) };
+            }
+        }
+        for (sw, vw) in s.iter_mut().zip(&v) {
+            // SAFETY: the quad's four `u64`s; `storeu` takes any alignment.
+            unsafe { _mm256_storeu_si256(sw[4 * q..4 * q + 4].as_mut_ptr().cast(), *vw) };
         }
     }
 }
 
-/// Four fast attempts on `bits` into `draw`, returning the mask of lanes
-/// that took the fast path: [`zig_attempt`]'s arithmetic, operation for
-/// operation (a multiply and a subtract, no fused multiply-add, so each
-/// lane rounds as the scalar draw does), with the layer edges `x[i]` and
+/// One AVX2 step of a quad: xoshiro256\*\* on the four states `v` and one
+/// attempt per lane on its word, a lane that missed finished by the resume.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn step_avx2(
+    v: &mut QuadStateAvx2,
+    t: &ZigTables,
+    slow: &mut impl FnMut(ZigSlow),
+) -> std::arch::x86_64::__m256d {
+    use std::arch::x86_64::*;
+    let [s0, s1, s2, s3] = *v;
+    // `rotl(s1 · 5, 7) · 9`, each multiply a shift and an add.
+    let five = _mm256_add_epi64(_mm256_slli_epi64::<2>(s1), s1);
+    let rot = _mm256_or_si256(_mm256_slli_epi64::<7>(five), _mm256_srli_epi64::<57>(five));
+    let bits = _mm256_add_epi64(_mm256_slli_epi64::<3>(rot), rot);
+    let s2 = _mm256_xor_si256(s2, s0);
+    let s3 = _mm256_xor_si256(s3, s1);
+    *v = [
+        _mm256_xor_si256(s0, s3),
+        _mm256_xor_si256(s1, s2),
+        _mm256_xor_si256(s2, _mm256_slli_epi64::<17>(s1)),
+        _mm256_or_si256(_mm256_slli_epi64::<45>(s3), _mm256_srli_epi64::<19>(s3)),
+    ];
+    let (x, fast) = attempt_avx2(t, bits);
+    if fast == 0b1111 {
+        return x;
+    }
+    let (state, x) = resume_avx2(*v, t, bits, fast, x, slow);
+    *v = state;
+    x
+}
+
+/// The AVX2 step's cold half: spills the quad's states and words, finishes
+/// each missed lane by [`resumed_lanes`], and blends that lane's value and
+/// state back into the registers, leaving the other lanes as they were.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[cold]
+#[inline(never)]
+fn resume_avx2(
+    mut v: QuadStateAvx2,
+    t: &ZigTables,
+    bits: std::arch::x86_64::__m256i,
+    fast: u32,
+    mut x: std::arch::x86_64::__m256d,
+    slow: &mut impl FnMut(ZigSlow),
+) -> (QuadStateAvx2, std::arch::x86_64::__m256d) {
+    use std::arch::x86_64::*;
+    let mut spilled = [[0u64; 4]; 4];
+    let mut words = [0u64; 4];
+    for (sw, vw) in spilled.iter_mut().zip(&v) {
+        // SAFETY: `sw` holds four `u64`s; `storeu` takes any alignment.
+        unsafe { _mm256_storeu_si256(sw.as_mut_ptr().cast(), *vw) };
+    }
+    // SAFETY: `words` holds four `u64`s; `storeu` takes any alignment.
+    unsafe { _mm256_storeu_si256(words.as_mut_ptr().cast(), bits) };
+    for (l, xl, state) in resumed_lanes(&spilled, t, &words, fast, slow) {
+        let lane = _mm256_cmpeq_epi64(_mm256_setr_epi64x(0, 1, 2, 3), _mm256_set1_epi64x(l as i64));
+        for (vw, word) in v.iter_mut().zip(state) {
+            *vw = _mm256_blendv_epi8(*vw, _mm256_set1_epi64x(word as i64), lane);
+        }
+        x = _mm256_blendv_pd(x, _mm256_set1_pd(xl), _mm256_castsi256_pd(lane));
+    }
+    (v, x)
+}
+
+/// Four fast attempts on `bits`, returning the four values `u · x[i]` and
+/// the mask of lanes that took the fast path: [`zig_attempt`]'s values
+/// (`u` exact, then one multiply, no fused multiply-add, so each lane
+/// rounds as the scalar draw does), with the layer edges `x[i]` and
 /// `x[i + 1]` gathered and the compare one mask.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-fn attempt_avx2(t: &ZigTables, bits: std::arch::x86_64::__m256i, draw: &mut [f64; 4]) -> u32 {
+fn attempt_avx2(
+    t: &ZigTables,
+    bits: std::arch::x86_64::__m256i,
+) -> (std::arch::x86_64::__m256d, u32) {
     use std::arch::x86_64::*;
     let i = _mm256_and_si256(bits, _mm256_set1_epi64x(0xff));
-    let one_two = _mm256_or_si256(
+    // `2·[1, 2)` built as `[2, 4)` directly (the same mantissa, one binade
+    // up, so the doubling is exact either way), then `− 3`.
+    let two_four = _mm256_or_si256(
         _mm256_srli_epi64::<12>(bits),
-        _mm256_set1_epi64x(0x3FF0_0000_0000_0000),
+        _mm256_set1_epi64x(0x4000_0000_0000_0000),
     );
-    let u = _mm256_sub_pd(
-        _mm256_mul_pd(_mm256_set1_pd(2.0), _mm256_castsi256_pd(one_two)),
-        _mm256_set1_pd(3.0),
-    );
+    let u = _mm256_sub_pd(_mm256_castsi256_pd(two_four), _mm256_set1_pd(3.0));
     // SAFETY: every index is at most 255 and the table holds 257 edges, so
     // `x[i]` and `x[i + 1]` are in bounds.
     let (edge, inner) = unsafe {
@@ -695,9 +777,230 @@ fn attempt_avx2(t: &ZigTables, bits: std::arch::x86_64::__m256i, draw: &mut [f64
     };
     let x = _mm256_mul_pd(u, edge);
     let abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
-    // SAFETY: `draw` holds four `f64`s; `storeu` takes any alignment.
-    unsafe { _mm256_storeu_pd(draw.as_mut_ptr(), x) };
-    _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(abs, inner)) as u32
+    let fast = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(abs, inner)) as u32;
+    (x, fast)
+}
+
+/// `rows[k][r]` → `cols[r][k]` for a 4 × 4 block of `f64`s.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn transpose4_avx2(rows: [std::arch::x86_64::__m256d; 4]) -> [std::arch::x86_64::__m256d; 4] {
+    use std::arch::x86_64::*;
+    let [r0, r1, r2, r3] = rows;
+    // Pairs within each 128-bit half: `[r0[0] r1[0] | r0[2] r1[2]]`, ….
+    let (t0, t1) = (_mm256_unpacklo_pd(r0, r1), _mm256_unpackhi_pd(r0, r1));
+    let (t2, t3) = (_mm256_unpacklo_pd(r2, r3), _mm256_unpackhi_pd(r2, r3));
+    [
+        _mm256_permute2f128_pd::<0x20>(t0, t2),
+        _mm256_permute2f128_pd::<0x20>(t1, t3),
+        _mm256_permute2f128_pd::<0x31>(t0, t2),
+        _mm256_permute2f128_pd::<0x31>(t1, t3),
+    ]
+}
+
+/// `v[w]`: word `w` of all eight lanes, in one register.
+#[cfg(target_arch = "x86_64")]
+type LaneStateAvx512 = [std::arch::x86_64::__m512i; 4];
+
+/// The lane step for AVX-512F, drawing `out[l].len()` times on every lane.
+/// The eight states live in four registers for the whole loop, the 64-bit
+/// rotates are native, and eight steps' values are transposed in registers
+/// into eight values of each lane before they are stored.
+///
+/// # Safety
+///
+/// The host must support AVX-512F, and the eight slices must be of one
+/// length.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn fill_avx512(
+    s: &mut [[u64; LANES]; 4],
+    t: &ZigTables,
+    mut out: [&mut [f64]; LANES],
+    slow: &mut impl FnMut(ZigSlow),
+) {
+    use std::arch::x86_64::*;
+    let n = out[0].len();
+    let mut v: LaneStateAvx512 = [_mm512_setzero_si512(); 4];
+    for (vw, sw) in v.iter_mut().zip(s.iter()) {
+        // SAFETY: `sw` holds eight `u64`s; `loadu` takes any alignment.
+        *vw = unsafe { _mm512_loadu_si512(sw.as_ptr().cast()) };
+    }
+    for j in (0..n).step_by(LANES) {
+        let m = (n - j).min(LANES);
+        let mut rows = [_mm512_setzero_pd(); LANES];
+        for row in &mut rows[..m] {
+            *row = step_avx512(&mut v, t, slow);
+        }
+        let keep: __mmask8 = (0xff_u16 >> (LANES - m)) as u8;
+        for (lane, col) in out.iter_mut().zip(transpose8_avx512(rows)) {
+            // SAFETY: `keep` selects the first `m` values, which the slice
+            // holds; the others are not touched.
+            unsafe { _mm512_mask_storeu_pd(lane[j..j + m].as_mut_ptr(), keep, col) };
+        }
+    }
+    for (sw, vw) in s.iter_mut().zip(&v) {
+        // SAFETY: `sw` holds eight `u64`s; `storeu` takes any alignment.
+        unsafe { _mm512_storeu_si512(sw.as_mut_ptr().cast(), *vw) };
+    }
+}
+
+/// One AVX-512 step: xoshiro256\*\* on the eight states `v` and one attempt
+/// per lane on its word, a lane that missed finished by the resume.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn step_avx512(
+    v: &mut LaneStateAvx512,
+    t: &ZigTables,
+    slow: &mut impl FnMut(ZigSlow),
+) -> std::arch::x86_64::__m512d {
+    use std::arch::x86_64::*;
+    let [s0, s1, s2, s3] = *v;
+    // `rotl(s1 · 5, 7) · 9`, each multiply a shift and an add.
+    let five = _mm512_add_epi64(_mm512_slli_epi64::<2>(s1), s1);
+    let rot = _mm512_rol_epi64::<7>(five);
+    let bits = _mm512_add_epi64(_mm512_slli_epi64::<3>(rot), rot);
+    // The four xor chains of the state update as three-input xors
+    // (`vpternlogq` 0x96).
+    const XOR3: i32 = 0x96;
+    *v = [
+        _mm512_ternarylogic_epi64::<XOR3>(s0, s3, s1),
+        _mm512_ternarylogic_epi64::<XOR3>(s1, s2, s0),
+        _mm512_ternarylogic_epi64::<XOR3>(s2, s0, _mm512_slli_epi64::<17>(s1)),
+        _mm512_rol_epi64::<45>(_mm512_xor_si512(s3, s1)),
+    ];
+    let (x, fast) = attempt_avx512(t, bits);
+    if fast == u8::MAX {
+        return x;
+    }
+    let (state, x) = resume_avx512(*v, t, bits, fast, x, slow);
+    *v = state;
+    x
+}
+
+/// The AVX-512 step's cold half: spills the states and words, finishes each
+/// missed lane by [`resumed_lanes`], and puts that lane's value and state
+/// back into the registers by masked broadcasts, leaving the other lanes
+/// as they were.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[cold]
+#[inline(never)]
+fn resume_avx512(
+    mut v: LaneStateAvx512,
+    t: &ZigTables,
+    bits: std::arch::x86_64::__m512i,
+    fast: u8,
+    mut x: std::arch::x86_64::__m512d,
+    slow: &mut impl FnMut(ZigSlow),
+) -> (LaneStateAvx512, std::arch::x86_64::__m512d) {
+    use std::arch::x86_64::*;
+    let mut spilled = [[0u64; LANES]; 4];
+    let mut words = [0u64; LANES];
+    for (sw, vw) in spilled.iter_mut().zip(&v) {
+        // SAFETY: `sw` holds eight `u64`s; `storeu` takes any alignment.
+        unsafe { _mm512_storeu_si512(sw.as_mut_ptr().cast(), *vw) };
+    }
+    // SAFETY: `words` holds eight `u64`s; `storeu` takes any alignment.
+    unsafe { _mm512_storeu_si512(words.as_mut_ptr().cast(), bits) };
+    for (l, xl, state) in resumed_lanes(&spilled, t, &words, u32::from(fast), slow) {
+        let lane: __mmask8 = 1 << l;
+        for (vw, word) in v.iter_mut().zip(state) {
+            *vw = _mm512_mask_set1_epi64(*vw, lane, word as i64);
+        }
+        x = _mm512_mask_mov_pd(x, lane, _mm512_set1_pd(xl));
+    }
+    (v, x)
+}
+
+/// Eight fast attempts on `bits`, returning the eight values `u · x[i]` and
+/// the mask of lanes that took the fast path: [`attempt_avx2`] at twice the
+/// width, with one eight-wide gather per edge table and the compare into a
+/// mask register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn attempt_avx512(
+    t: &ZigTables,
+    bits: std::arch::x86_64::__m512i,
+) -> (std::arch::x86_64::__m512d, u8) {
+    use std::arch::x86_64::*;
+    let i = _mm512_and_si512(bits, _mm512_set1_epi64(0xff));
+    let two_four = _mm512_or_si512(
+        _mm512_srli_epi64::<12>(bits),
+        _mm512_set1_epi64(0x4000_0000_0000_0000),
+    );
+    let u = _mm512_sub_pd(_mm512_castsi512_pd(two_four), _mm512_set1_pd(3.0));
+    // SAFETY: every index is at most 255 and the table holds 257 edges, so
+    // `x[i]` and `x[i + 1]` are in bounds.
+    let (edge, inner) = unsafe {
+        (
+            _mm512_i64gather_pd::<8>(i, t.x.as_ptr()),
+            _mm512_i64gather_pd::<8>(i, t.x.as_ptr().add(1)),
+        )
+    };
+    let x = _mm512_mul_pd(u, edge);
+    (x, _mm512_cmp_pd_mask::<_CMP_LT_OQ>(_mm512_abs_pd(x), inner))
+}
+
+/// `rows[k][r]` → `cols[r][k]` for an 8 × 8 block of `f64`s: pairs within
+/// each 128-bit block, then two rounds of 128-bit block shuffles.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn transpose8_avx512(
+    rows: [std::arch::x86_64::__m512d; LANES],
+) -> [std::arch::x86_64::__m512d; LANES] {
+    use std::arch::x86_64::*;
+    let [r0, r1, r2, r3, r4, r5, r6, r7] = rows;
+    // `lo[p]` pairs rows `2p` and `2p + 1` at the even columns, `hi[p]` at
+    // the odd ones: `[r0[0] r1[0] | r0[2] r1[2] | …]`.
+    let lo = [
+        _mm512_unpacklo_pd(r0, r1),
+        _mm512_unpacklo_pd(r2, r3),
+        _mm512_unpacklo_pd(r4, r5),
+        _mm512_unpacklo_pd(r6, r7),
+    ];
+    let hi = [
+        _mm512_unpackhi_pd(r0, r1),
+        _mm512_unpackhi_pd(r2, r3),
+        _mm512_unpackhi_pd(r4, r5),
+        _mm512_unpackhi_pd(r6, r7),
+    ];
+    let [c0, c2, c4, c6] = columns_avx512(lo);
+    let [c1, c3, c5, c7] = columns_avx512(hi);
+    [c0, c1, c2, c3, c4, c5, c6, c7]
+}
+
+/// Columns `c`, `c + 2`, `c + 4` and `c + 6` of [`transpose8_avx512`]'s
+/// block from its four row pairs at `c`'s parity: each column takes one
+/// 128-bit block of every pair.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn columns_avx512(pairs: [std::arch::x86_64::__m512d; 4]) -> [std::arch::x86_64::__m512d; 4] {
+    use std::arch::x86_64::*;
+    // Blocks 0 and 2 of the first operand, then of the second; blocks 1 and
+    // 3 likewise.
+    const EVEN: i32 = 0b10_00_10_00;
+    const ODD: i32 = 0b11_01_11_01;
+    let [p0, p1, p2, p3] = pairs;
+    let (a, b) = (
+        _mm512_shuffle_f64x2::<EVEN>(p0, p1),
+        _mm512_shuffle_f64x2::<ODD>(p0, p1),
+    );
+    let (c, d) = (
+        _mm512_shuffle_f64x2::<EVEN>(p2, p3),
+        _mm512_shuffle_f64x2::<ODD>(p2, p3),
+    );
+    [
+        _mm512_shuffle_f64x2::<EVEN>(a, c),
+        _mm512_shuffle_f64x2::<EVEN>(b, d),
+        _mm512_shuffle_f64x2::<ODD>(a, c),
+        _mm512_shuffle_f64x2::<ODD>(b, d),
+    ]
 }
 
 /// `shuffle`/`choose` on slices (mirror of `rand::seq::SliceRandom`).
@@ -1057,17 +1360,18 @@ mod tests {
     /// Every lane of [`GaussianLanes`] against the scalar draw on its own
     /// stream: 64 seeds × 8 lanes × 2¹⁷ Gaussians, each value's bits and
     /// each lane's final state, on every backend the host supports, forced
-    /// through the one ISA switch. Draws go in blocks of uneven lengths, so
-    /// a block boundary falls everywhere in the step. The run must cross
-    /// the resume often enough to test it: at least 100 tail and 10 000
-    /// wedge entries (≈ 16 000 and ≈ 10⁶ are expected).
+    /// through the one ISA switch. Draws go in blocks of uneven lengths, each
+    /// lane into its own slice, so a block boundary falls everywhere in the
+    /// step and in the vector bodies' transposed runs of four and eight. The
+    /// run must cross the resume often enough to test it: at least 100 tail
+    /// and 10 000 wedge entries (≈ 16 000 and ≈ 10⁶ are expected).
     #[test]
     fn gaussian_lanes_match_scalar_streams() {
         const SEEDS: u64 = 64;
         const DRAWS: usize = 1 << 17;
-        let mut block = vec![[0.0; LANES]; 4_099];
+        let mut block: [Vec<f64>; LANES] = std::array::from_fn(|_| vec![0.0; 4_099]);
         for body in isa::supported_backends() {
-            isa::force_backend(Some(body));
+            assert_eq!(isa::force_backend(Some(body)), body);
             let (mut wedges, mut tails) = (0u64, 0u64);
             for seed in 0..SEEDS {
                 let streams =
@@ -1080,12 +1384,13 @@ mod tests {
                     if len == 0 {
                         break;
                     }
-                    lanes.fill_reporting(&mut block[..len], |slow| match slow {
+                    let out = block.each_mut().map(|lane| &mut lane[..len]);
+                    lanes.fill_reporting(out, |slow| match slow {
                         ZigSlow::Wedge => wedges += 1,
                         ZigSlow::Tail => tails += 1,
                     });
-                    for (j, draw) in block[..len].iter().enumerate() {
-                        for (l, (x, rng)) in draw.iter().zip(&mut scalar).enumerate() {
+                    for (l, (lane, rng)) in block.iter().zip(&mut scalar).enumerate() {
+                        for (j, x) in lane[..len].iter().enumerate() {
                             let want = rng.gen_gaussian();
                             assert_eq!(
                                 x.to_bits(),

@@ -37,8 +37,12 @@
 //! stream. The generator takes eight entities per step: it seeds their 24
 //! streams, writes their labels, draws the latent streams and each side's
 //! noise streams through three [`GaussianLanes`] (eight streams in lockstep,
-//! each lane bit-identical to `gen_gaussian` on its own stream), and writes
-//! each row once into outputs that were reserved, not filled.
+//! each lane bit-identical to `gen_gaussian` on its own stream, each lane's
+//! draws in a run of its own), and writes each row once into outputs that
+//! were reserved, not filled. The row writer is one plain loop over those
+//! runs, compiled for each rung of the one ISA switch
+//! ([`openea_runtime::isa`]) and picked there, so it runs at the host's
+//! vector width.
 //! The draw order *within* a stream is the whole contract — how the streams
 //! interleave is not observable — so the output is a pure function of
 //! [`ScaleConfig`], independent of thread count and chunk schedule, and any
@@ -47,6 +51,9 @@
 //! per output, and pins its digests; `tests/scale_memory.rs` counts its
 //! allocations.
 
+use std::mem::MaybeUninit;
+
+use openea_runtime::isa::{self, Backend};
 use openea_runtime::pool::{balanced_chunk_len, parallel_chunks};
 use openea_runtime::rng::{GaussianLanes, Rng, SmallRng, LANES};
 
@@ -118,9 +125,112 @@ const STREAM_SIDE1: u64 = 1;
 const STREAM_SIDE2: u64 = 2;
 
 /// Coordinates drawn per stream between two writes of the output rows:
-/// three blocks of `[f64; LANES]` rows, 6 KiB, stay on the stack for any
-/// `dim`.
+/// three blocks of eight lanes' `[f64; BLOCK]` runs, 6 KiB, stay on the
+/// stack for any `dim`.
 const BLOCK: usize = 32;
+
+/// A step's draws, one block per stream, 64-byte aligned: every lane's run
+/// is [`BLOCK`] `f64`s, whole cache lines, so the lanes' stores and the row
+/// writer's loads never split a line, wherever the stack puts the block.
+#[repr(align(64))]
+struct Draws([[[f64; BLOCK]; LANES]; 3]);
+
+/// What every row of the sweep shares: the cluster centres, the row
+/// length, and the scales of the row's Gaussians (`spread` for the latent
+/// offsets, `noise` for each side's perturbations, `1/√dim` for both).
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    centers: &'a [f32],
+    dim: usize,
+    spread: f64,
+    noise: f64,
+    inv_sqrt_dim: f64,
+}
+
+/// Writes coordinates `d0..d0 + width` of a group's rows on both sides
+/// (`group1` and `group2`, whole rows of up to [`LANES`] entities; `picks`
+/// their communities) from the block's lane-major draws: row `l`'s
+/// coordinate `d` is `centre + spread·lat/√dim + noise·noi/√dim`, rounded
+/// once to `f32`, from lane `l`'s run of each stream. One plain loop over
+/// contiguous slices per row; [`write_rows`] runs the copy compiled for
+/// the active backend.
+#[inline(always)]
+fn write_rows_body(
+    rows: Rows<'_>,
+    picks: &[usize; LANES],
+    (d0, width): (usize, usize),
+    [lat, noi1, noi2]: &[[[f64; BLOCK]; LANES]; 3],
+    group1: &mut [MaybeUninit<f32>],
+    group2: &mut [MaybeUninit<f32>],
+) {
+    let Rows {
+        centers,
+        dim,
+        spread,
+        noise,
+        inv_sqrt_dim,
+    } = rows;
+    let pairs = group1.chunks_mut(dim).zip(group2.chunks_mut(dim));
+    for (l, (row1, row2)) in pairs.enumerate() {
+        let center = &centers[picks[l] * dim + d0..][..width];
+        let (lat, noi1, noi2) = (&lat[l][..width], &noi1[l][..width], &noi2[l][..width]);
+        let (row1, row2) = (&mut row1[d0..d0 + width], &mut row2[d0..d0 + width]);
+        for d in 0..width {
+            let latent = center[d] as f64 + spread * lat[d] * inv_sqrt_dim;
+            row1[d].write((latent + noise * noi1[d] * inv_sqrt_dim) as f32);
+            row2[d].write((latent + noise * noi2[d] * inv_sqrt_dim) as f32);
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn write_rows_avx2(
+    rows: Rows<'_>,
+    picks: &[usize; LANES],
+    span: (usize, usize),
+    draws: &[[[f64; BLOCK]; LANES]; 3],
+    group1: &mut [MaybeUninit<f32>],
+    group2: &mut [MaybeUninit<f32>],
+) {
+    write_rows_body(rows, picks, span, draws, group1, group2);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn write_rows_avx512(
+    rows: Rows<'_>,
+    picks: &[usize; LANES],
+    span: (usize, usize),
+    draws: &[[[f64; BLOCK]; LANES]; 3],
+    group1: &mut [MaybeUninit<f32>],
+    group2: &mut [MaybeUninit<f32>],
+) {
+    write_rows_body(rows, picks, span, draws, group1, group2);
+}
+
+/// [`write_rows_body`], compiled for the backend the one ISA switch has
+/// active, so the compiler vectorises it at the host's width.
+fn write_rows(
+    rows: Rows<'_>,
+    picks: &[usize; LANES],
+    span: (usize, usize),
+    draws: &[[[f64; BLOCK]; LANES]; 3],
+    group1: &mut [MaybeUninit<f32>],
+    group2: &mut [MaybeUninit<f32>],
+) {
+    match isa::active_backend() {
+        Backend::Scalar => write_rows_body(rows, picks, span, draws, group1, group2),
+        // SAFETY: `Avx2` is only active where the host has it.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe { write_rows_avx2(rows, picks, span, draws, group1, group2) },
+        // SAFETY: `Avx512` is only active where the host has AVX-512F.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => unsafe { write_rows_avx512(rows, picks, span, draws, group1, group2) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 | Backend::Avx512 => unreachable!("x86 backends run on x86_64 only"),
+    }
+}
 
 /// Generates an aligned embedded pair from `cfg`, using up to `threads`
 /// workers. The result is bit-identical for every `threads` value.
@@ -138,9 +248,6 @@ pub fn generate_embedded_pair(cfg: &ScaleConfig, threads: usize) -> EmbeddedPair
         .map(|_| (crng.gen_gaussian() * inv_sqrt_dim) as f32)
         .collect();
 
-    let spread = cfg.spread as f64;
-    let noise = cfg.noise as f64;
-
     // Reserved, not filled: the sweep writes every element exactly once.
     let mut community: Vec<u32> = Vec::with_capacity(n);
     let mut emb1: Vec<f32> = Vec::with_capacity(n * dim);
@@ -154,9 +261,16 @@ pub fn generate_embedded_pair(cfg: &ScaleConfig, threads: usize) -> EmbeddedPair
         .zip(emb1.spare_capacity_mut()[..n * dim].chunks_mut(chunk * dim))
         .zip(emb2.spare_capacity_mut()[..n * dim].chunks_mut(chunk * dim))
         .collect();
+    let rows = Rows {
+        centers: &centers,
+        dim,
+        spread: cfg.spread as f64,
+        noise: cfg.noise as f64,
+        inv_sqrt_dim,
+    };
     parallel_chunks(&mut tasks, 1, threads, |ci, task| {
         let ((labels, rows1), rows2) = &mut task[0];
-        let mut draws = [[[0.0; LANES]; BLOCK]; 3];
+        let mut draws = Draws([[[0.0; BLOCK]; LANES]; 3]);
         for (g, labels) in labels.chunks_mut(LANES).enumerate() {
             // Eight entities per step; a short last group draws its unused
             // lanes (streams of entities past `n`) and stores nothing.
@@ -178,24 +292,14 @@ pub fn generate_embedded_pair(cfg: &ScaleConfig, threads: usize) -> EmbeddedPair
                 GaussianLanes::new(streams(STREAM_SIDE1)),
                 GaussianLanes::new(streams(STREAM_SIDE2)),
             ];
-            let rows = g * LANES * dim..(g * LANES + labels.len()) * dim;
-            let (group1, group2) = (&mut rows1[rows.clone()], &mut rows2[rows]);
+            let span = g * LANES * dim..(g * LANES + labels.len()) * dim;
+            let (group1, group2) = (&mut rows1[span.clone()], &mut rows2[span]);
             for d0 in (0..dim).step_by(BLOCK) {
                 let width = BLOCK.min(dim - d0);
-                for (stream, block) in lanes.iter_mut().zip(&mut draws) {
-                    stream.fill(&mut block[..width]);
+                for (stream, block) in lanes.iter_mut().zip(&mut draws.0) {
+                    stream.fill(block.each_mut().map(|lane| &mut lane[..width]));
                 }
-                let [lat, noi1, noi2] = &draws;
-                let rows = group1.chunks_mut(dim).zip(group2.chunks_mut(dim));
-                for (l, (row1, row2)) in rows.enumerate() {
-                    let center = &centers[picks[l] * dim + d0..][..width];
-                    let (row1, row2) = (&mut row1[d0..d0 + width], &mut row2[d0..d0 + width]);
-                    for (d, &mid) in center.iter().enumerate() {
-                        let latent = mid as f64 + spread * lat[d][l] * inv_sqrt_dim;
-                        row1[d].write((latent + noise * noi1[d][l] * inv_sqrt_dim) as f32);
-                        row2[d].write((latent + noise * noi2[d][l] * inv_sqrt_dim) as f32);
-                    }
-                }
+                write_rows(rows, &picks, (d0, width), &draws.0, group1, group2);
             }
         }
     });

@@ -196,6 +196,15 @@ if [ "$(grep -rl 'is_x86_feature_detected[!]' crates/ | wc -l)" -gt 1 ]; then
     exit 1
 fi
 if grep -rn 'std::env::var' crates/*/src | grep -v '^crates/runtime/src/testkit'; then exit 1; fi
+# And the hand-vectorised bodies live in three files: the switch, the
+# Gaussian lanes and the similarity kernel. Any other loop that wants the
+# host's width is plain Rust compiled under `#[target_feature]` for the
+# backend the switch picks (the index-scale generator's row writer), so no
+# `std::arch` or `core::arch` path appears anywhere else under `crates/`.
+if grep -rnE '\b(std|core)::arch\b' crates/ |
+    grep -vE '^crates/(runtime/src/(isa|rng)|mathkit/src/kernel)\.rs:'; then
+    exit 1
+fi
 
 # One training core: every relation model under `crates/approaches` trains
 # through `common::TrainUnit`, whose epoch is the only call of the batched

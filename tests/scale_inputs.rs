@@ -11,9 +11,43 @@
 //! count. The digests pin what the index-scale experiments
 //! and the benchmark's `scale_200k_ivf_uniform` workload are fed, the way
 //! `tests/kg_model.rs` pins the two trained workloads' input.
+//!
+//! The reference and the 1 000-row pin run under every body the one ISA
+//! switch (`openea_runtime::isa`) has on this host, forced in turn: the
+//! Gaussian lanes and the row writer pick theirs there, so each body meets
+//! a pin. The switch is process-wide, so those tests and the 200 000-row
+//! pin, which runs on the host's best body, take turns on [`lock`].
+
+use std::sync::{Mutex, MutexGuard};
 
 use openea::synth::{generate_embedded_pair, EmbeddedPair, ScaleConfig};
+use openea_runtime::isa::{self, Backend};
 use openea_runtime::rng::{split_seed, Rng, SeedableRng, SmallRng};
+
+/// Serialises the tests that force or rely on the process-wide switch.
+fn lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A failed assertion poisons the lock; its data is `()`, so going on is
+    // sound.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Runs `check` once under every backend the host supports, forced through
+/// the switch, and restores detection afterwards, also when `check` panics.
+fn on_every_backend(mut check: impl FnMut(Backend)) {
+    struct Detect;
+    impl Drop for Detect {
+        fn drop(&mut self) {
+            isa::force_backend(None);
+        }
+    }
+    let _turn = lock();
+    let _restore = Detect;
+    for body in isa::supported_backends() {
+        assert_eq!(isa::force_backend(Some(body)), body);
+        check(body);
+    }
+}
 
 const STREAM_LATENT: u64 = 0;
 const STREAM_SIDE1: u64 = 1;
@@ -83,11 +117,13 @@ fn bits(v: &[f32]) -> Vec<u32> {
 
 /// Shapes chosen for the chunking: no rows, fewer rows than chunks, a short
 /// last chunk (257 and 1 000 over 4·threads chunks), and one community; odd
-/// dims (1, 3) beside even ones.
+/// dims (1, 3) beside even ones, and dims past one block of draws (40, 67),
+/// so the lanes' runs end everywhere in their vector bodies' steps.
 #[test]
 fn one_pass_generator_matches_the_two_pass_reference_bitwise() {
+    let mut cases = Vec::new();
     for entities in [0, 1, 5, 257, 1_000] {
-        for dim in [1, 3, 16, 32] {
+        for dim in [1, 3, 16, 32, 40, 67] {
             for communities in [0, 1, 8] {
                 let cfg = ScaleConfig {
                     entities,
@@ -97,17 +133,25 @@ fn one_pass_generator_matches_the_two_pass_reference_bitwise() {
                     ..Default::default()
                 };
                 let want = reference_pair(&cfg);
-                for threads in [1, 2, 3, 8] {
-                    let got = generate_embedded_pair(&cfg, threads);
-                    let ctx = format!("n={entities} dim={dim} k={communities} threads={threads}");
-                    assert_eq!(got.dim, want.dim, "{ctx}");
-                    assert_eq!(got.community, want.community, "{ctx}");
-                    assert_eq!(bits(&got.emb1), bits(&want.emb1), "emb1 {ctx}");
-                    assert_eq!(bits(&got.emb2), bits(&want.emb2), "emb2 {ctx}");
-                }
+                cases.push((cfg, want));
             }
         }
     }
+    on_every_backend(|body| {
+        for (cfg, want) in &cases {
+            for threads in [1, 2, 3, 8] {
+                let got = generate_embedded_pair(cfg, threads);
+                let ctx = format!(
+                    "{body:?}: n={} dim={} k={} threads={threads}",
+                    cfg.entities, cfg.dim, cfg.communities
+                );
+                assert_eq!(got.dim, want.dim, "{ctx}");
+                assert_eq!(got.community, want.community, "{ctx}");
+                assert_eq!(bits(&got.emb1), bits(&want.emb1), "emb1 {ctx}");
+                assert_eq!(bits(&got.emb2), bits(&want.emb2), "emb2 {ctx}");
+            }
+        }
+    });
 }
 
 /// FNV-1a 64 over every `f32` of `emb1` then `emb2` (bit pattern, little
@@ -133,19 +177,25 @@ fn default_pair_digest(entities: usize, seed: u64) -> u64 {
 }
 
 /// A change of any generated bit fails here and not first as a different
-/// `recall_at_10` in the benchmark's `scale_200k_ivf_uniform`.
+/// `recall_at_10` in the benchmark's `scale_200k_ivf_uniform`, on every
+/// body.
 #[test]
 fn the_1k_pair_digest_is_pinned() {
-    assert_eq!(
-        default_pair_digest(1_000, 7),
-        0x1ff4_0a9c_a2b6_4ef9,
-        "the seed-7 1 000 × 32 pair changed"
-    );
+    on_every_backend(|body| {
+        assert_eq!(
+            default_pair_digest(1_000, 7),
+            0x1ff4_0a9c_a2b6_4ef9,
+            "{body:?}: the seed-7 1 000 × 32 pair changed"
+        );
+    });
 }
 
-/// What `scale_200k_ivf_uniform --seed 1` publishes and queries.
+/// What `scale_200k_ivf_uniform --seed 1` publishes and queries, on the
+/// body the benchmark runs: the host's best.
 #[test]
 fn the_200k_benchmark_pair_digest_is_pinned() {
+    let _turn = lock();
+    assert_eq!(isa::active_backend(), isa::best_supported());
     assert_eq!(
         default_pair_digest(200_000, 1),
         0x0c9f_4652_98ba_fb67,
