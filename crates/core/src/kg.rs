@@ -8,7 +8,7 @@
 //! [`KnowledgeGraph::induced_subgraph`].
 
 use crate::ids::{AttrTriple, AttributeId, EntityId, LiteralId, RelTriple, RelationId};
-use crate::interner::Interner;
+use crate::interner::{Interner, Symbols};
 use std::collections::HashSet;
 
 /// One row of `T` per entity, every row in one array (compressed sparse
@@ -97,7 +97,8 @@ pub struct KnowledgeGraph {
     entities: Interner,
     relations: Interner,
     attributes: Interner,
-    literals: Interner,
+    /// Literal values are resolved and counted, never looked up by text.
+    literals: Symbols,
     rel_triples: Vec<RelTriple>,
     attr_triples: Vec<AttrTriple>,
     /// Per entity: outgoing `(relation, tail)` pairs.
@@ -312,25 +313,27 @@ impl KgBuilder {
         }
     }
 
-    /// A builder sized for `entities` entities, `rel_triples` relation
-    /// triples and `attr_triples` attribute triples (and as many literals):
-    /// up to those counts, the triple lists and the symbol tables' id
-    /// arrays are allocated once and never grow. Only the interned text
-    /// does, whose length no count gives.
-    pub fn with_capacity(
-        name: &str,
-        entities: usize,
-        rel_triples: usize,
-        attr_triples: usize,
-    ) -> Self {
+    /// A builder sized for `entities` entities: up to that count, the
+    /// entity table's id array and lookup table are allocated once and
+    /// never grow. Only the interned text does, whose length no count
+    /// gives.
+    pub fn with_capacity(name: &str, entities: usize) -> Self {
         Self {
             name: name.to_owned(),
             entities: Interner::with_capacity(entities),
-            literals: Interner::with_capacity(attr_triples),
-            rel_triples: Vec::with_capacity(rel_triples),
-            attr_triples: Vec::with_capacity(attr_triples),
             ..Self::default()
         }
+    }
+
+    /// Makes room for `rel_triples` more relation triples and
+    /// `attr_triples` more attribute triples (and as many literals): up to
+    /// those counts, the triple lists and the literal table's id array and
+    /// lookup table are allocated once and never grow. A builder may
+    /// register its entities before the triple counts are known.
+    pub fn reserve_triples(&mut self, rel_triples: usize, attr_triples: usize) {
+        self.rel_triples.reserve_exact(rel_triples);
+        self.attr_triples.reserve_exact(attr_triples);
+        self.literals.reserve(attr_triples);
     }
 
     /// Interns an entity by name, registering it even if it has no triples.
@@ -437,7 +440,7 @@ impl KgBuilder {
             entities: self.entities,
             relations: self.relations,
             attributes: self.attributes,
-            literals: self.literals,
+            literals: self.literals.into_symbols(),
             rel_triples: self.rel_triples,
             attr_triples: self.attr_triples,
             out_edges,

@@ -25,7 +25,7 @@ pub mod stats;
 
 pub use error::{Error, Result};
 pub use ids::{AttrTriple, AttributeId, EntityId, LiteralId, RelTriple, RelationId};
-pub use interner::Interner;
+pub use interner::{Interner, Symbols};
 pub use kg::{KgBuilder, KnowledgeGraph};
 pub use pair::{k_fold_splits, AlignedPair, FoldSplit, KgPair};
 pub use stats::{DegreeDistribution, KgStats};

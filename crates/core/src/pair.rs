@@ -26,8 +26,8 @@ impl KgPair {
     /// # Panics
     /// Panics if an aligned id is out of range or an entity occurs twice.
     pub fn new(kg1: KnowledgeGraph, kg2: KnowledgeGraph, alignment: Vec<AlignedPair>) -> Self {
-        let mut seen1 = HashSet::with_capacity(alignment.len());
-        let mut seen2 = HashSet::with_capacity(alignment.len());
+        let mut seen1 = vec![false; kg1.num_entities()];
+        let mut seen2 = vec![false; kg2.num_entities()];
         for &(e1, e2) in &alignment {
             assert!(
                 e1.idx() < kg1.num_entities(),
@@ -37,8 +37,14 @@ impl KgPair {
                 e2.idx() < kg2.num_entities(),
                 "aligned entity {e2:?} out of range in KG2"
             );
-            assert!(seen1.insert(e1), "entity {e1:?} aligned twice in KG1");
-            assert!(seen2.insert(e2), "entity {e2:?} aligned twice in KG2");
+            assert!(
+                !std::mem::replace(&mut seen1[e1.idx()], true),
+                "entity {e1:?} aligned twice in KG1"
+            );
+            assert!(
+                !std::mem::replace(&mut seen2[e2.idx()], true),
+                "entity {e2:?} aligned twice in KG2"
+            );
         }
         Self {
             kg1,
@@ -168,6 +174,14 @@ mod tests {
         let p = pair();
         let mut bad = p.alignment.clone();
         bad.push((bad[0].0, bad[1].1));
+        KgPair::new(p.kg1, p.kg2, bad);
+    }
+
+    #[test]
+    #[should_panic(expected = "aligned twice in KG2")]
+    fn a_kg2_entity_aligned_twice_panics() {
+        let p = pair();
+        let bad = vec![p.alignment[0], (p.alignment[1].0, p.alignment[0].1)];
         KgPair::new(p.kg1, p.kg2, bad);
     }
 

@@ -1040,17 +1040,30 @@ pub trait Distribution<T> {
 
 /// Samples indices `0..weights.len()` proportionally to non-negative
 /// weights (inverse-CDF over the cumulative sums).
+///
+/// A guide table makes each draw O(1) on average and keeps it exact:
+/// with `G = guide.len()`, a power of two, `guide[b]` is the first index
+/// whose cumulative sum exceeds `(b / G) · total`. A draw `u` falls in
+/// bucket `b = ⌊u · G⌋`, so `b / G ≤ u` exactly and, rounding being
+/// monotone, `(b / G) · total ≤ u · total`: the search may start at
+/// `guide[b]` and scan forward under the same `c <= x` test, and it ends on
+/// the index a binary search over the whole list gives, for every `u`.
 #[derive(Clone, Debug)]
 pub struct WeightedIndex {
     cumulative: Vec<f64>,
+    /// At least four buckets per weight, so a scan passes few sums.
+    guide: Vec<u32>,
 }
 
 impl WeightedIndex {
-    /// Errors on an empty list, a negative/non-finite weight, or an
-    /// all-zero total.
+    /// Errors on an empty list, a negative/non-finite weight, an all-zero
+    /// total, or more weights than a `u32` indexes.
     pub fn new(weights: &[f64]) -> Result<Self, &'static str> {
         if weights.is_empty() {
             return Err("WeightedIndex: no weights");
+        }
+        if u32::try_from(weights.len()).is_err() {
+            return Err("WeightedIndex: too many weights");
         }
         let mut cumulative = Vec::with_capacity(weights.len());
         let mut total = 0.0;
@@ -1064,19 +1077,43 @@ impl WeightedIndex {
         if total <= 0.0 {
             return Err("WeightedIndex: total weight is zero");
         }
-        Ok(Self { cumulative })
+        let buckets = (4 * weights.len()).next_power_of_two();
+        let mut guide = Vec::with_capacity(buckets);
+        let mut i = 0;
+        for b in 0..buckets {
+            let floor = (b as f64 / buckets as f64) * total;
+            while i < cumulative.len() && cumulative[i] <= floor {
+                i += 1;
+            }
+            // Never past the last index, which `sample` returns for every
+            // `u · total` at or above the total.
+            guide.push(i.min(cumulative.len() - 1) as u32);
+        }
+        Ok(Self { cumulative, guide })
+    }
+
+    /// The index `u ∈ [0, 1)` selects: the first whose cumulative weight
+    /// exceeds `u · total`. A zero-weight entry repeats its left
+    /// neighbour's sum, so it is never selected.
+    #[inline]
+    fn index_of(&self, u: f64) -> usize {
+        let last = self.cumulative.len() - 1;
+        let x = u * self.cumulative[last];
+        // Exact: `u` has at most 53 significant bits and the bucket count
+        // is a power of two.
+        let b = (u * self.guide.len() as f64) as usize;
+        let mut i = self.guide[b] as usize;
+        while i < last && self.cumulative[i] <= x {
+            i += 1;
+        }
+        i
     }
 }
 
 impl Distribution<usize> for WeightedIndex {
+    #[inline]
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
-        let total = *self.cumulative.last().expect("non-empty");
-        let u: f64 = FromRandom::from_random(rng);
-        let x = u * total;
-        // First index whose cumulative weight exceeds x; a zero-weight
-        // entry repeats its left neighbour's sum, so it is never selected.
-        let i = self.cumulative.partition_point(|&c| c <= x);
-        i.min(self.cumulative.len() - 1)
+        self.index_of(FromRandom::from_random(rng))
     }
 }
 
@@ -1463,6 +1500,99 @@ mod tests {
         let mut rng = StepRng::new(1 << 63, 0);
         let w = WeightedIndex::new(&[1.0, 0.0, 1.0]).unwrap();
         assert_eq!(w.sample(&mut rng), 2);
+    }
+
+    /// Hands out a fixed list of words and counts what was taken.
+    struct Words {
+        words: Vec<u64>,
+        taken: usize,
+    }
+
+    impl RngCore for Words {
+        fn next_u64(&mut self) -> u64 {
+            self.taken += 1;
+            self.words[self.taken - 1]
+        }
+    }
+
+    mod weighted_index_props {
+        use super::*;
+        use crate::testkit::prelude::*;
+
+        /// Weights of one of six shapes, `len` long (one for `kind` 4), with
+        /// zero runs at the start, middle and end as `zeros`' three bits say.
+        fn weights(kind: u8, len: usize, zeros: u8, seed: u64) -> Vec<f64> {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let len = if kind == 4 { 1 } else { len };
+            let mut w: Vec<f64> = (0..len)
+                .map(|i| match kind {
+                    0 => rng.gen::<f64>(),
+                    1 => 1.0,
+                    2 => 1.0 / (i + 1) as f64,
+                    3 | 4 => 10f64.powf(rng.gen_range(-300.0..300.0)),
+                    _ => rng.gen_range(0..4u32) as f64,
+                })
+                .collect();
+            let run = |rng: &mut SmallRng| rng.gen_range(1..=len.div_ceil(3));
+            if zeros & 1 != 0 {
+                let r = run(&mut rng);
+                w[..r].fill(0.0);
+            }
+            if zeros & 2 != 0 {
+                let (r, mid) = (run(&mut rng), len / 3);
+                w[mid..(mid + r).min(len)].fill(0.0);
+            }
+            if zeros & 4 != 0 {
+                let r = run(&mut rng);
+                w[len - r..].fill(0.0);
+            }
+            w
+        }
+
+        props! {
+            #![cases = 128]
+            #[test]
+            fn guided_draws_equal_the_binary_search(
+                kind in 0u8..6,
+                len in 1usize..=1000,
+                zeros in 0u8..8,
+                seed in 0u64..u64::MAX,
+            ) {
+                let w = weights(kind, len, zeros, seed);
+                let mut cumulative = Vec::with_capacity(w.len());
+                let mut total = 0.0;
+                for &x in &w {
+                    total += x;
+                    cumulative.push(total);
+                }
+                let Ok(index) = WeightedIndex::new(&w) else {
+                    prop_assert_eq!(total, 0.0);
+                    return Ok(());
+                };
+                let buckets = index.guide.len();
+                prop_assert!(buckets.is_power_of_two() && buckets >= 4 * w.len());
+                // A word's top 53 bits are `u`'s numerator over 2⁵³.
+                let k_of_bucket = |b: usize| (b as u64) << (53 - buckets.trailing_zeros());
+                let mut ks = vec![0, (1u64 << 53) - 1];
+                for b in 1..buckets {
+                    ks.extend([k_of_bucket(b), k_of_bucket(b) - 1]);
+                }
+                let mut rng = SmallRng::seed_from_u64(seed ^ 1);
+                ks.extend((0..256).map(|_| rng.next_u64() >> 11));
+                let mut words = Words {
+                    words: ks.iter().map(|&k| k << 11).collect(),
+                    taken: 0,
+                };
+                for (n, &k) in ks.iter().enumerate() {
+                    let u = k as f64 * (1.0 / (1u64 << 53) as f64);
+                    let x = u * total;
+                    let want = cumulative.partition_point(|&c| c <= x).min(w.len() - 1);
+                    let got = index.sample(&mut words);
+                    prop_assert_eq!(words.taken, n + 1, "one word per draw");
+                    prop_assert_eq!(got, want, "u = {u:e} over {} weights: {got} ≠ {want}", w.len());
+                }
+            }
+        }
     }
 
     #[test]

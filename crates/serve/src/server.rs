@@ -147,7 +147,9 @@ impl Telemetry {
     }
 
     pub(crate) fn shed_total(&self) -> u64 {
-        self.shed_queue + self.shed_latency + self.shed_conn_limit
+        self.shed_queue
+            .saturating_add(self.shed_latency)
+            .saturating_add(self.shed_conn_limit)
     }
 }
 
@@ -289,6 +291,12 @@ pub(crate) fn reload_response(hot: &HotSwapIndex, path: Option<&str>) -> (u16, J
     }
 }
 
+/// A counter as a JSON number. JSON integers here are `i64`, so a count
+/// past `i64::MAX` reads `i64::MAX`, never a negative number.
+fn count<N: TryInto<i64>>(n: N) -> Json {
+    Json::Int(n.try_into().unwrap_or(i64::MAX))
+}
+
 pub(crate) fn stats_json(
     hot: &HotSwapIndex,
     tel: &Telemetry,
@@ -306,9 +314,9 @@ pub(crate) fn stats_json(
         endpoints.push((
             name.to_string(),
             object([
-                ("count", (h.count() as i64).to_json()),
-                ("p50_us", (h.percentile_us(50.0) as i64).to_json()),
-                ("p99_us", (h.percentile_us(99.0) as i64).to_json()),
+                ("count", count(h.count())),
+                ("p50_us", count(h.percentile_us(50.0))),
+                ("p99_us", count(h.percentile_us(99.0))),
                 ("mean_us", h.mean_us().to_json()),
             ]),
         ));
@@ -327,8 +335,8 @@ pub(crate) fn stats_json(
         ("default_probe", index.default_probe().label().to_json()),
         ("loaded_entities", swap.coverage.loaded_entities.to_json()),
         ("total_entities", swap.coverage.total_entities.to_json()),
-        ("reloads", (swap.reloads as i64).to_json()),
-        ("reload_failures", (swap.reload_failures as i64).to_json()),
+        ("reloads", count(swap.reloads)),
+        ("reload_failures", count(swap.reload_failures)),
         (
             "last_flip_us",
             (swap.last_flip_ns as f64 / 1_000.0).to_json(),
@@ -354,56 +362,48 @@ pub(crate) fn stats_json(
         ),
         (
             "trained_epochs",
-            (raw.snapshot()
-                .lineage
-                .map(|l| l.trained_epochs)
-                .unwrap_or(raw.snapshot().trace.epochs.len() as u64) as i64)
-                .to_json(),
+            count(
+                raw.snapshot()
+                    .lineage
+                    .map(|l| l.trained_epochs)
+                    .unwrap_or(raw.snapshot().trace.epochs.len() as u64),
+            ),
         ),
-        ("served", (tel.served as i64).to_json()),
-        ("rejected_503", (tel.shed_total() as i64).to_json()),
-        ("accepted_total", (tel.accepted_total as i64).to_json()),
-        ("open_conns", (tel.open_conns as i64).to_json()),
-        (
-            "pipelined_batches",
-            (tel.pipelined_batches as i64).to_json(),
-        ),
-        ("panics_total", (tel.panics_total as i64).to_json()),
+        ("served", count(tel.served)),
+        ("rejected_503", count(tel.shed_total())),
+        ("accepted_total", count(tel.accepted_total)),
+        ("open_conns", count(tel.open_conns)),
+        ("pipelined_batches", count(tel.pipelined_batches)),
+        ("panics_total", count(tel.panics_total)),
         (
             "shed_total",
             object([
-                ("queue", (tel.shed_queue as i64).to_json()),
-                ("latency", (tel.shed_latency as i64).to_json()),
-                ("conn_limit", (tel.shed_conn_limit as i64).to_json()),
-                ("total", (tel.shed_total() as i64).to_json()),
+                ("queue", count(tel.shed_queue)),
+                ("latency", count(tel.shed_latency)),
+                ("conn_limit", count(tel.shed_conn_limit)),
+                ("total", count(tel.shed_total())),
             ]),
         ),
         (
             "admission",
             object([
-                ("p99_budget_us", (p99_budget_us as i64).to_json()),
-                ("window_p99_us", (tel.window_p99_us as i64).to_json()),
+                ("p99_budget_us", count(p99_budget_us)),
+                ("window_p99_us", count(tel.window_p99_us)),
                 ("shed_frac", tel.shed_frac.to_json()),
             ]),
         ),
-        ("queue_depth", queue_depth.to_json()),
-        ("cache_hits", (ix.cache_hits as i64).to_json()),
-        ("cache_misses", (ix.cache_misses as i64).to_json()),
+        ("queue_depth", count(queue_depth)),
+        ("cache_hits", count(ix.cache_hits)),
+        ("cache_misses", count(ix.cache_misses)),
         ("cache_hit_rate", ix.hit_rate().to_json()),
-        ("batches", (ix.batches as i64).to_json()),
+        ("batches", count(ix.batches)),
         ("mean_batch_occupancy", ix.mean_batch_occupancy().to_json()),
-        ("ivf_rows_scanned", (ix.ivf_rows_scanned as i64).to_json()),
-        ("ivf_rows_reranked", (ix.ivf_rows_reranked as i64).to_json()),
-        (
-            "latency_p50_us",
-            (merged.percentile_us(50.0) as i64).to_json(),
-        ),
-        (
-            "latency_p99_us",
-            (merged.percentile_us(99.0) as i64).to_json(),
-        ),
+        ("ivf_rows_scanned", count(ix.ivf_rows_scanned)),
+        ("ivf_rows_reranked", count(ix.ivf_rows_reranked)),
+        ("latency_p50_us", count(merged.percentile_us(50.0))),
+        ("latency_p99_us", count(merged.percentile_us(99.0))),
         ("latency_mean_us", merged.mean_us().to_json()),
-        ("latency_max_us", (merged.max_us() as i64).to_json()),
+        ("latency_max_us", count(merged.max_us())),
         ("endpoints", Json::Object(endpoints)),
     ])
 }
@@ -521,4 +521,164 @@ pub fn serve_hot(
     let addr = listener.local_addr()?;
     let reactor = crate::event::spawn_reactor(index, listener, opts)?;
     Ok(ServerHandle { addr, reactor })
+}
+
+#[cfg(test)]
+mod proptests {
+    //! The reactor thread runs `classify` and `stats_json` outside any
+    //! `catch_unwind`, so a panic in either would end the event loop: both
+    //! are held total here.
+
+    use super::*;
+    use crate::snapshot::tests::tiny_snapshot;
+    use crate::swap::IndexOptions;
+    use openea_runtime::json;
+    use openea_runtime::testkit::prelude::*;
+
+    const METHODS: [&str; 6] = ["GET", "get", "POST", "", "GÉT", "GET "];
+    const PATHS: [&str; 9] = [
+        "/align",
+        "/health",
+        "/stats",
+        "/admin/reload",
+        "/",
+        "",
+        "/align/",
+        "/%61lign",
+        "/é",
+    ];
+    const KEYS: [&str; 6] = ["entity", "k", "nprobe", "path", "", "é"];
+    const VALUES: [&str; 16] = [
+        "",
+        "0",
+        "7",
+        "4294967295",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "99999999999999999999999999999999",
+        "-1",
+        "+3",
+        "%",
+        "%zz",
+        "%41",
+        "é",
+        "1e3",
+        "=",
+    ];
+    /// What a stray byte of a query may be.
+    const NOISE: &str = "ek=&%0123456789é中 ";
+
+    /// A query of `params` (key, value, form) and trailing `noise`: form 0
+    /// is `key=value`, 1 a bare key, 2 `key=value=value`.
+    fn query(params: &[(usize, usize, u8)], noise: &str) -> String {
+        let mut q: Vec<String> = params
+            .iter()
+            .map(|&(k, v, form)| {
+                let (k, v) = (KEYS[k], VALUES[v]);
+                match form {
+                    0 => format!("{k}={v}"),
+                    1 => k.to_string(),
+                    _ => format!("{k}={v}={v}"),
+                }
+            })
+            .collect();
+        q.push(noise.to_string());
+        q.join("&")
+    }
+
+    /// Whether no number anywhere in `json` is below zero: nothing
+    /// `/stats` reports can be.
+    fn no_negative_number(json: &Json) -> bool {
+        match json {
+            Json::Int(n) => *n >= 0,
+            Json::Float(f) => *f >= 0.0,
+            Json::Array(items) => items.iter().all(no_negative_number),
+            Json::Object(members) => members.iter().all(|(_, v)| no_negative_number(v)),
+            _ => true,
+        }
+    }
+
+    /// A fresh histogram holding `samples`.
+    fn histogram(samples: &[u64]) -> MicrosHistogram {
+        let mut h = MicrosHistogram::new();
+        for &us in samples {
+            h.record(us);
+        }
+        h
+    }
+
+    props! {
+        #[test]
+        fn classify_is_total_and_answers_from_the_route_table(
+            method in 0..METHODS.len(),
+            path in 0..PATHS.len(),
+            free_path in string_of(NOISE, 0..=8),
+            params in vec_of((0..KEYS.len(), 0..VALUES.len(), 0u8..3), 0..=6),
+            noise in string_of(NOISE, 0..=12),
+        ) {
+            let (method, query) = (METHODS[method], query(&params, &noise));
+            for path in [PATHS[path], free_path.as_str()] {
+                let status = match classify(method, path, &query) {
+                    RouteAction::Inline(status, body) => {
+                        prop_assert!(
+                            json::parse(&body.to_string_pretty()).is_ok(),
+                            "{method} {path}?{query}: body does not parse"
+                        );
+                        status
+                    }
+                    RouteAction::Stats | RouteAction::Reload(_) => 200,
+                    RouteAction::Align(_) => {
+                        prop_assert_eq!(path, "/align");
+                        200
+                    }
+                };
+                let want: &[u16] = match (method, path) {
+                    ("GET", "/align") => &[200, 400],
+                    ("GET", "/health" | "/stats" | "/admin/reload") => &[200],
+                    ("GET", _) => &[404],
+                    _ => &[405],
+                };
+                prop_assert!(
+                    want.contains(&status),
+                    "{method} {path}?{query} answered {status}, not one of {want:?}"
+                );
+            }
+        }
+
+        #[test]
+        fn stats_json_is_total_and_parses_back(
+            maxed in vec_of(any_bool(), 12..=12),
+            samples in vec_of(any_bool(), 0..=4),
+            shed_frac in 0.0f64..=1.0,
+        ) {
+            let at = |i: usize| if maxed[i] { u64::MAX } else { 0 };
+            let samples: Vec<u64> = samples.iter().map(|&m| if m { u64::MAX } else { 0 }).collect();
+            let tel = Telemetry {
+                served: at(0),
+                accepted_total: at(1),
+                open_conns: at(2) as usize,
+                shed_queue: at(3),
+                shed_latency: at(4),
+                shed_conn_limit: at(5),
+                pipelined_batches: at(6),
+                panics_total: at(7),
+                latency: std::array::from_fn(|_| histogram(&samples)),
+                window: [histogram(&samples), histogram(&samples)],
+                window_start_us: at(8),
+                window_p99_us: at(9),
+                shed_frac,
+                ..Telemetry::default()
+            };
+            let opts = IndexOptions::default();
+            let hot = HotSwapIndex::fixed_with(opts.build(tiny_snapshot()), opts);
+            let stats = stats_json(&hot, &tel, at(10) as usize, at(11));
+            let text = stats.to_string_pretty();
+            let back = json::parse(&text);
+            prop_assert!(back.is_ok(), "{text}");
+            let back = back.unwrap();
+            prop_assert!(back == stats, "{text}");
+            prop_assert!(no_negative_number(&back), "a count reads negative: {text}");
+        }
+    }
 }

@@ -66,10 +66,42 @@ struct Projection {
     /// Per world entity: its position in this KG's shuffled order — the
     /// number its URI ends in — or `None` if absent.
     positions: Vec<Option<u32>>,
-    /// World relation id → local relation name.
-    rel_names: Vec<String>,
-    /// World attribute id → local attribute name.
-    attr_names: Vec<String>,
+    /// How this KG's schema merges the world's relations.
+    rels: Schema,
+    /// How this KG's schema merges the world's attributes.
+    attrs: Schema,
+}
+
+/// A surjective map of world properties onto this KG's fewer or equal
+/// local ones. A local property's name is rendered from its id
+/// ([`Schema::name_into`]) when a triple first uses it, so no name is
+/// formatted per world property.
+struct Schema {
+    /// World property id → local property id.
+    local: Vec<u32>,
+    /// Number of local properties; every one is the image of some world
+    /// property.
+    count: usize,
+    /// `rel` or `attr`.
+    kind: &'static str,
+}
+
+impl Schema {
+    /// Writes local property `id`'s name into `out`.
+    fn name_into(&self, cfg: &ProjectionConfig, id: usize, out: &mut String) {
+        out.clear();
+        out.push_str(&cfg.uri_prefix);
+        if cfg.numeric_properties {
+            // Offset so relation and attribute ids do not collide.
+            let off = if self.kind == "rel" { 0 } else { 1000 };
+            out.push('P');
+            push_padded(out, (off + id) as u64, 1);
+        } else {
+            out.push_str(self.kind);
+            out.push('_');
+            push_padded(out, id as u64, 1);
+        }
+    }
 }
 
 fn project_schema<R: Rng>(cfg: &ProjectionConfig, world: &World, rng: &mut R) -> Projection {
@@ -86,31 +118,26 @@ fn project_schema<R: Rng>(cfg: &ProjectionConfig, world: &World, rng: &mut R) ->
 
     // Surjective relation/attribute mapping through a per-KG permutation, so
     // the two KGs merge world properties differently (schema heterogeneity).
-    let map_names =
-        |world_count: usize, local_count: usize, kind: &str, rng: &mut R| -> Vec<String> {
-            let local = local_count.min(world_count).max(1);
-            let mut perm: Vec<usize> = (0..world_count).collect();
-            perm.shuffle(rng);
-            (0..world_count)
-                .map(|w| {
-                    let local_id = perm[w] % local;
-                    if cfg.numeric_properties {
-                        // Offset so relation and attribute ids do not collide.
-                        let off = if kind == "rel" { 0 } else { 1000 };
-                        format!("{}P{}", cfg.uri_prefix, off + local_id)
-                    } else {
-                        format!("{}{}_{}", cfg.uri_prefix, kind, local_id)
-                    }
-                })
-                .collect()
-        };
-    let rel_names = map_names(world.config.num_relations, cfg.num_relations, "rel", rng);
-    let attr_names = map_names(world.config.num_attributes, cfg.num_attributes, "attr", rng);
+    let map = |world_count: usize, local_count: usize, kind, rng: &mut R| {
+        let count = local_count.min(world_count).max(1);
+        let mut perm: Vec<u32> = (0..world_count as u32).collect();
+        perm.shuffle(rng);
+        for id in &mut perm {
+            *id %= count as u32;
+        }
+        Schema {
+            local: perm,
+            count,
+            kind,
+        }
+    };
+    let rels = map(world.config.num_relations, cfg.num_relations, "rel", rng);
+    let attrs = map(world.config.num_attributes, cfg.num_attributes, "attr", rng);
 
     Projection {
         positions,
-        rel_names,
-        attr_names,
+        rels,
+        attrs,
     }
 }
 
@@ -175,68 +202,103 @@ fn draw<R: Rng>(cfg: &ProjectionConfig, p: &Projection, world: &World, rng: &mut
     }
 }
 
-/// Builds one projected KG from its draws; makes none. Every symbol is
-/// interned once: a present entity when it is registered, a relation or
-/// attribute name at its first use (the ids per-triple interning gives),
-/// and triples are added by id. Returns the KG and each world entity's id
-/// in it.
+/// A KG's builder with its present entities registered, and each world
+/// entity's id in it.
+type Registered = (KgBuilder, Vec<Option<EntityId>>);
+
+/// Registers every present entity of one KG (even ones that end up
+/// isolated — real samples have them too), in world order. Reads the
+/// schema alone, so it needs no draw but the schema's.
+fn register(cfg: &ProjectionConfig, p: &Projection, world: &World) -> Registered {
+    let present = p.positions.iter().flatten().count();
+    let mut b = KgBuilder::with_capacity(&cfg.name, present);
+    let mut uri = String::new();
+    let ids = (0u32..)
+        .zip(&p.positions)
+        .map(|(e, pos)| {
+            pos.map(|pos| {
+                render_uri(cfg, world, e, pos, &mut uri);
+                b.add_entity(&uri)
+            })
+        })
+        .collect();
+    (b, ids)
+}
+
+/// Finishes one projected KG from its draws; makes none. Every symbol is
+/// interned once: a relation or attribute name at its first use (the ids
+/// per-triple interning gives), and triples are added by id. The triple
+/// lists and the literal table are sized from the draws' counts first, so
+/// none of them grows.
 fn build_kg(
     cfg: &ProjectionConfig,
     p: &Projection,
     world: &World,
     draws: &Draws,
+    (mut b, ids): Registered,
 ) -> (KnowledgeGraph, Vec<Option<EntityId>>) {
-    let present = p.positions.iter().flatten().count();
-    let mut b = KgBuilder::with_capacity(
-        &cfg.name,
-        present,
-        draws.rel_kept.len(),
-        draws.attr_kept.len(),
-    );
-    // One buffer for every URI and literal the KG renders.
+    b.reserve_triples(draws.rel_kept.len(), draws.attr_kept.len());
+    // One buffer for every name and literal the KG renders.
     let mut text = String::new();
-    // Register every present entity (even ones that end up isolated —
-    // real samples have them too).
-    let ids: Vec<Option<EntityId>> = (0u32..)
-        .zip(&p.positions)
-        .map(|(e, pos)| {
-            pos.map(|pos| {
-                render_uri(cfg, world, e, pos, &mut text);
-                b.add_entity(&text)
-            })
-        })
-        .collect();
     let id = |e: u32| ids[e as usize].expect("a kept triple's entities are present");
-    let mut rels = vec![None; p.rel_names.len()];
+    let mut rels = vec![None; p.rels.count];
     for &i in &draws.rel_kept {
         let (h, r, t) = world.rel_triples[i as usize];
-        let r = r as usize;
-        let r = *rels[r].get_or_insert_with(|| b.add_relation(&p.rel_names[r]));
+        let r = p.rels.local[r as usize] as usize;
+        let r = *rels[r].get_or_insert_with(|| {
+            p.rels.name_into(cfg, r, &mut text);
+            b.add_relation(&text)
+        });
         b.add_rel_triple_ids(id(h), r, id(t));
     }
-    let mut attrs = vec![None; p.attr_names.len()];
+    let mut attrs = vec![None; p.attrs.count];
     let mut noise = draws.noise.replay();
     for &i in &draws.attr_kept {
         let a = &world.attr_triples[i as usize];
+        let attr = p.attrs.local[a.attr as usize] as usize;
+        let attr = *attrs[attr].get_or_insert_with(|| {
+            p.attrs.name_into(cfg, attr, &mut text);
+            b.add_attribute(&text)
+        });
         text.clear();
         cfg.vocabulary
             .render_drawn(world.value(a), &mut noise, &mut text);
-        let attr = a.attr as usize;
-        let attr = *attrs[attr].get_or_insert_with(|| b.add_attribute(&p.attr_names[attr]));
         let value = b.add_literal(&text);
         b.add_attr_triple_ids(id(a.entity), attr, value);
     }
     (b.build(), ids)
 }
 
+/// Runs `f` on both inputs side by side, as the two chunks of one
+/// `parallel_chunks` call, and returns both outputs in input order.
+fn side_by_side<T: Send, U: Send>(inputs: [T; 2], f: impl Fn(T) -> U + Sync) -> [U; 2] {
+    let mut slots = inputs.map(|input| (Some(input), None));
+    parallel_chunks(&mut slots, 1, 2, |_, slot| {
+        let (input, output) = &mut slot[0];
+        *output = input.take().map(&f);
+    });
+    slots.map(|(_, output)| output.expect("parallel_chunks runs every chunk"))
+}
+
+/// What the first phase of [`generate_pair`] gives: every draw of both
+/// KGs on one task, both KGs' registered entities on the other.
+#[allow(clippy::large_enum_variant)] // one of each per pair, moved once
+enum Prelude {
+    Drawn([Draws; 2]),
+    Registered([Registered; 2]),
+}
+
 /// Projects the world into two KGs and assembles the reference alignment
 /// (world entities present in both projections).
 ///
-/// Every draw is made here, on `rng`, in one fixed order: schema 1, schema
-/// 2, KG1's keep and noise draws, KG2's. The two KGs are then built from
-/// what was drawn, as two tasks on the worker pool, so the pair is the same
-/// bits whichever thread builds which.
-pub fn generate_pair<R: Rng>(
+/// Every draw is made on `rng`, on one task, in one fixed order: schema 1,
+/// schema 2, KG1's keep and noise draws, KG2's. The rest is a function of
+/// what was drawn, in two fork-join phases on the worker pool: first the
+/// keep and noise draws beside the registration of both KGs' present
+/// entities (which needs only the schemas), then the two KGs finished from
+/// their draws side by side. So the pair is the same bits whichever thread
+/// runs which task.
+pub fn generate_pair<R: Rng + Send>(
     world: &World,
     cfg1: &ProjectionConfig,
     cfg2: &ProjectionConfig,
@@ -244,17 +306,23 @@ pub fn generate_pair<R: Rng>(
 ) -> KgPair {
     let p1 = project_schema(cfg1, world, rng);
     let p2 = project_schema(cfg2, world, rng);
-    let d1 = draw(cfg1, &p1, world, rng);
-    let d2 = draw(cfg2, &p2, world, rng);
-    let sides = [(cfg1, &p1, &d1), (cfg2, &p2, &d2)];
-    let mut built = [None, None];
-    parallel_chunks(&mut built, 1, 2, |i, slot| {
-        let (cfg, p, draws) = sides[i];
-        slot[0] = Some(build_kg(cfg, p, world, draws));
+    let sides = [(cfg1, &p1), (cfg2, &p2)];
+    let prelude = side_by_side([Some(rng), None], |rng| match rng {
+        Some(rng) => {
+            let d1 = draw(cfg1, &p1, world, rng);
+            let d2 = draw(cfg2, &p2, world, rng);
+            Prelude::Drawn([d1, d2])
+        }
+        None => Prelude::Registered(sides.map(|(cfg, p)| register(cfg, p, world))),
     });
-    let [Some((kg1, ids1)), Some((kg2, ids2))] = built else {
-        unreachable!("parallel_chunks runs every chunk")
+    let [Prelude::Drawn(draws), Prelude::Registered(registered)] = prelude else {
+        unreachable!("the draws are the first task, the registration the second")
     };
+    let [r1, r2] = registered;
+    let [(kg1, ids1), (kg2, ids2)] = side_by_side(
+        [(sides[0], &draws[0], r1), (sides[1], &draws[1], r2)],
+        |((cfg, p), draws, registered)| build_kg(cfg, p, world, draws, registered),
+    );
     let alignment = ids1
         .into_iter()
         .zip(ids2)

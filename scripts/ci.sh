@@ -71,10 +71,11 @@ cargo test --release --offline -p openea -p openea-serve --test kernel_conforman
 # The pair generator's same-bits pins under the release profile's codegen:
 # the text of every generated URI, name and literal (all four families ×
 # V1/V2 at 3 000 entities, D-Y at 15 000), the ids the benchmark hashes,
-# and the pair's 12 MB / 3 000-call gate — built with the two KGs on two
-# threads — and one IPTransE generation on that pair through its
-# self-training round, held to 18 MB of heap above its inputs. Beside it, the
-# differentials that generation rests on: validation scored in
+# and the pair's 8.5 MB / 400-call gate — generated in two fork-join phases
+# on two threads: the draws beside both KGs' entity registration, then the
+# two KGs finished side by side — and one IPTransE generation on that pair
+# through its self-training round, held to 18 MB of heap above its inputs.
+# Beside it, the differentials that generation rests on: validation scored in
 # place against the extracted checkpoint's score (the shared helper, and all
 # four table drivers through the engine), blocked nearest proposals against
 # the gathered reference, and the self-training ledger's three commit rules
@@ -134,6 +135,10 @@ cargo test --release --offline -p openea --test approach_matrix -- self_training
 cargo test --release --offline -p openea-serve --test server_e2e -- checkpoint \
     a_run_whose_writer_holds_the_best
 cargo test --release --offline -p openea-synth --lib
+# The data model's unit tests under the same codegen: the interner and the
+# lookup-free `Symbols` a built KG keeps for its literals, `KgBuilder`'s
+# sizing, and `KgPair::new`'s one-to-one check.
+cargo test --release --offline -p openea-core --lib
 # The runtime's ziggurat Gaussian and the eight-lane draw the index-scale
 # generator takes every coordinate from, under the code generation that ships
 # (tier-1 tests build at `opt-level = 2`, releases at 3, which inlines the
@@ -142,7 +147,11 @@ cargo test --release --offline -p openea-synth --lib
 # bits; each lane of `GaussianLanes`, on every backend the one ISA switch
 # (`openea_runtime::isa`) supports on this host, forced in turn, bit for bit
 # against the scalar draw on its own stream through at least 100 tail and
-# 10 000 wedge entries. Beside them the
+# 10 000 wedge entries. And `WeightedIndex`'s guide table, the latent world's
+# relation and attribute draws: a `props!` differential holds each guided draw
+# to a binary search over the cumulative sums, one word per draw, over weight
+# lists with zero runs, ties, Zipf and magnitudes from 1e-300 to 1e300, at
+# every bucket edge and the word just below it. Beside them the index-scale
 # generator itself: bit for bit against the two-pass reference at threads
 # {1, 2, 3, 8}, its two pinned digests, and its allocations (outputs reserved
 # and written once, no zeroed block). Budget: a few seconds after the build.
