@@ -14,7 +14,7 @@
 //! constructs from a seed, and [`SliceRandom`] adds `shuffle`/`choose` on
 //! slices.
 //!
-//! Gaussians come from one transform, the 256-layer ziggurat of
+//! Gaussians come from one transform, the 1 024-layer ziggurat of
 //! [`standard_gaussian`]; [`GaussianLanes`] draws it on eight streams at
 //! once, each lane's values, written to that lane's own slice, those of its
 //! stream. Its tables are built from
@@ -326,17 +326,27 @@ pub trait Rng: RngCore {
 
 impl<R: RngCore + ?Sized> Rng for R {}
 
-/// The base layer's edge `R`, where the tail begins.
-const ZIG_R: f64 = 3.654_152_885_361_009;
-/// The area of each of the 256 layers (the base strip's includes the tail)
-/// under the unnormalised density `exp(−x²/2)`.
-const ZIG_V: f64 = 0.004_928_673_233_99;
-const ZIG_LAYERS: usize = 256;
+/// The number of layers. An attempt's word gives the layer index its low
+/// `log2(ZIG_LAYERS)` bits and `u` its top 52, so the two must not overlap.
+const ZIG_LAYERS: usize = 1024;
+const _: () = assert!(
+    ZIG_LAYERS.is_power_of_two() && ZIG_LAYERS.trailing_zeros() + 52 <= 64,
+    "the layer index and the 52 bits of `u` must be disjoint bits of one word"
+);
+/// The low bits of a word that pick the layer.
+const ZIG_MASK: u64 = ZIG_LAYERS as u64 - 1;
+/// The base layer's edge `R`, where the tail begins: the root of the
+/// recurrence's closure at [`ZIG_LAYERS`] layers, solved to 40 digits.
+const ZIG_R: f64 = 4.038_849_846_109_504;
+/// The area of each layer (the base strip's includes the tail) under the
+/// unnormalised density `exp(−x²/2)`: `R·f(R) + ∫_R^∞ f`.
+const ZIG_V: f64 = 0.001_226_324_646_353_088;
 
-/// The ziggurat's layer edges `x` (decreasing, `x[1] = R`, `x[256] = 0`)
-/// and the density at them, `f[i] = exp(−x[i]²/2)`. `x[0] = V / f(R)` is
-/// the width a rectangle of the base strip's area would have, so the base
-/// layer's fast path is the same compare as every other layer's.
+/// The ziggurat's layer edges `x` (decreasing, `x[1] = R`,
+/// `x[ZIG_LAYERS] = 0`) and the density at them, `f[i] = exp(−x[i]²/2)`:
+/// 2 × 1 025 `f64`, 16 KiB. `x[0] = V / f(R)` ≈ 4.2734 is the width a
+/// rectangle of the base strip's area would have, so the base layer's fast
+/// path is the same compare as every other layer's.
 struct ZigTables {
     x: [f64; ZIG_LAYERS + 1],
     f: [f64; ZIG_LAYERS + 1],
@@ -370,16 +380,16 @@ enum ZigSlow {
     Tail,
 }
 
-/// One standard-normal draw by the 256-layer ziggurat (Marsaglia & Tsang,
+/// One standard-normal draw by the 1 024-layer ziggurat (Marsaglia & Tsang,
 /// 2000).
 ///
-/// Each attempt draws one word: its low 8 bits pick the layer and its top
+/// Each attempt draws one word: its low 10 bits pick the layer and its top
 /// 52 bits a uniform `u ∈ [−1, 1)`, disjoint bits, so the layer and the
 /// value are independent. `x = u · x[i]` is returned at once when it lies
-/// inside the next layer's edge — a multiply and a compare, ≈ 98.5 % of
+/// inside the next layer's edge — a multiply and a compare, ≈ 99.57 % of
 /// attempts. Otherwise the draw is in a wedge (accepted against `exp`) or,
 /// from the base layer, beyond `R` (sampled from the tail with `ln`).
-/// `256·V / √(π/2)` ≈ 1.0067 attempts and ≈ 1.022 words per value.
+/// `1024·V / √(π/2)` ≈ 1.0019 attempts and ≈ 1.006 words per value.
 /// [`GaussianLanes`] runs the same two parts on eight streams at once.
 #[inline]
 pub fn standard_gaussian<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
@@ -406,7 +416,7 @@ fn ziggurat<R: RngCore + ?Sized>(rng: &mut R, slow: impl FnMut(ZigSlow)) -> f64 
 fn zig_parts(bits: u64) -> (usize, f64) {
     // [1, 2) from the top 52 bits as a mantissa, then 2·[1, 2) − 3.
     let u = 2.0 * f64::from_bits(0x3FF0_0000_0000_0000 | (bits >> 12)) - 3.0;
-    ((bits & 0xff) as usize, u)
+    ((bits & ZIG_MASK) as usize, u)
 }
 
 /// The fast attempt on one word: `x = u · x[i]`, and whether it lies
@@ -475,9 +485,11 @@ pub const LANES: usize = 8;
 /// for bit, and [`GaussianLanes::into_lanes`] returns it in the state that
 /// `rngs[l]` would have after those calls. Lanes never read each other's
 /// words: a lane whose attempt misses the fast path is finished on its own
-/// stream by the scalar ziggurat's resume, while the others wait. So a
-/// caller that owns eight independent streams may draw them together and
-/// see nothing but the speed.
+/// stream by the scalar ziggurat's resume, while the others wait. With each
+/// attempt fast at ≈ 99.57 %, that wait comes on ≈ 3.4 % of eight-lane
+/// steps and ≈ 1.7 % of four-lane ones. So a caller that owns eight
+/// independent streams may draw them together and see nothing but the
+/// speed.
 ///
 /// Draws come out lane-major: [`fill`](GaussianLanes::fill) writes each
 /// lane's values into that lane's own slice. It matches on the one ISA
@@ -759,7 +771,7 @@ fn attempt_avx2(
     bits: std::arch::x86_64::__m256i,
 ) -> (std::arch::x86_64::__m256d, u32) {
     use std::arch::x86_64::*;
-    let i = _mm256_and_si256(bits, _mm256_set1_epi64x(0xff));
+    let i = _mm256_and_si256(bits, _mm256_set1_epi64x(ZIG_MASK as i64));
     // `2·[1, 2)` built as `[2, 4)` directly (the same mantissa, one binade
     // up, so the doubling is exact either way), then `− 3`.
     let two_four = _mm256_or_si256(
@@ -767,8 +779,8 @@ fn attempt_avx2(
         _mm256_set1_epi64x(0x4000_0000_0000_0000),
     );
     let u = _mm256_sub_pd(_mm256_castsi256_pd(two_four), _mm256_set1_pd(3.0));
-    // SAFETY: every index is at most 255 and the table holds 257 edges, so
-    // `x[i]` and `x[i + 1]` are in bounds.
+    // SAFETY: every index is at most `ZIG_MASK` and the table holds
+    // `ZIG_MASK + 2` edges, so `x[i]` and `x[i + 1]` are in bounds.
     let (edge, inner) = unsafe {
         (
             _mm256_i64gather_pd::<8>(t.x.as_ptr(), i),
@@ -927,14 +939,14 @@ fn attempt_avx512(
     bits: std::arch::x86_64::__m512i,
 ) -> (std::arch::x86_64::__m512d, u8) {
     use std::arch::x86_64::*;
-    let i = _mm512_and_si512(bits, _mm512_set1_epi64(0xff));
+    let i = _mm512_and_si512(bits, _mm512_set1_epi64(ZIG_MASK as i64));
     let two_four = _mm512_or_si512(
         _mm512_srli_epi64::<12>(bits),
         _mm512_set1_epi64(0x4000_0000_0000_0000),
     );
     let u = _mm512_sub_pd(_mm512_castsi512_pd(two_four), _mm512_set1_pd(3.0));
-    // SAFETY: every index is at most 255 and the table holds 257 edges, so
-    // `x[i]` and `x[i + 1]` are in bounds.
+    // SAFETY: every index is at most `ZIG_MASK` and the table holds
+    // `ZIG_MASK + 2` edges, so `x[i]` and `x[i + 1]` are in bounds.
     let (edge, inner) = unsafe {
         (
             _mm512_i64gather_pd::<8>(i, t.x.as_ptr()),
@@ -1263,27 +1275,30 @@ mod tests {
 
     /// 10⁶ ziggurat draws against the standard normal: four moments, the
     /// correlation of consecutive draws, the two-sided tails beyond 3 and
-    /// beyond 4 (past the base strip's width `x[0]` ≈ 3.91, which only the
-    /// tail branch reaches), the tail branch itself (entered exactly as
-    /// often as a value lands beyond `R`, at `P(|g| > R)` ≈ 2.58·10⁻⁴) and
-    /// χ² over 40 bins of width 0.2 on `[−4, 4)`. Caught here: values
-    /// scaled by 1.05 inside the ziggurat (variance, the tail beyond 3), and
-    /// a base layer that skips the tail, by returning `x` (nothing beyond 4)
-    /// or by redrawing (no tail entries). An inverted wedge test moves too
-    /// little mass to show in 10⁶ draws; the cost pin catches it.
+    /// beyond the base strip's width `x[0]` ≈ 4.27 (which only the tail
+    /// branch reaches, at `P(|g| > x[0])` ≈ 1.92·10⁻⁵), the tail branch
+    /// itself (entered exactly as often as a value lands beyond `R`, at
+    /// `P(|g| > R)` ≈ 5.37·10⁻⁵) and χ² over 40 bins of width 0.2 on
+    /// `[−4, 4)`. Caught here: values scaled by 1.05 inside the ziggurat
+    /// (variance, the tail beyond 3), and a base layer that skips the tail,
+    /// by returning `x` (nothing beyond `x[0]`) or by redrawing (no tail
+    /// entries). An inverted wedge test moves too little mass to show in 10⁶
+    /// draws; the cost pin catches it.
     #[test]
     fn ziggurat_draws_are_standard_normal() {
+        let x0 = ZIG.x[0];
         let mut rng = zig_stream();
         let (mut s1, mut s2, mut s3, mut s4, mut lag1) = (0.0, 0.0, 0.0, 0.0, 0.0);
         let mut last = 0.0;
-        let (mut beyond3, mut beyond4, mut beyond_r, mut tails) = (0usize, 0usize, 0usize, 0usize);
+        let (mut beyond3, mut beyond_x0, mut beyond_r, mut tails) =
+            (0usize, 0usize, 0usize, 0usize);
         let mut bins = [0usize; 40];
         for _ in 0..ZIG_DRAWS {
             let g = ziggurat(&mut rng, |slow| tails += usize::from(slow == ZigSlow::Tail));
             (s1, s2, s3, s4) = (s1 + g, s2 + g * g, s3 + g * g * g, s4 + g * g * g * g);
             (lag1, last) = (lag1 + last * g, g);
             beyond3 += usize::from(g.abs() > 3.0);
-            beyond4 += usize::from(g.abs() >= 4.0);
+            beyond_x0 += usize::from(g.abs() > x0);
             beyond_r += usize::from(g.abs() > ZIG_R);
             if (-4.0..4.0).contains(&g) {
                 bins[((g + 4.0) * 5.0) as usize] += 1;
@@ -1309,16 +1324,20 @@ mod tests {
             .sum();
         // Standard errors at 10⁶: mean 0.001, variance 0.0014, skew 0.0025,
         // kurtosis 0.0049, correlation 0.001, P(|g| > 3) 5.2·10⁻⁵, the counts
-        // beyond 4 (expected 63) and R (expected 258) 8 and 16.
+        // beyond `x[0]` (expected 19.2) and `R` (expected 53.7) 4.4 and 7.3;
+        // each count's range is about four of them either side.
         assert!(mean.abs() < 0.005, "mean {mean}");
         assert!((var - 1.0).abs() < 0.01, "variance {var}");
         assert!(skew.abs() < 0.015, "skew {skew}");
         assert!((kurtosis - 3.0).abs() < 0.03, "kurtosis {kurtosis}");
         assert!(rho.abs() < 0.005, "correlation of consecutive draws {rho}");
         assert!((0.0024..=0.0030).contains(&p3), "P(|g| > 3) = {p3}");
-        assert!((35..=95).contains(&beyond4), "{beyond4} draws beyond 4");
+        assert!(
+            (2..=37).contains(&beyond_x0),
+            "{beyond_x0} draws beyond x[0] = {x0}"
+        );
         assert_eq!(tails, beyond_r, "tail entries against values beyond R");
-        assert!((180..=340).contains(&tails), "tail entries {tails}");
+        assert!((25..=83).contains(&tails), "tail entries {tails}");
         // 39 degrees of freedom: P(χ² > 72) ≈ 0.001.
         assert!(chi2 < 72.0, "χ² = {chi2} over 40 bins");
     }
@@ -1337,12 +1356,13 @@ mod tests {
     }
 
     /// The ziggurat's cost as exact counts on the fixed stream: words per
-    /// 10⁶ Gaussians (at most 1.04 each; the polar method drew 1.27), and
+    /// 10⁶ Gaussians (at most 1.01 each; the polar method drew 1.27), and
     /// wedge and tail entries, the public draw giving the counted draw's
     /// bits. Caught here: a base layer that returns `x` (the word count) or
-    /// redraws (the tail count), an inverted wedge test (the wedge and word
-    /// counts), and `standard_gaussian` scaling the ziggurat's value by
-    /// 1.05 (the bits); scaling inside the ziggurat moves no count.
+    /// redraws (the tail count), an inverted wedge test (the word count: the
+    /// wedges are entered as often), and `standard_gaussian` scaling the
+    /// ziggurat's value by 1.05 (the bits); scaling inside the ziggurat
+    /// moves no count.
     #[test]
     fn ziggurat_cost_is_pinned() {
         let mut public = Counting {
@@ -1364,18 +1384,20 @@ mod tests {
         }
         assert_eq!(public.words, counted.words);
         assert!(
-            public.words as f64 <= 1.04 * ZIG_DRAWS as f64,
+            public.words as f64 <= 1.01 * ZIG_DRAWS as f64,
             "{} words for {ZIG_DRAWS} Gaussians",
             public.words
         );
-        assert_eq!((public.words, wedges, tails), (1_021_951, 14_776, 236));
+        assert_eq!((public.words, wedges, tails), (1_006_285, 4_255, 46));
     }
 
     /// The tables' bits, so a libm whose `exp` or `ln` rounds differently
     /// fails here by name and not as a moved downstream digest; and the
     /// shape the recurrence must give: edges falling from `x[0] = V / f(R)`
-    /// through `x[1] = R` to `x[256] = 0`, `f` their density, and every
-    /// layer, the top one closed by hand, of area `V`.
+    /// through `x[1] = R` to `x[ZIG_LAYERS] = 0`, `f` their density, and
+    /// every layer of area `V`. The loop's last layer is the top one, whose
+    /// upper edge is set to the mode by hand; it closes only as well as `R`
+    /// and `V` do (≈ 10⁻¹² off here).
     #[test]
     fn ziggurat_tables_are_pinned() {
         let t = &*ZIG;
@@ -1391,7 +1413,65 @@ mod tests {
         for v in t.x.iter().chain(&t.f) {
             h.update(&v.to_le_bytes());
         }
-        assert_eq!(h.finish(), 0x2551_ce23_766c_da97, "ziggurat tables");
+        assert_eq!(h.finish(), 0x927f_2a41_f02f_0249, "ziggurat tables");
+    }
+
+    /// `V(R)`: the base strip's rectangle `R·f(R)` plus the tail
+    /// `∫_R^∞ f = f(R)·M(R)`, Mills' ratio `M` from its continued fraction
+    /// `1/(R + 1/(R + 2/(R + 3/(R + …))))`, which 200 terms settle to the
+    /// last bit for `R ≥ 3`.
+    fn zig_area(r: f64) -> f64 {
+        let f = (-0.5 * r * r).exp();
+        let rest = (1..=200).rev().fold(0.0, |s, k| f64::from(k) / (r + s));
+        r * f + f / (r + rest)
+    }
+
+    /// Whether `ZIG_LAYERS` layers of area `V(r)`, stacked from `x[1] = r`
+    /// by the tables' recurrence, overshoot the mode: a layer below the top
+    /// one reaches `f = 1`, or the top one's upper edge `f + V/x` lies above
+    /// it. Too small an `r` overshoots, too large a one falls short.
+    fn zig_overshoots(r: f64) -> bool {
+        let v = zig_area(r);
+        let density = |x: f64| (-0.5 * x * x).exp();
+        let mut x = r;
+        for _ in 1..ZIG_LAYERS - 1 {
+            let h = v / x + density(x);
+            if h >= 1.0 {
+                return true;
+            }
+            x = (-2.0 * h.ln()).sqrt();
+        }
+        v / x + density(x) > 1.0
+    }
+
+    /// `ZIG_R` and `ZIG_V` close the ziggurat at `ZIG_LAYERS` layers: `R`
+    /// re-derived by bisection on the top layer's closure in `f64`, and `V`
+    /// from it, each within 10⁻¹² of the constants. A layer count changed
+    /// without new constants, or a constant rounded short, fails here.
+    #[test]
+    fn ziggurat_constants_close_the_ziggurat() {
+        let (mut lo, mut hi) = (3.0, 5.0);
+        assert!(zig_overshoots(lo) && !zig_overshoots(hi));
+        loop {
+            let mid = 0.5 * (lo + hi);
+            if mid <= lo || mid >= hi {
+                break;
+            }
+            if zig_overshoots(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        assert!(
+            (ZIG_R / lo - 1.0).abs() < 1e-12,
+            "R = {ZIG_R}, the closure's {lo}"
+        );
+        let v = zig_area(lo);
+        assert!(
+            (ZIG_V / v - 1.0).abs() < 1e-12,
+            "V = {ZIG_V}, the closure's {v}"
+        );
     }
 
     /// Every lane of [`GaussianLanes`] against the scalar draw on its own
@@ -1401,7 +1481,7 @@ mod tests {
     /// lane into its own slice, so a block boundary falls everywhere in the
     /// step and in the vector bodies' transposed runs of four and eight. The
     /// run must cross the resume often enough to test it: at least 100 tail
-    /// and 10 000 wedge entries (≈ 16 000 and ≈ 10⁶ are expected).
+    /// and 10 000 wedge entries (≈ 3 600 and ≈ 285 000 are expected).
     #[test]
     fn gaussian_lanes_match_scalar_streams() {
         const SEEDS: u64 = 64;

@@ -143,12 +143,14 @@ cargo test --release --offline -p openea-core --lib
 # generator takes every coordinate from, under the code generation that ships
 # (tier-1 tests build at `opt-level = 2`, releases at 3, which inlines the
 # draw into its callers differently): the ziggurat's distribution over 10⁶
-# draws, the exact word, wedge and tail counts of those draws and its tables'
-# bits; each lane of `GaussianLanes`, on every backend the one ISA switch
+# draws, the exact word, wedge and tail counts of those draws, its tables'
+# bits and its two constants re-derived from the closure of its 1 024 layers;
+# each lane of `GaussianLanes`, on every backend the one ISA switch
 # (`openea_runtime::isa`) supports on this host, forced in turn, bit for bit
 # against the scalar draw on its own stream through at least 100 tail and
-# 10 000 wedge entries. And `WeightedIndex`'s guide table, the latent world's
-# relation and attribute draws: a `props!` differential holds each guided draw
+# 10 000 wedge entries (≈ 3 600 and ≈ 285 000 over its 2²⁶ draws). And
+# `WeightedIndex`'s guide table, the latent world's relation and attribute
+# draws: a `props!` differential holds each guided draw
 # to a binary search over the cumulative sums, one word per draw, over weight
 # lists with zero runs, ties, Zipf and magnitudes from 1e-300 to 1e300, at
 # every bucket edge and the word just below it. Beside them the index-scale
@@ -212,6 +214,16 @@ if grep -rn 'std::env::var' crates/*/src | grep -v '^crates/runtime/src/testkit'
 # `std::arch` or `core::arch` path appears anywhere else under `crates/`.
 if grep -rnE '\b(std|core)::arch\b' crates/ |
     grep -vE '^crates/(runtime/src/(isa|rng)|mathkit/src/kernel)\.rs:'; then
+    exit 1
+fi
+
+# One Gaussian consumer: only the index-scale generator draws the runtime's
+# ziggurat, so a change to the ziggurat's bits moves the pins that read them
+# (the ziggurat's own, the generator's two digests and the IVF re-rank counts
+# on a generated pair) and nothing else. Comment lines do not count.
+if grep -rnwE 'gen_gaussian|standard_gaussian|GaussianLanes' crates/*/src |
+    grep -vE '^crates/(runtime/src/rng|synth/src/scale)\.rs:' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
     exit 1
 fi
 
